@@ -253,6 +253,10 @@ pub struct OperatorActuals {
     /// Mean number of tuples per emitted batch (0 when no batch was
     /// emitted).
     pub mean_batch_fill: f64,
+    /// Peak number of entries the operator held buffered at once (ranking
+    /// queues, drawn join inputs, queued join candidates; 0 for operators
+    /// that buffer nothing).
+    pub buffered_peak: u64,
 }
 
 impl OperatorActuals {
@@ -263,6 +267,7 @@ impl OperatorActuals {
             rows,
             batches: 0,
             mean_batch_fill: 0.0,
+            buffered_peak: 0,
         }
     }
 }
@@ -934,8 +939,10 @@ impl PhysicalPlan {
     }
 
     /// Explain output annotated with the runtime actuals of each operator
-    /// (tuples produced, and — when the plan ran through the batched pull
-    /// path — batch count and mean batch fill), paired from a post-order
+    /// (tuples produced; when the plan ran through the batched pull path,
+    /// batch count and mean batch fill; on the incremental rank-aware
+    /// operators µ / MPro / HRJN / NRJN, the peak number of buffered
+    /// entries), paired from a post-order
     /// [`OperatorActuals`] series as recorded by the executor's metrics
     /// registry.
     pub fn explain_with_actuals(
@@ -965,6 +972,15 @@ impl PhysicalPlan {
             c.explain_into(ctx, depth + 1, actuals, &mut child_text);
         }
         let label = self.node_label(ctx);
+        // What these operators buffer is what a rank-aware plan pays in
+        // memory for stopping early, so their lines report it.
+        let buffers = matches!(
+            self.op,
+            PhysicalOp::RankMaterialize { .. }
+                | PhysicalOp::MproProbe { .. }
+                | PhysicalOp::HashRankJoin { .. }
+                | PhysicalOp::NestedLoopsRankJoin { .. }
+        );
         // Children consumed their entries first, so under post-order
         // registration the first remaining match belongs to this node.
         let actual = actuals
@@ -974,14 +990,18 @@ impl PhysicalPlan {
                 Some(a.remove(pos))
             })
             .map(|a| {
+                let mut text = format!(", actual_rows={}", a.rows);
                 if a.batches > 0 {
-                    format!(
-                        ", actual_rows={}, batches={}, mean_batch_fill={:.1}",
-                        a.rows, a.batches, a.mean_batch_fill
-                    )
-                } else {
-                    format!(", actual_rows={}", a.rows)
+                    let _ = write!(
+                        text,
+                        ", batches={}, mean_batch_fill={:.1}",
+                        a.batches, a.mean_batch_fill
+                    );
                 }
+                if buffers {
+                    let _ = write!(text, ", buffered_peak={}", a.buffered_peak);
+                }
+                text
             })
             .unwrap_or_default();
         let _ = writeln!(
@@ -1141,8 +1161,12 @@ mod tests {
                 rows: 10,
                 batches: 2,
                 mean_batch_fill: 5.0,
+                buffered_peak: 0,
             },
-            OperatorActuals::rows_only("Rank_p1", 5),
+            OperatorActuals {
+                buffered_peak: 7,
+                ..OperatorActuals::rows_only("Rank_p1", 5)
+            },
             OperatorActuals::rows_only("Limit[2]", 2),
         ];
         let text = physical.explain_with_actuals(Some(&ctx()), &actuals);
@@ -1155,6 +1179,11 @@ mod tests {
         // Operators without batch statistics keep the rows-only annotation.
         assert!(
             text.contains("Limit[2] (cost=0.0, est_rows=0.0, actual_rows=2)"),
+            "{text}"
+        );
+        // The buffering rank-aware operators also report their peak.
+        assert!(
+            text.contains("Rank_p1 (cost=0.0, est_rows=0.0, actual_rows=5, buffered_peak=7)"),
             "{text}"
         );
     }

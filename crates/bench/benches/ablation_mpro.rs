@@ -68,8 +68,8 @@ fn mu_chain(
     let exec = ExecutionContext::new(Arc::clone(ctx));
     let scan =
         RankScan::new(Arc::clone(table), Arc::clone(index), 0, &exec, "scan").expect("rank-scan");
-    let mu_f4 = RankOp::new(Box::new(scan), 1, &exec, "mu_f4");
-    Box::new(RankOp::new(Box::new(mu_f4), 2, &exec, "mu_f5"))
+    let mu_f4 = RankOp::new(Box::new(scan), 1, &exec, "mu_f4").expect("bind");
+    Box::new(RankOp::new(Box::new(mu_f4), 2, &exec, "mu_f5").expect("bind"))
 }
 
 fn mpro(
@@ -80,7 +80,7 @@ fn mpro(
     let exec = ExecutionContext::new(Arc::clone(ctx));
     let scan =
         RankScan::new(Arc::clone(table), Arc::clone(index), 0, &exec, "scan").expect("rank-scan");
-    Box::new(MProOp::new(Box::new(scan), vec![1, 2], &exec, "mpro"))
+    Box::new(MProOp::new(Box::new(scan), vec![1, 2], &exec, "mpro").expect("bind"))
 }
 
 fn bench_mpro(c: &mut Criterion) {

@@ -12,8 +12,8 @@ use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalPlan};
 use ranksql_common::BitSet64;
 use ranksql_executor::kernel;
 use ranksql_executor::{
-    build_operator, drain, drain_batched, execute_physical_plan, execute_query_plan, scan::SeqScan,
-    ExecutionContext,
+    build_operator, drain, drain_batched, execute_physical_plan, execute_query_plan,
+    operator::take, scan::SeqScan, ExecutionContext,
 };
 use ranksql_expr::{BoolExpr, CompareOp, RankedTuple, ScalarExpr};
 use ranksql_workload::{SyntheticConfig, SyntheticWorkload};
@@ -348,6 +348,43 @@ fn bench_operators(c: &mut Criterion) {
         })
     });
     physical_group.finish();
+
+    // ------------------------------------------------------------------
+    // The rank-join itself, in the shape the paper's Q puts it in: HRJN
+    // over two rank-scans, nothing above it.  `take10` stops after ten
+    // results, `full_drain` takes every result of the same join; their
+    // within-run ratio (printed by `scripts/bench_compare.py`) is what
+    // "cost proportional to k" buys on this operator.  It collapses if
+    // the join stops terminating early; `take10` alone is the number that
+    // moves with the per-draw and per-match cost.
+    // ------------------------------------------------------------------
+    let mut topk_group = c.benchmark_group("rank_join_topk");
+    topk_group.measurement_time(std::time::Duration::from_millis(200));
+    let rank_join = PhysicalPlan::from_logical(&LogicalPlan::rank_scan(&a, 0).join(
+        LogicalPlan::rank_scan(&b, 2),
+        Some(BoolExpr::col_eq_col("A.jc1", "B.jc1")),
+        JoinAlgorithm::HashRankJoin,
+    ))
+    .expect("lowering");
+    let run_rank_join = |limit: Option<usize>| {
+        let exec = ExecutionContext::new(Arc::clone(&ranking));
+        let mut join = build_operator(&rank_join, catalog, &exec).expect("operator tree");
+        match limit {
+            Some(k) => take(join.as_mut(), k),
+            None => drain(join.as_mut()),
+        }
+        .expect("execution")
+        .len()
+    };
+    let join_size = run_rank_join(None);
+    assert!(join_size > 1_000, "the join has only {join_size} results");
+    topk_group.bench_function("take10", |bench| {
+        bench.iter(|| assert_eq!(run_rank_join(black_box(Some(10))), 10))
+    });
+    topk_group.bench_function("full_drain", |bench| {
+        bench.iter(|| assert_eq!(run_rank_join(black_box(None)), join_size))
+    });
+    topk_group.finish();
 
     // Prepared-statement plan cache: a cache hit (re-bind a cached shape)
     // vs a cold execution that pays the full parse + optimize every time.

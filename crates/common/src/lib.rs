@@ -43,5 +43,5 @@ pub use error::{RankSqlError, Result};
 pub use pool::{default_thread_count, morsel_ranges, WorkerPool, DEFAULT_MORSEL_SIZE, MAX_THREADS};
 pub use schema::{Field, Schema};
 pub use score::Score;
-pub use tuple::{Tuple, TupleId};
+pub use tuple::{JoinedRow, Row, Tuple, TupleId};
 pub use value::{cmp_f64_total, DataType, Value};

@@ -80,6 +80,34 @@ impl TupleId {
             IdParts::Joined(many) => many,
         }
     }
+
+    /// Orders the join identities `a ⋈ b` and `c ⋈ d` exactly as
+    /// `a.combine(b).cmp(&c.combine(d))` would, without building either:
+    /// each side's sorted constituents are merged on the fly.  This is how a
+    /// rank-join tie-breaks candidates it has not materialised yet.
+    pub fn cmp_combined(a: &TupleId, b: &TupleId, c: &TupleId, d: &TupleId) -> std::cmp::Ordering {
+        merged_parts(a.parts(), b.parts()).cmp(merged_parts(c.parts(), d.parts()))
+    }
+}
+
+/// The sorted multiset union of two sorted constituent lists — the parts
+/// [`TupleId::combine`] would store, as an iterator.
+fn merged_parts<'a>(
+    mut a: &'a [(u32, u64)],
+    mut b: &'a [(u32, u64)],
+) -> impl Iterator<Item = (u32, u64)> + 'a {
+    std::iter::from_fn(move || {
+        let from_a = match (a.first(), b.first()) {
+            (Some(x), Some(y)) => x <= y,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        let side = if from_a { &mut a } else { &mut b };
+        let (head, rest) = side.split_first()?;
+        *side = rest;
+        Some(*head)
+    })
 }
 
 impl Clone for TupleId {
@@ -206,6 +234,51 @@ impl Tuple {
     }
 }
 
+/// Read access to a row's values by column index: what bound expressions
+/// evaluate against, so a join can test its condition on a pair of tuples
+/// before (or without ever) concatenating them.
+pub trait Row {
+    /// The value at column `i`, or `None` past the row's arity.
+    fn get(&self, i: usize) -> Option<&Value>;
+
+    /// Number of columns.
+    fn arity(&self) -> usize;
+}
+
+impl Row for Tuple {
+    fn get(&self, i: usize) -> Option<&Value> {
+        self.values.get(i)
+    }
+
+    fn arity(&self) -> usize {
+        self.values.len()
+    }
+}
+
+/// The concatenation `left ++ right` viewed in place: column `i` of the
+/// joined schema is `left[i]` below the left arity and `right[i - arity]`
+/// from there on — the same layout [`Tuple::join`] materialises.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinedRow<'a> {
+    /// The left constituent.
+    pub left: &'a Tuple,
+    /// The right constituent.
+    pub right: &'a Tuple,
+}
+
+impl Row for JoinedRow<'_> {
+    fn get(&self, i: usize) -> Option<&Value> {
+        match i.checked_sub(self.left.arity()) {
+            None => self.left.values.get(i),
+            Some(j) => self.right.values.get(j),
+        }
+    }
+
+    fn arity(&self) -> usize {
+        self.left.arity() + self.right.arity()
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}(", self.id)?;
@@ -252,6 +325,50 @@ mod tests {
         assert_eq!(j.arity(), 3);
         assert_eq!(j.value(2), &Value::from("x"));
         assert_eq!(j.id().parts().len(), 2);
+    }
+
+    #[test]
+    fn cmp_combined_matches_materialised_order() {
+        // Every pairing of single and joined identities, including shared
+        // prefixes and duplicates, orders like the combined identities.
+        let singles: Vec<TupleId> = [(0, 3), (0, 7), (1, 0), (1, 3), (2, 5)]
+            .iter()
+            .map(|&(t, r)| TupleId::base(t, r))
+            .collect();
+        let mut ids = singles.clone();
+        for a in &singles {
+            for b in &singles {
+                ids.push(a.combine(b));
+            }
+        }
+        for a in &ids {
+            for b in &singles {
+                for c in &ids {
+                    for d in &singles {
+                        assert_eq!(
+                            TupleId::cmp_combined(a, b, c, d),
+                            a.combine(b).cmp(&c.combine(d)),
+                            "{a} ⋈ {b} vs {c} ⋈ {d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn joined_row_reads_like_the_joined_tuple() {
+        let t1 = Tuple::new(TupleId::base(0, 0), vec![Value::from(1), Value::from(2)]);
+        let t2 = Tuple::new(TupleId::base(1, 5), vec![Value::from("x")]);
+        let joined = t1.join(&t2);
+        let row = JoinedRow {
+            left: &t1,
+            right: &t2,
+        };
+        assert_eq!(Row::arity(&row), joined.arity());
+        for i in 0..=joined.arity() {
+            assert_eq!(row.get(i), Row::get(&joined, i));
+        }
     }
 
     #[test]

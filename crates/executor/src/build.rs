@@ -242,14 +242,14 @@ pub fn build_operator(
         PhysicalOp::RankMaterialize { input, predicate } => {
             check_predicate(exec.ranking(), *predicate)?;
             let child = build_operator(input, catalog, exec)?;
-            Ok(Box::new(RankOp::new(child, *predicate, exec, label)))
+            Ok(Box::new(RankOp::new(child, *predicate, exec, label)?))
         }
         PhysicalOp::MproProbe { input, schedule } => {
             for &p in schedule {
                 check_predicate(exec.ranking(), p)?;
             }
             let child = build_operator(input, catalog, exec)?;
-            Ok(Box::new(MProOp::new(child, schedule.clone(), exec, label)))
+            Ok(Box::new(MProOp::new(child, schedule.clone(), exec, label)?))
         }
         PhysicalOp::NestedLoopsJoin {
             left,
@@ -346,7 +346,7 @@ pub fn build_operator(
                 check_predicate(exec.ranking(), p)?;
             }
             let child = build_operator(input, catalog, exec)?;
-            Ok(Box::new(SortOp::new(child, *predicates, exec, label)))
+            Ok(Box::new(SortOp::new(child, *predicates, exec, label)?))
         }
         PhysicalOp::SortLimit {
             input,
@@ -370,7 +370,7 @@ pub fn build_operator(
                 None
             };
             let child = build_operator(input, catalog, exec)?;
-            let mut op = SortLimitOp::new(child, *predicates, *k, exec, label);
+            let mut op = SortLimitOp::new(child, *predicates, *k, exec, label)?;
             if let Some(cell) = cell {
                 op = op.with_threshold(cell);
             }

@@ -350,7 +350,7 @@ impl SpineNode {
                     *predicates,
                     exec,
                     label.clone(),
-                )))
+                )?))
             }
             SpineNode::SortLimit {
                 input,
@@ -360,7 +360,7 @@ impl SpineNode {
             } => {
                 let cell = input.threshold_cell();
                 let child = input.instantiate(range, exec)?;
-                let mut op = SortLimitOp::new(child, *predicates, *k, exec, label.clone());
+                let mut op = SortLimitOp::new(child, *predicates, *k, exec, label.clone())?;
                 // Per-partition top-k instances share the spine's threshold
                 // cell with the morsel scans: any partition's k-th best
                 // score is a valid global bound (at least k tuples beat it),

@@ -128,9 +128,9 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Per-operator runtime actuals (tuples, batches, mean batch fill) in
-    /// registration order — the series `explain_with_actuals` pairs against
-    /// the physical plan.
+    /// Per-operator runtime actuals (tuples, batches, mean batch fill,
+    /// buffered peak) in registration order — the series
+    /// `explain_with_actuals` pairs against the physical plan.
     pub fn operator_actuals(&self) -> Vec<ranksql_algebra::OperatorActuals> {
         self.ops
             .lock()
@@ -140,6 +140,7 @@ impl MetricsRegistry {
                 rows: m.tuples_out(),
                 batches: m.batches_out(),
                 mean_batch_fill: m.mean_batch_fill(),
+                buffered_peak: m.buffered_peak(),
             })
             .collect()
     }

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use ranksql_common::{Result, Schema, Score};
-use ranksql_expr::{RankedTuple, RankingContext};
+use ranksql_expr::{BoundRanking, RankedTuple, RankingContext};
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
@@ -42,6 +42,8 @@ pub struct MProOp {
     schedule: Vec<usize>,
     schema: Schema,
     ctx: Arc<RankingContext>,
+    /// The scheduled predicates, bound to `schema` at construction.
+    ranking: BoundRanking,
     metrics: Arc<OperatorMetrics>,
     queue: RankingQueue,
     /// Upper bound (`F_P`) of any tuple the input may still produce.
@@ -62,24 +64,25 @@ impl MProOp {
         schedule: Vec<usize>,
         exec: &ExecutionContext,
         label: impl Into<String>,
-    ) -> Self {
+    ) -> Result<Self> {
         let ctx = exec.ranking_arc();
         let metrics = exec.register(label);
         let schema = input.schema().clone();
         let initial_bound = ctx.initial_upper_bound();
         let input_ranked = input.is_ranked();
-        MProOp {
+        Ok(MProOp {
             input,
+            ranking: ctx.bind(&schema, schedule.iter().copied())?,
             schedule,
-            schema,
             queue: RankingQueue::new(Arc::clone(&ctx)),
             ctx,
+            schema,
             metrics,
             input_bound: initial_bound,
             input_exhausted: false,
             input_ranked,
             probes: 0,
-        }
+        })
     }
 
     /// A schedule ordered by ascending predicate cost (cheap probes first),
@@ -136,8 +139,7 @@ impl PhysicalOperator for MProOp {
                         // The probe of `p` on this tuple is *necessary*: the
                         // tuple cannot be emitted or discarded without it.
                         Some(p) => {
-                            self.ctx
-                                .evaluate_into(p, &t.tuple, &self.schema, &mut t.state)?;
+                            self.ranking.evaluate_into(p, &t.tuple, &mut t.state)?;
                             self.probes += 1;
                             self.queue.push(t);
                             self.metrics.observe_buffered(self.queue.len() as u64);
@@ -264,7 +266,7 @@ mod tests {
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = rank_scan_p3(&t, &exec);
-        let mut mpro = MProOp::new(Box::new(scan), vec![1, 2], &exec, "mpro");
+        let mut mpro = MProOp::new(Box::new(scan), vec![1, 2], &exec, "mpro").unwrap();
         let top = take(&mut mpro, 1).unwrap();
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].tuple.value(0), &Value::from(1));
@@ -283,15 +285,15 @@ mod tests {
         let ctx_chain = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx_chain));
         let scan = rank_scan_p3(&t, &exec);
-        let mu_p4 = RankOp::new(Box::new(scan), 1, &exec, "mu_p4");
-        let mut mu_p5 = RankOp::new(Box::new(mu_p4), 2, &exec, "mu_p5");
+        let mu_p4 = RankOp::new(Box::new(scan), 1, &exec, "mu_p4").unwrap();
+        let mut mu_p5 = RankOp::new(Box::new(mu_p4), 2, &exec, "mu_p5").unwrap();
         let _ = take(&mut mu_p5, 1).unwrap();
         let chain_probes = ctx_chain.counters().count(1) + ctx_chain.counters().count(2);
 
         let ctx_mpro = ctx_s();
         let exec2 = ExecutionContext::new(Arc::clone(&ctx_mpro));
         let scan2 = rank_scan_p3(&t, &exec2);
-        let mut mpro = MProOp::new(Box::new(scan2), vec![1, 2], &exec2, "mpro");
+        let mut mpro = MProOp::new(Box::new(scan2), vec![1, 2], &exec2, "mpro").unwrap();
         let _ = take(&mut mpro, 1).unwrap();
         let mpro_probes = ctx_mpro.counters().count(1) + ctx_mpro.counters().count(2);
 
@@ -308,7 +310,7 @@ mod tests {
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = rank_scan_p3(&t, &exec);
-        let mut mpro = MProOp::new(Box::new(scan), vec![1, 2], &exec, "mpro");
+        let mut mpro = MProOp::new(Box::new(scan), vec![1, 2], &exec, "mpro").unwrap();
         let all = drain(&mut mpro).unwrap();
         assert_eq!(all.len(), 6);
         assert_eq!(check_rank_order(&all, &ctx), None);
@@ -328,7 +330,7 @@ mod tests {
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = rank_scan_p3(&t, &exec);
-        let mut mpro = MProOp::new(Box::new(scan), vec![], &exec, "mpro");
+        let mut mpro = MProOp::new(Box::new(scan), vec![], &exec, "mpro").unwrap();
         let all = drain(&mut mpro).unwrap();
         assert_eq!(all.len(), 6);
         // No probes at all: p4, p5 never evaluated.
@@ -345,7 +347,7 @@ mod tests {
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
-        let mut mpro = MProOp::new(Box::new(scan), vec![0, 1, 2], &exec, "mpro");
+        let mut mpro = MProOp::new(Box::new(scan), vec![0, 1, 2], &exec, "mpro").unwrap();
         let top = take(&mut mpro, 2).unwrap();
         assert_eq!(ctx.upper_bound(&top[0].state), Score::new(2.55));
         assert_eq!(ctx.upper_bound(&top[1].state), Score::new(2.4));
@@ -379,15 +381,15 @@ mod tests {
             let ctx_chain = ctx_s();
             let exec = ExecutionContext::new(Arc::clone(&ctx_chain));
             let scan = rank_scan_p3(&t, &exec);
-            let mu_p4 = RankOp::new(Box::new(scan), 1, &exec, "mu_p4");
-            let mut mu_p5 = RankOp::new(Box::new(mu_p4), 2, &exec, "mu_p5");
+            let mu_p4 = RankOp::new(Box::new(scan), 1, &exec, "mu_p4").unwrap();
+            let mut mu_p5 = RankOp::new(Box::new(mu_p4), 2, &exec, "mu_p5").unwrap();
             let chain = take(&mut mu_p5, k).unwrap();
             let chain_probes = ctx_chain.counters().total();
 
             let ctx_mpro = ctx_s();
             let exec2 = ExecutionContext::new(Arc::clone(&ctx_mpro));
             let scan2 = rank_scan_p3(&t, &exec2);
-            let mut mpro = MProOp::new(Box::new(scan2), vec![1, 2], &exec2, "mpro");
+            let mut mpro = MProOp::new(Box::new(scan2), vec![1, 2], &exec2, "mpro").unwrap();
             let got = take(&mut mpro, k).unwrap();
             let mpro_probes = ctx_mpro.counters().total();
 

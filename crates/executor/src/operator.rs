@@ -146,8 +146,9 @@ impl Ord for HeapEntry {
 }
 
 /// A ranking queue: a max-priority queue of tuples ordered by upper-bound
-/// score (deterministic ties), as used by µ, the rank-joins and the
-/// rank-aware set operators.
+/// score (deterministic ties), as used by µ, MPro and the rank-aware set
+/// operators.  (The rank-joins queue index pairs in the same order and
+/// build a tuple only on emit; see `rank_join`.)
 #[derive(Debug)]
 pub struct RankingQueue {
     heap: BinaryHeap<HeapEntry>,

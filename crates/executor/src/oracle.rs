@@ -52,6 +52,12 @@ pub fn oracle_top_k_over_rows(
         .map(|p| p.bind(schema))
         .collect::<Result<Vec<_>>>()?;
     let n = query.num_rank_predicates();
+    let ranking: Vec<_> = query
+        .ranking
+        .predicates()
+        .iter()
+        .map(|p| p.bind(schema))
+        .collect::<Result<Vec<_>>>()?;
 
     let mut results: Vec<RankedTuple> = Vec::new();
     let mut stack: Vec<Tuple> = Vec::new();
@@ -66,9 +72,8 @@ pub fn oracle_top_k_over_rows(
                 }
             }
             let mut state = ScoreState::new(n);
-            for i in 0..n {
-                let score = query.ranking.predicate(i).evaluate(joined, schema)?;
-                state.set(i, score.value());
+            for (i, p) in ranking.iter().enumerate() {
+                state.set(i, p.evaluate(joined)?.value());
             }
             results.push(RankedTuple::new(joined.clone(), state));
             Ok(())

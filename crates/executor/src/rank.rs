@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use ranksql_common::{Result, Schema, Score};
-use ranksql_expr::{RankedTuple, RankingContext};
+use ranksql_expr::{BoundRanking, RankedTuple, RankingContext};
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
@@ -24,6 +24,8 @@ pub struct RankOp {
     predicate: usize,
     schema: Schema,
     ctx: Arc<RankingContext>,
+    /// `predicate`, bound to `schema` at construction.
+    ranking: BoundRanking,
     metrics: Arc<OperatorMetrics>,
     queue: RankingQueue,
     /// Upper bound (`F_P`) of any tuple the input may still produce.
@@ -42,23 +44,24 @@ impl RankOp {
         predicate: usize,
         exec: &ExecutionContext,
         label: impl Into<String>,
-    ) -> Self {
+    ) -> Result<Self> {
         let ctx = exec.ranking_arc();
         let metrics = exec.register(label);
         let schema = input.schema().clone();
         let initial_bound = ctx.initial_upper_bound();
         let input_ranked = input.is_ranked();
-        RankOp {
+        Ok(RankOp {
             input,
             predicate,
-            schema,
             queue: RankingQueue::new(Arc::clone(&ctx)),
+            ranking: ctx.bind(&schema, [predicate])?,
             ctx,
+            schema,
             metrics,
             input_bound: initial_bound,
             input_exhausted: false,
             input_ranked,
-        }
+        })
     }
 }
 
@@ -96,12 +99,8 @@ impl PhysicalOperator for RankOp {
                     // tuple is no better than this.
                     self.input_bound = self.ctx.upper_bound(&rt.state);
                     if !rt.state.is_evaluated(self.predicate) {
-                        self.ctx.evaluate_into(
-                            self.predicate,
-                            &rt.tuple,
-                            &self.schema,
-                            &mut rt.state,
-                        )?;
+                        self.ranking
+                            .evaluate_into(self.predicate, &rt.tuple, &mut rt.state)?;
                     }
                     self.queue.push(rt);
                     self.metrics.observe_buffered(self.queue.len() as u64);
@@ -204,8 +203,8 @@ mod tests {
             ScoreIndex::build(exec.ranking().predicate(0), t.schema(), &t.scan()).unwrap(),
         );
         let scan = RankScan::new(Arc::clone(t), idx, 0, exec, "idxScan_p3(S)").unwrap();
-        let mu_p4 = RankOp::new(Box::new(scan), 1, exec, "mu_p4");
-        RankOp::new(Box::new(mu_p4), 2, exec, "mu_p5")
+        let mu_p4 = RankOp::new(Box::new(scan), 1, exec, "mu_p4").unwrap();
+        RankOp::new(Box::new(mu_p4), 2, exec, "mu_p5").unwrap()
     }
 
     #[test]
@@ -282,8 +281,8 @@ mod tests {
             ScoreIndex::build(exec_c.ranking().predicate(0), t.schema(), &t.scan()).unwrap(),
         );
         let scan = RankScan::new(Arc::clone(&t), idx, 0, &exec_c, "idxScan_p3(S)").unwrap();
-        let mu_p5 = RankOp::new(Box::new(scan), 2, &exec_c, "mu_p5");
-        let mut plan_c = RankOp::new(Box::new(mu_p5), 1, &exec_c, "mu_p4");
+        let mu_p5 = RankOp::new(Box::new(scan), 2, &exec_c, "mu_p5").unwrap();
+        let mut plan_c = RankOp::new(Box::new(mu_p5), 1, &exec_c, "mu_p4").unwrap();
 
         let top_b = take(&mut plan_b, 1).unwrap();
         let top_c = take(&mut plan_c, 1).unwrap();
@@ -301,9 +300,9 @@ mod tests {
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
-        let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3");
-        let mu2 = RankOp::new(Box::new(mu), 1, &exec, "mu_p4");
-        let mut mu3 = RankOp::new(Box::new(mu2), 2, &exec, "mu_p5");
+        let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3").unwrap();
+        let mu2 = RankOp::new(Box::new(mu), 1, &exec, "mu_p4").unwrap();
+        let mut mu3 = RankOp::new(Box::new(mu2), 2, &exec, "mu_p5").unwrap();
         let top = take(&mut mu3, 2).unwrap();
         assert_eq!(ctx.upper_bound(&top[0].state), Score::new(2.55));
         assert_eq!(ctx.upper_bound(&top[1].state), Score::new(2.4));
@@ -318,8 +317,8 @@ mod tests {
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
-        let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3");
-        let mut mu_again = RankOp::new(Box::new(mu), 0, &exec, "mu_p3'");
+        let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3").unwrap();
+        let mut mu_again = RankOp::new(Box::new(mu), 0, &exec, "mu_p3'").unwrap();
         let all = drain(&mut mu_again).unwrap();
         assert_eq!(all.len(), 6);
         // p3 evaluated once per tuple, not twice.
@@ -336,7 +335,7 @@ mod tests {
         );
         let exec = ExecutionContext::new(ctx);
         let scan = SeqScan::new(&empty, &exec, "scan");
-        let mut mu = RankOp::new(Box::new(scan), 0, &exec, "mu");
+        let mut mu = RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
         assert!(mu.next().unwrap().is_none());
         assert!(mu.next().unwrap().is_none());
     }

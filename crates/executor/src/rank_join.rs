@@ -8,17 +8,18 @@
 //! soon as the requested results are guaranteed — which is what makes
 //! ranking plans' cost proportional to `k`.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-use ranksql_common::{Result, Schema, Score, Value};
-use ranksql_expr::{BoolExpr, BoundBoolExpr, RankedTuple, RankingContext, ScoreState};
+use ranksql_common::{JoinedRow, Result, Schema, Score, TupleId, Value};
+use ranksql_expr::{BoolExpr, BoundBoolExpr, RankedTuple, RankingContext};
 
 use crate::fxhash::FxHashMap;
 
 use crate::context::ExecutionContext;
 use crate::join::extract_join_keys;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator, RankingQueue};
+use crate::operator::{Batch, BoxedOperator, PhysicalOperator};
 
 /// Which side to pull from next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,19 +28,25 @@ enum Side {
     Right,
 }
 
+/// End of a hash chain in [`SideState::next_same_key`].
+const CHAIN_END: usize = usize::MAX;
+
 /// State kept per input side.
 struct SideState {
     input: BoxedOperator,
-    /// All tuples drawn so far.
+    /// All tuples drawn so far, in draw order.  On a ranked input the first
+    /// is the side's best tuple and the last bounds everything it may still
+    /// produce — the two states the threshold is computed from.
     seen: Vec<RankedTuple>,
-    /// Hash table from join-key values to indices into `seen` (HRJN only).
-    hash: FxHashMap<Vec<Value>, Vec<usize>>,
+    /// Hash table from join-key values to the most recently drawn `seen`
+    /// index with that key (HRJN only); earlier ones follow through
+    /// `next_same_key`.
+    hash: FxHashMap<Vec<Value>, usize>,
+    /// Parallel to `seen`: the previously drawn index with the same join
+    /// key, or [`CHAIN_END`] — the hash buckets, without a `Vec` per key.
+    next_same_key: Vec<usize>,
     /// Key column indices within this side's schema.
     key_cols: Vec<usize>,
-    /// Score state of the first (best) tuple drawn.
-    top_state: Option<ScoreState>,
-    /// Score state of the most recently drawn tuple.
-    last_state: Option<ScoreState>,
     exhausted: bool,
     ranked: bool,
 }
@@ -51,12 +58,104 @@ impl SideState {
             input,
             seen: Vec::new(),
             hash: FxHashMap::default(),
+            next_same_key: Vec::new(),
             key_cols,
-            top_state: None,
-            last_state: None,
             exhausted: false,
             ranked,
         }
+    }
+
+    /// Indices into `seen` of the tuples whose join key equals `key`.
+    fn matches<'a>(&'a self, key: &[Value]) -> impl Iterator<Item = usize> + 'a {
+        let mut at = self.hash.get(key).copied().unwrap_or(CHAIN_END);
+        std::iter::from_fn(move || {
+            let found = (at != CHAIN_END).then_some(at)?;
+            at = self.next_same_key[found];
+            Some(found)
+        })
+    }
+}
+
+/// A join result that passed the condition but has not been built: its two
+/// constituents by index into the sides' `seen` vectors, and the upper
+/// bound of their merged score state.  The joined tuple (a value vector and
+/// an identity, three allocations) and the merged state are built only if
+/// the candidate is popped for emission — most never are under a small `k`.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    score: Score,
+    left: usize,
+    right: usize,
+}
+
+/// The candidate queue: a binary max-heap in *score descending, joined
+/// identity ascending* order — what `operator::HeapEntry` gives materialised
+/// tuples, so a rank-join breaks ties like every other ranking queue.  The
+/// tie-break reads the constituents' identities out of the sides' `seen`
+/// vectors (a candidate is 24 bytes and carries none), which is why this is
+/// not a `BinaryHeap`: its `Ord` could not reach them.
+#[derive(Default)]
+struct CandidateQueue {
+    heap: Vec<Candidate>,
+}
+
+impl CandidateQueue {
+    /// Whether `a` pops before `b`.
+    fn before(a: &Candidate, b: &Candidate, left: &[RankedTuple], right: &[RankedTuple]) -> bool {
+        a.score.cmp(&b.score).then_with(|| {
+            TupleId::cmp_combined(
+                left[b.left].tuple.id(),
+                right[b.right].tuple.id(),
+                left[a.left].tuple.id(),
+                right[a.right].tuple.id(),
+            )
+        }) == Ordering::Greater
+    }
+
+    fn peek(&self) -> Option<&Candidate> {
+        self.heap.first()
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn push(&mut self, c: Candidate, left: &[RankedTuple], right: &[RankedTuple]) {
+        let heap = &mut self.heap;
+        let mut at = heap.len();
+        heap.push(c);
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if !Self::before(&heap[at], &heap[parent], left, right) {
+                break;
+            }
+            heap.swap(at, parent);
+            at = parent;
+        }
+    }
+
+    fn pop(&mut self, left: &[RankedTuple], right: &[RankedTuple]) -> Option<Candidate> {
+        let heap = &mut self.heap;
+        if heap.is_empty() {
+            return None;
+        }
+        let top = heap.swap_remove(0);
+        let mut at = 0;
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= heap.len() {
+                break;
+            }
+            if child + 1 < heap.len() && Self::before(&heap[child + 1], &heap[child], left, right) {
+                child += 1;
+            }
+            if !Self::before(&heap[child], &heap[at], left, right) {
+                break;
+            }
+            heap.swap(at, child);
+            at = child;
+        }
+        Some(top)
     }
 }
 
@@ -65,19 +164,33 @@ impl SideState {
 /// `use_hash = false` it is NRJN: every new tuple is checked against all
 /// tuples seen on the other side (supporting arbitrary join conditions,
 /// including rank-join predicates with no equi-key).
+///
+/// Either way a match is queued as an index-pair candidate and
+/// **materialised on emit**; the queue pops in *score descending, joined
+/// identity ascending* order.
 pub struct RankJoin {
     left: SideState,
     right: SideState,
-    /// Full join condition bound against the joined schema (used by NRJN and
-    /// as the residual check for HRJN).
+    /// What a candidate pair must still pass, bound against the joined
+    /// schema and evaluated on the pair in place through [`JoinedRow`]: the
+    /// whole condition for NRJN, the non-equi conjuncts for HRJN (whose hash
+    /// match already decided the equalities; NULL keys never match).
     condition: Option<BoundBoolExpr>,
     /// Whether to probe by hash (HRJN) or scan (NRJN).
     use_hash: bool,
     schema: Schema,
     ctx: Arc<RankingContext>,
     metrics: Arc<OperatorMetrics>,
-    output: RankingQueue,
+    output: CandidateQueue,
+    /// The drawn tuple's join key, extracted once per draw (reused buffer).
+    key: Vec<Value>,
+    /// The cached [`RankJoin::threshold`]; `None` after a side advanced or
+    /// exhausted, the only events that move it.
+    threshold: Option<Score>,
     turn: Side,
+    /// Joined tuples built so far (must equal the tuples emitted).
+    #[cfg(test)]
+    built: std::rc::Rc<std::cell::Cell<u64>>,
 }
 
 impl RankJoin {
@@ -99,7 +212,7 @@ impl RankJoin {
         Self::build(
             left,
             right,
-            condition,
+            keys.residual.as_ref(),
             keys.keys,
             true,
             exec.ranking_arc(),
@@ -145,10 +258,14 @@ impl RankJoin {
             condition: bound_condition,
             use_hash,
             schema,
-            output: RankingQueue::new(Arc::clone(&ctx)),
+            output: CandidateQueue::default(),
+            key: Vec::new(),
+            threshold: None,
             ctx,
             metrics,
             turn: Side::Left,
+            #[cfg(test)]
+            built: Default::default(),
         })
     }
 
@@ -165,103 +282,108 @@ impl RankJoin {
         // side.  Merging the actual states keeps this exact for additive
         // scoring functions and conservative for the rest (unevaluated
         // predicates are filled with the maximal value either way).
-        let combine = |future_side: &SideState, other_top: &Option<ScoreState>| -> Score {
-            match (&future_side.last_state, other_top) {
-                (_, None) => {
-                    // Nothing seen on the other side yet: no join result can
-                    // be formed with it, but future results are still
-                    // possible once it produces tuples; stay conservative.
-                    self.ctx.initial_upper_bound()
-                }
-                (None, Some(_)) if future_side.exhausted => Score::new(f64::NEG_INFINITY),
-                (None, Some(top)) => {
-                    // Future side not yet sampled: bound by the other top
-                    // alone (its own predicates unevaluated = filled max).
-                    self.ctx.upper_bound(top)
-                }
-                (Some(last), Some(top)) => {
-                    if future_side.exhausted {
-                        Score::new(f64::NEG_INFINITY)
-                    } else {
-                        self.ctx.upper_bound(&last.merge(top))
-                    }
-                }
+        let combine = |future_side: &SideState, other_side: &SideState| -> Score {
+            if future_side.exhausted {
+                return Score::new(f64::NEG_INFINITY);
+            }
+            if !future_side.ranked {
+                return self.ctx.initial_upper_bound();
+            }
+            match (future_side.seen.last(), other_side.seen.first()) {
+                // Nothing seen on the other side yet: no join result can be
+                // formed with it, but future results are still possible
+                // once it produces tuples; stay conservative.
+                (_, None) => self.ctx.initial_upper_bound(),
+                // Future side not yet sampled: bound by the other top alone
+                // (its own predicates unevaluated = filled max).
+                (None, Some(top)) => self.ctx.upper_bound(&top.state),
+                (Some(last), Some(top)) => self.ctx.upper_bound(&last.state.merge(&top.state)),
             }
         };
-        let t1 = if self.left.exhausted {
-            Score::new(f64::NEG_INFINITY)
-        } else if !self.left.ranked {
-            self.ctx.initial_upper_bound()
-        } else {
-            combine(&self.left, &self.right.top_state)
-        };
-        let t2 = if self.right.exhausted {
-            Score::new(f64::NEG_INFINITY)
-        } else if !self.right.ranked {
-            self.ctx.initial_upper_bound()
-        } else {
-            combine(&self.right, &self.left.top_state)
-        };
-        t1.max(t2)
+        combine(&self.left, &self.right).max(combine(&self.right, &self.left))
     }
 
-    /// Draws one tuple from `side`, joining it against everything seen on the
-    /// other side and buffering the results.
+    /// Draws one tuple from `side` and queues a candidate for every tuple
+    /// seen on the other side that it joins with.
     fn advance(&mut self, side: Side) -> Result<()> {
-        let (this, other) = match side {
-            Side::Left => (&mut self.left, &mut self.right),
-            Side::Right => (&mut self.right, &mut self.left),
+        self.threshold = None;
+        let this = match side {
+            Side::Left => &mut self.left,
+            Side::Right => &mut self.right,
         };
-        match this.input.next()? {
-            None => {
-                this.exhausted = true;
-            }
-            Some(t) => {
-                self.metrics.add_in(1);
-                if this.top_state.is_none() {
-                    this.top_state = Some(t.state.clone());
-                }
-                this.last_state = Some(t.state.clone());
-                // Find partners on the other side.
-                let partner_indices: Vec<usize> = if self.use_hash {
-                    let key: Vec<Value> = this
-                        .key_cols
-                        .iter()
-                        .map(|&i| t.tuple.value(i).clone())
-                        .collect();
-                    other.hash.get(&key).cloned().unwrap_or_default()
-                } else {
-                    (0..other.seen.len()).collect()
-                };
-                for pi in partner_indices {
-                    let partner = &other.seen[pi];
-                    let joined = match side {
-                        Side::Left => t.join(partner),
-                        Side::Right => partner.join(&t),
-                    };
-                    let passes = match &self.condition {
-                        Some(c) => c.eval(&joined.tuple)?,
-                        None => true,
-                    };
-                    if passes {
-                        self.output.push(joined);
-                    }
-                }
-                // Register the new tuple on its own side.
-                if self.use_hash {
-                    let key: Vec<Value> = this
-                        .key_cols
-                        .iter()
-                        .map(|&i| t.tuple.value(i).clone())
-                        .collect();
-                    this.hash.entry(key).or_default().push(this.seen.len());
-                }
-                this.seen.push(t);
-                self.metrics
-                    .observe_buffered((self.left.seen.len() + self.right.seen.len()) as u64);
-            }
+        let Some(t) = this.input.next()? else {
+            this.exhausted = true;
+            return Ok(());
+        };
+        self.metrics.add_in(1);
+
+        // Register the new tuple on its own side.  `=` is never true of a
+        // NULL, so a NULL key is neither registered nor probed with.
+        let index = this.seen.len();
+        self.key.clear();
+        self.key
+            .extend(this.key_cols.iter().map(|&i| t.tuple.value(i).clone()));
+        let joinable = !self.key.iter().any(Value::is_null);
+        this.seen.push(t);
+        if self.use_hash {
+            let previous = if !joinable {
+                CHAIN_END
+            } else if let Some(head) = this.hash.get_mut(self.key.as_slice()) {
+                std::mem::replace(head, index)
+            } else {
+                this.hash.insert(self.key.clone(), index);
+                CHAIN_END
+            };
+            this.next_same_key.push(previous);
         }
+
+        // Queue its matches with the other side.
+        let (left, right) = (&self.left.seen, &self.right.seen);
+        let (condition, ctx, output) = (&self.condition, &self.ctx, &mut self.output);
+        let mut consider = |partner: usize| -> Result<()> {
+            let (li, ri) = match side {
+                Side::Left => (index, partner),
+                Side::Right => (partner, index),
+            };
+            let (l, r) = (&left[li], &right[ri]);
+            if let Some(c) = condition {
+                let pair = JoinedRow {
+                    left: &l.tuple,
+                    right: &r.tuple,
+                };
+                if !c.eval(&pair)? {
+                    return Ok(());
+                }
+            }
+            let candidate = Candidate {
+                score: ctx.upper_bound(&l.state.merge(&r.state)),
+                left: li,
+                right: ri,
+            };
+            output.push(candidate, left, right);
+            Ok(())
+        };
+        let other = match side {
+            Side::Left => &self.right,
+            Side::Right => &self.left,
+        };
+        if !self.use_hash {
+            (0..other.seen.len()).try_for_each(&mut consider)?;
+        } else if joinable {
+            other.matches(&self.key).try_for_each(&mut consider)?;
+        }
+
+        self.metrics.observe_buffered(
+            (self.left.seen.len() + self.right.seen.len() + self.output.len()) as u64,
+        );
         Ok(())
+    }
+
+    /// Builds the joined tuple of a popped candidate.
+    fn materialise(&self, c: Candidate) -> RankedTuple {
+        #[cfg(test)]
+        self.built.set(self.built.get() + 1);
+        self.left.seen[c.left].join(&self.right.seen[c.right])
     }
 
     fn pick_side(&self) -> Option<Side> {
@@ -281,13 +403,19 @@ impl PhysicalOperator for RankJoin {
 
     fn next(&mut self) -> Result<Option<RankedTuple>> {
         loop {
-            let threshold = self.threshold();
-            if let Some(best) = self.output.peek_score() {
+            let threshold = match self.threshold {
+                Some(t) => t,
+                None => *self.threshold.insert(self.threshold()),
+            };
+            if let Some(best) = self.output.peek() {
                 let both_done = self.left.exhausted && self.right.exhausted;
-                if both_done || best >= threshold {
-                    let t = self.output.pop().expect("non-empty output queue");
+                if both_done || best.score >= threshold {
+                    let c = self
+                        .output
+                        .pop(&self.left.seen, &self.right.seen)
+                        .expect("non-empty output queue");
                     self.metrics.add_out(1);
-                    return Ok(Some(t));
+                    return Ok(Some(self.materialise(c)));
                 }
             } else if self.left.exhausted && self.right.exhausted {
                 return Ok(None);
@@ -304,7 +432,7 @@ impl PhysicalOperator for RankJoin {
                 }
                 None => {
                     // Both exhausted; loop once more to flush the queue.
-                    if self.output.is_empty() {
+                    if self.output.peek().is_none() {
                         return Ok(None);
                     }
                 }
@@ -337,9 +465,10 @@ impl PhysicalOperator for RankJoin {
     }
 
     fn extend_limit(&mut self, extra: usize) -> bool {
-        // HRJN/NRJN buffer every drawn tuple in their side states and the
-        // output queue — nothing is discarded, so extending a top-k just
-        // resumes the incremental join where it stopped.
+        // HRJN/NRJN keep every drawn tuple in their side states and every
+        // unemitted match in the candidate queue — nothing is discarded, so
+        // extending a top-k just resumes the incremental join where it
+        // stopped.
         self.left.input.extend_limit(extra) & self.right.input.extend_limit(extra)
     }
 }
@@ -353,6 +482,7 @@ mod tests {
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::{ScoreIndex, Table, TableBuilder};
+    use std::rc::Rc;
 
     /// Relation R of Figure 2(a): columns a, b and predicates p1, p2.
     fn table_r() -> Arc<Table> {
@@ -562,10 +692,307 @@ mod tests {
             .filter(|m| m.name().contains("scan"))
             .map(|m| m.tuples_out())
             .sum();
-        assert!(
-            pulled < 9,
-            "HRJN pulled all {pulled} input tuples for a top-1 query"
+        // Exactly the two heads: r1 ⋈ s2 already meets the threshold (4.8).
+        assert_eq!(pulled, 2, "HRJN draws for a top-1 query");
+    }
+
+    /// A table `name(k, x, p)`: a nullable join key, a payload and a score.
+    fn keyed_table(name: &str, id: u32, rows: &[(Option<i64>, i64, f64)]) -> Arc<Table> {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("x", DataType::Int64),
+            Field::new("p", DataType::Float64),
+        ])
+        .qualify_all(name);
+        let rows = rows.iter().map(|&(k, x, p)| {
+            vec![
+                k.map_or(Value::Null, Value::from),
+                Value::from(x),
+                Value::from(p),
+            ]
+        });
+        Arc::new(
+            TableBuilder::new(name, schema)
+                .rows(rows)
+                .build(id)
+                .unwrap(),
+        )
+    }
+
+    /// `sum(L.p, R.p)`: a join of two rank-scans is completely scored.
+    fn ctx_lr() -> Arc<RankingContext> {
+        RankingContext::new(
+            vec![
+                RankPredicate::attribute("pl", "L.p"),
+                RankPredicate::attribute("pr", "R.p"),
+            ],
+            ScoringFunction::Sum,
+        )
+    }
+
+    /// The `(L row, R row)` pair behind a joined tuple of `L ⋈ R`.
+    fn row_pair(t: &RankedTuple, l: &Table, r: &Table) -> (u64, u64) {
+        let row_of = |table: &Table| {
+            let parts = t.tuple.id().parts();
+            parts.iter().find(|p| p.0 == table.id()).unwrap().1
+        };
+        (row_of(l), row_of(r))
+    }
+
+    #[test]
+    fn tied_candidates_pop_in_joined_identity_order() {
+        // The unmatched 1.0 heads keep the threshold above every match, so
+        // all four tied matches wait in the queue until both inputs end and
+        // then pop purely by the tie-break.  R has the smaller table id, so
+        // the joined identity orders by R's row first: not the order of the
+        // (left, right) index pairs the queue stores.
+        let l = keyed_table(
+            "L",
+            5,
+            &[(Some(99), 0, 1.0), (Some(1), 0, 0.5), (Some(1), 0, 0.5)],
         );
+        let r = keyed_table(
+            "R",
+            2,
+            &[(Some(98), 0, 1.0), (Some(1), 0, 0.5), (Some(1), 0, 0.5)],
+        );
+        let cond = BoolExpr::col_eq_col("L.k", "R.k");
+        for hash in [true, false] {
+            let ctx = ctx_lr();
+            let exec = ExecutionContext::new(Arc::clone(&ctx));
+            let (left, right) = (rank_scan(&l, 0, &exec, "l"), rank_scan(&r, 1, &exec, "r"));
+            let mut join = if hash {
+                RankJoin::hrjn(left, right, Some(&cond), &exec, "HRJN").unwrap()
+            } else {
+                RankJoin::nrjn(left, right, Some(&cond), &exec, "NRJN").unwrap()
+            };
+            let all = drain(&mut join).unwrap();
+            assert!(all
+                .iter()
+                .all(|t| ctx.upper_bound(&t.state) == Score::new(1.0)));
+            let pairs: Vec<_> = all.iter().map(|t| row_pair(t, &l, &r)).collect();
+            assert_eq!(pairs, vec![(1, 1), (2, 1), (1, 2), (2, 2)], "hash = {hash}");
+            assert!(all.windows(2).all(|w| w[0].tuple.id() < w[1].tuple.id()));
+        }
+    }
+
+    #[test]
+    fn one_draw_with_many_tied_matches_pops_them_by_identity() {
+        // R's fourth row matches all four L rows at once; the hash chain
+        // hands them over newest first, the queue must still pop oldest
+        // (smallest identity) first.
+        let l = keyed_table("L", 0, &[(Some(1), 0, 0.5); 4]);
+        let r = keyed_table(
+            "R",
+            1,
+            &[
+                (Some(2), 0, 0.5),
+                (Some(2), 0, 0.5),
+                (Some(2), 0, 0.5),
+                (Some(1), 0, 0.5),
+            ],
+        );
+        let ctx = ctx_lr();
+        let exec = ExecutionContext::new(Arc::clone(&ctx));
+        let cond = BoolExpr::col_eq_col("L.k", "R.k");
+        let mut join = RankJoin::hrjn(
+            rank_scan(&l, 0, &exec, "l"),
+            rank_scan(&r, 1, &exec, "r"),
+            Some(&cond),
+            &exec,
+            "HRJN",
+        )
+        .unwrap();
+        let pairs: Vec<_> = drain(&mut join)
+            .unwrap()
+            .iter()
+            .map(|t| row_pair(t, &l, &r))
+            .collect();
+        assert_eq!(pairs, vec![(0, 3), (1, 3), (2, 3), (3, 3)]);
+    }
+
+    #[test]
+    fn null_join_keys_never_match() {
+        // `NULL = NULL` is unknown: the two NULL-keyed rows hash alike but
+        // must not join, in HRJN exactly as in NRJN.
+        let l = keyed_table("L", 0, &[(None, 0, 0.9), (Some(1), 0, 0.8)]);
+        let r = keyed_table("R", 1, &[(None, 0, 0.9), (Some(1), 0, 0.7), (None, 0, 0.6)]);
+        let cond = BoolExpr::col_eq_col("L.k", "R.k");
+        for hash in [true, false] {
+            let exec = ExecutionContext::new(ctx_lr());
+            let (left, right) = (rank_scan(&l, 0, &exec, "l"), rank_scan(&r, 1, &exec, "r"));
+            let mut join = if hash {
+                RankJoin::hrjn(left, right, Some(&cond), &exec, "HRJN").unwrap()
+            } else {
+                RankJoin::nrjn(left, right, Some(&cond), &exec, "NRJN").unwrap()
+            };
+            let all = drain(&mut join).unwrap();
+            let pairs: Vec<_> = all.iter().map(|t| row_pair(t, &l, &r)).collect();
+            assert_eq!(pairs, vec![(1, 1)], "hash = {hash}");
+        }
+    }
+
+    #[test]
+    fn hrjn_still_applies_the_non_equi_residual() {
+        // `L.k = R.k` finds the hash matches, `L.x < R.x` must still filter
+        // them: per key, only pairs with a smaller left payload survive.
+        let l = keyed_table(
+            "L",
+            0,
+            &[(Some(1), 5, 0.9), (Some(1), 1, 0.8), (Some(2), 3, 0.7)],
+        );
+        let r = keyed_table(
+            "R",
+            1,
+            &[(Some(1), 4, 0.9), (Some(2), 3, 0.6), (Some(1), 9, 0.5)],
+        );
+        let cond = BoolExpr::col_eq_col("L.k", "R.k").and(BoolExpr::compare(
+            ranksql_expr::ScalarExpr::col("L.x"),
+            ranksql_expr::CompareOp::Lt,
+            ranksql_expr::ScalarExpr::col("R.x"),
+        ));
+        let run = |hash: bool| {
+            let exec = ExecutionContext::new(ctx_lr());
+            let (left, right) = (rank_scan(&l, 0, &exec, "l"), rank_scan(&r, 1, &exec, "r"));
+            let mut join = if hash {
+                RankJoin::hrjn(left, right, Some(&cond), &exec, "HRJN").unwrap()
+            } else {
+                RankJoin::nrjn(left, right, Some(&cond), &exec, "NRJN").unwrap()
+            };
+            let all = drain(&mut join).unwrap();
+            all.iter().map(|t| row_pair(t, &l, &r)).collect::<Vec<_>>()
+        };
+        // (l0,r2): 5 < 9; (l1,r0): 1 < 4; (l1,r2): 1 < 9.  (l0,r0) has
+        // 5 < 4 false, (l2,r1) has 3 < 3 false.  Scores 1.4, 1.7, 1.3.
+        assert_eq!(run(true), vec![(1, 0), (0, 2), (1, 2)]);
+        assert_eq!(run(true), run(false));
+    }
+
+    /// `n` rows of `name(k, x, p)` from a fixed linear congruential stream:
+    /// keys from a domain of `keys`, scores in steps of 0.01.
+    fn generated_table(name: &str, id: u32, n: u64, keys: u64, mut seed: u64) -> Arc<Table> {
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        let rows: Vec<_> = (0..n)
+            .map(|_| {
+                (
+                    Some((next() % keys) as i64),
+                    (next() % keys) as i64,
+                    (next() % 101) as f64 / 100.0,
+                )
+            })
+            .collect();
+        keyed_table(name, id, &rows)
+    }
+
+    #[test]
+    fn paperq_shape_builds_exactly_the_joined_tuples_it_emits() {
+        // The shape of the paper's Q under a rank-aware plan:
+        // HRJN[A.k = B.k](µ(HRJN[B.x = C.x](rankscan B, rankscan C)), µ(rankscan A)).
+        // The inner join queues far more matches than µ ever asks it for,
+        // the outer one more than the top 10: neither may build the rest.
+        let a = generated_table("A", 0, 400, 20, 1);
+        let b = generated_table("B", 1, 400, 20, 2);
+        let c = generated_table("C", 2, 400, 20, 3);
+        let ctx = RankingContext::new(
+            vec![
+                RankPredicate::attribute("a_p", "A.p"),
+                RankPredicate::attribute("a_x", "A.x"),
+                RankPredicate::attribute("b_p", "B.p"),
+                RankPredicate::attribute("b_k", "B.k"),
+                RankPredicate::attribute("c_p", "C.p"),
+            ],
+            ScoringFunction::Sum,
+        );
+        let exec = ExecutionContext::new(Arc::clone(&ctx));
+        let inner = RankJoin::hrjn(
+            rank_scan(&b, 2, &exec, "scan_b"),
+            rank_scan(&c, 4, &exec, "scan_c"),
+            Some(&BoolExpr::col_eq_col("B.x", "C.x")),
+            &exec,
+            "inner",
+        )
+        .unwrap();
+        let inner_built = Rc::clone(&inner.built);
+        let mu_b = crate::rank::RankOp::new(Box::new(inner), 3, &exec, "mu_b").unwrap();
+        let mu_a =
+            crate::rank::RankOp::new(rank_scan(&a, 0, &exec, "scan_a"), 1, &exec, "mu_a").unwrap();
+        let mut outer = RankJoin::hrjn(
+            Box::new(mu_b),
+            Box::new(mu_a),
+            Some(&BoolExpr::col_eq_col("A.k", "B.k")),
+            &exec,
+            "outer",
+        )
+        .unwrap();
+        let top = take(&mut outer, 10).unwrap();
+        assert_eq!(top.len(), 10);
+        assert_eq!(check_rank_order(&top, &ctx), None);
+
+        let metrics = exec.metrics().snapshot();
+        let by_name = |n: &str| metrics.iter().find(|m| m.name() == n).unwrap();
+        let (inner_m, outer_m) = (by_name("inner"), by_name("outer"));
+        assert_eq!(outer.built.get(), 10);
+        assert_eq!(outer_m.tuples_out(), 10);
+        assert_eq!(inner_built.get(), inner_m.tuples_out());
+        assert!(inner_m.tuples_out() > 10, "{}", inner_m.tuples_out());
+        // What was drawn and queued but never built is what laziness saved;
+        // the peak counts it (drawn tuples of both sides + queued matches).
+        assert!(
+            inner_m.buffered_peak() > inner_m.tuples_in() + inner_built.get(),
+            "peak {} vs {} drawn, {} built",
+            inner_m.buffered_peak(),
+            inner_m.tuples_in(),
+            inner_built.get()
+        );
+        assert!(outer_m.buffered_peak() > outer_m.tuples_in());
+    }
+
+    #[test]
+    fn resuming_after_take_draws_no_input_twice() {
+        let l = generated_table("L", 0, 60, 5, 7);
+        let r = generated_table("R", 1, 60, 5, 8);
+        let cond = BoolExpr::col_eq_col("L.k", "R.k");
+        let run = |first: usize| {
+            let exec = ExecutionContext::new(ctx_lr());
+            let mut join = RankJoin::hrjn(
+                rank_scan(&l, 0, &exec, "scan_l"),
+                rank_scan(&r, 1, &exec, "scan_r"),
+                Some(&cond),
+                &exec,
+                "HRJN",
+            )
+            .unwrap();
+            let draws = |exec: &ExecutionContext| -> u64 {
+                let metrics = exec.metrics().snapshot();
+                metrics
+                    .iter()
+                    .filter(|m| m.name().starts_with("scan"))
+                    .map(|m| m.tuples_out())
+                    .sum()
+            };
+            let mut out = take(&mut join, first).unwrap();
+            let draws_at_pause = draws(&exec);
+            // The top-k extension of `Cursor::fetch_more`: nothing queued
+            // was discarded, so the join just carries on.
+            assert!(join.can_extend_limit() && join.extend_limit(1_000));
+            out.extend(drain(&mut join).unwrap());
+            let ids: Vec<_> = out.iter().map(|t| t.tuple.id().clone()).collect();
+            (ids, draws_at_pause, draws(&exec))
+        };
+        let (fresh, _, fresh_draws) = run(0);
+        assert!(fresh.len() > 100, "{}", fresh.len());
+        assert_eq!(fresh_draws, 120);
+        for first in [1, 10, 100] {
+            let (resumed, at_pause, total) = run(first);
+            assert_eq!(resumed, fresh, "first = {first}");
+            assert!(at_pause < total, "first = {first}: {at_pause} of {total}");
+            assert_eq!(total, fresh_draws, "first = {first}");
+        }
     }
 
     #[test]

@@ -510,8 +510,8 @@ mod tests {
         let ctx_lhs = ctx_r();
         let exec_lhs = ExecutionContext::new(Arc::clone(&ctx_lhs));
         let scan = SeqScan::new(&t, &exec_lhs, "seq");
-        let mu2 = RankOp::new(Box::new(scan), 1, &exec_lhs, "mu_p2");
-        let mut lhs = RankOp::new(Box::new(mu2), 0, &exec_lhs, "mu_p1");
+        let mu2 = RankOp::new(Box::new(scan), 1, &exec_lhs, "mu_p2").unwrap();
+        let mut lhs = RankOp::new(Box::new(mu2), 0, &exec_lhs, "mu_p1").unwrap();
 
         let ctx_rhs = ctx_r();
         let exec_rhs = ExecutionContext::new(Arc::clone(&ctx_rhs));

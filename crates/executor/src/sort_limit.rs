@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use ranksql_common::{BitSet64, Result, Schema};
-use ranksql_expr::{RankedTuple, RankingContext};
+use ranksql_expr::{BoundRanking, RankedTuple, RankingContext};
 
 use crate::context::{ExecutionContext, TopKThreshold};
 use crate::metrics::OperatorMetrics;
@@ -22,6 +22,8 @@ pub struct SortOp {
     predicates: BitSet64,
     schema: Schema,
     ctx: Arc<RankingContext>,
+    /// `predicates`, bound to `schema` at construction.
+    ranking: BoundRanking,
     metrics: Arc<OperatorMetrics>,
     sorted: Option<std::vec::IntoIter<RankedTuple>>,
     batch_size: usize,
@@ -34,17 +36,19 @@ impl SortOp {
         predicates: BitSet64,
         exec: &ExecutionContext,
         label: impl Into<String>,
-    ) -> Self {
+    ) -> Result<Self> {
         let schema = input.schema().clone();
-        SortOp {
+        let ctx = exec.ranking_arc();
+        Ok(SortOp {
             input,
             predicates,
+            ranking: ctx.bind(&schema, predicates.iter())?,
+            ctx,
             schema,
-            ctx: exec.ranking_arc(),
             metrics: exec.register(label),
             sorted: None,
             batch_size: exec.batch_size(),
-        }
+        })
     }
 
     fn prepare(&mut self) -> Result<()> {
@@ -63,8 +67,7 @@ impl SortOp {
             for mut rt in buf.drain(..) {
                 for p in self.predicates.iter() {
                     if !rt.state.is_evaluated(p) {
-                        self.ctx
-                            .evaluate_into(p, &rt.tuple, &self.schema, &mut rt.state)?;
+                        self.ranking.evaluate_into(p, &rt.tuple, &mut rt.state)?;
                     }
                 }
                 rows.push(rt);
@@ -179,6 +182,8 @@ pub struct SortLimitOp {
     k: usize,
     schema: Schema,
     ctx: Arc<RankingContext>,
+    /// `predicates`, bound to `schema` at construction.
+    ranking: BoundRanking,
     metrics: Arc<OperatorMetrics>,
     sorted: Option<std::vec::IntoIter<RankedTuple>>,
     batch_size: usize,
@@ -196,19 +201,21 @@ impl SortLimitOp {
         k: usize,
         exec: &ExecutionContext,
         label: impl Into<String>,
-    ) -> Self {
+    ) -> Result<Self> {
         let schema = input.schema().clone();
-        SortLimitOp {
+        let ctx = exec.ranking_arc();
+        Ok(SortLimitOp {
             input,
             predicates,
             k,
+            ranking: ctx.bind(&schema, predicates.iter())?,
+            ctx,
             schema,
-            ctx: exec.ranking_arc(),
             metrics: exec.register(label),
             sorted: None,
             batch_size: exec.batch_size(),
             threshold: None,
-        }
+        })
     }
 
     /// Attaches the top-k threshold cell shared with the zone-pruning
@@ -247,8 +254,7 @@ impl SortLimitOp {
             for rt in buf.iter_mut() {
                 for p in self.predicates.iter() {
                     if !rt.state.is_evaluated(p) {
-                        self.ctx
-                            .evaluate_into(p, &rt.tuple, &self.schema, &mut rt.state)?;
+                        self.ranking.evaluate_into(p, &rt.tuple, &mut rt.state)?;
                     }
                 }
                 scores.push(self.ctx.upper_bound(&rt.state));
@@ -499,7 +505,7 @@ mod tests {
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
-        let mut sort = SortOp::new(Box::new(scan), BitSet64::all(3), &exec, "sort");
+        let mut sort = SortOp::new(Box::new(scan), BitSet64::all(3), &exec, "sort").unwrap();
         let all = drain(&mut sort).unwrap();
         assert_eq!(all.len(), 6);
         assert_eq!(check_rank_order(&all, &ctx), None);
@@ -515,8 +521,8 @@ mod tests {
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
-        let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec, "mu");
-        let mut sort = SortOp::new(Box::new(mu), BitSet64::all(3), &exec, "sort");
+        let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
+        let mut sort = SortOp::new(Box::new(mu), BitSet64::all(3), &exec, "sort").unwrap();
         let _ = drain(&mut sort).unwrap();
         // p3 evaluated by µ (6 times), sort adds only p4 and p5 (12 times).
         assert_eq!(ctx.counters().count(0), 6);
@@ -557,12 +563,12 @@ mod tests {
             let exec = ExecutionContext::new(Arc::clone(&ctx));
             let scan = SeqScan::new(&t, &exec, "seqscan");
             let mut fused =
-                SortLimitOp::new(Box::new(scan), BitSet64::all(3), k, &exec, "sortlimit");
+                SortLimitOp::new(Box::new(scan), BitSet64::all(3), k, &exec, "sortlimit").unwrap();
             let got = drain(&mut fused).unwrap();
 
             let exec2 = ExecutionContext::new(Arc::clone(&ctx));
             let scan = SeqScan::new(&t, &exec2, "seqscan");
-            let sort = SortOp::new(Box::new(scan), BitSet64::all(3), &exec2, "sort");
+            let sort = SortOp::new(Box::new(scan), BitSet64::all(3), &exec2, "sort").unwrap();
             let mut limit = LimitOp::new(Box::new(sort), k, &exec2, "limit");
             let want = drain(&mut limit).unwrap();
 
@@ -579,7 +585,8 @@ mod tests {
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
-        let mut fused = SortLimitOp::new(Box::new(scan), BitSet64::all(3), 0, &exec, "topk");
+        let mut fused =
+            SortLimitOp::new(Box::new(scan), BitSet64::all(3), 0, &exec, "topk").unwrap();
         assert!(drain(&mut fused).unwrap().is_empty());
         // Like the unfused Limit(Sort) for k = 0: the input is never pulled
         // and no predicate is evaluated.
@@ -595,7 +602,7 @@ mod tests {
         // λ_2 over µ over a scan: take 2, extend by 2, take 2 more — the
         // stream resumes exactly where it stopped.
         let scan = SeqScan::new(&t, &exec, "s");
-        let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec, "mu");
+        let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
         let mut limit = LimitOp::new(Box::new(mu), 2, &exec, "l");
         let first = drain(&mut limit).unwrap();
         assert_eq!(first.len(), 2);
@@ -606,7 +613,7 @@ mod tests {
         // Together they equal a single k=4 run.
         let exec2 = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec2, "s");
-        let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec2, "mu");
+        let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec2, "mu").unwrap();
         let mut l4 = LimitOp::new(Box::new(mu), 4, &exec2, "l4");
         let want = drain(&mut l4).unwrap();
         let got: Vec<_> = first.iter().chain(more.iter()).collect();
@@ -617,7 +624,8 @@ mod tests {
         // A bounded-heap top-k that already materialised discarded its
         // losers; extension must refuse.
         let scan = SeqScan::new(&t, &exec, "s2");
-        let mut fused = SortLimitOp::new(Box::new(scan), BitSet64::all(3), 2, &exec, "topk");
+        let mut fused =
+            SortLimitOp::new(Box::new(scan), BitSet64::all(3), 2, &exec, "topk").unwrap();
         assert!(fused.can_extend_limit());
         assert!(fused.extend_limit(1), "pre-materialisation extension is ok");
         assert_eq!(fused.k, 3);
@@ -632,7 +640,8 @@ mod tests {
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
-        let mut fused = SortLimitOp::new(Box::new(scan), BitSet64::all(3), 2, &exec, "topk");
+        let mut fused =
+            SortLimitOp::new(Box::new(scan), BitSet64::all(3), 2, &exec, "topk").unwrap();
         let out = drain(&mut fused).unwrap();
         assert_eq!(out.len(), 2);
         let m = exec.metrics().snapshot();

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ranksql_common::{RankSqlError, Result, Schema, Tuple, Value};
+use ranksql_common::{RankSqlError, Result, Row, Schema, Tuple, Value};
 
 use crate::scalar::{BoundScalarExpr, ColumnRef, ScalarExpr};
 
@@ -309,12 +309,12 @@ pub enum BoundBoolExpr {
 impl BoundBoolExpr {
     /// Evaluates the predicate; an unknown (NULL-involving) comparison is
     /// treated as `false`, matching SQL `WHERE` semantics.
-    pub fn eval(&self, tuple: &Tuple) -> Result<bool> {
+    pub fn eval<R: Row + ?Sized>(&self, tuple: &R) -> Result<bool> {
         Ok(self.eval_tristate(tuple)?.unwrap_or(false))
     }
 
     /// Evaluates with three-valued logic (`None` = unknown).
-    pub fn eval_tristate(&self, tuple: &Tuple) -> Result<Option<bool>> {
+    pub fn eval_tristate<R: Row + ?Sized>(&self, tuple: &R) -> Result<Option<bool>> {
         match self {
             BoundBoolExpr::Compare { op, left, right } => {
                 let l = left.eval(tuple)?;
@@ -322,7 +322,7 @@ impl BoundBoolExpr {
                 Ok(op.apply(&l, &r))
             }
             BoundBoolExpr::Column(i) => {
-                let v = tuple.values().get(*i).ok_or_else(|| {
+                let v = tuple.get(*i).ok_or_else(|| {
                     RankSqlError::Expression(format!("column index {i} out of bounds"))
                 })?;
                 if v.is_null() {

@@ -25,7 +25,9 @@ pub mod scoring;
 pub mod state;
 
 pub use boolean::{BoolExpr, BoundBoolExpr, CompareOp};
-pub use ranking::{EvalCounters, RankPredicate, RankingContext, ScoreSource};
+pub use ranking::{
+    BoundRankPredicate, BoundRanking, EvalCounters, RankPredicate, RankingContext, ScoreSource,
+};
 pub use scalar::{BinaryOp, BoundScalarExpr, ColumnRef, ScalarExpr};
 pub use scoring::ScoringFunction;
 pub use state::{RankedTuple, ScoreState};

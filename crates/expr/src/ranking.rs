@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use ranksql_common::{RankSqlError, Result, Schema, Score, Tuple};
 
-use crate::scalar::{ColumnRef, ScalarExpr};
+use crate::scalar::{BoundScalarExpr, ColumnRef, ScalarExpr};
 use crate::scoring::ScoringFunction;
 use crate::state::ScoreState;
 
@@ -150,21 +150,47 @@ impl RankPredicate {
             .all(|c| c.resolve(schema).is_ok())
     }
 
+    /// Resolves the predicate's column references against `schema`, once,
+    /// for repeated evaluation on tuples of that schema.  Fails if a column
+    /// is missing or ambiguous, or a parameter slot is still unbound.
+    pub fn bind(&self, schema: &Schema) -> Result<BoundRankPredicate> {
+        Ok(BoundRankPredicate {
+            cost: self.cost,
+            source: match &self.source {
+                ScoreSource::Attribute(c) => BoundScoreSource::Attribute(c.resolve(schema)?),
+                ScoreSource::Expression(e) => BoundScoreSource::Expression(e.bind(schema)?),
+            },
+        })
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum BoundScoreSource {
+    Attribute(usize),
+    Expression(BoundScalarExpr),
+}
+
+/// A [`RankPredicate`] with its column references resolved to indices of
+/// one schema — the form every per-tuple loop evaluates.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundRankPredicate {
+    cost: u64,
+    source: BoundScoreSource,
+}
+
+impl BoundRankPredicate {
     /// Evaluates the predicate against a tuple, burning `cost` units of work.
     ///
     /// The returned score is clamped into `[0, 1]`; a NULL or non-numeric
     /// score evaluates to `0.0` (the worst possible score), so NULLs never
     /// promote a tuple.
-    pub fn evaluate(&self, tuple: &Tuple, schema: &Schema) -> Result<Score> {
+    pub fn evaluate(&self, tuple: &Tuple) -> Result<Score> {
         simulate_cost_units(self.cost);
-        let value = match &self.source {
-            ScoreSource::Attribute(c) => {
-                let idx = c.resolve(schema)?;
-                tuple.value(idx).clone()
-            }
-            ScoreSource::Expression(e) => e.eval(tuple, schema)?,
+        let score = match &self.source {
+            BoundScoreSource::Attribute(i) => tuple.value(*i).as_f64(),
+            BoundScoreSource::Expression(e) => e.eval(tuple)?.as_f64(),
         };
-        Ok(Score::new(value.as_f64().unwrap_or(0.0)).clamp_unit())
+        Ok(Score::new(score.unwrap_or(0.0)).clamp_unit())
     }
 }
 
@@ -471,37 +497,71 @@ impl RankingContext {
             .then_with(|| a.tuple.id().cmp(b.tuple.id()))
     }
 
-    /// Evaluates predicate `i` on a tuple (recording the evaluation) and
-    /// returns the resulting score.
-    pub fn evaluate_predicate(&self, i: usize, tuple: &Tuple, schema: &Schema) -> Result<Score> {
-        let p = self.predicates.get(i).ok_or_else(|| {
-            RankSqlError::Plan(format!(
-                "predicate index {i} out of range ({} predicates)",
-                self.predicates.len()
-            ))
-        })?;
-        self.counters.record(i);
-        p.evaluate(tuple, schema)
-    }
-
-    /// Evaluates predicate `i` and folds the result into `state`.
-    pub fn evaluate_into(
-        &self,
-        i: usize,
-        tuple: &Tuple,
-        schema: &Schema,
-        state: &mut ScoreState,
-    ) -> Result<Score> {
-        let s = self.evaluate_predicate(i, tuple, schema)?;
-        state.set(i, s.value());
-        Ok(s)
-    }
-
     /// Indices of predicates evaluable on a given schema.
     pub fn evaluable_predicates(&self, schema: &Schema) -> Vec<usize> {
         (0..self.predicates.len())
             .filter(|&i| self.predicates[i].is_evaluable_on(schema))
             .collect()
+    }
+
+    /// Resolves the predicates `which` against `schema` — what an operator
+    /// does once, at construction, for the predicates it is responsible
+    /// for, so its per-tuple loop never looks a column up by name.  Fails if
+    /// an index is out of range, a column is missing or ambiguous, or a
+    /// parameter slot is still unbound.
+    pub fn bind(
+        self: &Arc<Self>,
+        schema: &Schema,
+        which: impl IntoIterator<Item = usize>,
+    ) -> Result<BoundRanking> {
+        let predicates = which
+            .into_iter()
+            .map(|i| {
+                let p = self.predicates.get(i).ok_or_else(|| {
+                    RankSqlError::Plan(format!(
+                        "predicate index {i} out of range ({} predicates)",
+                        self.predicates.len()
+                    ))
+                })?;
+                Ok((i, p.bind(schema)?))
+            })
+            .collect::<Result<_>>()?;
+        Ok(BoundRanking {
+            ctx: Arc::clone(self),
+            predicates,
+        })
+    }
+}
+
+/// The predicates one operator evaluates, bound to its schema: each goes
+/// through pre-resolved column indices, and every evaluation is recorded in
+/// the context's shared [`EvalCounters`].
+#[derive(Debug)]
+pub struct BoundRanking {
+    ctx: Arc<RankingContext>,
+    /// `(index in the context, bound predicate)`; a handful at most, so a
+    /// lookup is a short scan.
+    predicates: Vec<(usize, BoundRankPredicate)>,
+}
+
+impl BoundRanking {
+    /// Evaluates predicate `i` on a tuple (recording the evaluation) and
+    /// returns the resulting score.
+    pub fn evaluate_predicate(&self, i: usize, tuple: &Tuple) -> Result<Score> {
+        let (_, p) = self
+            .predicates
+            .iter()
+            .find(|(bound, _)| *bound == i)
+            .ok_or_else(|| RankSqlError::Plan(format!("predicate index {i} was not bound")))?;
+        self.ctx.counters.record(i);
+        p.evaluate(tuple)
+    }
+
+    /// Evaluates predicate `i` and folds the result into `state`.
+    pub fn evaluate_into(&self, i: usize, tuple: &Tuple, state: &mut ScoreState) -> Result<Score> {
+        let s = self.evaluate_predicate(i, tuple)?;
+        state.set(i, s.value());
+        Ok(s)
     }
 }
 
@@ -524,11 +584,12 @@ mod tests {
 
     #[test]
     fn attribute_predicate_reads_and_clamps() {
-        let p = RankPredicate::attribute("p1", "R.p1");
-        let s = schema();
-        assert_eq!(p.evaluate(&tuple(0.7, 0.0), &s).unwrap(), Score::new(0.7));
-        assert_eq!(p.evaluate(&tuple(1.7, 0.0), &s).unwrap(), Score::ONE);
-        assert_eq!(p.evaluate(&tuple(-0.3, 0.0), &s).unwrap(), Score::ZERO);
+        let p = RankPredicate::attribute("p1", "R.p1")
+            .bind(&schema())
+            .unwrap();
+        assert_eq!(p.evaluate(&tuple(0.7, 0.0)).unwrap(), Score::new(0.7));
+        assert_eq!(p.evaluate(&tuple(1.7, 0.0)).unwrap(), Score::ONE);
+        assert_eq!(p.evaluate(&tuple(-0.3, 0.0)).unwrap(), Score::ZERO);
     }
 
     #[test]
@@ -536,8 +597,8 @@ mod tests {
         // Score = 1 - |R.p1 - S.p2| as a tiny "closeness" predicate.
         let expr = ScalarExpr::lit(1.0).sub(ScalarExpr::col("R.p1").sub(ScalarExpr::col("S.p2")));
         let p = RankPredicate::expression("close", expr, 0);
-        let s = schema();
-        let score = p.evaluate(&tuple(0.6, 0.4), &s).unwrap();
+        let bound = p.bind(&schema()).unwrap();
+        let score = bound.evaluate(&tuple(0.6, 0.4)).unwrap();
         assert!((score.value() - 0.8).abs() < 1e-12);
         assert_eq!(p.relations(), vec!["R".to_string(), "S".to_string()]);
         assert!(p.is_join_predicate());
@@ -553,10 +614,11 @@ mod tests {
 
     #[test]
     fn null_score_is_zero() {
-        let p = RankPredicate::attribute("p1", "R.p1");
-        let s = schema();
+        let p = RankPredicate::attribute("p1", "R.p1")
+            .bind(&schema())
+            .unwrap();
         let t = Tuple::synthetic(0, vec![Value::from(1), Value::Null, Value::from(0.5)]);
-        assert_eq!(p.evaluate(&t, &s).unwrap(), Score::ZERO);
+        assert_eq!(p.evaluate(&t).unwrap(), Score::ZERO);
     }
 
     #[test]
@@ -571,13 +633,13 @@ mod tests {
         assert_eq!(ctx.num_predicates(), 2);
         assert_eq!(ctx.predicate_index("p2").unwrap(), 1);
         assert!(ctx.predicate_index("nope").is_err());
-        let s = schema();
+        let bound = ctx.bind(&schema(), 0..2).unwrap();
         let t = tuple(0.25, 0.5);
         let mut state = ctx.new_state();
         assert_eq!(ctx.upper_bound(&state), Score::new(2.0));
-        ctx.evaluate_into(0, &t, &s, &mut state).unwrap();
+        bound.evaluate_into(0, &t, &mut state).unwrap();
         assert_eq!(ctx.upper_bound(&state), Score::new(1.25));
-        ctx.evaluate_into(1, &t, &s, &mut state).unwrap();
+        bound.evaluate_into(1, &t, &mut state).unwrap();
         assert_eq!(ctx.upper_bound(&state), Score::new(0.75));
         assert_eq!(ctx.counters().count(0), 1);
         assert_eq!(ctx.counters().count(1), 1);
@@ -607,17 +669,42 @@ mod tests {
         simulate_cost_units(2);
         let p = RankPredicate::attribute_with_cost("p1", "R.p1", 1);
         assert_eq!(p.cost, 1);
-        assert_eq!(
-            p.evaluate(&tuple(0.5, 0.5), &schema()).unwrap(),
-            Score::new(0.5)
-        );
+        let bound = p.bind(&schema()).unwrap();
+        assert_eq!(bound.evaluate(&tuple(0.5, 0.5)).unwrap(), Score::new(0.5));
     }
 
     #[test]
     fn out_of_range_predicate_errors() {
         let ctx = RankingContext::unranked();
-        let t = tuple(0.1, 0.2);
-        assert!(ctx.evaluate_predicate(0, &t, &schema()).is_err());
+        assert!(ctx.bind(&schema(), [0]).is_err());
+    }
+
+    #[test]
+    fn binding_covers_only_the_predicates_asked_for() {
+        // µ over one join side binds its own predicate; the other side's,
+        // which this schema cannot serve, is none of its business.
+        let ctx = RankingContext::new(
+            vec![
+                RankPredicate::attribute("p1", "R.p1"),
+                RankPredicate::attribute("p2", "S.p2"),
+                RankPredicate::expression(
+                    "e",
+                    ScalarExpr::col("R.p1").add(ScalarExpr::param(0)),
+                    0,
+                ),
+            ],
+            ScoringFunction::Sum,
+        );
+        let r_only = Schema::new(vec![Field::qualified("R", "p1", DataType::Float64)]);
+        let bound = ctx.bind(&r_only, [0]).unwrap();
+        let t = Tuple::synthetic(0, vec![Value::from(0.5)]);
+        assert_eq!(bound.evaluate_predicate(0, &t).unwrap(), Score::new(0.5));
+        assert!(bound.evaluate_predicate(1, &t).is_err());
+        assert_eq!(ctx.counters().snapshot(), vec![1, 0, 0]);
+        let missing = ctx.bind(&r_only, [0, 1]).unwrap_err();
+        assert!(missing.to_string().contains("S.p2"), "{missing}");
+        let unbound = ctx.bind(&r_only, [2]).unwrap_err();
+        assert!(unbound.to_string().contains("unbound"), "{unbound}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ranksql_common::{RankSqlError, Result, Schema, Tuple, Value};
+use ranksql_common::{RankSqlError, Result, Row, Schema, Tuple, Value};
 
 /// A reference to a column by (optionally qualified) name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -374,10 +374,11 @@ pub enum BoundScalarExpr {
 }
 
 impl BoundScalarExpr {
-    /// Evaluates the expression against a tuple.
-    pub fn eval(&self, tuple: &Tuple) -> Result<Value> {
+    /// Evaluates the expression against a row (a tuple, or a pair of
+    /// tuples viewed as their concatenation).
+    pub fn eval<R: Row + ?Sized>(&self, tuple: &R) -> Result<Value> {
         match self {
-            BoundScalarExpr::Column(i) => tuple.values().get(*i).cloned().ok_or_else(|| {
+            BoundScalarExpr::Column(i) => tuple.get(*i).cloned().ok_or_else(|| {
                 RankSqlError::Expression(format!(
                     "column index {i} out of bounds for tuple of arity {}",
                     tuple.arity()

@@ -78,8 +78,8 @@ impl ScoreState {
     /// A state over `n` predicates with nothing evaluated.
     ///
     /// Panics if `n > 64` — the `BitSet64` tracking the evaluated set (and
-    /// the stack buffer in [`ScoreState::upper_bound`]) cap the engine at 64
-    /// ranking predicates per query.
+    /// the spilled-state stack scratch of [`ScoreState::upper_bound`]) cap
+    /// the engine at 64 ranking predicates per query.
     pub fn new(n: usize) -> Self {
         assert!(
             n <= 64,
@@ -136,20 +136,7 @@ impl ScoreState {
     /// The maximal-possible score `F_P[t]` (Property 1): unevaluated
     /// predicates contribute `max_value`.
     pub fn upper_bound(&self, scoring: &ScoringFunction, max_value: f64) -> Score {
-        // Hot path (ranking queues call this once per push): fill a stack
-        // buffer instead of allocating.  `BitSet64` caps the predicate count
-        // at 64, so the fixed buffer always suffices.
-        let values = self.values.as_slice();
-        let mut buf = [0.0f64; 64];
-        let filled = &mut buf[..values.len()];
-        for (i, slot) in filled.iter_mut().enumerate() {
-            *slot = if self.evaluated.contains(i) {
-                values[i]
-            } else {
-                max_value
-            };
-        }
-        scoring.combine(filled)
+        self.bound_with(scoring, |_| max_value)
     }
 
     /// Like [`ScoreState::upper_bound`] but with a *per-predicate* maximum:
@@ -157,18 +144,33 @@ impl ScoreState {
     /// maximum.  Callers supply data-derived caps (e.g. zone-map maxima), so
     /// the bound is tighter but still dominates every reachable final score.
     pub fn upper_bound_capped(&self, scoring: &ScoringFunction, caps: &[f64]) -> Score {
+        debug_assert_eq!(caps.len(), self.arity(), "cap arity mismatch");
+        self.bound_with(scoring, |i| caps[i])
+    }
+
+    /// Combines the evaluated scores with `fill(i)` for every unevaluated
+    /// predicate `i`.
+    ///
+    /// Hot path (ranking queues call this once per push): the filled vector
+    /// lives in a stack scratch sized to the state — the inline width for
+    /// the states queries actually have, the `BitSet64` cap of 64 only for
+    /// spilled ones — so a call zeroes 48 bytes, not 512.
+    fn bound_with(&self, scoring: &ScoringFunction, fill: impl Fn(usize) -> f64) -> Score {
         let values = self.values.as_slice();
-        debug_assert_eq!(caps.len(), values.len(), "cap arity mismatch");
-        let mut buf = [0.0f64; 64];
-        let filled = &mut buf[..values.len()];
-        for (i, slot) in filled.iter_mut().enumerate() {
-            *slot = if self.evaluated.contains(i) {
-                values[i]
-            } else {
-                caps[i]
-            };
+        let combine = |scratch: &mut [f64]| {
+            for (i, slot) in scratch.iter_mut().enumerate() {
+                *slot = if self.evaluated.contains(i) {
+                    values[i]
+                } else {
+                    fill(i)
+                };
+            }
+            scoring.combine(scratch)
+        };
+        match &self.values {
+            Values::Inline { len, .. } => combine(&mut [0.0; INLINE_PREDICATES][..*len as usize]),
+            Values::Heap(v) => combine(&mut [0.0; 64][..v.len()]),
         }
-        scoring.combine(filled)
     }
 
     /// Merges two score states over the same predicate universe (used by
@@ -291,6 +293,22 @@ mod tests {
             assert!(now <= prev, "upper bound must never increase");
             prev = now;
         }
+    }
+
+    #[test]
+    fn spilled_state_bounds_like_an_inline_one() {
+        // Past the inline width the scratch switches size, not meaning.
+        let n = INLINE_PREDICATES + 3;
+        let mut s = ScoreState::new(n);
+        s.set(0, 0.25);
+        s.set(n - 1, 0.5);
+        let f = ScoringFunction::Sum;
+        assert_eq!(s.upper_bound(&f, 1.0), Score::new(0.75 + (n - 2) as f64));
+        let caps = vec![0.5; n];
+        assert_eq!(
+            s.upper_bound_capped(&f, &caps),
+            Score::new(0.75 + 0.5 * (n - 2) as f64)
+        );
     }
 
     #[test]

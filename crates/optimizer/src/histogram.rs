@@ -440,9 +440,10 @@ impl HistogramEstimator {
             let hist = if rels.len() == 1 {
                 let table = catalog.table(&rels[0])?;
                 let sample = sample_fraction(&table, sample_ratio, seed);
+                let bound = pred.bind(table.schema())?;
                 let mut scores = Vec::with_capacity(sample.len());
                 for t in &sample {
-                    scores.push(pred.evaluate(t, table.schema())?.value());
+                    scores.push(bound.evaluate(t)?.value());
                 }
                 ScoreHistogram::from_scores(&scores, buckets)
             } else {

@@ -37,10 +37,10 @@ impl ScoreIndex {
         schema: &Schema,
         tuples: &[Tuple],
     ) -> Result<ScoreIndex> {
+        let bound = predicate.bind(schema)?;
         let mut entries = Vec::with_capacity(tuples.len());
         for (i, t) in tuples.iter().enumerate() {
-            let score = predicate.evaluate(t, schema)?;
-            entries.push((score, i as u64));
+            entries.push((bound.evaluate(t)?, i as u64));
         }
         entries.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         Ok(ScoreIndex {
@@ -101,10 +101,10 @@ impl ScoreIndex {
         new_tuples: &[Tuple],
         first_row: u64,
     ) -> Result<ScoreIndex> {
+        let bound = predicate.bind(schema)?;
         let mut new_run = Vec::with_capacity(new_tuples.len());
         for (i, t) in new_tuples.iter().enumerate() {
-            let score = predicate.evaluate(t, schema)?;
-            new_run.push((score, first_row + i as u64));
+            new_run.push((bound.evaluate(t)?, first_row + i as u64));
         }
         new_run.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut entries = Vec::with_capacity(self.entries.len() + new_run.len());

@@ -158,7 +158,8 @@ mod tests {
         let r = relation_r(&cat);
         let ctx = context_f1();
         let t = r.tuple(0).unwrap();
-        let score = ctx.predicate(0).evaluate(&t, r.schema()).unwrap();
+        let p1 = ctx.predicate(0).bind(r.schema()).unwrap();
+        let score = p1.evaluate(&t).unwrap();
         assert_eq!(score.value(), 0.9);
     }
 }

@@ -98,8 +98,8 @@ fn build_chain(
         "rank-scan(cheap)",
     )
     .expect("rank-scan");
-    let mu_review = RankOp::new(Box::new(scan), 1, &exec, "mu(review)");
-    Box::new(RankOp::new(Box::new(mu_review), 2, &exec, "mu(location)"))
+    let mu_review = RankOp::new(Box::new(scan), 1, &exec, "mu(review)").expect("bind");
+    Box::new(RankOp::new(Box::new(mu_review), 2, &exec, "mu(location)").expect("bind"))
 }
 
 fn build_mpro(
@@ -116,12 +116,7 @@ fn build_mpro(
         "rank-scan(cheap)",
     )
     .expect("rank-scan");
-    Box::new(MProOp::new(
-        Box::new(scan),
-        vec![1, 2],
-        &exec,
-        "mpro(review,location)",
-    ))
+    Box::new(MProOp::new(Box::new(scan), vec![1, 2], &exec, "mpro(review,location)").expect("bind"))
 }
 
 fn main() -> ranksql::Result<()> {

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Regenerate a BENCH_*.json summary (and, by extension, bench/baseline.json)
+# Regenerate the bench summary (and, by extension, bench/baseline.json)
 # with one command:
 #
-#     scripts/bench-json.sh                 # writes BENCH_PR10.json
+#     scripts/bench-json.sh                 # writes BENCH.json
 #     scripts/bench-json.sh bench/baseline.json
 #
 # Runs the pinned criterion groups of the bench-regression CI job
 # (operators_micro: seq_scan_hot_path, batch_vs_tuple, prepared_vs_cold,
-# columnar_vs_row incl. the kernel benches; the ablation_sketch
+# columnar_vs_row incl. the kernel benches, rank_join_topk; the ablation_sketch
 # NDV-accuracy sweep; the ablation_write_path epoch-vs-rebuild write
 # benches; the ablation_buffer_pool paged-backend pool-size sweep; and the
 # server_throughput wire-vs-in-process front-end benches) and converts the
@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_PR10.json}"
+OUT="${1:-BENCH.json}"
 
 {
     cargo bench -p ranksql-bench --bench operators_micro

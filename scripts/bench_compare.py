@@ -25,6 +25,12 @@ Three checks:
    `--min-kernel-speedup` (both default 1.15×; the benches demonstrate
    ~2×+, so the floors leave headroom for noisy runners).
 
+The within-run ratio `rank_join_topk/full_drain` over `rank_join_topk/take10`
+(HRJN over two rank-scans: every result of the join vs. the first ten) is
+printed, not gated: the two benches are pinned in the baseline like any
+other group, and the ratio is there to read a rank-aware operator's cost
+following `k` off one run.
+
 CI runners differ from the machine that recorded the baseline, so the
 default tolerance is deliberately loose (±25 %, overridable with
 `BENCH_GATE_TOLERANCE`) and only sustained scan regressions hard-fail.
@@ -32,7 +38,7 @@ Regenerate the baseline with `scripts/bench-json.sh bench/baseline.json`
 when a deliberate performance change shifts the numbers.
 
 Usage:
-    python3 scripts/bench_compare.py bench/baseline.json BENCH_PR7.json \
+    python3 scripts/bench_compare.py bench/baseline.json BENCH.json \
         [--tolerance 0.25] [--hard-groups seq_scan_hot_path,columnar_vs_row]
 """
 
@@ -200,6 +206,13 @@ def main() -> int:
                 "ablation_write_path is missing warm/insert or rebuild/insert — "
                 "the write-path speedup gate has nothing to compare (renamed benches?)"
             )
+
+    # Reported, not gated: how much cheaper HRJN's first ten results are
+    # than all of them, within this run.
+    rjt = current.get("rank_join_topk", {})
+    if rjt.get("take10") and rjt.get("full_drain"):
+        ratio = rjt["full_drain"] / rjt["take10"]
+        print(f"  within-run rank-join full-drain vs take(10) ratio: {ratio:.1f}x")
 
     for w in warnings:
         # GitHub Actions annotation; harmless noise elsewhere.

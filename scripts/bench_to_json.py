@@ -20,7 +20,7 @@ Usage:
     { cargo bench -p ranksql-bench --bench operators_micro && \
       cargo bench -p ranksql-bench --bench ablation_sketch && \
       cargo bench -p ranksql-bench --bench ablation_write_path; } | \
-        python3 scripts/bench_to_json.py --out BENCH_PR7.json
+        python3 scripts/bench_to_json.py --out BENCH.json
 
 Pass `--groups a,b,c` to override the default pinned groups; pass several
 bench outputs by concatenating them on stdin.
@@ -38,6 +38,7 @@ DEFAULT_GROUPS = [
     "batch_vs_tuple",
     "prepared_vs_cold",
     "columnar_vs_row",
+    "rank_join_topk",
     "ablation_sketch",
     "ablation_write_path",
     "ablation_buffer_pool",

@@ -145,3 +145,56 @@ fn projection_through_the_facade() {
     assert_eq!(result.rows.len(), 4);
     assert_eq!(result.rows[0].tuple.value(0), &Value::from(29));
 }
+
+#[test]
+fn explain_analyze_of_q_shows_what_every_rank_aware_operator_buffered() {
+    let workload = SyntheticWorkload::generate(SyntheticConfig {
+        table_size: 150,
+        join_selectivity: 0.02,
+        predicate_cost: 1,
+        k: 10,
+        ..SyntheticConfig::default()
+    })
+    .unwrap();
+    let db = into_database(&workload);
+    let query = parse_topk_query(
+        "SELECT * FROM A, B, C \
+         WHERE A.jc1 = B.jc1 AND B.jc2 = C.jc2 AND A.b AND B.b \
+         ORDER BY f1(A.p1) + f2(A.p2) + f3(B.p1) + f4(B.p2) + f5(C.p1) \
+         LIMIT 10",
+    )
+    .unwrap();
+    let result = db.execute_with_mode(&query, PlanMode::RankAware).unwrap();
+    let analyzed = result.explain_analyze(Some(&query.ranking));
+
+    // µ, MPro and the rank-joins hold tuples back to stop early; their
+    // lines say how many at the peak.  Nothing else buffers, nothing else
+    // reports.
+    let buffering = |line: &str| {
+        let label = line.trim_start();
+        ["HRJN[", "NRJN[", "Rank_", "MPro["]
+            .iter()
+            .any(|op| label.starts_with(op))
+    };
+    let peak_of = |line: &str| -> Option<u64> {
+        let (_, rest) = line.split_once("buffered_peak=")?;
+        rest.trim_end_matches(')').parse().ok()
+    };
+    let plan_lines: Vec<&str> = analyzed
+        .lines()
+        .filter(|l| l.contains("actual_rows="))
+        .collect();
+    for line in &plan_lines {
+        assert_eq!(peak_of(line).is_some(), buffering(line), "{analyzed}");
+    }
+    let joins: Vec<&&str> = plan_lines.iter().filter(|l| l.contains("HRJN[")).collect();
+    assert_eq!(
+        joins.len(),
+        2,
+        "Q joins three tables rank-aware:\n{analyzed}"
+    );
+    for line in joins {
+        // A rank-join holds at least every tuple it drew.
+        assert!(peak_of(line).unwrap() >= 2, "{analyzed}");
+    }
+}

@@ -124,10 +124,10 @@ proptest! {
         let exec = ExecutionContext::new(Arc::clone(&ctx_chain));
         let mut chain: Box<dyn PhysicalOperator> = source(&table, t.use_rank_scan, &exec);
         if !t.use_rank_scan {
-            chain = Box::new(RankOp::new(chain, 0, &exec, "mu0"));
+            chain = Box::new(RankOp::new(chain, 0, &exec, "mu0").unwrap());
         }
-        chain = Box::new(RankOp::new(chain, 1, &exec, "mu1"));
-        let mut chain = Box::new(RankOp::new(chain, 2, &exec, "mu2"));
+        chain = Box::new(RankOp::new(chain, 1, &exec, "mu1").unwrap());
+        let mut chain = Box::new(RankOp::new(chain, 2, &exec, "mu2").unwrap());
         let chain_top = take(chain.as_mut(), t.k).expect("chain");
         let chain_probes = ctx_chain.counters().total();
 
@@ -136,7 +136,7 @@ proptest! {
         let exec2 = ExecutionContext::new(Arc::clone(&ctx_mpro));
         let src = source(&table, t.use_rank_scan, &exec2);
         let schedule = if t.use_rank_scan { vec![1, 2] } else { vec![0, 1, 2] };
-        let mut mpro = MProOp::new(src, schedule, &exec2, "mpro");
+        let mut mpro = MProOp::new(src, schedule, &exec2, "mpro").unwrap();
         let mpro_top = take(&mut mpro, t.k).expect("mpro");
         let mpro_probes = ctx_mpro.counters().total();
 

@@ -10,7 +10,11 @@
 //! 4. monotonic scoring functions honour the upper-bound contract of the
 //!    Ranking Principle (Property 1): the maximal-possible score of a partial
 //!    evaluation is never smaller than any completed score consistent with it;
-//! 5. the SQL front end round-trips the structural parts of a query.
+//! 5. the SQL front end round-trips the structural parts of a query;
+//! 6. the rank-joins, which queue unbuilt candidates and materialise on emit,
+//!    agree with each other tuple for tuple and with the oracle score for
+//!    score on tables full of duplicate keys and tied scores, for every `k`,
+//!    and resume after an early stop without drawing any input twice.
 
 use proptest::prelude::*;
 
@@ -324,5 +328,122 @@ proptest! {
         prop_assert_eq!(query.tables.clone(), table_names);
         prop_assert_eq!(query.num_rank_predicates(), n_tables);
         prop_assert!(query.bool_predicates.is_empty());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 6: lazy rank-joins under duplicate keys and tied scores
+// ---------------------------------------------------------------------------
+
+/// Rows `(join key, score)` with keys from a domain of 4 (NULL one time in
+/// nine) and scores in steps of 0.25, so equal keys and equal scores abound.
+fn tied_rows() -> impl Strategy<Value = Vec<(Option<i64>, f64)>> {
+    let row = (0..9i64, 0..5u32)
+        .prop_map(|(key, quarter)| ((key < 8).then_some(key % 4), f64::from(quarter) / 4.0));
+    proptest::collection::vec(row, 1..30)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+
+    #[test]
+    fn rank_joins_agree_under_ties_for_every_k_and_resume_without_redrawing(
+        l_rows in tied_rows(),
+        r_rows in tied_rows(),
+    ) {
+        use std::sync::Arc;
+        use ranksql::common::TupleId;
+        use ranksql::executor::operator::take;
+        use ranksql::executor::rank_join::RankJoin;
+        use ranksql::executor::scan::RankScan;
+        use ranksql::executor::{
+            drain, oracle_top_k, BoxedOperator, ExecutionContext, PhysicalOperator,
+        };
+        use ranksql::storage::{ScoreIndex, Table};
+
+        let catalog = Catalog::new();
+        let mut tables: Vec<Arc<Table>> = Vec::new();
+        for (name, rows) in [("L", &l_rows), ("R", &r_rows)] {
+            let schema = Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("p", DataType::Float64),
+            ]);
+            let table = catalog.create_table(name, schema).unwrap();
+            for &(key, p) in rows {
+                let key = key.map_or(Value::Null, Value::from);
+                table.insert(vec![key, Value::from(p)]).unwrap();
+            }
+            tables.push(table);
+        }
+        let ranking = RankingContext::new(
+            vec![
+                RankPredicate::attribute("pl", "L.p"),
+                RankPredicate::attribute("pr", "R.p"),
+            ],
+            ScoringFunction::Sum,
+        );
+        let cond = BoolExpr::col_eq_col("L.k", "R.k");
+
+        // One run: a fresh join over two rank-scans, `first` tuples taken,
+        // the top-k extension `Cursor::fetch_more` performs, then the rest.
+        let run = |hash: bool, first: usize| {
+            let exec = ExecutionContext::new(Arc::clone(&ranking));
+            let scan = |i: usize| -> BoxedOperator {
+                let t = &tables[i];
+                let index = ScoreIndex::build(ranking.predicate(i), t.schema(), &t.scan()).unwrap();
+                let label = format!("scan{i}");
+                Box::new(RankScan::new(Arc::clone(t), Arc::new(index), i, &exec, label).unwrap())
+            };
+            let mut join = if hash {
+                RankJoin::hrjn(scan(0), scan(1), Some(&cond), &exec, "join").unwrap()
+            } else {
+                RankJoin::nrjn(scan(0), scan(1), Some(&cond), &exec, "join").unwrap()
+            };
+            let head = take(&mut join, first).unwrap();
+            let draws = |exec: &ExecutionContext| -> u64 {
+                let metrics = exec.metrics().snapshot();
+                metrics.iter().filter(|m| m.name().starts_with("scan")).map(|m| m.tuples_out()).sum()
+            };
+            let draws_at_pause = draws(&exec);
+            assert!(join.extend_limit(usize::MAX));
+            let mut all = head;
+            all.extend(drain(&mut join).unwrap());
+            let stream: Vec<(TupleId, u64)> = all
+                .iter()
+                .map(|t| (t.tuple.id().clone(), ranking.upper_bound(&t.state).value().to_bits()))
+                .collect();
+            (stream, draws_at_pause, draws(&exec))
+        };
+
+        let (full, _, full_draws) = run(true, 0);
+        // k = all, against the oracle: the same scores in the same order,
+        // bit for bit, and the same members.
+        let query = RankQuery::new(
+            vec!["L".into(), "R".into()],
+            vec![cond.clone()],
+            Arc::clone(&ranking),
+            usize::MAX,
+        );
+        let oracle = oracle_top_k(&query, &catalog).unwrap();
+        let oracle_scores: Vec<u64> =
+            oracle.iter().map(|t| ranking.upper_bound(&t.state).value().to_bits()).collect();
+        let full_scores: Vec<u64> = full.iter().map(|(_, s)| *s).collect();
+        prop_assert_eq!(&full_scores, &oracle_scores);
+        let mut members: Vec<&TupleId> = full.iter().map(|(id, _)| id).collect();
+        let mut oracle_members: Vec<&TupleId> = oracle.iter().map(|t| t.tuple.id()).collect();
+        members.sort();
+        oracle_members.sort();
+        prop_assert_eq!(members, oracle_members);
+
+        for first in [0, 1, 10] {
+            // HRJN ≡ NRJN tuple for tuple, however early the consumer paused;
+            // pausing draws less, resuming draws the rest exactly once.
+            for hash in [true, false] {
+                let (stream, at_pause, total) = run(hash, first);
+                prop_assert_eq!(&stream, &full, "hash = {}, first = {}", hash, first);
+                prop_assert!(at_pause <= total);
+                prop_assert_eq!(total, full_draws, "hash = {}, first = {}", hash, first);
+            }
+        }
     }
 }
