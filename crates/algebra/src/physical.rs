@@ -247,8 +247,8 @@ pub struct OperatorActuals {
     pub label: String,
     /// Number of tuples the operator actually produced.
     pub rows: u64,
-    /// Number of non-empty batches the operator emitted through the batched
-    /// pull path (0 when driven tuple-at-a-time).
+    /// Number of non-empty batches the operator emitted (pull calls that
+    /// returned at least one tuple).
     pub batches: u64,
     /// Mean number of tuples per emitted batch (0 when no batch was
     /// emitted).
@@ -939,8 +939,8 @@ impl PhysicalPlan {
     }
 
     /// Explain output annotated with the runtime actuals of each operator
-    /// (tuples produced; when the plan ran through the batched pull path,
-    /// batch count and mean batch fill; on the incremental rank-aware
+    /// (tuples produced; for operators that produced any, batch count and
+    /// mean batch fill; on the incremental rank-aware
     /// operators µ / MPro / HRJN / NRJN, the peak number of buffered
     /// entries), paired from a post-order
     /// [`OperatorActuals`] series as recorded by the executor's metrics

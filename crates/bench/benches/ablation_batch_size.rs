@@ -1,13 +1,14 @@
 //! Ablation: how the configured execution batch size affects wall-clock on
 //! the membership-heavy plan shapes (scan, scan+filter, hash join) and on a
-//! rank-aware top-k plan whose operators use the tuple-at-a-time adapter.
+//! rank-aware top-k plan, whose operators draw one input tuple at a time
+//! whatever the batch size.
 //!
-//! Batch size 1 degrades the engine to tuple-at-a-time pulls (the historical
-//! scheme); larger sizes amortize per-pull dispatch, metric updates and
-//! budget accounting.  The membership plans are expected to improve steeply
-//! up to a few hundred tuples per batch and flatten after; the rank-aware
-//! plan is expected to be insensitive — its cost is dominated by ranking
-//! queues and probe scheduling, which batching deliberately leaves alone.
+//! Batch size 1 is tuple-at-a-time execution (the paper's `GetNext`); larger
+//! sizes amortize per-pull dispatch, metric updates and budget accounting.
+//! The membership plans are expected to improve steeply up to a few hundred
+//! tuples per batch and flatten after; the rank-aware plan is expected to be
+//! insensitive — its cost is dominated by ranking queues and probe
+//! scheduling, which the batch size does not touch.
 
 use std::sync::Arc;
 

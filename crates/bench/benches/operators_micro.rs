@@ -2,8 +2,7 @@
 //! traditional counterparts: µ + rank-scan vs sort, HRJN vs hash-join + sort
 //! — plus the sequential-scan hot path, where the current move-out-of-the-
 //! snapshot scheme is compared against the historical clone-per-tuple
-//! baseline it replaced, and the batched (vectorized) pull path against
-//! tuple-at-a-time driving on the membership-heavy operators.
+//! baseline it replaced.
 
 use std::sync::Arc;
 
@@ -12,8 +11,8 @@ use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalPlan};
 use ranksql_common::BitSet64;
 use ranksql_executor::kernel;
 use ranksql_executor::{
-    build_operator, drain, drain_batched, execute_physical_plan, execute_query_plan,
-    operator::take, scan::SeqScan, ExecutionContext,
+    build_operator, drain_batched, execute_physical_plan, execute_query_plan, operator::take,
+    scan::SeqScan, ExecutionContext,
 };
 use ranksql_expr::{BoolExpr, CompareOp, RankedTuple, ScalarExpr};
 use ranksql_workload::{SyntheticConfig, SyntheticWorkload};
@@ -143,85 +142,14 @@ fn bench_operators(c: &mut Criterion) {
         bench.iter(|| {
             let exec = ExecutionContext::new(Arc::clone(&ranking));
             let mut scan = SeqScan::new(&a, &exec, "seqscan");
-            black_box(drain(&mut scan).expect("scan").len())
+            black_box(
+                drain_batched(&mut scan, exec.batch_size())
+                    .expect("scan")
+                    .len(),
+            )
         })
     });
     scan_group.finish();
-
-    // ------------------------------------------------------------------
-    // Batched vs tuple-at-a-time pull on the membership-heavy hot paths:
-    // the same physical plan driven through `next()` (batch size 1
-    // everywhere, the historical engine) and through `next_batch` at
-    // realistic batch sizes.
-    // ------------------------------------------------------------------
-    let mut bt = c.benchmark_group("batch_vs_tuple");
-    bt.sample_size(10);
-    // The hash-join hot path runs several milliseconds per drain; give the
-    // group a budget that fits several iterations so the batch-vs-tuple
-    // ratio is not a single-sample measurement.
-    bt.measurement_time(std::time::Duration::from_millis(200));
-    // The hash-join comparison runs on a probe-dominated (FK-like, ~1 match
-    // per probe) workload: with wide match groups the cost is dominated by
-    // materialising the joined tuples — identical in both modes — whereas
-    // the per-probe machinery is what batching amortizes.
-    let probe_heavy = SyntheticWorkload::generate(SyntheticConfig {
-        table_size: 5_000,
-        join_selectivity: 1.0 / 5_000.0,
-        predicate_cost: 1,
-        k: 10,
-        ..SyntheticConfig::default()
-    })
-    .expect("probe-heavy workload");
-    let pa = probe_heavy.catalog.table("A").expect("A");
-    let pb = probe_heavy.catalog.table("B").expect("B");
-    let hot_paths = [
-        ("seq_scan", LogicalPlan::scan(&a), catalog, &ranking),
-        (
-            "filter",
-            LogicalPlan::scan(&a).select(BoolExpr::compare(
-                ScalarExpr::col("A.p1"),
-                CompareOp::GtEq,
-                ScalarExpr::lit(0.25),
-            )),
-            catalog,
-            &ranking,
-        ),
-        (
-            "hash_join",
-            LogicalPlan::scan(&pa).join(
-                LogicalPlan::scan(&pb),
-                Some(BoolExpr::col_eq_col("A.jc1", "B.jc1")),
-                JoinAlgorithm::Hash,
-            ),
-            &probe_heavy.catalog,
-            &probe_heavy.query.ranking,
-        ),
-    ];
-    for (name, logical, cat, ranking) in hot_paths {
-        let physical = PhysicalPlan::from_logical(&logical).expect("lowering");
-        bt.bench_function(format!("{name}/tuple"), |bench| {
-            bench.iter(|| {
-                let exec = ExecutionContext::new(Arc::clone(ranking)).with_batch_size(1);
-                let mut root = build_operator(&physical, cat, &exec).expect("build");
-                black_box(drain(root.as_mut()).expect("drain").len())
-            })
-        });
-        for batch_size in [256usize, 1024] {
-            bt.bench_function(format!("{name}/batch{batch_size}"), |bench| {
-                bench.iter(|| {
-                    let exec =
-                        ExecutionContext::new(Arc::clone(ranking)).with_batch_size(batch_size);
-                    let mut root = build_operator(&physical, cat, &exec).expect("build");
-                    black_box(
-                        drain_batched(root.as_mut(), batch_size)
-                            .expect("drain")
-                            .len(),
-                    )
-                })
-            });
-        }
-    }
-    bt.finish();
 
     // ------------------------------------------------------------------
     // Columnar vs row storage backend on the seq-scan + filter spine (the
@@ -371,7 +299,7 @@ fn bench_operators(c: &mut Criterion) {
         let mut join = build_operator(&rank_join, catalog, &exec).expect("operator tree");
         match limit {
             Some(k) => take(join.as_mut(), k),
-            None => drain(join.as_mut()),
+            None => drain_batched(join.as_mut(), exec.batch_size()),
         }
         .expect("execution")
         .len()

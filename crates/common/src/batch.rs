@@ -1,8 +1,8 @@
 //! A reusable batch buffer for vectorized operator execution.
 //!
-//! The executor's batched pull interface moves tuples between operators in
-//! chunks instead of one at a time, amortizing per-call dispatch (virtual
-//! `next()` calls, metric updates, budget accounting) over many tuples.  The
+//! The executor's pull interface moves tuples between operators in chunks
+//! instead of one at a time, amortizing per-call dispatch (virtual calls,
+//! metric updates, budget accounting) over many tuples.  The
 //! chunks travel in a [`Batch`]: a thin wrapper over `Vec<T>` whose point is
 //! to be *reused* — the driver clears it between pulls, so after warm-up no
 //! per-batch allocation happens on the hot path.

@@ -223,22 +223,10 @@ impl Cursor {
     /// Produces the next row, or `None` when the stream is exhausted.
     #[allow(clippy::should_implement_trait)] // fallible next + an Iterator impl, like std's Lines
     pub fn next(&mut self) -> Result<Option<RankedTuple>> {
-        if self.exhausted {
-            return Ok(None);
-        }
-        match self.root.next()? {
-            Some(t) => {
-                self.emitted += 1;
-                Ok(Some(t))
-            }
-            None => {
-                self.exhausted = true;
-                Ok(None)
-            }
-        }
+        Ok(self.next_batch(1)?.pop())
     }
 
-    /// Pulls up to `n` rows through the batched execution path.
+    /// Pulls up to `n` rows, in chunks of at most the session's batch size.
     pub fn next_batch(&mut self, n: usize) -> Result<Vec<RankedTuple>> {
         let mut out = Batch::with_capacity(n.min(self.exec.batch_size()));
         while !self.exhausted && out.len() < n {

@@ -122,8 +122,8 @@ impl QueryResult {
 
     /// The executed physical tree annotated with each operator's runtime
     /// actuals (`EXPLAIN ANALYZE`-style): tuples produced, and — for
-    /// operators that ran through the batched pull path — the number of
-    /// batches emitted and the mean batch fill.  Executions that came
+    /// operators that produced any — the number of batches emitted and the
+    /// mean batch fill.  Executions that came
     /// through a prepared statement are prefixed with the plan-cache
     /// outcome (`plan cache: hit (hits=…, misses=…, entries=…)`) and one
     /// `statistics[T]` line per referenced table with built statistics

@@ -442,10 +442,9 @@ impl ExecutionResult {
 /// Builds and fully drains a physical plan under an explicit execution
 /// context, collecting results and metrics.
 ///
-/// The root is driven through the batched pull interface with the context's
-/// [`ExecutionContext::batch_size`], so the whole tree runs vectorized;
+/// The root is pulled [`ExecutionContext::batch_size`] tuples at a time;
 /// plans whose root is a `Limit` still stop early because `Limit` caps what
-/// it requests from its input per batch.
+/// it requests from its input per call.
 ///
 /// The ranking context's evaluation counters are snapshotted around the run
 /// so that [`ExecutionResult::predicate_evaluations`] reflects only this

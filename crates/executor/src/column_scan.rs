@@ -288,8 +288,6 @@ pub struct ColumnScan {
     /// (reused across blocks); rows before `sel_pos` are already emitted.
     sel: Vec<u32>,
     sel_pos: usize,
-    /// Scratch used by the tuple-at-a-time `next`.
-    scratch: Batch,
 }
 
 impl ColumnScan {
@@ -468,7 +466,6 @@ impl ColumnScan {
             cur_block: None,
             sel: Vec::new(),
             sel_pos: 0,
-            scratch: Batch::new(),
         })
     }
 
@@ -617,9 +614,14 @@ impl ColumnScan {
         }
         Ok(())
     }
+}
 
-    /// Core fill loop shared by `next` and `next_batch`.
-    fn fill(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+impl PhysicalOperator for ColumnScan {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         let n_preds = self.ctx.num_predicates();
         let before = out.len();
         let mut examined: u64 = 0;
@@ -688,26 +690,6 @@ impl ColumnScan {
             }
         }
         Ok(produced)
-    }
-}
-
-impl PhysicalOperator for ColumnScan {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.scratch.clear();
-        let mut scratch = std::mem::replace(&mut self.scratch, Batch::new());
-        let n = self.fill(1, &mut scratch);
-        let tuple = scratch.pop();
-        self.scratch = scratch;
-        n?;
-        Ok(tuple)
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.fill(max, out)
     }
 
     fn can_extend_limit(&self) -> bool {

@@ -256,9 +256,9 @@ impl ExecutionContext {
         }
     }
 
-    /// Overrides the batch size used by the batched execution path
-    /// (clamped to at least 1).  `1` effectively degrades batched pulls to
-    /// tuple-at-a-time execution.
+    /// Overrides the batch size the root driver and the blocking operators
+    /// pull with (clamped to at least 1).  `1` is tuple-at-a-time
+    /// execution.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
         self

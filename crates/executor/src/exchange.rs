@@ -99,20 +99,6 @@ impl PhysicalOperator for MorselScan {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        if self.pos >= self.end {
-            return Ok(None);
-        }
-        let t = self.rows[self.pos].clone();
-        self.pos += 1;
-        self.budget.charge(1)?;
-        self.scan_metrics.add_in(1);
-        self.scan_metrics.add_out(1);
-        self.repart_metrics.add_in(1);
-        self.repart_metrics.add_out(1);
-        Ok(Some(RankedTuple::unranked(t, self.ctx.num_predicates())))
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         let n = max.min(self.end - self.pos);
         if n == 0 {
@@ -625,28 +611,12 @@ impl PhysicalOperator for ExchangeOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.execute()?;
-        let next = self.merged.as_mut().expect("merged after execute").next();
-        if next.is_some() {
-            self.metrics.add_out(1);
-        }
-        Ok(next)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.execute()?;
         let merged = self.merged.as_mut().expect("merged after execute");
-        let mut n = 0;
-        while n < max {
-            match merged.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(merged.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
             self.metrics.add_out(n as u64);
             self.metrics.add_batch();
@@ -765,15 +735,6 @@ impl RepartitionPassthrough {
 impl PhysicalOperator for RepartitionPassthrough {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        let next = self.inner.next()?;
-        if next.is_some() {
-            self.metrics.add_in(1);
-            self.metrics.add_out(1);
-        }
-        Ok(next)
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {

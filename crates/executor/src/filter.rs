@@ -3,11 +3,11 @@
 use std::sync::Arc;
 
 use ranksql_common::{Result, Schema};
-use ranksql_expr::{BoolExpr, BoundBoolExpr, RankedTuple};
+use ranksql_expr::{BoolExpr, BoundBoolExpr};
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator};
+use crate::operator::{retain_from, Batch, BoxedOperator, PhysicalOperator};
 
 /// Selection σ_c: filters membership, keeps the input order untouched
 /// (`σ_c(R_P) ≡ (σ_c R)_P`, Figure 3).
@@ -16,9 +16,6 @@ pub struct Filter {
     predicate: BoundBoolExpr,
     schema: Schema,
     metrics: Arc<OperatorMetrics>,
-    /// Scratch buffer for batched input pulls; always fully consumed before
-    /// a batched call returns, so tuple- and batch-driven pulls can mix.
-    in_buf: Batch,
 }
 
 impl Filter {
@@ -36,7 +33,6 @@ impl Filter {
             predicate: bound,
             schema,
             metrics: exec.register(label),
-            in_buf: Batch::new(),
         })
     }
 }
@@ -46,36 +42,22 @@ impl PhysicalOperator for Filter {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        while let Some(rt) = self.input.next()? {
-            self.metrics.add_in(1);
-            if self.predicate.eval(&rt.tuple)? {
-                self.metrics.add_out(1);
-                return Ok(Some(rt));
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         // Pull input chunks of at most the still-missing count, so the
         // output can never overshoot `max` however selective the predicate
-        // is; loop until the chunk is full or the input dries up.
+        // is; loop until the chunk is full or the input dries up.  The input
+        // appends straight to `out` and the tuples that fail are squeezed
+        // out of the chunk in place.
         let mut produced = 0;
         let mut pulled = 0u64;
         while produced < max {
-            self.in_buf.clear();
-            let n = self.input.next_batch(max - produced, &mut self.in_buf)?;
+            let chunk = out.len();
+            let n = self.input.next_batch(max - produced, out)?;
             if n == 0 {
                 break;
             }
             pulled += n as u64;
-            for rt in self.in_buf.drain(..) {
-                if self.predicate.eval(&rt.tuple)? {
-                    out.push(rt);
-                    produced += 1;
-                }
-            }
+            produced += retain_from(out, chunk, |rt| self.predicate.eval(&rt.tuple))?;
         }
         self.metrics.add_in(pulled);
         if produced > 0 {
@@ -107,8 +89,6 @@ pub struct Project {
     indices: Vec<usize>,
     schema: Schema,
     metrics: Arc<OperatorMetrics>,
-    /// Scratch buffer for batched input pulls (fully consumed per call).
-    in_buf: Batch,
 }
 
 impl Project {
@@ -130,7 +110,6 @@ impl Project {
             indices,
             schema,
             metrics: exec.register(label),
-            in_buf: Batch::new(),
         })
     }
 }
@@ -140,24 +119,11 @@ impl PhysicalOperator for Project {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        match self.input.next()? {
-            Some(rt) => {
-                self.metrics.add_in(1);
-                self.metrics.add_out(1);
-                let projected = rt.tuple.project(&self.indices);
-                Ok(Some(RankedTuple::new(projected, rt.state)))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.in_buf.clear();
-        let n = self.input.next_batch(max, &mut self.in_buf)?;
-        for rt in self.in_buf.drain(..) {
-            let projected = rt.tuple.project(&self.indices);
-            out.push(RankedTuple::new(projected, rt.state));
+        let chunk = out.len();
+        let n = self.input.next_batch(max, out)?;
+        for rt in &mut out[chunk..] {
+            rt.tuple = rt.tuple.project(&self.indices);
         }
         if n > 0 {
             self.metrics.add_in(n as u64);
@@ -183,7 +149,7 @@ impl PhysicalOperator for Project {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::drain;
+    use crate::operator::drain_batched;
     use crate::scan::SeqScan;
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{CompareOp, RankingContext, ScalarExpr};
@@ -215,7 +181,7 @@ mod tests {
         let exec = exec();
         let pred = BoolExpr::compare(ScalarExpr::col("R.a"), CompareOp::GtEq, ScalarExpr::lit(5));
         let mut f = Filter::new(scan(&t, &exec), &pred, &exec, "filter").unwrap();
-        let out = drain(&mut f).unwrap();
+        let out = drain_batched(&mut f, 4).unwrap();
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|t| t.tuple.value(0).as_i64().unwrap() >= 5));
         let m = exec.metrics().snapshot();
@@ -229,7 +195,7 @@ mod tests {
         let exec = exec();
         let pred = BoolExpr::column_is_true("R.b");
         let mut f = Filter::new(scan(&t, &exec), &pred, &exec, "filter").unwrap();
-        assert_eq!(drain(&mut f).unwrap().len(), 5);
+        assert_eq!(drain_batched(&mut f, 4).unwrap().len(), 5);
     }
 
     #[test]
@@ -246,7 +212,7 @@ mod tests {
         let exec = exec();
         let mut p = Project::new(scan(&t, &exec), &["R.b".to_owned()], &exec, "proj").unwrap();
         assert_eq!(p.schema().len(), 1);
-        let out = drain(&mut p).unwrap();
+        let out = drain_batched(&mut p, 4).unwrap();
         assert_eq!(out.len(), 10);
         assert_eq!(out[0].tuple.arity(), 1);
         assert_eq!(out[3].tuple.id().parts()[0].1, 3);

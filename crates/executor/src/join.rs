@@ -16,7 +16,7 @@ use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr};
 use crate::context::ExecutionContext;
 use crate::fxhash::FxHashMap;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator};
+use crate::operator::{draw_one, Batch, BoxedOperator, PhysicalOperator};
 
 /// Equi-join keys extracted from a join condition, plus whatever part of the
 /// condition is not a simple column equality (the *residual*, evaluated on
@@ -141,7 +141,9 @@ pub struct NestedLoopJoin {
     right: Option<BoxedOperator>,
     condition: Option<BoundBoolExpr>,
     schema: Schema,
-    current_left: Option<RankedTuple>,
+    /// The outer tuple being joined (empty between outer tuples) — the
+    /// buffer the left input appends each draw to.
+    current_left: Batch,
     right_pos: usize,
     metrics: Arc<OperatorMetrics>,
     batch_size: usize,
@@ -165,7 +167,7 @@ impl NestedLoopJoin {
             right: Some(right),
             condition: bound,
             schema,
-            current_left: None,
+            current_left: Batch::with_capacity(1),
             right_pos: 0,
             metrics,
             batch_size: exec.batch_size(),
@@ -193,7 +195,7 @@ impl NestedLoopJoin {
             right: None,
             condition: bound,
             schema,
-            current_left: None,
+            current_left: Batch::with_capacity(1),
             right_pos: 0,
             metrics,
             batch_size: exec.batch_size(),
@@ -225,56 +227,43 @@ impl PhysicalOperator for NestedLoopJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.ensure_right_materialised()?;
-        loop {
-            if self.current_left.is_none() {
-                match self.left.next()? {
-                    Some(t) => {
-                        self.metrics.add_in(1);
-                        self.current_left = Some(t);
-                        self.right_pos = 0;
-                    }
-                    None => return Ok(None),
+        let rows = self.right_rows.as_ref().expect("right materialised");
+        let (mut pulled, mut produced) = (0u64, 0usize);
+        while produced < max {
+            // One outer tuple at a time: a pass over the inner relation per
+            // outer tuple dwarfs the dispatch a larger draw would save.
+            if self.current_left.is_empty() {
+                if !draw_one(self.left.as_mut(), &mut self.current_left)? {
+                    break;
                 }
+                pulled += 1;
+                self.right_pos = 0;
             }
-            let left = self.current_left.as_ref().expect("current left set");
-            let rows = self.right_rows.as_ref().expect("right materialised");
-            while self.right_pos < rows.len() {
-                let right = &rows[self.right_pos];
+            let left = &self.current_left[0];
+            while self.right_pos < rows.len() && produced < max {
+                let joined = left.join(&rows[self.right_pos]);
                 self.right_pos += 1;
-                let joined = left.join(right);
                 let passes = match &self.condition {
                     Some(c) => c.eval(&joined.tuple)?,
                     None => true,
                 };
                 if passes {
-                    self.metrics.add_out(1);
-                    return Ok(Some(joined));
+                    out.push(joined);
+                    produced += 1;
                 }
             }
-            self.current_left = None;
-        }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // The per-output work (a pass over the inner relation) dwarfs
-        // dispatch, so the batched path reuses the tuple loop; batching
-        // still pays off through the vectorized inner materialisation.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
+            if self.right_pos == rows.len() {
+                self.current_left.clear();
             }
         }
-        if n > 0 {
+        self.metrics.add_in(pulled);
+        if produced > 0 {
+            self.metrics.add_out(produced as u64);
             self.metrics.add_batch();
         }
-        Ok(n)
+        Ok(produced)
     }
 
     fn is_ranked(&self) -> bool {
@@ -410,8 +399,7 @@ impl HashJoin {
     }
 
     /// Draws the next probe-side tuple, refilling the internal buffer with a
-    /// batch of up to `refill` tuples when it runs dry.  `refill = 1` keeps
-    /// tuple-driven pulls tuple-at-a-time.
+    /// batch of up to `refill` tuples when it runs dry.
     fn next_left(&mut self, refill: usize) -> Result<Option<RankedTuple>> {
         if self.left_buf.is_empty() && !self.left_done {
             self.left_scratch.clear();
@@ -427,52 +415,11 @@ impl HashJoin {
         }
         Ok(self.left_buf.pop_front())
     }
-
-    /// Advances to the next probe tuple and looks up its matches.  Returns
-    /// `false` when the probe side is exhausted.
-    fn advance_probe(&mut self, refill: usize) -> Result<bool> {
-        match self.next_left(refill)? {
-            Some(t) => {
-                let table = self.table.as_ref().expect("hash table built");
-                self.current_matches =
-                    probe_matches(table.as_ref(), &self.left_key_cols, &mut self.probe_key, &t)
-                        .cloned()
-                        .unwrap_or_default();
-                self.match_pos = 0;
-                self.current_left = Some(t);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
 }
 
 impl PhysicalOperator for HashJoin {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.ensure_built()?;
-        loop {
-            while self.match_pos < self.current_matches.len() {
-                let right = &self.current_matches[self.match_pos];
-                self.match_pos += 1;
-                let left = self.current_left.as_ref().expect("left set while matching");
-                let joined = left.join(right);
-                let passes = match &self.residual {
-                    Some(c) => c.eval(&joined.tuple)?,
-                    None => true,
-                };
-                if passes {
-                    self.metrics.add_out(1);
-                    return Ok(Some(joined));
-                }
-            }
-            if !self.advance_probe(1)? {
-                return Ok(None);
-            }
-        }
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
@@ -509,8 +456,7 @@ impl PhysicalOperator for HashJoin {
             if produced + matches.len() <= max {
                 // Fast path: the whole match group fits in this batch, so it
                 // can be joined straight out of the hash table — no cloning,
-                // no suspension state (the per-probe group clone is what the
-                // tuple path pays to be resumable after every single tuple).
+                // no suspension state.
                 for right in matches {
                     let joined = t.join(right);
                     let passes = match &self.residual {
@@ -653,7 +599,6 @@ impl SortMergeJoin {
                                 None => true,
                             };
                             if passes {
-                                self.metrics.add_out(1);
                                 out.push(joined);
                             }
                         }
@@ -673,24 +618,13 @@ impl PhysicalOperator for SortMergeJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.prepare()?;
-        Ok(self.output.next())
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.prepare()?;
-        let mut n = 0;
-        while n < max {
-            match self.output.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(self.output.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
+            self.metrics.add_out(n as u64);
             self.metrics.add_batch();
         }
         Ok(n)
@@ -716,7 +650,7 @@ impl PhysicalOperator for SortMergeJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::drain;
+    use crate::operator::drain_batched;
     use crate::scan::SeqScan;
     use ranksql_common::{DataType, Field};
     use ranksql_expr::RankingContext;
@@ -814,7 +748,7 @@ mod tests {
         let mut j =
             NestedLoopJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "nlj")
                 .unwrap();
-        let out = drain(&mut j).unwrap();
+        let out = drain_batched(&mut j, 4).unwrap();
         assert_eq!(join_result_pairs(&out), expected_pairs());
         assert_eq!(out[0].tuple.arity(), 4);
     }
@@ -826,7 +760,7 @@ mod tests {
         let exec = exec();
         let mut j =
             NestedLoopJoin::new(scan(&r, &exec), scan(&s, &exec), None, &exec, "nlj").unwrap();
-        assert_eq!(drain(&mut j).unwrap().len(), 16);
+        assert_eq!(drain_batched(&mut j, 4).unwrap().len(), 16);
     }
 
     #[test]
@@ -837,7 +771,7 @@ mod tests {
         let cond = BoolExpr::col_eq_col("R.a", "S.a");
         let mut j =
             HashJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "hj").unwrap();
-        let out = drain(&mut j).unwrap();
+        let out = drain_batched(&mut j, 4).unwrap();
         assert_eq!(join_result_pairs(&out), expected_pairs());
     }
 
@@ -862,7 +796,7 @@ mod tests {
         let cond = BoolExpr::col_eq_col("R.a", "S.a");
         let mut j = SortMergeJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "smj")
             .unwrap();
-        let out = drain(&mut j).unwrap();
+        let out = drain_batched(&mut j, 4).unwrap();
         assert_eq!(join_result_pairs(&out), expected_pairs());
     }
 
@@ -894,7 +828,7 @@ mod tests {
                 ),
             };
             let mut op = op;
-            let out = drain(op.as_mut()).unwrap();
+            let out = drain_batched(op.as_mut(), 4).unwrap();
             assert_eq!(
                 join_result_pairs(&out),
                 vec![(1, 100), (1, 100)],

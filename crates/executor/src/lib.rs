@@ -1,8 +1,8 @@
 //! The pipelined, incremental execution engine of RankSQL (Section 4).
 //!
 //! Plans are trees of Volcano-style iterators ([`PhysicalOperator`]): the
-//! consumer repeatedly calls `next()` on the root, which recursively draws
-//! tuples from its inputs.  The rank-aware operators implement the paper's
+//! consumer repeatedly calls `next_batch` on the root, which recursively
+//! draws tuples from its inputs.  The rank-aware operators implement the paper's
 //! incremental execution model: tuple streams flow in non-increasing order of
 //! their *maximal-possible scores* (`F_P[t]`, Property 1), so a top-k query
 //! stops as soon as `k` results have surfaced and execution cost is
@@ -32,17 +32,17 @@
 //! [`build::execute_plan`] / [`build::execute_query_plan`] accept a
 //! [`ranksql_algebra::LogicalPlan`] and lower it structurally first.
 //!
-//! **Batched (vectorized) execution.** Every operator additionally exposes
-//! [`operator::PhysicalOperator::next_batch`], which moves tuples in
-//! reusable [`operator::Batch`] chunks instead of one virtual call per
-//! tuple.  Membership-oriented operators (scans, σ/π, the traditional
-//! joins, sorts, limits, ∪/−) implement it natively — amortizing dispatch,
-//! metric updates and budget accounting over the chunk — while the
-//! rank-aware operators (µ, MPro, HRJN/NRJN, ∩) use a tuple-at-a-time
-//! adapter that preserves the paper's incremental top-k semantics exactly.
-//! The root driver ([`build::execute_physical_plan`]) pulls batches of
-//! [`ExecutionContext::batch_size`] tuples, and blocking operators drain
-//! their inputs in chunks of the same size.
+//! **One pull method.** [`operator::PhysicalOperator::next_batch`] is the
+//! only way tuples leave an operator: it appends up to `max` of them to a
+//! reusable [`operator::Batch`].  Membership-oriented operators (scans, σ/π,
+//! the traditional joins, sorts, limits, ∪/−) fill the chunk in one loop —
+//! amortizing dispatch, metric updates and budget accounting — while the
+//! rank-aware operators (µ, MPro, HRJN/NRJN, ∩) emit up to `max` results
+//! but draw their inputs one tuple at a time, which keeps the paper's
+//! incremental top-k semantics exact for every `max`.  The root driver
+//! ([`build::execute_physical_plan`]) pulls [`ExecutionContext::batch_size`]
+//! tuples at a time, and blocking operators drain their inputs in chunks of
+//! the same size.
 //!
 //! **Morsel-driven parallelism.** Plans whose parallel-safe subtrees were
 //! wrapped in `Exchange`/`Repartition` nodes (the optimizer's
@@ -82,5 +82,5 @@ pub use context::{ExecutionContext, TopKThreshold, TupleBudget};
 pub use exchange::{ExchangeOp, RepartitionPassthrough};
 pub use metrics::{MetricsRegistry, OperatorMetrics};
 pub use mpro::MProOp;
-pub use operator::{drain, drain_batched, Batch, BoxedOperator, PhysicalOperator};
+pub use operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
 pub use oracle::oracle_top_k;

@@ -45,7 +45,7 @@ impl OperatorMetrics {
         self.tuples_out.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one non-empty batch emitted through the batched pull path.
+    /// Records one `next_batch` call that emitted at least one tuple.
     pub fn add_batch(&self) {
         self.batches_out.fetch_add(1, Ordering::Relaxed);
     }
@@ -53,6 +53,22 @@ impl OperatorMetrics {
     /// Records the current number of buffered tuples, keeping the maximum.
     pub fn observe_buffered(&self, n: u64) {
         self.buffered_peak.fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// Records what one `next_batch` call of an incremental operator did:
+    /// the tuples it drew, the tuples it emitted (one batch if any) and the
+    /// most it held buffered.  Such an operator draws and emits one tuple at
+    /// a time, so it counts in locals and writes the shared counters here,
+    /// once per call.
+    pub fn record_call(&self, tuples_in: u64, tuples_out: u64, buffered_peak: u64) {
+        if tuples_in > 0 {
+            self.add_in(tuples_in);
+            self.observe_buffered(buffered_peak);
+        }
+        if tuples_out > 0 {
+            self.add_out(tuples_out);
+            self.add_batch();
+        }
     }
 
     /// Tuples drawn from inputs.
@@ -65,8 +81,7 @@ impl OperatorMetrics {
         self.tuples_out.load(Ordering::Relaxed)
     }
 
-    /// Non-empty batches emitted through the batched pull path (0 when the
-    /// operator was only ever driven tuple-at-a-time).
+    /// `next_batch` calls that emitted at least one tuple.
     pub fn batches_out(&self) -> u64 {
         self.batches_out.load(Ordering::Relaxed)
     }

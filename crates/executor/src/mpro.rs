@@ -28,7 +28,7 @@ use ranksql_expr::{BoundRanking, RankedTuple, RankingContext};
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator, RankingQueue};
+use crate::operator::{draw_one, Batch, BoxedOperator, PhysicalOperator, RankingQueue};
 
 /// A multi-predicate rank operator with minimal-probing scheduling.
 ///
@@ -54,6 +54,9 @@ pub struct MProOp {
     input_ranked: bool,
     /// Number of predicate probes performed (exposed for tests/benches).
     probes: u64,
+    /// Where the input appends the one tuple of a draw, on its way into the
+    /// queue.
+    drawn: Batch,
 }
 
 impl MProOp {
@@ -82,6 +85,7 @@ impl MProOp {
             input_exhausted: false,
             input_ranked,
             probes: 0,
+            drawn: Batch::with_capacity(1),
         })
     }
 
@@ -106,18 +110,6 @@ impl MProOp {
             .copied()
             .find(|&p| !t.state.is_evaluated(p))
     }
-
-    /// Whether the queue head is allowed to surface (emit or probe) now,
-    /// i.e. no *future* input tuple can beat it.
-    fn head_surfaces(&self, head_score: Score) -> bool {
-        if self.input_exhausted {
-            true
-        } else if !self.input_ranked {
-            false
-        } else {
-            head_score >= self.input_bound
-        }
-    }
 }
 
 impl PhysicalOperator for MProOp {
@@ -125,66 +117,54 @@ impl PhysicalOperator for MProOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        loop {
-            if let Some(head_score) = self.queue.peek_score() {
-                if self.head_surfaces(head_score) {
-                    let mut t = self.queue.pop().expect("non-empty queue");
-                    match self.next_unevaluated(&t) {
-                        // Fully probed and unbeatable: this is the next output.
-                        None => {
-                            self.metrics.add_out(1);
-                            return Ok(Some(t));
-                        }
-                        // The probe of `p` on this tuple is *necessary*: the
-                        // tuple cannot be emitted or discarded without it.
-                        Some(p) => {
-                            self.ranking.evaluate_into(p, &t.tuple, &mut t.state)?;
-                            self.probes += 1;
-                            self.queue.push(t);
-                            self.metrics.observe_buffered(self.queue.len() as u64);
-                            continue;
-                        }
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        let (mut drawn, mut produced, mut peak) = (0u64, 0usize, 0usize);
+        while produced < max {
+            // The queue head surfaces (is emitted or probed) once no
+            // *future* input tuple can beat it.
+            let head = if self.input_exhausted {
+                self.queue.pop()
+            } else if self.input_ranked {
+                self.queue.pop_if_at_least(self.input_bound)
+            } else {
+                None
+            };
+            if let Some(mut t) = head {
+                match self.next_unevaluated(&t) {
+                    // Fully probed and unbeatable: this is the next output.
+                    None => {
+                        out.push(t);
+                        produced += 1;
+                    }
+                    // The probe of `p` on this tuple is *necessary*: the
+                    // tuple cannot be emitted or discarded without it.
+                    Some(p) => {
+                        self.ranking.evaluate_into(p, &t.tuple, &mut t.state)?;
+                        self.probes += 1;
+                        self.queue.push(t);
                     }
                 }
-            } else if self.input_exhausted {
-                return Ok(None);
+                continue;
+            }
+            if self.input_exhausted {
+                break;
             }
 
             // The head (if any) may still be beaten by future input: draw one
             // more input tuple.
-            match self.input.next()? {
-                Some(rt) => {
-                    self.metrics.add_in(1);
-                    self.input_bound = self.ctx.upper_bound(&rt.state);
-                    self.queue.push(rt);
-                    self.metrics.observe_buffered(self.queue.len() as u64);
-                }
-                None => {
-                    self.input_exhausted = true;
-                }
-            }
+            draw_one(self.input.as_mut(), &mut self.drawn)?;
+            let Some(rt) = self.drawn.pop() else {
+                self.input_exhausted = true;
+                continue;
+            };
+            drawn += 1;
+            self.input_bound = self.ctx.upper_bound(&rt.state);
+            self.queue.push(rt);
+            peak = peak.max(self.queue.len());
         }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Minimal probing is inherently tuple-at-a-time: batching the loop
-        // would not change which probes are necessary, so only the hand-off
-        // (and batch accounting) is chunked.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        if n > 0 {
-            self.metrics.add_batch();
-        }
-        Ok(n)
+        self.metrics
+            .record_call(drawn, produced as u64, peak as u64);
+        Ok(produced)
     }
 
     fn can_extend_limit(&self) -> bool {
@@ -200,7 +180,7 @@ impl PhysicalOperator for MProOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{check_rank_order, drain, take};
+    use crate::operator::{check_rank_order, drain_batched, take};
     use crate::rank::RankOp;
     use crate::scan::{RankScan, SeqScan};
     use ranksql_common::{DataType, Field, Value};
@@ -311,7 +291,7 @@ mod tests {
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = rank_scan_p3(&t, &exec);
         let mut mpro = MProOp::new(Box::new(scan), vec![1, 2], &exec, "mpro").unwrap();
-        let all = drain(&mut mpro).unwrap();
+        let all = drain_batched(&mut mpro, 4).unwrap();
         assert_eq!(all.len(), 6);
         assert_eq!(check_rank_order(&all, &ctx), None);
         let scores: Vec<f64> = all
@@ -331,7 +311,7 @@ mod tests {
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = rank_scan_p3(&t, &exec);
         let mut mpro = MProOp::new(Box::new(scan), vec![], &exec, "mpro").unwrap();
-        let all = drain(&mut mpro).unwrap();
+        let all = drain_batched(&mut mpro, 4).unwrap();
         assert_eq!(all.len(), 6);
         // No probes at all: p4, p5 never evaluated.
         assert_eq!(ctx.counters().count(1), 0);

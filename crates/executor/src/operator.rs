@@ -14,8 +14,9 @@ pub type Batch = ranksql_common::Batch<RankedTuple>;
 /// A Volcano-style physical operator producing [`RankedTuple`]s on demand.
 ///
 /// The paper's iterator interface is `Open` / `GetNext` / `Close`; in Rust
-/// construction plays the role of `Open`, [`PhysicalOperator::next`] is
-/// `GetNext` (returning `None` at end of stream) and `Drop` is `Close`.
+/// construction plays the role of `Open`, [`PhysicalOperator::next_batch`]
+/// is `GetNext` — the one pull method, with `max = 1` the paper's
+/// tuple-at-a-time call — and `Drop` is `Close`.
 ///
 /// **Ordering contract.** An operator whose [`PhysicalOperator::is_ranked`]
 /// returns `true` must emit tuples in non-increasing order of their
@@ -24,43 +25,24 @@ pub type Batch = ranksql_common::Batch<RankedTuple>;
 /// Section 4.1.  Operators that are not rank-aware (traditional joins, plain
 /// sort inputs) make no ordering promise.
 ///
-/// **Batched pull.** [`PhysicalOperator::next_batch`] is the vectorized form
-/// of `next`: it appends up to `max` tuples to a caller-owned [`Batch`] and
-/// returns how many it appended, amortizing virtual dispatch, metric updates
-/// and budget accounting over the whole chunk.  A batch is always a
-/// contiguous chunk of the same tuple stream `next` would produce, so both
-/// contracts (membership *and* emission order) carry over unchanged; the two
-/// entry points share state and may be mixed freely on one operator.
-/// Membership-oriented operators (scans, filters, traditional joins, sorts,
-/// limits) override it with genuinely vectorized inner loops; rank-aware
-/// operators keep the tuple-at-a-time default below, which preserves the
-/// paper's incremental top-k semantics — a consumer asking for a small batch
-/// never forces more probing or input consumption than `max` calls to `next`
-/// would.
+/// **Pull contract.** A call appends the next chunk of the operator's one
+/// tuple stream, so the stream (membership *and* emission order) does not
+/// depend on how the calls cut it up.  A rank-aware operator (µ, MPro,
+/// HRJN/NRJN, ∩) never over-draws: it takes one tuple at a time from its
+/// inputs and stops as soon as `max` results surfaced, so `k` calls with
+/// `max = 1` and one call with `max = k` leave every input at the same
+/// depth.  Metrics are written once per call, not once per tuple.
 pub trait PhysicalOperator {
     /// The schema of emitted tuples.
     fn schema(&self) -> &Schema;
 
-    /// Produces the next tuple, or `None` when the stream is exhausted.
-    fn next(&mut self) -> Result<Option<RankedTuple>>;
-
     /// Appends up to `max` tuples to `out`, returning how many were appended.
     ///
-    /// A return of `0` (with `max > 0`) means the stream is exhausted.  The
-    /// default implementation adapts [`PhysicalOperator::next`].
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        Ok(n)
-    }
+    /// A return of `0` (with `max > 0`) means the stream is exhausted (until
+    /// a [`PhysicalOperator::extend_limit`] re-opens it).  On `Err`, what
+    /// the call had already appended stays in `out` for the caller to
+    /// discard.
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize>;
 
     /// Whether this operator's output respects the rank-relational ordering
     /// contract.
@@ -102,6 +84,41 @@ pub trait PhysicalOperator {
 
 /// A boxed physical operator.
 pub type BoxedOperator = Box<dyn PhysicalOperator>;
+
+/// Draws one tuple from `input` onto the end of `into` — the only way a
+/// rank-aware operator consumes input — and returns whether there was one.
+/// An input may append before it fails (a scan charges the tuple budget
+/// last), so a failed draw is cut back off: `into` may be long-lived
+/// operator state, and a tuple the operator never accounted for must not
+/// stay in it.
+pub(crate) fn draw_one(input: &mut dyn PhysicalOperator, into: &mut Batch) -> Result<bool> {
+    let len = into.len();
+    match input.next_batch(1, into) {
+        Ok(n) => Ok(n > 0),
+        Err(e) => {
+            into.truncate(len);
+            Err(e)
+        }
+    }
+}
+
+/// Squeezes the tuples `keep` rejects out of `out[from..]` — the chunk an
+/// input just appended — preserving order, and returns how many stayed.
+pub(crate) fn retain_from(
+    out: &mut Batch,
+    from: usize,
+    mut keep: impl FnMut(&RankedTuple) -> Result<bool>,
+) -> Result<usize> {
+    let mut kept = from;
+    for i in from..out.len() {
+        if keep(&out[i])? {
+            out.swap(kept, i);
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+    Ok(kept - from)
+}
 
 /// An entry of a ranking (priority) queue: a tuple keyed by its upper-bound
 /// score, with deterministic tie-breaking on tuple identity.
@@ -199,17 +216,8 @@ impl RankingQueue {
     }
 }
 
-/// Drains an operator completely, collecting every emitted tuple.
-pub fn drain(op: &mut dyn PhysicalOperator) -> Result<Vec<RankedTuple>> {
-    let mut out = Vec::new();
-    while let Some(t) = op.next()? {
-        out.push(t);
-    }
-    Ok(out)
-}
-
-/// Drains an operator completely through the batched interface, pulling
-/// chunks of `batch_size` tuples at a time.
+/// Drains an operator completely, pulling chunks of `batch_size` tuples at
+/// a time.
 pub fn drain_batched(op: &mut dyn PhysicalOperator, batch_size: usize) -> Result<Vec<RankedTuple>> {
     let batch_size = batch_size.max(1);
     let mut batch = Batch::with_capacity(batch_size);
@@ -226,14 +234,9 @@ pub fn drain_batched(op: &mut dyn PhysicalOperator, batch_size: usize) -> Result
 
 /// Draws at most `k` tuples from an operator.
 pub fn take(op: &mut dyn PhysicalOperator, k: usize) -> Result<Vec<RankedTuple>> {
-    let mut out = Vec::with_capacity(k);
-    while out.len() < k {
-        match op.next()? {
-            Some(t) => out.push(t),
-            None => break,
-        }
-    }
-    Ok(out)
+    let mut out = Batch::with_capacity(k);
+    while out.len() < k && op.next_batch(k - out.len(), &mut out)? > 0 {}
+    Ok(out.into_vec())
 }
 
 /// Debug helper: asserts that a sequence of tuples is in non-increasing

@@ -3,11 +3,11 @@
 use std::sync::Arc;
 
 use ranksql_common::{Result, Schema, Score};
-use ranksql_expr::{BoundRanking, RankedTuple, RankingContext};
+use ranksql_expr::{BoundRanking, RankingContext};
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator, RankingQueue};
+use crate::operator::{draw_one, Batch, BoxedOperator, PhysicalOperator, RankingQueue};
 
 /// The physical rank operator µ_p (Section 4.1 / Example 3).
 ///
@@ -35,6 +35,9 @@ pub struct RankOp {
     /// (e.g. a traditional join), µ only emits after exhausting it, which is
     /// still correct — just not incremental.
     input_ranked: bool,
+    /// Where the input appends the one tuple of a draw, on its way into the
+    /// queue.
+    drawn: Batch,
 }
 
 impl RankOp {
@@ -61,6 +64,7 @@ impl RankOp {
             input_bound: initial_bound,
             input_exhausted: false,
             input_ranked,
+            drawn: Batch::with_capacity(1),
         })
     }
 }
@@ -70,66 +74,47 @@ impl PhysicalOperator for RankOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        loop {
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        let (mut drawn, mut produced, mut peak) = (0u64, 0usize, 0usize);
+        while produced < max {
             // Emit the queue head if it can no longer be beaten by future
             // input.
-            if !self.queue.is_empty() {
-                let can_emit = if self.input_exhausted {
-                    true
-                } else if !self.input_ranked {
-                    false
-                } else {
-                    self.queue.peek_score().expect("non-empty queue") >= self.input_bound
-                };
-                if can_emit {
-                    let t = self.queue.pop().expect("non-empty queue");
-                    self.metrics.add_out(1);
-                    return Ok(Some(t));
-                }
-            } else if self.input_exhausted {
-                return Ok(None);
+            let head = if self.input_exhausted {
+                self.queue.pop()
+            } else if self.input_ranked {
+                self.queue.pop_if_at_least(self.input_bound)
+            } else {
+                None
+            };
+            if let Some(t) = head {
+                out.push(t);
+                produced += 1;
+                continue;
+            }
+            if self.input_exhausted {
+                break;
             }
 
             // Otherwise draw one more input tuple.
-            match self.input.next()? {
-                Some(mut rt) => {
-                    self.metrics.add_in(1);
-                    // The child's emission order bound — any future child
-                    // tuple is no better than this.
-                    self.input_bound = self.ctx.upper_bound(&rt.state);
-                    if !rt.state.is_evaluated(self.predicate) {
-                        self.ranking
-                            .evaluate_into(self.predicate, &rt.tuple, &mut rt.state)?;
-                    }
-                    self.queue.push(rt);
-                    self.metrics.observe_buffered(self.queue.len() as u64);
-                }
-                None => {
-                    self.input_exhausted = true;
-                }
+            draw_one(self.input.as_mut(), &mut self.drawn)?;
+            let Some(mut rt) = self.drawn.pop() else {
+                self.input_exhausted = true;
+                continue;
+            };
+            drawn += 1;
+            // The child's emission order bound — any future child tuple is
+            // no better than this.
+            self.input_bound = self.ctx.upper_bound(&rt.state);
+            if !rt.state.is_evaluated(self.predicate) {
+                self.ranking
+                    .evaluate_into(self.predicate, &rt.tuple, &mut rt.state)?;
             }
+            self.queue.push(rt);
+            peak = peak.max(self.queue.len());
         }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Incremental rank-aware operator: keep the tuple-at-a-time loop so
-        // µ never draws more input than `max` emissions require; the batch
-        // only adds chunked hand-off (and batch accounting) upstream.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        if n > 0 {
-            self.metrics.add_batch();
-        }
-        Ok(n)
+        self.metrics
+            .record_call(drawn, produced as u64, peak as u64);
+        Ok(produced)
     }
 
     fn can_extend_limit(&self) -> bool {
@@ -146,7 +131,7 @@ impl PhysicalOperator for RankOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{check_rank_order, drain, take};
+    use crate::operator::{check_rank_order, drain_batched, take};
     use crate::scan::{RankScan, SeqScan};
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
@@ -252,7 +237,7 @@ mod tests {
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let mut plan = figure6b_plan(&t, &exec);
-        let all = drain(&mut plan).unwrap();
+        let all = drain_batched(&mut plan, 4).unwrap();
         assert_eq!(all.len(), 6);
         assert_eq!(check_rank_order(&all, &ctx), None);
         // Final order of Figure 6(a)'s sorted relation:
@@ -319,7 +304,7 @@ mod tests {
         let scan = SeqScan::new(&t, &exec, "seqscan");
         let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3").unwrap();
         let mut mu_again = RankOp::new(Box::new(mu), 0, &exec, "mu_p3'").unwrap();
-        let all = drain(&mut mu_again).unwrap();
+        let all = drain_batched(&mut mu_again, 4).unwrap();
         assert_eq!(all.len(), 6);
         // p3 evaluated once per tuple, not twice.
         assert_eq!(ctx.counters().count(0), 6);
@@ -336,7 +321,7 @@ mod tests {
         let exec = ExecutionContext::new(ctx);
         let scan = SeqScan::new(&empty, &exec, "scan");
         let mut mu = RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
-        assert!(mu.next().unwrap().is_none());
-        assert!(mu.next().unwrap().is_none());
+        assert!(take(&mut mu, 1).unwrap().is_empty());
+        assert!(take(&mut mu, 1).unwrap().is_empty());
     }
 }

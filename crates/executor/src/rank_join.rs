@@ -19,7 +19,7 @@ use crate::fxhash::FxHashMap;
 use crate::context::ExecutionContext;
 use crate::join::extract_join_keys;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator};
+use crate::operator::{draw_one, Batch, BoxedOperator, PhysicalOperator};
 
 /// Which side to pull from next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,10 +34,11 @@ const CHAIN_END: usize = usize::MAX;
 /// State kept per input side.
 struct SideState {
     input: BoxedOperator,
-    /// All tuples drawn so far, in draw order.  On a ranked input the first
-    /// is the side's best tuple and the last bounds everything it may still
-    /// produce — the two states the threshold is computed from.
-    seen: Vec<RankedTuple>,
+    /// All tuples drawn so far, in draw order — the buffer the input appends
+    /// each draw to.  On a ranked input the first is the side's best tuple
+    /// and the last bounds everything it may still produce — the two states
+    /// the threshold is computed from.
+    seen: Batch,
     /// Hash table from join-key values to the most recently drawn `seen`
     /// index with that key (HRJN only); earlier ones follow through
     /// `next_same_key`.
@@ -56,7 +57,7 @@ impl SideState {
         let ranked = input.is_ranked();
         SideState {
             input,
-            seen: Vec::new(),
+            seen: Batch::new(),
             hash: FxHashMap::default(),
             next_same_key: Vec::new(),
             key_cols,
@@ -304,27 +305,27 @@ impl RankJoin {
     }
 
     /// Draws one tuple from `side` and queues a candidate for every tuple
-    /// seen on the other side that it joins with.
-    fn advance(&mut self, side: Side) -> Result<()> {
+    /// seen on the other side that it joins with.  Returns whether the side
+    /// had a tuple to give.
+    fn advance(&mut self, side: Side) -> Result<bool> {
         self.threshold = None;
         let this = match side {
             Side::Left => &mut self.left,
             Side::Right => &mut self.right,
         };
-        let Some(t) = this.input.next()? else {
+        let index = this.seen.len();
+        if !draw_one(this.input.as_mut(), &mut this.seen)? {
             this.exhausted = true;
-            return Ok(());
-        };
-        self.metrics.add_in(1);
+            return Ok(false);
+        }
 
         // Register the new tuple on its own side.  `=` is never true of a
         // NULL, so a NULL key is neither registered nor probed with.
-        let index = this.seen.len();
+        let t = &this.seen[index];
         self.key.clear();
         self.key
             .extend(this.key_cols.iter().map(|&i| t.tuple.value(i).clone()));
         let joinable = !self.key.iter().any(Value::is_null);
-        this.seen.push(t);
         if self.use_hash {
             let previous = if !joinable {
                 CHAIN_END
@@ -372,11 +373,7 @@ impl RankJoin {
         } else if joinable {
             other.matches(&self.key).try_for_each(&mut consider)?;
         }
-
-        self.metrics.observe_buffered(
-            (self.left.seen.len() + self.right.seen.len() + self.output.len()) as u64,
-        );
-        Ok(())
+        Ok(true)
     }
 
     /// Builds the joined tuple of a popped candidate.
@@ -386,12 +383,13 @@ impl RankJoin {
         self.left.seen[c.left].join(&self.right.seen[c.right])
     }
 
-    fn pick_side(&self) -> Option<Side> {
+    /// The side to draw from while at least one still has input: the one
+    /// whose turn it is, unless it ran dry.
+    fn pick_side(&self) -> Side {
         match (self.left.exhausted, self.right.exhausted) {
-            (true, true) => None,
-            (false, true) => Some(Side::Left),
-            (true, false) => Some(Side::Right),
-            (false, false) => Some(self.turn),
+            (false, true) => Side::Left,
+            (true, false) => Side::Right,
+            _ => self.turn,
         }
     }
 }
@@ -401,63 +399,44 @@ impl PhysicalOperator for RankJoin {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        loop {
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        let (mut drawn, mut produced, mut peak) = (0u64, 0usize, 0usize);
+        while produced < max {
+            let both_done = self.left.exhausted && self.right.exhausted;
             let threshold = match self.threshold {
                 Some(t) => t,
                 None => *self.threshold.insert(self.threshold()),
             };
-            if let Some(best) = self.output.peek() {
-                let both_done = self.left.exhausted && self.right.exhausted;
-                if both_done || best.score >= threshold {
+            // Emit the best candidate once no unseen join result can beat it
+            // (a draw is the only thing that moves the threshold, so a run of
+            // qualifying heads goes out against the cached one).
+            match self.output.peek() {
+                Some(best) if both_done || best.score >= threshold => {
                     let c = self
                         .output
                         .pop(&self.left.seen, &self.right.seen)
                         .expect("non-empty output queue");
-                    self.metrics.add_out(1);
-                    return Ok(Some(self.materialise(c)));
+                    out.push(self.materialise(c));
+                    produced += 1;
+                    continue;
                 }
-            } else if self.left.exhausted && self.right.exhausted {
-                return Ok(None);
+                None if both_done => break,
+                _ => {}
             }
-            match self.pick_side() {
-                Some(side) => {
-                    self.advance(side)?;
-                    // Alternate between inputs (the paper's HRJN pulls from
-                    // both streams; a simple round-robin strategy suffices).
-                    self.turn = match self.turn {
-                        Side::Left => Side::Right,
-                        Side::Right => Side::Left,
-                    };
-                }
-                None => {
-                    // Both exhausted; loop once more to flush the queue.
-                    if self.output.peek().is_none() {
-                        return Ok(None);
-                    }
-                }
+            if self.advance(self.pick_side())? {
+                drawn += 1;
+                peak = peak.max(self.left.seen.len() + self.right.seen.len() + self.output.len());
             }
+            // Alternate between inputs (the paper's HRJN pulls from both
+            // streams; a simple round-robin strategy suffices).
+            self.turn = match self.turn {
+                Side::Left => Side::Right,
+                Side::Right => Side::Left,
+            };
         }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Rank-joins emit against the HRJN threshold one tuple at a time;
-        // the adapter keeps that exact and only chunks the hand-off, so a
-        // top-k consumer never forces extra input consumption.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        if n > 0 {
-            self.metrics.add_batch();
-        }
-        Ok(n)
+        self.metrics
+            .record_call(drawn, produced as u64, peak as u64);
+        Ok(produced)
     }
 
     fn can_extend_limit(&self) -> bool {
@@ -477,7 +456,7 @@ impl PhysicalOperator for RankJoin {
 mod tests {
     use super::*;
     use crate::context::ExecutionContext;
-    use crate::operator::{check_rank_order, drain, take};
+    use crate::operator::{check_rank_order, drain_batched, take};
     use crate::scan::RankScan;
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
@@ -584,7 +563,7 @@ mod tests {
         let left = rank_scan(&r, 0, &exec, "rankscan_p1(R)");
         let right = rank_scan(&s, 2, &exec, "rankscan_p3(S)");
         let mut join = RankJoin::hrjn(left, right, Some(&cond), &exec, "HRJN").unwrap();
-        let all = drain(&mut join).unwrap();
+        let all = drain_batched(&mut join, 4).unwrap();
         assert_eq!(all.len(), 3);
         assert_eq!(check_rank_order(&all, &ctx), None);
         // Top result: r1 ⋈ s2 with bound 0.9 + 1 + 0.9 + 1 + 1 = 4.8.
@@ -622,8 +601,8 @@ mod tests {
             "NRJN",
         )
         .unwrap();
-        let a = drain(&mut hrjn).unwrap();
-        let b = drain(&mut nrjn).unwrap();
+        let a = drain_batched(&mut hrjn, 4).unwrap();
+        let b = drain_batched(&mut nrjn, 4).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.tuple.id(), y.tuple.id());
@@ -658,7 +637,7 @@ mod tests {
             "NRJN",
         )
         .unwrap();
-        let out = drain(&mut nrjn).unwrap();
+        let out = drain_batched(&mut nrjn, 4).unwrap();
         // R.a < S.a pairs: r1(a=1) with s1,s4 (a=4), s5 (a=5), s6 (a=2);
         // r2(a=2) with a=4,4,5; r3(a=3) with a=4,4,5 → 4 + 3 + 3 = 10.
         assert_eq!(out.len(), 10);
@@ -766,7 +745,7 @@ mod tests {
             } else {
                 RankJoin::nrjn(left, right, Some(&cond), &exec, "NRJN").unwrap()
             };
-            let all = drain(&mut join).unwrap();
+            let all = drain_batched(&mut join, 4).unwrap();
             assert!(all
                 .iter()
                 .all(|t| ctx.upper_bound(&t.state) == Score::new(1.0)));
@@ -803,7 +782,7 @@ mod tests {
             "HRJN",
         )
         .unwrap();
-        let pairs: Vec<_> = drain(&mut join)
+        let pairs: Vec<_> = drain_batched(&mut join, 4)
             .unwrap()
             .iter()
             .map(|t| row_pair(t, &l, &r))
@@ -826,7 +805,7 @@ mod tests {
             } else {
                 RankJoin::nrjn(left, right, Some(&cond), &exec, "NRJN").unwrap()
             };
-            let all = drain(&mut join).unwrap();
+            let all = drain_batched(&mut join, 4).unwrap();
             let pairs: Vec<_> = all.iter().map(|t| row_pair(t, &l, &r)).collect();
             assert_eq!(pairs, vec![(1, 1)], "hash = {hash}");
         }
@@ -859,7 +838,7 @@ mod tests {
             } else {
                 RankJoin::nrjn(left, right, Some(&cond), &exec, "NRJN").unwrap()
             };
-            let all = drain(&mut join).unwrap();
+            let all = drain_batched(&mut join, 4).unwrap();
             all.iter().map(|t| row_pair(t, &l, &r)).collect::<Vec<_>>()
         };
         // (l0,r2): 5 < 9; (l1,r0): 1 < 4; (l1,r2): 1 < 9.  (l0,r0) has
@@ -980,7 +959,7 @@ mod tests {
             // The top-k extension of `Cursor::fetch_more`: nothing queued
             // was discarded, so the join just carries on.
             assert!(join.can_extend_limit() && join.extend_limit(1_000));
-            out.extend(drain(&mut join).unwrap());
+            out.extend(drain_batched(&mut join, 4).unwrap());
             let ids: Vec<_> = out.iter().map(|t| t.tuple.id().clone()).collect();
             (ids, draws_at_pause, draws(&exec))
         };
@@ -1009,7 +988,7 @@ mod tests {
             "NRJN",
         )
         .unwrap();
-        let all = drain(&mut join).unwrap();
+        let all = drain_batched(&mut join, 4).unwrap();
         assert_eq!(all.len(), 18);
         assert_eq!(check_rank_order(&all, &ctx), None);
     }
@@ -1037,6 +1016,51 @@ mod tests {
             "HRJN",
         )
         .unwrap();
-        assert!(drain(&mut join).unwrap().is_empty());
+        assert!(drain_batched(&mut join, 4).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_failed_draw_leaves_no_tuple_behind() {
+        // After L1, R1, L2 the queue holds L2⋈R1 (1.9) under a threshold of
+        // 2.0.  The budget of 3 fails the draw of R2 (0.9) after the scan
+        // appended it to `seen`; were it to stay there, it would lower the
+        // threshold to 1.9 and the next pull would emit instead of failing.
+        let table = |name: &str, id: u32, rows: [(i64, f64); 3]| {
+            let schema = Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("p", DataType::Float64),
+            ])
+            .qualify_all(name);
+            let rows = rows.map(|(k, p)| vec![Value::from(k), Value::from(p)]);
+            Arc::new(
+                TableBuilder::new(name, schema)
+                    .rows(rows)
+                    .build(id)
+                    .unwrap(),
+            )
+        };
+        let l = table("L", 0, [(1, 1.0), (2, 0.9), (3, 0.1)]);
+        let r = table("R", 1, [(2, 1.0), (1, 0.9), (3, 0.1)]);
+        let ctx = RankingContext::new(
+            vec![
+                RankPredicate::attribute("pl", "L.p"),
+                RankPredicate::attribute("pr", "R.p"),
+            ],
+            ScoringFunction::Sum,
+        );
+        let exec = ExecutionContext::with_budget(ctx, 3);
+        let cond = BoolExpr::col_eq_col("L.k", "R.k");
+        let mut join = RankJoin::hrjn(
+            rank_scan(&l, 0, &exec, "l"),
+            rank_scan(&r, 1, &exec, "r"),
+            Some(&cond),
+            &exec,
+            "HRJN",
+        )
+        .unwrap();
+        for _ in 0..2 {
+            let err = take(&mut join, 1).unwrap_err();
+            assert!(err.to_string().contains("tuple budget exceeded"), "{err}");
+        }
     }
 }

@@ -18,7 +18,7 @@ use crate::operator::{Batch, PhysicalOperator};
 /// is trivially a rank-relation with `P = ∅`.
 ///
 /// The scan consumes its snapshot by value: the snapshot itself is the only
-/// copy made, and each `next()` *moves* a tuple out instead of cloning it —
+/// copy made, and each pull *moves* tuples out instead of cloning them —
 /// the `operators_micro` bench records the delta against the historical
 /// clone-per-tuple scheme.  The snapshot is the execution's pinned epoch
 /// prefix, so concurrent inserts are invisible to an open scan.
@@ -48,16 +48,6 @@ impl SeqScan {
 impl PhysicalOperator for SeqScan {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        let Some(t) = self.tuples.next() else {
-            return Ok(None);
-        };
-        self.budget.charge(1)?;
-        self.metrics.add_in(1);
-        self.metrics.add_out(1);
-        Ok(Some(RankedTuple::unranked(t, self.ctx.num_predicates())))
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
@@ -160,20 +150,6 @@ impl PhysicalOperator for RankScan {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        let Some((score, row)) = self.index.get(self.pos) else {
-            return Ok(None);
-        };
-        self.pos += 1;
-        let tuple = self.table.tuple_within(row, self.watermark)?;
-        self.budget.charge(1)?;
-        let mut rt = RankedTuple::unranked(tuple, self.ctx.num_predicates());
-        rt.state.set(self.predicate, score.value());
-        self.metrics.add_in(1);
-        self.metrics.add_out(1);
-        Ok(Some(rt))
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         // A batch is a contiguous run of index entries, so the descending
         // score order is preserved exactly.
@@ -263,21 +239,6 @@ impl PhysicalOperator for AttributeIndexScan {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        let Some(&(_, row)) = self.index.entries().get(self.pos) else {
-            return Ok(None);
-        };
-        self.pos += 1;
-        let tuple = self.table.tuple_within(row, self.watermark)?;
-        self.budget.charge(1)?;
-        self.metrics.add_in(1);
-        self.metrics.add_out(1);
-        Ok(Some(RankedTuple::unranked(
-            tuple,
-            self.ctx.num_predicates(),
-        )))
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         let n_preds = self.ctx.num_predicates();
         let mut n = 0;
@@ -317,7 +278,7 @@ impl PhysicalOperator for AttributeIndexScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{check_rank_order, drain};
+    use crate::operator::{check_rank_order, drain_batched};
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::TableBuilder;
@@ -372,7 +333,7 @@ mod tests {
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let mut scan = SeqScan::new(&t, &exec, "SeqScan(S)");
-        let all = drain(&mut scan).unwrap();
+        let all = drain_batched(&mut scan, 4).unwrap();
         assert_eq!(all.len(), 6);
         for rt in &all {
             assert!(rt.state.evaluated().is_empty());
@@ -388,7 +349,7 @@ mod tests {
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let idx = Arc::new(ScoreIndex::build(ctx.predicate(0), t.schema(), &t.scan()).unwrap());
         let mut scan = RankScan::new(Arc::clone(&t), idx, 0, &exec, "RankScan").unwrap();
-        let all = drain(&mut scan).unwrap();
+        let all = drain_batched(&mut scan, 4).unwrap();
         assert_eq!(all.len(), 6);
         // Figure 2(f): s2 (p3=0.9) first, upper bound 2.9.
         assert_eq!(
@@ -421,7 +382,7 @@ mod tests {
         let exec = ExecutionContext::new(ctx);
         let idx = Arc::new(BTreeIndex::build("S.a", t.schema(), &t.scan()).unwrap());
         let mut scan = AttributeIndexScan::new(Arc::clone(&t), idx, &exec, "IdxScan(S.a)").unwrap();
-        let all = drain(&mut scan).unwrap();
+        let all = drain_batched(&mut scan, 4).unwrap();
         let a_vals: Vec<i64> = all
             .iter()
             .map(|t| t.tuple.value(0).as_i64().unwrap())

@@ -26,7 +26,9 @@ use ranksql_expr::{RankedTuple, RankingContext};
 
 use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{Batch, BoxedOperator, PhysicalOperator, RankingQueue};
+use crate::operator::{
+    draw_one, retain_from, Batch, BoxedOperator, PhysicalOperator, RankingQueue,
+};
 
 /// Rank-aware union (set semantics by tuple identity).
 pub struct UnionOp {
@@ -104,28 +106,12 @@ impl PhysicalOperator for UnionOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.prepare()?;
-        let next = self.output.as_mut().expect("prepared").next();
-        if next.is_some() {
-            self.metrics.add_out(1);
-        }
-        Ok(next)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.prepare()?;
         let output = self.output.as_mut().expect("prepared");
-        let mut n = 0;
-        while n < max {
-            match output.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(output.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
             self.metrics.add_out(n as u64);
             self.metrics.add_batch();
@@ -169,6 +155,9 @@ pub struct IntersectOp {
     left_ranked: bool,
     right_ranked: bool,
     turn_left: bool,
+    /// Where an input appends the one tuple of a draw, on its way into the
+    /// pending maps or the output queue.
+    drawn: Batch,
 }
 
 impl IntersectOp {
@@ -201,6 +190,7 @@ impl IntersectOp {
             left_ranked,
             right_ranked,
             turn_left: true,
+            drawn: Batch::with_capacity(1),
         }
     }
 
@@ -222,42 +212,38 @@ impl IntersectOp {
         l.max(r)
     }
 
-    fn advance(&mut self, from_left: bool) -> Result<()> {
-        let next = if from_left {
-            self.left.next()?
+    /// Draws one tuple from one side and matches it against the other
+    /// side's pending tuples.  Returns whether the side had a tuple to give.
+    fn advance(&mut self, from_left: bool) -> Result<bool> {
+        let input = if from_left {
+            &mut self.left
         } else {
-            self.right.next()?
+            &mut self.right
         };
-        match next {
-            None => {
-                if from_left {
-                    self.left_exhausted = true;
-                } else {
-                    self.right_exhausted = true;
-                }
+        draw_one(input.as_mut(), &mut self.drawn)?;
+        let Some(rt) = self.drawn.pop() else {
+            if from_left {
+                self.left_exhausted = true;
+            } else {
+                self.right_exhausted = true;
             }
-            Some(rt) => {
-                self.metrics.add_in(1);
-                let bound = self.ctx.upper_bound(&rt.state);
-                let (own_pending, other_pending) = if from_left {
-                    self.left_bound = bound;
-                    (&mut self.pending_left, &mut self.pending_right)
-                } else {
-                    self.right_bound = bound;
-                    (&mut self.pending_right, &mut self.pending_left)
-                };
-                if let Some(other) = other_pending.remove(rt.tuple.id()) {
-                    let merged = RankedTuple::new(rt.tuple, rt.state.merge(&other.state));
-                    self.output.push(merged);
-                } else {
-                    own_pending.insert(rt.tuple.id().clone(), rt);
-                }
-                self.metrics.observe_buffered(
-                    (self.pending_left.len() + self.pending_right.len() + self.output.len()) as u64,
-                );
-            }
+            return Ok(false);
+        };
+        let bound = self.ctx.upper_bound(&rt.state);
+        let (own_pending, other_pending) = if from_left {
+            self.left_bound = bound;
+            (&mut self.pending_left, &mut self.pending_right)
+        } else {
+            self.right_bound = bound;
+            (&mut self.pending_right, &mut self.pending_left)
+        };
+        if let Some(other) = other_pending.remove(rt.tuple.id()) {
+            let merged = RankedTuple::new(rt.tuple, rt.state.merge(&other.state));
+            self.output.push(merged);
+        } else {
+            own_pending.insert(rt.tuple.id().clone(), rt);
         }
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -266,17 +252,21 @@ impl PhysicalOperator for IntersectOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        loop {
-            let both_done = self.left_exhausted && self.right_exhausted;
-            if let Some(best) = self.output.peek_score() {
-                if both_done || best >= self.frontier() {
-                    let t = self.output.pop().expect("non-empty");
-                    self.metrics.add_out(1);
-                    return Ok(Some(t));
-                }
-            } else if both_done {
-                return Ok(None);
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        let (mut drawn, mut produced, mut peak) = (0u64, 0usize, 0usize);
+        while produced < max {
+            let head = if self.left_exhausted && self.right_exhausted {
+                self.output.pop()
+            } else {
+                self.output.pop_if_at_least(self.frontier())
+            };
+            if let Some(t) = head {
+                out.push(t);
+                produced += 1;
+                continue;
+            }
+            if self.left_exhausted && self.right_exhausted {
+                break;
             }
             // Pull from the side with the higher frontier (it is the one
             // blocking emission); alternate on ties.
@@ -290,27 +280,15 @@ impl PhysicalOperator for IntersectOp {
                 self.turn_left = !self.turn_left;
                 self.turn_left
             };
-            self.advance(from_left)?;
-        }
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Incremental rank-aware operator: the tuple-at-a-time adapter keeps
-        // the emission threshold exact — only batch accounting is added.
-        let mut n = 0;
-        while n < max {
-            match self.next()? {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
+            if self.advance(from_left)? {
+                drawn += 1;
+                peak = peak
+                    .max(self.pending_left.len() + self.pending_right.len() + self.output.len());
             }
         }
-        if n > 0 {
-            self.metrics.add_batch();
-        }
-        Ok(n)
+        self.metrics
+            .record_call(drawn, produced as u64, peak as u64);
+        Ok(produced)
     }
 
     fn can_extend_limit(&self) -> bool {
@@ -333,8 +311,6 @@ pub struct ExceptOp {
     schema: Schema,
     metrics: Arc<OperatorMetrics>,
     batch_size: usize,
-    /// Scratch buffer for batched left-side pulls (fully consumed per call).
-    in_buf: Batch,
 }
 
 impl ExceptOp {
@@ -353,7 +329,6 @@ impl ExceptOp {
             schema,
             metrics: exec.register(label),
             batch_size: exec.batch_size(),
-            in_buf: Batch::new(),
         }
     }
 
@@ -384,41 +359,19 @@ impl PhysicalOperator for ExceptOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.ensure_excluded()?;
-        while let Some(rt) = self.left.next()? {
-            self.metrics.add_in(1);
-            if !self
-                .excluded
-                .as_ref()
-                .expect("built")
-                .contains(rt.tuple.id())
-            {
-                self.metrics.add_out(1);
-                return Ok(Some(rt));
-            }
-        }
-        Ok(None)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.ensure_excluded()?;
+        let excluded = self.excluded.as_ref().expect("built");
         let mut produced = 0;
         let mut pulled = 0u64;
         while produced < max {
-            self.in_buf.clear();
-            let n = self.left.next_batch(max - produced, &mut self.in_buf)?;
+            let chunk = out.len();
+            let n = self.left.next_batch(max - produced, out)?;
             if n == 0 {
                 break;
             }
             pulled += n as u64;
-            let excluded = self.excluded.as_ref().expect("built");
-            for rt in self.in_buf.drain(..) {
-                if !excluded.contains(rt.tuple.id()) {
-                    out.push(rt);
-                    produced += 1;
-                }
-            }
+            produced += retain_from(out, chunk, |rt| Ok(!excluded.contains(rt.tuple.id())))?;
         }
         self.metrics.add_in(pulled);
         if produced > 0 {
@@ -446,7 +399,7 @@ impl PhysicalOperator for ExceptOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{check_rank_order, drain, take};
+    use crate::operator::{check_rank_order, drain_batched, take};
     use crate::rank::RankOp;
     use crate::scan::{RankScan, SeqScan};
     use ranksql_common::{DataType, Field, Value};
@@ -519,8 +472,8 @@ mod tests {
         let right = rank_scan(&t, 1, &exec_rhs, "rs_p2");
         let mut rhs = IntersectOp::new(left, right, &exec_rhs, "intersect");
 
-        let a = drain(&mut lhs).unwrap();
-        let b = drain(&mut rhs).unwrap();
+        let a = drain_batched(&mut lhs, 4).unwrap();
+        let b = drain_batched(&mut rhs, 4).unwrap();
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 3);
         for (x, y) in a.iter().zip(b.iter()) {
@@ -589,7 +542,7 @@ mod tests {
         let left = rank_scan(&t, 0, &exec, "rs_p1");
         let right = rank_scan(&t, 1, &exec, "rs_p2");
         let mut op = UnionOp::new(left, right, &exec, "union");
-        let out = drain(&mut op).unwrap();
+        let out = drain_batched(&mut op, 4).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(check_rank_order(&out, &ctx), None);
         let scores: Vec<f64> = out
@@ -621,7 +574,7 @@ mod tests {
         .unwrap();
         let right = rank_scan(&t, 1, &exec, "rs_p2");
         let mut op = UnionOp::new(Box::new(filter), right, &exec, "union");
-        let out = drain(&mut op).unwrap();
+        let out = drain_batched(&mut op, 4).unwrap();
         assert_eq!(out.len(), 3);
         // r1 was only on the right, so only p2 is evaluated for it.
         let r1 = out
@@ -653,7 +606,7 @@ mod tests {
         )
         .unwrap();
         let mut op = ExceptOp::new(left, Box::new(right), &exec, "except");
-        let out = drain(&mut op).unwrap();
+        let out = drain_batched(&mut op, 4).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tuple.value(0), &Value::from(2));
         // Ordered by P1 only: the upper bound reflects p1 = 0.8 → 1.8.
@@ -691,6 +644,6 @@ mod tests {
         )
         .unwrap();
         let mut op = IntersectOp::new(Box::new(left), Box::new(right), &exec, "intersect");
-        assert!(drain(&mut op).unwrap().is_empty());
+        assert!(drain_batched(&mut op, 4).unwrap().is_empty());
     }
 }

@@ -89,28 +89,12 @@ impl PhysicalOperator for SortOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.prepare()?;
-        let next = self.sorted.as_mut().expect("sorted after prepare").next();
-        if next.is_some() {
-            self.metrics.add_out(1);
-        }
-        Ok(next)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.prepare()?;
         let sorted = self.sorted.as_mut().expect("sorted after prepare");
-        let mut n = 0;
-        while n < max {
-            match sorted.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(sorted.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
             self.metrics.add_out(n as u64);
             self.metrics.add_batch();
@@ -312,28 +296,12 @@ impl PhysicalOperator for SortLimitOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        self.prepare()?;
-        let next = self.sorted.as_mut().expect("sorted after prepare").next();
-        if next.is_some() {
-            self.metrics.add_out(1);
-        }
-        Ok(next)
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.prepare()?;
         let sorted = self.sorted.as_mut().expect("sorted after prepare");
-        let mut n = 0;
-        while n < max {
-            match sorted.next() {
-                Some(t) => {
-                    out.push(t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let before = out.len();
+        out.extend(sorted.by_ref().take(max));
+        let n = out.len() - before;
         if n > 0 {
             self.metrics.add_out(n as u64);
             self.metrics.add_batch();
@@ -396,24 +364,9 @@ impl PhysicalOperator for LimitOp {
         &self.schema
     }
 
-    fn next(&mut self) -> Result<Option<RankedTuple>> {
-        if self.emitted >= self.k {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(t) => {
-                self.metrics.add_in(1);
-                self.metrics.add_out(1);
-                self.emitted += 1;
-                Ok(Some(t))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         // Never ask the input for more than the limit still allows, so the
-        // early-stop property of λ_k carries over to batched pulls.
+        // early-stop property of λ_k holds for every `max`.
         let want = max.min(self.k - self.emitted.min(self.k));
         if want == 0 {
             return Ok(0);
@@ -451,7 +404,7 @@ impl PhysicalOperator for LimitOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::{check_rank_order, drain};
+    use crate::operator::{check_rank_order, drain_batched};
     use crate::scan::SeqScan;
     use ranksql_common::{DataType, Field, Score, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
@@ -506,7 +459,7 @@ mod tests {
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
         let mut sort = SortOp::new(Box::new(scan), BitSet64::all(3), &exec, "sort").unwrap();
-        let all = drain(&mut sort).unwrap();
+        let all = drain_batched(&mut sort, 4).unwrap();
         assert_eq!(all.len(), 6);
         assert_eq!(check_rank_order(&all, &ctx), None);
         assert_eq!(ctx.upper_bound(&all[0].state), Score::new(2.55));
@@ -523,7 +476,7 @@ mod tests {
         let scan = SeqScan::new(&t, &exec, "seqscan");
         let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
         let mut sort = SortOp::new(Box::new(mu), BitSet64::all(3), &exec, "sort").unwrap();
-        let _ = drain(&mut sort).unwrap();
+        let _ = drain_batched(&mut sort, 4).unwrap();
         // p3 evaluated by µ (6 times), sort adds only p4 and p5 (12 times).
         assert_eq!(ctx.counters().count(0), 6);
         assert_eq!(ctx.counters().total(), 18);
@@ -536,7 +489,7 @@ mod tests {
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "seqscan");
         let mut limit = LimitOp::new(Box::new(scan), 2, &exec, "limit");
-        let out = drain(&mut limit).unwrap();
+        let out = drain_batched(&mut limit, 4).unwrap();
         assert_eq!(out.len(), 2);
         // The scan only served 2 tuples.
         assert_eq!(exec.metrics().snapshot()[0].tuples_out(), 2);
@@ -549,10 +502,10 @@ mod tests {
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec, "s");
         let mut l0 = LimitOp::new(Box::new(scan), 0, &exec, "l0");
-        assert!(drain(&mut l0).unwrap().is_empty());
+        assert!(drain_batched(&mut l0, 4).unwrap().is_empty());
         let scan = SeqScan::new(&t, &exec, "s2");
         let mut l100 = LimitOp::new(Box::new(scan), 100, &exec, "l100");
-        assert_eq!(drain(&mut l100).unwrap().len(), 6);
+        assert_eq!(drain_batched(&mut l100, 4).unwrap().len(), 6);
     }
 
     #[test]
@@ -564,13 +517,13 @@ mod tests {
             let scan = SeqScan::new(&t, &exec, "seqscan");
             let mut fused =
                 SortLimitOp::new(Box::new(scan), BitSet64::all(3), k, &exec, "sortlimit").unwrap();
-            let got = drain(&mut fused).unwrap();
+            let got = drain_batched(&mut fused, 4).unwrap();
 
             let exec2 = ExecutionContext::new(Arc::clone(&ctx));
             let scan = SeqScan::new(&t, &exec2, "seqscan");
             let sort = SortOp::new(Box::new(scan), BitSet64::all(3), &exec2, "sort").unwrap();
             let mut limit = LimitOp::new(Box::new(sort), k, &exec2, "limit");
-            let want = drain(&mut limit).unwrap();
+            let want = drain_batched(&mut limit, 4).unwrap();
 
             assert_eq!(got.len(), want.len(), "k = {k}");
             for (g, w) in got.iter().zip(want.iter()) {
@@ -587,7 +540,7 @@ mod tests {
         let scan = SeqScan::new(&t, &exec, "seqscan");
         let mut fused =
             SortLimitOp::new(Box::new(scan), BitSet64::all(3), 0, &exec, "topk").unwrap();
-        assert!(drain(&mut fused).unwrap().is_empty());
+        assert!(drain_batched(&mut fused, 4).unwrap().is_empty());
         // Like the unfused Limit(Sort) for k = 0: the input is never pulled
         // and no predicate is evaluated.
         assert_eq!(exec.metrics().snapshot()[0].tuples_out(), 0);
@@ -604,18 +557,18 @@ mod tests {
         let scan = SeqScan::new(&t, &exec, "s");
         let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
         let mut limit = LimitOp::new(Box::new(mu), 2, &exec, "l");
-        let first = drain(&mut limit).unwrap();
+        let first = drain_batched(&mut limit, 4).unwrap();
         assert_eq!(first.len(), 2);
         assert!(limit.can_extend_limit());
         assert!(limit.extend_limit(2));
-        let more = drain(&mut limit).unwrap();
+        let more = drain_batched(&mut limit, 4).unwrap();
         assert_eq!(more.len(), 2);
         // Together they equal a single k=4 run.
         let exec2 = ExecutionContext::new(Arc::clone(&ctx));
         let scan = SeqScan::new(&t, &exec2, "s");
         let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec2, "mu").unwrap();
         let mut l4 = LimitOp::new(Box::new(mu), 4, &exec2, "l4");
-        let want = drain(&mut l4).unwrap();
+        let want = drain_batched(&mut l4, 4).unwrap();
         let got: Vec<_> = first.iter().chain(more.iter()).collect();
         for (g, w) in got.iter().zip(want.iter()) {
             assert_eq!(g.tuple.id(), w.tuple.id());
@@ -629,7 +582,7 @@ mod tests {
         assert!(fused.can_extend_limit());
         assert!(fused.extend_limit(1), "pre-materialisation extension is ok");
         assert_eq!(fused.k, 3);
-        let _ = drain(&mut fused).unwrap();
+        let _ = drain_batched(&mut fused, 4).unwrap();
         assert!(!fused.can_extend_limit());
         assert!(!fused.extend_limit(1));
     }
@@ -642,7 +595,7 @@ mod tests {
         let scan = SeqScan::new(&t, &exec, "seqscan");
         let mut fused =
             SortLimitOp::new(Box::new(scan), BitSet64::all(3), 2, &exec, "topk").unwrap();
-        let out = drain(&mut fused).unwrap();
+        let out = drain_batched(&mut fused, 4).unwrap();
         assert_eq!(out.len(), 2);
         let m = exec.metrics().snapshot();
         let topk = m.iter().find(|x| x.name() == "topk").unwrap();

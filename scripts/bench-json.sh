@@ -6,8 +6,8 @@
 #     scripts/bench-json.sh bench/baseline.json
 #
 # Runs the pinned criterion groups of the bench-regression CI job
-# (operators_micro: seq_scan_hot_path, batch_vs_tuple, prepared_vs_cold,
-# columnar_vs_row incl. the kernel benches, rank_join_topk; the ablation_sketch
+# (operators_micro: seq_scan_hot_path, prepared_vs_cold, columnar_vs_row
+# incl. the kernel benches, rank_join_topk; the ablation_sketch
 # NDV-accuracy sweep; the ablation_write_path epoch-vs-rebuild write
 # benches; the ablation_buffer_pool paged-backend pool-size sweep; and the
 # server_throughput wire-vs-in-process front-end benches) and converts the

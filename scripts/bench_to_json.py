@@ -35,7 +35,6 @@ import sys
 # .github/workflows/ci.yml and bench/baseline.json).
 DEFAULT_GROUPS = [
     "seq_scan_hot_path",
-    "batch_vs_tuple",
     "prepared_vs_cold",
     "columnar_vs_row",
     "rank_join_topk",

@@ -146,8 +146,8 @@ fn projection_through_the_facade() {
     assert_eq!(result.rows[0].tuple.value(0), &Value::from(29));
 }
 
-#[test]
-fn explain_analyze_of_q_shows_what_every_rank_aware_operator_buffered() {
+/// `explain_analyze` of the paper's Q executed under its rank-aware plan.
+fn explain_analyze_of_q() -> String {
     let workload = SyntheticWorkload::generate(SyntheticConfig {
         table_size: 150,
         join_selectivity: 0.02,
@@ -165,7 +165,31 @@ fn explain_analyze_of_q_shows_what_every_rank_aware_operator_buffered() {
     )
     .unwrap();
     let result = db.execute_with_mode(&query, PlanMode::RankAware).unwrap();
-    let analyzed = result.explain_analyze(Some(&query.ranking));
+    result.explain_analyze(Some(&query.ranking))
+}
+
+/// Every operator is pulled through the one `next_batch`, so every plan line
+/// that produced rows reports its batches and their mean fill — scans and
+/// selections beneath a rank-join as much as the join.
+#[test]
+fn explain_analyze_reports_batches_and_mean_fill() {
+    let analyzed = explain_analyze_of_q();
+    let plan_lines: Vec<&str> = analyzed
+        .lines()
+        .filter(|l| l.contains("actual_rows="))
+        .collect();
+    assert!(plan_lines.len() >= 8, "{analyzed}");
+    for line in plan_lines {
+        let (_, rows) = line.split_once("actual_rows=").unwrap();
+        let produced_rows = !rows.starts_with('0');
+        let reports = line.contains("batches=") && line.contains("mean_batch_fill=");
+        assert_eq!(reports, produced_rows, "{line}\n{analyzed}");
+    }
+}
+
+#[test]
+fn explain_analyze_of_q_shows_what_every_rank_aware_operator_buffered() {
+    let analyzed = explain_analyze_of_q();
 
     // µ, MPro and the rank-joins hold tuples back to stop early; their
     // lines say how many at the peak.  Nothing else buffers, nothing else

@@ -6,17 +6,31 @@
 //! 2. every rank-aware physical plan emits its stream in non-increasing
 //!    upper-bound order;
 //! 3. the rank-aware operators are selective (never emit more tuples than
-//!    they consume).
+//!    they consume);
+//! 4. the answer of every plan mode is independent of the batch size it is
+//!    pulled with;
+//! 5. the rank-aware operators draw exactly: however the pulls are cut up,
+//!    and across an `extend_limit`, every input is left at the same depth.
 
 use proptest::prelude::*;
-use ranksql::algebra::PhysicalPlan;
-use ranksql::executor::{build_operator, execute_query_plan, oracle_top_k, ExecutionContext};
+use ranksql::algebra::{PhysicalOp, PhysicalPlan, SetOpKind};
+use ranksql::executor::{
+    build_operator, drain_batched, execute_query_plan, oracle_top_k, Batch, ExecutionContext,
+};
+use ranksql::expr::RankedTuple;
 use ranksql::{
     BoolExpr, Database, JoinAlgorithm, LogicalPlan, PlanMode, QueryBuilder, RankPredicate,
     RankQuery, ScoringFunction,
 };
-use ranksql_common::{DataType, Field, Schema, Value};
-use ranksql_storage::Catalog;
+use ranksql_common::{DataType, Field, Schema, TupleId, Value};
+
+const ALL_MODES: [PlanMode; 5] = [
+    PlanMode::Canonical,
+    PlanMode::Traditional,
+    PlanMode::RankAware,
+    PlanMode::RankAwareExhaustive,
+    PlanMode::RankAwareRuleBased,
+];
 
 /// A randomly generated two-table database plus its ranking query.
 #[derive(Debug, Clone)]
@@ -48,8 +62,9 @@ fn generated() -> impl Strategy<Value = Generated> {
         })
 }
 
-fn build(gen: &Generated) -> (Catalog, RankQuery) {
-    let catalog = Catalog::new();
+fn build(gen: &Generated) -> (Database, RankQuery) {
+    let db = Database::new();
+    let catalog = db.catalog();
     let r = catalog
         .create_table(
             "R",
@@ -86,10 +101,10 @@ fn build(gen: &Generated) -> (Catalog, RankQuery) {
         .limit(gen.k)
         .build()
         .unwrap();
-    (catalog, query)
+    (db, query)
 }
 
-fn scores(query: &RankQuery, tuples: &[ranksql::expr::RankedTuple]) -> Vec<f64> {
+fn scores(query: &RankQuery, tuples: &[RankedTuple]) -> Vec<f64> {
     tuples
         .iter()
         .map(|t| query.ranking.upper_bound(&t.state).value())
@@ -102,13 +117,14 @@ proptest! {
     /// Law-derived plans are result-equivalent to the canonical plan.
     #[test]
     fn algebraic_law_closure_preserves_results(gen in generated()) {
-        let (catalog, query) = build(&gen);
-        let canonical = query.canonical_plan(&catalog).unwrap();
-        let expected = scores(&query, &oracle_top_k(&query, &catalog).unwrap());
+        let (db, query) = build(&gen);
+        let catalog = db.catalog();
+        let canonical = query.canonical_plan(catalog).unwrap();
+        let expected = scores(&query, &oracle_top_k(&query, catalog).unwrap());
         let closure = ranksql::algebra::equivalent_plans(&canonical, &query, 25);
         prop_assert!(closure.len() > 1);
         for plan in closure {
-            let result = execute_query_plan(&query, &plan, &catalog).unwrap();
+            let result = execute_query_plan(&query, &plan, catalog).unwrap();
             let got = scores(&query, &result.tuples);
             prop_assert_eq!(
                 got.clone(), expected.clone(),
@@ -121,7 +137,8 @@ proptest! {
     /// and its operators are selective.
     #[test]
     fn rank_plans_emit_in_order_and_are_selective(gen in generated()) {
-        let (catalog, query) = build(&gen);
+        let (db, query) = build(&gen);
+        let catalog = db.catalog();
         let r = catalog.table("R").unwrap();
         let s = catalog.table("S").unwrap();
         let plan = LogicalPlan::rank_scan(&r, 0)
@@ -133,11 +150,8 @@ proptest! {
             );
         let physical = PhysicalPlan::from_logical(&plan).unwrap();
         let exec = ExecutionContext::new(std::sync::Arc::clone(&query.ranking));
-        let mut op = build_operator(&physical, &catalog, &exec).unwrap();
-        let mut emitted = Vec::new();
-        while let Some(t) = op.next().unwrap() {
-            emitted.push(t);
-        }
+        let mut op = build_operator(&physical, catalog, &exec).unwrap();
+        let emitted = drain_batched(op.as_mut(), 1).unwrap();
         // Non-increasing upper bounds.
         for w in emitted.windows(2) {
             prop_assert!(
@@ -153,14 +167,15 @@ proptest! {
         // Membership equals the oracle's full join membership.
         let mut full_query = query.clone();
         full_query.k = usize::MAX / 2;
-        let oracle = oracle_top_k(&full_query, &catalog).unwrap();
+        let oracle = oracle_top_k(&full_query, catalog).unwrap();
         prop_assert_eq!(emitted.len(), oracle.len());
     }
 
     /// The top-k of a pipelined plan with a limit equals the oracle top-k.
     #[test]
     fn limited_rank_plan_matches_oracle(gen in generated()) {
-        let (catalog, query) = build(&gen);
+        let (db, query) = build(&gen);
+        let catalog = db.catalog();
         let r = catalog.table("R").unwrap();
         let s = catalog.table("S").unwrap();
         let plan = LogicalPlan::rank_scan(&r, 0)
@@ -171,10 +186,119 @@ proptest! {
                 JoinAlgorithm::NestedLoopRankJoin,
             )
             .limit(query.k);
-        let result = execute_query_plan(&query, &plan, &catalog).unwrap();
-        let expected = scores(&query, &oracle_top_k(&query, &catalog).unwrap());
+        let result = execute_query_plan(&query, &plan, catalog).unwrap();
+        let expected = scores(&query, &oracle_top_k(&query, catalog).unwrap());
         prop_assert_eq!(scores(&query, &result.tuples), expected);
     }
+
+    /// Batch-size independence: every plan mode's physical plan returns the
+    /// same tuples, in the same order, with the same score bits, whether it
+    /// is pulled one tuple at a time or in chunks of any size.
+    #[test]
+    fn results_do_not_depend_on_the_batch_size(gen in generated(), batch_size in 2usize..512) {
+        let (db, query) = build(&gen);
+        for mode in ALL_MODES {
+            let physical = db.plan(&query, mode).unwrap().physical;
+            let run = |batch_size: usize| {
+                let exec =
+                    ExecutionContext::new(query.ranking.clone()).with_batch_size(batch_size);
+                let mut root = build_operator(&physical, db.catalog(), &exec).unwrap();
+                identities(&query, &drain_batched(root.as_mut(), batch_size).unwrap())
+            };
+            prop_assert_eq!(run(1), run(batch_size), "mode {:?}, batch size {}", mode, batch_size);
+        }
+    }
+
+    /// Draw exactness: a rank-aware operator asked for `k` tuples in one
+    /// call, in `k` calls of one, or for `k - 1` and then one more after an
+    /// `extend_limit`, emits the same tuples and leaves the tuple budget and
+    /// every operator beneath it at the same count — no over-draw, no
+    /// re-draw.
+    #[test]
+    fn rank_aware_operators_draw_exactly(gen in generated()) {
+        let (db, query) = build(&gen);
+        let catalog = db.catalog();
+        let r = catalog.table("R").unwrap();
+        let s = catalog.table("S").unwrap();
+        let on_a = Some(BoolExpr::col_eq_col("R.a", "S.a"));
+        let lower = |plan: LogicalPlan| PhysicalPlan::from_logical(&plan).unwrap();
+        let rank_join = |algorithm| {
+            lower(LogicalPlan::rank_scan(&r, 0).rank(1).join(
+                LogicalPlan::rank_scan(&s, 2),
+                on_a.clone(),
+                algorithm,
+            ))
+        };
+        let plans = [
+            ("µ", lower(LogicalPlan::rank_scan(&r, 0).rank(1))),
+            (
+                "MPro",
+                PhysicalPlan::unestimated(PhysicalOp::MproProbe {
+                    input: Box::new(lower(LogicalPlan::rank_scan(&r, 0))),
+                    schedule: vec![1],
+                }),
+            ),
+            ("HRJN", rank_join(JoinAlgorithm::HashRankJoin)),
+            ("NRJN", rank_join(JoinAlgorithm::NestedLoopRankJoin)),
+            (
+                "∩",
+                lower(
+                    LogicalPlan::rank_scan(&r, 0)
+                        .set_op(SetOpKind::Intersect, LogicalPlan::rank_scan(&r, 1)),
+                ),
+            ),
+        ];
+        // One run: the operator under a λ of `limit`, pulled with the given
+        // sequence of `max` values, the λ raised by one before the last pull
+        // when `extend` is set.  Returns what was emitted and every counter.
+        let run = |plan: &PhysicalPlan, limit: usize, pulls: &[usize], extend: bool| {
+            let limited = PhysicalPlan::unestimated(PhysicalOp::Limit {
+                input: Box::new(plan.clone()),
+                k: limit,
+            });
+            let exec = ExecutionContext::new(query.ranking.clone());
+            let mut root = build_operator(&limited, catalog, &exec).unwrap();
+            let mut out = Batch::new();
+            for (i, &max) in pulls.iter().enumerate() {
+                if extend && i + 1 == pulls.len() {
+                    assert_eq!(root.next_batch(1, &mut out).unwrap(), 0, "λ is spent");
+                    assert!(root.can_extend_limit() && root.extend_limit(1));
+                }
+                root.next_batch(max, &mut out).unwrap();
+            }
+            let emitted_per_operator: Vec<u64> = exec
+                .metrics()
+                .snapshot()
+                .iter()
+                .map(|m| m.tuples_out())
+                .collect();
+            (
+                identities(&query, &out),
+                exec.budget().used(),
+                emitted_per_operator,
+            )
+        };
+        let k = gen.k;
+        for (name, plan) in &plans {
+            let at_once = run(plan, k, &[k], false);
+            prop_assert_eq!(&run(plan, k, &vec![1; k], false), &at_once, "{}: k calls of 1", name);
+            if k > 1 {
+                let resumed = run(plan, k - 1, &[k - 1, 1], true);
+                prop_assert_eq!(&resumed, &at_once, "{}: resumed after extend_limit", name);
+            }
+        }
+    }
+}
+
+/// What a result is compared by: tuple identity and score bits, in order.
+fn identities(query: &RankQuery, tuples: &[RankedTuple]) -> Vec<(TupleId, u64)> {
+    tuples
+        .iter()
+        .map(|t| {
+            let score = query.ranking.upper_bound(&t.state).value();
+            (t.tuple.id().clone(), score.to_bits())
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -241,13 +365,7 @@ fn every_plan_mode_lowers_to_an_executable_physical_plan() {
         .execute_with_mode(&query, PlanMode::Canonical)
         .unwrap()
         .scores();
-    for mode in [
-        PlanMode::Canonical,
-        PlanMode::RankAware,
-        PlanMode::RankAwareExhaustive,
-        PlanMode::RankAwareRuleBased,
-        PlanMode::Traditional,
-    ] {
+    for mode in ALL_MODES {
         let optimized = db.plan(&query, mode).unwrap();
         assert!(optimized.physical.node_count() >= 3, "mode {mode:?}");
         // Executing exactly the physical plan the optimizer returned gives

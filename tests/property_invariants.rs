@@ -357,7 +357,7 @@ proptest! {
         use ranksql::executor::rank_join::RankJoin;
         use ranksql::executor::scan::RankScan;
         use ranksql::executor::{
-            drain, oracle_top_k, BoxedOperator, ExecutionContext, PhysicalOperator,
+            drain_batched, oracle_top_k, BoxedOperator, ExecutionContext, PhysicalOperator,
         };
         use ranksql::storage::{ScoreIndex, Table};
 
@@ -407,7 +407,7 @@ proptest! {
             let draws_at_pause = draws(&exec);
             assert!(join.extend_limit(usize::MAX));
             let mut all = head;
-            all.extend(drain(&mut join).unwrap());
+            all.extend(drain_batched(&mut join, 1).unwrap());
             let stream: Vec<(TupleId, u64)> = all
                 .iter()
                 .map(|t| (t.tuple.id().clone(), ranking.upper_bound(&t.state).value().to_bits()))
