@@ -257,6 +257,11 @@ pub struct OperatorActuals {
     /// queues, drawn join inputs, queued join candidates; 0 for operators
     /// that buffer nothing).
     pub buffered_peak: u64,
+    /// Join results a hash join constructed.  `rows` counts the results it
+    /// *decided* (matched and passed the residual); beneath a top-k sort it
+    /// builds only those the heap's threshold does not already exclude.  0
+    /// for every other operator.
+    pub built: u64,
 }
 
 impl OperatorActuals {
@@ -268,6 +273,7 @@ impl OperatorActuals {
             batches: 0,
             mean_batch_fill: 0.0,
             buffered_peak: 0,
+            built: 0,
         }
     }
 }
@@ -942,7 +948,8 @@ impl PhysicalPlan {
     /// (tuples produced; for operators that produced any, batch count and
     /// mean batch fill; on the incremental rank-aware
     /// operators µ / MPro / HRJN / NRJN, the peak number of buffered
-    /// entries), paired from a post-order
+    /// entries; on a hash join, the join results it constructed), paired
+    /// from a post-order
     /// [`OperatorActuals`] series as recorded by the executor's metrics
     /// registry.
     pub fn explain_with_actuals(
@@ -1000,6 +1007,9 @@ impl PhysicalPlan {
                 }
                 if buffers {
                     let _ = write!(text, ", buffered_peak={}", a.buffered_peak);
+                }
+                if matches!(self.op, PhysicalOp::HashJoin { .. }) {
+                    let _ = write!(text, ", built={}", a.built);
                 }
                 text
             })
@@ -1157,11 +1167,9 @@ mod tests {
         let physical = PhysicalPlan::from_logical(&logical).unwrap();
         let actuals = vec![
             OperatorActuals {
-                label: "SeqScan(R)".to_owned(),
-                rows: 10,
                 batches: 2,
                 mean_batch_fill: 5.0,
-                buffered_peak: 0,
+                ..OperatorActuals::rows_only("SeqScan(R)", 10)
             },
             OperatorActuals {
                 buffered_peak: 7,

@@ -553,6 +553,46 @@ mod tests {
     }
 
     #[test]
+    fn evaluation_counters_are_current_after_every_pull() {
+        // µ over a rank-scan evaluates its predicate once per tuple it
+        // draws and tallies locally; the tally must reach the shared
+        // counters by the time each pull returns, not only at close.
+        let (db, _) = hrjn_db(200);
+        let query = QueryBuilder::new()
+            .tables(["H"])
+            .rank_predicate(RankPredicate::attribute("hs", "H.score"))
+            .rank_predicate(RankPredicate::attribute_with_cost("id", "H.id", 1))
+            .limit(50)
+            .build()
+            .unwrap();
+        let mut cursor = db
+            .session()
+            .prepare_query(query)
+            .unwrap()
+            .bind(crate::Params::none())
+            .unwrap()
+            .cursor()
+            .unwrap();
+        let mut seen = Vec::new();
+        for n in [1, 1, 7, 1] {
+            assert_eq!(cursor.next_batch(n).unwrap().len(), n);
+            let drawn_by_mu: u64 = cursor
+                .metrics()
+                .snapshot()
+                .iter()
+                .filter(|m| m.name().starts_with("Rank_"))
+                .map(|m| m.tuples_in())
+                .sum();
+            let evaluated = cursor.ranking().counters().total();
+            assert!(drawn_by_mu > 0, "{}", cursor.explain_analyze());
+            assert_eq!(evaluated, drawn_by_mu, "after pulling {n}");
+            seen.push(evaluated);
+        }
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
+        assert!(seen[0] < 200, "the first pull must not drain the table");
+    }
+
+    #[test]
     fn cursor_iterates_and_reports() {
         let (db, query) = hrjn_db(30);
         let ranking = Arc::clone(&query.ranking);

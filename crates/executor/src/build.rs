@@ -30,8 +30,9 @@ use crate::set_ops::{ExceptOp, IntersectOp, UnionOp};
 use crate::sort_limit::{LimitOp, SortLimitOp, SortOp};
 
 /// Whether `plan` is a σ/π (or transparent `Repartition`) chain over a
-/// zone-pruning columnar scan — the pattern under which a `SortLimit` and
-/// its scan share a [`TopKThreshold`].
+/// zone-pruning columnar scan — one of the two patterns under which a
+/// `SortLimit` shares a [`TopKThreshold`] with what feeds it (the other is
+/// a hash join directly beneath it).
 fn spine_has_pruning_scan(plan: &PhysicalPlan) -> bool {
     match &plan.op {
         PhysicalOp::SeqScan {
@@ -271,15 +272,13 @@ pub fn build_operator(
             right,
             condition,
         } => {
+            // Taken before the inputs are lowered: the cell on top of the
+            // stack now is the one a `SortLimit` directly above pushed.
+            let top_k = exec.pop_prune_threshold();
             let l = build_operator(left, catalog, exec)?;
             let r = build_operator(right, catalog, exec)?;
-            Ok(Box::new(HashJoin::new(
-                l,
-                r,
-                condition.as_ref(),
-                exec,
-                label,
-            )?))
+            let join = HashJoin::new(l, r, condition.as_ref(), exec, label)?;
+            Ok(Box::new(join.scoring_for_top_k(top_k, exec)?))
         }
         PhysicalOp::SortMergeJoin {
             left,
@@ -356,15 +355,19 @@ pub fn build_operator(
             for p in predicates.iter() {
                 check_predicate(exec.ranking(), p)?;
             }
-            // Zone-map score pruning: when this top-k sits on a σ/π spine
-            // over a zone-pruning columnar scan, hand the pair a shared
-            // threshold cell — the heap publishes its worst kept score, the
-            // scan skips blocks that cannot beat it.  The push/pop protocol
-            // is strictly nested because the verified spine is a linear
-            // operator chain (no other SortLimit can be built in between).
-            let cell = if spine_has_pruning_scan(input) {
+            // Threshold feedback: when this top-k sits directly on a hash
+            // join, or on a σ/π spine over a zone-pruning columnar scan,
+            // hand the pair a shared cell — the heap publishes its worst
+            // kept score, the join does not build results (the scan skips
+            // blocks) that cannot beat it.  The push/pop protocol is
+            // strictly nested because the consumer is reached through a
+            // linear operator chain (no other SortLimit can be built in
+            // between).
+            let cell = if matches!(input.op, PhysicalOp::HashJoin { .. })
+                || spine_has_pruning_scan(input)
+            {
                 let cell = Arc::new(TopKThreshold::new());
-                exec.push_prune_threshold(Arc::clone(&cell));
+                exec.push_prune_threshold(*predicates, Arc::clone(&cell));
                 Some(cell)
             } else {
                 None

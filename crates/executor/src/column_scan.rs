@@ -437,7 +437,7 @@ impl ColumnScan {
             .collect();
         let prune_cell = cell.or_else(|| {
             if pop_cell {
-                exec.pop_prune_threshold()
+                exec.pop_prune_threshold().map(|(_, cell)| cell)
             } else {
                 None
             }
@@ -705,7 +705,7 @@ impl PhysicalOperator for ColumnScan {
 mod tests {
     use super::*;
     use crate::operator::drain_batched;
-    use ranksql_common::{DataType, Field, Value};
+    use ranksql_common::{BitSet64, DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::TableBuilder;
 
@@ -770,7 +770,7 @@ mod tests {
         let t = table(4096);
         let exec = ExecutionContext::new(ctx());
         let cell = Arc::new(TopKThreshold::new());
-        exec.push_prune_threshold(Arc::clone(&cell));
+        exec.push_prune_threshold(BitSet64::all(1), Arc::clone(&cell));
         let mut scan = ColumnScan::new(t.columnar(), None, true, &exec, "cs").unwrap();
         // p scores are < 1.0 everywhere; an impossible threshold prunes
         // every block the scan has not yet entered.
@@ -782,7 +782,7 @@ mod tests {
         // An unset cell prunes nothing.
         let exec2 = ExecutionContext::new(ctx());
         let cell2 = Arc::new(TopKThreshold::new());
-        exec2.push_prune_threshold(cell2);
+        exec2.push_prune_threshold(BitSet64::all(1), cell2);
         let mut scan2 = ColumnScan::new(t.columnar(), None, true, &exec2, "cs").unwrap();
         assert_eq!(drain_batched(&mut scan2, 1024).unwrap().len(), 4096);
     }

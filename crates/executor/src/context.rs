@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use ranksql_common::{
-    default_thread_count, RankSqlError, Result, Score, DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_SIZE,
-    MAX_THREADS,
+    default_thread_count, BitSet64, RankSqlError, Result, Score, DEFAULT_BATCH_SIZE,
+    DEFAULT_MORSEL_SIZE, MAX_THREADS,
 };
 use ranksql_expr::RankingContext;
 use ranksql_storage::{EpochSet, Table, TableEpoch};
@@ -23,15 +23,21 @@ use ranksql_storage::{EpochSet, Table, TableEpoch};
 use crate::metrics::{MetricsRegistry, OperatorMetrics};
 
 /// A monotonically rising lower bound on the k-th best score a top-k
-/// consumer will keep — the feedback channel of zone-map score pruning.
+/// consumer will keep — the feedback channel from a bounded heap to
+/// whatever feeds it.
 ///
 /// A `SortLimit` raises the cell to its bounded heap's current worst kept
-/// score once the heap holds `k` tuples; the columnar scan feeding it skips
-/// any block whose zone-map score bound is *strictly* below the cell (a
-/// strictly worse tuple is discarded by the heap immediately, so skipping it
-/// cannot change results — ties are never pruned, preserving the
-/// deterministic tuple-id tie-break).  Thread-safe: parallel morsel
-/// pipelines share one cell per plan-node pair.
+/// score once the heap holds `k` tuples.  Two kinds of operator read it:
+/// the columnar scan on the `SortLimit`'s σ/π spine skips any block whose
+/// zone-map score bound is *strictly* below the cell, and a hash join
+/// directly beneath the `SortLimit` scores each join result on its two
+/// constituents and does not build one whose completed score is *strictly*
+/// below it.  A strictly worse tuple is discarded by the heap immediately,
+/// so dropping it upstream cannot change results — ties are never pruned,
+/// preserving the deterministic tuple-id tie-break.  Thread-safe: the
+/// morsel scans of one exchange spine share one cell with every
+/// per-partition `SortLimit`; a `SortLimit`/hash-join pair owns a private
+/// one, so what the join builds depends on its own morsel only.
 #[derive(Debug)]
 pub struct TopKThreshold {
     /// Bit pattern of the current threshold (`f64::NEG_INFINITY` = unset).
@@ -93,6 +99,11 @@ impl TopKThreshold {
         t > f64::NEG_INFINITY && Score::new(bound) < Score::new(t)
     }
 }
+
+/// A threshold cell on its way from the `SortLimit` that publishes to it to
+/// the operator that prunes against it, with the predicates the published
+/// scores have evaluated.
+type PendingThreshold = (BitSet64, Arc<TopKThreshold>);
 
 /// A shared budget of tuples an execution may materialise from its scans.
 ///
@@ -176,13 +187,15 @@ pub struct ExecutionContext {
     threads: usize,
     morsel_size: usize,
     preset: Option<Arc<PresetMetrics>>,
-    /// Hand-off stack wiring a `SortLimit` to the zone-pruning columnar scan
-    /// on its σ/π spine during plan lowering: the `SortLimit` arm of
-    /// `build_operator` pushes a fresh [`TopKThreshold`] before building its
-    /// input, the scan pops it.  Shared across clones so the exchange path
-    /// sees the same stack; strictly nested because the verified spine
-    /// pattern is a linear operator chain.
-    prune_cells: Arc<Mutex<Vec<Arc<TopKThreshold>>>>,
+    /// Hand-off stack wiring a `SortLimit` to the operator below it that
+    /// prunes on its behalf — the zone-pruning columnar scan on its σ/π
+    /// spine, or the hash join directly beneath it — during plan lowering:
+    /// the `SortLimit` pushes a fresh [`TopKThreshold`] (with the predicates
+    /// its scores cover) before building its input, the consumer pops it.
+    /// Shared across clones of one context, private to each per-morsel
+    /// instance context; strictly nested because the consumer is reached
+    /// through a linear operator chain.
+    prune_cells: Arc<Mutex<Vec<PendingThreshold>>>,
     /// The MVCC snapshot of this execution: at most one pinned
     /// [`TableEpoch`] per table, taken lazily on first access and shared by
     /// every scan (and every morsel instance) of the plan, so all access
@@ -302,10 +315,12 @@ impl ExecutionContext {
     /// A context for one per-morsel operator-pipeline instance: `register`
     /// hands back the pre-registered `handles` in order instead of creating
     /// new registry entries, so all instances of one plan node share one
-    /// metrics handle.  Each call starts a fresh cursor — use one instance
-    /// context per morsel pipeline.
+    /// metrics handle.  Each call starts a fresh cursor and a fresh
+    /// threshold hand-off stack (workers lower their pipelines
+    /// concurrently) — use one instance context per morsel pipeline.
     pub(crate) fn with_preset_metrics(&self, handles: Arc<Vec<Arc<OperatorMetrics>>>) -> Self {
         let mut ctx = self.clone();
+        ctx.prune_cells = Arc::default();
         ctx.preset = Some(Arc::new(PresetMetrics {
             handles,
             next: AtomicUsize::new(0),
@@ -353,16 +368,17 @@ impl ExecutionContext {
         &self.budget
     }
 
-    /// Pushes a top-k threshold cell for the zone-pruning scan currently
-    /// being lowered (called by the `SortLimit` arm of `build_operator`
-    /// before it builds its input spine).
-    pub fn push_prune_threshold(&self, cell: Arc<TopKThreshold>) {
-        self.prune_cells.lock().push(cell);
+    /// Pushes a top-k threshold cell for the pruning operator currently
+    /// being lowered, with the `predicates` the publishing heap's scores
+    /// have evaluated (called by a `SortLimit` before it builds its input).
+    pub fn push_prune_threshold(&self, predicates: BitSet64, cell: Arc<TopKThreshold>) {
+        self.prune_cells.lock().push((predicates, cell));
     }
 
-    /// Pops the pending top-k threshold cell, if one was pushed by an
-    /// enclosing `SortLimit` (called by the columnar scan's constructor).
-    pub fn pop_prune_threshold(&self) -> Option<Arc<TopKThreshold>> {
+    /// Pops the pending top-k threshold cell and its predicate set, if one
+    /// was pushed by an enclosing `SortLimit` (called when the columnar
+    /// scan or the hash join beneath it is lowered).
+    pub fn pop_prune_threshold(&self) -> Option<(BitSet64, Arc<TopKThreshold>)> {
         self.prune_cells.lock().pop()
     }
 

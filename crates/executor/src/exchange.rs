@@ -297,8 +297,9 @@ impl SpineNode {
                 table,
                 label,
             } => {
+                let top_k = exec.pop_prune_threshold();
                 let child = probe.instantiate(range, exec)?;
-                Ok(Box::new(HashJoin::with_prebuilt(
+                let join = HashJoin::with_prebuilt(
                     child,
                     schema.clone(),
                     left_key_cols.clone(),
@@ -306,7 +307,8 @@ impl SpineNode {
                     Arc::clone(table),
                     exec,
                     label.clone(),
-                )?))
+                )?;
+                Ok(Box::new(join.scoring_for_top_k(top_k, exec)?))
             }
             SpineNode::NestedLoops {
                 outer,
@@ -344,13 +346,22 @@ impl SpineNode {
                 k,
                 label,
             } => {
-                let cell = input.threshold_cell();
-                let child = input.instantiate(range, exec)?;
-                let mut op = SortLimitOp::new(child, *predicates, *k, exec, label.clone())?;
                 // Per-partition top-k instances share the spine's threshold
                 // cell with the morsel scans: any partition's k-th best
                 // score is a valid global bound (at least k tuples beat it),
-                // so cross-worker pruning stays result-preserving.
+                // so cross-worker pruning stays result-preserving.  A hash
+                // join directly beneath gets a cell of this morsel's own
+                // instead, so what it builds does not depend on how far the
+                // other workers have got.
+                let cell = if matches!(**input, SpineNode::HashJoin { .. }) {
+                    let cell = Arc::new(TopKThreshold::new());
+                    exec.push_prune_threshold(*predicates, Arc::clone(&cell));
+                    Some(cell)
+                } else {
+                    input.threshold_cell()
+                };
+                let child = input.instantiate(range, exec)?;
+                let mut op = SortLimitOp::new(child, *predicates, *k, exec, label.clone())?;
                 if let Some(cell) = cell {
                     op = op.with_threshold(cell);
                 }

@@ -10,10 +10,12 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ranksql_common::{RankSqlError, Result, Schema, Value};
-use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr};
+use ranksql_common::{BitSet64, JoinedRow, RankSqlError, Result, Schema, Value};
+use ranksql_expr::{
+    BoolExpr, BoundBoolExpr, BoundRanking, CompareOp, RankedTuple, RankingContext, ScalarExpr,
+};
 
-use crate::context::ExecutionContext;
+use crate::context::{ExecutionContext, TopKThreshold};
 use crate::fxhash::FxHashMap;
 use crate::metrics::OperatorMetrics;
 use crate::operator::{draw_one, Batch, BoxedOperator, PhysicalOperator};
@@ -83,15 +85,20 @@ pub type JoinTable = FxHashMap<Vec<Value>, Vec<RankedTuple>>;
 /// hash-join output order deterministic.  This is the *only* keying logic:
 /// both the serial build (`HashJoin::ensure_built`, batch by batch) and the
 /// exchange's shared prebuilt table go through it, so the two paths cannot
-/// drift apart.
+/// drift apart.  A key is allocated the first time it is seen, not per row.
 pub fn insert_into_join_table(
     table: &mut JoinTable,
     rows: impl IntoIterator<Item = RankedTuple>,
     key_cols: &[usize],
 ) {
+    let mut scratch = Vec::new();
     for t in rows {
-        let key = key_values(&t, key_cols, 0);
-        table.entry(key).or_default().push(t);
+        let key = borrowed_key(key_cols, &mut scratch, &t);
+        if let Some(group) = table.get_mut(key) {
+            group.push(t);
+        } else {
+            table.insert(key.to_vec(), vec![t]);
+        }
     }
 }
 
@@ -109,21 +116,20 @@ fn key_values(tuple: &RankedTuple, indices: &[usize], side_offset: usize) -> Vec
         .collect()
 }
 
-/// Looks up `t`'s join partners without allocating a key per probe:
-/// single-column keys probe with a borrowed one-element slice
-/// (`Vec<Value>: Borrow<[Value]>`), multi-column keys reuse `scratch`.
-fn probe_matches<'a>(
-    table: &'a JoinTable,
+/// `t`'s join key as a slice to look a [`JoinTable`] group up with
+/// (`Vec<Value>: Borrow<[Value]>`), without allocating: a single-column key
+/// is the value in place, a multi-column key is copied into `scratch`.
+fn borrowed_key<'a>(
     key_cols: &[usize],
-    scratch: &mut Vec<Value>,
-    t: &RankedTuple,
-) -> Option<&'a Vec<RankedTuple>> {
+    scratch: &'a mut Vec<Value>,
+    t: &'a RankedTuple,
+) -> &'a [Value] {
     if let [col] = key_cols {
-        table.get(std::slice::from_ref(t.tuple.value(*col)))
+        std::slice::from_ref(t.tuple.value(*col))
     } else {
         scratch.clear();
         scratch.extend(key_cols.iter().map(|&i| t.tuple.value(i).clone()));
-        table.get(scratch.as_slice())
+        scratch
     }
 }
 
@@ -281,8 +287,26 @@ impl PhysicalOperator for NestedLoopJoin {
     }
 }
 
+/// What a [`HashJoin`] directly beneath a `SortLimit` does on the sort's
+/// behalf: it evaluates the sort's predicates on each join result while the
+/// result is still a pair of tuples, and builds the joined tuple only if the
+/// completed score is not strictly below the heap's published worst kept
+/// score.  Every predicate is still evaluated on every join result; what is
+/// saved is constructing the ones the heap would drop on arrival.
+struct TopKScoring {
+    /// The sort's predicates, bound to the joined schema.
+    ranking: BoundRanking,
+    ctx: Arc<RankingContext>,
+    cell: Arc<TopKThreshold>,
+}
+
 /// Hash join: builds a hash table on the right input's join keys and probes
 /// it with left tuples.  Requires at least one equi-join key.
+///
+/// `tuples_out` counts the join results *decided* — matched on the keys and
+/// passed by the residual.  Beneath a `SortLimit` (see
+/// [`HashJoin::scoring_for_top_k`]) fewer are constructed and emitted;
+/// `tuples_built` counts those.
 pub struct HashJoin {
     left: BoxedOperator,
     right: Option<BoxedOperator>,
@@ -291,17 +315,18 @@ pub struct HashJoin {
     right_key_cols: Vec<usize>,
     residual: Option<BoundBoolExpr>,
     schema: Schema,
-    current_left: Option<RankedTuple>,
-    current_matches: Vec<RankedTuple>,
+    /// Offset into the match group of the probe tuple at the front of
+    /// `left_buf`: where a call that filled its batch mid-group resumes.
     match_pos: usize,
     metrics: Arc<OperatorMetrics>,
     batch_size: usize,
-    /// Probe-side tuples pulled in batches but not yet consumed.
+    /// Probe-side tuples pulled in batches; the front one is being matched.
     left_buf: VecDeque<RankedTuple>,
     left_scratch: Batch,
     left_done: bool,
     /// Reusable key buffer for multi-column probes.
     probe_key: Vec<Value>,
+    top_k: Option<TopKScoring>,
 }
 
 impl HashJoin {
@@ -330,8 +355,6 @@ impl HashJoin {
             right_key_cols: keys.keys.iter().map(|&(_, r)| r).collect(),
             residual,
             schema,
-            current_left: None,
-            current_matches: Vec::new(),
             match_pos: 0,
             metrics,
             batch_size: exec.batch_size(),
@@ -339,6 +362,7 @@ impl HashJoin {
             left_scratch: Batch::new(),
             left_done: false,
             probe_key: Vec::new(),
+            top_k: None,
         })
     }
 
@@ -367,8 +391,6 @@ impl HashJoin {
             right_key_cols: Vec::new(),
             residual,
             schema,
-            current_left: None,
-            current_matches: Vec::new(),
             match_pos: 0,
             metrics,
             batch_size: exec.batch_size(),
@@ -376,7 +398,31 @@ impl HashJoin {
             left_scratch: Batch::new(),
             left_done: false,
             probe_key: Vec::new(),
+            top_k: None,
         })
+    }
+
+    /// Makes this join score its results for the `SortLimit` directly above
+    /// it, given what that sort pushed for it
+    /// ([`ExecutionContext::pop_prune_threshold`], taken before this join's
+    /// inputs were lowered): the sort's predicates and the cell where its
+    /// bounded heap publishes its worst kept score.  Emitted tuples carry
+    /// their evaluated state, so the sort evaluates nothing again.  `None`
+    /// (no such sort) leaves the join as it is.
+    pub fn scoring_for_top_k(
+        mut self,
+        pushed: Option<(BitSet64, Arc<TopKThreshold>)>,
+        exec: &ExecutionContext,
+    ) -> Result<Self> {
+        if let Some((predicates, cell)) = pushed {
+            let ctx = exec.ranking_arc();
+            self.top_k = Some(TopKScoring {
+                ranking: ctx.bind(&self.schema, predicates.iter())?,
+                ctx,
+                cell,
+            });
+        }
+        Ok(self)
     }
 
     fn ensure_built(&mut self) -> Result<()> {
@@ -398,10 +444,10 @@ impl HashJoin {
         Ok(())
     }
 
-    /// Draws the next probe-side tuple, refilling the internal buffer with a
-    /// batch of up to `refill` tuples when it runs dry.
-    fn next_left(&mut self, refill: usize) -> Result<Option<RankedTuple>> {
-        if self.left_buf.is_empty() && !self.left_done {
+    /// Refills the (empty) probe buffer with a batch of up to `refill`
+    /// tuples; `false` once the probe side is exhausted.
+    fn refill_left(&mut self, refill: usize) -> Result<bool> {
+        if !self.left_done {
             self.left_scratch.clear();
             let n = self
                 .left
@@ -413,7 +459,7 @@ impl HashJoin {
                 self.left_buf.extend(self.left_scratch.drain(..));
             }
         }
-        Ok(self.left_buf.pop_front())
+        Ok(!self.left_buf.is_empty())
     }
 }
 
@@ -424,61 +470,60 @@ impl PhysicalOperator for HashJoin {
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         self.ensure_built()?;
-        let mut produced = 0;
-        'fill: while produced < max {
-            // Flush matches suspended by a previous (full) batch first.
-            while self.match_pos < self.current_matches.len() {
-                if produced == max {
-                    break 'fill;
+        let table = Arc::clone(self.table.as_ref().expect("hash table built"));
+        let (mut decided, mut built) = (0usize, 0usize);
+        // A call ends after deciding `max` results, so the threshold it
+        // prunes against is never more than one batch stale — but not
+        // before it built one: returning 0 means exhausted.
+        while decided < max || built == 0 {
+            let Some(left) = self.left_buf.front() else {
+                if self.refill_left(max)? {
+                    continue;
                 }
-                let right = &self.current_matches[self.match_pos];
-                self.match_pos += 1;
-                let left = self.current_left.as_ref().expect("left set while matching");
-                let joined = left.join(right);
-                let passes = match &self.residual {
-                    Some(c) => c.eval(&joined.tuple)?,
-                    None => true,
-                };
-                if passes {
-                    out.push(joined);
-                    produced += 1;
-                }
-            }
-            let Some(t) = self.next_left(max)? else {
                 break;
             };
-            let table = self.table.as_ref().expect("hash table built");
-            let Some(matches) =
-                probe_matches(table.as_ref(), &self.left_key_cols, &mut self.probe_key, &t)
-            else {
-                continue;
-            };
-            if produced + matches.len() <= max {
-                // Fast path: the whole match group fits in this batch, so it
-                // can be joined straight out of the hash table — no cloning,
-                // no suspension state.
-                for right in matches {
-                    let joined = t.join(right);
-                    let passes = match &self.residual {
-                        Some(c) => c.eval(&joined.tuple)?,
-                        None => true,
-                    };
-                    if passes {
-                        out.push(joined);
-                        produced += 1;
+            let key = borrowed_key(&self.left_key_cols, &mut self.probe_key, left);
+            let group = table.get(key).map_or(&[][..], Vec::as_slice);
+            while self.match_pos < group.len() && (decided < max || built == 0) {
+                let right = &group[self.match_pos];
+                self.match_pos += 1;
+                let pair = JoinedRow {
+                    left: &left.tuple,
+                    right: &right.tuple,
+                };
+                if let Some(c) = &self.residual {
+                    if !c.eval(&pair)? {
+                        continue;
                     }
                 }
-            } else {
-                self.current_matches = matches.clone();
+                decided += 1;
+                match &mut self.top_k {
+                    None => out.push(left.join(right)),
+                    Some(top_k) => {
+                        let mut state = left.state.merge(&right.state);
+                        top_k.ranking.evaluate_missing(&pair, &mut state)?;
+                        if top_k.cell.prunes(top_k.ctx.upper_bound(&state).value()) {
+                            continue;
+                        }
+                        out.push(RankedTuple::new(left.tuple.join(&right.tuple), state));
+                    }
+                }
+                built += 1;
+            }
+            if self.match_pos == group.len() {
+                self.left_buf.pop_front();
                 self.match_pos = 0;
-                self.current_left = Some(t);
             }
         }
-        if produced > 0 {
-            self.metrics.add_out(produced as u64);
+        if let Some(top_k) = &mut self.top_k {
+            top_k.ranking.flush();
+        }
+        self.metrics.add_out(decided as u64);
+        if built > 0 {
+            self.metrics.add_built(built as u64);
             self.metrics.add_batch();
         }
-        Ok(produced)
+        Ok(built)
     }
 
     fn is_ranked(&self) -> bool {

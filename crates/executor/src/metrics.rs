@@ -20,6 +20,7 @@ pub struct OperatorMetrics {
     tuples_out: AtomicU64,
     batches_out: AtomicU64,
     buffered_peak: AtomicU64,
+    tuples_built: AtomicU64,
 }
 
 impl OperatorMetrics {
@@ -48,6 +49,12 @@ impl OperatorMetrics {
     /// Records one `next_batch` call that emitted at least one tuple.
     pub fn add_batch(&self) {
         self.batches_out.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records `n` join results a hash join actually constructed — under a
+    /// top-k heap's threshold fewer than the `tuples_out` it decided.
+    pub fn add_built(&self, n: u64) {
+        self.tuples_built.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records the current number of buffered tuples, keeping the maximum.
@@ -103,6 +110,11 @@ impl OperatorMetrics {
     pub fn buffered_peak(&self) -> u64 {
         self.buffered_peak.load(Ordering::Relaxed)
     }
+
+    /// Join results a hash join constructed (0 for every other operator).
+    pub fn tuples_built(&self) -> u64 {
+        self.tuples_built.load(Ordering::Relaxed)
+    }
 }
 
 /// An ordered collection of the metrics of every operator in a plan.
@@ -156,6 +168,7 @@ impl MetricsRegistry {
                 batches: m.batches_out(),
                 mean_batch_fill: m.mean_batch_fill(),
                 buffered_peak: m.buffered_peak(),
+                built: m.tuples_built(),
             })
             .collect()
     }

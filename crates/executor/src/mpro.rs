@@ -162,6 +162,7 @@ impl PhysicalOperator for MProOp {
             self.queue.push(rt);
             peak = peak.max(self.queue.len());
         }
+        self.ranking.flush();
         self.metrics
             .record_call(drawn, produced as u64, peak as u64);
         Ok(produced)

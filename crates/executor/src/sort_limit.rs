@@ -19,10 +19,9 @@ use crate::operator::{Batch, BoxedOperator, PhysicalOperator};
 /// the three problems rank-aware plans avoid.
 pub struct SortOp {
     input: BoxedOperator,
-    predicates: BitSet64,
     schema: Schema,
     ctx: Arc<RankingContext>,
-    /// `predicates`, bound to `schema` at construction.
+    /// The sort's predicates, bound to `schema` at construction.
     ranking: BoundRanking,
     metrics: Arc<OperatorMetrics>,
     sorted: Option<std::vec::IntoIter<RankedTuple>>,
@@ -41,7 +40,6 @@ impl SortOp {
         let ctx = exec.ranking_arc();
         Ok(SortOp {
             input,
-            predicates,
             ranking: ctx.bind(&schema, predicates.iter())?,
             ctx,
             schema,
@@ -65,17 +63,14 @@ impl SortOp {
             }
             self.metrics.add_in(n as u64);
             for mut rt in buf.drain(..) {
-                for p in self.predicates.iter() {
-                    if !rt.state.is_evaluated(p) {
-                        self.ranking.evaluate_into(p, &rt.tuple, &mut rt.state)?;
-                    }
-                }
+                self.ranking.evaluate_missing(&rt.tuple, &mut rt.state)?;
                 rows.push(rt);
             }
         }
         // Context-aware comparator: identical to `cmp_desc` under the
         // global predicate maximum, and consistent with the capped bounds
         // the rest of the pipeline uses when zone-map caps are installed.
+        self.ranking.flush();
         let ctx = Arc::clone(&self.ctx);
         rows.sort_by(|a, b| ctx.cmp_desc(a, b));
         self.metrics.observe_buffered(rows.len() as u64);
@@ -162,18 +157,18 @@ impl Ord for TopKEntry {
 /// sorting them equals sorting everything and truncating.
 pub struct SortLimitOp {
     input: BoxedOperator,
-    predicates: BitSet64,
     k: usize,
     schema: Schema,
     ctx: Arc<RankingContext>,
-    /// `predicates`, bound to `schema` at construction.
+    /// The sort's predicates, bound to `schema` at construction.
     ranking: BoundRanking,
     metrics: Arc<OperatorMetrics>,
     sorted: Option<std::vec::IntoIter<RankedTuple>>,
     batch_size: usize,
-    /// Zone-pruning feedback channel: once the bounded heap holds `k`
-    /// tuples, its worst kept score is published here so the columnar scan
-    /// on this operator's σ/π spine can skip blocks that cannot beat it.
+    /// Feedback channel: once the bounded heap holds `k` tuples, its worst
+    /// kept score is published here, so the columnar scan on this
+    /// operator's σ/π spine can skip blocks — or the hash join directly
+    /// beneath it can skip building results — that cannot beat it.
     threshold: Option<Arc<TopKThreshold>>,
 }
 
@@ -190,7 +185,6 @@ impl SortLimitOp {
         let ctx = exec.ranking_arc();
         Ok(SortLimitOp {
             input,
-            predicates,
             k,
             ranking: ctx.bind(&schema, predicates.iter())?,
             ctx,
@@ -203,7 +197,7 @@ impl SortLimitOp {
     }
 
     /// Attaches the top-k threshold cell shared with the zone-pruning
-    /// columnar scan feeding this operator.
+    /// columnar scan or the hash join feeding this operator.
     pub fn with_threshold(mut self, cell: Arc<TopKThreshold>) -> Self {
         self.threshold = Some(cell);
         self
@@ -236,11 +230,7 @@ impl SortLimitOp {
             // evaluation loop.
             scores.clear();
             for rt in buf.iter_mut() {
-                for p in self.predicates.iter() {
-                    if !rt.state.is_evaluated(p) {
-                        self.ranking.evaluate_into(p, &rt.tuple, &mut rt.state)?;
-                    }
-                }
+                self.ranking.evaluate_missing(&rt.tuple, &mut rt.state)?;
                 scores.push(self.ctx.upper_bound(&rt.state));
             }
             // Heap phase.  Once the heap is full, a candidate that sorts
@@ -268,7 +258,7 @@ impl SortLimitOp {
             }
             self.metrics.observe_buffered(heap.len() as u64);
             // A full heap's worst kept score is a hard lower bound on the
-            // k-th best result: publish it so the scan below can zone-prune.
+            // k-th best result: publish it so the scan or join below can prune.
             // Strictly-below tuples would be pushed and immediately popped,
             // so skipping them upstream cannot change the kept set (ties
             // are never pruned — the id tie-break stays deterministic).
@@ -280,6 +270,7 @@ impl SortLimitOp {
                 }
             }
         }
+        self.ranking.flush();
         // Ascending heap order = best first (the maximum is the worst kept).
         let rows: Vec<RankedTuple> = heap
             .into_sorted_vec()

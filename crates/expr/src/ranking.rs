@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ranksql_common::{RankSqlError, Result, Schema, Score, Tuple};
+use ranksql_common::{RankSqlError, Result, Row, Schema, Score};
 
 use crate::scalar::{BoundScalarExpr, ColumnRef, ScalarExpr};
 use crate::scoring::ScoringFunction;
@@ -179,16 +179,25 @@ pub struct BoundRankPredicate {
 }
 
 impl BoundRankPredicate {
-    /// Evaluates the predicate against a tuple, burning `cost` units of work.
+    /// Evaluates the predicate against a row (a tuple, or a pair of tuples
+    /// viewed as their concatenation), burning `cost` units of work.
     ///
     /// The returned score is clamped into `[0, 1]`; a NULL or non-numeric
     /// score evaluates to `0.0` (the worst possible score), so NULLs never
     /// promote a tuple.
-    pub fn evaluate(&self, tuple: &Tuple) -> Result<Score> {
+    pub fn evaluate<R: Row + ?Sized>(&self, row: &R) -> Result<Score> {
         simulate_cost_units(self.cost);
         let score = match &self.source {
-            BoundScoreSource::Attribute(i) => tuple.value(*i).as_f64(),
-            BoundScoreSource::Expression(e) => e.eval(tuple)?.as_f64(),
+            BoundScoreSource::Attribute(i) => row
+                .get(*i)
+                .ok_or_else(|| {
+                    RankSqlError::Expression(format!(
+                        "column index {i} out of bounds for tuple of arity {}",
+                        row.arity()
+                    ))
+                })?
+                .as_f64(),
+            BoundScoreSource::Expression(e) => e.eval(row)?.as_f64(),
         };
         Ok(Score::new(score.unwrap_or(0.0)).clamp_unit())
     }
@@ -246,10 +255,10 @@ impl EvalCounters {
         }
     }
 
-    /// Records one evaluation of predicate `i`.
-    pub fn record(&self, i: usize) {
+    /// Records `n` evaluations of predicate `i`.
+    pub fn add(&self, i: usize, n: u64) {
         if let Some(c) = self.per_predicate.get(i) {
-            c.fetch_add(1, Ordering::Relaxed);
+            c.fetch_add(n, Ordering::Relaxed);
         }
     }
 
@@ -514,7 +523,7 @@ impl RankingContext {
         schema: &Schema,
         which: impl IntoIterator<Item = usize>,
     ) -> Result<BoundRanking> {
-        let predicates = which
+        let predicates: Vec<_> = which
             .into_iter()
             .map(|i| {
                 let p = self.predicates.get(i).ok_or_else(|| {
@@ -528,47 +537,93 @@ impl RankingContext {
             .collect::<Result<_>>()?;
         Ok(BoundRanking {
             ctx: Arc::clone(self),
+            pending: vec![0; predicates.len()],
             predicates,
         })
     }
 }
 
 /// The predicates one operator evaluates, bound to its schema: each goes
-/// through pre-resolved column indices, and every evaluation is recorded in
-/// the context's shared [`EvalCounters`].
+/// through pre-resolved column indices, and every evaluation is tallied
+/// here and added to the context's shared [`EvalCounters`] by
+/// [`BoundRanking::flush`] — once per `next_batch` call of the owning
+/// operator, so parallel workers never contend on the shared counters per
+/// evaluation, and the counters are exact whenever no operator is running.
 #[derive(Debug)]
 pub struct BoundRanking {
     ctx: Arc<RankingContext>,
     /// `(index in the context, bound predicate)`; a handful at most, so a
     /// lookup is a short scan.
     predicates: Vec<(usize, BoundRankPredicate)>,
+    /// Evaluations since the last flush, parallel to `predicates`.
+    pending: Vec<u64>,
 }
 
 impl BoundRanking {
-    /// Evaluates predicate `i` on a tuple (recording the evaluation) and
+    /// Evaluates predicate `i` on a row (tallying the evaluation) and
     /// returns the resulting score.
-    pub fn evaluate_predicate(&self, i: usize, tuple: &Tuple) -> Result<Score> {
-        let (_, p) = self
+    pub fn evaluate_predicate<R: Row + ?Sized>(&mut self, i: usize, row: &R) -> Result<Score> {
+        let at = self
             .predicates
             .iter()
-            .find(|(bound, _)| *bound == i)
+            .position(|(bound, _)| *bound == i)
             .ok_or_else(|| RankSqlError::Plan(format!("predicate index {i} was not bound")))?;
-        self.ctx.counters.record(i);
-        p.evaluate(tuple)
+        self.pending[at] += 1;
+        self.predicates[at].1.evaluate(row)
     }
 
     /// Evaluates predicate `i` and folds the result into `state`.
-    pub fn evaluate_into(&self, i: usize, tuple: &Tuple, state: &mut ScoreState) -> Result<Score> {
-        let s = self.evaluate_predicate(i, tuple)?;
+    pub fn evaluate_into<R: Row + ?Sized>(
+        &mut self,
+        i: usize,
+        row: &R,
+        state: &mut ScoreState,
+    ) -> Result<Score> {
+        let s = self.evaluate_predicate(i, row)?;
         state.set(i, s.value());
         Ok(s)
+    }
+
+    /// Evaluates every bound predicate `state` has not evaluated yet, in
+    /// binding order, folding each result into `state` — what a sort does to
+    /// complete a tuple's score.
+    pub fn evaluate_missing<R: Row + ?Sized>(
+        &mut self,
+        row: &R,
+        state: &mut ScoreState,
+    ) -> Result<()> {
+        for ((i, p), n) in self.predicates.iter().zip(&mut self.pending) {
+            if !state.is_evaluated(*i) {
+                *n += 1;
+                state.set(*i, p.evaluate(row)?.value());
+            }
+        }
+        Ok(())
+    }
+
+    /// Adds the evaluations tallied since the last flush to the context's
+    /// shared counters.
+    pub fn flush(&mut self) {
+        for ((i, _), n) in self.predicates.iter().zip(&mut self.pending) {
+            if *n > 0 {
+                self.ctx.counters.add(*i, std::mem::take(n));
+            }
+        }
+    }
+}
+
+impl Drop for BoundRanking {
+    /// An operator abandoned mid-call (an error below it) still accounts
+    /// for what it evaluated.
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ranksql_common::{DataType, Field, Value};
+    use ranksql_common::{DataType, Field, Tuple, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -633,7 +688,7 @@ mod tests {
         assert_eq!(ctx.num_predicates(), 2);
         assert_eq!(ctx.predicate_index("p2").unwrap(), 1);
         assert!(ctx.predicate_index("nope").is_err());
-        let bound = ctx.bind(&schema(), 0..2).unwrap();
+        let mut bound = ctx.bind(&schema(), 0..2).unwrap();
         let t = tuple(0.25, 0.5);
         let mut state = ctx.new_state();
         assert_eq!(ctx.upper_bound(&state), Score::new(2.0));
@@ -641,6 +696,8 @@ mod tests {
         assert_eq!(ctx.upper_bound(&state), Score::new(1.25));
         bound.evaluate_into(1, &t, &mut state).unwrap();
         assert_eq!(ctx.upper_bound(&state), Score::new(0.75));
+        assert_eq!(ctx.counters().total(), 0, "tallied locally until flushed");
+        bound.flush();
         assert_eq!(ctx.counters().count(0), 1);
         assert_eq!(ctx.counters().count(1), 1);
         assert_eq!(ctx.counters().total(), 2);
@@ -696,10 +753,11 @@ mod tests {
             ScoringFunction::Sum,
         );
         let r_only = Schema::new(vec![Field::qualified("R", "p1", DataType::Float64)]);
-        let bound = ctx.bind(&r_only, [0]).unwrap();
+        let mut bound = ctx.bind(&r_only, [0]).unwrap();
         let t = Tuple::synthetic(0, vec![Value::from(0.5)]);
         assert_eq!(bound.evaluate_predicate(0, &t).unwrap(), Score::new(0.5));
         assert!(bound.evaluate_predicate(1, &t).is_err());
+        drop(bound);
         assert_eq!(ctx.counters().snapshot(), vec![1, 0, 0]);
         let missing = ctx.bind(&r_only, [0, 1]).unwrap_err();
         assert!(missing.to_string().contains("S.p2"), "{missing}");

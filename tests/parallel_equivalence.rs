@@ -19,6 +19,7 @@ use proptest::prelude::*;
 
 use ranksql::executor::{execute_physical_plan, ExecutionContext};
 use ranksql::expr::RankPredicate;
+use ranksql::workload::{SyntheticConfig, SyntheticWorkload};
 use ranksql::{
     BoolExpr, DataType, Database, Field, PlanMode, QueryBuilder, RankQuery, Schema, Value,
 };
@@ -180,9 +181,12 @@ proptest! {
 }
 
 /// Regression: the per-operator actuals of `explain_analyze` (`rows_out`,
-/// `batches_out`, `mean_batch_fill`) are identical across any thread count —
-/// aggregation across workers must neither lose nor duplicate updates, and
-/// batch counts are a function of the (fixed) morsel and batch sizes only.
+/// `batches_out`, `mean_batch_fill`, and a hash join's `built`) are identical
+/// across any thread count — aggregation across workers must neither lose
+/// nor duplicate updates, and the counts are a function of the (fixed)
+/// morsel and batch sizes only.  The `Traditional` plan's hash join sits
+/// beneath a per-morsel `SortLimit` and builds only what that morsel's own
+/// heap has not excluded, so its `built` is morsel-determined as well.
 #[test]
 fn per_operator_actuals_are_identical_across_thread_counts() {
     let w = Workload {
@@ -197,42 +201,137 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
         morsel_size: 8,
     };
     let (db, query) = build_database(&w);
-    let plan = db
-        .session()
-        .with_mode(PlanMode::Canonical)
-        .with_threads(4)
-        .plan(&query)
-        .unwrap()
-        .physical;
-    assert!(plan.contains_exchange(), "{}", plan.explain(None));
+    for mode in [PlanMode::Canonical, PlanMode::Traditional] {
+        let plan = db
+            .session()
+            .with_mode(mode)
+            .with_threads(4)
+            .plan(&query)
+            .unwrap()
+            .physical;
+        assert!(plan.contains_exchange(), "{}", plan.explain(None));
 
-    let run = |threads: usize| {
-        let exec = ExecutionContext::new(query.ranking.clone())
-            .with_threads(threads)
-            .with_batch_size(w.batch_size)
-            .with_morsel_size(w.morsel_size);
-        let result = execute_physical_plan(&plan, db.catalog(), &exec).unwrap();
-        result.operator_actuals()
-    };
+        let run = |threads: usize| {
+            let exec = ExecutionContext::new(query.ranking.clone())
+                .with_threads(threads)
+                .with_batch_size(w.batch_size)
+                .with_morsel_size(w.morsel_size);
+            let result = execute_physical_plan(&plan, db.catalog(), &exec).unwrap();
+            result.operator_actuals()
+        };
 
-    let reference = run(1);
-    assert_eq!(reference.len(), plan.node_count());
-    assert!(reference.iter().any(|a| a.batches > 0));
-    for threads in [2, 4, 8] {
-        let actuals = run(threads);
-        assert_eq!(actuals.len(), reference.len(), "threads={threads}");
-        for (a, r) in actuals.iter().zip(reference.iter()) {
-            assert_eq!(a.label, r.label, "threads={threads}");
-            assert_eq!(a.rows, r.rows, "threads={threads}, op {}", a.label);
-            assert_eq!(a.batches, r.batches, "threads={threads}, op {}", a.label);
+        let reference = run(1);
+        assert_eq!(reference.len(), plan.node_count());
+        assert!(reference.iter().any(|a| a.batches > 0));
+        if mode == PlanMode::Traditional {
+            let join = reference
+                .iter()
+                .find(|a| a.label.starts_with("HashJoin"))
+                .unwrap_or_else(|| panic!("no hash join:\n{}", plan.explain(None)));
             assert!(
-                (a.mean_batch_fill - r.mean_batch_fill).abs() < 1e-12,
-                "threads={threads}, op {}: {} vs {}",
-                a.label,
-                a.mean_batch_fill,
-                r.mean_batch_fill
+                0 < join.built && join.built < join.rows,
+                "the join prunes against its sort: built {} of {}",
+                join.built,
+                join.rows
             );
         }
+        for threads in [2, 4, 8] {
+            let actuals = run(threads);
+            assert_eq!(actuals.len(), reference.len(), "threads={threads}");
+            for (a, r) in actuals.iter().zip(reference.iter()) {
+                let at = format!("{mode:?}, threads={threads}, op {}", a.label);
+                assert_eq!(a.label, r.label, "{at}");
+                assert_eq!(a.rows, r.rows, "{at}");
+                assert_eq!(a.batches, r.batches, "{at}");
+                assert_eq!(a.built, r.built, "{at}");
+                assert!(
+                    (a.mean_batch_fill - r.mean_batch_fill).abs() < 1e-12,
+                    "{at}: {} vs {}",
+                    a.mean_batch_fill,
+                    r.mean_batch_fill
+                );
+            }
+        }
+    }
+}
+
+/// The paper's Q under materialise-then-sort at k = 10: the hash join beneath
+/// the sort *decides* every join result (its `rows`) and every ranking
+/// predicate is evaluated on every one of them, as the baseline prescribes —
+/// but at most 2 % of them are built, the same ones at every thread count.
+#[test]
+fn q_builds_a_sliver_of_the_join_results_it_decides() {
+    let workload = SyntheticWorkload::generate(SyntheticConfig {
+        table_size: 5000,
+        join_selectivity: 1.0 / 250.0,
+        predicate_cost: 0,
+        k: 10,
+        build_indexes: false,
+        ..SyntheticConfig::default()
+    })
+    .unwrap();
+    let db = workload.database().unwrap();
+    let query = &workload.query;
+
+    // |A ⋈ B ⋈ C| under Q's filters, counted without the engine.
+    let rows = |name: &str| db.catalog().table(name).unwrap().scan();
+    let (jc1, jc2, flag) = (0, 1, 2);
+    let int = |t: &ranksql::Tuple, col: usize| t.value(col).as_i64().unwrap();
+    let mut c_by_jc2 = std::collections::HashMap::<i64, u64>::new();
+    for c in rows("C") {
+        *c_by_jc2.entry(int(&c, jc2)).or_default() += 1;
+    }
+    let mut bc_by_jc1 = std::collections::HashMap::<i64, u64>::new();
+    for b in rows("B") {
+        if b.value(flag) == &Value::from(true) {
+            *bc_by_jc1.entry(int(&b, jc1)).or_default() +=
+                c_by_jc2.get(&int(&b, jc2)).copied().unwrap_or(0);
+        }
+    }
+    let join_results: u64 = rows("A")
+        .iter()
+        .filter(|a| a.value(flag) == &Value::from(true))
+        .map(|a| bc_by_jc1.get(&int(a, jc1)).copied().unwrap_or(0))
+        .sum();
+    assert!(join_results > 100_000, "{join_results}");
+
+    let plan = db
+        .session()
+        .with_mode(PlanMode::Traditional)
+        .with_threads(2)
+        .plan(query)
+        .unwrap()
+        .physical;
+    let run = |threads: usize| {
+        let ranking = query.ranking.with_scoring(query.ranking.scoring().clone());
+        let exec = ExecutionContext::new(ranking.clone()).with_threads(threads);
+        let result = execute_physical_plan(&plan, db.catalog(), &exec).unwrap();
+        assert_eq!(result.tuples.len(), 10);
+        // Post-order: the last hash join is the one beneath the sort.
+        let actuals = result.operator_actuals();
+        let join = actuals
+            .iter()
+            .rfind(|a| a.label.starts_with("HashJoin"))
+            .unwrap_or_else(|| panic!("no hash join:\n{}", plan.explain(None)))
+            .clone();
+        (join, ranking.counters().snapshot())
+    };
+
+    let (join, evaluations) = run(1);
+    assert_eq!(join.rows, join_results);
+    assert_eq!(evaluations, vec![join_results; 5]);
+    assert!(
+        join.built * 50 <= join.rows,
+        "built {} of {} join results",
+        join.built,
+        join.rows
+    );
+    for threads in [2, 4] {
+        assert_eq!(
+            run(threads),
+            (join.clone(), evaluations.clone()),
+            "threads={threads}"
+        );
     }
 }
 

@@ -429,3 +429,135 @@ fn explain_analyze_reports_actual_cardinalities() {
         "{analyzed}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Materialise-then-sort over a hash join: the join scores each result before
+// building it and prunes against the sort's heap.
+// ---------------------------------------------------------------------------
+
+/// R ⋈ S on `a` with scores from a three-value grid, so most join results
+/// tie with many others (whatever `k`, ties straddle the k-th position),
+/// plus NULL and NaN scores that must sort last without disturbing anything.
+///
+/// A join emits in probe-row order and ties break on `(table id, row)`
+/// pairs, so a tie arriving later beats a kept one only when the probe side
+/// is the table created second: `probe_created_first` picks which it is.
+fn tied_scores_db(k: usize, probe_created_first: bool) -> (Database, RankQuery) {
+    let db = Database::new();
+    let grid = [0.25, 0.5, 0.75];
+    let score = |i: usize, stride: usize, null_at: usize, nan_at: usize| match i {
+        _ if i % 23 == null_at => Value::Null,
+        _ if i % 29 == nan_at => Value::from(f64::NAN),
+        _ => Value::from(grid[i * stride % 3]),
+    };
+    let r = Schema::new(vec![
+        Field::new("a", DataType::Int64),
+        Field::new("p1", DataType::Float64),
+        Field::new("p2", DataType::Float64),
+    ]);
+    let s = Schema::new(vec![
+        Field::new("a", DataType::Int64),
+        Field::new("p3", DataType::Float64),
+    ]);
+    if probe_created_first {
+        db.create_table("R", r).unwrap();
+        db.create_table("S", s).unwrap();
+    } else {
+        db.create_table("S", s).unwrap();
+        db.create_table("R", r).unwrap();
+    }
+    for i in 0..90usize {
+        let a = Value::from((i % 6) as i64);
+        db.insert("R", vec![a, score(i, 1, 5, 7), score(i, 2, 11, 13)])
+            .unwrap();
+    }
+    for i in 0..70usize {
+        let a = Value::from((i * 5 % 6) as i64);
+        db.insert("S", vec![a, score(i, 1, 3, 17)]).unwrap();
+    }
+    let query = QueryBuilder::new()
+        .tables(["R", "S"])
+        .filter(BoolExpr::col_eq_col("R.a", "S.a"))
+        .rank_predicate(RankPredicate::attribute("p1", "R.p1"))
+        .rank_predicate(RankPredicate::attribute("p2", "R.p2"))
+        .rank_predicate(RankPredicate::attribute("p3", "S.p3"))
+        .limit(k)
+        .build()
+        .unwrap();
+    (db, query)
+}
+
+/// Whether some `SortLimit` in `plan` sits directly on a `HashJoin`.
+fn sorts_a_hash_join(plan: &PhysicalPlan) -> bool {
+    let here = matches!(&plan.op, PhysicalOp::SortLimit { input, .. }
+        if matches!(input.op, PhysicalOp::HashJoin { .. }));
+    here || plan.children().into_iter().any(sorts_a_hash_join)
+}
+
+#[test]
+fn traditional_over_a_hash_join_returns_the_oracle_top_k() {
+    // 1 and 10 cut deep inside a run of tied scores; 1040 reaches the
+    // NULL- and NaN-scored tail; 2000 exceeds the join's cardinality.
+    for (k, probe_created_first) in [
+        (1, false),
+        (10, true),
+        (10, false),
+        (37, false),
+        (1040, true),
+        (2000, false),
+    ] {
+        let (db, query) = tied_scores_db(k, probe_created_first);
+        let catalog = db.catalog();
+        let oracle = identities(&query, &oracle_top_k(&query, catalog).unwrap());
+        assert_eq!(oracle.len(), k.min(1050));
+        for threads in [1, 2, 4] {
+            let plan = db
+                .session()
+                .with_mode(PlanMode::Traditional)
+                .with_threads(threads)
+                .plan(&query)
+                .unwrap()
+                .physical;
+            assert!(sorts_a_hash_join(&plan), "{}", plan.explain(None));
+            for morsel in [7, 1024] {
+                for batch in [1, 16, 1024] {
+                    let exec = ExecutionContext::new(query.ranking.clone())
+                        .with_threads(threads)
+                        .with_morsel_size(morsel)
+                        .with_batch_size(batch);
+                    let mut root = build_operator(&plan, catalog, &exec).unwrap();
+                    let got = identities(&query, &drain_batched(root.as_mut(), batch).unwrap());
+                    assert_eq!(
+                        got, oracle,
+                        "k={k} probe_created_first={probe_created_first} \
+                         threads={threads} morsel={morsel} batch={batch}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn traditional_over_a_hash_join_extends_its_limit_before_the_first_pull() {
+    let (db, query) = tied_scores_db(10, false);
+    let catalog = db.catalog();
+    let plan = db
+        .session()
+        .with_mode(PlanMode::Traditional)
+        .with_threads(1)
+        .plan(&query)
+        .unwrap()
+        .physical;
+    assert!(sorts_a_hash_join(&plan), "{}", plan.explain(None));
+    let mut extended = query.clone();
+    extended.k = 10 + 27;
+    let oracle = identities(&extended, &oracle_top_k(&extended, catalog).unwrap());
+    for batch in [1, 16, 1024] {
+        let exec = ExecutionContext::new(query.ranking.clone()).with_batch_size(batch);
+        let mut root = build_operator(&plan, catalog, &exec).unwrap();
+        assert!(root.can_extend_limit() && root.extend_limit(27));
+        let got = identities(&query, &drain_batched(root.as_mut(), batch).unwrap());
+        assert_eq!(got, oracle, "batch={batch}");
+    }
+}
