@@ -141,7 +141,7 @@ fn bench_operators(c: &mut Criterion) {
         // The full operator, including metrics and tuple-budget accounting.
         bench.iter(|| {
             let exec = ExecutionContext::new(Arc::clone(&ranking));
-            let mut scan = SeqScan::new(&a, &exec, "seqscan");
+            let mut scan = SeqScan::new(&a, 0..a.row_count(), &exec, "seqscan");
             black_box(
                 drain_batched(&mut scan, exec.batch_size())
                     .expect("scan")

@@ -19,10 +19,13 @@ use crate::column_scan::ColumnScan;
 use crate::context::{ExecutionContext, TopKThreshold};
 use crate::exchange::{ExchangeOp, RepartitionPassthrough};
 use crate::filter::{Filter, Project};
-use crate::join::{HashJoin, NestedLoopJoin, SortMergeJoin};
+use crate::join::{
+    build_key_cols, collect_build_input, hash_build_input, BuildSide, Built, HashJoin,
+    NestedLoopJoin, SortMergeJoin,
+};
 use crate::metrics::MetricsRegistry;
 use crate::mpro::MProOp;
-use crate::operator::{drain_batched, BoxedOperator};
+use crate::operator::{drain_batched, BoxedOperator, PhysicalOperator};
 use crate::rank::RankOp;
 use crate::rank_join::RankJoin;
 use crate::scan::{AttributeIndexScan, RankScan, SeqScan};
@@ -116,6 +119,28 @@ pub fn zone_score_caps(
     Some(caps)
 }
 
+/// Lowers a join's build (inner) side.  Serially that is its operator,
+/// which the join drains on its first pull.  In a morsel lowering the
+/// spine's first lowering lowers it through the serial path and drains it
+/// with `drain` (which also returns the rows drained) once, and every
+/// morsel's join shares the result.
+fn build_side<T: Send + Sync + 'static>(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    exec: &ExecutionContext,
+    drain: impl FnOnce(&mut dyn PhysicalOperator, usize) -> Result<(usize, T)>,
+) -> Result<BuildSide<T>> {
+    let built = exec.spine_shared(|serial| {
+        let mut input = build_operator(plan, catalog, serial)?;
+        let (rows, table) = drain(input.as_mut(), serial.batch_size())?;
+        Ok(Built::new(input.schema().clone(), rows, table))
+    })?;
+    match built {
+        Some(built) => Ok(BuildSide::Built(built)),
+        None => Ok(BuildSide::Input(build_operator(plan, catalog, exec)?)),
+    }
+}
+
 /// Checks that a plan's ranking-predicate index exists in the context.
 fn check_predicate(ctx: &RankingContext, predicate: usize) -> Result<()> {
     if predicate >= ctx.num_predicates() {
@@ -146,6 +171,11 @@ fn check_predicate(ctx: &RankingContext, predicate: usize) -> Result<()> {
 /// built) is *extended* over the missing suffix — never rebuilt from
 /// scratch — mirroring the paper's assumption that such indexes are
 /// available as access paths.
+///
+/// An exchange lowers its spine through this same walk once per morsel,
+/// under a morsel context ([`ExchangeOp`]); three arms read it — the scan
+/// (the morsel's row range), the hash and nested-loops joins (the spine's
+/// drained build side) and the `SortLimit` (the spine's threshold cell).
 pub fn build_operator(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -157,15 +187,26 @@ pub fn build_operator(
             table, columnar, ..
         } => {
             let table = catalog.table(table)?;
+            let epoch = exec.pin_epoch(&table, columnar.is_some());
+            // The whole pinned epoch — or, in an exchange, one morsel of it.
+            let range = exec.morsel_range().unwrap_or(0..epoch.row_count());
             match columnar {
-                None => Ok(Box::new(SeqScan::new(&table, exec, label))),
-                Some(c) => Ok(Box::new(ColumnScan::for_epoch(
-                    &exec.pin_epoch(&table, true),
-                    c.pushed_filter.as_ref(),
-                    c.zone_prune,
-                    exec,
-                    label,
-                )?)),
+                None => Ok(Box::new(SeqScan::new(&table, range, exec, label))),
+                Some(c) => {
+                    // One prune-dedup bitmap per spine, so a block spanning
+                    // two morsels counts once.
+                    let pruned_blocks =
+                        exec.spine_shared(|_| Ok(ColumnScan::pruned_block_map(epoch.row_count())))?;
+                    Ok(Box::new(ColumnScan::new(
+                        &epoch,
+                        range,
+                        c.pushed_filter.as_ref(),
+                        c.zone_prune,
+                        pruned_blocks,
+                        exec,
+                        label,
+                    )?))
+                }
             }
         }
         PhysicalOp::RankScan {
@@ -258,7 +299,7 @@ pub fn build_operator(
             condition,
         } => {
             let l = build_operator(left, catalog, exec)?;
-            let r = build_operator(right, catalog, exec)?;
+            let r = build_side(right, catalog, exec, collect_build_input)?;
             Ok(Box::new(NestedLoopJoin::new(
                 l,
                 r,
@@ -276,7 +317,10 @@ pub fn build_operator(
             // stack now is the one a `SortLimit` directly above pushed.
             let top_k = exec.pop_prune_threshold();
             let l = build_operator(left, catalog, exec)?;
-            let r = build_operator(right, catalog, exec)?;
+            let r = build_side(right, catalog, exec, |input, batch_size| {
+                let key_cols = build_key_cols(condition.as_ref(), l.schema(), input.schema());
+                hash_build_input(input, &key_cols, batch_size)
+            })?;
             let join = HashJoin::new(l, r, condition.as_ref(), exec, label)?;
             Ok(Box::new(join.scoring_for_top_k(top_k, exec)?))
         }
@@ -362,16 +406,21 @@ pub fn build_operator(
             // blocks) that cannot beat it.  The push/pop protocol is
             // strictly nested because the consumer is reached through a
             // linear operator chain (no other SortLimit can be built in
-            // between).
-            let cell = if matches!(input.op, PhysicalOp::HashJoin { .. })
-                || spine_has_pruning_scan(input)
-            {
-                let cell = Arc::new(TopKThreshold::new());
-                exec.push_prune_threshold(*predicates, Arc::clone(&cell));
-                Some(cell)
+            // between).  A join's cell is this morsel's own; a scan's is
+            // its spine's one, shared by every morsel's scan and top-k.
+            let cell = if matches!(input.op, PhysicalOp::HashJoin { .. }) {
+                Some(Arc::new(TopKThreshold::new()))
+            } else if spine_has_pruning_scan(input) {
+                Some(
+                    exec.spine_shared(|_| Ok(TopKThreshold::new()))?
+                        .unwrap_or_default(),
+                )
             } else {
                 None
             };
+            if let Some(cell) = &cell {
+                exec.push_prune_threshold(*predicates, Arc::clone(cell));
+            }
             let child = build_operator(input, catalog, exec)?;
             let mut op = SortLimitOp::new(child, *predicates, *k, exec, label)?;
             if let Some(cell) = cell {
@@ -387,8 +436,8 @@ pub fn build_operator(
             input, *merge, catalog, exec, label,
         )?)),
         PhysicalOp::Repartition { input } => {
-            // Outside an exchange the repartition marker is transparent:
-            // build the scan and forward it.
+            // A transparent marker over the scan, which in an exchange's
+            // morsel lowering reads one morsel.
             let child = build_operator(input, catalog, exec)?;
             Ok(Box::new(RepartitionPassthrough::new(child, exec, label)))
         }
@@ -409,11 +458,11 @@ pub struct ExecutionResult {
     /// Tuples the scans actually examined (zone-map pruning lowers this —
     /// and only this — for identical results).
     pub tuples_scanned: u64,
-    /// Zone-map prune events: block ranges skipped by filter or score
-    /// pruning.  Serially this equals the number of skipped blocks; under
-    /// morsel-parallel execution a block overlapping several morsels may
-    /// count once per morsel (the exact row savings are in
-    /// `tuples_scanned`).
+    /// Zone-map prune events (block ranges skipped by filter or score
+    /// pruning); 0 on the row backend.  Counted per distinct (scan, block)
+    /// even under morsel-parallel execution — a block overlapping several
+    /// morsels contributes once.  `tuples_scanned` carries the exact row
+    /// savings.
     pub blocks_pruned: u64,
     /// Buffer-pool pages faulted in from disk by columnar scans (0 on
     /// RAM-resident backends).

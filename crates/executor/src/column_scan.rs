@@ -28,7 +28,7 @@ use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use ranksql_common::{Result, Schema, Tuple};
+use ranksql_common::{RankSqlError, Result, Schema, Tuple};
 use ranksql_expr::{
     BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, RankingContext, ScalarExpr, ScoreSource,
 };
@@ -258,9 +258,6 @@ pub struct ColumnScan {
     pred_cols: Vec<Option<usize>>,
     ctx: Arc<RankingContext>,
     metrics: Arc<OperatorMetrics>,
-    /// Second metrics handle updated in lockstep (the `Repartition` node of
-    /// the morsel path); `None` on the serial path.
-    repart_metrics: Option<Arc<OperatorMetrics>>,
     budget: Arc<TupleBudget>,
     pruned_counter: Arc<AtomicU64>,
     /// Execution-wide count of buffer-pool pages faulted in from disk.
@@ -291,121 +288,34 @@ pub struct ColumnScan {
 }
 
 impl ColumnScan {
-    /// Creates a columnar scan over the whole table.
+    /// Creates a columnar scan over the rows `range` of a pinned
+    /// [`TableEpoch`] — the whole epoch serially, one morsel in an
+    /// exchange.  The epoch's sealed blocks are scanned block-at-a-time
+    /// (with pruning) and its frozen delta tail row-at-a-time afterwards,
+    /// so concurrent inserts are invisible.  The epoch must have been pinned
+    /// with the columnar layout.
     ///
     /// `pushed_filter` and `zone_prune` come from the plan's
     /// [`ColumnarScan`](ranksql_algebra::ColumnarScan) annotation; when
-    /// `zone_prune` is set the constructor adopts the threshold cell pushed
-    /// by the enclosing `SortLimit` (absent cell = pruning stays off, which
-    /// is always safe).
+    /// `zone_prune` is set the scan adopts the threshold cell pushed by the
+    /// enclosing `SortLimit` (absent cell = pruning stays off, which is
+    /// always safe).  `pruned_blocks` is the prune-dedup bitmap shared by
+    /// every morsel of an exchange spine; `None` gives the scan its own.
     pub fn new(
-        table: Arc<ColumnTable>,
-        pushed_filter: Option<&BoolExpr>,
-        zone_prune: bool,
-        exec: &ExecutionContext,
-        label: impl Into<String>,
-    ) -> Result<Self> {
-        let metrics = exec.register(label);
-        Self::build(
-            table,
-            Arc::new(Vec::new()),
-            pushed_filter,
-            zone_prune,
-            exec,
-            metrics,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// Creates a columnar scan over a pinned [`TableEpoch`]: the epoch's
-    /// sealed blocks are scanned block-at-a-time (with pruning) and its
-    /// frozen delta tail is streamed row-at-a-time afterwards, so the scan
-    /// covers exactly the epoch's watermark regardless of concurrent
-    /// inserts.  The epoch must have been pinned with the columnar layout.
-    pub fn for_epoch(
         epoch: &TableEpoch,
+        range: Range<usize>,
         pushed_filter: Option<&BoolExpr>,
         zone_prune: bool,
+        pruned_blocks: Option<Arc<Vec<AtomicU64>>>,
         exec: &ExecutionContext,
         label: impl Into<String>,
     ) -> Result<Self> {
-        let table = Arc::clone(
-            epoch
-                .columnar()
-                .expect("ColumnScan requires an epoch pinned with the columnar layout"),
-        );
-        let metrics = exec.register(label);
-        Self::build(
-            table,
-            Arc::clone(epoch.tail()),
-            pushed_filter,
-            zone_prune,
-            exec,
-            metrics,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// Creates a columnar scan over one morsel `range`, sharing the
-    /// pre-registered metrics handles and the spine-wide threshold cell.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn for_morsel(
-        table: Arc<ColumnTable>,
-        tail: Arc<Vec<Tuple>>,
-        range: (usize, usize),
-        pushed_filter: Option<&BoolExpr>,
-        cell: Option<Arc<TopKThreshold>>,
-        pruned_blocks: Arc<Vec<AtomicU64>>,
-        exec: &ExecutionContext,
-        scan_label: &str,
-        repart_label: &str,
-    ) -> Result<Self> {
-        let metrics = exec.register(scan_label.to_owned());
-        let repart = exec.register(repart_label.to_owned());
-        let mut scan = Self::build(
-            table,
-            tail,
-            pushed_filter,
-            false,
-            exec,
-            metrics,
-            Some(repart),
-            cell,
-            Some(pruned_blocks),
-        )?;
-        scan.pos = range.0;
-        scan.end = range.1;
-        Ok(scan)
-    }
-
-    /// Allocates the per-(table, block) prune-dedup bitmap for a scan of
-    /// `table`; the morsel path creates it once per spine and hands clones
-    /// to every morsel instance.
-    pub(crate) fn pruned_block_map(table: &ColumnTable) -> Arc<Vec<AtomicU64>> {
-        let blocks = table.row_count().div_ceil(COLUMN_BLOCK_ROWS);
-        Arc::new(
-            (0..blocks.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        table: Arc<ColumnTable>,
-        tail: Arc<Vec<Tuple>>,
-        pushed_filter: Option<&BoolExpr>,
-        pop_cell: bool,
-        exec: &ExecutionContext,
-        metrics: Arc<OperatorMetrics>,
-        repart_metrics: Option<Arc<OperatorMetrics>>,
-        cell: Option<Arc<TopKThreshold>>,
-        pruned_blocks: Option<Arc<Vec<AtomicU64>>>,
-    ) -> Result<Self> {
+        let Some(table) = epoch.columnar().cloned() else {
+            return Err(RankSqlError::Internal(
+                "ColumnScan requires an epoch pinned with the columnar layout".into(),
+            ));
+        };
+        let tail = Arc::clone(epoch.tail());
         let schema = table.schema().clone();
         let filter = match pushed_filter {
             None => None,
@@ -435,18 +345,16 @@ impl ColumnScan {
                 ScoreSource::Expression(_) => None,
             })
             .collect();
-        let prune_cell = cell.or_else(|| {
-            if pop_cell {
-                exec.pop_prune_threshold().map(|(_, cell)| cell)
-            } else {
-                None
-            }
-        });
-        let pruned_blocks = pruned_blocks.unwrap_or_else(|| Self::pruned_block_map(&table));
+        let prune_cell = if zone_prune {
+            exec.pop_prune_threshold().map(|(_, cell)| cell)
+        } else {
+            None
+        };
         Ok(ColumnScan {
-            end: table.row_count() + tail.len(),
+            end: range.end,
             sealed_end: table.row_count(),
-            pruned_blocks,
+            pruned_blocks: pruned_blocks
+                .unwrap_or_else(|| Arc::new(Self::pruned_block_map(table.row_count()))),
             table,
             tail,
             schema,
@@ -455,18 +363,26 @@ impl ColumnScan {
             prune_cell,
             pred_cols,
             ctx,
-            metrics,
-            repart_metrics,
+            metrics: exec.register(label),
             budget: Arc::clone(exec.budget()),
             pruned_counter: Arc::clone(exec.blocks_pruned_counter()),
             faulted_pages: Arc::clone(exec.pages_faulted_counter()),
             pruned_pages: Arc::clone(exec.pages_pruned_counter()),
-            pos: 0,
+            pos: range.start,
             block_end: 0,
             cur_block: None,
             sel: Vec::new(),
             sel_pos: 0,
         })
+    }
+
+    /// Allocates a prune-dedup bitmap: one bit per block of a table of
+    /// `rows` rows.
+    pub(crate) fn pruned_block_map(rows: usize) -> Vec<AtomicU64> {
+        let blocks = rows.div_ceil(COLUMN_BLOCK_ROWS);
+        (0..blocks.div_ceil(64))
+            .map(|_| AtomicU64::new(0))
+            .collect()
     }
 
     /// The maximal possible query score of any tuple in `block`: block
@@ -609,9 +525,6 @@ impl ColumnScan {
         }
         self.budget.charge(n)?;
         self.metrics.add_in(n);
-        if let Some(m) = &self.repart_metrics {
-            m.add_in(n);
-        }
         Ok(())
     }
 }
@@ -684,10 +597,6 @@ impl PhysicalOperator for ColumnScan {
         if produced > 0 {
             self.metrics.add_out(produced as u64);
             self.metrics.add_batch();
-            if let Some(m) = &self.repart_metrics {
-                m.add_out(produced as u64);
-                m.add_batch();
-            }
         }
         Ok(produced)
     }
@@ -733,11 +642,23 @@ mod tests {
         )
     }
 
+    /// A columnar scan over all of `t`.
+    fn scan_all(
+        t: &ranksql_storage::Table,
+        filter: Option<&BoolExpr>,
+        zone_prune: bool,
+        exec: &ExecutionContext,
+    ) -> ColumnScan {
+        let epoch = t.pin_epoch(true);
+        let rows = 0..epoch.row_count();
+        ColumnScan::new(&epoch, rows, filter, zone_prune, None, exec, "cs").unwrap()
+    }
+
     #[test]
     fn plain_columnar_scan_matches_row_scan() {
         let t = table(3000);
         let exec = ExecutionContext::new(ctx());
-        let mut scan = ColumnScan::new(t.columnar(), None, false, &exec, "cs").unwrap();
+        let mut scan = scan_all(&t, None, false, &exec);
         let got = drain_batched(&mut scan, 512).unwrap();
         let want = t.scan();
         assert_eq!(got.len(), want.len());
@@ -757,7 +678,7 @@ mod tests {
             CompareOp::Lt,
             ScalarExpr::lit(100i64),
         );
-        let mut scan = ColumnScan::new(t.columnar(), Some(&filter), false, &exec, "cs").unwrap();
+        let mut scan = scan_all(&t, Some(&filter), false, &exec);
         let got = drain_batched(&mut scan, 1024).unwrap();
         assert_eq!(got.len(), 100);
         assert_eq!(exec.blocks_pruned(), 3, "3 of 4 blocks skipped");
@@ -771,7 +692,7 @@ mod tests {
         let exec = ExecutionContext::new(ctx());
         let cell = Arc::new(TopKThreshold::new());
         exec.push_prune_threshold(BitSet64::all(1), Arc::clone(&cell));
-        let mut scan = ColumnScan::new(t.columnar(), None, true, &exec, "cs").unwrap();
+        let mut scan = scan_all(&t, None, true, &exec);
         // p scores are < 1.0 everywhere; an impossible threshold prunes
         // every block the scan has not yet entered.
         cell.raise(2.0);
@@ -783,7 +704,7 @@ mod tests {
         let exec2 = ExecutionContext::new(ctx());
         let cell2 = Arc::new(TopKThreshold::new());
         exec2.push_prune_threshold(BitSet64::all(1), cell2);
-        let mut scan2 = ColumnScan::new(t.columnar(), None, true, &exec2, "cs").unwrap();
+        let mut scan2 = scan_all(&t, None, true, &exec2);
         assert_eq!(drain_batched(&mut scan2, 1024).unwrap().len(), 4096);
     }
 
@@ -801,7 +722,7 @@ mod tests {
             CompareOp::GtEq,
             ScalarExpr::lit(0.5),
         );
-        let mut scan = ColumnScan::new(t.columnar(), Some(&filter), false, &exec, "cs").unwrap();
+        let mut scan = scan_all(&t, Some(&filter), false, &exec);
         let mut out = Batch::new();
         let n = scan.next_batch(5, &mut out).unwrap();
         assert_eq!(n, 5);
@@ -829,7 +750,7 @@ mod tests {
             CompareOp::GtEq,
             ScalarExpr::lit("b"),
         );
-        let mut scan = ColumnScan::new(t.columnar(), Some(&filter), false, &exec, "cs").unwrap();
+        let mut scan = scan_all(&t, Some(&filter), false, &exec);
         let got = drain_batched(&mut scan, 8).unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].tuple.value(0), &Value::from("b"));
@@ -853,7 +774,7 @@ mod tests {
         assert_eq!(epoch.tail().len(), 300);
 
         let exec = ExecutionContext::new(ctx());
-        let mut scan = ColumnScan::for_epoch(&epoch, None, false, &exec, "cs").unwrap();
+        let mut scan = ColumnScan::new(&epoch, 0..1500, None, false, None, &exec, "cs").unwrap();
         let got = drain_batched(&mut scan, 256).unwrap();
         assert_eq!(got.len(), 1500);
         for (i, g) in got.iter().enumerate() {
@@ -868,7 +789,8 @@ mod tests {
             ScalarExpr::lit(0.5),
         );
         let exec2 = ExecutionContext::new(ctx());
-        let mut scan2 = ColumnScan::for_epoch(&epoch, Some(&filter), false, &exec2, "cs").unwrap();
+        let mut scan2 =
+            ColumnScan::new(&epoch, 0..1500, Some(&filter), false, None, &exec2, "cs").unwrap();
         let got2 = drain_batched(&mut scan2, 256).unwrap();
         let want: Vec<u64> = (0..1500u64)
             .filter(|i| ((i * 37) % 100) as f64 / 100.0 >= 0.5)
@@ -884,7 +806,7 @@ mod tests {
         t.insert(vec![Value::from(9999i64), Value::from(0.99)])
             .unwrap();
         let exec3 = ExecutionContext::new(ctx());
-        let mut scan3 = ColumnScan::for_epoch(&epoch, None, false, &exec3, "cs").unwrap();
+        let mut scan3 = ColumnScan::new(&epoch, 0..1500, None, false, None, &exec3, "cs").unwrap();
         assert_eq!(drain_batched(&mut scan3, 512).unwrap().len(), 1500);
     }
 

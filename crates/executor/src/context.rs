@@ -9,6 +9,8 @@
 //! handle, so adding an execution-wide facility (e.g. a partition count for
 //! parallel scans) no longer means touching every constructor signature.
 
+use std::any::Any;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -34,10 +36,12 @@ use crate::metrics::{MetricsRegistry, OperatorMetrics};
 /// constituents and does not build one whose completed score is *strictly*
 /// below it.  A strictly worse tuple is discarded by the heap immediately,
 /// so dropping it upstream cannot change results — ties are never pruned,
-/// preserving the deterministic tuple-id tie-break.  Thread-safe: the
-/// morsel scans of one exchange spine share one cell with every
-/// per-partition `SortLimit`; a `SortLimit`/hash-join pair owns a private
-/// one, so what the join builds depends on its own morsel only.
+/// preserving the deterministic tuple-id tie-break.  The cell rule: a
+/// `SortLimit` over a hash join gets a fresh cell — in an exchange, one per
+/// morsel, so what the join builds depends on its own morsel only; a
+/// `SortLimit` over a zone-pruning scan takes its spine's one cell, shared
+/// by every morsel's scan and top-k (any partition's k-th best score is a
+/// valid global bound, since at least k tuples beat it).
 #[derive(Debug)]
 pub struct TopKThreshold {
     /// Bit pattern of the current threshold (`f64::NEG_INFINITY` = unset).
@@ -156,21 +160,51 @@ impl TupleBudget {
     }
 }
 
-/// Pre-registered operator-metrics handles handed to the per-morsel operator
-/// instances of a parallel `Exchange` subtree.
+/// What must exist once per exchange spine however many morsels lower it —
+/// the spine operators' metrics handles, drained build sides, the
+/// threshold cell, the prune bitmap — in the order the spine's first
+/// lowering created them.
+pub(crate) type SpineRecord = Mutex<Vec<Arc<dyn Any + Send + Sync>>>;
+
+/// The morsel context: one lowering of an exchange spine, over one morsel
+/// of its driving table.
 ///
-/// The exchange registers each spine operator's metrics exactly once (in
-/// post-order, like serial lowering); every morsel instance then *reuses*
-/// those handles instead of registering new ones, so per-operator counters
-/// aggregate across all workers and the registry keeps one entry per plan
-/// node regardless of morsel count.  Handles are consumed in registration
-/// order through a per-instance cursor — morsel pipelines are built by the
-/// same deterministic walk that registered the handles, so the i-th
-/// `register` call of an instance is the i-th spine operator.
+/// Every morsel pipeline is `build_operator` over the spine under one of
+/// these.  The first lowering records what it creates once per spine
+/// ([`ExecutionContext::register`], [`ExecutionContext::spine_shared`]);
+/// every later lowering is the same deterministic walk, so its i-th such
+/// call replays the record's i-th entry — metrics aggregate into one
+/// handle per plan node and every morsel probes the one build table.
 #[derive(Debug)]
-struct PresetMetrics {
-    handles: Arc<Vec<Arc<OperatorMetrics>>>,
+struct MorselLowering {
+    range: Range<usize>,
+    record: Arc<SpineRecord>,
+    /// Replay cursor into `record`.
     next: AtomicUsize,
+}
+
+impl MorselLowering {
+    /// The record's next entry, or — on the first lowering, whose cursor
+    /// runs past the end — `make`'s result, recorded.
+    fn replay_or_record<T: Send + Sync + 'static>(
+        &self,
+        make: impl FnOnce() -> Result<Arc<T>>,
+    ) -> Result<Arc<T>> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        let recorded = self.record.lock().get(i).cloned();
+        let Some(entry) = recorded else {
+            let made = make()?;
+            self.record
+                .lock()
+                .push(Arc::clone(&made) as Arc<dyn Any + Send + Sync>);
+            return Ok(made);
+        };
+        entry.downcast().map_err(|_| {
+            RankSqlError::Internal(format!(
+                "a morsel lowering diverged from its spine's first lowering at entry {i}"
+            ))
+        })
+    }
 }
 
 /// Everything a physical operator needs from its execution environment.
@@ -186,25 +220,26 @@ pub struct ExecutionContext {
     batch_size: usize,
     threads: usize,
     morsel_size: usize,
-    preset: Option<Arc<PresetMetrics>>,
+    /// Set while an exchange lowers its spine over one morsel.
+    morsel: Option<Arc<MorselLowering>>,
     /// Hand-off stack wiring a `SortLimit` to the operator below it that
     /// prunes on its behalf — the zone-pruning columnar scan on its σ/π
     /// spine, or the hash join directly beneath it — during plan lowering:
-    /// the `SortLimit` pushes a fresh [`TopKThreshold`] (with the predicates
-    /// its scores cover) before building its input, the consumer pops it.
-    /// Shared across clones of one context, private to each per-morsel
-    /// instance context; strictly nested because the consumer is reached
-    /// through a linear operator chain.
+    /// the `SortLimit` pushes a [`TopKThreshold`] (with the predicates its
+    /// scores cover) before building its input, the consumer pops it.
+    /// Shared across clones of one context, private to each morsel
+    /// lowering; strictly nested because the consumer is reached through a
+    /// linear operator chain.
     prune_cells: Arc<Mutex<Vec<PendingThreshold>>>,
     /// The MVCC snapshot of this execution: at most one pinned
     /// [`TableEpoch`] per table, taken lazily on first access and shared by
-    /// every scan (and every morsel instance) of the plan, so all access
+    /// every scan (and every morsel pipeline) of the plan, so all access
     /// paths of one execution read the same row-count watermark.
     epochs: Arc<EpochSet>,
     /// Zone-map prune events during this execution (block ranges skipped by
     /// filter or score pruning), aggregated across all scans and workers.
     /// Deduplicated per (scan, block): each scan spine carries a block
-    /// bitmap shared by its morsel instances, so a block overlapping
+    /// bitmap shared by its morsel pipelines, so a block overlapping
     /// several morsels counts once — serially and in parallel, one event =
     /// one distinct block.
     blocks_pruned: Arc<AtomicU64>,
@@ -230,7 +265,7 @@ impl ExecutionContext {
             batch_size: DEFAULT_BATCH_SIZE,
             threads: default_thread_count(),
             morsel_size: DEFAULT_MORSEL_SIZE,
-            preset: None,
+            morsel: None,
             epochs: Arc::new(EpochSet::new()),
             prune_cells: Arc::new(Mutex::new(Vec::new())),
             blocks_pruned: Arc::new(AtomicU64::new(0)),
@@ -312,20 +347,48 @@ impl ExecutionContext {
         self.morsel_size
     }
 
-    /// A context for one per-morsel operator-pipeline instance: `register`
-    /// hands back the pre-registered `handles` in order instead of creating
-    /// new registry entries, so all instances of one plan node share one
-    /// metrics handle.  Each call starts a fresh cursor and a fresh
-    /// threshold hand-off stack (workers lower their pipelines
-    /// concurrently) — use one instance context per morsel pipeline.
-    pub(crate) fn with_preset_metrics(&self, handles: Arc<Vec<Arc<OperatorMetrics>>>) -> Self {
+    /// The context of one morsel lowering of an exchange spine over the
+    /// driving-table rows `range` (see [`MorselLowering`]): the first
+    /// lowering over a fresh `record` fills it, every later one replays it.
+    /// Each call starts a fresh replay cursor and threshold hand-off stack
+    /// — use one per lowering.
+    pub(crate) fn in_morsel(&self, range: Range<usize>, record: &Arc<SpineRecord>) -> Self {
         let mut ctx = self.clone();
         ctx.prune_cells = Arc::default();
-        ctx.preset = Some(Arc::new(PresetMetrics {
-            handles,
+        ctx.morsel = Some(Arc::new(MorselLowering {
+            range,
+            record: Arc::clone(record),
             next: AtomicUsize::new(0),
         }));
         ctx
+    }
+
+    /// The driving-table rows a morsel lowering scans; `None` outside one.
+    pub(crate) fn morsel_range(&self) -> Option<Range<usize>> {
+        self.morsel.as_ref().map(|m| m.range.clone())
+    }
+
+    /// In a morsel lowering, the state its spine holds once at this point
+    /// of the walk: made by `make` — under a serial context, so a build
+    /// side lowered there is an ordinary serial subtree — on the first
+    /// lowering, replayed on every later one.  `None` outside a morsel
+    /// lowering, where the caller makes its own.
+    pub(crate) fn spine_shared<T: Send + Sync + 'static>(
+        &self,
+        make: impl FnOnce(&ExecutionContext) -> Result<T>,
+    ) -> Result<Option<Arc<T>>> {
+        let Some(morsel) = &self.morsel else {
+            return Ok(None);
+        };
+        morsel
+            .replay_or_record(|| {
+                let serial = ExecutionContext {
+                    morsel: None,
+                    ..self.clone()
+                };
+                Ok(Arc::new(make(&serial)?))
+            })
+            .map(Some)
     }
 
     /// The query's ranking context.
@@ -349,15 +412,15 @@ impl ExecutionContext {
     /// parents), so registration order is a post-order walk of the physical
     /// plan — the pairing invariant `explain_with_actuals` relies on.
     ///
-    /// In a per-morsel instance context (see
-    /// `ExecutionContext::with_preset_metrics`) the pre-registered shared
-    /// handle is returned instead, so parallel workers aggregate into the
-    /// same per-operator counters.
+    /// In a morsel lowering the spine's first lowering registers and every
+    /// later one gets the same handle back, so parallel workers aggregate
+    /// into one set of per-operator counters.
     pub fn register(&self, label: impl Into<String>) -> Arc<OperatorMetrics> {
-        if let Some(preset) = &self.preset {
-            let i = preset.next.fetch_add(1, Ordering::Relaxed);
-            if let Some(handle) = preset.handles.get(i) {
-                return Arc::clone(handle);
+        let label = label.into();
+        if let Some(morsel) = &self.morsel {
+            if let Ok(handle) = morsel.replay_or_record(|| Ok(self.metrics.register(label.clone())))
+            {
+                return handle;
             }
         }
         self.metrics.register(label)
@@ -380,11 +443,6 @@ impl ExecutionContext {
     /// scan or the hash join beneath it is lowered).
     pub fn pop_prune_threshold(&self) -> Option<(BitSet64, Arc<TopKThreshold>)> {
         self.prune_cells.lock().pop()
-    }
-
-    /// Records `n` columnar blocks skipped by zone maps.
-    pub fn add_blocks_pruned(&self, n: u64) {
-        self.blocks_pruned.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Columnar blocks skipped by zone maps so far in this execution.
@@ -450,21 +508,31 @@ mod tests {
     }
 
     #[test]
-    fn preset_metrics_reuse_registered_handles() {
+    fn later_morsel_lowerings_replay_the_first() {
         let exec = ExecutionContext::new(ranking());
-        let a = exec.register("a");
-        let b = exec.register("b");
-        let handles = Arc::new(vec![Arc::clone(&a), Arc::clone(&b)]);
-        let inst = exec.with_preset_metrics(Arc::clone(&handles));
-        inst.register("a").add_out(1);
-        inst.register("b").add_out(2);
-        assert_eq!(a.tuples_out(), 1);
-        assert_eq!(b.tuples_out(), 2);
-        assert_eq!(exec.metrics().len(), 2, "instances must not re-register");
-        // A second instance starts a fresh cursor over the same handles.
-        let inst2 = exec.with_preset_metrics(handles);
-        inst2.register("a").add_out(5);
-        assert_eq!(a.tuples_out(), 6);
+        let record = Arc::default();
+        let first = exec.in_morsel(0..4, &record);
+        let a = first.register("a");
+        let cell = first.spine_shared(|_| Ok(TopKThreshold::new())).unwrap();
+        let b = first.register("b");
+        assert_eq!(exec.metrics().len(), 2);
+        // A later lowering gets the same handles and state back, in order,
+        // and registers nothing.
+        let second = exec.in_morsel(4..8, &record);
+        assert_eq!(second.morsel_range(), Some(4..8));
+        assert!(Arc::ptr_eq(&second.register("a"), &a));
+        let replayed = second
+            .spine_shared(|_| -> Result<TopKThreshold> { panic!("made twice") })
+            .unwrap();
+        assert!(Arc::ptr_eq(&replayed.unwrap(), &cell.unwrap()));
+        assert!(Arc::ptr_eq(&second.register("b"), &b));
+        assert_eq!(exec.metrics().len(), 2, "lowerings must not re-register");
+        // A lowering that diverges is an error, not a wrong replay.
+        let third = exec.in_morsel(8..9, &record);
+        assert!(third.spine_shared(|_| Ok(0u8)).is_err());
+        // Outside a morsel lowering nothing is shared.
+        assert!(exec.spine_shared(|_| Ok(0u8)).unwrap().is_none());
+        assert_eq!(exec.morsel_range(), None);
     }
 
     #[test]

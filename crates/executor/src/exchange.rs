@@ -2,566 +2,106 @@
 //! operators.
 //!
 //! An [`ExchangeOp`] executes a *parallel-safe spine* — a chain of
-//! membership operators (morsel scan → σ/π → hash-join probe → optional
-//! per-partition τ/τ+λ) — once per **morsel** (a contiguous chunk of the
-//! driving table's rows) across a scoped-thread [`WorkerPool`], then
-//! reassembles the per-morsel outputs into one serial stream.
+//! membership operators (`Repartition`-marked scan → σ/π → hash-join or
+//! nested-loops probe → optional per-partition τ/τ+λ) — once per **morsel**
+//! (a contiguous chunk of the driving table's rows) across a scoped-thread
+//! [`WorkerPool`], then reassembles the per-morsel outputs into one serial
+//! stream.
 //!
-//! Three properties make this deterministic — byte-identical output across
-//! any thread count, and identical to serial execution:
+//! **One builder.** A morsel pipeline is [`build_operator`] over the spine
+//! under a morsel context.  The first lowering records what must exist once
+//! per spine — the spine operators' metrics handles (registered in plan
+//! post-order, like serial lowering), each build side (lowered through the
+//! ordinary serial path, so a nested concat-exchange still parallelises
+//! it, then drained and hashed), the prune bitmap and the threshold cell —
+//! and every later lowering replays that record in order.  So per-operator
+//! counters aggregate across workers, `explain_analyze` reports one row per
+//! plan node, and every morsel probes one build table.  The cell rule: a
+//! top-k over a hash join gets a cell of its morsel's own, so what the join
+//! builds does not depend on how far other workers have got; a top-k over
+//! a zone-pruning scan shares the spine's cell with every morsel's scan
+//! (any partition's k-th best score is a valid global bound).  All
+//! lowering happens in [`ExchangeOp::new`]; workers only drain.
 //!
-//! 1. **Morsel partitioning is thread-independent**: morsels are fixed-size
-//!    contiguous row ranges; the worker count only affects who processes a
-//!    morsel, never what a morsel is.
-//! 2. **Reassembly is order-defined**: `Concat` glues morsel outputs back in
-//!    morsel order (= the serial emission order of the same pipeline), and
-//!    `Ordered` k-way merges rank-sorted runs under the *total* order of
-//!    `RankedTuple::cmp_desc` (score descending, ties on tuple identity).
-//! 3. **Shared build state is built once, serially**: the build side of a
-//!    hash join inside the spine is drained a single time (possibly itself
-//!    through a nested concat-exchange) and the resulting [`JoinTable`] is
-//!    shared read-only across all probe instances.
+//! Output is byte-identical across any thread count, and identical to
+//! serial execution, because morsels are fixed-size row ranges (the worker
+//! count only decides who drains a morsel, never what it is) and
+//! reassembly is order-defined: `Concat` glues morsel outputs back in
+//! morsel order, `Ordered` k-way merges rank-sorted runs under the *total*
+//! order of `RankedTuple::cmp_desc` (score descending, ties on tuple
+//! identity).
 //!
 //! Rank-aware operators (µ, MPro, HRJN/NRJN) are never placed inside an
 //! exchange: they keep their incremental single-threaded top-k semantics
 //! *above* it, exactly as the paper's ranking principle requires.
-//!
-//! **Metrics.** The exchange registers each spine operator exactly once (in
-//! plan post-order, like serial lowering) and hands the registered handles to
-//! every morsel instance through the execution context's preset-metrics
-//! mechanism, so per-operator counters (`rows_out`, `batches_out`, mean
-//! batch fill) aggregate across workers and `explain_analyze` reports one
-//! truthful row per plan node regardless of parallelism.
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use ranksql_algebra::{ExchangeMerge, PhysicalOp, PhysicalPlan};
-use ranksql_common::{morsel_ranges, RankSqlError, Result, Schema, Score, Tuple, WorkerPool};
-use ranksql_expr::{BoolExpr, RankedTuple, RankingContext};
+use ranksql_common::{morsel_ranges, RankSqlError, Result, Schema, Score, WorkerPool};
+use ranksql_expr::{RankedTuple, RankingContext};
 use ranksql_storage::Catalog;
 
 use crate::build::build_operator;
-use crate::column_scan::ColumnScan;
-use crate::context::{ExecutionContext, TopKThreshold, TupleBudget};
-use crate::filter::{Filter, Project};
-use crate::join::{build_join_table, extract_join_keys, HashJoin, JoinTable};
+use crate::context::ExecutionContext;
 use crate::metrics::OperatorMetrics;
 use crate::operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
-use crate::sort_limit::{SortLimitOp, SortOp};
 
-/// A scan over one morsel (contiguous row range) of a snapshotted table.
-///
-/// All morsel instances share one `Arc` snapshot of the table taken when the
-/// exchange was prepared; each instance clones only the tuples of its own
-/// range, so the total copy work equals one full scan regardless of morsel
-/// count.  The scan updates both the `SeqScan` and the `Repartition` plan
-/// nodes' metrics (the repartition node is a transparent marker).
-pub(crate) struct MorselScan {
-    rows: Arc<Vec<Tuple>>,
-    end: usize,
-    pos: usize,
-    schema: Schema,
-    ctx: Arc<RankingContext>,
-    scan_metrics: Arc<OperatorMetrics>,
-    repart_metrics: Arc<OperatorMetrics>,
-    budget: Arc<TupleBudget>,
-}
-
-impl MorselScan {
-    fn new(
-        rows: Arc<Vec<Tuple>>,
-        range: (usize, usize),
-        schema: Schema,
-        scan_label: &str,
-        repart_label: &str,
-        exec: &ExecutionContext,
-    ) -> Self {
-        // Two `register` calls in spine order (scan, then repartition): in a
-        // preset-metrics instance context these return the shared handles.
-        let scan_metrics = exec.register(scan_label.to_owned());
-        let repart_metrics = exec.register(repart_label.to_owned());
-        MorselScan {
-            rows,
-            end: range.1,
-            pos: range.0,
-            schema,
-            ctx: exec.ranking_arc(),
-            scan_metrics,
-            repart_metrics,
-            budget: Arc::clone(exec.budget()),
-        }
-    }
-}
-
-impl PhysicalOperator for MorselScan {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        let n = max.min(self.end - self.pos);
-        if n == 0 {
-            return Ok(0);
-        }
-        let n_preds = self.ctx.num_predicates();
-        out.extend(
-            self.rows[self.pos..self.pos + n]
-                .iter()
-                .map(|t| RankedTuple::unranked(t.clone(), n_preds)),
-        );
-        self.pos += n;
-        self.budget.charge(n as u64)?;
-        for m in [&self.scan_metrics, &self.repart_metrics] {
-            m.add_in(n as u64);
-            m.add_out(n as u64);
-            m.add_batch();
-        }
-        Ok(n)
-    }
-}
-
-/// The resolved, shareable form of an exchange's parallel-safe subtree.
-///
-/// Prepared once per exchange (table snapshot taken, hash-join build sides
-/// drained and hashed, every operator's metrics registered); instantiated
-/// once per morsel into a throw-away pipeline of ordinary executor
-/// operators.
-enum SpineNode {
-    /// `Repartition(SeqScan)` — the morsel source.
-    Morsel {
-        rows: Arc<Vec<Tuple>>,
-        schema: Schema,
-        scan_label: String,
-        repart_label: String,
-    },
-    /// `Repartition(ColumnScan)` — the columnar morsel source.  All morsel
-    /// instances read the one shared [`ColumnTable`] projection; the
-    /// optional threshold cell is shared with the per-partition `SortLimit`
-    /// instances (see [`SpineNode::threshold_cell`]), so a threshold raised
-    /// by any worker prunes blocks for every worker.
-    MorselColumnar {
-        table: Arc<ranksql_storage::ColumnTable>,
-        /// The pinned epoch's frozen delta tail (rows past the sealed
-        /// blocks); the morsel space covers sealed rows + tail.
-        tail: Arc<Vec<Tuple>>,
-        pushed_filter: Option<BoolExpr>,
-        cell: Option<Arc<TopKThreshold>>,
-        /// Spine-wide prune-dedup bitmap: a block overlapping several
-        /// morsels is counted in `blocks_pruned` by the first morsel only.
-        pruned_blocks: Arc<Vec<std::sync::atomic::AtomicU64>>,
-        scan_label: String,
-        repart_label: String,
-    },
-    /// Selection σ on the spine.
-    Filter {
-        input: Box<SpineNode>,
-        predicate: BoolExpr,
-        label: String,
-    },
-    /// Projection π on the spine.
-    Project {
-        input: Box<SpineNode>,
-        columns: Vec<String>,
-        label: String,
-    },
-    /// Hash-join probe on the spine; the build side was drained once into
-    /// the shared read-only table, and the joined schema / probe key columns
-    /// / residual condition were extracted once alongside it.
-    HashJoin {
-        probe: Box<SpineNode>,
-        schema: Schema,
-        left_key_cols: Vec<usize>,
-        residual: Option<BoolExpr>,
-        table: Arc<JoinTable>,
-        label: String,
-    },
-    /// Nested-loops join on the spine (the canonical plan's cross product);
-    /// the inner relation was materialised once and is shared read-only.
-    NestedLoops {
-        outer: Box<SpineNode>,
-        schema: Schema,
-        condition: Option<BoolExpr>,
-        right_rows: Arc<Vec<RankedTuple>>,
-        label: String,
-    },
-    /// Per-partition blocking sort (merged by an ordered exchange).
-    Sort {
-        input: Box<SpineNode>,
-        predicates: ranksql_common::BitSet64,
-        label: String,
-    },
-    /// Per-partition top-k sort (merged + re-limited by an ordered
-    /// exchange).
-    SortLimit {
-        input: Box<SpineNode>,
-        predicates: ranksql_common::BitSet64,
-        k: usize,
-        label: String,
-    },
-}
-
-impl SpineNode {
-    /// Rows of the driving table (the morsel space).
-    fn base_rows(&self) -> usize {
-        match self {
-            SpineNode::Morsel { rows, .. } => rows.len(),
-            SpineNode::MorselColumnar { table, tail, .. } => table.row_count() + tail.len(),
-            SpineNode::Filter { input, .. }
-            | SpineNode::Project { input, .. }
-            | SpineNode::Sort { input, .. }
-            | SpineNode::SortLimit { input, .. } => input.base_rows(),
-            SpineNode::HashJoin { probe, .. } => probe.base_rows(),
-            SpineNode::NestedLoops { outer, .. } => outer.base_rows(),
-        }
-    }
-
-    /// The zone-pruning threshold cell of this spine's σ/π chain, if its
-    /// driving scan is a zone-pruning columnar scan.
-    fn threshold_cell(&self) -> Option<Arc<TopKThreshold>> {
-        match self {
-            SpineNode::MorselColumnar { cell, .. } => cell.clone(),
-            SpineNode::Filter { input, .. } | SpineNode::Project { input, .. } => {
-                input.threshold_cell()
-            }
-            _ => None,
-        }
-    }
-
-    /// Builds one pipeline instance over the morsel `range`.
-    ///
-    /// `exec` must be a preset-metrics instance context with a fresh cursor;
-    /// the construction below performs `register` calls in exactly the order
-    /// [`prepare_spine`] registered the shared handles.
-    fn instantiate(&self, range: (usize, usize), exec: &ExecutionContext) -> Result<BoxedOperator> {
-        match self {
-            SpineNode::Morsel {
-                rows,
-                schema,
-                scan_label,
-                repart_label,
-            } => Ok(Box::new(MorselScan::new(
-                Arc::clone(rows),
-                range,
-                schema.clone(),
-                scan_label,
-                repart_label,
-                exec,
-            ))),
-            SpineNode::MorselColumnar {
-                table,
-                tail,
-                pushed_filter,
-                cell,
-                pruned_blocks,
-                scan_label,
-                repart_label,
-                ..
-            } => Ok(Box::new(ColumnScan::for_morsel(
-                Arc::clone(table),
-                Arc::clone(tail),
-                range,
-                pushed_filter.as_ref(),
-                cell.clone(),
-                Arc::clone(pruned_blocks),
-                exec,
-                scan_label,
-                repart_label,
-            )?)),
-            SpineNode::Filter {
-                input,
-                predicate,
-                label,
-            } => {
-                let child = input.instantiate(range, exec)?;
-                Ok(Box::new(Filter::new(
-                    child,
-                    predicate,
-                    exec,
-                    label.clone(),
-                )?))
-            }
-            SpineNode::Project {
-                input,
-                columns,
-                label,
-            } => {
-                let child = input.instantiate(range, exec)?;
-                Ok(Box::new(Project::new(child, columns, exec, label.clone())?))
-            }
-            SpineNode::HashJoin {
-                probe,
-                schema,
-                left_key_cols,
-                residual,
-                table,
-                label,
-            } => {
-                let top_k = exec.pop_prune_threshold();
-                let child = probe.instantiate(range, exec)?;
-                let join = HashJoin::with_prebuilt(
-                    child,
-                    schema.clone(),
-                    left_key_cols.clone(),
-                    residual.as_ref(),
-                    Arc::clone(table),
-                    exec,
-                    label.clone(),
-                )?;
-                Ok(Box::new(join.scoring_for_top_k(top_k, exec)?))
-            }
-            SpineNode::NestedLoops {
-                outer,
-                schema,
-                condition,
-                right_rows,
-                label,
-            } => {
-                let child = outer.instantiate(range, exec)?;
-                Ok(Box::new(crate::join::NestedLoopJoin::with_prebuilt(
-                    child,
-                    schema.clone(),
-                    condition.as_ref(),
-                    Arc::clone(right_rows),
-                    exec,
-                    label.clone(),
-                )?))
-            }
-            SpineNode::Sort {
-                input,
-                predicates,
-                label,
-            } => {
-                let child = input.instantiate(range, exec)?;
-                Ok(Box::new(SortOp::new(
-                    child,
-                    *predicates,
-                    exec,
-                    label.clone(),
-                )?))
-            }
-            SpineNode::SortLimit {
-                input,
-                predicates,
-                k,
-                label,
-            } => {
-                // Per-partition top-k instances share the spine's threshold
-                // cell with the morsel scans: any partition's k-th best
-                // score is a valid global bound (at least k tuples beat it),
-                // so cross-worker pruning stays result-preserving.  A hash
-                // join directly beneath gets a cell of this morsel's own
-                // instead, so what it builds does not depend on how far the
-                // other workers have got.
-                let cell = if matches!(**input, SpineNode::HashJoin { .. }) {
-                    let cell = Arc::new(TopKThreshold::new());
-                    exec.push_prune_threshold(*predicates, Arc::clone(&cell));
-                    Some(cell)
-                } else {
-                    input.threshold_cell()
-                };
-                let child = input.instantiate(range, exec)?;
-                let mut op = SortLimitOp::new(child, *predicates, *k, exec, label.clone())?;
-                if let Some(cell) = cell {
-                    op = op.with_threshold(cell);
-                }
-                Ok(Box::new(op))
-            }
-        }
-    }
-}
-
-/// Resolves an exchange's input subtree into a [`SpineNode`], registering
-/// every spine operator's metrics (post-order) and collecting the handles
-/// morsel instances will reuse.  Hash-join build sides are built and drained
-/// here, exactly once, through the ordinary serial `build_operator` path —
-/// so a nested (concat) exchange on a build side parallelizes the build.
-fn prepare_spine(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    exec: &ExecutionContext,
-    handles: &mut Vec<Arc<OperatorMetrics>>,
-) -> Result<SpineNode> {
-    let label = plan.node_label(Some(exec.ranking()));
+/// The parallel-safety check: `plan` must be a spine of σ, π, the probe
+/// side of a hash or nested-loops join, a sort or a top-k, down to one
+/// `Repartition`-marked sequential scan.  Returns that scan's table and
+/// whether it is columnar; builds nothing.
+fn driving_scan<'p>(plan: &'p PhysicalPlan, exec: &ExecutionContext) -> Result<(&'p str, bool)> {
     match &plan.op {
-        PhysicalOp::Repartition { input } => {
-            let PhysicalOp::SeqScan {
+        PhysicalOp::Repartition { input } => match &input.op {
+            PhysicalOp::SeqScan {
                 table, columnar, ..
-            } = &input.op
-            else {
-                return Err(RankSqlError::Plan(format!(
-                    "Repartition must mark a sequential scan, found `{}`",
-                    input.node_label(Some(exec.ranking()))
-                )));
-            };
-            let table = catalog.table(table)?;
-            let scan_label = input.node_label(Some(exec.ranking()));
-            handles.push(exec.register(scan_label.clone()));
-            handles.push(exec.register(label.clone()));
-            // The spine resolves against the execution's pinned epoch, so
-            // every morsel (and every other access path of this execution)
-            // reads the same row-count watermark no matter how many rows
-            // writers append while the exchange runs.
-            match columnar {
-                None => {
-                    let epoch = exec.pin_epoch(&table, false);
-                    Ok(SpineNode::Morsel {
-                        rows: Arc::new(table.scan_prefix(epoch.row_count())),
-                        schema: table.schema().clone(),
-                        scan_label,
-                        repart_label: label,
-                    })
-                }
-                Some(c) => {
-                    let epoch = exec.pin_epoch(&table, true);
-                    let columnar = Arc::clone(
-                        epoch
-                            .columnar()
-                            .expect("columnar spine requires a columnar epoch"),
-                    );
-                    let pruned_blocks = ColumnScan::pruned_block_map(&columnar);
-                    Ok(SpineNode::MorselColumnar {
-                        table: columnar,
-                        tail: Arc::clone(epoch.tail()),
-                        pushed_filter: c.pushed_filter.clone(),
-                        cell: c.zone_prune.then(|| Arc::new(TopKThreshold::new())),
-                        pruned_blocks,
-                        scan_label,
-                        repart_label: label,
-                    })
-                }
-            }
-        }
-        PhysicalOp::Filter { input, predicate } => {
-            let child = prepare_spine(input, catalog, exec, handles)?;
-            handles.push(exec.register(label.clone()));
-            Ok(SpineNode::Filter {
-                input: Box::new(child),
-                predicate: predicate.clone(),
-                label,
-            })
-        }
-        PhysicalOp::Project { input, columns } => {
-            let child = prepare_spine(input, catalog, exec, handles)?;
-            handles.push(exec.register(label.clone()));
-            Ok(SpineNode::Project {
-                input: Box::new(child),
-                columns: columns.clone(),
-                label,
-            })
-        }
-        PhysicalOp::HashJoin {
-            left,
-            right,
-            condition,
-        } => {
-            let probe = prepare_spine(left, catalog, exec, handles)?;
-            // The build side runs once through the normal serial path (its
-            // operators register their own metrics here, keeping global
-            // post-order intact).
-            let mut build = build_operator(right, catalog, exec)?;
-            let build_rows = drain_batched(build.as_mut(), exec.batch_size())?;
-            let left_schema = left.schema()?;
-            let right_schema = right.schema()?;
-            let keys = extract_join_keys(condition.as_ref(), &left_schema, &right_schema);
-            if keys.keys.is_empty() {
-                return Err(RankSqlError::Execution(
-                    "hash join requires at least one equi-join condition".into(),
-                ));
-            }
-            let right_cols: Vec<usize> = keys.keys.iter().map(|&(_, r)| r).collect();
-            let metrics = exec.register(label.clone());
-            metrics.add_in(build_rows.len() as u64);
-            handles.push(metrics);
-            let table = Arc::new(build_join_table(build_rows, &right_cols));
-            Ok(SpineNode::HashJoin {
-                probe: Box::new(probe),
-                schema: left_schema.join(&right_schema),
-                left_key_cols: keys.keys.iter().map(|&(l, _)| l).collect(),
-                residual: keys.residual,
-                table,
-                label,
-            })
-        }
-        PhysicalOp::NestedLoopsJoin {
-            left,
-            right,
-            condition,
-        } => {
-            let outer = prepare_spine(left, catalog, exec, handles)?;
-            let mut inner = build_operator(right, catalog, exec)?;
-            let right_rows = drain_batched(inner.as_mut(), exec.batch_size())?;
-            let metrics = exec.register(label.clone());
-            metrics.add_in(right_rows.len() as u64);
-            handles.push(metrics);
-            Ok(SpineNode::NestedLoops {
-                outer: Box::new(outer),
-                schema: left.schema()?.join(&right.schema()?),
-                condition: condition.clone(),
-                right_rows: Arc::new(right_rows),
-                label,
-            })
-        }
-        PhysicalOp::Sort { input, predicates } => {
-            let child = prepare_spine(input, catalog, exec, handles)?;
-            handles.push(exec.register(label.clone()));
-            Ok(SpineNode::Sort {
-                input: Box::new(child),
-                predicates: *predicates,
-                label,
-            })
-        }
-        PhysicalOp::SortLimit {
-            input,
-            predicates,
-            k,
-        } => {
-            let child = prepare_spine(input, catalog, exec, handles)?;
-            handles.push(exec.register(label.clone()));
-            Ok(SpineNode::SortLimit {
-                input: Box::new(child),
-                predicates: *predicates,
-                k: *k,
-                label,
-            })
+            } => Ok((table, columnar.is_some())),
+            _ => Err(RankSqlError::Plan(format!(
+                "Repartition must mark a sequential scan, found `{}`",
+                input.node_label(Some(exec.ranking()))
+            ))),
+        },
+        PhysicalOp::Filter { input, .. }
+        | PhysicalOp::Project { input, .. }
+        | PhysicalOp::Sort { input, .. }
+        | PhysicalOp::SortLimit { input, .. } => driving_scan(input, exec),
+        PhysicalOp::HashJoin { left, .. } | PhysicalOp::NestedLoopsJoin { left, .. } => {
+            driving_scan(left, exec)
         }
         _ => Err(RankSqlError::Plan(format!(
-            "operator `{label}` is not parallel-safe under an Exchange"
+            "operator `{}` is not parallel-safe under an Exchange",
+            plan.node_label(Some(exec.ranking()))
         ))),
     }
 }
 
-/// Deferred fan-out state of an [`ExchangeOp`] (consumed by the first pull).
-struct RunState {
-    spine: SpineNode,
-    handles: Arc<Vec<Arc<OperatorMetrics>>>,
-    exec: ExecutionContext,
-    merge: ExchangeMerge,
-}
-
 /// The gather operator of morsel-driven parallel execution.
 ///
-/// Construction resolves the spine (snapshots the driving table, drains and
-/// hashes build sides, registers metrics); the first pull fans the morsels
-/// across a [`WorkerPool`] of `ExecutionContext::threads` workers and
-/// materialises the deterministically merged output, which subsequent pulls
-/// stream out.  A worker error or panic surfaces as the `Err` of the first
-/// pull — never a deadlock, never partial results.
+/// Construction lowers one pipeline per morsel (see the module docs); the
+/// first pull drains them across a [`WorkerPool`] of
+/// `ExecutionContext::threads` workers and materialises the
+/// deterministically merged output, which subsequent pulls stream out.  A
+/// worker error or panic surfaces as the `Err` of the first pull — never a
+/// deadlock, never partial results.
 pub struct ExchangeOp {
     schema: Schema,
     metrics: Arc<OperatorMetrics>,
-    ordered: bool,
-    /// Whether the merge re-limits the stream (`Ordered { limit: Some(_) }`):
-    /// such an exchange discards tuples beyond the cap (as do the
-    /// per-partition top-k sorts feeding it), so it can never be extended.
-    limited: bool,
-    run: Option<RunState>,
+    merge: ExchangeMerge,
+    ranking: Arc<RankingContext>,
+    threads: usize,
+    batch_size: usize,
+    /// One lowered pipeline per morsel, in morsel order; drained by the
+    /// first pull.
+    pipelines: Vec<BoxedOperator>,
     merged: Option<std::vec::IntoIter<RankedTuple>>,
 }
 
 impl ExchangeOp {
-    /// Prepares an exchange over `input` (which must be a parallel-safe
-    /// spine containing exactly one `Repartition`-marked scan).
+    /// Lowers an exchange over `input`, which must be a parallel-safe spine
+    /// containing exactly one `Repartition`-marked scan.
     pub fn new(
         input: &PhysicalPlan,
         merge: ExchangeMerge,
@@ -569,51 +109,58 @@ impl ExchangeOp {
         exec: &ExecutionContext,
         label: impl Into<String>,
     ) -> Result<Self> {
-        let mut handles = Vec::new();
-        let spine = prepare_spine(input, catalog, exec, &mut handles)?;
-        let schema = input.schema()?;
-        // The exchange's own metrics register last — after the whole
-        // subtree — preserving the global post-order pairing.
-        let metrics = exec.register(label);
+        let (table, columnar) = driving_scan(input, exec)?;
+        // Morsels cover the execution's pinned epoch, so every morsel (and
+        // every other access path of this execution) reads one watermark
+        // however many rows writers append meanwhile.  An empty table still
+        // gets one lowering, over an empty range, so its build sides are
+        // drained and its operators registered exactly once.
+        let table = catalog.table(table)?;
+        let rows = exec.pin_epoch(&table, columnar).row_count();
+        let mut ranges = morsel_ranges(rows, exec.morsel_size());
+        if ranges.is_empty() {
+            ranges.push((0, 0));
+        }
+        let record = Arc::default();
+        let pipelines = ranges
+            .into_iter()
+            .map(|(start, end)| {
+                build_operator(input, catalog, &exec.in_morsel(start..end, &record))
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(ExchangeOp {
-            schema,
-            metrics,
-            ordered: matches!(merge, ExchangeMerge::Ordered { .. }),
-            limited: matches!(merge, ExchangeMerge::Ordered { limit: Some(_) }),
-            run: Some(RunState {
-                spine,
-                handles: Arc::new(handles),
-                exec: exec.clone(),
-                merge,
-            }),
+            schema: input.schema()?,
+            // Registered last — after the whole subtree — preserving the
+            // global post-order pairing.
+            metrics: exec.register(label),
+            merge,
+            ranking: exec.ranking_arc(),
+            threads: exec.threads(),
+            batch_size: exec.batch_size(),
+            pipelines,
             merged: None,
         })
     }
 
-    /// Runs the parallel fan-out if it has not run yet.
-    fn execute(&mut self) -> Result<()> {
-        if self.merged.is_some() {
-            return Ok(());
-        }
-        let run = self
-            .run
-            .as_ref()
-            .expect("exchange run state present before execution");
-        let ranges = morsel_ranges(run.spine.base_rows(), run.exec.morsel_size());
-        let pool = WorkerPool::new(run.exec.threads());
-        let outputs = pool.run(ranges.len(), |i| {
-            let instance = run.exec.with_preset_metrics(Arc::clone(&run.handles));
-            let mut op = run.spine.instantiate(ranges[i], &instance)?;
-            drain_batched(op.as_mut(), run.exec.batch_size())
+    /// Drains every morsel pipeline across the pool and merges the outputs.
+    fn run(&mut self) -> Result<Vec<RankedTuple>> {
+        // Each worker takes its pipeline out, so it is freed where drained.
+        let slots: Vec<Mutex<Option<BoxedOperator>>> = std::mem::take(&mut self.pipelines)
+            .into_iter()
+            .map(|p| Mutex::new(Some(p)))
+            .collect();
+        let outputs = WorkerPool::new(self.threads).run(slots.len(), |i| {
+            let mut pipeline = slots[i].lock().take();
+            pipeline
+                .as_deref_mut()
+                .map_or(Ok(Vec::new()), |p| drain_batched(p, self.batch_size))
         })?;
-        let merged: Vec<RankedTuple> = match run.merge {
+        let merged: Vec<RankedTuple> = match self.merge {
             ExchangeMerge::Concat => outputs.into_iter().flatten().collect(),
-            ExchangeMerge::Ordered { limit } => merge_ordered(outputs, run.exec.ranking(), limit),
+            ExchangeMerge::Ordered { limit } => merge_ordered(outputs, &self.ranking, limit),
         };
         self.metrics.observe_buffered(merged.len() as u64);
-        self.run = None;
-        self.merged = Some(merged.into_iter());
-        Ok(())
+        Ok(merged)
     }
 }
 
@@ -623,8 +170,11 @@ impl PhysicalOperator for ExchangeOp {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.execute()?;
-        let merged = self.merged.as_mut().expect("merged after execute");
+        let merged = match self.merged.take() {
+            Some(merged) => merged,
+            None => self.run()?.into_iter(),
+        };
+        let merged = self.merged.insert(merged);
         let before = out.len();
         out.extend(merged.by_ref().take(max));
         let n = out.len() - before;
@@ -638,7 +188,7 @@ impl PhysicalOperator for ExchangeOp {
     fn is_ranked(&self) -> bool {
         // An ordered merge emits in non-increasing complete-score order; a
         // concat makes no ordering promise of its own.
-        self.ordered
+        matches!(self.merge, ExchangeMerge::Ordered { .. })
     }
 
     fn can_extend_limit(&self) -> bool {
@@ -646,11 +196,11 @@ impl PhysicalOperator for ExchangeOp {
         // partition outputs — no discard, nothing to raise.  A re-limiting
         // merge (and the per-partition top-k sorts feeding it) discards
         // beyond k, so it cannot be extended after the fact.
-        !self.limited
+        !matches!(self.merge, ExchangeMerge::Ordered { limit: Some(_) })
     }
 
     fn extend_limit(&mut self, _extra: usize) -> bool {
-        !self.limited
+        self.can_extend_limit()
     }
 }
 
@@ -723,8 +273,8 @@ fn merge_ordered(
     out
 }
 
-/// Serial fallback for a [`Repartition`](PhysicalOp::Repartition) built
-/// outside an exchange: a transparent pass-through over the full scan.
+/// The `Repartition` operator: a transparent pass-through over its scan —
+/// the whole table serially, one morsel of it in an exchange's pipeline.
 pub struct RepartitionPassthrough {
     inner: BoxedOperator,
     schema: Schema,
@@ -776,7 +326,7 @@ mod tests {
     use super::*;
     use crate::build::execute_physical_plan;
     use ranksql_common::{BitSet64, DataType, Field, Value};
-    use ranksql_expr::{CompareOp, RankPredicate, ScalarExpr, ScoringFunction};
+    use ranksql_expr::{BoolExpr, CompareOp, RankPredicate, ScalarExpr, ScoringFunction};
 
     /// Two-table catalog with deterministic pseudo-random content.
     fn setup(rows: usize) -> (Catalog, Arc<RankingContext>) {
@@ -936,7 +486,7 @@ mod tests {
             .with_threads(4)
             .with_morsel_size(8);
         let result = execute_physical_plan(&plan, &cat, &exec).unwrap();
-        // One metrics entry per plan node — morsel instances must not add
+        // One metrics entry per plan node — morsel pipelines must not add
         // registry entries of their own.
         assert_eq!(result.metrics.len(), plan.node_count());
         // The scan node aggregated all 50 rows across all workers.

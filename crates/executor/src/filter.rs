@@ -172,7 +172,7 @@ mod tests {
     }
 
     fn scan(t: &Table, exec: &ExecutionContext) -> BoxedOperator {
-        Box::new(SeqScan::new(t, exec, "scan"))
+        Box::new(SeqScan::new(t, 0..t.row_count(), exec, "scan"))
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! plans the paper compares against (Plan 1 and Plan 4 of Figure 11).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ranksql_common::{BitSet64, JoinedRow, RankSqlError, Result, Schema, Value};
@@ -18,7 +19,7 @@ use ranksql_expr::{
 use crate::context::{ExecutionContext, TopKThreshold};
 use crate::fxhash::FxHashMap;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{draw_one, Batch, BoxedOperator, PhysicalOperator};
+use crate::operator::{drain_batched, draw_one, Batch, BoxedOperator, PhysicalOperator};
 
 /// Equi-join keys extracted from a join condition, plus whatever part of the
 /// condition is not a simple column equality (the *residual*, evaluated on
@@ -75,17 +76,12 @@ pub fn extract_join_keys(condition: Option<&BoolExpr>, left: &Schema, right: &Sc
 
 /// The build-side hash table of a [`HashJoin`]: join-key values → build
 /// tuples in input order.
-///
-/// Shared behind an `Arc` so that the morsel-parallel probe instances of an
-/// `Exchange` subtree can all probe one table built exactly once.
 pub type JoinTable = FxHashMap<Vec<Value>, Vec<RankedTuple>>;
 
 /// Inserts build-side rows into a [`JoinTable`], keyed by `key_cols`.  Rows
 /// keep their input order within each key group — the property that makes
-/// hash-join output order deterministic.  This is the *only* keying logic:
-/// both the serial build (`HashJoin::ensure_built`, batch by batch) and the
-/// exchange's shared prebuilt table go through it, so the two paths cannot
-/// drift apart.  A key is allocated the first time it is seen, not per row.
+/// hash-join output order deterministic.  A key is allocated the first time
+/// it is seen, not per row.
 pub fn insert_into_join_table(
     table: &mut JoinTable,
     rows: impl IntoIterator<Item = RankedTuple>,
@@ -102,11 +98,121 @@ pub fn insert_into_join_table(
     }
 }
 
-/// Builds a [`JoinTable`] over already-drained build-side rows in one shot.
-pub fn build_join_table(rows: Vec<RankedTuple>, key_cols: &[usize]) -> JoinTable {
+/// The build-side key columns of a hash join on `condition` (empty when it
+/// has no equi-join conjunct).
+pub(crate) fn build_key_cols(
+    condition: Option<&BoolExpr>,
+    left: &Schema,
+    right: &Schema,
+) -> Vec<usize> {
+    let keys = extract_join_keys(condition, left, right);
+    keys.keys.iter().map(|&(_, r)| r).collect()
+}
+
+/// Drains a hash join's build input into a [`JoinTable`] keyed by
+/// `key_cols`, batch by batch; returns the rows drained with it.
+pub(crate) fn hash_build_input(
+    input: &mut dyn PhysicalOperator,
+    key_cols: &[usize],
+    batch_size: usize,
+) -> Result<(usize, JoinTable)> {
     let mut table = JoinTable::default();
-    insert_into_join_table(&mut table, rows, key_cols);
-    table
+    let mut buf = Batch::with_capacity(batch_size);
+    let mut rows = 0;
+    loop {
+        buf.clear();
+        let n = input.next_batch(batch_size, &mut buf)?;
+        if n == 0 {
+            return Ok((rows, table));
+        }
+        rows += n;
+        insert_into_join_table(&mut table, buf.drain(..), key_cols);
+    }
+}
+
+/// Drains a nested-loops join's inner input; returns its rows and their
+/// count.
+pub(crate) fn collect_build_input(
+    input: &mut dyn PhysicalOperator,
+    batch_size: usize,
+) -> Result<(usize, Vec<RankedTuple>)> {
+    let rows = drain_batched(input, batch_size)?;
+    Ok((rows.len(), rows))
+}
+
+/// A join's build (inner) side: its input operator until the join's first
+/// pull drains it, what the drain built afterwards.  An exchange's morsel
+/// pipelines get the built form from the start — the spine's first
+/// lowering drains the build side once and every morsel shares it.
+pub(crate) enum BuildSide<T> {
+    /// Not drained yet.
+    Input(BoxedOperator),
+    /// Drained, read-only.
+    Built(Arc<Built<T>>),
+}
+
+/// A drained build side (see [`BuildSide`]).
+pub(crate) struct Built<T> {
+    schema: Schema,
+    /// Drained rows no join has counted as input yet: the first join to
+    /// pull takes the count, so a shared build side counts once.
+    uncounted: AtomicU64,
+    table: T,
+}
+
+impl<T> Built<T> {
+    /// A build side of `rows` rows with this `schema`, drained into `table`.
+    pub(crate) fn new(schema: Schema, rows: usize, table: T) -> Self {
+        Built {
+            schema,
+            uncounted: AtomicU64::new(rows as u64),
+            table,
+        }
+    }
+}
+
+impl<T> BuildSide<T> {
+    fn schema(&self) -> &Schema {
+        match self {
+            BuildSide::Input(input) => input.schema(),
+            BuildSide::Built(built) => &built.schema,
+        }
+    }
+
+    /// The drained build side, draining the input with `drain` on the first
+    /// call; build rows no join has counted yet are counted into `metrics`.
+    fn drained(
+        &mut self,
+        metrics: &OperatorMetrics,
+        drain: impl FnOnce(&mut dyn PhysicalOperator) -> Result<(usize, T)>,
+    ) -> Result<Arc<Built<T>>> {
+        let built = match self {
+            BuildSide::Built(built) => Arc::clone(built),
+            BuildSide::Input(input) => {
+                let (rows, table) = drain(input.as_mut())?;
+                let built = Arc::new(Built::new(input.schema().clone(), rows, table));
+                *self = BuildSide::Built(Arc::clone(&built));
+                built
+            }
+        };
+        metrics.add_in(built.uncounted.swap(0, Ordering::Relaxed));
+        Ok(built)
+    }
+
+    fn can_extend_limit(&self) -> bool {
+        match self {
+            BuildSide::Input(input) => input.can_extend_limit(),
+            BuildSide::Built(_) => true,
+        }
+    }
+
+    /// A built side is complete — nothing was discarded, so no cap exists.
+    fn extend_limit(&mut self, extra: usize) -> bool {
+        match self {
+            BuildSide::Input(input) => input.extend_limit(extra),
+            BuildSide::Built(_) => true,
+        }
+    }
 }
 
 fn key_values(tuple: &RankedTuple, indices: &[usize], side_offset: usize) -> Vec<Value> {
@@ -143,8 +249,7 @@ fn bind_on_joined(condition: Option<&BoolExpr>, joined: &Schema) -> Result<Optio
 /// for every left tuple.  Supports arbitrary (or absent = cross) conditions.
 pub struct NestedLoopJoin {
     left: BoxedOperator,
-    right_rows: Option<Arc<Vec<RankedTuple>>>,
-    right: Option<BoxedOperator>,
+    right: BuildSide<Vec<RankedTuple>>,
     condition: Option<BoundBoolExpr>,
     schema: Schema,
     /// The outer tuple being joined (empty between outer tuples) — the
@@ -157,9 +262,9 @@ pub struct NestedLoopJoin {
 
 impl NestedLoopJoin {
     /// Creates a nested-loops join.
-    pub fn new(
+    pub(crate) fn new(
         left: BoxedOperator,
-        right: BoxedOperator,
+        right: BuildSide<Vec<RankedTuple>>,
         condition: Option<&BoolExpr>,
         exec: &ExecutionContext,
         label: impl Into<String>,
@@ -169,8 +274,7 @@ impl NestedLoopJoin {
         let bound = bind_on_joined(condition, &schema)?;
         Ok(NestedLoopJoin {
             left,
-            right_rows: None,
-            right: Some(right),
+            right,
             condition: bound,
             schema,
             current_left: Batch::with_capacity(1),
@@ -178,53 +282,6 @@ impl NestedLoopJoin {
             metrics,
             batch_size: exec.batch_size(),
         })
-    }
-
-    /// Creates a nested-loops join over an inner relation materialised
-    /// elsewhere (the parallel exchange drains it once and shares it across
-    /// all morsel instances).  `schema` is the precomputed joined schema;
-    /// metrics for the inner rows are accounted by whoever materialised
-    /// them.
-    pub(crate) fn with_prebuilt(
-        left: BoxedOperator,
-        schema: Schema,
-        condition: Option<&BoolExpr>,
-        right_rows: Arc<Vec<RankedTuple>>,
-        exec: &ExecutionContext,
-        label: impl Into<String>,
-    ) -> Result<Self> {
-        let metrics = exec.register(label);
-        let bound = bind_on_joined(condition, &schema)?;
-        Ok(NestedLoopJoin {
-            left,
-            right_rows: Some(right_rows),
-            right: None,
-            condition: bound,
-            schema,
-            current_left: Batch::with_capacity(1),
-            right_pos: 0,
-            metrics,
-            batch_size: exec.batch_size(),
-        })
-    }
-
-    fn ensure_right_materialised(&mut self) -> Result<()> {
-        if self.right_rows.is_none() {
-            let mut right = self.right.take().expect("right input present");
-            let mut rows = Vec::new();
-            let mut buf = Batch::with_capacity(self.batch_size);
-            loop {
-                buf.clear();
-                let n = right.next_batch(self.batch_size, &mut buf)?;
-                if n == 0 {
-                    break;
-                }
-                self.metrics.add_in(n as u64);
-                rows.append(&mut buf);
-            }
-            self.right_rows = Some(Arc::new(rows));
-        }
-        Ok(())
     }
 }
 
@@ -234,8 +291,11 @@ impl PhysicalOperator for NestedLoopJoin {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.ensure_right_materialised()?;
-        let rows = self.right_rows.as_ref().expect("right materialised");
+        let batch_size = self.batch_size;
+        let inner = self.right.drained(&self.metrics, |input| {
+            collect_build_input(input, batch_size)
+        })?;
+        let rows = &inner.table;
         let (mut pulled, mut produced) = (0u64, 0usize);
         while produced < max {
             // One outer tuple at a time: a pass over the inner relation per
@@ -277,13 +337,12 @@ impl PhysicalOperator for NestedLoopJoin {
     }
 
     fn can_extend_limit(&self) -> bool {
-        self.left.can_extend_limit() && self.right.as_ref().is_none_or(|r| r.can_extend_limit())
+        self.left.can_extend_limit() && self.right.can_extend_limit()
     }
 
     fn extend_limit(&mut self, extra: usize) -> bool {
-        // The inner side is (or will be) fully materialised — no discard; a
-        // pre-built shared inner (`with_prebuilt`) is complete by definition.
-        self.left.extend_limit(extra) & self.right.as_mut().is_none_or(|r| r.extend_limit(extra))
+        // The inner side is (or will be) fully materialised — no discard.
+        self.left.extend_limit(extra) & self.right.extend_limit(extra)
     }
 }
 
@@ -309,8 +368,7 @@ struct TopKScoring {
 /// `tuples_built` counts those.
 pub struct HashJoin {
     left: BoxedOperator,
-    right: Option<BoxedOperator>,
-    table: Option<Arc<JoinTable>>,
+    right: BuildSide<JoinTable>,
     left_key_cols: Vec<usize>,
     right_key_cols: Vec<usize>,
     residual: Option<BoundBoolExpr>,
@@ -330,10 +388,11 @@ pub struct HashJoin {
 }
 
 impl HashJoin {
-    /// Creates a hash join from an explicit condition.
-    pub fn new(
+    /// Creates a hash join from an explicit condition.  A built `right`
+    /// must have been hashed on [`build_key_cols`] of the same condition.
+    pub(crate) fn new(
         left: BoxedOperator,
-        right: BoxedOperator,
+        right: BuildSide<JoinTable>,
         condition: Option<&BoolExpr>,
         exec: &ExecutionContext,
         label: impl Into<String>,
@@ -349,46 +408,9 @@ impl HashJoin {
         let residual = bind_on_joined(keys.residual.as_ref(), &schema)?;
         Ok(HashJoin {
             left,
-            right: Some(right),
-            table: None,
+            right,
             left_key_cols: keys.keys.iter().map(|&(l, _)| l).collect(),
             right_key_cols: keys.keys.iter().map(|&(_, r)| r).collect(),
-            residual,
-            schema,
-            match_pos: 0,
-            metrics,
-            batch_size: exec.batch_size(),
-            left_buf: VecDeque::new(),
-            left_scratch: Batch::new(),
-            left_done: false,
-            probe_key: Vec::new(),
-            top_k: None,
-        })
-    }
-
-    /// Creates a hash join probing a table built elsewhere (the parallel
-    /// exchange builds it once and shares it across all morsel instances).
-    /// `schema`, `left_key_cols` and `residual` are the joined schema, probe
-    /// key columns and non-equi remainder the exchange extracted once when
-    /// it built the table; metrics for the build rows are accounted by
-    /// whoever built it.
-    pub(crate) fn with_prebuilt(
-        left: BoxedOperator,
-        schema: Schema,
-        left_key_cols: Vec<usize>,
-        residual: Option<&BoolExpr>,
-        table: Arc<JoinTable>,
-        exec: &ExecutionContext,
-        label: impl Into<String>,
-    ) -> Result<Self> {
-        let metrics = exec.register(label);
-        let residual = bind_on_joined(residual, &schema)?;
-        Ok(HashJoin {
-            left,
-            right: None,
-            table: Some(table),
-            left_key_cols,
-            right_key_cols: Vec::new(),
             residual,
             schema,
             match_pos: 0,
@@ -425,25 +447,6 @@ impl HashJoin {
         Ok(self)
     }
 
-    fn ensure_built(&mut self) -> Result<()> {
-        if self.table.is_none() {
-            let mut right = self.right.take().expect("right input present");
-            let mut table = JoinTable::default();
-            let mut buf = Batch::with_capacity(self.batch_size);
-            loop {
-                buf.clear();
-                let n = right.next_batch(self.batch_size, &mut buf)?;
-                if n == 0 {
-                    break;
-                }
-                self.metrics.add_in(n as u64);
-                insert_into_join_table(&mut table, buf.drain(..), &self.right_key_cols);
-            }
-            self.table = Some(Arc::new(table));
-        }
-        Ok(())
-    }
-
     /// Refills the (empty) probe buffer with a batch of up to `refill`
     /// tuples; `false` once the probe side is exhausted.
     fn refill_left(&mut self, refill: usize) -> Result<bool> {
@@ -469,8 +472,11 @@ impl PhysicalOperator for HashJoin {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.ensure_built()?;
-        let table = Arc::clone(self.table.as_ref().expect("hash table built"));
+        let (key_cols, batch_size) = (&self.right_key_cols, self.batch_size);
+        let build = self.right.drained(&self.metrics, |input| {
+            hash_build_input(input, key_cols, batch_size)
+        })?;
+        let table = &build.table;
         let (mut decided, mut built) = (0usize, 0usize);
         // A call ends after deciding `max` results, so the threshold it
         // prunes against is never more than one batch stale — but not
@@ -531,13 +537,12 @@ impl PhysicalOperator for HashJoin {
     }
 
     fn can_extend_limit(&self) -> bool {
-        self.left.can_extend_limit() && self.right.as_ref().is_none_or(|r| r.can_extend_limit())
+        self.left.can_extend_limit() && self.right.can_extend_limit()
     }
 
     fn extend_limit(&mut self, extra: usize) -> bool {
-        // The build side is (or will be) fully hashed — no discard; a
-        // pre-built shared table (`with_prebuilt`) is complete by definition.
-        self.left.extend_limit(extra) & self.right.as_mut().is_none_or(|r| r.extend_limit(extra))
+        // The build side is (or will be) fully hashed — no discard.
+        self.left.extend_limit(extra) & self.right.extend_limit(extra)
     }
 }
 
@@ -740,7 +745,12 @@ mod tests {
     }
 
     fn scan(t: &Table, exec: &ExecutionContext) -> BoxedOperator {
-        Box::new(SeqScan::new(t, exec, "scan"))
+        Box::new(SeqScan::new(t, 0..t.row_count(), exec, "scan"))
+    }
+
+    /// `t` as a join's undrained build side.
+    fn side<T>(t: &Table, exec: &ExecutionContext) -> BuildSide<T> {
+        BuildSide::Input(scan(t, exec))
     }
 
     fn join_result_pairs(out: &[RankedTuple]) -> Vec<(i64, i64)> {
@@ -791,7 +801,7 @@ mod tests {
         let exec = exec();
         let cond = BoolExpr::col_eq_col("R.a", "S.a");
         let mut j =
-            NestedLoopJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "nlj")
+            NestedLoopJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "nlj")
                 .unwrap();
         let out = drain_batched(&mut j, 4).unwrap();
         assert_eq!(join_result_pairs(&out), expected_pairs());
@@ -804,7 +814,7 @@ mod tests {
         let s = table_s();
         let exec = exec();
         let mut j =
-            NestedLoopJoin::new(scan(&r, &exec), scan(&s, &exec), None, &exec, "nlj").unwrap();
+            NestedLoopJoin::new(scan(&r, &exec), side(&s, &exec), None, &exec, "nlj").unwrap();
         assert_eq!(drain_batched(&mut j, 4).unwrap().len(), 16);
     }
 
@@ -815,7 +825,7 @@ mod tests {
         let exec = exec();
         let cond = BoolExpr::col_eq_col("R.a", "S.a");
         let mut j =
-            HashJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "hj").unwrap();
+            HashJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "hj").unwrap();
         let out = drain_batched(&mut j, 4).unwrap();
         assert_eq!(join_result_pairs(&out), expected_pairs());
     }
@@ -830,7 +840,7 @@ mod tests {
             CompareOp::Lt,
             ScalarExpr::col("S.y"),
         );
-        assert!(HashJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "hj").is_err());
+        assert!(HashJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "hj").is_err());
     }
 
     #[test]
@@ -860,7 +870,7 @@ mod tests {
         for mk in ["hash", "smj", "nlj"] {
             let op: BoxedOperator = match mk {
                 "hash" => Box::new(
-                    HashJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "j")
+                    HashJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "j")
                         .unwrap(),
                 ),
                 "smj" => Box::new(
@@ -868,7 +878,7 @@ mod tests {
                         .unwrap(),
                 ),
                 _ => Box::new(
-                    NestedLoopJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "j")
+                    NestedLoopJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "j")
                         .unwrap(),
                 ),
             };
@@ -888,7 +898,7 @@ mod tests {
         let s = table_s();
         let exec = exec();
         let cond = BoolExpr::col_eq_col("R.a", "S.a");
-        let j = HashJoin::new(scan(&r, &exec), scan(&s, &exec), Some(&cond), &exec, "hj").unwrap();
+        let j = HashJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "hj").unwrap();
         assert!(!j.is_ranked());
     }
 }

@@ -327,7 +327,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, &exec, "seqscan");
+        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
         let mut mpro = MProOp::new(Box::new(scan), vec![0, 1, 2], &exec, "mpro").unwrap();
         let top = take(&mut mpro, 2).unwrap();
         assert_eq!(ctx.upper_bound(&top[0].state), Score::new(2.55));

@@ -32,7 +32,10 @@ pub type Batch = ranksql_common::Batch<RankedTuple>;
 /// inputs and stops as soon as `max` results surfaced, so `k` calls with
 /// `max = 1` and one call with `max = k` leave every input at the same
 /// depth.  Metrics are written once per call, not once per tuple.
-pub trait PhysicalOperator {
+///
+/// Operators are `Send`: an exchange lowers its morsel pipelines on the
+/// calling thread and hands them to its workers to drain.
+pub trait PhysicalOperator: Send {
     /// The schema of emitted tuples.
     fn schema(&self) -> &Schema;
 

@@ -285,7 +285,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, &exec, "seqscan");
+        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
         let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3").unwrap();
         let mu2 = RankOp::new(Box::new(mu), 1, &exec, "mu_p4").unwrap();
         let mut mu3 = RankOp::new(Box::new(mu2), 2, &exec, "mu_p5").unwrap();
@@ -302,7 +302,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, &exec, "seqscan");
+        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
         let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3").unwrap();
         let mut mu_again = RankOp::new(Box::new(mu), 0, &exec, "mu_p3'").unwrap();
         let all = drain_batched(&mut mu_again, 4).unwrap();
@@ -320,7 +320,7 @@ mod tests {
             ScoringFunction::Sum,
         );
         let exec = ExecutionContext::new(ctx);
-        let scan = SeqScan::new(&empty, &exec, "scan");
+        let scan = SeqScan::new(&empty, 0..empty.row_count(), &exec, "scan");
         let mut mu = RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
         assert!(take(&mut mu, 1).unwrap().is_empty());
         assert!(take(&mut mu, 1).unwrap().is_empty());

@@ -191,7 +191,7 @@ pub struct RankJoin {
     turn: Side,
     /// Joined tuples built so far (must equal the tuples emitted).
     #[cfg(test)]
-    built: std::rc::Rc<std::cell::Cell<u64>>,
+    built: Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl RankJoin {
@@ -379,7 +379,8 @@ impl RankJoin {
     /// Builds the joined tuple of a popped candidate.
     fn materialise(&self, c: Candidate) -> RankedTuple {
         #[cfg(test)]
-        self.built.set(self.built.get() + 1);
+        self.built
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         self.left.seen[c.left].join(&self.right.seen[c.right])
     }
 
@@ -461,7 +462,7 @@ mod tests {
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::{ScoreIndex, Table, TableBuilder};
-    use std::rc::Rc;
+    use std::sync::atomic::Ordering::Relaxed;
 
     /// Relation R of Figure 2(a): columns a, b and predicates p1, p2.
     fn table_r() -> Arc<Table> {
@@ -896,7 +897,7 @@ mod tests {
             "inner",
         )
         .unwrap();
-        let inner_built = Rc::clone(&inner.built);
+        let inner_built = Arc::clone(&inner.built);
         let mu_b = crate::rank::RankOp::new(Box::new(inner), 3, &exec, "mu_b").unwrap();
         let mu_a =
             crate::rank::RankOp::new(rank_scan(&a, 0, &exec, "scan_a"), 1, &exec, "mu_a").unwrap();
@@ -915,18 +916,18 @@ mod tests {
         let metrics = exec.metrics().snapshot();
         let by_name = |n: &str| metrics.iter().find(|m| m.name() == n).unwrap();
         let (inner_m, outer_m) = (by_name("inner"), by_name("outer"));
-        assert_eq!(outer.built.get(), 10);
+        assert_eq!(outer.built.load(Relaxed), 10);
         assert_eq!(outer_m.tuples_out(), 10);
-        assert_eq!(inner_built.get(), inner_m.tuples_out());
+        assert_eq!(inner_built.load(Relaxed), inner_m.tuples_out());
         assert!(inner_m.tuples_out() > 10, "{}", inner_m.tuples_out());
         // What was drawn and queued but never built is what laziness saved;
         // the peak counts it (drawn tuples of both sides + queued matches).
         assert!(
-            inner_m.buffered_peak() > inner_m.tuples_in() + inner_built.get(),
+            inner_m.buffered_peak() > inner_m.tuples_in() + inner_built.load(Relaxed),
             "peak {} vs {} drawn, {} built",
             inner_m.buffered_peak(),
             inner_m.tuples_in(),
-            inner_built.get()
+            inner_built.load(Relaxed)
         );
         assert!(outer_m.buffered_peak() > outer_m.tuples_in());
     }

@@ -1,6 +1,7 @@
 //! Table access operators: sequential scan, rank-scan and attribute index
 //! scan.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ranksql_common::{RankSqlError, Result, Schema};
@@ -20,8 +21,10 @@ use crate::operator::{Batch, PhysicalOperator};
 /// The scan consumes its snapshot by value: the snapshot itself is the only
 /// copy made, and each pull *moves* tuples out instead of cloning them —
 /// the `operators_micro` bench records the delta against the historical
-/// clone-per-tuple scheme.  The snapshot is the execution's pinned epoch
-/// prefix, so concurrent inserts are invisible to an open scan.
+/// clone-per-tuple scheme.  The snapshot is a row range under the
+/// execution's pinned epoch watermark — the whole epoch serially, one
+/// morsel in an exchange — so concurrent inserts are invisible to an open
+/// scan.
 pub struct SeqScan {
     schema: Schema,
     tuples: std::vec::IntoIter<ranksql_common::Tuple>,
@@ -31,13 +34,16 @@ pub struct SeqScan {
 }
 
 impl SeqScan {
-    /// Creates a sequential scan over `table` at the execution's pinned
-    /// epoch (pinned on first access).
-    pub fn new(table: &Table, exec: &ExecutionContext, label: impl Into<String>) -> Self {
-        let epoch = exec.pin_epoch(table, false);
+    /// Creates a sequential scan over the rows `range` of `table`.
+    pub fn new(
+        table: &Table,
+        range: Range<usize>,
+        exec: &ExecutionContext,
+        label: impl Into<String>,
+    ) -> Self {
         SeqScan {
             schema: table.schema().clone(),
-            tuples: table.scan_prefix(epoch.row_count()).into_iter(),
+            tuples: table.scan_range(range).into_iter(),
             ctx: exec.ranking_arc(),
             metrics: exec.register(label),
             budget: Arc::clone(exec.budget()),
@@ -332,7 +338,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let mut scan = SeqScan::new(&t, &exec, "SeqScan(S)");
+        let mut scan = SeqScan::new(&t, 0..t.row_count(), &exec, "SeqScan(S)");
         let all = drain_batched(&mut scan, 4).unwrap();
         assert_eq!(all.len(), 6);
         for rt in &all {

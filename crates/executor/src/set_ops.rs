@@ -462,7 +462,7 @@ mod tests {
         let t = table_r();
         let ctx_lhs = ctx_r();
         let exec_lhs = ExecutionContext::new(Arc::clone(&ctx_lhs));
-        let scan = SeqScan::new(&t, &exec_lhs, "seq");
+        let scan = SeqScan::new(&t, 0..t.row_count(), &exec_lhs, "seq");
         let mu2 = RankOp::new(Box::new(scan), 1, &exec_lhs, "mu_p2").unwrap();
         let mut lhs = RankOp::new(Box::new(mu2), 0, &exec_lhs, "mu_p1").unwrap();
 

@@ -9,9 +9,8 @@
 # (operators_micro: seq_scan_hot_path, prepared_vs_cold, columnar_vs_row
 # incl. the kernel benches, rank_join_topk; the ablation_sketch
 # NDV-accuracy sweep; the ablation_write_path epoch-vs-rebuild write
-# benches; the ablation_buffer_pool paged-backend pool-size sweep; and the
-# server_throughput wire-vs-in-process front-end benches) and converts the
-# concatenated harness output into the stable JSON schema via
+# benches; and the ablation_buffer_pool paged-backend pool-size sweep) and
+# converts the concatenated harness output into the stable JSON schema via
 # scripts/bench_to_json.py.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,7 +22,6 @@ OUT="${1:-BENCH.json}"
     cargo bench -p ranksql-bench --bench ablation_sketch
     cargo bench -p ranksql-bench --bench ablation_write_path
     cargo bench -p ranksql-bench --bench ablation_buffer_pool
-    cargo bench -p ranksql-bench --bench server_throughput
 } \
     | tee /dev/stderr \
     | python3 scripts/bench_to_json.py --out "$OUT"

@@ -41,7 +41,6 @@ DEFAULT_GROUPS = [
     "ablation_sketch",
     "ablation_write_path",
     "ablation_buffer_pool",
-    "server_throughput",
 ]
 
 LINE = re.compile(

@@ -102,7 +102,7 @@ fn source(
         );
         Box::new(RankScan::new(Arc::clone(table), idx, 0, exec, "scan").expect("rank-scan"))
     } else {
-        Box::new(SeqScan::new(table, exec, "scan"))
+        Box::new(SeqScan::new(table, 0..table.row_count(), exec, "scan"))
     }
 }
 

@@ -186,7 +186,10 @@ proptest! {
 /// nor duplicate updates, and the counts are a function of the (fixed)
 /// morsel and batch sizes only.  The `Traditional` plan's hash join sits
 /// beneath a per-morsel `SortLimit` and builds only what that morsel's own
-/// heap has not excluded, so its `built` is morsel-determined as well.
+/// heap has not excluded, so its `built` is morsel-determined as well.  An
+/// empty driving table makes zero morsels: the spine is still lowered once
+/// (over an empty range), so every node reports and the build side is
+/// drained exactly once.
 #[test]
 fn per_operator_actuals_are_identical_across_thread_counts() {
     let w = Workload {
@@ -200,8 +203,17 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
         batch_size: 16,
         morsel_size: 8,
     };
-    let (db, query) = build_database(&w);
-    for mode in [PlanMode::Canonical, PlanMode::Traditional] {
+    let empty_driver = Workload {
+        r_rows: Vec::new(),
+        ..w.clone()
+    };
+    for (w, mode) in [
+        (&w, PlanMode::Canonical),
+        (&w, PlanMode::Traditional),
+        (&empty_driver, PlanMode::Canonical),
+        (&empty_driver, PlanMode::Traditional),
+    ] {
+        let (db, query) = build_database(w);
         let plan = db
             .session()
             .with_mode(mode)
@@ -222,8 +234,21 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
 
         let reference = run(1);
         assert_eq!(reference.len(), plan.node_count());
-        assert!(reference.iter().any(|a| a.batches > 0));
-        if mode == PlanMode::Traditional {
+        if w.r_rows.is_empty() {
+            let build_scan = reference
+                .iter()
+                .find(|a| a.label == "SeqScan(S)")
+                .unwrap_or_else(|| panic!("no scan of S:\n{}", plan.explain(None)));
+            assert_eq!(
+                build_scan.rows,
+                w.s_rows.len() as u64,
+                "{mode:?}: the build side is drained once\n{}",
+                plan.explain(None)
+            );
+        } else {
+            assert!(reference.iter().any(|a| a.batches > 0));
+        }
+        if mode == PlanMode::Traditional && !w.r_rows.is_empty() {
             let join = reference
                 .iter()
                 .find(|a| a.label.starts_with("HashJoin"))

@@ -18,6 +18,7 @@
 
 use proptest::prelude::*;
 
+use ranksql::executor::{execute_physical_plan, ExecutionContext};
 use ranksql::expr::RankPredicate;
 use ranksql::{
     BoolExpr, CompareOp, DataType, Database, Field, PagedOptions, PlanMode, QueryBuilder,
@@ -307,6 +308,46 @@ fn zone_map_pruning_is_safe_under_parallel_execution() {
             col.tuples_scanned
         );
     }
+}
+
+/// Every morsel's scan prunes against its spine's one threshold cell.  With
+/// one worker the 1024-row morsels run in order, so the top-5 heap of
+/// morsel 0 (block 0 holds the best scores) raises the cell before any
+/// later morsel starts, and each later morsel skips its block unread.
+/// Private cells per morsel would prune nothing.
+#[test]
+fn every_morsel_prunes_against_the_spines_threshold_cell() {
+    const ROWS: i64 = 8192; // 8 columnar blocks
+    let (col_db, query) = clustered_db(StorageBackend::Columnar, ROWS);
+    let serial = col_db
+        .session()
+        .with_mode(PlanMode::Traditional)
+        .with_threads(1)
+        .execute(&query)
+        .unwrap();
+    let plan = col_db
+        .session()
+        .with_mode(PlanMode::Traditional)
+        .with_threads(4)
+        .plan(&query)
+        .unwrap()
+        .physical;
+    assert!(plan.contains_exchange(), "{}", plan.explain(None));
+    let exec = ExecutionContext::new(query.ranking.clone())
+        .with_threads(1)
+        .with_morsel_size(1024);
+    let parallel = execute_physical_plan(&plan, col_db.catalog(), &exec).unwrap();
+    assert_eq!(parallel.blocks_pruned, 7, "blocks 1..=7 are pruned");
+    assert_eq!(parallel.tuples_scanned, 1024, "only block 0 is read");
+    let got: Vec<(ranksql::Tuple, f64)> = parallel
+        .tuples
+        .iter()
+        .map(|t| {
+            let score = query.ranking.upper_bound(&t.state).value();
+            (t.tuple.clone(), score)
+        })
+        .collect();
+    assert_eq!(got, fingerprint(&serial));
 }
 
 /// Regression: `blocks_pruned` counts *distinct* blocks, not prune events.
