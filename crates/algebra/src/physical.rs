@@ -279,6 +279,103 @@ impl OperatorActuals {
 }
 
 impl PhysicalOp {
+    /// The operator implementing `plan`'s own node over `children`, its
+    /// already-lowered inputs in [`LogicalPlan::children`] order — the
+    /// structural mapping of [`PhysicalPlan::from_logical`] for one node,
+    /// without the `Limit(Sort)` fusion.  A child missing from `children`
+    /// becomes a [`PhysicalPlan::stand_in`]: with none at all, the node is
+    /// lowered alone, for a caller that hands it its inputs itself.
+    pub fn from_logical_node(plan: &LogicalPlan, children: Vec<PhysicalPlan>) -> PhysicalOp {
+        let mut children = children.into_iter().map(Box::new);
+        let mut child = || {
+            children
+                .next()
+                .unwrap_or_else(|| Box::new(PhysicalPlan::stand_in()))
+        };
+        match plan {
+            LogicalPlan::Scan {
+                table,
+                schema,
+                access,
+            } => match access {
+                ScanAccess::Sequential => PhysicalOp::SeqScan {
+                    table: table.clone(),
+                    schema: schema.clone(),
+                    columnar: None,
+                },
+                ScanAccess::RankIndex { predicate } => PhysicalOp::RankScan {
+                    table: table.clone(),
+                    schema: schema.clone(),
+                    predicate: *predicate,
+                },
+                ScanAccess::AttributeIndex { column } => PhysicalOp::AttributeIndexScan {
+                    table: table.clone(),
+                    schema: schema.clone(),
+                    column: column.clone(),
+                },
+            },
+            LogicalPlan::Select { predicate, .. } => PhysicalOp::Filter {
+                input: child(),
+                predicate: predicate.clone(),
+            },
+            LogicalPlan::Project { columns, .. } => PhysicalOp::Project {
+                input: child(),
+                columns: columns.clone(),
+            },
+            LogicalPlan::Rank { predicate, .. } => PhysicalOp::RankMaterialize {
+                input: child(),
+                predicate: *predicate,
+            },
+            LogicalPlan::Join {
+                condition,
+                algorithm,
+                ..
+            } => {
+                let (left, right, condition) = (child(), child(), condition.clone());
+                match algorithm {
+                    JoinAlgorithm::NestedLoop => PhysicalOp::NestedLoopsJoin {
+                        left,
+                        right,
+                        condition,
+                    },
+                    JoinAlgorithm::Hash => PhysicalOp::HashJoin {
+                        left,
+                        right,
+                        condition,
+                    },
+                    JoinAlgorithm::SortMerge => PhysicalOp::SortMergeJoin {
+                        left,
+                        right,
+                        condition,
+                    },
+                    JoinAlgorithm::HashRankJoin => PhysicalOp::HashRankJoin {
+                        left,
+                        right,
+                        condition,
+                    },
+                    JoinAlgorithm::NestedLoopRankJoin => PhysicalOp::NestedLoopsRankJoin {
+                        left,
+                        right,
+                        condition,
+                    },
+                }
+            }
+            LogicalPlan::SetOp { kind, .. } => PhysicalOp::SetOp {
+                kind: *kind,
+                left: child(),
+                right: child(),
+            },
+            LogicalPlan::Sort { predicates, .. } => PhysicalOp::Sort {
+                input: child(),
+                predicates: *predicates,
+            },
+            LogicalPlan::Limit { k, .. } => PhysicalOp::Limit {
+                input: child(),
+                k: *k,
+            },
+        }
+    }
+
     /// Rebuilds this operator with `f` applied to every direct child plan
     /// (leaves are returned unchanged).  The one exhaustive child walk
     /// rewrite passes share, so adding a `PhysicalOp` variant only needs
@@ -406,6 +503,16 @@ impl PhysicalPlan {
         }
     }
 
+    /// A leaf standing in for a child that is not lowered from the plan:
+    /// a sequential scan of no table with an empty schema.
+    pub fn stand_in() -> PhysicalPlan {
+        PhysicalPlan::unestimated(PhysicalOp::SeqScan {
+            table: String::new(),
+            schema: Schema::empty(),
+            columnar: None,
+        })
+    }
+
     /// Structurally lowers a logical plan, carrying zero cost estimates.
     ///
     /// The mapping is mechanical because the logical plan already fixes the
@@ -429,92 +536,14 @@ impl PhysicalPlan {
                 }));
             }
         }
-        let op = match plan {
-            LogicalPlan::Scan {
-                table,
-                schema,
-                access,
-            } => match access {
-                ScanAccess::Sequential => PhysicalOp::SeqScan {
-                    table: table.clone(),
-                    schema: schema.clone(),
-                    columnar: None,
-                },
-                ScanAccess::RankIndex { predicate } => PhysicalOp::RankScan {
-                    table: table.clone(),
-                    schema: schema.clone(),
-                    predicate: *predicate,
-                },
-                ScanAccess::AttributeIndex { column } => PhysicalOp::AttributeIndexScan {
-                    table: table.clone(),
-                    schema: schema.clone(),
-                    column: column.clone(),
-                },
-            },
-            LogicalPlan::Select { input, predicate } => PhysicalOp::Filter {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
-                predicate: predicate.clone(),
-            },
-            LogicalPlan::Project { input, columns } => PhysicalOp::Project {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
-                columns: columns.clone(),
-            },
-            LogicalPlan::Rank { input, predicate } => PhysicalOp::RankMaterialize {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
-                predicate: *predicate,
-            },
-            LogicalPlan::Join {
-                left,
-                right,
-                condition,
-                algorithm,
-            } => {
-                let left = Box::new(PhysicalPlan::from_logical(left)?);
-                let right = Box::new(PhysicalPlan::from_logical(right)?);
-                let condition = condition.clone();
-                match algorithm {
-                    JoinAlgorithm::NestedLoop => PhysicalOp::NestedLoopsJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                    JoinAlgorithm::Hash => PhysicalOp::HashJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                    JoinAlgorithm::SortMerge => PhysicalOp::SortMergeJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                    JoinAlgorithm::HashRankJoin => PhysicalOp::HashRankJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                    JoinAlgorithm::NestedLoopRankJoin => PhysicalOp::NestedLoopsRankJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                }
-            }
-            LogicalPlan::SetOp { kind, left, right } => PhysicalOp::SetOp {
-                kind: *kind,
-                left: Box::new(PhysicalPlan::from_logical(left)?),
-                right: Box::new(PhysicalPlan::from_logical(right)?),
-            },
-            LogicalPlan::Sort { input, predicates } => PhysicalOp::Sort {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
-                predicates: *predicates,
-            },
-            LogicalPlan::Limit { input, k } => PhysicalOp::Limit {
-                input: Box::new(PhysicalPlan::from_logical(input)?),
-                k: *k,
-            },
-        };
-        Ok(PhysicalPlan::unestimated(op))
+        let children = plan
+            .children()
+            .into_iter()
+            .map(PhysicalPlan::from_logical)
+            .collect::<Result<Vec<_>>>()?;
+        Ok(PhysicalPlan::unestimated(PhysicalOp::from_logical_node(
+            plan, children,
+        )))
     }
 
     /// The output schema of this plan.

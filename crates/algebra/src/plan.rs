@@ -7,7 +7,7 @@ use ranksql_expr::{BoolExpr, RankingContext};
 use ranksql_storage::Table;
 
 /// How a base table is accessed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ScanAccess {
     /// Sequential (heap) scan — output order is arbitrary, `P = ∅`.
     Sequential,
@@ -56,7 +56,7 @@ impl JoinAlgorithm {
 }
 
 /// Which set operation a [`LogicalPlan::SetOp`] node performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SetOpKind {
     /// Union (set semantics, duplicates by tuple identity merged).
     Union,

@@ -119,25 +119,30 @@ pub fn zone_score_caps(
     Some(caps)
 }
 
-/// Lowers a join's build (inner) side.  Serially that is its operator,
-/// which the join drains on its first pull.  In a morsel lowering the
-/// spine's first lowering lowers it through the serial path and drains it
-/// with `drain` (which also returns the rows drained) once, and every
+/// Where the node being lowered gets each input: its child lowered by this
+/// same walk ([`build_operator`]), or an operator the caller built
+/// ([`build_over_inputs`]).
+type Inputs<'a> = dyn FnMut(&PhysicalPlan, &ExecutionContext) -> Result<BoxedOperator> + 'a;
+
+/// Lowers a join's build (inner) side.  Serially that is its input
+/// operator, which the join drains on its first pull.  In a morsel lowering
+/// the spine's first lowering lowers it through the serial path and drains
+/// it with `drain` (which also returns the rows drained) once, and every
 /// morsel's join shares the result.
 fn build_side<T: Send + Sync + 'static>(
     plan: &PhysicalPlan,
-    catalog: &Catalog,
     exec: &ExecutionContext,
+    inputs: &mut Inputs<'_>,
     drain: impl FnOnce(&mut dyn PhysicalOperator, usize) -> Result<(usize, T)>,
 ) -> Result<BuildSide<T>> {
     let built = exec.spine_shared(|serial| {
-        let mut input = build_operator(plan, catalog, serial)?;
+        let mut input = inputs(plan, serial)?;
         let (rows, table) = drain(input.as_mut(), serial.batch_size())?;
         Ok(Built::new(input.schema().clone(), rows, table))
     })?;
     match built {
         Some(built) => Ok(BuildSide::Built(built)),
-        None => Ok(BuildSide::Input(build_operator(plan, catalog, exec)?)),
+        None => Ok(BuildSide::Input(inputs(plan, exec)?)),
     }
 }
 
@@ -180,6 +185,49 @@ pub fn build_operator(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     exec: &ExecutionContext,
+) -> Result<BoxedOperator> {
+    lower(plan, catalog, exec, &mut |child, exec| {
+        build_operator(child, catalog, exec)
+    })
+}
+
+/// Lowers `plan`'s own operator alone, over `inputs` — one operator per
+/// child, in child order, typically [`Replay`](crate::operator::Replay)s of
+/// streams the caller recorded — instead of lowering its children.  The
+/// sampling estimator runs each subplan's root this way over its inputs'
+/// kept outputs.  The children of `plan` are never lowered, so they may be
+/// [`PhysicalPlan::stand_in`]s; an exchange, which lowers its own spine, is
+/// rejected.
+pub fn build_over_inputs(
+    plan: &PhysicalPlan,
+    inputs: Vec<BoxedOperator>,
+    catalog: &Catalog,
+    exec: &ExecutionContext,
+) -> Result<BoxedOperator> {
+    let given = inputs.len();
+    let mismatch = || {
+        RankSqlError::Plan(format!(
+            "{} cannot be lowered over {given} given input(s)",
+            plan.node_label(None)
+        ))
+    };
+    let mut inputs = inputs.into_iter();
+    let op = lower(plan, catalog, exec, &mut |_, _| {
+        inputs.next().ok_or_else(mismatch)
+    })?;
+    match inputs.next() {
+        Some(_) => Err(mismatch()),
+        None => Ok(op),
+    }
+}
+
+/// The one lowering walk: instantiates `plan`'s operator, taking each of
+/// its inputs from `inputs`.
+fn lower(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    exec: &ExecutionContext,
+    inputs: &mut Inputs<'_>,
 ) -> Result<BoxedOperator> {
     let label = plan.node_label(Some(exec.ranking()));
     match &plan.op {
@@ -274,23 +322,23 @@ pub fn build_operator(
             )?))
         }
         PhysicalOp::Filter { input, predicate } => {
-            let child = build_operator(input, catalog, exec)?;
+            let child = inputs(input, exec)?;
             Ok(Box::new(Filter::new(child, predicate, exec, label)?))
         }
         PhysicalOp::Project { input, columns } => {
-            let child = build_operator(input, catalog, exec)?;
+            let child = inputs(input, exec)?;
             Ok(Box::new(Project::new(child, columns, exec, label)?))
         }
         PhysicalOp::RankMaterialize { input, predicate } => {
             check_predicate(exec.ranking(), *predicate)?;
-            let child = build_operator(input, catalog, exec)?;
+            let child = inputs(input, exec)?;
             Ok(Box::new(RankOp::new(child, *predicate, exec, label)?))
         }
         PhysicalOp::MproProbe { input, schedule } => {
             for &p in schedule {
                 check_predicate(exec.ranking(), p)?;
             }
-            let child = build_operator(input, catalog, exec)?;
+            let child = inputs(input, exec)?;
             Ok(Box::new(MProOp::new(child, schedule.clone(), exec, label)?))
         }
         PhysicalOp::NestedLoopsJoin {
@@ -298,8 +346,8 @@ pub fn build_operator(
             right,
             condition,
         } => {
-            let l = build_operator(left, catalog, exec)?;
-            let r = build_side(right, catalog, exec, collect_build_input)?;
+            let l = inputs(left, exec)?;
+            let r = build_side(right, exec, inputs, collect_build_input)?;
             Ok(Box::new(NestedLoopJoin::new(
                 l,
                 r,
@@ -316,8 +364,8 @@ pub fn build_operator(
             // Taken before the inputs are lowered: the cell on top of the
             // stack now is the one a `SortLimit` directly above pushed.
             let top_k = exec.pop_prune_threshold();
-            let l = build_operator(left, catalog, exec)?;
-            let r = build_side(right, catalog, exec, |input, batch_size| {
+            let l = inputs(left, exec)?;
+            let r = build_side(right, exec, inputs, |input, batch_size| {
                 let key_cols = build_key_cols(condition.as_ref(), l.schema(), input.schema());
                 hash_build_input(input, &key_cols, batch_size)
             })?;
@@ -329,8 +377,8 @@ pub fn build_operator(
             right,
             condition,
         } => {
-            let l = build_operator(left, catalog, exec)?;
-            let r = build_operator(right, catalog, exec)?;
+            let l = inputs(left, exec)?;
+            let r = inputs(right, exec)?;
             Ok(Box::new(SortMergeJoin::new(
                 l,
                 r,
@@ -344,8 +392,8 @@ pub fn build_operator(
             right,
             condition,
         } => {
-            let l = build_operator(left, catalog, exec)?;
-            let r = build_operator(right, catalog, exec)?;
+            let l = inputs(left, exec)?;
+            let r = inputs(right, exec)?;
             Ok(Box::new(RankJoin::hrjn(
                 l,
                 r,
@@ -359,8 +407,8 @@ pub fn build_operator(
             right,
             condition,
         } => {
-            let l = build_operator(left, catalog, exec)?;
-            let r = build_operator(right, catalog, exec)?;
+            let l = inputs(left, exec)?;
+            let r = inputs(right, exec)?;
             Ok(Box::new(RankJoin::nrjn(
                 l,
                 r,
@@ -370,8 +418,8 @@ pub fn build_operator(
             )?))
         }
         PhysicalOp::SetOp { kind, left, right } => {
-            let l = build_operator(left, catalog, exec)?;
-            let r = build_operator(right, catalog, exec)?;
+            let l = inputs(left, exec)?;
+            let r = inputs(right, exec)?;
             if l.schema().len() != r.schema().len() {
                 return Err(RankSqlError::Plan(
                     "set operation inputs are not union compatible".into(),
@@ -388,7 +436,7 @@ pub fn build_operator(
             for p in predicates.iter() {
                 check_predicate(exec.ranking(), p)?;
             }
-            let child = build_operator(input, catalog, exec)?;
+            let child = inputs(input, exec)?;
             Ok(Box::new(SortOp::new(child, *predicates, exec, label)?))
         }
         PhysicalOp::SortLimit {
@@ -421,7 +469,7 @@ pub fn build_operator(
             if let Some(cell) = &cell {
                 exec.push_prune_threshold(*predicates, Arc::clone(cell));
             }
-            let child = build_operator(input, catalog, exec)?;
+            let child = inputs(input, exec)?;
             let mut op = SortLimitOp::new(child, *predicates, *k, exec, label)?;
             if let Some(cell) = cell {
                 op = op.with_threshold(cell);
@@ -429,7 +477,7 @@ pub fn build_operator(
             Ok(Box::new(op))
         }
         PhysicalOp::Limit { input, k } => {
-            let child = build_operator(input, catalog, exec)?;
+            let child = inputs(input, exec)?;
             Ok(Box::new(LimitOp::new(child, *k, exec, label)))
         }
         PhysicalOp::Exchange { input, merge } => Ok(Box::new(ExchangeOp::new(
@@ -438,7 +486,7 @@ pub fn build_operator(
         PhysicalOp::Repartition { input } => {
             // A transparent marker over the scan, which in an exchange's
             // morsel lowering reads one morsel.
-            let child = build_operator(input, catalog, exec)?;
+            let child = inputs(input, exec)?;
             Ok(Box::new(RepartitionPassthrough::new(child, exec, label)))
         }
     }

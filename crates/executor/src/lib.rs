@@ -74,13 +74,13 @@ pub mod set_ops;
 pub mod sort_limit;
 
 pub use build::{
-    build_operator, execute_physical_plan, execute_plan, execute_query_plan, zone_score_caps,
-    ExecutionResult,
+    build_operator, build_over_inputs, execute_physical_plan, execute_plan, execute_query_plan,
+    zone_score_caps, ExecutionResult,
 };
 pub use column_scan::ColumnScan;
 pub use context::{ExecutionContext, TopKThreshold, TupleBudget};
 pub use exchange::{ExchangeOp, RepartitionPassthrough};
 pub use metrics::{MetricsRegistry, OperatorMetrics};
 pub use mpro::MProOp;
-pub use operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
+pub use operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator, Replay};
 pub use oracle::oracle_top_k;

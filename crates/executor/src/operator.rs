@@ -219,6 +219,44 @@ impl RankingQueue {
     }
 }
 
+/// Replays a stream recorded elsewhere, in recorded order: the input a
+/// caller hands [`build_over_inputs`](crate::build::build_over_inputs) in
+/// place of a subplan it already ran.  `ranked` is what the recorded
+/// subplan's root reports from [`PhysicalOperator::is_ranked`], which µ and
+/// the rank-joins read to decide whether they may emit incrementally.
+pub struct Replay<I> {
+    schema: Schema,
+    rows: I,
+    ranked: bool,
+}
+
+impl<I: Iterator<Item = RankedTuple> + Send> Replay<I> {
+    /// A replay of `rows` under `schema`.
+    pub fn new(schema: Schema, rows: I, ranked: bool) -> Self {
+        Replay {
+            schema,
+            rows,
+            ranked,
+        }
+    }
+}
+
+impl<I: Iterator<Item = RankedTuple> + Send> PhysicalOperator for Replay<I> {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
+        let before = out.len();
+        out.extend(self.rows.by_ref().take(max));
+        Ok(out.len() - before)
+    }
+
+    fn is_ranked(&self) -> bool {
+        self.ranked
+    }
+}
+
 /// Drains an operator completely, pulling chunks of `batch_size` tuples at
 /// a time.
 pub fn drain_batched(op: &mut dyn PhysicalOperator, batch_size: usize) -> Result<Vec<RankedTuple>> {

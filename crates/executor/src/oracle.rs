@@ -1,15 +1,24 @@
 //! A naive, obviously-correct evaluator used as the correctness oracle.
 //!
-//! `oracle_top_k` evaluates a [`RankQuery`] exactly as the canonical form of
-//! Eq. 1 prescribes — full Cartesian product, filter, evaluate every ranking
-//! predicate, sort, cut off at `k` — without going through the physical
-//! operators.  Tests compare every physical plan and every optimizer choice
-//! against it; the sampling-based cardinality estimator also reuses it to run
-//! queries over table samples.
+//! `oracle_top_k` evaluates a [`RankQuery`] as the canonical form of Eq. 1
+//! prescribes — product, filter, evaluate every ranking predicate, sort, cut
+//! off at `k` — without going through the physical operators.  Tests compare
+//! every physical plan and every optimizer choice against it; the
+//! sampling-based cardinality estimator also uses it to find `x'` over the
+//! table samples.
+//!
+//! The product is a plain nested loop over the tables in query order that
+//! checks each Boolean conjunct at the shallowest level where every table it
+//! reads is bound, so a failing prefix is never extended and the full
+//! Cartesian product is never built.  It does no hashing and returns exactly
+//! the filtered full product's sorted top-k.  One difference is observable:
+//! a conjunct that fails to *evaluate* raises its error on the first prefix
+//! that reaches it, where filtering whole product tuples in conjunct order
+//! could have rejected that tuple on an earlier conjunct first.
 
 use ranksql_algebra::RankQuery;
-use ranksql_common::{Result, Schema, Tuple};
-use ranksql_expr::{RankedTuple, ScoreState};
+use ranksql_common::{RankSqlError, Result, Schema, Tuple};
+use ranksql_expr::{BoundBoolExpr, RankedTuple, ScoreState};
 use ranksql_storage::Catalog;
 
 /// Executes `query` naively over full tables and returns the top `k` ranked
@@ -33,24 +42,38 @@ pub fn oracle_top_k(query: &RankQuery, catalog: &Catalog) -> Result<Vec<RankedTu
 }
 
 /// The same oracle, but over externally supplied row sets (one per query
-/// table, in query-table order).  Used by the sampling-based estimator to run
-/// the query over table *samples*.
+/// table, in query-table order, whose schemas joined in that order are
+/// `schema`).  Used by the sampling-based estimator to run the query over
+/// table *samples*.
 pub fn oracle_top_k_over_rows(
     query: &RankQuery,
     schema: &Schema,
     rows_per_table: &[Vec<Tuple>],
 ) -> Result<Vec<RankedTuple>> {
-    assert_eq!(
-        rows_per_table.len(),
-        query.tables.len(),
-        "one row set per query table is required"
-    );
-    // Bind Boolean predicates once against the product schema.
-    let bound: Vec<_> = query
-        .bool_predicates
-        .iter()
-        .map(|p| p.bind(schema))
-        .collect::<Result<Vec<_>>>()?;
+    if rows_per_table.len() != query.tables.len() {
+        return Err(RankSqlError::Execution(format!(
+            "the oracle needs one row set per query table: {} for {} tables",
+            rows_per_table.len(),
+            query.tables.len()
+        )));
+    }
+    let Some(last) = rows_per_table.len().checked_sub(1) else {
+        return Ok(Vec::new());
+    };
+    // Bind every Boolean conjunct once against the product schema and file
+    // it under the level where its last table is bound.  A conjunct that
+    // names no table, or reads an unqualified column, waits for the full
+    // product.
+    let mut checks: Vec<Vec<BoundBoolExpr>> = vec![Vec::new(); rows_per_table.len()];
+    for p in &query.bool_predicates {
+        let bound = p.bind(schema)?;
+        let level = if p.columns().iter().any(|c| c.relation.is_none()) {
+            last
+        } else {
+            query.bool_predicate_tables(p)?.iter().max().unwrap_or(last)
+        };
+        checks[level].push(bound);
+    }
     let n = query.num_rank_predicates();
     let ranking: Vec<_> = query
         .ranking
@@ -60,25 +83,14 @@ pub fn oracle_top_k_over_rows(
         .collect::<Result<Vec<_>>>()?;
 
     let mut results: Vec<RankedTuple> = Vec::new();
-    let mut stack: Vec<Tuple> = Vec::new();
-    product(
-        rows_per_table,
-        0,
-        &mut stack,
-        &mut |joined: &Tuple| -> Result<()> {
-            for b in &bound {
-                if !b.eval(joined)? {
-                    return Ok(());
-                }
-            }
-            let mut state = ScoreState::new(n);
-            for (i, p) in ranking.iter().enumerate() {
-                state.set(i, p.evaluate(joined)?.value());
-            }
-            results.push(RankedTuple::new(joined.clone(), state));
-            Ok(())
-        },
-    )?;
+    descend(rows_per_table, &checks, None, &mut |joined: &Tuple| {
+        let mut state = ScoreState::new(n);
+        for (i, p) in ranking.iter().enumerate() {
+            state.set(i, p.evaluate(joined)?.value());
+        }
+        results.push(RankedTuple::new(joined.clone(), state));
+        Ok(())
+    })?;
 
     let scoring = query.ranking.scoring().clone();
     let max_value = query.ranking.max_predicate_value();
@@ -87,24 +99,31 @@ pub fn oracle_top_k_over_rows(
     Ok(results)
 }
 
-fn product(
+/// Extends `prefix` (the join of one row per outer table) by every row of
+/// the next table that passes that level's `checks`, and hands each
+/// complete product tuple to `visit`.
+fn descend(
     rows_per_table: &[Vec<Tuple>],
-    depth: usize,
-    stack: &mut Vec<Tuple>,
+    checks: &[Vec<BoundBoolExpr>],
+    prefix: Option<&Tuple>,
     visit: &mut dyn FnMut(&Tuple) -> Result<()>,
 ) -> Result<()> {
-    if depth == rows_per_table.len() {
-        let joined = stack
-            .iter()
-            .cloned()
-            .reduce(|a, b| a.join(&b))
-            .expect("queries have at least one table");
-        return visit(&joined);
-    }
-    for t in &rows_per_table[depth] {
-        stack.push(t.clone());
-        product(rows_per_table, depth + 1, stack, visit)?;
-        stack.pop();
+    let (Some((rows, inner_rows)), Some((level, inner_checks))) =
+        (rows_per_table.split_first(), checks.split_first())
+    else {
+        return prefix.map_or(Ok(()), visit);
+    };
+    'rows: for row in rows {
+        let joined = match prefix {
+            Some(p) => p.join(row),
+            None => row.clone(),
+        };
+        for check in level {
+            if !check.eval(&joined)? {
+                continue 'rows;
+            }
+        }
+        descend(inner_rows, inner_checks, Some(&joined), visit)?;
     }
     Ok(())
 }

@@ -57,7 +57,7 @@ impl fmt::Display for CompareOp {
 /// Boolean predicates restrict *membership* (the traditional dimension of
 /// query processing); they are evaluated with SQL three-valued logic where a
 /// `NULL` comparison makes the tuple fail the filter.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BoolExpr {
     /// A comparison between two scalar expressions.
     Compare {

@@ -120,7 +120,7 @@ impl fmt::Display for BinaryOp {
 }
 
 /// A scalar expression tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ScalarExpr {
     /// A column reference.
     Column(ColumnRef),

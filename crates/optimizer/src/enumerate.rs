@@ -39,6 +39,9 @@ pub struct EnumerationStats {
     pub signatures_kept: usize,
     /// Time spent enumerating (excluding estimator construction).
     pub elapsed: Duration,
+    /// Operators the sampling estimator had run over the samples by the
+    /// end of the search ([`SamplingEstimator::operator_runs`]).
+    pub operator_runs: usize,
 }
 
 /// The best plan found for one `(SR, SP)` signature.
@@ -200,6 +203,7 @@ impl<'a> DpOptimizer<'a> {
             &self.estimator,
             &self.cost_model,
         )?;
+        stats.operator_runs = self.estimator.operator_runs();
         Ok(OptimizedPlan {
             plan,
             physical,
@@ -239,13 +243,18 @@ impl<'a> DpOptimizer<'a> {
     /// Access-path plans for a single relation: sequential scan (SP = ∅) or
     /// rank-scan (SP = {p}), with that table's selection predicates applied.
     fn scan_plans(&self, sr: BitSet64, sp: BitSet64) -> Result<Vec<LogicalPlan>> {
-        let ti = sr.iter().next().expect("single relation");
+        let single = |set: BitSet64, what: &str| {
+            set.iter()
+                .next()
+                .ok_or_else(|| RankSqlError::Optimizer(format!("scan plan for no {what}")))
+        };
+        let ti = single(sr, "relation")?;
         let table = self.catalog.table(&self.query.tables[ti])?;
         let mut base = Vec::new();
         if sp.is_empty() {
             base.push(LogicalPlan::scan(&table));
         } else {
-            let p = sp.iter().next().expect("single predicate");
+            let p = single(sp, "predicate")?;
             // A rank-scan only applies to rank-selection predicates over this
             // very table.
             if self.query.rank_predicate_tables(p)? == sr {
@@ -337,7 +346,7 @@ impl<'a> DpOptimizer<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ranksql_common::{DataType, Field, Schema, Value};
     use ranksql_executor::{execute_query_plan, oracle_top_k};
@@ -345,7 +354,7 @@ mod tests {
 
     /// The Example 5 setting: tables R and S joined on `a`, ranked by
     /// p1 (on R), p3 and p4 (on S).
-    fn figure9_setup(rows: usize) -> (Catalog, RankQuery) {
+    pub(crate) fn figure9_setup(rows: usize) -> (Catalog, RankQuery) {
         let cat = Catalog::new();
         let r = cat
             .create_table(

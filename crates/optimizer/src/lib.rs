@@ -164,51 +164,36 @@ impl RankOptimizer {
         )?);
         let cost_model = CostModel::default();
 
-        match self.config.mode {
+        let mut best = match self.config.mode {
             OptimizerMode::Traditional => {
-                traditional::optimize_traditional(query, catalog, &estimator, &cost_model)
+                return traditional::optimize_traditional(query, catalog, &estimator, &cost_model)
             }
             OptimizerMode::RankAwareRuleBased => {
-                let rb = RuleBasedOptimizer::new(
-                    query,
-                    catalog,
-                    Arc::clone(&estimator),
-                    cost_model.clone(),
-                );
-                let mut best = rb.optimize()?;
-                if self.config.compare_with_traditional {
-                    let trad =
-                        traditional::optimize_traditional(query, catalog, &estimator, &cost_model)?;
-                    if trad.cost < best.cost {
-                        let stats = best.stats;
-                        best = trad;
-                        best.stats = stats;
-                    }
-                }
-                Ok(best)
+                RuleBasedOptimizer::new(query, catalog, Arc::clone(&estimator), cost_model.clone())
+                    .optimize()?
             }
             OptimizerMode::RankAwareExhaustive | OptimizerMode::RankAwareHeuristic => {
                 let heuristic = self.config.mode == OptimizerMode::RankAwareHeuristic;
-                let dp = DpOptimizer::new(
+                DpOptimizer::new(
                     query,
                     catalog,
                     Arc::clone(&estimator),
                     cost_model.clone(),
                     heuristic,
-                );
-                let mut best = dp.optimize()?;
-                if self.config.compare_with_traditional {
-                    let trad =
-                        traditional::optimize_traditional(query, catalog, &estimator, &cost_model)?;
-                    if trad.cost < best.cost {
-                        let stats = best.stats;
-                        best = trad;
-                        best.stats = stats;
-                    }
-                }
-                Ok(best)
+                )
+                .optimize()?
             }
+        };
+        if self.config.compare_with_traditional {
+            let trad = traditional::optimize_traditional(query, catalog, &estimator, &cost_model)?;
+            if trad.cost < best.cost {
+                let stats = best.stats;
+                best = trad;
+                best.stats = stats;
+            }
+            best.stats.operator_runs = estimator.operator_runs();
         }
+        Ok(best)
     }
 }
 

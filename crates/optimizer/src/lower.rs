@@ -7,7 +7,7 @@
 //! tree the executor will run together with the numbers that made the
 //! optimizer choose it.
 
-use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalOp, PhysicalPlan, ScanAccess};
+use ranksql_algebra::{LogicalPlan, PhysicalOp, PhysicalPlan};
 use ranksql_common::Result;
 use ranksql_expr::RankingContext;
 
@@ -53,98 +53,10 @@ pub fn lower_with_estimates(
         .into_iter()
         .map(|c| lower_with_estimates(c, ctx, estimator, cost_model))
         .collect();
-    let mut children = children?;
-    // Map this single node over the recursively lowered children (a direct
-    // match rather than `from_logical`, which would re-lower and clone the
-    // whole subtree per level).
-    let op = match plan {
-        LogicalPlan::Scan {
-            table,
-            schema,
-            access,
-        } => match access {
-            ScanAccess::Sequential => PhysicalOp::SeqScan {
-                table: table.clone(),
-                schema: schema.clone(),
-                columnar: None,
-            },
-            ScanAccess::RankIndex { predicate } => PhysicalOp::RankScan {
-                table: table.clone(),
-                schema: schema.clone(),
-                predicate: *predicate,
-            },
-            ScanAccess::AttributeIndex { column } => PhysicalOp::AttributeIndexScan {
-                table: table.clone(),
-                schema: schema.clone(),
-                column: column.clone(),
-            },
-        },
-        LogicalPlan::Select { predicate, .. } => PhysicalOp::Filter {
-            input: Box::new(children.remove(0)),
-            predicate: predicate.clone(),
-        },
-        LogicalPlan::Project { columns, .. } => PhysicalOp::Project {
-            input: Box::new(children.remove(0)),
-            columns: columns.clone(),
-        },
-        LogicalPlan::Rank { predicate, .. } => PhysicalOp::RankMaterialize {
-            input: Box::new(children.remove(0)),
-            predicate: *predicate,
-        },
-        LogicalPlan::Join {
-            condition,
-            algorithm,
-            ..
-        } => {
-            let left = Box::new(children.remove(0));
-            let right = Box::new(children.remove(0));
-            let condition = condition.clone();
-            match algorithm {
-                JoinAlgorithm::NestedLoop => PhysicalOp::NestedLoopsJoin {
-                    left,
-                    right,
-                    condition,
-                },
-                JoinAlgorithm::Hash => PhysicalOp::HashJoin {
-                    left,
-                    right,
-                    condition,
-                },
-                JoinAlgorithm::SortMerge => PhysicalOp::SortMergeJoin {
-                    left,
-                    right,
-                    condition,
-                },
-                JoinAlgorithm::HashRankJoin => PhysicalOp::HashRankJoin {
-                    left,
-                    right,
-                    condition,
-                },
-                JoinAlgorithm::NestedLoopRankJoin => PhysicalOp::NestedLoopsRankJoin {
-                    left,
-                    right,
-                    condition,
-                },
-            }
-        }
-        LogicalPlan::SetOp { kind, .. } => {
-            let left = Box::new(children.remove(0));
-            let right = Box::new(children.remove(0));
-            PhysicalOp::SetOp {
-                kind: *kind,
-                left,
-                right,
-            }
-        }
-        LogicalPlan::Sort { predicates, .. } => PhysicalOp::Sort {
-            input: Box::new(children.remove(0)),
-            predicates: *predicates,
-        },
-        LogicalPlan::Limit { k, .. } => PhysicalOp::Limit {
-            input: Box::new(children.remove(0)),
-            k: *k,
-        },
-    };
+    // Map this single node over the recursively lowered children (not
+    // `from_logical`, which would re-lower and clone the whole subtree per
+    // level).
+    let op = PhysicalOp::from_logical_node(plan, children?);
     let (cost, rows) = cost_model.cost_plan(plan, ctx, estimator)?;
     Ok(PhysicalPlan {
         op,

@@ -182,6 +182,7 @@ impl<'a> RuleBasedOptimizer<'a> {
             &self.estimator,
             &self.cost_model,
         )?;
+        stats.operator_runs = self.estimator.operator_runs();
         Ok(OptimizedPlan {
             plan,
             physical,

@@ -138,6 +138,7 @@ pub fn optimize_traditional(
     let (cost, card) = cost_model.cost_plan(&plan, &query.ranking, estimator)?;
     let physical =
         crate::lower::lower_with_estimates(&plan, &query.ranking, estimator, cost_model)?;
+    stats.operator_runs = estimator.operator_runs();
     Ok(OptimizedPlan {
         plan,
         physical,

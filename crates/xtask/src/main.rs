@@ -278,8 +278,8 @@ fn is_ident_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// Blanks the bodies of `#[cfg(test)] mod … { … }` blocks (unit tests may
-/// panic freely) in already comment-stripped source.
+/// Blanks the bodies of `#[cfg(test)] [pub[(crate)]] mod … { … }` blocks
+/// (unit tests may panic freely) in already comment-stripped source.
 fn blank_test_mods(stripped: &str) -> String {
     let mut out = stripped.as_bytes().to_vec();
     let b = stripped.as_bytes();
@@ -297,8 +297,14 @@ fn blank_test_mods(stripped: &str) -> String {
             }
             i += 1;
         }
-        if stripped[i..].starts_with("mod") {
-            if let Some(open_rel) = stripped[i..].find('{') {
+        let item = &stripped[i..];
+        let item = ["pub(crate)", "pub"]
+            .iter()
+            .find_map(|vis| item.strip_prefix(vis))
+            .map_or(item, str::trim_start);
+        let i = b.len() - item.len();
+        if item.starts_with("mod") {
+            if let Some(open_rel) = item.find('{') {
                 let open = i + open_rel;
                 let mut depth = 0usize;
                 let mut j = open;
@@ -669,6 +675,9 @@ mod tests {
     fn test_mods_are_blanked() {
         let src = "fn a() { b.unwrap(); }\n#[cfg(test)]\nmod tests {\n fn t() { x.unwrap(); }\n}\n";
         let out = blank_test_mods(&strip_comments_and_strings(src));
+        assert_eq!(count_tokens(&out, PANIC_TOKENS), 1);
+        let shared = src.replace("mod tests", "pub(crate) mod tests");
+        let out = blank_test_mods(&strip_comments_and_strings(&shared));
         assert_eq!(count_tokens(&out, PANIC_TOKENS), 1);
     }
 

@@ -208,3 +208,28 @@ fn sampling_estimates_track_real_cardinalities() {
         "only {within}/{compared} operator estimates were within 10x of the real cardinality"
     );
 }
+
+/// Planning Q at the benchmark's size (5 000 rows a table, 250 join values,
+/// a 1 % sample) runs each distinct sample subplan's root operator at most
+/// twice — a few hundred operators, where executing every candidate's whole
+/// subtree ran 3 157.
+#[test]
+fn planning_q_runs_each_sample_subplan_once_or_twice() {
+    let w = SyntheticWorkload::generate(SyntheticConfig {
+        table_size: 5_000,
+        join_selectivity: 0.004,
+        build_indexes: false,
+        ..SyntheticConfig::default()
+    })
+    .unwrap();
+    let optimizer = RankOptimizer::new(OptimizerConfig {
+        mode: OptimizerMode::RankAwareHeuristic,
+        ..OptimizerConfig::default()
+    });
+    let planned = optimizer.optimize(&w.query, &w.catalog).unwrap();
+    let runs = planned.stats.operator_runs;
+    assert!(
+        (100..=650).contains(&runs),
+        "{runs} sample operators to plan Q"
+    );
+}

@@ -14,7 +14,10 @@
 //! 6. the rank-joins, which queue unbuilt candidates and materialise on emit,
 //!    agree with each other tuple for tuple and with the oracle score for
 //!    score on tables full of duplicate keys and tied scores, for every `k`,
-//!    and resume after an early stop without drawing any input twice.
+//!    and resume after an early stop without drawing any input twice;
+//! 7. the oracle, which checks each conjunct on the shortest prefix of the
+//!    nested loop that binds its tables, returns exactly the top-k of the
+//!    brute-force filtered Cartesian product, for every `k`.
 
 use proptest::prelude::*;
 
@@ -444,6 +447,120 @@ proptest! {
                 prop_assert!(at_pause <= total);
                 prop_assert_eq!(total, full_draws, "hash = {}, first = {}", hash, first);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 7: the oracle's pushed-down conjuncts
+// ---------------------------------------------------------------------------
+
+/// One to three tables of zero to twelve rows `(key, score, flag)`, keys
+/// from a domain of 3 with NULLs, scores in quarters.
+fn oracle_tables() -> impl Strategy<Value = Vec<Vec<(Option<i64>, f64, bool)>>> {
+    let row = (0..4i64, 0..5u32, any::<bool>()).prop_map(|(key, quarter, flag)| {
+        ((key < 3).then_some(key), f64::from(quarter) / 4.0, flag)
+    });
+    proptest::collection::vec(proptest::collection::vec(row, 0..13), 1..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    #[test]
+    fn pushed_down_oracle_equals_the_filtered_full_product(
+        tables in oracle_tables(),
+        order in proptest::collection::vec(any::<u64>(), 6),
+        constant in any::<bool>(),
+        sum_below in 0..13u32,
+        k_from_end in 0..3usize,
+    ) {
+        use std::sync::Arc;
+        use ranksql::common::Tuple;
+        use ranksql::executor::oracle::oracle_top_k_over_rows;
+        use ranksql::expr::{CompareOp, RankedTuple, ScalarExpr, ScoreState};
+
+        let names: Vec<String> = (0..tables.len()).map(|i| format!("T{i}")).collect();
+        let catalog = Catalog::new();
+        let mut rows = Vec::new();
+        for (name, data) in names.iter().zip(&tables) {
+            let schema = Schema::new(vec![
+                Field::new("k", DataType::Int64),
+                Field::new("p", DataType::Float64),
+                Field::new("f", DataType::Bool),
+            ]);
+            let table = catalog.create_table(name, schema).unwrap();
+            for &(key, p, f) in data {
+                let key = key.map_or(Value::Null, Value::from);
+                table.insert(vec![key, Value::from(p), Value::from(f)]).unwrap();
+            }
+            rows.push(table.scan());
+        }
+        let schema = names
+            .iter()
+            .map(|n| catalog.table(n).unwrap().schema().clone())
+            .reduce(|a, b| a.join(&b))
+            .unwrap();
+
+        // Key equalities along the chain, a selection, a constant and one
+        // conjunct over every table, in a random order.
+        let mut conjuncts: Vec<BoolExpr> = (1..names.len())
+            .map(|i| BoolExpr::col_eq_col(&format!("T{}.k", i - 1), &format!("T{i}.k")))
+            .collect();
+        conjuncts.push(BoolExpr::column_is_true("T0.f"));
+        conjuncts.push(BoolExpr::Literal(constant || sum_below % 2 == 0));
+        let total = names
+            .iter()
+            .map(|n| ScalarExpr::col(&format!("{n}.p")))
+            .reduce(|a, b| a.add(b))
+            .unwrap();
+        let bound = ScalarExpr::lit(f64::from(sum_below) / 4.0);
+        conjuncts.push(BoolExpr::compare(total, CompareOp::LtEq, bound));
+        let mut keyed: Vec<(u64, BoolExpr)> = order.iter().copied().zip(conjuncts).collect();
+        keyed.sort_by_key(|(key, _)| *key);
+        let conjuncts: Vec<BoolExpr> = keyed.into_iter().map(|(_, c)| c).collect();
+
+        let ranking = RankingContext::new(
+            names
+                .iter()
+                .map(|n| RankPredicate::attribute(format!("s{n}"), &format!("{n}.p")))
+                .collect(),
+            ScoringFunction::Sum,
+        );
+
+        // Brute force: the full product, every conjunct on every tuple.
+        let checks: Vec<_> = conjuncts.iter().map(|c| c.bind(&schema).unwrap()).collect();
+        let scores: Vec<_> = ranking.predicates().iter().map(|p| p.bind(&schema).unwrap()).collect();
+        let mut product: Vec<Tuple> = vec![];
+        for (i, table) in rows.iter().enumerate() {
+            product = if i == 0 {
+                table.clone()
+            } else {
+                product.iter().flat_map(|t| table.iter().map(move |r| t.join(r))).collect()
+            };
+        }
+        let mut expected: Vec<RankedTuple> = Vec::new();
+        for t in product {
+            if checks.iter().all(|c| c.eval(&t).unwrap()) {
+                let mut state = ScoreState::new(scores.len());
+                for (i, p) in scores.iter().enumerate() {
+                    state.set(i, p.evaluate(&t).unwrap().value());
+                }
+                expected.push(RankedTuple::new(t, state));
+            }
+        }
+        expected.sort_by(|a, b| ranking.cmp_desc(a, b));
+
+        let fingerprint = |ts: &[RankedTuple]| -> Vec<(Vec<(u32, u64)>, u64)> {
+            ts.iter()
+                .map(|t| (t.tuple.id().parts().to_vec(), ranking.upper_bound(&t.state).value().to_bits()))
+                .collect()
+        };
+        for k in 0..=expected.len() + k_from_end {
+            let query = RankQuery::new(names.clone(), conjuncts.clone(), Arc::clone(&ranking), k);
+            let got = oracle_top_k_over_rows(&query, &schema, &rows).unwrap();
+            let want = &expected[..k.min(expected.len())];
+            prop_assert_eq!(fingerprint(&got), fingerprint(want), "k = {}", k);
         }
     }
 }
