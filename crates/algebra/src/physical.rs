@@ -47,10 +47,11 @@ pub enum ExchangeMerge {
     },
 }
 
-/// Columnar-backend annotation of a sequential scan: produced by the
-/// optimizer's `columnarize` pass when the database's storage backend is
-/// columnar.  The executor lowers an annotated scan to a `ColumnScan` that
-/// reads the table's [`ColumnTable`] projection block by block.
+/// The `columnarize` annotation of a sequential scan, which the optimizer
+/// puts on every scan of a plan it produces.  The executor lowers every
+/// sequential scan, annotated or not, to a `ColumnScan` that reads the
+/// table's [`ColumnTable`] blocks plus its unsealed tail; the annotation
+/// adds a fused filter and zone pruning.
 ///
 /// [`ColumnTable`]: ranksql_storage::ColumnTable
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -72,13 +73,15 @@ pub struct ColumnarScan {
 /// A physical operator node; children are embedded [`PhysicalPlan`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalOp {
-    /// Sequential (heap) scan of a base table.
+    /// Sequential scan of a base table.
     SeqScan {
         /// Table name.
         table: String,
         /// Snapshot of the table schema.
         schema: Schema,
-        /// Columnar-backend annotation (`None` = plain row scan).
+        /// The `columnarize` annotation (`None` for the structural lowering
+        /// of a hand-built plan: no fused filter, no zone pruning, labelled
+        /// `SeqScan(T)`).
         columnar: Option<ColumnarScan>,
     },
     /// Score-index scan emitting tuples in descending order of one ranking

@@ -15,14 +15,14 @@
 //!   margin.
 //! * **cursor/open_topk_during_inserts** — reader latency while a writer
 //!   keeps the delta hot: each iteration appends a row and then opens a
-//!   fresh cursor for a columnar top-10, which must pin its epoch and
+//!   fresh cursor for a top-10, which must pin its epoch and
 //!   stream sealed blocks + frozen tail without any rebuild.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ranksql_common::{DataType, Field, Schema, Value};
 use ranksql_core::{Database, PlanMode, QueryBuilder};
 use ranksql_expr::RankPredicate;
-use ranksql_storage::{Catalog, ColumnTable, StatsCatalog, StorageBackend};
+use ranksql_storage::{Catalog, ColumnTable, StatsCatalog};
 
 const BASE_ROWS: usize = 8_192;
 
@@ -83,10 +83,10 @@ fn bench_write_path(c: &mut Criterion) {
     });
 
     // Reader latency under writes: append one row, then open a fresh
-    // columnar cursor and pull the top 10.  The cursor pins its epoch
+    // cursor and pull the top 10.  The cursor pins its epoch
     // (sealed blocks + frozen tail) — no rebuild, however hot the delta.
     group.bench_function("cursor/open_topk_during_inserts", |bench| {
-        let db = Database::new().with_storage_backend(StorageBackend::Columnar);
+        let db = Database::new();
         db.create_table("T", schema()).unwrap();
         db.insert_batch("T", (0..BASE_ROWS as i64).map(row))
             .unwrap();

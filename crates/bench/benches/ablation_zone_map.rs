@@ -2,8 +2,7 @@
 //! spine.
 //!
 //! The measured plan is `SortLimit(ColumnScan[zone-prune])` (Traditional
-//! mode on the columnar backend) against the same query on the row backend
-//! (`SortLimit(SeqScan)`).  Two data layouts are swept:
+//! mode) over the same rows in two layouts:
 //!
 //! * **clustered** — scores fall with the row index, so the top-k heap
 //!   fills in the first block and every later block's zone-map maximum is
@@ -11,24 +10,25 @@
 //!   the rest (the zone-map best case);
 //! * **shuffled** — scores are spread uniformly across blocks, so every
 //!   block's maximum stays near 1.0 and pruning cannot trigger (the
-//!   honest worst case: columnar then pays full materialisation).
+//!   honest worst case: the scan materialises every row).
 //!
-//! Before timing, every configuration asserts byte-identical results across
-//! the two backends and reports the `tuples_scanned` reduction — the same
-//! invariant `tests/storage_equivalence.rs` pins.
+//! Before timing, every configuration asserts that its result equals
+//! `oracle_top_k` and reports `tuples_scanned`, which pruning must lower on
+//! the clustered layout — the invariant `tests/storage_equivalence.rs`
+//! pins.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ranksql_common::{DataType, Field, Schema, Value};
 use ranksql_core::{Database, PlanMode, QueryBuilder};
+use ranksql_executor::oracle_top_k;
 use ranksql_expr::RankPredicate;
-use ranksql_storage::StorageBackend;
 
 const ROWS: i64 = 32 * 1024; // 32 columnar blocks
 
 /// Builds the single-table workload; `clustered` controls whether scores
 /// fall with the row index or are spread across blocks.
-fn build(backend: StorageBackend, clustered: bool) -> Database {
-    let db = Database::new().with_storage_backend(backend);
+fn build(clustered: bool) -> Database {
+    let db = Database::new();
     db.create_table(
         "T",
         Schema::new(vec![
@@ -61,50 +61,43 @@ fn build(backend: StorageBackend, clustered: bool) -> Database {
 fn bench_zone_map(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_zone_map");
     group.sample_size(10);
-    for clustered in [true, false] {
-        let layout = if clustered { "clustered" } else { "shuffled" };
-        let row_db = build(StorageBackend::Row, clustered);
-        let col_db = build(StorageBackend::Columnar, clustered);
-        for k in [1usize, 10, 100] {
-            let query = QueryBuilder::new()
-                .table("T")
-                .rank_predicate(RankPredicate::attribute("p", "T.p"))
-                .limit(k)
-                .build()
-                .unwrap();
-            let run = |db: &Database| {
-                db.session()
-                    .with_mode(PlanMode::Traditional)
-                    .with_threads(1)
-                    .execute(&query)
-                    .unwrap()
+    let layouts = [("clustered", build(true)), ("shuffled", build(false))];
+    for k in [1usize, 10, 100] {
+        let query = QueryBuilder::new()
+            .table("T")
+            .rank_predicate(RankPredicate::attribute("p", "T.p"))
+            .limit(k)
+            .build()
+            .unwrap();
+        let run = |db: &Database| {
+            db.session()
+                .with_mode(PlanMode::Traditional)
+                .with_threads(1)
+                .execute(&query)
+                .unwrap()
+        };
+        let mut scanned = Vec::new();
+        for (layout, db) in &layouts {
+            // Correctness gate: the pruned top-k is the oracle's, in order.
+            let got = run(db);
+            let want = oracle_top_k(&query, db.catalog()).unwrap();
+            let ids = |rows: &[ranksql_expr::RankedTuple]| -> Vec<_> {
+                rows.iter().map(|t| t.tuple.id().clone()).collect()
             };
-            // Determinism gate: identical ordered results across backends.
-            let row = run(&row_db);
-            let col = run(&col_db);
-            assert_eq!(row.scores(), col.scores(), "{layout}/k={k}");
-            let ids = |r: &ranksql_core::QueryResult| -> Vec<_> {
-                r.rows.iter().map(|t| t.tuple.id().clone()).collect()
-            };
-            assert_eq!(ids(&row), ids(&col), "{layout}/k={k}");
+            assert_eq!(ids(&got.rows), ids(&want), "{layout}/k={k}");
             println!(
-                "ablation_zone_map {layout}/k={k}: tuples_scanned row={} columnar={} \
-                 (blocks pruned: {})",
-                row.tuples_scanned, col.tuples_scanned, col.blocks_pruned
+                "ablation_zone_map {layout}/k={k}: tuples_scanned={} (blocks pruned: {})",
+                got.tuples_scanned, got.blocks_pruned
             );
-            if clustered {
-                assert!(
-                    col.tuples_scanned < row.tuples_scanned,
-                    "{layout}/k={k}: pruning must reduce tuples_scanned"
-                );
-            }
-            group.bench_function(format!("{layout}/k{k}/row"), |b| {
-                b.iter(|| black_box(run(&row_db).rows.len()))
-            });
-            group.bench_function(format!("{layout}/k{k}/columnar_zone_prune"), |b| {
-                b.iter(|| black_box(run(&col_db).rows.len()))
+            scanned.push(got.tuples_scanned);
+            group.bench_function(format!("{layout}/k{k}"), |b| {
+                b.iter(|| black_box(run(db).rows.len()))
             });
         }
+        assert!(
+            scanned[0] < scanned[1],
+            "k={k}: pruning must lower tuples_scanned on the clustered layout"
+        );
     }
     group.finish();
 }

@@ -1,8 +1,6 @@
 //! Micro-benchmarks of the individual rank-aware operators against their
 //! traditional counterparts: µ + rank-scan vs sort, HRJN vs hash-join + sort
-//! — plus the sequential-scan hot path, where the current move-out-of-the-
-//! snapshot scheme is compared against the historical clone-per-tuple
-//! baseline it replaced.
+//! — plus the sequential scan's filter spine and its compare kernel.
 
 use std::sync::Arc;
 
@@ -12,9 +10,9 @@ use ranksql_common::BitSet64;
 use ranksql_executor::kernel;
 use ranksql_executor::{
     build_operator, drain_batched, execute_physical_plan, execute_query_plan, operator::take,
-    scan::SeqScan, ExecutionContext,
+    ExecutionContext,
 };
-use ranksql_expr::{BoolExpr, CompareOp, RankedTuple, ScalarExpr};
+use ranksql_expr::{BoolExpr, CompareOp, ScalarExpr};
 use ranksql_workload::{SyntheticConfig, SyntheticWorkload};
 
 /// The per-row branchy selection loop `kernel::select_f64` replaced: one
@@ -104,67 +102,13 @@ fn bench_operators(c: &mut Criterion) {
     group.finish();
 
     // ------------------------------------------------------------------
-    // Scan hot path: the SeqScan operator moves tuples out of its snapshot
-    // (one copy total); the baseline reproduces the historical scheme of
-    // cloning every tuple out of a retained snapshot (two copies, with a
-    // TupleId allocation per clone before TupleId's inline representation).
+    // The sequential scan's σ spine (`ColumnScan[σ ..]`: typed-vector
+    // comparisons, zone maps, tuples materialised only for passing rows),
+    // drained at batch size 1024.  The filter keeps ~25 % of the rows.  A
+    // second bench adds the top-k spine, where zone-map score pruning
+    // additionally skips whole blocks.
     // ------------------------------------------------------------------
-    let mut scan_group = c.benchmark_group("seq_scan_hot_path");
-    scan_group.sample_size(10);
     let ranking = Arc::clone(&workload.query.ranking);
-    let n_preds = ranking.num_predicates();
-    scan_group.bench_function("snapshot_move", |bench| {
-        bench.iter(|| {
-            // Current scheme: the snapshot is the only copy; tuples are
-            // moved out of it.
-            let mut out = Vec::with_capacity(a.row_count());
-            for t in a.scan() {
-                out.push(RankedTuple::unranked(t, n_preds));
-            }
-            black_box(out.len())
-        })
-    });
-    scan_group.bench_function("snapshot_clone_per_tuple", |bench| {
-        bench.iter(|| {
-            // Historical scheme: the snapshot is retained and every
-            // produced tuple is cloned out of it a second time.
-            let snapshot = a.scan();
-            let mut out = Vec::with_capacity(snapshot.len());
-            #[allow(clippy::needless_range_loop)] // reproduces the indexed-clone scheme verbatim
-            for i in 0..snapshot.len() {
-                out.push(RankedTuple::unranked(snapshot[i].clone(), n_preds));
-            }
-            black_box(out.len())
-        })
-    });
-    scan_group.bench_function("seq_scan_operator_drain", |bench| {
-        // The full operator, including metrics and tuple-budget accounting.
-        bench.iter(|| {
-            let exec = ExecutionContext::new(Arc::clone(&ranking));
-            let mut scan = SeqScan::new(&a, 0..a.row_count(), &exec, "seqscan");
-            black_box(
-                drain_batched(&mut scan, exec.batch_size())
-                    .expect("scan")
-                    .len(),
-            )
-        })
-    });
-    scan_group.finish();
-
-    // ------------------------------------------------------------------
-    // Columnar vs row storage backend on the seq-scan + filter spine (the
-    // PR 5 acceptance workload): the same logical `σ(scan)` plan executed
-    // against the row heap (`Filter(SeqScan)`, interpreted per-tuple
-    // evaluation over Arc-shared tuples) and against the columnar
-    // projection (`ColumnScan[σ ..]`: typed-vector comparisons, zone maps,
-    // tuples materialised only for passing rows).  Both drained at batch
-    // size 1024.  The filter keeps ~25 % of the rows — a selectivity where
-    // late materialisation pays clearly (the win grows toward ~3.5× at
-    // 10 % and washes out above ~50 %, where per-row tuple assembly costs
-    // as much as the interpreted evaluation it replaces).  A second pair
-    // adds the top-k spine, where zone-map score pruning additionally
-    // skips whole blocks.
-    // ------------------------------------------------------------------
     let mut cvr = c.benchmark_group("columnar_vs_row");
     cvr.sample_size(10);
     let filter_spine = LogicalPlan::scan(&a).select(BoolExpr::compare(
@@ -172,43 +116,32 @@ fn bench_operators(c: &mut Criterion) {
         CompareOp::GtEq,
         ScalarExpr::lit(0.75),
     ));
-    let row_plan = PhysicalPlan::from_logical(&filter_spine).expect("lowering");
-    let col_plan =
-        ranksql_optimizer::columnarize(row_plan.clone(), &ranksql_optimizer::CostModel::default());
+    let columnarize = |logical: &LogicalPlan| {
+        let physical = PhysicalPlan::from_logical(logical).expect("lowering");
+        ranksql_optimizer::columnarize(physical, &ranksql_optimizer::CostModel::default())
+    };
+    let col_plan = columnarize(&filter_spine);
     // Build the projection outside the timed region (loaders do the same).
     a.columnar();
-    for (name, plan) in [
-        ("row/scan_filter", &row_plan),
-        ("columnar/scan_filter", &col_plan),
-    ] {
-        cvr.bench_function(name, |bench| {
-            bench.iter(|| {
-                let exec = ExecutionContext::new(Arc::clone(&ranking)).with_batch_size(1024);
-                let mut root = build_operator(plan, catalog, &exec).expect("build");
-                black_box(drain_batched(root.as_mut(), 1024).expect("drain").len())
-            })
-        });
-    }
-    // Top-k spine: SortLimit over the filtered scan; the columnar plan
-    // zone-prunes blocks against the heap's threshold.
-    let topk_spine = filter_spine.sort(BitSet64::from_indices([0, 1])).limit(k);
-    let row_topk = PhysicalPlan::from_logical(&topk_spine).expect("lowering");
-    let col_topk =
-        ranksql_optimizer::columnarize(row_topk.clone(), &ranksql_optimizer::CostModel::default());
-    for (name, plan) in [
-        ("row/scan_filter_topk", &row_topk),
-        ("columnar/scan_filter_topk", &col_topk),
-    ] {
-        cvr.bench_function(name, |bench| {
-            bench.iter(|| {
-                let exec = ExecutionContext::new(Arc::clone(&ranking)).with_batch_size(1024);
-                execute_physical_plan(plan, catalog, &exec)
-                    .expect("execution")
-                    .tuples
-                    .len()
-            })
-        });
-    }
+    cvr.bench_function("columnar/scan_filter", |bench| {
+        bench.iter(|| {
+            let exec = ExecutionContext::new(Arc::clone(&ranking)).with_batch_size(1024);
+            let mut root = build_operator(&col_plan, catalog, &exec).expect("build");
+            black_box(drain_batched(root.as_mut(), 1024).expect("drain").len())
+        })
+    });
+    // Top-k spine: SortLimit over the filtered scan, which zone-prunes
+    // blocks against the heap's threshold.
+    let col_topk = columnarize(&filter_spine.sort(BitSet64::from_indices([0, 1])).limit(k));
+    cvr.bench_function("columnar/scan_filter_topk", |bench| {
+        bench.iter(|| {
+            let exec = ExecutionContext::new(Arc::clone(&ranking)).with_batch_size(1024);
+            execute_physical_plan(&col_topk, catalog, &exec)
+                .expect("execution")
+                .tuples
+                .len()
+        })
+    });
 
     // Raw compare kernels: the auto-vectorised branch-free select
     // (`ranksql_executor::kernel`) against the per-row branchy loop it

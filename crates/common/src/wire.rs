@@ -31,7 +31,7 @@ use crate::value::Value;
 
 /// Protocol version negotiated in `HELLO` (bumped on incompatible frame or
 /// payload changes).
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// The default upper bound on a frame's length field.  Frames above the
 /// limit are rejected *before* their body is read, so a corrupt or hostile

@@ -126,11 +126,11 @@ impl Cursor {
         // runs with the same set — so everything the cursor ever reads,
         // including later `fetch_more` calls, is the state at open.
         let epochs = Arc::new(ranksql_storage::EpochSet::new());
-        // On columnar plans, tighten every upper bound with the tables'
-        // zone-map score maxima: rank-aware operators (µ, MPro, HRJN/NRJN)
-        // then emit earlier and probe less.  Caps never change results —
-        // they are valid per-predicate maxima — and row-backend plans get
-        // `None`, keeping their historical bounds bit for bit.
+        // On plans with `columnarize`-annotated scans, tighten every upper
+        // bound with the scanned tables' zone-map score maxima: rank-aware
+        // operators (µ, MPro, HRJN/NRJN) then emit earlier and probe less.
+        // Caps never change results — they are valid per-predicate maxima —
+        // and other plans get `None`, keeping their bounds bit for bit.
         let ranking =
             match ranksql_executor::zone_score_caps(&query.ranking, catalog, &physical, &epochs) {
                 Some(caps) => query.ranking.with_predicate_caps(caps),
@@ -215,7 +215,7 @@ impl Cursor {
     }
 
     /// Pages faulted into the buffer pool by this execution so far (zero on
-    /// non-paged backends).
+    /// in-memory databases).
     pub fn pages_faulted(&self) -> u64 {
         self.exec.pages_faulted()
     }

@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 use ranksql_algebra::{LogicalPlan, PhysicalPlan, RankQuery};
 use ranksql_common::{Result, Schema, Value};
 use ranksql_optimizer::{OptimizedPlan, OptimizerConfig, OptimizerMode, RankOptimizer};
-use ranksql_storage::{Catalog, StorageBackend, Table};
+use ranksql_storage::{Catalog, Table};
 
 use crate::cursor::Cursor;
 use crate::result::QueryResult;
@@ -134,7 +134,7 @@ impl CacheInner {
 
 /// The database-wide plan cache, keyed by
 /// [`ranksql_optimizer::normalized_cache_key`] (query shape + mode +
-/// threads + storage backend; never bound values, `k`, or weights) plus the
+/// threads; never bound values, `k`, or weights) plus the
 /// referenced tables' log₂ size buckets — so a cached shape is re-costed
 /// once a table grows or shrinks by about 2×, bounding plan staleness under
 /// mutation.
@@ -304,7 +304,8 @@ impl Database {
     /// log — and re-registered under its original id and schema.  Tables
     /// created and rows inserted afterwards follow the WAL protocol, so a
     /// crash at any point loses at most the rows since the last fsync
-    /// boundary.  New sessions default to [`StorageBackend::Paged`].
+    /// boundary.  Queries plan and scan exactly as on an in-memory
+    /// database; only the sealed blocks live in the directory's page files.
     pub fn open_paged(dir: impl AsRef<std::path::Path>) -> Result<Self> {
         Database::open_paged_with(dir, ranksql_storage::PagedOptions::default())
     }
@@ -318,15 +319,9 @@ impl Database {
     ) -> Result<Self> {
         let catalog = Catalog::new();
         ranksql_storage::PagedStore::open(dir.as_ref(), options, &catalog)?;
-        let default_settings = SessionSettings {
-            backend: StorageBackend::Paged,
-            ..SessionSettings::default()
-        };
         Ok(Database {
             catalog,
-            optimizer_config: OptimizerConfig::default(),
-            default_settings,
-            plan_cache: PlanCache::default(),
+            ..Database::new()
         })
     }
 
@@ -364,24 +359,6 @@ impl Database {
     /// wrappers) default to.
     pub fn threads(&self) -> usize {
         self.default_settings.threads
-    }
-
-    /// Picks the storage backend new sessions (and the compatibility
-    /// wrappers) plan against (builder form).  With
-    /// [`StorageBackend::Columnar`] (or [`StorageBackend::Paged`], its
-    /// disk-backed sibling) the planner runs the `columnarize` pass:
-    /// sequential scans read the tables' columnar projections, simple
-    /// filters are pushed into the scans, and top-k spines zone-prune
-    /// blocks.  Results are identical across backends — only access paths,
-    /// `tuples_scanned` and (on `Paged`) `pages_faulted` change.
-    pub fn with_storage_backend(mut self, backend: StorageBackend) -> Self {
-        self.default_settings.backend = backend;
-        self
-    }
-
-    /// The storage backend new sessions default to.
-    pub fn storage_backend(&self) -> StorageBackend {
-        self.default_settings.backend
     }
 
     /// Eagerly builds (and caches) the columnar projection of every table —
@@ -477,27 +454,21 @@ impl Database {
     /// are wrapped in `Exchange`/`Repartition` nodes, which the executor
     /// fans across the worker pool.
     pub fn plan(&self, query: &RankQuery, mode: PlanMode) -> Result<OptimizedPlan> {
-        self.plan_with_settings(
-            query,
-            mode,
-            self.default_settings.threads,
-            self.default_settings.backend,
-        )
+        self.plan_with_settings(query, mode, self.default_settings.threads)
     }
 
-    /// Plans under `mode` with an explicit worker-thread budget and storage
-    /// backend (the session-aware form of [`Database::plan`]).
+    /// Plans under `mode` with an explicit worker-thread budget (the
+    /// session-aware form of [`Database::plan`]).
     ///
     /// Pass order: serial optimization → `columnarize` (annotate scans,
     /// push filters, mark zone pruning) → `parallelize` (wrap spines in
-    /// exchanges; it treats columnar scans like any sequential scan, so
-    /// columnar morsels flow through the exchange path).
+    /// exchanges; it treats annotated scans like any sequential scan, so
+    /// their morsels flow through the exchange path).
     pub(crate) fn plan_with_settings(
         &self,
         query: &RankQuery,
         mode: PlanMode,
         threads: usize,
-        backend: StorageBackend,
     ) -> Result<OptimizedPlan> {
         let verify = ranksql_verify::enabled();
         let mut optimized = self.plan_serial(query, mode)?;
@@ -505,15 +476,13 @@ impl Database {
             debug_verify_logical(&optimized.plan, &query.ranking, "optimize")?;
             debug_verify(&optimized.physical, &query.ranking, "optimize")?;
         }
-        if backend.is_columnar() {
-            optimized.physical = ranksql_optimizer::columnarize(
-                optimized.physical,
-                &ranksql_optimizer::CostModel::default(),
-            );
-            optimized.cost = optimized.physical.estimated_cost;
-            if verify {
-                debug_verify(&optimized.physical, &query.ranking, "columnarize")?;
-            }
+        optimized.physical = ranksql_optimizer::columnarize(
+            optimized.physical,
+            &ranksql_optimizer::CostModel::default(),
+        );
+        optimized.cost = optimized.physical.estimated_cost;
+        if verify {
+            debug_verify(&optimized.physical, &query.ranking, "columnarize")?;
         }
         if threads > 1 {
             optimized.physical = ranksql_optimizer::parallelize(optimized.physical, threads);

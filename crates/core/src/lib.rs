@@ -69,4 +69,4 @@ pub use ranksql_expr::{
     BoolExpr, CompareOp, RankPredicate, RankingContext, ScalarExpr, ScoringFunction,
 };
 pub use ranksql_optimizer::{OptimizedPlan, OptimizerConfig, OptimizerMode, RankOptimizer};
-pub use ranksql_storage::{PagedOptions, PagedStore, StorageBackend};
+pub use ranksql_storage::{PagedOptions, PagedStore};

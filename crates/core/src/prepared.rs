@@ -101,12 +101,20 @@ impl<'db> PreparedQuery<'db> {
         settings: SessionSettings,
         template: RankQuery,
     ) -> Result<Self> {
+        // Every SQL and built query passes here before it is planned or
+        // run; past the cap the score bookkeeping would panic mid-pull.
+        let n = template.ranking.num_predicates();
+        if n > ranksql_expr::MAX_RANKING_PREDICATES {
+            return Err(RankSqlError::Plan(format!(
+                "a query may rank by at most {} predicates, got {n}",
+                ranksql_expr::MAX_RANKING_PREDICATES
+            )));
+        }
         let slots = template.param_slots();
         let cache_key = ranksql_optimizer::normalized_cache_key(
             &template,
             &format!("{:?}", settings.mode),
             settings.threads,
-            settings.backend.tag(),
         );
         Ok(PreparedQuery {
             db,
@@ -235,12 +243,7 @@ impl<'db> PreparedQuery<'db> {
             Some(hit) => hit,
             None => self.db.plan_cache().populate(&key, || {
                 self.db
-                    .plan_with_settings(
-                        &query,
-                        self.settings.mode,
-                        self.settings.threads,
-                        self.settings.backend,
-                    )
+                    .plan_with_settings(&query, self.settings.mode, self.settings.threads)
                     .map(|plan| (plan, query.k))
             })?,
         };

@@ -50,23 +50,21 @@ pub struct QueryResult {
     pub elapsed: Duration,
     /// Number of evaluations of each ranking predicate during execution.
     pub predicate_evaluations: Vec<u64>,
-    /// Tuples the scans actually examined.  Zone-map pruning on the
-    /// columnar backend lowers this — and only this — for identical
-    /// results.
+    /// Tuples the scans actually examined.  Zone-map pruning lowers this —
+    /// and only this — for identical results.
     pub tuples_scanned: u64,
     /// Zone-map prune events (block ranges skipped by filter or score
-    /// pruning); 0 on the row backend.  Counted per distinct (scan, block)
+    /// pruning); 0 without zone pruning.  Counted per distinct (scan, block)
     /// even under morsel-parallel execution — a block overlapping several
     /// morsels contributes once.  `tuples_scanned` carries the exact row
     /// savings.
     pub blocks_pruned: u64,
-    /// Pages faulted in from disk by columnar scans on the paged backend
-    /// (16 KiB units); 0 on the in-memory backends and for buffer-pool
-    /// hits.  Each block faults at most once per scan — late
+    /// Pages faulted in from disk by sequential scans of a paged database
+    /// (16 KiB units); 0 on in-memory databases and for buffer-pool hits.  Each block faults at most once per scan — late
     /// materialization reuses the admitted block.
     pub pages_faulted: u64,
     /// Pages that zone-map pruning kept from ever being read (the on-disk
-    /// footprint of the pruned blocks); 0 outside the paged backend.  A
+    /// footprint of the pruned blocks); 0 on in-memory databases.  A
     /// pruned block is a page never read: together with `pages_faulted`
     /// this quantifies the I/O the pruning saved.
     pub pages_pruned: u64,

@@ -40,11 +40,6 @@ pub struct SessionSettings {
     /// Optional cap on scan-produced tuples per execution (a guard rail for
     /// top-k queries that degenerate into full materialisation).
     pub tuple_budget: Option<u64>,
-    /// Which storage backend plans read base tables through: the row heap
-    /// (default) or the columnar projection with zone maps (the planner
-    /// then runs the `columnarize` pass).  Results are identical across
-    /// backends.
-    pub backend: ranksql_storage::StorageBackend,
 }
 
 impl Default for SessionSettings {
@@ -55,7 +50,6 @@ impl Default for SessionSettings {
             batch_size: DEFAULT_BATCH_SIZE,
             morsel_size: DEFAULT_MORSEL_SIZE,
             tuple_budget: None,
-            backend: ranksql_storage::StorageBackend::Row,
         }
     }
 }
@@ -149,18 +143,6 @@ impl<'db> Session<'db> {
         self
     }
 
-    /// Picks the storage backend this session plans against (see
-    /// [`SessionSettings::backend`]).
-    pub fn with_storage_backend(mut self, backend: ranksql_storage::StorageBackend) -> Self {
-        self.settings.backend = backend;
-        self
-    }
-
-    /// The configured storage backend.
-    pub fn storage_backend(&self) -> ranksql_storage::StorageBackend {
-        self.settings.backend
-    }
-
     /// The configured plan mode.
     pub fn mode(&self) -> PlanMode {
         self.settings.mode
@@ -204,12 +186,8 @@ impl<'db> Session<'db> {
     /// executing it (above one thread the physical plan has been through
     /// the optimizer's parallelization pass).
     pub fn plan(&self, query: &RankQuery) -> Result<ranksql_optimizer::OptimizedPlan> {
-        self.db.plan_with_settings(
-            query,
-            self.settings.mode,
-            self.settings.threads,
-            self.settings.backend,
-        )
+        self.db
+            .plan_with_settings(query, self.settings.mode, self.settings.threads)
     }
 
     /// Runs the full plan validator over the plan this session would run
@@ -234,12 +212,7 @@ impl<'db> Session<'db> {
     /// query: logical and costed physical trees under the session's mode and
     /// thread budget, plus the plan-validation footer.
     pub fn explain(&self, query: &RankQuery) -> Result<String> {
-        let optimized = self.db.plan_with_settings(
-            query,
-            self.settings.mode,
-            self.settings.threads,
-            self.settings.backend,
-        )?;
+        let optimized = self.plan(query)?;
         let mut out = String::new();
         out.push_str(&format!(
             "mode: {:?}\nestimated cost: {:.1}\nestimated cardinality: {:.1}\n",

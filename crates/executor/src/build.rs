@@ -28,7 +28,7 @@ use crate::mpro::MProOp;
 use crate::operator::{drain_batched, BoxedOperator, PhysicalOperator};
 use crate::rank::RankOp;
 use crate::rank_join::RankJoin;
-use crate::scan::{AttributeIndexScan, RankScan, SeqScan};
+use crate::scan::{AttributeIndexScan, RankScan};
 use crate::set_ops::{ExceptOp, IntersectOp, UnionOp};
 use crate::sort_limit::{LimitOp, SortLimitOp, SortOp};
 
@@ -48,7 +48,8 @@ fn spine_has_pruning_scan(plan: &PhysicalPlan) -> bool {
     }
 }
 
-/// Collects the names of tables the plan reads through columnar scans.
+/// Collects the names of tables the plan reads through scans the
+/// `columnarize` pass annotated.
 fn columnar_scanned_tables(plan: &PhysicalPlan, out: &mut Vec<String>) {
     if let PhysicalOp::SeqScan {
         table,
@@ -65,12 +66,13 @@ fn columnar_scanned_tables(plan: &PhysicalPlan, out: &mut Vec<String>) {
     }
 }
 
-/// Data-derived per-predicate score maxima for a columnar plan: for every
-/// ranking predicate that reads an attribute of a **columnar-scanned**
-/// table, the table-wide zone-map maximum of that column (clamped into
-/// `[0, 1]`); everything else keeps the global predicate maximum.
+/// Data-derived per-predicate score maxima for a planned query: for every
+/// ranking predicate that reads an attribute of a table the plan scans
+/// through a **`columnarize`-annotated** sequential scan, the table-wide
+/// zone-map maximum of that column (clamped into `[0, 1]`); everything else
+/// keeps the global predicate maximum.
 ///
-/// Only tables the plan actually column-scans contribute — their
+/// Only tables the plan actually sequentially scans contribute — their
 /// projections exist (or are about to be built by the scan) anyway, so
 /// deriving a cap never forces an `O(rows)` projection build for a table
 /// the plan only rank-scans.
@@ -80,12 +82,13 @@ fn columnar_scanned_tables(plan: &PhysicalPlan, out: &mut Vec<String>) {
 /// delta tail the scans will stream (a tail row can carry a table's maximal
 /// score; a sealed-only fold would be unsound).
 ///
-/// Returns `None` for plans without a columnar scan, so row-backend
-/// executions keep their exact historical upper bounds (and byte-identical
-/// intermediate streams).  Install the caps with
-/// [`RankingContext::with_predicate_caps`]; rank-aware operators (µ, MPro,
-/// HRJN/NRJN) then consume the zone maps through every upper bound they
-/// compute — emitting earlier and probing less, without changing results.
+/// Returns `None` for plans without an annotated scan (rank-scan-only plans
+/// and the structural lowering of hand-built plans), which keep their exact
+/// upper bounds (and byte-identical intermediate streams).  Install the
+/// caps with [`RankingContext::with_predicate_caps`]; rank-aware operators
+/// (µ, MPro, HRJN/NRJN) then consume the zone maps through every upper
+/// bound they compute — emitting earlier and probing less, without
+/// changing results.
 pub fn zone_score_caps(
     ranking: &RankingContext,
     catalog: &Catalog,
@@ -235,27 +238,26 @@ fn lower(
             table, columnar, ..
         } => {
             let table = catalog.table(table)?;
-            let epoch = exec.pin_epoch(&table, columnar.is_some());
+            let epoch = exec.pin_epoch(&table, true);
             // The whole pinned epoch — or, in an exchange, one morsel of it.
             let range = exec.morsel_range().unwrap_or(0..epoch.row_count());
-            match columnar {
-                None => Ok(Box::new(SeqScan::new(&table, range, exec, label))),
-                Some(c) => {
-                    // One prune-dedup bitmap per spine, so a block spanning
-                    // two morsels counts once.
-                    let pruned_blocks =
-                        exec.spine_shared(|_| Ok(ColumnScan::pruned_block_map(epoch.row_count())))?;
-                    Ok(Box::new(ColumnScan::new(
-                        &epoch,
-                        range,
-                        c.pushed_filter.as_ref(),
-                        c.zone_prune,
-                        pruned_blocks,
-                        exec,
-                        label,
-                    )?))
-                }
-            }
+            // One prune-dedup bitmap per spine, so a block spanning two
+            // morsels counts once.
+            let pruned_blocks =
+                exec.spine_shared(|_| Ok(ColumnScan::pruned_block_map(epoch.row_count())))?;
+            let (pushed_filter, zone_prune) = match columnar {
+                Some(c) => (c.pushed_filter.as_ref(), c.zone_prune),
+                None => (None, false),
+            };
+            Ok(Box::new(ColumnScan::new(
+                &epoch,
+                range,
+                pushed_filter,
+                zone_prune,
+                pruned_blocks,
+                exec,
+                label,
+            )?))
         }
         PhysicalOp::RankScan {
             table, predicate, ..
@@ -507,16 +509,16 @@ pub struct ExecutionResult {
     /// and only this — for identical results).
     pub tuples_scanned: u64,
     /// Zone-map prune events (block ranges skipped by filter or score
-    /// pruning); 0 on the row backend.  Counted per distinct (scan, block)
+    /// pruning); 0 without zone pruning.  Counted per distinct (scan, block)
     /// even under morsel-parallel execution — a block overlapping several
     /// morsels contributes once.  `tuples_scanned` carries the exact row
     /// savings.
     pub blocks_pruned: u64,
-    /// Buffer-pool pages faulted in from disk by columnar scans (0 on
-    /// RAM-resident backends).
+    /// Buffer-pool pages faulted in from disk by sequential scans (0 on
+    /// in-memory databases).
     pub pages_faulted: u64,
     /// Pages of paged-out blocks that zone-map pruning skipped — disk reads
-    /// that never happened (0 on RAM-resident backends).
+    /// that never happened (0 on in-memory databases).
     pub pages_pruned: u64,
 }
 

@@ -1,9 +1,10 @@
-//! The columnar table scan: block-at-a-time reads over a
-//! [`ColumnTable`] with zone-map pruning and late materialisation.
+//! The sequential scan: block-at-a-time reads over a pinned epoch's
+//! sealed [`ColumnTable`] blocks plus its frozen row tail, with zone-map
+//! pruning and late materialisation.
 //!
-//! A [`ColumnScan`] implements the same contract as [`SeqScan`] (storage
-//! order, `P = ∅`) but reads the table's columnar projection instead of the
-//! row heap:
+//! A [`ColumnScan`] emits a table's rows in storage order with `P = ∅` —
+//! the paper's `seqScan` — and every base-table sequential scan of a plan
+//! is one:
 //!
 //! * a **pushed-down filter** (a conjunction of simple column-vs-constant
 //!   comparisons, fused into the scan by the optimizer's `columnarize`
@@ -20,8 +21,6 @@
 //! Pruned blocks are never examined: their rows are charged to neither the
 //! tuple budget nor the scan's `tuples_in` counter, which is exactly the
 //! `tuples_scanned` reduction the zone-map regression tests assert.
-//!
-//! [`SeqScan`]: crate::scan::SeqScan
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -125,7 +124,7 @@ impl TypedCompare {
     /// Appends the rows of `range` that pass this comparison to `sel`.
     /// The column type and operator are matched once; the inner loops are
     /// the branch-free chunked kernels of [`crate::kernel`] (semantics
-    /// identical to the `Value` comparison the row-backend `Filter` would
+    /// identical to the `Value` comparison a `Filter` operator would
     /// perform, including `cmp_f64_total` NaN / signed-zero handling).
     /// `range` never spans a sealed-block boundary (the chunked filter
     /// clamps to the admitted block's end), so it maps onto one block slice.
@@ -137,56 +136,57 @@ impl TypedCompare {
         block_start: usize,
         range: Range<usize>,
         sel: &mut Vec<u32>,
-    ) {
+    ) -> Result<()> {
         let local = (range.start - block_start)..(range.end - block_start);
         let base = range.start as u32;
-        match *self {
-            TypedCompare::I64 { col, op, rhs } => {
-                let ColumnSlice::Int64(v) = block.slice(col) else {
-                    unreachable!("compiled against an Int64 column");
-                };
-                kernel::select_i64(&v[local], base, sel, op, rhs);
+        match (*self, block.slice(self.col())) {
+            (TypedCompare::I64 { op, rhs, .. }, ColumnSlice::Int64(v)) => {
+                kernel::select_i64(&v[local], base, sel, op, rhs)
             }
-            TypedCompare::I64AsF64 { col, op, rhs } => {
-                let ColumnSlice::Int64(v) = block.slice(col) else {
-                    unreachable!("compiled against an Int64 column");
-                };
-                kernel::select_i64_as_f64(&v[local], base, sel, op, rhs);
+            (TypedCompare::I64AsF64 { op, rhs, .. }, ColumnSlice::Int64(v)) => {
+                kernel::select_i64_as_f64(&v[local], base, sel, op, rhs)
             }
-            TypedCompare::F64 { col, op, rhs } => {
-                let ColumnSlice::Float64(v) = block.slice(col) else {
-                    unreachable!("compiled against a Float64 column");
-                };
-                kernel::select_f64(&v[local], base, sel, op, rhs);
+            (TypedCompare::F64 { op, rhs, .. }, ColumnSlice::Float64(v)) => {
+                kernel::select_f64(&v[local], base, sel, op, rhs)
             }
+            _ => return Err(self.kind_mismatch()),
         }
+        Ok(())
     }
 
     /// Retains in `sel` only the rows (table-absolute, all inside `block`)
     /// that also pass this comparison, compacting the selection vector in
     /// place with branch-free writes.
-    fn filter_sel_in_place(&self, block: &SealedBlock, block_start: usize, sel: &mut Vec<u32>) {
+    fn filter_sel_in_place(
+        &self,
+        block: &SealedBlock,
+        block_start: usize,
+        sel: &mut Vec<u32>,
+    ) -> Result<()> {
         let base = block_start as u32;
-        match *self {
-            TypedCompare::I64 { col, op, rhs } => {
-                let ColumnSlice::Int64(v) = block.slice(col) else {
-                    unreachable!("compiled against an Int64 column");
-                };
-                kernel::refine_i64(v, base, sel, op, rhs);
+        match (*self, block.slice(self.col())) {
+            (TypedCompare::I64 { op, rhs, .. }, ColumnSlice::Int64(v)) => {
+                kernel::refine_i64(v, base, sel, op, rhs)
             }
-            TypedCompare::I64AsF64 { col, op, rhs } => {
-                let ColumnSlice::Int64(v) = block.slice(col) else {
-                    unreachable!("compiled against an Int64 column");
-                };
-                kernel::refine_i64_as_f64(v, base, sel, op, rhs);
+            (TypedCompare::I64AsF64 { op, rhs, .. }, ColumnSlice::Int64(v)) => {
+                kernel::refine_i64_as_f64(v, base, sel, op, rhs)
             }
-            TypedCompare::F64 { col, op, rhs } => {
-                let ColumnSlice::Float64(v) = block.slice(col) else {
-                    unreachable!("compiled against a Float64 column");
-                };
-                kernel::refine_f64(v, base, sel, op, rhs);
+            (TypedCompare::F64 { op, rhs, .. }, ColumnSlice::Float64(v)) => {
+                kernel::refine_f64(v, base, sel, op, rhs)
             }
+            _ => return Err(self.kind_mismatch()),
         }
+        Ok(())
+    }
+
+    /// A block whose column storage differs from the table-wide kind the
+    /// comparison was compiled against (the fold in `ColumnTable` makes a
+    /// column typed only when every block is).
+    fn kind_mismatch(&self) -> RankSqlError {
+        RankSqlError::Internal(format!(
+            "column {} of a sealed block does not have the type its pushed filter was compiled for",
+            self.col()
+        ))
     }
 
     /// Whether any value in `block` *may* satisfy this comparison, judged by
@@ -236,9 +236,9 @@ fn range_may_match(op: CompareOp, min_vs: Ordering, max_vs: Ordering) -> bool {
 
 /// Columnar sequential scan (see the module docs).
 ///
-/// Like [`SeqScan`](crate::scan::SeqScan) the output is storage-ordered with
-/// `P = ∅`; a pushed filter only removes rows, never re-orders them, so
-/// results are byte-identical to `Filter(SeqScan)` over the row backend.
+/// The output is storage-ordered with `P = ∅`; a pushed filter only
+/// removes rows, never re-orders them, so results are byte-identical to a
+/// `Filter` operator over the unfiltered scan.
 pub struct ColumnScan {
     table: Arc<ColumnTable>,
     /// The pinned epoch's frozen delta tail: rows past the sealed blocks,
@@ -249,7 +249,7 @@ pub struct ColumnScan {
     schema: Schema,
     filter: Option<CompiledFilter>,
     /// The pushed filter bound for tuple-at-a-time evaluation over the tail
-    /// (row-backend semantics, which the typed kernels match exactly).
+    /// (`Filter` semantics, which the typed kernels match exactly).
     tail_filter: Option<BoundBoolExpr>,
     /// Top-k threshold raised by the downstream `SortLimit` (score pruning).
     prune_cell: Option<Arc<TopKThreshold>>,
@@ -288,19 +288,19 @@ pub struct ColumnScan {
 }
 
 impl ColumnScan {
-    /// Creates a columnar scan over the rows `range` of a pinned
-    /// [`TableEpoch`] — the whole epoch serially, one morsel in an
-    /// exchange.  The epoch's sealed blocks are scanned block-at-a-time
-    /// (with pruning) and its frozen delta tail row-at-a-time afterwards,
-    /// so concurrent inserts are invisible.  The epoch must have been pinned
-    /// with the columnar layout.
+    /// Creates a scan over the rows `range` of a pinned [`TableEpoch`] —
+    /// the whole epoch serially, one morsel in an exchange.  The epoch's
+    /// sealed blocks are scanned block-at-a-time (with pruning) and its
+    /// frozen delta tail row-at-a-time afterwards, so concurrent inserts are
+    /// invisible.  The epoch must have been pinned with the columnar layout.
     ///
     /// `pushed_filter` and `zone_prune` come from the plan's
-    /// [`ColumnarScan`](ranksql_algebra::ColumnarScan) annotation; when
-    /// `zone_prune` is set the scan adopts the threshold cell pushed by the
-    /// enclosing `SortLimit` (absent cell = pruning stays off, which is
-    /// always safe).  `pruned_blocks` is the prune-dedup bitmap shared by
-    /// every morsel of an exchange spine; `None` gives the scan its own.
+    /// [`ColumnarScan`](ranksql_algebra::ColumnarScan) annotation (both off
+    /// for an unannotated scan); when `zone_prune` is set the scan adopts the
+    /// threshold cell pushed by the enclosing `SortLimit` (absent cell =
+    /// pruning stays off, which is always safe).  `pruned_blocks` is the
+    /// prune-dedup bitmap shared by every morsel of an exchange spine;
+    /// `None` gives the scan its own.
     pub fn new(
         epoch: &TableEpoch,
         range: Range<usize>,
@@ -412,7 +412,7 @@ impl ColumnScan {
         let bit = 1u64 << (block % 64);
         if self.pruned_blocks[block / 64].fetch_or(bit, Ordering::Relaxed) & bit == 0 {
             self.pruned_counter.fetch_add(1, Ordering::Relaxed);
-            // On a paged backend a pruned block is a page never read: its
+            // On a paged table a pruned block is a page never read: its
             // extent stays on disk.  Resident blocks report 0 pages.
             let pages = self.table.block_pages(block);
             if pages > 0 {
@@ -457,7 +457,7 @@ impl ColumnScan {
                 }
             }
             // The block survived pruning: fault it in (buffer-pool read on
-            // a paged backend, free on a resident one) exactly once per
+            // a paged table, free on a resident one) exactly once per
             // admission.
             let (sealed, faulted) = self.table.fetch_block(block)?;
             if faulted {
@@ -473,34 +473,49 @@ impl ColumnScan {
     }
 
     /// Minimum rows filtered per demand-driven chunk of the typed path —
-    /// small enough that tight tuple budgets behave like the row backend's
-    /// per-demand charging, large enough to amortize the chunk setup.
+    /// small enough that tight tuple budgets behave like a `Filter`
+    /// operator's per-demand charging, large enough to amortize the chunk
+    /// setup.
     const MIN_FILTER_CHUNK: usize = 64;
+
+    /// The currently admitted block as `(block_start_row, block)`.
+    fn admitted_block(&self) -> Result<(usize, &Arc<SealedBlock>)> {
+        match &self.cur_block {
+            Some((start, block)) => Ok((*start, block)),
+            None => Err(RankSqlError::Internal(
+                "column scan read a block before admitting one".into(),
+            )),
+        }
+    }
 
     /// Filters the next chunk of the current admitted block into the
     /// selection vector (demand-driven: roughly `want` rows at a time, so
     /// the tuple budget is charged in step with what the consumer actually
-    /// pulls — matching the row backend's `Filter(SeqScan)` granularity,
-    /// where tight budgets must trip identically across backends).
+    /// pulls — the granularity of a `Filter` operator over an unfiltered
+    /// scan, so tight budgets trip at the same point with or without
+    /// fusion).
     fn filter_next_chunk(&mut self, want: usize, cmps: &[TypedCompare]) -> Result<()> {
         let chunk_end = self
             .pos
             .saturating_add(want.max(Self::MIN_FILTER_CHUNK))
             .min(self.block_end);
+        let (block_start, block) = self.admitted_block()?;
+        let block = Arc::clone(block);
         self.sel.clear();
         self.sel_pos = 0;
-        let (block_start, block) = self
-            .cur_block
-            .as_ref()
-            .map(|(s, b)| (*s, Arc::clone(b)))
-            .expect("typed filter runs inside an admitted block");
-        let (first, rest) = cmps.split_first().expect("typed filter is non-empty");
-        first.filter_range_into(&block, block_start, self.pos..chunk_end, &mut self.sel);
-        for c in rest {
+        let mut cmps = cmps.iter();
+        match cmps.next() {
+            Some(first) => {
+                first.filter_range_into(&block, block_start, self.pos..chunk_end, &mut self.sel)?
+            }
+            // A conjunction of no comparisons keeps every row.
+            None => self.sel.extend(self.pos as u32..chunk_end as u32),
+        }
+        for c in cmps {
             if self.sel.is_empty() {
                 break;
             }
-            c.filter_sel_in_place(&block, block_start, &mut self.sel);
+            c.filter_sel_in_place(&block, block_start, &mut self.sel)?;
         }
         let examined = (chunk_end - self.pos) as u64;
         self.pos = chunk_end;
@@ -510,12 +525,9 @@ impl ColumnScan {
     /// Materialises the tuple at table-absolute `row` from the currently
     /// admitted (already faulted-in) block — late materialisation never
     /// touches the table, so it cannot re-fault a paged block.
-    fn block_tuple(&self, row: usize) -> Tuple {
-        let (block_start, block) = self
-            .cur_block
-            .as_ref()
-            .expect("materialisation runs inside an admitted block");
-        block.tuple(self.table.table_id(), *block_start, row - *block_start)
+    fn block_tuple(&self, row: usize) -> Result<Tuple> {
+        let (block_start, block) = self.admitted_block()?;
+        Ok(block.tuple(self.table.table_id(), block_start, row - block_start))
     }
 
     /// Records examined rows against the tuple budget and scan metrics.
@@ -541,8 +553,7 @@ impl PhysicalOperator for ColumnScan {
         while out.len() - before < max {
             if !self.block_has_pending() && !self.advance_block()? {
                 // Sealed blocks exhausted: stream the epoch's frozen delta
-                // tail row-at-a-time (row layout, per-row budget charge —
-                // exactly the row backend's granularity).
+                // tail row-at-a-time (row layout, per-row budget charge).
                 if self.pos >= self.end {
                     break;
                 }
@@ -561,7 +572,7 @@ impl PhysicalOperator for ColumnScan {
                 None => {
                     let take = want.min(self.block_end - self.pos);
                     for row in self.pos..self.pos + take {
-                        out.push(RankedTuple::unranked(self.block_tuple(row), n_preds));
+                        out.push(RankedTuple::unranked(self.block_tuple(row)?, n_preds));
                     }
                     self.pos += take;
                     examined += take as u64;
@@ -575,7 +586,7 @@ impl PhysicalOperator for ColumnScan {
                     let take = want.min(self.sel.len() - self.sel_pos);
                     for i in self.sel_pos..self.sel_pos + take {
                         let row = self.sel[i] as usize;
-                        out.push(RankedTuple::unranked(self.block_tuple(row), n_preds));
+                        out.push(RankedTuple::unranked(self.block_tuple(row)?, n_preds));
                     }
                     self.sel_pos += take;
                 }
@@ -584,7 +595,7 @@ impl PhysicalOperator for ColumnScan {
                         let row = self.pos;
                         self.pos += 1;
                         examined += 1;
-                        let tuple = self.block_tuple(row);
+                        let tuple = self.block_tuple(row)?;
                         if bound.eval(&tuple)? {
                             out.push(RankedTuple::unranked(tuple, n_preds));
                         }
@@ -611,12 +622,19 @@ impl PhysicalOperator for ColumnScan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::operator::drain_batched;
     use ranksql_common::{BitSet64, DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
-    use ranksql_storage::TableBuilder;
+    use ranksql_storage::{Table, TableBuilder};
+
+    /// A plain sequential scan of all of `t` (no pushed filter, no
+    /// pruning): the input the other operators' unit tests read from.
+    pub(crate) fn scan_table(t: &Table, exec: &ExecutionContext, label: &str) -> ColumnScan {
+        let epoch = t.pin_epoch(true);
+        ColumnScan::new(&epoch, 0..epoch.row_count(), None, false, None, exec, label).unwrap()
+    }
 
     fn table(rows: usize) -> ranksql_storage::Table {
         let schema = Schema::new(vec![
@@ -655,17 +673,21 @@ mod tests {
     }
 
     #[test]
-    fn plain_columnar_scan_matches_row_scan() {
+    fn plain_scan_emits_the_row_heap_unranked() {
         let t = table(3000);
         let exec = ExecutionContext::new(ctx());
-        let mut scan = scan_all(&t, None, false, &exec);
+        let mut scan = scan_table(&t, &exec, "cs");
         let got = drain_batched(&mut scan, 512).unwrap();
         let want = t.scan();
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(want.iter()) {
             assert_eq!(g.tuple.id(), w.id());
             assert_eq!(g.tuple.values(), w.values());
+            // P = ∅: every tuple carries the same maximal upper bound.
+            assert!(g.state.evaluated().is_empty());
+            assert_eq!(exec.ranking().upper_bound(&g.state).value(), 1.0);
         }
+        assert_eq!(exec.metrics().output_cardinalities()[0].1, 3000);
     }
 
     #[test]
@@ -709,9 +731,9 @@ mod tests {
     }
 
     /// Regression: the fused-filter path must charge the tuple budget in
-    /// step with consumer demand (like the row backend's `Filter(SeqScan)`,
+    /// step with consumer demand (like a `Filter` over an unfiltered scan,
     /// which pulls scan chunks of the still-missing count) — a tight budget
-    /// that succeeds on the row backend must not spuriously trip here just
+    /// that the unfused plan meets must not spuriously trip here just
     /// because a whole 1024-row block was filtered eagerly.
     #[test]
     fn fused_filter_charges_budget_per_demand_not_per_block() {

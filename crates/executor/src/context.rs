@@ -243,7 +243,7 @@ pub struct ExecutionContext {
     /// several morsels counts once — serially and in parallel, one event =
     /// one distinct block.
     blocks_pruned: Arc<AtomicU64>,
-    /// Pages faulted in from disk by columnar scans over a paged backend
+    /// Pages faulted in from disk by sequential scans over paged tables
     /// (always 0 for RAM-resident tables).  Counted at block granularity
     /// when a scan's `fetch_block` misses the buffer pool.
     pages_faulted: Arc<AtomicU64>,

@@ -51,14 +51,12 @@ use crate::operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
 
 /// The parallel-safety check: `plan` must be a spine of σ, π, the probe
 /// side of a hash or nested-loops join, a sort or a top-k, down to one
-/// `Repartition`-marked sequential scan.  Returns that scan's table and
-/// whether it is columnar; builds nothing.
-fn driving_scan<'p>(plan: &'p PhysicalPlan, exec: &ExecutionContext) -> Result<(&'p str, bool)> {
+/// `Repartition`-marked sequential scan.  Returns that scan's table;
+/// builds nothing.
+fn driving_scan<'p>(plan: &'p PhysicalPlan, exec: &ExecutionContext) -> Result<&'p str> {
     match &plan.op {
         PhysicalOp::Repartition { input } => match &input.op {
-            PhysicalOp::SeqScan {
-                table, columnar, ..
-            } => Ok((table, columnar.is_some())),
+            PhysicalOp::SeqScan { table, .. } => Ok(table),
             _ => Err(RankSqlError::Plan(format!(
                 "Repartition must mark a sequential scan, found `{}`",
                 input.node_label(Some(exec.ranking()))
@@ -109,14 +107,14 @@ impl ExchangeOp {
         exec: &ExecutionContext,
         label: impl Into<String>,
     ) -> Result<Self> {
-        let (table, columnar) = driving_scan(input, exec)?;
+        let table = driving_scan(input, exec)?;
         // Morsels cover the execution's pinned epoch, so every morsel (and
         // every other access path of this execution) reads one watermark
         // however many rows writers append meanwhile.  An empty table still
         // gets one lowering, over an empty range, so its build sides are
         // drained and its operators registered exactly once.
         let table = catalog.table(table)?;
-        let rows = exec.pin_epoch(&table, columnar).row_count();
+        let rows = exec.pin_epoch(&table, true).row_count();
         let mut ranges = morsel_ranges(rows, exec.morsel_size());
         if ranges.is_empty() {
             ranges.push((0, 0));

@@ -149,8 +149,8 @@ impl PhysicalOperator for Project {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_scan::tests::scan_table;
     use crate::operator::drain_batched;
-    use crate::scan::SeqScan;
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{CompareOp, RankingContext, ScalarExpr};
     use ranksql_storage::{Table, TableBuilder};
@@ -172,7 +172,7 @@ mod tests {
     }
 
     fn scan(t: &Table, exec: &ExecutionContext) -> BoxedOperator {
-        Box::new(SeqScan::new(t, 0..t.row_count(), exec, "scan"))
+        Box::new(scan_table(t, exec, "scan"))
     }
 
     #[test]

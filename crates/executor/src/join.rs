@@ -700,8 +700,8 @@ impl PhysicalOperator for SortMergeJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_scan::tests::scan_table;
     use crate::operator::drain_batched;
-    use crate::scan::SeqScan;
     use ranksql_common::{DataType, Field};
     use ranksql_expr::RankingContext;
     use ranksql_storage::{Table, TableBuilder};
@@ -745,7 +745,7 @@ mod tests {
     }
 
     fn scan(t: &Table, exec: &ExecutionContext) -> BoxedOperator {
-        Box::new(SeqScan::new(t, 0..t.row_count(), exec, "scan"))
+        Box::new(scan_table(t, exec, "scan"))
     }
 
     /// `t` as a join's undrained build side.

@@ -12,7 +12,8 @@
 //!
 //! | operator | module | rank-aware? |
 //! |---|---|---|
-//! | sequential scan, rank-scan (`idxScan_p`), attribute index scan | [`scan`] | rank-scan: yes |
+//! | sequential scan (sealed blocks + frozen tail, zone maps) | [`column_scan`] | no (`P = ∅`) |
+//! | rank-scan (`idxScan_p`), attribute index scan | [`scan`] | rank-scan: yes |
 //! | filter (σ), project (π) | [`filter`] | order-preserving |
 //! | rank (µ) | [`rank`] | yes |
 //! | multi-predicate rank with minimal probing (MPro) | [`mpro`] | yes |

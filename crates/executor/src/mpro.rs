@@ -181,9 +181,10 @@ impl PhysicalOperator for MProOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_scan::tests::scan_table;
     use crate::operator::{check_rank_order, drain_batched, take};
     use crate::rank::RankOp;
-    use crate::scan::{RankScan, SeqScan};
+    use crate::scan::RankScan;
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::{ScoreIndex, Table, TableBuilder};
@@ -327,7 +328,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+        let scan = scan_table(&t, &exec, "seqscan");
         let mut mpro = MProOp::new(Box::new(scan), vec![0, 1, 2], &exec, "mpro").unwrap();
         let top = take(&mut mpro, 2).unwrap();
         assert_eq!(ctx.upper_bound(&top[0].state), Score::new(2.55));

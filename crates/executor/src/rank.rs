@@ -132,8 +132,9 @@ impl PhysicalOperator for RankOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_scan::tests::scan_table;
     use crate::operator::{check_rank_order, drain_batched, take};
-    use crate::scan::{RankScan, SeqScan};
+    use crate::scan::RankScan;
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::{ScoreIndex, Table, TableBuilder};
@@ -285,7 +286,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+        let scan = scan_table(&t, &exec, "seqscan");
         let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3").unwrap();
         let mu2 = RankOp::new(Box::new(mu), 1, &exec, "mu_p4").unwrap();
         let mut mu3 = RankOp::new(Box::new(mu2), 2, &exec, "mu_p5").unwrap();
@@ -302,7 +303,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx_s();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+        let scan = scan_table(&t, &exec, "seqscan");
         let mu = RankOp::new(Box::new(scan), 0, &exec, "mu_p3").unwrap();
         let mut mu_again = RankOp::new(Box::new(mu), 0, &exec, "mu_p3'").unwrap();
         let all = drain_batched(&mut mu_again, 4).unwrap();
@@ -320,7 +321,7 @@ mod tests {
             ScoringFunction::Sum,
         );
         let exec = ExecutionContext::new(ctx);
-        let scan = SeqScan::new(&empty, 0..empty.row_count(), &exec, "scan");
+        let scan = scan_table(&empty, &exec, "scan");
         let mut mu = RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
         assert!(take(&mut mu, 1).unwrap().is_empty());
         assert!(take(&mut mu, 1).unwrap().is_empty());

@@ -1,7 +1,7 @@
-//! Table access operators: sequential scan, rank-scan and attribute index
-//! scan.
+//! Index access operators: rank-scan and attribute index scan.  Both read
+//! the row heap through the pinned epoch's watermark; the sequential scan
+//! is [`ColumnScan`](crate::column_scan::ColumnScan).
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use ranksql_common::{RankSqlError, Result, Schema};
@@ -11,80 +11,6 @@ use ranksql_storage::{BTreeIndex, ScoreIndex, Table};
 use crate::context::{ExecutionContext, TupleBudget};
 use crate::metrics::OperatorMetrics;
 use crate::operator::{Batch, PhysicalOperator};
-
-/// Sequential (heap) scan.
-///
-/// Tuples are emitted in storage order with an empty evaluated-predicate set;
-/// since every tuple then carries the same (maximal) upper bound, the output
-/// is trivially a rank-relation with `P = ∅`.
-///
-/// The scan consumes its snapshot by value: the snapshot itself is the only
-/// copy made, and each pull *moves* tuples out instead of cloning them —
-/// the `operators_micro` bench records the delta against the historical
-/// clone-per-tuple scheme.  The snapshot is a row range under the
-/// execution's pinned epoch watermark — the whole epoch serially, one
-/// morsel in an exchange — so concurrent inserts are invisible to an open
-/// scan.
-pub struct SeqScan {
-    schema: Schema,
-    tuples: std::vec::IntoIter<ranksql_common::Tuple>,
-    ctx: Arc<RankingContext>,
-    metrics: Arc<OperatorMetrics>,
-    budget: Arc<TupleBudget>,
-}
-
-impl SeqScan {
-    /// Creates a sequential scan over the rows `range` of `table`.
-    pub fn new(
-        table: &Table,
-        range: Range<usize>,
-        exec: &ExecutionContext,
-        label: impl Into<String>,
-    ) -> Self {
-        SeqScan {
-            schema: table.schema().clone(),
-            tuples: table.scan_range(range).into_iter(),
-            ctx: exec.ranking_arc(),
-            metrics: exec.register(label),
-            budget: Arc::clone(exec.budget()),
-        }
-    }
-}
-
-impl PhysicalOperator for SeqScan {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        // Vectorized scan: one budget charge, one metrics update and one
-        // exact reservation for the whole chunk instead of per tuple.
-        let n_preds = self.ctx.num_predicates();
-        let before = out.len();
-        out.extend(
-            self.tuples
-                .by_ref()
-                .take(max)
-                .map(|t| RankedTuple::unranked(t, n_preds)),
-        );
-        let n = out.len() - before;
-        if n > 0 {
-            self.budget.charge(n as u64)?;
-            self.metrics.add_in(n as u64);
-            self.metrics.add_out(n as u64);
-            self.metrics.add_batch();
-        }
-        Ok(n)
-    }
-
-    fn can_extend_limit(&self) -> bool {
-        true // A scan imposes no top-k cap.
-    }
-
-    fn extend_limit(&mut self, _extra: usize) -> bool {
-        true // A scan imposes no top-k cap.
-    }
-}
 
 /// Rank-scan (`idxScan_p`): emits tuples in descending order of one ranking
 /// predicate's score, read from a pre-built [`ScoreIndex`].
@@ -331,21 +257,6 @@ mod tests {
             ],
             ScoringFunction::Sum,
         )
-    }
-
-    #[test]
-    fn seq_scan_emits_all_rows_unranked() {
-        let t = table_s();
-        let ctx = ctx_s();
-        let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let mut scan = SeqScan::new(&t, 0..t.row_count(), &exec, "SeqScan(S)");
-        let all = drain_batched(&mut scan, 4).unwrap();
-        assert_eq!(all.len(), 6);
-        for rt in &all {
-            assert!(rt.state.evaluated().is_empty());
-            assert_eq!(ctx.upper_bound(&rt.state), ranksql_common::Score::new(3.0));
-        }
-        assert_eq!(exec.metrics().output_cardinalities()[0].1, 6);
     }
 
     #[test]

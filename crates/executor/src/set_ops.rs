@@ -399,9 +399,10 @@ impl PhysicalOperator for ExceptOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_scan::tests::scan_table;
     use crate::operator::{check_rank_order, drain_batched, take};
     use crate::rank::RankOp;
-    use crate::scan::{RankScan, SeqScan};
+    use crate::scan::RankScan;
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::{ScoreIndex, Table, TableBuilder};
@@ -462,7 +463,7 @@ mod tests {
         let t = table_r();
         let ctx_lhs = ctx_r();
         let exec_lhs = ExecutionContext::new(Arc::clone(&ctx_lhs));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec_lhs, "seq");
+        let scan = scan_table(&t, &exec_lhs, "seq");
         let mu2 = RankOp::new(Box::new(scan), 1, &exec_lhs, "mu_p2").unwrap();
         let mut lhs = RankOp::new(Box::new(mu2), 0, &exec_lhs, "mu_p1").unwrap();
 

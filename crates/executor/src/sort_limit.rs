@@ -395,8 +395,8 @@ impl PhysicalOperator for LimitOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column_scan::tests::scan_table;
     use crate::operator::{check_rank_order, drain_batched};
-    use crate::scan::SeqScan;
     use ranksql_common::{DataType, Field, Score, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::{Table, TableBuilder};
@@ -448,7 +448,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+        let scan = scan_table(&t, &exec, "seqscan");
         let mut sort = SortOp::new(Box::new(scan), BitSet64::all(3), &exec, "sort").unwrap();
         let all = drain_batched(&mut sort, 4).unwrap();
         assert_eq!(all.len(), 6);
@@ -464,7 +464,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+        let scan = scan_table(&t, &exec, "seqscan");
         let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
         let mut sort = SortOp::new(Box::new(mu), BitSet64::all(3), &exec, "sort").unwrap();
         let _ = drain_batched(&mut sort, 4).unwrap();
@@ -478,7 +478,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+        let scan = scan_table(&t, &exec, "seqscan");
         let mut limit = LimitOp::new(Box::new(scan), 2, &exec, "limit");
         let out = drain_batched(&mut limit, 4).unwrap();
         assert_eq!(out.len(), 2);
@@ -491,10 +491,10 @@ mod tests {
         let t = table_s();
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "s");
+        let scan = scan_table(&t, &exec, "s");
         let mut l0 = LimitOp::new(Box::new(scan), 0, &exec, "l0");
         assert!(drain_batched(&mut l0, 4).unwrap().is_empty());
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "s2");
+        let scan = scan_table(&t, &exec, "s2");
         let mut l100 = LimitOp::new(Box::new(scan), 100, &exec, "l100");
         assert_eq!(drain_batched(&mut l100, 4).unwrap().len(), 6);
     }
@@ -505,13 +505,13 @@ mod tests {
             let t = table_s();
             let ctx = ctx();
             let exec = ExecutionContext::new(Arc::clone(&ctx));
-            let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+            let scan = scan_table(&t, &exec, "seqscan");
             let mut fused =
                 SortLimitOp::new(Box::new(scan), BitSet64::all(3), k, &exec, "sortlimit").unwrap();
             let got = drain_batched(&mut fused, 4).unwrap();
 
             let exec2 = ExecutionContext::new(Arc::clone(&ctx));
-            let scan = SeqScan::new(&t, 0..t.row_count(), &exec2, "seqscan");
+            let scan = scan_table(&t, &exec2, "seqscan");
             let sort = SortOp::new(Box::new(scan), BitSet64::all(3), &exec2, "sort").unwrap();
             let mut limit = LimitOp::new(Box::new(sort), k, &exec2, "limit");
             let want = drain_batched(&mut limit, 4).unwrap();
@@ -528,7 +528,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+        let scan = scan_table(&t, &exec, "seqscan");
         let mut fused =
             SortLimitOp::new(Box::new(scan), BitSet64::all(3), 0, &exec, "topk").unwrap();
         assert!(drain_batched(&mut fused, 4).unwrap().is_empty());
@@ -545,7 +545,7 @@ mod tests {
         let exec = ExecutionContext::new(Arc::clone(&ctx));
         // λ_2 over µ over a scan: take 2, extend by 2, take 2 more — the
         // stream resumes exactly where it stopped.
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "s");
+        let scan = scan_table(&t, &exec, "s");
         let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec, "mu").unwrap();
         let mut limit = LimitOp::new(Box::new(mu), 2, &exec, "l");
         let first = drain_batched(&mut limit, 4).unwrap();
@@ -556,7 +556,7 @@ mod tests {
         assert_eq!(more.len(), 2);
         // Together they equal a single k=4 run.
         let exec2 = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec2, "s");
+        let scan = scan_table(&t, &exec2, "s");
         let mu = crate::rank::RankOp::new(Box::new(scan), 0, &exec2, "mu").unwrap();
         let mut l4 = LimitOp::new(Box::new(mu), 4, &exec2, "l4");
         let want = drain_batched(&mut l4, 4).unwrap();
@@ -567,7 +567,7 @@ mod tests {
 
         // A bounded-heap top-k that already materialised discarded its
         // losers; extension must refuse.
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "s2");
+        let scan = scan_table(&t, &exec, "s2");
         let mut fused =
             SortLimitOp::new(Box::new(scan), BitSet64::all(3), 2, &exec, "topk").unwrap();
         assert!(fused.can_extend_limit());
@@ -583,7 +583,7 @@ mod tests {
         let t = table_s();
         let ctx = ctx();
         let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let scan = SeqScan::new(&t, 0..t.row_count(), &exec, "seqscan");
+        let scan = scan_table(&t, &exec, "seqscan");
         let mut fused =
             SortLimitOp::new(Box::new(scan), BitSet64::all(3), 2, &exec, "topk").unwrap();
         let out = drain_batched(&mut fused, 4).unwrap();

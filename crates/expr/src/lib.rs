@@ -30,4 +30,4 @@ pub use ranking::{
 };
 pub use scalar::{BinaryOp, BoundScalarExpr, ColumnRef, ScalarExpr};
 pub use scoring::ScoringFunction;
-pub use state::{RankedTuple, ScoreState};
+pub use state::{RankedTuple, ScoreState, MAX_RANKING_PREDICATES};

@@ -25,6 +25,10 @@ enum Values {
 /// without a heap allocation.
 pub const INLINE_PREDICATES: usize = 6;
 
+/// The most ranking predicates one query may have: the `BitSet64` tracking
+/// a [`ScoreState`]'s evaluated set holds 64.
+pub const MAX_RANKING_PREDICATES: usize = 64;
+
 impl Values {
     fn new(n: usize) -> Self {
         if n <= INLINE_PREDICATES {
@@ -77,13 +81,14 @@ pub struct ScoreState {
 impl ScoreState {
     /// A state over `n` predicates with nothing evaluated.
     ///
-    /// Panics if `n > 64` — the `BitSet64` tracking the evaluated set (and
-    /// the spilled-state stack scratch of [`ScoreState::upper_bound`]) cap
-    /// the engine at 64 ranking predicates per query.
+    /// Panics if `n > MAX_RANKING_PREDICATES` — the `BitSet64` tracking
+    /// the evaluated set (and the spilled-state stack scratch of
+    /// [`ScoreState::upper_bound`]) cap the engine at 64 ranking predicates
+    /// per query.
     pub fn new(n: usize) -> Self {
         assert!(
-            n <= 64,
-            "at most 64 ranking predicates are supported, got {n}"
+            n <= MAX_RANKING_PREDICATES,
+            "at most {MAX_RANKING_PREDICATES} ranking predicates are supported, got {n}"
         );
         ScoreState {
             evaluated: BitSet64::EMPTY,

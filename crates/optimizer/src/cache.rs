@@ -32,21 +32,15 @@ use std::fmt::Write as _;
 use ranksql_algebra::RankQuery;
 use ranksql_expr::{ScoreSource, ScoringFunction};
 
-/// Renders the normalized plan-cache key of a query under a plan mode,
-/// worker-thread budget and storage backend (the `columnarize` pass
-/// rewrites plans per backend, so the backend must key separately).
+/// Renders the normalized plan-cache key of a query under a plan mode and
+/// worker-thread budget.
 ///
 /// The key is value-independent: binding different parameter values (or a
 /// different `k` / different ranking weights) to the same prepared query
 /// yields the same key, so repeated executions skip parse + optimize.
-pub fn normalized_cache_key(
-    query: &RankQuery,
-    mode: &str,
-    threads: usize,
-    backend: &str,
-) -> String {
+pub fn normalized_cache_key(query: &RankQuery, mode: &str, threads: usize) -> String {
     let mut key = String::new();
-    let _ = write!(key, "mode={mode};threads={threads};backend={backend};from=");
+    let _ = write!(key, "mode={mode};threads={threads};from=");
     key.push_str(&query.tables.join(","));
     key.push_str(";where=");
     for (i, p) in query.bool_predicates.iter().enumerate() {
@@ -122,14 +116,12 @@ mod tests {
             &query_with(param_filter(None), ScoringFunction::Sum, 5),
             "RankAware",
             1,
-            "row",
         );
         // Binding a value, changing k: same key.
         let bound = normalized_cache_key(
             &query_with(param_filter(Some(42)), ScoringFunction::Sum, 500),
             "RankAware",
             1,
-            "row",
         );
         assert_eq!(base, bound);
         // Different weights, same arity: same key.
@@ -141,7 +133,6 @@ mod tests {
             ),
             "RankAware",
             1,
-            "row",
         );
         let w2 = normalized_cache_key(
             &query_with(
@@ -151,7 +142,6 @@ mod tests {
             ),
             "RankAware",
             1,
-            "row",
         );
         assert_eq!(w1, w2);
         assert_ne!(base, w1, "scoring kind must be part of the key");
@@ -160,9 +150,9 @@ mod tests {
     #[test]
     fn key_separates_modes_threads_shapes() {
         let q = query_with(param_filter(None), ScoringFunction::Sum, 5);
-        let a = normalized_cache_key(&q, "RankAware", 1, "row");
-        assert_ne!(a, normalized_cache_key(&q, "Traditional", 1, "row"));
-        assert_ne!(a, normalized_cache_key(&q, "RankAware", 4, "row"));
+        let a = normalized_cache_key(&q, "RankAware", 1);
+        assert_ne!(a, normalized_cache_key(&q, "Traditional", 1));
+        assert_ne!(a, normalized_cache_key(&q, "RankAware", 4));
         // A different literal *shape* (non-parameterized constant) differs.
         let lit = query_with(
             BoolExpr::compare(
@@ -173,7 +163,7 @@ mod tests {
             ScoringFunction::Sum,
             5,
         );
-        assert_ne!(a, normalized_cache_key(&lit, "RankAware", 1, "row"));
+        assert_ne!(a, normalized_cache_key(&lit, "RankAware", 1));
         assert!(a.contains("$0"), "{a}");
     }
 }

@@ -1,13 +1,14 @@
-//! The columnarization pass: lowering physical plans onto the columnar
-//! storage backend.
+//! The columnarization pass: fitting planned sequential scans to the
+//! block layout they read.
 //!
-//! When a database's storage backend is [`StorageBackend::Columnar`], this
-//! pass rewrites a lowered [`PhysicalPlan`] in three result-preserving
-//! steps:
+//! Every plan the planner produces goes through this pass, which rewrites a
+//! lowered [`PhysicalPlan`] in three result-preserving steps:
 //!
-//! 1. every `SeqScan` is annotated as a **columnar scan** (the executor
-//!    then reads the table's [`ColumnTable`] projection block by block and
-//!    fills batches straight from the column vectors);
+//! 1. every `SeqScan` is annotated as a **columnar scan** — re-costed for
+//!    the table's [`ColumnTable`] blocks, which the executor's one
+//!    sequential scan reads block by block, filling batches straight from
+//!    the column vectors (an unannotated scan, as the structural lowering
+//!    of a hand-built plan leaves it, reads the same way);
 //! 2. a `Filter` sitting directly on a columnar scan whose predicate is a
 //!    conjunction of simple column-vs-constant comparisons is **fused into
 //!    the scan** (`σ` pushed down): the comparisons run column-at-a-time
@@ -30,7 +31,6 @@
 //! parallelization pass treats annotated scans like any sequential scan, so
 //! columnar morsels flow through exchanges unchanged.
 //!
-//! [`StorageBackend::Columnar`]: ranksql_storage::StorageBackend
 //! [`ColumnTable`]: ranksql_storage::ColumnTable
 //! [`parallelize`]: crate::parallelize
 
@@ -45,8 +45,8 @@ use crate::cost::CostModel;
 /// expression-tree walk per tuple).
 const PUSHED_FILTER_COST_SHARE: f64 = 0.25;
 
-/// Rewrites `plan` for the columnar storage backend (see the module docs).
-/// Results are unchanged — only access paths, costs and explain labels.
+/// Rewrites a lowered `plan` (see the module docs).  Results are unchanged
+/// — only access paths, costs and explain labels.
 pub fn columnarize(plan: PhysicalPlan, model: &CostModel) -> PhysicalPlan {
     mark_zone_prune(rewrite(plan, model))
 }

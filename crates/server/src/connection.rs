@@ -294,7 +294,6 @@ impl<'db> Connection<'db, '_> {
         if let Some(b) = budget {
             session = session.with_tuple_budget(b);
         }
-        let backend = session.storage_backend();
 
         let counters = self.metrics.tenant(&tenant);
         counters.record_connection();
@@ -312,8 +311,7 @@ impl<'db> Connection<'db, '_> {
             .u8(mode_code)
             .u16(threads as u16)
             .u32(batch as u32)
-            .u64(budget.unwrap_or(0))
-            .str(backend.tag());
+            .u64(budget.unwrap_or(0));
         self.reply_or_hangup(self.send(opcode::HELLO_OK, &p.into_vec()))
     }
 
@@ -626,7 +624,6 @@ impl<'db> Connection<'db, '_> {
             let _ = writeln!(out, "session.threads={}", st.threads);
             let _ = writeln!(out, "session.batch_size={}", st.batch_size);
             let _ = writeln!(out, "session.tuple_budget={}", st.tuple_budget.unwrap_or(0));
-            let _ = writeln!(out, "session.backend={}", st.backend.tag());
         }
         let _ = writeln!(out, "cursors.open={}", self.cursors.len());
         for (id, cursor) in self.cursors.iter() {

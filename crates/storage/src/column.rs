@@ -23,12 +23,13 @@
 //! version.
 //!
 //! The layout follows the buffer/block structure of classic columnar engines
-//! (fixed-row blocks, per-block metadata); the executor's `ColumnScan` fills
-//! its output batches from the column vectors directly and materialises row
-//! tuples only for rows that survive the pushed filter — late
-//! materialisation on the σ/π spine.
+//! (fixed-row blocks, per-block metadata); the executor's `ColumnScan`
+//! evaluates pushed filters on the column vectors and materialises row
+//! tuples only for rows that survive them — late materialisation on the σ/π
+//! spine.  A block sealed from heap rows keeps the heap's tuple handles, so
+//! materialising is a reference-count bump; a block decoded from a page
+//! extent rebuilds each tuple from its column vectors.
 
-use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -41,46 +42,6 @@ use crate::table::Table;
 /// Rows per columnar block (the zone-map granularity and the seal boundary
 /// of the incremental write path).
 pub const COLUMN_BLOCK_ROWS: usize = 1024;
-
-/// Which physical layout a table (or a scan over it) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StorageBackend {
-    /// Row-major heap of tuples (the seed layout).
-    #[default]
-    Row,
-    /// Column-major blocks with zone maps ([`ColumnTable`]), fully
-    /// RAM-resident.
-    Columnar,
-    /// Column-major blocks backed by fixed-size pages in a table file,
-    /// faulted in through a buffer pool on demand
-    /// ([`crate::recovery::PagedStore`]).  A zone-pruned block is a page
-    /// never read.
-    Paged,
-}
-
-impl StorageBackend {
-    /// Stable lowercase tag used in plan-cache keys and explain output.
-    pub fn tag(self) -> &'static str {
-        match self {
-            StorageBackend::Row => "row",
-            StorageBackend::Columnar => "columnar",
-            StorageBackend::Paged => "paged",
-        }
-    }
-
-    /// Whether scans over this backend read the columnar block layout (and
-    /// therefore go through the `columnarize` lowering pass).  `Paged` is
-    /// columnar: the same sealed blocks, just faulted through a buffer pool.
-    pub fn is_columnar(self) -> bool {
-        !matches!(self, StorageBackend::Row)
-    }
-}
-
-impl fmt::Display for StorageBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.tag())
-    }
-}
 
 /// The storage type of a column, uniform across every block of one
 /// `ColumnTable` version (a block whose values do not fit the established
@@ -182,11 +143,12 @@ impl BlockColumn {
     }
 
     fn from_i64(data: Vec<i64>) -> BlockColumn {
-        let zone = (!data.is_empty()).then(|| {
-            let min = data.iter().copied().min().expect("non-empty block");
-            let max = data.iter().copied().max().expect("non-empty block");
-            ZoneEntry::Int64(min, max)
-        });
+        let zone = data
+            .iter()
+            .copied()
+            .min()
+            .zip(data.iter().copied().max())
+            .map(|(min, max)| ZoneEntry::Int64(min, max));
         let score_max = data
             .iter()
             .map(|&v| (v as f64).clamp(0.0, 1.0))
@@ -234,6 +196,11 @@ impl BlockColumn {
 pub struct SealedBlock {
     rows: usize,
     pub(crate) columns: Vec<BlockColumn>,
+    /// The heap's own tuples of the block's rows when it was sealed from
+    /// them (empty for a block decoded from a page extent), so a scan
+    /// materialises a row with a reference-count bump instead of rebuilding
+    /// it from the column vectors.
+    tuples: Vec<Tuple>,
 }
 
 impl SealedBlock {
@@ -244,6 +211,7 @@ impl SealedBlock {
         SealedBlock {
             rows,
             columns: columns.into_iter().map(BlockColumn::from_data).collect(),
+            tuples: Vec::new(),
         }
     }
 
@@ -286,10 +254,13 @@ impl SealedBlock {
         }
     }
 
-    /// Materialises the full tuple at `local_row`, with the row-backend
-    /// identity `(table_id, base_row + local_row)` so results stay
-    /// byte-compatible across backends.
+    /// Materialises the full tuple at `local_row`, with the identity
+    /// `(table_id, base_row + local_row)` the row heap gives the same row,
+    /// so a scan's tuples equal the heap's byte for byte.
     pub fn tuple(&self, table_id: u32, base_row: usize, local_row: usize) -> Tuple {
+        if let Some(t) = self.tuples.get(local_row) {
+            return t.clone();
+        }
         let mut values = Vec::with_capacity(self.columns.len());
         for col in &self.columns {
             values.push(match &col.data {
@@ -306,9 +277,10 @@ impl SealedBlock {
 }
 
 /// One block position of a [`ColumnTable`]: either the sealed block itself
-/// (RAM-resident, the `Row`/`Columnar` backends and unsealed tails) or the
+/// (RAM-resident: in-memory tables, and blocks not yet persisted) or the
 /// page-extent metadata of a block that lives in the table file and is
-/// faulted in through the buffer pool on first touch (`Paged`).
+/// faulted in through the buffer pool on first touch (tables of a
+/// [`PagedStore`](crate::recovery::PagedStore)).
 ///
 /// A paged slot keeps the zone maps and score maxima in RAM
 /// ([`BlockMeta`]), so zone-map pruning decides *without touching disk* —
@@ -467,23 +439,6 @@ impl ColumnTable {
         self.kinds[column]
     }
 
-    /// A borrowed view of one column's values within `block`.
-    ///
-    /// Only valid for RAM-resident blocks; scans over a paged projection
-    /// must fault the block in through [`ColumnTable::fetch_block`] and
-    /// slice the returned [`SealedBlock`] instead.
-    ///
-    /// # Panics
-    /// If `block` is paged out.
-    pub fn block_slice(&self, column: usize, block: usize) -> ColumnSlice<'_> {
-        match &self.blocks[block] {
-            BlockSlot::Resident(b) => b.slice(column),
-            BlockSlot::Paged(_) => {
-                panic!("block {block} is paged out; fault it in through fetch_block")
-            }
-        }
-    }
-
     /// The block at `block`, faulting it in through the buffer pool when it
     /// is paged out.  Returns the block and whether a page fault (a disk
     /// read) happened — `false` for resident blocks and pool hits.
@@ -541,33 +496,6 @@ impl ColumnTable {
         Some(acc)
     }
 
-    /// The value at `(row, column)` (reconstructed from the typed storage,
-    /// faulting the block in when paged out).
-    ///
-    /// # Panics
-    /// If a paged block cannot be read back from disk.
-    pub fn value(&self, row: usize, column: usize) -> Value {
-        let (block, _) = self
-            .fetch_block(row / COLUMN_BLOCK_ROWS)
-            .expect("paged block read failed");
-        block.value(row % COLUMN_BLOCK_ROWS, column)
-    }
-
-    /// Materialises the full tuple of `row` (identity
-    /// `(table_id, row)` — identical to the row backend's, so results are
-    /// byte-compatible across backends), faulting the block in when paged
-    /// out.
-    ///
-    /// # Panics
-    /// If a paged block cannot be read back from disk.
-    pub fn tuple(&self, row: usize) -> Tuple {
-        let local = row % COLUMN_BLOCK_ROWS;
-        let (block, _) = self
-            .fetch_block(row / COLUMN_BLOCK_ROWS)
-            .expect("paged block read failed");
-        block.tuple(self.table_id, row - local, local)
-    }
-
     /// The resident block at `block`, `None` when it is paged out (test
     /// and bench introspection).
     #[cfg(test)]
@@ -620,6 +548,7 @@ fn build_block(rows: &[Tuple], n_cols: usize) -> SealedBlock {
         columns: (0..n_cols)
             .map(|col| build_block_column(rows, col))
             .collect(),
+        tuples: rows.to_vec(),
     }
 }
 
@@ -698,16 +627,28 @@ mod tests {
             .unwrap()
     }
 
+    /// The tuple at table-absolute `row` of a RAM-resident projection.
+    fn tuple_at(c: &ColumnTable, row: usize) -> Tuple {
+        let local = row % COLUMN_BLOCK_ROWS;
+        let block = c.resident_block(row / COLUMN_BLOCK_ROWS).unwrap();
+        block.tuple(c.table_id(), row - local, local)
+    }
+
     #[test]
     fn round_trips_rows_and_identities() {
         let t = table(10);
         let c = ColumnTable::from_table(&t);
         assert_eq!(c.row_count(), 10);
         assert_eq!(c.num_blocks(), 1);
+        // The same block decoded from its page extent has no heap tuples
+        // and rebuilds each row from the column vectors.
+        let extent = crate::page::encode_extent(0, c.resident_block(0).unwrap());
+        let decoded = crate::page::decode_extent(&extent).unwrap().unwrap().block;
         for (i, want) in t.scan().iter().enumerate() {
-            let got = c.tuple(i);
-            assert_eq!(got.id(), want.id());
-            assert_eq!(got.values(), want.values());
+            for got in [tuple_at(&c, i), decoded.tuple(c.table_id(), 0, i)] {
+                assert_eq!(got.id(), want.id());
+                assert_eq!(got.values(), want.values());
+            }
         }
     }
 
@@ -779,9 +720,10 @@ mod tests {
             .unwrap();
         let c = ColumnTable::from_table(&t);
         assert_eq!(c.column_kind(0), ColumnKind::Generic);
-        assert!(matches!(c.block_slice(0, 0), ColumnSlice::Generic(_)));
+        let block = c.resident_block(0).unwrap();
+        assert!(matches!(block.slice(0), ColumnSlice::Generic(_)));
         assert!(c.zone(0, 0).is_none());
-        assert_eq!(c.value(1, 0), Value::from(2.5));
+        assert_eq!(block.value(1, 0), Value::from(2.5));
     }
 
     #[test]
@@ -822,18 +764,10 @@ mod tests {
             COLUMN_BLOCK_ROWS,
             2 * COLUMN_BLOCK_ROWS - 1,
         ] {
-            assert_eq!(sealed.tuple(row).values(), cold.tuple(row).values());
+            assert_eq!(
+                tuple_at(&sealed, row).values(),
+                tuple_at(&cold, row).values()
+            );
         }
-    }
-
-    #[test]
-    fn backend_tags_render() {
-        assert_eq!(StorageBackend::Row.to_string(), "row");
-        assert_eq!(StorageBackend::Columnar.to_string(), "columnar");
-        assert_eq!(StorageBackend::Paged.to_string(), "paged");
-        assert_eq!(StorageBackend::default(), StorageBackend::Row);
-        assert!(!StorageBackend::Row.is_columnar());
-        assert!(StorageBackend::Columnar.is_columnar());
-        assert!(StorageBackend::Paged.is_columnar());
     }
 }

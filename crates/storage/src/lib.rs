@@ -54,8 +54,7 @@ pub mod wal;
 pub use buffer::{BufferPool, FrameKey};
 pub use catalog::Catalog;
 pub use column::{
-    cmp_f64_total, ColumnKind, ColumnSlice, ColumnTable, SealedBlock, StorageBackend, ZoneEntry,
-    COLUMN_BLOCK_ROWS,
+    cmp_f64_total, ColumnKind, ColumnSlice, ColumnTable, SealedBlock, ZoneEntry, COLUMN_BLOCK_ROWS,
 };
 pub use csv::{infer_schema, parse_csv, CsvOptions};
 pub use index::{BTreeIndex, HashIndex, ScoreIndex};

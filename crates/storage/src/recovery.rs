@@ -636,7 +636,8 @@ mod tests {
         // Recovered columnar projection reads back through the pool.
         let c = t.columnar();
         assert_eq!(c.row_count(), n as usize);
-        assert_eq!(c.tuple(5).values(), &row(5)[..]);
+        let (block, _) = c.fetch_block(0).unwrap();
+        assert_eq!(block.tuple(c.table_id(), 0, 5).values(), &row(5)[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

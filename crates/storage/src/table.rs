@@ -984,7 +984,8 @@ mod tests {
         assert_eq!(second.num_blocks(), 2);
         // The old handle still reads its own 500 rows.
         assert_eq!(first.row_count(), 500);
-        assert_eq!(first.tuple(499).value(0), &Value::from(499));
+        let (block, _) = first.fetch_block(0).unwrap();
+        assert_eq!(block.value(499, 0), Value::from(499));
     }
 
     #[test]

@@ -95,8 +95,6 @@ pub struct HelloReply {
     pub batch_size: u32,
     /// Granted tuple budget (`0` = unlimited).
     pub tuple_budget: u64,
-    /// Storage backend tag the session plans against.
-    pub backend: String,
 }
 
 /// `PREPARED`: the server-side statement handle.
@@ -228,7 +226,6 @@ impl WireClient {
             threads: r.u16("threads")?,
             batch_size: r.u32("batch size")?,
             tuple_budget: r.u64("tuple budget")?,
-            backend: r.str("backend tag")?,
         };
         r.finish()?;
         Ok(reply)

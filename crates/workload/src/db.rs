@@ -9,24 +9,14 @@
 
 use ranksql_common::{Field, Result, Schema};
 use ranksql_core::Database;
-use ranksql_storage::{Catalog, StorageBackend};
+use ranksql_storage::Catalog;
 
-/// Copies every table of a generated catalog into a fresh [`Database`]
-/// (row backend).
+/// Copies every table of a generated catalog into a fresh [`Database`],
+/// *populating both layouts*: rows are inserted into the heap tables and
+/// every columnar projection (with its zone maps) is pre-built, so the
+/// first sequential scan pays no projection-build latency.
 pub fn catalog_into_database(catalog: &Catalog) -> Result<Database> {
-    catalog_into_database_with_backend(catalog, StorageBackend::Row)
-}
-
-/// Copies every table of a generated catalog into a fresh [`Database`]
-/// planning against `backend`.  With [`StorageBackend::Columnar`] the
-/// loader *populates both layouts*: rows are inserted into the heap tables
-/// and every columnar projection (with its zone maps) is pre-built, so the
-/// first query pays no projection-build latency.
-pub fn catalog_into_database_with_backend(
-    catalog: &Catalog,
-    backend: StorageBackend,
-) -> Result<Database> {
-    let db = Database::new().with_storage_backend(backend);
+    let db = Database::new();
     for name in catalog.table_names() {
         let table = catalog.table(&name)?;
         let schema = Schema::new(
@@ -40,9 +30,7 @@ pub fn catalog_into_database_with_backend(
         let created = db.create_table(&name, schema)?;
         created.insert_batch(table.scan().into_iter().map(|t| t.values().to_vec()))?;
     }
-    if backend.is_columnar() {
-        db.prebuild_columnar()?;
-    }
+    db.prebuild_columnar()?;
     Ok(db)
 }
 

@@ -30,6 +30,6 @@ pub mod synthetic;
 pub mod trip;
 
 pub use client::{mode_code_for, stats_value, ClientError, ClientResult, WireClient};
-pub use db::{catalog_into_database, catalog_into_database_with_backend};
+pub use db::catalog_into_database;
 pub use synthetic::{SyntheticConfig, SyntheticWorkload};
 pub use trip::TripWorkload;

@@ -132,16 +132,6 @@ impl SyntheticWorkload {
         crate::db::catalog_into_database(&self.catalog)
     }
 
-    /// Like [`Self::database`] but planning against `backend`; with the
-    /// columnar backend both layouts are populated (rows inserted, columnar
-    /// projections + zone maps pre-built).
-    pub fn database_with_backend(
-        &self,
-        backend: ranksql_storage::StorageBackend,
-    ) -> Result<ranksql_core::Database> {
-        crate::db::catalog_into_database_with_backend(&self.catalog, backend)
-    }
-
     /// Generates the workload.
     pub fn generate(config: SyntheticConfig) -> Result<Self> {
         let catalog = Catalog::new();

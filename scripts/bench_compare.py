@@ -6,8 +6,7 @@ Three checks:
 1. **Baseline ratios** — every benchmark shared by both documents is
    compared as `current / baseline`.  Ratios outside `1 ± tolerance` print
    a warning (advisory); a ratio above `1 + tolerance` in one of the *hard*
-   groups — the scan groups, whose regressions this PR's storage work must
-   never reintroduce — fails the script.
+   groups fails the script.
 2. **Presence** — a hard group that is missing or empty in the current run
    fails the script: a renamed group or a drifted output format must never
    turn the gate green by producing nothing to compare.  The same applies
@@ -16,14 +15,11 @@ Three checks:
    vanish silently, because the ratio loop only walks the current run's
    groups).
 3. **Within-run ratios** — machine-independent sanity of the perf claims,
-   compared inside the *same run* so runner speed cancels out:
-   `columnar_vs_row/columnar/scan_filter` must beat
-   `columnar_vs_row/row/scan_filter` by at least `--min-columnar-speedup`,
-   and the branch-free compare kernel `columnar_vs_row/kernel/select_f64`
-   must beat the per-row branchy baseline
-   `columnar_vs_row/row/kernel_select_f64` by at least
-   `--min-kernel-speedup` (both default 1.15×; the benches demonstrate
-   ~2×+, so the floors leave headroom for noisy runners).
+   compared inside the *same run* so runner speed cancels out: the
+   branch-free compare kernel `columnar_vs_row/kernel/select_f64` must
+   beat the per-row branchy baseline `columnar_vs_row/row/kernel_select_f64`
+   by at least `--min-kernel-speedup` (default 1.15×; the bench
+   demonstrates ~2×+, so the floor leaves headroom for noisy runners).
 
 The within-run ratio `rank_join_topk/full_drain` over `rank_join_topk/take10`
 (HRJN over two rank-scans: every result of the join vs. the first ten) is
@@ -39,7 +35,7 @@ when a deliberate performance change shifts the numbers.
 
 Usage:
     python3 scripts/bench_compare.py bench/baseline.json BENCH.json \
-        [--tolerance 0.25] [--hard-groups seq_scan_hot_path,columnar_vs_row]
+        [--tolerance 0.25] [--hard-groups columnar_vs_row,ablation_sketch]
 """
 
 import argparse
@@ -48,7 +44,6 @@ import os
 import sys
 
 DEFAULT_HARD_GROUPS = [
-    "seq_scan_hot_path",
     "columnar_vs_row",
     "ablation_sketch",
     "ablation_write_path",
@@ -100,7 +95,6 @@ def main() -> int:
         default=float(os.environ.get("BENCH_GATE_TOLERANCE", "0.25")),
     )
     ap.add_argument("--hard-groups", default=",".join(DEFAULT_HARD_GROUPS))
-    ap.add_argument("--min-columnar-speedup", type=float, default=1.15)
     ap.add_argument("--min-kernel-speedup", type=float, default=1.15)
     ap.add_argument("--min-write-path-speedup", type=float, default=10.0)
     args = ap.parse_args()
@@ -156,32 +150,26 @@ def main() -> int:
                 marker = "faster"
             print(f"  {marker} {group}/{name}: {ratio:5.2f}x ({ns:.0f} vs {base:.0f} ns)")
 
-    # 3. Within-run speedups (machine-independent).  The bench names are
-    # load-bearing: if one disappears (rename, output drift) its check must
+    # 3. Within-run speedup (machine-independent).  The bench names are
+    # load-bearing: if one disappears (rename, output drift) the check must
     # fail rather than silently evaporate.
     cvr = current.get("columnar_vs_row", {})
-    for label, base_name, fast_name, floor in [
-        ("columnar/scan_filter", "row/scan_filter", "columnar/scan_filter",
-         args.min_columnar_speedup),
-        ("kernel/select_f64", "row/kernel_select_f64", "kernel/select_f64",
-         args.min_kernel_speedup),
-    ]:
-        base = cvr.get(base_name)
-        fast = cvr.get(fast_name)
-        if base and fast:
-            speedup = base / fast
-            print(f"  within-run {label} speedup: {speedup:.2f}x")
-            if speedup < floor:
-                failures.append(
-                    f"columnar_vs_row within-run {label} speedup {speedup:.2f}x "
-                    f"is below the {floor:.2f}x floor"
-                )
-        elif cvr:
+    base = cvr.get("row/kernel_select_f64")
+    fast = cvr.get("kernel/select_f64")
+    if base and fast:
+        speedup = base / fast
+        print(f"  within-run kernel/select_f64 speedup: {speedup:.2f}x")
+        if speedup < args.min_kernel_speedup:
             failures.append(
-                f"columnar_vs_row is missing {base_name} or {fast_name} — "
-                f"the within-run {label} speedup gate has nothing to compare "
-                "(renamed benches?)"
+                f"columnar_vs_row within-run kernel/select_f64 speedup {speedup:.2f}x "
+                f"is below the {args.min_kernel_speedup:.2f}x floor"
             )
+    elif cvr:
+        failures.append(
+            "columnar_vs_row is missing row/kernel_select_f64 or kernel/select_f64 — "
+            "the within-run kernel speedup gate has nothing to compare "
+            "(renamed benches?)"
+        )
 
     # The PR-7 write-path claim, also within-run: an epoch-extending warm
     # insert must beat the invalidate-and-rebuild cliff (insert + stats +

@@ -34,7 +34,6 @@ import sys
 # The groups the CI regression gate tracks (keep in sync with
 # .github/workflows/ci.yml and bench/baseline.json).
 DEFAULT_GROUPS = [
-    "seq_scan_hot_path",
     "prepared_vs_cold",
     "columnar_vs_row",
     "rank_join_topk",

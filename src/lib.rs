@@ -32,7 +32,7 @@ pub use ranksql_core::{
     RankingContext, ScalarExpr, ScoringFunction, Session, SessionSettings,
 };
 pub use ranksql_optimizer::{OptimizedPlan, RankOptimizer};
-pub use ranksql_storage::{PagedOptions, PagedStore, StorageBackend};
+pub use ranksql_storage::{PagedOptions, PagedStore};
 pub use ranksql_verify::{validate_logical, validate_physical, Diagnostic, Rule, Severity};
 
 #[cfg(test)]

@@ -22,8 +22,8 @@ use ranksql::common::{DataType, Field, Schema, Value};
 use ranksql::executor::mpro::MProOp;
 use ranksql::executor::operator::{check_rank_order, take};
 use ranksql::executor::rank::RankOp;
-use ranksql::executor::scan::{RankScan, SeqScan};
-use ranksql::executor::{ExecutionContext, PhysicalOperator};
+use ranksql::executor::scan::RankScan;
+use ranksql::executor::{ColumnScan, ExecutionContext, PhysicalOperator};
 use ranksql::expr::{RankPredicate, RankingContext, ScoringFunction};
 use ranksql::optimizer::{HistogramEstimator, SamplingEstimator, ScoreHistogram};
 use ranksql::storage::{Catalog, ScoreIndex, Table, TableBuilder};
@@ -102,7 +102,9 @@ fn source(
         );
         Box::new(RankScan::new(Arc::clone(table), idx, 0, exec, "scan").expect("rank-scan"))
     } else {
-        Box::new(SeqScan::new(table, 0..table.row_count(), exec, "scan"))
+        let epoch = table.pin_epoch(true);
+        let rows = 0..epoch.row_count();
+        Box::new(ColumnScan::new(&epoch, rows, None, false, None, exec, "scan").expect("scan"))
     }
 }
 

@@ -2,7 +2,7 @@
 //! inputs must surface as `Err(RankSqlError::…)` — never as panics and never
 //! as silently wrong answers.  The kill-and-recover harness at the bottom
 //! goes further: it aborts a whole child process mid-insert-burst and
-//! asserts the paged backend reopens at the last durable epoch.
+//! asserts a paged database reopens at the last durable epoch.
 
 use ranksql::{
     parse_topk_query, BoolExpr, DataType, Database, Field, PlanMode, QueryBuilder, RankPredicate,
@@ -236,6 +236,47 @@ fn optimizer_rejects_more_relations_than_the_dp_supports() {
     );
 }
 
+/// A query ranks by at most 64 predicates (the width of a tuple's
+/// evaluated-predicate set).  Past the cap, SQL and built queries alike are
+/// refused at prepare, in every mode, with a `Plan` error instead of
+/// panicking on the first pull; at the cap they run (in the modes whose
+/// planning does not enumerate predicate subsets).
+#[test]
+fn more_than_64_ranking_predicates_are_refused_at_prepare() {
+    let db = small_db();
+    let sql = |n: usize| {
+        let terms: Vec<String> = (0..n).map(|i| format!("f{i}(T.p)")).collect();
+        format!("SELECT * FROM T ORDER BY {} LIMIT 1", terms.join(" + "))
+    };
+    let built = |n: usize| {
+        (0..n)
+            .fold(QueryBuilder::new().table("T"), |b, i| {
+                b.rank_predicate(RankPredicate::attribute(format!("f{i}"), "T.p"))
+            })
+            .limit(1)
+            .build()
+            .unwrap()
+    };
+    for mode in [PlanMode::Traditional, PlanMode::Canonical] {
+        let session = db.session().with_mode(mode);
+        assert_eq!(session.query(&sql(64)).unwrap().take(2).unwrap().len(), 1);
+        assert_eq!(session.execute(&built(64)).unwrap().rows.len(), 1);
+    }
+    for mode in ALL_MODES {
+        let session = db.session().with_mode(mode);
+        let errors = [
+            session.prepare(&sql(65)).err(),
+            session.prepare_query(built(65)).err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(&err, Some(RankSqlError::Plan(m)) if m.contains("at most 64")),
+                "{mode:?}: {err:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn failed_execution_leaves_the_database_usable() {
     let db = small_db();
@@ -303,9 +344,9 @@ fn panicking_writer_leaves_the_table_readable_at_its_last_epoch() {
     // insert, a cursor opened before the writer still streams its pinned
     // snapshot, the incrementally maintained statistics equal a cold
     // rebuild over the surviving rows, and the next insert succeeds.
-    use ranksql::{Params, StorageBackend};
+    use ranksql::Params;
 
-    let db = Database::new().with_storage_backend(StorageBackend::Columnar);
+    let db = Database::new();
     db.create_table(
         "W",
         Schema::new(vec![
@@ -423,9 +464,9 @@ fn panicking_writer_leaves_the_table_readable_at_its_last_epoch() {
 /// watermark surfaces as a stale-read error instead of leaking fresh data.
 #[test]
 fn cursor_pinned_before_a_burst_streams_its_snapshot_and_late_reads_are_stale() {
-    use ranksql::{Params, StorageBackend};
+    use ranksql::Params;
 
-    let db = Database::new().with_storage_backend(StorageBackend::Columnar);
+    let db = Database::new();
     db.create_table(
         "B",
         Schema::new(vec![
@@ -518,11 +559,9 @@ fn kill_row(i: i64) -> Vec<Value> {
 /// directory must land on the last durable epoch: at least everything up to
 /// the last sealed-block fsync boundary (row 2048), never a torn or
 /// reordered prefix, and the recovered table must answer queries
-/// byte-identically to in-memory backends loaded with the same rows.
+/// byte-identically to an in-memory database loaded with the same rows.
 #[test]
 fn killed_writer_process_recovers_to_the_last_durable_epoch() {
-    use ranksql::StorageBackend;
-
     // ---- child half: populate and die. -----------------------------------
     if let Ok(dir) = std::env::var(KILL_DIR_ENV) {
         let db = Database::open_paged(&dir).unwrap();
@@ -573,8 +612,8 @@ fn killed_writer_process_recovers_to_the_last_durable_epoch() {
         );
     }
 
-    // The recovered table answers queries byte-identically to in-memory
-    // row and columnar databases loaded with the same recovered prefix.
+    // The recovered table answers queries byte-identically to an in-memory
+    // database loaded with the same recovered prefix.
     let query = QueryBuilder::new()
         .table("K")
         .rank_predicate(RankPredicate::attribute("p", "K.p"))
@@ -601,15 +640,7 @@ fn killed_writer_process_recovers_to_the_last_durable_epoch() {
             .unwrap();
         fingerprint(&mem)
     };
-    let columnar = {
-        let mem = Database::new().with_storage_backend(StorageBackend::Columnar);
-        mem.create_table("K", table.schema().clone()).unwrap();
-        mem.insert_batch("K", (0..recovered as i64).map(kill_row))
-            .unwrap();
-        fingerprint(&mem)
-    };
-    assert_eq!(fingerprint(&db), reference, "paged vs row diverged");
-    assert_eq!(columnar, reference, "columnar vs row diverged");
+    assert_eq!(fingerprint(&db), reference, "paged vs in-memory diverged");
 
     // And the recovered database accepts further writes that persist.
     db.insert("K", kill_row(recovered as i64)).unwrap();

@@ -237,7 +237,7 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
         if w.r_rows.is_empty() {
             let build_scan = reference
                 .iter()
-                .find(|a| a.label == "SeqScan(S)")
+                .find(|a| a.label == "ColumnScan(S)")
                 .unwrap_or_else(|| panic!("no scan of S:\n{}", plan.explain(None)));
             assert_eq!(
                 build_scan.rows,

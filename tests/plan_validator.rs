@@ -9,7 +9,7 @@
 //! Together the corpus exercises every one of the twelve rules.
 //!
 //! **Positive path**: a proptest that every plan the real optimizer emits —
-//! all five [`PlanMode`]s × three storage backends × serial and parallel
+//! all five [`PlanMode`]s × in-memory and paged databases × serial and parallel
 //! lowering — validates with zero `Error`-severity diagnostics, logical and
 //! physical alike.  This is the guarantee that lets `ranksql-core` hard-fail
 //! planning on validator errors in debug builds.
@@ -22,8 +22,7 @@ use ranksql::expr::RankPredicate;
 use ranksql::verify::{report, ValidateOptions};
 use ranksql::{
     validate_logical, validate_physical, BoolExpr, CompareOp, DataType, Database, Diagnostic,
-    Field, PlanMode, QueryBuilder, RankQuery, Rule, ScalarExpr, Schema, Severity, StorageBackend,
-    Value,
+    Field, PlanMode, QueryBuilder, RankQuery, Rule, ScalarExpr, Schema, Severity, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -680,20 +679,18 @@ fn populate(db: &Database, w: &Workload) -> RankQuery {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
 
-    /// Every optimizer-emitted plan — 5 modes × 3 backends × serial and
-    /// parallel lowering — validates with zero `Error` diagnostics, logical
-    /// and physical alike.
+    /// Every optimizer-emitted plan — 5 modes × in-memory and paged
+    /// databases × serial and parallel lowering — validates with zero
+    /// `Error` diagnostics, logical and physical alike.
     #[test]
     fn optimizer_emitted_plans_validate_clean(w in workload()) {
-        let row_db = Database::new().with_storage_backend(StorageBackend::Row);
-        let query = populate(&row_db, &w);
-        let col_db = Database::new().with_storage_backend(StorageBackend::Columnar);
-        populate(&col_db, &w);
+        let mem_db = Database::new();
+        let query = populate(&mem_db, &w);
         let dir = TempDir::new("prop");
         let paged_db = Database::open_paged(dir.path()).unwrap();
         populate(&paged_db, &w);
 
-        for (db, backend) in [(&row_db, "row"), (&col_db, "columnar"), (&paged_db, "paged")] {
+        for (db, opened) in [(&mem_db, "in-memory"), (&paged_db, "paged")] {
             for mode in ALL_MODES {
                 for threads in [1usize, 4] {
                     let optimized = db
@@ -709,7 +706,7 @@ proptest! {
                     );
                     prop_assert!(
                         !logical.iter().any(|d| d.severity == Severity::Error),
-                        "backend {backend}, mode {mode:?}, threads {threads}: logical plan \
+                        "{opened} database, mode {mode:?}, threads {threads}: logical plan \
                          failed validation:\n{}",
                         report(&logical)
                     );
@@ -720,7 +717,7 @@ proptest! {
                     );
                     prop_assert!(
                         !physical.iter().any(|d| d.severity == Severity::Error),
-                        "backend {backend}, mode {mode:?}, threads {threads}: physical plan \
+                        "{opened} database, mode {mode:?}, threads {threads}: physical plan \
                          failed validation:\n{}",
                         report(&physical)
                     );

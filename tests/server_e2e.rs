@@ -258,6 +258,18 @@ fn error_paths_answer_with_stable_codes_and_keep_the_connection() {
         }
         assert!(client.stats().is_ok());
 
+        // A 65-term ranking function (one past the cap) is refused at
+        // PREPARE with the Plan code, and the next request succeeds.
+        let terms: Vec<String> = (0..65).map(|i| format!("f{i}(T.score)")).collect();
+        let wide = format!("SELECT * FROM T ORDER BY {} LIMIT 1", terms.join(" + "));
+        match client.prepare(&wide) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Plan),
+            other => panic!("expected Plan error, got {other:?}"),
+        }
+        client
+            .prepare("SELECT * FROM T ORDER BY s(T.score) LIMIT 3")
+            .unwrap();
+
         // Oversized frame: answered with OversizedFrame, then the server
         // hangs up (the stream is no longer framed past a forged header).
         let mut big = WireClient::connect(addr).unwrap();

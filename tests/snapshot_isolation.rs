@@ -7,9 +7,9 @@
 //! harness pins the user-visible contract:
 //!
 //! * a cursor opened *before* an insert burst streams byte-identical
-//!   results to the pre-insert eager run — across all five plan modes,
-//!   both storage backends and thread counts {1, 4}, with the bursts
-//!   interleaved between the cursor's chunked pulls;
+//!   results to the pre-insert eager run — across all five plan modes and
+//!   thread counts {1, 4}, with the bursts interleaved between the
+//!   cursor's chunked pulls;
 //! * `fetch_more(k)` *after* the burst still honours the pinned epoch
 //!   (the extension equals the canonical top-(k+extra) over the pre-burst
 //!   rows, never leaking the new ones);
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use ranksql::expr::{RankPredicate, RankedTuple};
 use ranksql::{
     BoolExpr, CompareOp, DataType, Database, Field, Params, PlanMode, QueryBuilder, RankQuery,
-    ScalarExpr, Schema, StorageBackend, Value,
+    ScalarExpr, Schema, Value,
 };
 
 const ALL_MODES: [PlanMode; 5] = [
@@ -32,8 +32,6 @@ const ALL_MODES: [PlanMode; 5] = [
     PlanMode::RankAwareExhaustive,
     PlanMode::RankAwareRuleBased,
 ];
-
-const BACKENDS: [StorageBackend; 2] = [StorageBackend::Row, StorageBackend::Columnar];
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
@@ -69,14 +67,14 @@ fn workload() -> impl Strategy<Value = Workload> {
         })
 }
 
-/// The filter keeps the pushed-filter path (and, on columnar epochs, the
-/// frozen-tail filter) in play: only rows with `jc <= 3` qualify.
+/// The filter keeps the pushed-filter path (and the frozen-tail filter) in
+/// play: only rows with `jc <= 3` qualify.
 fn matches(rows: &[(i64, f64)]) -> usize {
     rows.iter().filter(|(jc, _)| *jc <= 3).count()
 }
 
-fn build_database(rows: &[(i64, f64)], backend: StorageBackend, k: usize) -> (Database, RankQuery) {
-    let db = Database::new().with_storage_backend(backend);
+fn build_database(rows: &[(i64, f64)], k: usize) -> (Database, RankQuery) {
+    let db = Database::new();
     db.create_table(
         "T",
         Schema::new(vec![
@@ -121,52 +119,34 @@ proptest! {
     /// Interleaved insert bursts against an open cursor: the cursor streams
     /// the pre-burst answer byte for byte, `fetch_more` past the original
     /// limit extends over the *pinned* epoch, and a fresh session sees all
-    /// the new rows — all modes × backends × threads {1, 4}.
+    /// the new rows — all modes × threads {1, 4}.
     #[test]
     fn open_cursor_streams_the_pre_burst_snapshot(w in workload()) {
-        for backend in BACKENDS {
-            for mode in ALL_MODES {
-                for threads in THREAD_COUNTS {
-                    let (db, query) = build_database(&w.base_rows, backend, w.k);
-                    let session = db.session().with_mode(mode).with_threads(threads);
-                    // Pre-burst eager reference on the same database.
-                    let eager = session.execute(&query).unwrap();
-                    let reference = fingerprint(&query, &eager.rows);
+        for mode in ALL_MODES {
+            for threads in THREAD_COUNTS {
+                let (db, query) = build_database(&w.base_rows, w.k);
+                let session = db.session().with_mode(mode).with_threads(threads);
+                // Pre-burst eager reference on the same database.
+                let eager = session.execute(&query).unwrap();
+                let reference = fingerprint(&query, &eager.rows);
 
-                    let mut cursor = session
-                        .prepare_query(query.clone())
-                        .unwrap()
-                        .bind(Params::none())
-                        .unwrap()
-                        .cursor()
-                        .unwrap();
+                let mut cursor = session
+                    .prepare_query(query.clone())
+                    .unwrap()
+                    .bind(Params::none())
+                    .unwrap()
+                    .cursor()
+                    .unwrap();
 
-                    // Fire the bursts between the cursor's chunked pulls —
-                    // including one *before* the first pull, so a lazily
-                    // pinned scan would be caught immediately.
-                    let mut streamed = Vec::new();
-                    let mut next_id = w.base_rows.len() as i64;
-                    let mut bursts = w.bursts.iter();
-                    let mut pulls = 0usize;
-                    loop {
-                        if let Some(burst) = bursts.next() {
-                            for &(jc, p) in burst {
-                                db.insert(
-                                    "T",
-                                    vec![Value::from(next_id), Value::from(jc), Value::from(p)],
-                                )
-                                .unwrap();
-                                next_id += 1;
-                            }
-                        }
-                        if cursor.is_exhausted() {
-                            break;
-                        }
-                        let chunk = w.chunks[pulls % w.chunks.len()];
-                        pulls += 1;
-                        streamed.extend(cursor.take(chunk).unwrap());
-                    }
-                    for burst in bursts {
+                // Fire the bursts between the cursor's chunked pulls —
+                // including one *before* the first pull, so a lazily
+                // pinned scan would be caught immediately.
+                let mut streamed = Vec::new();
+                let mut next_id = w.base_rows.len() as i64;
+                let mut bursts = w.bursts.iter();
+                let mut pulls = 0usize;
+                loop {
+                    if let Some(burst) = bursts.next() {
                         for &(jc, p) in burst {
                             db.insert(
                                 "T",
@@ -176,65 +156,78 @@ proptest! {
                             next_id += 1;
                         }
                     }
-                    prop_assert_eq!(
-                        &fingerprint(&query, &streamed),
-                        &reference,
-                        "{:?}/{:?}/threads {}: cursor leaked post-open inserts",
-                        mode,
-                        backend,
-                        threads
-                    );
-
-                    // `fetch_more` after the burst: plans that can extend
-                    // must produce the canonical top-(k+extra) of the
-                    // *pre-burst* rows; plans that cannot must refuse
-                    // cleanly and leave the streamed rows valid.
-                    match cursor.fetch_more(w.extra) {
-                        Ok(more) => {
-                            streamed.extend(more);
-                            let (base_db, _) = build_database(&w.base_rows, backend, w.k);
-                            let mut q_ref = query.clone();
-                            q_ref.k = w.k + w.extra;
-                            let pre_burst = base_db
-                                .session()
-                                .with_mode(PlanMode::Canonical)
-                                .with_threads(1)
-                                .execute(&q_ref)
-                                .unwrap();
-                            prop_assert_eq!(
-                                &fingerprint(&query, &streamed),
-                                &fingerprint(&q_ref, &pre_burst.rows),
-                                "{:?}/{:?}/threads {}: fetch_more escaped the pinned epoch",
-                                mode,
-                                backend,
-                                threads
-                            );
-                        }
-                        Err(e) => {
-                            prop_assert!(
-                                e.to_string().contains("cannot extend"),
-                                "unexpected fetch_more error: {e}"
-                            );
-                        }
+                    if cursor.is_exhausted() {
+                        break;
                     }
-
-                    // A session opened after the bursts sees every new row.
-                    let total: usize =
-                        matches(&w.base_rows) + w.bursts.iter().map(|b| matches(b)).sum::<usize>();
-                    let mut q_all = query.clone();
-                    q_all.k = w.base_rows.len()
-                        + w.bursts.iter().map(Vec::len).sum::<usize>()
-                        + 1;
-                    let fresh = session.execute(&q_all).unwrap();
-                    prop_assert_eq!(
-                        fresh.rows.len(),
-                        total,
-                        "{:?}/{:?}/threads {}: fresh session misses inserted rows",
-                        mode,
-                        backend,
-                        threads
-                    );
+                    let chunk = w.chunks[pulls % w.chunks.len()];
+                    pulls += 1;
+                    streamed.extend(cursor.take(chunk).unwrap());
                 }
+                for burst in bursts {
+                    for &(jc, p) in burst {
+                        db.insert(
+                            "T",
+                            vec![Value::from(next_id), Value::from(jc), Value::from(p)],
+                        )
+                        .unwrap();
+                        next_id += 1;
+                    }
+                }
+                prop_assert_eq!(
+                    &fingerprint(&query, &streamed),
+                    &reference,
+                    "{:?}/threads {}: cursor leaked post-open inserts",
+                    mode,
+                    threads
+                );
+
+                // `fetch_more` after the burst: plans that can extend
+                // must produce the canonical top-(k+extra) of the
+                // *pre-burst* rows; plans that cannot must refuse
+                // cleanly and leave the streamed rows valid.
+                match cursor.fetch_more(w.extra) {
+                    Ok(more) => {
+                        streamed.extend(more);
+                        let (base_db, _) = build_database(&w.base_rows, w.k);
+                        let mut q_ref = query.clone();
+                        q_ref.k = w.k + w.extra;
+                        let pre_burst = base_db
+                            .session()
+                            .with_mode(PlanMode::Canonical)
+                            .with_threads(1)
+                            .execute(&q_ref)
+                            .unwrap();
+                        prop_assert_eq!(
+                            &fingerprint(&query, &streamed),
+                            &fingerprint(&q_ref, &pre_burst.rows),
+                            "{:?}/threads {}: fetch_more escaped the pinned epoch",
+                            mode,
+                            threads
+                        );
+                    }
+                    Err(e) => {
+                        prop_assert!(
+                            e.to_string().contains("cannot extend"),
+                            "unexpected fetch_more error: {e}"
+                        );
+                    }
+                }
+
+                // A session opened after the bursts sees every new row.
+                let total: usize =
+                    matches(&w.base_rows) + w.bursts.iter().map(|b| matches(b)).sum::<usize>();
+                let mut q_all = query.clone();
+                q_all.k = w.base_rows.len()
+                    + w.bursts.iter().map(Vec::len).sum::<usize>()
+                    + 1;
+                let fresh = session.execute(&q_all).unwrap();
+                prop_assert_eq!(
+                    fresh.rows.len(),
+                    total,
+                    "{:?}/threads {}: fresh session misses inserted rows",
+                    mode,
+                    threads
+                );
             }
         }
     }
@@ -248,84 +241,82 @@ proptest! {
 fn concurrent_writer_burst_does_not_disturb_an_open_cursor() {
     const BASE: i64 = 1150;
     const BURST: i64 = 1000;
-    for backend in BACKENDS {
-        for threads in THREAD_COUNTS {
-            let rows: Vec<(i64, f64)> = (0..BASE)
-                .map(|i| (i % 6, ((i * 37) % 1000) as f64 / 1000.0))
-                .collect();
-            let (db, query) = build_database(&rows, backend, 25);
-            let session = db
-                .session()
-                .with_mode(PlanMode::RankAware)
-                .with_threads(threads);
-            let eager = session.execute(&query).unwrap();
-            let reference = fingerprint(&query, &eager.rows);
+    for threads in THREAD_COUNTS {
+        let rows: Vec<(i64, f64)> = (0..BASE)
+            .map(|i| (i % 6, ((i * 37) % 1000) as f64 / 1000.0))
+            .collect();
+        let (db, query) = build_database(&rows, 25);
+        let session = db
+            .session()
+            .with_mode(PlanMode::RankAware)
+            .with_threads(threads);
+        let eager = session.execute(&query).unwrap();
+        let reference = fingerprint(&query, &eager.rows);
 
-            let mut cursor = session
-                .prepare_query(query.clone())
-                .unwrap()
-                .bind(Params::none())
-                .unwrap()
-                .cursor()
-                .unwrap();
+        let mut cursor = session
+            .prepare_query(query.clone())
+            .unwrap()
+            .bind(Params::none())
+            .unwrap()
+            .cursor()
+            .unwrap();
 
-            let mut streamed = Vec::new();
-            std::thread::scope(|s| {
-                let writer = s.spawn(|| {
-                    for i in 0..BURST {
-                        db.insert(
-                            "T",
-                            vec![
-                                Value::from(BASE + i),
-                                Value::from(i % 6),
-                                Value::from(((i * 61) % 1000) as f64 / 1000.0),
-                            ],
-                        )
-                        .unwrap();
-                    }
-                });
-                while !cursor.is_exhausted() {
-                    streamed.extend(cursor.take(7).unwrap());
+        let mut streamed = Vec::new();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                for i in 0..BURST {
+                    db.insert(
+                        "T",
+                        vec![
+                            Value::from(BASE + i),
+                            Value::from(i % 6),
+                            Value::from(((i * 61) % 1000) as f64 / 1000.0),
+                        ],
+                    )
+                    .unwrap();
                 }
-                writer.join().unwrap();
             });
+            while !cursor.is_exhausted() {
+                streamed.extend(cursor.take(7).unwrap());
+            }
+            writer.join().unwrap();
+        });
+        assert_eq!(
+            fingerprint(&query, &streamed),
+            reference,
+            "{threads} threads: concurrent writer leaked into the cursor"
+        );
+
+        // The extension still reads the pinned epoch, not the 2150-row
+        // table (or the plan refuses cleanly — either way no leak).
+        if let Ok(more) = cursor.fetch_more(5) {
+            streamed.extend(more);
+            let (base_db, _) = build_database(&rows, 25);
+            let mut q_ref = query.clone();
+            q_ref.k = 30;
+            let pre_burst = base_db
+                .session()
+                .with_mode(PlanMode::Canonical)
+                .with_threads(1)
+                .execute(&q_ref)
+                .unwrap();
             assert_eq!(
                 fingerprint(&query, &streamed),
-                reference,
-                "{backend:?}/threads {threads}: concurrent writer leaked into the cursor"
-            );
-
-            // The extension still reads the pinned epoch, not the 2150-row
-            // table (or the plan refuses cleanly — either way no leak).
-            if let Ok(more) = cursor.fetch_more(5) {
-                streamed.extend(more);
-                let (base_db, _) = build_database(&rows, backend, 25);
-                let mut q_ref = query.clone();
-                q_ref.k = 30;
-                let pre_burst = base_db
-                    .session()
-                    .with_mode(PlanMode::Canonical)
-                    .with_threads(1)
-                    .execute(&q_ref)
-                    .unwrap();
-                assert_eq!(
-                    fingerprint(&query, &streamed),
-                    fingerprint(&q_ref, &pre_burst.rows),
-                    "{backend:?}/threads {threads}: fetch_more escaped the pinned epoch"
-                );
-            }
-
-            // A fresh session sees the full post-burst table.
-            let mut q_all = query.clone();
-            q_all.k = (BASE + BURST) as usize + 1;
-            let fresh = session.execute(&q_all).unwrap();
-            let expected = (0..BASE).filter(|i| i % 6 <= 3).count()
-                + (0..BURST).filter(|i| i % 6 <= 3).count();
-            assert_eq!(
-                fresh.rows.len(),
-                expected,
-                "{backend:?}/threads {threads}: fresh session misses writer rows"
+                fingerprint(&q_ref, &pre_burst.rows),
+                "{threads} threads: fetch_more escaped the pinned epoch"
             );
         }
+
+        // A fresh session sees the full post-burst table.
+        let mut q_all = query.clone();
+        q_all.k = (BASE + BURST) as usize + 1;
+        let fresh = session.execute(&q_all).unwrap();
+        let expected =
+            (0..BASE).filter(|i| i % 6 <= 3).count() + (0..BURST).filter(|i| i % 6 <= 3).count();
+        assert_eq!(
+            fresh.rows.len(),
+            expected,
+            "{threads} threads: fresh session misses writer rows"
+        );
     }
 }

@@ -1,28 +1,28 @@
-//! Cross-backend equivalence of the storage layer.
+//! Storage-layer equivalence: one scan, two ways to open a database.
 //!
-//! The columnar backend (`ColumnTable` + zone maps, PR 5) and the
-//! disk-backed paged backend (buffer pool + WAL, PR 8) promise that the
-//! physical layout is a pure *access-path* choice: for every plan mode,
-//! thread count, batch size and morsel size, planning against
-//! `StorageBackend::Columnar` or `StorageBackend::Paged` must produce
-//! exactly the ordered top-k result of the row backend — same tuples, same
-//! order, same scores.  The proptest below drives randomized workloads
-//! through all five `PlanMode`s and compares the three backends pairwise.
+//! A database opened in memory and one opened on a directory
+//! (`Database::open_paged`, buffer pool + WAL) plan identically and read
+//! base tables through the same sequential scan — sealed columnar blocks
+//! plus a frozen row tail — differing only in where the sealed blocks live.
+//! For every plan mode, thread count, batch size and morsel size both must
+//! return exactly `oracle_top_k`'s ordered top-k: same tuples, same order,
+//! same scores.  The proptests below drive randomized workloads through all
+//! five `PlanMode`s and compare in-memory ≡ paged ≡ oracle, plans included.
 //!
 //! Companion regression tests pin the zone-map contract: score pruning on a
 //! selective top-k reduces `tuples_scanned` (and skips whole blocks) while
-//! the result stays byte-identical, pushed-down filters show up in
-//! `explain` as `ColumnScan(..)[σ ..]` annotations, and on the paged
-//! backend a pruned block is a page never read (`pages_pruned` /
-//! `pages_faulted`).
+//! the result stays the oracle's, pushed-down filters show up in `explain`
+//! as `ColumnScan(..)[σ ..]` annotations, and on a paged database a pruned
+//! block is a page never read (`pages_pruned` / `pages_faulted`).
 
 use proptest::prelude::*;
 
-use ranksql::executor::{execute_physical_plan, ExecutionContext};
-use ranksql::expr::RankPredicate;
+use ranksql::common::TupleId;
+use ranksql::executor::{execute_physical_plan, oracle_top_k, ExecutionContext};
+use ranksql::expr::{RankPredicate, RankedTuple};
 use ranksql::{
     BoolExpr, CompareOp, DataType, Database, Field, PagedOptions, PlanMode, QueryBuilder,
-    RankQuery, ScalarExpr, Schema, StorageBackend, Value,
+    RankQuery, ScalarExpr, Schema, Value,
 };
 
 /// A process-unique scratch directory for paged databases, removed on drop.
@@ -83,14 +83,9 @@ fn workload() -> impl Strategy<Value = Workload> {
         })
 }
 
-fn build_database(w: &Workload, backend: StorageBackend) -> (Database, RankQuery) {
-    let db = Database::new().with_storage_backend(backend);
-    let query = populate(&db, w);
-    (db, query)
-}
-
-/// Like [`build_database`] but disk-backed: tables and rows go through the
-/// WAL protocol into `dir`, and scans fault pages through the buffer pool.
+/// Like `Database::new()` + [`populate`], but disk-backed: tables and rows
+/// go through the WAL protocol into `dir`, and scans fault pages through
+/// the buffer pool.
 fn build_paged_database(w: &Workload, dir: &std::path::Path) -> (Database, RankQuery) {
     let db = Database::open_paged(dir).unwrap();
     let query = populate(&db, w);
@@ -151,17 +146,36 @@ fn fingerprint(result: &ranksql::QueryResult) -> Vec<(ranksql::Tuple, f64)> {
         .collect()
 }
 
+/// What a result is compared with the oracle by: tuple identity and score
+/// bits, in order.
+fn identities(query: &RankQuery, rows: &[RankedTuple]) -> Vec<(TupleId, u64)> {
+    rows.iter()
+        .map(|t| {
+            let score = query.ranking.upper_bound(&t.state).value();
+            (t.tuple.id().clone(), score.to_bits())
+        })
+        .collect()
+}
+
+/// The oracle's ordered top-k of `query` over `db`'s rows.
+fn oracle(db: &Database, query: &RankQuery) -> Vec<(TupleId, u64)> {
+    identities(query, &oracle_top_k(query, db.catalog()).unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
-    /// Columnar and paged backends ≡ row backend for all five plan modes,
-    /// at 1 and 4 worker threads, under random batch and morsel sizes.
+    /// In-memory ≡ paged ≡ oracle for all five plan modes, at 1 and 4
+    /// worker threads, under random batch and morsel sizes.
     #[test]
-    fn columnar_and_paged_equal_row_for_all_plan_modes_and_thread_counts(w in workload()) {
-        let (row_db, query) = build_database(&w, StorageBackend::Row);
-        let (col_db, _) = build_database(&w, StorageBackend::Columnar);
+    fn in_memory_and_paged_equal_the_oracle_for_all_modes_and_threads(
+        w in workload()
+    ) {
+        let mem_db = Database::new();
+        let query = populate(&mem_db, &w);
         let dir = TempDir::new("prop");
         let (paged_db, _) = build_paged_database(&w, dir.path());
+        let want = oracle(&mem_db, &query);
         for mode in ALL_MODES {
             for threads in [1usize, 4] {
                 let run = |db: &Database| {
@@ -173,13 +187,12 @@ proptest! {
                         .execute(&query)
                         .unwrap()
                 };
-                let row = run(&row_db);
-                let col = run(&col_db);
+                let mem = run(&mem_db);
                 let paged = run(&paged_db);
                 prop_assert_eq!(
-                    fingerprint(&col),
-                    fingerprint(&row),
-                    "mode {:?}, threads {}, batch {}, morsel {}: columnar diverged from row",
+                    identities(&query, &mem.rows),
+                    want.clone(),
+                    "mode {:?}, threads {}, batch {}, morsel {}: diverged from the oracle",
                     mode,
                     threads,
                     w.batch_size,
@@ -187,12 +200,39 @@ proptest! {
                 );
                 prop_assert_eq!(
                     fingerprint(&paged),
-                    fingerprint(&row),
-                    "mode {:?}, threads {}, batch {}, morsel {}: paged diverged from row",
+                    fingerprint(&mem),
+                    "mode {:?}, threads {}, batch {}, morsel {}: paged diverged from in-memory",
                     mode,
                     threads,
                     w.batch_size,
                     w.morsel_size
+                );
+            }
+        }
+    }
+
+    /// How a database was opened is not a planning input: in-memory and
+    /// paged databases holding the same rows print the same physical plan,
+    /// byte for byte, in every plan mode at 1 and 4 threads.
+    #[test]
+    fn in_memory_and_paged_databases_plan_identically(w in workload()) {
+        let mem_db = Database::new();
+        let query = populate(&mem_db, &w);
+        let dir = TempDir::new("plan");
+        let (paged_db, _) = build_paged_database(&w, dir.path());
+        for mode in ALL_MODES {
+            for threads in [1usize, 4] {
+                let explain = |db: &Database| {
+                    let session = db.session().with_mode(mode).with_threads(threads);
+                    let physical = session.plan(&query).unwrap().physical;
+                    physical.explain(Some(&query.ranking))
+                };
+                prop_assert_eq!(
+                    explain(&paged_db),
+                    explain(&mem_db),
+                    "mode {:?}, threads {}",
+                    mode,
+                    threads
                 );
             }
         }
@@ -202,8 +242,8 @@ proptest! {
 /// A single-table database large enough to span many columnar blocks, with
 /// a score column whose high values cluster in a few blocks — the shape
 /// zone-map score pruning exploits.
-fn clustered_db(backend: StorageBackend, rows: i64) -> (Database, RankQuery) {
-    let db = Database::new().with_storage_backend(backend);
+fn clustered_db(rows: i64) -> (Database, RankQuery) {
+    let db = Database::new();
     db.create_table(
         "T",
         Schema::new(vec![
@@ -230,42 +270,35 @@ fn clustered_db(backend: StorageBackend, rows: i64) -> (Database, RankQuery) {
 }
 
 /// Regression: zone-map score pruning on a selective top-k changes
-/// `tuples_scanned` (and only that) — results are byte-identical to the
-/// row backend, and whole blocks are demonstrably skipped.
+/// `tuples_scanned` (and only that) — results are the oracle's, and whole
+/// blocks are demonstrably skipped.
 #[test]
 fn zone_map_pruning_reduces_tuples_scanned_without_changing_results() {
     const ROWS: i64 = 8192; // 8 columnar blocks
-    let (row_db, query) = clustered_db(StorageBackend::Row, ROWS);
-    let (col_db, _) = clustered_db(StorageBackend::Columnar, ROWS);
+    let (db, query) = clustered_db(ROWS);
 
     // Traditional mode plans SortLimit(σ/π(scan)) — the zone-prune spine.
-    let run = |db: &Database| {
-        db.session()
-            .with_mode(PlanMode::Traditional)
-            .with_threads(1)
-            .execute(&query)
-            .unwrap()
-    };
-    let row = run(&row_db);
-    let col = run(&col_db);
+    let col = db
+        .session()
+        .with_mode(PlanMode::Traditional)
+        .with_threads(1)
+        .execute(&query)
+        .unwrap();
 
-    assert_eq!(fingerprint(&col), fingerprint(&row), "results must agree");
-    assert_eq!(row.tuples_scanned, ROWS as u64, "row backend scans all");
+    assert_eq!(identities(&query, &col.rows), oracle(&db, &query));
     assert!(
-        col.tuples_scanned < row.tuples_scanned,
-        "zone-map pruning must reduce tuples_scanned: columnar {} vs row {}",
-        col.tuples_scanned,
-        row.tuples_scanned
+        col.tuples_scanned < ROWS as u64,
+        "zone-map pruning must reduce tuples_scanned below {ROWS}: {}",
+        col.tuples_scanned
     );
     assert!(
         col.blocks_pruned > 0,
         "whole blocks must be skipped (got {})",
         col.blocks_pruned
     );
-    assert_eq!(row.blocks_pruned, 0, "the row backend has no blocks");
 
     // The plan advertises the pruning annotation.
-    let plan = col_db
+    let plan = db
         .session()
         .with_mode(PlanMode::Traditional)
         .with_threads(1)
@@ -278,21 +311,13 @@ fn zone_map_pruning_reduces_tuples_scanned_without_changing_results() {
 }
 
 /// Zone pruning also composes with the morsel-parallel exchange path: the
-/// per-partition top-k heaps share one threshold cell, results stay
-/// identical to serial row execution.
+/// per-partition top-k heaps share one threshold cell, results stay the
+/// oracle's.
 #[test]
 fn zone_map_pruning_is_safe_under_parallel_execution() {
     const ROWS: i64 = 8192;
-    let (row_db, query) = clustered_db(StorageBackend::Row, ROWS);
-    let (col_db, _) = clustered_db(StorageBackend::Columnar, ROWS);
-    let reference = fingerprint(
-        &row_db
-            .session()
-            .with_mode(PlanMode::Traditional)
-            .with_threads(1)
-            .execute(&query)
-            .unwrap(),
-    );
+    let (col_db, query) = clustered_db(ROWS);
+    let reference = oracle(&col_db, &query);
     for threads in [2usize, 4] {
         let col = col_db
             .session()
@@ -301,7 +326,11 @@ fn zone_map_pruning_is_safe_under_parallel_execution() {
             .with_morsel_size(512)
             .execute(&query)
             .unwrap();
-        assert_eq!(fingerprint(&col), reference, "threads={threads}");
+        assert_eq!(
+            identities(&query, &col.rows),
+            reference,
+            "threads={threads}"
+        );
         assert!(
             col.tuples_scanned <= ROWS as u64,
             "threads={threads}: scanned {}",
@@ -318,7 +347,7 @@ fn zone_map_pruning_is_safe_under_parallel_execution() {
 #[test]
 fn every_morsel_prunes_against_the_spines_threshold_cell() {
     const ROWS: i64 = 8192; // 8 columnar blocks
-    let (col_db, query) = clustered_db(StorageBackend::Columnar, ROWS);
+    let (col_db, query) = clustered_db(ROWS);
     let serial = col_db
         .session()
         .with_mode(PlanMode::Traditional)
@@ -357,7 +386,7 @@ fn every_morsel_prunes_against_the_spines_threshold_cell() {
 #[test]
 fn blocks_pruned_is_deduplicated_across_morsels() {
     const ROWS: i64 = 8192; // 8 columnar blocks of 1024 rows
-    let (col_db, _) = clustered_db(StorageBackend::Columnar, ROWS);
+    let (col_db, _) = clustered_db(ROWS);
     // `id < 1000` admits only block 0: blocks 1..=7 fail the zone check.
     let query = QueryBuilder::new()
         .table("T")
@@ -392,14 +421,13 @@ fn blocks_pruned_is_deduplicated_across_morsels() {
     }
 }
 
-/// Pushed-down filters: `Filter(SeqScan)` fuses into `ColumnScan[σ ..]` on
-/// the columnar backend, zone maps skip blocks the filter cannot match, and
-/// results equal the row backend's.
+/// Pushed-down filters: `Filter(SeqScan)` fuses into `ColumnScan[σ ..]`,
+/// zone maps skip blocks the filter cannot match, and results equal the
+/// oracle's.
 #[test]
-fn pushed_filters_fuse_prune_and_agree_with_row_backend() {
+fn pushed_filters_fuse_prune_and_agree_with_the_oracle() {
     const ROWS: i64 = 8192;
-    let (row_db, _) = clustered_db(StorageBackend::Row, ROWS);
-    let (col_db, _) = clustered_db(StorageBackend::Columnar, ROWS);
+    let (col_db, _) = clustered_db(ROWS);
     // `id < 1000` lives entirely in the first columnar block.
     let query = QueryBuilder::new()
         .table("T")
@@ -412,16 +440,13 @@ fn pushed_filters_fuse_prune_and_agree_with_row_backend() {
         .limit(5)
         .build()
         .unwrap();
-    let run = |db: &Database| {
-        db.session()
-            .with_mode(PlanMode::Traditional)
-            .with_threads(1)
-            .execute(&query)
-            .unwrap()
-    };
-    let row = run(&row_db);
-    let col = run(&col_db);
-    assert_eq!(fingerprint(&col), fingerprint(&row));
+    let col = col_db
+        .session()
+        .with_mode(PlanMode::Traditional)
+        .with_threads(1)
+        .execute(&query)
+        .unwrap();
+    assert_eq!(identities(&query, &col.rows), oracle(&col_db, &query));
     assert!(
         col.tuples_scanned <= 1024,
         "only the first block may be examined, scanned {}",
@@ -459,16 +484,16 @@ fn clustered_paged_db(dir: &std::path::Path, rows: i64, pool_pages: u64) -> (Dat
     (db, query)
 }
 
-/// The paged backend's pruning contract: with the buffer pool far below
+/// A paged database's pruning contract: with the buffer pool far below
 /// dataset size, a zone-pruned block is a page never read — the selective
 /// top-k faults a fraction of the pages the unpruned full scan does, while
-/// the results stay byte-identical to the row backend.
+/// the results stay byte-identical to an in-memory database's.
 #[test]
 fn zone_pruning_on_the_paged_backend_turns_pruned_blocks_into_unread_pages() {
     const ROWS: i64 = 8192; // 8 sealed blocks = 16 data pages
     let dir = TempDir::new("prune");
     let (paged_db, query) = clustered_paged_db(dir.path(), ROWS, 4);
-    let (row_db, _) = clustered_db(StorageBackend::Row, ROWS);
+    let (mem_db, _) = clustered_db(ROWS);
 
     let run = |db: &Database, q: &RankQuery| {
         db.session()
@@ -478,8 +503,8 @@ fn zone_pruning_on_the_paged_backend_turns_pruned_blocks_into_unread_pages() {
             .unwrap()
     };
     let topk = run(&paged_db, &query);
-    let row = run(&row_db, &query);
-    assert_eq!(fingerprint(&topk), fingerprint(&row), "results must agree");
+    let mem = run(&mem_db, &query);
+    assert_eq!(fingerprint(&topk), fingerprint(&mem), "results must agree");
     assert!(
         topk.pages_pruned > 0,
         "score pruning must skip whole on-disk blocks (pages_pruned = 0)"
@@ -507,9 +532,9 @@ fn zone_pruning_on_the_paged_backend_turns_pruned_blocks_into_unread_pages() {
     let text = full.explain_analyze(Some(&query.ranking));
     assert!(text.contains("paged storage: pages_faulted="), "{text}");
 
-    // The row backend touches no pages at all.
-    assert_eq!(row.pages_faulted, 0);
-    assert_eq!(row.pages_pruned, 0);
+    // An in-memory database touches no pages at all.
+    assert_eq!(mem.pages_faulted, 0);
+    assert_eq!(mem.pages_pruned, 0);
 }
 
 /// Durability round trip: dropping the database handle and reopening the
@@ -552,7 +577,7 @@ fn paged_database_reopens_with_identical_results() {
 /// Satellite regression: a NaN-scoring row must never change pruning
 /// results.  `TopKThreshold::raise` ignores NaN (and the total order sorts
 /// NaN last), so the top-k over a table containing a NaN row equals the
-/// top-k without it — on every backend, with pruning still active.
+/// top-k without it and the oracle's, with pruning still active.
 #[test]
 fn nan_scoring_rows_never_change_pruning_results() {
     const ROWS: i64 = 4096;
@@ -597,19 +622,15 @@ fn nan_scoring_rows_never_change_pruning_results() {
         run(&db).scores()
     };
 
-    let row_db = Database::new();
-    row_db.create_table("T", schema()).unwrap();
-    row_db.insert_batch("T", rows_with_nan.clone()).unwrap();
-    let col_db = Database::new().with_storage_backend(StorageBackend::Columnar);
-    col_db.create_table("T", schema()).unwrap();
-    col_db.insert_batch("T", rows_with_nan).unwrap();
+    let db = Database::new();
+    db.create_table("T", schema()).unwrap();
+    db.insert_batch("T", rows_with_nan).unwrap();
 
-    let row = run(&row_db);
-    let col = run(&col_db);
-    assert_eq!(fingerprint(&col), fingerprint(&row), "backends diverged");
-    assert_eq!(row.scores(), reference, "the NaN row changed the top-k");
+    let col = run(&db);
+    assert_eq!(identities(&query, &col.rows), oracle(&db, &query));
+    assert_eq!(col.scores(), reference, "the NaN row changed the top-k");
     assert!(
-        row.scores().iter().all(|s| !s.is_nan()),
+        col.scores().iter().all(|s| !s.is_nan()),
         "a NaN-scoring row leaked into the result"
     );
     // The NaN row lives in sealed block 0 — the block every plan must still
@@ -619,36 +640,4 @@ fn nan_scoring_rows_never_change_pruning_results() {
         col.blocks_pruned > 0,
         "NaN in a zone must not disable pruning (blocks_pruned = 0)"
     );
-}
-
-/// Prepared statements key the plan cache per backend: the same shape
-/// planned against row and columnar storage must not share an entry.
-#[test]
-fn plan_cache_keys_separate_backends() {
-    let (db, query) = clustered_db(StorageBackend::Row, 64);
-    let row_key = db
-        .session()
-        .prepare_query(query.clone())
-        .unwrap()
-        .cache_key()
-        .to_owned();
-    let col_key = db
-        .session()
-        .with_storage_backend(StorageBackend::Columnar)
-        .prepare_query(query.clone())
-        .unwrap()
-        .cache_key()
-        .to_owned();
-    let paged_key = db
-        .session()
-        .with_storage_backend(StorageBackend::Paged)
-        .prepare_query(query)
-        .unwrap()
-        .cache_key()
-        .to_owned();
-    assert_ne!(row_key, col_key);
-    assert_ne!(col_key, paged_key);
-    assert!(row_key.contains("backend=row"), "{row_key}");
-    assert!(col_key.contains("backend=columnar"), "{col_key}");
-    assert!(paged_key.contains("backend=paged"), "{paged_key}");
 }
