@@ -34,13 +34,15 @@ use crate::database::PlanCacheLookup;
 use crate::result::{stats_line, QueryResult};
 use crate::session::SessionSettings;
 
-/// Snapshots the statistics catalog of every table the plan scans — but
-/// only the *already built* ones ([`ranksql_storage::Table::cached_stats`]),
-/// so opening a cursor never pays for a statistics build the planner did
-/// not do itself.  Plans that went through the optimizer have them (the
+/// The statistics catalog of every table the plan scans — but only the
+/// *already built* ones ([`ranksql_storage::Table::cached_stats`]), so
+/// opening a cursor never pays for a statistics build the planner did not
+/// do itself.  Plans that went through the optimizer have them (the
 /// estimators prime the catalogs); canonical-mode plans usually yield none.
-fn planner_table_stats(catalog: &Catalog, plan: &PhysicalPlan) -> Vec<(String, StatsCatalog)> {
-    let mut stats: Vec<(String, StatsCatalog)> = Vec::new();
+/// Each is the table's shared merged catalog, so an open merges nothing
+/// unless a table took an insert since the last read.
+fn planner_table_stats(catalog: &Catalog, plan: &PhysicalPlan) -> Vec<(String, Arc<StatsCatalog>)> {
+    let mut stats: Vec<(String, Arc<StatsCatalog>)> = Vec::new();
     for node in plan.post_order() {
         let table = match &node.op {
             PhysicalOp::SeqScan { table, .. }
@@ -77,7 +79,7 @@ pub struct Cursor {
     start: Instant,
     counters_before: Vec<u64>,
     plan_cache: Option<PlanCacheLookup>,
-    table_stats: Vec<(String, StatsCatalog)>,
+    table_stats: Vec<(String, Arc<StatsCatalog>)>,
     exhausted: bool,
     emitted: u64,
 }
@@ -297,7 +299,7 @@ impl Cursor {
     /// The referenced tables' statistics catalogs as they stood when this
     /// cursor opened (the statistics the planner had available); empty when
     /// no scanned table had built statistics.
-    pub fn table_stats(&self) -> &[(String, StatsCatalog)] {
+    pub fn table_stats(&self) -> &[(String, Arc<StatsCatalog>)] {
         &self.table_stats
     }
 
@@ -590,6 +592,37 @@ mod tests {
         }
         assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
         assert!(seen[0] < 200, "the first pull must not drain the table");
+    }
+
+    #[test]
+    fn opens_share_the_statistics_catalog_until_an_insert() {
+        let (db, query) = hrjn_db(30);
+        let bound = db
+            .session()
+            .with_mode(PlanMode::RankAware)
+            .prepare_query(query)
+            .unwrap()
+            .bind(crate::Params::none())
+            .unwrap();
+        let stats_of = |cursor: &Cursor| {
+            let stats = cursor.table_stats();
+            assert_eq!(stats.len(), 2, "both scanned tables have statistics");
+            stats.iter().map(|(_, s)| Arc::clone(s)).collect::<Vec<_>>()
+        };
+        let first = stats_of(&bound.cursor().unwrap());
+        let second = stats_of(&bound.cursor().unwrap());
+        assert!(first.iter().zip(&second).all(|(a, b)| Arc::ptr_eq(a, b)));
+
+        db.insert("H", vec![Value::from(30), Value::from(3), Value::from(0.5)])
+            .unwrap();
+        let third = stats_of(&bound.cursor().unwrap());
+        let (changed, unchanged): (Vec<_>, Vec<_>) = first
+            .iter()
+            .zip(&third)
+            .partition(|(before, after)| before.row_count != after.row_count);
+        assert_eq!(changed.len(), 1, "H took the insert");
+        assert!(changed.iter().all(|(a, b)| !Arc::ptr_eq(a, b)));
+        assert!(unchanged.iter().all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]

@@ -376,7 +376,7 @@ impl Database {
     /// cost model consumes.  Built on first call; afterwards every insert
     /// folds the new row in incrementally, so repeated calls are cheap and
     /// never stale.
-    pub fn table_stats(&self, table: &str) -> Result<ranksql_storage::StatsCatalog> {
+    pub fn table_stats(&self, table: &str) -> Result<Arc<ranksql_storage::StatsCatalog>> {
         Ok(self.catalog.table(table)?.stats_catalog())
     }
 

@@ -75,7 +75,7 @@ pub struct QueryResult {
     /// when the cursor opened (the statistics the planner had available).
     /// Empty when no table had built statistics yet — e.g. canonical-mode
     /// plans that bypass the optimizer.
-    pub table_stats: Vec<(String, StatsCatalog)>,
+    pub table_stats: Vec<(String, Arc<StatsCatalog>)>,
 }
 
 impl QueryResult {

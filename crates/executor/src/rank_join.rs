@@ -28,6 +28,23 @@ enum Side {
     Right,
 }
 
+/// The two terms of the corner bound, each an upper bound on the join
+/// results one side's *future* tuples can still form: `left` is a future
+/// left tuple joined with the best right tuple seen, `right` the mirror.
+/// The threshold is the larger; drawing from a side can only lower its own
+/// term.
+#[derive(Debug, Clone, Copy)]
+struct Terms {
+    left: Score,
+    right: Score,
+}
+
+impl Terms {
+    fn threshold(self) -> Score {
+        self.left.max(self.right)
+    }
+}
+
 /// End of a hash chain in [`SideState::next_same_key`].
 const CHAIN_END: usize = usize::MAX;
 
@@ -113,10 +130,6 @@ impl CandidateQueue {
         }) == Ordering::Greater
     }
 
-    fn peek(&self) -> Option<&Candidate> {
-        self.heap.first()
-    }
-
     fn len(&self) -> usize {
         self.heap.len()
     }
@@ -135,9 +148,15 @@ impl CandidateQueue {
         }
     }
 
-    fn pop(&mut self, left: &[RankedTuple], right: &[RankedTuple]) -> Option<Candidate> {
+    /// Pops the head if there is one and `ready` accepts it.
+    fn pop_if(
+        &mut self,
+        ready: impl FnOnce(&Candidate) -> bool,
+        left: &[RankedTuple],
+        right: &[RankedTuple],
+    ) -> Option<Candidate> {
         let heap = &mut self.heap;
-        if heap.is_empty() {
+        if !heap.first().is_some_and(ready) {
             return None;
         }
         let top = heap.swap_remove(0);
@@ -185,9 +204,11 @@ pub struct RankJoin {
     output: CandidateQueue,
     /// The drawn tuple's join key, extracted once per draw (reused buffer).
     key: Vec<Value>,
-    /// The cached [`RankJoin::threshold`]; `None` after a side advanced or
-    /// exhausted, the only events that move it.
-    threshold: Option<Score>,
+    /// The cached [`RankJoin::terms`]; `None` after a side advanced or
+    /// exhausted, the only events that move them.
+    terms: Option<Terms>,
+    /// The side to draw from when the terms cannot choose: the one not
+    /// drawn from last.
     turn: Side,
     /// Joined tuples built so far (must equal the tuples emitted).
     #[cfg(test)]
@@ -261,7 +282,7 @@ impl RankJoin {
             schema,
             output: CandidateQueue::default(),
             key: Vec::new(),
-            threshold: None,
+            terms: None,
             ctx,
             metrics,
             turn: Side::Left,
@@ -270,45 +291,47 @@ impl RankJoin {
         })
     }
 
-    /// The threshold `T`: an upper bound on the combined score of any join
-    /// result not yet in the output queue.  Following HRJN, it is the better
-    /// of "a future left tuple joined with the best right tuple seen" and
-    /// "a future right tuple joined with the best left tuple seen".
-    fn threshold(&self) -> Score {
-        if self.left.exhausted && self.right.exhausted {
+    /// The corner bound's two terms, whose larger is the threshold `T`: an
+    /// upper bound on the combined score of any join result not yet in the
+    /// output queue.  Following HRJN, the terms are "a future left tuple
+    /// joined with the best right tuple seen" and "a future right tuple
+    /// joined with the best left tuple seen".
+    fn terms(&self) -> Terms {
+        Terms {
+            left: self.term(&self.left, &self.right),
+            right: self.term(&self.right, &self.left),
+        }
+    }
+
+    /// Combines a hypothetical future tuple of `future` (bounded by that
+    /// side's last-drawn state) with the best seen tuple of `other`.
+    /// Merging the actual states keeps this exact for additive scoring
+    /// functions and conservative for the rest (unevaluated predicates are
+    /// filled with the maximal value either way).
+    fn term(&self, future: &SideState, other: &SideState) -> Score {
+        if future.exhausted {
             return Score::new(f64::NEG_INFINITY);
         }
-        // Combine a hypothetical future tuple of one side (bounded by that
-        // side's last-drawn state) with the best seen tuple of the other
-        // side.  Merging the actual states keeps this exact for additive
-        // scoring functions and conservative for the rest (unevaluated
-        // predicates are filled with the maximal value either way).
-        let combine = |future_side: &SideState, other_side: &SideState| -> Score {
-            if future_side.exhausted {
-                return Score::new(f64::NEG_INFINITY);
-            }
-            if !future_side.ranked {
-                return self.ctx.initial_upper_bound();
-            }
-            match (future_side.seen.last(), other_side.seen.first()) {
-                // Nothing seen on the other side yet: no join result can be
-                // formed with it, but future results are still possible
-                // once it produces tuples; stay conservative.
-                (_, None) => self.ctx.initial_upper_bound(),
-                // Future side not yet sampled: bound by the other top alone
-                // (its own predicates unevaluated = filled max).
-                (None, Some(top)) => self.ctx.upper_bound(&top.state),
-                (Some(last), Some(top)) => self.ctx.upper_bound(&last.state.merge(&top.state)),
-            }
-        };
-        combine(&self.left, &self.right).max(combine(&self.right, &self.left))
+        if !future.ranked {
+            return self.ctx.initial_upper_bound();
+        }
+        match (future.seen.last(), other.seen.first()) {
+            // Nothing seen on the other side yet: no join result can be
+            // formed with it, but future results are still possible once it
+            // produces tuples; stay conservative.
+            (_, None) => self.ctx.initial_upper_bound(),
+            // Future side not yet sampled: bound by the other top alone (its
+            // own predicates unevaluated = filled max).
+            (None, Some(top)) => self.ctx.upper_bound(&top.state),
+            (Some(last), Some(top)) => self.ctx.upper_bound(&last.state.merge(&top.state)),
+        }
     }
 
     /// Draws one tuple from `side` and queues a candidate for every tuple
     /// seen on the other side that it joins with.  Returns whether the side
     /// had a tuple to give.
     fn advance(&mut self, side: Side) -> Result<bool> {
-        self.threshold = None;
+        self.terms = None;
         let this = match side {
             Side::Left => &mut self.left,
             Side::Right => &mut self.right,
@@ -385,12 +408,19 @@ impl RankJoin {
     }
 
     /// The side to draw from while at least one still has input: the one
-    /// whose turn it is, unless it ran dry.
-    fn pick_side(&self) -> Side {
+    /// whose term is larger — only a draw there can lower the threshold (the
+    /// adaptive pulling of HRJN*).  A side that ran dry leaves the other;
+    /// until each side has drawn once, and on a tie, the sides alternate.
+    fn pick_side(&self, terms: Terms) -> Side {
         match (self.left.exhausted, self.right.exhausted) {
             (false, true) => Side::Left,
             (true, false) => Side::Right,
-            _ => self.turn,
+            _ if self.left.seen.is_empty() || self.right.seen.is_empty() => self.turn,
+            _ => match terms.left.cmp(&terms.right) {
+                Ordering::Greater => Side::Left,
+                Ordering::Less => Side::Right,
+                Ordering::Equal => self.turn,
+            },
         }
     }
 }
@@ -404,33 +434,29 @@ impl PhysicalOperator for RankJoin {
         let (mut drawn, mut produced, mut peak) = (0u64, 0usize, 0usize);
         while produced < max {
             let both_done = self.left.exhausted && self.right.exhausted;
-            let threshold = match self.threshold {
+            let terms = match self.terms {
                 Some(t) => t,
-                None => *self.threshold.insert(self.threshold()),
+                None => *self.terms.insert(self.terms()),
             };
             // Emit the best candidate once no unseen join result can beat it
             // (a draw is the only thing that moves the threshold, so a run of
             // qualifying heads goes out against the cached one).
-            match self.output.peek() {
-                Some(best) if both_done || best.score >= threshold => {
-                    let c = self
-                        .output
-                        .pop(&self.left.seen, &self.right.seen)
-                        .expect("non-empty output queue");
-                    out.push(self.materialise(c));
-                    produced += 1;
-                    continue;
-                }
-                None if both_done => break,
-                _ => {}
+            let threshold = terms.threshold();
+            let ready = |best: &Candidate| both_done || best.score >= threshold;
+            if let Some(c) = self.output.pop_if(ready, &self.left.seen, &self.right.seen) {
+                out.push(self.materialise(c));
+                produced += 1;
+                continue;
             }
-            if self.advance(self.pick_side())? {
+            if both_done {
+                break;
+            }
+            let side = self.pick_side(terms);
+            if self.advance(side)? {
                 drawn += 1;
                 peak = peak.max(self.left.seen.len() + self.right.seen.len() + self.output.len());
             }
-            // Alternate between inputs (the paper's HRJN pulls from both
-            // streams; a simple round-robin strategy suffices).
-            self.turn = match self.turn {
+            self.turn = match side {
                 Side::Left => Side::Right,
                 Side::Right => Side::Left,
             };
@@ -674,6 +700,67 @@ mod tests {
             .sum();
         // Exactly the two heads: r1 ⋈ s2 already meets the threshold (4.8).
         assert_eq!(pulled, 2, "HRJN draws for a top-1 query");
+    }
+
+    #[test]
+    fn draws_go_to_the_side_whose_term_binds() {
+        // L's scores fall fast and R's stay flat, so after L2 the right term
+        // (a future R tuple with L's best, 1.0) stays above the left one (a
+        // future L tuple with R's best, 0.99): only R draws can lower the
+        // threshold.  Draws by side: L1 R1 L2 (a tie at 1.99 alternates)
+        // R2 R3 R4, which joins L1 at 1.96 = the right term: emit.  For
+        // three, R5 (⋈ L2, 1.45) and R6, then R runs dry, and L3 (⋈ R6,
+        // 1.19) and L4 lower the left term below 1.45 and 1.19 in turn.
+        // Round-robin pulls 4 + 4 and 6 + 6.
+        let l = keyed_table(
+            "L",
+            0,
+            &(1..=6)
+                .zip([1.0, 0.5, 0.25, 0.1, 0.05, 0.0])
+                .map(|(k, p)| (Some(k), 0, p))
+                .collect::<Vec<_>>(),
+        );
+        let r = keyed_table(
+            "R",
+            1,
+            &[9, 8, 7, 1, 2, 3]
+                .into_iter()
+                .zip([0.99, 0.98, 0.97, 0.96, 0.95, 0.94])
+                .map(|(k, p)| (Some(k), 0, p))
+                .collect::<Vec<_>>(),
+        );
+        let cond = BoolExpr::col_eq_col("L.k", "R.k");
+        for hash in [true, false] {
+            for (k, draws, scores) in [
+                (1, (2, 4), vec![1.0 + 0.96]),
+                (3, (4, 6), vec![1.0 + 0.96, 0.5 + 0.95, 0.25 + 0.94]),
+            ] {
+                let ctx = ctx_lr();
+                let exec = ExecutionContext::new(Arc::clone(&ctx));
+                let (left, right) = (
+                    rank_scan(&l, 0, &exec, "scan_l"),
+                    rank_scan(&r, 1, &exec, "scan_r"),
+                );
+                let mut join = if hash {
+                    RankJoin::hrjn(left, right, Some(&cond), &exec, "HRJN").unwrap()
+                } else {
+                    RankJoin::nrjn(left, right, Some(&cond), &exec, "NRJN").unwrap()
+                };
+                let top: Vec<f64> = take(&mut join, k)
+                    .unwrap()
+                    .iter()
+                    .map(|t| ctx.upper_bound(&t.state).value())
+                    .collect();
+                assert_eq!(top, scores, "hash = {hash}, k = {k}");
+                let metrics = exec.metrics().snapshot();
+                let drawn = |n: &str| metrics.iter().find(|m| m.name() == n).unwrap().tuples_out();
+                assert_eq!(
+                    (drawn("scan_l"), drawn("scan_r")),
+                    draws,
+                    "hash = {hash}, k = {k}"
+                );
+            }
+        }
     }
 
     /// A table `name(k, x, p)`: a nullable join key, a payload and a score.

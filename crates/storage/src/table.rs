@@ -31,13 +31,24 @@ use crate::stats::StatsCatalog;
 struct StatsPair {
     sealed: StatsCatalog,
     delta: StatsCatalog,
+    /// The two merged, built on first read and dropped by the next insert:
+    /// readers between two inserts share one catalog.
+    merged: Option<Arc<StatsCatalog>>,
 }
 
 impl StatsPair {
-    fn merged(&self) -> StatsCatalog {
-        let mut m = self.sealed.clone();
-        m.merge(&self.delta);
+    fn merge(sealed: &StatsCatalog, delta: &StatsCatalog) -> StatsCatalog {
+        let mut m = sealed.clone();
+        m.merge(delta);
         m
+    }
+
+    fn merged(&mut self) -> Arc<StatsCatalog> {
+        let (sealed, delta) = (&self.sealed, &self.delta);
+        Arc::clone(
+            self.merged
+                .get_or_insert_with(|| Arc::new(Self::merge(sealed, delta))),
+        )
     }
 }
 
@@ -350,11 +361,12 @@ impl Table {
         if self.has_stats.load(Ordering::Acquire) {
             if let Some(pair) = self.stats.write().as_mut() {
                 pair.delta.observe_row(&values);
+                pair.merged = None;
                 if (pair.sealed.row_count + pair.delta.row_count) % COLUMN_BLOCK_ROWS == 0 {
                     // Seal boundary: fold the delta partial into the sealed
                     // catalog (build fully before swapping, so a panic can
                     // never leave a torn catalog behind).
-                    pair.sealed = pair.merged();
+                    pair.sealed = StatsPair::merge(&pair.sealed, &pair.delta);
                     pair.delta = StatsCatalog::empty(&self.schema);
                 }
             }
@@ -577,18 +589,20 @@ impl Table {
     /// [`Table::insert`] folds the new row into the delta (merging it into
     /// the sealed catalog at each seal boundary), so repeated calls are
     /// O(columns) in the table size and never observe a stale snapshot.
-    pub fn stats_catalog(&self) -> StatsCatalog {
+    /// Calls with no insert in between share one catalog.
+    pub fn stats_catalog(&self) -> Arc<StatsCatalog> {
         // The row read lock is held across the build so a concurrent insert
         // (which takes the row *write* lock) cannot slip a row between the
         // snapshot and the publication of the catalog.
         let rows = self.rows.read();
-        if let Some(pair) = self.stats.read().as_ref() {
-            return pair.merged();
+        if let Some(merged) = self.cached_stats() {
+            return merged;
         }
         let aligned = rows.len() / COLUMN_BLOCK_ROWS * COLUMN_BLOCK_ROWS;
-        let pair = StatsPair {
+        let mut pair = StatsPair {
             sealed: StatsCatalog::build(&self.schema, &rows[..aligned]),
             delta: StatsCatalog::build(&self.schema, &rows[aligned..]),
+            merged: None,
         };
         let merged = pair.merged();
         *self.stats.write() = Some(pair);
@@ -599,9 +613,13 @@ impl Table {
     /// The statistics catalog if one has already been built (by a prior
     /// [`Table::stats_catalog`] call, typically the optimizer's), without
     /// forcing a build — `None` on a cold table.  The incrementally
-    /// maintained catalog is never stale, so no freshness check is needed.
-    pub fn cached_stats(&self) -> Option<StatsCatalog> {
-        self.stats.read().as_ref().map(StatsPair::merged)
+    /// maintained catalog is never stale, so no freshness check is needed;
+    /// between two inserts every call returns the same `Arc`.
+    pub fn cached_stats(&self) -> Option<Arc<StatsCatalog>> {
+        if let Some(merged) = self.stats.read().as_ref()?.merged.clone() {
+            return Some(merged);
+        }
+        self.stats.write().as_mut().map(StatsPair::merged)
     }
 
     /// Registers a score (rank) index, replacing any previous index on the

@@ -23,6 +23,7 @@
 //! catalog maintained incrementally across inserts equals a cold rebuild.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use ranksql::algebra::{JoinAlgorithm, LogicalPlan};
@@ -259,7 +260,7 @@ fn hll_stage_ndv_error_stays_below_naive_sample_scale_up() {
 /// Cold rebuild of a table's statistics from a full scan — the reference
 /// the incrementally maintained catalog must match.  Uses the same table
 /// name as the warm table so the qualified column names line up.
-fn cold_rebuild(schema: &Schema, rows: &[Vec<Value>]) -> StatsCatalog {
+fn cold_rebuild(schema: &Schema, rows: &[Vec<Value>]) -> Arc<StatsCatalog> {
     let cat = Catalog::new();
     let t = cat.create_table("W", schema.clone()).unwrap();
     for r in rows {
