@@ -253,7 +253,6 @@ impl PlanCache {
 /// over `session().prepare_query(..).bind(..).cursor()`.
 pub struct Database {
     catalog: Catalog,
-    optimizer_config: OptimizerConfig,
     /// Defaults handed to new sessions (and used by the compatibility
     /// wrappers); the deprecated thread setters mutate these.
     default_settings: SessionSettings,
@@ -281,17 +280,8 @@ impl Database {
     pub fn new() -> Self {
         Database {
             catalog: Catalog::new(),
-            optimizer_config: OptimizerConfig::default(),
             default_settings: SessionSettings::default(),
             plan_cache: PlanCache::default(),
-        }
-    }
-
-    /// Creates a database with a custom optimizer configuration.
-    pub fn with_optimizer_config(config: OptimizerConfig) -> Self {
-        Database {
-            optimizer_config: config,
-            ..Database::new()
         }
     }
 
@@ -518,52 +508,33 @@ impl Database {
         Ok(diags)
     }
 
-    /// Plans with the per-mode optimizer configuration.  `RankOptimizer`
-    /// always produces serial plans; parallelization happens exactly once,
-    /// in [`Database::plan`], under the database's own thread budget.
+    /// Plans with the default optimizer configuration under `mode`.
+    /// `RankOptimizer` always produces serial plans; parallelization happens
+    /// exactly once, in [`Database::plan`], under the database's own thread
+    /// budget.
     fn plan_serial(&self, query: &RankQuery, mode: PlanMode) -> Result<OptimizedPlan> {
-        let serial_config = self.optimizer_config.clone();
-        match mode {
+        let mode = match mode {
             PlanMode::Canonical => {
                 let plan = query.canonical_plan(&self.catalog)?;
                 let physical = PhysicalPlan::from_logical(&plan)?;
-                Ok(OptimizedPlan {
+                return Ok(OptimizedPlan {
                     plan,
                     physical,
                     cost: ranksql_optimizer::Cost::ZERO,
                     estimated_cardinality: query.k as f64,
                     stats: Default::default(),
-                })
+                });
             }
-            PlanMode::Traditional => {
-                let cfg = OptimizerConfig {
-                    mode: OptimizerMode::Traditional,
-                    ..serial_config.clone()
-                };
-                RankOptimizer::new(cfg).optimize(query, &self.catalog)
-            }
-            PlanMode::RankAware => {
-                let cfg = OptimizerConfig {
-                    mode: OptimizerMode::RankAwareHeuristic,
-                    ..serial_config.clone()
-                };
-                RankOptimizer::new(cfg).optimize(query, &self.catalog)
-            }
-            PlanMode::RankAwareExhaustive => {
-                let cfg = OptimizerConfig {
-                    mode: OptimizerMode::RankAwareExhaustive,
-                    ..serial_config.clone()
-                };
-                RankOptimizer::new(cfg).optimize(query, &self.catalog)
-            }
-            PlanMode::RankAwareRuleBased => {
-                let cfg = OptimizerConfig {
-                    mode: OptimizerMode::RankAwareRuleBased,
-                    ..serial_config.clone()
-                };
-                RankOptimizer::new(cfg).optimize(query, &self.catalog)
-            }
-        }
+            PlanMode::Traditional => OptimizerMode::Traditional,
+            PlanMode::RankAware => OptimizerMode::RankAwareHeuristic,
+            PlanMode::RankAwareExhaustive => OptimizerMode::RankAwareExhaustive,
+            PlanMode::RankAwareRuleBased => OptimizerMode::RankAwareRuleBased,
+        };
+        let config = OptimizerConfig {
+            mode,
+            ..OptimizerConfig::default()
+        };
+        RankOptimizer::new(config).optimize(query, &self.catalog)
     }
 
     /// Returns a human-readable explanation of the plan chosen for a query:

@@ -157,8 +157,10 @@ pub fn parse_topk_query_spanned(sql: &str) -> std::result::Result<RankQuery, Par
     let from_end = where_pos.unwrap_or(order_pos);
     let from_clause_start = from_pos + "from".len();
     let from_clause = text[from_clause_start..from_end].trim();
-    let where_clause_start = where_pos.map(|w| w + " where ".len());
-    let where_clause = where_clause_start.map(|s| text[s..order_pos].trim());
+    let where_clause = where_pos.map(|w| {
+        let start = w + " where ".len();
+        (start, text[start..order_pos].trim())
+    });
     let order_clause_start = order_pos + " order by ".len();
     let order_clause = text[order_clause_start..limit_pos].trim();
     let limit_clause_start = limit_pos + " limit ".len();
@@ -196,8 +198,8 @@ pub fn parse_topk_query_spanned(sql: &str) -> std::result::Result<RankQuery, Par
 
     // WHERE
     let mut filters = Vec::new();
-    if let Some(clause) = where_clause {
-        let clause_base = base + where_clause_start.expect("clause present");
+    if let Some((clause_start, clause)) = where_clause {
+        let clause_base = base + clause_start;
         for (off, conjunct) in split_conjuncts_with_offsets(clause) {
             filters.push(parse_condition(
                 &conjunct,

@@ -49,9 +49,10 @@ impl SortOp {
         })
     }
 
-    fn prepare(&mut self) -> Result<()> {
-        if self.sorted.is_some() {
-            return Ok(());
+    /// The sorted output, materialised on the first call.
+    fn prepare(&mut self) -> Result<&mut std::vec::IntoIter<RankedTuple>> {
+        if let Some(sorted) = self.sorted.take() {
+            return Ok(self.sorted.insert(sorted));
         }
         let mut rows = Vec::new();
         let mut buf = Batch::with_capacity(self.batch_size);
@@ -74,8 +75,7 @@ impl SortOp {
         let ctx = Arc::clone(&self.ctx);
         rows.sort_by(|a, b| ctx.cmp_desc(a, b));
         self.metrics.observe_buffered(rows.len() as u64);
-        self.sorted = Some(rows.into_iter());
-        Ok(())
+        Ok(self.sorted.insert(rows.into_iter()))
     }
 }
 
@@ -85,8 +85,7 @@ impl PhysicalOperator for SortOp {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.prepare()?;
-        let sorted = self.sorted.as_mut().expect("sorted after prepare");
+        let sorted = self.prepare()?;
         let before = out.len();
         out.extend(sorted.by_ref().take(max));
         let n = out.len() - before;
@@ -203,15 +202,15 @@ impl SortLimitOp {
         self
     }
 
-    fn prepare(&mut self) -> Result<()> {
-        if self.sorted.is_some() {
-            return Ok(());
+    /// The kept top-k in output order, materialised on the first call.
+    fn prepare(&mut self) -> Result<&mut std::vec::IntoIter<RankedTuple>> {
+        if let Some(sorted) = self.sorted.take() {
+            return Ok(self.sorted.insert(sorted));
         }
         if self.k == 0 {
             // The unfused Limit(Sort(x)) never pulls its input for k = 0;
             // match that and do no work at all.
-            self.sorted = Some(Vec::new().into_iter());
-            return Ok(());
+            return Ok(self.sorted.insert(Vec::new().into_iter()));
         }
         let mut heap: std::collections::BinaryHeap<TopKEntry> =
             std::collections::BinaryHeap::with_capacity(self.k + 1);
@@ -241,14 +240,15 @@ impl SortLimitOp {
             // and its order are exactly those of the push-then-pop loop.
             for (rt, score) in buf.drain(..).zip(scores.drain(..)) {
                 if heap.len() == self.k {
-                    let worst = heap.peek().expect("k > 0 and heap is full");
-                    let loses = match score.cmp(&worst.score) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Equal => rt.tuple.id() > worst.tuple.tuple.id(),
-                        std::cmp::Ordering::Greater => false,
-                    };
-                    if loses {
-                        continue;
+                    if let Some(worst) = heap.peek() {
+                        let loses = match score.cmp(&worst.score) {
+                            std::cmp::Ordering::Less => true,
+                            std::cmp::Ordering::Equal => rt.tuple.id() > worst.tuple.tuple.id(),
+                            std::cmp::Ordering::Greater => false,
+                        };
+                        if loses {
+                            continue;
+                        }
                     }
                 }
                 heap.push(TopKEntry { tuple: rt, score });
@@ -277,8 +277,7 @@ impl SortLimitOp {
             .into_iter()
             .map(|e| e.tuple)
             .collect();
-        self.sorted = Some(rows.into_iter());
-        Ok(())
+        Ok(self.sorted.insert(rows.into_iter()))
     }
 }
 
@@ -288,8 +287,7 @@ impl PhysicalOperator for SortLimitOp {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.prepare()?;
-        let sorted = self.sorted.as_mut().expect("sorted after prepare");
+        let sorted = self.prepare()?;
         let before = out.len();
         out.extend(sorted.by_ref().take(max));
         let n = out.len() - before;

@@ -27,7 +27,6 @@ pub mod cache;
 pub mod columnar;
 pub mod cost;
 pub mod enumerate;
-pub mod histogram;
 pub mod lower;
 pub mod parallel;
 pub mod rulebased;
@@ -44,7 +43,6 @@ pub use cache::normalized_cache_key;
 pub use columnar::columnarize;
 pub use cost::{Cost, CostModel};
 pub use enumerate::{DpOptimizer, EnumerationStats};
-pub use histogram::{sampled_statistics, HistogramEstimator, ScoreHistogram, StatsSource};
 pub use lower::{fuse_mu_chains, lower_with_estimates, physical_estimates};
 pub use parallel::parallelize;
 pub use rulebased::{RuleBasedConfig, RuleBasedOptimizer};
@@ -83,11 +81,6 @@ pub struct OptimizerConfig {
     /// return it if it is cheaper (it can win when joins are very selective,
     /// cf. Figure 12(c)).
     pub compare_with_traditional: bool,
-    /// Whether physical lowering fuses chains of two or more µ operators
-    /// into one MPro minimal-probing operator (scheduled cheapest predicate
-    /// first).  Off by default so the default plans mirror the paper's
-    /// µ-chain execution model.
-    pub fuse_mu_chains: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -97,7 +90,6 @@ impl Default for OptimizerConfig {
             sample_ratio: 0.01,
             seed: 0xC0FFEE,
             compare_with_traditional: true,
-            fuse_mu_chains: false,
         }
     }
 }
@@ -147,15 +139,6 @@ impl RankOptimizer {
     /// knows the runtime thread budget (e.g. `Database::plan`), so exactly
     /// one layer decides plan parallelism.
     pub fn optimize(&self, query: &RankQuery, catalog: &Catalog) -> Result<OptimizedPlan> {
-        let mut best = self.search(query, catalog)?;
-        if self.config.fuse_mu_chains {
-            best.physical = lower::fuse_mu_chains(best.physical, &query.ranking);
-        }
-        Ok(best)
-    }
-
-    /// Runs the configured search strategy without post-lowering rewrites.
-    fn search(&self, query: &RankQuery, catalog: &Catalog) -> Result<OptimizedPlan> {
         let estimator = Arc::new(SamplingEstimator::build(
             query,
             catalog,
@@ -336,12 +319,12 @@ mod tests {
         let opt = RankOptimizer::new(OptimizerConfig {
             mode: OptimizerMode::RankAwareHeuristic,
             sample_ratio: 0.1,
-            fuse_mu_chains: true,
             ..OptimizerConfig::default()
         });
         let chosen = opt.optimize(&query, &cat).unwrap();
+        let fused = lower::fuse_mu_chains(chosen.physical, &query.ranking);
         let exec = ExecutionContext::new(std::sync::Arc::clone(&query.ranking));
-        let result = execute_physical_plan(&chosen.physical, &cat, &exec).unwrap();
+        let result = execute_physical_plan(&fused, &cat, &exec).unwrap();
         let scores: Vec<f64> = result
             .tuples
             .iter()

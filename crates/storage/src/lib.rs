@@ -16,11 +16,10 @@
 //!   `rank-scan` / `idxScan_p`), [`index::BTreeIndex`] (ordered attribute
 //!   index, providing *interesting orders* for merge joins), and
 //!   [`index::HashIndex`] (equi-join lookups).
-//! * [`stats::TableStatistics`] — row counts, per-column distinct counts and
-//!   histograms used by the classical half of the cost model, backed by
-//!   [`stats::StatsCatalog`] — the per-column summaries (staged
+//! * [`stats::StatsCatalog`] — the per-column summaries (staged
 //!   [`sketch::DistinctSketch`] NDV, min/max, null counts) every table
-//!   maintains incrementally on insert.
+//!   maintains incrementally on insert; the sampling estimator's
+//!   empty-sample join fallback and `explain_analyze` read them.
 //! * [`sample`] — reservoir sampling used by the optimizer's sampling-based
 //!   cardinality estimator (Section 5.2 of the paper).
 //! * [`csv`] — a dependency-free CSV reader (with optional schema inference)
@@ -62,7 +61,5 @@ pub use page::{crc32, BlockMeta, PagedColumn, PAGE_SIZE};
 pub use recovery::{PagedOptions, PagedStore, TableStore};
 pub use sample::{reservoir_sample, sample_fraction};
 pub use sketch::{stable_value_hash, DistinctSketch, ARRAY_CAPACITY, HLL_PRECISION};
-pub use stats::{
-    ColumnStatistics, ColumnSummary, StatsCatalog, TableStatistics, HISTOGRAM_BUCKETS,
-};
+pub use stats::{ColumnSummary, StatsCatalog};
 pub use table::{EpochSet, Table, TableBuilder, TableEpoch};

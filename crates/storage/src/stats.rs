@@ -1,94 +1,18 @@
-//! Table and column statistics for the classical half of the cost model.
+//! Per-column statistics every table maintains incrementally.
 //!
-//! Two layers live here:
-//!
-//! * [`StatsCatalog`] — the incrementally maintained per-column summaries a
-//!   [`Table`] carries: null / non-null counts, numeric min/max, boolean
-//!   true counts and a staged [`DistinctSketch`] for the NDV.  Summaries
-//!   are built per 1024-row block ([`crate::column::COLUMN_BLOCK_ROWS`],
-//!   the zone-map granularity) and merged, and [`Table::insert`] folds each
-//!   new row into them in place instead of invalidating anything.
-//! * [`TableStatistics`] — the classical snapshot (distinct counts,
-//!   histograms, selectivity arithmetic) the optimizer consumes.  It now
-//!   reads everything except the histogram off the catalog, so building it
-//!   costs one histogram pass instead of an exact `HashSet` scan per
-//!   column.
+//! [`StatsCatalog`] holds one [`ColumnSummary`] per column: null / non-null
+//! counts, numeric min/max, boolean true counts and a staged
+//! [`DistinctSketch`] for the NDV.  Summaries are built per 1024-row block
+//! ([`crate::column::COLUMN_BLOCK_ROWS`], the zone-map granularity) and
+//! merged, and [`crate::Table::insert`] folds each new row into them in
+//! place instead of invalidating anything.  Two readers consume it: the
+//! sampling estimator's join fallback when a sample join comes out empty,
+//! and the `statistics[T]` lines of `explain_analyze`.
 
-use ranksql_common::{Result, Schema, Tuple, Value};
+use ranksql_common::{Schema, Tuple, Value};
 
 use crate::column::COLUMN_BLOCK_ROWS;
 use crate::sketch::DistinctSketch;
-use crate::table::Table;
-
-/// Number of buckets used by equi-width histograms.
-pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// Statistics for one column.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnStatistics {
-    /// Qualified column name.
-    pub name: String,
-    /// Number of non-null values.
-    pub non_null_count: usize,
-    /// Number of nulls.
-    pub null_count: usize,
-    /// Number of distinct values.
-    pub distinct_count: usize,
-    /// Minimum numeric value (if the column is numeric and non-empty).
-    pub min: Option<f64>,
-    /// Maximum numeric value (if the column is numeric and non-empty).
-    pub max: Option<f64>,
-    /// Fraction of rows whose value is boolean `true` (only for Bool columns).
-    pub true_fraction: Option<f64>,
-    /// Equi-width histogram bucket counts over `[min, max]` for numeric
-    /// columns.
-    pub histogram: Vec<usize>,
-}
-
-impl ColumnStatistics {
-    /// Estimated selectivity of an equality predicate `col = value`.
-    ///
-    /// Uses the uniform-distinct assumption (`1 / distinct_count`) classic to
-    /// System-R optimizers.
-    pub fn eq_selectivity(&self) -> f64 {
-        if self.distinct_count == 0 {
-            0.0
-        } else {
-            1.0 / self.distinct_count as f64
-        }
-    }
-
-    /// Estimated selectivity of a range predicate `col <= value` using the
-    /// histogram (falls back to 1/3 when no histogram is available, the
-    /// traditional default).
-    pub fn le_selectivity(&self, value: f64) -> f64 {
-        match (self.min, self.max) {
-            (Some(min), Some(max)) if max > min && !self.histogram.is_empty() => {
-                if value <= min {
-                    return 0.0;
-                }
-                if value >= max {
-                    return 1.0;
-                }
-                let width = (max - min) / self.histogram.len() as f64;
-                let pos = (value - min) / width;
-                let full_buckets = pos.floor() as usize;
-                let frac = pos - pos.floor();
-                let total: usize = self.histogram.iter().sum();
-                if total == 0 {
-                    return 0.5;
-                }
-                let mut covered: f64 =
-                    self.histogram.iter().take(full_buckets).sum::<usize>() as f64;
-                if full_buckets < self.histogram.len() {
-                    covered += self.histogram[full_buckets] as f64 * frac;
-                }
-                (covered / total as f64).clamp(0.0, 1.0)
-            }
-            _ => 1.0 / 3.0,
-        }
-    }
-}
 
 /// Incrementally maintained summary of one column.
 ///
@@ -242,80 +166,19 @@ impl StatsCatalog {
     }
 }
 
-/// Statistics for a whole table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableStatistics {
-    /// Table name.
-    pub table: String,
-    /// Number of rows.
-    pub row_count: usize,
-    /// Per-column statistics, in schema order.
-    pub columns: Vec<ColumnStatistics>,
-}
-
-impl TableStatistics {
-    /// Computes statistics for a table.
-    ///
-    /// Counts, min/max, distinct counts and boolean fractions come straight
-    /// off the table's incrementally maintained [`StatsCatalog`] (sketch
-    /// NDV: exact up to the sketch's array capacity); only the equi-width
-    /// histograms still need a pass over the rows, because bucket bounds
-    /// depend on the final min/max.
-    pub fn compute(table: &Table) -> Result<TableStatistics> {
-        let catalog = table.stats_catalog();
-        let tuples = table.scan();
-        let mut columns = Vec::with_capacity(catalog.columns.len());
-        for (ci, summary) in catalog.columns.iter().enumerate() {
-            // Histogram pass (numeric columns with a non-degenerate range).
-            let mut histogram = Vec::new();
-            if let (Some(lo), Some(hi)) = (summary.min, summary.max) {
-                if hi > lo {
-                    histogram = vec![0usize; HISTOGRAM_BUCKETS];
-                    let width = (hi - lo) / HISTOGRAM_BUCKETS as f64;
-                    for t in &tuples {
-                        if let Some(x) = t.value(ci).as_f64() {
-                            let mut b = ((x - lo) / width) as usize;
-                            if b >= HISTOGRAM_BUCKETS {
-                                b = HISTOGRAM_BUCKETS - 1;
-                            }
-                            histogram[b] += 1;
-                        }
-                    }
-                }
-            }
-            columns.push(ColumnStatistics {
-                name: summary.name.clone(),
-                non_null_count: summary.non_null_count,
-                null_count: summary.null_count,
-                distinct_count: summary.ndv(),
-                min: summary.min,
-                max: summary.max,
-                true_fraction: summary.true_fraction(),
-                histogram,
-            });
-        }
-        Ok(TableStatistics {
-            table: table.name().to_owned(),
-            row_count: catalog.row_count,
-            columns,
-        })
-    }
-
-    /// Statistics for the column with the given qualified name.
-    pub fn column(&self, name: &str) -> Option<&ColumnStatistics> {
-        self.columns
-            .iter()
-            .find(|c| c.name == name || c.name.ends_with(&format!(".{name}")))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::table::TableBuilder;
-    use ranksql_common::{DataType, Field, Schema};
+    use ranksql_common::{DataType, Field};
 
-    fn build_table() -> Table {
+    /// Builds the catalog over a table's rows the way a cold rebuild does.
+    fn catalog_of(b: TableBuilder) -> StatsCatalog {
+        let t = b.build(0).unwrap();
+        StatsCatalog::build(t.schema(), &t.scan())
+    }
+
+    fn build_catalog() -> StatsCatalog {
         let schema = Schema::new(vec![
             Field::qualified("T", "a", DataType::Int64),
             Field::qualified("T", "flag", DataType::Bool),
@@ -329,70 +192,48 @@ mod tests {
                 Value::from(i as f64 / 100.0),
             ]);
         }
-        b.build(0).unwrap()
+        catalog_of(b)
     }
 
     #[test]
     fn basic_statistics() {
-        let t = build_table();
-        let stats = TableStatistics::compute(&t).unwrap();
+        let stats = build_catalog();
         assert_eq!(stats.row_count, 100);
         let a = stats.column("T.a").unwrap();
-        assert_eq!(a.distinct_count, 10);
-        assert_eq!(a.null_count, 0);
-        assert_eq!(a.min, Some(0.0));
-        assert_eq!(a.max, Some(9.0));
-        assert!((a.eq_selectivity() - 0.1).abs() < 1e-12);
+        assert_eq!(a.ndv(), 10);
+        assert_eq!((a.null_count, a.non_null_count), (0, 100));
+        assert_eq!((a.min, a.max), (Some(0.0), Some(9.0)));
+        assert_eq!(a.true_fraction(), None);
         let flag = stats.column("flag").unwrap();
-        assert_eq!(flag.true_fraction, Some(0.2));
-    }
-
-    #[test]
-    fn histogram_range_selectivity() {
-        let t = build_table();
-        let stats = TableStatistics::compute(&t).unwrap();
-        let score = stats.column("T.score").unwrap();
-        assert!(!score.histogram.is_empty());
-        let sel = score.le_selectivity(0.5);
-        assert!(
-            (sel - 0.5).abs() < 0.1,
-            "selectivity {sel} should be near 0.5"
-        );
-        assert_eq!(score.le_selectivity(-1.0), 0.0);
-        assert_eq!(score.le_selectivity(2.0), 1.0);
+        assert_eq!(flag.true_fraction(), Some(0.2));
     }
 
     #[test]
     fn nulls_counted() {
         let schema = Schema::new(vec![Field::qualified("T", "x", DataType::Int64)]);
-        let t = TableBuilder::new("T", schema)
-            .row(vec![Value::Null])
-            .row(vec![Value::from(1)])
-            .build(0)
-            .unwrap();
-        let stats = TableStatistics::compute(&t).unwrap();
+        let stats = catalog_of(
+            TableBuilder::new("T", schema)
+                .row(vec![Value::Null])
+                .row(vec![Value::from(1)]),
+        );
         let x = stats.column("x").unwrap();
-        assert_eq!(x.null_count, 1);
-        assert_eq!(x.non_null_count, 1);
-        assert_eq!(x.distinct_count, 1);
+        assert_eq!((x.null_count, x.non_null_count), (1, 1));
+        assert_eq!(x.ndv(), 1);
+        assert_eq!((x.min, x.max), (Some(1.0), Some(1.0)));
     }
 
     #[test]
     fn empty_table_statistics() {
         let schema = Schema::new(vec![Field::qualified("T", "x", DataType::Int64)]);
-        let t = TableBuilder::new("T", schema).build(0).unwrap();
-        let stats = TableStatistics::compute(&t).unwrap();
-        assert_eq!(stats.row_count, 0);
+        let stats = catalog_of(TableBuilder::new("T", schema.clone()));
+        assert_eq!(stats, StatsCatalog::empty(&schema));
         let x = &stats.columns[0];
-        assert_eq!(x.distinct_count, 0);
-        assert_eq!(x.eq_selectivity(), 0.0);
-        assert_eq!(x.le_selectivity(1.0), 1.0 / 3.0);
+        assert_eq!((stats.row_count, x.ndv()), (0, 0));
+        assert_eq!((x.min, x.max, x.true_fraction()), (None, None, None));
     }
 
     #[test]
     fn missing_column_lookup() {
-        let t = build_table();
-        let stats = TableStatistics::compute(&t).unwrap();
-        assert!(stats.column("T.nope").is_none());
+        assert!(build_catalog().column("T.nope").is_none());
     }
 }

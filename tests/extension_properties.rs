@@ -1,6 +1,4 @@
-//! Property-based tests for the extensions that go beyond the paper: the
-//! MPro multi-predicate rank operator and the histogram-convolution
-//! cardinality estimator.
+//! Property-based tests for the MPro extension and the sampling estimator.
 //!
 //! * MPro must be *algebraically invisible*: over any relation, any predicate
 //!   subset and any `k`, it returns exactly what the equivalent µ chain
@@ -9,10 +7,8 @@
 //!   every-predicate-on-every-tuple scheme; against the µ chain it is usually
 //!   — but not provably always — lower, because both compare the queue head
 //!   against slightly different input bounds).
-//! * The histogram estimator must stay within its mathematical contract on
-//!   arbitrary data: probabilities in `[0, 1]`, mass conservation under
-//!   convolution, monotone tail probabilities, and cardinality estimates that
-//!   are finite, non-negative and bounded by the membership cardinality.
+//! * The sampling estimator must give a finite, non-negative cardinality for
+//!   every plan shape over arbitrary random relations.
 
 use std::sync::Arc;
 
@@ -25,7 +21,7 @@ use ranksql::executor::rank::RankOp;
 use ranksql::executor::scan::RankScan;
 use ranksql::executor::{ColumnScan, ExecutionContext, PhysicalOperator};
 use ranksql::expr::{RankPredicate, RankingContext, ScoringFunction};
-use ranksql::optimizer::{HistogramEstimator, SamplingEstimator, ScoreHistogram};
+use ranksql::optimizer::SamplingEstimator;
 use ranksql::storage::{Catalog, ScoreIndex, Table, TableBuilder};
 use ranksql::{BoolExpr, LogicalPlan, QueryBuilder, RankQuery};
 
@@ -164,61 +160,10 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ScoreHistogram arithmetic
+// SamplingEstimator on random relations
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
-
-    #[test]
-    fn histogram_convolution_conserves_mass_and_support(
-        xs in proptest::collection::vec(0.0f64..=1.0, 0..40),
-        ys in proptest::collection::vec(0.0f64..=1.0, 0..40),
-        buckets in 1usize..100,
-    ) {
-        let hx = ScoreHistogram::from_scores(&xs, buckets);
-        let hy = ScoreHistogram::from_scores(&ys, buckets);
-        prop_assert!((hx.total_mass() - 1.0).abs() < 1e-6);
-        let c = hx.convolve(&hy, buckets);
-        prop_assert!((c.total_mass() - 1.0).abs() < 1e-6);
-        prop_assert!(c.lo() >= -1e-9);
-        prop_assert!(c.hi() <= 2.0 + 1e-9);
-        // The convolution mean is the sum of the means (independence), up to
-        // the discretisation error of the bucket midpoints (≈ one and a half
-        // bucket widths of the operands plus one of the result).
-        let tolerance = 3.0 / buckets as f64 + 1e-9;
-        prop_assert!(
-            (c.mean() - (hx.mean() + hy.mean())).abs() <= tolerance,
-            "mean {} vs {} + {} (tolerance {tolerance})",
-            c.mean(),
-            hx.mean(),
-            hy.mean()
-        );
-    }
-
-    #[test]
-    fn histogram_tail_probability_is_monotone(
-        xs in proptest::collection::vec(0.0f64..=1.0, 1..60),
-        thresholds in proptest::collection::vec(-0.5f64..=1.5, 2..10),
-    ) {
-        let h = ScoreHistogram::from_scores(&xs, 32);
-        let mut sorted = thresholds.clone();
-        sorted.sort_by(f64::total_cmp);
-        let probs: Vec<f64> = sorted.iter().map(|&x| h.prob_at_least(x)).collect();
-        for w in probs.windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-9, "tail probability must not increase: {probs:?}");
-        }
-        for p in probs {
-            prop_assert!((0.0..=1.0).contains(&p));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// HistogramEstimator vs SamplingEstimator on random relations
-// ---------------------------------------------------------------------------
-
-/// A small random join workload shared by both estimators.
+/// A small random join workload.
 #[derive(Debug, Clone)]
 struct EstimatorWorkload {
     left: Vec<(i64, f64)>,
@@ -282,9 +227,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
     #[test]
-    fn both_estimators_produce_sane_cardinalities(w in estimator_workload()) {
+    fn sampling_estimator_produces_sane_cardinalities(w in estimator_workload()) {
         let (cat, query) = build_estimator_db(&w);
-        let hist = HistogramEstimator::build(&query, &cat, 0.5, 7).expect("histogram estimator");
         let samp = SamplingEstimator::build(&query, &cat, 0.5, 7).expect("sampling estimator");
 
         let l = cat.table("L").expect("L");
@@ -313,27 +257,8 @@ proptest! {
                 .limit(w.k),
         ];
         for plan in &plans {
-            let h = hist.estimate_cardinality(plan).expect("histogram estimate");
             let s = samp.estimate_cardinality(plan).expect("sampling estimate");
-            prop_assert!(h.is_finite() && h >= 0.0, "histogram estimate {h} for {plan:?}");
             prop_assert!(s.is_finite() && s >= 0.0, "sampling estimate {s} for {plan:?}");
-            // The histogram estimate never exceeds the classical membership
-            // bound of the plan.
-            prop_assert!(
-                h <= hist.membership_cardinality(plan) + 1e-6,
-                "histogram estimate {h} exceeds membership bound {}",
-                hist.membership_cardinality(plan)
-            );
         }
-        // The rank fraction is a probability and shrinks (weakly) as more
-        // predicates are evaluated.
-        let f_none = hist.rank_fraction(ranksql::common::BitSet64::EMPTY);
-        let f_one = hist.rank_fraction(ranksql::common::BitSet64::singleton(0));
-        let f_all = hist.rank_fraction(ranksql::common::BitSet64::all(2));
-        for f in [f_none, f_one, f_all] {
-            prop_assert!((0.0..=1.0).contains(&f));
-        }
-        prop_assert!(f_one <= f_none + 1e-9);
-        prop_assert!(f_all <= f_one + 1e-9);
     }
 }
