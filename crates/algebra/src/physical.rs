@@ -260,10 +260,11 @@ pub struct OperatorActuals {
     /// queues, drawn join inputs, queued join candidates; 0 for operators
     /// that buffer nothing).
     pub buffered_peak: u64,
-    /// Join results a hash join constructed.  `rows` counts the results it
-    /// *decided* (matched and passed the residual); beneath a top-k sort it
-    /// builds only those the heap's threshold does not already exclude.  0
-    /// for every other operator.
+    /// Rows a hash join or a zone-pruning scan constructed.  `rows` counts
+    /// the rows it *decided* (matched and passed the residual, or passed
+    /// the pushed filter); beneath a top-k sort it builds only those the
+    /// heap's threshold does not already exclude.  0 for every other
+    /// operator.
     pub built: u64,
 }
 
@@ -1040,7 +1041,14 @@ impl PhysicalPlan {
                 if buffers {
                     let _ = write!(text, ", buffered_peak={}", a.buffered_peak);
                 }
-                if matches!(self.op, PhysicalOp::HashJoin { .. }) {
+                let builds = match &self.op {
+                    PhysicalOp::HashJoin { .. } => true,
+                    PhysicalOp::SeqScan {
+                        columnar: Some(c), ..
+                    } => c.zone_prune,
+                    _ => false,
+                };
+                if builds {
                     let _ = write!(text, ", built={}", a.built);
                 }
                 text

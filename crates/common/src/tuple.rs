@@ -255,6 +255,16 @@ impl Row for Tuple {
     }
 }
 
+impl Row for [Value] {
+    fn get(&self, i: usize) -> Option<&Value> {
+        <[Value]>::get(self, i)
+    }
+
+    fn arity(&self) -> usize {
+        self.len()
+    }
+}
+
 /// The concatenation `left ++ right` viewed in place: column `i` of the
 /// joined schema is `left[i]` below the left arity and `right[i - arity]`
 /// from there on — the same layout [`Tuple::join`] materialises.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ranksql_algebra::{LogicalPlan, PhysicalOp, PhysicalPlan, SetOpKind};
-use ranksql_common::{RankSqlError, Result};
+use ranksql_common::{BitSet64, RankSqlError, Result};
 use ranksql_expr::{RankedTuple, RankingContext, ScoreSource};
 use ranksql_storage::{BTreeIndex, Catalog, EpochSet, ScoreIndex};
 
@@ -35,16 +35,19 @@ use crate::sort_limit::{LimitOp, SortLimitOp, SortOp};
 /// Whether `plan` is a σ/π (or transparent `Repartition`) chain over a
 /// zone-pruning columnar scan — one of the two patterns under which a
 /// `SortLimit` shares a [`TopKThreshold`] with what feeds it (the other is
-/// a hash join directly beneath it).
-fn spine_has_pruning_scan(plan: &PhysicalPlan) -> bool {
+/// a hash join directly beneath it) — and if so, whether every row the
+/// scan emits reaches the sort (no σ in between), so the scan may score
+/// rows for it: each predicate is then evaluated once per row either way.
+fn pruning_scan_scores(plan: &PhysicalPlan) -> Option<bool> {
     match &plan.op {
         PhysicalOp::SeqScan {
             columnar: Some(c), ..
-        } => c.zone_prune,
-        PhysicalOp::Filter { input, .. }
-        | PhysicalOp::Project { input, .. }
-        | PhysicalOp::Repartition { input } => spine_has_pruning_scan(input),
-        _ => false,
+        } => c.zone_prune.then_some(true),
+        PhysicalOp::Filter { input, .. } => pruning_scan_scores(input).map(|_| false),
+        PhysicalOp::Project { input, .. } | PhysicalOp::Repartition { input } => {
+            pruning_scan_scores(input)
+        }
+        _ => None,
     }
 }
 
@@ -452,24 +455,28 @@ fn lower(
             // Threshold feedback: when this top-k sits directly on a hash
             // join, or on a σ/π spine over a zone-pruning columnar scan,
             // hand the pair a shared cell — the heap publishes its worst
-            // kept score, the join does not build results (the scan skips
-            // blocks) that cannot beat it.  The push/pop protocol is
-            // strictly nested because the consumer is reached through a
-            // linear operator chain (no other SortLimit can be built in
-            // between).  A join's cell is this morsel's own; a scan's is
-            // its spine's one, shared by every morsel's scan and top-k.
-            let cell = if matches!(input.op, PhysicalOp::HashJoin { .. }) {
-                Some(Arc::new(TopKThreshold::new()))
-            } else if spine_has_pruning_scan(input) {
-                Some(
-                    exec.spine_shared(|_| Ok(TopKThreshold::new()))?
-                        .unwrap_or_default(),
-                )
+            // kept score, the producer does not build rows (the scan also
+            // skips blocks) that cannot beat it.  A scan under a σ only
+            // skips blocks: it is pushed no predicates to score.  The
+            // push/pop protocol is strictly nested because the consumer is
+            // reached through a linear operator chain (no other SortLimit
+            // can be built in between).  A join's cell is this morsel's
+            // own; a scan's is its spine's one, shared by every morsel's
+            // scan and top-k.
+            let pushed = if matches!(input.op, PhysicalOp::HashJoin { .. }) {
+                Some((*predicates, Arc::new(TopKThreshold::new())))
+            } else if let Some(scores) = pruning_scan_scores(input) {
+                let cell = exec
+                    .spine_shared(|_| Ok(TopKThreshold::new()))?
+                    .unwrap_or_default();
+                let scored = if scores { *predicates } else { BitSet64::EMPTY };
+                Some((scored, cell))
             } else {
                 None
             };
-            if let Some(cell) = &cell {
-                exec.push_prune_threshold(*predicates, Arc::clone(cell));
+            let cell = pushed.as_ref().map(|(_, cell)| Arc::clone(cell));
+            if let Some((scored, cell)) = pushed {
+                exec.push_prune_threshold(scored, cell);
             }
             let child = inputs(input, exec)?;
             let mut op = SortLimitOp::new(child, *predicates, *k, exec, label)?;

@@ -16,7 +16,11 @@
 //! * **zone-map score pruning** skips blocks whose maximal possible query
 //!   score (block score maxima through the scoring function, other
 //!   predicates at their caps) is strictly below the downstream top-k's
-//!   current threshold (see [`TopKThreshold`]).
+//!   current threshold (see [`TopKThreshold`]);
+//! * **row scoring** — when only π (or `Repartition`) sits between the scan
+//!   and that top-k, the scan also evaluates the sort's predicates on each
+//!   selected row's column values and builds the row only if its completed
+//!   score is not strictly below the threshold (`TopKScoring`).
 //!
 //! Pruned blocks are never examined: their rows are charged to neither the
 //! tuple budget nor the scan's `tuples_in` counter, which is exactly the
@@ -27,16 +31,17 @@ use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use ranksql_common::{RankSqlError, Result, Schema, Tuple};
+use ranksql_common::{RankSqlError, Result, Schema, Tuple, Value};
 use ranksql_expr::{
     BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, RankingContext, ScalarExpr, ScoreSource,
+    ScoreState,
 };
 use ranksql_storage::{
     cmp_f64_total, ColumnKind, ColumnSlice, ColumnTable, SealedBlock, TableEpoch, ZoneEntry,
     COLUMN_BLOCK_ROWS,
 };
 
-use crate::context::{ExecutionContext, TopKThreshold, TupleBudget};
+use crate::context::{ExecutionContext, TopKScoring, TopKThreshold, TupleBudget};
 use crate::kernel;
 use crate::metrics::OperatorMetrics;
 use crate::operator::{Batch, PhysicalOperator};
@@ -234,11 +239,56 @@ fn range_may_match(op: CompareOp, min_vs: Ordering, max_vs: Ordering) -> bool {
     }
 }
 
+/// A scoring scan's share of the top-k rule: the sort's predicates, and a
+/// scratch row the columns they read are copied into instead of a tuple.
+struct RowScoring {
+    top_k: TopKScoring,
+    /// Schema columns the sort's predicates read.
+    cols: Vec<usize>,
+    row: Vec<Value>,
+}
+
+/// Decides the rows `rows` (table-absolute) of the admitted block into
+/// `out`, returning how many were built: every row, or — under `scoring` —
+/// those whose completed score the heap would keep, carrying their state.
+fn decide_rows(
+    (block_start, block): (usize, &SealedBlock),
+    table_id: u32,
+    rows: impl IntoIterator<Item = usize>,
+    n_preds: usize,
+    scoring: &mut Option<RowScoring>,
+    out: &mut Batch,
+) -> Result<usize> {
+    let mut built = 0;
+    for row in rows {
+        let local = row - block_start;
+        let mut state = ScoreState::new(n_preds);
+        if let Some(s) = scoring {
+            for &c in &s.cols {
+                s.row[c] = block.value(local, c);
+            }
+            if !s.top_k.keeps(s.row.as_slice(), &mut state)? {
+                continue;
+            }
+        }
+        out.push(RankedTuple::new(
+            block.tuple(table_id, block_start, local),
+            state,
+        ));
+        built += 1;
+    }
+    Ok(built)
+}
+
 /// Columnar sequential scan (see the module docs).
 ///
 /// The output is storage-ordered with `P = ∅`; a pushed filter only
 /// removes rows, never re-orders them, so results are byte-identical to a
 /// `Filter` operator over the unfiltered scan.
+///
+/// `tuples_out` counts the rows *decided* — passed by the pushed filter;
+/// a scan that scores for a top-k builds and emits fewer, and
+/// `tuples_built` counts those.
 pub struct ColumnScan {
     table: Arc<ColumnTable>,
     /// The pinned epoch's frozen delta tail: rows past the sealed blocks,
@@ -253,6 +303,8 @@ pub struct ColumnScan {
     tail_filter: Option<BoundBoolExpr>,
     /// Top-k threshold raised by the downstream `SortLimit` (score pruning).
     prune_cell: Option<Arc<TopKThreshold>>,
+    /// Set when this scan also scores rows for that `SortLimit`.
+    top_k: Option<RowScoring>,
     /// Per ranking predicate: the scan column its score is read from, when
     /// it is a zone-mapped attribute of this table.
     pred_cols: Vec<Option<usize>>,
@@ -298,7 +350,8 @@ impl ColumnScan {
     /// [`ColumnarScan`](ranksql_algebra::ColumnarScan) annotation (both off
     /// for an unannotated scan); when `zone_prune` is set the scan adopts the
     /// threshold cell pushed by the enclosing `SortLimit` (absent cell =
-    /// pruning stays off, which is always safe).  `pruned_blocks` is the
+    /// pruning stays off, which is always safe), and scores rows on the
+    /// predicates pushed with it.  `pruned_blocks` is the
     /// prune-dedup bitmap shared by every morsel of an exchange spine;
     /// `None` gives the scan its own.
     pub fn new(
@@ -345,10 +398,24 @@ impl ColumnScan {
                 ScoreSource::Expression(_) => None,
             })
             .collect();
-        let prune_cell = if zone_prune {
-            exec.pop_prune_threshold().map(|(_, cell)| cell)
+        let pushed = if zone_prune {
+            exec.pop_prune_threshold()
         } else {
             None
+        };
+        let prune_cell = pushed.as_ref().map(|(_, cell)| Arc::clone(cell));
+        let top_k = match pushed {
+            Some((predicates, cell)) if !predicates.is_empty() => {
+                let top_k = TopKScoring::new(&schema, (predicates, cell), exec)?;
+                let cols = predicates
+                    .iter()
+                    .flat_map(|i| ctx.predicate(i).source.columns())
+                    .map(|c| c.resolve(&schema))
+                    .collect::<Result<_>>()?;
+                let row = vec![Value::Null; schema.len()];
+                Some(RowScoring { top_k, cols, row })
+            }
+            _ => None,
         };
         Ok(ColumnScan {
             end: range.end,
@@ -361,6 +428,7 @@ impl ColumnScan {
             filter,
             tail_filter,
             prune_cell,
+            top_k,
             pred_cols,
             ctx,
             metrics: exec.register(label),
@@ -548,9 +616,13 @@ impl PhysicalOperator for ColumnScan {
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         let n_preds = self.ctx.num_predicates();
-        let before = out.len();
+        let table_id = self.table.table_id();
+        let (mut decided, mut built) = (0usize, 0usize);
         let mut examined: u64 = 0;
-        while out.len() - before < max {
+        // A call ends after deciding `max` rows, so a scoring scan reads a
+        // threshold at most one batch stale — but not before it built one:
+        // returning 0 means exhausted.
+        while decided < max || (built == 0 && max > 0) {
             if !self.block_has_pending() && !self.advance_block()? {
                 // Sealed blocks exhausted: stream the epoch's frozen delta
                 // tail row-at-a-time (row layout, per-row budget charge).
@@ -563,17 +635,23 @@ impl PhysicalOperator for ColumnScan {
                 let tuple = self.tail[row - self.sealed_end].clone();
                 match &self.tail_filter {
                     Some(bound) if !bound.eval(&tuple)? => {}
-                    _ => out.push(RankedTuple::unranked(tuple, n_preds)),
+                    _ => {
+                        out.push(RankedTuple::unranked(tuple, n_preds));
+                        decided += 1;
+                        built += 1;
+                    }
                 }
                 continue;
             }
-            let want = max - (out.len() - before);
+            let want = max.saturating_sub(decided).max(1);
             match &self.filter {
                 None => {
                     let take = want.min(self.block_end - self.pos);
-                    for row in self.pos..self.pos + take {
-                        out.push(RankedTuple::unranked(self.block_tuple(row)?, n_preds));
-                    }
+                    let (start, block) = self.admitted_block()?;
+                    let (block, rows) = (Arc::clone(block), self.pos..self.pos + take);
+                    let top_k = &mut self.top_k;
+                    built += decide_rows((start, &block), table_id, rows, n_preds, top_k, out)?;
+                    decided += take;
                     self.pos += take;
                     examined += take as u64;
                 }
@@ -584,32 +662,39 @@ impl PhysicalOperator for ColumnScan {
                         continue;
                     }
                     let take = want.min(self.sel.len() - self.sel_pos);
-                    for i in self.sel_pos..self.sel_pos + take {
-                        let row = self.sel[i] as usize;
-                        out.push(RankedTuple::unranked(self.block_tuple(row)?, n_preds));
-                    }
+                    let (start, block) = self.admitted_block()?;
+                    let block = Arc::clone(block);
+                    let rows = self.sel[self.sel_pos..][..take].iter().map(|&r| r as usize);
+                    let top_k = &mut self.top_k;
+                    built += decide_rows((start, &block), table_id, rows, n_preds, top_k, out)?;
+                    decided += take;
                     self.sel_pos += take;
                 }
                 Some(CompiledFilter::Fallback(bound)) => {
-                    while self.pos < self.block_end && out.len() - before < max {
+                    while self.pos < self.block_end && decided < max {
                         let row = self.pos;
                         self.pos += 1;
                         examined += 1;
                         let tuple = self.block_tuple(row)?;
                         if bound.eval(&tuple)? {
                             out.push(RankedTuple::unranked(tuple, n_preds));
+                            decided += 1;
+                            built += 1;
                         }
                     }
                 }
             }
         }
-        let produced = out.len() - before;
         self.charge_examined(examined)?;
-        if produced > 0 {
-            self.metrics.add_out(produced as u64);
+        if let Some(scoring) = &mut self.top_k {
+            scoring.top_k.flush();
+        }
+        self.metrics.add_out(decided as u64);
+        if built > 0 {
+            self.metrics.add_built(built as u64);
             self.metrics.add_batch();
         }
-        Ok(produced)
+        Ok(built)
     }
 
     fn can_extend_limit(&self) -> bool {
@@ -728,6 +813,28 @@ pub(crate) mod tests {
         exec2.push_prune_threshold(BitSet64::all(1), cell2);
         let mut scan2 = scan_all(&t, None, true, &exec2);
         assert_eq!(drain_batched(&mut scan2, 1024).unwrap().len(), 4096);
+    }
+
+    #[test]
+    fn scoring_scan_builds_only_rows_the_heap_would_keep() {
+        let t = table(4096);
+        let exec = ExecutionContext::new(ctx());
+        let cell = Arc::new(TopKThreshold::new());
+        exec.push_prune_threshold(BitSet64::all(1), Arc::clone(&cell));
+        let mut scan = scan_all(&t, None, true, &exec);
+        // Every block holds a 0.99, so none prunes; rows are scored.
+        cell.raise(0.9);
+        let got = drain_batched(&mut scan, 1024).unwrap();
+        // p ≥ 0.9 on 10 of every 100 rows: 400 full cycles' worth plus 10
+        // in the last 96 rows.  Ties with the threshold are kept.
+        assert_eq!(got.len(), 410);
+        for g in &got {
+            assert!(g.state.is_complete());
+            assert!(exec.ranking().upper_bound(&g.state).value() >= 0.9);
+        }
+        let m = &exec.metrics().snapshot()[0];
+        assert_eq!((m.tuples_out(), m.tuples_built()), (4096, 410));
+        assert_eq!(exec.ranking().counters().snapshot(), vec![4096]);
     }
 
     /// Regression: the fused-filter path must charge the tuple budget in

@@ -16,10 +16,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use ranksql_common::{
-    default_thread_count, BitSet64, RankSqlError, Result, Score, DEFAULT_BATCH_SIZE,
+    default_thread_count, BitSet64, RankSqlError, Result, Row, Schema, Score, DEFAULT_BATCH_SIZE,
     DEFAULT_MORSEL_SIZE, MAX_THREADS,
 };
-use ranksql_expr::RankingContext;
+use ranksql_expr::{BoundRanking, RankingContext, ScoreState};
 use ranksql_storage::{EpochSet, Table, TableEpoch};
 
 use crate::metrics::{MetricsRegistry, OperatorMetrics};
@@ -29,19 +29,23 @@ use crate::metrics::{MetricsRegistry, OperatorMetrics};
 /// whatever feeds it.
 ///
 /// A `SortLimit` raises the cell to its bounded heap's current worst kept
-/// score once the heap holds `k` tuples.  Two kinds of operator read it:
-/// the columnar scan on the `SortLimit`'s σ/π spine skips any block whose
-/// zone-map score bound is *strictly* below the cell, and a hash join
-/// directly beneath the `SortLimit` scores each join result on its two
-/// constituents and does not build one whose completed score is *strictly*
-/// below it.  A strictly worse tuple is discarded by the heap immediately,
-/// so dropping it upstream cannot change results — ties are never pruned,
-/// preserving the deterministic tuple-id tie-break.  The cell rule: a
-/// `SortLimit` over a hash join gets a fresh cell — in an exchange, one per
-/// morsel, so what the join builds depends on its own morsel only; a
-/// `SortLimit` over a zone-pruning scan takes its spine's one cell, shared
-/// by every morsel's scan and top-k (any partition's k-th best score is a
-/// valid global bound, since at least k tuples beat it).
+/// score once the heap holds `k` tuples.  One rule reads it: a
+/// materialising producer under a top-k scores before it builds.  The
+/// producer evaluates the sort's predicates on a row it has not yet built
+/// (`TopKScoring`) and builds the row only if its completed score is not
+/// *strictly* below the cell; the emitted tuple carries its evaluated state.
+/// Two producers follow it — a hash join directly beneath the `SortLimit`
+/// (scoring the pair of constituents), and the zone-pruning columnar scan
+/// on its π spine (scoring the row's column values) — and the scan also
+/// skips any block whose zone-map score bound is strictly below the cell.
+/// A strictly worse tuple is discarded by the heap immediately, so dropping
+/// it upstream cannot change results — ties are never pruned, preserving
+/// the deterministic tuple-id tie-break.  The cell rule: a `SortLimit` over
+/// a hash join gets a fresh cell — in an exchange, one per morsel, so what
+/// the join builds depends on its own morsel only; a `SortLimit` over a
+/// zone-pruning scan takes its spine's one cell, shared by every morsel's
+/// scan and top-k (any partition's k-th best score is a valid global bound,
+/// since at least k tuples beat it).
 #[derive(Debug)]
 pub struct TopKThreshold {
     /// Bit pattern of the current threshold (`f64::NEG_INFINITY` = unset).
@@ -101,6 +105,54 @@ impl TopKThreshold {
     pub fn prunes(&self, bound: f64) -> bool {
         let t = self.get();
         t > f64::NEG_INFINITY && Score::new(bound) < Score::new(t)
+    }
+}
+
+/// What a producer directly beneath a `SortLimit` does on the sort's
+/// behalf (see [`TopKThreshold`]): it completes a row's score with the
+/// sort's predicates while the row is still unbuilt, and says whether the
+/// heap would keep it.  Every predicate is still evaluated once per row the
+/// producer decides; what is saved is constructing the rows the heap would
+/// drop on arrival.
+#[derive(Debug)]
+pub(crate) struct TopKScoring {
+    /// The sort's predicates, bound to the producer's output schema.
+    ranking: BoundRanking,
+    ctx: Arc<RankingContext>,
+    cell: Arc<TopKThreshold>,
+}
+
+impl TopKScoring {
+    /// Binds what a `SortLimit` pushed ([`ExecutionContext::pop_prune_threshold`])
+    /// to the producer's output `schema`.
+    pub(crate) fn new(
+        schema: &Schema,
+        (predicates, cell): (BitSet64, Arc<TopKThreshold>),
+        exec: &ExecutionContext,
+    ) -> Result<Self> {
+        let ctx = exec.ranking_arc();
+        Ok(TopKScoring {
+            ranking: ctx.bind(schema, predicates.iter())?,
+            ctx,
+            cell,
+        })
+    }
+
+    /// Evaluates the sort's predicates `state` lacks on `row` and returns
+    /// whether the completed score is not strictly below the threshold.
+    pub(crate) fn keeps<R: Row + ?Sized>(
+        &mut self,
+        row: &R,
+        state: &mut ScoreState,
+    ) -> Result<bool> {
+        self.ranking.evaluate_missing(row, state)?;
+        Ok(!self.cell.prunes(self.ctx.upper_bound(state).value()))
+    }
+
+    /// Adds the evaluations since the last flush to the shared counters —
+    /// once per `next_batch` call of the producer.
+    pub(crate) fn flush(&mut self) {
+        self.ranking.flush();
     }
 }
 
@@ -225,8 +277,8 @@ pub struct ExecutionContext {
     /// Hand-off stack wiring a `SortLimit` to the operator below it that
     /// prunes on its behalf — the zone-pruning columnar scan on its σ/π
     /// spine, or the hash join directly beneath it — during plan lowering:
-    /// the `SortLimit` pushes a [`TopKThreshold`] (with the predicates its
-    /// scores cover) before building its input, the consumer pops it.
+    /// the `SortLimit` pushes a [`TopKThreshold`] (with the predicates the
+    /// consumer scores for it) before building its input, the consumer pops it.
     /// Shared across clones of one context, private to each morsel
     /// lowering; strictly nested because the consumer is reached through a
     /// linear operator chain.
@@ -432,8 +484,9 @@ impl ExecutionContext {
     }
 
     /// Pushes a top-k threshold cell for the pruning operator currently
-    /// being lowered, with the `predicates` the publishing heap's scores
-    /// have evaluated (called by a `SortLimit` before it builds its input).
+    /// being lowered, with the `predicates` it scores rows on before
+    /// building them — none when a σ in between would drop scored rows
+    /// (called by a `SortLimit` before it builds its input).
     pub fn push_prune_threshold(&self, predicates: BitSet64, cell: Arc<TopKThreshold>) {
         self.prune_cells.lock().push((predicates, cell));
     }

@@ -12,11 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ranksql_common::{BitSet64, JoinedRow, RankSqlError, Result, Schema, Value};
-use ranksql_expr::{
-    BoolExpr, BoundBoolExpr, BoundRanking, CompareOp, RankedTuple, RankingContext, ScalarExpr,
-};
+use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr};
 
-use crate::context::{ExecutionContext, TopKThreshold};
+use crate::context::{ExecutionContext, TopKScoring, TopKThreshold};
 use crate::fxhash::FxHashMap;
 use crate::metrics::OperatorMetrics;
 use crate::operator::{drain_batched, draw_one, Batch, BoxedOperator, PhysicalOperator};
@@ -346,19 +344,6 @@ impl PhysicalOperator for NestedLoopJoin {
     }
 }
 
-/// What a [`HashJoin`] directly beneath a `SortLimit` does on the sort's
-/// behalf: it evaluates the sort's predicates on each join result while the
-/// result is still a pair of tuples, and builds the joined tuple only if the
-/// completed score is not strictly below the heap's published worst kept
-/// score.  Every predicate is still evaluated on every join result; what is
-/// saved is constructing the ones the heap would drop on arrival.
-struct TopKScoring {
-    /// The sort's predicates, bound to the joined schema.
-    ranking: BoundRanking,
-    ctx: Arc<RankingContext>,
-    cell: Arc<TopKThreshold>,
-}
-
 /// Hash join: builds a hash table on the right input's join keys and probes
 /// it with left tuples.  Requires at least one equi-join key.
 ///
@@ -436,13 +421,8 @@ impl HashJoin {
         pushed: Option<(BitSet64, Arc<TopKThreshold>)>,
         exec: &ExecutionContext,
     ) -> Result<Self> {
-        if let Some((predicates, cell)) = pushed {
-            let ctx = exec.ranking_arc();
-            self.top_k = Some(TopKScoring {
-                ranking: ctx.bind(&self.schema, predicates.iter())?,
-                ctx,
-                cell,
-            });
+        if let Some(pushed) = pushed {
+            self.top_k = Some(TopKScoring::new(&self.schema, pushed, exec)?);
         }
         Ok(self)
     }
@@ -507,8 +487,7 @@ impl PhysicalOperator for HashJoin {
                     None => out.push(left.join(right)),
                     Some(top_k) => {
                         let mut state = left.state.merge(&right.state);
-                        top_k.ranking.evaluate_missing(&pair, &mut state)?;
-                        if top_k.cell.prunes(top_k.ctx.upper_bound(&state).value()) {
+                        if !top_k.keeps(&pair, &mut state)? {
                             continue;
                         }
                         out.push(RankedTuple::new(left.tuple.join(&right.tuple), state));
@@ -522,7 +501,7 @@ impl PhysicalOperator for HashJoin {
             }
         }
         if let Some(top_k) = &mut self.top_k {
-            top_k.ranking.flush();
+            top_k.flush();
         }
         self.metrics.add_out(decided as u64);
         if built > 0 {

@@ -51,8 +51,9 @@ impl OperatorMetrics {
         self.batches_out.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` join results a hash join actually constructed — under a
-    /// top-k heap's threshold fewer than the `tuples_out` it decided.
+    /// Records `n` rows a hash join or a zone-pruning scan actually
+    /// constructed — under a top-k heap's threshold fewer than the
+    /// `tuples_out` it decided.
     pub fn add_built(&self, n: u64) {
         self.tuples_built.fetch_add(n, Ordering::Relaxed);
     }
@@ -111,7 +112,8 @@ impl OperatorMetrics {
         self.buffered_peak.load(Ordering::Relaxed)
     }
 
-    /// Join results a hash join constructed (0 for every other operator).
+    /// Rows a hash join or a columnar scan constructed (0 for every other
+    /// operator).
     pub fn tuples_built(&self) -> u64 {
         self.tuples_built.load(Ordering::Relaxed)
     }

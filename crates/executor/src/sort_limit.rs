@@ -166,8 +166,8 @@ pub struct SortLimitOp {
     batch_size: usize,
     /// Feedback channel: once the bounded heap holds `k` tuples, its worst
     /// kept score is published here, so the columnar scan on this
-    /// operator's σ/π spine can skip blocks — or the hash join directly
-    /// beneath it can skip building results — that cannot beat it.
+    /// operator's σ/π spine (skipping blocks too) or the hash join directly
+    /// beneath it can skip building rows that cannot beat it.
     threshold: Option<Arc<TopKThreshold>>,
 }
 

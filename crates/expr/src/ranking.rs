@@ -26,7 +26,8 @@ pub enum ScoreSource {
 }
 
 impl ScoreSource {
-    fn columns(&self) -> Vec<ColumnRef> {
+    /// The columns the score reads.
+    pub fn columns(&self) -> Vec<ColumnRef> {
         match self {
             ScoreSource::Attribute(c) => vec![c.clone()],
             ScoreSource::Expression(e) => e.columns(),

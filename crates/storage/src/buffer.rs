@@ -130,17 +130,20 @@ impl BufferPool {
         // Sweep the clock until the budget holds; never evict the frame we
         // just admitted unless it is the only one left.
         while inner.used_pages > self.capacity_pages && inner.ring.len() > 1 {
-            let hand = inner.ring.pop_front().expect("ring non-empty");
+            let Some(hand) = inner.ring.pop_front() else {
+                break;
+            };
             if hand == key {
                 inner.ring.push_back(hand);
                 continue;
             }
-            let frame = inner.frames.get_mut(&hand).expect("ring tracks frames");
-            if frame.referenced {
-                frame.referenced = false;
+            // A ring entry without a frame is dropped from the ring.
+            let Some(frame) = inner.frames.get_mut(&hand) else {
+                continue;
+            };
+            if std::mem::take(&mut frame.referenced) {
                 inner.ring.push_back(hand);
-            } else {
-                let evicted = inner.frames.remove(&hand).expect("frame exists");
+            } else if let Some(evicted) = inner.frames.remove(&hand) {
                 inner.used_pages -= evicted.pages;
                 inner.evictions += 1;
             }

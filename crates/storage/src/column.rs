@@ -375,6 +375,30 @@ impl ColumnTable {
         }
     }
 
+    /// A projection of full blocks that are all paged out, described by
+    /// `metas` — a recovered table's durable extents, on which
+    /// [`ColumnTable::resealed`] seals the rows past them.
+    pub(crate) fn paged(
+        table_id: u32,
+        name: &str,
+        schema: &Schema,
+        metas: &[Arc<BlockMeta>],
+    ) -> Self {
+        let blocks: Vec<BlockSlot> = metas
+            .iter()
+            .map(|m| BlockSlot::Paged(Arc::clone(m)))
+            .collect();
+        ColumnTable {
+            table_id,
+            name: name.to_owned(),
+            schema: schema.clone(),
+            row_count: blocks.len() * COLUMN_BLOCK_ROWS,
+            kinds: fold_kinds(&blocks, schema),
+            blocks,
+            store: None,
+        }
+    }
+
     /// A new version of this projection covering `rows[..coverage]`,
     /// sharing every already-sealed *full* block untouched and building
     /// only the blocks past them — the incremental seal step of the write

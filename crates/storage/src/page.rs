@@ -38,18 +38,46 @@ pub const PAGE_SIZE: usize = 16 * 1024;
 pub(crate) const EXTENT_MAGIC: u32 = 0x5271_5067;
 
 /// Fixed extent header size in bytes.
-const EXTENT_HEADER: usize = 4 + 8 + 4 + 4 + 4 + 4;
+pub(crate) const EXTENT_HEADER: usize = 4 + 8 + 4 + 4 + 4 + 4;
+
+/// Slicing-by-8 tables of the reflected IEEE polynomial: `CRC_TABLES[0]` is
+/// the byte-at-a-time table, `CRC_TABLES[k][b]` the CRC of byte `b`
+/// followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    // Row-major: every row reads only the row before it.
+    let mut i = 0;
+    while i < 8 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        t[k][b] = if k == 0 {
+            let (mut crc, mut bit) = (b as u32, 0);
+            while bit < 8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                bit += 1;
+            }
+            crc
+        } else {
+            (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xFF) as usize]
+        };
+        i += 1;
+    }
+    t
+};
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
-/// extent payloads, WAL records and the catalog file.
+/// extent payloads, WAL records and the catalog file.  Eight bytes per
+/// table step (slicing-by-8); the bits equal the bitwise definition's.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let w = c.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b)) ^ u64::from(crc);
+        crc = (0..8).fold(0, |acc, j| {
+            acc ^ CRC_TABLES[7 - j][(w >> (8 * j)) as usize & 0xFF]
+        });
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -174,20 +202,36 @@ impl<'a> Reader<'a> {
         self.pos
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
     pub(crate) fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
+    }
+
+    /// The next `n` little-endian 8-byte words, bounds-checked once.
+    fn words(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a> {
+        let bytes = self.take(n.saturating_mul(8))?;
+        Ok(bytes.chunks_exact(8).map(|c| {
+            let mut w = [0u8; 8];
+            w.copy_from_slice(c);
+            u64::from_le_bytes(w)
+        }))
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64> {
@@ -290,6 +334,18 @@ pub(crate) struct DecodedExtent {
     pub(crate) block: Arc<SealedBlock>,
 }
 
+/// The page-aligned on-disk length the extent header opening `header`
+/// claims, or `None` when `header` is short or lacks the magic — what
+/// recovery reads to size the rest of the extent before decoding it.
+pub(crate) fn extent_len(header: &[u8]) -> Option<usize> {
+    let mut r = Reader::new(header);
+    if r.u32().ok()? != EXTENT_MAGIC {
+        return None;
+    }
+    r.skip(8 + 4 + 4).ok()?;
+    Some(page_aligned(EXTENT_HEADER + r.u32().ok()? as usize))
+}
+
 /// Decodes the extent starting at `bytes[0]`.  Returns `Ok(None)` for a
 /// torn or invalid extent (bad magic, short payload, CRC mismatch) — the
 /// recovery path treats that as the end of the durable prefix.
@@ -317,8 +373,8 @@ pub(crate) fn decode_extent(bytes: &[u8]) -> Result<Option<DecodedExtent>> {
     let mut columns = Vec::with_capacity(n_cols);
     for _ in 0..n_cols {
         columns.push(match pr.u8()? {
-            0 => BlockData::Int64((0..rows).map(|_| pr.i64()).collect::<Result<_>>()?),
-            1 => BlockData::Float64((0..rows).map(|_| pr.f64()).collect::<Result<_>>()?),
+            0 => BlockData::Int64(pr.words(rows)?.map(|w| w as i64).collect()),
+            1 => BlockData::Float64(pr.words(rows)?.map(f64::from_bits).collect()),
             2 => BlockData::Generic(
                 (0..rows)
                     .map(|_| decode_value(&mut pr))
@@ -379,10 +435,42 @@ mod tests {
         )
     }
 
+    /// The bitwise definition the table-driven `crc32` must equal.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = !0;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_definition() {
+        let bytes: Vec<u8> = (0..33 * 1024u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        // Every tail length of the eight-byte stride, and then some.
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&bytes[..len]),
+                crc32_bitwise(&bytes[..len]),
+                "len {len}"
+            );
+        }
+        assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "a 33 KB extent");
+        let extent = encode_extent(3, &block(1024));
+        assert_eq!(crc32(&extent), crc32_bitwise(&extent));
     }
 
     #[test]

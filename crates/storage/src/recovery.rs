@@ -46,7 +46,8 @@ use crate::buffer::BufferPool;
 use crate::catalog::Catalog;
 use crate::column::{BlockSlot, ColumnTable, SealedBlock, COLUMN_BLOCK_ROWS};
 use crate::page::{
-    crc32, decode_extent, encode_extent, put_str, put_u32, BlockMeta, Reader, PAGE_SIZE,
+    crc32, decode_extent, encode_extent, extent_len, put_str, put_u32, BlockMeta, Reader,
+    EXTENT_HEADER, PAGE_SIZE,
 };
 use crate::table::Table;
 use crate::wal::WalFile;
@@ -147,18 +148,34 @@ impl TableStore {
             .truncate(false)
             .open(&path)
             .map_err(|e| io_err("cannot open table data file", &path, e))?;
-        let mut bytes = Vec::new();
-        data.read_to_end(&mut bytes)
-            .map_err(|e| io_err("cannot read table data file", &path, e))?;
+        let file_len = data
+            .metadata()
+            .map_err(|e| io_err("cannot stat table data file", &path, e))?
+            .len();
 
+        // Stream the extents through one reused buffer: each header sizes
+        // its extent, and no read reaches past the end of the file.
         let mut metas = Vec::new();
         let mut rows: Vec<Tuple> = Vec::new();
-        let mut offset = 0usize;
-        while offset < bytes.len() {
-            let decoded = match decode_extent(&bytes[offset..])? {
+        let mut buf = Vec::new();
+        let mut offset = 0u64;
+        while offset < file_len {
+            let left = file_len - offset;
+            let clamp = |n: usize| (n as u64).min(left) as usize;
+            buf.resize(clamp(EXTENT_HEADER), 0);
+            data.read_exact(&mut buf)
+                .map_err(|e| io_err("cannot read table data file", &path, e))?;
+            let Some(len) = extent_len(&buf) else {
+                break;
+            };
+            let head = buf.len();
+            buf.resize(clamp(len), 0);
+            data.read_exact(&mut buf[head..])
+                .map_err(|e| io_err("cannot read table data file", &path, e))?;
+            let decoded = match decode_extent(&buf)? {
                 Some(d) if d.block_no == metas.len() as u64 => d,
-                // Torn, corrupt or out-of-order extent: the durable prefix
-                // ends here.
+                // Torn, corrupt, oversized or out-of-order extent: the
+                // durable prefix ends here.
                 _ => break,
             };
             let base_row = rows.len();
@@ -167,14 +184,14 @@ impl TableStore {
             }
             metas.push(Arc::new(BlockMeta::describe(
                 decoded.block_no,
-                offset as u64,
+                offset,
                 decoded.len,
                 &decoded.block,
             )));
-            offset += decoded.len;
+            offset += decoded.len as u64;
         }
-        if offset < bytes.len() {
-            data.set_len(offset as u64)
+        if offset < file_len {
+            data.set_len(offset)
                 .map_err(|e| io_err("cannot truncate table data file", &path, e))?;
         }
 
@@ -203,7 +220,7 @@ impl TableStore {
                 inner: Mutex::new(StoreInner {
                     data,
                     data_path: path,
-                    data_len: offset as u64,
+                    data_len: offset,
                     wal,
                     metas,
                 }),
@@ -390,9 +407,12 @@ impl PagedStore {
         for spec in &specs {
             let (ts, rows) = TableStore::open(&store.dir, spec.id, Arc::clone(&store.pool))?;
             let ts = Arc::new(ts);
-            let mut ct = ColumnTable::from_rows(spec.id, &spec.name, &spec.schema, &rows);
-            // No-op on disk (every full block is already durable): flips
-            // the slots to paged and drops the decoded block data.
+            // The durable blocks stay paged out; only the rows past them
+            // are sealed in RAM, and `persist` makes a full block among
+            // those durable.
+            let metas = ts.inner.lock().metas.clone();
+            let paged = ColumnTable::paged(spec.id, &spec.name, &spec.schema, &metas);
+            let mut ct = paged.resealed(&rows, rows.len());
             ts.persist(&mut ct, &rows, false)?;
             let table = Table::recovered(spec.id, &spec.name, spec.schema.clone(), rows, ts, ct);
             catalog.adopt_recovered(table)?;
@@ -697,6 +717,42 @@ mod tests {
             0,
             "corrupt first extent leaves no contiguous durable prefix"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn extent_claiming_a_payload_past_eof_ends_the_durable_prefix() {
+        let dir = temp_dir("oversized");
+        let n = 2 * COLUMN_BLOCK_ROWS as i64 + 50;
+        {
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+            let t = catalog.create_table("T", schema()).unwrap();
+            for i in 0..n {
+                t.insert(row(i)).unwrap();
+            }
+            assert_eq!(t.columnar().paged_blocks(), 2);
+        }
+        // Make the last extent's header claim a payload far past the end
+        // of the file.
+        let data = data_path(&dir, 0);
+        let mut bytes = std::fs::read(&data).unwrap();
+        let first_len = extent_len(&bytes).unwrap();
+        let payload_len_at = first_len + 4 + 8 + 4 + 4;
+        bytes[payload_len_at..payload_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&data, &bytes).unwrap();
+
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.table("T").unwrap();
+        // The WAL holds only rows past the second extent, so the durable
+        // epoch ends with the first.
+        assert_eq!(t.row_count(), COLUMN_BLOCK_ROWS);
+        for i in [0, COLUMN_BLOCK_ROWS as i64 - 1] {
+            assert_eq!(t.tuple(i as u64).unwrap().values(), &row(i)[..], "row {i}");
+        }
+        let truncated = std::fs::metadata(&data).unwrap().len();
+        assert_eq!(truncated, first_len as u64, "truncated at the first extent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,19 +19,24 @@ use crate::table::Table;
 /// the table (reservoir slots are positional), which keeps sample execution
 /// deterministic.
 pub fn reservoir_sample(table: &Table, sample_size: usize, seed: u64) -> Vec<Tuple> {
-    let tuples = table.scan();
-    if tuples.len() <= sample_size || sample_size == 0 {
-        return if sample_size == 0 { Vec::new() } else { tuples };
+    if sample_size == 0 {
+        return Vec::new();
     }
-    let mut rng = StdRng::seed_from_u64(seed ^ u64::from(table.id()));
-    let mut reservoir: Vec<Tuple> = tuples[..sample_size].to_vec();
-    for (i, t) in tuples.iter().enumerate().skip(sample_size) {
-        let j = rng.gen_range(0..=i);
-        if j < sample_size {
-            reservoir[j] = t.clone();
+    // Sampled under the heap's read lock: only the reservoir is cloned.
+    table.with_rows(|tuples| {
+        if tuples.len() <= sample_size {
+            return tuples.to_vec();
         }
-    }
-    reservoir
+        let mut rng = StdRng::seed_from_u64(seed ^ u64::from(table.id()));
+        let mut reservoir: Vec<Tuple> = tuples[..sample_size].to_vec();
+        for (i, t) in tuples.iter().enumerate().skip(sample_size) {
+            let j = rng.gen_range(0..=i);
+            if j < sample_size {
+                reservoir[j] = t.clone();
+            }
+        }
+        reservoir
+    })
 }
 
 /// Draws a sample of `ratio` (e.g. `0.001` for the paper's 0.1 %) of the

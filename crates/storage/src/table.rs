@@ -458,6 +458,12 @@ impl Table {
         self.rows.read().clone()
     }
 
+    /// Runs `f` over the row heap under its read lock — for a reader that
+    /// keeps a few rows and must not clone the rest.
+    pub(crate) fn with_rows<R>(&self, f: impl FnOnce(&[Tuple]) -> R) -> R {
+        f(&self.rows.read())
+    }
+
     /// A snapshot of the first `n` tuples — the row set of an epoch with
     /// watermark `n` (clamped to the current row count).
     pub fn scan_prefix(&self, n: usize) -> Vec<Tuple> {
