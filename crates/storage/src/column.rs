@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use ranksql_common::{DataType, RankSqlError, Result, Schema, Tuple, TupleId, Value};
 
-use crate::page::BlockMeta;
+use crate::page::{BlockMeta, PagedColumn};
 use crate::recovery::TableStore;
 use crate::table::Table;
 
@@ -82,7 +82,7 @@ pub(crate) enum BlockData {
 }
 
 impl BlockData {
-    fn kind(&self) -> ColumnKind {
+    pub(crate) fn kind(&self) -> ColumnKind {
         match self {
             BlockData::Int64(_) => ColumnKind::Int64,
             BlockData::Float64(_) => ColumnKind::Float64,
@@ -126,10 +126,11 @@ pub(crate) struct BlockColumn {
 }
 
 impl BlockColumn {
-    /// Rebuilds a column from its raw data, recomputing zone metadata with
-    /// the same folds the seal path uses — the decode side of the extent
-    /// format never stores zones on disk, it re-derives them here so both
-    /// paths cannot disagree.
+    /// Packs a column and folds its zone map and score maximum — the one
+    /// fold a block gets, at seal or at recovery from its decoded extent.
+    /// Zones are never stored on disk; a faulted block takes them from its
+    /// [`BlockMeta`], which holds this fold's result, so no two paths can
+    /// disagree.
     pub(crate) fn from_data(data: BlockData) -> BlockColumn {
         match data {
             BlockData::Int64(v) => BlockColumn::from_i64(v),
@@ -204,13 +205,33 @@ pub struct SealedBlock {
 }
 
 impl SealedBlock {
-    /// Reassembles a block from decoded column data (the extent decode
-    /// path), recomputing per-column zone metadata.
+    /// Reassembles a block from decoded column data (the recovery path),
+    /// folding per-column zone metadata.
     pub(crate) fn from_data(columns: Vec<BlockData>) -> SealedBlock {
-        let rows = columns.first().map(BlockData::len).unwrap_or(0);
+        SealedBlock::decoded(columns.into_iter().map(BlockColumn::from_data).collect())
+    }
+
+    /// Reassembles a faulted block from decoded column data and the zone
+    /// metadata its [`BlockMeta`] already holds, folding nothing.
+    pub(crate) fn with_zones(columns: Vec<BlockData>, zones: &[PagedColumn]) -> SealedBlock {
+        SealedBlock::decoded(
+            columns
+                .into_iter()
+                .zip(zones)
+                .map(|(data, z)| BlockColumn {
+                    data,
+                    zone: z.zone,
+                    score_max: z.score_max,
+                })
+                .collect(),
+        )
+    }
+
+    /// A block of decoded columns: no heap tuples to hand out.
+    fn decoded(columns: Vec<BlockColumn>) -> SealedBlock {
         SealedBlock {
-            rows,
-            columns: columns.into_iter().map(BlockColumn::from_data).collect(),
+            rows: columns.first().map_or(0, |c| c.data.len()),
+            columns,
             tuples: Vec::new(),
         }
     }
@@ -576,49 +597,25 @@ fn build_block(rows: &[Tuple], n_cols: usize) -> SealedBlock {
     }
 }
 
-/// Classifies and packs one column of one block.
+/// Classifies and packs one column of one block: pure `Int64`, else pure
+/// `Float64`, else generic.
 fn build_block_column(rows: &[Tuple], col: usize) -> BlockColumn {
-    let mut all_i64 = true;
-    let mut all_f64 = true;
-    for t in rows {
-        match t.value(col) {
-            Value::Int64(_) => all_f64 = false,
-            Value::Float64(_) => all_i64 = false,
-            _ => {
-                all_i64 = false;
-                all_f64 = false;
-                break;
-            }
-        }
-        if !all_i64 && !all_f64 {
-            break;
-        }
-    }
-    if all_i64 {
-        BlockColumn::from_i64(
-            rows.iter()
-                .map(|t| match t.value(col) {
-                    Value::Int64(v) => *v,
-                    _ => unreachable!("classified as pure Int64"),
-                })
-                .collect(),
-        )
-    } else if all_f64 {
-        BlockColumn::from_f64(
-            rows.iter()
-                .map(|t| match t.value(col) {
-                    Value::Float64(v) => *v,
-                    _ => unreachable!("classified as pure Float64"),
-                })
-                .collect(),
-        )
+    let values = || rows.iter().map(|t| t.value(col));
+    let ints = values().map(|v| match v {
+        Value::Int64(x) => Some(*x),
+        _ => None,
+    });
+    let floats = values().map(|v| match v {
+        Value::Float64(x) => Some(*x),
+        _ => None,
+    });
+    BlockColumn::from_data(if let Some(v) = ints.collect() {
+        BlockData::Int64(v)
+    } else if let Some(v) = floats.collect() {
+        BlockData::Float64(v)
     } else {
-        BlockColumn {
-            data: BlockData::Generic(rows.iter().map(|t| t.value(col).clone()).collect()),
-            zone: None,
-            score_max: None,
-        }
-    }
+        BlockData::Generic(values().cloned().collect())
+    })
 }
 
 /// The total order over `f64` used by `Value` comparisons (`NaN` greatest),
@@ -667,7 +664,7 @@ mod tests {
         // The same block decoded from its page extent has no heap tuples
         // and rebuilds each row from the column vectors.
         let extent = crate::page::encode_extent(0, c.resident_block(0).unwrap());
-        let decoded = crate::page::decode_extent(&extent).unwrap().unwrap().block;
+        let decoded = crate::page::decode_extent(&extent).unwrap().unwrap().fold();
         for (i, want) in t.scan().iter().enumerate() {
             for got in [tuple_at(&c, i), decoded.tuple(c.table_id(), 0, i)] {
                 assert_eq!(got.id(), want.id());

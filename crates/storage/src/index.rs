@@ -107,30 +107,9 @@ impl ScoreIndex {
             new_run.push((bound.evaluate(t)?, first_row + i as u64));
         }
         new_run.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let mut entries = Vec::with_capacity(self.entries.len() + new_run.len());
-        let (mut old, mut new) = (
-            self.entries.iter().peekable(),
-            new_run.into_iter().peekable(),
-        );
-        loop {
-            match (old.peek(), new.peek()) {
-                // On score ties the old run wins: its rows are < first_row,
-                // so this preserves the ascending-row tie-break.
-                (Some(&&o), Some(n)) if o.0 >= n.0 => {
-                    entries.push(o);
-                    old.next();
-                }
-                (_, Some(_)) => entries.push(new.next().unwrap()),
-                (Some(&&o), None) => {
-                    entries.push(o);
-                    old.next();
-                }
-                (None, None) => break,
-            }
-        }
         Ok(ScoreIndex {
             predicate_name: self.predicate_name.clone(),
-            entries,
+            entries: merge_runs(&self.entries, new_run, |o, n| o.0 >= n.0),
         })
     }
 }
@@ -230,33 +209,29 @@ impl BTreeIndex {
             .map(|(i, t)| (t.value(self.column_index).clone(), first_row + i as u64))
             .collect();
         new_run.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut entries = Vec::with_capacity(self.entries.len() + new_run.len());
-        let (mut old, mut new) = (
-            self.entries.iter().peekable(),
-            new_run.into_iter().peekable(),
-        );
-        loop {
-            match (old.peek(), new.peek()) {
-                // On value ties the old run wins (its rows are < first_row),
-                // preserving the ascending-row tie-break.
-                (Some(&o), Some(n)) if o.0 <= n.0 => {
-                    entries.push(o.clone());
-                    old.next();
-                }
-                (_, Some(_)) => entries.push(new.next().unwrap()),
-                (Some(&o), None) => {
-                    entries.push(o.clone());
-                    old.next();
-                }
-                (None, None) => break,
-            }
-        }
         BTreeIndex {
             column_name: self.column_name.clone(),
             column_index: self.column_index,
-            entries,
+            entries: merge_runs(&self.entries, new_run, |o, n| o.0 <= n.0),
         }
     }
+}
+
+/// Merges an index's sorted run `old` with the sorted run `new` of rows
+/// appended after it.  `old_first(o, n)` says whether `o` goes before `n`;
+/// it must hold on key ties, since old rows precede every new row and so
+/// the ascending-row tie-break is kept.
+fn merge_runs<T: Clone>(old: &[T], new: Vec<T>, old_first: impl Fn(&T, &T) -> bool) -> Vec<T> {
+    let mut entries = Vec::with_capacity(old.len() + new.len());
+    let mut old = old.iter().peekable();
+    for n in new {
+        while let Some(o) = old.next_if(|o| old_first(o, &n)) {
+            entries.push(o.clone());
+        }
+        entries.push(n);
+    }
+    entries.extend(old.cloned());
+    entries
 }
 
 /// A hash index over an attribute, mapping each value to the rows holding it.

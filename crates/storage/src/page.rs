@@ -14,17 +14,15 @@
 //!
 //! `Int64`/`Float64` columns store `rows × 8` little-endian bytes; generic
 //! columns store per-value tagged encodings (see `encode_value`).  Zone
-//! maps and score maxima are **not** stored: the decode path re-derives
-//! them with the exact folds the seal path uses
-//! ([`crate::column`]'s `BlockColumn::from_data`), so the two can never
-//! disagree — and the RAM-resident copy in [`BlockMeta`] is what pruning
-//! reads, making a pruned block a page never read.
+//! maps and score maxima are **not** stored.  They are folded once per
+//! block into its RAM-resident [`BlockMeta`] — at seal, or at recovery from
+//! the decoded columns ([`DecodedExtent::fold`]) — and pruning reads only
+//! that copy, making a pruned block a page never read.  A fault pairs the
+//! decoded columns with the same copy and folds nothing.
 //!
 //! Torn writes are detected, not prevented: recovery accepts the longest
 //! prefix of CRC-valid extents and truncates the rest (the write-ahead log
 //! re-covers those rows — see [`crate::wal`]).
-
-use std::sync::Arc;
 
 use ranksql_common::{RankSqlError, Result, Value};
 
@@ -40,46 +38,87 @@ pub(crate) const EXTENT_MAGIC: u32 = 0x5271_5067;
 /// Fixed extent header size in bytes.
 pub(crate) const EXTENT_HEADER: usize = 4 + 8 + 4 + 4 + 4 + 4;
 
-/// Slicing-by-8 tables of the reflected IEEE polynomial: `CRC_TABLES[0]` is
-/// the byte-at-a-time table, `CRC_TABLES[k][b]` the CRC of byte `b`
-/// followed by `k` zero bytes.
-const CRC_TABLES: [[u32; 256]; 8] = {
+/// Independent 8-byte lanes the CRC braids through (zlib's `N`).
+const LANES: usize = 5;
+
+/// The byte-at-a-time table of the reflected IEEE polynomial.
+const CRC_BYTE: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut crc, mut bit) = (b as u32, 0);
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[b] = crc;
+        b += 1;
+    }
+    t
+};
+
+/// The braid tables: `CRC_BRAID[k][b]` is the CRC of byte `b` at position
+/// `k` of a lane's word followed by `8 * LANES - 1 - k` zero bytes — the
+/// rest of that word and the other lanes' words — so it lands where the
+/// lane's next word begins.
+const CRC_BRAID: [[u32; 256]; 8] = {
     let mut t = [[0u32; 256]; 8];
-    // Row-major: every row reads only the row before it.
-    let mut i = 0;
-    while i < 8 * 256 {
-        let (k, b) = (i / 256, i % 256);
-        t[k][b] = if k == 0 {
-            let (mut crc, mut bit) = (b as u32, 0);
-            while bit < 8 {
-                crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
-                bit += 1;
+    let mut b = 0;
+    while b < 256 {
+        let (mut crc, mut zeros) = (CRC_BYTE[b], 0);
+        while zeros < 8 * LANES - 1 {
+            crc = (crc >> 8) ^ CRC_BYTE[(crc & 0xFF) as usize];
+            zeros += 1;
+            if zeros >= 8 * LANES - 8 {
+                t[8 * LANES - 1 - zeros][b] = crc;
             }
-            crc
-        } else {
-            (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xFF) as usize]
-        };
-        i += 1;
+        }
+        b += 1;
     }
     t
 };
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
-/// extent payloads, WAL records and the catalog file.  Eight bytes per
-/// table step (slicing-by-8); the bits equal the bitwise definition's.
+/// extent payloads, WAL records and the catalog file.  Braided as in zlib's
+/// `crc32.c`: every 40-byte block feeds one 8-byte word to each of five
+/// independent lane CRCs, the last block folds the lanes into one through
+/// the byte table, and the tail goes byte at a time.  The bits equal the
+/// bitwise definition's.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let w = c.iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b)) ^ u64::from(crc);
-        crc = (0..8).fold(0, |acc, j| {
-            acc ^ CRC_TABLES[7 - j][(w >> (8 * j)) as usize & 0xFF]
-        });
+    let mut blocks = bytes.chunks_exact(8 * LANES);
+    let tail = blocks.remainder();
+    let Some(last) = blocks.next_back() else {
+        return !crc32_bytes(!0, bytes);
+    };
+    let mut lanes = [0u32; LANES];
+    lanes[0] = !0;
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let w = le_word(word) ^ u64::from(*lane);
+            *lane = (0..8).fold(0, |acc, k| {
+                acc ^ CRC_BRAID[k][(w >> (8 * k)) as usize & 0xFF]
+            });
+        }
     }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
+    let crc = lanes
+        .iter()
+        .zip(last.chunks_exact(8))
+        .fold(0, |crc, (&lane, word)| crc32_bytes(crc ^ lane, word));
+    !crc32_bytes(crc, tail)
+}
+
+/// Advances the CRC register `crc` over `bytes`, one table step a byte.
+fn crc32_bytes(crc: u32, bytes: &[u8]) -> u32 {
+    bytes.iter().fold(crc, |crc, &b| {
+        (crc >> 8) ^ CRC_BYTE[((crc ^ u32::from(b)) & 0xFF) as usize]
+    })
+}
+
+/// The little-endian word of an 8-byte chunk.
+fn le_word(chunk: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(chunk);
+    u64::from_le_bytes(w)
 }
 
 /// Rounds `len` up to the next page boundary.
@@ -227,11 +266,7 @@ impl<'a> Reader<'a> {
     /// The next `n` little-endian 8-byte words, bounds-checked once.
     fn words(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a> {
         let bytes = self.take(n.saturating_mul(8))?;
-        Ok(bytes.chunks_exact(8).map(|c| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(c);
-            u64::from_le_bytes(w)
-        }))
+        Ok(bytes.chunks_exact(8).map(le_word))
     }
 
     pub(crate) fn f64(&mut self) -> Result<f64> {
@@ -275,7 +310,14 @@ pub(crate) fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
         0 => Value::Null,
         1 => Value::Int64(r.i64()?),
         2 => Value::Float64(r.f64()?),
-        3 => Value::Bool(r.u8()? != 0),
+        3 => match r.u8()? {
+            b @ (0 | 1) => Value::Bool(b == 1),
+            b => {
+                return Err(RankSqlError::Storage(format!(
+                    "invalid bool {b} in page data"
+                )))
+            }
+        },
         4 => Value::Utf8(r.str()?),
         tag => {
             return Err(RankSqlError::Storage(format!(
@@ -290,7 +332,7 @@ pub(crate) fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
 // ---------------------------------------------------------------------------
 
 /// Encodes `block` as one page-aligned extent.
-pub(crate) fn encode_extent(block_no: u64, block: &SealedBlock) -> Vec<u8> {
+pub fn encode_extent(block_no: u64, block: &SealedBlock) -> Vec<u8> {
     let mut payload = Vec::new();
     for c in 0..block.num_columns() {
         match block.slice(c) {
@@ -326,12 +368,38 @@ pub(crate) fn encode_extent(block_no: u64, block: &SealedBlock) -> Vec<u8> {
     out
 }
 
-/// One extent decoded from the data file.
-pub(crate) struct DecodedExtent {
-    pub(crate) block_no: u64,
+/// One extent decoded from the data file: its columns as stored, with no
+/// zone metadata folded yet.
+#[derive(Debug)]
+pub struct DecodedExtent {
+    /// The block ordinal the header names.
+    pub block_no: u64,
     /// Page-aligned on-disk length of the extent.
-    pub(crate) len: usize,
-    pub(crate) block: Arc<SealedBlock>,
+    pub len: usize,
+    columns: Vec<BlockData>,
+}
+
+impl DecodedExtent {
+    /// The block with zone maps and score maxima folded from its columns —
+    /// the recovery path, whose [`BlockMeta`] is then described from it.
+    pub fn fold(self) -> SealedBlock {
+        SealedBlock::from_data(self.columns)
+    }
+
+    /// The block with `meta`'s RAM-resident zone metadata and no fold — the
+    /// fault path.  `None` when the extent does not match `meta`: another
+    /// block number, row count or column count, or a column of another kind.
+    pub(crate) fn paired(self, meta: &BlockMeta) -> Option<SealedBlock> {
+        let kinds_match = self.columns.len() == meta.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(&meta.columns)
+                .all(|(d, m)| d.kind() == m.kind);
+        let block = SealedBlock::with_zones(self.columns, &meta.columns);
+        (kinds_match && self.block_no == meta.block_no && block.rows() == meta.rows)
+            .then_some(block)
+    }
 }
 
 /// The page-aligned on-disk length the extent header opening `header`
@@ -348,8 +416,9 @@ pub(crate) fn extent_len(header: &[u8]) -> Option<usize> {
 
 /// Decodes the extent starting at `bytes[0]`.  Returns `Ok(None)` for a
 /// torn or invalid extent (bad magic, short payload, CRC mismatch) — the
-/// recovery path treats that as the end of the durable prefix.
-pub(crate) fn decode_extent(bytes: &[u8]) -> Result<Option<DecodedExtent>> {
+/// recovery path treats that as the end of the durable prefix — and a
+/// typed error for a checksummed payload its header does not describe.
+pub fn decode_extent(bytes: &[u8]) -> Result<Option<DecodedExtent>> {
     if bytes.len() < EXTENT_HEADER {
         return Ok(None);
     }
@@ -370,7 +439,8 @@ pub(crate) fn decode_extent(bytes: &[u8]) -> Result<Option<DecodedExtent>> {
         return Ok(None);
     }
     let mut pr = Reader::new(payload);
-    let mut columns = Vec::with_capacity(n_cols);
+    // Every column opens with a tag byte, so the payload bounds `n_cols`.
+    let mut columns = Vec::with_capacity(n_cols.min(payload_len));
     for _ in 0..n_cols {
         columns.push(match pr.u8()? {
             0 => BlockData::Int64(pr.words(rows)?.map(|w| w as i64).collect()),
@@ -387,10 +457,16 @@ pub(crate) fn decode_extent(bytes: &[u8]) -> Result<Option<DecodedExtent>> {
             }
         });
     }
+    if pr.remaining() != 0 {
+        return Err(RankSqlError::Storage(format!(
+            "extent {block_no} has {} payload bytes past its columns",
+            pr.remaining()
+        )));
+    }
     Ok(Some(DecodedExtent {
         block_no,
         len: page_aligned(EXTENT_HEADER + payload_len),
-        block: Arc::new(SealedBlock::from_data(columns)),
+        columns,
     }))
 }
 
@@ -457,18 +533,24 @@ mod tests {
 
     #[test]
     fn crc32_equals_the_bitwise_definition() {
-        let bytes: Vec<u8> = (0..33 * 1024u32)
+        let bytes: Vec<u8> = (0..1024 * 1024u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect();
-        // Every tail length of the eight-byte stride, and then some.
-        for len in 0..=64 {
+        // Every length up to six 40-byte braid blocks: inputs too short to
+        // braid, a lone last block, the braided loop, and every tail length.
+        for len in 0..=256 {
             assert_eq!(
                 crc32(&bytes[..len]),
                 crc32_bitwise(&bytes[..len]),
                 "len {len}"
             );
         }
-        assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "a 33 KB extent");
+        // Every start offset within an eight-byte word, over a 33 KiB extent.
+        for start in 0..8 {
+            let s = &bytes[start..start + 33 * 1024];
+            assert_eq!(crc32(s), crc32_bitwise(s), "33 KiB at offset {start}");
+        }
+        assert_eq!(crc32(&bytes), crc32_bitwise(&bytes), "1 MiB");
         let extent = encode_extent(3, &block(1024));
         assert_eq!(crc32(&extent), crc32_bitwise(&extent));
     }
@@ -481,15 +563,58 @@ mod tests {
         let d = decode_extent(&bytes).unwrap().expect("valid extent");
         assert_eq!(d.block_no, 7);
         assert_eq!(d.len, bytes.len());
-        assert_eq!(d.block.rows(), 100);
-        // Values and recomputed zone metadata both round-trip.
+        let d = d.fold();
+        assert_eq!(d.rows(), 100);
+        // Values and refolded zone metadata both round-trip.
         for row in [0, 42, 99] {
-            assert_eq!(d.block.value(row, 0), b.value(row, 0));
-            assert_eq!(d.block.value(row, 1), b.value(row, 1));
-            assert_eq!(d.block.value(row, 2), b.value(row, 2));
+            assert_eq!(d.value(row, 0), b.value(row, 0));
+            assert_eq!(d.value(row, 1), b.value(row, 1));
+            assert_eq!(d.value(row, 2), b.value(row, 2));
         }
-        assert_eq!(d.block.zone(0), b.zone(0));
-        assert_eq!(d.block.score_max(1), b.score_max(1));
+        assert_eq!(d.zone(0), b.zone(0));
+        assert_eq!(d.score_max(1), b.score_max(1));
+    }
+
+    /// The header and payload of [`golden_block`]'s extent as written before
+    /// the CRC kernel was braided (block 9, zero padding to one page after
+    /// them), so a change of kernel cannot move a byte of the format.
+    const GOLDEN_EXTENT: [u8; 143] = [
+        0x67, 0x50, 0x71, 0x52, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+        0x00, 0x03, 0x00, 0x00, 0x00, 0x73, 0x00, 0x00, 0x00, 0x2f, 0x51, 0x1d, 0xa8, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0xf8, 0x7f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xff, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0xd0, 0xbf, 0x02, 0x00, 0x03, 0x01, 0x04, 0x06, 0x00, 0x00, 0x00, 0x68,
+        0xc3, 0xa9, 0x6c, 0x6c, 0x6f, 0x01, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+    ];
+
+    fn golden_block() -> SealedBlock {
+        SealedBlock::from_data(vec![
+            BlockData::Int64(vec![i64::MIN, -1, 0, 1, i64::MAX]),
+            BlockData::Float64(vec![f64::NAN, f64::NEG_INFINITY, -0.0, 1.5, -0.25]),
+            BlockData::Generic(vec![
+                Value::Null,
+                Value::Bool(true),
+                Value::from("héllo"),
+                Value::Int64(7),
+                Value::Float64(0.5),
+            ]),
+        ])
+    }
+
+    #[test]
+    fn golden_extent_decodes_and_re_encodes_byte_for_byte() {
+        let mut golden = GOLDEN_EXTENT.to_vec();
+        golden.resize(PAGE_SIZE, 0);
+        assert_eq!(encode_extent(9, &golden_block()), golden);
+        let d = decode_extent(&golden)
+            .unwrap()
+            .expect("valid golden extent");
+        assert_eq!((d.block_no, d.len), (9, PAGE_SIZE));
+        assert_eq!(encode_extent(9, &d.fold()), golden);
     }
 
     #[test]

@@ -178,17 +178,15 @@ impl TableStore {
                 // durable prefix ends here.
                 _ => break,
             };
+            let (block_no, len) = (decoded.block_no, decoded.len);
+            // The block's one fold; every later fault reads it from `metas`.
+            let block = decoded.fold();
             let base_row = rows.len();
-            for local in 0..decoded.block.rows() {
-                rows.push(decoded.block.tuple(table_id, base_row, local));
+            for local in 0..block.rows() {
+                rows.push(block.tuple(table_id, base_row, local));
             }
-            metas.push(Arc::new(BlockMeta::describe(
-                decoded.block_no,
-                offset,
-                decoded.len,
-                &decoded.block,
-            )));
-            offset += decoded.len as u64;
+            metas.push(Arc::new(BlockMeta::describe(block_no, offset, len, &block)));
+            offset += len as u64;
         }
         if offset < file_len {
             data.set_len(offset)
@@ -325,7 +323,8 @@ impl TableStore {
 
     /// Faults the block described by `meta` in through the buffer pool:
     /// pool hit → `(block, false)`; miss → read + CRC-check + decode the
-    /// extent, admit it, `(block, true)`.
+    /// extent, pair its columns with `meta`'s zone metadata (no fold), admit
+    /// it, `(block, true)`.
     pub(crate) fn fetch(&self, meta: &BlockMeta) -> Result<(Arc<SealedBlock>, bool)> {
         let key = (self.table_id, meta.block_no);
         if let Some(block) = self.pool.get(key) {
@@ -349,15 +348,14 @@ impl TableStore {
                 meta.block_no, self.table_id
             ))
         })?;
-        if decoded.block_no != meta.block_no || decoded.block.rows() != meta.rows {
-            return Err(RankSqlError::Storage(format!(
+        let block = Arc::new(decoded.paired(meta).ok_or_else(|| {
+            RankSqlError::Storage(format!(
                 "extent {} of table {} does not match its metadata",
                 meta.block_no, self.table_id
-            )));
-        }
-        self.pool
-            .insert(key, Arc::clone(&decoded.block), meta.pages);
-        Ok((decoded.block, true))
+            ))
+        })?);
+        self.pool.insert(key, Arc::clone(&block), meta.pages);
+        Ok((block, true))
     }
 }
 
@@ -601,6 +599,8 @@ fn read_catalog_file(dir: &Path) -> Result<Vec<TableSpec>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnKind;
+    use crate::page::PagedColumn;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -686,6 +686,153 @@ mod tests {
         assert_eq!(b0.rows(), COLUMN_BLOCK_ROWS);
         let (_, faulted) = c.fetch_block(1).unwrap();
         assert!(faulted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn edge_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("f", DataType::Float64),
+            Field::new("s", DataType::Utf8),
+        ])
+    }
+
+    /// Rows that reach every edge of the zone and score folds: `Int64`
+    /// negatives and both extremes, `Float64` NaN, ±∞, −0.0, values above 1
+    /// and below 0, a generic text column.  Block 1 holds only negative
+    /// integers and block 2 only NaN floats.
+    fn edge_row(i: usize) -> Vec<Value> {
+        const INTS: [i64; 6] = [i64::MIN, -7, 0, 1, 3, i64::MAX];
+        const FLOATS: [f64; 8] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.5,
+            -0.25,
+            0.5,
+        ];
+        let (block, h) = (i / COLUMN_BLOCK_ROWS, i.wrapping_mul(2_654_435_761) >> 7);
+        vec![
+            Value::from(if block == 1 {
+                -((h % 1000) as i64) - 1
+            } else {
+                INTS[h % 6]
+            }),
+            Value::from(if block == 2 { f64::NAN } else { FLOATS[h % 8] }),
+            Value::from(format!("r{i}").as_str()),
+        ]
+    }
+
+    /// One column's zone and score maximum, as bits.
+    type ZoneBits = (Option<(u64, u64)>, Option<u64>);
+
+    /// The bits of every column's zone and score maximum.
+    fn zone_bits(b: &SealedBlock) -> Vec<ZoneBits> {
+        (0..b.num_columns())
+            .map(|c| {
+                let zone = b.zone(c).map(|z| match z {
+                    crate::ZoneEntry::Int64(lo, hi) => (lo as u64, hi as u64),
+                    crate::ZoneEntry::Float64(lo, hi) => (lo.to_bits(), hi.to_bits()),
+                });
+                (zone, b.score_max(c).map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    /// `b`'s columns with their zones folded afresh.
+    fn refold(b: &SealedBlock) -> SealedBlock {
+        decode_extent(&encode_extent(0, b)).unwrap().unwrap().fold()
+    }
+
+    #[test]
+    fn faulted_and_recovered_blocks_carry_the_zones_of_a_refold() {
+        let dir = temp_dir("zones");
+        let blocks = 4;
+        // A pool of one extent: every seal evicts the block before it.
+        let options = PagedOptions { pool_pages: 2 };
+        let sealed: Vec<_> = {
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, options, &catalog).unwrap();
+            let t = catalog.create_table("Z", edge_schema()).unwrap();
+            for i in 0..blocks * COLUMN_BLOCK_ROWS {
+                t.insert(edge_row(i)).unwrap();
+            }
+            let c = t.columnar();
+            assert_eq!(c.block_pages(0), options.pool_pages);
+            (0..blocks)
+                .map(|b| {
+                    let (block, faulted) = c.fetch_block(b).unwrap();
+                    assert!(faulted || b == blocks - 1, "block {b} was evicted");
+                    assert_eq!(zone_bits(&block), zone_bits(&refold(&block)), "block {b}");
+                    zone_bits(&block)
+                })
+                .collect()
+        };
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, options, &catalog).unwrap();
+        let c = catalog.table("Z").unwrap().columnar();
+        assert_eq!(c.paged_blocks(), blocks);
+        for (b, sealed) in sealed.iter().enumerate() {
+            let (block, faulted) = c.fetch_block(b).unwrap();
+            assert!(faulted);
+            assert_eq!(
+                &zone_bits(&block),
+                sealed,
+                "recovery folds what the seal folded"
+            );
+            assert_eq!(zone_bits(&block), zone_bits(&refold(&block)), "block {b}");
+            // Pruning reads the same metadata the faulted block carries.
+            for (col, (zone, score_max)) in sealed.iter().enumerate() {
+                assert_eq!(c.zone(col, b).is_some(), zone.is_some());
+                assert_eq!(c.score_zone_max(col, b).map(f64::to_bits), *score_max);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fault_against_mismatched_metadata_fails_typed() {
+        let dir = temp_dir("mismatch");
+        {
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+            let t = catalog.create_table("T", edge_schema()).unwrap();
+            for i in 0..COLUMN_BLOCK_ROWS {
+                t.insert(edge_row(i)).unwrap();
+            }
+        }
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let c = catalog.table("T").unwrap().columnar();
+        let (Some(store), BlockSlot::Paged(meta)) = (&c.store, &c.blocks[0]) else {
+            panic!("block 0 is paged");
+        };
+        let like = |columns: Vec<PagedColumn>, rows: usize, block_no: u64| BlockMeta {
+            columns,
+            rows,
+            block_no,
+            ..**meta
+        };
+        let mut swapped = meta.columns.clone();
+        swapped[0].kind = ColumnKind::Float64;
+        let bad = [
+            like(swapped, meta.rows, meta.block_no),
+            like(meta.columns[..2].to_vec(), meta.rows, meta.block_no),
+            like(meta.columns.clone(), meta.rows - 1, meta.block_no),
+            like(meta.columns.clone(), meta.rows, 1),
+        ];
+        for m in &bad {
+            match store.fetch(m) {
+                Err(RankSqlError::Storage(msg)) => assert!(msg.contains("metadata"), "{msg}"),
+                other => panic!("expected a typed storage error, got {other:?}"),
+            }
+        }
+        assert!(
+            store.fetch(meta).unwrap().1,
+            "the true metadata faults cleanly"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -342,6 +342,45 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// One record as written before the CRC kernel was braided: row
+    /// 1 048 577 holding [`golden_values`].
+    const GOLDEN_RECORD: [u8; 75] = [
+        0x43, 0x00, 0x00, 0x00, 0x7f, 0x26, 0x14, 0x1d, 0x01, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x02,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x7f, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x80, 0x00, 0x03, 0x00, 0x04, 0x0b, 0x00, 0x00, 0x00, 0x77, 0x72, 0x69, 0x74, 0x65,
+        0x2d, 0x61, 0x68, 0x65, 0x61, 0x64, 0x01, 0xd6, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    ];
+
+    fn golden_values() -> Vec<Value> {
+        vec![
+            Value::Int64(i64::MIN),
+            Value::Float64(f64::NAN),
+            Value::Float64(-0.0),
+            Value::Null,
+            Value::Bool(false),
+            Value::from("write-ahead"),
+            Value::Int64(-42),
+        ]
+    }
+
+    #[test]
+    fn golden_record_replays_and_re_encodes_byte_for_byte() {
+        assert_eq!(record_bytes(1_048_577, &golden_values()), GOLDEN_RECORD);
+        let path = temp_wal("golden");
+        let mut bytes = header_bytes(8, 0);
+        bytes.extend_from_slice(&GOLDEN_RECORD);
+        std::fs::write(&path, &bytes).unwrap();
+        let (_wal, _, records) = WalFile::open(path.clone(), 8).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].row_index, 1_048_577);
+        assert_eq!(
+            record_bytes(records[0].row_index, &records[0].values),
+            GOLDEN_RECORD
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn wrong_table_id_is_rejected() {
         let path = temp_wal("wrongid");
