@@ -5,8 +5,9 @@
 //! the per-morsel outputs in morsel order, so parallel execution is
 //! deterministic regardless of thread count or scheduling.  [`WorkerPool`]
 //! is the threading primitive underneath: it runs `tasks` independent
-//! closures over at most `threads` scoped threads (`std::thread::scope`, no
-//! detached threads, no channels) and collects the results *in task order*.
+//! closures over at most `threads` threads — the calling thread plus up to
+//! `threads − 1` scoped workers (`std::thread::scope`, no detached threads,
+//! no channels) — and collects the results *in task order*.
 //!
 //! Failure semantics are strict so that a broken worker can never wedge a
 //! query: the first task that returns an error — or panics — poisons the
@@ -67,9 +68,10 @@ pub fn morsel_ranges(total: usize, morsel_size: usize) -> Vec<(usize, usize)> {
 /// A scoped-thread worker pool of a fixed size.
 ///
 /// The pool is a value, not a set of live threads: each [`WorkerPool::run`]
-/// call spawns its workers under `std::thread::scope` and joins them before
-/// returning, so borrowed task state needs no `'static` bound and a
-/// panicking worker can never outlive the call that launched it.
+/// call spawns its workers under `std::thread::scope`, works alongside them
+/// on the calling thread and joins them before returning, so borrowed task
+/// state needs no `'static` bound and a panicking worker can never outlive
+/// the call that launched it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPool {
     threads: usize,
@@ -93,10 +95,10 @@ impl WorkerPool {
     ///
     /// Tasks are handed out through a shared counter (work stealing at
     /// morsel granularity): a worker that finishes a cheap task immediately
-    /// grabs the next one, so skewed task costs still balance.  With one
-    /// thread — or a single task — everything runs inline on the caller's
-    /// thread and no thread is spawned, which is the serial degradation path
-    /// of parallel plans executed with `threads = 1`.
+    /// grabs the next one, so skewed task costs still balance.  The caller
+    /// runs the same loop as the `threads − 1` workers it spawns; with one
+    /// thread — or a single task — no thread is spawned at all, which is the
+    /// serial degradation path of parallel plans executed with `threads = 1`.
     ///
     /// The first task error or panic cancels all not-yet-started tasks and
     /// surfaces as the `Err` of the whole run; a panic is converted into
@@ -146,17 +148,14 @@ impl WorkerPool {
             }
         };
 
-        if workers == 1 {
+        std::thread::scope(|scope| {
+            // The closure captures only shared references, so it is `Copy`:
+            // each spawn gets its own copy of the same loop.
+            for _ in 1..workers {
+                scope.spawn(worker);
+            }
             worker();
-        } else {
-            std::thread::scope(|scope| {
-                // The closure captures only shared references, so it is
-                // `Copy`: each spawn gets its own copy of the same loop.
-                for _ in 0..workers {
-                    scope.spawn(worker);
-                }
-            });
-        }
+        });
 
         if let Some(e) = failure.into_inner() {
             return Err(e);
@@ -246,6 +245,56 @@ mod tests {
         // The pool carries no state: the next run works normally.
         let out = pool.run(8, Ok).unwrap();
         assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_caller_is_one_of_at_most_n_threads() {
+        let caller = std::thread::current().id();
+        for n in 1..=4 {
+            // n tasks meeting at an n-way barrier must run on n threads at
+            // once, so the caller has to take one of them.
+            let barrier = std::sync::Barrier::new(n);
+            let seen = Mutex::new(Vec::new());
+            let out = WorkerPool::new(n)
+                .run(n, |i| {
+                    barrier.wait();
+                    seen.lock().push(std::thread::current().id());
+                    Ok(i)
+                })
+                .unwrap();
+            assert_eq!(out, (0..n).collect::<Vec<_>>());
+            let seen: std::collections::HashSet<_> = seen.into_inner().into_iter().collect();
+            assert!(seen.contains(&caller), "threads = {n}");
+            assert_eq!(seen.len(), n);
+            // Many more tasks than threads still run on at most n of them.
+            let seen = Mutex::new(std::collections::HashSet::new());
+            let out = WorkerPool::new(n)
+                .run(64, |i| {
+                    seen.lock().insert(std::thread::current().id());
+                    Ok(i)
+                })
+                .unwrap();
+            assert_eq!(out, (0..64).collect::<Vec<_>>());
+            assert!(seen.into_inner().len() <= n, "threads = {n}");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_calling_thread_is_a_clean_error() {
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let err = WorkerPool::new(2)
+            .run(2, |i| {
+                barrier.wait();
+                if std::thread::current().id() == caller {
+                    panic!("caller task {i} exploded");
+                }
+                Ok(i)
+            })
+            .unwrap_err();
+        assert!(matches!(err, RankSqlError::Execution(_)), "{err:?}");
+        assert!(err.to_string().contains("worker thread panicked"), "{err}");
+        assert!(err.to_string().contains("exploded"), "{err}");
     }
 
     #[test]

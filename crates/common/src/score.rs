@@ -30,6 +30,22 @@ impl Score {
         self.0
     }
 
+    /// This score's place in the total order as an integer: NaN is 0, below
+    /// every number, and `-0.0` maps where `0.0` does.  `Ord` compares these
+    /// keys, and a sort can key on them directly.
+    pub fn order_key(self) -> u64 {
+        if self.0.is_nan() {
+            return 0;
+        }
+        let bits = if self.0 == 0.0 { 0 } else { self.0.to_bits() };
+        // Non-negative floats order as their bits; negative ones in reverse.
+        if bits >> 63 == 0 {
+            bits | 1 << 63
+        } else {
+            !bits
+        }
+    }
+
     /// Clamps the score into `[0, 1]`.
     pub fn clamp_unit(self) -> Score {
         Score(self.0.clamp(0.0, 1.0))
@@ -70,12 +86,7 @@ impl PartialOrd for Score {
 
 impl Ord for Score {
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self.0.is_nan(), other.0.is_nan()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Less,
-            (false, true) => Ordering::Greater,
-            (false, false) => self.0.partial_cmp(&other.0).expect("non-NaN compare"),
-        }
+        self.order_key().cmp(&other.order_key())
     }
 }
 
@@ -106,7 +117,7 @@ impl fmt::Display for Score {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -116,6 +127,43 @@ mod tests {
         assert!(v[0].0.is_nan());
         assert_eq!(v[1], Score(-1.0));
         assert_eq!(v[3], Score(1.5));
+    }
+
+    /// The values the grid tests cover: ties, NaN, ±0.0, ±∞, subnormals.
+    pub(crate) const GRID: [f64; 14] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::NEG_INFINITY,
+        f64::MIN,
+        -1.0,
+        -f64::MIN_POSITIVE / 2.0,
+        -0.0,
+        0.0,
+        f64::MIN_POSITIVE / 2.0,
+        f64::MIN_POSITIVE,
+        0.5,
+        1.0,
+        f64::MAX,
+        f64::INFINITY,
+    ];
+
+    #[test]
+    fn order_key_agrees_with_the_float_comparison() {
+        // The definition `Ord` had before it compared keys.
+        let reference = |a: f64, b: f64| match (a.is_nan(), b.is_nan()) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Less,
+            (false, true) => Ordering::Greater,
+            (false, false) => a.partial_cmp(&b).unwrap(),
+        };
+        for a in GRID {
+            for b in GRID {
+                assert_eq!(Score(a).cmp(&Score(b)), reference(a, b), "{a} vs {b}");
+            }
+        }
+        assert_eq!(Score(-0.0).order_key(), Score(0.0).order_key());
+        assert_eq!(Score(f64::NAN).order_key(), 0);
+        assert!(Score(f64::NEG_INFINITY).order_key() > 0);
     }
 
     #[test]

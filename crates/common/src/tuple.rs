@@ -11,9 +11,12 @@ enum IdParts {
     /// inline: cloning a base tuple allocates nothing, which matters on the
     /// scan hot path where every snapshot clone copies N identities.
     Single([(u32, u64); 1]),
-    /// A join identity (≥ 2 constituents, sorted); `Arc`-shared so cloning
-    /// join results into ranking queues and hash tables is one refcount
-    /// bump instead of a heap allocation.
+    /// A two-constituent join identity (sorted), also inline: joining two
+    /// base tuples allocates only the joined values.
+    Pair([(u32, u64); 2]),
+    /// A join identity of ≥ 3 constituents (sorted); `Arc`-shared so
+    /// cloning join results into ranking queues and hash tables is one
+    /// refcount bump instead of a heap allocation.
     Joined(Arc<[(u32, u64)]>),
 }
 
@@ -56,27 +59,25 @@ impl TupleId {
         let a = self.parts();
         let b = other.parts();
         // Base ⋈ base is the overwhelmingly common case on the join hot
-        // path: order the two constituents directly, skipping the
-        // intermediate vector and the sort.
-        if let ([x], [y]) = (a, b) {
-            let pair = if x <= y { [*x, *y] } else { [*y, *x] };
-            return TupleId {
-                parts: IdParts::Joined(Arc::from(pair.as_slice())),
-            };
-        }
-        let mut parts = Vec::with_capacity(a.len() + b.len());
-        parts.extend_from_slice(a);
-        parts.extend_from_slice(b);
-        parts.sort_unstable();
-        TupleId {
-            parts: IdParts::Joined(parts.into()),
-        }
+        // path: order the two constituents inline, with no allocation.
+        let parts = match (a, b) {
+            ([x], [y]) => IdParts::Pair(if x <= y { [*x, *y] } else { [*y, *x] }),
+            _ => {
+                // `merged` yields exactly `n` parts; a range-driven map is
+                // exact-size, so they collect in one allocation.
+                let mut merged = merged_parts(a, b);
+                let n = a.len() + b.len();
+                IdParts::Joined((0..n).map(|_| merged.next().unwrap_or_default()).collect())
+            }
+        };
+        TupleId { parts }
     }
 
     /// The constituent `(table_id, row_index)` pairs.
     pub fn parts(&self) -> &[(u32, u64)] {
         match &self.parts {
             IdParts::Single(one) => one,
+            IdParts::Pair(two) => two,
             IdParts::Joined(many) => many,
         }
     }
@@ -171,25 +172,28 @@ impl fmt::Display for TupleId {
 
 /// A row of values together with its identity.
 ///
-/// The value vector is shared (`Arc`) because tuples are buffered in priority
-/// queues, hash tables and sample caches simultaneously.
+/// The values are one shared slice (`Arc<[Value]>`, header and values in a
+/// single allocation) because tuples are buffered in priority queues, hash
+/// tables and sample caches simultaneously.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tuple {
     id: TupleId,
-    values: Arc<Vec<Value>>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
-    /// Creates a tuple with an explicit identity.
-    pub fn new(id: TupleId, values: Vec<Value>) -> Self {
+    /// Creates a tuple with an explicit identity.  An exact-size iterator
+    /// (a `Vec`, an array, a `map` over a range or slice) is collected
+    /// straight into the tuple's one allocation.
+    pub fn new(id: TupleId, values: impl IntoIterator<Item = Value>) -> Self {
         Tuple {
             id,
-            values: Arc::new(values),
+            values: values.into_iter().collect(),
         }
     }
 
     /// Creates a synthetic tuple (identity derived from `n`).
-    pub fn synthetic(n: u64, values: Vec<Value>) -> Self {
+    pub fn synthetic(n: u64, values: impl IntoIterator<Item = Value>) -> Self {
         Tuple::new(TupleId::synthetic(n), values)
     }
 
@@ -214,23 +218,20 @@ impl Tuple {
     }
 
     /// Concatenates two tuples (join / product), combining identities.
+    /// Allocates once when the result has two constituents, twice past that.
     pub fn join(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.arity() + other.arity());
-        values.extend_from_slice(self.values());
-        values.extend_from_slice(other.values());
-        Tuple {
-            id: self.id.combine(&other.id),
-            values: Arc::new(values),
-        }
+        Tuple::new(
+            self.id.combine(&other.id),
+            self.values.iter().chain(other.values.iter()).cloned(),
+        )
     }
 
     /// Projects this tuple onto the given column indices (keeping identity).
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        let values = indices.iter().map(|&i| self.values[i].clone()).collect();
-        Tuple {
-            id: self.id.clone(),
-            values: Arc::new(values),
-        }
+        Tuple::new(
+            self.id.clone(),
+            indices.iter().map(|&i| self.values[i].clone()),
+        )
     }
 }
 
@@ -310,6 +311,17 @@ mod tests {
     fn base_and_synthetic_ids_differ() {
         assert_ne!(TupleId::base(0, 1), TupleId::synthetic(1));
         assert_eq!(TupleId::base(2, 3), TupleId::base(2, 3));
+    }
+
+    #[test]
+    fn pair_identities_are_inline() {
+        assert_eq!(std::mem::size_of::<TupleId>(), 40);
+        assert_eq!(std::mem::size_of::<Tuple>(), 56);
+        let pair = TupleId::base(2, 20).combine(&TupleId::base(1, 10));
+        assert!(matches!(pair.parts, IdParts::Pair(_)));
+        assert_eq!(pair.parts(), &[(1, 10), (2, 20)]);
+        let triple = pair.combine(&TupleId::base(1, 5));
+        assert_eq!(triple.parts(), &[(1, 5), (1, 10), (2, 20)]);
     }
 
     #[test]

@@ -2,6 +2,9 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
+
+use crate::score::Score;
 
 /// The logical type of a [`Value`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,6 +48,9 @@ impl fmt::Display for DataType {
 /// compare numerically across `Int64`/`Float64`, `NaN` sorts after all other
 /// floats, and values of different non-numeric types compare by a fixed type
 /// rank. Equality follows the same rules (so `Int64(1) == Float64(1.0)`).
+///
+/// A value is 16 bytes: a string is shared (`Arc<String>`), so cloning one
+/// is a refcount bump, and it compares, hashes and displays by content.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
@@ -55,8 +61,8 @@ pub enum Value {
     Float64(f64),
     /// Boolean.
     Bool(bool),
-    /// UTF-8 string.
-    Utf8(String),
+    /// UTF-8 string, shared.
+    Utf8(Arc<String>),
 }
 
 impl Value {
@@ -132,18 +138,15 @@ impl Value {
 }
 
 /// The total order over `f64` that [`Value`] comparisons use: `NaN` sorts
-/// greater than every non-NaN value and equal to itself.
+/// greater than every non-NaN value and equal to itself, `-0.0` equals `0.0`.
 ///
 /// Public because the columnar zone maps fold block minima/maxima with this
 /// exact order — their pruning soundness depends on matching the order the
 /// executor's filters see, so there must be one definition.
 pub fn cmp_f64_total(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.partial_cmp(&b).expect("non-NaN floats compare"),
-    }
+    // [`Score::order_key`] puts NaN at 0; subtracting one wraps it to the top.
+    let key = |f: f64| Score(f).order_key().wrapping_sub(1);
+    key(a).cmp(&key(b))
 }
 
 impl PartialEq for Value {
@@ -252,13 +255,13 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Utf8(v.to_owned())
+        Value::Utf8(Arc::new(v.to_owned()))
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Utf8(v)
+        Value::Utf8(Arc::new(v))
     }
 }
 
@@ -282,10 +285,55 @@ mod tests {
     }
 
     #[test]
+    fn numeric_order_agrees_with_the_float_comparison() {
+        // The definition `cmp_f64_total` had before it compared keys.
+        let reference = |a: f64, b: f64| match (a.is_nan(), b.is_nan()) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Greater,
+            (false, true) => Ordering::Less,
+            (false, false) => a.partial_cmp(&b).unwrap(),
+        };
+        for a in crate::score::tests::GRID {
+            for b in crate::score::tests::GRID {
+                assert_eq!(cmp_f64_total(a, b), reference(a, b), "{a} vs {b}");
+            }
+        }
+        for (i, f) in [(0, 0.0), (-7, -7.0), (1 << 53, 2f64.powi(53))] {
+            assert_eq!(Value::Int64(i), Value::Float64(f));
+            assert_eq!(hash_of(&Value::Int64(i)), hash_of(&Value::Float64(f)));
+        }
+    }
+
+    #[test]
+    fn strings_compare_and_hash_by_content() {
+        let owned = Value::from(String::from("héllo"));
+        let borrowed = Value::from("héllo");
+        for v in [owned.clone(), borrowed.clone()] {
+            assert_eq!(v, owned);
+            assert_eq!(v, borrowed);
+            assert_eq!(v.cmp(&borrowed), Ordering::Equal);
+            assert_eq!(hash_of(&v), hash_of(&owned));
+            assert_eq!(v.to_string(), "'héllo'");
+        }
+        // The hash is the content's: the same as before strings were shared.
+        let mut h = DefaultHasher::new();
+        h.write_u8(3);
+        "héllo".hash(&mut h);
+        assert_eq!(hash_of(&owned), h.finish());
+        assert!(Value::from("héllo") < Value::from(String::from("hëllo")));
+        assert_ne!(Value::from("a"), Value::from("b"));
+    }
+
+    #[test]
+    fn a_value_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
+    #[test]
     fn null_sorts_first() {
         assert!(Value::Null < Value::Bool(false));
         assert!(Value::Null < Value::Int64(i64::MIN));
-        assert!(Value::Null < Value::Utf8(String::new()));
+        assert!(Value::Null < Value::from(""));
     }
 
     #[test]

@@ -474,7 +474,7 @@ impl<'a> PayloadReader<'a> {
             1 => Ok(Value::Int64(self.i64(what)?)),
             2 => Ok(Value::Float64(self.f64(what)?)),
             3 => Ok(Value::Bool(self.u8(what)? != 0)),
-            4 => Ok(Value::Utf8(self.str(what)?)),
+            4 => Ok(Value::from(self.str(what)?)),
             tag => Err(WireError::Malformed(format!(
                 "unknown value tag {tag} in {what}"
             ))),
@@ -660,7 +660,7 @@ mod tests {
             Value::Int64(-42),
             Value::Float64(0.25),
             Value::Bool(true),
-            Value::Utf8("x".into()),
+            Value::from("x"),
         ];
         let mut w = PayloadWriter::new();
         for v in &vals {

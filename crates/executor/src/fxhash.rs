@@ -48,16 +48,15 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rest.len()].copy_from_slice(rest);
-            self.add_to_hash(u64::from_le_bytes(buf));
-            self.add_to_hash(rest.len() as u64);
+        // Little-endian words, the last one zero-padded and followed by its
+        // length.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add_to_hash(u64::from_le_bytes(word));
+            if chunk.len() < 8 {
+                self.add_to_hash(chunk.len() as u64);
+            }
         }
     }
 
@@ -115,6 +114,27 @@ mod tests {
             "only {} distinct hashes",
             distinct.len()
         );
+    }
+
+    #[test]
+    fn byte_writes_hash_as_full_words_then_a_padded_tail() {
+        let bytes: Vec<u8> = (1..=24).collect();
+        for len in 0..=bytes.len() {
+            let (words, tail) = bytes[..len].split_at(len / 8 * 8);
+            let mut reference = FxHasher::default();
+            for w in words.chunks(8) {
+                reference.add_to_hash(u64::from_le_bytes(w.try_into().unwrap()));
+            }
+            if !tail.is_empty() {
+                let mut buf = [0u8; 8];
+                buf[..tail.len()].copy_from_slice(tail);
+                reference.add_to_hash(u64::from_le_bytes(buf));
+                reference.add_to_hash(tail.len() as u64);
+            }
+            let mut h = FxHasher::default();
+            h.write(&bytes[..len]);
+            assert_eq!(h.finish(), reference.finish(), "{len} bytes");
+        }
     }
 
     #[test]

@@ -145,12 +145,17 @@ pub(crate) fn hash_build_input(
     }
     if top_k.is_some() {
         for group in table.values_mut() {
-            group
-                .order
-                .sort_by_key(|&(bound, _)| std::cmp::Reverse(bound));
+            sort_best_first(&mut group.order);
         }
     }
     Ok((rows, table))
+}
+
+/// Sorts a group's walk order by descending bound, equal bounds by index:
+/// with unique indices, that is the stable sort by `Reverse(bound)` of
+/// entries pushed in index order, done unstably on integer keys.
+fn sort_best_first(order: &mut [(Score, usize)]) {
+    order.sort_unstable_by_key(|&(bound, i)| (std::cmp::Reverse(bound.order_key()), i));
 }
 
 /// Drains a nested-loops join's inner input; returns its rows and their
@@ -914,6 +919,51 @@ mod tests {
                 vec![(1, 100), (1, 100)],
                 "algorithm {mk}"
             );
+        }
+    }
+
+    #[test]
+    fn best_first_sort_equals_the_stable_score_sort() {
+        const SPECIAL: [f64; 10] = [
+            f64::NAN,
+            -f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            0.5,
+            1.0,
+        ];
+        let mut seed = 7u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            seed
+        };
+        // A draw below `bound` from a step's high bits.
+        let below = |x: u64, bound: u64| (x >> 33) % bound;
+        for _ in 0..500 {
+            let len = below(next(), 64) as usize;
+            let mut order: Vec<(Score, usize)> = (0..len)
+                .map(|i| {
+                    // Ties, the special values, and arbitrary bit patterns
+                    // (every NaN payload, subnormals, both signs).
+                    let v = match below(next(), 3) {
+                        0 => SPECIAL[below(next(), SPECIAL.len() as u64) as usize],
+                        1 => below(next(), 5) as f64 / 4.0,
+                        _ => f64::from_bits(next()),
+                    };
+                    (Score(v), i)
+                })
+                .collect();
+            let mut stable = order.clone();
+            stable.sort_by_key(|&(bound, _)| std::cmp::Reverse(bound));
+            sort_best_first(&mut order);
+            let indices = |o: &[(Score, usize)]| o.iter().map(|&(_, i)| i).collect::<Vec<_>>();
+            assert_eq!(indices(&order), indices(&stable));
         }
     }
 

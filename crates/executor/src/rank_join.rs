@@ -96,9 +96,10 @@ impl SideState {
 
 /// A join result that passed the condition but has not been built: its two
 /// constituents by index into the sides' `seen` vectors, and the upper
-/// bound of their merged score state.  The joined tuple (a value vector and
-/// an identity, three allocations) and the merged state are built only if
-/// the candidate is popped for emission — most never are under a small `k`.
+/// bound of their merged score state.  The joined tuple (one allocation for
+/// two base constituents, two past that) and the merged state are built only
+/// if the candidate is popped for emission — most never are under a small
+/// `k`.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     score: Score,

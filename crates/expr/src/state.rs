@@ -265,6 +265,11 @@ mod tests {
     }
 
     #[test]
+    fn a_ranked_tuple_fits_in_120_bytes() {
+        assert!(std::mem::size_of::<RankedTuple>() <= 120);
+    }
+
+    #[test]
     fn fresh_state_has_full_upper_bound() {
         let s = ScoreState::new(3);
         assert_eq!(s.upper_bound(&ScoringFunction::Sum, 1.0), Score::new(3.0));

@@ -282,17 +282,9 @@ impl SealedBlock {
         if let Some(t) = self.tuples.get(local_row) {
             return t.clone();
         }
-        let mut values = Vec::with_capacity(self.columns.len());
-        for col in &self.columns {
-            values.push(match &col.data {
-                BlockData::Int64(v) => Value::Int64(v[local_row]),
-                BlockData::Float64(v) => Value::Float64(v[local_row]),
-                BlockData::Generic(v) => v[local_row].clone(),
-            });
-        }
         Tuple::new(
             TupleId::base(table_id, (base_row + local_row) as u64),
-            values,
+            (0..self.columns.len()).map(|c| self.value(local_row, c)),
         )
     }
 }

@@ -318,7 +318,7 @@ pub(crate) fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
                 )))
             }
         },
-        4 => Value::Utf8(r.str()?),
+        4 => Value::from(r.str()?),
         tag => {
             return Err(RankSqlError::Storage(format!(
                 "unknown value tag {tag} in page data"

@@ -1,0 +1,103 @@
+//! Heap allocations per materialised row, counted rather than timed.
+//!
+//! A counting global allocator tallies the allocations the current thread
+//! makes, so each assertion is exact and independent of the test harness's
+//! other threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ranksql::common::TupleId;
+use ranksql::{Tuple, Value};
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still free or allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to the system allocator unchanged; the
+// counter is a const-initialised thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+fn base(table: u32, row: u64, name: &str) -> Tuple {
+    Tuple::new(
+        TupleId::base(table, row),
+        [Value::from(row as i64), Value::from(0.5), Value::from(name)],
+    )
+}
+
+#[test]
+fn joining_two_base_tuples_allocates_once() {
+    let (a, b) = (base(0, 1, "a"), base(1, 2, "b"));
+    let (joined, n) = counted(|| a.join(&b));
+    assert_eq!(n, 1, "values and a pair identity in one allocation");
+    assert_eq!(joined.arity(), 6);
+    assert_eq!(joined.id().parts(), &[(0, 1), (1, 2)]);
+}
+
+#[test]
+fn a_three_table_join_allocates_twice() {
+    let ab = base(0, 1, "a").join(&base(1, 2, "b"));
+    let c = base(2, 3, "c");
+    let (joined, n) = counted(|| ab.join(&c));
+    assert_eq!(n, 2, "the values, and the shared three-part identity");
+    assert_eq!(joined.id().parts(), &[(0, 1), (1, 2), (2, 3)]);
+    let (_, n) = counted(|| joined.clone());
+    assert_eq!(n, 0, "cloning a joined tuple is two refcount bumps");
+}
+
+#[test]
+fn project_allocates_once() {
+    let t = base(0, 7, "seven");
+    let (p, n) = counted(|| t.project(&[2, 0]));
+    assert_eq!(n, 1);
+    assert_eq!(p.values(), &[Value::from("seven"), Value::from(7)]);
+    assert_eq!(p.id(), t.id());
+}
+
+#[test]
+fn cloning_a_string_value_allocates_nothing() {
+    let v = Value::from("a string long enough to need the heap");
+    let (copy, n) = counted(|| v.clone());
+    assert_eq!(n, 0);
+    assert_eq!(copy, v);
+}
