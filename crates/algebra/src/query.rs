@@ -215,9 +215,6 @@ impl RankQuery {
     /// the correctness oracle and as the starting point of the traditional
     /// optimizer baseline.
     pub fn canonical_plan(&self, catalog: &Catalog) -> Result<LogicalPlan> {
-        if self.tables.is_empty() {
-            return Err(RankSqlError::Plan("query has no tables".into()));
-        }
         let mut plan: Option<LogicalPlan> = None;
         for name in &self.tables {
             let table = catalog.table(name)?;
@@ -227,7 +224,9 @@ impl RankQuery {
                 Some(acc) => acc.join(scan, None, JoinAlgorithm::NestedLoop),
             });
         }
-        let mut plan = plan.expect("at least one table");
+        let Some(mut plan) = plan else {
+            return Err(RankSqlError::Plan("query has no tables".into()));
+        };
         if let Some(filter) = BoolExpr::conjoin(self.bool_predicates.clone()) {
             plan = plan.select(filter);
         }

@@ -42,7 +42,7 @@ fn build(ndv: usize) -> Arc<Table> {
 /// Naive NDV scale-up of column 0: distinct values in a `ratio` sample
 /// divided by the achieved sample ratio, capped at the row count.
 fn sampled_scale_up_ndv(table: &Table, ratio: f64, seed: u64) -> f64 {
-    let sample = sample_fraction(table, ratio, seed);
+    let sample = sample_fraction(table, ratio, seed).unwrap();
     let rows = table.row_count() as f64;
     let achieved = (sample.len() as f64 / rows).max(f64::EPSILON);
     let distinct: HashSet<&Value> = sample.iter().map(|t| t.value(0)).collect();
@@ -57,7 +57,7 @@ fn bench_sketch(c: &mut Criterion) {
     // 8_000 and 40_000 (HLL).
     for ndv in [12usize, 800, 8_000, 40_000] {
         let table = build(ndv);
-        let stats = table.stats_catalog();
+        let stats = table.stats_catalog().unwrap();
         let summary = stats.column("T.k").expect("column stats");
         let sketch_ndv = summary.ndv() as f64;
         let sketch_err = (sketch_ndv - ndv as f64).abs() / ndv as f64;
@@ -86,7 +86,7 @@ fn bench_sketch(c: &mut Criterion) {
             &ndv,
             |bench, &ndv| {
                 let warm = build(ndv);
-                let _ = warm.stats_catalog(); // warm: inserts fold incrementally
+                let _ = warm.stats_catalog().unwrap(); // warm: inserts fold incrementally
                 let mut next = (ndv * 4) as i64;
                 bench.iter(|| {
                     warm.insert(vec![Value::from(black_box(next % ndv as i64))])

@@ -1,28 +1,26 @@
 //! Ablation: the epoch-extending write path vs the invalidate-and-rebuild
 //! cliff it replaced.
 //!
-//! Three measurements on an 8 192-row table with warm caches (statistics
-//! catalog + columnar projection + epoch machinery):
+//! Three measurements on an 8 192-row table with warm statistics:
 //!
-//! * **warm/insert** — one appended row on the PR-7 write path: the row
-//!   lands in the delta, the stats delta folds it in, and the columnar
-//!   projection reseals only when a 1024-row block fills.  Amortised
-//!   O(1)-ish per row.
+//! * **warm/insert** — one appended row: the row lands in the table's
+//!   tail, the stats delta folds it in, and the tail seals into a new
+//!   block only when it fills 1024 rows.  Amortised O(1)-ish per row.
 //! * **rebuild/insert** — the historical cliff: every insert invalidates,
-//!   so the next reader rebuilds the statistics catalog *and* the columnar
-//!   projection from scratch.  O(n) per row; the within-run gate in
+//!   so the next reader rebuilds the statistics catalog *and* every
+//!   columnar block from scratch.  O(n) per row; the within-run gate in
 //!   `scripts/bench_compare.py` asserts warm/insert beats this by a wide
 //!   margin.
 //! * **cursor/open_topk_during_inserts** — reader latency while a writer
-//!   keeps the delta hot: each iteration appends a row and then opens a
+//!   keeps the tail hot: each iteration appends a row and then opens a
 //!   fresh cursor for a top-10, which must pin its epoch and
-//!   stream sealed blocks + frozen tail without any rebuild.
+//!   stream sealed blocks + tail without any rebuild.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ranksql_common::{DataType, Field, Schema, Value};
 use ranksql_core::{Database, PlanMode, QueryBuilder};
 use ranksql_expr::RankPredicate;
-use ranksql_storage::{Catalog, ColumnTable, StatsCatalog};
+use ranksql_storage::{Catalog, SealedBlock, StatsCatalog, COLUMN_BLOCK_ROWS};
 
 const BASE_ROWS: usize = 8_192;
 
@@ -46,16 +44,15 @@ fn bench_write_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_write_path");
     group.sample_size(10);
 
-    // Warm path: statistics and columnar projection primed, every insert
-    // extends them incrementally.
+    // Warm path: statistics primed; every insert extends them and the
+    // table's blocks incrementally.
     group.bench_function("warm/insert", |bench| {
         let cat = Catalog::new();
         let t = cat.create_table("T", schema()).unwrap();
         for i in 0..BASE_ROWS as i64 {
             t.insert(row(i)).unwrap();
         }
-        let _ = t.stats_catalog();
-        let _ = t.columnar();
+        let _ = t.stats_catalog().unwrap();
         let mut next = BASE_ROWS as i64;
         bench.iter(|| {
             t.insert(black_box(row(next))).unwrap();
@@ -64,7 +61,7 @@ fn bench_write_path(c: &mut Criterion) {
     });
 
     // The cliff the epochs removed: insert, then rebuild the statistics
-    // catalog and the columnar projection from scratch — what every
+    // catalog and every columnar block from scratch — what every
     // invalidating write used to cost the next reader.
     group.bench_function("rebuild/insert", |bench| {
         let cat = Catalog::new();
@@ -78,7 +75,9 @@ fn bench_write_path(c: &mut Criterion) {
             next += 1;
             let rows = t.scan();
             black_box(StatsCatalog::build(t.schema(), &rows).row_count);
-            black_box(ColumnTable::from_rows(t.id(), t.name(), t.schema(), &rows).num_blocks());
+            for block in rows.chunks(COLUMN_BLOCK_ROWS) {
+                black_box(SealedBlock::seal(block, t.schema().len()));
+            }
         })
     });
 
@@ -91,8 +90,7 @@ fn bench_write_path(c: &mut Criterion) {
         db.insert_batch("T", (0..BASE_ROWS as i64).map(row))
             .unwrap();
         let t = db.catalog().table("T").unwrap();
-        let _ = t.stats_catalog();
-        let _ = t.columnar();
+        let _ = t.stats_catalog().unwrap();
         let query = QueryBuilder::new()
             .table("T")
             .rank_predicate(RankPredicate::attribute("p", "T.p"))

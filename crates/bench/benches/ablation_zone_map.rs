@@ -54,7 +54,6 @@ fn build(clustered: bool) -> Database {
         }),
     )
     .unwrap();
-    db.prebuild_columnar().unwrap();
     db
 }
 

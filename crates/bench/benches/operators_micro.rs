@@ -121,8 +121,6 @@ fn bench_operators(c: &mut Criterion) {
         ranksql_optimizer::columnarize(physical, &ranksql_optimizer::CostModel::default())
     };
     let col_plan = columnarize(&filter_spine);
-    // Build the projection outside the timed region (loaders do the same).
-    a.columnar();
     cvr.bench_function("columnar/scan_filter", |bench| {
         bench.iter(|| {
             let exec = ExecutionContext::new(Arc::clone(&ranking)).with_batch_size(1024);

@@ -351,23 +351,13 @@ impl Database {
         self.default_settings.threads
     }
 
-    /// Eagerly builds (and caches) the columnar projection of every table —
-    /// workload loaders call this so first-query latency does not pay the
-    /// projection build.
-    pub fn prebuild_columnar(&self) -> Result<()> {
-        for name in self.catalog.table_names() {
-            self.catalog.table(&name)?.columnar();
-        }
-        Ok(())
-    }
-
     /// The statistics catalog of a table: per-column null counts, numeric
     /// min/max, boolean fractions and the staged distinct-count sketch the
     /// cost model consumes.  Built on first call; afterwards every insert
     /// folds the new row in incrementally, so repeated calls are cheap and
     /// never stale.
     pub fn table_stats(&self, table: &str) -> Result<Arc<ranksql_storage::StatsCatalog>> {
-        Ok(self.catalog.table(table)?.stats_catalog())
+        self.catalog.table(table)?.stats_catalog()
     }
 
     /// Aggregate plan-cache counters (hits, misses, cached shapes).

@@ -75,15 +75,12 @@ fn columnar_scanned_tables(plan: &PhysicalPlan, out: &mut Vec<String>) {
 /// zone-map maximum of that column (clamped into `[0, 1]`); everything else
 /// keeps the global predicate maximum.
 ///
-/// Only tables the plan actually sequentially scans contribute — their
-/// projections exist (or are about to be built by the scan) anyway, so
-/// deriving a cap never forces an `O(rows)` projection build for a table
-/// the plan only rank-scans.
+/// Only tables the plan actually sequentially scans contribute.
 ///
 /// The caps are read through `epochs` — the epoch set the execution will
-/// run with — so the fold covers exactly the sealed blocks *and* the frozen
-/// delta tail the scans will stream (a tail row can carry a table's maximal
-/// score; a sealed-only fold would be unsound).
+/// run with — so the fold covers exactly the sealed blocks *and* the tail
+/// the scans will stream (a tail row can carry a table's maximal score; a
+/// sealed-only fold would be unsound).
 ///
 /// Returns `None` for plans without an annotated scan (rank-scan-only plans
 /// and the structural lowering of hand-built plans), which keep their exact
@@ -113,7 +110,7 @@ pub fn zone_score_caps(
                 .filter(|rel| tables.iter().any(|t| t == *rel))
                 .and_then(|rel| catalog.table(rel).ok())
                 .and_then(|t| {
-                    let epoch = epochs.pin(&t, true);
+                    let epoch = epochs.pin(&t);
                     c.resolve(t.schema())
                         .ok()
                         .and_then(|col| epoch.score_max(col))
@@ -241,7 +238,7 @@ fn lower(
             table, columnar, ..
         } => {
             let table = catalog.table(table)?;
-            let epoch = exec.pin_epoch(&table, true);
+            let epoch = exec.pin_epoch(&table);
             // The whole pinned epoch — or, in an exchange, one morsel of it.
             let range = exec.morsel_range().unwrap_or(0..epoch.row_count());
             // One prune-dedup bitmap per spine, so a block spanning two
@@ -274,22 +271,19 @@ fn lower(
             // is built over the epoch prefix.  One built past the watermark
             // (by a later execution) is replaced by a private epoch-local
             // build without regressing the shared cache.
-            let watermark = exec.pin_epoch(&table, false).row_count();
+            let epoch = exec.pin_epoch(&table);
+            let watermark = epoch.row_count();
             let index = match table.score_index(&pred.name) {
                 Some(idx) if idx.indexed_rows() == watermark => idx,
                 Some(idx) if idx.indexed_rows() < watermark => {
                     let first = idx.indexed_rows();
-                    let ext = idx.extended(
-                        pred,
-                        table.schema(),
-                        &table.scan_range(first..watermark),
-                        first as u64,
-                    )?;
+                    let rows = epoch.tuples(first..watermark)?;
+                    let ext = idx.extended(pred, table.schema(), &rows, first as u64)?;
                     table.add_score_index(ext)
                 }
                 cached => {
-                    let built =
-                        ScoreIndex::build(pred, table.schema(), &table.scan_prefix(watermark))?;
+                    let rows = epoch.tuples(0..watermark)?;
+                    let built = ScoreIndex::build(pred, table.schema(), &rows)?;
                     if cached.is_none() {
                         table.add_score_index(built)
                     } else {
@@ -304,17 +298,18 @@ fn lower(
         PhysicalOp::AttributeIndexScan { table, column, .. } => {
             let table = catalog.table(table)?;
             // Same extend-or-build policy as the rank-scan arm above.
-            let watermark = exec.pin_epoch(&table, false).row_count();
+            let epoch = exec.pin_epoch(&table);
+            let watermark = epoch.row_count();
             let index = match table.btree_index(column) {
                 Some(idx) if idx.indexed_rows() == watermark => idx,
                 Some(idx) if idx.indexed_rows() < watermark => {
                     let first = idx.indexed_rows();
-                    let ext = idx.extended(&table.scan_range(first..watermark), first as u64);
+                    let ext = idx.extended(&epoch.tuples(first..watermark)?, first as u64);
                     table.add_btree_index(ext)
                 }
                 cached => {
-                    let built =
-                        BTreeIndex::build(column, table.schema(), &table.scan_prefix(watermark))?;
+                    let rows = epoch.tuples(0..watermark)?;
+                    let built = BTreeIndex::build(column, table.schema(), &rows)?;
                     if cached.is_none() {
                         table.add_btree_index(built)
                     } else {

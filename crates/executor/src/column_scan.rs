@@ -1,5 +1,5 @@
 //! The sequential scan: block-at-a-time reads over a pinned epoch's
-//! sealed [`ColumnTable`] blocks plus its frozen row tail, with zone-map
+//! sealed [`ColumnTable`] blocks plus its row tail, with zone-map
 //! pruning and late materialisation.
 //!
 //! A [`ColumnScan`] emits a table's rows in storage order with `P = ∅` —
@@ -291,10 +291,10 @@ fn decide_rows(
 /// `tuples_built` counts those.
 pub struct ColumnScan {
     table: Arc<ColumnTable>,
-    /// The pinned epoch's frozen delta tail: rows past the sealed blocks,
-    /// in row layout.  Empty when scanning a full-coverage projection.
+    /// The pinned epoch's tail: the rows past the sealed blocks, in row
+    /// layout.
     tail: Arc<Vec<Tuple>>,
-    /// First tail row == the sealed projection's row count.
+    /// First tail row == the sealed blocks' row count.
     sealed_end: usize,
     schema: Schema,
     filter: Option<CompiledFilter>,
@@ -343,8 +343,7 @@ impl ColumnScan {
     /// Creates a scan over the rows `range` of a pinned [`TableEpoch`] —
     /// the whole epoch serially, one morsel in an exchange.  The epoch's
     /// sealed blocks are scanned block-at-a-time (with pruning) and its
-    /// frozen delta tail row-at-a-time afterwards, so concurrent inserts are
-    /// invisible.  The epoch must have been pinned with the columnar layout.
+    /// tail row-at-a-time afterwards, so concurrent inserts are invisible.
     ///
     /// `pushed_filter` and `zone_prune` come from the plan's
     /// [`ColumnarScan`](ranksql_algebra::ColumnarScan) annotation (both off
@@ -363,11 +362,7 @@ impl ColumnScan {
         exec: &ExecutionContext,
         label: impl Into<String>,
     ) -> Result<Self> {
-        let Some(table) = epoch.columnar().cloned() else {
-            return Err(RankSqlError::Internal(
-                "ColumnScan requires an epoch pinned with the columnar layout".into(),
-            ));
-        };
+        let table = Arc::clone(epoch.blocks());
         let tail = Arc::clone(epoch.tail());
         let schema = table.schema().clone();
         let filter = match pushed_filter {
@@ -624,8 +619,8 @@ impl PhysicalOperator for ColumnScan {
         // returning 0 means exhausted.
         while decided < max || (built == 0 && max > 0) {
             if !self.block_has_pending() && !self.advance_block()? {
-                // Sealed blocks exhausted: stream the epoch's frozen delta
-                // tail row-at-a-time (row layout, per-row budget charge).
+                // Sealed blocks exhausted: stream the epoch's tail
+                // row-at-a-time (row layout, per-row budget charge).
                 if self.pos >= self.end {
                     break;
                 }
@@ -717,7 +712,7 @@ pub(crate) mod tests {
     /// A plain sequential scan of all of `t` (no pushed filter, no
     /// pruning): the input the other operators' unit tests read from.
     pub(crate) fn scan_table(t: &Table, exec: &ExecutionContext, label: &str) -> ColumnScan {
-        let epoch = t.pin_epoch(true);
+        let epoch = t.pin_epoch();
         ColumnScan::new(&epoch, 0..epoch.row_count(), None, false, None, exec, label).unwrap()
     }
 
@@ -752,7 +747,7 @@ pub(crate) mod tests {
         zone_prune: bool,
         exec: &ExecutionContext,
     ) -> ColumnScan {
-        let epoch = t.pin_epoch(true);
+        let epoch = t.pin_epoch();
         let rows = 0..epoch.row_count();
         ColumnScan::new(&epoch, rows, filter, zone_prune, None, exec, "cs").unwrap()
     }
@@ -777,7 +772,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pushed_filter_matches_value_semantics_and_prunes_blocks() {
-        let t = table(4000);
+        let t = table(4 * COLUMN_BLOCK_ROWS);
         let exec = ExecutionContext::new(ctx());
         // id < 100 lives entirely in the first block: blocks 1..4 prune.
         let filter = BoolExpr::compare(
@@ -888,7 +883,6 @@ pub(crate) mod tests {
     #[test]
     fn epoch_scan_streams_sealed_blocks_plus_frozen_tail() {
         let t = table(1200);
-        let _ = t.columnar(); // seal coverage at 1200
         for i in 1200..1500usize {
             t.insert(vec![
                 Value::from(i as i64),
@@ -896,11 +890,11 @@ pub(crate) mod tests {
             ])
             .unwrap();
         }
-        // No seal boundary was crossed, so the pinned epoch carries a
-        // genuine 300-row tail past the sealed blocks.
-        let epoch = t.pin_epoch(true);
+        // One block is sealed; the pinned epoch carries the 476 rows past
+        // it as its tail.
+        let epoch = t.pin_epoch();
         assert_eq!(epoch.row_count(), 1500);
-        assert_eq!(epoch.tail().len(), 300);
+        assert_eq!(epoch.tail().len(), 1500 - COLUMN_BLOCK_ROWS);
 
         let exec = ExecutionContext::new(ctx());
         let mut scan = ColumnScan::new(&epoch, 0..1500, None, false, None, &exec, "cs").unwrap();

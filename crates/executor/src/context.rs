@@ -412,8 +412,8 @@ impl ExecutionContext {
     /// The pinned epoch for `table` (pinned on first access; see
     /// [`EpochSet::pin`]).  Every scan of the execution resolves its rows
     /// through this, so concurrent inserts never shift what it reads.
-    pub fn pin_epoch(&self, table: &Table, with_columnar: bool) -> Arc<TableEpoch> {
-        self.epochs.pin(table, with_columnar)
+    pub fn pin_epoch(&self, table: &Table) -> Arc<TableEpoch> {
+        self.epochs.pin(table)
     }
 
     /// Like [`ExecutionContext::new`] but aborting execution after the scans

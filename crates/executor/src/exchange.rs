@@ -114,7 +114,7 @@ impl ExchangeOp {
         // gets one lowering, over an empty range, so its build sides are
         // drained and its operators registered exactly once.
         let table = catalog.table(table)?;
-        let rows = exec.pin_epoch(&table, true).row_count();
+        let rows = exec.pin_epoch(&table).row_count();
         let mut ranges = morsel_ranges(rows, exec.morsel_size());
         if ranges.is_empty() {
             ranges.push((0, 0));

@@ -12,7 +12,7 @@
 //!
 //! | operator | module | rank-aware? |
 //! |---|---|---|
-//! | sequential scan (sealed blocks + frozen tail, zone maps) | [`column_scan`] | no (`P = ∅`) |
+//! | sequential scan (sealed blocks + tail, zone maps) | [`column_scan`] | no (`P = ∅`) |
 //! | rank-scan (`idxScan_p`), attribute index scan | [`scan`] | rank-scan: yes |
 //! | filter (σ), project (π) | [`filter`] | order-preserving |
 //! | rank (µ) | [`rank`] | yes |

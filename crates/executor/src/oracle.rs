@@ -32,7 +32,13 @@ pub fn oracle_top_k(query: &RankQuery, catalog: &Catalog) -> Result<Vec<RankedTu
         .iter()
         .map(|name| catalog.table(name))
         .collect::<Result<Vec<_>>>()?;
-    let scans: Vec<Vec<Tuple>> = tables.iter().map(|t| t.scan()).collect();
+    let scans = tables
+        .iter()
+        .map(|t| {
+            let epoch = t.pin_epoch();
+            epoch.tuples(0..epoch.row_count())
+        })
+        .collect::<Result<Vec<_>>>()?;
     let schema = tables
         .iter()
         .map(|t| t.schema().clone())

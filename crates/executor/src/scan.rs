@@ -1,12 +1,13 @@
 //! Index access operators: rank-scan and attribute index scan.  Both read
-//! the row heap through the pinned epoch's watermark; the sequential scan
-//! is [`ColumnScan`](crate::column_scan::ColumnScan).
+//! the rows an index names through the pinned epoch
+//! ([`TableEpoch::read`]), faulting paged blocks in through the buffer
+//! pool; the sequential scan is [`ColumnScan`](crate::column_scan::ColumnScan).
 
 use std::sync::Arc;
 
 use ranksql_common::{RankSqlError, Result, Schema};
 use ranksql_expr::{RankedTuple, RankingContext};
-use ranksql_storage::{BTreeIndex, ScoreIndex, Table};
+use ranksql_storage::{BTreeIndex, ScoreIndex, Table, TableEpoch};
 
 use crate::context::{ExecutionContext, TupleBudget};
 use crate::metrics::OperatorMetrics;
@@ -20,14 +21,13 @@ use crate::operator::{Batch, PhysicalOperator};
 /// not contribute to the predicate-evaluation counters.
 pub struct RankScan {
     schema: Schema,
-    table: Arc<Table>,
+    /// The pinned epoch every row is read through: an index entry past its
+    /// watermark errors as stale instead of silently leaking a post-pin
+    /// insert into the results.
+    epoch: Arc<TableEpoch>,
     index: Arc<ScoreIndex>,
     predicate: usize,
     pos: usize,
-    /// The pinned epoch's row-count watermark: every heap read is checked
-    /// against it, so an index entry past the snapshot errors as stale
-    /// instead of silently leaking a post-pin insert into the results.
-    watermark: usize,
     ctx: Arc<RankingContext>,
     metrics: Arc<OperatorMetrics>,
     budget: Arc<TupleBudget>,
@@ -53,23 +53,22 @@ impl RankScan {
                 index.predicate_name()
             )));
         }
-        let watermark = exec.pin_epoch(&table, false).row_count();
-        if index.indexed_rows() != watermark {
+        let epoch = exec.pin_epoch(&table);
+        if index.indexed_rows() != epoch.row_count() {
             return Err(RankSqlError::Catalog(format!(
                 "score index on `{}` of table `{}` is stale: built over {} rows, epoch has {}",
                 index.predicate_name(),
                 table.name(),
                 index.indexed_rows(),
-                watermark
+                epoch.row_count()
             )));
         }
         Ok(RankScan {
             schema: table.schema().clone(),
-            table,
+            epoch,
             index,
             predicate,
             pos: 0,
-            watermark,
             ctx,
             metrics: exec.register(label),
             budget: Arc::clone(exec.budget()),
@@ -86,18 +85,16 @@ impl PhysicalOperator for RankScan {
         // A batch is a contiguous run of index entries, so the descending
         // score order is preserved exactly.
         let n_preds = self.ctx.num_predicates();
-        let mut n = 0;
-        while n < max {
-            let Some((score, row)) = self.index.get(self.pos) else {
-                break;
-            };
-            self.pos += 1;
-            let tuple = self.table.tuple_within(row, self.watermark)?;
-            let mut rt = RankedTuple::unranked(tuple, n_preds);
+        let run = entry_run(self.index.entries(), self.pos, max);
+        let before = out.len();
+        let rows = run.iter().map(|&(_, row)| row as usize);
+        self.epoch
+            .read(rows, |t| out.push(RankedTuple::unranked(t, n_preds)))?;
+        for (rt, (score, _)) in out[before..].iter_mut().zip(run) {
             rt.state.set(self.predicate, score.value());
-            out.push(rt);
-            n += 1;
         }
+        let n = run.len();
+        self.pos += n;
         if n > 0 {
             self.budget.charge(n as u64)?;
             self.metrics.add_in(n as u64);
@@ -116,6 +113,12 @@ impl PhysicalOperator for RankScan {
     }
 }
 
+/// The run of at most `max` index entries starting at `pos`.
+fn entry_run<T>(entries: &[T], pos: usize, max: usize) -> &[T] {
+    let rest = entries.get(pos..).unwrap_or_default();
+    &rest[..max.min(rest.len())]
+}
+
 /// Ordered scan over an attribute index (ascending attribute order).
 ///
 /// The output carries no ranking information (`P = ∅`) but has the physical
@@ -123,11 +126,10 @@ impl PhysicalOperator for RankScan {
 /// exploit.
 pub struct AttributeIndexScan {
     schema: Schema,
-    table: Arc<Table>,
+    /// The pinned epoch every row is read through (see [`RankScan::epoch`]).
+    epoch: Arc<TableEpoch>,
     index: Arc<BTreeIndex>,
     pos: usize,
-    /// The pinned epoch's row-count watermark (see [`RankScan::watermark`]).
-    watermark: usize,
     ctx: Arc<RankingContext>,
     metrics: Arc<OperatorMetrics>,
     budget: Arc<TupleBudget>,
@@ -143,22 +145,21 @@ impl AttributeIndexScan {
         exec: &ExecutionContext,
         label: impl Into<String>,
     ) -> Result<Self> {
-        let watermark = exec.pin_epoch(&table, false).row_count();
-        if index.indexed_rows() != watermark {
+        let epoch = exec.pin_epoch(&table);
+        if index.indexed_rows() != epoch.row_count() {
             return Err(RankSqlError::Catalog(format!(
                 "attribute index on `{}` of table `{}` is stale: built over {} rows, epoch has {}",
                 index.column_name(),
                 table.name(),
                 index.indexed_rows(),
-                watermark
+                epoch.row_count()
             )));
         }
         Ok(AttributeIndexScan {
             schema: table.schema().clone(),
-            table,
+            epoch,
             index,
             pos: 0,
-            watermark,
             ctx: exec.ranking_arc(),
             metrics: exec.register(label),
             budget: Arc::clone(exec.budget()),
@@ -173,16 +174,12 @@ impl PhysicalOperator for AttributeIndexScan {
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         let n_preds = self.ctx.num_predicates();
-        let mut n = 0;
-        while n < max {
-            let Some(&(_, row)) = self.index.entries().get(self.pos) else {
-                break;
-            };
-            self.pos += 1;
-            let tuple = self.table.tuple_within(row, self.watermark)?;
-            out.push(RankedTuple::unranked(tuple, n_preds));
-            n += 1;
-        }
+        let run = entry_run(self.index.entries(), self.pos, max);
+        let rows = run.iter().map(|&(_, row)| row as usize);
+        self.epoch
+            .read(rows, |t| out.push(RankedTuple::unranked(t, n_preds)))?;
+        let n = run.len();
+        self.pos += n;
         if n > 0 {
             self.budget.charge(n as u64)?;
             self.metrics.add_in(n as u64);

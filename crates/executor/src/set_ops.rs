@@ -61,12 +61,20 @@ impl UnionOp {
         }
     }
 
-    fn prepare(&mut self) -> Result<()> {
-        if self.output.is_some() {
-            return Ok(());
-        }
-        let mut merged: HashMap<TupleId, RankedTuple> = HashMap::new();
-        let mut order: Vec<TupleId> = Vec::new();
+    /// The merged, ranked output, drained from both inputs on first call.
+    fn prepare(&mut self) -> Result<&mut std::vec::IntoIter<RankedTuple>> {
+        let output = match self.output.take() {
+            Some(output) => output,
+            None => self.merge_inputs()?.into_iter(),
+        };
+        Ok(self.output.insert(output))
+    }
+
+    /// Drains both inputs, merging each tuple's predicates into its first
+    /// occurrence, and ranks the result.
+    fn merge_inputs(&mut self) -> Result<Vec<RankedTuple>> {
+        let mut first_at: HashMap<TupleId, usize> = HashMap::new();
+        let mut rows: Vec<RankedTuple> = Vec::new();
         let mut buf = Batch::with_capacity(self.batch_size);
         for input in [&mut self.left, &mut self.right] {
             loop {
@@ -77,27 +85,20 @@ impl UnionOp {
                 }
                 self.metrics.add_in(n as u64);
                 for rt in buf.drain(..) {
-                    match merged.get_mut(rt.tuple.id()) {
-                        Some(existing) => {
-                            existing.state = existing.state.merge(&rt.state);
-                        }
+                    match first_at.get(rt.tuple.id()) {
+                        Some(&i) => rows[i].state = rows[i].state.merge(&rt.state),
                         None => {
-                            order.push(rt.tuple.id().clone());
-                            merged.insert(rt.tuple.id().clone(), rt);
+                            first_at.insert(rt.tuple.id().clone(), rows.len());
+                            rows.push(rt);
                         }
                     }
                 }
             }
         }
-        let mut rows: Vec<RankedTuple> = order
-            .into_iter()
-            .map(|id| merged.remove(&id).expect("inserted above"))
-            .collect();
         let ctx = Arc::clone(&self.ctx);
         rows.sort_by(|a, b| ctx.cmp_desc(a, b));
         self.metrics.observe_buffered(rows.len() as u64);
-        self.output = Some(rows.into_iter());
-        Ok(())
+        Ok(rows)
     }
 }
 
@@ -107,8 +108,7 @@ impl PhysicalOperator for UnionOp {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.prepare()?;
-        let output = self.output.as_mut().expect("prepared");
+        let output = self.prepare()?;
         let before = out.len();
         out.extend(output.by_ref().take(max));
         let n = out.len() - before;
@@ -332,10 +332,13 @@ impl ExceptOp {
         }
     }
 
-    fn ensure_excluded(&mut self) -> Result<()> {
-        if self.excluded.is_none() {
-            let mut right = self.right.take().expect("right present");
-            let mut set = HashSet::new();
+    /// The subtrahend's members, drained from it on first call.
+    fn take_excluded(&mut self) -> Result<HashSet<TupleId>> {
+        if let Some(set) = self.excluded.take() {
+            return Ok(set);
+        }
+        let mut set = HashSet::new();
+        if let Some(right) = self.right.as_mut() {
             let mut buf = Batch::with_capacity(self.batch_size);
             loop {
                 buf.clear();
@@ -348,9 +351,9 @@ impl ExceptOp {
                     set.insert(rt.tuple.id().clone());
                 }
             }
-            self.excluded = Some(set);
         }
-        Ok(())
+        self.right = None;
+        Ok(set)
     }
 }
 
@@ -360,8 +363,8 @@ impl PhysicalOperator for ExceptOp {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        self.ensure_excluded()?;
-        let excluded = self.excluded.as_ref().expect("built");
+        let set = self.take_excluded()?;
+        let excluded = self.excluded.insert(set);
         let mut produced = 0;
         let mut pulled = 0u64;
         while produced < max {

@@ -407,10 +407,10 @@ impl SamplingEstimator {
         let mut column_ndv = HashMap::new();
         for name in &query.tables {
             let table = catalog.table(name)?;
-            for summary in &table.stats_catalog().columns {
+            for summary in &table.stats_catalog()?.columns {
                 column_ndv.insert(summary.name.clone(), summary.ndv() as f64);
             }
-            let sample = sample_fraction(&table, sample_ratio, seed);
+            let sample = sample_fraction(&table, sample_ratio, seed)?;
             let full_rows = table.row_count() as f64;
             let achieved = if full_rows > 0.0 {
                 sample.len() as f64 / full_rows
@@ -434,7 +434,7 @@ impl SamplingEstimator {
                 table: name.clone(),
                 id: sample_table.id(),
                 schema: sample_table.schema().clone(),
-                rows: sample_table.scan(),
+                rows: sample_table.pin_epoch().tuples(0..sample.len())?,
             });
             full_catalog_rows.insert(name.clone(), full_rows);
             ratios.insert(name.clone(), achieved.max(f64::EPSILON));

@@ -1,10 +1,11 @@
 //! Column-major table storage with per-block zone maps.
 //!
-//! A [`ColumnTable`] is the columnar projection of a row-major
-//! [`Table`]: every attribute is stored type-specialised inside immutable
-//! **sealed blocks** of [`COLUMN_BLOCK_ROWS`] rows.  For each *purely
-//! numeric* column a block carries a **zone map** — the min/max of the
-//! block's values — which lets a columnar scan skip whole blocks:
+//! A [`ColumnTable`] is the sealed part of a [`Table`](crate::Table): every attribute is
+//! stored type-specialised inside immutable **sealed blocks** of
+//! [`COLUMN_BLOCK_ROWS`] rows, and those blocks are the table's only copy
+//! of their rows.  For each *purely numeric* column a block carries a
+//! **zone map** — the min/max of the block's values — which lets a
+//! columnar scan skip whole blocks:
 //!
 //! * **filter pruning** — a pushed-down comparison (`σ p1 ≥ 0.9`) skips
 //!   blocks whose value range cannot satisfy the predicate;
@@ -14,21 +15,17 @@
 //!
 //! Blocks are the unit of immutability of the MVCC write path: a
 //! `ColumnTable` is a persistent (in the functional-data-structure sense)
-//! list of `Arc`-shared blocks, so sealing the next 1024 appended rows
+//! list of `Arc`-shared full blocks, so sealing the next 1024 appended rows
 //! produces a *new* `ColumnTable` that reuses every previously sealed block
-//! untouched ([`ColumnTable::resealed`]) — readers holding an older epoch's
-//! projection keep scanning their own block list while writers publish new
-//! ones.  Only a trailing *partial* block (rows past the last 1024-row
-//! boundary at bulk-build time) is ever replaced, once, by its completed
-//! version.
+//! untouched (`ColumnTable::appended`) — readers holding an older epoch
+//! keep scanning their own block list while writers publish new ones.
 //!
 //! The layout follows the buffer/block structure of classic columnar engines
 //! (fixed-row blocks, per-block metadata); the executor's `ColumnScan`
 //! evaluates pushed filters on the column vectors and materialises row
 //! tuples only for rows that survive them — late materialisation on the σ/π
-//! spine.  A block sealed from heap rows keeps the heap's tuple handles, so
-//! materialising is a reference-count bump; a block decoded from a page
-//! extent rebuilds each tuple from its column vectors.
+//! spine.  Materialising a row builds its tuple from the column vectors,
+//! one allocation per row.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -37,7 +34,6 @@ use ranksql_common::{DataType, RankSqlError, Result, Schema, Tuple, TupleId, Val
 
 use crate::page::{BlockMeta, PagedColumn};
 use crate::recovery::TableStore;
-use crate::table::Table;
 
 /// Rows per columnar block (the zone-map granularity and the seal boundary
 /// of the incremental write path).
@@ -197,11 +193,6 @@ impl BlockColumn {
 pub struct SealedBlock {
     rows: usize,
     pub(crate) columns: Vec<BlockColumn>,
-    /// The heap's own tuples of the block's rows when it was sealed from
-    /// them (empty for a block decoded from a page extent), so a scan
-    /// materialises a row with a reference-count bump instead of rebuilding
-    /// it from the column vectors.
-    tuples: Vec<Tuple>,
 }
 
 impl SealedBlock {
@@ -227,12 +218,22 @@ impl SealedBlock {
         )
     }
 
-    /// A block of decoded columns: no heap tuples to hand out.
+    /// Seals `rows` into one block: classifies and packs each of the
+    /// `n_cols` columns, computing its zone map and score maximum.
+    pub fn seal(rows: &[Tuple], n_cols: usize) -> SealedBlock {
+        SealedBlock {
+            rows: rows.len(),
+            columns: (0..n_cols)
+                .map(|col| build_block_column(rows, col))
+                .collect(),
+        }
+    }
+
+    /// A block of decoded columns.
     fn decoded(columns: Vec<BlockColumn>) -> SealedBlock {
         SealedBlock {
             rows: columns.first().map_or(0, |c| c.data.len()),
             columns,
-            tuples: Vec::new(),
         }
     }
 
@@ -276,12 +277,9 @@ impl SealedBlock {
     }
 
     /// Materialises the full tuple at `local_row`, with the identity
-    /// `(table_id, base_row + local_row)` the row heap gives the same row,
-    /// so a scan's tuples equal the heap's byte for byte.
+    /// `(table_id, base_row + local_row)` the row was inserted under, so
+    /// every reader sees the row byte for byte as it was inserted.
     pub fn tuple(&self, table_id: u32, base_row: usize, local_row: usize) -> Tuple {
-        if let Some(t) = self.tuples.get(local_row) {
-            return t.clone();
-        }
         Tuple::new(
             TupleId::base(table_id, (base_row + local_row) as u64),
             (0..self.columns.len()).map(|c| self.value(local_row, c)),
@@ -290,7 +288,7 @@ impl SealedBlock {
 }
 
 /// One block position of a [`ColumnTable`]: either the sealed block itself
-/// (RAM-resident: in-memory tables, and blocks not yet persisted) or the
+/// (RAM-resident: the blocks of in-memory tables) or the
 /// page-extent metadata of a block that lives in the table file and is
 /// faulted in through the buffer pool on first touch (tables of a
 /// [`PagedStore`](crate::recovery::PagedStore)).
@@ -307,13 +305,6 @@ pub(crate) enum BlockSlot {
 }
 
 impl BlockSlot {
-    fn rows(&self) -> usize {
-        match self {
-            BlockSlot::Resident(b) => b.rows,
-            BlockSlot::Paged(m) => m.rows,
-        }
-    }
-
     fn kind(&self, column: usize) -> ColumnKind {
         match self {
             BlockSlot::Resident(b) => b.columns[column].data.kind(),
@@ -336,110 +327,65 @@ impl BlockSlot {
     }
 }
 
-/// The columnar projection of a [`Table`]: `Arc`-shared sealed blocks, each
-/// numeric column carrying per-block zone maps.
+/// The sealed blocks of a [`Table`](crate::Table): `Arc`-shared full blocks of
+/// [`COLUMN_BLOCK_ROWS`] rows, each numeric column carrying per-block zone
+/// maps.
 ///
-/// Built from a row snapshot on first use (see [`Table::columnar`]) and then
-/// maintained incrementally: every 1024 appended rows the table seals one
-/// new block and publishes a new `ColumnTable` that shares all previously
-/// sealed blocks ([`ColumnTable::resealed`]).  Handles are shared read-only
-/// across scans; a handle pinned in a [`TableEpoch`](crate::TableEpoch)
-/// stays valid forever.
+/// Every 1024 appended rows the table seals one new block and publishes a
+/// new `ColumnTable` that shares all previously sealed blocks
+/// (`ColumnTable::appended`).  Handles are shared read-only across scans;
+/// a handle pinned in a [`TableEpoch`](crate::TableEpoch) stays valid
+/// forever.
 #[derive(Debug)]
 pub struct ColumnTable {
     table_id: u32,
     name: String,
     schema: Schema,
-    row_count: usize,
     /// Per-column storage kind, the fold of every block's kind (`Generic`
     /// when blocks disagree).  Typed scan kernels only engage on columns
     /// whose kind is uniform and numeric.
     kinds: Vec<ColumnKind>,
     pub(crate) blocks: Vec<BlockSlot>,
-    /// The paged table store behind `Paged` slots (`None` for fully
-    /// RAM-resident projections).
+    /// The paged table store behind `Paged` slots (`None` for in-memory
+    /// tables).
     pub(crate) store: Option<Arc<TableStore>>,
 }
 
 impl ColumnTable {
-    /// Builds the columnar projection of a row table (one full snapshot
-    /// scan).
-    pub fn from_table(table: &Table) -> Self {
-        ColumnTable::from_rows(table.id(), table.name(), table.schema(), &table.scan())
-    }
-
-    /// Builds a projection covering exactly `rows` (block-chunked; the last
-    /// block may be partial).
-    pub fn from_rows(table_id: u32, name: &str, schema: &Schema, rows: &[Tuple]) -> Self {
-        let n_cols = schema.len();
-        let blocks: Vec<BlockSlot> = rows
-            .chunks(COLUMN_BLOCK_ROWS)
-            .map(|chunk| BlockSlot::Resident(Arc::new(build_block(chunk, n_cols))))
-            .collect();
-        let kinds = fold_kinds(&blocks, schema);
-        ColumnTable {
-            table_id,
-            name: name.to_owned(),
-            schema: schema.clone(),
-            row_count: rows.len(),
-            kinds,
-            blocks,
-            store: None,
-        }
-    }
-
-    /// A projection of full blocks that are all paged out, described by
-    /// `metas` — a recovered table's durable extents, on which
-    /// [`ColumnTable::resealed`] seals the rows past them.
-    pub(crate) fn paged(
+    /// No blocks yet: a fresh table, paged through `store` when it has one.
+    pub(crate) fn empty(
         table_id: u32,
         name: &str,
         schema: &Schema,
-        metas: &[Arc<BlockMeta>],
+        store: Option<Arc<TableStore>>,
     ) -> Self {
-        let blocks: Vec<BlockSlot> = metas
-            .iter()
-            .map(|m| BlockSlot::Paged(Arc::clone(m)))
-            .collect();
         ColumnTable {
             table_id,
             name: name.to_owned(),
             schema: schema.clone(),
-            row_count: blocks.len() * COLUMN_BLOCK_ROWS,
-            kinds: fold_kinds(&blocks, schema),
-            blocks,
-            store: None,
+            kinds: fold_kinds(&[], schema),
+            blocks: Vec::new(),
+            store,
         }
     }
 
-    /// A new version of this projection covering `rows[..coverage]`,
-    /// sharing every already-sealed *full* block untouched and building
-    /// only the blocks past them — the incremental seal step of the write
-    /// path.  A trailing partial block of `self` (possible after a bulk
-    /// build at a non-aligned row count) is replaced by its completed
-    /// version; full blocks are never rebuilt.
-    pub fn resealed(&self, rows: &[Tuple], coverage: usize) -> ColumnTable {
-        debug_assert!(coverage <= rows.len());
-        let full_blocks = (self.row_count / COLUMN_BLOCK_ROWS).min(coverage / COLUMN_BLOCK_ROWS);
-        let keep_rows = full_blocks * COLUMN_BLOCK_ROWS;
-        let n_cols = self.schema.len();
-        let mut blocks: Vec<BlockSlot> = self.blocks[..full_blocks].to_vec();
-        for chunk in rows[keep_rows..coverage].chunks(COLUMN_BLOCK_ROWS) {
-            blocks.push(BlockSlot::Resident(Arc::new(build_block(chunk, n_cols))));
-        }
-        let kinds = fold_kinds(&blocks, &self.schema);
+    /// A new version of this table with `sealed` appended after its
+    /// blocks, sharing every existing block untouched — the seal step of
+    /// the write path.
+    pub(crate) fn appended(&self, sealed: impl IntoIterator<Item = BlockSlot>) -> ColumnTable {
+        let mut blocks = self.blocks.clone();
+        blocks.extend(sealed);
         ColumnTable {
             table_id: self.table_id,
             name: self.name.clone(),
             schema: self.schema.clone(),
-            row_count: coverage,
-            kinds,
+            kinds: fold_kinds(&blocks, &self.schema),
             blocks,
             store: self.store.clone(),
         }
     }
 
-    /// The id of the table this projection was built from.
+    /// The id of the table these blocks belong to.
     pub fn table_id(&self) -> u32 {
         self.table_id
     }
@@ -454,12 +400,12 @@ impl ColumnTable {
         &self.schema
     }
 
-    /// Number of rows.
+    /// Number of rows: every block is full.
     pub fn row_count(&self) -> usize {
-        self.row_count
+        self.blocks.len() * COLUMN_BLOCK_ROWS
     }
 
-    /// Number of blocks (`ceil(rows / COLUMN_BLOCK_ROWS)`).
+    /// Number of blocks (`rows / COLUMN_BLOCK_ROWS`).
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
     }
@@ -467,7 +413,7 @@ impl ColumnTable {
     /// The row range of block `block`.
     pub fn block_rows(&self, block: usize) -> Range<usize> {
         let start = block * COLUMN_BLOCK_ROWS;
-        start..(start + self.blocks[block].rows())
+        start..(start + COLUMN_BLOCK_ROWS)
     }
 
     /// The storage kind of a column (uniform across blocks; `Generic` when
@@ -523,9 +469,6 @@ impl ColumnTable {
     /// table (the fold of every block's [`ColumnTable::score_zone_max`]).
     /// `None` when any block cannot bound the column's scores.
     pub fn table_score_max(&self, column: usize) -> Option<f64> {
-        if self.blocks.is_empty() {
-            return (self.kinds[column] != ColumnKind::Generic).then_some(f64::NEG_INFINITY);
-        }
         let mut acc = f64::NEG_INFINITY;
         for b in &self.blocks {
             acc = acc.max(b.score_max(column)?);
@@ -543,7 +486,7 @@ impl ColumnTable {
         }
     }
 
-    /// How many of this projection's blocks are paged out to the table
+    /// How many of these blocks are paged out to the table
     /// file (rather than RAM-resident).
     pub fn paged_blocks(&self) -> usize {
         self.blocks
@@ -577,18 +520,6 @@ fn fold_kinds(blocks: &[BlockSlot], schema: &Schema) -> Vec<ColumnKind> {
         .collect()
 }
 
-/// Seals one block: classifies and packs every column, computing its zone
-/// map and score maximum.
-fn build_block(rows: &[Tuple], n_cols: usize) -> SealedBlock {
-    SealedBlock {
-        rows: rows.len(),
-        columns: (0..n_cols)
-            .map(|col| build_block_column(rows, col))
-            .collect(),
-        tuples: rows.to_vec(),
-    }
-}
-
 /// Classifies and packs one column of one block: pure `Int64`, else pure
 /// `Float64`, else generic.
 fn build_block_column(rows: &[Tuple], col: usize) -> BlockColumn {
@@ -618,7 +549,7 @@ pub use ranksql_common::cmp_f64_total;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::TableBuilder;
+    use crate::table::{Table, TableBuilder};
     use ranksql_common::{DataType, Field};
 
     fn table(rows: usize) -> Table {
@@ -640,25 +571,34 @@ mod tests {
             .unwrap()
     }
 
-    /// The tuple at table-absolute `row` of a RAM-resident projection.
-    fn tuple_at(c: &ColumnTable, row: usize) -> Tuple {
-        let local = row % COLUMN_BLOCK_ROWS;
-        let block = c.resident_block(row / COLUMN_BLOCK_ROWS).unwrap();
-        block.tuple(c.table_id(), row - local, local)
+    /// The sealed blocks of `t`.
+    fn blocks(t: &Table) -> Arc<ColumnTable> {
+        Arc::clone(t.pin_epoch().blocks())
+    }
+
+    /// One block sealed from single-column rows.
+    fn block_of(values: Vec<Value>) -> SealedBlock {
+        let rows: Vec<Tuple> = values
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| Tuple::new(TupleId::base(0, i as u64), vec![v]))
+            .collect();
+        SealedBlock::seal(&rows, 1)
     }
 
     #[test]
     fn round_trips_rows_and_identities() {
-        let t = table(10);
-        let c = ColumnTable::from_table(&t);
-        assert_eq!(c.row_count(), 10);
+        let t = table(COLUMN_BLOCK_ROWS + 10);
+        let c = blocks(&t);
+        assert_eq!(c.row_count(), COLUMN_BLOCK_ROWS);
         assert_eq!(c.num_blocks(), 1);
-        // The same block decoded from its page extent has no heap tuples
-        // and rebuilds each row from the column vectors.
-        let extent = crate::page::encode_extent(0, c.resident_block(0).unwrap());
+        // The same block decoded from its page extent rebuilds the same
+        // rows.
+        let block = c.resident_block(0).unwrap();
+        let extent = crate::page::encode_extent(0, block);
         let decoded = crate::page::decode_extent(&extent).unwrap().unwrap().fold();
-        for (i, want) in t.scan().iter().enumerate() {
-            for got in [tuple_at(&c, i), decoded.tuple(c.table_id(), 0, i)] {
+        for (i, want) in t.scan()[..COLUMN_BLOCK_ROWS].iter().enumerate() {
+            for got in [block.tuple(3, 0, i), decoded.tuple(c.table_id(), 0, i)] {
                 assert_eq!(got.id(), want.id());
                 assert_eq!(got.values(), want.values());
             }
@@ -667,11 +607,11 @@ mod tests {
 
     #[test]
     fn blocks_and_zone_maps() {
-        let t = table(COLUMN_BLOCK_ROWS + 100);
-        let c = ColumnTable::from_table(&t);
+        let t = table(2 * COLUMN_BLOCK_ROWS + 100);
+        let c = blocks(&t);
         assert_eq!(c.num_blocks(), 2);
         assert_eq!(c.block_rows(0), 0..COLUMN_BLOCK_ROWS);
-        assert_eq!(c.block_rows(1), COLUMN_BLOCK_ROWS..COLUMN_BLOCK_ROWS + 100);
+        assert_eq!(c.block_rows(1), COLUMN_BLOCK_ROWS..2 * COLUMN_BLOCK_ROWS);
         // Int64 zones are exact.
         assert_eq!(
             c.zone(0, 0),
@@ -681,7 +621,7 @@ mod tests {
             c.zone(0, 1),
             Some(ZoneEntry::Int64(
                 COLUMN_BLOCK_ROWS as i64,
-                COLUMN_BLOCK_ROWS as i64 + 99
+                2 * COLUMN_BLOCK_ROWS as i64 - 1
             ))
         );
         // Float64 zones cover [0, 0.99].
@@ -703,17 +643,12 @@ mod tests {
 
     #[test]
     fn nan_dominates_value_zones_but_not_score_zones() {
-        let schema = Schema::new(vec![Field::new("p", DataType::Float64)]).qualify_all("N");
-        let t = TableBuilder::new("N", schema)
-            .rows([
-                vec![Value::from(0.4)],
-                vec![Value::from(f64::NAN)],
-                vec![Value::from(0.2)],
-            ])
-            .build(0)
-            .unwrap();
-        let c = ColumnTable::from_table(&t);
-        match c.zone(0, 0).unwrap() {
+        let block = block_of(vec![
+            Value::from(0.4),
+            Value::from(f64::NAN),
+            Value::from(0.2),
+        ]);
+        match block.zone(0).unwrap() {
             ZoneEntry::Float64(min, max) => {
                 assert_eq!(min, 0.2);
                 assert!(max.is_nan(), "NaN sorts greatest in the value order");
@@ -721,66 +656,57 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // NaN scores sort below everything, so they never lift the bound.
-        assert_eq!(c.score_zone_max(0, 0), Some(0.4));
+        assert_eq!(block.score_max(0), Some(0.4));
     }
 
     #[test]
     fn mixed_columns_fall_back_to_generic() {
-        let schema = Schema::new(vec![Field::new("x", DataType::Int64)]).qualify_all("M");
-        let t = TableBuilder::new("M", schema)
-            .rows([vec![Value::from(1)], vec![Value::from(2.5)]])
-            .build(0)
-            .unwrap();
-        let c = ColumnTable::from_table(&t);
-        assert_eq!(c.column_kind(0), ColumnKind::Generic);
-        let block = c.resident_block(0).unwrap();
+        let block = block_of(vec![Value::from(1), Value::from(2.5)]);
         assert!(matches!(block.slice(0), ColumnSlice::Generic(_)));
-        assert!(c.zone(0, 0).is_none());
+        assert!(block.zone(0).is_none());
         assert_eq!(block.value(1, 0), Value::from(2.5));
+        // A generic block demotes the whole column.
+        let schema = Schema::new(vec![Field::new("x", DataType::Int64)]);
+        let c = ColumnTable::empty(0, "M", &schema, None);
+        assert_eq!(c.column_kind(0), ColumnKind::Int64);
+        let c = c.appended([BlockSlot::Resident(Arc::new(block))]);
+        assert_eq!(c.column_kind(0), ColumnKind::Generic);
+        assert!(c.zone(0, 0).is_none());
     }
 
     #[test]
-    fn resealing_shares_full_blocks_and_replaces_the_partial_tail() {
+    fn sealing_shares_blocks_across_versions() {
         let t = table(COLUMN_BLOCK_ROWS + 500);
-        let rows = t.scan();
-        let c = ColumnTable::from_rows(t.id(), t.name(), t.schema(), &rows);
-        assert_eq!(c.num_blocks(), 2);
-
-        // Grow the row set past the next seal boundary and reseal.
-        let more = table(2 * COLUMN_BLOCK_ROWS + 10).scan();
-        let sealed = c.resealed(&more, 2 * COLUMN_BLOCK_ROWS);
-        assert_eq!(sealed.row_count(), 2 * COLUMN_BLOCK_ROWS);
-        assert_eq!(sealed.num_blocks(), 2);
-        // Block 0 was full before the reseal: shared, not rebuilt.
+        let before = blocks(&t);
+        assert_eq!(before.num_blocks(), 1);
+        // Grow the table past the next seal boundary.
+        for i in (COLUMN_BLOCK_ROWS + 500)..(2 * COLUMN_BLOCK_ROWS + 10) {
+            t.insert(vec![
+                Value::from(i as i64),
+                Value::from(((i * 37) % 100) as f64 / 100.0),
+                Value::from(format!("r{i}").as_str()),
+            ])
+            .unwrap();
+        }
+        let after = blocks(&t);
+        assert_eq!(after.num_blocks(), 2);
+        assert_eq!(before.num_blocks(), 1, "an old version keeps its blocks");
         assert!(
             Arc::ptr_eq(
-                c.resident_block(0).unwrap(),
-                sealed.resident_block(0).unwrap()
+                before.resident_block(0).unwrap(),
+                after.resident_block(0).unwrap()
             ),
             "sealed blocks must be shared across versions"
         );
-        // Block 1 was partial (500 rows): replaced by its completed version.
-        assert!(!Arc::ptr_eq(
-            c.resident_block(1).unwrap(),
-            sealed.resident_block(1).unwrap()
-        ));
-        assert_eq!(sealed.block_rows(1).len(), COLUMN_BLOCK_ROWS);
-
-        // A reseal matches a from-scratch build over the same prefix.
-        let cold =
-            ColumnTable::from_rows(t.id(), t.name(), t.schema(), &more[..2 * COLUMN_BLOCK_ROWS]);
-        assert_eq!(sealed.zone(0, 1), cold.zone(0, 1));
-        assert_eq!(sealed.score_zone_max(1, 1), cold.score_zone_max(1, 1));
-        for row in [
-            0,
-            COLUMN_BLOCK_ROWS - 1,
-            COLUMN_BLOCK_ROWS,
-            2 * COLUMN_BLOCK_ROWS - 1,
-        ] {
-            assert_eq!(
-                tuple_at(&sealed, row).values(),
-                tuple_at(&cold, row).values()
-            );
+        // A block sealed row by row equals one of a table built in one go.
+        let cold = blocks(&table(2 * COLUMN_BLOCK_ROWS));
+        assert_eq!(after.zone(0, 1), cold.zone(0, 1));
+        assert_eq!(after.score_zone_max(1, 1), cold.score_zone_max(1, 1));
+        for row in [COLUMN_BLOCK_ROWS, 2 * COLUMN_BLOCK_ROWS - 1] {
+            let local = row - COLUMN_BLOCK_ROWS;
+            let [a, b] =
+                [&after, &cold].map(|c| c.resident_block(1).unwrap().tuple(3, row - local, local));
+            assert_eq!(a, b);
         }
     }
 }

@@ -4,12 +4,13 @@
 //! this crate provides the equivalent substrate the prototype relied on,
 //! implemented from scratch:
 //!
-//! * [`Table`] — an append-only, in-memory heap of tuples with a schema.
-//!   Reads are MVCC snapshots: a [`table::TableEpoch`] pins the sealed
-//!   1024-row columnar blocks plus a frozen delta tail at a row-count
-//!   watermark, so open cursors keep streaming while writers append, and
-//!   inserts *extend* the columnar blocks, indexes and statistics instead of
-//!   invalidating them.
+//! * [`Table`] — an append-only table with a schema: sealed 1024-row
+//!   columnar blocks, the only copy of their rows, plus a tail of fewer
+//!   than 1024 unsealed rows.  Reads are MVCC snapshots: a
+//!   [`table::TableEpoch`] pins the blocks and the tail without copying a
+//!   row, so open cursors keep streaming while writers append, and inserts
+//!   *extend* the blocks, indexes and statistics instead of invalidating
+//!   them.
 //! * [`Catalog`] — the named collection of tables of a database.
 //! * Indexes — [`index::ScoreIndex`] (a B-tree-style ordered index over a
 //!   *ranking predicate's* scores, what the paper calls the access path of a

@@ -489,17 +489,7 @@ mod tests {
                 )
             })
             .collect();
-        let ct = crate::ColumnTable::from_rows(
-            1,
-            "T",
-            &ranksql_common::Schema::new(vec![
-                ranksql_common::Field::new("a", ranksql_common::DataType::Int64),
-                ranksql_common::Field::new("p", ranksql_common::DataType::Float64),
-                ranksql_common::Field::new("s", ranksql_common::DataType::Utf8),
-            ]),
-            &tuples,
-        );
-        let (b, _) = ct.fetch_block(0).unwrap();
+        let b = SealedBlock::seal(&tuples, 3);
         SealedBlock::from_data(
             (0..b.num_columns())
                 .map(|c| match b.slice(c) {

@@ -17,22 +17,19 @@
 //! 2. at each 1024-row seal boundary: fsync the WAL (rows now durable) →
 //!    append the sealed block's extent(s) to the data file → fsync it →
 //!    atomically rewrite the WAL to hold only the rows past the new extent
-//!    coverage → the sealed block's slot in the columnar projection flips
-//!    from RAM-resident to paged ([`crate::column`]'s `BlockSlot::Paged`),
-//!    and the block itself enters the buffer pool (write-through);
+//!    coverage → the table publishes the block as a paged slot
+//!    ([`crate::column`]'s `BlockSlot::Paged`), and the block itself
+//!    enters the buffer pool (write-through);
 //! 3. recovery ([`PagedStore::open`]) decodes the longest CRC-valid extent
 //!    prefix of each data file, truncates everything past it, then replays
 //!    the WAL's valid record prefix on top — landing exactly on the last
-//!    durable epoch.
+//!    durable epoch.  The extents stay on disk: only their metadata and
+//!    the replayed rows (the table's tail) are held in RAM.
 //!
-//! Scans fault paged blocks back in through the shared [`BufferPool`]
+//! Every read of a paged block — a scan, an index scan, an index build,
+//! the statistics — faults it in through the shared [`BufferPool`]
 //! (`TableStore::fetch`); zone metadata never leaves RAM, so a zone-map
 //! prune is a page never read.
-//!
-//! Scoping note: the *row heap* of a paged table is still rebuilt into RAM
-//! at open (row-path operators, indexes and statistics are unchanged);
-//! what pages to disk is the columnar scan path — the hot path of every
-//! top-k plan.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -44,7 +41,7 @@ use ranksql_common::{DataType, Field, RankSqlError, Result, Schema, Tuple, Tuple
 
 use crate::buffer::BufferPool;
 use crate::catalog::Catalog;
-use crate::column::{BlockSlot, ColumnTable, SealedBlock, COLUMN_BLOCK_ROWS};
+use crate::column::{BlockSlot, SealedBlock, COLUMN_BLOCK_ROWS};
 use crate::page::{
     crc32, decode_extent, encode_extent, extent_len, put_str, put_u32, BlockMeta, Reader,
     EXTENT_HEADER, PAGE_SIZE,
@@ -81,8 +78,8 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> RankSqlError {
 
 /// The disk half of one paged table: its extent data file, its WAL and the
 /// metadata of every durable block.  Shared between the [`Table`] (which
-/// appends) and every [`ColumnTable`] version with paged slots (which
-/// fault blocks back in through the pool).
+/// appends) and every version of its blocks (which fault paged blocks back
+/// in through the pool).
 #[derive(Debug)]
 pub struct TableStore {
     table_id: u32,
@@ -96,9 +93,8 @@ struct StoreInner {
     data_path: PathBuf,
     data_len: u64,
     wal: WalFile,
-    /// Metadata of every durable extent, in block order.  `metas.len()`
-    /// is the durable block count — the idempotency anchor that lets two
-    /// racing epoch builders call [`TableStore::persist`] safely.
+    /// Metadata of every durable extent, in block order: `metas.len()` is
+    /// the durable block count.
     metas: Vec<Arc<BlockMeta>>,
 }
 
@@ -135,9 +131,10 @@ impl TableStore {
         })
     }
 
-    /// Opens and recovers one table: decodes the longest CRC-valid extent
-    /// prefix (truncating any torn tail), replays the WAL past the extent
-    /// coverage, and returns the store plus the recovered row heap.
+    /// Opens and recovers one table: decodes the longest CRC-valid prefix
+    /// of full-block extents (truncating any torn tail), replays the WAL
+    /// past the extent coverage, and returns the store plus the replayed
+    /// rows.  The extents' rows stay on disk.
     fn open(dir: &Path, table_id: u32, pool: Arc<BufferPool>) -> Result<(TableStore, Vec<Tuple>)> {
         let path = data_path(dir, table_id);
         let mut data = OpenOptions::new()
@@ -156,7 +153,6 @@ impl TableStore {
         // Stream the extents through one reused buffer: each header sizes
         // its extent, and no read reaches past the end of the file.
         let mut metas = Vec::new();
-        let mut rows: Vec<Tuple> = Vec::new();
         let mut buf = Vec::new();
         let mut offset = 0u64;
         while offset < file_len {
@@ -181,9 +177,9 @@ impl TableStore {
             let (block_no, len) = (decoded.block_no, decoded.len);
             // The block's one fold; every later fault reads it from `metas`.
             let block = decoded.fold();
-            let base_row = rows.len();
-            for local in 0..block.rows() {
-                rows.push(block.tuple(table_id, base_row, local));
+            if block.rows() != COLUMN_BLOCK_ROWS {
+                // Only full blocks are ever sealed.
+                break;
             }
             metas.push(Arc::new(BlockMeta::describe(block_no, offset, len, &block)));
             offset += len as u64;
@@ -194,21 +190,24 @@ impl TableStore {
         }
 
         let (wal, _base_row, records) = WalFile::open(wal_path(dir, table_id), table_id)?;
+        let mut next = metas.len() * COLUMN_BLOCK_ROWS;
+        let mut rows = Vec::new();
         for rec in records {
             // Records below the extent coverage are duplicates of sealed
             // rows (a crash between the extent fsync and the WAL rewrite);
             // records past the next expected row would leave a hole —
             // either way the durable epoch ends at the last contiguous row.
-            if (rec.row_index as usize) < rows.len() {
+            if (rec.row_index as usize) < next {
                 continue;
             }
-            if rec.row_index as usize != rows.len() {
+            if rec.row_index as usize != next {
                 break;
             }
             rows.push(Tuple::new(
                 TupleId::base(table_id, rec.row_index),
                 rec.values,
             ));
+            next += 1;
         }
 
         Ok((
@@ -243,82 +242,77 @@ impl TableStore {
         self.inner.lock().wal.append(row_index, values)
     }
 
-    /// Makes `ct`'s sealed full blocks durable and flips them to paged
-    /// slots, following the seal-boundary protocol (WAL fsync → extent
-    /// append → data fsync → WAL rewrite).  Idempotent: blocks already
-    /// durable are re-pointed at their existing [`BlockMeta`], so racing
-    /// epoch builders converge on shared metadata.  `rows` must be the
-    /// full row slice `ct` was built from (its tail re-seeds the WAL).
-    ///
-    /// With `force_wal_rewrite`, the WAL is re-seeded even when no new
-    /// extent was appended — the attach path for tables that carried rows
-    /// before the store existed.
+    /// The durable blocks as paged slots, in block order.
+    pub(crate) fn durable_blocks(&self) -> Vec<BlockSlot> {
+        let inner = self.inner.lock();
+        inner.metas.iter().cloned().map(BlockSlot::Paged).collect()
+    }
+
+    /// Makes `sealed` — the table's next blocks after the durable ones —
+    /// durable and returns their paged slots, following the seal-boundary
+    /// protocol: WAL fsync → extent appends → data fsync → WAL rewrite to
+    /// hold only `tail`, the rows past them.  Nothing is committed before
+    /// the WAL rewrite succeeds: on an error the durable block count and
+    /// data length stay as they were, so the table keeps the rows in its
+    /// tail and its next seal retries, rewriting the same extents over any
+    /// this attempt appended.  Every caller holds the table's write lock
+    /// or runs at open, so one table never persists concurrently.
     pub(crate) fn persist(
-        self: &Arc<Self>,
-        ct: &mut ColumnTable,
-        rows: &[Tuple],
-        force_wal_rewrite: bool,
-    ) -> Result<()> {
-        let full_blocks = ct.row_count() / COLUMN_BLOCK_ROWS;
+        &self,
+        sealed: &[Arc<SealedBlock>],
+        tail: &[Tuple],
+    ) -> Result<Vec<BlockSlot>> {
         let mut inner = self.inner.lock();
-        let mut appended = false;
-        for i in 0..full_blocks {
-            let resident = match &ct.blocks[i] {
-                BlockSlot::Resident(b) => Arc::clone(b),
-                BlockSlot::Paged(_) => continue,
-            };
-            if i < inner.metas.len() {
-                // Another epoch builder already wrote this block.
-                ct.blocks[i] = BlockSlot::Paged(Arc::clone(&inner.metas[i]));
-                continue;
-            }
-            debug_assert_eq!(i, inner.metas.len(), "extents are appended in order");
-            if !appended {
-                // Rows about to leave the WAL's coverage must be durable
-                // *in the WAL* before the extent exists — else a crash
-                // between here and the rewrite could lose them.
-                inner.wal.sync()?;
-                appended = true;
-            }
-            let bytes = encode_extent(i as u64, &resident);
-            let offset = inner.data_len;
-            inner
-                .data
-                .seek(SeekFrom::Start(offset))
-                .and_then(|_| inner.data.write_all(&bytes))
-                .map_err(|e| io_err("cannot append extent", &inner.data_path, e))?;
-            inner.data_len += bytes.len() as u64;
-            let meta = Arc::new(BlockMeta::describe(
-                i as u64,
-                offset,
-                bytes.len(),
-                &resident,
-            ));
-            inner.metas.push(Arc::clone(&meta));
-            // Write-through: the freshly sealed block is hot; admit it so
-            // the next scan doesn't immediately fault it back in.
-            self.pool
-                .insert((self.table_id, i as u64), resident, meta.pages);
-            ct.blocks[i] = BlockSlot::Paged(meta);
-        }
-        if appended || force_wal_rewrite {
-            if appended {
+        let first = inner.metas.len();
+        let mut offset = inner.data_len;
+        let mut metas = Vec::with_capacity(sealed.len());
+        if !sealed.is_empty() {
+            // Rows about to leave the WAL's coverage must be durable *in
+            // the WAL* before the extent exists — else a crash between here
+            // and the rewrite could lose them.
+            inner.wal.sync()?;
+            for (k, block) in sealed.iter().enumerate() {
+                let block_no = (first + k) as u64;
+                let bytes = encode_extent(block_no, block);
                 inner
                     .data
-                    .sync_all()
-                    .map_err(|e| io_err("cannot sync table data file", &inner.data_path, e))?;
+                    .seek(SeekFrom::Start(offset))
+                    .and_then(|_| inner.data.write_all(&bytes))
+                    .map_err(|e| io_err("cannot append extent", &inner.data_path, e))?;
+                metas.push(Arc::new(BlockMeta::describe(
+                    block_no,
+                    offset,
+                    bytes.len(),
+                    block,
+                )));
+                offset += bytes.len() as u64;
             }
-            let coverage = inner.metas.len() * COLUMN_BLOCK_ROWS;
-            let tail: Vec<(u64, &[Value])> = rows[coverage.min(rows.len())..]
-                .iter()
-                .enumerate()
-                .map(|(k, t)| ((coverage + k) as u64, t.values()))
-                .collect();
-            inner.wal.rewrite(coverage as u64, &tail)?;
+            inner
+                .data
+                .sync_all()
+                .map_err(|e| io_err("cannot sync table data file", &inner.data_path, e))?;
         }
+        let coverage = (first + sealed.len()) * COLUMN_BLOCK_ROWS;
+        let tail: Vec<_> = tail
+            .iter()
+            .enumerate()
+            .map(|(k, t)| ((coverage + k) as u64, t.values()))
+            .collect();
+        inner.wal.rewrite(coverage as u64, &tail)?;
+        inner.data_len = offset;
+        inner.metas.extend(metas.iter().cloned());
         drop(inner);
-        ct.store = Some(Arc::clone(self));
-        Ok(())
+        Ok(sealed
+            .iter()
+            .zip(metas)
+            .map(|(block, meta)| {
+                // Write-through: the freshly sealed block is hot; admit it
+                // so the next scan doesn't immediately fault it back in.
+                let key = (self.table_id, meta.block_no);
+                self.pool.insert(key, Arc::clone(block), meta.pages);
+                BlockSlot::Paged(meta)
+            })
+            .collect())
     }
 
     /// Faults the block described by `meta` in through the buffer pool:
@@ -404,15 +398,8 @@ impl PagedStore {
         let specs = store.specs.lock().clone();
         for spec in &specs {
             let (ts, rows) = TableStore::open(&store.dir, spec.id, Arc::clone(&store.pool))?;
-            let ts = Arc::new(ts);
-            // The durable blocks stay paged out; only the rows past them
-            // are sealed in RAM, and `persist` makes a full block among
-            // those durable.
-            let metas = ts.inner.lock().metas.clone();
-            let paged = ColumnTable::paged(spec.id, &spec.name, &spec.schema, &metas);
-            let mut ct = paged.resealed(&rows, rows.len());
-            ts.persist(&mut ct, &rows, false)?;
-            let table = Table::recovered(spec.id, &spec.name, spec.schema.clone(), rows, ts, ct);
+            let schema = spec.schema.clone();
+            let table = Table::recovered(spec.id, &spec.name, schema, Arc::new(ts), rows)?;
             catalog.adopt_recovered(table)?;
         }
         catalog.attach_paged_store(Arc::clone(&store));
@@ -599,8 +586,18 @@ fn read_catalog_file(dir: &Path) -> Result<Vec<TableSpec>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnKind;
+    use crate::column::{ColumnKind, ColumnTable};
     use crate::page::PagedColumn;
+
+    /// The sealed blocks of `t`'s current epoch.
+    fn blocks(t: &Table) -> Arc<ColumnTable> {
+        Arc::clone(t.pin_epoch().blocks())
+    }
+
+    /// The tuple at `row` of `t`'s current epoch.
+    fn row_at(t: &Table, row: usize) -> Tuple {
+        t.pin_epoch().tuples([row]).unwrap().remove(0)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -637,7 +634,7 @@ mod tests {
                 t.insert(row(i)).unwrap();
             }
             // The sealed block is paged out; the tail is WAL-covered.
-            assert_eq!(t.columnar().paged_blocks(), 1);
+            assert_eq!(blocks(&t).paged_blocks(), 1);
         }
         let catalog = Catalog::new();
         PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
@@ -650,12 +647,15 @@ mod tests {
             COLUMN_BLOCK_ROWS as i64,
             n - 1,
         ] {
-            let tuple = t.tuple(i as u64).unwrap();
+            let tuple = row_at(&t, i as usize);
             assert_eq!(tuple.values(), &row(i)[..], "row {i}");
         }
-        // Recovered columnar projection reads back through the pool.
-        let c = t.columnar();
-        assert_eq!(c.row_count(), n as usize);
+        // The recovered block stays paged and reads back through the pool;
+        // the replayed WAL rows are the tail.
+        let epoch = t.pin_epoch();
+        assert_eq!(epoch.tail().len(), 300);
+        let c = epoch.blocks();
+        assert_eq!(c.paged_blocks(), 1);
         let (block, _) = c.fetch_block(0).unwrap();
         assert_eq!(block.tuple(c.table_id(), 0, 5).values(), &row(5)[..]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -670,7 +670,7 @@ mod tests {
         for i in 0..(COLUMN_BLOCK_ROWS as i64 * 2) {
             t.insert(row(i)).unwrap();
         }
-        let c = t.columnar();
+        let c = blocks(&t);
         assert_eq!(c.paged_blocks(), 2);
         // Write-through at seal time: the first fetch is a pool hit.
         let (_, faulted) = c.fetch_block(0).unwrap();
@@ -680,7 +680,7 @@ mod tests {
         drop(store);
         drop(catalog);
         PagedStore::open(&dir, PagedOptions { pool_pages: 1 }, &cold).unwrap();
-        let c = cold.table("T").unwrap().columnar();
+        let c = blocks(&cold.table("T").unwrap());
         let (b0, faulted) = c.fetch_block(0).unwrap();
         assert!(faulted, "cold pool must fault the extent in");
         assert_eq!(b0.rows(), COLUMN_BLOCK_ROWS);
@@ -749,22 +749,22 @@ mod tests {
     #[test]
     fn faulted_and_recovered_blocks_carry_the_zones_of_a_refold() {
         let dir = temp_dir("zones");
-        let blocks = 4;
+        let n_blocks = 4;
         // A pool of one extent: every seal evicts the block before it.
         let options = PagedOptions { pool_pages: 2 };
         let sealed: Vec<_> = {
             let catalog = Catalog::new();
             PagedStore::open(&dir, options, &catalog).unwrap();
             let t = catalog.create_table("Z", edge_schema()).unwrap();
-            for i in 0..blocks * COLUMN_BLOCK_ROWS {
+            for i in 0..n_blocks * COLUMN_BLOCK_ROWS {
                 t.insert(edge_row(i)).unwrap();
             }
-            let c = t.columnar();
+            let c = blocks(&t);
             assert_eq!(c.block_pages(0), options.pool_pages);
-            (0..blocks)
+            (0..n_blocks)
                 .map(|b| {
                     let (block, faulted) = c.fetch_block(b).unwrap();
-                    assert!(faulted || b == blocks - 1, "block {b} was evicted");
+                    assert!(faulted || b == n_blocks - 1, "block {b} was evicted");
                     assert_eq!(zone_bits(&block), zone_bits(&refold(&block)), "block {b}");
                     zone_bits(&block)
                 })
@@ -772,8 +772,8 @@ mod tests {
         };
         let catalog = Catalog::new();
         PagedStore::open(&dir, options, &catalog).unwrap();
-        let c = catalog.table("Z").unwrap().columnar();
-        assert_eq!(c.paged_blocks(), blocks);
+        let c = blocks(&catalog.table("Z").unwrap());
+        assert_eq!(c.paged_blocks(), n_blocks);
         for (b, sealed) in sealed.iter().enumerate() {
             let (block, faulted) = c.fetch_block(b).unwrap();
             assert!(faulted);
@@ -805,7 +805,7 @@ mod tests {
         }
         let catalog = Catalog::new();
         PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
-        let c = catalog.table("T").unwrap().columnar();
+        let c = blocks(&catalog.table("T").unwrap());
         let (Some(store), BlockSlot::Paged(meta)) = (&c.store, &c.blocks[0]) else {
             panic!("block 0 is paged");
         };
@@ -878,7 +878,7 @@ mod tests {
             for i in 0..n {
                 t.insert(row(i)).unwrap();
             }
-            assert_eq!(t.columnar().paged_blocks(), 2);
+            assert_eq!(blocks(&t).paged_blocks(), 2);
         }
         // Make the last extent's header claim a payload far past the end
         // of the file.
@@ -896,7 +896,7 @@ mod tests {
         // epoch ends with the first.
         assert_eq!(t.row_count(), COLUMN_BLOCK_ROWS);
         for i in [0, COLUMN_BLOCK_ROWS as i64 - 1] {
-            assert_eq!(t.tuple(i as u64).unwrap().values(), &row(i)[..], "row {i}");
+            assert_eq!(row_at(&t, i as usize).values(), &row(i)[..], "row {i}");
         }
         let truncated = std::fs::metadata(&data).unwrap().len();
         assert_eq!(truncated, first_len as u64, "truncated at the first extent");
@@ -937,7 +937,114 @@ mod tests {
         PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
         let t = catalog.table("W").unwrap();
         assert_eq!(t.row_count(), 10, "pre-attach rows reach the WAL");
-        assert_eq!(t.tuple(9).unwrap().values(), &row(9)[..]);
+        assert_eq!(row_at(&t, 9).values(), &row(9)[..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Asserts the one-copy invariant: fewer than a block of rows in the
+    /// tail, and blocks plus tail are the table.
+    fn assert_short_tail(t: &Table) {
+        let epoch = t.pin_epoch();
+        assert!(
+            epoch.tail().len() < COLUMN_BLOCK_ROWS,
+            "{}",
+            epoch.tail().len()
+        );
+        assert_eq!(
+            epoch.blocks().row_count() + epoch.tail().len(),
+            t.row_count()
+        );
+    }
+
+    #[test]
+    fn the_tail_stays_under_a_block_after_recovery_and_every_seal() {
+        let dir = temp_dir("short_tail");
+        let n = 3 * COLUMN_BLOCK_ROWS as i64 + 7;
+        {
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, PagedOptions { pool_pages: 2 }, &catalog).unwrap();
+            let t = catalog.create_table("T", schema()).unwrap();
+            for i in 0..n {
+                t.insert(row(i)).unwrap();
+                if t.row_count() % COLUMN_BLOCK_ROWS == 0 {
+                    assert_short_tail(&t);
+                    assert_eq!(t.pin_epoch().tail().len(), 0);
+                }
+            }
+        }
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions { pool_pages: 2 }, &catalog).unwrap();
+        let t = catalog.table("T").unwrap();
+        assert_short_tail(&t);
+        assert_eq!(blocks(&t).paged_blocks(), 3);
+        let want: Vec<Vec<Value>> = (0..n).map(row).collect();
+        let got: Vec<Vec<Value>> = t.scan().iter().map(|t| t.values().to_vec()).collect();
+        assert_eq!(got, want);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_persist_leaves_a_longer_tail_and_the_next_seal_retries() {
+        let dir = temp_dir("retry");
+        let moved = dir.with_extension("moved");
+        let _ = std::fs::remove_dir_all(&moved);
+        let last = COLUMN_BLOCK_ROWS as i64 - 1;
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.create_table("T", schema()).unwrap();
+        for i in 0..last {
+            t.insert(row(i)).unwrap();
+        }
+        // With the directory moved away the seal's WAL rewrite cannot
+        // create its side file, so the persist fails before committing.
+        std::fs::rename(&dir, &moved).unwrap();
+        assert!(matches!(t.insert(row(last)), Err(RankSqlError::Storage(_))));
+        let epoch = t.pin_epoch();
+        assert_eq!(epoch.blocks().num_blocks(), 0);
+        assert_eq!(epoch.tail().len(), COLUMN_BLOCK_ROWS, "the row is in");
+        std::fs::rename(&moved, &dir).unwrap();
+        // The next insert's seal retries and lands both blocks' worth.
+        t.insert(row(last + 1)).unwrap();
+        assert_short_tail(&t);
+        assert_eq!(blocks(&t).paged_blocks(), 1);
+        drop((t, catalog));
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.table("T").unwrap();
+        assert_eq!(t.row_count(), COLUMN_BLOCK_ROWS + 1);
+        assert_short_tail(&t);
+        assert_eq!(row_at(&t, COLUMN_BLOCK_ROWS).values(), &row(last + 1)[..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_seals_a_wal_that_outgrew_a_block() {
+        let dir = temp_dir("long_wal");
+        let moved = dir.with_extension("moved");
+        let _ = std::fs::remove_dir_all(&moved);
+        let n = COLUMN_BLOCK_ROWS as i64 + 20;
+        {
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+            let t = catalog.create_table("T", schema()).unwrap();
+            std::fs::rename(&dir, &moved).unwrap();
+            for i in 0..n {
+                // Every seal fails: the WAL keeps every row.
+                let _ = t.insert(row(i));
+            }
+            assert_eq!(t.pin_epoch().tail().len(), n as usize);
+            std::fs::rename(&moved, &dir).unwrap();
+        }
+        // Drop the extents the failed attempts wrote: only the WAL is left.
+        std::fs::write(data_path(&dir, 0), b"").unwrap();
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.table("T").unwrap();
+        assert_eq!(t.row_count(), n as usize);
+        assert_short_tail(&t);
+        assert_eq!(blocks(&t).paged_blocks(), 1, "sealed and persisted at open");
+        let got: Vec<Vec<Value>> = t.scan().iter().map(|t| t.values().to_vec()).collect();
+        assert_eq!(got, (0..n).map(row).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

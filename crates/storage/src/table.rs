@@ -1,23 +1,25 @@
-//! In-memory heap tables with MVCC snapshot reads.
+//! Append-only tables with MVCC snapshot reads.
 //!
-//! A [`Table`] is append-only: row indices are stable, so any *prefix* of
-//! the row heap is an immutable snapshot.  [`Table::pin_epoch`] captures one
-//! — the sealed columnar blocks plus a frozen copy of the delta tail — and
-//! readers holding a [`TableEpoch`] stream those rows forever, regardless of
-//! concurrent appends.  Writers never rebuild: inserts fold into the stats
-//! delta and, at each 1024-row boundary, seal exactly one new columnar
-//! block (see [`Table::insert`]).
+//! A [`Table`] is its sealed 1024-row blocks (a [`ColumnTable`], the only
+//! copy of those rows) plus a tail of fewer than 1024 unsealed rows, both
+//! behind one lock.  Every table seals from its first insert: the insert
+//! that fills the tail seals it into one new block, persisted to disk first
+//! on a paged table.  Row indices are stable, so any prefix of the table is
+//! an immutable snapshot: [`Table::pin_epoch`] captures one by cloning the
+//! block list's and the tail's `Arc`s, and clones no row.  Readers holding
+//! a [`TableEpoch`] read those rows forever, whatever writers append: an
+//! insert copies the tail ([`Arc::make_mut`]) only while a pin still holds
+//! it, and a seal publishes a new block list sharing every older block.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 use ranksql_common::{RankSqlError, Result, Schema, Tuple, TupleId, Value};
 
-use crate::column::{ColumnTable, COLUMN_BLOCK_ROWS};
+use crate::column::{BlockSlot, ColumnTable, SealedBlock, COLUMN_BLOCK_ROWS};
 use crate::index::{BTreeIndex, HashIndex, ScoreIndex};
 use crate::recovery::TableStore;
 use crate::stats::StatsCatalog;
@@ -55,64 +57,102 @@ impl StatsPair {
 /// An immutable read snapshot of a [`Table`]: the epoch a cursor, prepared
 /// execution or scan spine pins at open time.
 ///
-/// An epoch is a row-count watermark plus the physical structures that cover
-/// it: the sealed columnar blocks published at pin time (when the reader
-/// wants the columnar layout) and a frozen copy of the delta tail — the rows
-/// past the sealed coverage.  Because the table is append-only and sealed
-/// blocks are never mutated, everything in here stays valid no matter how
-/// many rows writers append after the pin: readers never block writers and
-/// writers never invalidate readers.
+/// An epoch is the table's sealed blocks and its tail as they were at pin
+/// time; its rows are `0..row_count()`.  Because the table is append-only,
+/// blocks are never mutated and a pinned tail is never written, everything
+/// in here stays valid no matter how many rows writers append after the
+/// pin: readers never block writers and writers never invalidate readers.
 #[derive(Debug)]
 pub struct TableEpoch {
-    table_id: u32,
-    row_count: usize,
-    columnar: Option<Arc<ColumnTable>>,
-    /// Rows past the sealed columnar coverage, frozen at pin time (empty
-    /// when the epoch was pinned without the columnar projection — row
-    /// readers re-slice the heap prefix by the watermark instead).
+    blocks: Arc<ColumnTable>,
     tail: Arc<Vec<Tuple>>,
 }
 
 impl TableEpoch {
     /// The id of the table this epoch snapshots.
     pub fn table_id(&self) -> u32 {
-        self.table_id
+        self.blocks.table_id()
     }
 
     /// The epoch ordinal.  Tables are append-only, so the row-count
     /// watermark doubles as the version number: every committed insert
     /// advances it.
     pub fn ordinal(&self) -> u64 {
-        self.row_count as u64
+        self.row_count() as u64
     }
 
     /// The row-count watermark: readers of this epoch see exactly the rows
     /// `0..row_count()`.
     pub fn row_count(&self) -> usize {
-        self.row_count
+        self.blocks.row_count() + self.tail.len()
     }
 
-    /// The sealed columnar blocks pinned by this epoch, when it was pinned
-    /// with the columnar layout.  Coverage is at most the watermark; the
-    /// rows in between are in [`TableEpoch::tail`].
-    pub fn columnar(&self) -> Option<&Arc<ColumnTable>> {
-        self.columnar.as_ref()
+    /// The sealed blocks pinned by this epoch: the rows
+    /// `0..blocks().row_count()`.  The rows past them are in
+    /// [`TableEpoch::tail`].
+    pub fn blocks(&self) -> &Arc<ColumnTable> {
+        &self.blocks
     }
 
-    /// The frozen delta tail: the epoch's rows past the sealed columnar
-    /// coverage, in row-major layout.
+    /// The tail: the epoch's rows past the sealed blocks, in row layout.
     pub fn tail(&self) -> &Arc<Vec<Tuple>> {
         &self.tail
     }
 
+    /// The one row accessor: hands `f` the tuple at each of `rows`, in
+    /// the order given.  Row `r` is read from block `r / COLUMN_BLOCK_ROWS`,
+    /// resident or faulted in through the buffer pool (once per run of rows
+    /// in one block), or, past the blocks, from the tail.  A fault's error
+    /// is returned, and a row at or past the watermark errors as stale: it
+    /// is a row this epoch must never see, not a missing one.
+    pub fn read(
+        &self,
+        rows: impl IntoIterator<Item = usize>,
+        mut f: impl FnMut(Tuple),
+    ) -> Result<()> {
+        let sealed = self.blocks.row_count();
+        let mut faulted: Option<(usize, Arc<SealedBlock>)> = None;
+        for row in rows {
+            if row >= sealed {
+                f(self.tail.get(row - sealed).cloned().ok_or_else(|| {
+                    RankSqlError::Execution(format!(
+                        "stale read: row {row} of table `{}` is past the pinned epoch watermark {}",
+                        self.blocks.name(),
+                        self.row_count()
+                    ))
+                })?);
+                continue;
+            }
+            let n = row / COLUMN_BLOCK_ROWS;
+            let block = match &self.blocks.blocks[n] {
+                BlockSlot::Resident(block) => block,
+                BlockSlot::Paged(_) => match &faulted {
+                    Some((at, block)) if *at == n => block,
+                    _ => &faulted.insert((n, self.blocks.fetch_block(n)?.0)).1,
+                },
+            };
+            let base = n * COLUMN_BLOCK_ROWS;
+            f(block.tuple(self.table_id(), base, row - base));
+        }
+        Ok(())
+    }
+
+    /// The tuples at `rows`, in the order given: [`TableEpoch::read`]
+    /// collected.
+    pub fn tuples(&self, rows: impl IntoIterator<Item = usize>) -> Result<Vec<Tuple>> {
+        let rows = rows.into_iter();
+        let mut out = Vec::with_capacity(rows.size_hint().0);
+        self.read(rows, |t| out.push(t))?;
+        Ok(out)
+    }
+
     /// The maximal possible ranking score of `column` across the whole
-    /// epoch: the sealed blocks' zone-map fold combined with the frozen
-    /// tail's values (clamped into `[0, 1]`, `NaN` ignored — the same fold
-    /// the per-block score maxima use).  `None` when the column cannot be
-    /// bounded (non-numeric values, or no columnar projection pinned).
+    /// epoch: the sealed blocks' zone-map fold combined with the tail's
+    /// values (clamped into `[0, 1]`, `NaN` ignored — the same fold the
+    /// per-block score maxima use).  `None` when the column cannot be
+    /// bounded (non-numeric values).
     pub fn score_max(&self, column: usize) -> Option<f64> {
-        let columnar = self.columnar.as_ref()?;
-        let mut acc = columnar.table_score_max(column)?;
+        let mut acc = self.blocks.table_score_max(column)?;
         for t in self.tail.iter() {
             match t.value(column).as_f64() {
                 Some(f) if f.is_nan() => {}
@@ -142,24 +182,12 @@ impl EpochSet {
     }
 
     /// The pinned epoch for `table`, pinning one on first touch.
-    ///
-    /// `with_columnar` asks for the sealed columnar blocks to be part of the
-    /// snapshot; if the table was first pinned row-only and a columnar scan
-    /// shows up later, the pin is upgraded in place *at the same watermark*,
-    /// so mixed access paths still agree on what they see.
-    pub fn pin(&self, table: &Table, with_columnar: bool) -> Arc<TableEpoch> {
+    pub fn pin(&self, table: &Table) -> Arc<TableEpoch> {
         let mut pins = self.pins.lock();
-        if let Some(existing) = pins.get(&table.id()) {
-            if !with_columnar || existing.columnar.is_some() {
-                return Arc::clone(existing);
-            }
-            let upgraded = table.epoch_with_columnar_at(existing.row_count);
-            pins.insert(table.id(), Arc::clone(&upgraded));
-            return upgraded;
-        }
-        let pinned = table.pin_epoch(with_columnar);
-        pins.insert(table.id(), Arc::clone(&pinned));
-        pinned
+        Arc::clone(
+            pins.entry(table.id())
+                .or_insert_with(|| Arc::new(table.pin_epoch())),
+        )
     }
 
     /// The already-pinned epoch for a table id, if any.
@@ -181,27 +209,42 @@ impl EpochSet {
     }
 }
 
-/// An append-only, in-memory table.
+/// What a table's one lock guards: its sealed blocks and its tail.
+#[derive(Debug)]
+struct TableData {
+    blocks: Arc<ColumnTable>,
+    /// The rows past the blocks: fewer than [`COLUMN_BLOCK_ROWS`], except
+    /// after a failed persist, which the next seal retries.
+    tail: Arc<Vec<Tuple>>,
+}
+
+impl TableData {
+    fn row_count(&self) -> usize {
+        self.blocks.row_count() + self.tail.len()
+    }
+
+    fn epoch(&self) -> TableEpoch {
+        TableEpoch {
+            blocks: Arc::clone(&self.blocks),
+            tail: Arc::clone(&self.tail),
+        }
+    }
+}
+
+/// An append-only table.
 ///
-/// Rows are stored as [`Tuple`]s whose identity is `(table_id, row_index)`;
-/// scanning therefore yields tuples that can be deduplicated and tie-broken
+/// Rows are [`Tuple`]s whose identity is `(table_id, row_index)`; scanning
+/// therefore yields tuples that can be deduplicated and tie-broken
 /// deterministically anywhere downstream.  Indexes built on the table are
 /// kept alongside it and can be looked up by name.
 pub struct Table {
     id: u32,
     name: String,
     schema: Schema,
-    rows: RwLock<Vec<Tuple>>,
+    data: RwLock<TableData>,
     score_indexes: RwLock<Vec<Arc<ScoreIndex>>>,
     btree_indexes: RwLock<Vec<Arc<BTreeIndex>>>,
     hash_indexes: RwLock<Vec<Arc<HashIndex>>>,
-    /// Cached sealed columnar projection (see [`Table::columnar`]).
-    /// Inserts *extend* it at each 1024-row seal boundary instead of
-    /// dropping it; its coverage is always a prefix of the row heap.
-    columnar: RwLock<Option<Arc<ColumnTable>>>,
-    /// Fast-path flag so the insert hot loop skips columnar sealing when no
-    /// projection was ever built.
-    has_columnar: AtomicBool,
     /// Incrementally maintained statistics (see [`Table::stats_catalog`]):
     /// a sealed catalog plus a streaming delta partial, folded together at
     /// each seal boundary.
@@ -209,13 +252,6 @@ pub struct Table {
     /// Fast-path flag so the insert hot loop skips statistics maintenance
     /// when the catalog was never built.
     has_stats: AtomicBool,
-    /// The disk half of a paged table (see [`crate::recovery::TableStore`]):
-    /// inserts append to its WAL, seal boundaries persist block extents
-    /// through it.  `None` for purely in-memory tables.
-    store: RwLock<Option<Arc<TableStore>>>,
-    /// Fast-path flag so the insert hot loop skips the WAL when the table
-    /// has no store.
-    has_store: AtomicBool,
 }
 
 impl Table {
@@ -224,75 +260,61 @@ impl Table {
     ///
     /// [`Catalog::create_table`]: crate::catalog::Catalog::create_table
     pub fn new(id: u32, name: impl Into<String>, schema: Schema) -> Self {
+        let name = name.into();
         Table {
+            data: RwLock::new(TableData {
+                blocks: Arc::new(ColumnTable::empty(id, &name, &schema, None)),
+                tail: Arc::new(Vec::new()),
+            }),
             id,
-            name: name.into(),
+            name,
             schema,
-            rows: RwLock::new(Vec::new()),
             score_indexes: RwLock::new(Vec::new()),
             btree_indexes: RwLock::new(Vec::new()),
             hash_indexes: RwLock::new(Vec::new()),
-            columnar: RwLock::new(None),
-            has_columnar: AtomicBool::new(false),
             stats: RwLock::new(None),
             has_stats: AtomicBool::new(false),
-            store: RwLock::new(None),
-            has_store: AtomicBool::new(false),
         }
     }
 
     /// Rebuilds a table from recovered state (crash recovery path of
-    /// [`crate::recovery::PagedStore::open`]): the row heap is the durable
-    /// epoch replayed from extents + WAL, the columnar projection already
-    /// points at the paged extents, and the store is attached without
-    /// re-appending anything to the WAL.
+    /// [`crate::recovery::PagedStore::open`]): `store`'s durable blocks,
+    /// left paged out, plus the rows replayed from the WAL past them, which
+    /// are sealed here when they fill a block.  Nothing is re-appended to
+    /// the WAL.
     pub(crate) fn recovered(
         id: u32,
         name: &str,
         schema: Schema,
-        rows: Vec<Tuple>,
         store: Arc<TableStore>,
-        columnar: ColumnTable,
-    ) -> Table {
-        Table {
-            id,
-            name: name.to_owned(),
-            schema,
-            rows: RwLock::new(rows),
-            score_indexes: RwLock::new(Vec::new()),
-            btree_indexes: RwLock::new(Vec::new()),
-            hash_indexes: RwLock::new(Vec::new()),
-            columnar: RwLock::new(Some(Arc::new(columnar))),
-            has_columnar: AtomicBool::new(true),
-            stats: RwLock::new(None),
-            has_stats: AtomicBool::new(false),
-            store: RwLock::new(Some(store)),
-            has_store: AtomicBool::new(true),
+        tail: Vec<Tuple>,
+    ) -> Result<Table> {
+        let table = Table::new(id, name, schema);
+        {
+            let mut data = table.data.write();
+            let durable = store.durable_blocks();
+            data.blocks = Arc::new(
+                ColumnTable::empty(id, name, &table.schema, Some(store)).appended(durable),
+            );
+            data.tail = Arc::new(tail);
+            table.seal(&mut data)?;
         }
+        Ok(table)
     }
 
     /// Attaches a [`TableStore`], making the table durable from here on.
-    /// Any rows inserted *before* the attach are persisted immediately
-    /// (sealed full blocks as extents, the tail into the WAL).  Holding the
-    /// row read lock across the attach keeps it atomic against concurrent
-    /// inserts, which take the write lock.
+    /// Blocks sealed *before* the attach are persisted as extents and the
+    /// tail re-seeds the WAL; the table's write lock keeps the attach
+    /// atomic against concurrent inserts.
     pub(crate) fn attach_store(&self, store: Arc<TableStore>) -> Result<()> {
-        let rows = self.rows.read();
-        let mut ct = ColumnTable::from_rows(self.id, &self.name, &self.schema, &rows);
-        store.persist(&mut ct, &rows, true)?;
-        *self.columnar.write() = Some(Arc::new(ct));
-        self.has_columnar.store(true, Ordering::Release);
-        *self.store.write() = Some(store);
-        self.has_store.store(true, Ordering::Release);
+        let mut data = self.data.write();
+        let sealed = (0..data.blocks.num_blocks())
+            .map(|b| Ok(data.blocks.fetch_block(b)?.0))
+            .collect::<Result<Vec<_>>>()?;
+        let slots = store.persist(&sealed, &data.tail)?;
+        let blocks = ColumnTable::empty(self.id, &self.name, &self.schema, Some(store));
+        data.blocks = Arc::new(blocks.appended(slots));
         Ok(())
-    }
-
-    /// The attached [`TableStore`], if the table is paged.
-    pub(crate) fn table_store(&self) -> Option<Arc<TableStore>> {
-        if !self.has_store.load(Ordering::Acquire) {
-            return None;
-        }
-        self.store.read().clone()
     }
 
     /// The table id.
@@ -312,7 +334,7 @@ impl Table {
 
     /// Number of rows.
     pub fn row_count(&self) -> usize {
-        self.rows.read().len()
+        self.data.read().row_count()
     }
 
     /// The table's current epoch ordinal.  The table is append-only, so the
@@ -331,23 +353,24 @@ impl Table {
     ///
     /// The write path is append-and-merge, never invalidate-and-rebuild:
     ///
-    /// * rows are pushed onto the heap (stable indices — every previously
-    ///   pinned [`TableEpoch`] keeps streaming its prefix);
+    /// * on a paged table the row's WAL record goes first: if the append
+    ///   fails, nothing changed and the insert cleanly errors;
     /// * the statistics delta partial folds the new row in; at each
     ///   1024-row boundary the delta is merged into the sealed catalog;
-    /// * if a columnar projection exists, reaching a 1024-row boundary
-    ///   seals exactly one new block — previously sealed blocks are shared
-    ///   untouched ([`ColumnTable::resealed`]);
+    /// * the row joins the tail (stable indices — every previously pinned
+    ///   [`TableEpoch`] keeps reading its own tail), and a full tail seals
+    ///   into one new block;
     /// * indexes are *kept*: an index covers the row prefix it was built
     ///   over, which is still a valid epoch.  The executor compares
     ///   [`ScoreIndex::indexed_rows`] / [`BTreeIndex::indexed_rows`]
     ///   against its pinned epoch's watermark and extends the index over
     ///   the missing suffix when they differ.
     ///
-    /// All mutations happen under the row write lock *after* validation, so
-    /// a panicking writer cannot leave a torn row, block or partial visible:
-    /// readers pin under the row read lock and see either the pre-insert or
-    /// the post-insert epoch.
+    /// All mutations happen under the table's write lock *after*
+    /// validation, and readers pin under its read lock, so they see either
+    /// the pre-insert or the post-insert epoch.  A failed seal leaves the
+    /// row inserted and WAL-covered — still durable — and the error is
+    /// returned.
     pub fn insert(&self, values: Vec<Value>) -> Result<u64> {
         if values.len() != self.schema.len() {
             return Err(RankSqlError::Catalog(format!(
@@ -357,7 +380,12 @@ impl Table {
                 self.name
             )));
         }
-        let mut rows = self.rows.write();
+        let mut data = self.data.write();
+        let idx = data.row_count() as u64;
+        if let Some(store) = &data.blocks.store {
+            // No fsync here — durability is settled at the seal boundary.
+            store.append_wal(idx, &values)?;
+        }
         if self.has_stats.load(Ordering::Acquire) {
             if let Some(pair) = self.stats.write().as_mut() {
                 pair.delta.observe_row(&values);
@@ -371,43 +399,34 @@ impl Table {
                 }
             }
         }
-        let idx = rows.len() as u64;
-        if self.has_store.load(Ordering::Acquire) {
-            if let Some(store) = self.store.read().as_ref() {
-                // The WAL record goes first: if the append fails, the heap
-                // is untouched and the insert cleanly errors.  No fsync
-                // here — durability is settled at the seal boundary.
-                store.append_wal(idx, &values)?;
-            }
-        }
-        rows.push(Tuple::new(TupleId::base(self.id, idx), values));
-        if self.has_columnar.load(Ordering::Acquire) {
-            self.seal_columnar(&rows)?;
-        }
+        Arc::make_mut(&mut data.tail).push(Tuple::new(TupleId::base(self.id, idx), values));
+        self.seal(&mut data)?;
         Ok(idx)
     }
 
-    /// Seals the columnar projection up to the last full 1024-row boundary,
-    /// if new full blocks exist (called under the row write lock).  Builds
-    /// the new version completely before publishing it, so readers only
-    /// ever observe fully-sealed block lists.  On a paged table the seal
-    /// boundary is also the durability boundary: the new blocks are
-    /// persisted as extents and the WAL is trimmed past them — an error
-    /// here leaves the rows WAL-covered (still durable) and unsealed.
-    fn seal_columnar(&self, rows: &[Tuple]) -> Result<()> {
-        let aligned = rows.len() / COLUMN_BLOCK_ROWS * COLUMN_BLOCK_ROWS;
-        let cur = {
-            let guard = self.columnar.read();
-            match guard.as_ref() {
-                Some(c) if c.row_count() < aligned => Arc::clone(c),
-                _ => return Ok(()),
-            }
-        };
-        let mut sealed = cur.resealed(rows, aligned);
-        if let Some(store) = self.table_store() {
-            store.persist(&mut sealed, rows, false)?;
+    /// Seals every full block's worth of the tail (one block at each
+    /// 1024-row boundary) and publishes the new block list.  On a paged
+    /// table the seal boundary is also the durability boundary: the new
+    /// blocks are persisted as extents first, and only a successful persist
+    /// publishes them — an error leaves the rows in the tail, WAL-covered
+    /// and still durable, and the next insert's seal retries.
+    fn seal(&self, data: &mut TableData) -> Result<()> {
+        let full = data.tail.len() / COLUMN_BLOCK_ROWS * COLUMN_BLOCK_ROWS;
+        if full == 0 {
+            return Ok(());
         }
-        *self.columnar.write() = Some(Arc::new(sealed));
+        let (rows, rest) = data.tail.split_at(full);
+        let sealed: Vec<Arc<SealedBlock>> = rows
+            .chunks(COLUMN_BLOCK_ROWS)
+            .map(|chunk| Arc::new(SealedBlock::seal(chunk, self.schema.len())))
+            .collect();
+        let slots = match &data.blocks.store {
+            Some(store) => store.persist(&sealed, rest)?,
+            None => sealed.into_iter().map(BlockSlot::Resident).collect(),
+        };
+        let rest = rest.to_vec();
+        data.blocks = Arc::new(data.blocks.appended(slots));
+        data.tail = Arc::new(rest);
         Ok(())
     }
 
@@ -424,196 +443,70 @@ impl Table {
         Ok(n)
     }
 
-    /// The tuple at `row_index`, if it exists.  Row indices are stable
-    /// (append-only heap), so lookups through a pinned epoch's watermark
-    /// are always consistent.
-    pub fn tuple(&self, row_index: u64) -> Option<Tuple> {
-        self.rows.read().get(row_index as usize).cloned()
-    }
-
-    /// The tuple at `row_index`, checked against a pinned epoch's
-    /// watermark.  Accessors resolving row ids on behalf of a snapshot
-    /// (index scans, delta-tail readers) must use this instead of
-    /// [`Table::tuple`]: the heap is append-only, so an out-of-watermark
-    /// index is not "missing" — it is a row the epoch must never see, and
-    /// silently returning it would leak post-pin inserts into the
-    /// snapshot.  Such reads error as stale.
-    pub fn tuple_within(&self, row_index: u64, watermark: usize) -> Result<Tuple> {
-        if row_index as usize >= watermark {
-            return Err(RankSqlError::Execution(format!(
-                "stale read: row {row_index} of table `{}` is past the pinned epoch watermark {watermark}",
-                self.name
-            )));
-        }
-        self.tuple(row_index).ok_or_else(|| {
-            RankSqlError::Internal(format!(
-                "row {row_index} of table `{}` is below the watermark {watermark} but missing from the heap",
-                self.name
-            ))
-        })
-    }
-
-    /// A snapshot of all tuples (cheap clones: values are `Arc`-shared).
+    /// A snapshot of all tuples, for tests, tools and benchmarks: engine
+    /// paths read a pinned epoch through [`TableEpoch::read`], which
+    /// returns a failed fault's error.  `scan` never panics and cannot
+    /// return one, so when a paged block fails to fault in it writes the
+    /// error to standard error and returns only the rows before that block
+    /// — a snapshot shorter than [`Table::row_count`].
     pub fn scan(&self) -> Vec<Tuple> {
-        self.rows.read().clone()
-    }
-
-    /// Runs `f` over the row heap under its read lock — for a reader that
-    /// keeps a few rows and must not clone the rest.
-    pub(crate) fn with_rows<R>(&self, f: impl FnOnce(&[Tuple]) -> R) -> R {
-        f(&self.rows.read())
-    }
-
-    /// A snapshot of the first `n` tuples — the row set of an epoch with
-    /// watermark `n` (clamped to the current row count).
-    pub fn scan_prefix(&self, n: usize) -> Vec<Tuple> {
-        let rows = self.rows.read();
-        rows[..n.min(rows.len())].to_vec()
-    }
-
-    /// A snapshot of the tuples in `range` (clamped to the current row
-    /// count) — the suffix an incremental index extension covers.
-    pub fn scan_range(&self, range: std::ops::Range<usize>) -> Vec<Tuple> {
-        let rows = self.rows.read();
-        let start = range.start.min(rows.len());
-        let end = range.end.min(rows.len());
-        rows[start..end].to_vec()
-    }
-
-    /// Pins the table's current epoch: the row-count watermark plus (when
-    /// `with_columnar` is set) the sealed columnar blocks and a frozen copy
-    /// of the delta tail.  Taken under the row read lock, so the snapshot
-    /// is consistent against concurrent inserts; everything captured is
-    /// immutable afterwards.
-    pub fn pin_epoch(&self, with_columnar: bool) -> Arc<TableEpoch> {
-        let rows = self.rows.read();
-        let row_count = rows.len();
-        let columnar = if with_columnar {
-            let cached = self.columnar.read().as_ref().cloned();
-            Some(match cached {
-                // Sealed coverage is always a heap prefix, so any cached
-                // projection is usable; rows past it go into the tail.
-                Some(c) => c,
-                None => {
-                    let mut ct = ColumnTable::from_rows(self.id, &self.name, &self.schema, &rows);
-                    self.persist_best_effort(&mut ct, &rows);
-                    let built = Arc::new(ct);
-                    *self.columnar.write() = Some(Arc::clone(&built));
-                    self.has_columnar.store(true, Ordering::Release);
-                    built
-                }
-            })
-        } else {
-            None
-        };
-        let tail = match &columnar {
-            Some(c) => rows[c.row_count()..].to_vec(),
-            None => Vec::new(),
-        };
-        Arc::new(TableEpoch {
-            table_id: self.id,
-            row_count,
-            columnar,
-            tail: Arc::new(tail),
-        })
-    }
-
-    /// Re-pins at an *existing* watermark, adding the columnar layout — the
-    /// upgrade path of [`EpochSet::pin`] when a table first pinned row-only
-    /// turns out to also be scanned columnar.  The cached projection is
-    /// used when its coverage fits under the watermark; otherwise a private
-    /// projection is built over the watermark prefix (and not cached, so
-    /// the shared cache never regresses to an older prefix).
-    fn epoch_with_columnar_at(&self, watermark: usize) -> Arc<TableEpoch> {
-        let rows = self.rows.read();
-        let n = watermark.min(rows.len());
-        let cached = self
-            .columnar
-            .read()
-            .as_ref()
-            .filter(|c| c.row_count() <= n)
-            .cloned();
-        let columnar = match cached {
-            Some(c) => c,
-            None => Arc::new(ColumnTable::from_rows(
-                self.id,
-                &self.name,
-                &self.schema,
-                &rows[..n],
-            )),
-        };
-        let tail = rows[columnar.row_count()..n].to_vec();
-        Arc::new(TableEpoch {
-            table_id: self.id,
-            row_count: n,
-            columnar: Some(columnar),
-            tail: Arc::new(tail),
-        })
-    }
-
-    /// The columnar projection covering *all* current rows (see
-    /// [`ColumnTable`]): built on first use, extended incrementally (never
-    /// from scratch) when rows were appended since, and cached.  The last
-    /// block may be partial; the insert path completes it at the next
-    /// 1024-row seal boundary.
-    ///
-    /// Epoch-pinning readers use [`Table::pin_epoch`] instead, which takes
-    /// the sealed blocks as they are and carries the unsealed rows in the
-    /// epoch's tail.
-    pub fn columnar(&self) -> Arc<ColumnTable> {
-        // Hold the row read lock across the build so a concurrent insert
-        // cannot slip a row between the snapshot and the publication.
-        let rows = self.rows.read();
-        let cached = self.columnar.read().as_ref().cloned();
-        let mut ct = match cached {
-            Some(c) if c.row_count() == rows.len() => return c,
-            Some(c) => c.resealed(&rows, rows.len()),
-            None => ColumnTable::from_rows(self.id, &self.name, &self.schema, &rows),
-        };
-        self.persist_best_effort(&mut ct, &rows);
-        let built = Arc::new(ct);
-        *self.columnar.write() = Some(Arc::clone(&built));
-        self.has_columnar.store(true, Ordering::Release);
-        built
-    }
-
-    /// Persist hook for infallible build paths: on a paged table, flips
-    /// freshly sealed full blocks to extents.  An I/O error here is
-    /// swallowed deliberately — the blocks simply stay RAM-resident and
-    /// WAL-covered (still durable), and the next seal boundary retries.
-    fn persist_best_effort(&self, ct: &mut ColumnTable, rows: &[Tuple]) {
-        if let Some(store) = self.table_store() {
-            let _ = store.persist(ct, rows, false);
+        let epoch = self.pin_epoch();
+        let mut out = Vec::with_capacity(epoch.row_count());
+        if let Err(e) = epoch.read(0..epoch.row_count(), |t| out.push(t)) {
+            eprintln!("scan of table `{}` stopped short: {e}", self.name);
         }
+        out
+    }
+
+    /// Pins the table's current epoch: its sealed blocks and its tail.
+    /// Taken under the read lock, so the snapshot is consistent against
+    /// concurrent inserts; it clones two `Arc`s and no row.
+    pub fn pin_epoch(&self) -> TableEpoch {
+        self.data.read().epoch()
     }
 
     /// The table's statistics catalog: per-column null counts, numeric
     /// min/max, boolean fractions and a staged distinct-count sketch.
     ///
     /// Built on first use as a sealed catalog over the 1024-row-aligned
-    /// prefix plus a delta partial over the unsealed tail; afterwards every
-    /// [`Table::insert`] folds the new row into the delta (merging it into
-    /// the sealed catalog at each seal boundary), so repeated calls are
-    /// O(columns) in the table size and never observe a stale snapshot.
-    /// Calls with no insert in between share one catalog.
-    pub fn stats_catalog(&self) -> Arc<StatsCatalog> {
-        // The row read lock is held across the build so a concurrent insert
-        // (which takes the row *write* lock) cannot slip a row between the
+    /// prefix plus a delta partial over the rest, reading every row (and
+    /// faulting every paged block) once — the error of a failed fault is
+    /// returned.  Afterwards every [`Table::insert`] folds the new row into
+    /// the delta (merging it into the sealed catalog at each seal
+    /// boundary), so repeated calls are O(columns) in the table size and
+    /// never observe a stale snapshot.  Calls with no insert in between
+    /// share one catalog.
+    pub fn stats_catalog(&self) -> Result<Arc<StatsCatalog>> {
+        // The read lock is held across the build so a concurrent insert
+        // (which takes the write lock) cannot slip a row between the
         // snapshot and the publication of the catalog.
-        let rows = self.rows.read();
+        let data = self.data.read();
         if let Some(merged) = self.cached_stats() {
-            return merged;
+            return Ok(merged);
         }
-        let aligned = rows.len() / COLUMN_BLOCK_ROWS * COLUMN_BLOCK_ROWS;
+        let epoch = data.epoch();
+        let n = epoch.row_count();
+        let aligned = n / COLUMN_BLOCK_ROWS * COLUMN_BLOCK_ROWS;
+        // Per-block partials, folded the way `StatsCatalog::build` does.
+        let mut sealed = StatsCatalog::empty(&self.schema);
+        let mut partial = StatsCatalog::empty(&self.schema);
+        epoch.read(0..aligned, |t| {
+            partial.observe_row(t.values());
+            if partial.row_count == COLUMN_BLOCK_ROWS {
+                sealed.merge(&partial);
+                partial = StatsCatalog::empty(&self.schema);
+            }
+        })?;
+        let delta = StatsCatalog::build(&self.schema, &epoch.tuples(aligned..n)?);
         let mut pair = StatsPair {
-            sealed: StatsCatalog::build(&self.schema, &rows[..aligned]),
-            delta: StatsCatalog::build(&self.schema, &rows[aligned..]),
+            sealed,
+            delta,
             merged: None,
         };
         let merged = pair.merged();
         *self.stats.write() = Some(pair);
         self.has_stats.store(true, Ordering::Release);
-        merged
+        Ok(merged)
     }
 
     /// The statistics catalog if one has already been built (by a prior
@@ -788,9 +681,27 @@ mod tests {
     #[test]
     fn tuple_lookup_by_row_index() {
         let t = Table::new(3, "T", schema());
-        t.insert(vec![Value::from(9), Value::from(0.9)]).unwrap();
-        assert_eq!(t.tuple(0).unwrap().value(0), &Value::from(9));
-        assert!(t.tuple(5).is_none());
+        for i in 0..(COLUMN_BLOCK_ROWS as i64 + 5) {
+            t.insert(vec![Value::from(i), Value::from(0.5)]).unwrap();
+        }
+        let epoch = t.pin_epoch();
+        let rows = [
+            0,
+            COLUMN_BLOCK_ROWS - 1,
+            COLUMN_BLOCK_ROWS,
+            COLUMN_BLOCK_ROWS + 4,
+        ];
+        // Rows come from the sealed block and from the tail, in the order
+        // asked, with the identities the table gave them.
+        let got = epoch.tuples(rows.iter().rev().copied()).unwrap();
+        for (t, &row) in got.iter().zip(rows.iter().rev()) {
+            assert_eq!(t.id(), &TupleId::base(3, row as u64));
+            assert_eq!(t.value(0), &Value::from(row as i64));
+        }
+        // A row past the watermark is one the epoch must never see.
+        t.insert(vec![Value::from(-1), Value::from(0.0)]).unwrap();
+        let err = epoch.tuples([COLUMN_BLOCK_ROWS + 5]).unwrap_err();
+        assert!(err.to_string().contains("stale"), "{err}");
     }
 
     #[test]
@@ -835,9 +746,8 @@ mod tests {
         // against their watermark and extend the index over the suffix.
         assert_eq!(held_handle.indexed_rows(), 2);
         assert_eq!(t.row_count(), 3);
-        let ext = held_handle
-            .extended(&pred, t.schema(), &t.scan_range(2..3), 2)
-            .unwrap();
+        let suffix = t.pin_epoch().tuples(2..3).unwrap();
+        let ext = held_handle.extended(&pred, t.schema(), &suffix, 2).unwrap();
         assert_eq!(ext.indexed_rows(), 3);
         let replaced = t.add_score_index(ext);
         assert!(Arc::ptr_eq(&t.score_index("b").unwrap(), &replaced));
@@ -850,15 +760,14 @@ mod tests {
             t.insert(vec![Value::from(i), Value::from(i as f64 / 2048.0)])
                 .unwrap();
         }
-        let _ = t.columnar(); // warm the projection so inserts seal
-        let epoch = t.pin_epoch(true);
+        let epoch = t.pin_epoch();
         let watermark = epoch.row_count();
         assert_eq!(watermark, COLUMN_BLOCK_ROWS + 100);
-        let columnar_then = Arc::clone(epoch.columnar().unwrap());
+        let blocks_then = Arc::clone(epoch.blocks());
         assert_eq!(
-            columnar_then.row_count() + epoch.tail().len(),
+            blocks_then.row_count() + epoch.tail().len(),
             watermark,
-            "epoch coverage = sealed blocks + frozen tail"
+            "epoch coverage = sealed blocks + tail"
         );
 
         // Writers append past the next seal boundary.
@@ -868,40 +777,79 @@ mod tests {
         assert_eq!(t.row_count(), 2 * COLUMN_BLOCK_ROWS + 100);
 
         // The pinned epoch is untouched: same watermark, same blocks, same
-        // frozen tail — the inserts are invisible to it.
+        // tail — the inserts are invisible to it.
         assert_eq!(epoch.row_count(), watermark);
-        assert!(Arc::ptr_eq(epoch.columnar().unwrap(), &columnar_then));
-        assert_eq!(
-            epoch.columnar().unwrap().row_count() + epoch.tail().len(),
-            watermark
-        );
-        // A fresh pin sees the new rows and the newly sealed block.
-        let fresh = t.pin_epoch(true);
+        assert!(Arc::ptr_eq(epoch.blocks(), &blocks_then));
+        assert_eq!(epoch.blocks().row_count() + epoch.tail().len(), watermark);
+        // A fresh pin sees the new rows and the newly sealed block, which
+        // shares the older one.
+        let fresh = t.pin_epoch();
         assert_eq!(fresh.row_count(), 2 * COLUMN_BLOCK_ROWS + 100);
-        assert!(fresh.columnar().unwrap().row_count() >= 2 * COLUMN_BLOCK_ROWS);
-        assert!(fresh.tail().len() < COLUMN_BLOCK_ROWS);
+        assert_eq!(fresh.blocks().row_count(), 2 * COLUMN_BLOCK_ROWS);
+        assert_eq!(fresh.tail().len(), 100);
+        let first = |e: &TableEpoch| e.blocks().fetch_block(0).unwrap().0;
+        assert!(Arc::ptr_eq(&first(&epoch), &first(&fresh)));
     }
 
     #[test]
-    fn epoch_set_pins_once_per_table_and_upgrades_to_columnar() {
+    fn the_tail_stays_under_a_block_after_every_insert() {
+        let t = Table::new(1, "T", schema());
+        for i in 0..(3 * COLUMN_BLOCK_ROWS as i64 + 10) {
+            t.insert(vec![Value::from(i), Value::from(0.5)]).unwrap();
+            let epoch = t.pin_epoch();
+            assert!(epoch.tail().len() < COLUMN_BLOCK_ROWS, "row {i}");
+            assert_eq!(
+                epoch.blocks().row_count() + epoch.tail().len(),
+                t.row_count()
+            );
+        }
+        assert_eq!(t.pin_epoch().blocks().num_blocks(), 3);
+    }
+
+    #[test]
+    fn a_pin_clones_no_row_and_an_insert_copies_only_a_pinned_tail() {
+        let t = Table::new(1, "T", schema());
+        let row = |i: i64| vec![Value::from(i), Value::from(0.5)];
+        for i in 0..10 {
+            t.insert(row(i)).unwrap();
+        }
+        // Two pins with no insert between share the very same tail.
+        let pinned = t.pin_epoch();
+        assert!(Arc::ptr_eq(pinned.tail(), t.pin_epoch().tail()));
+        // An insert under a live pin copies the tail once; the pin keeps
+        // its ten rows.
+        t.insert(row(10)).unwrap();
+        let after = t.pin_epoch();
+        assert!(!Arc::ptr_eq(pinned.tail(), after.tail()));
+        assert_eq!(pinned.tail().len(), 10);
+        assert_eq!(after.tail().len(), 11);
+        // The copy shares each row's values: a tuple clone is a refcount.
+        assert!(std::ptr::eq(
+            pinned.tail()[3].values(),
+            after.tail()[3].values()
+        ));
+        // With no pin left, an insert appends in place.
+        let unpinned = Arc::as_ptr(after.tail());
+        drop((pinned, after));
+        t.insert(row(11)).unwrap();
+        assert_eq!(Arc::as_ptr(t.pin_epoch().tail()), unpinned);
+    }
+
+    #[test]
+    fn epoch_set_pins_once_per_table() {
         let t = Table::new(1, "T", schema());
         for i in 0..10i64 {
             t.insert(vec![Value::from(i), Value::from(i as f64 / 10.0)])
                 .unwrap();
         }
         let set = EpochSet::new();
-        let row_pin = set.pin(&t, false);
-        assert!(row_pin.columnar().is_none());
+        let pin = set.pin(&t);
         // More inserts between pins must not move the watermark.
         t.insert(vec![Value::from(99), Value::from(0.99)]).unwrap();
-        let again = set.pin(&t, false);
-        assert!(Arc::ptr_eq(&row_pin, &again));
-        // Upgrading to columnar keeps the original watermark.
-        let upgraded = set.pin(&t, true);
-        assert_eq!(upgraded.row_count(), row_pin.row_count());
-        let c = upgraded.columnar().unwrap();
-        assert_eq!(c.row_count() + upgraded.tail().len(), 10);
+        let again = set.pin(&t);
+        assert!(Arc::ptr_eq(&pin, &again));
         assert_eq!(set.get(1).unwrap().row_count(), 10);
+        assert_eq!(set.pins(), vec![(1, 10)]);
     }
 
     #[test]
@@ -910,15 +858,12 @@ mod tests {
         for i in 0..(COLUMN_BLOCK_ROWS as i64) {
             t.insert(vec![Value::from(i), Value::from(0.25)]).unwrap();
         }
-        let _ = t.columnar();
         // Tail rows carry the table's maximal score: the sealed fold alone
         // would under-report, which zone-pruning caps cannot afford.
         t.insert(vec![Value::from(-1), Value::from(0.75)]).unwrap();
-        let epoch = t.pin_epoch(true);
+        let epoch = t.pin_epoch();
         assert!(!epoch.tail().is_empty());
         assert_eq!(epoch.score_max(1), Some(0.75));
-        // Row-only pins cannot bound scores.
-        assert_eq!(t.pin_epoch(false).score_max(1), None);
     }
 
     #[test]
@@ -928,7 +873,7 @@ mod tests {
             t.insert(vec![Value::from(i % 4), Value::from(i as f64 / 10.0)])
                 .unwrap();
         }
-        let first = t.stats_catalog();
+        let first = t.stats_catalog().unwrap();
         assert_eq!(first.row_count, 10);
         assert_eq!(first.column("a").unwrap().ndv(), 4);
         assert_eq!(first.column("b").unwrap().max, Some(0.9));
@@ -936,7 +881,7 @@ mod tests {
         // Inserts after the catalog exists fold into it (no invalidation):
         // the next read sees the new row without a rebuild.
         t.insert(vec![Value::from(99), Value::from(2.5)]).unwrap();
-        let second = t.stats_catalog();
+        let second = t.stats_catalog().unwrap();
         assert_eq!(second.row_count, 11);
         assert_eq!(second.column("a").unwrap().ndv(), 5);
         assert_eq!(second.column("T.b").unwrap().max, Some(2.5));
@@ -944,7 +889,7 @@ mod tests {
 
         // Nulls are counted, not sketched.
         t.insert(vec![Value::Null, Value::from(0.0)]).unwrap();
-        let third = t.stats_catalog();
+        let third = t.stats_catalog().unwrap();
         assert_eq!(third.column("a").unwrap().null_count, 1);
         assert_eq!(third.column("a").unwrap().ndv(), 5);
     }
@@ -961,14 +906,14 @@ mod tests {
         }
         // Build warm's catalog early so the remaining inserts take the
         // incremental path; cold builds from scratch at the end.
-        let _ = warm.stats_catalog();
+        let _ = warm.stats_catalog().unwrap();
         for i in 50..200i64 {
             warm.insert(vec![Value::from(i % 7), Value::from(i as f64)])
                 .unwrap();
             cold.insert(vec![Value::from(i % 7), Value::from(i as f64)])
                 .unwrap();
         }
-        assert_eq!(warm.stats_catalog(), cold.stats_catalog());
+        assert_eq!(warm.stats_catalog().unwrap(), cold.stats_catalog().unwrap());
     }
 
     #[test]
@@ -980,36 +925,13 @@ mod tests {
             warm.insert(row(i)).unwrap();
             cold.insert(row(i)).unwrap();
         }
-        let _ = warm.stats_catalog();
+        let _ = warm.stats_catalog().unwrap();
         // Cross two seal boundaries on the warm path.
         for i in 100..(2 * COLUMN_BLOCK_ROWS as i64 + 3) {
             warm.insert(row(i)).unwrap();
             cold.insert(row(i)).unwrap();
         }
-        assert_eq!(warm.stats_catalog(), cold.stats_catalog());
-    }
-
-    #[test]
-    fn columnar_extends_incrementally_and_seals_on_insert() {
-        let t = Table::new(1, "T", schema());
-        for i in 0..500i64 {
-            t.insert(vec![Value::from(i), Value::from(0.5)]).unwrap();
-        }
-        let first = t.columnar();
-        assert_eq!(first.row_count(), 500);
-        // Repeated calls without inserts return the cached handle.
-        assert!(Arc::ptr_eq(&first, &t.columnar()));
-        // Inserts past the seal boundary publish a new sealed version.
-        for i in 500..(COLUMN_BLOCK_ROWS as i64 + 10) {
-            t.insert(vec![Value::from(i), Value::from(0.5)]).unwrap();
-        }
-        let second = t.columnar();
-        assert_eq!(second.row_count(), COLUMN_BLOCK_ROWS + 10);
-        assert_eq!(second.num_blocks(), 2);
-        // The old handle still reads its own 500 rows.
-        assert_eq!(first.row_count(), 500);
-        let (block, _) = first.fetch_block(0).unwrap();
-        assert_eq!(block.value(499, 0), Value::from(499));
+        assert_eq!(warm.stats_catalog().unwrap(), cold.stats_catalog().unwrap());
     }
 
     #[test]

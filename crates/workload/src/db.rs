@@ -11,10 +11,8 @@ use ranksql_common::{Field, Result, Schema};
 use ranksql_core::Database;
 use ranksql_storage::Catalog;
 
-/// Copies every table of a generated catalog into a fresh [`Database`],
-/// *populating both layouts*: rows are inserted into the heap tables and
-/// every columnar projection (with its zone maps) is pre-built, so the
-/// first sequential scan pays no projection-build latency.
+/// Copies every table of a generated catalog into a fresh [`Database`];
+/// the inserts seal the copies' blocks, zone maps included, as they go.
 pub fn catalog_into_database(catalog: &Catalog) -> Result<Database> {
     let db = Database::new();
     for name in catalog.table_names() {
@@ -28,9 +26,10 @@ pub fn catalog_into_database(catalog: &Catalog) -> Result<Database> {
                 .collect(),
         );
         let created = db.create_table(&name, schema)?;
-        created.insert_batch(table.scan().into_iter().map(|t| t.values().to_vec()))?;
+        let epoch = table.pin_epoch();
+        let rows = epoch.tuples(0..epoch.row_count())?;
+        created.insert_batch(rows.into_iter().map(|t| t.values().to_vec()))?;
     }
-    db.prebuild_columnar()?;
     Ok(db)
 }
 

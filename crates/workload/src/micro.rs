@@ -157,7 +157,7 @@ mod tests {
         let cat = Catalog::new();
         let r = relation_r(&cat);
         let ctx = context_f1();
-        let t = r.tuple(0).unwrap();
+        let t = r.pin_epoch().tuples([0]).unwrap().remove(0);
         let p1 = ctx.predicate(0).bind(r.schema()).unwrap();
         let score = p1.evaluate(&t).unwrap();
         assert_eq!(score.value(), 0.9);

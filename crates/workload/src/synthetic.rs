@@ -214,16 +214,20 @@ impl SyntheticWorkload {
             }
             let table = self.catalog.table(&rels[0])?;
             if table.score_index(&pred.name).is_none() {
-                let idx = ScoreIndex::build(pred, table.schema(), &table.scan())?;
+                let epoch = table.pin_epoch();
+                let rows = epoch.tuples(0..epoch.row_count())?;
+                let idx = ScoreIndex::build(pred, table.schema(), &rows)?;
                 table.add_score_index(idx);
             }
         }
         for name in ["A", "B", "C"] {
             let table = self.catalog.table(name)?;
+            let epoch = table.pin_epoch();
+            let rows = epoch.tuples(0..epoch.row_count())?;
             for col in ["jc1", "jc2"] {
                 let qualified = format!("{name}.{col}");
                 if table.hash_index(&qualified).is_none() {
-                    let idx = HashIndex::build(&qualified, table.schema(), &table.scan())?;
+                    let idx = HashIndex::build(&qualified, table.schema(), &rows)?;
                     table.add_hash_index(idx);
                 }
             }

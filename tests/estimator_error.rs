@@ -59,7 +59,7 @@ fn setup(rows: usize) -> Catalog {
 /// Naive NDV scale-up of column 0: distinct values in a `ratio` sample
 /// divided by the achieved sample ratio, capped at the row count.
 fn sampled_scale_up_ndv(table: &Table, ratio: f64) -> f64 {
-    let sample = sample_fraction(table, ratio, SEED);
+    let sample = sample_fraction(table, ratio, SEED).unwrap();
     let rows = table.row_count() as f64;
     let achieved = (sample.len() as f64 / rows).max(f64::EPSILON);
     let distinct: HashSet<&Value> = sample.iter().map(|t| t.value(0)).collect();
@@ -74,7 +74,7 @@ fn sketch_catalog_ndv_beats_naive_sample_scale_up() {
     let cat = setup(ROWS);
     for (table, col) in [("A", "A.jc"), ("B", "B.jc")] {
         let t = cat.table(table).unwrap();
-        let ndv = t.stats_catalog().column(col).unwrap().ndv();
+        let ndv = t.stats_catalog().unwrap().column(col).unwrap().ndv();
         assert_eq!(ndv, DISTINCT, "catalog NDV of {col}");
         let scaled = sampled_scale_up_ndv(&t, SAMPLE_RATIO);
         assert!(
@@ -100,7 +100,7 @@ fn hll_stage_ndv_error_stays_below_naive_sample_scale_up() {
     for i in 0..rows {
         t.insert(vec![Value::from((i % n) as i64)]).unwrap();
     }
-    let stats = t.stats_catalog();
+    let stats = t.stats_catalog().unwrap();
     let sketch_ndv = stats.column("U.k").unwrap().ndv() as f64;
     let sketch_err = (sketch_ndv - n as f64).abs() / n as f64;
     assert!(
@@ -125,7 +125,7 @@ fn cold_rebuild(schema: &Schema, rows: &[Vec<Value>]) -> Arc<StatsCatalog> {
     for r in rows {
         t.insert(r.clone()).unwrap();
     }
-    t.stats_catalog()
+    t.stats_catalog().unwrap()
 }
 
 proptest! {
@@ -182,7 +182,7 @@ proptest! {
         for r in &rows[..prime] {
             t.insert(r.clone()).unwrap();
         }
-        let _ = t.stats_catalog();
+        let _ = t.stats_catalog().unwrap();
         for (i, r) in rows[prime..].iter().enumerate() {
             t.insert(r.clone()).unwrap();
             let len = prime + i + 1;
@@ -223,7 +223,7 @@ proptest! {
         }
         // Force the build mid-stream; the inserts after it must keep the
         // catalog fresh incrementally.
-        let _ = t.stats_catalog();
+        let _ = t.stats_catalog().unwrap();
         for r in &rows[split..] {
             t.insert(r.clone()).unwrap();
         }
@@ -250,7 +250,7 @@ fn seal_boundary_edge_cases_match_cold_rebuild() {
         let t = cat.create_table("W", schema.clone()).unwrap();
         // Prime the catalog on the empty table so every single insert runs
         // through the incremental delta/seal path.
-        assert_eq!(t.stats_catalog().row_count, 0);
+        assert_eq!(t.stats_catalog().unwrap().row_count, 0);
         for r in &rows {
             t.insert(r.clone()).unwrap();
         }
@@ -283,7 +283,7 @@ fn incremental_catalog_survives_block_boundaries() {
     for r in &rows[..1500] {
         t.insert(r.clone()).unwrap();
     }
-    let mid = t.stats_catalog();
+    let mid = t.stats_catalog().unwrap();
     assert_eq!(mid.row_count, 1500);
     for r in &rows[1500..] {
         t.insert(r.clone()).unwrap();

@@ -98,7 +98,7 @@ fn source(
         );
         Box::new(RankScan::new(Arc::clone(table), idx, 0, exec, "scan").expect("rank-scan"))
     } else {
-        let epoch = table.pin_epoch(true);
+        let epoch = table.pin_epoch();
         let rows = 0..epoch.row_count();
         Box::new(ColumnScan::new(&epoch, rows, None, false, None, exec, "scan").expect("scan"))
     }

@@ -22,11 +22,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ranksql::storage::column::ColumnTable;
 use ranksql::storage::crc32;
 use ranksql::storage::page::{decode_extent, encode_extent};
 use ranksql::storage::SealedBlock;
-use ranksql::{DataType, Field, RankSqlError, Schema, Tuple, Value};
+use ranksql::{RankSqlError, Tuple, Value};
 
 /// `magic u32 | block_no u64 | rows u32 | n_cols u32 | payload_len u32 |
 /// payload_crc32 u32`: the byte offsets of the header fields.
@@ -103,11 +102,6 @@ fn random_block(g: &mut Gen) -> (Vec<Vec<Value>>, Arc<SealedBlock>) {
 
 /// The sealed block holding the first `n_cols` columns of `rows`.
 fn block_of(rows: &[Vec<Value>], n_cols: usize) -> Arc<SealedBlock> {
-    let schema = Schema::new(
-        (0..n_cols)
-            .map(|c| Field::new(format!("c{c}"), DataType::Utf8))
-            .collect(),
-    );
     let tuples: Vec<Tuple> = rows
         .iter()
         .enumerate()
@@ -118,10 +112,7 @@ fn block_of(rows: &[Vec<Value>], n_cols: usize) -> Arc<SealedBlock> {
             )
         })
         .collect();
-    ColumnTable::from_rows(0, "X", &schema, &tuples)
-        .fetch_block(0)
-        .unwrap()
-        .0
+    Arc::new(SealedBlock::seal(&tuples, n_cols))
 }
 
 fn zone_bits(b: &SealedBlock) -> Vec<String> {

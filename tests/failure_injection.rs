@@ -366,11 +366,10 @@ fn panicking_writer_leaves_the_table_readable_at_its_last_epoch() {
         )
         .unwrap();
     }
-    // Prime the incrementally maintained caches, so the writer's appends
-    // run through the extend paths (stats delta + seal, columnar reseal).
+    // Prime the incrementally maintained statistics, so the writer's
+    // appends run through the extend path (stats delta + seal).
     let t = db.catalog().table("W").unwrap();
-    let _ = t.stats_catalog();
-    let _ = t.columnar();
+    let _ = t.stats_catalog().unwrap();
 
     let query = QueryBuilder::new()
         .table("W")
@@ -430,7 +429,7 @@ fn panicking_writer_leaves_the_table_readable_at_its_last_epoch() {
         for tup in t.scan() {
             w.insert(tup.values().to_vec()).unwrap();
         }
-        w.stats_catalog()
+        w.stats_catalog().unwrap()
     };
     assert_eq!(t.cached_stats().unwrap(), rebuilt);
 
@@ -506,6 +505,7 @@ fn cursor_pinned_before_a_burst_streams_its_snapshot_and_late_reads_are_stale() 
         .unwrap()
         .cursor()
         .unwrap();
+    let pinned = db.catalog().table("B").unwrap().pin_epoch();
     db.insert_batch(
         "B",
         (base..base + 2000).map(|i| vec![Value::from(i), Value::from(1.0)]),
@@ -527,17 +527,14 @@ fn cursor_pinned_before_a_burst_streams_its_snapshot_and_late_reads_are_stale() 
 
     // The guard itself: reading past a pinned watermark is an explicit
     // stale-read error, not silent fresh data.
-    let table = db.catalog().table("B").unwrap();
-    let watermark = base as usize;
-    assert!(table.tuple_within(0, watermark).is_ok());
-    assert!(table.tuple_within(base as u64 - 1, watermark).is_ok());
-    let err = table
-        .tuple_within(base as u64, watermark)
+    let base = base as usize;
+    assert_eq!(pinned.row_count(), base);
+    assert!(pinned.tuples([0, base - 1]).is_ok());
+    let err = pinned
+        .tuples([base])
         .expect_err("reads at or past the watermark must fail");
     assert!(err.to_string().contains("stale"), "{err}");
-    let err = table
-        .tuple_within(base as u64 + 500, watermark)
-        .unwrap_err();
+    let err = pinned.tuples([base + 500]).unwrap_err();
     assert!(err.to_string().contains("stale"), "{err}");
 }
 

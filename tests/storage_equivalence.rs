@@ -22,7 +22,7 @@ use ranksql::executor::{execute_physical_plan, oracle_top_k, ExecutionContext};
 use ranksql::expr::{RankPredicate, RankedTuple};
 use ranksql::{
     BoolExpr, CompareOp, DataType, Database, Field, PagedOptions, PlanMode, QueryBuilder,
-    RankQuery, ScalarExpr, Schema, Value,
+    RankQuery, RankSqlError, ScalarExpr, Schema, Value,
 };
 
 /// A process-unique scratch directory for paged databases, removed on drop.
@@ -730,4 +730,120 @@ fn pruning_scan_scores_rows_before_building_them() {
             }
         }
     }
+}
+
+/// Rows of the index-scan table `I(id, g, p)`: `p` is the rank-scan's
+/// score, `g` the attribute index's key, both scattered across blocks.
+fn index_rows(rows: i64) -> impl Iterator<Item = Vec<Value>> {
+    (0..rows).map(|i| {
+        vec![
+            Value::from(i),
+            Value::from((i * 7919) % 53),
+            Value::from(((i * 104_729) % 1000) as f64 / 1000.0),
+        ]
+    })
+}
+
+fn create_index_table(db: &Database, rows: i64) {
+    db.create_table(
+        "I",
+        Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("g", DataType::Int64),
+            Field::new("p", DataType::Float64),
+        ]),
+    )
+    .unwrap();
+    db.insert_batch("I", index_rows(rows)).unwrap();
+}
+
+/// A rank-scan and an attribute-index scan over `I`, each capped at
+/// `limit` rows, with the query they run under.
+fn index_scan_plans(db: &Database, limit: usize) -> (RankQuery, [ranksql::LogicalPlan; 2]) {
+    let query = QueryBuilder::new()
+        .table("I")
+        .rank_predicate(RankPredicate::attribute("p", "I.p"))
+        .limit(limit)
+        .build()
+        .unwrap();
+    let t = db.catalog().table("I").unwrap();
+    let plans = [
+        ranksql::LogicalPlan::rank_scan(&t, 0).limit(limit),
+        ranksql::LogicalPlan::index_scan(&t, "I.g").limit(limit),
+    ];
+    (query, plans)
+}
+
+/// Rank-scans and attribute-index scans read a paged table's rows through
+/// the buffer pool: over a reopened table four times its pool they build
+/// their indexes and return what an in-memory table returns, ids included.
+#[test]
+fn index_scans_over_a_reopened_paged_table_fault_through_the_pool() {
+    const ROWS: i64 = 4 * 1024 + 100; // 4 sealed blocks of 2 pages + a tail
+    let options = PagedOptions { pool_pages: 2 };
+    let dir = TempDir::new("index-scans");
+    create_index_table(
+        &Database::open_paged_with(dir.path(), options).unwrap(),
+        ROWS,
+    );
+    let paged = Database::open_paged_with(dir.path(), options).unwrap();
+    let mem = Database::new();
+    create_index_table(&mem, ROWS);
+    let epoch = paged.catalog().table("I").unwrap().pin_epoch();
+    assert_eq!(epoch.blocks().paged_blocks(), 4);
+    assert_eq!(epoch.blocks().block_pages(0), 2);
+
+    let (query, paged_plans) = index_scan_plans(&paged, 300);
+    let (_, mem_plans) = index_scan_plans(&mem, 300);
+    for (p, m) in paged_plans.iter().zip(&mem_plans) {
+        let got = paged.execute_plan(&query, p).unwrap();
+        let want = mem.execute_plan(&query, m).unwrap();
+        assert_eq!(got.rows.len(), 300);
+        assert_eq!(
+            fingerprint(&got),
+            fingerprint(&want),
+            "{}",
+            got.physical.explain(None)
+        );
+        let states = |r: &ranksql::QueryResult| -> Vec<_> {
+            r.rows.iter().map(|t| t.state.clone()).collect()
+        };
+        assert_eq!(states(&got), states(&want));
+    }
+}
+
+/// A rank-scan that faults a corrupt extent fails with a typed `Storage`
+/// error instead of panicking, and `Table::scan` stops short of the bad
+/// block rather than returning a snapshot that looks whole.
+#[test]
+fn a_rank_scan_over_a_corrupt_extent_fails_typed() {
+    const ROWS: i64 = 4 * 1024;
+    let options = PagedOptions { pool_pages: 2 };
+    let dir = TempDir::new("corrupt-extent");
+    create_index_table(
+        &Database::open_paged_with(dir.path(), options).unwrap(),
+        ROWS,
+    );
+    let db = Database::open_paged_with(dir.path(), options).unwrap();
+    let (query, [rank_scan, _]) = index_scan_plans(&db, 50);
+    // Build the score index while the extents are sound, then leave the
+    // one-block pool holding block 3, so block 0 must be faulted again.
+    db.execute_plan(&query, &rank_scan).unwrap();
+    let t = db.catalog().table("I").unwrap();
+    t.pin_epoch().tuples([3 * 1024]).unwrap();
+
+    // Flip one payload byte of block 0's extent, on disk, after open.
+    let data = dir.path().join("t0.dat");
+    let mut bytes = std::fs::read(&data).unwrap();
+    bytes[1000] ^= 0xFF;
+    std::fs::write(&data, &bytes).unwrap();
+
+    match db.execute_plan(&query, &rank_scan) {
+        Err(RankSqlError::Storage(msg)) => assert!(msg.contains("checksum"), "{msg}"),
+        other => panic!("expected a typed storage error, got {other:?}"),
+    }
+    assert!(
+        t.scan().len() < t.row_count(),
+        "a failed fault stops scan short"
+    );
 }
