@@ -3,21 +3,23 @@
 //!
 //! A [`LogicalPlan`] describes *what* rank-relation to compute; a
 //! [`PhysicalPlan`] names the concrete operator that computes every node —
-//! `SeqScan` vs `RankScan` vs `AttributeIndexScan`, `HashJoin` vs
-//! `HashRankJoin` (HRJN) vs `NestedLoopsRankJoin` (NRJN), the rank
-//! materialisation µ vs a multi-predicate `MproProbe`, and a blocking
-//! `Sort` vs a fused top-k `SortLimit`.  Each node carries the optimizer's
-//! per-node [`Cost`] and cardinality estimates, so `explain` can print the
-//! physical tree the executor will actually run, and — after execution —
-//! pair every node with the number of tuples it really produced.
+//! `SeqScan` vs `RankScan` vs `AttributeIndexScan`, the [`JoinAlgorithm`]
+//! of every join (hash, sort-merge or nested loops, or the rank-aware HRJN
+//! and NRJN), and a blocking `Sort` vs a fused top-k `SortLimit`.  Each
+//! node carries the optimizer's per-node [`Cost`] and cardinality
+//! estimates, so `explain` can print the physical tree the executor will
+//! actually run, and — after execution — pair every node with the number
+//! of tuples it really produced.
 //!
 //! The executor consumes *only* this IR: `build_operator` in
 //! `ranksql-executor` is a mechanical `PhysicalPlan → operator` walk with no
-//! physical decisions left in it.  The optimizer's planners lower
-//! `LogicalPlan → PhysicalPlan` (with real cost annotations); the
-//! [`PhysicalPlan::from_logical`] lowering used for hand-built and canonical
-//! plans performs the same structural mapping with zero-cost annotations.
+//! physical decisions left in it.  There is one lowering
+//! `LogicalPlan → PhysicalPlan`, [`PhysicalPlan::from_logical_with`]: the
+//! optimizer's planners hand it the cost model's per-node estimates, and
+//! [`PhysicalPlan::from_logical`] runs it with zero-cost annotations for
+//! hand-built and canonical plans.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use ranksql_common::{BitSet64, Cost, RankSqlError, Result, Schema};
@@ -125,59 +127,19 @@ pub enum PhysicalOp {
         /// Index of the ranking predicate evaluated.
         predicate: usize,
     },
-    /// Multi-predicate rank with minimal probing (MPro): evaluates the
-    /// scheduled predicates lazily, probing a tuple only when the probe is
-    /// provably necessary.
-    MproProbe {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Context predicate indices in probe order.
-        schedule: Vec<usize>,
-    },
-    /// Tuple-at-a-time nested-loops join (blocking inner).
-    NestedLoopsJoin {
+    /// Join ⋈ of two inputs, computed by one of the [`JoinAlgorithm`]s: the
+    /// blocking nested-loops, hash and sort-merge joins or the rank-aware,
+    /// incremental HRJN and NRJN.
+    Join {
         /// Left input.
         left: Box<PhysicalPlan>,
-        /// Right input.
+        /// Right input (the build side of a hash or nested-loops join).
         right: Box<PhysicalPlan>,
-        /// Join condition (`None` = Cartesian product).
+        /// Join condition (`None` = Cartesian product; every algorithm but
+        /// the two nested-loops ones needs an equi-conjunct).
         condition: Option<BoolExpr>,
-    },
-    /// Classic hash join (builds on the right input; blocking).
-    HashJoin {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Join condition (must contain an equi-conjunct).
-        condition: Option<BoolExpr>,
-    },
-    /// Sort-merge join on the equi-join columns (blocking).
-    SortMergeJoin {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Join condition (must contain an equi-conjunct).
-        condition: Option<BoolExpr>,
-    },
-    /// Hash rank-join (HRJN): rank-aware, incremental, symmetric-hash.
-    HashRankJoin {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Join condition (must contain an equi-conjunct).
-        condition: Option<BoolExpr>,
-    },
-    /// Nested-loops rank-join (NRJN): rank-aware, arbitrary conditions.
-    NestedLoopsRankJoin {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Join condition (`None` = rank-aware cross product).
-        condition: Option<BoolExpr>,
+        /// The physical algorithm that computes the join.
+        algorithm: JoinAlgorithm,
     },
     /// Rank-aware set operation (∪, ∩, −).
     SetOp {
@@ -334,36 +296,12 @@ impl PhysicalOp {
                 condition,
                 algorithm,
                 ..
-            } => {
-                let (left, right, condition) = (child(), child(), condition.clone());
-                match algorithm {
-                    JoinAlgorithm::NestedLoop => PhysicalOp::NestedLoopsJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                    JoinAlgorithm::Hash => PhysicalOp::HashJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                    JoinAlgorithm::SortMerge => PhysicalOp::SortMergeJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                    JoinAlgorithm::HashRankJoin => PhysicalOp::HashRankJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                    JoinAlgorithm::NestedLoopRankJoin => PhysicalOp::NestedLoopsRankJoin {
-                        left,
-                        right,
-                        condition,
-                    },
-                }
-            }
+            } => PhysicalOp::Join {
+                left: child(),
+                right: child(),
+                condition: condition.clone(),
+                algorithm: *algorithm,
+            },
             LogicalPlan::SetOp { kind, .. } => PhysicalOp::SetOp {
                 kind: *kind,
                 left: child(),
@@ -381,29 +319,36 @@ impl PhysicalOp {
     }
 
     /// Rebuilds this operator with `f` applied to every direct child plan
-    /// (leaves are returned unchanged).  The one exhaustive child walk
-    /// rewrite passes share, so adding a `PhysicalOp` variant only needs
-    /// its children threaded here.
+    /// (leaves are returned unchanged).
     pub fn map_children(self, mut f: impl FnMut(PhysicalPlan) -> PhysicalPlan) -> PhysicalOp {
-        match self {
+        self.try_map_children(|c| Ok::<_, Infallible>(f(c)))
+            .unwrap_or_else(|never| match never {})
+    }
+
+    /// [`map_children`](Self::map_children) for a fallible `f`, stopping at
+    /// the first error in child order.  The one exhaustive child walk every
+    /// rewrite pass shares, so adding a `PhysicalOp` variant only needs its
+    /// children threaded here.
+    pub fn try_map_children<E>(
+        self,
+        mut f: impl FnMut(PhysicalPlan) -> std::result::Result<PhysicalPlan, E>,
+    ) -> std::result::Result<PhysicalOp, E> {
+        let mut f = |child: Box<PhysicalPlan>| f(*child).map(Box::new);
+        Ok(match self {
             PhysicalOp::Filter { input, predicate } => PhysicalOp::Filter {
-                input: Box::new(f(*input)),
+                input: f(input)?,
                 predicate,
             },
             PhysicalOp::Project { input, columns } => PhysicalOp::Project {
-                input: Box::new(f(*input)),
+                input: f(input)?,
                 columns,
             },
             PhysicalOp::RankMaterialize { input, predicate } => PhysicalOp::RankMaterialize {
-                input: Box::new(f(*input)),
+                input: f(input)?,
                 predicate,
             },
-            PhysicalOp::MproProbe { input, schedule } => PhysicalOp::MproProbe {
-                input: Box::new(f(*input)),
-                schedule,
-            },
             PhysicalOp::Sort { input, predicates } => PhysicalOp::Sort {
-                input: Box::new(f(*input)),
+                input: f(input)?,
                 predicates,
             },
             PhysicalOp::SortLimit {
@@ -411,75 +356,39 @@ impl PhysicalOp {
                 predicates,
                 k,
             } => PhysicalOp::SortLimit {
-                input: Box::new(f(*input)),
+                input: f(input)?,
                 predicates,
                 k,
             },
             PhysicalOp::Limit { input, k } => PhysicalOp::Limit {
-                input: Box::new(f(*input)),
+                input: f(input)?,
                 k,
             },
             PhysicalOp::Exchange { input, merge } => PhysicalOp::Exchange {
-                input: Box::new(f(*input)),
+                input: f(input)?,
                 merge,
             },
-            PhysicalOp::Repartition { input } => PhysicalOp::Repartition {
-                input: Box::new(f(*input)),
-            },
-            PhysicalOp::NestedLoopsJoin {
+            PhysicalOp::Repartition { input } => PhysicalOp::Repartition { input: f(input)? },
+            PhysicalOp::Join {
                 left,
                 right,
                 condition,
-            } => PhysicalOp::NestedLoopsJoin {
-                left: Box::new(f(*left)),
-                right: Box::new(f(*right)),
+                algorithm,
+            } => PhysicalOp::Join {
+                left: f(left)?,
+                right: f(right)?,
                 condition,
-            },
-            PhysicalOp::HashJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::HashJoin {
-                left: Box::new(f(*left)),
-                right: Box::new(f(*right)),
-                condition,
-            },
-            PhysicalOp::SortMergeJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::SortMergeJoin {
-                left: Box::new(f(*left)),
-                right: Box::new(f(*right)),
-                condition,
-            },
-            PhysicalOp::HashRankJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::HashRankJoin {
-                left: Box::new(f(*left)),
-                right: Box::new(f(*right)),
-                condition,
-            },
-            PhysicalOp::NestedLoopsRankJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::NestedLoopsRankJoin {
-                left: Box::new(f(*left)),
-                right: Box::new(f(*right)),
-                condition,
+                algorithm,
             },
             PhysicalOp::SetOp { kind, left, right } => PhysicalOp::SetOp {
                 kind,
-                left: Box::new(f(*left)),
-                right: Box::new(f(*right)),
+                left: f(left)?,
+                right: f(right)?,
             },
             leaf @ (PhysicalOp::SeqScan { .. }
             | PhysicalOp::RankScan { .. }
             | PhysicalOp::AttributeIndexScan { .. }) => leaf,
-        }
+        })
     }
 }
 
@@ -517,37 +426,82 @@ impl PhysicalPlan {
         })
     }
 
-    /// Structurally lowers a logical plan, carrying zero cost estimates.
+    /// Structurally lowers a logical plan, carrying zero cost estimates —
+    /// [`from_logical_with`](Self::from_logical_with) for hand-built and
+    /// canonical plans.
+    pub fn from_logical(plan: &LogicalPlan) -> Result<PhysicalPlan> {
+        PhysicalPlan::from_logical_with(plan, &|_| Ok((Cost::ZERO, 0.0)))
+    }
+
+    /// Lowers a logical plan, annotating every node with the
+    /// `(cumulative cost, output rows)` that `estimate` returns for the
+    /// logical node it implements.
     ///
     /// The mapping is mechanical because the logical plan already fixes the
     /// access path and join algorithm; the one *physical* rewrite applied
     /// here is fusing `Limit(Sort(x))` into the bounded-heap [`top-k
-    /// sort`](PhysicalOp::SortLimit).  Optimizer lowerings re-annotate the
-    /// result of this function with real per-node estimates.
-    pub fn from_logical(plan: &LogicalPlan) -> Result<PhysicalPlan> {
+    /// sort`](PhysicalOp::SortLimit), which takes the `Limit` node's
+    /// estimates.
+    pub fn from_logical_with(
+        plan: &LogicalPlan,
+        estimate: &impl Fn(&LogicalPlan) -> Result<(Cost, f64)>,
+    ) -> Result<PhysicalPlan> {
         // Fuse λ_k directly above τ_F into one bounded top-k sort.
-        if let LogicalPlan::Limit { input, k } = plan {
-            if let LogicalPlan::Sort {
-                input: sort_input,
+        let fused = match plan {
+            LogicalPlan::Limit { input, k } => match input.as_ref() {
+                LogicalPlan::Sort { input, predicates } => Some((input, *predicates, *k)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let op = match fused {
+            Some((input, predicates, k)) => PhysicalOp::SortLimit {
+                input: Box::new(PhysicalPlan::from_logical_with(input, estimate)?),
                 predicates,
-            } = input.as_ref()
-            {
-                let child = PhysicalPlan::from_logical(sort_input)?;
-                return Ok(PhysicalPlan::unestimated(PhysicalOp::SortLimit {
-                    input: Box::new(child),
-                    predicates: *predicates,
-                    k: *k,
-                }));
+                k,
+            },
+            None => {
+                let children = plan
+                    .children()
+                    .into_iter()
+                    .map(|c| PhysicalPlan::from_logical_with(c, estimate))
+                    .collect::<Result<Vec<_>>>()?;
+                PhysicalOp::from_logical_node(plan, children)
             }
+        };
+        let (estimated_cost, estimated_rows) = estimate(plan)?;
+        Ok(PhysicalPlan {
+            op,
+            estimated_cost,
+            estimated_rows,
+        })
+    }
+
+    /// Rebuilds this node's operator with `f` — typically over rewritten
+    /// children — keeping its cardinality estimate and lowering its
+    /// cumulative cost (never below zero) by exactly what its children's
+    /// costs dropped, so a pass that re-costs a subtree stays visible in
+    /// every ancestor's cost.
+    pub fn rebuild_coherent(self, f: impl FnOnce(PhysicalOp) -> PhysicalOp) -> PhysicalPlan {
+        let children_cost = |p: &PhysicalPlan| -> f64 {
+            p.children().iter().map(|c| c.estimated_cost.value()).sum()
+        };
+        let old_children_cost = children_cost(&self);
+        let PhysicalPlan {
+            op,
+            estimated_cost,
+            estimated_rows,
+        } = self;
+        let rebuilt = PhysicalPlan {
+            op: f(op),
+            estimated_cost,
+            estimated_rows,
+        };
+        let saved = old_children_cost - children_cost(&rebuilt);
+        PhysicalPlan {
+            estimated_cost: Cost((estimated_cost.value() - saved).max(0.0)),
+            ..rebuilt
         }
-        let children = plan
-            .children()
-            .into_iter()
-            .map(PhysicalPlan::from_logical)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(PhysicalPlan::unestimated(PhysicalOp::from_logical_node(
-            plan, children,
-        )))
     }
 
     /// The output schema of this plan.
@@ -558,7 +512,6 @@ impl PhysicalPlan {
             | PhysicalOp::AttributeIndexScan { schema, .. } => Ok(schema.clone()),
             PhysicalOp::Filter { input, .. }
             | PhysicalOp::RankMaterialize { input, .. }
-            | PhysicalOp::MproProbe { input, .. }
             | PhysicalOp::Sort { input, .. }
             | PhysicalOp::SortLimit { input, .. }
             | PhysicalOp::Limit { input, .. }
@@ -572,13 +525,7 @@ impl PhysicalPlan {
                 }
                 Ok(s.project(&indices))
             }
-            PhysicalOp::NestedLoopsJoin { left, right, .. }
-            | PhysicalOp::HashJoin { left, right, .. }
-            | PhysicalOp::SortMergeJoin { left, right, .. }
-            | PhysicalOp::HashRankJoin { left, right, .. }
-            | PhysicalOp::NestedLoopsRankJoin { left, right, .. } => {
-                Ok(left.schema()?.join(&right.schema()?))
-            }
+            PhysicalOp::Join { left, right, .. } => Ok(left.schema()?.join(&right.schema()?)),
             PhysicalOp::SetOp { left, right, .. } => {
                 let l = left.schema()?;
                 let r = right.schema()?;
@@ -603,18 +550,14 @@ impl PhysicalPlan {
             PhysicalOp::Filter { input, .. }
             | PhysicalOp::Project { input, .. }
             | PhysicalOp::RankMaterialize { input, .. }
-            | PhysicalOp::MproProbe { input, .. }
             | PhysicalOp::Sort { input, .. }
             | PhysicalOp::SortLimit { input, .. }
             | PhysicalOp::Limit { input, .. }
             | PhysicalOp::Exchange { input, .. }
             | PhysicalOp::Repartition { input } => vec![input],
-            PhysicalOp::NestedLoopsJoin { left, right, .. }
-            | PhysicalOp::HashJoin { left, right, .. }
-            | PhysicalOp::SortMergeJoin { left, right, .. }
-            | PhysicalOp::HashRankJoin { left, right, .. }
-            | PhysicalOp::NestedLoopsRankJoin { left, right, .. }
-            | PhysicalOp::SetOp { left, right, .. } => vec![left, right],
+            PhysicalOp::Join { left, right, .. } | PhysicalOp::SetOp { left, right, .. } => {
+                vec![left, right]
+            }
         }
     }
 
@@ -656,19 +599,7 @@ impl PhysicalPlan {
                     }),
                 ..
             } => out.extend(f.param_slots()),
-            PhysicalOp::NestedLoopsJoin {
-                condition: Some(c), ..
-            }
-            | PhysicalOp::HashJoin {
-                condition: Some(c), ..
-            }
-            | PhysicalOp::SortMergeJoin {
-                condition: Some(c), ..
-            }
-            | PhysicalOp::HashRankJoin {
-                condition: Some(c), ..
-            }
-            | PhysicalOp::NestedLoopsRankJoin {
+            PhysicalOp::Join {
                 condition: Some(c), ..
             } => out.extend(c.param_slots()),
             _ => {}
@@ -689,123 +620,35 @@ impl PhysicalPlan {
     /// physical plan (optimized once, containing `$i` parameter slots) is
     /// re-bound to fresh constants without re-running the optimizer.
     pub fn with_params(&self, values: &[ranksql_common::Value]) -> Result<PhysicalPlan> {
-        let rebind = |c: &Option<BoolExpr>| -> Result<Option<BoolExpr>> {
-            c.as_ref().map(|c| c.with_params(values)).transpose()
-        };
-        let child = |input: &PhysicalPlan| -> Result<Box<PhysicalPlan>> {
-            Ok(Box::new(input.with_params(values)?))
-        };
-        let op = match &self.op {
-            PhysicalOp::Filter { input, predicate } => PhysicalOp::Filter {
-                input: child(input)?,
-                predicate: predicate.with_params(values)?,
-            },
-            PhysicalOp::NestedLoopsJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::NestedLoopsJoin {
-                left: child(left)?,
-                right: child(right)?,
-                condition: rebind(condition)?,
-            },
-            PhysicalOp::HashJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::HashJoin {
-                left: child(left)?,
-                right: child(right)?,
-                condition: rebind(condition)?,
-            },
-            PhysicalOp::SortMergeJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::SortMergeJoin {
-                left: child(left)?,
-                right: child(right)?,
-                condition: rebind(condition)?,
-            },
-            PhysicalOp::HashRankJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::HashRankJoin {
-                left: child(left)?,
-                right: child(right)?,
-                condition: rebind(condition)?,
-            },
-            PhysicalOp::NestedLoopsRankJoin {
-                left,
-                right,
-                condition,
-            } => PhysicalOp::NestedLoopsRankJoin {
-                left: child(left)?,
-                right: child(right)?,
-                condition: rebind(condition)?,
-            },
-            PhysicalOp::Project { input, columns } => PhysicalOp::Project {
-                input: child(input)?,
-                columns: columns.clone(),
-            },
-            PhysicalOp::RankMaterialize { input, predicate } => PhysicalOp::RankMaterialize {
-                input: child(input)?,
-                predicate: *predicate,
-            },
-            PhysicalOp::MproProbe { input, schedule } => PhysicalOp::MproProbe {
-                input: child(input)?,
-                schedule: schedule.clone(),
-            },
-            PhysicalOp::SetOp { kind, left, right } => PhysicalOp::SetOp {
-                kind: *kind,
-                left: child(left)?,
-                right: child(right)?,
-            },
-            PhysicalOp::Sort { input, predicates } => PhysicalOp::Sort {
-                input: child(input)?,
-                predicates: *predicates,
-            },
-            PhysicalOp::SortLimit {
-                input,
-                predicates,
-                k,
-            } => PhysicalOp::SortLimit {
-                input: child(input)?,
-                predicates: *predicates,
-                k: *k,
-            },
-            PhysicalOp::Limit { input, k } => PhysicalOp::Limit {
-                input: child(input)?,
-                k: *k,
-            },
-            PhysicalOp::Exchange { input, merge } => PhysicalOp::Exchange {
-                input: child(input)?,
-                merge: *merge,
-            },
-            PhysicalOp::Repartition { input } => PhysicalOp::Repartition {
-                input: child(input)?,
-            },
-            PhysicalOp::SeqScan {
-                table,
-                schema,
-                columnar: Some(c),
-            } => PhysicalOp::SeqScan {
-                table: table.clone(),
-                schema: schema.clone(),
-                columnar: Some(ColumnarScan {
-                    pushed_filter: rebind(&c.pushed_filter)?,
-                    zone_prune: c.zone_prune,
-                }),
-            },
-            leaf @ (PhysicalOp::SeqScan { .. }
-            | PhysicalOp::RankScan { .. }
-            | PhysicalOp::AttributeIndexScan { .. }) => leaf.clone(),
-        };
+        self.clone().bind_params(values)
+    }
+
+    fn bind_params(self, values: &[ranksql_common::Value]) -> Result<PhysicalPlan> {
+        let PhysicalPlan {
+            op,
+            estimated_cost,
+            estimated_rows,
+        } = self;
+        let mut op = op.try_map_children(|c| c.bind_params(values))?;
+        match &mut op {
+            PhysicalOp::Filter { predicate: p, .. }
+            | PhysicalOp::Join {
+                condition: Some(p), ..
+            }
+            | PhysicalOp::SeqScan {
+                columnar:
+                    Some(ColumnarScan {
+                        pushed_filter: Some(p),
+                        ..
+                    }),
+                ..
+            } => *p = p.with_params(values)?,
+            _ => {}
+        }
         Ok(PhysicalPlan {
             op,
-            estimated_cost: self.estimated_cost,
-            estimated_rows: self.estimated_rows,
+            estimated_cost,
+            estimated_rows,
         })
     }
 
@@ -816,61 +659,48 @@ impl PhysicalPlan {
     /// per-partition top-k sorts the parallelization pass plants under an
     /// ordered exchange), so the value match is exact.
     pub fn with_limit(&self, old_k: usize, new_k: usize) -> PhysicalPlan {
-        let mut op = self.op.clone();
+        self.clone().relimit(old_k, new_k)
+    }
+
+    fn relimit(self, old_k: usize, new_k: usize) -> PhysicalPlan {
+        let PhysicalPlan {
+            op,
+            estimated_cost,
+            estimated_rows,
+        } = self;
+        let mut op = op.map_children(|c| c.relimit(old_k, new_k));
         match &mut op {
-            PhysicalOp::Limit { k, .. } if *k == old_k => *k = new_k,
-            PhysicalOp::SortLimit { k, .. } if *k == old_k => *k = new_k,
-            PhysicalOp::Exchange {
+            PhysicalOp::Limit { k, .. }
+            | PhysicalOp::SortLimit { k, .. }
+            | PhysicalOp::Exchange {
                 merge: ExchangeMerge::Ordered { limit: Some(k) },
                 ..
             } if *k == old_k => *k = new_k,
             _ => {}
         }
-        // Recurse through whichever children the (possibly rewritten) node
-        // has; every variant stores children behind `Box<PhysicalPlan>`.
-        match &mut op {
-            PhysicalOp::Filter { input, .. }
-            | PhysicalOp::Project { input, .. }
-            | PhysicalOp::RankMaterialize { input, .. }
-            | PhysicalOp::MproProbe { input, .. }
-            | PhysicalOp::Sort { input, .. }
-            | PhysicalOp::SortLimit { input, .. }
-            | PhysicalOp::Limit { input, .. }
-            | PhysicalOp::Exchange { input, .. }
-            | PhysicalOp::Repartition { input } => {
-                **input = input.with_limit(old_k, new_k);
-            }
-            PhysicalOp::NestedLoopsJoin { left, right, .. }
-            | PhysicalOp::HashJoin { left, right, .. }
-            | PhysicalOp::SortMergeJoin { left, right, .. }
-            | PhysicalOp::HashRankJoin { left, right, .. }
-            | PhysicalOp::NestedLoopsRankJoin { left, right, .. }
-            | PhysicalOp::SetOp { left, right, .. } => {
-                **left = left.with_limit(old_k, new_k);
-                **right = right.with_limit(old_k, new_k);
-            }
-            PhysicalOp::SeqScan { .. }
-            | PhysicalOp::RankScan { .. }
-            | PhysicalOp::AttributeIndexScan { .. } => {}
-        }
         PhysicalPlan {
             op,
-            estimated_cost: self.estimated_cost,
-            estimated_rows: self.estimated_rows,
+            estimated_cost,
+            estimated_rows,
         }
     }
 
     /// Whether this subtree contains a rank-aware operator (rank-scan, µ,
-    /// MPro, HRJN, NRJN).
+    /// HRJN, NRJN).
     pub fn is_rank_aware(&self) -> bool {
-        matches!(
-            self.op,
-            PhysicalOp::RankScan { .. }
-                | PhysicalOp::RankMaterialize { .. }
-                | PhysicalOp::MproProbe { .. }
-                | PhysicalOp::HashRankJoin { .. }
-                | PhysicalOp::NestedLoopsRankJoin { .. }
-        ) || self.children().iter().any(|c| c.is_rank_aware())
+        matches!(self.op, PhysicalOp::RankScan { .. })
+            || self.buffers_ranked()
+            || self.children().iter().any(|c| c.is_rank_aware())
+    }
+
+    /// Whether this node is an incremental rank-aware operator (µ, HRJN,
+    /// NRJN), which buffers what it has drawn until it can emit it.
+    fn buffers_ranked(&self) -> bool {
+        match &self.op {
+            PhysicalOp::RankMaterialize { .. } => true,
+            PhysicalOp::Join { algorithm, .. } => algorithm.is_rank_aware(),
+            _ => false,
+        }
     }
 
     /// Whether this subtree contains an [`Exchange`](PhysicalOp::Exchange)
@@ -932,21 +762,11 @@ impl PhysicalPlan {
             PhysicalOp::Filter { predicate, .. } => format!("Select[{predicate}]"),
             PhysicalOp::Project { columns, .. } => format!("Project[{}]", columns.join(", ")),
             PhysicalOp::RankMaterialize { predicate, .. } => format!("Rank_{}", pname(*predicate)),
-            PhysicalOp::MproProbe { schedule, .. } => {
-                let names: Vec<String> = schedule.iter().map(|&p| pname(p)).collect();
-                format!("MPro[{}]", names.join("→"))
-            }
-            PhysicalOp::NestedLoopsJoin { condition, .. } => {
-                format!("NestedLoopJoin{}", cond(condition))
-            }
-            PhysicalOp::HashJoin { condition, .. } => format!("HashJoin{}", cond(condition)),
-            PhysicalOp::SortMergeJoin { condition, .. } => {
-                format!("SortMergeJoin{}", cond(condition))
-            }
-            PhysicalOp::HashRankJoin { condition, .. } => format!("HRJN{}", cond(condition)),
-            PhysicalOp::NestedLoopsRankJoin { condition, .. } => {
-                format!("NRJN{}", cond(condition))
-            }
+            PhysicalOp::Join {
+                condition,
+                algorithm,
+                ..
+            } => format!("{}{}", algorithm.name(), cond(condition)),
             PhysicalOp::SetOp { kind, .. } => match kind {
                 SetOpKind::Union => "Union".to_owned(),
                 SetOpKind::Intersect => "Intersect".to_owned(),
@@ -980,7 +800,7 @@ impl PhysicalPlan {
     /// Explain output annotated with the runtime actuals of each operator
     /// (tuples produced; for operators that produced any, batch count and
     /// mean batch fill; on the incremental rank-aware
-    /// operators µ / MPro / HRJN / NRJN, the peak number of buffered
+    /// operators µ / HRJN / NRJN, the peak number of buffered
     /// entries; on a hash join, the join results it constructed), paired
     /// from a post-order
     /// [`OperatorActuals`] series as recorded by the executor's metrics
@@ -1014,13 +834,7 @@ impl PhysicalPlan {
         let label = self.node_label(ctx);
         // What these operators buffer is what a rank-aware plan pays in
         // memory for stopping early, so their lines report it.
-        let buffers = matches!(
-            self.op,
-            PhysicalOp::RankMaterialize { .. }
-                | PhysicalOp::MproProbe { .. }
-                | PhysicalOp::HashRankJoin { .. }
-                | PhysicalOp::NestedLoopsRankJoin { .. }
-        );
+        let buffers = self.buffers_ranked();
         // Children consumed their entries first, so under post-order
         // registration the first remaining match belongs to this node.
         let actual = actuals
@@ -1042,7 +856,10 @@ impl PhysicalPlan {
                     let _ = write!(text, ", buffered_peak={}", a.buffered_peak);
                 }
                 let builds = match &self.op {
-                    PhysicalOp::HashJoin { .. } => true,
+                    PhysicalOp::Join {
+                        algorithm: JoinAlgorithm::Hash,
+                        ..
+                    } => true,
                     PhysicalOp::SeqScan {
                         columnar: Some(c), ..
                     } => c.zone_prune,
@@ -1157,18 +974,6 @@ mod tests {
             physical.schema().unwrap().field(0).qualified_name(),
             logical.schema().unwrap().field(0).qualified_name()
         );
-    }
-
-    #[test]
-    fn mpro_probe_labels_its_schedule() {
-        let r = table("R", 0);
-        let scan = PhysicalPlan::from_logical(&LogicalPlan::scan(&r)).unwrap();
-        let mpro = PhysicalPlan::unestimated(PhysicalOp::MproProbe {
-            input: Box::new(scan),
-            schedule: vec![0, 1],
-        });
-        assert_eq!(mpro.node_label(Some(&ctx())), "MPro[p1→p2]");
-        assert!(mpro.is_rank_aware());
     }
 
     #[test]

@@ -53,6 +53,18 @@ impl JoinAlgorithm {
             JoinAlgorithm::HashRankJoin | JoinAlgorithm::NestedLoopRankJoin
         )
     }
+
+    /// The join's name in explain output and operator metrics, shared by
+    /// the logical and the physical label.
+    pub fn name(self) -> &'static str {
+        match self {
+            JoinAlgorithm::NestedLoop => "NestedLoopJoin",
+            JoinAlgorithm::SortMerge => "SortMergeJoin",
+            JoinAlgorithm::Hash => "HashJoin",
+            JoinAlgorithm::HashRankJoin => "HRJN",
+            JoinAlgorithm::NestedLoopRankJoin => "NRJN",
+        }
+    }
 }
 
 /// Which set operation a [`LogicalPlan::SetOp`] node performs.
@@ -571,13 +583,7 @@ impl LogicalPlan {
                 algorithm,
                 ..
             } => {
-                let alg = match algorithm {
-                    JoinAlgorithm::NestedLoop => "NestedLoopJoin",
-                    JoinAlgorithm::SortMerge => "SortMergeJoin",
-                    JoinAlgorithm::Hash => "HashJoin",
-                    JoinAlgorithm::HashRankJoin => "HRJN",
-                    JoinAlgorithm::NestedLoopRankJoin => "NRJN",
-                };
+                let alg = algorithm.name();
                 match condition {
                     Some(c) => format!("{alg}[{c}]"),
                     None => format!("{alg}[cross]"),

@@ -1,7 +1,7 @@
 //! Building operator trees from the physical plan IR and driving execution.
 //!
 //! The executor consumes **only** [`PhysicalPlan`]: every physical decision
-//! (scan strategy, join algorithm, sort fusion, probe scheduling) was made
+//! (scan strategy, join algorithm, sort fusion) was made
 //! by whoever produced the plan — the optimizer's lowering or the
 //! structural [`PhysicalPlan::from_logical`] mapping.  [`build_operator`] is
 //! a mechanical walk that instantiates the named operator for every node,
@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ranksql_algebra::{LogicalPlan, PhysicalOp, PhysicalPlan, SetOpKind};
+use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalOp, PhysicalPlan, SetOpKind};
 use ranksql_common::{BitSet64, RankSqlError, Result};
 use ranksql_expr::{RankedTuple, RankingContext, ScoreSource};
 use ranksql_storage::{BTreeIndex, Catalog, EpochSet, ScoreIndex};
@@ -24,7 +24,6 @@ use crate::join::{
     NestedLoopJoin, SortMergeJoin,
 };
 use crate::metrics::MetricsRegistry;
-use crate::mpro::MProOp;
 use crate::operator::{drain_batched, BoxedOperator, PhysicalOperator};
 use crate::rank::RankOp;
 use crate::rank_join::RankJoin;
@@ -86,7 +85,7 @@ fn columnar_scanned_tables(plan: &PhysicalPlan, out: &mut Vec<String>) {
 /// and the structural lowering of hand-built plans), which keep their exact
 /// upper bounds (and byte-identical intermediate streams).  Install the
 /// caps with [`RankingContext::with_predicate_caps`]; rank-aware operators
-/// (µ, MPro, HRJN/NRJN) then consume the zone maps through every upper
+/// (µ, HRJN/NRJN) then consume the zone maps through every upper
 /// bound they compute — emitting earlier and probing less, without
 /// changing results.
 pub fn zone_score_caps(
@@ -334,93 +333,55 @@ fn lower(
             let child = inputs(input, exec)?;
             Ok(Box::new(RankOp::new(child, *predicate, exec, label)?))
         }
-        PhysicalOp::MproProbe { input, schedule } => {
-            for &p in schedule {
-                check_predicate(exec.ranking(), p)?;
+        PhysicalOp::Join {
+            left,
+            right,
+            condition,
+            algorithm,
+        } => {
+            let condition = condition.as_ref();
+            match algorithm {
+                JoinAlgorithm::NestedLoop => {
+                    let l = inputs(left, exec)?;
+                    let r = build_side(right, exec, inputs, collect_build_input)?;
+                    Ok(Box::new(NestedLoopJoin::new(l, r, condition, exec, label)?))
+                }
+                JoinAlgorithm::Hash => {
+                    // Taken before the inputs are lowered: the cell on top
+                    // of the stack now is the one a `SortLimit` directly
+                    // above pushed.
+                    let top_k = exec.pop_prune_threshold();
+                    let l = inputs(left, exec)?;
+                    // One scoring serves the join and, when this lowering
+                    // drains a shared build side, that drain.
+                    let mut scoring = top_k
+                        .map(|pushed| {
+                            TopKScoring::for_join(l.schema(), &right.schema()?, pushed, exec)
+                        })
+                        .transpose()?;
+                    let r = build_side(right, exec, inputs, |input, batch_size| {
+                        let key_cols = build_key_cols(condition, l.schema(), input.schema());
+                        hash_build_input(input, &key_cols, batch_size, scoring.as_mut())
+                    })?;
+                    let join = HashJoin::new(l, r, condition, exec, label)?;
+                    Ok(Box::new(join.with_scoring(scoring)))
+                }
+                JoinAlgorithm::SortMerge => {
+                    let l = inputs(left, exec)?;
+                    let r = inputs(right, exec)?;
+                    Ok(Box::new(SortMergeJoin::new(l, r, condition, exec, label)?))
+                }
+                JoinAlgorithm::HashRankJoin => {
+                    let l = inputs(left, exec)?;
+                    let r = inputs(right, exec)?;
+                    Ok(Box::new(RankJoin::hrjn(l, r, condition, exec, label)?))
+                }
+                JoinAlgorithm::NestedLoopRankJoin => {
+                    let l = inputs(left, exec)?;
+                    let r = inputs(right, exec)?;
+                    Ok(Box::new(RankJoin::nrjn(l, r, condition, exec, label)?))
+                }
             }
-            let child = inputs(input, exec)?;
-            Ok(Box::new(MProOp::new(child, schedule.clone(), exec, label)?))
-        }
-        PhysicalOp::NestedLoopsJoin {
-            left,
-            right,
-            condition,
-        } => {
-            let l = inputs(left, exec)?;
-            let r = build_side(right, exec, inputs, collect_build_input)?;
-            Ok(Box::new(NestedLoopJoin::new(
-                l,
-                r,
-                condition.as_ref(),
-                exec,
-                label,
-            )?))
-        }
-        PhysicalOp::HashJoin {
-            left,
-            right,
-            condition,
-        } => {
-            // Taken before the inputs are lowered: the cell on top of the
-            // stack now is the one a `SortLimit` directly above pushed.
-            let top_k = exec.pop_prune_threshold();
-            let l = inputs(left, exec)?;
-            // One scoring serves the join and, when this lowering drains a
-            // shared build side, that drain.
-            let mut scoring = top_k
-                .map(|pushed| TopKScoring::for_join(l.schema(), &right.schema()?, pushed, exec))
-                .transpose()?;
-            let r = build_side(right, exec, inputs, |input, batch_size| {
-                let key_cols = build_key_cols(condition.as_ref(), l.schema(), input.schema());
-                hash_build_input(input, &key_cols, batch_size, scoring.as_mut())
-            })?;
-            let join = HashJoin::new(l, r, condition.as_ref(), exec, label)?;
-            Ok(Box::new(join.with_scoring(scoring)))
-        }
-        PhysicalOp::SortMergeJoin {
-            left,
-            right,
-            condition,
-        } => {
-            let l = inputs(left, exec)?;
-            let r = inputs(right, exec)?;
-            Ok(Box::new(SortMergeJoin::new(
-                l,
-                r,
-                condition.as_ref(),
-                exec,
-                label,
-            )?))
-        }
-        PhysicalOp::HashRankJoin {
-            left,
-            right,
-            condition,
-        } => {
-            let l = inputs(left, exec)?;
-            let r = inputs(right, exec)?;
-            Ok(Box::new(RankJoin::hrjn(
-                l,
-                r,
-                condition.as_ref(),
-                exec,
-                label,
-            )?))
-        }
-        PhysicalOp::NestedLoopsRankJoin {
-            left,
-            right,
-            condition,
-        } => {
-            let l = inputs(left, exec)?;
-            let r = inputs(right, exec)?;
-            Ok(Box::new(RankJoin::nrjn(
-                l,
-                r,
-                condition.as_ref(),
-                exec,
-                label,
-            )?))
         }
         PhysicalOp::SetOp { kind, left, right } => {
             let l = inputs(left, exec)?;
@@ -463,7 +424,13 @@ fn lower(
             // can be built in between).  A join's cell is this morsel's
             // own; a scan's is its spine's one, shared by every morsel's
             // scan and top-k.
-            let pushed = if matches!(input.op, PhysicalOp::HashJoin { .. }) {
+            let pushed = if matches!(
+                input.op,
+                PhysicalOp::Join {
+                    algorithm: JoinAlgorithm::Hash,
+                    ..
+                }
+            ) {
                 Some((*predicates, Arc::new(TopKThreshold::new())))
             } else if let Some(scores) = pruning_scan_scores(input) {
                 let cell = exec
@@ -616,7 +583,7 @@ pub fn execute_query_plan(
 mod tests {
     use super::*;
     use crate::oracle::oracle_top_k;
-    use ranksql_algebra::{JoinAlgorithm, RankQuery, ScanAccess};
+    use ranksql_algebra::{RankQuery, ScanAccess};
     use ranksql_common::{BitSet64, DataType, Field, Schema, Value};
     use ranksql_expr::{BoolExpr, RankPredicate, ScoringFunction};
 

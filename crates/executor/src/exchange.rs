@@ -31,7 +31,7 @@
 //! order of `RankedTuple::cmp_desc` (score descending, ties on tuple
 //! identity).
 //!
-//! Rank-aware operators (µ, MPro, HRJN/NRJN) are never placed inside an
+//! Rank-aware operators (µ, HRJN/NRJN) are never placed inside an
 //! exchange: they keep their incremental single-threaded top-k semantics
 //! *above* it, exactly as the paper's ranking principle requires.
 
@@ -39,7 +39,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ranksql_algebra::{ExchangeMerge, PhysicalOp, PhysicalPlan};
+use ranksql_algebra::{ExchangeMerge, JoinAlgorithm, PhysicalOp, PhysicalPlan};
 use ranksql_common::{morsel_ranges, RankSqlError, Result, Schema, Score, WorkerPool};
 use ranksql_expr::{RankedTuple, RankingContext};
 use ranksql_storage::Catalog;
@@ -66,9 +66,11 @@ fn driving_scan<'p>(plan: &'p PhysicalPlan, exec: &ExecutionContext) -> Result<&
         | PhysicalOp::Project { input, .. }
         | PhysicalOp::Sort { input, .. }
         | PhysicalOp::SortLimit { input, .. } => driving_scan(input, exec),
-        PhysicalOp::HashJoin { left, .. } | PhysicalOp::NestedLoopsJoin { left, .. } => {
-            driving_scan(left, exec)
-        }
+        PhysicalOp::Join {
+            left,
+            algorithm: JoinAlgorithm::Hash | JoinAlgorithm::NestedLoop,
+            ..
+        } => driving_scan(left, exec),
         _ => Err(RankSqlError::Plan(format!(
             "operator `{}` is not parallel-safe under an Exchange",
             plan.node_label(Some(exec.ranking()))
@@ -402,10 +404,11 @@ mod tests {
 
     /// `Exchange(merge k)(SortLimit(HashJoin(Repartition(SeqScan R), SeqScan S)))`.
     fn parallel_join_topk_plan(cat: &Catalog, k: usize) -> PhysicalPlan {
-        let join = PhysicalPlan::unestimated(PhysicalOp::HashJoin {
+        let join = PhysicalPlan::unestimated(PhysicalOp::Join {
             left: Box::new(repartitioned(seq_scan(cat, "R"))),
             right: Box::new(seq_scan(cat, "S")),
             condition: Some(BoolExpr::col_eq_col("R.a", "S.a")),
+            algorithm: JoinAlgorithm::Hash,
         });
         let topk = PhysicalPlan::unestimated(PhysicalOp::SortLimit {
             input: Box::new(join),
@@ -453,10 +456,11 @@ mod tests {
     fn ordered_exchange_matches_serial_top_k_for_every_thread_count() {
         let (cat, ctx) = setup(120);
         let serial = PhysicalPlan::unestimated(PhysicalOp::SortLimit {
-            input: Box::new(PhysicalPlan::unestimated(PhysicalOp::HashJoin {
+            input: Box::new(PhysicalPlan::unestimated(PhysicalOp::Join {
                 left: Box::new(seq_scan(&cat, "R")),
                 right: Box::new(seq_scan(&cat, "S")),
                 condition: Some(BoolExpr::col_eq_col("R.a", "S.a")),
+                algorithm: JoinAlgorithm::Hash,
             })),
             predicates: BitSet64::all(2),
             k: 9,

@@ -345,16 +345,20 @@ impl PhysicalOperator for NestedLoopJoin {
             }
             let left = &self.current_left[0];
             while self.right_pos < rows.len() && produced < max {
-                let joined = left.join(&rows[self.right_pos]);
+                let right = &rows[self.right_pos];
                 self.right_pos += 1;
-                let passes = match &self.condition {
-                    Some(c) => c.eval(&joined.tuple)?,
-                    None => true,
-                };
-                if passes {
-                    out.push(joined);
-                    produced += 1;
+                // Decide on the pair in place; build only the pairs that pass.
+                if let Some(c) = &self.condition {
+                    let pair = JoinedRow {
+                        left: &left.tuple,
+                        right: &right.tuple,
+                    };
+                    if !c.eval(&pair)? {
+                        continue;
+                    }
                 }
+                out.push(left.join(right));
+                produced += 1;
             }
             if self.right_pos == rows.len() {
                 self.current_left.clear();
@@ -672,14 +676,16 @@ impl SortMergeJoin {
                     let j_end = run_end(&r_rows, j, &right_keys);
                     for l in &l_rows[i..i_end] {
                         for r in &r_rows[j..j_end] {
-                            let joined = l.join(r);
-                            let passes = match &self.residual {
-                                Some(c) => c.eval(&joined.tuple)?,
-                                None => true,
-                            };
-                            if passes {
-                                out.push(joined);
+                            if let Some(c) = &self.residual {
+                                let pair = JoinedRow {
+                                    left: &l.tuple,
+                                    right: &r.tuple,
+                                };
+                                if !c.eval(&pair)? {
+                                    continue;
+                                }
                             }
+                            out.push(l.join(r));
                         }
                     }
                     i = i_end;

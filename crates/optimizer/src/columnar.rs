@@ -72,100 +72,64 @@ fn pushable(pred: &BoolExpr) -> bool {
 /// Bottom-up rewrite annotating scans and fusing pushable filters, keeping
 /// cumulative cost annotations coherent (ancestors are reduced by exactly
 /// what their subtree saved).
-fn rewrite(plan: PhysicalPlan, model: &CostModel) -> PhysicalPlan {
-    let old_children_cost: f64 = plan
-        .children()
-        .iter()
-        .map(|c| c.estimated_cost.value())
-        .sum();
-    let PhysicalPlan {
-        op,
-        estimated_cost,
-        estimated_rows,
-    } = plan;
-    let annotated = move |op: PhysicalOp| {
-        let rebuilt = PhysicalPlan {
-            op,
-            estimated_cost,
-            estimated_rows,
+fn rewrite(mut plan: PhysicalPlan, model: &CostModel) -> PhysicalPlan {
+    if let PhysicalOp::SeqScan {
+        columnar: columnar @ None,
+        ..
+    } = &mut plan.op
+    {
+        // Re-cost the dense-vector access path.
+        let ratio = if model.seq_tuple > 0.0 {
+            model.columnar_tuple / model.seq_tuple
+        } else {
+            1.0
         };
-        let new_children_cost: f64 = rebuilt
-            .children()
-            .iter()
-            .map(|c| c.estimated_cost.value())
-            .sum();
-        let saved = old_children_cost - new_children_cost;
-        PhysicalPlan {
-            estimated_cost: Cost((estimated_cost.value() - saved).max(0.0)),
-            ..rebuilt
+        *columnar = Some(ColumnarScan::default());
+        plan.estimated_cost = Cost(plan.estimated_cost.value() * ratio);
+        return plan;
+    }
+    // A filter's own evaluation cost, read before its input is re-costed.
+    let filter_own = match &plan.op {
+        PhysicalOp::Filter { input, .. } => {
+            (plan.estimated_cost.value() - input.estimated_cost.value()).max(0.0)
         }
+        _ => 0.0,
     };
-    match op {
-        PhysicalOp::SeqScan {
+    let plan = plan.rebuild_coherent(|op| op.map_children(|c| rewrite(c, model)));
+    if let PhysicalOp::Filter { input, predicate } = &plan.op {
+        if let PhysicalOp::SeqScan {
             table,
             schema,
-            columnar: None,
-        } => {
-            // Re-cost the dense-vector access path.
-            let ratio = if model.seq_tuple > 0.0 {
-                model.columnar_tuple / model.seq_tuple
-            } else {
-                1.0
-            };
-            PhysicalPlan {
-                op: PhysicalOp::SeqScan {
-                    table,
-                    schema,
-                    columnar: Some(ColumnarScan::default()),
-                },
-                estimated_cost: Cost(estimated_cost.value() * ratio),
-                estimated_rows,
-            }
-        }
-        PhysicalOp::Filter { input, predicate } => {
-            let old_input_cost = input.estimated_cost.value();
-            let input = rewrite(*input, model);
-            if pushable(&predicate) {
-                if let PhysicalOp::SeqScan {
-                    table,
-                    schema,
-                    columnar:
-                        Some(ColumnarScan {
-                            pushed_filter: None,
-                            zone_prune,
+            columnar:
+                Some(ColumnarScan {
+                    pushed_filter: None,
+                    zone_prune,
+                }),
+        } = &input.op
+        {
+            if pushable(predicate) {
+                // Fuse σ into the scan: the fused node replaces both,
+                // carrying the filter's output cardinality and the scan's
+                // rewritten cost plus a discounted share of the filter's
+                // own evaluation cost.
+                return PhysicalPlan {
+                    op: PhysicalOp::SeqScan {
+                        table: table.clone(),
+                        schema: schema.clone(),
+                        columnar: Some(ColumnarScan {
+                            pushed_filter: Some(predicate.clone()),
+                            zone_prune: *zone_prune,
                         }),
-                } = &input.op
-                {
-                    // Fuse σ into the scan: the fused node replaces both,
-                    // carrying the filter's output cardinality and the
-                    // scan's rewritten cost plus a discounted share of the
-                    // filter's own evaluation cost.
-                    let filter_own = (estimated_cost.value() - old_input_cost).max(0.0);
-                    return PhysicalPlan {
-                        op: PhysicalOp::SeqScan {
-                            table: table.clone(),
-                            schema: schema.clone(),
-                            columnar: Some(ColumnarScan {
-                                pushed_filter: Some(predicate),
-                                zone_prune: *zone_prune,
-                            }),
-                        },
-                        estimated_cost: Cost(
-                            input.estimated_cost.value() + filter_own * PUSHED_FILTER_COST_SHARE,
-                        ),
-                        estimated_rows,
-                    };
-                }
+                    },
+                    estimated_cost: Cost(
+                        input.estimated_cost.value() + filter_own * PUSHED_FILTER_COST_SHARE,
+                    ),
+                    estimated_rows: plan.estimated_rows,
+                };
             }
-            annotated(PhysicalOp::Filter {
-                input: Box::new(input),
-                predicate,
-            })
         }
-        // Every other node keeps its shape; recurse into the children
-        // through the shared exhaustive walk.
-        other => annotated(other.map_children(|c| rewrite(c, model))),
     }
+    plan
 }
 
 /// Top-down marking: columnar scans feeding a `SortLimit` through a σ/π

@@ -43,7 +43,7 @@ pub use cache::normalized_cache_key;
 pub use columnar::columnarize;
 pub use cost::{Cost, CostModel};
 pub use enumerate::{DpOptimizer, EnumerationStats};
-pub use lower::{fuse_mu_chains, lower_with_estimates, physical_estimates};
+pub use lower::{lower_with_estimates, physical_estimates};
 pub use parallel::parallelize;
 pub use rulebased::{RuleBasedConfig, RuleBasedOptimizer};
 pub use sampling::SamplingEstimator;
@@ -77,10 +77,6 @@ pub struct OptimizerConfig {
     pub sample_ratio: f64,
     /// RNG seed for sampling (deterministic plans for a given seed).
     pub seed: u64,
-    /// Whether to also cost the traditional materialise-then-sort plan and
-    /// return it if it is cheaper (it can win when joins are very selective,
-    /// cf. Figure 12(c)).
-    pub compare_with_traditional: bool,
 }
 
 impl Default for OptimizerConfig {
@@ -89,7 +85,6 @@ impl Default for OptimizerConfig {
             mode: OptimizerMode::RankAwareHeuristic,
             sample_ratio: 0.01,
             seed: 0xC0FFEE,
-            compare_with_traditional: true,
         }
     }
 }
@@ -167,15 +162,15 @@ impl RankOptimizer {
                 .optimize()?
             }
         };
-        if self.config.compare_with_traditional {
-            let trad = traditional::optimize_traditional(query, catalog, &estimator, &cost_model)?;
-            if trad.cost < best.cost {
-                let stats = best.stats;
-                best = trad;
-                best.stats = stats;
-            }
-            best.stats.operator_runs = estimator.operator_runs();
+        // The traditional materialise-then-sort plan wins when it is cheaper
+        // (when joins are very selective, cf. Figure 12(c)).
+        let trad = traditional::optimize_traditional(query, catalog, &estimator, &cost_model)?;
+        if trad.cost < best.cost {
+            let stats = best.stats;
+            best = trad;
+            best.stats = stats;
         }
+        best.stats.operator_runs = estimator.operator_runs();
         Ok(best)
     }
 }
@@ -299,46 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn mpro_fusion_keeps_results_identical() {
-        use ranksql_executor::{execute_physical_plan, ExecutionContext};
-
-        let (cat, mut query) = setup(300);
-        // Expensive predicates force µ operators into the chosen plan.
-        query.ranking = RankingContext::new(
-            vec![
-                RankPredicate::attribute_with_cost("p1", "A.p1", 100),
-                RankPredicate::attribute_with_cost("p2", "B.p2", 300),
-            ],
-            ScoringFunction::Sum,
-        );
-        let oracle: Vec<f64> = oracle_top_k(&query, &cat)
-            .unwrap()
-            .iter()
-            .map(|t| query.ranking.upper_bound(&t.state).value())
-            .collect();
-        let opt = RankOptimizer::new(OptimizerConfig {
-            mode: OptimizerMode::RankAwareHeuristic,
-            sample_ratio: 0.1,
-            ..OptimizerConfig::default()
-        });
-        let chosen = opt.optimize(&query, &cat).unwrap();
-        let fused = lower::fuse_mu_chains(chosen.physical, &query.ranking);
-        let exec = ExecutionContext::new(std::sync::Arc::clone(&query.ranking));
-        let result = execute_physical_plan(&fused, &cat, &exec).unwrap();
-        let scores: Vec<f64> = result
-            .tuples
-            .iter()
-            .map(|t| query.ranking.upper_bound(&t.state).value())
-            .collect();
-        assert_eq!(scores, oracle);
-    }
-
-    #[test]
     fn default_config_is_sane() {
         let cfg = OptimizerConfig::default();
         assert_eq!(cfg.mode, OptimizerMode::RankAwareHeuristic);
         assert!(cfg.sample_ratio > 0.0 && cfg.sample_ratio < 1.0);
-        let opt = RankOptimizer::with_defaults();
-        assert!(opt.config().compare_with_traditional);
     }
 }

@@ -16,14 +16,14 @@
 //!   nested concat-exchange, so the build scan is partitioned too.
 //!
 //! Exchanges are inserted only where the subtree is fully drained anyway
-//! (under τ / τ+λ) — rank-aware operators (µ, MPro, HRJN/NRJN, rank-scans)
+//! (under τ / τ+λ) — rank-aware operators (µ, HRJN/NRJN, rank-scans)
 //! are never placed inside an exchange and keep their incremental
 //! single-threaded top-k semantics above it.  The rewrite never changes
 //! results: exchange output is deterministic and byte-identical to serial
 //! execution for any thread count (`tests/parallel_equivalence.rs` checks
 //! exactly this).
 
-use ranksql_algebra::{ExchangeMerge, PhysicalOp, PhysicalPlan};
+use ranksql_algebra::{ExchangeMerge, JoinAlgorithm, PhysicalOp, PhysicalPlan};
 use ranksql_common::Cost;
 
 /// Abstract cost units charged per tuple moved through an exchange merge
@@ -52,10 +52,12 @@ fn pinned_serial_cost(plan: &PhysicalPlan) -> f64 {
         | PhysicalOp::Project { input, .. }
         | PhysicalOp::Sort { input, .. }
         | PhysicalOp::SortLimit { input, .. } => pinned_serial_cost(input),
-        PhysicalOp::HashJoin { left, right, .. }
-        | PhysicalOp::NestedLoopsJoin { left, right, .. } => {
-            pinned_serial_cost(left) + right.estimated_cost.value()
-        }
+        PhysicalOp::Join {
+            left,
+            right,
+            algorithm: JoinAlgorithm::Hash | JoinAlgorithm::NestedLoop,
+            ..
+        } => pinned_serial_cost(left) + right.estimated_cost.value(),
         _ => 0.0,
     }
 }
@@ -79,150 +81,25 @@ fn exchange_over(input: PhysicalPlan, merge: ExchangeMerge, threads: usize) -> P
 }
 
 fn rewrite(plan: PhysicalPlan, threads: usize) -> PhysicalPlan {
-    let old_children_cost: f64 = plan
-        .children()
-        .iter()
-        .map(|c| c.estimated_cost.value())
-        .sum();
-    let PhysicalPlan {
-        op,
-        estimated_cost,
-        estimated_rows,
-    } = plan;
-    // Rebuilds this node over its (possibly rewritten) children, keeping the
-    // cumulative cost annotation coherent: whatever the children saved is
-    // subtracted from this node's cumulative cost, so explain's root cost
-    // reflects exchanges inserted anywhere in the tree.
-    let annotated = move |op: PhysicalOp| {
-        let rebuilt = PhysicalPlan {
-            op,
-            estimated_cost,
-            estimated_rows,
-        };
-        let new_children_cost: f64 = rebuilt
-            .children()
-            .iter()
-            .map(|c| c.estimated_cost.value())
-            .sum();
-        let saved = old_children_cost - new_children_cost;
-        PhysicalPlan {
-            estimated_cost: Cost((estimated_cost.value() - saved).max(0.0)),
-            ..rebuilt
-        }
+    // A blocking sort (or top-k) over a spine sorts per partition, and an
+    // ordered exchange k-way merges the runs (re-limiting to the global k).
+    let partitioned = match &plan.op {
+        PhysicalOp::Sort { input, .. } => spine_of(input, threads).map(|s| (s, None)),
+        PhysicalOp::SortLimit { input, k, .. } => spine_of(input, threads).map(|s| (s, Some(*k))),
+        _ => None,
     };
-    match op {
-        PhysicalOp::Sort { input, predicates } => {
-            if let Some(spine) = spine_of(&input, threads) {
-                let partial = annotated(PhysicalOp::Sort {
-                    input: Box::new(spine),
-                    predicates,
-                });
-                return exchange_over(partial, ExchangeMerge::Ordered { limit: None }, threads);
-            }
-            annotated(PhysicalOp::Sort {
-                input: Box::new(rewrite(*input, threads)),
-                predicates,
-            })
-        }
-        PhysicalOp::SortLimit {
-            input,
-            predicates,
-            k,
-        } => {
-            if let Some(spine) = spine_of(&input, threads) {
-                let partial = annotated(PhysicalOp::SortLimit {
-                    input: Box::new(spine),
-                    predicates,
-                    k,
-                });
-                return exchange_over(partial, ExchangeMerge::Ordered { limit: Some(k) }, threads);
-            }
-            annotated(PhysicalOp::SortLimit {
-                input: Box::new(rewrite(*input, threads)),
-                predicates,
-                k,
-            })
-        }
-        // Every other node keeps its shape; recurse into the children.
-        PhysicalOp::Filter { input, predicate } => annotated(PhysicalOp::Filter {
-            input: Box::new(rewrite(*input, threads)),
-            predicate,
-        }),
-        PhysicalOp::Project { input, columns } => annotated(PhysicalOp::Project {
-            input: Box::new(rewrite(*input, threads)),
-            columns,
-        }),
-        PhysicalOp::RankMaterialize { input, predicate } => {
-            annotated(PhysicalOp::RankMaterialize {
-                input: Box::new(rewrite(*input, threads)),
-                predicate,
-            })
-        }
-        PhysicalOp::MproProbe { input, schedule } => annotated(PhysicalOp::MproProbe {
-            input: Box::new(rewrite(*input, threads)),
-            schedule,
-        }),
-        PhysicalOp::Limit { input, k } => annotated(PhysicalOp::Limit {
-            input: Box::new(rewrite(*input, threads)),
-            k,
-        }),
-        PhysicalOp::NestedLoopsJoin {
-            left,
-            right,
-            condition,
-        } => annotated(PhysicalOp::NestedLoopsJoin {
-            left: Box::new(rewrite(*left, threads)),
-            right: Box::new(rewrite(*right, threads)),
-            condition,
-        }),
-        PhysicalOp::HashJoin {
-            left,
-            right,
-            condition,
-        } => annotated(PhysicalOp::HashJoin {
-            left: Box::new(rewrite(*left, threads)),
-            right: Box::new(rewrite(*right, threads)),
-            condition,
-        }),
-        PhysicalOp::SortMergeJoin {
-            left,
-            right,
-            condition,
-        } => annotated(PhysicalOp::SortMergeJoin {
-            left: Box::new(rewrite(*left, threads)),
-            right: Box::new(rewrite(*right, threads)),
-            condition,
-        }),
-        PhysicalOp::HashRankJoin {
-            left,
-            right,
-            condition,
-        } => annotated(PhysicalOp::HashRankJoin {
-            left: Box::new(rewrite(*left, threads)),
-            right: Box::new(rewrite(*right, threads)),
-            condition,
-        }),
-        PhysicalOp::NestedLoopsRankJoin {
-            left,
-            right,
-            condition,
-        } => annotated(PhysicalOp::NestedLoopsRankJoin {
-            left: Box::new(rewrite(*left, threads)),
-            right: Box::new(rewrite(*right, threads)),
-            condition,
-        }),
-        PhysicalOp::SetOp { kind, left, right } => annotated(PhysicalOp::SetOp {
-            kind,
-            left: Box::new(rewrite(*left, threads)),
-            right: Box::new(rewrite(*right, threads)),
-        }),
-        // Leaves and already-parallel nodes are untouched.
-        op @ (PhysicalOp::SeqScan { .. }
-        | PhysicalOp::RankScan { .. }
-        | PhysicalOp::AttributeIndexScan { .. }
-        | PhysicalOp::Exchange { .. }
-        | PhysicalOp::Repartition { .. }) => annotated(op),
+    // Every node is rebuilt through the cost-coherent walk: whatever the
+    // children saved is subtracted from its cumulative cost, so explain's
+    // root cost reflects exchanges inserted anywhere in the tree.
+    if let Some((spine, limit)) = partitioned {
+        let mut spine = Some(spine);
+        let partial = plan.rebuild_coherent(|op| op.map_children(|c| spine.take().unwrap_or(c)));
+        return exchange_over(partial, ExchangeMerge::Ordered { limit }, threads);
     }
+    // Every other node keeps its shape; recurse into the children.  The pass
+    // runs only on plans without an exchange, and returns the exchanges it
+    // inserts without descending into them.
+    plan.rebuild_coherent(|op| op.map_children(|c| rewrite(c, threads)))
 }
 
 /// Rewrites a subtree into a morsel-partitionable spine — the driving
@@ -250,10 +127,11 @@ fn spine_of(plan: &PhysicalPlan, threads: usize) -> Option<PhysicalPlan> {
                 columns: columns.clone(),
             })
         }),
-        PhysicalOp::HashJoin {
+        PhysicalOp::Join {
             left,
             right,
             condition,
+            algorithm: algorithm @ (JoinAlgorithm::Hash | JoinAlgorithm::NestedLoop),
         } => {
             if right.is_rank_aware() || right.contains_exchange() {
                 return None;
@@ -265,29 +143,11 @@ fn spine_of(plan: &PhysicalPlan, threads: usize) -> Option<PhysicalPlan> {
                 Some(build_spine) => exchange_over(build_spine, ExchangeMerge::Concat, threads),
                 None => right.as_ref().clone(),
             };
-            Some(annotated(PhysicalOp::HashJoin {
+            Some(annotated(PhysicalOp::Join {
                 left: Box::new(probe),
                 right: Box::new(build),
                 condition: condition.clone(),
-            }))
-        }
-        PhysicalOp::NestedLoopsJoin {
-            left,
-            right,
-            condition,
-        } => {
-            if right.is_rank_aware() || right.contains_exchange() {
-                return None;
-            }
-            let outer = spine_of(left, threads)?;
-            let inner = match spine_of(right, threads) {
-                Some(inner_spine) => exchange_over(inner_spine, ExchangeMerge::Concat, threads),
-                None => right.as_ref().clone(),
-            };
-            Some(annotated(PhysicalOp::NestedLoopsJoin {
-                left: Box::new(outer),
-                right: Box::new(inner),
-                condition: condition.clone(),
+                algorithm: *algorithm,
             }))
         }
         _ => None,

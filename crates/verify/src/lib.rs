@@ -71,7 +71,7 @@ pub enum Rule {
     /// Filter predicates and join conditions reference only columns their
     /// input schema actually provides.
     SchemaPredicateColumns,
-    /// Rank-aware operators (rank-scan, µ, MPro, HRJN, NRJN) never sit
+    /// Rank-aware operators (rank-scan, µ, HRJN, NRJN) never sit
     /// inside an exchange subtree — they keep incremental single-threaded
     /// top-k semantics above it.
     ExchangeRankBelow,
@@ -104,9 +104,8 @@ pub enum Rule {
     /// order/membership-preserving σ/π (and `Repartition`) chain only;
     /// anywhere else, score pruning could change results.
     ColumnarZonePrune,
-    /// Ranking-predicate indices (rank-scans, µ, MPro schedules, sort
-    /// predicate sets) stay within the query's ranking context; MPro
-    /// schedules are non-empty and duplicate-free.
+    /// Ranking-predicate indices (rank-scans, µ, sort predicate sets) stay
+    /// within the query's ranking context.
     RankPredicateRange,
     /// A top-k of zero tuples is legal but almost certainly a mistake.
     LimitZero,

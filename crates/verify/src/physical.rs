@@ -1,7 +1,7 @@
 //! The [`PhysicalPlan`] walk: one exhaustive match over every
 //! [`PhysicalOp`] variant (no wildcard arm, so adding a variant fails to
 //! compile here until its invariants are stated; `cargo xtask lint`
-//! additionally cross-checks the walk against `PhysicalOp::map_children`).
+//! additionally cross-checks the walk against `PhysicalOp::try_map_children`).
 
 use ranksql_algebra::{ColumnarScan, ExchangeMerge, PhysicalOp, PhysicalPlan};
 use ranksql_common::{Schema, Value};
@@ -276,54 +276,11 @@ impl Walker<'_> {
             PhysicalOp::RankMaterialize { predicate, .. } => {
                 self.check_predicate_index("µ", *predicate, &path);
             }
-            PhysicalOp::MproProbe { schedule, .. } => {
-                if schedule.is_empty() {
-                    self.push(
-                        Rule::RankPredicateRange,
-                        Severity::Error,
-                        &path,
-                        "MPro probe schedule is empty".to_owned(),
-                    );
-                }
-                let mut seen = schedule.clone();
-                seen.sort_unstable();
-                seen.dedup();
-                if seen.len() != schedule.len() {
-                    self.push(
-                        Rule::RankPredicateRange,
-                        Severity::Error,
-                        &path,
-                        format!("MPro probe schedule {schedule:?} repeats a predicate"),
-                    );
-                }
-                for &p in schedule {
-                    self.check_predicate_index("MPro schedule", p, &path);
-                }
-            }
-            PhysicalOp::NestedLoopsJoin {
+            PhysicalOp::Join {
                 left,
                 right,
                 condition,
-            }
-            | PhysicalOp::HashJoin {
-                left,
-                right,
-                condition,
-            }
-            | PhysicalOp::SortMergeJoin {
-                left,
-                right,
-                condition,
-            }
-            | PhysicalOp::HashRankJoin {
-                left,
-                right,
-                condition,
-            }
-            | PhysicalOp::NestedLoopsRankJoin {
-                left,
-                right,
-                condition,
+                ..
             } => {
                 if let Some(c) = condition {
                     if let (Ok(l), Ok(r)) = (left.schema(), right.schema()) {

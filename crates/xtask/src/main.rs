@@ -21,9 +21,10 @@
 //! 4. **forbid-unsafe**: every first-party crate root carries
 //!    `#![forbid(unsafe_code)]`.
 //! 5. **physicalop-freshness**: every `PhysicalOp` variant appears in
-//!    `PhysicalOp::map_children` *and* in the `ranksql-verify` physical
+//!    `PhysicalOp::try_map_children` *and* in the `ranksql-verify` physical
 //!    walk, so a new operator cannot silently bypass rewrite plumbing or
-//!    validation.  (Inside each of those matches the compiler enforces
+//!    validation, and every `JoinAlgorithm` appears in the executor's join
+//!    lowering.  (Inside each of those matches the compiler enforces
 //!    exhaustiveness; this check enforces that the *sites themselves* name
 //!    every variant rather than hiding behind a wildcard.)
 //!
@@ -525,10 +526,12 @@ fn check_forbid_unsafe(root: &Path, errors: &mut Vec<String>) {
 
 /// Check 5: `PhysicalOp` variant freshness.  Parses the variant list out of
 /// the enum definition and requires each to be named (as `PhysicalOp::V`)
-/// in `map_children` and in the verify crate's physical walk.  The
-/// PhysicalOp-adjacent enums carried inside variants (`ExchangeMerge`) get
-/// the same treatment against the verify walk: a new merge discipline must
-/// be matched there or its invariants are unchecked.
+/// in `try_map_children` (the exhaustive child walk `map_children` wraps)
+/// and in the verify crate's physical walk.  The PhysicalOp-adjacent enums
+/// carried inside variants get the same treatment: a new `ExchangeMerge`
+/// discipline must be matched in the verify walk or its invariants are
+/// unchecked, and every `JoinAlgorithm` must be named in the executor's
+/// join lowering, so a wildcard arm there fails the lint.
 fn check_physicalop_freshness(root: &Path, errors: &mut Vec<String>) {
     let physical = root.join("crates/algebra/src/physical.rs");
     let Ok(text) = fs::read_to_string(&physical) else {
@@ -545,7 +548,7 @@ fn check_physicalop_freshness(root: &Path, errors: &mut Vec<String>) {
         ));
         return;
     }
-    let map_children = fn_body(&stripped, "fn map_children").unwrap_or_default();
+    let map_children = fn_body(&stripped, "fn try_map_children").unwrap_or_default();
     let mut verify_files = Vec::new();
     collect_rs(&root.join("crates/verify/src"), root, &mut verify_files);
     let verify_text: String = verify_files
@@ -556,8 +559,8 @@ fn check_physicalop_freshness(root: &Path, errors: &mut Vec<String>) {
         let qualified = format!("PhysicalOp::{v}");
         if !map_children.contains(&qualified) {
             errors.push(format!(
-                "PhysicalOp::{v} is not named in PhysicalOp::map_children — rewrite passes \
-                 would not descend into it"
+                "PhysicalOp::{v} is not named in PhysicalOp::try_map_children — rewrite \
+                 passes would not descend into it"
             ));
         }
         if !verify_text.contains(&qualified) {
@@ -582,6 +585,43 @@ fn check_physicalop_freshness(root: &Path, errors: &mut Vec<String>) {
             errors.push(format!(
                 "ExchangeMerge::{v} is not matched in the ranksql-verify physical walk — \
                  the merge discipline's ordering invariants are unchecked"
+            ));
+        }
+    }
+    let (plan, build) = (
+        root.join("crates/algebra/src/plan.rs"),
+        root.join("crates/executor/src/build.rs"),
+    );
+    let (Ok(plan_text), Ok(build_text)) = (fs::read_to_string(&plan), fs::read_to_string(&build))
+    else {
+        errors.push(format!(
+            "{} or {}: unreadable",
+            plan.display(),
+            build.display()
+        ));
+        return;
+    };
+    let algorithms = enum_variants(
+        &strip_comments_and_strings(&plan_text),
+        "pub enum JoinAlgorithm",
+    );
+    if algorithms.len() < 5 {
+        errors.push(format!(
+            "freshness parser found only {} JoinAlgorithm variants — the parser is broken, \
+             not the code",
+            algorithms.len()
+        ));
+        return;
+    }
+    let lowering = fn_body(&strip_comments_and_strings(&build_text), "fn lower(")
+        .unwrap_or_default()
+        .to_owned();
+    for v in &algorithms {
+        if !lowering.contains(&format!("JoinAlgorithm::{v}")) {
+            errors.push(format!(
+                "JoinAlgorithm::{v} is not named in the executor's join lowering \
+                 (`lower` in crates/executor/src/build.rs) — a wildcard arm would run it \
+                 as some other join"
             ));
         }
     }

@@ -62,7 +62,6 @@ fn main() -> ranksql::Result<()> {
         let optimizer = RankOptimizer::new(OptimizerConfig {
             mode,
             sample_ratio: 0.02,
-            compare_with_traditional: false,
             ..OptimizerConfig::default()
         });
         let chosen = optimizer.optimize(&workload.query, &workload.catalog)?;

@@ -231,13 +231,6 @@ proptest! {
         };
         let plans = [
             ("µ", lower(LogicalPlan::rank_scan(&r, 0).rank(1))),
-            (
-                "MPro",
-                PhysicalPlan::unestimated(PhysicalOp::MproProbe {
-                    input: Box::new(lower(LogicalPlan::rank_scan(&r, 0))),
-                    schedule: vec![1],
-                }),
-            ),
             ("HRJN", rank_join(JoinAlgorithm::HashRankJoin)),
             ("NRJN", rank_join(JoinAlgorithm::NestedLoopRankJoin)),
             (
@@ -487,10 +480,10 @@ fn tied_scores_db(k: usize, probe_created_first: bool) -> (Database, RankQuery) 
     (db, query)
 }
 
-/// Whether some `SortLimit` in `plan` sits directly on a `HashJoin`.
+/// Whether some `SortLimit` in `plan` sits directly on a hash join.
 fn sorts_a_hash_join(plan: &PhysicalPlan) -> bool {
     let here = matches!(&plan.op, PhysicalOp::SortLimit { input, .. }
-        if matches!(input.op, PhysicalOp::HashJoin { .. }));
+        if matches!(input.op, PhysicalOp::Join { algorithm: JoinAlgorithm::Hash, .. }));
     here || plan.children().into_iter().any(sorts_a_hash_join)
 }
 

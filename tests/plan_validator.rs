@@ -22,7 +22,8 @@ use ranksql::expr::RankPredicate;
 use ranksql::verify::{report, ValidateOptions};
 use ranksql::{
     validate_logical, validate_physical, BoolExpr, CompareOp, DataType, Database, Diagnostic,
-    Field, PlanMode, QueryBuilder, RankQuery, Rule, ScalarExpr, Schema, Severity, Value,
+    Field, JoinAlgorithm, PlanMode, QueryBuilder, RankQuery, Rule, ScalarExpr, Schema, Severity,
+    Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -125,10 +126,11 @@ fn filter_on_unknown_column_fires_schema_predicate_columns() {
 /// A join condition naming a column from neither side.
 #[test]
 fn join_condition_on_foreign_column_fires_schema_predicate_columns() {
-    let mutant = PhysicalPlan::unestimated(PhysicalOp::HashJoin {
+    let mutant = PhysicalPlan::unestimated(PhysicalOp::Join {
         left: Box::new(scan("R", &[("jc", DataType::Int64)])),
         right: Box::new(scan("S", &[("jc", DataType::Int64)])),
         condition: Some(BoolExpr::col_eq_col("R.jc", "Q.elsewhere")),
+        algorithm: JoinAlgorithm::Hash,
     });
     assert_fires(
         &diags(&mutant),
@@ -141,7 +143,7 @@ fn join_condition_on_foreign_column_fires_schema_predicate_columns() {
 /// state is single-threaded; `parallelize` must pin it above the exchange.
 #[test]
 fn exchange_over_rank_join_fires_exchange_rank_below() {
-    let hrjn = PhysicalPlan::unestimated(PhysicalOp::HashRankJoin {
+    let hrjn = PhysicalPlan::unestimated(PhysicalOp::Join {
         left: Box::new(scan(
             "R",
             &[("jc", DataType::Int64), ("p1", DataType::Float64)],
@@ -151,6 +153,7 @@ fn exchange_over_rank_join_fires_exchange_rank_below() {
             &[("jc", DataType::Int64), ("p2", DataType::Float64)],
         )),
         condition: Some(BoolExpr::col_eq_col("R.jc", "S.jc")),
+        algorithm: JoinAlgorithm::HashRankJoin,
     });
     let mutant = PhysicalPlan::unestimated(PhysicalOp::Exchange {
         input: Box::new(hrjn),
@@ -398,22 +401,6 @@ fn out_of_range_rank_predicate_fires_rank_predicate_range() {
     assert_fires(&d, Rule::RankPredicateRange, Severity::Error);
 }
 
-/// MPro with an empty schedule probes nothing; with a duplicated entry it
-/// would bill the same predicate twice.
-#[test]
-fn degenerate_mpro_schedules_fire_rank_predicate_range() {
-    let query = two_pred_query();
-    let base = scan("R", &[("jc", DataType::Int64), ("p1", DataType::Float64)]);
-    for schedule in [vec![], vec![0, 0]] {
-        let mutant = PhysicalPlan::unestimated(PhysicalOp::MproProbe {
-            input: Box::new(base.clone()),
-            schedule,
-        });
-        let d = validate_physical(&mutant, Some(&query.ranking), &ValidateOptions::default());
-        assert_fires(&d, Rule::RankPredicateRange, Severity::Error);
-    }
-}
-
 /// k = 0 is legal but almost certainly a mistake — a warning, not an error.
 #[test]
 fn zero_limits_warn_limit_zero() {
@@ -463,10 +450,11 @@ fn corpus_covers_all_twelve_rules() {
         ),
         (
             PhysicalPlan::unestimated(PhysicalOp::Exchange {
-                input: Box::new(PhysicalPlan::unestimated(PhysicalOp::HashRankJoin {
+                input: Box::new(PhysicalPlan::unestimated(PhysicalOp::Join {
                     left: Box::new(rank_scan(&[("jc", DataType::Int64)])),
                     right: Box::new(scan("S", &[("jc", DataType::Int64)])),
                     condition: Some(BoolExpr::col_eq_col("R.jc", "S.jc")),
+                    algorithm: JoinAlgorithm::HashRankJoin,
                 })),
                 merge: ExchangeMerge::Concat,
             }),

@@ -101,3 +101,63 @@ fn cloning_a_string_value_allocates_nothing() {
     assert_eq!(n, 0);
     assert_eq!(copy, v);
 }
+
+/// Allocations of running a nested-loops join of two `n`-row tables whose
+/// condition admits no pair.
+fn empty_nested_loops_join(n: i64) -> usize {
+    use ranksql::algebra::PhysicalPlan;
+    use ranksql::executor::{execute_physical_plan, ExecutionContext};
+    use ranksql::storage::Catalog;
+    use ranksql::{
+        BoolExpr, CompareOp, DataType, Field, JoinAlgorithm, LogicalPlan, RankPredicate,
+        RankingContext, ScalarExpr, Schema, ScoringFunction,
+    };
+
+    let catalog = Catalog::new();
+    for name in ["L", "R"] {
+        let table = catalog
+            .create_table(name, Schema::new(vec![Field::new("a", DataType::Int64)]))
+            .unwrap();
+        for a in 0..n {
+            table.insert(vec![Value::from(a)]).unwrap();
+        }
+    }
+    let (l, r) = (catalog.table("L").unwrap(), catalog.table("R").unwrap());
+    let never = BoolExpr::compare(
+        ScalarExpr::col("L.a"),
+        CompareOp::Lt,
+        ScalarExpr::col("R.a"),
+    )
+    .and(BoolExpr::compare(
+        ScalarExpr::col("L.a"),
+        CompareOp::Gt,
+        ScalarExpr::col("R.a"),
+    ));
+    let plan = PhysicalPlan::from_logical(&LogicalPlan::scan(&l).join(
+        LogicalPlan::scan(&r),
+        Some(never),
+        JoinAlgorithm::NestedLoop,
+    ))
+    .unwrap();
+    let ranking = RankingContext::new(
+        vec![RankPredicate::attribute("p", "L.a")],
+        ScoringFunction::Sum,
+    );
+    let exec = ExecutionContext::new(ranking).with_threads(1);
+    let (result, n) = counted(|| execute_physical_plan(&plan, &catalog, &exec).unwrap());
+    assert!(result.tuples.is_empty());
+    n
+}
+
+#[test]
+fn a_nested_loops_join_decides_before_it_builds() {
+    let (small, large) = (empty_nested_loops_join(16), empty_nested_loops_join(64));
+    // The larger join tests 3 840 more pairs over 96 more scanned rows.
+    // Building each tested pair costs an allocation per pair; deciding on
+    // the pair in place leaves at most a few per scanned row.
+    let extra_rows = 2 * (64 - 16);
+    assert!(
+        large.saturating_sub(small) <= 4 * extra_rows,
+        "16x16 join allocated {small} times, 64x64 {large} times"
+    );
+}
