@@ -13,25 +13,29 @@
 //!   assembles a tuple it immediately drops;
 //! * **zone-map filter pruning** skips whole blocks whose per-block
 //!   min/max cannot satisfy the pushed filter;
-//! * **zone-map score pruning** skips blocks whose maximal possible query
-//!   score (block score maxima through the scoring function, other
-//!   predicates at their caps) is strictly below the downstream top-k's
-//!   current threshold (see [`TopKThreshold`]);
+//! * **zone-map score pruning** skips blocks whose rows all sort after the
+//!   downstream top-k's worst kept entry (see [`TopKThreshold`]): the
+//!   block's maximal possible query score (block score maxima through the
+//!   scoring function, other predicates at their caps) is below the worst
+//!   kept score, or equal to it while the block's first row id is past the
+//!   worst kept id.  The tail is one more block, bounded by the caps alone;
 //! * **row scoring** — when only π (or `Repartition`) sits between the scan
 //!   and that top-k, the scan also evaluates the sort's predicates on each
-//!   selected row's column values and builds the row only if its completed
-//!   score is not strictly below the threshold (`TopKScoring`).
+//!   selected row — sealed or tail — and builds the row only if it does not
+//!   sort after the worst kept entry (`TopKScoring`).
 //!
-//! Pruned blocks are never examined: their rows are charged to neither the
-//! tuple budget nor the scan's `tuples_in` counter, which is exactly the
-//! `tuples_scanned` reduction the zone-map regression tests assert.
+//! An entry that sorts after the worst kept entry is pruned: the heap would
+//! drop it on arrival.  Pruned blocks are never examined: their rows are
+//! charged to neither the tuple budget nor the scan's `tuples_in` counter,
+//! which is exactly the `tuples_scanned` reduction the zone-map regression
+//! tests assert.
 
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use ranksql_common::{RankSqlError, Result, Schema, Tuple, Value};
+use ranksql_common::{RankSqlError, Result, Schema, Score, Tuple, Value};
 use ranksql_expr::{
     BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, RankingContext, ScalarExpr, ScoreSource,
     ScoreState,
@@ -250,7 +254,8 @@ struct RowScoring {
 
 /// Decides the rows `rows` (table-absolute) of the admitted block into
 /// `out`, returning how many were built: every row, or — under `scoring` —
-/// those whose completed score the heap would keep, carrying their state.
+/// those the heap would keep by completed score and id, carrying their
+/// state.
 fn decide_rows(
     (block_start, block): (usize, &SealedBlock),
     table_id: u32,
@@ -267,7 +272,8 @@ fn decide_rows(
             for &c in &s.cols {
                 s.row[c] = block.value(local, c);
             }
-            if !s.top_k.keeps(s.row.as_slice(), &mut state)? {
+            let id = Some((table_id, row as u64));
+            if !s.top_k.keeps(s.row.as_slice(), &mut state, id)? {
                 continue;
             }
         }
@@ -450,20 +456,31 @@ impl ColumnScan {
 
     /// The maximal possible query score of any tuple in `block`: block
     /// score maxima for this table's zone-mapped attribute predicates, the
-    /// context's per-predicate caps for everything else.
-    fn block_score_bound(&self, block: usize) -> f64 {
+    /// context's per-predicate caps for everything else.  The tail
+    /// (`None`) has no zone maps: every predicate is at its cap.
+    fn score_bound(&self, block: Option<usize>) -> Score {
         let mut buf = [0.0f64; 64];
         let n = self.pred_cols.len();
         for (i, slot) in buf[..n].iter_mut().enumerate() {
-            *slot = match self.pred_cols[i] {
-                Some(col) => self
+            *slot = match (self.pred_cols[i], block) {
+                (Some(col), Some(block)) => self
                     .table
                     .score_zone_max(col, block)
                     .unwrap_or_else(|| self.ctx.max_value_for(i)),
-                None => self.ctx.max_value_for(i),
+                _ => self.ctx.max_value_for(i),
             };
         }
-        self.ctx.scoring().combine(&buf[..n]).value()
+        self.ctx.scoring().combine(&buf[..n])
+    }
+
+    /// Whether every row still to be read in `block` (`None`: the tail)
+    /// sorts after the top-k's worst kept entry.  Their ids start at
+    /// `(table, pos)` — a lower bound too when a morsel starts mid-block.
+    fn rest_loses(&self, block: Option<usize>) -> bool {
+        self.prune_cell.as_ref().is_some_and(|cell| {
+            let first = (self.table.table_id(), self.pos as u64);
+            cell.prunes_from(self.score_bound(block), first)
+        })
     }
 
     /// Counts `block` as pruned, once per (table, block) across every scan
@@ -511,13 +528,11 @@ impl ColumnScan {
                     continue;
                 }
             }
-            // Zone-map score pruning against the top-k threshold.
-            if let Some(cell) = &self.prune_cell {
-                if cell.prunes(self.block_score_bound(block)) {
-                    self.count_pruned(block);
-                    self.pos = end;
-                    continue;
-                }
+            // Zone-map score pruning against the top-k's worst kept entry.
+            if self.rest_loses(Some(block)) {
+                self.count_pruned(block);
+                self.pos = end;
+                continue;
             }
             // The block survived pruning: fault it in (buffer-pool read on
             // a paged table, free on a resident one) exactly once per
@@ -614,28 +629,42 @@ impl PhysicalOperator for ColumnScan {
         let table_id = self.table.table_id();
         let (mut decided, mut built) = (0usize, 0usize);
         let mut examined: u64 = 0;
+        let mut tail_checked = false;
         // A call ends after deciding `max` rows, so a scoring scan reads a
         // threshold at most one batch stale — but not before it built one:
         // returning 0 means exhausted.
         while decided < max || (built == 0 && max > 0) {
             if !self.block_has_pending() && !self.advance_block()? {
-                // Sealed blocks exhausted: stream the epoch's tail
-                // row-at-a-time (row layout, per-row budget charge).
+                // Sealed blocks exhausted: the epoch's tail is one more
+                // block, skipped whole (checked once per call) when all of
+                // it loses, else streamed row-at-a-time (row layout,
+                // per-row budget charge) through the same decide.
+                if !tail_checked && self.pos < self.end && self.rest_loses(None) {
+                    self.pos = self.end;
+                }
+                tail_checked = true;
                 if self.pos >= self.end {
                     break;
                 }
                 let row = self.pos;
                 self.pos += 1;
                 examined += 1;
-                let tuple = self.tail[row - self.sealed_end].clone();
-                match &self.tail_filter {
-                    Some(bound) if !bound.eval(&tuple)? => {}
-                    _ => {
-                        out.push(RankedTuple::unranked(tuple, n_preds));
-                        decided += 1;
-                        built += 1;
+                let tuple = &self.tail[row - self.sealed_end];
+                if let Some(bound) = &self.tail_filter {
+                    if !bound.eval(tuple)? {
+                        continue;
                     }
                 }
+                decided += 1;
+                let mut state = ScoreState::new(n_preds);
+                if let Some(s) = &mut self.top_k {
+                    let id = Some((table_id, row as u64));
+                    if !s.top_k.keeps(tuple, &mut state, id)? {
+                        continue;
+                    }
+                }
+                out.push(RankedTuple::new(tuple.clone(), state));
+                built += 1;
                 continue;
             }
             let want = max.saturating_sub(decided).max(1);
@@ -705,7 +734,7 @@ impl PhysicalOperator for ColumnScan {
 pub(crate) mod tests {
     use super::*;
     use crate::operator::drain_batched;
-    use ranksql_common::{BitSet64, DataType, Field, Value};
+    use ranksql_common::{BitSet64, DataType, Field, TupleId, Value};
     use ranksql_expr::{RankPredicate, ScoringFunction};
     use ranksql_storage::{Table, TableBuilder};
 
@@ -797,7 +826,7 @@ pub(crate) mod tests {
         let mut scan = scan_all(&t, None, true, &exec);
         // p scores are < 1.0 everywhere; an impossible threshold prunes
         // every block the scan has not yet entered.
-        cell.raise(2.0);
+        cell.raise(2.0, &TupleId::base(0, 0));
         let got = drain_batched(&mut scan, 1024).unwrap();
         assert!(got.is_empty());
         assert_eq!(exec.blocks_pruned(), 4);
@@ -817,8 +846,9 @@ pub(crate) mod tests {
         let cell = Arc::new(TopKThreshold::new());
         exec.push_prune_threshold(BitSet64::all(1), Arc::clone(&cell));
         let mut scan = scan_all(&t, None, true, &exec);
-        // Every block holds a 0.99, so none prunes; rows are scored.
-        cell.raise(0.9);
+        // Every block holds a 0.99, so none prunes; rows are scored.  The
+        // worst kept entry is a join's pair, so its id prunes no tie.
+        cell.raise(0.9, &pair_id());
         let got = drain_batched(&mut scan, 1024).unwrap();
         // p ≥ 0.9 on 10 of every 100 rows: 400 full cycles' worth plus 10
         // in the last 96 rows.  Ties with the threshold are kept.
@@ -933,14 +963,69 @@ pub(crate) mod tests {
         assert_eq!(drain_batched(&mut scan3, 512).unwrap().len(), 1500);
     }
 
+    /// The id of a join's pair: not one base row.
+    fn pair_id() -> TupleId {
+        TupleId::base(0, 1).combine(&TupleId::base(1, 1))
+    }
+
+    /// Under a tied worst kept entry the scan skips every block whose first
+    /// id is past the worst id, and inside the block it reads builds only
+    /// the ties with a smaller id.
+    #[test]
+    fn scoring_scan_prunes_ties_past_the_worst_kept_id() {
+        let t = table(4096);
+        let exec = ExecutionContext::new(ctx());
+        let cell = Arc::new(TopKThreshold::new());
+        exec.push_prune_threshold(BitSet64::all(1), Arc::clone(&cell));
+        let mut scan = scan_all(&t, None, true, &exec);
+        // Block 0's zone max is 0.99: tied with the worst kept score, with
+        // ids from (0, 0); blocks 1..4 start past the worst id (0, 500).
+        cell.raise(0.99, &TupleId::base(0, 500));
+        let got = drain_batched(&mut scan, 1024).unwrap();
+        // p = 0.99 where i ≡ 27 (mod 100): rows 27, 127, …, 427 tie and
+        // sort before (0, 500); 527, …, 927 sort after it.
+        let ids: Vec<u64> = got.iter().map(|g| g.tuple.id().parts()[0].1).collect();
+        assert_eq!(ids, (0..5).map(|j| 27 + 100 * j).collect::<Vec<u64>>());
+        assert_eq!(exec.blocks_pruned(), 3);
+        assert_eq!(exec.budget().used(), 1024, "only block 0 is examined");
+    }
+
+    /// The tail is one more block: skipped whole when its caps bound ties
+    /// the worst kept score and its first id is past the worst id, and
+    /// otherwise decided row by row like sealed rows.
+    #[test]
+    fn scoring_scan_decides_the_tail_like_a_block() {
+        let t = table(COLUMN_BLOCK_ROWS + 300);
+        let scan = |worst: f64, id: TupleId| {
+            let exec = ExecutionContext::new(ctx());
+            let cell = Arc::new(TopKThreshold::new());
+            exec.push_prune_threshold(BitSet64::all(1), Arc::clone(&cell));
+            let mut scan = scan_all(&t, None, true, &exec);
+            cell.raise(worst, &id);
+            let got = drain_batched(&mut scan, 4096).unwrap();
+            let ids: Vec<u64> = got.iter().map(|g| g.tuple.id().parts()[0].1).collect();
+            (ids, exec.budget().used())
+        };
+        // Caps bound 1.0 = the worst score, first tail id (0, 1024) > (0, 0):
+        // the tail is skipped; block 0 (zone max 0.99) is pruned too.
+        assert_eq!(scan(1.0, TupleId::base(0, 0)), (vec![], 0));
+        // A pair's id prunes no tie: the tail is read and each row scored.
+        let (ids, used) = scan(0.99, pair_id());
+        assert_eq!(used, COLUMN_BLOCK_ROWS as u64 + 300);
+        let want: Vec<u64> = (0..COLUMN_BLOCK_ROWS as u64 + 300)
+            .filter(|i| (i * 37) % 100 == 99)
+            .collect();
+        assert_eq!(ids, want);
+    }
+
     #[test]
     fn threshold_cell_raises_monotonically() {
         let cell = TopKThreshold::new();
         assert!(!cell.prunes(f64::NEG_INFINITY));
-        cell.raise(1.5);
-        cell.raise(0.5); // lower: ignored
-        cell.raise(f64::NAN); // NaN: ignored
-        assert_eq!(cell.get(), 1.5);
+        cell.raise(1.5, &TupleId::base(0, 7));
+        cell.raise(0.5, &TupleId::base(0, 0)); // lower: ignored
+        cell.raise(f64::NAN, &TupleId::base(0, 0)); // NaN: ignored
+        assert_eq!(cell.get().map(|w| w.score.value()), Some(1.5));
         assert!(cell.prunes(1.4));
         assert!(!cell.prunes(1.5), "ties are never pruned");
         assert!(cell.prunes(f64::NAN), "NaN bounds sort below everything");

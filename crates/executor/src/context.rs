@@ -11,48 +11,114 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use ranksql_common::{
-    default_thread_count, BitSet64, RankSqlError, Result, Row, Schema, Score, DEFAULT_BATCH_SIZE,
-    DEFAULT_MORSEL_SIZE, MAX_THREADS,
+    default_thread_count, BitSet64, RankSqlError, Result, Row, Schema, Score, TupleId,
+    DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_SIZE, MAX_THREADS,
 };
 use ranksql_expr::{BoundRanking, RankedTuple, RankingContext, ScoreState};
 use ranksql_storage::{EpochSet, Table, TableEpoch};
 
 use crate::metrics::{MetricsRegistry, OperatorMetrics};
 
-/// A monotonically rising lower bound on the k-th best score a top-k
-/// consumer will keep — the feedback channel from a bounded heap to
-/// whatever feeds it.
+/// The worst entry a full top-k heap keeps, under the heap's total order:
+/// higher score first, equal scores by ascending tuple id (Definition 1's
+/// deterministic tie-breaker, `TopKEntry::cmp`).
 ///
-/// A `SortLimit` raises the cell to its bounded heap's current worst kept
-/// score once the heap holds `k` tuples.  One rule reads it: a
+/// `id` is the entry's base-table id `(table, row)`, or `None` when the
+/// entry is not one base row (a join result): ties then never prune.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WorstKept {
+    /// The worst kept entry's score.
+    pub score: Score,
+    /// The worst kept entry's base-table id, if it has exactly one.
+    pub id: Option<(u32, u64)>,
+}
+
+impl WorstKept {
+    /// Whether every entry scoring at most `bound` whose id is at least
+    /// `first` sorts after the worst kept entry — and so loses: `bound` is
+    /// below the worst score, or equal to it with `first` past the worst
+    /// id.  A row asks with its own score and id; a block of rows
+    /// `(table, r)`, `r ≥ first.1`, with its zone bound.
+    pub fn prunes(&self, bound: Score, first: (u32, u64)) -> bool {
+        match bound.cmp(&self.score) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Equal => self.id.is_some_and(|worst| first > worst),
+            std::cmp::Ordering::Greater => false,
+        }
+    }
+
+    /// Whether `self` sorts strictly before `other` — a tighter bound.  An
+    /// id of `None` sorts after every id.
+    fn sorts_before(&self, other: &WorstKept) -> bool {
+        let id = |w: &WorstKept| w.id.map_or((1, 0, 0), |(t, r)| (0, t, r));
+        match self.score.cmp(&other.score) {
+            std::cmp::Ordering::Greater => true,
+            std::cmp::Ordering::Equal => id(self) < id(other),
+            std::cmp::Ordering::Less => false,
+        }
+    }
+}
+
+/// The id word of a [`TopKThreshold`] whose worst kept entry has no single
+/// base id (table ids are `u32`, so no real id has this table word).
+const NO_ID: u64 = u64::MAX;
+
+/// A monotonically rising bound on the k-th best entry a top-k consumer
+/// will keep — the feedback channel from a bounded heap to whatever feeds
+/// it.  Its value is the heap's worst kept entry ([`WorstKept`]): an entry
+/// that sorts after the worst kept entry is pruned.
+///
+/// A `SortLimit` raises the cell to its bounded heap's worst kept
+/// `(score, id)` once the heap holds `k` tuples.  One rule reads it: a
 /// materialising producer under a top-k scores before it builds.  The
 /// producer evaluates the sort's predicates on a row it has not yet built
-/// (`TopKScoring`) and builds the row only if its completed score is not
-/// *strictly* below the cell; the emitted tuple carries its evaluated state.
-/// Two producers follow it — a hash join directly beneath the `SortLimit`,
-/// and the zone-pruning columnar scan on its π spine (scoring the row's
-/// column values).  The join scores each side once (build rows as it hashes
-/// them, probe rows that find a group), evaluates rank-join predicates per
-/// pair it reaches, and walks each group best bound first, stopping at the
-/// first build row whose bound is strictly below the cell.  The scan also
-/// skips any block whose zone-map score bound is strictly below the cell.
-/// A strictly worse tuple is discarded by the heap immediately, so dropping
-/// it upstream cannot change results — ties are never pruned, preserving
-/// the deterministic tuple-id tie-break.  The cell rule: a `SortLimit` over
-/// a hash join gets a fresh cell — in an exchange, one per morsel, so what
-/// the join builds depends on its own morsel only; a `SortLimit` over a
-/// zone-pruning scan takes its spine's one cell, shared by every morsel's
-/// scan and top-k (any partition's k-th best score is a valid global bound,
-/// since at least k tuples beat it).
+/// (`TopKScoring`) and builds the row only if it does not sort after the
+/// worst kept entry; the emitted tuple carries its evaluated state.  Two
+/// producers follow it — a hash join directly beneath the `SortLimit`, and
+/// the zone-pruning columnar scan on its π spine (scoring the row's column
+/// values).  The scan also skips any block (and the epoch's tail) whose
+/// score bound is below the worst score, or equal to it with a first row id
+/// past the worst id.  The join scores each side once (build rows as it
+/// hashes them, probe rows that find a group), evaluates rank-join
+/// predicates per pair it reaches, and walks each group best bound first,
+/// stopping at the first build row whose bound is *strictly* below the
+/// worst score ([`TopKThreshold::prunes`]): its walk breaks bound ties in
+/// input order, not id order, and its pairs carry no single base id.  A
+/// tuple that sorts after the worst kept entry is discarded by the heap
+/// immediately, so dropping it upstream cannot change results.
+///
+/// The cell rule: a `SortLimit` over a hash join gets a fresh cell — in an
+/// exchange, one per morsel, so what the join builds depends on its own
+/// morsel only; a `SortLimit` over a zone-pruning scan takes its spine's
+/// one cell, shared by every morsel's scan and top-k.  Any partition's k-th
+/// best entry is a valid global bound: at least k tuples sort at or before
+/// it, so an entry that sorts after it is not in the global top-k.
+///
+/// The pair is published without a lock on the read path: a sequence
+/// number, odd while a write is in progress, brackets the three value
+/// words.  Writers serialise on a short lock, taken once per batch; a
+/// reader retries until it reads one even sequence number on both sides,
+/// so it never sees a mix of two published pairs.  The score word alone
+/// only ever rises, so [`TopKThreshold::prunes`] reads it without the
+/// sequence number.
 #[derive(Debug)]
 pub struct TopKThreshold {
-    /// Bit pattern of the current threshold (`f64::NEG_INFINITY` = unset).
-    bits: AtomicU64,
+    /// Publication count × 2, plus 1 while a write is in progress; 0 =
+    /// never raised.
+    seq: AtomicU64,
+    /// Bit pattern of the worst kept score (`f64::NEG_INFINITY` = unset).
+    score: AtomicU64,
+    /// The worst kept id's table, or [`NO_ID`].
+    table: AtomicU64,
+    /// The worst kept id's row.
+    row: AtomicU64,
+    /// Serialises writers.
+    writer: Mutex<()>,
 }
 
 impl Default for TopKThreshold {
@@ -65,48 +131,86 @@ impl TopKThreshold {
     /// An unset threshold (nothing can be pruned against it).
     pub fn new() -> Self {
         TopKThreshold {
-            bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            seq: AtomicU64::new(0),
+            score: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
+            table: AtomicU64::new(NO_ID),
+            row: AtomicU64::new(0),
+            writer: Mutex::new(()),
         }
     }
 
-    /// Raises the threshold to `score` if it is higher than the current
-    /// value.  `NaN` is ignored outright: a NaN "worst kept score" carries
-    /// no ordering information, and letting it into the cell would make
-    /// every subsequent `prunes` comparison meaningless — a NaN-scoring row
+    /// Raises the cell to the worst kept entry `(score, id)` if that sorts
+    /// before the current one.  `NaN` is ignored outright: a NaN "worst
+    /// kept score" carries no ordering information, and a NaN-scoring row
     /// must never change which blocks are pruned.  (The [`Score`] total
-    /// order below also sorts `NaN` lowest, so this guard is belt and
-    /// braces rather than load-bearing — but the property is important
-    /// enough to state, and regression-test, explicitly.)
-    pub fn raise(&self, score: f64) {
+    /// order also sorts `NaN` lowest, so this guard is belt and braces.)
+    pub fn raise(&self, score: f64, id: &TupleId) {
         if score.is_nan() {
             return;
         }
-        let mut cur = self.bits.load(Ordering::Relaxed);
+        let new = WorstKept {
+            score: Score::new(score),
+            id: match id.parts() {
+                [one] => Some(*one),
+                _ => None,
+            },
+        };
+        let _writer = self.writer.lock();
+        if self.get().is_some_and(|cur| !new.sorts_before(&cur)) {
+            return;
+        }
+        // The odd number goes out before any value word: this Release fence
+        // pairs with the reader's Acquire fence, so a reader that loaded a
+        // word of this write then loads a sequence number past its first.
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        let (table, row) = new.id.map_or((NO_ID, 0), |(t, r)| (u64::from(t), r));
+        self.score.store(score.to_bits(), Ordering::Relaxed);
+        self.table.store(table, Ordering::Relaxed);
+        self.row.store(row, Ordering::Relaxed);
+        // Pairs with the reader's Acquire load: a reader that sees `seq + 2`
+        // sees this write's words.
+        self.seq.store(seq + 2, Ordering::Release);
+    }
+
+    /// The current worst kept entry, `None` while unset.
+    pub fn get(&self) -> Option<WorstKept> {
         loop {
-            if Score::new(score) <= Score::new(f64::from_bits(cur)) {
-                return;
+            let seq = self.seq.load(Ordering::Acquire);
+            if seq == 0 {
+                return None;
             }
-            match self.bits.compare_exchange_weak(
-                cur,
-                score.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(now) => cur = now,
+            if seq % 2 == 0 {
+                let score = Score::new(f64::from_bits(self.score.load(Ordering::Relaxed)));
+                let (table, row) = (
+                    self.table.load(Ordering::Relaxed),
+                    self.row.load(Ordering::Relaxed),
+                );
+                // Pairs with the writer's Release fence: the same even
+                // number after it means no write touched the words read.
+                fence(Ordering::Acquire);
+                if self.seq.load(Ordering::Relaxed) == seq {
+                    let id = u32::try_from(table).ok().map(|t| (t, row));
+                    return Some(WorstKept { score, id });
+                }
             }
+            std::hint::spin_loop();
         }
     }
 
-    /// The current threshold (`f64::NEG_INFINITY` when unset).
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
+    /// Whether a row or block of rows `(table, r)`, `r ≥ first.1`, scoring
+    /// at most `bound` sorts after the worst kept entry (see
+    /// [`WorstKept::prunes`]); never while unset.
+    pub fn prunes_from(&self, bound: Score, first: (u32, u64)) -> bool {
+        self.get().is_some_and(|worst| worst.prunes(bound, first))
     }
 
-    /// Whether a block with maximal possible score `bound` can be skipped:
-    /// only when the threshold is set and the bound is *strictly* below it.
+    /// The score-only test: whether `bound` is *strictly* below the worst
+    /// kept score.  Ties are never pruned by it; the hash join's best-first
+    /// stop uses it.
     pub fn prunes(&self, bound: f64) -> bool {
-        let t = self.get();
+        let t = f64::from_bits(self.score.load(Ordering::Relaxed));
         t > f64::NEG_INFINITY && Score::new(bound) < Score::new(t)
     }
 }
@@ -200,20 +304,27 @@ impl TopKScoring {
     }
 
     /// Whether a row whose score is at most `bound` is strictly below the
-    /// threshold — and so is every row scoring lower.
+    /// worst kept score — and so is every row scoring lower.
     pub(crate) fn prunes(&self, bound: Score) -> bool {
         self.cell.prunes(bound.value())
     }
 
     /// Evaluates the sort's predicates `state` lacks on `row` and returns
-    /// whether the completed score is not strictly below the threshold.
+    /// whether the completed score keeps it: a row with base id `id` is
+    /// dropped when it sorts after the worst kept entry, a row without one
+    /// (a join's pair) only when it scores strictly below it.
     pub(crate) fn keeps<R: Row + ?Sized>(
         &mut self,
         row: &R,
         state: &mut ScoreState,
+        id: Option<(u32, u64)>,
     ) -> Result<bool> {
         self.ranking.evaluate_missing(row, state)?;
-        Ok(!self.prunes(self.ctx.upper_bound(state)))
+        let score = self.ctx.upper_bound(state);
+        Ok(!match id {
+            Some(id) => self.cell.prunes_from(score, id),
+            None => self.prunes(score),
+        })
     }
 
     /// Adds the evaluations since the last flush to the shared counters —
@@ -610,6 +721,163 @@ mod tests {
             vec![RankPredicate::attribute("p", "T.p")],
             ScoringFunction::Sum,
         )
+    }
+
+    /// A base id of table 0.
+    fn id(row: u64) -> TupleId {
+        TupleId::base(0, row)
+    }
+
+    fn worst(score: f64, row: Option<u64>) -> Option<WorstKept> {
+        let id = row.map(|r| (0, r));
+        Some(WorstKept {
+            score: Score::new(score),
+            id,
+        })
+    }
+
+    #[test]
+    fn threshold_cell_orders_pairs_like_the_heap() {
+        let cell = TopKThreshold::new();
+        assert_eq!(cell.get(), None);
+        assert!(!cell.prunes_from(Score::new(f64::NAN), (0, 0)), "unset");
+        cell.raise(0.5, &id(10));
+        // An entry that sorts after (0.5, #10) is pruned; the rest are not.
+        assert!(cell.prunes_from(Score::new(0.5), (0, 11)));
+        assert!(cell.prunes_from(Score::new(0.4), (0, 0)));
+        assert!(!cell.prunes_from(Score::new(0.5), (0, 10)));
+        assert!(!cell.prunes_from(Score::new(0.5), (0, 9)));
+        assert!(!cell.prunes_from(Score::new(0.6), (0, 99)));
+        assert!(!cell.prunes(0.5), "the score-only test never prunes a tie");
+        // Only an entry that sorts before the current one raises the cell.
+        cell.raise(0.5, &id(20));
+        cell.raise(0.4, &id(0));
+        assert_eq!(cell.get(), worst(0.5, Some(10)));
+        cell.raise(0.5, &id(5));
+        assert_eq!(cell.get(), worst(0.5, Some(5)));
+        // A pair's id sorts after every base id: at an equal score it does
+        // not raise the cell, at a higher one it does, and prunes no tie.
+        let pair = id(1).combine(&TupleId::base(1, 1));
+        cell.raise(0.5, &pair);
+        assert_eq!(cell.get(), worst(0.5, Some(5)));
+        cell.raise(0.6, &pair);
+        assert_eq!(cell.get(), worst(0.6, None));
+        assert!(!cell.prunes_from(Score::new(0.6), (0, u64::MAX)));
+        assert!(cell.prunes_from(Score::new(0.59), (0, 0)));
+        cell.raise(0.6, &id(3));
+        cell.raise(f64::NAN, &id(0));
+        assert_eq!(cell.get(), worst(0.6, Some(3)));
+    }
+
+    /// A SplitMix64 step: the tests' deterministic stream.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Four writers raise offers while two readers read: every pair a reader
+    /// sees was published whole, and its reads never go backwards under the
+    /// heap's order.  Offer `i` scores `i / 4` (ties in fours) with row
+    /// `i · C`: the row names its offer, so a score from one offer read
+    /// with the id of another is caught.
+    #[test]
+    fn threshold_cell_readers_never_see_a_torn_or_older_pair() {
+        const C: u64 = 0xD6E8_FEB8_6659_FD93; // odd: invertible mod 2^64
+        let mut inv = C;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(C.wrapping_mul(inv)));
+        }
+        let steps: u64 = if cfg!(miri) { 16 } else { 20_000 };
+        let (cell, writers_done) = (TopKThreshold::new(), AtomicUsize::new(0));
+        let start = std::sync::Barrier::new(6);
+        std::thread::scope(|scope| {
+            for w in 0..4u64 {
+                let (cell, writers_done, start) = (&cell, &writers_done, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut rng = w;
+                    for step in 0..steps {
+                        let i = step * 4 + next(&mut rng) % 4;
+                        cell.raise((i / 4) as f64, &id(i.wrapping_mul(C)));
+                    }
+                    writers_done.fetch_add(1, Ordering::Release);
+                });
+            }
+            for _ in 0..2 {
+                let (cell, writers_done, start) = (&cell, &writers_done, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let mut seen: Option<WorstKept> = None;
+                    // Read until every writer is done, then once more.
+                    let mut last = false;
+                    while !last {
+                        last = writers_done.load(Ordering::Acquire) == 4;
+                        let Some(now) = cell.get() else { continue };
+                        let (table, row) = now.id.expect("every offer has a base id");
+                        let i = row.wrapping_mul(inv);
+                        assert_eq!(table, 0);
+                        assert!(i < steps * 4, "row {row} was never offered");
+                        assert_eq!(now.score.value(), (i / 4) as f64, "a torn pair");
+                        if let Some(before) = seen {
+                            assert!(!before.sorts_before(&now), "{now:?} after {before:?}");
+                        }
+                        seen = Some(now);
+                    }
+                });
+            }
+        });
+        // The best offer of the last step is what remains.
+        let last = cell.get().unwrap();
+        assert_eq!(last.score.value(), (steps - 1) as f64);
+    }
+
+    /// Under an exchange each partition's top-k raises the spine's one cell
+    /// with its own k-th best entry.  Any such entry is a valid global
+    /// bound: at least k entries sort at or before it, so no entry of the
+    /// global top-k sorts after it, whichever partitions raised first.
+    #[test]
+    fn threshold_cell_any_partitions_kth_best_is_a_global_bound() {
+        const K: usize = 10;
+        let mut rng = 7;
+        // Scores in few values (heavy ties), rows dealt to 4 partitions.
+        let entries: Vec<(Score, u64, usize)> = (0..400u64)
+            .map(|row| {
+                let score = Score::new((next(&mut rng) % 6) as f64);
+                (score, row, (next(&mut rng) % 4) as usize)
+            })
+            .collect();
+        let best_first = |mut v: Vec<(Score, u64)>| {
+            v.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            v
+        };
+        let global = best_first(entries.iter().map(|&(s, r, _)| (s, r)).collect());
+        let global_top = &global[..K];
+        for order in [[0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]] {
+            let cell = TopKThreshold::new();
+            for p in order {
+                let part = best_first(
+                    entries
+                        .iter()
+                        .filter(|e| e.2 == p)
+                        .map(|&(s, r, _)| (s, r))
+                        .collect(),
+                );
+                let (score, row) = part[K - 1];
+                cell.raise(score.value(), &id(row));
+                for &(s, r) in global_top {
+                    assert!(
+                        !cell.prunes_from(s, (0, r)),
+                        "partition {p} pruned a winner"
+                    );
+                }
+            }
+            // The bound is not vacuous: most entries sort after it.
+            let pruned = global.iter().filter(|&&(s, r)| cell.prunes_from(s, (0, r)));
+            assert!(pruned.count() > global.len() / 2);
+        }
     }
 
     #[test]

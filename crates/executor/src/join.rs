@@ -462,7 +462,7 @@ impl HashJoin {
     /// it: `scoring` is [`TopKScoring::for_join`] over what that sort pushed
     /// for it ([`ExecutionContext::pop_prune_threshold`], taken before this
     /// join's inputs were lowered) — the sort's predicates and the cell
-    /// where its bounded heap publishes its worst kept score.  A build side
+    /// where its bounded heap publishes its worst kept entry.  A build side
     /// drained before the join was made must have been scored by the same
     /// value.  Emitted tuples carry their evaluated state, so the sort
     /// evaluates nothing again.  `None` (no such sort) leaves the join as it
@@ -566,7 +566,7 @@ impl PhysicalOperator for HashJoin {
                     None => out.push(left.join(right)),
                     Some(top_k) => {
                         let mut state = left.state.merge(&right.state);
-                        if !top_k.keeps(&pair, &mut state)? {
+                        if !top_k.keeps(&pair, &mut state, None)? {
                             continue;
                         }
                         out.push(RankedTuple::new(left.tuple.join(&right.tuple), state));

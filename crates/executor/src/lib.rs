@@ -84,4 +84,4 @@ pub use exchange::{ExchangeOp, RepartitionPassthrough};
 pub use metrics::{MetricsRegistry, OperatorMetrics};
 pub use mpro::MProOp;
 pub use operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator, Replay};
-pub use oracle::oracle_top_k;
+pub use oracle::{oracle_top_k, oracle_top_k_over_rows};

@@ -51,10 +51,10 @@ pub fn oracle_top_k(query: &RankQuery, catalog: &Catalog) -> Result<Vec<RankedTu
 /// table, in query-table order, whose schemas joined in that order are
 /// `schema`).  Used by the sampling-based estimator to run the query over
 /// table *samples*.
-pub fn oracle_top_k_over_rows(
+pub fn oracle_top_k_over_rows<R: AsRef<[Tuple]>>(
     query: &RankQuery,
     schema: &Schema,
-    rows_per_table: &[Vec<Tuple>],
+    rows_per_table: &[R],
 ) -> Result<Vec<RankedTuple>> {
     if rows_per_table.len() != query.tables.len() {
         return Err(RankSqlError::Execution(format!(
@@ -88,6 +88,15 @@ pub fn oracle_top_k_over_rows(
         .map(|p| p.bind(schema))
         .collect::<Result<Vec<_>>>()?;
 
+    // At most `2k` candidates are held: whenever that many gather, the
+    // best `k` under the (total) result order are kept.
+    let scoring = query.ranking.scoring().clone();
+    let max_value = query.ranking.max_predicate_value();
+    let best_k = |results: &mut Vec<RankedTuple>| {
+        results.sort_by(|a, b| a.cmp_desc(b, &scoring, max_value));
+        results.truncate(query.k);
+    };
+    let held = query.k.saturating_mul(2).max(1);
     let mut results: Vec<RankedTuple> = Vec::new();
     descend(rows_per_table, &checks, None, &mut |joined: &Tuple| {
         let mut state = ScoreState::new(n);
@@ -95,21 +104,20 @@ pub fn oracle_top_k_over_rows(
             state.set(i, p.evaluate(joined)?.value());
         }
         results.push(RankedTuple::new(joined.clone(), state));
+        if results.len() >= held {
+            best_k(&mut results);
+        }
         Ok(())
     })?;
-
-    let scoring = query.ranking.scoring().clone();
-    let max_value = query.ranking.max_predicate_value();
-    results.sort_by(|a, b| a.cmp_desc(b, &scoring, max_value));
-    results.truncate(query.k);
+    best_k(&mut results);
     Ok(results)
 }
 
 /// Extends `prefix` (the join of one row per outer table) by every row of
 /// the next table that passes that level's `checks`, and hands each
 /// complete product tuple to `visit`.
-fn descend(
-    rows_per_table: &[Vec<Tuple>],
+fn descend<R: AsRef<[Tuple]>>(
+    rows_per_table: &[R],
     checks: &[Vec<BoundBoolExpr>],
     prefix: Option<&Tuple>,
     visit: &mut dyn FnMut(&Tuple) -> Result<()>,
@@ -119,7 +127,7 @@ fn descend(
     else {
         return prefix.map_or(Ok(()), visit);
     };
-    'rows: for row in rows {
+    'rows: for row in rows.as_ref() {
         let joined = match prefix {
             Some(p) => p.join(row),
             None => row.clone(),

@@ -165,7 +165,7 @@ pub struct SortLimitOp {
     sorted: Option<std::vec::IntoIter<RankedTuple>>,
     batch_size: usize,
     /// Feedback channel: once the bounded heap holds `k` tuples, its worst
-    /// kept score is published here, so the columnar scan on this
+    /// kept `(score, id)` is published here, so the columnar scan on this
     /// operator's σ/π spine (skipping blocks too) or the hash join directly
     /// beneath it can skip building rows that cannot beat it.
     threshold: Option<Arc<TopKThreshold>>,
@@ -257,15 +257,15 @@ impl SortLimitOp {
                 }
             }
             self.metrics.observe_buffered(heap.len() as u64);
-            // A full heap's worst kept score is a hard lower bound on the
-            // k-th best result: publish it so the scan or join below can prune.
-            // Strictly-below tuples would be pushed and immediately popped,
-            // so skipping them upstream cannot change the kept set (ties
-            // are never pruned — the id tie-break stays deterministic).
+            // A full heap's worst kept entry bounds the k-th best result
+            // under the heap's total order: publish `(score, id)` so the
+            // scan or join below can prune.  A tuple that sorts after it
+            // would be pushed and immediately popped, so skipping it
+            // upstream cannot change the kept set.
             if let Some(cell) = &self.threshold {
                 if heap.len() == self.k {
                     if let Some(worst) = heap.peek() {
-                        cell.raise(worst.score.value());
+                        cell.raise(worst.score.value(), worst.tuple.tuple.id());
                     }
                 }
             }

@@ -17,8 +17,8 @@
 //!    the σ spine;
 //! 3. columnar scans feeding a `SortLimit` through a σ/π chain are marked
 //!    **zone-prune**: at run time the top-k's bounded heap publishes its
-//!    worst kept score and the scan skips blocks whose zone-map score
-//!    bound cannot beat it.
+//!    worst kept `(score, id)` and the scan skips blocks whose zone-map
+//!    score bound and first row id cannot beat it.
 //!
 //! Cost annotations stay coherent: annotated scans are re-costed with the
 //! cost model's [`columnar_tuple`](crate::CostModel::columnar_tuple)

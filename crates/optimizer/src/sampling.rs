@@ -47,9 +47,14 @@
 //! the tuple by joining those base rows in schema order, which reproduces
 //! values and identity exactly because `TupleId::combine` is associative.
 //!
-//! `x'` comes from [`oracle_top_k`], which checks each Boolean conjunct as
-//! soon as its tables are bound instead of filtering the samples' full
-//! Cartesian product.
+//! `x'` comes from [`oracle_top_k_over_rows`] over the sample rows the
+//! estimator holds, which checks each Boolean conjunct as soon as its
+//! tables are bound instead of filtering the samples' full Cartesian
+//! product.
+//!
+//! A table's sample is at most 4 096 rows (`MAX_SAMPLE_ROWS`), so planning
+//! memory does not grow with table size.  Where that cap bites, the ratio
+//! the table was actually sampled at scales its estimates and `k'`.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -59,16 +64,31 @@ use parking_lot::Mutex;
 use ranksql_algebra::{LogicalPlan, PhysicalOp, PhysicalPlan, RankQuery, ScanAccess, SetOpKind};
 use ranksql_common::{BitSet64, RankSqlError, Result, Schema, Score, Tuple};
 use ranksql_executor::{
-    build_over_inputs, oracle_top_k, Batch, BoxedOperator, ExecutionContext, Replay,
+    build_over_inputs, oracle_top_k_over_rows, Batch, BoxedOperator, ExecutionContext, Replay,
 };
 use ranksql_expr::{BoolExpr, CompareOp, RankedTuple, RankingContext, ScalarExpr, ScoreState};
-use ranksql_storage::{sample_fraction, Catalog};
+use ranksql_storage::{reservoir_sample, Catalog};
 
 /// Smoothing count used when a sample execution produces zero tuples, so that
 /// downstream costs never divide by zero and empty-looking subplans keep a
 /// small non-zero cardinality (random sampling over joins is known to
 /// under-produce; see the paper's discussion of [CMN99]).
 const ZERO_SMOOTHING: f64 = 0.5;
+
+/// The most rows the estimator draws from one table, whatever its size, so
+/// planning memory is bounded by a constant: at the default 1 % ratio the
+/// cap bites only above 409 600 rows.
+const MAX_SAMPLE_ROWS: usize = 4096;
+
+/// How many rows the estimator samples from a table of `rows` rows at
+/// `ratio`: the ratio's share, at least one row of a non-empty table, at
+/// most [`MAX_SAMPLE_ROWS`].
+fn sample_size(rows: usize, ratio: f64) -> usize {
+    if rows == 0 {
+        return 0;
+    }
+    ((rows as f64 * ratio).round() as usize).clamp(1, MAX_SAMPLE_ROWS)
+}
 
 /// The sampling-based estimator, built once per query.
 pub struct SamplingEstimator {
@@ -405,18 +425,25 @@ impl SamplingEstimator {
         let mut full_catalog_rows = HashMap::new();
         let mut ratios = HashMap::new();
         let mut column_ndv = HashMap::new();
+        // The ratio `k'` scales `k` by: the nominal one, or the smallest
+        // achieved one of a table sampled at the cap, if lower.
+        let mut k_ratio = sample_ratio;
         for name in &query.tables {
             let table = catalog.table(name)?;
             for summary in &table.stats_catalog()?.columns {
                 column_ndv.insert(summary.name.clone(), summary.ndv() as f64);
             }
-            let sample = sample_fraction(&table, sample_ratio, seed)?;
+            let size = sample_size(table.row_count(), sample_ratio);
+            let sample = reservoir_sample(&table, size, seed)?;
             let full_rows = table.row_count() as f64;
             let achieved = if full_rows > 0.0 {
                 sample.len() as f64 / full_rows
             } else {
                 sample_ratio
             };
+            if size == MAX_SAMPLE_ROWS {
+                k_ratio = k_ratio.min(achieved);
+            }
             // Re-create the table (same name/schema) holding only the sample.
             let schema_unqualified = ranksql_common::Schema::new(
                 table
@@ -427,24 +454,34 @@ impl SamplingEstimator {
                     .collect(),
             );
             let sample_table = sample_catalog.create_table(name, schema_unqualified)?;
-            for t in &sample {
+            let drawn = sample.len();
+            // Each drawn row is dropped once copied: the sample is gone
+            // before its copy is re-read with the sample table's ids.
+            for t in sample {
                 sample_table.insert(t.values().to_vec())?;
             }
             samples.push(SampleRows {
                 table: name.clone(),
                 id: sample_table.id(),
                 schema: sample_table.schema().clone(),
-                rows: sample_table.pin_epoch().tuples(0..sample.len())?,
+                rows: sample_table.pin_epoch().tuples(0..drawn)?,
             });
             full_catalog_rows.insert(name.clone(), full_rows);
             ratios.insert(name.clone(), achieved.max(f64::EPSILON));
         }
 
-        // Estimate x: run the query over the samples asking for k' results.
-        let k_prime = ((query.k as f64 * sample_ratio).ceil() as usize).max(1);
+        // Estimate x: run the query over the sample rows already held,
+        // asking for k' results.
+        let k_prime = ((query.k as f64 * k_ratio).ceil() as usize).max(1);
         let mut sample_query = query.clone();
         sample_query.k = k_prime;
-        let sample_top = oracle_top_k(&sample_query, &sample_catalog)?;
+        let schema = samples
+            .iter()
+            .map(|s| s.schema.clone())
+            .reduce(|a, b| a.join(&b))
+            .unwrap_or_else(Schema::empty);
+        let rows: Vec<&[Tuple]> = samples.iter().map(|s| s.rows.as_slice()).collect();
+        let sample_top = oracle_top_k_over_rows(&sample_query, &schema, &rows)?;
         let x_threshold = match sample_top.last() {
             Some(t) => query.ranking.upper_bound(&t.state),
             // The sample produced no qualifying answer at all: every tuple
@@ -814,6 +851,45 @@ mod tests {
             10,
         );
         (cat, query)
+    }
+
+    /// The size rule: the ratio's share, one row at least, 4 096 at most —
+    /// which bites at 1 % only above 409 600 rows.
+    #[test]
+    fn sample_size_is_capped_by_a_constant() {
+        let sizes = [0, 1, 409_600, 409_700, 10_000_000].map(|n| sample_size(n, 0.01));
+        assert_eq!(sizes, [0, 1, 4096, 4096, 4096]);
+        assert_eq!(sample_size(409_700, 0.01), MAX_SAMPLE_ROWS);
+        assert_eq!(sample_size(2000, 0.01), 20);
+    }
+
+    /// Where the cap bites, `k'` scales `k` by the achieved ratio: 4 096 of
+    /// 8 192 rows is one half, so a top-10 asks the samples for 5.
+    #[test]
+    fn capped_tables_scale_k_prime_by_the_achieved_ratio() {
+        let cat = Catalog::new();
+        let t = cat
+            .create_table("T", Schema::new(vec![Field::new("p", DataType::Float64)]))
+            .unwrap();
+        for i in 0..8192 {
+            t.insert(vec![Value::from(i as f64 / 8192.0)]).unwrap();
+        }
+        let ranking = RankingContext::new(
+            vec![RankPredicate::attribute("p", "T.p")],
+            ScoringFunction::Sum,
+        );
+        let query = RankQuery::new(vec!["T".into()], vec![], ranking, 10);
+        let est = SamplingEstimator::build(&query, &cat, 1.0, 3).unwrap();
+        assert_eq!(est.ratio_for("T"), 0.5);
+        let sample = &est.samples.tables[0].rows;
+        assert_eq!(sample.len(), MAX_SAMPLE_ROWS);
+        // x' is the 5th best sampled score.
+        let mut scores: Vec<f64> = sample
+            .iter()
+            .map(|t| t.value(0).as_f64().unwrap())
+            .collect();
+        scores.sort_by(|a, b| b.total_cmp(a));
+        assert_eq!(est.x_threshold().value(), scores[4]);
     }
 
     #[test]

@@ -732,6 +732,146 @@ fn pruning_scan_scores_rows_before_building_them() {
     }
 }
 
+/// Rows of the tie-heavy table `W(id, x, p)`: 12 % of `p` is exactly 1.0
+/// and the rest falls on 40 tied steps below it, scattered over the table;
+/// `x` is the filter column.
+fn tied_rows(rows: i64) -> impl Iterator<Item = Vec<Value>> {
+    (0..rows).map(|i| {
+        let h = (i as u64 ^ 0x5DEE_CE66).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = h ^ (h >> 29);
+        let p = if h % 100 < 12 {
+            1.0
+        } else {
+            ((h >> 8) % 40) as f64 / 40.0
+        };
+        vec![
+            Value::from(i),
+            Value::from(((h >> 20) % 1000) as f64 / 1000.0),
+            Value::from(p),
+        ]
+    })
+}
+
+fn create_tied(db: &Database, rows: i64) {
+    db.create_table(
+        "W",
+        Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("x", DataType::Float64),
+            Field::new("p", DataType::Float64),
+        ]),
+    )
+    .unwrap();
+    db.insert_batch("W", tied_rows(rows)).unwrap();
+}
+
+/// A top-`k` of `W` by `p`: unfiltered, under a filter fused into the scan
+/// (the scan scores rows), or under one that stays a σ (the scan only
+/// skips blocks).
+fn tied_query(k: usize, filter: Option<BoolExpr>) -> RankQuery {
+    let mut builder = QueryBuilder::new().table("W");
+    if let Some(f) = filter {
+        builder = builder.filter(f);
+    }
+    builder
+        .rank_predicate(RankPredicate::attribute("p", "W.p"))
+        .limit(k)
+        .build()
+        .unwrap()
+}
+
+/// Ties are part of the order: with ≥ 10 % of rows tied at the maximum and
+/// `k` inside a tied group or on its edge, the zone-pruning scan skips
+/// blocks, the tail and rows on `(score, id)` — and in memory and paged, at
+/// 1 and 4 threads (700-row morsels, so most start mid-block),
+/// tuple-at-a-time and batched, the answer is the oracle's, ids included.
+#[test]
+fn tie_heavy_top_k_equals_the_oracle_ids_included() {
+    const ROWS: i64 = 20 * 1024 + 333;
+    let mem_db = Database::new();
+    create_tied(&mem_db, ROWS);
+    let dir = TempDir::new("ties");
+    let paged_db = Database::open_paged(dir.path()).unwrap();
+    create_tied(&paged_db, ROWS);
+    let epoch = mem_db.catalog().table("W").unwrap().pin_epoch();
+    assert!(epoch.tail().len() >= 300, "the epoch has a tail");
+    let maxed = tied_rows(ROWS).filter(|r| r[2] == Value::from(1.0)).count();
+    assert!(maxed * 10 >= ROWS as usize, "{maxed} rows tie at 1.0");
+    let x_lt =
+        |v: f64| BoolExpr::compare(ScalarExpr::col("W.x"), CompareOp::Lt, ScalarExpr::lit(v));
+    let unfused = BoolExpr::compare(
+        ScalarExpr::col("W.x").mul(ScalarExpr::lit(2.0)),
+        CompareOp::Lt,
+        ScalarExpr::lit(1.2),
+    );
+    for k in [10, maxed, maxed + 5] {
+        for filter in [None, Some(x_lt(0.6)), Some(unfused.clone())] {
+            let query = tied_query(k, filter);
+            let want = oracle(&mem_db, &query);
+            for (db, backend) in [(&mem_db, "in-memory"), (&paged_db, "paged")] {
+                for threads in [1usize, 4] {
+                    for batch in [1usize, 1024] {
+                        let result = db
+                            .session()
+                            .with_mode(PlanMode::Traditional)
+                            .with_threads(threads)
+                            .with_batch_size(batch)
+                            .with_morsel_size(700)
+                            .execute(&query)
+                            .unwrap();
+                        let what = format!("k {k}, {backend}, threads {threads}, batch {batch}");
+                        let text = result.physical.explain(None);
+                        assert!(text.contains("[zone-prune]"), "{what}: {text}");
+                        assert_eq!(result.physical.contains_exchange(), threads > 1, "{what}");
+                        assert_eq!(identities(&query, &result.rows), want, "{what}: {text}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A count, not a timer: a paged top-10 over 64 blocks and a 320-row tail,
+/// with 12 % of rows tied at the maximum score, reads the two blocks its
+/// first batch of 1 024 filtered rows spans — every later block and the
+/// tail start past the worst kept id — and faults at most their pages
+/// through a 4-page pool.
+#[test]
+fn a_tied_paged_top_10_reads_two_blocks() {
+    const ROWS: i64 = 64 * 1024 + 320;
+    let dir = TempDir::new("tied-count");
+    let db = Database::open_paged_with(dir.path(), PagedOptions { pool_pages: 4 }).unwrap();
+    create_tied(&db, ROWS);
+    let filter = BoolExpr::compare(ScalarExpr::col("W.x"), CompareOp::Lt, ScalarExpr::lit(0.75));
+    let query = tied_query(10, Some(filter));
+    let result = db
+        .session()
+        .with_mode(PlanMode::Traditional)
+        .with_threads(1)
+        .execute(&query)
+        .unwrap();
+    assert_eq!(identities(&query, &result.rows), oracle(&db, &query));
+    let scan = result
+        .metrics
+        .snapshot()
+        .into_iter()
+        .find(|m| m.name().starts_with("ColumnScan"))
+        .unwrap();
+    assert!(
+        scan.tuples_in() <= 2 * 1024,
+        "read {} rows",
+        scan.tuples_in()
+    );
+    let epoch = db.catalog().table("W").unwrap().pin_epoch();
+    let block_pages = epoch.blocks().block_pages(0);
+    assert!(block_pages > 0, "the table pages to disk");
+    assert!(
+        result.pages_faulted <= 2 * block_pages,
+        "faulted {} pages, {block_pages} per block",
+        result.pages_faulted
+    );
+}
+
 /// Rows of the index-scan table `I(id, g, p)`: `p` is the rank-scan's
 /// score, `g` the attribute index's key, both scattered across blocks.
 fn index_rows(rows: i64) -> impl Iterator<Item = Vec<Value>> {
