@@ -3,7 +3,7 @@
 use std::fmt;
 
 use ranksql_common::{BitSet64, RankSqlError, Result, Schema};
-use ranksql_expr::{BoolExpr, RankingContext};
+use ranksql_expr::{BoolExpr, CompareOp, RankingContext, ScalarExpr};
 use ranksql_storage::Table;
 
 /// How a base table is accessed.
@@ -63,6 +63,39 @@ impl JoinAlgorithm {
             JoinAlgorithm::Hash => "HashJoin",
             JoinAlgorithm::HashRankJoin => "HRJN",
             JoinAlgorithm::NestedLoopRankJoin => "NRJN",
+        }
+    }
+
+    /// The algorithms a join over `condition` may use, in the order planners
+    /// try them.  A join with a ranking predicate evaluated below it must be
+    /// rank-aware to merge its operands' aggregate order (Figure 3);
+    /// otherwise the traditional algorithms compete.  Hash-based and
+    /// sort-merge joins need a `column = column` conjunct to key on.
+    pub fn admissible(ranked: bool, condition: Option<&BoolExpr>) -> &'static [JoinAlgorithm] {
+        let equi = condition.is_some_and(|c| {
+            c.split_conjuncts().iter().any(|cj| {
+                matches!(
+                    cj,
+                    BoolExpr::Compare {
+                        op: CompareOp::Eq,
+                        left: ScalarExpr::Column(_),
+                        right: ScalarExpr::Column(_),
+                    }
+                )
+            })
+        });
+        match (ranked, equi) {
+            (true, true) => &[
+                JoinAlgorithm::HashRankJoin,
+                JoinAlgorithm::NestedLoopRankJoin,
+            ],
+            (true, false) => &[JoinAlgorithm::NestedLoopRankJoin],
+            (false, true) => &[
+                JoinAlgorithm::Hash,
+                JoinAlgorithm::SortMerge,
+                JoinAlgorithm::NestedLoop,
+            ],
+            (false, false) => &[JoinAlgorithm::NestedLoop],
         }
     }
 }

@@ -31,7 +31,7 @@ fn bench_enumeration(c: &mut Criterion) {
         DpOptimizer::new(
             &workload.query,
             &workload.catalog,
-            estimator(),
+            &estimator(),
             CostModel::default(),
             heuristic,
         )

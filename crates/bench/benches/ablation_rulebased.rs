@@ -34,7 +34,7 @@ fn optimize_with(
         "dp_exhaustive" => DpOptimizer::new(
             &workload.query,
             &workload.catalog,
-            Arc::clone(estimator),
+            estimator,
             CostModel::default(),
             false,
         )
@@ -43,7 +43,7 @@ fn optimize_with(
         "dp_heuristic" => DpOptimizer::new(
             &workload.query,
             &workload.catalog,
-            Arc::clone(estimator),
+            estimator,
             CostModel::default(),
             true,
         )

@@ -409,8 +409,8 @@ impl IntoIterator for Cursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::{Database, PlanMode};
     use crate::QueryBuilder;
+    use crate::{Database, PlanMode};
     use ranksql_common::{DataType, Field, Value};
     use ranksql_expr::{BoolExpr, RankPredicate};
 

@@ -8,30 +8,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use ranksql_algebra::{LogicalPlan, PhysicalPlan, RankQuery};
 use ranksql_common::{Result, Schema, Value};
-use ranksql_optimizer::{OptimizedPlan, OptimizerConfig, OptimizerMode, RankOptimizer};
+use ranksql_optimizer::{OptimizedPlan, OptimizerConfig, PlanMode, RankOptimizer};
 use ranksql_storage::{Catalog, Table};
 
 use crate::cursor::Cursor;
 use crate::result::QueryResult;
 use crate::session::{Session, SessionSettings};
-
-/// How a query should be planned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// Rank-aware cost-based optimization with the Figure 10 heuristics
-    /// (the default).
-    #[default]
-    RankAware,
-    /// Rank-aware optimization with exhaustive two-dimensional enumeration.
-    RankAwareExhaustive,
-    /// Rank-aware optimization with the Volcano/Cascades-style rule-based
-    /// search (transformation rules = the Figure 5 laws).
-    RankAwareRuleBased,
-    /// Traditional materialise-then-sort planning (ranking-blind baseline).
-    Traditional,
-    /// No optimization: execute the canonical plan of Eq. 1 directly.
-    Canonical,
-}
 
 /// Aggregate plan-cache counters of a [`Database`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -451,7 +433,13 @@ impl Database {
         threads: usize,
     ) -> Result<OptimizedPlan> {
         let verify = ranksql_verify::enabled();
-        let mut optimized = self.plan_serial(query, mode)?;
+        let config = OptimizerConfig {
+            mode,
+            ..OptimizerConfig::default()
+        };
+        // `RankOptimizer` always produces serial plans; parallelization
+        // happens exactly once, below, under the caller's thread budget.
+        let mut optimized = RankOptimizer::new(config).optimize(query, &self.catalog)?;
         if verify {
             debug_verify_logical(&optimized.plan, &query.ranking, "optimize")?;
             debug_verify(&optimized.physical, &query.ranking, "optimize")?;
@@ -496,35 +484,6 @@ impl Database {
             &opts,
         ));
         Ok(diags)
-    }
-
-    /// Plans with the default optimizer configuration under `mode`.
-    /// `RankOptimizer` always produces serial plans; parallelization happens
-    /// exactly once, in [`Database::plan`], under the database's own thread
-    /// budget.
-    fn plan_serial(&self, query: &RankQuery, mode: PlanMode) -> Result<OptimizedPlan> {
-        let mode = match mode {
-            PlanMode::Canonical => {
-                let plan = query.canonical_plan(&self.catalog)?;
-                let physical = PhysicalPlan::from_logical(&plan)?;
-                return Ok(OptimizedPlan {
-                    plan,
-                    physical,
-                    cost: ranksql_optimizer::Cost::ZERO,
-                    estimated_cardinality: query.k as f64,
-                    stats: Default::default(),
-                });
-            }
-            PlanMode::Traditional => OptimizerMode::Traditional,
-            PlanMode::RankAware => OptimizerMode::RankAwareHeuristic,
-            PlanMode::RankAwareExhaustive => OptimizerMode::RankAwareExhaustive,
-            PlanMode::RankAwareRuleBased => OptimizerMode::RankAwareRuleBased,
-        };
-        let config = OptimizerConfig {
-            mode,
-            ..OptimizerConfig::default()
-        };
-        RankOptimizer::new(config).optimize(query, &self.catalog)
     }
 
     /// Returns a human-readable explanation of the plan chosen for a query:

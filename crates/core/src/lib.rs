@@ -56,7 +56,7 @@ pub mod session;
 
 pub use builder::QueryBuilder;
 pub use cursor::{Cursor, CursorRows};
-pub use database::{Database, PlanCacheLookup, PlanCacheStats, PlanMode};
+pub use database::{Database, PlanCacheLookup, PlanCacheStats};
 pub use parser::{parse_topk_query, ParseError};
 pub use prepared::{BoundQuery, Params, PreparedQuery};
 pub use registry::{CursorRegistry, DEFAULT_MAX_OPEN_CURSORS};
@@ -68,5 +68,5 @@ pub use ranksql_algebra::{JoinAlgorithm, LogicalPlan, RankQuery, ScanAccess, Set
 pub use ranksql_expr::{
     BoolExpr, CompareOp, RankPredicate, RankingContext, ScalarExpr, ScoringFunction,
 };
-pub use ranksql_optimizer::{OptimizedPlan, OptimizerConfig, OptimizerMode, RankOptimizer};
+pub use ranksql_optimizer::{OptimizedPlan, OptimizerConfig, PlanMode, RankOptimizer};
 pub use ranksql_storage::{PagedOptions, PagedStore};

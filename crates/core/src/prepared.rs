@@ -111,11 +111,8 @@ impl<'db> PreparedQuery<'db> {
             )));
         }
         let slots = template.param_slots();
-        let cache_key = ranksql_optimizer::normalized_cache_key(
-            &template,
-            &format!("{:?}", settings.mode),
-            settings.threads,
-        );
+        let cache_key =
+            ranksql_optimizer::normalized_cache_key(&template, settings.mode, settings.threads);
         Ok(PreparedQuery {
             db,
             settings,
@@ -341,7 +338,7 @@ impl BoundQuery<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::database::PlanMode;
+    use crate::PlanMode;
     use crate::QueryBuilder;
     use ranksql_common::{DataType, Field, Schema};
     use ranksql_expr::{BoolExpr, CompareOp, RankPredicate, ScalarExpr};

@@ -19,10 +19,11 @@ use ranksql_algebra::RankQuery;
 use ranksql_common::{Result, DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_SIZE};
 
 use crate::cursor::Cursor;
-use crate::database::{Database, PlanMode};
+use crate::database::Database;
 use crate::parser::parse_topk_query;
 use crate::prepared::{Params, PreparedQuery};
 use crate::result::QueryResult;
+use crate::PlanMode;
 
 /// The per-caller execution settings a [`Session`] carries.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -32,15 +32,17 @@ use std::fmt::Write as _;
 use ranksql_algebra::RankQuery;
 use ranksql_expr::{ScoreSource, ScoringFunction};
 
+use crate::PlanMode;
+
 /// Renders the normalized plan-cache key of a query under a plan mode and
 /// worker-thread budget.
 ///
 /// The key is value-independent: binding different parameter values (or a
 /// different `k` / different ranking weights) to the same prepared query
 /// yields the same key, so repeated executions skip parse + optimize.
-pub fn normalized_cache_key(query: &RankQuery, mode: &str, threads: usize) -> String {
+pub fn normalized_cache_key(query: &RankQuery, mode: PlanMode, threads: usize) -> String {
     let mut key = String::new();
-    let _ = write!(key, "mode={mode};threads={threads};from=");
+    let _ = write!(key, "mode={mode:?};threads={threads};from=");
     key.push_str(&query.tables.join(","));
     key.push_str(";where=");
     for (i, p) in query.bool_predicates.iter().enumerate() {
@@ -114,13 +116,13 @@ mod tests {
     fn key_is_independent_of_bindings_k_and_weights() {
         let base = normalized_cache_key(
             &query_with(param_filter(None), ScoringFunction::Sum, 5),
-            "RankAware",
+            PlanMode::RankAware,
             1,
         );
         // Binding a value, changing k: same key.
         let bound = normalized_cache_key(
             &query_with(param_filter(Some(42)), ScoringFunction::Sum, 500),
-            "RankAware",
+            PlanMode::RankAware,
             1,
         );
         assert_eq!(base, bound);
@@ -131,7 +133,7 @@ mod tests {
                 ScoringFunction::weighted_sum(vec![1.0, 2.0]),
                 5,
             ),
-            "RankAware",
+            PlanMode::RankAware,
             1,
         );
         let w2 = normalized_cache_key(
@@ -140,7 +142,7 @@ mod tests {
                 ScoringFunction::weighted_sum(vec![3.0, 0.5]),
                 5,
             ),
-            "RankAware",
+            PlanMode::RankAware,
             1,
         );
         assert_eq!(w1, w2);
@@ -150,9 +152,9 @@ mod tests {
     #[test]
     fn key_separates_modes_threads_shapes() {
         let q = query_with(param_filter(None), ScoringFunction::Sum, 5);
-        let a = normalized_cache_key(&q, "RankAware", 1);
-        assert_ne!(a, normalized_cache_key(&q, "Traditional", 1));
-        assert_ne!(a, normalized_cache_key(&q, "RankAware", 4));
+        let a = normalized_cache_key(&q, PlanMode::RankAware, 1);
+        assert_ne!(a, normalized_cache_key(&q, PlanMode::Traditional, 1));
+        assert_ne!(a, normalized_cache_key(&q, PlanMode::RankAware, 4));
         // A different literal *shape* (non-parameterized constant) differs.
         let lit = query_with(
             BoolExpr::compare(
@@ -163,7 +165,7 @@ mod tests {
             ScoringFunction::Sum,
             5,
         );
-        assert_ne!(a, normalized_cache_key(&lit, "RankAware", 1));
+        assert_ne!(a, normalized_cache_key(&lit, PlanMode::RankAware, 1));
         assert!(a.contains("$0"), "{a}");
     }
 }

@@ -16,9 +16,13 @@
 //! * `rankPlan(best(SR, SP − {p}), µ_p)` — appending one rank operator;
 //! * `scanPlan(SR, SP)` for single relations with at most one predicate
 //!   (sequential scan or rank-scan, with selections pushed down).
+//!
+//! The ranking-blind System-R baseline is this search's `SP = ∅` plane:
+//! [`optimize_traditional`] enumerates join orders only and glues a
+//! blocking sort and the top-k limit on top, the only plan shape a
+//! traditional optimizer can produce for a ranking query (Section 2.2).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ranksql_algebra::{JoinAlgorithm, LogicalPlan, RankQuery};
@@ -56,10 +60,36 @@ struct Candidate {
 pub struct DpOptimizer<'a> {
     query: &'a RankQuery,
     catalog: &'a Catalog,
-    estimator: Arc<SamplingEstimator>,
+    estimator: &'a SamplingEstimator,
     cost_model: CostModel,
     /// Apply the Figure 10 heuristics (left-deep joins + greedy rank metric).
     heuristic: bool,
+    /// The ranking predicates the search may evaluate: all of them, or none
+    /// for the `SP = ∅` plane ([`optimize_traditional`]).
+    ranking: BitSet64,
+}
+
+/// Optimizes a query with the traditional (membership-only) strategy: the
+/// `SP = ∅` plane of the two-dimensional search, with bushy join trees and
+/// selections pushed to the scans, then `Sort` over the full scoring
+/// function and `Limit k` at the root.
+pub fn optimize_traditional(
+    query: &RankQuery,
+    catalog: &Catalog,
+    estimator: &SamplingEstimator,
+    cost_model: &CostModel,
+) -> Result<OptimizedPlan> {
+    let plane = DpOptimizer {
+        ranking: BitSet64::EMPTY,
+        ..DpOptimizer::new(query, catalog, estimator, cost_model.clone(), false)
+    };
+    let (joined, stats) = plane.search()?;
+    let plan = if query.num_rank_predicates() > 0 {
+        joined.sort(query.all_rank_predicates())
+    } else {
+        joined
+    };
+    plane.complete(plan, stats)
 }
 
 impl<'a> DpOptimizer<'a> {
@@ -67,7 +97,7 @@ impl<'a> DpOptimizer<'a> {
     pub fn new(
         query: &'a RankQuery,
         catalog: &'a Catalog,
-        estimator: Arc<SamplingEstimator>,
+        estimator: &'a SamplingEstimator,
         cost_model: CostModel,
         heuristic: bool,
     ) -> Self {
@@ -77,26 +107,29 @@ impl<'a> DpOptimizer<'a> {
             estimator,
             cost_model,
             heuristic,
+            ranking: query.all_rank_predicates(),
         }
     }
 
     fn cost(&self, plan: &LogicalPlan) -> Result<(Cost, f64)> {
         self.cost_model
-            .cost_plan(plan, &self.query.ranking, &self.estimator)
+            .cost_plan(plan, &self.query.ranking, self.estimator)
     }
 
     /// Runs the enumeration and returns the best complete plan (wrapped in
     /// the top-k limit and optional projection).
     pub fn optimize(&self) -> Result<OptimizedPlan> {
+        let (plan, stats) = self.search()?;
+        self.complete(plan, stats)
+    }
+
+    /// The best plan for the complete signature: every relation joined and
+    /// every predicate of `self.ranking` evaluated.
+    fn search(&self) -> Result<(LogicalPlan, EnumerationStats)> {
         let start = Instant::now();
         let h = self.query.tables.len();
         if h == 0 {
             return Err(RankSqlError::Optimizer("query has no tables".into()));
-        }
-        if h > 12 {
-            return Err(RankSqlError::Optimizer(format!(
-                "dynamic-programming enumeration supports at most 12 relations, got {h}"
-            )));
         }
         let mut stats = EnumerationStats::default();
         let mut memo: HashMap<(u64, u64), Candidate> = HashMap::new();
@@ -107,7 +140,7 @@ impl<'a> DpOptimizer<'a> {
             let table_sets: Vec<BitSet64> =
                 all_tables.subsets().filter(|s| s.len() == size).collect();
             for sr in table_sets {
-                let evaluable = self.query.rank_predicates_on(sr)?;
+                let evaluable = self.query.rank_predicates_on(sr)?.intersect(self.ranking);
                 // The 2nd dimension: number of evaluated ranking predicates.
                 let mut pred_sets: Vec<BitSet64> = evaluable.subsets().collect();
                 pred_sets.sort_by_key(|s| s.len());
@@ -186,13 +219,19 @@ impl<'a> DpOptimizer<'a> {
         stats.signatures_kept = memo.len();
         stats.elapsed = start.elapsed();
 
-        let final_sig = (all_tables.bits(), self.query.all_rank_predicates().bits());
-        let final_candidate = memo.remove(&final_sig).ok_or_else(|| {
+        let best = memo.remove(&(all_tables.bits(), self.ranking.bits()));
+        let best = best.ok_or_else(|| {
             RankSqlError::Optimizer(
                 "enumeration produced no plan for the complete signature".into(),
             )
         })?;
-        let mut plan = final_candidate.plan.limit(self.query.k);
+        Ok((best.plan, stats))
+    }
+
+    /// Wraps a complete plan in the top-k limit and optional projection,
+    /// then costs and lowers it.
+    fn complete(&self, plan: LogicalPlan, mut stats: EnumerationStats) -> Result<OptimizedPlan> {
+        let mut plan = plan.limit(self.query.k);
         if let Some(cols) = &self.query.projection {
             plan = plan.project(cols.clone());
         }
@@ -200,7 +239,7 @@ impl<'a> DpOptimizer<'a> {
         let physical = crate::lower::lower_with_estimates(
             &plan,
             &self.query.ranking,
-            &self.estimator,
+            self.estimator,
             &self.cost_model,
         )?;
         stats.operator_runs = self.estimator.operator_runs();
@@ -298,45 +337,10 @@ impl<'a> DpOptimizer<'a> {
                 return Ok(Vec::new());
             }
         }
-        let has_equi = condition
-            .as_ref()
-            .map(|c| {
-                c.split_conjuncts().iter().any(|cj| {
-                    matches!(
-                        cj,
-                        BoolExpr::Compare {
-                            op: ranksql_expr::CompareOp::Eq,
-                            left: ranksql_expr::ScalarExpr::Column(_),
-                            right: ranksql_expr::ScalarExpr::Column(_),
-                        }
-                    )
-                })
-            })
-            .unwrap_or(false);
-        // If ranking is in play anywhere in this signature the join must be
-        // rank-aware to preserve the order property; otherwise the
-        // traditional implementations compete.
-        let algorithms: Vec<JoinAlgorithm> = if !sp.is_empty() {
-            if has_equi {
-                vec![
-                    JoinAlgorithm::HashRankJoin,
-                    JoinAlgorithm::NestedLoopRankJoin,
-                ]
-            } else {
-                vec![JoinAlgorithm::NestedLoopRankJoin]
-            }
-        } else if has_equi {
-            vec![
-                JoinAlgorithm::Hash,
-                JoinAlgorithm::SortMerge,
-                JoinAlgorithm::NestedLoop,
-            ]
-        } else {
-            vec![JoinAlgorithm::NestedLoop]
-        };
+        let algorithms = JoinAlgorithm::admissible(!sp.is_empty(), condition.as_ref());
         Ok(algorithms
-            .into_iter()
-            .map(|alg| {
+            .iter()
+            .map(|&alg| {
                 left.plan
                     .clone()
                     .join(right.plan.clone(), condition.clone(), alg)
@@ -406,8 +410,8 @@ pub(crate) mod tests {
     }
 
     fn optimize(query: &RankQuery, cat: &Catalog, heuristic: bool) -> OptimizedPlan {
-        let est = Arc::new(SamplingEstimator::build(query, cat, 0.1, 42).unwrap());
-        DpOptimizer::new(query, cat, est, CostModel::default(), heuristic)
+        let est = SamplingEstimator::build(query, cat, 0.1, 42).unwrap();
+        DpOptimizer::new(query, cat, &est, CostModel::default(), heuristic)
             .optimize()
             .unwrap()
     }
@@ -495,19 +499,70 @@ pub(crate) mod tests {
         assert_eq!(result.tuples[0].tuple.id(), oracle[0].tuple.id());
     }
 
-    #[test]
-    fn too_many_relations_is_rejected() {
+    fn chain_setup() -> (Catalog, RankQuery) {
         let cat = Catalog::new();
-        let mut names = Vec::new();
-        for i in 0..13 {
-            let name = format!("T{i}");
-            cat.create_table(&name, Schema::new(vec![Field::new("x", DataType::Int64)]))
+        for (name, pcol) in [("A", "p1"), ("B", "p2"), ("C", "p3")] {
+            let t = cat
+                .create_table(
+                    name,
+                    Schema::new(vec![
+                        Field::new("jc", DataType::Int64),
+                        Field::new(pcol, DataType::Float64),
+                    ]),
+                )
                 .unwrap();
-            names.push(name);
+            for i in 0..200 {
+                t.insert(vec![
+                    Value::from((i % 10) as i64),
+                    Value::from(((i * 17) % 100) as f64 / 100.0),
+                ])
+                .unwrap();
+            }
         }
-        let query = RankQuery::new(names, vec![], RankingContext::unranked(), 1);
-        let est = Arc::new(SamplingEstimator::build(&query, &cat, 0.5, 1).unwrap());
-        let dp = DpOptimizer::new(&query, &cat, est, CostModel::default(), false);
-        assert!(dp.optimize().is_err());
+        let ranking = RankingContext::new(
+            vec![
+                RankPredicate::attribute("p1", "A.p1"),
+                RankPredicate::attribute("p2", "B.p2"),
+                RankPredicate::attribute("p3", "C.p3"),
+            ],
+            ScoringFunction::Sum,
+        );
+        let query = RankQuery::new(
+            vec!["A".into(), "B".into(), "C".into()],
+            vec![
+                BoolExpr::col_eq_col("A.jc", "B.jc"),
+                BoolExpr::col_eq_col("B.jc", "C.jc"),
+            ],
+            ranking,
+            5,
+        );
+        (cat, query)
+    }
+
+    #[test]
+    fn traditional_plan_is_materialise_then_sort() {
+        let (cat, query) = chain_setup();
+        let est = SamplingEstimator::build(&query, &cat, 0.1, 1).unwrap();
+        let opt = optimize_traditional(&query, &cat, &est, &CostModel::default()).unwrap();
+        assert!(opt.plan.has_blocking_sort());
+        assert_eq!(opt.plan.rank_operator_count(), 0);
+        assert_eq!(opt.plan.relations().len(), 3);
+        assert!(opt.cost.is_finite());
+        assert!(opt.stats.plans_considered > 3);
+    }
+
+    #[test]
+    fn traditional_plan_returns_correct_results() {
+        let (cat, query) = chain_setup();
+        let est = SamplingEstimator::build(&query, &cat, 0.2, 1).unwrap();
+        let opt = optimize_traditional(&query, &cat, &est, &CostModel::default()).unwrap();
+        let result = execute_query_plan(&query, &opt.plan, &cat).unwrap();
+        let oracle = oracle_top_k(&query, &cat).unwrap();
+        let s = |ts: &[ranksql_expr::RankedTuple]| -> Vec<f64> {
+            ts.iter()
+                .map(|t| query.ranking.upper_bound(&t.state).value())
+                .collect()
+        };
+        assert_eq!(s(&result.tuples), s(&oracle));
     }
 }

@@ -13,11 +13,14 @@
 //! * the **two-dimensional dynamic-programming enumeration** ([`enumerate`]):
 //!   subplan signatures are pairs `(SR, SP)` of the joined relations and the
 //!   evaluated ranking predicates (Figure 8), optionally restricted by the
-//!   left-deep and greedy rank-scheduling heuristics of Figure 10; a
-//!   ranking-blind System-R style baseline ([`traditional`]) provides the
-//!   materialise-then-sort comparison point.
+//!   left-deep and greedy rank-scheduling heuristics of Figure 10.  The
+//!   ranking-blind System-R baseline ([`optimize_traditional`]) is the same
+//!   search's `SP = ∅` plane with a sort on top: the materialise-then-sort
+//!   comparison point.
 //!
-//! [`RankOptimizer`] ties the pieces together behind one entry point.
+//! [`RankOptimizer`] ties the pieces together behind one entry point.  Every
+//! cost-based [`PlanMode`] plans at most 12 relations; `Canonical` is not
+//! searched and has no bound.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,48 +34,75 @@ pub mod lower;
 pub mod parallel;
 pub mod rulebased;
 pub mod sampling;
-pub mod traditional;
 
 use std::sync::Arc;
 
 use ranksql_algebra::{LogicalPlan, PhysicalPlan, RankQuery};
-use ranksql_common::Result;
+use ranksql_common::{wire::mode_code, RankSqlError, Result};
 use ranksql_storage::Catalog;
 
 pub use cache::normalized_cache_key;
 pub use columnar::columnarize;
 pub use cost::{Cost, CostModel};
-pub use enumerate::{DpOptimizer, EnumerationStats};
+pub use enumerate::{optimize_traditional, DpOptimizer, EnumerationStats};
 pub use lower::{lower_with_estimates, physical_estimates};
 pub use parallel::parallelize;
 pub use rulebased::{RuleBasedConfig, RuleBasedOptimizer};
 pub use sampling::SamplingEstimator;
-pub use traditional::optimize_traditional;
 
-/// Which plan-search strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizerMode {
+/// How a query is planned.  The discriminant is the mode's wire code (the
+/// `HELLO` encoding, [`mode_code`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[repr(u8)]
+pub enum PlanMode {
+    /// The two-dimensional DP restricted by the heuristics of Figure 10:
+    /// left-deep join trees and greedy rank-metric scheduling of µ operators
+    /// (the default).
+    #[default]
+    RankAware = mode_code::RANK_AWARE,
     /// Full two-dimensional dynamic programming over `(SR, SP)` signatures
     /// (Figure 8), including bushy join trees.
-    RankAwareExhaustive,
-    /// The DP restricted by the heuristics of Figure 10: left-deep join
-    /// trees and greedy rank-metric scheduling of µ operators.
-    RankAwareHeuristic,
+    RankAwareExhaustive = mode_code::RANK_AWARE_EXHAUSTIVE,
     /// A Volcano/Cascades-style top-down search: the Figure 5 laws act as
     /// transformation rules and physical algorithm / access-path choices act
     /// as implementation rules, explored under a plan budget.
-    RankAwareRuleBased,
-    /// A ranking-blind System-R baseline: join order enumeration only, with a
-    /// blocking sort and limit on top (the only plans a traditional engine
-    /// can produce).
-    Traditional,
+    RankAwareRuleBased = mode_code::RANK_AWARE_RULE_BASED,
+    /// The ranking-blind baseline: the DP's `SP = ∅` plane (join order
+    /// only, bushy), with a blocking sort and limit on top.
+    Traditional = mode_code::TRADITIONAL,
+    /// No optimization: the canonical plan of Eq. 1, as written.
+    Canonical = mode_code::CANONICAL,
 }
+
+impl PlanMode {
+    /// The mode's wire code.
+    pub fn wire_code(self) -> u8 {
+        self as u8
+    }
+
+    /// The mode a wire code names, if any.
+    pub fn from_wire_code(code: u8) -> Option<PlanMode> {
+        [
+            PlanMode::RankAware,
+            PlanMode::RankAwareExhaustive,
+            PlanMode::RankAwareRuleBased,
+            PlanMode::Traditional,
+            PlanMode::Canonical,
+        ]
+        .into_iter()
+        .find(|m| m.wire_code() == code)
+    }
+}
+
+/// The most relations a cost-based search plans: the DP keeps up to `3^h`
+/// `(SR, SP)` signatures, and the estimator's table sets are 64-bit.
+const MAX_RELATIONS: usize = 12;
 
 /// Configuration of the optimizer.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Search strategy.
-    pub mode: OptimizerMode,
+    pub mode: PlanMode,
     /// Sampling ratio for cardinality estimation (the paper uses 0.1 %).
     pub sample_ratio: f64,
     /// RNG seed for sampling (deterministic plans for a given seed).
@@ -82,7 +112,7 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
-            mode: OptimizerMode::RankAwareHeuristic,
+            mode: PlanMode::RankAware,
             sample_ratio: 0.01,
             seed: 0xC0FFEE,
         }
@@ -106,7 +136,7 @@ pub struct OptimizedPlan {
 }
 
 /// The rank-aware optimizer: builds the sampling estimator once per query and
-/// runs the configured enumeration strategy.
+/// runs the configured plan search.
 pub struct RankOptimizer {
     config: OptimizerConfig,
 }
@@ -133,7 +163,27 @@ impl RankOptimizer {
     /// a separate, explicit post-pass ([`parallelize`]) owned by whoever
     /// knows the runtime thread budget (e.g. `Database::plan`), so exactly
     /// one layer decides plan parallelism.
+    ///
+    /// `Canonical` returns the canonical plan of Eq. 1 before any estimator
+    /// is built, at cost 0 and cardinality `k`.  Every other mode first
+    /// rejects a query over more than 12 relations.
     pub fn optimize(&self, query: &RankQuery, catalog: &Catalog) -> Result<OptimizedPlan> {
+        if self.config.mode == PlanMode::Canonical {
+            let plan = query.canonical_plan(catalog)?;
+            return Ok(OptimizedPlan {
+                physical: PhysicalPlan::from_logical(&plan)?,
+                plan,
+                cost: Cost::ZERO,
+                estimated_cardinality: query.k as f64,
+                stats: EnumerationStats::default(),
+            });
+        }
+        let relations = query.tables.len();
+        if relations > MAX_RELATIONS {
+            return Err(RankSqlError::Optimizer(format!(
+                "plan search supports at most {MAX_RELATIONS} relations, got {relations}"
+            )));
+        }
         let estimator = Arc::new(SamplingEstimator::build(
             query,
             catalog,
@@ -143,28 +193,23 @@ impl RankOptimizer {
         let cost_model = CostModel::default();
 
         let mut best = match self.config.mode {
-            OptimizerMode::Traditional => {
-                return traditional::optimize_traditional(query, catalog, &estimator, &cost_model)
+            PlanMode::Traditional => {
+                return optimize_traditional(query, catalog, &estimator, &cost_model)
             }
-            OptimizerMode::RankAwareRuleBased => {
+            PlanMode::RankAwareRuleBased => {
                 RuleBasedOptimizer::new(query, catalog, Arc::clone(&estimator), cost_model.clone())
                     .optimize()?
             }
-            OptimizerMode::RankAwareExhaustive | OptimizerMode::RankAwareHeuristic => {
-                let heuristic = self.config.mode == OptimizerMode::RankAwareHeuristic;
-                DpOptimizer::new(
-                    query,
-                    catalog,
-                    Arc::clone(&estimator),
-                    cost_model.clone(),
-                    heuristic,
-                )
-                .optimize()?
+            // RankAware or RankAwareExhaustive: Canonical returned above.
+            mode => {
+                let heuristic = mode == PlanMode::RankAware;
+                DpOptimizer::new(query, catalog, &estimator, cost_model.clone(), heuristic)
+                    .optimize()?
             }
         };
         // The traditional materialise-then-sort plan wins when it is cheaper
         // (when joins are very selective, cf. Figure 12(c)).
-        let trad = traditional::optimize_traditional(query, catalog, &estimator, &cost_model)?;
+        let trad = optimize_traditional(query, catalog, &estimator, &cost_model)?;
         if trad.cost < best.cost {
             let stats = best.stats;
             best = trad;
@@ -253,9 +298,9 @@ mod tests {
             .map(|t| query.ranking.upper_bound(&t.state).value())
             .collect();
         for mode in [
-            OptimizerMode::Traditional,
-            OptimizerMode::RankAwareExhaustive,
-            OptimizerMode::RankAwareHeuristic,
+            PlanMode::Traditional,
+            PlanMode::RankAwareExhaustive,
+            PlanMode::RankAware,
         ] {
             let opt = RankOptimizer::new(OptimizerConfig {
                 mode,
@@ -281,7 +326,7 @@ mod tests {
             ScoringFunction::Sum,
         );
         let opt = RankOptimizer::new(OptimizerConfig {
-            mode: OptimizerMode::RankAwareHeuristic,
+            mode: PlanMode::RankAware,
             sample_ratio: 0.1,
             ..OptimizerConfig::default()
         });
@@ -296,7 +341,26 @@ mod tests {
     #[test]
     fn default_config_is_sane() {
         let cfg = OptimizerConfig::default();
-        assert_eq!(cfg.mode, OptimizerMode::RankAwareHeuristic);
+        assert_eq!(cfg.mode, PlanMode::RankAware);
         assert!(cfg.sample_ratio > 0.0 && cfg.sample_ratio < 1.0);
+    }
+
+    #[test]
+    fn wire_codes_round_trip_every_plan_mode() {
+        let modes = [
+            PlanMode::RankAware,
+            PlanMode::RankAwareExhaustive,
+            PlanMode::RankAwareRuleBased,
+            PlanMode::Traditional,
+            PlanMode::Canonical,
+        ];
+        for mode in modes {
+            assert_eq!(PlanMode::from_wire_code(mode.wire_code()), Some(mode));
+        }
+        let mut codes: Vec<u8> = modes.iter().map(|m| m.wire_code()).collect();
+        codes.sort_unstable();
+        codes.dedup();
+        assert_eq!(codes.len(), modes.len(), "codes must be distinct");
+        assert_eq!(PlanMode::from_wire_code(200), None);
     }
 }

@@ -36,13 +36,12 @@ use std::time::Instant;
 use ranksql_algebra::laws::{all_rules, apply_rule_everywhere};
 use ranksql_algebra::{JoinAlgorithm, LogicalPlan, RankQuery, ScanAccess};
 use ranksql_common::{RankSqlError, Result};
-use ranksql_expr::{BoolExpr, CompareOp, ScalarExpr};
 use ranksql_storage::Catalog;
 
 use crate::cost::{Cost, CostModel};
 use crate::enumerate::EnumerationStats;
 use crate::sampling::SamplingEstimator;
-use crate::{traditional, OptimizedPlan};
+use crate::{optimize_traditional, OptimizedPlan};
 
 /// Tunables of the rule-based search.
 #[derive(Debug, Clone)]
@@ -112,12 +111,9 @@ impl<'a> RuleBasedOptimizer<'a> {
         // the best ranking-blind join order (which gives the search a good
         // membership-dimension starting point for free).
         let mut seeds = vec![self.query.canonical_plan(self.catalog)?];
-        if let Ok(trad) = traditional::optimize_traditional(
-            self.query,
-            self.catalog,
-            &self.estimator,
-            &self.cost_model,
-        ) {
+        if let Ok(trad) =
+            optimize_traditional(self.query, self.catalog, &self.estimator, &self.cost_model)
+        {
             seeds.push(trad.plan);
         }
 
@@ -280,11 +276,9 @@ impl<'a> RuleBasedOptimizer<'a> {
     // Implementation rule: physical join algorithm alternatives
     // -----------------------------------------------------------------------
 
-    /// For every join node, generates one alternative plan per admissible
-    /// physical algorithm.  Rank-aware algorithms are required whenever a
-    /// ranking predicate has been evaluated below the join (the join must
-    /// merge the aggregate order of its operands, Figure 3); otherwise the
-    /// traditional algorithms compete.
+    /// For every join node, generates one alternative plan per other
+    /// [`JoinAlgorithm::admissible`] algorithm: rank-aware ones whenever a
+    /// ranking predicate has been evaluated below the join.
     fn join_algorithm_alternatives(&self, plan: &LogicalPlan) -> Vec<LogicalPlan> {
         let mut out = Vec::new();
         if let LogicalPlan::Join {
@@ -295,40 +289,7 @@ impl<'a> RuleBasedOptimizer<'a> {
         } = plan
         {
             let ranked = !plan.evaluated_predicates().is_empty();
-            let has_equi = condition
-                .as_ref()
-                .map(|c| {
-                    c.split_conjuncts().iter().any(|cj| {
-                        matches!(
-                            cj,
-                            BoolExpr::Compare {
-                                op: CompareOp::Eq,
-                                left: ScalarExpr::Column(_),
-                                right: ScalarExpr::Column(_),
-                            }
-                        )
-                    })
-                })
-                .unwrap_or(false);
-            let admissible: Vec<JoinAlgorithm> = if ranked {
-                if has_equi {
-                    vec![
-                        JoinAlgorithm::HashRankJoin,
-                        JoinAlgorithm::NestedLoopRankJoin,
-                    ]
-                } else {
-                    vec![JoinAlgorithm::NestedLoopRankJoin]
-                }
-            } else if has_equi {
-                vec![
-                    JoinAlgorithm::Hash,
-                    JoinAlgorithm::SortMerge,
-                    JoinAlgorithm::NestedLoop,
-                ]
-            } else {
-                vec![JoinAlgorithm::NestedLoop]
-            };
-            for alg in admissible {
+            for &alg in JoinAlgorithm::admissible(ranked, condition.as_ref()) {
                 if alg != *algorithm {
                     out.push(LogicalPlan::Join {
                         left: left.clone(),
@@ -357,7 +318,7 @@ mod tests {
     use super::*;
     use ranksql_common::{DataType, Field, Schema, Value};
     use ranksql_executor::{execute_query_plan, oracle_top_k};
-    use ranksql_expr::{RankPredicate, RankingContext, ScoringFunction};
+    use ranksql_expr::{BoolExpr, RankPredicate, RankingContext, ScoringFunction};
 
     fn setup(rows: usize) -> (Catalog, RankQuery) {
         let cat = Catalog::new();

@@ -1179,15 +1179,9 @@ mod tests {
             est.estimate_per_operator(plan).unwrap();
         }
         for heuristic in [false, true] {
-            DpOptimizer::new(
-                query,
-                cat,
-                Arc::clone(&est),
-                CostModel::default(),
-                heuristic,
-            )
-            .optimize()
-            .unwrap();
+            DpOptimizer::new(query, cat, &est, CostModel::default(), heuristic)
+                .optimize()
+                .unwrap();
         }
         RuleBasedOptimizer::new(query, cat, Arc::clone(&est), CostModel::default())
             .optimize()

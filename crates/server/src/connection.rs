@@ -182,14 +182,14 @@ pub(crate) fn serve_connection(
             },
             FrameRead::Malformed(msg) => {
                 conn.record_protocol_error();
-                if !conn.send_error(ErrorCode::MalformedFrame, "wire", &msg) {
+                if !conn.send_error_frame(ErrorCode::MalformedFrame, "wire", &msg) {
                     break;
                 }
             }
             FrameRead::Oversized { len, max } => {
                 conn.record_protocol_error();
                 let msg = format!("frame of {len} bytes exceeds the {max}-byte limit");
-                let _ = conn.send_error(ErrorCode::OversizedFrame, "wire", &msg);
+                let _ = conn.send_error_frame(ErrorCode::OversizedFrame, "wire", &msg);
                 break; // length prefix consumed: the stream is unframed now
             }
             FrameRead::Shutdown | FrameRead::Eof | FrameRead::Failed => break,
@@ -265,7 +265,7 @@ impl<'db> Connection<'db, '_> {
                 ),
             ));
         }
-        let Some(mode) = decode_mode(mode_code) else {
+        let Some(mode) = PlanMode::from_wire_code(mode_code) else {
             return self.reply_or_hangup(self.send_error_frame(
                 ErrorCode::AdmissionDenied,
                 "wire",
@@ -652,15 +652,11 @@ impl<'db> Connection<'db, '_> {
         wire::write_frame(&mut w, op, payload).is_ok()
     }
 
+    /// Sends an `ERROR` frame: `false` only when the write itself failed.
     fn send_error_frame(&self, code: ErrorCode, category: &str, message: &str) -> bool {
         let mut p = PayloadWriter::new();
         p.u16(code.as_u16()).str(category).str(message);
         self.send(opcode::ERROR, &p.into_vec())
-    }
-
-    /// Answer-and-continue, unless the write itself failed.
-    fn send_error(&self, code: ErrorCode, category: &str, message: &str) -> bool {
-        self.send_error_frame(code, category, message)
     }
 
     fn reply_or_hangup(&self, ok: bool) -> Flow {
@@ -695,49 +691,12 @@ impl<'db> Connection<'db, '_> {
             ),
             other => (ErrorCode::MalformedFrame, other.to_string()),
         };
-        self.reply_or_hangup(self.send_error(code, "wire", &msg))
+        self.reply_or_hangup(self.send_error_frame(code, "wire", &msg))
     }
 
     fn record_protocol_error(&self) {
         if let Some(t) = &self.tenant {
             t.record_protocol_error();
         }
-    }
-}
-
-/// Wire plan-mode code → engine [`PlanMode`].
-fn decode_mode(code: u8) -> Option<PlanMode> {
-    match code {
-        wire::mode_code::RANK_AWARE => Some(PlanMode::RankAware),
-        wire::mode_code::RANK_AWARE_EXHAUSTIVE => Some(PlanMode::RankAwareExhaustive),
-        wire::mode_code::RANK_AWARE_RULE_BASED => Some(PlanMode::RankAwareRuleBased),
-        wire::mode_code::TRADITIONAL => Some(PlanMode::Traditional),
-        wire::mode_code::CANONICAL => Some(PlanMode::Canonical),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mode_codes_cover_every_plan_mode() {
-        for (code, mode) in [
-            (wire::mode_code::RANK_AWARE, PlanMode::RankAware),
-            (
-                wire::mode_code::RANK_AWARE_EXHAUSTIVE,
-                PlanMode::RankAwareExhaustive,
-            ),
-            (
-                wire::mode_code::RANK_AWARE_RULE_BASED,
-                PlanMode::RankAwareRuleBased,
-            ),
-            (wire::mode_code::TRADITIONAL, PlanMode::Traditional),
-            (wire::mode_code::CANONICAL, PlanMode::Canonical),
-        ] {
-            assert_eq!(decode_mode(code), Some(mode));
-        }
-        assert_eq!(decode_mode(200), None);
     }
 }

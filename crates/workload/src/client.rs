@@ -22,17 +22,6 @@ use ranksql_common::wire::{
 use ranksql_common::Value;
 use ranksql_core::PlanMode;
 
-/// Engine [`PlanMode`] → wire mode code (the `HELLO` encoding).
-pub fn mode_code_for(mode: PlanMode) -> u8 {
-    match mode {
-        PlanMode::RankAware => wire::mode_code::RANK_AWARE,
-        PlanMode::RankAwareExhaustive => wire::mode_code::RANK_AWARE_EXHAUSTIVE,
-        PlanMode::RankAwareRuleBased => wire::mode_code::RANK_AWARE_RULE_BASED,
-        PlanMode::Traditional => wire::mode_code::TRADITIONAL,
-        PlanMode::Canonical => wire::mode_code::CANONICAL,
-    }
-}
-
 /// A failure on the client side of the wire.
 #[derive(Debug)]
 pub enum ClientError {
@@ -213,7 +202,7 @@ impl WireClient {
         let mut p = PayloadWriter::new();
         p.u16(wire::PROTOCOL_VERSION)
             .str(tenant)
-            .u8(mode_code_for(mode))
+            .u8(mode.wire_code())
             .u16(threads)
             .u32(batch_size)
             .u64(tuple_budget);
@@ -392,23 +381,5 @@ mod tests {
         assert_eq!(stats_value(report, "plan_cache.hits"), Some("42"));
         assert_eq!(stats_value(report, "plan_cache"), None);
         assert_eq!(stats_value(report, "missing"), None);
-    }
-
-    #[test]
-    fn every_plan_mode_has_a_wire_code() {
-        let codes: Vec<u8> = [
-            PlanMode::RankAware,
-            PlanMode::RankAwareExhaustive,
-            PlanMode::RankAwareRuleBased,
-            PlanMode::Traditional,
-            PlanMode::Canonical,
-        ]
-        .into_iter()
-        .map(mode_code_for)
-        .collect();
-        let mut deduped = codes.clone();
-        deduped.sort_unstable();
-        deduped.dedup();
-        assert_eq!(deduped.len(), codes.len(), "codes must be distinct");
     }
 }

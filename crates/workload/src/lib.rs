@@ -29,7 +29,7 @@ pub mod micro;
 pub mod synthetic;
 pub mod trip;
 
-pub use client::{mode_code_for, stats_value, ClientError, ClientResult, WireClient};
+pub use client::{stats_value, ClientError, ClientResult, WireClient};
 pub use db::catalog_into_database;
 pub use synthetic::{SyntheticConfig, SyntheticWorkload};
 pub use trip::TripWorkload;

@@ -6,7 +6,9 @@
 //!
 //! 1. **no-panic**: non-test library code contains no `.unwrap()` /
 //!    `.expect(` / `panic!(` / `unreachable!(` / `todo!(` /
-//!    `unimplemented!(` beyond the per-file budgets in
+//!    `unimplemented!(` / `assert!(` / `assert_eq!(` / `assert_ne!(`
+//!    (`debug_assert*` is compiled out of release builds and does not
+//!    count) beyond the per-file budgets in
 //!    `crates/xtask/lint-allowlist.txt` (audited survivors).  The budget is
 //!    exact in both directions: a *new* panic site fails, and a *removed*
 //!    one fails too until the allowlist is re-tightened — run
@@ -52,6 +54,9 @@ const PANIC_TOKENS: &[&str] = &[
     "unreachable!(",
     "todo!(",
     "unimplemented!(",
+    "assert!(",
+    "assert_eq!(",
+    "assert_ne!(",
 ];
 
 const DETERMINISM_TOKENS: &[&str] = &["SystemTime", "thread_rng", "rand::random"];
@@ -337,8 +342,20 @@ fn blank_test_mods(stripped: &str) -> String {
     String::from_utf8(out).unwrap_or_default()
 }
 
+/// Occurrences of `tokens` in `text`.  A token that starts like an
+/// identifier only counts where it does not continue one, so `assert!(`
+/// does not match inside `debug_assert!(`.
 fn count_tokens(text: &str, tokens: &[&str]) -> usize {
-    tokens.iter().map(|t| text.matches(t).count()).sum()
+    let b = text.as_bytes();
+    tokens
+        .iter()
+        .map(|t| {
+            let word = t.bytes().next().is_some_and(is_ident_byte);
+            text.match_indices(t)
+                .filter(|&(i, _)| !word || i == 0 || !is_ident_byte(b[i - 1]))
+                .count()
+        })
+        .sum()
 }
 
 /// Check 1: the no-panic budget.  Returns the actual per-file counts so
@@ -427,7 +444,7 @@ fn write_allowlist_file(path: &Path, counts: &BTreeMap<String, usize>) -> std::i
          # removed one until this file is re-tightened).  Regenerate after an audit\n\
          # with `cargo xtask lint --write-allowlist`.\n\
          #\n\
-         # <repo-relative file> <count of .unwrap()/.expect(/panic!(/unreachable!(/todo!(/unimplemented!(>\n",
+         # <repo-relative file> <count of .unwrap()/.expect(/panic!(/unreachable!(/todo!(/unimplemented!(/assert!(/assert_eq!(/assert_ne!(>\n",
     );
     for (rel, n) in counts {
         let _ = writeln!(out, "{rel} {n}");
@@ -709,6 +726,13 @@ mod tests {
         let out = strip_comments_and_strings(src);
         assert_eq!(count_tokens(&out, PANIC_TOKENS), 0);
         assert!(out.contains("x();"));
+    }
+
+    #[test]
+    fn asserts_count_but_debug_asserts_do_not() {
+        let src = "assert!(a); assert_eq!(a, b); assert_ne!(a, b); debug_assert!(a); \
+                   debug_assert_eq!(a, b); debug_assert_ne!(a, b);";
+        assert_eq!(count_tokens(src, PANIC_TOKENS), 3);
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //!
 //! Run with: `cargo run --example optimizer_explain --release`
 
-use std::sync::Arc;
-
 use ranksql::optimizer::{CostModel, DpOptimizer, SamplingEstimator};
 use ranksql::workload::{SyntheticConfig, SyntheticWorkload};
-use ranksql::{OptimizerConfig, OptimizerMode, RankQuery};
+use ranksql::{OptimizerConfig, PlanMode, RankQuery};
 use ranksql_optimizer::RankOptimizer;
 
 fn main() -> ranksql::Result<()> {
@@ -30,7 +28,7 @@ fn main() -> ranksql::Result<()> {
     // ------------------------------------------------------------------
     // 1. The sampling-based cardinality estimator.
     // ------------------------------------------------------------------
-    let estimator = Arc::new(SamplingEstimator::build(query, &workload.catalog, 0.02, 7)?);
+    let estimator = SamplingEstimator::build(query, &workload.catalog, 0.02, 7)?;
     println!(
         "\nsampling estimator: 2% sample, estimated k-th score x' = {}",
         estimator.x_threshold()
@@ -55,7 +53,7 @@ fn main() -> ranksql::Result<()> {
         let dp = DpOptimizer::new(
             query,
             &workload.catalog,
-            Arc::clone(&estimator),
+            &estimator,
             CostModel::default(),
             heuristic,
         );
@@ -79,10 +77,7 @@ fn main() -> ranksql::Result<()> {
     // ------------------------------------------------------------------
     // 3. The full optimizer entry point, including the traditional baseline.
     // ------------------------------------------------------------------
-    for mode in [
-        OptimizerMode::Traditional,
-        OptimizerMode::RankAwareHeuristic,
-    ] {
+    for mode in [PlanMode::Traditional, PlanMode::RankAware] {
         let optimizer = RankOptimizer::new(OptimizerConfig {
             mode,
             sample_ratio: 0.02,

@@ -15,7 +15,7 @@
 //! Run with: `cargo run --example rule_based_optimizer --release`
 
 use ranksql::workload::{SyntheticConfig, SyntheticWorkload};
-use ranksql::{OptimizerConfig, OptimizerMode, RankOptimizer};
+use ranksql::{OptimizerConfig, PlanMode, RankOptimizer};
 
 fn main() -> ranksql::Result<()> {
     // A scaled-down instance of the paper's synthetic workload (Section 6)
@@ -43,19 +43,10 @@ fn main() -> ranksql::Result<()> {
     let db = workload.database()?;
 
     let modes = [
-        ("traditional (ranking-blind)", OptimizerMode::Traditional),
-        (
-            "2-D DP, exhaustive (Fig. 8)",
-            OptimizerMode::RankAwareExhaustive,
-        ),
-        (
-            "2-D DP + heuristics (Fig. 10)",
-            OptimizerMode::RankAwareHeuristic,
-        ),
-        (
-            "rule-based (Volcano-style)",
-            OptimizerMode::RankAwareRuleBased,
-        ),
+        ("traditional (ranking-blind)", PlanMode::Traditional),
+        ("2-D DP, exhaustive (Fig. 8)", PlanMode::RankAwareExhaustive),
+        ("2-D DP + heuristics (Fig. 10)", PlanMode::RankAware),
+        ("rule-based (Volcano-style)", PlanMode::RankAwareRuleBased),
     ];
 
     for (label, mode) in modes {

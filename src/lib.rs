@@ -27,9 +27,9 @@ pub use ranksql_workload as workload;
 pub use ranksql_common::{DataType, Field, RankSqlError, Result, Schema, Score, Tuple, Value};
 pub use ranksql_core::{
     parse_topk_query, BoolExpr, BoundQuery, CompareOp, Cursor, CursorRows, Database, JoinAlgorithm,
-    LogicalPlan, OptimizerConfig, OptimizerMode, Params, ParseError, PlanCacheLookup,
-    PlanCacheStats, PlanMode, PreparedQuery, QueryBuilder, QueryResult, RankPredicate, RankQuery,
-    RankingContext, ScalarExpr, ScoringFunction, Session, SessionSettings,
+    LogicalPlan, OptimizerConfig, Params, ParseError, PlanCacheLookup, PlanCacheStats, PlanMode,
+    PreparedQuery, QueryBuilder, QueryResult, RankPredicate, RankQuery, RankingContext, ScalarExpr,
+    ScoringFunction, Session, SessionSettings,
 };
 pub use ranksql_optimizer::{OptimizedPlan, RankOptimizer};
 pub use ranksql_storage::{PagedOptions, PagedStore};

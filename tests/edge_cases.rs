@@ -489,3 +489,54 @@ fn three_way_join_with_mixed_predicate_coverage() {
         );
     }
 }
+
+/// A chain `T0 ⋈ T1 ⋈ …` of `tables` one-row tables `(a, p)` joined on
+/// `a`, ranked by `T0.p`: its answer is one row.
+fn one_row_chain(tables: usize) -> (Database, RankQuery) {
+    let db = Database::new();
+    let mut builder = QueryBuilder::new();
+    for t in 0..tables {
+        let name = format!("T{t}");
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("p", DataType::Float64),
+        ]);
+        db.create_table(&name, schema).unwrap();
+        db.insert(&name, vec![Value::from(1), Value::from(0.5)])
+            .unwrap();
+        if t > 0 {
+            builder = builder.filter(BoolExpr::col_eq_col(
+                &format!("T{}.a", t - 1),
+                &format!("{name}.a"),
+            ));
+        }
+        builder = builder.table(name);
+    }
+    let query = builder
+        .rank_predicate(RankPredicate::attribute("p", "T0.p"))
+        .limit(1)
+        .build()
+        .unwrap();
+    (db, query)
+}
+
+#[test]
+fn more_than_twelve_relations_is_an_optimizer_error_in_every_cost_based_mode() {
+    for tables in [13, 65] {
+        let (db, query) = one_row_chain(tables);
+        for mode in &ALL_MODES[1..] {
+            let err = db.execute_with_mode(&query, *mode).unwrap_err();
+            assert!(
+                matches!(err, ranksql::RankSqlError::Optimizer(_)),
+                "{tables} tables, mode {mode:?}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn canonical_plans_are_not_bounded_by_the_relation_count() {
+    let (db, query) = one_row_chain(65);
+    let r = db.execute_with_mode(&query, PlanMode::Canonical).unwrap();
+    assert_eq!(r.rows.len(), 1);
+}

@@ -2,16 +2,20 @@
 //!
 //! The golden covers the paper's query Q under every `PlanMode` at one and
 //! two threads, hand-built plans over each of the five join algorithms, a
-//! parameterised join condition after `with_params`, and an optimized plan
-//! after `with_limit`.  A refactor of the physical IR must leave every line
-//! unchanged.
+//! parameterised join condition after `with_params`, an optimized plan
+//! after `with_limit`, and the join shapes where bushy trees matter (4- and
+//! 5-table chains, a 4-table star) under the two-dimensional enumerator and
+//! the traditional plane.  A refactor of the physical IR or of the plan
+//! search must leave every line unchanged.
 
 use ranksql::algebra::PhysicalPlan;
+use ranksql::optimizer::{optimize_traditional, CostModel, OptimizerConfig, SamplingEstimator};
 use ranksql::storage::{Table, TableBuilder};
 use ranksql::workload::{SyntheticConfig, SyntheticWorkload};
 use ranksql::{
-    BoolExpr, CompareOp, DataType, Field, JoinAlgorithm, LogicalPlan, PlanMode, RankPredicate,
-    RankingContext, ScalarExpr, Schema, ScoringFunction, Value,
+    BoolExpr, CompareOp, DataType, Database, Field, JoinAlgorithm, LogicalPlan, PlanMode,
+    QueryBuilder, RankPredicate, RankQuery, RankingContext, ScalarExpr, Schema, ScoringFunction,
+    Value,
 };
 
 const GOLDEN: &str = include_str!("golden/explain.txt");
@@ -26,6 +30,57 @@ fn table(name: &str, id: u32) -> Table {
         .row(vec![Value::from(1), Value::from(0.5)])
         .build(id)
         .unwrap()
+}
+
+/// A join graph over tables `T0..Tn`, each `(a, b, p)` with 120 rows.  A
+/// chain joins `Ti.b = Ti+1.a`; a star joins every `Ti.a` to the hub
+/// `T0.a`.  Every table contributes one ranking predicate on its `p`.
+fn join_graph(tables: usize, star: bool) -> (Database, RankQuery) {
+    let db = Database::new();
+    let mut builder = QueryBuilder::new();
+    for t in 0..tables {
+        let name = format!("T{t}");
+        db.create_table(
+            &name,
+            Schema::new(vec![
+                Field::new("a", DataType::Int64),
+                Field::new("b", DataType::Int64),
+                Field::new("p", DataType::Float64),
+            ]),
+        )
+        .unwrap();
+        let t = t as i64;
+        for i in 0..120i64 {
+            let row = vec![
+                Value::from((i * (t + 3)) % 17),
+                Value::from((i * (2 * t + 5)) % 13),
+                Value::from(((i * (7 * t + 11) + t) % 100) as f64 / 100.0),
+            ];
+            db.insert(&name, row).unwrap();
+        }
+        builder = builder
+            .table(&name)
+            .rank_predicate(RankPredicate::attribute(
+                format!("p{t}"),
+                &format!("{name}.p"),
+            ));
+        if t > 0 {
+            let cond = if star {
+                BoolExpr::col_eq_col("T0.a", &format!("{name}.a"))
+            } else {
+                BoolExpr::col_eq_col(&format!("T{}.b", t - 1), &format!("{name}.a"))
+            };
+            builder = builder.filter(cond);
+        }
+    }
+    (db, builder.limit(5).build().unwrap())
+}
+
+fn join_graphs() -> [(&'static str, Database, RankQuery); 3] {
+    let (c4, q4) = join_graph(4, false);
+    let (c5, q5) = join_graph(5, false);
+    let (s4, qs) = join_graph(4, true);
+    [("chain4", c4, q4), ("chain5", c5, q5), ("star4", s4, qs)]
 }
 
 fn section(out: &mut String, title: &str, body: &str) {
@@ -133,7 +188,52 @@ fn render() -> String {
         "with_limit hand-built 7->2",
         &sorted.with_limit(7, 2).explain(Some(&ctx)),
     );
+
+    for (shape, db, query) in join_graphs() {
+        for mode in [
+            PlanMode::RankAware,
+            PlanMode::RankAwareExhaustive,
+            PlanMode::Traditional,
+        ] {
+            let text = db.session().with_mode(mode).with_threads(1).explain(&query);
+            section(
+                &mut out,
+                &format!("{shape} {mode:?} threads=1"),
+                &text.unwrap(),
+            );
+        }
+    }
     out
+}
+
+/// `(plans_considered, signatures_kept, operator_runs)` of the traditional
+/// search over a fresh estimator, as the default optimizer configuration
+/// builds it.
+fn traditional_counts(db: &Database, query: &RankQuery) -> (usize, usize, usize) {
+    let config = OptimizerConfig::default();
+    let catalog = db.catalog();
+    let estimator =
+        SamplingEstimator::build(query, catalog, config.sample_ratio, config.seed).unwrap();
+    let stats = optimize_traditional(query, catalog, &estimator, &CostModel::default())
+        .unwrap()
+        .stats;
+    (
+        stats.plans_considered,
+        stats.signatures_kept,
+        stats.operator_runs,
+    )
+}
+
+#[test]
+fn traditional_search_counts_are_pinned() {
+    let workload = SyntheticWorkload::generate(SyntheticConfig::small(200)).unwrap();
+    let db = workload.database().unwrap();
+    assert_eq!(traditional_counts(&db, &workload.query), (35, 7, 26));
+    let counts: Vec<(usize, usize, usize)> = join_graphs()
+        .iter()
+        .map(|(_, db, query)| traditional_counts(db, query))
+        .collect();
+    assert_eq!(counts, vec![(130, 15, 67), (455, 31, 200), (130, 15, 71)]);
 }
 
 #[test]

@@ -3,14 +3,12 @@
 //! oracle, the behaviour of the Figure 10 heuristics, and the
 //! sampling-based cardinality estimator of Figure 13.
 
-use std::sync::Arc;
-
 use ranksql::executor::{execute_query_plan, oracle_top_k};
 use ranksql::optimizer::{CostModel, DpOptimizer, SamplingEstimator};
 use ranksql::workload::{SyntheticConfig, SyntheticWorkload};
 use ranksql::{
-    BoolExpr, JoinAlgorithm, LogicalPlan, OptimizerConfig, OptimizerMode, QueryBuilder,
-    RankPredicate, RankQuery,
+    BoolExpr, JoinAlgorithm, LogicalPlan, OptimizerConfig, PlanMode, QueryBuilder, RankPredicate,
+    RankQuery,
 };
 use ranksql_common::BitSet64;
 use ranksql_optimizer::RankOptimizer;
@@ -40,9 +38,9 @@ fn optimizer_modes_are_correct_on_the_synthetic_workload() {
     let w = small_workload();
     let expected = scores(&w.query, &oracle_top_k(&w.query, &w.catalog).unwrap());
     for mode in [
-        OptimizerMode::Traditional,
-        OptimizerMode::RankAwareHeuristic,
-        OptimizerMode::RankAwareExhaustive,
+        PlanMode::Traditional,
+        PlanMode::RankAware,
+        PlanMode::RankAwareExhaustive,
     ] {
         let optimizer = RankOptimizer::new(OptimizerConfig {
             mode,
@@ -102,8 +100,8 @@ fn figure9_signature_lattice() {
         .build()
         .unwrap();
 
-    let estimator = Arc::new(SamplingEstimator::build(&query, &catalog, 0.2, 9).unwrap());
-    let dp = DpOptimizer::new(&query, &catalog, estimator, CostModel::default(), false);
+    let estimator = SamplingEstimator::build(&query, &catalog, 0.2, 9).unwrap();
+    let dp = DpOptimizer::new(&query, &catalog, &estimator, CostModel::default(), false);
     let optimized = dp.optimize().unwrap();
     // As in Example 5 the final signature is ({R,S}, {p1,p3,p4}).
     assert_eq!(
@@ -124,17 +122,17 @@ fn figure9_signature_lattice() {
 #[test]
 fn heuristics_reduce_search_space() {
     let w = small_workload();
-    let estimator = Arc::new(SamplingEstimator::build(&w.query, &w.catalog, 0.05, 3).unwrap());
+    let estimator = SamplingEstimator::build(&w.query, &w.catalog, 0.05, 3).unwrap();
     let exhaustive = DpOptimizer::new(
         &w.query,
         &w.catalog,
-        Arc::clone(&estimator),
+        &estimator,
         CostModel::default(),
         false,
     )
     .optimize()
     .unwrap();
-    let heuristic = DpOptimizer::new(&w.query, &w.catalog, estimator, CostModel::default(), true)
+    let heuristic = DpOptimizer::new(&w.query, &w.catalog, &estimator, CostModel::default(), true)
         .optimize()
         .unwrap();
     assert!(heuristic.stats.plans_considered < exhaustive.stats.plans_considered);
@@ -223,7 +221,7 @@ fn planning_q_runs_each_sample_subplan_once_or_twice() {
     })
     .unwrap();
     let optimizer = RankOptimizer::new(OptimizerConfig {
-        mode: OptimizerMode::RankAwareHeuristic,
+        mode: PlanMode::RankAware,
         ..OptimizerConfig::default()
     });
     let planned = optimizer.optimize(&w.query, &w.catalog).unwrap();

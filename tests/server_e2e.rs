@@ -289,6 +289,53 @@ fn error_paths_answer_with_stable_codes_and_keep_the_connection() {
     });
 }
 
+/// A 65-relation join (past every cost-based mode's 12-relation bound, and
+/// past the 64 tables a table set can name) is refused at BIND with the
+/// Optimizer code before any statistics are drawn; the connection then
+/// answers a normal query.
+#[test]
+fn a_bind_past_the_relation_bound_is_a_typed_error() {
+    let db = fresh_db(20);
+    let (mut from, mut chain) = (Vec::new(), Vec::new());
+    for t in 0..65 {
+        let name = format!("W{t}");
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("p", DataType::Float64),
+        ]);
+        db.create_table(&name, schema).unwrap();
+        db.insert(&name, vec![Value::from(1), Value::from(0.5)])
+            .unwrap();
+        if t > 0 {
+            chain.push(format!("W{}.a = {name}.a", t - 1));
+        }
+        from.push(name);
+    }
+    with_server(&db, ServerConfig::default(), |addr, _| {
+        let mut client = WireClient::connect(addr).unwrap();
+        client.hello("wide", PlanMode::RankAware, 0, 0, 0).unwrap();
+        let sql = format!(
+            "SELECT * FROM {} WHERE {} ORDER BY s(W0.p) LIMIT 1",
+            from.join(", "),
+            chain.join(" AND ")
+        );
+        let wide = client.prepare(&sql).unwrap();
+        match client.bind(wide.statement_id, None, &[]) {
+            Err(ClientError::Server { code, category, .. }) => {
+                assert_eq!(code, ErrorCode::Optimizer);
+                assert_eq!(category, "optimizer");
+            }
+            other => panic!("expected Optimizer error, got {other:?}"),
+        }
+        let stmt = client
+            .prepare("SELECT * FROM T ORDER BY s(T.score) LIMIT 3")
+            .unwrap();
+        let bound = client.bind(stmt.statement_id, None, &[]).unwrap();
+        let opened = client.open(bound.binding_id).unwrap();
+        assert_eq!(client.drain(opened.cursor_id, 10).unwrap().len(), 3);
+    });
+}
+
 #[test]
 fn tuple_budget_rejections_surface_and_count() {
     let db = fresh_db(400);
