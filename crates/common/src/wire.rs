@@ -33,9 +33,9 @@ use crate::value::Value;
 /// payload changes).
 pub const PROTOCOL_VERSION: u16 = 2;
 
-/// The default upper bound on a frame's length field.  Frames above the
-/// limit are rejected *before* their body is read, so a corrupt or hostile
-/// length prefix cannot make a peer allocate gigabytes.
+/// The upper bound on a frame's length field, in both directions.  Frames
+/// above the limit are rejected *before* their body is read, so a corrupt
+/// or hostile length prefix cannot make a peer allocate gigabytes.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
 /// Request opcodes (client → server).
@@ -69,7 +69,7 @@ pub mod opcode {
     pub const OPENED: u8 = 0x84;
     /// Reply to [`FETCH`] / [`FETCH_MORE`]: a batch of encoded rows.
     pub const ROWS: u8 = 0x85;
-    /// Reply to [`CLOSE`]: rows the cursor emitted over its lifetime.
+    /// Reply to [`CLOSE`]: rows the client received from the cursor.
     pub const CLOSED: u8 = 0x86;
     /// Reply to [`STATS`]: the `key=value` report text.
     pub const STATS_OK: u8 = 0x87;
@@ -216,7 +216,7 @@ impl ErrorCode {
 pub enum WireError {
     /// The underlying transport failed (includes clean EOF between frames).
     Io(std::io::Error),
-    /// A frame declared a length above the configured limit.
+    /// A frame declared a length above [`MAX_FRAME_LEN`].
     Oversized {
         /// The declared frame length.
         len: u32,
@@ -279,18 +279,21 @@ pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> Result<(),
 }
 
 /// Reads one frame, returning `(opcode, payload)`.  Frames longer than
-/// `max_len` are rejected before their body is read (the length prefix has
-/// been consumed, so the stream is no longer framed — callers should close
-/// the connection after answering).
-pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<(u8, Vec<u8>), WireError> {
+/// [`MAX_FRAME_LEN`] are rejected before their body is read (the length
+/// prefix has been consumed, so the stream is no longer framed — callers
+/// should close the connection after answering).
+pub fn read_frame(r: &mut impl Read) -> Result<(u8, Vec<u8>), WireError> {
     let mut header = [0u8; 4];
     r.read_exact(&mut header)?;
     let len = u32::from_be_bytes(header);
     if len == 0 {
         return Err(WireError::Malformed("zero-length frame".into()));
     }
-    if len > max_len {
-        return Err(WireError::Oversized { len, max: max_len });
+    if len > MAX_FRAME_LEN {
+        return Err(WireError::Oversized {
+            len,
+            max: MAX_FRAME_LEN,
+        });
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
@@ -606,28 +609,30 @@ mod tests {
         write_frame(&mut buf, opcode::PREPARE, b"SELECT 1").unwrap();
         write_frame(&mut buf, opcode::STATS, b"").unwrap();
         let mut r = &buf[..];
-        let (op, payload) = read_frame(&mut r, MAX_FRAME_LEN).unwrap();
+        let (op, payload) = read_frame(&mut r).unwrap();
         assert_eq!(
             (op, payload.as_slice()),
             (opcode::PREPARE, &b"SELECT 1"[..])
         );
-        let (op, payload) = read_frame(&mut r, MAX_FRAME_LEN).unwrap();
+        let (op, payload) = read_frame(&mut r).unwrap();
         assert_eq!((op, payload.as_slice()), (opcode::STATS, &b""[..]));
         // Clean EOF between frames.
-        let err = read_frame(&mut r, MAX_FRAME_LEN).unwrap_err();
+        let err = read_frame(&mut r).unwrap_err();
         assert!(is_clean_eof(&err), "{err}");
     }
 
     #[test]
     fn oversized_and_zero_frames_are_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&100u32.to_be_bytes());
-        buf.extend_from_slice(&[0u8; 100]);
-        let err = read_frame(&mut &buf[..], 10).unwrap_err();
-        assert!(matches!(err, WireError::Oversized { len: 100, max: 10 }));
+        // Only the forged header: the body must not be read (or allocated).
+        let forged = (MAX_FRAME_LEN + 1).to_be_bytes();
+        let err = read_frame(&mut &forged[..]).unwrap_err();
+        assert!(
+            matches!(err, WireError::Oversized { len, max: MAX_FRAME_LEN } if len == MAX_FRAME_LEN + 1),
+            "{err}"
+        );
 
         let zero = 0u32.to_be_bytes();
-        let err = read_frame(&mut &zero[..], 10).unwrap_err();
+        let err = read_frame(&mut &zero[..]).unwrap_err();
         assert!(matches!(err, WireError::Malformed(_)), "{err}");
     }
 

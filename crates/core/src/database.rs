@@ -236,7 +236,7 @@ impl PlanCache {
 pub struct Database {
     catalog: Catalog,
     /// Defaults handed to new sessions (and used by the compatibility
-    /// wrappers); the deprecated thread setters mutate these.
+    /// wrappers).
     default_settings: SessionSettings,
     plan_cache: PlanCache,
 }
@@ -301,30 +301,6 @@ impl Database {
     /// configure it further with the session's `with_*` builders.
     pub fn session(&self) -> Session<'_> {
         Session::new(self, self.default_settings.clone())
-    }
-
-    /// Sets the worker-thread budget for parallel execution (builder form;
-    /// clamped to at least 1).  `1` keeps planning and execution fully
-    /// serial.
-    #[deprecated(
-        since = "0.2.0",
-        note = "execution settings moved to `Session`: use `db.session().with_threads(n)`; \
-                this shim only changes the default handed to new sessions"
-    )]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.default_settings.threads = threads.clamp(1, ranksql_common::MAX_THREADS);
-        self
-    }
-
-    /// Sets the worker-thread budget for parallel execution (clamped to at
-    /// least 1).  Takes effect for subsequently planned queries.
-    #[deprecated(
-        since = "0.2.0",
-        note = "execution settings moved to `Session`: use `db.session().with_threads(n)`; \
-                this shim only changes the default handed to new sessions"
-    )]
-    pub fn set_threads(&mut self, threads: usize) {
-        self.default_settings.threads = threads.clamp(1, ranksql_common::MAX_THREADS);
     }
 
     /// The worker-thread budget new sessions (and the compatibility
@@ -695,19 +671,25 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the legacy thread-setter shims on purpose
     fn parallel_execution_agrees_with_serial_in_every_mode() {
-        let (mut db, query) = db_with_data();
-        db.set_threads(1);
-        let reference = db.execute_with_mode(&query, PlanMode::Canonical).unwrap();
+        let (db, query) = db_with_data();
+        let serial = db.session().with_threads(1);
+        let reference = serial
+            .with_mode(PlanMode::Canonical)
+            .execute(&query)
+            .unwrap();
         let ref_ids: Vec<_> = reference
             .rows
             .iter()
             .map(|t| t.tuple.id().clone())
             .collect();
-        db.set_threads(4);
+        let parallel = db.session().with_threads(4);
         // The parallel canonical plan actually contains an exchange.
-        let text = db.explain(&query, PlanMode::Canonical).unwrap();
+        let text = parallel
+            .clone()
+            .with_mode(PlanMode::Canonical)
+            .explain(&query)
+            .unwrap();
         assert!(text.contains("Exchange"), "{text}");
         assert!(text.contains("Repartition(morsels)"), "{text}");
         for mode in [
@@ -717,12 +699,12 @@ mod tests {
             PlanMode::RankAwareRuleBased,
             PlanMode::Traditional,
         ] {
-            let r = db.execute_with_mode(&query, mode).unwrap();
+            let r = parallel.clone().with_mode(mode).execute(&query).unwrap();
             assert_eq!(r.scores(), reference.scores(), "mode {mode:?}");
             let ids: Vec<_> = r.rows.iter().map(|t| t.tuple.id().clone()).collect();
             assert_eq!(ids, ref_ids, "mode {mode:?}");
         }
-        assert_eq!(db.threads(), 4);
+        assert_eq!(parallel.threads(), 4);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Server configuration: the admission-control caps tenants negotiate
-//! against at `HELLO`, plus transport limits.
+//! Server configuration: the bind address and the admission-control caps
+//! tenants negotiate against at `HELLO`.  The frame-length limit is the
+//! protocol's own [`MAX_FRAME_LEN`](ranksql_common::wire::MAX_FRAME_LEN).
 
-use std::time::Duration;
-
-use ranksql_common::{wire, MAX_THREADS};
+use ranksql_common::MAX_THREADS;
 
 /// Configuration for a [`Server`](crate::Server).
 ///
@@ -30,12 +29,6 @@ pub struct ServerConfig {
     pub max_open_cursors: usize,
     /// Cap on prepared statements and live bindings per connection.
     pub max_statements: usize,
-    /// Largest frame accepted or sent, in bytes.
-    pub max_frame_len: u32,
-    /// How often blocked reads and the accept loop wake up to check the
-    /// shutdown flag.  Purely a liveness knob: it bounds shutdown latency,
-    /// never query results.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -47,8 +40,6 @@ impl Default for ServerConfig {
             max_tuple_budget: None,
             max_open_cursors: ranksql_core::DEFAULT_MAX_OPEN_CURSORS,
             max_statements: 256,
-            max_frame_len: wire::MAX_FRAME_LEN,
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
@@ -81,12 +72,6 @@ impl ServerConfig {
     /// Caps open cursors per connection.
     pub fn with_max_open_cursors(mut self, n: usize) -> Self {
         self.max_open_cursors = n.max(1);
-        self
-    }
-
-    /// Caps the accepted frame length.
-    pub fn with_max_frame_len(mut self, n: u32) -> Self {
-        self.max_frame_len = n.max(64);
         self
     }
 
@@ -123,11 +108,9 @@ mod tests {
         let c = ServerConfig::default()
             .with_max_threads(0)
             .with_max_batch_size(0)
-            .with_max_open_cursors(0)
-            .with_max_frame_len(1);
+            .with_max_open_cursors(0);
         assert_eq!(c.max_threads, 1);
         assert_eq!(c.max_batch_size, 1);
         assert_eq!(c.max_open_cursors, 1);
-        assert_eq!(c.max_frame_len, 64);
     }
 }

@@ -9,123 +9,91 @@
 //! catalog and the bounded-LRU plan cache (the cross-tenant accelerator)
 //! inside the `Database`, and the [`ServerMetrics`] counters.
 //!
-//! Error discipline: *protocol* failures (malformed payload, unknown id,
-//! unknown opcode) are answered with an `ERROR` frame and the connection
-//! lives on; an *oversized* frame is answered and then the connection is
-//! closed (its length prefix was consumed, so the stream is no longer
-//! framed); transport failures and clean EOF tear the connection down
-//! silently.  Engine errors are mapped to stable wire codes — a tuple
-//! budget abort becomes [`ErrorCode::BudgetExceeded`] and is counted as a
-//! budget rejection for the tenant.
+//! Frames are read with the blocking [`wire::read_frame`]; a server
+//! shutdown ends a blocked read by shutting the socket's read half.
+//! Every well-framed request gets exactly one reply: its handler returns
+//! the reply opcode and payload or a [`Refusal`], and one function writes
+//! the frame.  A refusal becomes an `ERROR` frame with a stable code and
+//! the connection lives on; engine errors map to their category codes.
+//! An *oversized* frame is answered and then the connection is closed
+//! (its length prefix was consumed, so the stream is no longer framed);
+//! transport failures and clean EOF tear the connection down silently.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Read};
+use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use ranksql_common::wire::{self, opcode, ErrorCode, PayloadReader, PayloadWriter, WireError};
-use ranksql_common::{RankSqlError, Value, DEFAULT_BATCH_SIZE};
-use ranksql_core::{BoundQuery, CursorRegistry, Database, PlanMode, PreparedQuery, Session};
+use ranksql_common::{RankSqlError, DEFAULT_BATCH_SIZE};
+use ranksql_core::{
+    BoundQuery, Cursor, CursorRegistry, Database, PlanMode, PreparedQuery, Session,
+};
+use ranksql_expr::RankedTuple;
 
 use crate::config::ServerConfig;
+use crate::listener::LiveConnections;
 use crate::metrics::{ServerMetrics, TenantCounters};
 
-/// What the dispatcher wants done with the connection after a frame.
-enum Flow {
-    /// Keep serving frames.
-    Continue,
-    /// Close the connection (fatal protocol state or write failure).
-    Hangup,
+/// A request the server answers with an `ERROR` frame.
+struct Refusal {
+    code: ErrorCode,
+    category: &'static str,
+    message: String,
 }
 
-/// The outcome of one polling frame read.
-enum FrameRead {
-    /// A complete frame.
-    Frame(u8, Vec<u8>),
-    /// The shutdown flag fired while waiting.
-    Shutdown,
-    /// The peer closed cleanly between frames.
-    Eof,
-    /// The frame declared a length above the limit.
-    Oversized { len: u32, max: u32 },
-    /// A zero-length frame (framing survives; the body was empty).
-    Malformed(String),
-    /// Transport failure or mid-frame disconnect.
-    Failed,
-}
-
-/// Reads one frame, waking up every read-timeout tick to check `shutdown`.
-///
-/// The socket has a read timeout, and `read` may deliver a frame in
-/// arbitrary fragments, so this loop owns reassembly: a timeout *between*
-/// frames is just an idle tick, a timeout *mid-frame* keeps collecting
-/// (the bytes read so far are held in the local buffers, so nothing is
-/// lost to the timeout).
-fn read_frame_polling(r: &mut impl Read, max_len: u32, shutdown: &AtomicBool) -> FrameRead {
-    let mut header = [0u8; 4];
-    match read_full(r, &mut header, true, shutdown) {
-        Fill::Done => {}
-        Fill::Shutdown => return FrameRead::Shutdown,
-        Fill::CleanEof => return FrameRead::Eof,
-        Fill::Failed => return FrameRead::Failed,
-    }
-    let len = u32::from_be_bytes(header);
-    if len == 0 {
-        return FrameRead::Malformed("zero-length frame".into());
-    }
-    if len > max_len {
-        return FrameRead::Oversized { len, max: max_len };
-    }
-    let mut body = vec![0u8; len as usize];
-    match read_full(r, &mut body, false, shutdown) {
-        Fill::Done => {}
-        Fill::Shutdown => return FrameRead::Shutdown,
-        // EOF or error mid-frame: the stream died inside a message.
-        Fill::CleanEof | Fill::Failed => return FrameRead::Failed,
-    }
-    let opcode = body[0];
-    body.drain(..1);
-    FrameRead::Frame(opcode, body)
-}
-
-enum Fill {
-    Done,
-    Shutdown,
-    CleanEof,
-    Failed,
-}
-
-/// Fills `buf` completely, retrying through read timeouts.  `clean_eof` is
-/// only reported when the peer closes before the *first* byte (EOF between
-/// frames when the caller is reading a header).
-fn read_full(r: &mut impl Read, buf: &mut [u8], at_boundary: bool, shutdown: &AtomicBool) -> Fill {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::Acquire) {
-            return Fill::Shutdown;
-        }
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 && at_boundary {
-                    Fill::CleanEof
-                } else {
-                    Fill::Failed
-                }
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return Fill::Failed,
+impl Refusal {
+    /// A protocol-level refusal: `wire` category, counted as the tenant's
+    /// protocol error.
+    fn wire(code: ErrorCode, message: String) -> Refusal {
+        Refusal {
+            code,
+            category: "wire",
+            message,
         }
     }
-    Fill::Done
+
+    fn before_hello() -> Refusal {
+        Refusal::wire(
+            ErrorCode::AdmissionDenied,
+            "HELLO must be the first request on a connection".into(),
+        )
+    }
+
+    fn unknown_cursor(id: u64) -> Refusal {
+        Refusal::wire(
+            ErrorCode::UnknownCursor,
+            format!("cursor {id} is not open on this connection"),
+        )
+    }
 }
+
+/// A payload that failed to decode (framing is intact — the whole frame
+/// was consumed), or a frame whose length prefix was out of range.
+impl From<WireError> for Refusal {
+    fn from(e: WireError) -> Self {
+        let code = match e {
+            WireError::Oversized { .. } => ErrorCode::OversizedFrame,
+            _ => ErrorCode::MalformedFrame,
+        };
+        Refusal::wire(code, e.to_string())
+    }
+}
+
+/// An engine error keeps its category and maps to a stable code (a tuple
+/// budget abort becomes [`ErrorCode::BudgetExceeded`]).
+impl From<RankSqlError> for Refusal {
+    fn from(e: RankSqlError) -> Self {
+        Refusal {
+            code: ErrorCode::for_engine_error(&e),
+            category: e.category(),
+            message: e.message().to_owned(),
+        }
+    }
+}
+
+/// A handler's answer: the reply opcode and payload, or a refusal.
+type Reply = Result<(u8, PayloadWriter), Refusal>;
 
 /// Per-connection protocol state.
 struct Connection<'db, 'srv> {
@@ -139,6 +107,9 @@ struct Connection<'db, 'srv> {
     statements: HashMap<u32, PreparedQuery<'db>>,
     bounds: HashMap<u32, BoundQuery<'db>>,
     cursors: CursorRegistry,
+    /// Rows a cursor produced that did not fit in their `ROWS` frame, in
+    /// order; the cursor's next `FETCH` or `FETCH_MORE` sends them first.
+    held: HashMap<u64, Vec<RankedTuple>>,
     next_statement: u32,
     next_bound: u32,
 }
@@ -150,12 +121,9 @@ pub(crate) fn serve_connection(
     db: &Database,
     config: &ServerConfig,
     metrics: &ServerMetrics,
-    shutdown: &AtomicBool,
+    live: &LiveConnections,
 ) {
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(config.poll_interval)).is_err() {
-        return; // cannot poll for shutdown: refuse the connection
-    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -171,52 +139,36 @@ pub(crate) fn serve_connection(
         statements: HashMap::new(),
         bounds: HashMap::new(),
         cursors: CursorRegistry::with_capacity_limit(config.max_open_cursors),
+        held: HashMap::new(),
         next_statement: 0,
         next_bound: 0,
     };
     loop {
-        match read_frame_polling(&mut reader, config.max_frame_len, shutdown) {
-            FrameRead::Frame(op, payload) => match conn.dispatch(op, &payload) {
-                Flow::Continue => {}
-                Flow::Hangup => break,
-            },
-            FrameRead::Malformed(msg) => {
-                conn.record_protocol_error();
-                if !conn.send_error_frame(ErrorCode::MalformedFrame, "wire", &msg) {
-                    break;
-                }
+        let (reply, framed) = match wire::read_frame(&mut reader) {
+            // A shut-down server serves no further request, even one a
+            // client sent after its socket's read half was closed.
+            Ok(_) if live.lock().is_none() => break,
+            Ok((op, payload)) => (conn.dispatch(op, &payload), true),
+            // Clean EOF, a mid-frame disconnect or a transport failure.
+            Err(WireError::Io(_)) => break,
+            Err(e) => {
+                let framed = !matches!(e, WireError::Oversized { .. });
+                (Err(e.into()), framed)
             }
-            FrameRead::Oversized { len, max } => {
-                conn.record_protocol_error();
-                let msg = format!("frame of {len} bytes exceeds the {max}-byte limit");
-                let _ = conn.send_error_frame(ErrorCode::OversizedFrame, "wire", &msg);
-                break; // length prefix consumed: the stream is unframed now
-            }
-            FrameRead::Shutdown | FrameRead::Eof | FrameRead::Failed => break,
+        };
+        if !conn.reply(reply) || !framed {
+            break;
         }
     }
 }
 
 impl<'db> Connection<'db, '_> {
-    fn dispatch(&mut self, op: u8, payload: &[u8]) -> Flow {
+    fn dispatch(&mut self, op: u8, payload: &[u8]) -> Reply {
         match op {
             opcode::HELLO => self.on_hello(payload),
-            opcode::PREPARE
-            | opcode::BIND
-            | opcode::OPEN
-            | opcode::FETCH
-            | opcode::FETCH_MORE
-            | opcode::CLOSE
-            | opcode::STATS
-            | opcode::INSERT
-                if self.session.is_none() =>
-            {
-                self.record_protocol_error();
-                self.reply_or_hangup(self.send_error_frame(
-                    ErrorCode::AdmissionDenied,
-                    "wire",
-                    "HELLO must be the first request on a connection",
-                ))
+            // Every other request verb needs the session HELLO opens.
+            opcode::PREPARE..=opcode::INSERT if self.session.is_none() => {
+                Err(Refusal::before_hello())
             }
             opcode::PREPARE => self.on_prepare(payload),
             opcode::BIND => self.on_bind(payload),
@@ -226,52 +178,39 @@ impl<'db> Connection<'db, '_> {
             opcode::CLOSE => self.on_close(payload),
             opcode::STATS => self.on_stats(payload),
             opcode::INSERT => self.on_insert(payload),
-            other => {
-                self.record_protocol_error();
-                self.reply_or_hangup(self.send_error_frame(
-                    ErrorCode::UnknownOpcode,
-                    "wire",
-                    &format!("unknown request opcode 0x{other:02x}"),
-                ))
-            }
+            other => Err(Refusal::wire(
+                ErrorCode::UnknownOpcode,
+                format!("unknown request opcode 0x{other:02x}"),
+            )),
         }
     }
 
     // ----- request handlers ------------------------------------------------
 
-    fn on_hello(&mut self, payload: &[u8]) -> Flow {
-        let parsed = (|| -> Result<(u16, String, u8, u16, u32, u64), WireError> {
-            let mut r = PayloadReader::new(payload);
-            let version = r.u16("protocol version")?;
-            let tenant = r.str("tenant name")?;
-            let mode = r.u8("plan mode")?;
-            let threads = r.u16("threads")?;
-            let batch = r.u32("batch size")?;
-            let budget = r.u64("tuple budget")?;
-            r.finish()?;
-            Ok((version, tenant, mode, threads, batch, budget))
-        })();
-        let (version, tenant, mode_code, threads, batch, budget) = match parsed {
-            Ok(p) => p,
-            Err(e) => return self.malformed(&e),
-        };
+    fn on_hello(&mut self, payload: &[u8]) -> Reply {
+        let mut r = PayloadReader::new(payload);
+        let version = r.u16("protocol version")?;
+        let tenant = r.str("tenant name")?;
+        let mode_code = r.u8("plan mode")?;
+        let threads = r.u16("threads")?;
+        let batch = r.u32("batch size")?;
+        let budget = r.u64("tuple budget")?;
+        r.finish()?;
         if version != wire::PROTOCOL_VERSION {
-            return self.reply_or_hangup(self.send_error_frame(
+            return Err(Refusal::wire(
                 ErrorCode::AdmissionDenied,
-                "wire",
-                &format!(
+                format!(
                     "protocol version {version} is not supported (server speaks {})",
                     wire::PROTOCOL_VERSION
                 ),
             ));
         }
-        let Some(mode) = PlanMode::from_wire_code(mode_code) else {
-            return self.reply_or_hangup(self.send_error_frame(
+        let mode = PlanMode::from_wire_code(mode_code).ok_or_else(|| {
+            Refusal::wire(
                 ErrorCode::AdmissionDenied,
-                "wire",
-                &format!("unknown plan-mode code {mode_code}"),
-            ));
-        };
+                format!("unknown plan-mode code {mode_code}"),
+            )
+        })?;
         // Admission control: clamp the request into the server's caps and
         // echo what was actually granted.
         let threads = if threads == 0 {
@@ -305,6 +244,7 @@ impl<'db> Connection<'db, '_> {
         self.statements.clear();
         self.bounds.clear();
         self.cursors = CursorRegistry::with_capacity_limit(self.config.max_open_cursors);
+        self.held.clear();
 
         let mut p = PayloadWriter::new();
         p.u16(wire::PROTOCOL_VERSION)
@@ -312,74 +252,53 @@ impl<'db> Connection<'db, '_> {
             .u16(threads as u16)
             .u32(batch as u32)
             .u64(budget.unwrap_or(0));
-        self.reply_or_hangup(self.send(opcode::HELLO_OK, &p.into_vec()))
+        Ok((opcode::HELLO_OK, p))
     }
 
-    fn on_prepare(&mut self, payload: &[u8]) -> Flow {
-        let sql = {
-            let mut r = PayloadReader::new(payload);
-            match r.str("sql text").and_then(|s| r.finish().map(|_| s)) {
-                Ok(s) => s,
-                Err(e) => return self.malformed(&e),
-            }
-        };
+    fn on_prepare(&mut self, payload: &[u8]) -> Reply {
+        let mut r = PayloadReader::new(payload);
+        let sql = r.str("sql text")?;
+        r.finish()?;
         if self.statements.len() >= self.config.max_statements {
-            return self.reply_or_hangup(self.send_error_frame(
-                ErrorCode::Execution,
-                "execution",
-                &format!(
-                    "statement limit reached ({} prepared); a connection holds at most {}",
-                    self.statements.len(),
-                    self.config.max_statements
-                ),
-            ));
+            return Err(RankSqlError::Execution(format!(
+                "statement limit reached ({} prepared); a connection holds at most {}",
+                self.statements.len(),
+                self.config.max_statements
+            ))
+            .into());
         }
-        let Some(session) = &self.session else {
-            return Flow::Hangup; // unreachable: dispatch gates on session
-        };
-        match session.prepare(&sql) {
-            Ok(prepared) => {
-                let id = self.next_statement;
-                self.next_statement += 1;
-                let slots = prepared.param_slots().len();
-                self.statements.insert(id, prepared);
-                let mut p = PayloadWriter::new();
-                p.u32(id).u16(slots as u16);
-                self.reply_or_hangup(self.send(opcode::PREPARED, &p.into_vec()))
-            }
-            Err(e) => self.engine_error(&e),
-        }
+        let session = self.session.as_ref().ok_or_else(Refusal::before_hello)?;
+        let prepared = session.prepare(&sql)?;
+        let id = self.next_statement;
+        self.next_statement += 1;
+        let slots = prepared.param_slots().len();
+        self.statements.insert(id, prepared);
+        let mut p = PayloadWriter::new();
+        p.u32(id).u16(slots as u16);
+        Ok((opcode::PREPARED, p))
     }
 
-    fn on_bind(&mut self, payload: &[u8]) -> Flow {
-        type BindRequest = (u32, Option<u64>, Vec<(u16, Value)>);
-        let parsed = (|| -> Result<BindRequest, WireError> {
-            let mut r = PayloadReader::new(payload);
-            let stmt = r.u32("statement id")?;
-            let has_k = r.u8("has-k flag")?;
-            let k = r.u64("k")?;
-            let n = r.u16("binding count")?;
-            let mut values = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let slot = r.u16("parameter slot")?;
-                let value = r.value("parameter value")?;
-                values.push((slot, value));
-            }
-            r.finish()?;
-            Ok((stmt, (has_k != 0).then_some(k), values))
-        })();
-        let (stmt, k, values) = match parsed {
-            Ok(p) => p,
-            Err(e) => return self.malformed(&e),
-        };
-        let Some(prepared) = self.statements.get(&stmt) else {
-            self.record_protocol_error();
-            return self.reply_or_hangup(self.send_error_frame(
+    fn on_bind(&mut self, payload: &[u8]) -> Reply {
+        let mut r = PayloadReader::new(payload);
+        let stmt = r.u32("statement id")?;
+        let has_k = r.u8("has-k flag")?;
+        let k = r.u64("k")?;
+        let n = r.u16("binding count")?;
+        let mut params = ranksql_core::Params::new();
+        for _ in 0..n {
+            let slot = r.u16("parameter slot")?;
+            params = params.set(slot as usize, r.value("parameter value")?);
+        }
+        r.finish()?;
+        if has_k != 0 {
+            params = params.k(k as usize);
+        }
+        let prepared = self.statements.get(&stmt).ok_or_else(|| {
+            Refusal::wire(
                 ErrorCode::UnknownStatement,
-                "wire",
-                &format!("statement {stmt} is not prepared on this connection"),
-            ));
-        };
+                format!("statement {stmt} is not prepared on this connection"),
+            )
+        })?;
         // Bindings are transient handles (ids are monotonic); at the cap
         // the oldest is recycled rather than refused, so a long-lived
         // connection can bind indefinitely.  Open cursors are unaffected —
@@ -389,194 +308,144 @@ impl<'db> Connection<'db, '_> {
                 self.bounds.remove(&oldest);
             }
         }
-        let mut params = ranksql_core::Params::new();
-        for (slot, value) in values {
-            params = params.set(slot as usize, value);
+        let bound = prepared.bind(params)?;
+        let hit = bound.cache_hit();
+        if let Some(t) = &self.tenant {
+            t.record_query(hit);
         }
-        if let Some(k) = k {
-            params = params.k(k as usize);
-        }
-        match prepared.bind(params) {
-            Ok(bound) => {
-                let hit = bound.cache_hit();
-                if let Some(t) = &self.tenant {
-                    t.record_query(hit);
-                }
-                let id = self.next_bound;
-                self.next_bound += 1;
-                self.bounds.insert(id, bound);
-                let mut p = PayloadWriter::new();
-                p.u32(id).u8(u8::from(hit));
-                self.reply_or_hangup(self.send(opcode::BOUND, &p.into_vec()))
-            }
-            Err(e) => self.engine_error(&e),
-        }
+        let id = self.next_bound;
+        self.next_bound += 1;
+        self.bounds.insert(id, bound);
+        let mut p = PayloadWriter::new();
+        p.u32(id).u8(u8::from(hit));
+        Ok((opcode::BOUND, p))
     }
 
-    fn on_open(&mut self, payload: &[u8]) -> Flow {
-        let bound_id = {
-            let mut r = PayloadReader::new(payload);
-            match r.u32("binding id").and_then(|v| r.finish().map(|_| v)) {
-                Ok(v) => v,
-                Err(e) => return self.malformed(&e),
-            }
-        };
-        let Some(bound) = self.bounds.get(&bound_id) else {
-            self.record_protocol_error();
-            return self.reply_or_hangup(self.send_error_frame(
+    fn on_open(&mut self, payload: &[u8]) -> Reply {
+        let mut r = PayloadReader::new(payload);
+        let bound_id = r.u32("binding id")?;
+        r.finish()?;
+        let bound = self.bounds.get(&bound_id).ok_or_else(|| {
+            Refusal::wire(
                 ErrorCode::UnknownStatement,
-                "wire",
-                &format!("binding {bound_id} does not exist on this connection"),
-            ));
-        };
-        let cursor = match bound.cursor() {
-            Ok(c) => c,
-            Err(e) => return self.engine_error(&e),
-        };
+                format!("binding {bound_id} does not exist on this connection"),
+            )
+        })?;
+        let cursor = bound.cursor()?;
         let columns: Vec<String> = cursor
             .schema()
             .fields()
             .iter()
             .map(|f| f.qualified_name())
             .collect();
-        match self.cursors.open(cursor) {
-            Ok(id) => {
-                let mut p = PayloadWriter::new();
-                p.u64(id).u16(columns.len() as u16);
-                for c in &columns {
-                    p.str(c);
-                }
-                self.reply_or_hangup(self.send(opcode::OPENED, &p.into_vec()))
-            }
-            Err(e) => self.reply_or_hangup(self.send_error_frame(
-                ErrorCode::CursorLimit,
-                e.category(),
-                e.message(),
-            )),
+        let id = self.cursors.open(cursor).map_err(|e| Refusal {
+            code: ErrorCode::CursorLimit,
+            ..e.into()
+        })?;
+        let mut p = PayloadWriter::new();
+        p.u64(id).u16(columns.len() as u16);
+        for c in &columns {
+            p.str(c);
         }
+        Ok((opcode::OPENED, p))
     }
 
-    fn on_fetch(&mut self, payload: &[u8], extend: bool) -> Flow {
-        let parsed = {
-            let mut r = PayloadReader::new(payload);
-            let cursor = r.u64("cursor id");
-            match cursor
-                .and_then(|c| r.u32("fetch count").map(|k| (c, k)))
-                .and_then(|v| r.finish().map(|_| v))
-            {
-                Ok(v) => v,
-                Err(e) => return self.malformed(&e),
-            }
-        };
-        let (cursor_id, k) = parsed;
-        let Some(cursor) = self.cursors.get_mut(cursor_id) else {
-            self.record_protocol_error();
-            return self.reply_or_hangup(self.send_error_frame(
-                ErrorCode::UnknownCursor,
-                "wire",
-                &format!("cursor {cursor_id} is not open on this connection"),
-            ));
-        };
+    fn on_fetch(&mut self, payload: &[u8], extend: bool) -> Reply {
+        let mut r = PayloadReader::new(payload);
+        let cursor_id = r.u64("cursor id")?;
+        let k = r.u32("fetch count")? as usize;
+        r.finish()?;
+        let cursor = self
+            .cursors
+            .get_mut(cursor_id)
+            .ok_or_else(|| Refusal::unknown_cursor(cursor_id))?;
+        // Rows an earlier reply could not fit go first.
+        let rows = self.held.entry(cursor_id).or_default();
         let scanned_before = cursor.tuples_scanned();
         let pulled = if extend {
-            cursor.fetch_more(k as usize)
+            cursor.fetch_more(k)
         } else {
-            cursor.take(k as usize)
+            cursor.take(k.saturating_sub(rows.len()))
         };
-        let rows = match pulled {
-            Ok(rows) => rows,
-            Err(e) => {
-                // Account the work the failed pull still did.
-                let scanned = cursor.tuples_scanned().saturating_sub(scanned_before);
-                if let Some(t) = &self.tenant {
-                    t.add_tuples_scanned(scanned);
-                }
-                return self.engine_error(&e);
-            }
-        };
-        let done = cursor.is_exhausted();
-        let mut p = PayloadWriter::new();
-        p.u8(u8::from(done)).u32(rows.len() as u32);
-        for row in &rows {
-            let score = cursor.score(row);
-            wire::encode_row(&mut p, score, row.tuple.id().parts(), row.tuple.values());
-        }
+        // Account the work the pull did, failed or not.
         let scanned = cursor.tuples_scanned().saturating_sub(scanned_before);
         if let Some(t) = &self.tenant {
             t.add_tuples_scanned(scanned);
-            t.add_rows_streamed(rows.len() as u64);
         }
-        self.reply_or_hangup(self.send(opcode::ROWS, &p.into_vec()))
+        rows.extend(pulled?);
+        let want = rows.len().min(k);
+        let (p, sent) = rows_payload(
+            cursor,
+            &rows[..want],
+            cursor.is_exhausted() && want == rows.len(),
+        );
+        rows.drain(..sent);
+        if sent == 0 && want > 0 {
+            return Err(Refusal {
+                code: ErrorCode::OversizedFrame,
+                category: "execution",
+                message: format!(
+                    "the next row of cursor {cursor_id} exceeds the {}-byte frame limit",
+                    wire::MAX_FRAME_LEN
+                ),
+            });
+        }
+        if let Some(t) = &self.tenant {
+            t.add_rows_streamed(sent as u64);
+        }
+        Ok((opcode::ROWS, p))
     }
 
-    fn on_close(&mut self, payload: &[u8]) -> Flow {
-        let cursor_id = {
-            let mut r = PayloadReader::new(payload);
-            match r.u64("cursor id").and_then(|v| r.finish().map(|_| v)) {
-                Ok(v) => v,
-                Err(e) => return self.malformed(&e),
-            }
-        };
-        let Some(cursor) = self.cursors.close(cursor_id) else {
-            self.record_protocol_error();
-            return self.reply_or_hangup(self.send_error_frame(
-                ErrorCode::UnknownCursor,
-                "wire",
-                &format!("cursor {cursor_id} is not open on this connection"),
-            ));
-        };
+    fn on_close(&mut self, payload: &[u8]) -> Reply {
+        let mut r = PayloadReader::new(payload);
+        let cursor_id = r.u64("cursor id")?;
+        r.finish()?;
+        let cursor = self
+            .cursors
+            .close(cursor_id)
+            .ok_or_else(|| Refusal::unknown_cursor(cursor_id))?;
         if let Some(t) = &self.tenant {
             t.add_pages_faulted(cursor.pages_faulted());
         }
+        // Report the rows the client received, not the ones still held.
+        let held = self.held.remove(&cursor_id).map_or(0, |rows| rows.len());
         let mut p = PayloadWriter::new();
-        p.u64(cursor.rows_emitted());
-        self.reply_or_hangup(self.send(opcode::CLOSED, &p.into_vec()))
+        p.u64(cursor.rows_emitted() - held as u64);
+        Ok((opcode::CLOSED, p))
     }
 
-    fn on_stats(&mut self, payload: &[u8]) -> Flow {
+    fn on_stats(&mut self, payload: &[u8]) -> Reply {
         if !payload.is_empty() {
-            return self.malformed(&WireError::Malformed("STATS takes no payload".into()));
+            return Err(WireError::Malformed("STATS takes no payload".into()).into());
         }
-        let text = self.render_stats();
         let mut p = PayloadWriter::new();
-        p.str(&text);
-        self.reply_or_hangup(self.send(opcode::STATS_OK, &p.into_vec()))
+        p.str(&self.render_stats());
+        Ok((opcode::STATS_OK, p))
     }
 
-    fn on_insert(&mut self, payload: &[u8]) -> Flow {
-        let parsed = (|| -> Result<(String, Vec<Vec<Value>>), WireError> {
-            let mut r = PayloadReader::new(payload);
-            let table = r.str("table name")?;
-            let n = r.u32("row count")?;
-            // No pre-allocation from the wire-controlled count: a hostile
-            // header cannot reserve gigabytes before decoding fails.
-            let mut rows = Vec::new();
-            for _ in 0..n {
-                let arity = r.u16("row arity")? as usize;
-                let mut row = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    row.push(r.value("cell")?);
-                }
-                rows.push(row);
+    fn on_insert(&mut self, payload: &[u8]) -> Reply {
+        let mut r = PayloadReader::new(payload);
+        let table = r.str("table name")?;
+        let n = r.u32("row count")?;
+        // No pre-allocation from the wire-controlled count: a hostile
+        // header cannot reserve gigabytes before decoding fails.
+        let mut rows = Vec::new();
+        for _ in 0..n {
+            let arity = r.u16("row arity")? as usize;
+            let mut row = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                row.push(r.value("cell")?);
             }
-            r.finish()?;
-            Ok((table, rows))
-        })();
-        let (table, rows) = match parsed {
-            Ok(p) => p,
-            Err(e) => return self.malformed(&e),
-        };
-        match self.db.insert_batch(&table, rows) {
-            Ok(n) => {
-                if let Some(t) = &self.tenant {
-                    t.add_rows_inserted(n as u64);
-                }
-                let mut p = PayloadWriter::new();
-                p.u64(n as u64);
-                self.reply_or_hangup(self.send(opcode::INSERTED, &p.into_vec()))
-            }
-            Err(e) => self.engine_error(&e),
+            rows.push(row);
         }
+        r.finish()?;
+        let n = self.db.insert_batch(&table, rows)?;
+        if let Some(t) = &self.tenant {
+            t.add_rows_inserted(n as u64);
+        }
+        let mut p = PayloadWriter::new();
+        p.u64(n as u64);
+        Ok((opcode::INSERTED, p))
     }
 
     // ----- STATS rendering -------------------------------------------------
@@ -646,57 +515,48 @@ impl<'db> Connection<'db, '_> {
 
     // ----- reply plumbing --------------------------------------------------
 
-    /// Writes a frame; `false` means the socket is gone.
-    fn send(&self, op: u8, payload: &[u8]) -> bool {
-        let mut w = &self.writer;
-        wire::write_frame(&mut w, op, payload).is_ok()
-    }
-
-    /// Sends an `ERROR` frame: `false` only when the write itself failed.
-    fn send_error_frame(&self, code: ErrorCode, category: &str, message: &str) -> bool {
-        let mut p = PayloadWriter::new();
-        p.u16(code.as_u16()).str(category).str(message);
-        self.send(opcode::ERROR, &p.into_vec())
-    }
-
-    fn reply_or_hangup(&self, ok: bool) -> Flow {
-        if ok {
-            Flow::Continue
-        } else {
-            Flow::Hangup
-        }
-    }
-
-    /// An engine error becomes an `ERROR` frame with a stable code; tuple
-    /// budget aborts are additionally counted as tenant budget rejections
-    /// (the admission-control signal the load harness asserts on).
-    fn engine_error(&self, err: &RankSqlError) -> Flow {
-        let code = ErrorCode::for_engine_error(err);
-        if code == ErrorCode::BudgetExceeded {
-            if let Some(t) = &self.tenant {
-                t.record_budget_rejection();
+    /// Writes the one reply frame of a request; `false` means the socket
+    /// is gone.  A refusal becomes an `ERROR` frame and is counted: a
+    /// `wire`-category refusal as a protocol error, a tuple-budget abort as
+    /// a budget rejection (the admission-control signal the load harness
+    /// asserts on).
+    fn reply(&self, reply: Reply) -> bool {
+        let (op, payload) = match reply {
+            Ok(reply) => reply,
+            Err(refusal) => {
+                if let Some(t) = &self.tenant {
+                    if refusal.category == "wire" {
+                        t.record_protocol_error();
+                    }
+                    if refusal.code == ErrorCode::BudgetExceeded {
+                        t.record_budget_rejection();
+                    }
+                }
+                let mut p = PayloadWriter::new();
+                p.u16(refusal.code.as_u16())
+                    .str(refusal.category)
+                    .str(&refusal.message);
+                (opcode::ERROR, p)
             }
-        }
-        self.reply_or_hangup(self.send_error_frame(code, err.category(), err.message()))
-    }
-
-    /// A payload that failed to decode: `ERROR MalformedFrame`, connection
-    /// survives (framing is intact — the whole frame was consumed).
-    fn malformed(&self, err: &WireError) -> Flow {
-        self.record_protocol_error();
-        let (code, msg) = match err {
-            WireError::Oversized { len, max } => (
-                ErrorCode::OversizedFrame,
-                format!("oversized: {len} > {max}"),
-            ),
-            other => (ErrorCode::MalformedFrame, other.to_string()),
         };
-        self.reply_or_hangup(self.send_error_frame(code, "wire", &msg))
+        let mut w = &self.writer;
+        wire::write_frame(&mut w, op, &payload.into_vec()).is_ok()
     }
+}
 
-    fn record_protocol_error(&self) {
-        if let Some(t) = &self.tenant {
-            t.record_protocol_error();
+/// Encodes a `ROWS` payload over the longest prefix of `rows` that fits in
+/// one frame and returns it with that prefix's length.  `done` is reported
+/// only when the whole slice fits and `exhausted` says nothing follows it.
+fn rows_payload(cursor: &Cursor, rows: &[RankedTuple], exhausted: bool) -> (PayloadWriter, usize) {
+    let mut p = PayloadWriter::new();
+    p.u8(u8::from(exhausted)).u32(rows.len() as u32);
+    for (i, row) in rows.iter().enumerate() {
+        let (id, values) = (row.tuple.id().parts(), row.tuple.values());
+        wire::encode_row(&mut p, cursor.score(row), id, values);
+        // The frame's length also covers the opcode byte.
+        if p.len() >= wire::MAX_FRAME_LEN as usize {
+            return rows_payload(cursor, &rows[..i], false);
         }
     }
+    (p, rows.len())
 }

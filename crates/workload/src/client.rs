@@ -127,7 +127,6 @@ pub struct RowsReply {
 pub struct WireClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    max_frame_len: u32,
 }
 
 impl WireClient {
@@ -139,7 +138,6 @@ impl WireClient {
         Ok(WireClient {
             reader,
             writer: stream,
-            max_frame_len: wire::MAX_FRAME_LEN,
         })
     }
 
@@ -161,7 +159,7 @@ impl WireClient {
 
     /// Reads one reply frame (opcode + payload), without interpretation.
     pub fn read_reply(&mut self) -> ClientResult<(u8, Vec<u8>)> {
-        Ok(wire::read_frame(&mut self.reader, self.max_frame_len)?)
+        Ok(wire::read_frame(&mut self.reader)?)
     }
 
     /// Reads a reply and requires opcode `want`, turning `ERROR` frames
@@ -306,7 +304,8 @@ impl WireClient {
         self.fetch_inner(opcode::FETCH_MORE, cursor_id, k)
     }
 
-    /// `CLOSE`: release a cursor; returns its lifetime rows-emitted count.
+    /// `CLOSE`: release a cursor; returns how many of its rows this client
+    /// received.
     pub fn close(&mut self, cursor_id: u64) -> ClientResult<u64> {
         let mut p = PayloadWriter::new();
         p.u64(cursor_id);

@@ -64,9 +64,9 @@ const DETERMINISM_TOKENS: &[&str] = &["SystemTime", "thread_rng", "rand::random"
 /// Directories under the determinism lint (query results must be a pure
 /// function of plan and data) and, per directory, the files exempt from it.
 /// The server's listener is the deliberate edge of the system: it owns the
-/// socket-readiness timeouts and the single wall-clock reading (`STATS`
-/// start time) — nothing downstream of it may touch either, which is
-/// exactly what scanning the rest of `crates/server/src` enforces.
+/// single wall-clock reading (`STATS` start time) — nothing downstream of
+/// it may read a clock, which is exactly what scanning the rest of
+/// `crates/server/src` enforces.
 const DETERMINISM_SCOPES: &[(&str, &[&str])] = &[
     ("crates/executor/src", &[]),
     ("crates/server/src", &["crates/server/src/listener.rs"]),
@@ -491,7 +491,7 @@ fn check_safety_comments(files: &[(String, String)], errors: &mut Vec<String>) {
 /// Check 3: executor kernels and the server's request path must be
 /// deterministic — no wall clocks, no ambient randomness.  Per-scope
 /// exemptions cover the one file that *is* the non-deterministic edge
-/// (the server listener's socket timeouts and `STATS` start timestamp).
+/// (the server listener's `STATS` start timestamp).
 fn check_executor_determinism(root: &Path, errors: &mut Vec<String>) {
     for (dir, exempt) in DETERMINISM_SCOPES {
         let mut files = Vec::new();

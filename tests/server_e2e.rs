@@ -400,3 +400,271 @@ fn admission_clamps_are_echoed_and_cursor_limit_enforced() {
         client.open(bound.binding_id).unwrap();
     });
 }
+
+/// A `FETCH` whose rows overflow one frame is answered with the rows that
+/// fit (`done = false`); the rest wait, in order, for the cursor's next
+/// fetch, and `CLOSE` counts only what the client received.
+#[test]
+fn a_fetch_larger_than_a_frame_streams_every_row_across_replies() {
+    const SQL: &str = "SELECT * FROM T ORDER BY s(T.score) LIMIT 60000";
+    let db = fresh_db(60_000);
+    let mut twin = db.session().query(SQL).unwrap();
+    let engine = twin.drain().unwrap();
+    assert_eq!(engine.len(), 60_000);
+    with_server(&db, ServerConfig::default(), |addr, _| {
+        let mut client = WireClient::connect(addr).unwrap();
+        client.hello("bulk", PlanMode::RankAware, 0, 0, 0).unwrap();
+        let stmt = client.prepare(SQL).unwrap();
+        let bound = client.bind(stmt.statement_id, None, &[]).unwrap();
+
+        // A cursor closed after one oversized FETCH reports what it sent.
+        let first = client.open(bound.binding_id).unwrap();
+        let partial = client.fetch(first.cursor_id, 30_000).unwrap();
+        let sent = partial.rows.len();
+        assert!(!partial.done && 0 < sent && sent < 30_000, "{sent} rows");
+        assert_eq!(client.close(first.cursor_id).unwrap(), sent as u64);
+
+        let cursor = client.open(bound.binding_id).unwrap().cursor_id;
+        let mut rows = Vec::new();
+        loop {
+            let reply = client.fetch(cursor, 30_000).unwrap();
+            rows.extend(reply.rows);
+            if reply.done {
+                break;
+            }
+        }
+        assert_eq!(fingerprint_wire(&rows), fingerprint_engine(&twin, &engine));
+        assert_eq!(client.close(cursor).unwrap(), 60_000);
+        assert!(client.stats().is_ok());
+    });
+}
+
+/// A single row larger than a frame cannot be streamed: `FETCH` answers
+/// with a typed `OversizedFrame` error and the connection lives on.
+#[test]
+fn a_row_larger_than_a_frame_is_a_typed_error() {
+    let db = Database::new();
+    let schema = Schema::new(vec![
+        Field::new("blob", DataType::Utf8),
+        Field::new("score", DataType::Float64),
+    ]);
+    db.create_table("B", schema).unwrap();
+    let blob = "x".repeat(3 << 19); // 1.5 MiB
+    db.insert("B", vec![Value::from(blob), Value::from(0.5)])
+        .unwrap();
+    with_server(&db, ServerConfig::default(), |addr, _| {
+        let mut client = WireClient::connect(addr).unwrap();
+        client.hello("blob", PlanMode::RankAware, 0, 0, 0).unwrap();
+        let stmt = client
+            .prepare("SELECT * FROM B ORDER BY s(B.score) LIMIT 1")
+            .unwrap();
+        let bound = client.bind(stmt.statement_id, None, &[]).unwrap();
+        let opened = client.open(bound.binding_id).unwrap();
+        match client.fetch(opened.cursor_id, 1) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::OversizedFrame),
+            other => panic!("expected OversizedFrame, got {other:?}"),
+        }
+        assert!(client.stats().is_ok());
+    });
+}
+
+/// A splitmix64 stream.
+struct Gen(u64);
+
+impl Gen {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A valid request frame: opcode, payload, and the `(offset, width)` of
+/// each string length or element count in the payload.
+type Request = (u8, Vec<u8>, Vec<(usize, usize)>);
+
+/// One valid frame of every request verb, against a connection that has
+/// `stmt` prepared, `binding` bound and `cursor` open.
+fn valid_requests(stmt: u32, binding: u32, cursor: u64) -> Vec<Request> {
+    use ranksql::common::wire::{PayloadWriter, PROTOCOL_VERSION};
+    let frame = |op: u8, counts: Vec<(usize, usize)>, build: &dyn Fn(&mut PayloadWriter)| {
+        let mut p = PayloadWriter::new();
+        build(&mut p);
+        (op, p.into_vec(), counts)
+    };
+    vec![
+        frame(opcode::HELLO, vec![(2, 4)], &|p| {
+            p.u16(PROTOCOL_VERSION)
+                .str("fuzz")
+                .u8(0)
+                .u16(1)
+                .u32(0)
+                .u64(0);
+        }),
+        frame(opcode::PREPARE, vec![(0, 4)], &|p| {
+            p.str(FUZZ_SQL);
+        }),
+        frame(opcode::BIND, vec![(13, 2)], &|p| {
+            p.u32(stmt)
+                .u8(1)
+                .u64(4)
+                .u16(1)
+                .u16(0)
+                .value(&Value::from(7));
+        }),
+        frame(opcode::OPEN, vec![], &|p| {
+            p.u32(binding);
+        }),
+        frame(opcode::FETCH, vec![], &|p| {
+            p.u64(cursor).u32(3);
+        }),
+        frame(opcode::FETCH_MORE, vec![], &|p| {
+            p.u64(cursor).u32(2);
+        }),
+        frame(opcode::CLOSE, vec![], &|p| {
+            p.u64(cursor);
+        }),
+        frame(opcode::STATS, vec![], &|_| {}),
+        frame(opcode::INSERT, vec![(0, 4), (5, 4), (9, 2)], &|p| {
+            p.str("T").u32(1).u16(3);
+            for v in row_for(7) {
+                p.value(&v);
+            }
+        }),
+    ]
+}
+
+const FUZZ_SQL: &str = "SELECT * FROM T WHERE T.id > ? ORDER BY s(T.score) LIMIT 5";
+
+/// Mutates a valid request's payload (never its framing): truncates it,
+/// flips bytes, lies in one of its counts, or swaps in a random opcode.
+fn mutate(g: &mut Gen, (mut op, mut payload, counts): Request) -> (u8, Vec<u8>) {
+    match g.below(4) {
+        0 if !payload.is_empty() => payload.truncate(g.below(payload.len())),
+        1 if !payload.is_empty() => {
+            for _ in 0..=g.below(3) {
+                let at = g.below(payload.len());
+                payload[at] ^= 1 + g.below(255) as u8;
+            }
+        }
+        2 if !counts.is_empty() => {
+            let (at, width) = counts[g.below(counts.len())];
+            let lie = [0, 1, payload.len() as u64 + 1, u64::MAX, g.next()][g.below(5)];
+            payload[at..at + width].copy_from_slice(&lie.to_be_bytes()[8 - width..]);
+        }
+        _ => op = g.next() as u8,
+    }
+    (op, payload)
+}
+
+/// The reply opcode a request verb succeeds with (`None`: not a request).
+fn reply_opcode(op: u8) -> Option<u8> {
+    Some(match op {
+        opcode::HELLO => opcode::HELLO_OK,
+        opcode::PREPARE => opcode::PREPARED,
+        opcode::BIND => opcode::BOUND,
+        opcode::OPEN => opcode::OPENED,
+        opcode::FETCH | opcode::FETCH_MORE => opcode::ROWS,
+        opcode::CLOSE => opcode::CLOSED,
+        opcode::STATS => opcode::STATS_OK,
+        opcode::INSERT => opcode::INSERTED,
+        _ => return None,
+    })
+}
+
+/// Every well-framed request gets exactly one reply — its verb's reply
+/// opcode or a typed `ERROR` — however its payload is mangled, and the
+/// connection then answers `STATS`.
+fn every_request_gets_one_reply(cases: u64) {
+    let db = fresh_db(50);
+    with_server(&db, ServerConfig::default(), |addr, _| {
+        let mut client = WireClient::connect(addr).unwrap();
+        for case in 0..cases {
+            let mut g = Gen(0x5EED_0000 + case);
+            // A valid re-HELLO resets the connection's state every case.
+            client.hello("fuzz", PlanMode::RankAware, 1, 0, 0).unwrap();
+            let stmt = client.prepare(FUZZ_SQL).unwrap().statement_id;
+            let binding = client
+                .bind(stmt, None, &[(0, Value::from(7))])
+                .unwrap()
+                .binding_id;
+            let cursor = client.open(binding).unwrap().cursor_id;
+            let mut requests = valid_requests(stmt, binding, cursor);
+            let request = requests.swap_remove(g.below(requests.len()));
+            let (op, payload) = mutate(&mut g, request);
+
+            client.send_raw(op, &payload).unwrap();
+            let (reply, body) = client.read_reply().unwrap();
+            if reply == opcode::ERROR {
+                let mut r = ranksql::common::wire::PayloadReader::new(&body);
+                r.u16("code").unwrap();
+                r.str("category").unwrap();
+                r.str("message").unwrap();
+                r.finish().unwrap();
+            } else {
+                assert_eq!(
+                    Some(reply),
+                    reply_opcode(op),
+                    "case {case}: request 0x{op:02x} {payload:02x?}"
+                );
+            }
+            if let Err(e) = client.stats() {
+                panic!("case {case}: request 0x{op:02x} {payload:02x?}, then STATS: {e}");
+            }
+        }
+    });
+}
+
+#[test]
+fn every_well_framed_request_gets_exactly_one_reply() {
+    every_request_gets_one_reply(512);
+}
+
+#[test]
+#[ignore = "100x the cases of the tier-1 test; run in release"]
+fn every_well_framed_request_gets_exactly_one_reply_at_scale() {
+    every_request_gets_one_reply(51_200);
+}
+
+/// `shutdown` ends blocked reads by closing sockets: with 32 idle HELLO'd
+/// connections and one stalled two bytes into a frame header, `serve`
+/// returns `Ok`, on a loopback and on an unspecified bind address alike.
+#[test]
+fn shutdown_closes_idle_and_half_framed_connections() {
+    let db = fresh_db(10);
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(ServerConfig::default().with_addr(bind)).unwrap();
+        let addr = ("127.0.0.1", server.local_addr().unwrap().port());
+        let handle = server.shutdown_handle();
+        std::thread::scope(|scope| {
+            let serving = scope.spawn(|| server.serve(&db));
+            let mut idle: Vec<WireClient> = (0..32)
+                .map(|_| {
+                    let mut client = WireClient::connect(addr).unwrap();
+                    client.hello("idle", PlanMode::RankAware, 0, 0, 0).unwrap();
+                    client
+                })
+                .collect();
+            let mut stalled = WireClient::connect(addr).unwrap();
+            stalled.send_unframed(&[0, 0]).unwrap();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while server.metrics().connections_accepted() < 33 {
+                assert!(std::time::Instant::now() < deadline, "{bind}: not accepted");
+                std::thread::yield_now();
+            }
+            handle.shutdown();
+            assert!(serving.join().unwrap().is_ok(), "{bind}");
+            // The connect that woke `accept` is not a served connection.
+            assert_eq!(server.metrics().connections_accepted(), 33, "{bind}");
+            for client in idle.iter_mut().chain([&mut stalled]) {
+                assert!(client.read_reply().is_err(), "{bind}: still open");
+            }
+        });
+    }
+}
