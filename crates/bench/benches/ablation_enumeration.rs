@@ -44,8 +44,8 @@ fn bench_enumeration(c: &mut Criterion) {
     for (label, heuristic) in [("exhaustive", false), ("heuristic", true)] {
         let stats = dp(heuristic);
         eprintln!(
-            "{label}: {} plans considered, {} sample operators run, {} signatures",
-            stats.plans_considered, stats.operator_runs, stats.signatures_kept
+            "{label}: {} plans considered, {} sample operators run ({} rows), {} signatures",
+            stats.plans_considered, stats.operator_runs, stats.sample_rows, stats.signatures_kept
         );
     }
 

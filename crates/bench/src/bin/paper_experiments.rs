@@ -4,8 +4,8 @@
 //! By default a scaled-down configuration is used so the whole run finishes
 //! in a couple of minutes on a laptop; pass `--full` to use the paper-scale
 //! parameters (s up to 1 000 000 tuples per table — this takes a while).
-//! Pass `--json <path>` to also dump the raw series as JSON (used to refresh
-//! EXPERIMENTS.md).
+//! Pass `--json <path>` to also dump the raw series as one JSON object keyed
+//! by figure id (`fig12a` … `fig13`).
 
 use std::collections::BTreeMap;
 

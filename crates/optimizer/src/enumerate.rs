@@ -46,6 +46,8 @@ pub struct EnumerationStats {
     /// Operators the sampling estimator had run over the samples by the
     /// end of the search ([`SamplingEstimator::operator_runs`]).
     pub operator_runs: usize,
+    /// Rows those operator runs emitted ([`SamplingEstimator::sample_rows`]).
+    pub sample_rows: usize,
 }
 
 /// The best plan found for one `(SR, SP)` signature.
@@ -243,6 +245,7 @@ impl<'a> DpOptimizer<'a> {
             &self.cost_model,
         )?;
         stats.operator_runs = self.estimator.operator_runs();
+        stats.sample_rows = self.estimator.sample_rows();
         Ok(OptimizedPlan {
             plan,
             physical,

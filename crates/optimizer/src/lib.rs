@@ -216,6 +216,7 @@ impl RankOptimizer {
             best.stats = stats;
         }
         best.stats.operator_runs = estimator.operator_runs();
+        best.stats.sample_rows = estimator.sample_rows();
         Ok(best)
     }
 }

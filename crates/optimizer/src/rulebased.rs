@@ -179,6 +179,7 @@ impl<'a> RuleBasedOptimizer<'a> {
             &self.cost_model,
         )?;
         stats.operator_runs = self.estimator.operator_runs();
+        stats.sample_rows = self.estimator.sample_rows();
         Ok(OptimizedPlan {
             plan,
             physical,

@@ -21,31 +21,40 @@
 //!    where `card_s` is the subplan's output cardinality observed during the
 //!    sample execution and `card` its previously estimated cardinality.
 //!
-//! **One operator run per subplan.**  The enumerations ask about thousands
-//! of plans that share their subplans, so estimates are memoised under a
-//! structural key: each node is interned from its own fields and its
-//! inputs' keys, and keys compare for exact equality.  The key leaves the
-//! join algorithm out: all five drain both inputs into the same output
-//! multiset, so `u` and the inputs' `card_s` agree.  Order matters only to
-//! a λ_k, which takes its input's first `k` rows, and `u` there is
-//! `min(k, rows at or above x')` whenever the input arrives in
-//! non-increasing upper-bound order.  In every plan the searches build, a
-//! traditional join's inputs have evaluated no ranking predicate (the
-//! order property of Figure 3 puts a rank-aware join above ranked inputs),
-//! so every stream a λ_k or a µ reads is in that order, whichever member of
-//! a key group recorded it.  The key of a λ_k placed directly over a join
-//! still keeps whether that join is rank-aware.
+//! **One operator run per rank-relation.**  The enumerations ask about
+//! thousands of plans that share their subplans, and the memo has two
+//! levels.  Estimates are memoised under a structural key: each node is
+//! interned from its own fields and its inputs' keys, and only the scaling
+//! above runs per node.  Sample runs are memoised under the rank-relation
+//! the node produces (§3): the base tables it joins, the Boolean conjuncts
+//! applied anywhere below it, and its evaluated ranking predicates `P`.
+//! Plans with the same key emit the same tuples with the same scores,
+//! whatever order their µ's, selections and joins ran in and whichever
+//! join algorithm or access path they use, so `u` and `card_s` — counts
+//! over the output multiset — agree, and one run serves them all.  A
+//! conjunct naming an unqualified column is keyed together with the
+//! tables it resolves against.  A projection, a set operation, a join
+//! naming one table on both sides, and every plan above one, get a key of
+//! their own.
 //!
-//! To estimate a subplan only its root operator runs
-//! ([`build_over_inputs`]); its inputs replay their kept sample outputs in
-//! the order they were recorded.  `card_s(P')` is the input's own output
-//! length, or `min(k, len)` under a λ_k, which is what the limit draws.  An
-//! output is kept only once a parent asks for it as an input, so a subplan
-//! runs at most twice: once when costed, once more if it was costed before
-//! a parent needed its rows.  A kept row is compact — the sample-row index
-//! of each base table it joins plus its score state — and replay rebuilds
-//! the tuple by joining those base rows in schema order, which reproduces
-//! values and identity exactly because `TupleId::combine` is associative.
+//! Order matters only to a λ_k, which takes its input's first `k` rows, so
+//! a λ_k's key is its whole plan.  When its input is rank-ordered — it
+//! evaluated no ranking predicate, or a rank-aware operator set its order
+//! — those `k` rows hold `min(k, u)` at or above `x'`, whichever plan of
+//! the input's relation ran, and no operator runs.  Otherwise, and when a
+//! parent reads its rows, its whole plan executes over the samples.  A
+//! projection keeps its input's counts and runs only when a parent reads
+//! its rows.
+//!
+//! To run a relation only one plan's root operator runs
+//! ([`build_over_inputs`]), over its inputs' recorded outputs.  Each input
+//! replays in the order its relation was recorded but in the column order
+//! of the requesting input's own plan: `B ⋈ A`'s rows feed an `A ⋈ B`
+//! parent as `A‖B`.  A recorded row is compact — the sample-row index of
+//! each base table it joins plus its score state — and replay rebuilds the
+//! tuple by joining those base rows, which reproduces values and identity
+//! exactly because `TupleId::combine` is commutative and associative.
+//! Every run records its rows, so each relation's root runs at most once.
 //!
 //! `x'` comes from [`oracle_top_k_over_rows`] over the sample rows the
 //! estimator holds, which checks each Boolean conjunct as soon as its
@@ -63,8 +72,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use ranksql_algebra::{LogicalPlan, PhysicalOp, PhysicalPlan, RankQuery, ScanAccess, SetOpKind};
 use ranksql_common::{BitSet64, RankSqlError, Result, Schema, Score, Tuple};
+use ranksql_executor::fxhash::FxHashMap;
 use ranksql_executor::{
-    build_over_inputs, oracle_top_k_over_rows, Batch, BoxedOperator, ExecutionContext, Replay,
+    build_over_inputs, execute_plan, oracle_top_k_over_rows, Batch, BoxedOperator,
+    ExecutionContext, Replay,
 };
 use ranksql_expr::{BoolExpr, CompareOp, RankedTuple, RankingContext, ScalarExpr, ScoreState};
 use ranksql_storage::{reservoir_sample, Catalog};
@@ -105,7 +116,8 @@ pub struct SamplingEstimator {
     /// Ranking context used for sample executions (shares the query's
     /// predicates but not its evaluation counters).
     est_ctx: Arc<RankingContext>,
-    /// Interned subplans with their estimates and kept outputs.
+    /// Interned subplans with their estimates, and the rank-relations they
+    /// produce with their recorded outputs.
     memo: Mutex<Memo>,
     /// The nominal sampling ratio requested.
     nominal_ratio: f64,
@@ -126,8 +138,19 @@ struct Samples {
     /// One per query table, in query order.
     tables: Vec<SampleRows>,
     /// Tuples joined from several sample rows, by their tables' positions
-    /// and rows: each is joined once, however many kept outputs replay it.
-    joined: Mutex<HashMap<Vec<u32>, Tuple>>,
+    /// and rows in column order: each is joined once, however many recorded
+    /// outputs replay it.
+    joined: Mutex<FxHashMap<Vec<u32>, Tuple>>,
+}
+
+impl Samples {
+    /// The position of `table`'s sample in `tables`.
+    fn position(&self, table: &str) -> Result<usize> {
+        self.tables
+            .iter()
+            .position(|s| s.table == table)
+            .ok_or_else(|| RankSqlError::Optimizer(format!("no sample of table `{table}`")))
+    }
 }
 
 /// One query table's sample.
@@ -139,21 +162,50 @@ struct SampleRows {
     rows: Vec<Tuple>,
 }
 
-/// The memo: every distinct subplan asked about, by structural key.
+/// The memo's two levels: every distinct subplan asked about, by structural
+/// key, and every distinct rank-relation those subplans produce, with its
+/// recorded sample output.
 #[derive(Default)]
 struct Memo {
-    ids: HashMap<NodeKey<'static>, usize>,
+    ids: FxHashMap<NodeKey<'static>, usize>,
     subplans: Vec<Subplan>,
+    relation_ids: FxHashMap<RelationKey, usize>,
+    relations: Vec<Relation>,
+    /// Boolean conjuncts by id, each with the tables it resolves against
+    /// when it names an unqualified column (no tables otherwise).
+    conjuncts: FxHashMap<(BoolExpr, BitSet64), u32>,
     operator_runs: usize,
+    sample_rows: usize,
 }
 
 /// One interned subplan.
 struct Subplan {
     /// Its inputs' ids, in child order.
     inputs: Vec<usize>,
+    /// The rank-relation it produces, by index into `Memo::relations`.
+    relation: usize,
     estimate: Option<f64>,
-    /// Its sample output, once a parent has asked for it as an input.
+}
+
+/// One rank-relation.
+struct Relation {
+    /// Its key, for parents to extend; `None` when the relation is one
+    /// subplan's own.
+    key: Option<RelationKey>,
+    /// Its sample output, once a run recorded it.
     kept: Option<Arc<Kept>>,
+}
+
+/// A rank-relation `R_P`: every plan with this key emits the same tuples
+/// with the same scores.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct RelationKey {
+    /// Positions in `Samples::tables` of the base tables joined.
+    tables: BitSet64,
+    /// Ids of the Boolean conjuncts applied, sorted and distinct.
+    conjuncts: Vec<u32>,
+    /// The evaluated ranking predicates `P`.
+    evaluated: BitSet64,
 }
 
 /// A subplan's memo key: the node's own fields and its inputs' ids.
@@ -191,12 +243,11 @@ enum NodeKey<'a> {
         input: usize,
         predicates: BitSet64,
     },
-    /// A λ_k takes its input's first `k` rows, so over a join it keeps
-    /// whether the join emits in rank order.
+    /// A λ_k keeps its input's first `k` rows, which depend on the input's
+    /// order, so it is keyed by its whole plan.
     Limit {
         input: usize,
-        k: usize,
-        over_rank_join: bool,
+        plan: String,
     },
 }
 
@@ -241,37 +292,29 @@ impl NodeKey<'_> {
             NodeKey::Rank { input, predicate } => NodeKey::Rank { input, predicate },
             NodeKey::SetOp { kind, left, right } => NodeKey::SetOp { kind, left, right },
             NodeKey::Sort { input, predicates } => NodeKey::Sort { input, predicates },
-            NodeKey::Limit {
-                input,
-                k,
-                over_rank_join,
-            } => NodeKey::Limit {
-                input,
-                k,
-                over_rank_join,
-            },
+            NodeKey::Limit { input, plan } => NodeKey::Limit { input, plan },
         }
     }
 }
 
 impl Memo {
     /// The id of `plan`'s subplan, interning it (and its inputs) if new.
-    fn intern(&mut self, plan: &LogicalPlan) -> usize {
+    fn intern(&mut self, plan: &LogicalPlan, samples: &Samples) -> Result<usize> {
         let key = match plan {
             LogicalPlan::Scan { table, access, .. } => NodeKey::Scan {
                 table: Cow::Borrowed(table),
                 access: Cow::Borrowed(access),
             },
             LogicalPlan::Select { input, predicate } => NodeKey::Select {
-                input: self.intern(input),
+                input: self.intern(input, samples)?,
                 predicate: Cow::Borrowed(predicate),
             },
             LogicalPlan::Project { input, columns } => NodeKey::Project {
-                input: self.intern(input),
+                input: self.intern(input, samples)?,
                 columns: Cow::Borrowed(columns),
             },
             LogicalPlan::Rank { input, predicate } => NodeKey::Rank {
-                input: self.intern(input),
+                input: self.intern(input, samples)?,
                 predicate: *predicate,
             },
             LogicalPlan::Join {
@@ -280,51 +323,140 @@ impl Memo {
                 condition,
                 ..
             } => NodeKey::Join {
-                left: self.intern(left),
-                right: self.intern(right),
+                left: self.intern(left, samples)?,
+                right: self.intern(right, samples)?,
                 condition: condition.as_ref().map(Cow::Borrowed),
             },
             LogicalPlan::SetOp { kind, left, right } => NodeKey::SetOp {
                 kind: *kind,
-                left: self.intern(left),
-                right: self.intern(right),
+                left: self.intern(left, samples)?,
+                right: self.intern(right, samples)?,
             },
             LogicalPlan::Sort { input, predicates } => NodeKey::Sort {
-                input: self.intern(input),
+                input: self.intern(input, samples)?,
                 predicates: *predicates,
             },
-            LogicalPlan::Limit { input, k } => NodeKey::Limit {
-                input: self.intern(input),
-                k: *k,
-                over_rank_join: matches!(
-                    input.as_ref(),
-                    LogicalPlan::Join { algorithm, .. } if algorithm.is_rank_aware()
-                ),
+            LogicalPlan::Limit { input, .. } => NodeKey::Limit {
+                input: self.intern(input, samples)?,
+                plan: format!("{plan:?}"),
             },
         };
         // A map is covariant in its key type, so the owned keys can be
         // probed with a borrowed one.
-        let ids: &HashMap<NodeKey<'_>, usize> = &self.ids;
+        let ids: &FxHashMap<NodeKey<'_>, usize> = &self.ids;
         if let Some(&id) = ids.get(&key) {
-            return id;
+            return Ok(id);
         }
+        let inputs = key.inputs();
+        let relation_key = self.relation_key(plan, &inputs, samples)?;
+        let relation = match relation_key.as_ref().and_then(|k| self.relation_ids.get(k)) {
+            Some(&relation) => relation,
+            None => {
+                let relation = self.relations.len();
+                if let Some(k) = &relation_key {
+                    self.relation_ids.insert(k.clone(), relation);
+                }
+                self.relations.push(Relation {
+                    key: relation_key,
+                    kept: None,
+                });
+                relation
+            }
+        };
         let id = self.subplans.len();
         self.subplans.push(Subplan {
-            inputs: key.inputs(),
+            inputs,
+            relation,
             estimate: None,
-            kept: None,
         });
         self.ids.insert(key.into_owned(), id);
-        id
+        Ok(id)
+    }
+
+    /// The key of the rank-relation `plan` produces, given its inputs'
+    /// ids; `None` for a projection, a set operation, a λ_k, a join naming
+    /// one table on both sides, and any plan over one of those.
+    fn relation_key(
+        &mut self,
+        plan: &LogicalPlan,
+        inputs: &[usize],
+        samples: &Samples,
+    ) -> Result<Option<RelationKey>> {
+        let mut keys = inputs
+            .iter()
+            .map(|&input| self.relations[self.subplans[input].relation].key.clone());
+        let (first, second) = (keys.next().flatten(), keys.next().flatten());
+        Ok(match (plan, first, second) {
+            (LogicalPlan::Scan { table, .. }, _, _) => Some(RelationKey {
+                tables: BitSet64::singleton(samples.position(table)?),
+                conjuncts: Vec::new(),
+                evaluated: plan.evaluated_predicates(),
+            }),
+            (LogicalPlan::Select { predicate, .. }, Some(mut key), _) => {
+                self.add_conjuncts(&mut key, Some(predicate));
+                Some(key)
+            }
+            (LogicalPlan::Rank { predicate, .. }, Some(mut key), _) => {
+                key.evaluated.insert(*predicate);
+                Some(key)
+            }
+            (LogicalPlan::Sort { predicates, .. }, Some(mut key), _) => {
+                key.evaluated = key.evaluated.union(*predicates);
+                Some(key)
+            }
+            (LogicalPlan::Join { condition, .. }, Some(mut key), Some(right))
+                if key.tables.is_disjoint(right.tables) =>
+            {
+                key.tables = key.tables.union(right.tables);
+                key.evaluated = key.evaluated.union(right.evaluated);
+                key.conjuncts.extend(right.conjuncts);
+                self.add_conjuncts(&mut key, condition.as_ref());
+                Some(key)
+            }
+            _ => None,
+        })
+    }
+
+    /// Adds `condition`'s conjuncts to `key`.
+    fn add_conjuncts(&mut self, key: &mut RelationKey, condition: Option<&BoolExpr>) {
+        for conjunct in condition.into_iter().flat_map(BoolExpr::split_conjuncts) {
+            let unqualified = conjunct.columns().iter().any(|c| c.relation.is_none());
+            let scope = if unqualified {
+                key.tables
+            } else {
+                BitSet64::EMPTY
+            };
+            let next = self.conjuncts.len() as u32;
+            key.conjuncts
+                .push(*self.conjuncts.entry((conjunct, scope)).or_insert(next));
+        }
+        key.conjuncts.sort_unstable();
+        key.conjuncts.dedup();
     }
 }
 
-/// A subplan's sample output, kept for the parents that take it as an
-/// input: per row, the sample-row index of every base table it joins (in
-/// schema order) and its score state.
+/// Whether `plan` emits in non-increasing upper-bound order — the contract
+/// of [`PhysicalOperator::is_ranked`](ranksql_executor::PhysicalOperator::is_ranked),
+/// whatever its inputs arrive in: trivially when it evaluated no ranking
+/// predicate, since its rows then share one upper bound, and otherwise when
+/// a rank-scan, a µ, a sort or a rank-aware join set its order.
+fn rank_ordered(plan: &LogicalPlan) -> bool {
+    plan.evaluated_predicates().is_empty()
+        || match plan {
+            LogicalPlan::Scan { .. } | LogicalPlan::Rank { .. } | LogicalPlan::Sort { .. } => true,
+            LogicalPlan::Select { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Limit { input, .. } => rank_ordered(input),
+            LogicalPlan::Join { algorithm, .. } => algorithm.is_rank_aware(),
+            LogicalPlan::SetOp { .. } => false,
+        }
+}
+
+/// A rank-relation's recorded sample output: per row, the sample-row index
+/// of every base table it joins and its score state.
 struct Kept {
     /// Positions in `Samples::tables` of the base tables each row joins, in
-    /// schema order.
+    /// the recording plan's column order.
     leaves: Vec<usize>,
     /// The columns of the joined base rows the output keeps, when a
     /// projection narrowed them.
@@ -333,6 +465,8 @@ struct Kept {
     /// Whether the recording operator emitted in rank order
     /// (`PhysicalOperator::is_ranked`), which a replay reports on.
     ranked: bool,
+    /// `u`: how many rows score at least `x'`.
+    above: usize,
     /// `leaves.len()` sample-row indices per row.
     rows: Vec<u32>,
     states: Vec<ScoreState>,
@@ -363,28 +497,33 @@ impl Kept {
         Ok(())
     }
 
-    /// The tuple of row `i`: its base rows joined in schema order.  `key`
-    /// is scratch for looking the join up in `samples.joined`.
-    fn rebuild(&self, i: usize, samples: &Samples, key: &mut Vec<u32>) -> Option<RankedTuple> {
+    /// The tuple of row `i`: its base rows joined in `order`, positions in
+    /// `leaves`.  `key` is scratch for looking the join up in
+    /// `samples.joined`.
+    fn rebuild(
+        &self,
+        i: usize,
+        order: &[usize],
+        samples: &Samples,
+        key: &mut Vec<u32>,
+    ) -> Option<RankedTuple> {
         let width = self.leaves.len();
         let rows = &self.rows[i * width..(i + 1) * width];
-        let mut bases = self
-            .leaves
-            .iter()
-            .zip(rows)
-            .map(|(&leaf, &row)| &samples.tables[leaf].rows[row as usize]);
-        let first = bases.next()?;
-        let tuple = if width == 1 {
-            first.clone()
+        let base = |j: usize| &samples.tables[self.leaves[j]].rows[rows[j] as usize];
+        let (&first, rest) = order.split_first()?;
+        let tuple = if rest.is_empty() {
+            base(first).clone()
         } else {
             key.clear();
-            key.extend(self.leaves.iter().map(|&leaf| leaf as u32));
-            key.extend_from_slice(rows);
+            key.extend(order.iter().map(|&j| self.leaves[j] as u32));
+            key.extend(order.iter().map(|&j| rows[j]));
             let mut joined = samples.joined.lock();
             match joined.get(key.as_slice()) {
                 Some(tuple) => tuple.clone(),
                 None => {
-                    let tuple = bases.fold(first.clone(), |joined, base| joined.join(base));
+                    let tuple = rest
+                        .iter()
+                        .fold(base(first).clone(), |joined, &j| joined.join(base(j)));
                     joined.insert(key.clone(), tuple.clone());
                     tuple
                 }
@@ -397,14 +536,37 @@ impl Kept {
         Some(RankedTuple::new(tuple, self.states[i].clone()))
     }
 
-    /// An operator replaying the kept rows in recorded order.
-    fn replay(self: &Arc<Self>, samples: &Arc<Samples>) -> BoxedOperator {
+    /// An operator replaying the kept rows in recorded order, each joined
+    /// in the column order of `leaves`, the requesting plan's.
+    fn replay(self: &Arc<Self>, samples: &Arc<Samples>, leaves: &[usize]) -> Result<BoxedOperator> {
+        let order = leaves
+            .iter()
+            .map(|leaf| self.leaves.iter().position(|l| l == leaf))
+            .collect::<Option<Vec<usize>>>()
+            .filter(|order| order.len() == self.leaves.len())
+            .ok_or_else(|| {
+                RankSqlError::Optimizer("a replay asks for other tables than were recorded".into())
+            })?;
+        let schema = if order.iter().enumerate().all(|(i, &j)| i == j) {
+            self.schema.clone()
+        } else {
+            joined_schema(samples, leaves)
+        };
         let (kept, samples, mut key) = (Arc::clone(self), Arc::clone(samples), Vec::new());
         // Every kept output joins at least one base table, so no row is
         // skipped.
-        let rows = (0..kept.len()).filter_map(move |i| kept.rebuild(i, &samples, &mut key));
-        Box::new(Replay::new(self.schema.clone(), rows, self.ranked))
+        let rows = (0..kept.len()).filter_map(move |i| kept.rebuild(i, &order, &samples, &mut key));
+        Ok(Box::new(Replay::new(schema, rows, self.ranked)))
     }
+}
+
+/// The schema of the `leaves`' sample rows joined in that order.
+fn joined_schema(samples: &Samples, leaves: &[usize]) -> Schema {
+    leaves
+        .iter()
+        .map(|&leaf| samples.tables[leaf].schema.clone())
+        .reduce(|a, b| a.join(&b))
+        .unwrap_or_else(Schema::empty)
 }
 
 impl SamplingEstimator {
@@ -524,11 +686,24 @@ impl SamplingEstimator {
         &self.sample_catalog
     }
 
-    /// How many operators the estimator has run over the samples so far —
-    /// one per subplan estimated, plus one per subplan re-run because a
-    /// parent needed the rows of a subplan costed earlier.
+    /// How many operators the estimator has run over the samples so far:
+    /// one root per rank-relation run, plus every operator of a λ_k subtree
+    /// executed whole.
     pub fn operator_runs(&self) -> usize {
         self.memo.lock().operator_runs
+    }
+
+    /// How many rows those operator runs emitted.
+    pub fn sample_rows(&self) -> usize {
+        self.memo.lock().sample_rows
+    }
+
+    /// How many distinct rank-relations the estimator has run over the
+    /// samples so far — each once, by its root operator or, for a λ_k, by
+    /// its whole plan.
+    pub fn rank_relations(&self) -> usize {
+        let memo = self.memo.lock();
+        memo.relations.iter().filter(|r| r.kept.is_some()).count()
     }
 
     /// Full row count of the base table scanned by a scan node.
@@ -557,30 +732,74 @@ impl SamplingEstimator {
         #[cfg(test)]
         self.asked.lock().push(plan.clone());
         let mut memo = self.memo.lock();
-        let id = memo.intern(plan);
-        match memo.subplans[id].estimate {
-            Some(estimate) => Ok(estimate),
-            None => Ok(self.run(&mut memo, id, plan)?.0),
-        }
+        let id = memo.intern(plan, &self.samples)?;
+        self.estimate(&mut memo, id, plan)
     }
 
-    /// Subplan `id`'s estimate and kept sample output, running it if its
-    /// output was not kept yet.
-    fn output(&self, memo: &mut Memo, id: usize, plan: &LogicalPlan) -> Result<(f64, Arc<Kept>)> {
-        let subplan = &memo.subplans[id];
-        if let (Some(estimate), Some(kept)) = (subplan.estimate, &subplan.kept) {
-            return Ok((estimate, Arc::clone(kept)));
+    /// Subplan `id`'s estimate: its rank-relation's `u`, scaled by its
+    /// inputs' estimates and `card_s`.
+    fn estimate(&self, memo: &mut Memo, id: usize, plan: &LogicalPlan) -> Result<f64> {
+        if let Some(estimate) = memo.subplans[id].estimate {
+            return Ok(estimate);
         }
-        let (estimate, kept) = self.run(memo, id, plan)?;
-        let kept = Arc::new(kept);
-        memo.subplans[id].kept = Some(Arc::clone(&kept));
-        Ok((estimate, kept))
-    }
-
-    /// Runs subplan `id`'s root operator over its inputs' kept outputs,
-    /// records its estimate and returns it with the output.
-    fn run(&self, memo: &mut Memo, id: usize, plan: &LogicalPlan) -> Result<(f64, Kept)> {
         let mut inputs = Vec::with_capacity(2);
+        for (input, child) in memo.subplans[id]
+            .inputs
+            .clone()
+            .into_iter()
+            .zip(plan.children())
+        {
+            let estimate = self.estimate(memo, input, child)?;
+            let (_, rows) = self.counts(memo, input, child)?;
+            // A λ_k draws at most `k` rows of its input.
+            let rows = match plan {
+                LogicalPlan::Limit { k, .. } => rows.min(*k),
+                _ => rows,
+            };
+            inputs.push((estimate, rows as f64));
+        }
+        let (u, _) = self.counts(memo, id, plan)?;
+        let estimate = self.scale(plan, u as f64, &inputs)?;
+        memo.subplans[id].estimate = Some(estimate);
+        Ok(estimate)
+    }
+
+    /// `(u, card_s)` of subplan `id`'s rank-relation.  A projection keeps
+    /// its input's rows and scores, and a λ_k over a rank-ordered input
+    /// keeps its first `k` rows, which hold `min(k, u)` at or above `x'`,
+    /// so neither needs a run of its own.
+    fn counts(&self, memo: &mut Memo, id: usize, plan: &LogicalPlan) -> Result<(usize, usize)> {
+        let cap = match plan {
+            LogicalPlan::Project { .. } => Some(usize::MAX),
+            LogicalPlan::Limit { input, k } if rank_ordered(input) => Some(*k),
+            _ => None,
+        };
+        if let (Some(cap), [input]) = (cap, plan.children().as_slice()) {
+            let (u, rows) = self.counts(memo, memo.subplans[id].inputs[0], input)?;
+            return Ok((u.min(cap), rows.min(cap)));
+        }
+        let kept = self.rows(memo, id, plan)?;
+        Ok((kept.above, kept.len()))
+    }
+
+    /// Subplan `id`'s rank-relation's recorded sample output, running the
+    /// subplan if no plan of its relation ran yet.
+    fn rows(&self, memo: &mut Memo, id: usize, plan: &LogicalPlan) -> Result<Arc<Kept>> {
+        let relation = memo.subplans[id].relation;
+        if let Some(kept) = &memo.relations[relation].kept {
+            return Ok(Arc::clone(kept));
+        }
+        let kept = Arc::new(match plan {
+            LogicalPlan::Limit { .. } => self.run_whole(memo, plan)?,
+            _ => self.run(memo, id, plan)?,
+        });
+        memo.relations[relation].kept = Some(Arc::clone(&kept));
+        Ok(kept)
+    }
+
+    /// Runs subplan `id`'s root operator over its inputs' recorded outputs,
+    /// each replayed in its own plan's column order, and records the output.
+    fn run(&self, memo: &mut Memo, id: usize, plan: &LogicalPlan) -> Result<Kept> {
         let mut replays = Vec::with_capacity(2);
         for (input, child) in memo.subplans[id]
             .inputs
@@ -588,31 +807,14 @@ impl SamplingEstimator {
             .into_iter()
             .zip(plan.children())
         {
-            let (estimate, kept) = self.output(memo, input, child)?;
-            let rows = match plan {
-                LogicalPlan::Limit { k, .. } => kept.len().min(*k),
-                _ => kept.len(),
-            };
-            inputs.push((estimate, rows as f64));
-            replays.push(kept.replay(&self.samples));
+            let kept = self.rows(memo, input, child)?;
+            replays.push(kept.replay(&self.samples, &self.leaves(child)?)?);
         }
         let root = PhysicalPlan::unestimated(PhysicalOp::from_logical_node(plan, Vec::new()));
         let exec = ExecutionContext::new(Arc::clone(&self.est_ctx));
         let mut op = build_over_inputs(&root, replays, &self.sample_catalog, &exec)?;
         memo.operator_runs += 1;
-
-        let mut leaves = Vec::new();
-        self.leaves(plan, &mut leaves)?;
-        let schema = op.schema().clone();
-        let mut kept = Kept {
-            projection: self.projection(plan, &leaves, &schema)?,
-            leaves,
-            schema,
-            ranked: op.is_ranked(),
-            rows: Vec::new(),
-            states: Vec::new(),
-        };
-        let mut u = 0usize;
+        let mut kept = self.record(plan, op.schema().clone(), op.is_ranked())?;
         let mut batch = Batch::with_capacity(exec.batch_size());
         loop {
             batch.clear();
@@ -620,15 +822,51 @@ impl SamplingEstimator {
                 break;
             }
             for t in batch.drain(..) {
-                if self.est_ctx.upper_bound(&t.state) >= self.x_threshold {
-                    u += 1;
-                }
-                kept.push(t, &self.samples)?;
+                self.keep(&mut kept, t)?;
             }
         }
-        let estimate = self.scale(plan, u as f64, &inputs)?;
-        memo.subplans[id].estimate = Some(estimate);
-        Ok((estimate, kept))
+        memo.sample_rows += kept.len();
+        Ok(kept)
+    }
+
+    /// Executes a λ_k's whole plan over the samples, as the executor would
+    /// run it, and records the output.
+    fn run_whole(&self, memo: &mut Memo, plan: &LogicalPlan) -> Result<Kept> {
+        let result = execute_plan(plan, &self.sample_catalog, &self.est_ctx)?;
+        let operators = result.metrics.snapshot();
+        memo.operator_runs += operators.len();
+        memo.sample_rows += operators
+            .iter()
+            .map(|m| m.tuples_out() as usize)
+            .sum::<usize>();
+        let mut kept = self.record(plan, plan.schema()?, rank_ordered(plan))?;
+        for t in result.tuples {
+            self.keep(&mut kept, t)?;
+        }
+        Ok(kept)
+    }
+
+    /// An empty record of `plan`'s output, emitted under `schema`.
+    fn record(&self, plan: &LogicalPlan, schema: Schema, ranked: bool) -> Result<Kept> {
+        let leaves = self.leaves(plan)?;
+        Ok(Kept {
+            projection: self.projection(plan, &leaves, &schema)?,
+            leaves,
+            schema,
+            ranked,
+            above: 0,
+            rows: Vec::new(),
+            states: Vec::new(),
+        })
+    }
+
+    /// Records `t` in `kept`, counting it towards `u` if it scores at least
+    /// `x'`.
+    fn keep(&self, kept: &mut Kept, t: RankedTuple) -> Result<()> {
+        if self.est_ctx.upper_bound(&t.state) >= self.x_threshold {
+            kept.above += 1;
+        }
+        kept.push(t, &self.samples)
     }
 
     /// Scales a subplan's `u` sample outputs above `x'` to the full data,
@@ -679,30 +917,24 @@ impl SamplingEstimator {
         Ok(estimate.max(0.0))
     }
 
-    /// Appends the positions in `Samples::tables` of the base tables
-    /// `plan`'s rows join, in schema order (a set operation's rows are its
-    /// left input's).
-    fn leaves(&self, plan: &LogicalPlan, out: &mut Vec<usize>) -> Result<()> {
-        match plan {
-            LogicalPlan::Scan { table, .. } => {
-                let leaf = self
-                    .samples
-                    .tables
-                    .iter()
-                    .position(|s| s.table == *table)
-                    .ok_or_else(|| {
-                        RankSqlError::Optimizer(format!("no sample of table `{table}`"))
-                    })?;
-                out.push(leaf);
-            }
-            LogicalPlan::SetOp { left, .. } => self.leaves(left, out)?,
-            _ => {
-                for child in plan.children() {
-                    self.leaves(child, out)?;
+    /// The positions in `Samples::tables` of the base tables `plan`'s rows
+    /// join, in column order (a set operation's rows are its left input's).
+    fn leaves(&self, plan: &LogicalPlan) -> Result<Vec<usize>> {
+        fn walk(samples: &Samples, plan: &LogicalPlan, out: &mut Vec<usize>) -> Result<()> {
+            match plan {
+                LogicalPlan::Scan { table, .. } => out.push(samples.position(table)?),
+                LogicalPlan::SetOp { left, .. } => walk(samples, left, out)?,
+                _ => {
+                    for child in plan.children() {
+                        walk(samples, child, out)?;
+                    }
                 }
             }
+            Ok(())
         }
-        Ok(())
+        let mut out = Vec::new();
+        walk(&self.samples, plan, &mut out)?;
+        Ok(out)
     }
 
     /// The columns of the `leaves`' joined rows that `schema`, `plan`'s
@@ -720,11 +952,7 @@ impl SamplingEstimator {
         if !projects(plan) {
             return Ok(None);
         }
-        let joined = leaves
-            .iter()
-            .map(|&leaf| self.samples.tables[leaf].schema.clone())
-            .reduce(|a, b| a.join(&b))
-            .unwrap_or_else(Schema::empty);
+        let joined = joined_schema(&self.samples, leaves);
         schema
             .fields()
             .iter()
@@ -1202,10 +1430,16 @@ mod tests {
             );
         }
         assert_eq!(est.operator_runs(), runs, "every plan asked was memoised");
-        assert!(
-            runs <= 2 * distinct,
-            "{runs} operator runs for {distinct} distinct subplans"
-        );
+        // Each relation ran once: its root, or a λ_k over an input in no
+        // rank order its whole plan.
+        let whole: HashMap<String, usize> = asked
+            .iter()
+            .filter(|p| matches!(p, LogicalPlan::Limit { input, .. } if !rank_ordered(input)))
+            .map(|p| (format!("{p:?}"), p.node_count() - 1))
+            .collect();
+        let relations = est.rank_relations();
+        assert_eq!(runs, relations + whole.values().sum::<usize>());
+        assert!(relations < distinct, "the relation key merges plans");
         assert!(distinct < memo.len(), "the memo key merges join algorithms");
     }
 
@@ -1229,10 +1463,38 @@ mod tests {
             )
             .rank(0)
             .limit(3);
+        // One pair joined in both orders, each under a µ and a σ: the
+        // second order's µ runs over the first order's join rows with
+        // their columns swapped, and its own rows feed the σ above it.
+        let ordered = |l: &ranksql_storage::Table, r: &ranksql_storage::Table, p| {
+            LogicalPlan::scan(l)
+                .join(LogicalPlan::scan(r), on_jc.clone(), JoinAlgorithm::Hash)
+                .rank(p)
+                .select(a_b.clone())
+        };
+        // σ over a rank-scan and µ over σ over a seq-scan: the same
+        // rank-relation, recorded in different orders, under a rank-join.
+        let filtered = |a_side: LogicalPlan| {
+            a_side
+                .join(
+                    LogicalPlan::rank_scan(&b, 1),
+                    on_jc.clone(),
+                    JoinAlgorithm::HashRankJoin,
+                )
+                .limit(4)
+        };
+        // A λ_k over a sort-merge join of two rank-scans takes the join's
+        // first rows in join-key order, not in the rank order its
+        // rank-join class-mate recorded.
+        let ranked_pair = |algorithm| {
+            LogicalPlan::rank_scan(&a, 0)
+                .join(LogicalPlan::rank_scan(&b, 1), on_jc.clone(), algorithm)
+                .limit(3)
+        };
         let extra = [
             select(a_b.clone()),
-            select(a_b.negate()),
-            join(on_jc),
+            select(a_b.clone().negate()),
+            join(on_jc.clone()),
             join(None),
             join(Some(BoolExpr::compare(
                 ScalarExpr::col("A.p1"),
@@ -1240,6 +1502,12 @@ mod tests {
                 ScalarExpr::col("B.p2"),
             ))),
             projected,
+            ordered(&a, &b, 0),
+            ordered(&b, &a, 1),
+            filtered(LogicalPlan::rank_scan(&a, 0).select(a_b.clone())),
+            filtered(LogicalPlan::scan(&a).select(a_b.clone()).rank(0)),
+            ranked_pair(JoinAlgorithm::HashRankJoin),
+            ranked_pair(JoinAlgorithm::SortMerge),
         ];
         assert_searches_match_the_reference(&cat, &query, 0.1, &extra);
     }

@@ -70,6 +70,10 @@ fn main() -> ranksql::Result<()> {
             "plans considered: {}, signatures kept: {}, enumeration time: {:?}",
             plan.stats.plans_considered, plan.stats.signatures_kept, plan.stats.elapsed
         );
+        println!(
+            "sample operators run: {}, sample rows emitted: {}",
+            plan.stats.operator_runs, plan.stats.sample_rows
+        );
         println!("estimated cost: {:.1}", plan.cost.value());
         println!("{}", plan.plan.explain(Some(&query.ranking)));
     }

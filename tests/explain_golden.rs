@@ -228,12 +228,12 @@ fn traditional_counts(db: &Database, query: &RankQuery) -> (usize, usize, usize)
 fn traditional_search_counts_are_pinned() {
     let workload = SyntheticWorkload::generate(SyntheticConfig::small(200)).unwrap();
     let db = workload.database().unwrap();
-    assert_eq!(traditional_counts(&db, &workload.query), (35, 7, 26));
+    assert_eq!(traditional_counts(&db, &workload.query), (35, 7, 10));
     let counts: Vec<(usize, usize, usize)> = join_graphs()
         .iter()
         .map(|(_, db, query)| traditional_counts(db, query))
         .collect();
-    assert_eq!(counts, vec![(130, 15, 67), (455, 31, 200), (130, 15, 71)]);
+    assert_eq!(counts, vec![(130, 15, 16), (455, 31, 32), (130, 15, 16)]);
 }
 
 #[test]
