@@ -31,7 +31,7 @@ pub enum ScanAccess {
 /// The paper's plans (Figure 11) mix rank-aware joins (HRJN, NRJN) with
 /// traditional joins (sort-merge, nested loop); the enumeration keeps the
 /// choice explicit on the plan node so costing and execution agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinAlgorithm {
     /// Tuple-at-a-time nested loops (traditional, blocking inner).
     NestedLoop,

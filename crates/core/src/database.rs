@@ -347,7 +347,9 @@ impl Database {
         self.catalog.table(table)?.insert(values)
     }
 
-    /// Inserts many rows into a table.
+    /// Inserts many rows into a table: see
+    /// [`Table::insert_batch`](ranksql_storage::Table::insert_batch) for what
+    /// readers see meanwhile and where a failure stops the batch.
     pub fn insert_batch<I>(&self, table: &str, rows: I) -> Result<usize>
     where
         I: IntoIterator<Item = Vec<Value>>,

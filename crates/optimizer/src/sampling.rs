@@ -70,7 +70,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ranksql_algebra::{LogicalPlan, PhysicalOp, PhysicalPlan, RankQuery, ScanAccess, SetOpKind};
+use ranksql_algebra::{
+    JoinAlgorithm, LogicalPlan, PhysicalOp, PhysicalPlan, RankQuery, ScanAccess, SetOpKind,
+};
 use ranksql_common::{BitSet64, RankSqlError, Result, Schema, Score, Tuple};
 use ranksql_executor::fxhash::FxHashMap;
 use ranksql_executor::{
@@ -244,10 +246,12 @@ enum NodeKey<'a> {
         predicates: BitSet64,
     },
     /// A λ_k keeps its input's first `k` rows, which depend on the input's
-    /// order, so it is keyed by its whole plan.
+    /// order, so it is keyed by its whole plan: its input's id and the
+    /// algorithm of every join below it, in pre-order.
     Limit {
         input: usize,
-        plan: String,
+        k: usize,
+        joins: Vec<JoinAlgorithm>,
     },
 }
 
@@ -292,7 +296,7 @@ impl NodeKey<'_> {
             NodeKey::Rank { input, predicate } => NodeKey::Rank { input, predicate },
             NodeKey::SetOp { kind, left, right } => NodeKey::SetOp { kind, left, right },
             NodeKey::Sort { input, predicates } => NodeKey::Sort { input, predicates },
-            NodeKey::Limit { input, plan } => NodeKey::Limit { input, plan },
+            NodeKey::Limit { input, k, joins } => NodeKey::Limit { input, k, joins },
         }
     }
 }
@@ -336,9 +340,10 @@ impl Memo {
                 input: self.intern(input, samples)?,
                 predicates: *predicates,
             },
-            LogicalPlan::Limit { input, .. } => NodeKey::Limit {
+            LogicalPlan::Limit { input, k } => NodeKey::Limit {
                 input: self.intern(input, samples)?,
-                plan: format!("{plan:?}"),
+                k: *k,
+                joins: join_algorithms(input),
             },
         };
         // A map is covariant in its key type, so the owned keys can be
@@ -433,6 +438,16 @@ impl Memo {
         key.conjuncts.sort_unstable();
         key.conjuncts.dedup();
     }
+}
+
+/// The algorithm of every join in `plan`, in pre-order.
+fn join_algorithms(plan: &LogicalPlan) -> Vec<JoinAlgorithm> {
+    let own = match plan {
+        LogicalPlan::Join { algorithm, .. } => Some(*algorithm),
+        _ => None,
+    };
+    let below = plan.children().into_iter().flat_map(join_algorithms);
+    own.into_iter().chain(below).collect()
 }
 
 /// Whether `plan` emits in non-increasing upper-bound order — the contract
@@ -1022,7 +1037,6 @@ mod tests {
     use crate::cost::CostModel;
     use crate::enumerate::tests::figure9_setup;
     use crate::{optimize_traditional, DpOptimizer, RuleBasedOptimizer};
-    use ranksql_algebra::JoinAlgorithm;
     use ranksql_common::{DataType, Field, Schema, Value};
     use ranksql_executor::execute_plan;
     use ranksql_expr::{BoolExpr, RankPredicate, ScoringFunction};

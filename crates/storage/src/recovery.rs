@@ -13,7 +13,8 @@
 //! durability protocol, anchored on the epoch ordinal (the row-count
 //! watermark) as the LSN:
 //!
-//! 1. every insert appends one WAL record — buffered write, **no fsync**;
+//! 1. an insert appends one WAL record per row, with one `write` per
+//!    segment (the rows up to the next seal boundary), **no fsync**;
 //! 2. at each 1024-row seal boundary: fsync the WAL (rows now durable) →
 //!    append the sealed block's extent(s) to the data file → fsync it →
 //!    atomically rewrite the WAL to hold only the rows past the new extent
@@ -37,7 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ranksql_common::{DataType, Field, RankSqlError, Result, Schema, Tuple, TupleId, Value};
+use ranksql_common::{DataType, Field, RankSqlError, Result, Schema, Tuple, TupleId};
 
 use crate::buffer::BufferPool;
 use crate::catalog::Catalog;
@@ -236,10 +237,11 @@ impl TableStore {
         &self.pool
     }
 
-    /// Appends one row to the WAL (buffered, unsynced — called from
-    /// [`Table::insert`] under the row write lock).
-    pub(crate) fn append_wal(&self, row_index: u64, values: &[Value]) -> Result<()> {
-        self.inner.lock().wal.append(row_index, values)
+    /// Appends one segment to the WAL, row `first_row + i` holding
+    /// `rows[i]`'s values (one write, unsynced — called from
+    /// [`Table::insert_batch`] under the table's write lock).
+    pub(crate) fn append_wal(&self, first_row: u64, rows: &[Tuple]) -> Result<()> {
+        self.inner.lock().wal.append(first_row, rows)
     }
 
     /// The durable blocks as paged slots, in block order.
@@ -293,12 +295,7 @@ impl TableStore {
                 .map_err(|e| io_err("cannot sync table data file", &inner.data_path, e))?;
         }
         let coverage = (first + sealed.len()) * COLUMN_BLOCK_ROWS;
-        let tail: Vec<_> = tail
-            .iter()
-            .enumerate()
-            .map(|(k, t)| ((coverage + k) as u64, t.values()))
-            .collect();
-        inner.wal.rewrite(coverage as u64, &tail)?;
+        inner.wal.rewrite(coverage as u64, tail)?;
         inner.data_len = offset;
         inner.metas.extend(metas.iter().cloned());
         drop(inner);
@@ -588,6 +585,7 @@ mod tests {
     use super::*;
     use crate::column::{ColumnKind, ColumnTable};
     use crate::page::PagedColumn;
+    use ranksql_common::Value;
 
     /// The sealed blocks of `t`'s current epoch.
     fn blocks(t: &Table) -> Arc<ColumnTable> {
@@ -1014,6 +1012,68 @@ mod tests {
         assert_eq!(t.row_count(), COLUMN_BLOCK_ROWS + 1);
         assert_short_tail(&t);
         assert_eq!(row_at(&t, COLUMN_BLOCK_ROWS).values(), &row(last + 1)[..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One WAL write per segment: a block-aligned 1024-row batch is one,
+    /// and of `ingest-paged`'s four 256-row batches from 320 rows past a
+    /// boundary only the one crossing the seal makes two — five a cycle,
+    /// where a write per row made 1 024.
+    #[test]
+    fn an_insert_batch_writes_the_wal_once_per_segment() {
+        let dir = temp_dir("writes");
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.create_table("T", schema()).unwrap();
+        let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
+        let writes = |rows: std::ops::Range<i64>| {
+            let before = store.inner.lock().wal.writes;
+            t.insert_batch(rows.map(row)).unwrap();
+            store.inner.lock().wal.writes - before
+        };
+        assert_eq!(writes(0..1024), 1);
+        assert_eq!(writes(1024..1344), 1);
+        let cycle: Vec<usize> = (0..4)
+            .map(|b| writes(1344 + 256 * b..1600 + 256 * b))
+            .collect();
+        assert_eq!(cycle, vec![1, 1, 2, 1]);
+        assert_eq!(t.row_count(), 2368);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Length and CRC-32 of the data file and of the WAL after a fixed
+    /// sequence of single-row and batched inserts: a seal inside a batch,
+    /// a batch stopped by a bad-arity row and a partial last block.
+    /// Captured with the row-at-a-time write path; the on-disk bytes do
+    /// not depend on how the rows were grouped into writes.
+    #[test]
+    fn insert_sequences_write_the_golden_bytes() {
+        let dir = temp_dir("golden_bytes");
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.create_table("T", schema()).unwrap();
+        for i in 0..300 {
+            t.insert(row(i)).unwrap();
+        }
+        // Seals at row 1024, inside the batch.
+        assert_eq!(t.insert_batch((300..1100).map(row)).unwrap(), 800);
+        t.insert(row(1100)).unwrap();
+        // Crosses row 2048; the bad row stops the batch at row 2100.
+        let bad = (1101..2100).map(row).chain([vec![Value::from(0)]]);
+        assert!(t.insert_batch(bad.chain((2100..2200).map(row))).is_err());
+        assert_eq!(t.row_count(), 2100);
+        assert_eq!(t.insert_batch((2100..2150).map(row)).unwrap(), 50);
+        let digest = |p: PathBuf| {
+            let bytes = std::fs::read(p).unwrap();
+            (bytes.len(), crc32(&bytes))
+        };
+        assert_eq!(
+            (
+                digest(data_path(&dir, t.id())),
+                digest(wal_path(&dir, t.id()))
+            ),
+            ((65_536, 0xebff_3742), (4_912, 0xaf49_4386)),
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -155,6 +155,25 @@ impl DistinctSketch {
         }
     }
 
+    /// Observes many pre-hashed values, leaving the sketch that inserting
+    /// them one by one leaves: the small stage takes them in order, and
+    /// the exact array stage, when they all fit in it, in one sort.
+    pub fn insert_hashes(&mut self, hashes: &[u64]) {
+        let mut rest = hashes;
+        while let (Repr::Small(_), [h, tail @ ..]) = (&self.repr, rest) {
+            self.insert_hash(*h);
+            rest = tail;
+        }
+        match &mut self.repr {
+            Repr::Array(array) if array.len() + rest.len() <= ARRAY_CAPACITY => {
+                array.extend_from_slice(rest);
+                array.sort_unstable();
+                array.dedup();
+            }
+            _ => rest.iter().for_each(|&h| self.insert_hash(h)),
+        }
+    }
+
     /// The estimated number of distinct values observed.
     ///
     /// Exact while the sketch is in the `Small` or `Array` stage (up to
@@ -208,11 +227,7 @@ impl DistinctSketch {
     /// register-wise maximum.
     pub fn merge(&mut self, other: &DistinctSketch) {
         match &other.repr {
-            Repr::Small(hashes) | Repr::Array(hashes) => {
-                for &h in hashes {
-                    self.insert_hash(h);
-                }
-            }
+            Repr::Small(hashes) | Repr::Array(hashes) => self.insert_hashes(hashes),
             Repr::Hll {
                 registers: other_regs,
                 ..
@@ -304,6 +319,27 @@ mod tests {
             s.insert(&Value::from(i as i64));
         }
         s
+    }
+
+    /// Batched inserts leave the sketch one-by-one inserts leave, through
+    /// every stage and across batches that cross a stage's capacity.
+    #[test]
+    fn batched_inserts_equal_one_by_one_inserts() {
+        let mut state = 7u64;
+        let mut hashes = Vec::new();
+        for n in 0..3000u64 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(n);
+            // Repeats keep the dedup honest.
+            hashes.push(if n % 3 == 0 { n / 2 } else { state });
+        }
+        for batch in [1, 5, 16, 17, 100, 1000, 1025, 3000] {
+            let (mut batched, mut single) = (DistinctSketch::new(), DistinctSketch::new());
+            for chunk in hashes.chunks(batch) {
+                batched.insert_hashes(chunk);
+                chunk.iter().for_each(|&h| single.insert_hash(h));
+                assert_eq!(batched, single, "batches of {batch}");
+            }
+        }
     }
 
     #[test]

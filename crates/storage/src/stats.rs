@@ -4,19 +4,19 @@
 //! counts, numeric min/max, boolean true counts and a staged
 //! [`DistinctSketch`] for the NDV.  Summaries are built per 1024-row block
 //! ([`crate::column::COLUMN_BLOCK_ROWS`], the zone-map granularity) and
-//! merged, and [`crate::Table::insert`] folds each new row into them in
-//! place instead of invalidating anything.  Two readers consume it: the
+//! merged, and [`crate::Table::insert_batch`] folds each new row into them
+//! in place instead of invalidating anything.  Two readers consume it: the
 //! sampling estimator's join fallback when a sample join comes out empty,
 //! and the `statistics[T]` lines of `explain_analyze`.
 
 use ranksql_common::{Schema, Tuple, Value};
 
 use crate::column::COLUMN_BLOCK_ROWS;
-use crate::sketch::DistinctSketch;
+use crate::sketch::{stable_value_hash, DistinctSketch};
 
 /// Incrementally maintained summary of one column.
 ///
-/// Everything in here is a streaming aggregate: one value can be folded in
+/// Everything in here is a streaming aggregate: values can be folded in
 /// ([`ColumnSummary::observe`]) and two summaries over disjoint row ranges
 /// can be merged ([`ColumnSummary::merge`]), which is what lets the insert
 /// path keep statistics fresh without rescanning the column.
@@ -55,24 +55,29 @@ impl ColumnSummary {
         }
     }
 
-    /// Folds one value into the summary.
-    pub fn observe(&mut self, v: &Value) {
-        if v.is_null() {
-            self.null_count += 1;
-            return;
-        }
-        self.non_null_count += 1;
-        self.sketch.insert(v);
-        if let Some(x) = v.as_f64() {
-            self.min = Some(self.min.map_or(x, |m| m.min(x)));
-            self.max = Some(self.max.map_or(x, |m| m.max(x)));
-        }
-        if let Value::Bool(b) = v {
-            self.bool_count += 1;
-            if *b {
-                self.true_count += 1;
+    /// Folds values into the summary, in order; the sketch takes their
+    /// hashes in one [`DistinctSketch::insert_hashes`].
+    pub fn observe<'a>(&mut self, values: impl IntoIterator<Item = &'a Value>) {
+        let mut hashes = Vec::new();
+        for v in values {
+            if v.is_null() {
+                self.null_count += 1;
+                continue;
+            }
+            self.non_null_count += 1;
+            hashes.push(stable_value_hash(v));
+            if let Some(x) = v.as_f64() {
+                self.min = Some(self.min.map_or(x, |m| m.min(x)));
+                self.max = Some(self.max.map_or(x, |m| m.max(x)));
+            }
+            if let Value::Bool(b) = v {
+                self.bool_count += 1;
+                if *b {
+                    self.true_count += 1;
+                }
             }
         }
+        self.sketch.insert_hashes(&hashes);
     }
 
     /// Merges a summary over a disjoint row range into this one.
@@ -133,19 +138,18 @@ impl StatsCatalog {
         let mut total = StatsCatalog::empty(schema);
         for block in rows.chunks(COLUMN_BLOCK_ROWS) {
             let mut partial = StatsCatalog::empty(schema);
-            for t in block {
-                partial.observe_row(t.values());
-            }
+            partial.observe_rows(block);
             total.merge(&partial);
         }
         total
     }
 
-    /// Folds one row into the catalog (the insert hot path).
-    pub fn observe_row(&mut self, values: &[Value]) {
-        self.row_count += 1;
-        for (c, v) in self.columns.iter_mut().zip(values) {
-            c.observe(v);
+    /// Folds rows into the catalog (the insert hot path), a column at a
+    /// time.
+    pub fn observe_rows(&mut self, rows: &[Tuple]) {
+        self.row_count += rows.len();
+        for (c, column) in self.columns.iter_mut().enumerate() {
+            column.observe(rows.iter().map(|t| t.value(c)));
         }
     }
 

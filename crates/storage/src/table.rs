@@ -350,58 +350,10 @@ impl Table {
     }
 
     /// Appends a row, validating its arity.  Returns the new row's index.
-    ///
-    /// The write path is append-and-merge, never invalidate-and-rebuild:
-    ///
-    /// * on a paged table the row's WAL record goes first: if the append
-    ///   fails, nothing changed and the insert cleanly errors;
-    /// * the statistics delta partial folds the new row in; at each
-    ///   1024-row boundary the delta is merged into the sealed catalog;
-    /// * the row joins the tail (stable indices — every previously pinned
-    ///   [`TableEpoch`] keeps reading its own tail), and a full tail seals
-    ///   into one new block;
-    /// * indexes are *kept*: an index covers the row prefix it was built
-    ///   over, which is still a valid epoch.  The executor compares
-    ///   [`ScoreIndex::indexed_rows`] / [`BTreeIndex::indexed_rows`]
-    ///   against its pinned epoch's watermark and extends the index over
-    ///   the missing suffix when they differ.
-    ///
-    /// All mutations happen under the table's write lock *after*
-    /// validation, and readers pin under its read lock, so they see either
-    /// the pre-insert or the post-insert epoch.  A failed seal leaves the
-    /// row inserted and WAL-covered — still durable — and the error is
-    /// returned.
+    /// A one-row [`Table::insert_batch`]: see there for what an insert does
+    /// and when it fails.
     pub fn insert(&self, values: Vec<Value>) -> Result<u64> {
-        if values.len() != self.schema.len() {
-            return Err(RankSqlError::Catalog(format!(
-                "row arity {} does not match schema arity {} for table `{}`",
-                values.len(),
-                self.schema.len(),
-                self.name
-            )));
-        }
-        let mut data = self.data.write();
-        let idx = data.row_count() as u64;
-        if let Some(store) = &data.blocks.store {
-            // No fsync here — durability is settled at the seal boundary.
-            store.append_wal(idx, &values)?;
-        }
-        if self.has_stats.load(Ordering::Acquire) {
-            if let Some(pair) = self.stats.write().as_mut() {
-                pair.delta.observe_row(&values);
-                pair.merged = None;
-                if (pair.sealed.row_count + pair.delta.row_count) % COLUMN_BLOCK_ROWS == 0 {
-                    // Seal boundary: fold the delta partial into the sealed
-                    // catalog (build fully before swapping, so a panic can
-                    // never leave a torn catalog behind).
-                    pair.sealed = StatsPair::merge(&pair.sealed, &pair.delta);
-                    pair.delta = StatsCatalog::empty(&self.schema);
-                }
-            }
-        }
-        Arc::make_mut(&mut data.tail).push(Tuple::new(TupleId::base(self.id, idx), values));
-        self.seal(&mut data)?;
-        Ok(idx)
+        self.append(std::iter::once(values)).map(|(_, last)| last)
     }
 
     /// Seals every full block's worth of the tail (one block at each
@@ -430,17 +382,123 @@ impl Table {
         Ok(())
     }
 
-    /// Appends many rows.
+    /// Appends many rows, validating each one's arity, and returns how many
+    /// were appended.
+    ///
+    /// The rows go in a *segment* at a time: the run of rows up to the next
+    /// 1024-row seal boundary, so a segment never spans a seal.  Each
+    /// segment is one hold of the table's write lock, and the write path is
+    /// append-and-merge, never invalidate-and-rebuild:
+    ///
+    /// * on a paged table the segment's WAL records go first, in one write:
+    ///   no row joins the tail before its record is written, and a failed
+    ///   write leaves the log, the table and its statistics as they were;
+    /// * the statistics delta partial folds the rows in under one hold of
+    ///   the statistics lock; at each 1024-row boundary the delta is merged
+    ///   into the sealed catalog;
+    /// * the rows join the tail in one extend (stable indices — every
+    ///   previously pinned [`TableEpoch`] keeps reading its own tail), and a
+    ///   full tail seals into one new block;
+    /// * indexes are *kept*: an index covers the row prefix it was built
+    ///   over, which is still a valid epoch.  The executor compares
+    ///   [`ScoreIndex::indexed_rows`] / [`BTreeIndex::indexed_rows`]
+    ///   against its pinned epoch's watermark and extends the index over
+    ///   the missing suffix when they differ.
+    ///
+    /// Readers pin under the read lock, so they see whole segments appear:
+    /// every epoch is the table as it was between two segments.  A row of
+    /// the wrong arity ends the batch: the rows before it are appended and
+    /// its error is returned.  So is a failed WAL write's, with the segment
+    /// it was writing left out, and a failed seal's, which leaves the
+    /// segment in the tail, WAL-covered and still durable; the rows after
+    /// either failure are not appended.
     pub fn insert_batch<I>(&self, batch: I) -> Result<usize>
     where
         I: IntoIterator<Item = Vec<Value>>,
     {
-        let mut n = 0;
-        for row in batch {
-            self.insert(row)?;
-            n += 1;
+        self.append(batch).map(|(n, _)| n)
+    }
+
+    /// The segment loop of [`Table::insert_batch`]: returns how many rows
+    /// were appended and the index of the last one.
+    fn append<I>(&self, batch: I) -> Result<(usize, u64)>
+    where
+        I: IntoIterator<Item = Vec<Value>>,
+    {
+        let mut rows = batch.into_iter();
+        let (mut pending, mut segment) = (Vec::new(), Vec::new());
+        let mut bad = None;
+        let (mut appended, mut last) = (0, 0);
+        let mut room = COLUMN_BLOCK_ROWS;
+        loop {
+            // Pulled outside the lock: the caller's iterator may read this
+            // table.
+            while bad.is_none() && pending.len() < room {
+                match rows.next() {
+                    Some(values) if values.len() != self.schema.len() => {
+                        bad = Some(RankSqlError::Catalog(format!(
+                            "row arity {} does not match schema arity {} for table `{}`",
+                            values.len(),
+                            self.schema.len(),
+                            self.name
+                        )));
+                    }
+                    Some(values) => pending.push(values),
+                    None => break,
+                }
+            }
+            if pending.is_empty() {
+                break;
+            }
+            let mut data = self.data.write();
+            let first = data.row_count();
+            // `room` is a guess: the first pull and concurrent writers do
+            // not know the boundary.
+            let n = pending
+                .len()
+                .min(COLUMN_BLOCK_ROWS - first % COLUMN_BLOCK_ROWS);
+            segment.extend(
+                pending
+                    .drain(..n)
+                    .zip(first as u64..)
+                    .map(|(values, idx)| Tuple::new(TupleId::base(self.id, idx), values)),
+            );
+            if let Some(store) = &data.blocks.store {
+                // No fsync here — durability is settled at the seal boundary.
+                store.append_wal(first as u64, &segment)?;
+            }
+            self.observe(&segment);
+            Arc::make_mut(&mut data.tail).append(&mut segment);
+            (appended, last) = (appended + n, (first + n - 1) as u64);
+            self.seal(&mut data)?;
+            room = COLUMN_BLOCK_ROWS - data.row_count() % COLUMN_BLOCK_ROWS;
         }
-        Ok(n)
+        match bad {
+            Some(e) => Err(e),
+            None => Ok((appended, last)),
+        }
+    }
+
+    /// Folds a segment's rows into the statistics delta, when a catalog
+    /// was ever built.  The catalog covers every row of the table (it is
+    /// built and folded under the table's lock), so a segment ends at or
+    /// before its 1024-row boundary, where the delta merges into the sealed
+    /// catalog.
+    fn observe(&self, segment: &[Tuple]) {
+        if !self.has_stats.load(Ordering::Acquire) {
+            return;
+        }
+        if let Some(pair) = self.stats.write().as_mut() {
+            pair.delta.observe_rows(segment);
+            pair.merged = None;
+            if (pair.sealed.row_count + pair.delta.row_count) % COLUMN_BLOCK_ROWS == 0 {
+                // Seal boundary: fold the delta partial into the sealed
+                // catalog (build fully before swapping, so a panic can
+                // never leave a torn catalog behind).
+                pair.sealed = StatsPair::merge(&pair.sealed, &pair.delta);
+                pair.delta = StatsCatalog::empty(&self.schema);
+            }
+        }
     }
 
     /// A snapshot of all tuples, for tests, tools and benchmarks: engine
@@ -489,14 +547,11 @@ impl Table {
         let aligned = n / COLUMN_BLOCK_ROWS * COLUMN_BLOCK_ROWS;
         // Per-block partials, folded the way `StatsCatalog::build` does.
         let mut sealed = StatsCatalog::empty(&self.schema);
-        let mut partial = StatsCatalog::empty(&self.schema);
-        epoch.read(0..aligned, |t| {
-            partial.observe_row(t.values());
-            if partial.row_count == COLUMN_BLOCK_ROWS {
-                sealed.merge(&partial);
-                partial = StatsCatalog::empty(&self.schema);
-            }
-        })?;
+        for start in (0..aligned).step_by(COLUMN_BLOCK_ROWS) {
+            let mut partial = StatsCatalog::empty(&self.schema);
+            partial.observe_rows(&epoch.tuples(start..start + COLUMN_BLOCK_ROWS)?);
+            sealed.merge(&partial);
+        }
         let delta = StatsCatalog::build(&self.schema, &epoch.tuples(aligned..n)?);
         let mut pair = StatsPair {
             sealed,

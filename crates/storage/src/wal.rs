@@ -14,20 +14,24 @@
 //! the two leading words, `crc32` guards it.  Replay accepts the longest
 //! valid record prefix and stops at the first torn record.
 //!
-//! Durability protocol (see [`crate::recovery::TableStore`]): every insert
-//! appends one record with a plain buffered `write` — **no fsync** — and
-//! each 1024-row seal boundary fsyncs the log before the sealed block's
-//! extent is appended to the data file, then atomically rewrites the log to
-//! hold only the remaining tail rows (write `wal.new`, fsync, rename).  The
-//! epoch ordinal (the row-count watermark) is the LSN anchor: a record for
-//! row `r` is LSN `r + 1`, and recovery replays records with
+//! Durability protocol (see [`crate::recovery::TableStore`]): an insert
+//! appends its rows a *segment* at a time — the run of rows up to the next
+//! 1024-row seal boundary — encoding one record per row into one reused
+//! buffer and handing the kernel the whole segment in a single `write`,
+//! **no fsync**.  A failed write sets the log back to its pre-append
+//! length, so no torn record or record of an uninserted row stays behind.
+//! Each seal boundary fsyncs the log before the sealed block's extent is
+//! appended to the data file, then atomically rewrites the log to hold only
+//! the remaining tail rows (write `wal.new`, fsync, rename).  The epoch
+//! ordinal (the row-count watermark) is the LSN anchor: a record for row
+//! `r` is LSN `r + 1`, and recovery replays records with
 //! `row_index >= extent coverage` on top of the decoded extents.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use ranksql_common::{RankSqlError, Result, Value};
+use ranksql_common::{RankSqlError, Result, Tuple, Value};
 
 use crate::page::{crc32, decode_value, encode_value, put_u32, put_u64, Reader};
 
@@ -48,6 +52,17 @@ pub(crate) struct WalFile {
     file: File,
     path: PathBuf,
     table_id: u32,
+    /// The log's length: where the next append starts, and what a failed
+    /// append rolls back to.
+    len: u64,
+    /// Set when a failed append could not be rolled back: the log may end
+    /// in a torn record, so every later append is refused.
+    broken: bool,
+    /// The encode buffer of one segment, reused across appends.
+    buf: Vec<u8>,
+    /// Segment writes issued, for the tests that count them.
+    #[cfg(test)]
+    pub(crate) writes: usize,
 }
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> RankSqlError {
@@ -62,21 +77,40 @@ fn header_bytes(table_id: u32, base_row: u64) -> Vec<u8> {
     out
 }
 
-fn record_bytes(row_index: u64, values: &[Value]) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_u64(&mut body, row_index);
-    put_u32(&mut body, values.len() as u32);
-    for v in values {
-        encode_value(&mut body, v);
+/// Appends the records of `rows` — row `first_row + i` holding
+/// `rows[i]`'s values — to `out`, encoding each in place: its two leading
+/// words are reserved, the body written after them, then the words filled
+/// in.
+fn encode_records(out: &mut Vec<u8>, first_row: u64, rows: &[Tuple]) {
+    for (row_index, tuple) in (first_row..).zip(rows) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 8]);
+        put_u64(out, row_index);
+        put_u32(out, tuple.values().len() as u32);
+        for v in tuple.values() {
+            encode_value(out, v);
+        }
+        let body = &out[start + 8..];
+        let (len, crc) = (body.len() as u32, crc32(body));
+        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     }
-    let mut out = Vec::with_capacity(8 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
-    out
 }
 
 impl WalFile {
+    fn new(file: File, path: PathBuf, table_id: u32, len: u64) -> WalFile {
+        WalFile {
+            file,
+            path,
+            table_id,
+            len,
+            broken: false,
+            buf: Vec::new(),
+            #[cfg(test)]
+            writes: 0,
+        }
+    }
+
     /// Creates a fresh WAL at `path` with `base_row = 0`, truncating any
     /// existing file.
     pub(crate) fn create(path: PathBuf, table_id: u32) -> Result<WalFile> {
@@ -91,11 +125,7 @@ impl WalFile {
             .map_err(|e| io_err("cannot write WAL header", &path, e))?;
         file.sync_all()
             .map_err(|e| io_err("cannot sync WAL", &path, e))?;
-        Ok(WalFile {
-            file,
-            path,
-            table_id,
-        })
+        Ok(WalFile::new(file, path, table_id, HEADER_LEN as u64))
     }
 
     /// Opens an existing WAL (an atomically renamed `wal.new` left by an
@@ -176,22 +206,57 @@ impl WalFile {
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("cannot seek WAL", &path, e))?;
         Ok((
-            WalFile {
-                file,
-                path,
-                table_id,
-            },
+            WalFile::new(file, path, table_id, valid_len as u64),
             base_row,
             records,
         ))
     }
 
-    /// Appends one record with a buffered write — **no fsync**; durability
-    /// arrives at the next seal-boundary [`WalFile::sync`].
-    pub(crate) fn append(&mut self, row_index: u64, values: &[Value]) -> Result<()> {
-        self.file
-            .write_all(&record_bytes(row_index, values))
-            .map_err(|e| io_err("cannot append to WAL", &self.path, e))
+    /// Appends one segment's records, row `first_row + i` holding
+    /// `rows[i]`'s values, with a single `write` — **no fsync**; durability
+    /// arrives at the next seal-boundary [`WalFile::sync`].  On a failed
+    /// write the log is set back to its length before the call through a
+    /// fresh handle, so it holds no part of the segment; if that fails too,
+    /// this and every later append is refused with a `Storage` error.
+    pub(crate) fn append(&mut self, first_row: u64, rows: &[Tuple]) -> Result<()> {
+        if self.broken {
+            return Err(RankSqlError::Storage(format!(
+                "WAL `{}` refuses appends: a failed append could not be rolled back",
+                self.path.display()
+            )));
+        }
+        self.buf.clear();
+        encode_records(&mut self.buf, first_row, rows);
+        #[cfg(test)]
+        {
+            self.writes += 1;
+        }
+        match self.file.write_all(&self.buf) {
+            Ok(()) => {
+                self.len += self.buf.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                let err = io_err("cannot append to WAL", &self.path, e);
+                if let Err(undo) = self.roll_back() {
+                    self.broken = true;
+                    return Err(RankSqlError::Storage(format!(
+                        "{err}; rolling it back failed: {undo}"
+                    )));
+                }
+                Err(err)
+            }
+        }
+    }
+
+    /// Truncates the log to `self.len` through a fresh handle, which then
+    /// replaces the one a write failed on.
+    fn roll_back(&mut self) -> std::io::Result<()> {
+        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
+        file.set_len(self.len)?;
+        file.seek(SeekFrom::Start(self.len))?;
+        self.file = file;
+        Ok(())
     }
 
     /// Fsyncs the log — the durability point of every row appended since
@@ -203,37 +268,31 @@ impl WalFile {
     }
 
     /// Atomically replaces the log with one holding `base_row` and only
-    /// `tail` (the rows past the new extent coverage): the new content is
-    /// written to a side file, fsynced, then renamed over the log — a crash
-    /// anywhere leaves either the complete old log or the complete new one.
-    pub(crate) fn rewrite(&mut self, base_row: u64, tail: &[(u64, &[Value])]) -> Result<()> {
+    /// `tail`, the rows from `base_row` on (past the new extent coverage):
+    /// the new content is written to a side file, fsynced, then renamed
+    /// over the log — a crash anywhere leaves either the complete old log or
+    /// the complete new one.
+    pub(crate) fn rewrite(&mut self, base_row: u64, tail: &[Tuple]) -> Result<()> {
         let tmp = rewrite_path(&self.path);
         let mut out = header_bytes(self.table_id, base_row);
-        for (row, values) in tail {
-            out.extend_from_slice(&record_bytes(*row, values));
-        }
-        {
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)
-                .map_err(|e| io_err("cannot create WAL rewrite", &tmp, e))?;
-            f.write_all(&out)
-                .map_err(|e| io_err("cannot write WAL rewrite", &tmp, e))?;
-            f.sync_all()
-                .map_err(|e| io_err("cannot sync WAL rewrite", &tmp, e))?;
-        }
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| io_err("cannot rename WAL rewrite", &self.path, e))?;
-        self.file = OpenOptions::new()
+        encode_records(&mut out, base_row, tail);
+        let mut f = OpenOptions::new()
             .read(true)
             .write(true)
-            .open(&self.path)
-            .map_err(|e| io_err("cannot reopen WAL", &self.path, e))?;
-        self.file
-            .seek(SeekFrom::End(0))
-            .map_err(|e| io_err("cannot seek WAL", &self.path, e))?;
+            .create(true)
+            .truncate(true)
+            .open(&tmp)
+            .map_err(|e| io_err("cannot create WAL rewrite", &tmp, e))?;
+        f.write_all(&out)
+            .map_err(|e| io_err("cannot write WAL rewrite", &tmp, e))?;
+        f.sync_all()
+            .map_err(|e| io_err("cannot sync WAL rewrite", &tmp, e))?;
+        std::fs::rename(&tmp, &self.path)
+            .map_err(|e| io_err("cannot rename WAL rewrite", &self.path, e))?;
+        // The side file's handle, at its end, is the log's from here on: no
+        // reopen can fail and leave appends going to the replaced file.
+        self.file = f;
+        self.len = out.len() as u64;
         Ok(())
     }
 }
@@ -247,6 +306,7 @@ fn rewrite_path(path: &Path) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ranksql_common::TupleId;
 
     fn temp_wal(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -259,14 +319,30 @@ mod tests {
         vec![Value::from(i), Value::from(i as f64 / 10.0)]
     }
 
+    /// Rows `range` as tuples holding [`row`]'s values.
+    fn rows(range: std::ops::Range<i64>) -> Vec<Tuple> {
+        range
+            .map(|i| Tuple::new(TupleId::base(0, i as u64), row(i)))
+            .collect()
+    }
+
+    fn record_bytes(row_index: u64, values: Vec<Value>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_records(
+            &mut out,
+            row_index,
+            &[Tuple::new(TupleId::base(0, row_index), values)],
+        );
+        out
+    }
+
     #[test]
     fn append_sync_reopen_replays_records() {
         let path = temp_wal("replay");
         {
             let mut wal = WalFile::create(path.clone(), 3).unwrap();
-            for i in 0..5 {
-                wal.append(i as u64, &row(i)).unwrap();
-            }
+            wal.append(0, &rows(0..2)).unwrap();
+            wal.append(2, &rows(2..5)).unwrap();
             wal.sync().unwrap();
         }
         let (_wal, base, records) = WalFile::open(path.clone(), 3).unwrap();
@@ -282,9 +358,7 @@ mod tests {
         let path = temp_wal("torn");
         {
             let mut wal = WalFile::create(path.clone(), 1).unwrap();
-            for i in 0..3 {
-                wal.append(i as u64, &row(i)).unwrap();
-            }
+            wal.append(0, &rows(0..3)).unwrap();
             wal.sync().unwrap();
         }
         // Chop bytes off the last record.
@@ -293,7 +367,7 @@ mod tests {
         let (mut wal, _, records) = WalFile::open(path.clone(), 1).unwrap();
         assert_eq!(records.len(), 2, "torn third record dropped");
         // The truncated log accepts fresh appends cleanly.
-        wal.append(2, &row(2)).unwrap();
+        wal.append(2, &rows(2..3)).unwrap();
         wal.sync().unwrap();
         drop(wal);
         let (_, _, records) = WalFile::open(path.clone(), 1).unwrap();
@@ -304,16 +378,12 @@ mod tests {
     #[test]
     fn rewrite_keeps_only_the_tail_atomically() {
         let path = temp_wal("rewrite");
-        let values = row(7);
         {
             let mut wal = WalFile::create(path.clone(), 2).unwrap();
-            for i in 0..10 {
-                wal.append(i as u64, &row(i)).unwrap();
-            }
-            let tail: Vec<(u64, &[Value])> = vec![(8, values.as_slice()), (9, values.as_slice())];
-            wal.rewrite(8, &tail).unwrap();
+            wal.append(0, &rows(0..10)).unwrap();
+            wal.rewrite(8, &rows(8..10)).unwrap();
             // The rewritten log accepts appends.
-            wal.append(10, &row(10)).unwrap();
+            wal.append(10, &rows(10..11)).unwrap();
             wal.sync().unwrap();
         }
         let (_wal, base, records) = WalFile::open(path.clone(), 2).unwrap();
@@ -330,7 +400,7 @@ mod tests {
         let path = temp_wal("orphan");
         {
             let mut wal = WalFile::create(path.clone(), 4).unwrap();
-            wal.append(0, &row(0)).unwrap();
+            wal.append(0, &rows(0..1)).unwrap();
             wal.sync().unwrap();
         }
         // Simulate a crash mid-rewrite: a half-written temp beside the log.
@@ -366,7 +436,7 @@ mod tests {
 
     #[test]
     fn golden_record_replays_and_re_encodes_byte_for_byte() {
-        assert_eq!(record_bytes(1_048_577, &golden_values()), GOLDEN_RECORD);
+        assert_eq!(record_bytes(1_048_577, golden_values()), GOLDEN_RECORD);
         let path = temp_wal("golden");
         let mut bytes = header_bytes(8, 0);
         bytes.extend_from_slice(&GOLDEN_RECORD);
@@ -374,8 +444,9 @@ mod tests {
         let (_wal, _, records) = WalFile::open(path.clone(), 8).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].row_index, 1_048_577);
+        let replayed = records.into_iter().next().unwrap();
         assert_eq!(
-            record_bytes(records[0].row_index, &records[0].values),
+            record_bytes(replayed.row_index, replayed.values),
             GOLDEN_RECORD
         );
         let _ = std::fs::remove_file(&path);
@@ -389,5 +460,61 @@ mod tests {
         }
         assert!(WalFile::open(path.clone(), 6).is_err());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A segment encodes to its rows' single-row records, back to back.
+    #[test]
+    fn a_segment_is_its_rows_records_concatenated() {
+        let mut segment = Vec::new();
+        encode_records(&mut segment, 40, &rows(40..43));
+        let singles: Vec<u8> = (40..43)
+            .flat_map(|i| record_bytes(i as u64, row(i)))
+            .collect();
+        assert_eq!(segment, singles);
+    }
+
+    /// A failed append leaves the log as it was: bytes a short write left
+    /// behind (here written through a second handle: a complete record of
+    /// a row never inserted, then a torn one) are truncated away, and the
+    /// log keeps accepting appends.
+    #[test]
+    fn a_failed_append_rolls_the_log_back() {
+        let path = temp_wal("rollback");
+        let mut wal = WalFile::create(path.clone(), 6).unwrap();
+        wal.append(0, &rows(0..3)).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let mut stray = OpenOptions::new().append(true).open(&path).unwrap();
+        stray.write_all(&record_bytes(3, row(3))).unwrap();
+        stray.write_all(&record_bytes(4, row(4))[..9]).unwrap();
+        // A handle that rejects writes.
+        wal.file = File::open(&path).unwrap();
+        let err = wal.append(3, &rows(3..5)).unwrap_err();
+        assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        wal.append(3, &rows(3..4)).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (_, _, records) = WalFile::open(path.clone(), 6).unwrap();
+        let replayed: Vec<u64> = records.iter().map(|r| r.row_index).collect();
+        assert_eq!(replayed, vec![0, 1, 2, 3]);
+        assert_eq!(records[3].values, row(3));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A log whose failed append cannot be rolled back — `/dev/full`
+    /// rejects every write and cannot be truncated — refuses every later
+    /// append with a typed error.
+    #[test]
+    fn a_log_that_cannot_roll_back_refuses_appends() {
+        let path = PathBuf::from("/dev/full");
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        let mut wal = WalFile::new(file, path, 7, HEADER_LEN as u64);
+        let err = wal.append(0, &rows(0..2)).unwrap_err();
+        assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
+        assert!(err.to_string().contains("rolling it back failed"), "{err}");
+        let err = wal.append(0, &rows(0..2)).unwrap_err();
+        assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
+        assert!(err.to_string().contains("refuses appends"), "{err}");
+        assert_eq!(wal.writes, 1, "a refused append writes nothing");
     }
 }

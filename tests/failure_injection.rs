@@ -551,55 +551,36 @@ fn kill_row(i: i64) -> Vec<Value> {
     ]
 }
 
-/// Kill-and-recover: a child process inserts a 3000-row burst into a paged
-/// database and `abort()`s without any orderly shutdown.  Reopening the
-/// directory must land on the last durable epoch: at least everything up to
-/// the last sealed-block fsync boundary (row 2048), never a torn or
-/// reordered prefix, and the recovered table must answer queries
-/// byte-identically to an in-memory database loaded with the same rows.
-#[test]
-fn killed_writer_process_recovers_to_the_last_durable_epoch() {
-    // ---- child half: populate and die. -----------------------------------
-    if let Ok(dir) = std::env::var(KILL_DIR_ENV) {
-        let db = Database::open_paged(&dir).unwrap();
-        db.create_table(
-            "K",
-            Schema::new(vec![
-                Field::new("id", DataType::Int64),
-                Field::new("p", DataType::Float64),
-            ]),
-        )
-        .unwrap();
-        for i in 0..3000i64 {
-            db.insert("K", kill_row(i)).unwrap();
-        }
-        // No drop, no flush, no unwinding — the process dies right here,
-        // with 952 rows past the last seal boundary sitting in the WAL.
-        std::process::abort();
-    }
+fn kill_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("id", DataType::Int64),
+        Field::new("p", DataType::Float64),
+    ])
+}
 
-    // ---- parent half: spawn the victim, then verify recovery. ------------
-    let dir = std::env::temp_dir().join(format!("ranksql-kill-{}", std::process::id()));
+/// Re-runs this test binary as the victim of `test`, writing to a fresh
+/// database directory, and returns that directory and the victim's exit
+/// status.
+fn spawn_victim(test: &str) -> (std::path::PathBuf, std::process::ExitStatus) {
+    let dir = std::env::temp_dir().join(format!("ranksql-kill-{}-{test}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let status = std::process::Command::new(std::env::current_exe().unwrap())
-        .arg("killed_writer_process_recovers_to_the_last_durable_epoch")
+        .arg(test)
         .arg("--exact")
         .arg("--nocapture")
         .env(KILL_DIR_ENV, &dir)
         .status()
         .unwrap();
-    assert!(!status.success(), "the victim child must have aborted");
+    (dir, status)
+}
 
-    let db = Database::open_paged(&dir).unwrap();
+/// Asserts that the recovered table `K` holds exactly `kill_row(0..n)` for
+/// its row count `n`, answers a top-k byte-identically to an in-memory
+/// database loaded with those rows, and keeps a further insert across a
+/// second reopen.  Returns `n`.
+fn assert_recovered_prefix(db: Database, dir: &std::path::Path) -> usize {
     let table = db.catalog().table("K").unwrap();
     let recovered = table.row_count();
-    // Everything up to the last WAL fsync (the 2048-row seal boundary) is
-    // guaranteed; rows beyond it survive exactly as far as their appends
-    // reached the OS, but never torn and never beyond what was inserted.
-    assert!(
-        (2048..=3000).contains(&recovered),
-        "recovered {recovered} rows, durable floor is 2048"
-    );
     // Prefix equality: recovery must yield *the* inserted rows, in order.
     for (i, tuple) in table.scan().iter().enumerate() {
         assert_eq!(
@@ -641,13 +622,89 @@ fn killed_writer_process_recovers_to_the_last_durable_epoch() {
 
     // And the recovered database accepts further writes that persist.
     db.insert("K", kill_row(recovered as i64)).unwrap();
-    drop(db);
-    let db = Database::open_paged(&dir).unwrap();
+    drop((table, db));
+    let db = Database::open_paged(dir).unwrap();
     assert_eq!(
         db.catalog().table("K").unwrap().row_count(),
         recovered + 1,
         "post-recovery insert lost on the second reopen"
     );
+    recovered
+}
+
+/// Kill-and-recover: a child process inserts a 3000-row burst into a paged
+/// database and `abort()`s without any orderly shutdown.  Reopening the
+/// directory must land on the last durable epoch: at least everything up to
+/// the last sealed-block fsync boundary (row 2048), never a torn or
+/// reordered prefix, and the recovered table must answer queries
+/// byte-identically to an in-memory database loaded with the same rows.
+#[test]
+fn killed_writer_process_recovers_to_the_last_durable_epoch() {
+    // ---- child half: populate and die. -----------------------------------
+    if let Ok(dir) = std::env::var(KILL_DIR_ENV) {
+        let db = Database::open_paged(&dir).unwrap();
+        db.create_table("K", kill_schema()).unwrap();
+        for i in 0..3000i64 {
+            db.insert("K", kill_row(i)).unwrap();
+        }
+        // No drop, no flush, no unwinding — the process dies right here,
+        // with 952 rows past the last seal boundary sitting in the WAL.
+        std::process::abort();
+    }
+
+    // ---- parent half: spawn the victim, then verify recovery. ------------
+    let (dir, status) = spawn_victim("killed_writer_process_recovers_to_the_last_durable_epoch");
+    assert!(!status.success(), "the victim child must have aborted");
+
+    let db = Database::open_paged(&dir).unwrap();
+    let recovered = db.catalog().table("K").unwrap().row_count();
+    // Everything up to the last WAL fsync (the 2048-row seal boundary) is
+    // guaranteed; rows beyond it survive exactly as far as their appends
+    // reached the OS, but never torn and never beyond what was inserted.
+    assert!(
+        (2048..=3000).contains(&recovered),
+        "recovered {recovered} rows, durable floor is 2048"
+    );
+    assert_recovered_prefix(db, &dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Kill-and-recover through `insert_batch`: the child appends 13 batches of
+/// 256 rows (crossing three seals and ending mid-block), then a batch whose
+/// row 100 has the wrong arity — which appends the 100 rows before it and
+/// fails — and `abort()`s.  A process's death keeps every `write` it
+/// completed, so recovery lands on exactly the acknowledged rows.
+#[test]
+fn killed_batch_writer_recovers_exactly_the_acknowledged_rows() {
+    const BATCH: i64 = 256;
+    const ACKNOWLEDGED: usize = 13 * BATCH as usize + 100;
+    // ---- child half: populate and die. -----------------------------------
+    if let Ok(dir) = std::env::var(KILL_DIR_ENV) {
+        let db = Database::open_paged(&dir).unwrap();
+        db.create_table("K", kill_schema()).unwrap();
+        for b in 0..13 {
+            let rows = (b * BATCH..(b + 1) * BATCH).map(kill_row);
+            assert_eq!(db.insert_batch("K", rows).unwrap(), BATCH as usize);
+        }
+        let bad_at = 13 * BATCH + 100;
+        let rows = (13 * BATCH..14 * BATCH).map(|i| {
+            let mut row = kill_row(i);
+            row.truncate(if i == bad_at { 1 } else { 2 });
+            row
+        });
+        let err = db.insert_batch("K", rows).unwrap_err();
+        assert!(matches!(err, RankSqlError::Catalog(_)), "{err}");
+        let acknowledged = db.catalog().table("K").unwrap().row_count();
+        assert_eq!(acknowledged, ACKNOWLEDGED);
+        std::process::abort();
+    }
+
+    // ---- parent half: spawn the victim, then verify recovery. ------------
+    let (dir, status) = spawn_victim("killed_batch_writer_recovers_exactly_the_acknowledged_rows");
+    // Killed by a signal (the abort), not exited on a failed assertion.
+    assert_eq!(status.code(), None, "the victim child must have aborted");
+    let db = Database::open_paged(&dir).unwrap();
+    assert_eq!(assert_recovered_prefix(db, &dir), ACKNOWLEDGED);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -209,34 +209,41 @@ fn sampling_estimates_track_real_cardinalities() {
 
 /// Figure 13's estimated column for plans 3 and 4, pinned to the bit in
 /// `tests/golden/fig13_estimates.txt`: a change to how the estimator runs
-/// its samples must not change a single estimate.
+/// its samples must not change a single estimate.  The first section's
+/// scans all estimate their table size; in the second (its `#` line names
+/// the config) `x'` is finite and the rank-scans' `u` falls below their
+/// `card_s`, which pins how `u` is counted against `x'`.
 #[test]
 fn figure13_estimates_match_the_golden_bits() {
-    let rows = ranksql_bench::run_fig13(
-        &SyntheticConfig {
-            table_size: 200,
-            join_selectivity: 0.05,
-            predicate_cost: 1,
-            k: 5,
-            ..SyntheticConfig::default()
-        },
-        0.1,
-    )
-    .unwrap();
-    let actual: String = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{} {} {} real={} estimated={:#018x} ({})\n",
-                r.plan,
-                r.operator_index,
-                r.operator,
-                r.real,
-                r.estimated.to_bits(),
-                r.estimated
-            )
-        })
-        .collect();
+    let section = |table_size, join_selectivity, k, sample_ratio| {
+        let rows = ranksql_bench::run_fig13(
+            &SyntheticConfig {
+                table_size,
+                join_selectivity,
+                predicate_cost: 1,
+                k,
+                ..SyntheticConfig::default()
+            },
+            sample_ratio,
+        )
+        .unwrap();
+        rows.iter()
+            .map(|r| {
+                format!(
+                    "{} {} {} real={} estimated={:#018x} ({})\n",
+                    r.plan,
+                    r.operator_index,
+                    r.operator,
+                    r.real,
+                    r.estimated.to_bits(),
+                    r.estimated
+                )
+            })
+            .collect::<String>()
+    };
+    let actual = section(200, 0.05, 5, 0.1)
+        + "# x' cuts: table_size=300 join_selectivity=0.1 k=5 sample_ratio=0.2\n"
+        + &section(300, 0.1, 5, 0.2);
     let golden = include_str!("golden/fig13_estimates.txt");
     for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
         assert_eq!(a, g, "tests/golden/fig13_estimates.txt line {}", i + 1);

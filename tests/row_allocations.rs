@@ -12,6 +12,9 @@ use ranksql::{Tuple, Value};
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Fresh allocations (not reallocations) of at least `LARGE_AT` bytes.
+    static LARGE: Cell<usize> = const { Cell::new(0) };
+    static LARGE_AT: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 struct Counting;
@@ -21,17 +24,24 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_fresh(size: usize) {
+    count_one();
+    if LARGE_AT.try_with(Cell::get).is_ok_and(|at| size >= at) {
+        let _ = LARGE.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
 // SAFETY: every method forwards to the system allocator unchanged; the
 // counter is a const-initialised thread-local `Cell` that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_fresh(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_fresh(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -56,6 +66,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the fresh allocations of at least
+/// `bytes` bytes it made.
+fn counted_large<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, usize) {
+    LARGE_AT.with(|at| at.set(bytes));
+    let before = LARGE.with(Cell::get);
+    let out = f();
+    LARGE_AT.with(|at| at.set(usize::MAX));
+    (out, LARGE.with(Cell::get) - before)
 }
 
 fn base(table: u32, row: u64, name: &str) -> Tuple {
@@ -160,4 +180,32 @@ fn a_nested_loops_join_decides_before_it_builds() {
         large.saturating_sub(small) <= 4 * extra_rows,
         "16x16 join allocated {small} times, 64x64 {large} times"
     );
+}
+
+/// Appending 256 rows to a table whose tail a reader has pinned copies the
+/// tail once: one fresh allocation as large as the pinned tail for the
+/// whole batch, and the pin keeps its rows.
+#[test]
+fn a_batch_under_a_pin_copies_the_tail_once() {
+    use ranksql::storage::Table;
+    use ranksql::{DataType, Field, Schema};
+
+    let table = Table::new(
+        0,
+        "T",
+        Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("p", DataType::Float64),
+        ]),
+    );
+    let row = |i: i64| vec![Value::from(i), Value::from(0.5)];
+    table.insert_batch((0..500).map(row)).unwrap();
+    let pinned = table.pin_epoch();
+    let tail_bytes = pinned.tail().len() * std::mem::size_of::<Tuple>();
+    let rows: Vec<Vec<Value>> = (500..756).map(row).collect();
+    let (n, copies) = counted_large(tail_bytes, || table.insert_batch(rows).unwrap());
+    assert_eq!(n, 256);
+    assert_eq!(copies, 1, "one tail copy for the batch");
+    assert_eq!(pinned.row_count(), 500);
+    assert_eq!(table.pin_epoch().tail().len(), 756);
 }

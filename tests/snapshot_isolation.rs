@@ -320,3 +320,70 @@ fn concurrent_writer_burst_does_not_disturb_an_open_cursor() {
         );
     }
 }
+
+/// Group-append visibility: a writer appends `insert_batch` bursts across
+/// seal boundaries while two readers pin epochs and scan them.  A batch is
+/// appended a segment at a time — the rows up to the next 1024-row seal
+/// boundary — so every pinned row count is one a segment ends on (a
+/// batch's end or a seal boundary inside one), and every epoch's rows are
+/// exactly that prefix of what the writer appended.
+#[test]
+fn readers_pin_whole_segments_of_a_batch_writer() {
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const BATCHES: [usize; 8] = [300, 724, 1500, 17, 1024, 2100, 1, 600];
+    const BLOCK: usize = 1024;
+    let row = |i: usize| {
+        vec![
+            Value::from(i as i64),
+            Value::from((i % 6) as i64),
+            Value::from(((i * 61) % 1000) as f64 / 1000.0),
+        ]
+    };
+    let mut ends = BTreeSet::from([0]);
+    let mut at = 0;
+    for len in BATCHES {
+        ends.extend((at / BLOCK + 1..=(at + len) / BLOCK).map(|b| b * BLOCK));
+        at += len;
+        ends.insert(at);
+    }
+    let total = at;
+
+    let (db, _) = build_database(&[], 1);
+    let table = db.catalog().table("T").unwrap();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut pinned = BTreeSet::new();
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        let epoch = table.pin_epoch();
+                        let n = epoch.row_count();
+                        assert!(ends.contains(&n), "pinned {n} rows: no segment ends there");
+                        for (i, tuple) in epoch.tuples(0..n).unwrap().iter().enumerate() {
+                            assert_eq!(tuple.values(), row(i).as_slice(), "row {i} of {n}");
+                        }
+                        pinned.insert(n);
+                        if finished {
+                            return pinned;
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut at = 0;
+        for len in BATCHES {
+            assert_eq!(db.insert_batch("T", (at..at + len).map(row)).unwrap(), len);
+            at += len;
+            std::thread::yield_now();
+        }
+        done.store(true, Ordering::Release);
+        for reader in readers {
+            let pinned = reader.join().unwrap();
+            assert_eq!(pinned.last(), Some(&total), "the last pin sees every row");
+        }
+    });
+}
