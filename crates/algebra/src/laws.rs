@@ -11,8 +11,10 @@
 //!   operations, so ranking work can be scheduled anywhere in the plan.
 //!
 //! Each law is a [`RewriteRule`]; [`equivalent_plans`] computes the closure
-//! of a plan under a rule set, which both the optimizer's rule-based mode and
-//! the property-based equivalence tests rely on.
+//! of a plan under every law.  The closure is the space a transformation-based
+//! (Volcano/Cascades) optimizer would explore with the laws registered as
+//! rules; the executor's `build` tests and the integration suite execute every
+//! plan in it against the oracle.
 
 use std::collections::HashSet;
 
@@ -21,21 +23,9 @@ use ranksql_common::BitSet64;
 use crate::plan::{LogicalPlan, ScanAccess, SetOpKind};
 use crate::query::RankQuery;
 
-/// A plan produced by applying a named rule (used for explain/debugging).
-#[derive(Debug, Clone)]
-pub struct Rewrite {
-    /// Name of the rule that produced the plan.
-    pub rule: &'static str,
-    /// The rewritten plan.
-    pub plan: LogicalPlan,
-}
-
 /// An algebraic rewrite rule: applied at the *root* of a (sub)plan, returns
 /// zero or more equivalent alternatives.
 pub trait RewriteRule: Send + Sync {
-    /// Rule name (for tracing).
-    fn name(&self) -> &'static str;
-
     /// Alternatives equivalent to `plan`, where `plan` is treated as the
     /// root; returns an empty vector when the rule does not apply.
     fn apply(&self, plan: &LogicalPlan, query: &RankQuery) -> Vec<LogicalPlan>;
@@ -51,10 +41,6 @@ pub trait RewriteRule: Send + Sync {
 pub struct SplitSortIntoRanks;
 
 impl RewriteRule for SplitSortIntoRanks {
-    fn name(&self) -> &'static str {
-        "split-sort-into-ranks (Prop. 1)"
-    }
-
     fn apply(&self, plan: &LogicalPlan, _query: &RankQuery) -> Vec<LogicalPlan> {
         let LogicalPlan::Sort { input, predicates } = plan else {
             return vec![];
@@ -81,10 +67,6 @@ impl RewriteRule for SplitSortIntoRanks {
 pub struct CommuteBinary;
 
 impl RewriteRule for CommuteBinary {
-    fn name(&self) -> &'static str {
-        "commute-binary (Prop. 2)"
-    }
-
     fn apply(&self, plan: &LogicalPlan, _query: &RankQuery) -> Vec<LogicalPlan> {
         match plan {
             LogicalPlan::Join {
@@ -121,10 +103,6 @@ impl RewriteRule for CommuteBinary {
 pub struct AssociateBinary;
 
 impl RewriteRule for AssociateBinary {
-    fn name(&self) -> &'static str {
-        "associate-binary (Prop. 3)"
-    }
-
     fn apply(&self, plan: &LogicalPlan, _query: &RankQuery) -> Vec<LogicalPlan> {
         match plan {
             LogicalPlan::SetOp { kind, left, right } if *kind != SetOpKind::Except => {
@@ -163,10 +141,6 @@ impl RewriteRule for AssociateBinary {
 pub struct CommuteRank;
 
 impl RewriteRule for CommuteRank {
-    fn name(&self) -> &'static str {
-        "commute-rank (Prop. 4)"
-    }
-
     fn apply(&self, plan: &LogicalPlan, _query: &RankQuery) -> Vec<LogicalPlan> {
         let mut out = Vec::new();
         match plan {
@@ -219,10 +193,6 @@ impl RewriteRule for CommuteRank {
 pub struct PushRankOverBinary;
 
 impl RewriteRule for PushRankOverBinary {
-    fn name(&self) -> &'static str {
-        "push-rank-over-binary (Prop. 5)"
-    }
-
     fn apply(&self, plan: &LogicalPlan, query: &RankQuery) -> Vec<LogicalPlan> {
         let LogicalPlan::Rank { input, predicate } = plan else {
             return vec![];
@@ -314,10 +284,6 @@ impl RewriteRule for PushRankOverBinary {
 pub struct PullRankOverJoin;
 
 impl RewriteRule for PullRankOverJoin {
-    fn name(&self) -> &'static str {
-        "pull-rank-over-join (Prop. 5, inverse)"
-    }
-
     fn apply(&self, plan: &LogicalPlan, _query: &RankQuery) -> Vec<LogicalPlan> {
         let LogicalPlan::Join {
             left,
@@ -365,10 +331,6 @@ impl RewriteRule for PullRankOverJoin {
 pub struct MultipleScan;
 
 impl RewriteRule for MultipleScan {
-    fn name(&self) -> &'static str {
-        "multiple-scan (Prop. 6)"
-    }
-
     fn apply(&self, plan: &LogicalPlan, _query: &RankQuery) -> Vec<LogicalPlan> {
         let LogicalPlan::Rank {
             input,
@@ -408,7 +370,7 @@ impl RewriteRule for MultipleScan {
 }
 
 /// The default rule set: every law of Figure 5.
-pub fn all_rules() -> Vec<Box<dyn RewriteRule>> {
+fn all_rules() -> Vec<Box<dyn RewriteRule>> {
     vec![
         Box::new(SplitSortIntoRanks),
         Box::new(CommuteBinary),
@@ -422,7 +384,7 @@ pub fn all_rules() -> Vec<Box<dyn RewriteRule>> {
 
 /// Applies `rule` at every node of `plan`, returning full plans with exactly
 /// one subtree rewritten.
-pub fn apply_rule_everywhere(
+fn apply_rule_everywhere(
     plan: &LogicalPlan,
     rule: &dyn RewriteRule,
     query: &RankQuery,

@@ -31,7 +31,7 @@ pub mod physical;
 pub mod plan;
 pub mod query;
 
-pub use laws::{equivalent_plans, Rewrite, RewriteRule};
+pub use laws::{equivalent_plans, RewriteRule};
 pub use physical::{ColumnarScan, ExchangeMerge, OperatorActuals, PhysicalOp, PhysicalPlan};
 pub use plan::{JoinAlgorithm, LogicalPlan, ScanAccess, SetOpKind};
 pub use query::RankQuery;

@@ -81,13 +81,16 @@ pub mod opcode {
 
 /// Plan-mode codes used in `HELLO` (the wire form of `PlanMode`, which
 /// lives above this crate).
+///
+/// Code 2 is retired: it named a transformation-rule plan search that the
+/// two-dimensional DP dominated and that was removed.  It is never reused,
+/// so a client that still sends it gets the `AdmissionDenied` refusal any
+/// unknown code gets, never a different mode.
 pub mod mode_code {
     /// Rank-aware heuristic planning (the default).
     pub const RANK_AWARE: u8 = 0;
     /// Rank-aware exhaustive enumeration.
     pub const RANK_AWARE_EXHAUSTIVE: u8 = 1;
-    /// Rank-aware rule-based (no costing).
-    pub const RANK_AWARE_RULE_BASED: u8 = 2;
     /// Traditional (non-rank-aware) cost-based planning.
     pub const TRADITIONAL: u8 = 3;
     /// Canonical materialize-then-sort plans.

@@ -664,7 +664,6 @@ mod tests {
         for mode in [
             PlanMode::RankAware,
             PlanMode::RankAwareExhaustive,
-            PlanMode::RankAwareRuleBased,
             PlanMode::Traditional,
         ] {
             let r = db.execute_with_mode(&query, mode).unwrap();
@@ -698,7 +697,6 @@ mod tests {
             PlanMode::Canonical,
             PlanMode::RankAware,
             PlanMode::RankAwareExhaustive,
-            PlanMode::RankAwareRuleBased,
             PlanMode::Traditional,
         ] {
             let r = parallel.clone().with_mode(mode).execute(&query).unwrap();

@@ -32,10 +32,7 @@ pub mod cost;
 pub mod enumerate;
 pub mod lower;
 pub mod parallel;
-pub mod rulebased;
 pub mod sampling;
-
-use std::sync::Arc;
 
 use ranksql_algebra::{LogicalPlan, PhysicalPlan, RankQuery};
 use ranksql_common::{wire::mode_code, RankSqlError, Result};
@@ -47,7 +44,6 @@ pub use cost::{Cost, CostModel};
 pub use enumerate::{optimize_traditional, DpOptimizer, EnumerationStats};
 pub use lower::{lower_with_estimates, physical_estimates};
 pub use parallel::parallelize;
-pub use rulebased::{RuleBasedConfig, RuleBasedOptimizer};
 pub use sampling::SamplingEstimator;
 
 /// How a query is planned.  The discriminant is the mode's wire code (the
@@ -63,10 +59,6 @@ pub enum PlanMode {
     /// Full two-dimensional dynamic programming over `(SR, SP)` signatures
     /// (Figure 8), including bushy join trees.
     RankAwareExhaustive = mode_code::RANK_AWARE_EXHAUSTIVE,
-    /// A Volcano/Cascades-style top-down search: the Figure 5 laws act as
-    /// transformation rules and physical algorithm / access-path choices act
-    /// as implementation rules, explored under a plan budget.
-    RankAwareRuleBased = mode_code::RANK_AWARE_RULE_BASED,
     /// The ranking-blind baseline: the DP's `SP = ∅` plane (join order
     /// only, bushy), with a blocking sort and limit on top.
     Traditional = mode_code::TRADITIONAL,
@@ -85,7 +77,6 @@ impl PlanMode {
         [
             PlanMode::RankAware,
             PlanMode::RankAwareExhaustive,
-            PlanMode::RankAwareRuleBased,
             PlanMode::Traditional,
             PlanMode::Canonical,
         ]
@@ -184,29 +175,17 @@ impl RankOptimizer {
                 "plan search supports at most {MAX_RELATIONS} relations, got {relations}"
             )));
         }
-        let estimator = Arc::new(SamplingEstimator::build(
-            query,
-            catalog,
-            self.config.sample_ratio,
-            self.config.seed,
-        )?);
+        let estimator =
+            SamplingEstimator::build(query, catalog, self.config.sample_ratio, self.config.seed)?;
         let cost_model = CostModel::default();
 
-        let mut best = match self.config.mode {
-            PlanMode::Traditional => {
-                return optimize_traditional(query, catalog, &estimator, &cost_model)
-            }
-            PlanMode::RankAwareRuleBased => {
-                RuleBasedOptimizer::new(query, catalog, Arc::clone(&estimator), cost_model.clone())
-                    .optimize()?
-            }
-            // RankAware or RankAwareExhaustive: Canonical returned above.
-            mode => {
-                let heuristic = mode == PlanMode::RankAware;
-                DpOptimizer::new(query, catalog, &estimator, cost_model.clone(), heuristic)
-                    .optimize()?
-            }
-        };
+        if self.config.mode == PlanMode::Traditional {
+            return optimize_traditional(query, catalog, &estimator, &cost_model);
+        }
+        // RankAware or RankAwareExhaustive: Canonical returned above.
+        let heuristic = self.config.mode == PlanMode::RankAware;
+        let mut best = DpOptimizer::new(query, catalog, &estimator, cost_model.clone(), heuristic)
+            .optimize()?;
         // The traditional materialise-then-sort plan wins when it is cheaper
         // (when joins are very selective, cf. Figure 12(c)).
         let trad = optimize_traditional(query, catalog, &estimator, &cost_model)?;
@@ -351,7 +330,6 @@ mod tests {
         let modes = [
             PlanMode::RankAware,
             PlanMode::RankAwareExhaustive,
-            PlanMode::RankAwareRuleBased,
             PlanMode::Traditional,
             PlanMode::Canonical,
         ];
@@ -362,6 +340,7 @@ mod tests {
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), modes.len(), "codes must be distinct");
+        assert_eq!(PlanMode::from_wire_code(2), None, "code 2 is retired");
         assert_eq!(PlanMode::from_wire_code(200), None);
     }
 }

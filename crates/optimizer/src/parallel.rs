@@ -105,6 +105,11 @@ fn rewrite(plan: PhysicalPlan, threads: usize) -> PhysicalPlan {
 /// Rewrites a subtree into a morsel-partitionable spine — the driving
 /// `SeqScan` wrapped in a `Repartition` marker — or `None` when the subtree
 /// contains anything the exchange executor cannot run per-morsel.
+///
+/// A zone-pruned scan is no spine: serially it skips every block the
+/// shared top-k threshold rules out, while per-morsel top-ks each read
+/// their morsel until their own threshold forms, so partitioning it makes
+/// the query's work grow with the table instead of with `k`.
 fn spine_of(plan: &PhysicalPlan, threads: usize) -> Option<PhysicalPlan> {
     let annotated = |op| PhysicalPlan {
         op,
@@ -112,6 +117,9 @@ fn spine_of(plan: &PhysicalPlan, threads: usize) -> Option<PhysicalPlan> {
         estimated_rows: plan.estimated_rows,
     };
     match &plan.op {
+        PhysicalOp::SeqScan {
+            columnar: Some(c), ..
+        } if c.zone_prune => None,
         PhysicalOp::SeqScan { .. } => Some(annotated(PhysicalOp::Repartition {
             input: Box::new(plan.clone()),
         })),

@@ -1036,7 +1036,7 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::enumerate::tests::figure9_setup;
-    use crate::{optimize_traditional, DpOptimizer, RuleBasedOptimizer};
+    use crate::{optimize_traditional, DpOptimizer};
     use ranksql_common::{DataType, Field, Schema, Value};
     use ranksql_executor::execute_plan;
     use ranksql_expr::{BoolExpr, RankPredicate, ScoringFunction};
@@ -1408,7 +1408,7 @@ mod tests {
         estimate
     }
 
-    /// Runs all four searches over one estimator and estimates `extra`,
+    /// Runs all three searches over one estimator and estimates `extra`,
     /// then checks every plan asked about against [`reference`] to the bit.
     fn assert_searches_match_the_reference(
         cat: &Catalog,
@@ -1416,7 +1416,7 @@ mod tests {
         ratio: f64,
         extra: &[LogicalPlan],
     ) {
-        let est = Arc::new(SamplingEstimator::build(query, cat, ratio, 11).unwrap());
+        let est = SamplingEstimator::build(query, cat, ratio, 11).unwrap();
         for plan in extra {
             est.estimate_per_operator(plan).unwrap();
         }
@@ -1425,9 +1425,6 @@ mod tests {
                 .optimize()
                 .unwrap();
         }
-        RuleBasedOptimizer::new(query, cat, Arc::clone(&est), CostModel::default())
-            .optimize()
-            .unwrap();
         optimize_traditional(query, cat, &est, &CostModel::default()).unwrap();
 
         let asked = std::mem::take(&mut *est.asked.lock());

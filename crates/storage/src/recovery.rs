@@ -24,8 +24,12 @@
 //! 3. recovery ([`PagedStore::open`]) decodes the longest CRC-valid extent
 //!    prefix of each data file, truncates everything past it, then replays
 //!    the WAL's valid record prefix on top — landing exactly on the last
-//!    durable epoch.  The extents stay on disk: only their metadata and
-//!    the replayed rows (the table's tail) are held in RAM.
+//!    durable epoch.  The prefix is contiguous rows of the schema's arity
+//!    from the extent coverage on (records below it are duplicates of
+//!    sealed rows and are skipped); a row-index hole or a record of another
+//!    arity ends it, and the WAL is truncated there.  The extents stay on
+//!    disk: only their metadata and the replayed rows (the table's tail)
+//!    are held in RAM.
 //!
 //! Every read of a paged block — a scan, an index scan, an index build,
 //! the statistics — faults it in through the shared [`BufferPool`]
@@ -132,11 +136,16 @@ impl TableStore {
         })
     }
 
-    /// Opens and recovers one table: decodes the longest CRC-valid prefix
-    /// of full-block extents (truncating any torn tail), replays the WAL
-    /// past the extent coverage, and returns the store plus the replayed
-    /// rows.  The extents' rows stay on disk.
-    fn open(dir: &Path, table_id: u32, pool: Arc<BufferPool>) -> Result<(TableStore, Vec<Tuple>)> {
+    /// Opens and recovers one table of `arity` columns: decodes the longest
+    /// CRC-valid prefix of full-block extents (truncating any torn tail),
+    /// replays the WAL past the extent coverage, and returns the store plus
+    /// the replayed rows.  The extents' rows stay on disk.
+    fn open(
+        dir: &Path,
+        table_id: u32,
+        arity: usize,
+        pool: Arc<BufferPool>,
+    ) -> Result<(TableStore, Vec<Tuple>)> {
         let path = data_path(dir, table_id);
         let mut data = OpenOptions::new()
             .read(true)
@@ -190,26 +199,27 @@ impl TableStore {
                 .map_err(|e| io_err("cannot truncate table data file", &path, e))?;
         }
 
-        let (wal, _base_row, records) = WalFile::open(wal_path(dir, table_id), table_id)?;
-        let mut next = metas.len() * COLUMN_BLOCK_ROWS;
-        let mut rows = Vec::new();
-        for rec in records {
-            // Records below the extent coverage are duplicates of sealed
-            // rows (a crash between the extent fsync and the WAL rewrite);
-            // records past the next expected row would leave a hole —
-            // either way the durable epoch ends at the last contiguous row.
-            if (rec.row_index as usize) < next {
-                continue;
+        // Records below the extent coverage are duplicates of sealed rows (a
+        // crash between the extent fsync and the WAL rewrite) and are
+        // passed over.  A record past the next expected row would leave a
+        // hole, and one whose arity is not the schema's is not a row an
+        // insert wrote: either ends the durable epoch at the last
+        // contiguous row, and the log is cut there.
+        let coverage = (metas.len() * COLUMN_BLOCK_ROWS) as u64;
+        let mut next = coverage;
+        let (wal, _base_row, records) = WalFile::open(wal_path(dir, table_id), table_id, |rec| {
+            if rec.row_index < coverage {
+                return true;
             }
-            if rec.row_index as usize != next {
-                break;
-            }
-            rows.push(Tuple::new(
-                TupleId::base(table_id, rec.row_index),
-                rec.values,
-            ));
-            next += 1;
-        }
+            let contiguous = rec.row_index == next && rec.values.len() == arity;
+            next += u64::from(contiguous);
+            contiguous
+        })?;
+        let rows = records
+            .into_iter()
+            .filter(|rec| rec.row_index >= coverage)
+            .map(|rec| Tuple::new(TupleId::base(table_id, rec.row_index), rec.values))
+            .collect();
 
         Ok((
             TableStore {
@@ -394,7 +404,8 @@ impl PagedStore {
         });
         let specs = store.specs.lock().clone();
         for spec in &specs {
-            let (ts, rows) = TableStore::open(&store.dir, spec.id, Arc::clone(&store.pool))?;
+            let arity = spec.schema.len();
+            let (ts, rows) = TableStore::open(&store.dir, spec.id, arity, Arc::clone(&store.pool))?;
             let schema = spec.schema.clone();
             let table = Table::recovered(spec.id, &spec.name, schema, Arc::new(ts), rows)?;
             catalog.adopt_recovered(table)?;

@@ -12,7 +12,11 @@
 //! `base_row` is the row the first record *may* start at (the extent
 //! coverage when the WAL was last rewritten); `len` covers everything after
 //! the two leading words, `crc32` guards it.  Replay accepts the longest
-//! valid record prefix and stops at the first torn record.
+//! valid record prefix: it stops at the first record that is torn, fails
+//! its CRC or does not decode to exactly `n_values` values, and at the
+//! first record the recovering table refuses — a row-index hole, or an
+//! arity other than the schema's ([`crate::recovery`] step 3).  The log is
+//! cut at the end of that prefix.
 //!
 //! Durability protocol (see [`crate::recovery::TableStore`]): an insert
 //! appends its rows a *segment* at a time — the run of rows up to the next
@@ -97,6 +101,21 @@ fn encode_records(out: &mut Vec<u8>, first_row: u64, rows: &[Tuple]) {
     }
 }
 
+/// Decodes one record body: `row_index`, `n_values` and exactly that many
+/// values, with no byte left over.
+fn decode_record(body: &[u8]) -> Option<WalRecord> {
+    let mut r = Reader::new(body);
+    let row_index = r.u64().ok()?;
+    let n = r.u32().ok()? as usize;
+    // Every value takes at least one byte, so a claim past the body's end
+    // cannot size the allocation.
+    let mut values = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        values.push(decode_value(&mut r).ok()?);
+    }
+    (r.remaining() == 0).then_some(WalRecord { row_index, values })
+}
+
 impl WalFile {
     fn new(file: File, path: PathBuf, table_id: u32, len: u64) -> WalFile {
         WalFile {
@@ -133,7 +152,17 @@ impl WalFile {
     /// or the old log is still the valid one), replaying its valid record
     /// prefix.  Returns the open log, its `base_row` and the replayed
     /// records.
-    pub(crate) fn open(path: PathBuf, table_id: u32) -> Result<(WalFile, u64, Vec<WalRecord>)> {
+    ///
+    /// The prefix ends at the first record that is torn, fails its CRC,
+    /// does not decode to exactly its `n_values` values, or that `accept`
+    /// refuses (the caller's rule: a row-index hole, a wrong arity).  The
+    /// log is truncated there, so appends continue from the end of the
+    /// prefix and a later replay cannot stop short of them.
+    pub(crate) fn open(
+        path: PathBuf,
+        table_id: u32,
+        mut accept: impl FnMut(&WalRecord) -> bool,
+    ) -> Result<(WalFile, u64, Vec<WalRecord>)> {
         // Drop any orphaned rewrite temp: if it exists the rename never
         // happened, so the old log is authoritative.
         let _ = std::fs::remove_file(rewrite_path(&path));
@@ -166,10 +195,7 @@ impl WalFile {
         }
         let mut records = Vec::new();
         let mut valid_len = HEADER_LEN;
-        loop {
-            if r.remaining() < 8 {
-                break;
-            }
+        while r.remaining() >= 8 {
             let len = r.u32()? as usize;
             let want_crc = r.u32()?;
             if r.remaining() < len {
@@ -179,28 +205,14 @@ impl WalFile {
             if crc32(body) != want_crc {
                 break;
             }
-            let mut br = Reader::new(body);
-            let row_index = br.u64()?;
-            let n = br.u32()? as usize;
-            let mut values = Vec::with_capacity(n);
-            let mut ok = true;
-            for _ in 0..n {
-                match decode_value(&mut br) {
-                    Ok(v) => values.push(v),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                break;
+            match decode_record(body) {
+                Some(record) if accept(&record) => records.push(record),
+                _ => break,
             }
             r.skip(len)?;
             valid_len += 8 + len;
-            records.push(WalRecord { row_index, values });
         }
-        // Truncate any torn suffix so appends continue from a clean tail.
+        // Cut the log at the end of the prefix so appends continue from it.
         file.set_len(valid_len as u64)
             .map_err(|e| io_err("cannot truncate WAL", &path, e))?;
         file.seek(SeekFrom::End(0))
@@ -345,7 +357,7 @@ mod tests {
             wal.append(2, &rows(2..5)).unwrap();
             wal.sync().unwrap();
         }
-        let (_wal, base, records) = WalFile::open(path.clone(), 3).unwrap();
+        let (_wal, base, records) = WalFile::open(path.clone(), 3, |_| true).unwrap();
         assert_eq!(base, 0);
         assert_eq!(records.len(), 5);
         assert_eq!(records[4].row_index, 4);
@@ -364,13 +376,13 @@ mod tests {
         // Chop bytes off the last record.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let (mut wal, _, records) = WalFile::open(path.clone(), 1).unwrap();
+        let (mut wal, _, records) = WalFile::open(path.clone(), 1, |_| true).unwrap();
         assert_eq!(records.len(), 2, "torn third record dropped");
         // The truncated log accepts fresh appends cleanly.
         wal.append(2, &rows(2..3)).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (_, _, records) = WalFile::open(path.clone(), 1).unwrap();
+        let (_, _, records) = WalFile::open(path.clone(), 1, |_| true).unwrap();
         assert_eq!(records.len(), 3);
         let _ = std::fs::remove_file(&path);
     }
@@ -386,7 +398,7 @@ mod tests {
             wal.append(10, &rows(10..11)).unwrap();
             wal.sync().unwrap();
         }
-        let (_wal, base, records) = WalFile::open(path.clone(), 2).unwrap();
+        let (_wal, base, records) = WalFile::open(path.clone(), 2, |_| true).unwrap();
         assert_eq!(base, 8);
         assert_eq!(
             records.iter().map(|r| r.row_index).collect::<Vec<_>>(),
@@ -405,7 +417,7 @@ mod tests {
         }
         // Simulate a crash mid-rewrite: a half-written temp beside the log.
         std::fs::write(rewrite_path(&path), b"garbage").unwrap();
-        let (_wal, base, records) = WalFile::open(path.clone(), 4).unwrap();
+        let (_wal, base, records) = WalFile::open(path.clone(), 4, |_| true).unwrap();
         assert_eq!(base, 0);
         assert_eq!(records.len(), 1);
         assert!(!rewrite_path(&path).exists());
@@ -441,7 +453,7 @@ mod tests {
         let mut bytes = header_bytes(8, 0);
         bytes.extend_from_slice(&GOLDEN_RECORD);
         std::fs::write(&path, &bytes).unwrap();
-        let (_wal, _, records) = WalFile::open(path.clone(), 8).unwrap();
+        let (_wal, _, records) = WalFile::open(path.clone(), 8, |_| true).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].row_index, 1_048_577);
         let replayed = records.into_iter().next().unwrap();
@@ -458,7 +470,7 @@ mod tests {
         {
             WalFile::create(path.clone(), 5).unwrap();
         }
-        assert!(WalFile::open(path.clone(), 6).is_err());
+        assert!(WalFile::open(path.clone(), 6, |_| true).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -494,7 +506,7 @@ mod tests {
         wal.append(3, &rows(3..4)).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (_, _, records) = WalFile::open(path.clone(), 6).unwrap();
+        let (_, _, records) = WalFile::open(path.clone(), 6, |_| true).unwrap();
         let replayed: Vec<u64> = records.iter().map(|r| r.row_index).collect();
         assert_eq!(replayed, vec![0, 1, 2, 3]);
         assert_eq!(records[3].values, row(3));

@@ -20,12 +20,11 @@ use ranksql::{
     QueryBuilder, RankQuery, Schema, Value,
 };
 
-const ALL_MODES: [PlanMode; 5] = [
+const ALL_MODES: [PlanMode; 4] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
-    PlanMode::RankAwareRuleBased,
 ];
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -118,7 +117,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
     /// Cursor streaming (in random chunk sizes) ≡ eager execution, for all
-    /// five plan modes × threads {1, 4} × random batch sizes.
+    /// four plan modes × threads {1, 4} × random batch sizes.
     #[test]
     fn cursor_stream_equals_eager_execution(w in workload()) {
         let (db, query) = build_database(&w);

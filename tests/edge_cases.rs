@@ -9,12 +9,11 @@ use ranksql::{
     ScoringFunction, Value,
 };
 
-const ALL_MODES: [PlanMode; 5] = [
+const ALL_MODES: [PlanMode; 4] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
-    PlanMode::RankAwareRuleBased,
 ];
 
 fn rounded(scores: &[f64]) -> Vec<i64> {

@@ -96,7 +96,6 @@ fn render() -> String {
     let modes = [
         PlanMode::RankAware,
         PlanMode::RankAwareExhaustive,
-        PlanMode::RankAwareRuleBased,
         PlanMode::Traditional,
         PlanMode::Canonical,
     ];

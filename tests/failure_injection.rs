@@ -9,12 +9,11 @@ use ranksql::{
     RankSqlError, Schema, Value,
 };
 
-const ALL_MODES: [PlanMode; 5] = [
+const ALL_MODES: [PlanMode; 4] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
-    PlanMode::RankAwareRuleBased,
 ];
 
 fn small_db() -> Database {

@@ -7,7 +7,7 @@
 //! count, any batch size and any morsel size.  In the spirit of black-box
 //! equivalence checkers (the snapshot-isolation checker and HISTEX lineage
 //! in PAPERS.md), these properties drive randomized workloads through all
-//! five `PlanMode`s and compare the executions pairwise.
+//! four `PlanMode`s and compare the executions pairwise.
 //!
 //! A companion regression test pins the metrics-aggregation contract: the
 //! per-operator `rows_out` / `batches_out` / `mean_batch_fill` series of
@@ -21,15 +21,15 @@ use ranksql::executor::{execute_physical_plan, ExecutionContext};
 use ranksql::expr::RankPredicate;
 use ranksql::workload::{SyntheticConfig, SyntheticWorkload};
 use ranksql::{
-    BoolExpr, DataType, Database, Field, PlanMode, QueryBuilder, RankQuery, Schema, Value,
+    BoolExpr, CompareOp, DataType, Database, Field, PlanMode, QueryBuilder, RankQuery, ScalarExpr,
+    Schema, Value,
 };
 
-const ALL_MODES: [PlanMode; 5] = [
+const ALL_MODES: [PlanMode; 4] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
-    PlanMode::RankAwareRuleBased,
 ];
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -122,7 +122,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
     /// Parallel execution ≡ serial batch execution ≡ tuple-mode execution,
-    /// for all five plan modes, sweeping thread counts {1, 2, 4, 8} under
+    /// for all four plan modes, sweeping thread counts {1, 2, 4, 8} under
     /// random batch and morsel sizes.
     #[test]
     fn parallel_equals_serial_and_tuple_mode_for_all_plan_modes(w in workload()) {
@@ -388,4 +388,60 @@ fn explain_analyze_reports_exchange_nodes() {
     assert!(analyzed.contains("Exchange"), "{analyzed}");
     assert!(analyzed.contains("Repartition(morsels)"), "{analyzed}");
     assert!(analyzed.contains("actual_rows="), "{analyzed}");
+}
+
+/// The parallel pass declines an exchange over a zone-pruned scan: the
+/// serial scan already skips every block the top-k threshold rules out,
+/// while morsels would each read until their own top-k formed.  A
+/// one-table σ + `ORDER BY … LIMIT` plans at two threads exactly as at one
+/// and reads the same rows.
+#[test]
+fn a_zone_pruned_top_k_gets_no_exchange() {
+    const ROWS: i64 = 8192; // 8 columnar blocks, best scores first
+    let db = Database::new();
+    db.create_table(
+        "T",
+        Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("p", DataType::Float64),
+        ]),
+    )
+    .unwrap();
+    db.insert_batch(
+        "T",
+        (0..ROWS).map(|i| vec![Value::from(i), Value::from((ROWS - i) as f64 / ROWS as f64)]),
+    )
+    .unwrap();
+    let query = QueryBuilder::new()
+        .table("T")
+        .filter(BoolExpr::compare(
+            ScalarExpr::col("T.id"),
+            CompareOp::Gt,
+            ScalarExpr::lit(3i64),
+        ))
+        .rank_predicate(RankPredicate::attribute("p", "T.p"))
+        .limit(5)
+        .build()
+        .unwrap();
+    let run = |threads: usize| {
+        db.session()
+            .with_mode(PlanMode::Traditional)
+            .with_threads(threads)
+            .execute(&query)
+            .unwrap()
+    };
+    let (serial, parallel) = (run(1), run(2));
+    let text = parallel.physical.explain(None);
+    assert!(text.contains("[zone-prune]"), "{text}");
+    assert!(!parallel.physical.contains_exchange(), "{text}");
+    assert_eq!(parallel.physical, serial.physical);
+    assert_eq!(
+        fingerprint(&query, &parallel.rows),
+        fingerprint(&query, &serial.rows)
+    );
+    assert_eq!(parallel.tuples_scanned, serial.tuples_scanned);
+    assert!(
+        serial.tuples_scanned < ROWS as u64,
+        "the serial scan prunes"
+    );
 }

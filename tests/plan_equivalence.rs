@@ -24,12 +24,11 @@ use ranksql::{
 };
 use ranksql_common::{DataType, Field, Schema, TupleId, Value};
 
-const ALL_MODES: [PlanMode; 5] = [
+const ALL_MODES: [PlanMode; 4] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
-    PlanMode::RankAwareRuleBased,
 ];
 
 /// A randomly generated two-table database plus its ranking query.

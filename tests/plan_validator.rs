@@ -9,7 +9,7 @@
 //! Together the corpus exercises every one of the twelve rules.
 //!
 //! **Positive path**: a proptest that every plan the real optimizer emits —
-//! all five [`PlanMode`]s × in-memory and paged databases × serial and parallel
+//! all four [`PlanMode`]s × in-memory and paged databases × serial and parallel
 //! lowering — validates with zero `Error`-severity diagnostics, logical and
 //! physical alike.  This is the guarantee that lets `ranksql-core` hard-fail
 //! planning on validator errors in debug builds.
@@ -595,12 +595,11 @@ impl Drop for TempDir {
     }
 }
 
-const ALL_MODES: [PlanMode; 5] = [
+const ALL_MODES: [PlanMode; 4] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
-    PlanMode::RankAwareRuleBased,
 ];
 
 /// A randomly generated two-table join workload.
@@ -667,7 +666,7 @@ fn populate(db: &Database, w: &Workload) -> RankQuery {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
 
-    /// Every optimizer-emitted plan — 5 modes × in-memory and paged
+    /// Every optimizer-emitted plan — 4 modes × in-memory and paged
     /// databases × serial and parallel lowering — validates with zero
     /// `Error` diagnostics, logical and physical alike.
     #[test]

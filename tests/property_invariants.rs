@@ -1,8 +1,8 @@
 //! Property-based invariants of the RankSQL system, complementing
 //! `plan_equivalence.rs`:
 //!
-//! 1. every optimizer mode (canonical, traditional, DP, DP + heuristics,
-//!    rule-based) returns exactly the same top-k scores for random data;
+//! 1. every optimizer mode (canonical, traditional, DP, DP + heuristics)
+//!    returns exactly the same top-k scores for random data;
 //! 2. results are emitted in non-increasing final-score order and contain at
 //!    most `k` rows;
 //! 3. the order in which µ operators are scheduled never changes the result
@@ -128,7 +128,6 @@ proptest! {
             PlanMode::Traditional,
             PlanMode::RankAware,
             PlanMode::RankAwareExhaustive,
-            PlanMode::RankAwareRuleBased,
         ] {
             let result = db.execute_with_mode(&query, mode).unwrap();
             prop_assert_eq!(

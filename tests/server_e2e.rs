@@ -9,7 +9,7 @@
 //! across the 1024-row seal — and every reader must finish streaming the
 //! answer its pinned epoch promised, byte-identically to its twin.
 
-use ranksql::common::wire::{opcode, ErrorCode, ResultFingerprint, WireRow};
+use ranksql::common::wire::{self, opcode, ErrorCode, PayloadWriter, ResultFingerprint, WireRow};
 use ranksql::server::{Server, ServerConfig, ShutdownHandle};
 use ranksql::workload::client::{stats_value, ClientError, WireClient};
 use ranksql::{Cursor, DataType, Database, Field, Params, PlanMode, Schema, Value};
@@ -186,6 +186,36 @@ fn interleaved_history_streams_pinned_epoch_answers() {
             Some("500"),
             "writer tenant must account all bursts:\n{stats}"
         );
+    });
+}
+
+/// Plan-mode code 2 is retired and never reused: a HELLO that still
+/// carries it gets the refusal any unknown code gets, and the connection
+/// may say HELLO again.
+#[test]
+fn a_hello_with_the_retired_mode_code_is_refused() {
+    assert_eq!(PlanMode::from_wire_code(2), None);
+    let db = fresh_db(10);
+    with_server(&db, ServerConfig::default(), |addr, _| {
+        let mut client = WireClient::connect(addr).unwrap();
+        let mut hello = PayloadWriter::new();
+        hello
+            .u16(wire::PROTOCOL_VERSION)
+            .str("retired")
+            .u8(2)
+            .u16(0)
+            .u32(0)
+            .u64(0);
+        client.send_raw(opcode::HELLO, &hello.into_vec()).unwrap();
+        let (op, payload) = client.read_reply().unwrap();
+        assert_eq!(op, opcode::ERROR);
+        assert_eq!(
+            u16::from_be_bytes([payload[0], payload[1]]),
+            ErrorCode::AdmissionDenied.as_u16()
+        );
+        client
+            .hello("retired", PlanMode::RankAware, 0, 0, 0)
+            .unwrap();
     });
 }
 

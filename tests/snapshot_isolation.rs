@@ -7,7 +7,7 @@
 //! harness pins the user-visible contract:
 //!
 //! * a cursor opened *before* an insert burst streams byte-identical
-//!   results to the pre-insert eager run — across all five plan modes and
+//!   results to the pre-insert eager run — across all four plan modes and
 //!   thread counts {1, 4}, with the bursts interleaved between the
 //!   cursor's chunked pulls;
 //! * `fetch_more(k)` *after* the burst still honours the pinned epoch
@@ -25,12 +25,11 @@ use ranksql::{
     ScalarExpr, Schema, Value,
 };
 
-const ALL_MODES: [PlanMode; 5] = [
+const ALL_MODES: [PlanMode; 4] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
-    PlanMode::RankAwareRuleBased,
 ];
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];

@@ -7,7 +7,7 @@
 //! For every plan mode, thread count, batch size and morsel size both must
 //! return exactly `oracle_top_k`'s ordered top-k: same tuples, same order,
 //! same scores.  The proptests below drive randomized workloads through all
-//! five `PlanMode`s and compare in-memory ≡ paged ≡ oracle, plans included.
+//! four `PlanMode`s and compare in-memory ≡ paged ≡ oracle, plans included.
 //!
 //! Companion regression tests pin the zone-map contract: score pruning on a
 //! selective top-k reduces `tuples_scanned` (and skips whole blocks) while
@@ -17,6 +17,7 @@
 
 use proptest::prelude::*;
 
+use ranksql::algebra::{ExchangeMerge, PhysicalOp, PhysicalPlan};
 use ranksql::common::TupleId;
 use ranksql::executor::{execute_physical_plan, oracle_top_k, ExecutionContext};
 use ranksql::expr::{RankPredicate, RankedTuple};
@@ -48,12 +49,11 @@ impl Drop for TempDir {
     }
 }
 
-const ALL_MODES: [PlanMode; 5] = [
+const ALL_MODES: [PlanMode; 4] = [
     PlanMode::Canonical,
     PlanMode::Traditional,
     PlanMode::RankAware,
     PlanMode::RankAwareExhaustive,
-    PlanMode::RankAwareRuleBased,
 ];
 
 /// A randomly generated two-table join workload plus execution knobs.
@@ -165,7 +165,7 @@ fn oracle(db: &Database, query: &RankQuery) -> Vec<(TupleId, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, .. ProptestConfig::default() })]
 
-    /// In-memory ≡ paged ≡ oracle for all five plan modes, at 1 and 4
+    /// In-memory ≡ paged ≡ oracle for all four plan modes, at 1 and 4
     /// worker threads, under random batch and morsel sizes.
     #[test]
     fn in_memory_and_paged_equal_the_oracle_for_all_modes_and_threads(
@@ -339,11 +339,41 @@ fn zone_map_pruning_is_safe_under_parallel_execution() {
     }
 }
 
+/// `plan`, a serial `SortLimit` over a σ/π chain down to a zone-pruned
+/// scan, morsel-partitioned by hand: the scan under a `Repartition`, the
+/// top-k under an ordered exchange re-limiting to its `k`.  The parallel
+/// pass declines this shape — a zone-pruned scan is no spine, since the
+/// serial scan already prunes on the shared threshold — but the executor
+/// runs any valid physical plan, this one included.
+fn morsel_partitioned(plan: PhysicalPlan) -> PhysicalPlan {
+    fn repartition_scan(plan: PhysicalPlan) -> PhysicalPlan {
+        let op = match plan.op {
+            scan @ PhysicalOp::SeqScan { .. } => PhysicalOp::Repartition {
+                input: Box::new(PhysicalPlan { op: scan, ..plan }),
+            },
+            other => other.map_children(repartition_scan),
+        };
+        PhysicalPlan { op, ..plan }
+    }
+    let PhysicalOp::SortLimit { k, .. } = &plan.op else {
+        panic!("not a top-k: {}", plan.explain(None));
+    };
+    PhysicalPlan {
+        op: PhysicalOp::Exchange {
+            input: Box::new(repartition_scan(plan.clone())),
+            merge: ExchangeMerge::Ordered { limit: Some(*k) },
+        },
+        ..plan
+    }
+}
+
 /// Every morsel's scan prunes against its spine's one threshold cell.  With
 /// one worker the 1024-row morsels run in order, so the top-5 heap of
 /// morsel 0 (block 0 holds the best scores) raises the cell before any
 /// later morsel starts, and each later morsel skips its block unread.
-/// Private cells per morsel would prune nothing.
+/// Private cells per morsel would prune nothing.  The session plans this
+/// top-k without an exchange at 4 threads, so the test partitions it by
+/// hand.
 #[test]
 fn every_morsel_prunes_against_the_spines_threshold_cell() {
     const ROWS: i64 = 8192; // 8 columnar blocks
@@ -361,7 +391,8 @@ fn every_morsel_prunes_against_the_spines_threshold_cell() {
         .plan(&query)
         .unwrap()
         .physical;
-    assert!(plan.contains_exchange(), "{}", plan.explain(None));
+    assert!(!plan.contains_exchange(), "{}", plan.explain(None));
+    let plan = morsel_partitioned(plan);
     let exec = ExecutionContext::new(query.ranking.clone())
         .with_threads(1)
         .with_morsel_size(1024);
@@ -783,8 +814,10 @@ fn tied_query(k: usize, filter: Option<BoolExpr>) -> RankQuery {
 /// Ties are part of the order: with ≥ 10 % of rows tied at the maximum and
 /// `k` inside a tied group or on its edge, the zone-pruning scan skips
 /// blocks, the tail and rows on `(score, id)` — and in memory and paged, at
-/// 1 and 4 threads (700-row morsels, so most start mid-block),
-/// tuple-at-a-time and batched, the answer is the oracle's, ids included.
+/// 1 and 4 threads, tuple-at-a-time and batched, the answer is the
+/// oracle's, ids included.  At 4 threads the session keeps the scan serial
+/// (a zone-pruned scan gets no exchange); the same plan partitioned by
+/// hand into 700-row morsels, most starting mid-block, answers the same.
 #[test]
 fn tie_heavy_top_k_equals_the_oracle_ids_included() {
     const ROWS: i64 = 20 * 1024 + 333;
@@ -822,8 +855,20 @@ fn tie_heavy_top_k_equals_the_oracle_ids_included() {
                         let what = format!("k {k}, {backend}, threads {threads}, batch {batch}");
                         let text = result.physical.explain(None);
                         assert!(text.contains("[zone-prune]"), "{what}: {text}");
-                        assert_eq!(result.physical.contains_exchange(), threads > 1, "{what}");
+                        assert!(!result.physical.contains_exchange(), "{what}: {text}");
                         assert_eq!(identities(&query, &result.rows), want, "{what}: {text}");
+                        if threads > 1 {
+                            // The same top-k with its morsels starting
+                            // mid-block, partitioned by hand.
+                            let plan = morsel_partitioned(result.physical);
+                            let exec = ExecutionContext::new(query.ranking.clone())
+                                .with_threads(threads)
+                                .with_batch_size(batch)
+                                .with_morsel_size(700);
+                            let parallel = execute_physical_plan(&plan, db.catalog(), &exec)
+                                .unwrap_or_else(|e| panic!("{what}: {e}"));
+                            assert_eq!(identities(&query, &parallel.tuples), want, "{what}");
+                        }
                     }
                 }
             }
