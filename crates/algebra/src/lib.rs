@@ -32,6 +32,6 @@ pub mod plan;
 pub mod query;
 
 pub use laws::{equivalent_plans, RewriteRule};
-pub use physical::{ColumnarScan, ExchangeMerge, OperatorActuals, PhysicalOp, PhysicalPlan};
+pub use physical::{ColumnarScan, OperatorActuals, PhysicalOp, PhysicalPlan};
 pub use plan::{JoinAlgorithm, LogicalPlan, ScanAccess, SetOpKind};
 pub use query::RankQuery;

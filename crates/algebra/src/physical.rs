@@ -12,8 +12,10 @@
 //! of tuples it really produced.
 //!
 //! The executor consumes *only* this IR: `build_operator` in
-//! `ranksql-executor` is a mechanical `PhysicalPlan → operator` walk with no
-//! physical decisions left in it.  There is one lowering
+//! `ranksql-executor` is a mechanical `PhysicalPlan → operator` walk.  The
+//! one choice left to it is how many threads run a sort's input — a
+//! question of the run, not of the plan, so one plan serves every thread
+//! count.  There is one lowering
 //! `LogicalPlan → PhysicalPlan`, [`PhysicalPlan::from_logical_with`]: the
 //! optimizer's planners hand it the cost model's per-node estimates, and
 //! [`PhysicalPlan::from_logical`] runs it with zero-cost annotations for
@@ -26,28 +28,6 @@ use ranksql_common::{BitSet64, Cost, RankSqlError, Result, Schema};
 use ranksql_expr::{BoolExpr, RankingContext};
 
 use crate::plan::{JoinAlgorithm, LogicalPlan, ScanAccess, SetOpKind};
-
-/// How an [`Exchange`](PhysicalOp::Exchange) reassembles the outputs of its
-/// parallel partitions into one serial stream.
-///
-/// Both strategies are **deterministic**: `Concat` glues partition outputs
-/// back together in morsel order (reproducing the serial emission order
-/// exactly), and `Ordered` merges rank-sorted partition streams under the
-/// total order of `RankedTuple::cmp_desc` (descending score, ties broken by
-/// tuple identity) — so the merged stream is byte-identical across any
-/// thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExchangeMerge {
-    /// Concatenate partition outputs in morsel (scan) order.
-    Concat,
-    /// K-way merge of rank-ordered partition streams; `limit` keeps only the
-    /// global top `k` of the merged stream (used when the partitions run a
-    /// per-partition top-k sort).
-    Ordered {
-        /// Number of tuples to keep from the merged stream (`None` = all).
-        limit: Option<usize>,
-    },
-}
 
 /// The `columnarize` annotation of a sequential scan, which the optimizer
 /// puts on every scan of a plan it produces.  The executor lowers every
@@ -173,30 +153,6 @@ pub enum PhysicalOp {
         input: Box<PhysicalPlan>,
         /// Number of tuples to keep.
         k: usize,
-    },
-    /// Gather boundary of morsel-driven parallel execution: the input
-    /// subtree (which must contain exactly one [`Repartition`]
-    /// marking its driving scan) is instantiated once per morsel, the
-    /// morsels run across the execution context's worker pool, and the
-    /// per-morsel outputs are reassembled deterministically according to
-    /// `merge`.  With `threads = 1` the same machinery runs inline on the
-    /// caller's thread — the serial degradation path.
-    ///
-    /// [`Repartition`]: PhysicalOp::Repartition
-    Exchange {
-        /// The parallel subtree (spine of parallel-safe operators over one
-        /// `Repartition`-marked scan).
-        input: Box<PhysicalPlan>,
-        /// How partition outputs are merged back into one stream.
-        merge: ExchangeMerge,
-    },
-    /// Partitioning boundary of morsel-driven parallel execution: marks the
-    /// sequential scan whose rows are handed out to workers as contiguous
-    /// morsel ranges.  Outside an [`Exchange`](PhysicalOp::Exchange) subtree
-    /// it degrades to a transparent pass-through of its scan.
-    Repartition {
-        /// The driving scan (must be a `SeqScan`).
-        input: Box<PhysicalPlan>,
     },
 }
 
@@ -364,11 +320,6 @@ impl PhysicalOp {
                 input: f(input)?,
                 k,
             },
-            PhysicalOp::Exchange { input, merge } => PhysicalOp::Exchange {
-                input: f(input)?,
-                merge,
-            },
-            PhysicalOp::Repartition { input } => PhysicalOp::Repartition { input: f(input)? },
             PhysicalOp::Join {
                 left,
                 right,
@@ -514,9 +465,7 @@ impl PhysicalPlan {
             | PhysicalOp::RankMaterialize { input, .. }
             | PhysicalOp::Sort { input, .. }
             | PhysicalOp::SortLimit { input, .. }
-            | PhysicalOp::Limit { input, .. }
-            | PhysicalOp::Exchange { input, .. }
-            | PhysicalOp::Repartition { input } => input.schema(),
+            | PhysicalOp::Limit { input, .. } => input.schema(),
             PhysicalOp::Project { input, columns } => {
                 let s = input.schema()?;
                 let mut indices = Vec::with_capacity(columns.len());
@@ -552,9 +501,7 @@ impl PhysicalPlan {
             | PhysicalOp::RankMaterialize { input, .. }
             | PhysicalOp::Sort { input, .. }
             | PhysicalOp::SortLimit { input, .. }
-            | PhysicalOp::Limit { input, .. }
-            | PhysicalOp::Exchange { input, .. }
-            | PhysicalOp::Repartition { input } => vec![input],
+            | PhysicalOp::Limit { input, .. } => vec![input],
             PhysicalOp::Join { left, right, .. } | PhysicalOp::SetOp { left, right, .. } => {
                 vec![left, right]
             }
@@ -653,11 +600,9 @@ impl PhysicalPlan {
     }
 
     /// Rewrites every top-k cap of exactly `old_k` tuples — `Limit` and
-    /// `SortLimit` nodes and `Exchange(merge; k)` re-limits — to `new_k`,
-    /// preserving estimates.  In plans produced from a [`crate::RankQuery`]
-    /// every such cap derives from the query's own `k` (including the
-    /// per-partition top-k sorts the parallelization pass plants under an
-    /// ordered exchange), so the value match is exact.
+    /// `SortLimit` nodes — to `new_k`, preserving estimates.  In plans
+    /// produced from a [`crate::RankQuery`] every such cap derives from the
+    /// query's own `k`, so the value match is exact.
     pub fn with_limit(&self, old_k: usize, new_k: usize) -> PhysicalPlan {
         self.clone().relimit(old_k, new_k)
     }
@@ -670,12 +615,9 @@ impl PhysicalPlan {
         } = self;
         let mut op = op.map_children(|c| c.relimit(old_k, new_k));
         match &mut op {
-            PhysicalOp::Limit { k, .. }
-            | PhysicalOp::SortLimit { k, .. }
-            | PhysicalOp::Exchange {
-                merge: ExchangeMerge::Ordered { limit: Some(k) },
-                ..
-            } if *k == old_k => *k = new_k,
+            PhysicalOp::Limit { k, .. } | PhysicalOp::SortLimit { k, .. } if *k == old_k => {
+                *k = new_k
+            }
             _ => {}
         }
         PhysicalPlan {
@@ -701,14 +643,6 @@ impl PhysicalPlan {
             PhysicalOp::Join { algorithm, .. } => algorithm.is_rank_aware(),
             _ => false,
         }
-    }
-
-    /// Whether this subtree contains an [`Exchange`](PhysicalOp::Exchange)
-    /// node (i.e. has already been parallelized — the optimizer's
-    /// parallelization pass is a no-op on such plans).
-    pub fn contains_exchange(&self) -> bool {
-        matches!(self.op, PhysicalOp::Exchange { .. })
-            || self.children().iter().any(|c| c.contains_exchange())
     }
 
     /// A one-line name of this node for explain output and operator metrics.
@@ -781,12 +715,6 @@ impl PhysicalPlan {
                 format!("SortLimit[{}; k={k}]", names.join("+"))
             }
             PhysicalOp::Limit { k, .. } => format!("Limit[{k}]"),
-            PhysicalOp::Exchange { merge, .. } => match merge {
-                ExchangeMerge::Concat => "Exchange(concat)".to_owned(),
-                ExchangeMerge::Ordered { limit: None } => "Exchange(merge)".to_owned(),
-                ExchangeMerge::Ordered { limit: Some(k) } => format!("Exchange(merge; k={k})"),
-            },
-            PhysicalOp::Repartition { .. } => "Repartition(morsels)".to_owned(),
         }
     }
 
@@ -974,35 +902,6 @@ mod tests {
             physical.schema().unwrap().field(0).qualified_name(),
             logical.schema().unwrap().field(0).qualified_name()
         );
-    }
-
-    #[test]
-    fn exchange_and_repartition_are_transparent_in_the_ir() {
-        let r = table("R", 0);
-        let scan = PhysicalPlan::from_logical(&LogicalPlan::scan(&r)).unwrap();
-        let schema_len = scan.schema().unwrap().len();
-        let spine = PhysicalPlan::unestimated(PhysicalOp::Repartition {
-            input: Box::new(scan),
-        });
-        let exchange = PhysicalPlan::unestimated(PhysicalOp::Exchange {
-            input: Box::new(spine),
-            merge: ExchangeMerge::Ordered { limit: Some(3) },
-        });
-        assert_eq!(exchange.schema().unwrap().len(), schema_len);
-        assert_eq!(exchange.node_count(), 3);
-        assert!(!exchange.is_rank_aware());
-        assert!(exchange.contains_exchange());
-        assert_eq!(exchange.node_label(None), "Exchange(merge; k=3)");
-        let concat = PhysicalPlan::unestimated(PhysicalOp::Exchange {
-            input: Box::new(PhysicalPlan::from_logical(&LogicalPlan::scan(&r)).unwrap()),
-            merge: ExchangeMerge::Concat,
-        });
-        assert_eq!(concat.node_label(None), "Exchange(concat)");
-        let text = exchange.explain(None);
-        assert!(text.contains("Repartition(morsels)"), "{text}");
-        // A plan without an exchange reports so.
-        let plain = PhysicalPlan::from_logical(&LogicalPlan::scan(&r)).unwrap();
-        assert!(!plain.contains_exchange());
     }
 
     #[test]

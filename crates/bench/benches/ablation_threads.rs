@@ -2,27 +2,25 @@
 //!
 //! The measured plan is the acceptance workload of the parallel engine: a
 //! filtered sequential scan feeding a hash join, fully drained through a
-//! per-partition top-k sort and an ordered-merge exchange —
-//! `Exchange(merge; k)(SortLimit(HashJoin(σ(Repartition(SeqScan A)),
-//! Exchange(concat)(Repartition(SeqScan B)))))` — produced by the
-//! optimizer's `parallelize` pass from the serial plan, never hand-tuned.
+//! fused top-k sort — `SortLimit(HashJoin(σ(SeqScan A), SeqScan B))`.  The
+//! plan is the same at every thread count; above one thread the executor
+//! runs the top-k per morsel of `A` and merges the runs, and drains the
+//! build side `B` per morsel too.
 //!
 //! Two claims are asserted here, every run, before the timed group:
 //!
 //! 1. **Determinism**: the top-k output is byte-identical across all
-//!    measured thread counts and identical to the serial (exchange-free)
-//!    plan.
+//!    measured thread counts, and only one thread runs no morsels.
 //! 2. **Two workers are not slower than one**: on a machine with at least
 //!    two hardware threads, the median of five executions at `threads=2`
 //!    must not exceed the median of five at `threads=1`, the two
 //!    alternating within this run — a ratio, so no absolute time is pinned.
 //!
-//! The timed group then *measures* threads 1/2/4/8 against the serial plan.
-//! No scaling law is promised: the driving table splits into 1024-row
-//! morsels that workers claim whole, so the curve is a staircase set by how
-//! the morsel count divides among the workers, and it flattens at the
-//! machine's core count.  The `threads=1` row doubles as the
-//! exchange-overhead baseline against the `serial` row.
+//! The timed group then *measures* threads 1/2/4/8.  No scaling law is
+//! promised: the driving table splits into 1024-row morsels that workers
+//! claim whole, so the curve is a staircase set by how the morsel count
+//! divides among the workers, and it flattens at the machine's core count.
+//! The `threads=1` row is the serial baseline.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,7 +30,6 @@ use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalPlan};
 use ranksql_common::BitSet64;
 use ranksql_executor::{execute_physical_plan, ExecutionContext};
 use ranksql_expr::{BoolExpr, CompareOp, ScalarExpr};
-use ranksql_optimizer::parallelize;
 use ranksql_workload::{SyntheticConfig, SyntheticWorkload};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -68,26 +65,28 @@ fn bench_threads(c: &mut Criterion) {
         )
         .sort(preds)
         .limit(workload.query.k);
-    let serial = PhysicalPlan::from_logical(&logical).expect("lowering");
-    let parallel = parallelize(serial.clone(), 4);
-    assert!(parallel.contains_exchange(), "{}", parallel.explain(None));
+    let plan = PhysicalPlan::from_logical(&logical).expect("lowering");
+    let run = |threads: usize| {
+        let exec = ExecutionContext::new(Arc::clone(&ranking)).with_threads(threads);
+        execute_physical_plan(&plan, catalog, &exec).expect("execution")
+    };
 
     // Determinism gate: byte-identical top-k output for every measured
-    // thread count, and identical to the serial exchange-free plan.
-    let fingerprint = |plan: &PhysicalPlan, threads: usize| {
-        let exec = ExecutionContext::new(Arc::clone(&ranking)).with_threads(threads);
-        let result = execute_physical_plan(plan, catalog, &exec).expect("execution");
+    // thread count.
+    let fingerprint = |threads: usize| {
+        let result = run(threads);
+        assert_eq!(result.morsels > 0, threads > 1, "threads={threads}");
         result
             .tuples
             .iter()
             .map(|t| (t.tuple.id().clone(), ranking.upper_bound(&t.state)))
             .collect::<Vec<_>>()
     };
-    let reference = fingerprint(&serial, 1);
+    let reference = fingerprint(1);
     assert_eq!(reference.len(), workload.query.k);
     for threads in THREAD_COUNTS {
         assert_eq!(
-            fingerprint(&parallel, threads),
+            fingerprint(threads),
             reference,
             "parallel output diverged at {threads} threads"
         );
@@ -99,7 +98,7 @@ fn bench_threads(c: &mut Criterion) {
         for _ in 0..5 {
             for (threads, samples) in [1, 2].into_iter().zip(&mut samples) {
                 let start = Instant::now();
-                black_box(fingerprint(&parallel, threads));
+                black_box(fingerprint(threads));
                 samples.push(start.elapsed());
             }
         }
@@ -119,32 +118,11 @@ fn bench_threads(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("ablation_threads/seq_scan_hash_join");
     group.sample_size(10);
-    group.bench_function("serial", |bench| {
-        bench.iter(|| {
-            let exec = ExecutionContext::new(Arc::clone(&ranking)).with_threads(1);
-            black_box(
-                execute_physical_plan(&serial, catalog, &exec)
-                    .expect("execution")
-                    .tuples
-                    .len(),
-            )
-        })
-    });
     for threads in THREAD_COUNTS {
         group.bench_with_input(
             BenchmarkId::new("threads", threads),
             &threads,
-            |bench, &threads| {
-                bench.iter(|| {
-                    let exec = ExecutionContext::new(Arc::clone(&ranking)).with_threads(threads);
-                    black_box(
-                        execute_physical_plan(&parallel, catalog, &exec)
-                            .expect("execution")
-                            .tuples
-                            .len(),
-                    )
-                })
-            },
+            |bench, &threads| bench.iter(|| black_box(run(threads).tuples.len())),
         );
     }
     group.finish();

@@ -1,6 +1,6 @@
 //! A small scoped-thread worker pool for morsel-driven parallel execution.
 //!
-//! The executor's `Exchange` operator fans *morsels* — contiguous chunks of
+//! The executor's exchange fans *morsels* — contiguous chunks of
 //! a base-table scan — across a handful of worker threads and reassembles
 //! the per-morsel outputs in morsel order, so parallel execution is
 //! deterministic regardless of thread count or scheduling.  [`WorkerPool`]

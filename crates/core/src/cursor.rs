@@ -2,8 +2,8 @@
 //! tree.
 //!
 //! A [`Cursor`] is the non-draining root of an execution.  Opening one
-//! builds the operator tree (including the exchange/morsel-parallel path)
-//! and *nothing else*; every [`Cursor::next`] / [`Cursor::take`] pulls just
+//! builds the operator tree (including the morsel pipelines of any sort it
+//! runs in parallel) and *nothing else*; every [`Cursor::next`] / [`Cursor::take`] pulls just
 //! enough from the tree to produce the requested rows.  On the paper's
 //! incremental ranking plans (rank-scans, µ, MPro, HRJN/NRJN) that means
 //! first-result latency and total work track `k` — asking for the top 3 of
@@ -14,7 +14,7 @@
 //! ([`PhysicalOperator::extend_limit`]) and resuming the incremental
 //! operators exactly where they stopped — the cheap "next k" the eager API
 //! could never offer.  Blocking plans that discarded tuples (bounded-heap
-//! top-k sorts, re-limiting ordered exchanges) refuse the extension with a
+//! top-k sorts, serial or per morsel) refuse the extension with a
 //! clear error instead of returning wrong rows.
 //!
 //! [`PhysicalOperator::extend_limit`]: ranksql_executor::PhysicalOperator::extend_limit
@@ -31,7 +31,7 @@ use ranksql_expr::{RankedTuple, RankingContext};
 use ranksql_storage::{Catalog, StatsCatalog};
 
 use crate::database::PlanCacheLookup;
-use crate::result::{stats_line, QueryResult};
+use crate::result::{analyzed, QueryResult};
 use crate::session::SessionSettings;
 
 /// The statistics catalog of every table the plan scans — but only the
@@ -107,9 +107,9 @@ impl Cursor {
         // Last line of defence before operators are built: the plan about
         // to execute must validate clean *with every parameter bound* —
         // catches a cached shape that was rebound or limit-extended
-        // incoherently.  Gated like the optimizer-pass hooks (debug builds
-        // unless RANKSQL_VERIFY overrides).
-        if ranksql_verify::enabled() {
+        // incoherently.  Gated like the optimizer-pass hooks: builds with
+        // `debug_assertions` only.
+        if cfg!(debug_assertions) {
             let diags = ranksql_verify::validate_physical(
                 &physical,
                 Some(&query.ranking),
@@ -255,8 +255,8 @@ impl Cursor {
     /// operators kept all their state, so the extension costs only the
     /// *additional* work for `k` more results.  Fails with an execution
     /// error on plans whose blocking operators already discarded tuples
-    /// beyond the original `k` (e.g. a materialised bounded-heap top-k sort
-    /// or a re-limiting parallel exchange) — re-prepare with a larger
+    /// beyond the original `k` (e.g. a materialised bounded-heap top-k sort,
+    /// serial or per morsel) — re-prepare with a larger
     /// `LIMIT` (or bind a larger `Params::k`) in that case.
     pub fn fetch_more(&mut self, k: usize) -> Result<Vec<RankedTuple>> {
         if k == 0 {
@@ -304,30 +304,20 @@ impl Cursor {
     }
 
     /// The executed plan annotated with live per-operator actuals, plus the
-    /// plan-cache outcome when this cursor came from a prepared statement
-    /// and one `statistics[T]` line per scanned table with built statistics.
+    /// plan-cache outcome when this cursor came from a prepared statement,
+    /// one `statistics[T]` line per scanned table with built statistics and
+    /// the parallelism when an exchange ran (see
+    /// [`QueryResult::explain_analyze`]).
     pub fn explain_analyze(&self) -> String {
-        let mut out = String::new();
-        if let Some(cache) = &self.plan_cache {
-            out.push_str(&cache.to_line());
-            out.push('\n');
-        }
-        for (table, catalog) in &self.table_stats {
-            out.push_str(&stats_line(table, catalog));
-            out.push('\n');
-        }
-        let (faulted, pruned) = (self.exec.pages_faulted(), self.exec.pages_pruned());
-        if faulted > 0 || pruned > 0 {
-            out.push_str(&format!(
-                "paged storage: pages_faulted={faulted}, pages_pruned={pruned}\n"
-            ));
-        }
-        out.push_str(
-            &self
-                .physical
-                .explain_with_actuals(Some(&self.ranking), &self.exec.metrics().operator_actuals()),
-        );
-        out
+        let exec = &self.exec;
+        analyzed(
+            self.plan_cache.as_ref(),
+            &self.table_stats,
+            (exec.pages_faulted(), exec.pages_pruned()),
+            (exec.threads(), exec.morsels()),
+            self.physical
+                .explain_with_actuals(Some(&self.ranking), &exec.metrics().operator_actuals()),
+        )
     }
 
     /// Drains the remaining rows and converts the cursor into an eager
@@ -351,6 +341,8 @@ impl Cursor {
             blocks_pruned: self.exec.blocks_pruned(),
             pages_faulted: self.exec.pages_faulted(),
             pages_pruned: self.exec.pages_pruned(),
+            threads: self.exec.threads(),
+            morsels: self.exec.morsels(),
         };
         let mut result = QueryResult::from_ranking(&self.ranking, &self.physical, execution)?;
         result.plan_cache = self.plan_cache;

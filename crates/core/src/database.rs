@@ -115,8 +115,8 @@ impl CacheInner {
 }
 
 /// The database-wide plan cache, keyed by
-/// [`ranksql_optimizer::normalized_cache_key`] (query shape + mode +
-/// threads; never bound values, `k`, or weights) plus the
+/// [`ranksql_optimizer::normalized_cache_key`] (query shape + mode; never
+/// bound values, `k`, weights or the thread count) plus the
 /// referenced tables' log₂ size buckets — so a cached shape is re-costed
 /// once a table grows or shrinks by about 2×, bounding plan staleness under
 /// mutation.
@@ -389,36 +389,20 @@ impl Database {
 
     /// Plans a query under the given mode without executing it.
     ///
-    /// With a thread budget above 1 the returned physical plan has been
-    /// through the optimizer's parallelization pass: parallel-safe subtrees
-    /// are wrapped in `Exchange`/`Repartition` nodes, which the executor
-    /// fans across the worker pool.
-    pub fn plan(&self, query: &RankQuery, mode: PlanMode) -> Result<OptimizedPlan> {
-        self.plan_with_settings(query, mode, self.default_settings.threads)
-    }
-
-    /// Plans under `mode` with an explicit worker-thread budget (the
-    /// session-aware form of [`Database::plan`]).
+    /// Pass order: optimization → `columnarize` (annotate scans, push
+    /// filters, mark zone pruning).  The plan does not depend on a thread
+    /// count: with more than one thread the executor runs a sort whose
+    /// input is a spine per morsel, deciding that as it lowers the plan.
     ///
-    /// Pass order: serial optimization → `columnarize` (annotate scans,
-    /// push filters, mark zone pruning) → `parallelize` (wrap spines in
-    /// exchanges; it treats annotated scans like any sequential scan, so
-    /// their morsels flow through the exchange path).
-    pub(crate) fn plan_with_settings(
-        &self,
-        query: &RankQuery,
-        mode: PlanMode,
-        threads: usize,
-    ) -> Result<OptimizedPlan> {
-        let verify = ranksql_verify::enabled();
+    /// In builds with `debug_assertions` every pass's output is validated,
+    /// and an `Error`-severity diagnostic fails planning.
+    pub fn plan(&self, query: &RankQuery, mode: PlanMode) -> Result<OptimizedPlan> {
         let config = OptimizerConfig {
             mode,
             ..OptimizerConfig::default()
         };
-        // `RankOptimizer` always produces serial plans; parallelization
-        // happens exactly once, below, under the caller's thread budget.
         let mut optimized = RankOptimizer::new(config).optimize(query, &self.catalog)?;
-        if verify {
+        if cfg!(debug_assertions) {
             debug_verify_logical(&optimized.plan, &query.ranking, "optimize")?;
             debug_verify(&optimized.physical, &query.ranking, "optimize")?;
         }
@@ -427,25 +411,15 @@ impl Database {
             &ranksql_optimizer::CostModel::default(),
         );
         optimized.cost = optimized.physical.estimated_cost;
-        if verify {
+        if cfg!(debug_assertions) {
             debug_verify(&optimized.physical, &query.ranking, "columnarize")?;
-        }
-        if threads > 1 {
-            optimized.physical = ranksql_optimizer::parallelize(optimized.physical, threads);
-            // The pass keeps cumulative per-node costs coherent, so the
-            // plan's headline cost is the rewritten root's.
-            optimized.cost = optimized.physical.estimated_cost;
-            if verify {
-                debug_verify(&optimized.physical, &query.ranking, "parallelize")?;
-            }
         }
         Ok(optimized)
     }
 
     /// Runs the full validator over the plan this database would run for
     /// `query` under `mode` and its default settings, returning **every**
-    /// diagnostic (warnings included) regardless of the `RANKSQL_VERIFY`
-    /// gate.  A clean plan yields an empty vector.  The session-aware form
+    /// diagnostic (warnings included) in any build.  A clean plan yields an empty vector.  The session-aware form
     /// is [`Session::verify_plan`].
     pub fn verify_plan(
         &self,
@@ -529,7 +503,7 @@ impl Database {
 
 /// Validates a pass's physical output, hard-failing planning on any
 /// `Error`-severity diagnostic with the full report in the message.  Called
-/// only when [`ranksql_verify::enabled`] (debug builds by default).
+/// only in builds with `debug_assertions`.
 fn debug_verify(
     physical: &PhysicalPlan,
     ranking: &std::sync::Arc<ranksql_expr::RankingContext>,
@@ -571,8 +545,8 @@ fn debug_verify_logical(
 
 /// The `plan validation:` footer `explain` appends: the full validator
 /// output over both trees (always computed — explain is a debugging
-/// surface, so the footer ignores the `RANKSQL_VERIFY` gate).
-pub(crate) fn explain_validation_footer(
+/// surface, so the footer is computed in release builds too).
+fn explain_validation_footer(
     optimized: &OptimizedPlan,
     ranking: &std::sync::Arc<ranksql_expr::RankingContext>,
 ) -> String {
@@ -685,14 +659,9 @@ mod tests {
             .map(|t| t.tuple.id().clone())
             .collect();
         let parallel = db.session().with_threads(4);
-        // The parallel canonical plan actually contains an exchange.
-        let text = parallel
-            .clone()
-            .with_mode(PlanMode::Canonical)
-            .explain(&query)
-            .unwrap();
-        assert!(text.contains("Exchange"), "{text}");
-        assert!(text.contains("Repartition(morsels)"), "{text}");
+        // The parallel canonical execution actually runs morsels.
+        let canonical = parallel.clone().with_mode(PlanMode::Canonical);
+        assert!(canonical.execute(&query).unwrap().morsels > 0);
         for mode in [
             PlanMode::Canonical,
             PlanMode::RankAware,

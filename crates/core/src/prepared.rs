@@ -5,7 +5,7 @@
 //! [`PreparedQuery::bind`] supplies concrete values and plans the bound
 //! query — once per normalized plan shape: the database's plan cache is
 //! keyed by [`ranksql_optimizer::normalized_cache_key`] (query shape + plan
-//! mode + thread budget, *not* the bound values or `k`), so re-executing
+//! mode, *not* the bound values, `k` or the thread count), so re-executing
 //! with fresh bindings skips parse and optimize entirely and only re-binds
 //! the cached physical plan in place.
 
@@ -111,8 +111,7 @@ impl<'db> PreparedQuery<'db> {
             )));
         }
         let slots = template.param_slots();
-        let cache_key =
-            ranksql_optimizer::normalized_cache_key(&template, settings.mode, settings.threads);
+        let cache_key = ranksql_optimizer::normalized_cache_key(&template, settings.mode);
         Ok(PreparedQuery {
             db,
             settings,
@@ -240,7 +239,7 @@ impl<'db> PreparedQuery<'db> {
             Some(hit) => hit,
             None => self.db.plan_cache().populate(&key, || {
                 self.db
-                    .plan_with_settings(&query, self.settings.mode, self.settings.threads)
+                    .plan(&query, self.settings.mode)
                     .map(|plan| (plan, query.k))
             })?,
         };
@@ -540,24 +539,15 @@ mod tests {
     }
 
     #[test]
-    fn different_modes_and_threads_key_separately() {
+    fn different_modes_key_separately() {
         let db = db();
         let q = template();
         let a = db.session().prepare_query(q.clone()).unwrap();
         let b = db
             .session()
             .with_mode(PlanMode::Canonical)
-            .prepare_query(q.clone())
+            .prepare_query(q)
             .unwrap();
-        // Pick an explicit thread count different from whatever the default
-        // session resolved to (RANKSQL_THREADS can make the default 4).
-        let threads = if a.cache_key().contains("threads=4") {
-            2
-        } else {
-            4
-        };
-        let c = db.session().with_threads(threads).prepare_query(q).unwrap();
         assert_ne!(a.cache_key(), b.cache_key());
-        assert_ne!(a.cache_key(), c.cache_key());
     }
 }

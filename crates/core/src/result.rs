@@ -16,7 +16,7 @@ use crate::database::PlanCacheLookup;
 /// plus each column's NDV as the planner saw it — `=` when the staged
 /// sketch is still exact (small / array stages), `~` when it comes from the
 /// HLL registers.
-pub(crate) fn stats_line(table: &str, catalog: &StatsCatalog) -> String {
+fn stats_line(table: &str, catalog: &StatsCatalog) -> String {
     let cols: Vec<String> = catalog
         .columns
         .iter()
@@ -31,6 +31,40 @@ pub(crate) fn stats_line(table: &str, catalog: &StatsCatalog) -> String {
         catalog.row_count,
         cols.join(", ")
     )
+}
+
+/// The `explain_analyze` text of an execution, shared by results and
+/// cursors: the plan-cache outcome (when the execution came through a
+/// prepared statement), one `statistics[T]` line per table with built
+/// statistics, the paged-storage counts (when any page was faulted or
+/// pruned), the parallelism (when an exchange ran), then `plan` — the
+/// physical tree with its actuals.
+pub(crate) fn analyzed(
+    plan_cache: Option<&PlanCacheLookup>,
+    table_stats: &[(String, Arc<StatsCatalog>)],
+    (pages_faulted, pages_pruned): (u64, u64),
+    (threads, morsels): (usize, u64),
+    plan: String,
+) -> String {
+    let mut out = String::new();
+    if let Some(cache) = plan_cache {
+        out.push_str(&cache.to_line());
+        out.push('\n');
+    }
+    for (table, catalog) in table_stats {
+        out.push_str(&stats_line(table, catalog));
+        out.push('\n');
+    }
+    if pages_faulted > 0 || pages_pruned > 0 {
+        out.push_str(&format!(
+            "paged storage: pages_faulted={pages_faulted}, pages_pruned={pages_pruned}\n"
+        ));
+    }
+    if morsels > 0 {
+        out.push_str(&format!("parallel: threads={threads} morsels={morsels}\n"));
+    }
+    out.push_str(&plan);
+    out
 }
 
 /// The result of executing a top-k query.
@@ -68,6 +102,11 @@ pub struct QueryResult {
     /// pruned block is a page never read: together with `pages_faulted`
     /// this quantifies the I/O the pruning saved.
     pub pages_pruned: u64,
+    /// The worker threads the execution could fan a sort's input across.
+    pub threads: usize,
+    /// Morsel pipelines the execution's exchanges ran; 0 when every sort
+    /// ran serially (one thread, or no sort over a spine).
+    pub morsels: u64,
     /// The plan-cache outcome when this execution came through a prepared
     /// statement (`None` for hand-built plans executed directly).
     pub plan_cache: Option<PlanCacheLookup>,
@@ -113,6 +152,8 @@ impl QueryResult {
             blocks_pruned: execution.blocks_pruned,
             pages_faulted: execution.pages_faulted,
             pages_pruned: execution.pages_pruned,
+            threads: execution.threads,
+            morsels: execution.morsels,
             plan_cache: None,
             table_stats: Vec::new(),
         })
@@ -125,29 +166,18 @@ impl QueryResult {
     /// through a prepared statement are prefixed with the plan-cache
     /// outcome (`plan cache: hit (hits=…, misses=…, entries=…)`) and one
     /// `statistics[T]` line per referenced table with built statistics
-    /// (row count and per-column NDV from the staged sketches).
+    /// (row count and per-column NDV from the staged sketches); one that
+    /// ran an exchange with `parallel: threads=T morsels=M`.  Under an
+    /// exchange a sort's actuals count every morsel's run.
     pub fn explain_analyze(&self, ctx: Option<&RankingContext>) -> String {
-        let mut out = String::new();
-        if let Some(cache) = &self.plan_cache {
-            out.push_str(&cache.to_line());
-            out.push('\n');
-        }
-        for (table, catalog) in &self.table_stats {
-            out.push_str(&stats_line(table, catalog));
-            out.push('\n');
-        }
-        if self.pages_faulted > 0 || self.pages_pruned > 0 {
-            out.push_str(&format!(
-                "paged storage: pages_faulted={}, pages_pruned={}\n",
-                self.pages_faulted, self.pages_pruned
-            ));
-        }
-        out.push_str(
-            &self
-                .physical
+        analyzed(
+            self.plan_cache.as_ref(),
+            &self.table_stats,
+            (self.pages_faulted, self.pages_pruned),
+            (self.threads, self.morsels),
+            self.physical
                 .explain_with_actuals(ctx, &self.metrics.operator_actuals()),
-        );
-        out
+        )
     }
 
     /// The final score of each returned row, best first.

@@ -31,8 +31,8 @@ pub struct SessionSettings {
     /// How queries are planned (default: rank-aware heuristic).
     pub mode: PlanMode,
     /// Worker threads for morsel-driven parallel execution; above 1 the
-    /// planner runs the parallelization pass and execution fans morsels
-    /// across that many workers.
+    /// executor runs each sort over a spine per morsel across that many
+    /// workers.  Plans do not depend on it.
     pub threads: usize,
     /// Tuples moved per batched pull through the operator tree.
     pub batch_size: usize,
@@ -183,53 +183,25 @@ impl<'db> Session<'db> {
             .execute()
     }
 
-    /// Plans a query under the session's mode and thread budget without
-    /// executing it (above one thread the physical plan has been through
-    /// the optimizer's parallelization pass).
+    /// Plans a query under the session's mode without executing it.
     pub fn plan(&self, query: &RankQuery) -> Result<ranksql_optimizer::OptimizedPlan> {
-        self.db
-            .plan_with_settings(query, self.settings.mode, self.settings.threads)
+        self.db.plan(query, self.settings.mode)
     }
 
     /// Runs the full plan validator over the plan this session would run
-    /// for `query`, returning **every** diagnostic (warnings included)
-    /// regardless of the `RANKSQL_VERIFY` gate; an empty vector means a
-    /// clean plan.  The database-default form is
+    /// for `query`, returning **every** diagnostic (warnings included); an
+    /// empty vector means a clean plan.  See
     /// [`Database::verify_plan`](crate::Database::verify_plan).
     pub fn verify_plan(&self, query: &RankQuery) -> Result<Vec<ranksql_verify::Diagnostic>> {
-        let optimized = self.plan(query)?;
-        let opts = ranksql_verify::ValidateOptions::default();
-        let mut diags =
-            ranksql_verify::validate_logical(&optimized.plan, Some(&query.ranking), &opts);
-        diags.extend(ranksql_verify::validate_physical(
-            &optimized.physical,
-            Some(&query.ranking),
-            &opts,
-        ));
-        Ok(diags)
+        self.db.verify_plan(query, self.settings.mode)
     }
 
     /// Returns the `EXPLAIN` text of the plan this session would run for a
-    /// query: logical and costed physical trees under the session's mode and
-    /// thread budget, plus the plan-validation footer.
+    /// query: logical and costed physical trees under the session's mode,
+    /// plus the plan-validation footer.  See
+    /// [`Database::explain`](crate::Database::explain).
     pub fn explain(&self, query: &RankQuery) -> Result<String> {
-        let optimized = self.plan(query)?;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "mode: {:?}\nestimated cost: {:.1}\nestimated cardinality: {:.1}\n",
-            self.settings.mode,
-            optimized.cost.value(),
-            optimized.estimated_cardinality
-        ));
-        out.push_str("logical plan:\n");
-        out.push_str(&optimized.plan.explain(Some(&query.ranking)));
-        out.push_str("physical plan:\n");
-        out.push_str(&optimized.physical.explain(Some(&query.ranking)));
-        out.push_str(&crate::database::explain_validation_footer(
-            &optimized,
-            &query.ranking,
-        ));
-        Ok(out)
+        self.db.explain(query, self.settings.mode)
     }
 }
 

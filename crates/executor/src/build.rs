@@ -5,7 +5,10 @@
 //! by whoever produced the plan — the optimizer's lowering or the
 //! structural [`PhysicalPlan::from_logical`] mapping.  [`build_operator`] is
 //! a mechanical walk that instantiates the named operator for every node,
-//! threading one [`ExecutionContext`] through all constructors.
+//! threading one [`ExecutionContext`] through all constructors.  The one
+//! decision it makes is a question of the run, not of the plan: whether a
+//! sort runs its input per morsel across the context's threads
+//! ([`ExchangeOp`]).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,7 +20,7 @@ use ranksql_storage::{BTreeIndex, Catalog, EpochSet, ScoreIndex};
 
 use crate::column_scan::ColumnScan;
 use crate::context::{ExecutionContext, TopKScoring, TopKThreshold};
-use crate::exchange::{ExchangeOp, RepartitionPassthrough};
+use crate::exchange::ExchangeOp;
 use crate::filter::{Filter, Project};
 use crate::join::{
     build_key_cols, collect_build_input, hash_build_input, BuildSide, Built, HashJoin,
@@ -31,21 +34,19 @@ use crate::scan::{AttributeIndexScan, RankScan};
 use crate::set_ops::{ExceptOp, IntersectOp, UnionOp};
 use crate::sort_limit::{LimitOp, SortLimitOp, SortOp};
 
-/// Whether `plan` is a σ/π (or transparent `Repartition`) chain over a
-/// zone-pruning columnar scan — one of the two patterns under which a
-/// `SortLimit` shares a [`TopKThreshold`] with what feeds it (the other is
-/// a hash join directly beneath it) — and if so, whether every row the
-/// scan emits reaches the sort (no σ in between), so the scan may score
-/// rows for it: each predicate is then evaluated once per row either way.
+/// Whether `plan` is a σ/π chain over a zone-pruning columnar scan — one
+/// of the two patterns under which a `SortLimit` shares a [`TopKThreshold`]
+/// with what feeds it (the other is a hash join directly beneath it) — and
+/// if so, whether every row the scan emits reaches the sort (no σ in
+/// between), so the scan may score rows for it: each predicate is then
+/// evaluated once per row either way.
 fn pruning_scan_scores(plan: &PhysicalPlan) -> Option<bool> {
     match &plan.op {
         PhysicalOp::SeqScan {
             columnar: Some(c), ..
         } => c.zone_prune.then_some(true),
         PhysicalOp::Filter { input, .. } => pruning_scan_scores(input).map(|_| false),
-        PhysicalOp::Project { input, .. } | PhysicalOp::Repartition { input } => {
-            pruning_scan_scores(input)
-        }
+        PhysicalOp::Project { input, .. } => pruning_scan_scores(input),
         _ => None,
     }
 }
@@ -128,17 +129,22 @@ type Inputs<'a> = dyn FnMut(&PhysicalPlan, &ExecutionContext) -> Result<BoxedOpe
 
 /// Lowers a join's build (inner) side.  Serially that is its input
 /// operator, which the join drains on its first pull.  In a morsel lowering
-/// the spine's first lowering lowers it through the serial path and drains
-/// it with `drain` (which also returns the rows drained) once, and every
-/// morsel's join shares the result.
+/// the spine's first lowering lowers it over the whole table — as a concat
+/// exchange if it is itself a spine — and drains it with `drain` (which
+/// also returns the rows drained) once, and every morsel's join shares the
+/// result.
 fn build_side<T: Send + Sync + 'static>(
     plan: &PhysicalPlan,
+    catalog: &Catalog,
     exec: &ExecutionContext,
     inputs: &mut Inputs<'_>,
     drain: impl FnOnce(&mut dyn PhysicalOperator, usize) -> Result<(usize, T)>,
 ) -> Result<BuildSide<T>> {
     let built = exec.spine_shared(|serial| {
-        let mut input = inputs(plan, serial)?;
+        let mut input: BoxedOperator = match ExchangeOp::over_build_side(plan, catalog, serial)? {
+            Some(exchange) => Box::new(exchange),
+            None => inputs(plan, serial)?,
+        };
         let (rows, table) = drain(input.as_mut(), serial.batch_size())?;
         Ok(Built::new(input.schema().clone(), rows, table))
     })?;
@@ -179,15 +185,19 @@ fn check_predicate(ctx: &RankingContext, predicate: usize) -> Result<()> {
 /// scratch — mirroring the paper's assumption that such indexes are
 /// available as access paths.
 ///
-/// An exchange lowers its spine through this same walk once per morsel,
-/// under a morsel context ([`ExchangeOp`]); three arms read it — the scan
-/// (the morsel's row range), the hash and nested-loops joins (the spine's
-/// drained build side) and the `SortLimit` (the spine's threshold cell).
+/// With more than one thread, a `Sort` or `SortLimit` over a spine is
+/// lowered as an [`ExchangeOp`], which lowers the sort through this same
+/// walk once per morsel, under a morsel context; two arms read it — the
+/// scan (the morsel's row range) and the hash and nested-loops joins (the
+/// spine's drained build side).
 pub fn build_operator(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     exec: &ExecutionContext,
 ) -> Result<BoxedOperator> {
+    if let Some(exchange) = ExchangeOp::over_sort(plan, catalog, exec)? {
+        return Ok(Box::new(exchange));
+    }
     lower(plan, catalog, exec, &mut |child, exec| {
         build_operator(child, catalog, exec)
     })
@@ -198,8 +208,7 @@ pub fn build_operator(
 /// streams the caller recorded — instead of lowering its children.  The
 /// sampling estimator runs each subplan's root this way over its inputs'
 /// kept outputs.  The children of `plan` are never lowered, so they may be
-/// [`PhysicalPlan::stand_in`]s; an exchange, which lowers its own spine, is
-/// rejected.
+/// [`PhysicalPlan::stand_in`]s, and a sort never runs per morsel.
 pub fn build_over_inputs(
     plan: &PhysicalPlan,
     inputs: Vec<BoxedOperator>,
@@ -343,7 +352,7 @@ fn lower(
             match algorithm {
                 JoinAlgorithm::NestedLoop => {
                     let l = inputs(left, exec)?;
-                    let r = build_side(right, exec, inputs, collect_build_input)?;
+                    let r = build_side(right, catalog, exec, inputs, collect_build_input)?;
                     Ok(Box::new(NestedLoopJoin::new(l, r, condition, exec, label)?))
                 }
                 JoinAlgorithm::Hash => {
@@ -359,7 +368,7 @@ fn lower(
                             TopKScoring::for_join(l.schema(), &right.schema()?, pushed, exec)
                         })
                         .transpose()?;
-                    let r = build_side(right, exec, inputs, |input, batch_size| {
+                    let r = build_side(right, catalog, exec, inputs, |input, batch_size| {
                         let key_cols = build_key_cols(condition, l.schema(), input.schema());
                         hash_build_input(input, &key_cols, batch_size, scoring.as_mut())
                     })?;
@@ -415,36 +424,30 @@ fn lower(
             }
             // Threshold feedback: when this top-k sits directly on a hash
             // join, or on a σ/π spine over a zone-pruning columnar scan,
-            // hand the pair a shared cell — the heap publishes its worst
-            // kept score, the producer does not build rows (the scan also
-            // skips blocks) that cannot beat it.  A scan under a σ only
-            // skips blocks: it is pushed no predicates to score.  The
+            // hand the pair a cell of their own — the heap publishes its
+            // worst kept score, the producer does not build rows (the scan
+            // also skips blocks) that cannot beat it.  A scan under a σ
+            // only skips blocks: it is pushed no predicates to score.  The
             // push/pop protocol is strictly nested because the consumer is
             // reached through a linear operator chain (no other SortLimit
-            // can be built in between).  A join's cell is this morsel's
-            // own; a scan's is its spine's one, shared by every morsel's
-            // scan and top-k.
-            let pushed = if matches!(
+            // can be built in between).
+            let scored = if matches!(
                 input.op,
                 PhysicalOp::Join {
                     algorithm: JoinAlgorithm::Hash,
                     ..
                 }
             ) {
-                Some((*predicates, Arc::new(TopKThreshold::new())))
-            } else if let Some(scores) = pruning_scan_scores(input) {
-                let cell = exec
-                    .spine_shared(|_| Ok(TopKThreshold::new()))?
-                    .unwrap_or_default();
-                let scored = if scores { *predicates } else { BitSet64::EMPTY };
-                Some((scored, cell))
+                Some(*predicates)
             } else {
-                None
+                pruning_scan_scores(input)
+                    .map(|scores| if scores { *predicates } else { BitSet64::EMPTY })
             };
-            let cell = pushed.as_ref().map(|(_, cell)| Arc::clone(cell));
-            if let Some((scored, cell)) = pushed {
-                exec.push_prune_threshold(scored, cell);
-            }
+            let cell = scored.map(|scored| {
+                let cell = Arc::new(TopKThreshold::new());
+                exec.push_prune_threshold(scored, Arc::clone(&cell));
+                cell
+            });
             let child = inputs(input, exec)?;
             let mut op = SortLimitOp::new(child, *predicates, *k, exec, label)?;
             if let Some(cell) = cell {
@@ -455,15 +458,6 @@ fn lower(
         PhysicalOp::Limit { input, k } => {
             let child = inputs(input, exec)?;
             Ok(Box::new(LimitOp::new(child, *k, exec, label)))
-        }
-        PhysicalOp::Exchange { input, merge } => Ok(Box::new(ExchangeOp::new(
-            input, *merge, catalog, exec, label,
-        )?)),
-        PhysicalOp::Repartition { input } => {
-            // A transparent marker over the scan, which in an exchange's
-            // morsel lowering reads one morsel.
-            let child = inputs(input, exec)?;
-            Ok(Box::new(RepartitionPassthrough::new(child, exec, label)))
         }
     }
 }
@@ -494,6 +488,11 @@ pub struct ExecutionResult {
     /// Pages of paged-out blocks that zone-map pruning skipped — disk reads
     /// that never happened (0 on in-memory databases).
     pub pages_pruned: u64,
+    /// The worker threads the execution could fan a sort's input across.
+    pub threads: usize,
+    /// Morsel pipelines the execution's exchanges lowered; 0 when every
+    /// sort ran serially.
+    pub morsels: u64,
 }
 
 impl ExecutionResult {
@@ -535,6 +534,7 @@ pub fn execute_physical_plan(
     let pruned_before = exec.blocks_pruned();
     let faulted_before = exec.pages_faulted();
     let pages_pruned_before = exec.pages_pruned();
+    let morsels_before = exec.morsels();
     let start = Instant::now();
     let mut root = build_operator(plan, catalog, exec)?;
     let tuples = drain_batched(root.as_mut(), exec.batch_size())?;
@@ -554,18 +554,22 @@ pub fn execute_physical_plan(
         blocks_pruned: exec.blocks_pruned() - pruned_before,
         pages_faulted: exec.pages_faulted() - faulted_before,
         pages_pruned: exec.pages_pruned() - pages_pruned_before,
+        threads: exec.threads(),
+        morsels: exec.morsels() - morsels_before,
     })
 }
 
 /// Convenience wrapper: structurally lowers a logical plan (zero-cost
-/// annotations) and executes it with a fresh unlimited context.
+/// annotations) and executes it with a fresh unlimited context on one
+/// thread — it runs the estimator's sample plans and the paper's
+/// experiments, whose counts must not depend on `RANKSQL_THREADS`.
 pub fn execute_plan(
     plan: &LogicalPlan,
     catalog: &Catalog,
     ctx: &Arc<RankingContext>,
 ) -> Result<ExecutionResult> {
     let physical = PhysicalPlan::from_logical(plan)?;
-    let exec = ExecutionContext::new(Arc::clone(ctx));
+    let exec = ExecutionContext::new(Arc::clone(ctx)).with_threads(1);
     execute_physical_plan(&physical, catalog, &exec)
 }
 

@@ -19,7 +19,7 @@
 //!   scoring function, other predicates at their caps) is below the worst
 //!   kept score, or equal to it while the block's first row id is past the
 //!   worst kept id.  The tail is one more block, bounded by the caps alone;
-//! * **row scoring** — when only π (or `Repartition`) sits between the scan
+//! * **row scoring** — when only π sits between the scan
 //!   and that top-k, the scan also evaluates the sort's predicates on each
 //!   selected row — sealed or tail — and builds the row only if it does not
 //!   sort after the worst kept entry (`TopKScoring`).

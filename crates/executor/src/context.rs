@@ -92,12 +92,9 @@ const NO_ID: u64 = u64::MAX;
 /// tuple that sorts after the worst kept entry is discarded by the heap
 /// immediately, so dropping it upstream cannot change results.
 ///
-/// The cell rule: a `SortLimit` over a hash join gets a fresh cell — in an
-/// exchange, one per morsel, so what the join builds depends on its own
-/// morsel only; a `SortLimit` over a zone-pruning scan takes its spine's
-/// one cell, shared by every morsel's scan and top-k.  Any partition's k-th
-/// best entry is a valid global bound: at least k tuples sort at or before
-/// it, so an entry that sorts after it is not in the global top-k.
+/// Every `SortLimit` lowering gets a fresh cell — in an exchange, one per
+/// morsel, so what a join builds depends on its own morsel only.  A
+/// zone-pruning scan is never lowered per morsel.
 ///
 /// The pair is published without a lock on the read path: a sequence
 /// number, odd while a write is in progress, brackets the three value
@@ -393,9 +390,8 @@ impl TupleBudget {
 }
 
 /// What must exist once per exchange spine however many morsels lower it —
-/// the spine operators' metrics handles, drained build sides, the
-/// threshold cell, the prune bitmap — in the order the spine's first
-/// lowering created them.
+/// the spine operators' metrics handles, drained build sides, the prune
+/// bitmap — in the order the spine's first lowering created them.
 pub(crate) type SpineRecord = Mutex<Vec<Arc<dyn Any + Send + Sync>>>;
 
 /// The morsel context: one lowering of an exchange spine, over one morsel
@@ -454,6 +450,11 @@ pub struct ExecutionContext {
     morsel_size: usize,
     /// Set while an exchange lowers its spine over one morsel.
     morsel: Option<Arc<MorselLowering>>,
+    /// Set inside an exchange — its morsel pipelines and the build sides
+    /// they share — where no sort fans out again.
+    in_exchange: bool,
+    /// Morsel pipelines lowered by this execution's exchanges.
+    morsels: Arc<AtomicU64>,
     /// Hand-off stack wiring a `SortLimit` to the operator below it that
     /// prunes on its behalf — the zone-pruning columnar scan on its σ/π
     /// spine, or the hash join directly beneath it — during plan lowering:
@@ -498,6 +499,8 @@ impl ExecutionContext {
             threads: default_thread_count(),
             morsel_size: DEFAULT_MORSEL_SIZE,
             morsel: None,
+            in_exchange: false,
+            morsels: Arc::new(AtomicU64::new(0)),
             epochs: Arc::new(EpochSet::new()),
             prune_cells: Arc::new(Mutex::new(Vec::new())),
             blocks_pruned: Arc::new(AtomicU64::new(0)),
@@ -550,9 +553,10 @@ impl ExecutionContext {
         self.batch_size
     }
 
-    /// Overrides the number of worker threads `Exchange` operators fan
-    /// morsels across (clamped to `1..=`[`MAX_THREADS`]).  `1` runs parallel
-    /// plans inline on the calling thread — the serial degradation path.
+    /// Overrides the number of worker threads a sort's input may run on
+    /// (clamped to `1..=`[`MAX_THREADS`]).  Above 1, `build_operator`
+    /// lowers a sort over a spine as an exchange across that many workers;
+    /// `1` lowers every plan serially.
     ///
     /// The default is [`default_thread_count`] (the `RANKSQL_THREADS`
     /// environment variable, or 1).
@@ -561,9 +565,26 @@ impl ExecutionContext {
         self
     }
 
-    /// The number of worker threads available to `Exchange` operators.
+    /// The number of worker threads available to exchanges.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Whether a sort lowered under this context runs its spine per morsel:
+    /// more than one thread, and not already inside an exchange.
+    pub(crate) fn fans_out(&self) -> bool {
+        self.threads > 1 && !self.in_exchange
+    }
+
+    /// Morsel pipelines this execution's exchanges have lowered so far; 0
+    /// when every sort ran serially.
+    pub fn morsels(&self) -> u64 {
+        self.morsels.load(Ordering::Relaxed)
+    }
+
+    /// Adds `n` lowered morsel pipelines to [`ExecutionContext::morsels`].
+    pub(crate) fn count_morsels(&self, n: usize) {
+        self.morsels.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Overrides the number of base-table rows per morsel (clamped to at
@@ -587,6 +608,7 @@ impl ExecutionContext {
     pub(crate) fn in_morsel(&self, range: Range<usize>, record: &Arc<SpineRecord>) -> Self {
         let mut ctx = self.clone();
         ctx.prune_cells = Arc::default();
+        ctx.in_exchange = true;
         ctx.morsel = Some(Arc::new(MorselLowering {
             range,
             record: Arc::clone(record),
@@ -601,9 +623,10 @@ impl ExecutionContext {
     }
 
     /// In a morsel lowering, the state its spine holds once at this point
-    /// of the walk: made by `make` — under a serial context, so a build
-    /// side lowered there is an ordinary serial subtree — on the first
-    /// lowering, replayed on every later one.  `None` outside a morsel
+    /// of the walk: made by `make` — under a context outside the morsel
+    /// but still inside the exchange, so a build side lowered there reads
+    /// its whole table and no sort in it fans out — on the first lowering,
+    /// replayed on every later one.  `None` outside a morsel
     /// lowering, where the caller makes its own.
     pub(crate) fn spine_shared<T: Send + Sync + 'static>(
         &self,
@@ -834,52 +857,6 @@ mod tests {
         assert_eq!(last.score.value(), (steps - 1) as f64);
     }
 
-    /// Under an exchange each partition's top-k raises the spine's one cell
-    /// with its own k-th best entry.  Any such entry is a valid global
-    /// bound: at least k entries sort at or before it, so no entry of the
-    /// global top-k sorts after it, whichever partitions raised first.
-    #[test]
-    fn threshold_cell_any_partitions_kth_best_is_a_global_bound() {
-        const K: usize = 10;
-        let mut rng = 7;
-        // Scores in few values (heavy ties), rows dealt to 4 partitions.
-        let entries: Vec<(Score, u64, usize)> = (0..400u64)
-            .map(|row| {
-                let score = Score::new((next(&mut rng) % 6) as f64);
-                (score, row, (next(&mut rng) % 4) as usize)
-            })
-            .collect();
-        let best_first = |mut v: Vec<(Score, u64)>| {
-            v.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            v
-        };
-        let global = best_first(entries.iter().map(|&(s, r, _)| (s, r)).collect());
-        let global_top = &global[..K];
-        for order in [[0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]] {
-            let cell = TopKThreshold::new();
-            for p in order {
-                let part = best_first(
-                    entries
-                        .iter()
-                        .filter(|e| e.2 == p)
-                        .map(|&(s, r, _)| (s, r))
-                        .collect(),
-                );
-                let (score, row) = part[K - 1];
-                cell.raise(score.value(), &id(row));
-                for &(s, r) in global_top {
-                    assert!(
-                        !cell.prunes_from(s, (0, r)),
-                        "partition {p} pruned a winner"
-                    );
-                }
-            }
-            // The bound is not vacuous: most entries sort after it.
-            let pruned = global.iter().filter(|&&(s, r)| cell.prunes_from(s, (0, r)));
-            assert!(pruned.count() > global.len() / 2);
-        }
-    }
-
     #[test]
     fn budget_charges_and_trips() {
         let b = TupleBudget::limited(3);
@@ -904,6 +881,7 @@ mod tests {
         let first = exec.in_morsel(0..4, &record);
         let a = first.register("a");
         let cell = first.spine_shared(|_| Ok(TopKThreshold::new())).unwrap();
+        assert!(!first.fans_out(), "no sort fans out inside an exchange");
         let b = first.register("b");
         assert_eq!(exec.metrics().len(), 2);
         // A later lowering gets the same handles and state back, in order,

@@ -1,81 +1,85 @@
-//! Morsel-driven parallel execution: the `Exchange` / `Repartition`
-//! operators.
+//! Morsel-driven parallel execution: the [`ExchangeOp`].
 //!
-//! An [`ExchangeOp`] executes a *parallel-safe spine* — a chain of
-//! membership operators (`Repartition`-marked scan → σ/π → hash-join or
-//! nested-loops probe → optional per-partition τ/τ+λ) — once per **morsel**
-//! (a contiguous chunk of the driving table's rows) across a scoped-thread
-//! [`WorkerPool`], then reassembles the per-morsel outputs into one serial
-//! stream.
+//! Parallelism is not a node of the plan; it is a way the executor lowers
+//! one.  [`build_operator`] lowers a `Sort` or `SortLimit` as an ordered
+//! exchange when the execution has more than one thread, is not already
+//! inside an exchange, and the sort's input is a *spine* (`spine_table`):
+//! σ, π and the probe sides of hash or nested-loops joins, down to a
+//! sequential scan that is not zone-pruned.  The exchange runs the sort over
+//! each **morsel** (a contiguous chunk of the driving table's rows) across a
+//! scoped-thread [`WorkerPool`], then k-way merges the per-morsel runs,
+//! keeping the sort's own `k`.  A join's build side that is itself a spine
+//! is drained by a nested concat exchange, which glues its morsel outputs
+//! back together in morsel order.  One plan thus serves every thread count.
 //!
-//! **One builder.** A morsel pipeline is [`build_operator`] over the spine
+//! **One builder.** A morsel pipeline is [`build_operator`] over the sort
 //! under a morsel context.  The first lowering records what must exist once
 //! per spine — the spine operators' metrics handles (registered in plan
 //! post-order, like serial lowering), each build side (lowered through the
-//! ordinary serial path, so a nested concat-exchange still parallelises
-//! it, then drained and hashed), the prune bitmap and the threshold cell —
+//! ordinary serial path, then drained and hashed) and the prune bitmap —
 //! and every later lowering replays that record in order.  So per-operator
 //! counters aggregate across workers, `explain_analyze` reports one row per
-//! plan node, and every morsel probes one build table.  The cell rule: a
-//! top-k over a hash join gets a cell of its morsel's own, so what the join
-//! builds does not depend on how far other workers have got; a top-k over
-//! a zone-pruning scan shares the spine's cell with every morsel's scan
-//! (any partition's k-th best score is a valid global bound).  All
-//! lowering happens in [`ExchangeOp::new`]; workers only drain.
+//! plan node, and every morsel probes one build table.  A top-k over a hash
+//! join gets a threshold cell of its morsel's own, so what the join builds
+//! does not depend on how far other workers have got.  All lowering happens
+//! in `ExchangeOp::new`; workers only drain.
 //!
 //! Output is byte-identical across any thread count, and identical to
 //! serial execution, because morsels are fixed-size row ranges (the worker
 //! count only decides who drains a morsel, never what it is) and
-//! reassembly is order-defined: `Concat` glues morsel outputs back in
-//! morsel order, `Ordered` k-way merges rank-sorted runs under the *total*
-//! order of `RankedTuple::cmp_desc` (score descending, ties on tuple
-//! identity).
+//! reassembly is order-defined: concat glues morsel outputs back in morsel
+//! order, the ordered merge follows the *total* order of
+//! `RankedTuple::cmp_desc` (score descending, ties on tuple identity).
 //!
-//! Rank-aware operators (µ, HRJN/NRJN) are never placed inside an
-//! exchange: they keep their incremental single-threaded top-k semantics
-//! *above* it, exactly as the paper's ranking principle requires.
+//! Rank-aware operators (µ, HRJN/NRJN) are never on a spine: they keep
+//! their incremental single-threaded top-k semantics *above* the sort, as
+//! the paper's ranking principle requires.  A zone-pruned scan is no spine
+//! either: serially it skips every block the shared top-k threshold rules
+//! out, while per-morsel top-ks would each read their morsel until their
+//! own threshold formed.
 
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use ranksql_algebra::{ExchangeMerge, JoinAlgorithm, PhysicalOp, PhysicalPlan};
-use ranksql_common::{morsel_ranges, RankSqlError, Result, Schema, Score, WorkerPool};
+use ranksql_algebra::{JoinAlgorithm, PhysicalOp, PhysicalPlan};
+use ranksql_common::{morsel_ranges, Result, Schema, Score, WorkerPool};
 use ranksql_expr::{RankedTuple, RankingContext};
 use ranksql_storage::Catalog;
 
 use crate::build::build_operator;
 use crate::context::ExecutionContext;
-use crate::metrics::OperatorMetrics;
 use crate::operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
 
-/// The parallel-safety check: `plan` must be a spine of σ, π, the probe
-/// side of a hash or nested-loops join, a sort or a top-k, down to one
-/// `Repartition`-marked sequential scan.  Returns that scan's table;
-/// builds nothing.
-fn driving_scan<'p>(plan: &'p PhysicalPlan, exec: &ExecutionContext) -> Result<&'p str> {
+/// The table whose rows a morsel lowering of `plan` partitions, if `plan`
+/// is a spine: σ, π and the probe sides of hash and nested-loops joins
+/// whose build sides hold no rank-aware operator, down to a sequential scan
+/// that is not zone-pruned.
+pub(crate) fn spine_table(plan: &PhysicalPlan) -> Option<&str> {
     match &plan.op {
-        PhysicalOp::Repartition { input } => match &input.op {
-            PhysicalOp::SeqScan { table, .. } => Ok(table),
-            _ => Err(RankSqlError::Plan(format!(
-                "Repartition must mark a sequential scan, found `{}`",
-                input.node_label(Some(exec.ranking()))
-            ))),
-        },
-        PhysicalOp::Filter { input, .. }
-        | PhysicalOp::Project { input, .. }
-        | PhysicalOp::Sort { input, .. }
-        | PhysicalOp::SortLimit { input, .. } => driving_scan(input, exec),
+        PhysicalOp::SeqScan {
+            columnar: Some(c), ..
+        } if c.zone_prune => None,
+        PhysicalOp::SeqScan { table, .. } => Some(table),
+        PhysicalOp::Filter { input, .. } | PhysicalOp::Project { input, .. } => spine_table(input),
         PhysicalOp::Join {
             left,
+            right,
             algorithm: JoinAlgorithm::Hash | JoinAlgorithm::NestedLoop,
             ..
-        } => driving_scan(left, exec),
-        _ => Err(RankSqlError::Plan(format!(
-            "operator `{}` is not parallel-safe under an Exchange",
-            plan.node_label(Some(exec.ranking()))
-        ))),
+        } if !right.is_rank_aware() => spine_table(left),
+        _ => None,
     }
+}
+
+/// How an exchange reassembles its morsel outputs into one stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Merge {
+    /// Morsel outputs back to back, in morsel (scan) order.
+    Concat,
+    /// A k-way merge of rank-sorted morsel runs, keeping the first `limit`
+    /// tuples (all with `None`).
+    Ordered { limit: Option<usize> },
 }
 
 /// The gather operator of morsel-driven parallel execution.
@@ -85,11 +89,12 @@ fn driving_scan<'p>(plan: &'p PhysicalPlan, exec: &ExecutionContext) -> Result<&
 /// `ExecutionContext::threads` workers and materialises the
 /// deterministically merged output, which subsequent pulls stream out.  A
 /// worker error or panic surfaces as the `Err` of the first pull — never a
-/// deadlock, never partial results.
+/// deadlock, never partial results.  The exchange is no plan node and
+/// registers no metrics of its own: its pipelines' operators report under
+/// their plan nodes, and [`ExecutionContext::morsels`] counts the morsels.
 pub struct ExchangeOp {
     schema: Schema,
-    metrics: Arc<OperatorMetrics>,
-    merge: ExchangeMerge,
+    merge: Merge,
     ranking: Arc<RankingContext>,
     threads: usize,
     batch_size: usize,
@@ -100,16 +105,49 @@ pub struct ExchangeOp {
 }
 
 impl ExchangeOp {
-    /// Lowers an exchange over `input`, which must be a parallel-safe spine
-    /// containing exactly one `Repartition`-marked scan.
-    pub fn new(
-        input: &PhysicalPlan,
-        merge: ExchangeMerge,
+    /// Lowers `plan` — a `Sort` or `SortLimit` — as an ordered exchange
+    /// when `exec` fans out and the sort's input is a spine; `None` when
+    /// the sort runs serially.
+    pub(crate) fn over_sort(
+        plan: &PhysicalPlan,
         catalog: &Catalog,
         exec: &ExecutionContext,
-        label: impl Into<String>,
+    ) -> Result<Option<Self>> {
+        let (input, limit) = match &plan.op {
+            PhysicalOp::Sort { input, .. } => (input, None),
+            PhysicalOp::SortLimit { input, k, .. } => (input, Some(*k)),
+            _ => return Ok(None),
+        };
+        match spine_table(input) {
+            Some(table) if exec.fans_out() => {
+                let merge = Merge::Ordered { limit };
+                ExchangeOp::new(plan, table, merge, catalog, exec).map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// Lowers a join's build side as a concat exchange when it is itself a
+    /// spine; `None` otherwise.  Called where a morsel lowering drains the
+    /// build side its morsels share.
+    pub(crate) fn over_build_side(
+        plan: &PhysicalPlan,
+        catalog: &Catalog,
+        exec: &ExecutionContext,
+    ) -> Result<Option<Self>> {
+        spine_table(plan)
+            .map(|table| ExchangeOp::new(plan, table, Merge::Concat, catalog, exec))
+            .transpose()
+    }
+
+    /// Lowers `plan` once per morsel of `table`, which drives its spine.
+    fn new(
+        plan: &PhysicalPlan,
+        table: &str,
+        merge: Merge,
+        catalog: &Catalog,
+        exec: &ExecutionContext,
     ) -> Result<Self> {
-        let table = driving_scan(input, exec)?;
         // Morsels cover the execution's pinned epoch, so every morsel (and
         // every other access path of this execution) reads one watermark
         // however many rows writers append meanwhile.  An empty table still
@@ -124,15 +162,11 @@ impl ExchangeOp {
         let record = Arc::default();
         let pipelines = ranges
             .into_iter()
-            .map(|(start, end)| {
-                build_operator(input, catalog, &exec.in_morsel(start..end, &record))
-            })
+            .map(|(start, end)| build_operator(plan, catalog, &exec.in_morsel(start..end, &record)))
             .collect::<Result<Vec<_>>>()?;
+        exec.count_morsels(pipelines.len());
         Ok(ExchangeOp {
-            schema: input.schema()?,
-            // Registered last — after the whole subtree — preserving the
-            // global post-order pairing.
-            metrics: exec.register(label),
+            schema: plan.schema()?,
             merge,
             ranking: exec.ranking_arc(),
             threads: exec.threads(),
@@ -155,12 +189,10 @@ impl ExchangeOp {
                 .as_deref_mut()
                 .map_or(Ok(Vec::new()), |p| drain_batched(p, self.batch_size))
         })?;
-        let merged: Vec<RankedTuple> = match self.merge {
-            ExchangeMerge::Concat => outputs.into_iter().flatten().collect(),
-            ExchangeMerge::Ordered { limit } => merge_ordered(outputs, &self.ranking, limit),
-        };
-        self.metrics.observe_buffered(merged.len() as u64);
-        Ok(merged)
+        Ok(match self.merge {
+            Merge::Concat => outputs.into_iter().flatten().collect(),
+            Merge::Ordered { limit } => merge_ordered(outputs, &self.ranking, limit),
+        })
     }
 }
 
@@ -177,30 +209,39 @@ impl PhysicalOperator for ExchangeOp {
         let merged = self.merged.insert(merged);
         let before = out.len();
         out.extend(merged.by_ref().take(max));
-        let n = out.len() - before;
-        if n > 0 {
-            self.metrics.add_out(n as u64);
-            self.metrics.add_batch();
-        }
-        Ok(n)
+        Ok(out.len() - before)
     }
 
     fn is_ranked(&self) -> bool {
         // An ordered merge emits in non-increasing complete-score order; a
         // concat makes no ordering promise of its own.
-        matches!(self.merge, ExchangeMerge::Ordered { .. })
+        matches!(self.merge, Merge::Ordered { .. })
     }
 
     fn can_extend_limit(&self) -> bool {
-        // Concat and unlimited ordered merges materialise the *complete*
-        // partition outputs — no discard, nothing to raise.  A re-limiting
-        // merge (and the per-partition top-k sorts feeding it) discards
-        // beyond k, so it cannot be extended after the fact.
-        !matches!(self.merge, ExchangeMerge::Ordered { limit: Some(_) })
+        match &self.merged {
+            // Before the first pull, whatever every morsel's pipeline
+            // allows: a top-k that has not run can still raise its k.
+            None => self.pipelines.iter().all(|p| p.can_extend_limit()),
+            // After it, concat and unlimited merges hold the *complete*
+            // morsel outputs; a limited merge discarded beyond its k.
+            Some(_) => !matches!(self.merge, Merge::Ordered { limit: Some(_) }),
+        }
     }
 
-    fn extend_limit(&mut self, _extra: usize) -> bool {
-        self.can_extend_limit()
+    fn extend_limit(&mut self, extra: usize) -> bool {
+        if !self.can_extend_limit() {
+            return false;
+        }
+        if self.merged.is_none() {
+            for pipeline in &mut self.pipelines {
+                pipeline.extend_limit(extra);
+            }
+            if let Merge::Ordered { limit: Some(k) } = &mut self.merge {
+                *k += extra;
+            }
+        }
+        true
     }
 }
 
@@ -273,58 +314,11 @@ fn merge_ordered(
     out
 }
 
-/// The `Repartition` operator: a transparent pass-through over its scan —
-/// the whole table serially, one morsel of it in an exchange's pipeline.
-pub struct RepartitionPassthrough {
-    inner: BoxedOperator,
-    schema: Schema,
-    metrics: Arc<OperatorMetrics>,
-}
-
-impl RepartitionPassthrough {
-    /// Wraps the already-built scan.
-    pub fn new(inner: BoxedOperator, exec: &ExecutionContext, label: impl Into<String>) -> Self {
-        let schema = inner.schema().clone();
-        RepartitionPassthrough {
-            inner,
-            schema,
-            metrics: exec.register(label),
-        }
-    }
-}
-
-impl PhysicalOperator for RepartitionPassthrough {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        let n = self.inner.next_batch(max, out)?;
-        if n > 0 {
-            self.metrics.add_in(n as u64);
-            self.metrics.add_out(n as u64);
-            self.metrics.add_batch();
-        }
-        Ok(n)
-    }
-
-    fn is_ranked(&self) -> bool {
-        self.inner.is_ranked()
-    }
-
-    fn can_extend_limit(&self) -> bool {
-        self.inner.can_extend_limit()
-    }
-
-    fn extend_limit(&mut self, extra: usize) -> bool {
-        self.inner.extend_limit(extra)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::execute_physical_plan;
+    use crate::build::{execute_physical_plan, ExecutionResult};
+    use ranksql_algebra::ColumnarScan;
     use ranksql_common::{BitSet64, DataType, Field, Value};
     use ranksql_expr::{BoolExpr, CompareOp, RankPredicate, ScalarExpr, ScoringFunction};
 
@@ -334,7 +328,7 @@ mod tests {
         let r = cat
             .create_table(
                 "R",
-                ranksql_common::Schema::new(vec![
+                Schema::new(vec![
                     Field::new("a", DataType::Int64),
                     Field::new("p1", DataType::Float64),
                 ]),
@@ -343,7 +337,7 @@ mod tests {
         let s = cat
             .create_table(
                 "S",
-                ranksql_common::Schema::new(vec![
+                Schema::new(vec![
                     Field::new("a", DataType::Int64),
                     Field::new("p2", DataType::Float64),
                 ]),
@@ -371,111 +365,75 @@ mod tests {
         (cat, ctx)
     }
 
+    fn plan(op: PhysicalOp) -> PhysicalPlan {
+        PhysicalPlan::unestimated(op)
+    }
+
     fn seq_scan(cat: &Catalog, name: &str) -> PhysicalPlan {
-        let t = cat.table(name).unwrap();
-        PhysicalPlan::unestimated(PhysicalOp::SeqScan {
+        plan(PhysicalOp::SeqScan {
             table: name.to_owned(),
-            schema: t.schema().clone(),
+            schema: cat.table(name).unwrap().schema().clone(),
             columnar: None,
         })
     }
 
-    fn repartitioned(scan: PhysicalPlan) -> PhysicalPlan {
-        PhysicalPlan::unestimated(PhysicalOp::Repartition {
-            input: Box::new(scan),
+    /// `Sort(Filter(SeqScan R))`: an unlimited ordered merge.
+    fn filter_sort_plan(cat: &Catalog) -> PhysicalPlan {
+        plan(PhysicalOp::Sort {
+            input: Box::new(plan(PhysicalOp::Filter {
+                input: Box::new(seq_scan(cat, "R")),
+                predicate: BoolExpr::compare(
+                    ScalarExpr::col("R.p1"),
+                    CompareOp::GtEq,
+                    ScalarExpr::lit(0.25),
+                ),
+            })),
+            predicates: BitSet64::singleton(0),
         })
     }
 
-    /// `Exchange(concat)(Filter(Repartition(SeqScan R)))`.
-    fn parallel_filter_plan(cat: &Catalog) -> PhysicalPlan {
-        let filter = PhysicalPlan::unestimated(PhysicalOp::Filter {
-            input: Box::new(repartitioned(seq_scan(cat, "R"))),
-            predicate: BoolExpr::compare(
-                ScalarExpr::col("R.p1"),
-                CompareOp::GtEq,
-                ScalarExpr::lit(0.25),
-            ),
-        });
-        PhysicalPlan::unestimated(PhysicalOp::Exchange {
-            input: Box::new(filter),
-            merge: ExchangeMerge::Concat,
-        })
-    }
-
-    /// `Exchange(merge k)(SortLimit(HashJoin(Repartition(SeqScan R), SeqScan S)))`.
-    fn parallel_join_topk_plan(cat: &Catalog, k: usize) -> PhysicalPlan {
-        let join = PhysicalPlan::unestimated(PhysicalOp::Join {
-            left: Box::new(repartitioned(seq_scan(cat, "R"))),
-            right: Box::new(seq_scan(cat, "S")),
-            condition: Some(BoolExpr::col_eq_col("R.a", "S.a")),
-            algorithm: JoinAlgorithm::Hash,
-        });
-        let topk = PhysicalPlan::unestimated(PhysicalOp::SortLimit {
-            input: Box::new(join),
-            predicates: BitSet64::all(2),
-            k,
-        });
-        PhysicalPlan::unestimated(PhysicalOp::Exchange {
-            input: Box::new(topk),
-            merge: ExchangeMerge::Ordered { limit: Some(k) },
-        })
-    }
-
-    fn ids(tuples: &[RankedTuple]) -> Vec<ranksql_common::TupleId> {
-        tuples.iter().map(|t| t.tuple.id().clone()).collect()
-    }
-
-    #[test]
-    fn concat_exchange_matches_serial_filter_for_every_thread_count() {
-        let (cat, ctx) = setup(97);
-        // Serial reference: the same pipeline without exchange machinery.
-        let serial = PhysicalPlan::unestimated(PhysicalOp::Filter {
-            input: Box::new(seq_scan(&cat, "R")),
-            predicate: BoolExpr::compare(
-                ScalarExpr::col("R.p1"),
-                CompareOp::GtEq,
-                ScalarExpr::lit(0.25),
-            ),
-        });
-        let exec = ExecutionContext::new(Arc::clone(&ctx)).with_threads(1);
-        let want = ids(&execute_physical_plan(&serial, &cat, &exec).unwrap().tuples);
-        assert!(!want.is_empty());
-        let plan = parallel_filter_plan(&cat);
-        for threads in [1, 2, 4, 8] {
-            for morsel in [7, 64, 4096] {
-                let exec = ExecutionContext::new(Arc::clone(&ctx))
-                    .with_threads(threads)
-                    .with_morsel_size(morsel);
-                let got = execute_physical_plan(&plan, &cat, &exec).unwrap();
-                assert_eq!(ids(&got.tuples), want, "threads={threads} morsel={morsel}");
-            }
-        }
-    }
-
-    #[test]
-    fn ordered_exchange_matches_serial_top_k_for_every_thread_count() {
-        let (cat, ctx) = setup(120);
-        let serial = PhysicalPlan::unestimated(PhysicalOp::SortLimit {
-            input: Box::new(PhysicalPlan::unestimated(PhysicalOp::Join {
-                left: Box::new(seq_scan(&cat, "R")),
-                right: Box::new(seq_scan(&cat, "S")),
+    /// `SortLimit(HashJoin(SeqScan R, SeqScan S))`: both scans are spines,
+    /// so the build side is drained by a nested concat exchange.
+    fn join_topk_plan(cat: &Catalog, k: usize) -> PhysicalPlan {
+        plan(PhysicalOp::SortLimit {
+            input: Box::new(plan(PhysicalOp::Join {
+                left: Box::new(seq_scan(cat, "R")),
+                right: Box::new(seq_scan(cat, "S")),
                 condition: Some(BoolExpr::col_eq_col("R.a", "S.a")),
                 algorithm: JoinAlgorithm::Hash,
             })),
             predicates: BitSet64::all(2),
-            k: 9,
-        });
-        let exec = ExecutionContext::new(Arc::clone(&ctx)).with_threads(1);
-        let want = ids(&execute_physical_plan(&serial, &cat, &exec).unwrap().tuples);
-        assert_eq!(want.len(), 9);
-        let plan = parallel_join_topk_plan(&cat, 9);
-        for threads in [1, 2, 4, 8] {
-            for morsel in [11, 4096] {
-                let exec = ExecutionContext::new(Arc::clone(&ctx))
-                    .with_threads(threads)
-                    .with_morsel_size(morsel);
-                let got = execute_physical_plan(&plan, &cat, &exec).unwrap();
-                assert_eq!(ids(&got.tuples), want, "threads={threads} morsel={morsel}");
+            k,
+        })
+    }
+
+    fn run(cat: &Catalog, plan: &PhysicalPlan, exec: ExecutionContext) -> ExecutionResult {
+        execute_physical_plan(plan, cat, &exec).unwrap()
+    }
+
+    fn ids(result: &ExecutionResult) -> Vec<ranksql_common::TupleId> {
+        result.tuples.iter().map(|t| t.tuple.id().clone()).collect()
+    }
+
+    #[test]
+    fn sorts_over_spines_match_serial_for_every_thread_and_morsel_count() {
+        let (cat, ctx) = setup(120);
+        for (plan, sizes) in [
+            (filter_sort_plan(&cat), [7, 64, 4096]),
+            (join_topk_plan(&cat, 9), [11, 40, 4096]),
+        ] {
+            let exec = || ExecutionContext::new(Arc::clone(&ctx));
+            let serial = run(&cat, &plan, exec().with_threads(1));
+            assert_eq!(serial.morsels, 0, "one thread never fans out");
+            assert!(!serial.tuples.is_empty());
+            for threads in [2, 4, 8] {
+                for morsel in sizes {
+                    let exec = exec().with_threads(threads).with_morsel_size(morsel);
+                    let got = run(&cat, &plan, exec);
+                    let at = format!("threads={threads} morsel={morsel}");
+                    assert_eq!(ids(&got), ids(&serial), "{at}");
+                    assert!(got.morsels > 0, "{at}");
+                }
             }
         }
     }
@@ -483,28 +441,42 @@ mod tests {
     #[test]
     fn exchange_metrics_register_one_entry_per_plan_node() {
         let (cat, ctx) = setup(50);
-        let plan = parallel_join_topk_plan(&cat, 5);
+        let plan = join_topk_plan(&cat, 5);
         let exec = ExecutionContext::new(Arc::clone(&ctx))
             .with_threads(4)
             .with_morsel_size(8);
-        let result = execute_physical_plan(&plan, &cat, &exec).unwrap();
-        // One metrics entry per plan node — morsel pipelines must not add
-        // registry entries of their own.
+        let result = run(&cat, &plan, exec);
+        // One metrics entry per plan node — neither the morsel pipelines
+        // nor the exchanges add registry entries of their own.
         assert_eq!(result.metrics.len(), plan.node_count());
-        // The scan node aggregated all 50 rows across all workers.
+        // The scans aggregated all 50 rows across all workers.
         let cards = result.actual_cardinalities();
-        assert_eq!(cards[0].0, "SeqScan(R)");
-        assert_eq!(cards[0].1, 50);
-        // The explain pairing holds: each node carries its actuals.
-        let text = plan.explain_with_actuals(Some(&ctx), &result.operator_actuals());
-        assert!(text.contains("Exchange(merge; k=5)"), "{text}");
-        assert!(text.contains("Repartition(morsels)"), "{text}");
+        assert_eq!(cards[0], ("SeqScan(R)".to_owned(), 50));
+        assert_eq!(cards[1], ("SeqScan(S)".to_owned(), 50));
+        // 7 morsels of R, and 7 of S for the build side's concat exchange.
+        assert_eq!(result.morsels, 14);
+        assert_eq!(result.threads, 4);
+    }
+
+    #[test]
+    fn a_limited_merge_extends_only_before_its_first_pull() {
+        let (cat, ctx) = setup(60);
+        let exec = ExecutionContext::new(Arc::clone(&ctx))
+            .with_threads(4)
+            .with_morsel_size(8);
+        let want = ids(&run(&cat, &join_topk_plan(&cat, 7), exec.clone()));
+        let mut root = build_operator(&join_topk_plan(&cat, 4), &cat, &exec).unwrap();
+        assert!(root.can_extend_limit() && root.extend_limit(3));
+        let got = drain_batched(root.as_mut(), 16).unwrap();
+        let got: Vec<_> = got.iter().map(|t| t.tuple.id().clone()).collect();
+        assert_eq!(got, want);
+        assert!(!root.can_extend_limit() && !root.extend_limit(1));
     }
 
     #[test]
     fn worker_errors_surface_as_clean_query_errors() {
         let (cat, ctx) = setup(60);
-        let plan = parallel_filter_plan(&cat);
+        let plan = filter_sort_plan(&cat);
         // A tuple budget of 10 trips inside the workers.
         let exec = ExecutionContext::with_budget(Arc::clone(&ctx), 10)
             .with_threads(4)
@@ -517,44 +489,43 @@ mod tests {
     }
 
     #[test]
-    fn repartition_without_exchange_degrades_to_a_passthrough() {
-        let (cat, ctx) = setup(20);
-        let plan = repartitioned(seq_scan(&cat, "R"));
-        let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let result = execute_physical_plan(&plan, &cat, &exec).unwrap();
-        assert_eq!(result.tuples.len(), 20);
-        assert_eq!(result.metrics.len(), 2);
-    }
-
-    #[test]
-    fn exchange_rejects_non_parallel_safe_spines() {
-        let (cat, ctx) = setup(10);
-        // A rank-materialize on the spine is not parallel-safe.
-        let bad = PhysicalPlan::unestimated(PhysicalOp::Exchange {
-            input: Box::new(PhysicalPlan::unestimated(PhysicalOp::RankMaterialize {
-                input: Box::new(repartitioned(seq_scan(&cat, "R"))),
-                predicate: 0,
+    fn sorts_over_anything_but_a_spine_run_serially() {
+        let (cat, ctx) = setup(40);
+        let zone_pruned = plan(PhysicalOp::SeqScan {
+            table: "R".into(),
+            schema: cat.table("R").unwrap().schema().clone(),
+            columnar: Some(ColumnarScan {
+                pushed_filter: None,
+                zone_prune: true,
+            }),
+        });
+        let rank_build = plan(PhysicalOp::Join {
+            left: Box::new(seq_scan(&cat, "R")),
+            right: Box::new(plan(PhysicalOp::RankMaterialize {
+                input: Box::new(seq_scan(&cat, "S")),
+                predicate: 1,
             })),
-            merge: ExchangeMerge::Concat,
+            condition: Some(BoolExpr::col_eq_col("R.a", "S.a")),
+            algorithm: JoinAlgorithm::Hash,
         });
-        let exec = ExecutionContext::new(Arc::clone(&ctx));
-        let err = execute_physical_plan(&bad, &cat, &exec).unwrap_err();
-        assert!(err.to_string().contains("not parallel-safe"), "{err}");
-        // A repartition over something that is not a SeqScan is rejected.
-        let bad_scan = PhysicalPlan::unestimated(PhysicalOp::Exchange {
-            input: Box::new(repartitioned(PhysicalPlan::unestimated(
-                PhysicalOp::RankScan {
-                    table: "R".into(),
-                    schema: cat.table("R").unwrap().schema().clone(),
-                    predicate: 0,
-                },
-            ))),
-            merge: ExchangeMerge::Concat,
+        let ranked = plan(PhysicalOp::RankMaterialize {
+            input: Box::new(seq_scan(&cat, "R")),
+            predicate: 0,
         });
-        let err = execute_physical_plan(&bad_scan, &cat, &exec).unwrap_err();
-        assert!(
-            err.to_string().contains("must mark a sequential scan"),
-            "{err}"
-        );
+        let r_only = BitSet64::singleton(0);
+        for (input, predicates) in [
+            (zone_pruned, r_only),
+            (rank_build, BitSet64::all(2)),
+            (ranked, r_only),
+        ] {
+            assert_eq!(spine_table(&input), None, "{}", input.explain(None));
+            let topk = plan(PhysicalOp::SortLimit {
+                input: Box::new(input),
+                predicates,
+                k: 3,
+            });
+            let exec = ExecutionContext::new(Arc::clone(&ctx)).with_threads(4);
+            assert_eq!(run(&cat, &topk, exec).morsels, 0);
+        }
     }
 }

@@ -22,11 +22,11 @@
 //! | sort (τ, materialise-then-sort), top-k limit (λ) | [`sort_limit`] | sort: blocking |
 //! | union, intersection, difference | [`set_ops`] | intersection/difference incremental |
 //! | fused top-k sort (τ+λ, bounded heap) | [`sort_limit`] | blocking, `O(k)` memory |
-//! | exchange / repartition (morsel-parallel gather + partitioning) | [`exchange`] | deterministic merge |
+//! | exchange (morsel-parallel sort input, deterministic merge) | [`exchange`] | ordered merge: yes |
 //!
 //! The executor consumes the [`ranksql_algebra::PhysicalPlan`] IR:
 //! [`build::build_operator`] instantiates the named operator for every node
-//! — a mechanical walk with no physical decisions left in it — threading
+//! — a mechanical walk whose one decision is where morsels run — threading
 //! one [`ExecutionContext`] (ranking context, metrics registry, tuple
 //! budget, batch size) through every operator constructor.
 //! [`build::execute_physical_plan`] drives a plan to completion;
@@ -45,12 +45,13 @@
 //! tuples at a time, and blocking operators drain their inputs in chunks of
 //! the same size.
 //!
-//! **Morsel-driven parallelism.** Plans whose parallel-safe subtrees were
-//! wrapped in `Exchange`/`Repartition` nodes (the optimizer's
-//! `parallelize` pass) fan morsels of the driving scan across a scoped
-//! worker pool of [`ExecutionContext::threads`] threads and reassemble the
-//! outputs deterministically — byte-identical to serial execution for any
-//! thread count; see the [`exchange`] module.
+//! **Morsel-driven parallelism.** Parallelism is no plan node.  With more
+//! than one [`ExecutionContext::threads`], `build_operator` lowers a sort
+//! whose input is a spine (σ, π, hash- or nested-loops-join probes over a
+//! sequential scan) as an exchange: the sort runs once per morsel of the
+//! driving scan across a scoped worker pool and the runs are merged
+//! deterministically — byte-identical to serial execution for any thread
+//! count; see the [`exchange`] module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,7 +81,6 @@ pub use build::{
 };
 pub use column_scan::ColumnScan;
 pub use context::{ExecutionContext, TopKThreshold, TupleBudget};
-pub use exchange::{ExchangeOp, RepartitionPassthrough};
 pub use metrics::{MetricsRegistry, OperatorMetrics};
 pub use mpro::MProOp;
 pub use operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator, Replay};

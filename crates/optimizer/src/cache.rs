@@ -10,13 +10,14 @@
 //! * **included** — table list, Boolean predicate shapes (parameters render
 //!   as `$i`, never as their bound values), ranking predicate names, score
 //!   sources and costs, the scoring-function *kind* and arity, the
-//!   projection, the plan mode, and the worker-thread budget (the
-//!   parallelization pass rewrites plans per thread count).  The core layer
+//!   projection and the plan mode.  The core layer
 //!   additionally suffixes the referenced tables' log₂ size buckets at bind
 //!   time, so a cached shape is re-costed once a table grows or shrinks by
 //!   roughly 2× — bounding how stale the plan's cost assumptions can get;
-//! * **excluded** — bound parameter values, the concrete `k`, and concrete
-//!   ranking weights (`WeightedSum` keys by arity only).  Re-binding any of
+//! * **excluded** — bound parameter values, the concrete `k`, concrete
+//!   ranking weights (`WeightedSum` keys by arity only) and the worker
+//!   thread count (the executor decides at run time what runs per morsel,
+//!   so one plan serves every thread count).  Re-binding any of
 //!   these hits the cache and rewrites the cached shape in place.  The
 //!   cached shape was *costed* under the first binding's values, so a wildly
 //!   different binding may execute a plan the optimizer would no longer
@@ -34,15 +35,14 @@ use ranksql_expr::{ScoreSource, ScoringFunction};
 
 use crate::PlanMode;
 
-/// Renders the normalized plan-cache key of a query under a plan mode and
-/// worker-thread budget.
+/// Renders the normalized plan-cache key of a query under a plan mode.
 ///
 /// The key is value-independent: binding different parameter values (or a
 /// different `k` / different ranking weights) to the same prepared query
 /// yields the same key, so repeated executions skip parse + optimize.
-pub fn normalized_cache_key(query: &RankQuery, mode: PlanMode, threads: usize) -> String {
+pub fn normalized_cache_key(query: &RankQuery, mode: PlanMode) -> String {
     let mut key = String::new();
-    let _ = write!(key, "mode={mode:?};threads={threads};from=");
+    let _ = write!(key, "mode={mode:?};from=");
     key.push_str(&query.tables.join(","));
     key.push_str(";where=");
     for (i, p) in query.bool_predicates.iter().enumerate() {
@@ -117,13 +117,11 @@ mod tests {
         let base = normalized_cache_key(
             &query_with(param_filter(None), ScoringFunction::Sum, 5),
             PlanMode::RankAware,
-            1,
         );
         // Binding a value, changing k: same key.
         let bound = normalized_cache_key(
             &query_with(param_filter(Some(42)), ScoringFunction::Sum, 500),
             PlanMode::RankAware,
-            1,
         );
         assert_eq!(base, bound);
         // Different weights, same arity: same key.
@@ -134,7 +132,6 @@ mod tests {
                 5,
             ),
             PlanMode::RankAware,
-            1,
         );
         let w2 = normalized_cache_key(
             &query_with(
@@ -143,18 +140,16 @@ mod tests {
                 5,
             ),
             PlanMode::RankAware,
-            1,
         );
         assert_eq!(w1, w2);
         assert_ne!(base, w1, "scoring kind must be part of the key");
     }
 
     #[test]
-    fn key_separates_modes_threads_shapes() {
+    fn key_separates_modes_and_shapes() {
         let q = query_with(param_filter(None), ScoringFunction::Sum, 5);
-        let a = normalized_cache_key(&q, PlanMode::RankAware, 1);
-        assert_ne!(a, normalized_cache_key(&q, PlanMode::Traditional, 1));
-        assert_ne!(a, normalized_cache_key(&q, PlanMode::RankAware, 4));
+        let a = normalized_cache_key(&q, PlanMode::RankAware);
+        assert_ne!(a, normalized_cache_key(&q, PlanMode::Traditional));
         // A different literal *shape* (non-parameterized constant) differs.
         let lit = query_with(
             BoolExpr::compare(
@@ -165,7 +160,7 @@ mod tests {
             ScoringFunction::Sum,
             5,
         );
-        assert_ne!(a, normalized_cache_key(&lit, PlanMode::RankAware, 1));
+        assert_ne!(a, normalized_cache_key(&lit, PlanMode::RankAware));
         assert!(a.contains("$0"), "{a}");
     }
 }

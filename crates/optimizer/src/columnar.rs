@@ -25,14 +25,9 @@
 //! constant (the model's view of the dense-vector access path), fused
 //! filters keep a discounted share of their interpreted-evaluation cost,
 //! and every ancestor's cumulative cost is reduced by exactly what its
-//! subtree saved — the same bookkeeping the parallelization pass uses.
-//!
-//! The pass runs between serial lowering and [`parallelize`]: the
-//! parallelization pass treats annotated scans like any sequential scan, so
-//! columnar morsels flow through exchanges unchanged.
+//! subtree saved.
 //!
 //! [`ColumnTable`]: ranksql_storage::ColumnTable
-//! [`parallelize`]: crate::parallelize
 
 use ranksql_algebra::{ColumnarScan, PhysicalOp, PhysicalPlan};
 use ranksql_common::Cost;

@@ -31,7 +31,6 @@ pub mod columnar;
 pub mod cost;
 pub mod enumerate;
 pub mod lower;
-pub mod parallel;
 pub mod sampling;
 
 use ranksql_algebra::{LogicalPlan, PhysicalPlan, RankQuery};
@@ -43,7 +42,6 @@ pub use columnar::columnarize;
 pub use cost::{Cost, CostModel};
 pub use enumerate::{optimize_traditional, DpOptimizer, EnumerationStats};
 pub use lower::{lower_with_estimates, physical_estimates};
-pub use parallel::parallelize;
 pub use sampling::SamplingEstimator;
 
 /// How a query is planned.  The discriminant is the mode's wire code (the
@@ -150,10 +148,8 @@ impl RankOptimizer {
 
     /// Optimizes a query against a catalog.
     ///
-    /// The returned plan is always serial; morsel-driven parallelization is
-    /// a separate, explicit post-pass ([`parallelize`]) owned by whoever
-    /// knows the runtime thread budget (e.g. `Database::plan`), so exactly
-    /// one layer decides plan parallelism.
+    /// The returned plan does not depend on a thread count: the executor
+    /// decides at run time which sorts run their input per morsel.
     ///
     /// `Canonical` returns the canonical plan of Eq. 1 before any estimator
     /// is built, at cost 0 and cardinality `k`.  Every other mode first

@@ -235,7 +235,11 @@ impl<'db> Connection<'db, '_> {
         }
 
         let counters = self.metrics.tenant(&tenant);
-        counters.record_connection();
+        // A socket counts once per tenant: on its first HELLO, or on a
+        // re-HELLO that names another tenant.
+        if self.tenant.is_none() || self.tenant_name != tenant {
+            counters.record_connection();
+        }
         self.tenant = Some(counters);
         self.tenant_name = tenant;
         self.session = Some(session);

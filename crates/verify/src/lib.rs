@@ -3,11 +3,9 @@
 //! [`PhysicalPlan`](ranksql_algebra::PhysicalPlan) IR.
 //!
 //! The engine's correctness rests on structural invariants the type system
-//! cannot express — rank-aware operators pinned serial above `Exchange`,
-//! pushed filters referencing only scanned columns, the `SortLimit`/ordered
-//! merge `k` agreement that `extend_limit` relies on, cumulative cost
-//! annotations staying monotone through the `columnarize` and `parallelize`
-//! rewrites.  Until now those invariants only failed indirectly, as wrong
+//! cannot express — pushed filters referencing only scanned columns, zone
+//! pruning only under a top-k, cumulative cost annotations staying monotone
+//! through the `columnarize` rewrite.  Until now those invariants only failed indirectly, as wrong
 //! answers under the equivalence proptests.  This crate encodes each one as
 //! a named [`Rule`] producing typed [`Diagnostic`]s, so a broken rewrite
 //! fails *at plan time* with the rule id and the offending node's path.
@@ -18,9 +16,9 @@
 //! the passes it checks — the checker and the checked share no code that
 //! could be wrong in the same way.
 //!
-//! Wiring: `ranksql-core` runs [`validate_physical`] after every optimizer
-//! pass when [`enabled`] says so (on under `debug_assertions`, overridable
-//! either way with `RANKSQL_VERIFY=0|1`), surfaces it as
+//! Wiring: in builds with `debug_assertions` (every `cargo test`),
+//! `ranksql-core` runs [`validate_physical`] after every optimizer pass and
+//! at cursor open; release builds skip those hooks.  It surfaces it as
 //! `Database::verify_plan` / `Session::verify_plan`, and appends a
 //! validation footer to `explain` output.  Any [`Severity::Error`]
 //! diagnostic hard-fails planning.
@@ -35,18 +33,16 @@ pub use logical::validate_logical;
 pub use physical::validate_physical;
 
 use std::fmt;
-use std::sync::OnceLock;
 
 /// How bad a diagnostic is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Suspicious but legal: the plan executes correctly, the shape is
-    /// still worth surfacing (e.g. a `Repartition` outside any exchange,
-    /// which degrades to a pass-through).
+    /// still worth surfacing (e.g. a top-k of zero tuples).
     Warning,
     /// An invariant violation: executing the plan may produce wrong
     /// answers, panic, or silently drop work.  Planning hard-fails on
-    /// these when validation is enabled.
+    /// these in builds with `debug_assertions`.
     Error,
 }
 
@@ -71,28 +67,12 @@ pub enum Rule {
     /// Filter predicates and join conditions reference only columns their
     /// input schema actually provides.
     SchemaPredicateColumns,
-    /// Rank-aware operators (rank-scan, µ, HRJN, NRJN) never sit
-    /// inside an exchange subtree — they keep incremental single-threaded
-    /// top-k semantics above it.
-    ExchangeRankBelow,
-    /// Every exchange spine contains exactly one `Repartition` marker (not
-    /// counting nested exchanges, which own their own spines), each
-    /// `Repartition` wraps a `SeqScan`, and a `Repartition` outside any
-    /// exchange is flagged as a degenerate pass-through.
-    ExchangeSpine,
-    /// An ordered exchange merge agrees with its partial: `Ordered{limit:
-    /// Some(k)}` re-limits per-partition `SortLimit`s of exactly `k`
-    /// (the pair `extend_limit` rewrites together), `Ordered{limit: None}`
-    /// merges per-partition full `Sort` runs.
-    ExchangeMergeLimit,
     /// Parameter slots referenced by the plan form a contiguous `$0..$n`
     /// range (a gap is a dangling slot no binding will ever fill), and a
     /// plan about to execute carries no unbound parameter.
     ParamSlots,
     /// Cumulative per-node cost annotations are monotone parent ≥ child —
-    /// the bookkeeping the `columnarize`/`parallelize` rewrites maintain.
-    /// `Exchange` parents are exempt: dividing per-morsel work across
-    /// workers legitimately makes the exchange cheaper than its input.
+    /// the bookkeeping the `columnarize` rewrite maintains.
     CostMonotonic,
     /// Cost and cardinality estimates are finite and non-negative.
     CostFinite,
@@ -101,7 +81,7 @@ pub enum Rule {
     /// the only shape the column-at-a-time kernels evaluate.
     ColumnarPushedFilter,
     /// A zone-pruning columnar scan reaches its `SortLimit` through an
-    /// order/membership-preserving σ/π (and `Repartition`) chain only;
+    /// order/membership-preserving σ/π chain only;
     /// anywhere else, score pruning could change results.
     ColumnarZonePrune,
     /// Ranking-predicate indices (rank-scans, µ, sort predicate sets) stay
@@ -117,9 +97,6 @@ impl Rule {
         match self {
             Rule::SchemaCoherence => "schema.coherence",
             Rule::SchemaPredicateColumns => "schema.predicate-columns",
-            Rule::ExchangeRankBelow => "exchange.rank-below",
-            Rule::ExchangeSpine => "exchange.spine",
-            Rule::ExchangeMergeLimit => "exchange.merge-limit",
             Rule::ParamSlots => "params.slots",
             Rule::CostMonotonic => "cost.monotonic",
             Rule::CostFinite => "cost.finite",
@@ -134,9 +111,6 @@ impl Rule {
     pub fn layer(&self) -> &'static str {
         match self {
             Rule::SchemaCoherence | Rule::SchemaPredicateColumns => "algebra",
-            Rule::ExchangeRankBelow | Rule::ExchangeSpine | Rule::ExchangeMergeLimit => {
-                "parallelize"
-            }
             Rule::ParamSlots => "prepared statements",
             Rule::CostMonotonic | Rule::CostFinite => "costing",
             Rule::ColumnarPushedFilter | Rule::ColumnarZonePrune => "columnarize",
@@ -194,20 +168,6 @@ impl ValidateOptions {
             require_bound_params: true,
         }
     }
-}
-
-/// Whether hook-sites should run the validator.
-///
-/// `RANKSQL_VERIFY=1` (or `true`/`on`) forces it on, `RANKSQL_VERIFY=0`
-/// (or `false`/`off`) forces it off; unset, it follows
-/// `cfg!(debug_assertions)` — on in every `cargo test`, off in release
-/// serving builds.  The answer is computed once per process.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("RANKSQL_VERIFY") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-        Err(_) => cfg!(debug_assertions),
-    })
 }
 
 /// Whether any diagnostic in `diags` is an [`Severity::Error`].
@@ -304,9 +264,6 @@ mod tests {
         let rules = [
             Rule::SchemaCoherence,
             Rule::SchemaPredicateColumns,
-            Rule::ExchangeRankBelow,
-            Rule::ExchangeSpine,
-            Rule::ExchangeMergeLimit,
             Rule::ParamSlots,
             Rule::CostMonotonic,
             Rule::CostFinite,
@@ -330,13 +287,16 @@ mod tests {
     fn footer_and_report_render() {
         assert_eq!(footer(&[]), "plan validation: clean\n");
         let d = Diagnostic {
-            rule: Rule::ExchangeSpine,
+            rule: Rule::ColumnarZonePrune,
             severity: Severity::Error,
-            node_path: "root (Exchange(concat))".to_owned(),
-            message: "no Repartition in spine".to_owned(),
+            node_path: "root (SeqScan(R))".to_owned(),
+            message: "zone pruning without a top-k".to_owned(),
         };
         let text = footer(std::slice::from_ref(&d));
-        assert!(text.contains("[error] exchange.spine @ root"), "{text}");
+        assert!(
+            text.contains("[error] columnar.zone-prune @ root"),
+            "{text}"
+        );
         assert!(has_errors(&[d]));
         assert!(!has_errors(&[]));
     }

@@ -3,7 +3,7 @@
 //! compile here until its invariants are stated; `cargo xtask lint`
 //! additionally cross-checks the walk against `PhysicalOp::try_map_children`).
 
-use ranksql_algebra::{ColumnarScan, ExchangeMerge, PhysicalOp, PhysicalPlan};
+use ranksql_algebra::{ColumnarScan, PhysicalOp, PhysicalPlan};
 use ranksql_common::{Schema, Value};
 use ranksql_expr::{BoolExpr, RankingContext, ScalarExpr};
 
@@ -23,27 +23,10 @@ pub fn validate_physical(
         bindings: Vec::new(),
     };
     let mut indices = Vec::new();
-    walker.visit(
-        plan,
-        &mut indices,
-        Scope {
-            in_exchange: false,
-            zone_chain: false,
-        },
-    );
+    walker.visit(plan, &mut indices, false);
     let root_path = node_path(&[], &plan.node_label(ctx));
     check_param_bindings(&walker.bindings, opts, &root_path, &mut walker.diags);
     walker.diags
-}
-
-/// Inherited (top-down) validation state.
-#[derive(Clone, Copy)]
-struct Scope {
-    /// Whether this node sits inside an `Exchange` subtree.
-    in_exchange: bool,
-    /// Whether a zone-pruning columnar scan is legal here: true only on
-    /// the σ/π/`Repartition` chain directly under a `SortLimit`.
-    zone_chain: bool,
 }
 
 struct Walker<'a> {
@@ -72,20 +55,6 @@ fn is_pushable(pred: &BoolExpr) -> bool {
         }
         _ => false,
     })
-}
-
-/// `Repartition` markers belonging to *this* exchange's spine: nested
-/// exchanges own their spines and are not descended into.
-fn repartitions_in_spine(plan: &PhysicalPlan) -> usize {
-    match &plan.op {
-        PhysicalOp::Repartition { .. } => 1,
-        PhysicalOp::Exchange { .. } => 0,
-        _ => plan
-            .children()
-            .iter()
-            .map(|c| repartitions_in_spine(c))
-            .sum(),
-    }
 }
 
 impl Walker<'_> {
@@ -138,7 +107,10 @@ impl Walker<'_> {
         }
     }
 
-    fn visit(&mut self, plan: &PhysicalPlan, indices: &mut Vec<usize>, scope: Scope) {
+    /// `zone_chain` is the one inherited (top-down) state: whether a
+    /// zone-pruning columnar scan is legal here — true only on the σ/π
+    /// chain directly under a `SortLimit`.
+    fn visit(&mut self, plan: &PhysicalPlan, indices: &mut Vec<usize>, zone_chain: bool) {
         let path = node_path(indices, &plan.node_label(self.ctx));
 
         // cost.finite: estimates must be finite and non-negative.
@@ -163,27 +135,21 @@ impl Walker<'_> {
             );
         }
 
-        // cost.monotonic: cumulative costs never shrink upward — except
-        // through an Exchange, whose per-morsel work is divided across
-        // workers by design.
-        if !matches!(plan.op, PhysicalOp::Exchange { .. }) {
-            for child in plan.children() {
-                let child_cost = child.estimated_cost.value();
-                if child_cost.is_finite()
-                    && cost.is_finite()
-                    && child_cost > cost * (1.0 + 1e-9) + 1e-6
-                {
-                    self.push(
-                        Rule::CostMonotonic,
-                        Severity::Error,
-                        &path,
-                        format!(
-                            "cumulative cost {cost:.3} is below child `{}` at {child_cost:.3} — \
-                             a rewrite pass left the annotation stale",
-                            child.node_label(self.ctx)
-                        ),
-                    );
-                }
+        // cost.monotonic: cumulative costs never shrink upward.
+        for child in plan.children() {
+            let child_cost = child.estimated_cost.value();
+            if child_cost.is_finite() && cost.is_finite() && child_cost > cost * (1.0 + 1e-9) + 1e-6
+            {
+                self.push(
+                    Rule::CostMonotonic,
+                    Severity::Error,
+                    &path,
+                    format!(
+                        "cumulative cost {cost:.3} is below child `{}` at {child_cost:.3} — \
+                         a rewrite pass left the annotation stale",
+                        child.node_label(self.ctx)
+                    ),
+                );
             }
         }
 
@@ -239,7 +205,7 @@ impl Walker<'_> {
                         }
                         self.bindings.extend(f.param_bindings());
                     }
-                    if *zone_prune && !scope.zone_chain {
+                    if *zone_prune && !zone_chain {
                         self.push(
                             Rule::ColumnarZonePrune,
                             Severity::Error,
@@ -321,111 +287,16 @@ impl Walker<'_> {
                     );
                 }
             }
-            PhysicalOp::Exchange { input, merge } => {
-                if input.is_rank_aware() {
-                    self.push(
-                        Rule::ExchangeRankBelow,
-                        Severity::Error,
-                        &path,
-                        "a rank-aware operator sits inside the exchange subtree — rank \
-                         operators must stay pinned serial above the exchange"
-                            .to_owned(),
-                    );
-                }
-                let repartitions = repartitions_in_spine(input);
-                if repartitions != 1 {
-                    self.push(
-                        Rule::ExchangeSpine,
-                        Severity::Error,
-                        &path,
-                        format!(
-                            "exchange spine carries {repartitions} Repartition markers \
-                             (exactly 1 required to drive the morsel partitioning)"
-                        ),
-                    );
-                }
-                match merge {
-                    ExchangeMerge::Concat => {}
-                    ExchangeMerge::Ordered { limit } => match (&input.op, limit) {
-                        (PhysicalOp::SortLimit { k, .. }, Some(l)) if k == l => {}
-                        (PhysicalOp::SortLimit { k, .. }, Some(l)) => {
-                            self.push(
-                                Rule::ExchangeMergeLimit,
-                                Severity::Error,
-                                &path,
-                                format!(
-                                    "ordered merge re-limits to {l} but the per-partition \
-                                     top-k keeps {k} — `extend_limit` must rewrite both caps \
-                                     together"
-                                ),
-                            );
-                        }
-                        (PhysicalOp::SortLimit { k, .. }, None) => {
-                            self.push(
-                                Rule::ExchangeMergeLimit,
-                                Severity::Error,
-                                &path,
-                                format!(
-                                    "per-partition top-k keeps {k} tuples but the ordered \
-                                     merge carries no re-limit — the merged stream would \
-                                     overshoot the query's k"
-                                ),
-                            );
-                        }
-                        (PhysicalOp::Sort { .. }, _) => {}
-                        (_, _) => {
-                            self.push(
-                                Rule::ExchangeMergeLimit,
-                                Severity::Error,
-                                &path,
-                                format!(
-                                    "ordered merge requires per-partition Sort/SortLimit runs, \
-                                     found `{}`",
-                                    input.node_label(self.ctx)
-                                ),
-                            );
-                        }
-                    },
-                }
-            }
-            PhysicalOp::Repartition { input } => {
-                if !scope.in_exchange {
-                    self.push(
-                        Rule::ExchangeSpine,
-                        Severity::Warning,
-                        &path,
-                        "Repartition outside any exchange degrades to a pass-through".to_owned(),
-                    );
-                }
-                if !matches!(input.op, PhysicalOp::SeqScan { .. }) {
-                    self.push(
-                        Rule::ExchangeSpine,
-                        Severity::Error,
-                        &path,
-                        format!(
-                            "Repartition must wrap the driving SeqScan, found `{}`",
-                            input.node_label(self.ctx)
-                        ),
-                    );
-                }
-            }
         }
 
-        // Scope for the children: entering an exchange, and tracking the
-        // σ/π/Repartition chain a zone-pruning scan must sit on.
-        let child_scope = Scope {
-            in_exchange: scope.in_exchange || matches!(plan.op, PhysicalOp::Exchange { .. }),
-            zone_chain: match plan.op {
-                PhysicalOp::SortLimit { .. } => true,
-                PhysicalOp::Filter { .. }
-                | PhysicalOp::Project { .. }
-                | PhysicalOp::Repartition { .. } => scope.zone_chain,
-                _ => false,
-            },
+        let child_zone_chain = match plan.op {
+            PhysicalOp::SortLimit { .. } => true,
+            PhysicalOp::Filter { .. } | PhysicalOp::Project { .. } => zone_chain,
+            _ => false,
         };
         for (i, child) in plan.children().into_iter().enumerate() {
             indices.push(i);
-            self.visit(child, indices, child_scope);
+            self.visit(child, indices, child_zone_chain);
             indices.pop();
         }
     }

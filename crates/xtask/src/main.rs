@@ -544,11 +544,15 @@ fn check_forbid_unsafe(root: &Path, errors: &mut Vec<String>) {
 /// Check 5: `PhysicalOp` variant freshness.  Parses the variant list out of
 /// the enum definition and requires each to be named (as `PhysicalOp::V`)
 /// in `try_map_children` (the exhaustive child walk `map_children` wraps)
-/// and in the verify crate's physical walk.  The PhysicalOp-adjacent enums
-/// carried inside variants get the same treatment: a new `ExchangeMerge`
-/// discipline must be matched in the verify walk or its invariants are
-/// unchecked, and every `JoinAlgorithm` must be named in the executor's
-/// join lowering, so a wildcard arm there fails the lint.
+/// and in the verify crate's physical walk.  The variant count is pinned at
+/// [`PHYSICAL_OPS`], so a parser that misreads the enum fails loudly and a
+/// new operator is a deliberate edit here too.  Every `JoinAlgorithm` must
+/// be named in the executor's join lowering, so a wildcard arm there fails
+/// the lint.
+/// The number of `PhysicalOp` variants: scans (sequential, rank, attribute
+/// index), σ, π, µ, join, set operation, sort, top-k sort, limit.
+const PHYSICAL_OPS: usize = 11;
+
 fn check_physicalop_freshness(root: &Path, errors: &mut Vec<String>) {
     let physical = root.join("crates/algebra/src/physical.rs");
     let Ok(text) = fs::read_to_string(&physical) else {
@@ -557,10 +561,11 @@ fn check_physicalop_freshness(root: &Path, errors: &mut Vec<String>) {
     };
     let stripped = strip_comments_and_strings(&text);
     let variants = enum_variants(&stripped, "pub enum PhysicalOp");
-    if variants.len() < 10 {
+    if variants.len() != PHYSICAL_OPS {
         errors.push(format!(
-            "freshness parser found only {} PhysicalOp variants — the parser is broken, \
-             not the code",
+            "freshness parser found {} PhysicalOp variants, expected {PHYSICAL_OPS} — either \
+             the parser is broken or an operator was added or removed without updating \
+             PHYSICAL_OPS",
             variants.len()
         ));
         return;
@@ -584,24 +589,6 @@ fn check_physicalop_freshness(root: &Path, errors: &mut Vec<String>) {
             errors.push(format!(
                 "PhysicalOp::{v} is not named in the ranksql-verify physical walk — its \
                  invariants are unchecked"
-            ));
-        }
-    }
-    let merges = enum_variants(&stripped, "pub enum ExchangeMerge");
-    if merges.len() < 2 {
-        errors.push(format!(
-            "freshness parser found only {} ExchangeMerge variants — the parser is \
-             broken, not the code",
-            merges.len()
-        ));
-        return;
-    }
-    for v in &merges {
-        let qualified = format!("ExchangeMerge::{v}");
-        if !verify_text.contains(&qualified) {
-            errors.push(format!(
-                "ExchangeMerge::{v} is not matched in the ranksql-verify physical walk — \
-                 the merge discipline's ordering invariants are unchecked"
             ));
         }
     }

@@ -1,12 +1,13 @@
 //! Byte-for-byte `explain` text, pinned in `tests/golden/explain.txt`.
 //!
-//! The golden covers the paper's query Q under every `PlanMode` at one and
-//! two threads, hand-built plans over each of the five join algorithms, a
+//! The golden covers the paper's query Q under every `PlanMode`, hand-built
+//! plans over each of the five join algorithms, a
 //! parameterised join condition after `with_params`, an optimized plan
 //! after `with_limit`, and the join shapes where bushy trees matter (4- and
 //! 5-table chains, a 4-table star) under the two-dimensional enumerator and
 //! the traditional plane.  A refactor of the physical IR or of the plan
-//! search must leave every line unchanged.
+//! search must leave every line unchanged.  Plans do not depend on the
+//! thread count; `explain_is_the_same_at_every_thread_count` checks that.
 
 use ranksql::algebra::PhysicalPlan;
 use ranksql::optimizer::{optimize_traditional, CostModel, OptimizerConfig, SamplingEstimator};
@@ -87,24 +88,22 @@ fn section(out: &mut String, title: &str, body: &str) {
     out.push_str(&format!("=== {title}\n{body}"));
 }
 
+const MODES: [PlanMode; 4] = [
+    PlanMode::RankAware,
+    PlanMode::RankAwareExhaustive,
+    PlanMode::Traditional,
+    PlanMode::Canonical,
+];
+
 fn render() -> String {
     let mut out = String::new();
 
     let workload = SyntheticWorkload::generate(SyntheticConfig::small(200)).unwrap();
     let db = workload.database().unwrap();
     let query = &workload.query;
-    let modes = [
-        PlanMode::RankAware,
-        PlanMode::RankAwareExhaustive,
-        PlanMode::Traditional,
-        PlanMode::Canonical,
-    ];
-    for mode in modes {
-        for threads in [1, 2] {
-            let session = db.session().with_mode(mode).with_threads(threads);
-            let text = session.explain(query).unwrap();
-            section(&mut out, &format!("Q {mode:?} threads={threads}"), &text);
-        }
+    for mode in MODES {
+        let text = db.session().with_mode(mode).with_threads(1).explain(query);
+        section(&mut out, &format!("Q {mode:?} threads=1"), &text.unwrap());
     }
 
     let (r, s) = (table("R", 0), table("S", 1));
@@ -166,16 +165,14 @@ fn render() -> String {
     assert_eq!(param_join.param_slots(), vec![0, 1]);
     section(&mut out, "with_params", &bound.explain(Some(&ctx)));
 
-    for (mode, threads) in [(PlanMode::RankAware, 1), (PlanMode::Traditional, 2)] {
-        let session = db.session().with_mode(mode).with_threads(threads);
-        let physical = session.plan(query).unwrap().physical;
-        let k = workload.config.k;
-        section(
-            &mut out,
-            &format!("with_limit k={k}->3 {mode:?} threads={threads}"),
-            &physical.with_limit(k, 3).explain(Some(&query.ranking)),
-        );
-    }
+    let session = db.session().with_mode(PlanMode::RankAware).with_threads(1);
+    let physical = session.plan(query).unwrap().physical;
+    let k = workload.config.k;
+    section(
+        &mut out,
+        &format!("with_limit k={k}->3 RankAware threads=1"),
+        &physical.with_limit(k, 3).explain(Some(&query.ranking)),
+    );
     let sorted = PhysicalPlan::from_logical(
         &LogicalPlan::scan(&r)
             .sort(ranksql::common::BitSet64::singleton(0))
@@ -233,6 +230,28 @@ fn traditional_search_counts_are_pinned() {
         .map(|(_, db, query)| traditional_counts(db, query))
         .collect();
     assert_eq!(counts, vec![(130, 15, 16), (455, 31, 32), (130, 15, 16)]);
+}
+
+/// One plan serves every thread count: under every mode, `explain` at two
+/// threads is the text at one, and so is a re-limited plan.
+#[test]
+fn explain_is_the_same_at_every_thread_count() {
+    let workload = SyntheticWorkload::generate(SyntheticConfig::small(200)).unwrap();
+    let db = workload.database().unwrap();
+    let query = &workload.query;
+    for mode in MODES {
+        let [one, two] = [1, 2].map(|threads| db.session().with_mode(mode).with_threads(threads));
+        assert_eq!(
+            two.explain(query).unwrap(),
+            one.explain(query).unwrap(),
+            "{mode:?}"
+        );
+        let relimited = |session: &ranksql::Session<'_>| {
+            let physical = session.plan(query).unwrap().physical;
+            physical.with_limit(workload.config.k, 3)
+        };
+        assert_eq!(relimited(&two), relimited(&one), "{mode:?}");
+    }
 }
 
 #[test]

@@ -304,7 +304,7 @@ fn erroring_parallel_worker_surfaces_a_clean_query_error_and_no_deadlock() {
     // are still running: the failure must surface as one clean
     // `RankSqlError` — never a deadlock, never partial results.
     let db = small_db();
-    let session = db.session().with_threads(4);
+    let session = db.session().with_threads(4).with_mode(PlanMode::Canonical);
     let query = QueryBuilder::new()
         .tables(["T", "U"])
         .filter(BoolExpr::col_eq_col("T.jc", "U.jc"))
@@ -313,12 +313,9 @@ fn erroring_parallel_worker_surfaces_a_clean_query_error_and_no_deadlock() {
         .limit(3)
         .build()
         .unwrap();
-    let physical = session
-        .with_mode(PlanMode::Canonical)
-        .plan(&query)
-        .unwrap()
-        .physical;
-    assert!(physical.contains_exchange(), "{}", physical.explain(None));
+    let physical = session.plan(&query).unwrap().physical;
+    let parallel = session.execute(&query).unwrap();
+    assert!(parallel.morsels > 0, "{}", parallel.explain_analyze(None));
 
     // Both tables have 30 rows.  A budget of 45 survives the build-side
     // materialisation (30 tuples, drained once during exchange preparation)

@@ -1,10 +1,11 @@
 //! Cross-thread determinism of morsel-driven parallel execution.
 //!
 //! The parallel engine promises that execution is a pure *scheduling*
-//! choice: for every plan mode, the parallelized plan must produce exactly
-//! the ordered top-k result of serial batch execution and of tuple-at-a-time
-//! execution — same tuples, same order, same scores — for any worker-thread
-//! count, any batch size and any morsel size.  In the spirit of black-box
+//! choice: for every plan mode, one plan — the same at every thread count —
+//! run across worker threads must produce exactly the ordered top-k result
+//! of serial batch execution and of tuple-at-a-time execution — same
+//! tuples, same order, same scores — for any worker-thread count, any batch
+//! size and any morsel size.  In the spirit of black-box
 //! equivalence checkers (the snapshot-isolation checker and HISTEX lineage
 //! in PAPERS.md), these properties drive randomized workloads through all
 //! four `PlanMode`s and compare the executions pairwise.
@@ -12,8 +13,8 @@
 //! A companion regression test pins the metrics-aggregation contract: the
 //! per-operator `rows_out` / `batches_out` / `mean_batch_fill` series of
 //! `explain_analyze` must be *identical* (not merely summable) across any
-//! thread count, because morsel partitioning — never the worker count —
-//! determines what each operator processes.
+//! thread count above one, because morsel partitioning — never the worker
+//! count — determines what each operator processes.
 
 use proptest::prelude::*;
 
@@ -21,8 +22,8 @@ use ranksql::executor::{execute_physical_plan, ExecutionContext};
 use ranksql::expr::RankPredicate;
 use ranksql::workload::{SyntheticConfig, SyntheticWorkload};
 use ranksql::{
-    BoolExpr, CompareOp, DataType, Database, Field, PlanMode, QueryBuilder, RankQuery, ScalarExpr,
-    Schema, Value,
+    BoolExpr, CompareOp, DataType, Database, Field, Params, PlanMode, QueryBuilder, RankQuery,
+    ScalarExpr, Schema, Value,
 };
 
 const ALL_MODES: [PlanMode; 4] = [
@@ -107,6 +108,12 @@ fn build_database(w: &Workload) -> (Database, RankQuery) {
     (db, query)
 }
 
+/// The modes whose plan for the two-table join is a sort over a spine, so
+/// that above one thread the sort runs per morsel.
+fn sorts_over_a_spine(mode: PlanMode) -> bool {
+    matches!(mode, PlanMode::Canonical | PlanMode::Traditional)
+}
+
 /// `(tuple id, score)` fingerprint of an ordered result.
 fn fingerprint(
     query: &RankQuery,
@@ -128,22 +135,23 @@ proptest! {
     fn parallel_equals_serial_and_tuple_mode_for_all_plan_modes(w in workload()) {
         let (db, query) = build_database(&w);
         for mode in ALL_MODES {
-            // Serial reference plan (no exchanges) executed two ways.
-            let serial_plan = db
+            // One plan, whatever the session's thread count.
+            let plan = db
                 .session()
                 .with_mode(mode)
                 .with_threads(1)
                 .plan(&query)
                 .unwrap()
                 .physical;
-            prop_assert!(!serial_plan.contains_exchange());
+            let at_four = db.session().with_mode(mode).with_threads(4).plan(&query);
+            prop_assert_eq!(&at_four.unwrap().physical, &plan);
 
-            let batch_exec = ExecutionContext::new(query.ranking.clone());
-            let serial = execute_physical_plan(&serial_plan, db.catalog(), &batch_exec).unwrap();
-            let reference = fingerprint(&query, &serial.tuples);
-
-            let tuple_exec = ExecutionContext::new(query.ranking.clone()).with_batch_size(1);
-            let tuple = execute_physical_plan(&serial_plan, db.catalog(), &tuple_exec).unwrap();
+            // The serial reference, executed two ways.
+            let serial = |exec: ExecutionContext| {
+                execute_physical_plan(&plan, db.catalog(), &exec.with_threads(1)).unwrap()
+            };
+            let reference = fingerprint(&query, &serial(ExecutionContext::new(query.ranking.clone())).tuples);
+            let tuple = serial(ExecutionContext::new(query.ranking.clone()).with_batch_size(1));
             prop_assert_eq!(
                 &fingerprint(&query, &tuple.tuples),
                 &reference,
@@ -151,21 +159,13 @@ proptest! {
                 mode
             );
 
-            // Parallelized plan executed across the thread sweep.
-            let parallel_plan = db
-                .session()
-                .with_mode(mode)
-                .with_threads(4)
-                .plan(&query)
-                .unwrap()
-                .physical;
+            // The same plan executed across the thread sweep.
             for threads in THREAD_COUNTS {
                 let exec = ExecutionContext::new(query.ranking.clone())
                     .with_threads(threads)
                     .with_batch_size(w.batch_size)
                     .with_morsel_size(w.morsel_size);
-                let parallel =
-                    execute_physical_plan(&parallel_plan, db.catalog(), &exec).unwrap();
+                let parallel = execute_physical_plan(&plan, db.catalog(), &exec).unwrap();
                 prop_assert_eq!(
                     &fingerprint(&query, &parallel.tuples),
                     &reference,
@@ -175,6 +175,11 @@ proptest! {
                     w.batch_size,
                     w.morsel_size
                 );
+                if threads == 1 {
+                    prop_assert_eq!(parallel.morsels, 0);
+                } else if sorts_over_a_spine(mode) {
+                    prop_assert!(parallel.morsels > 0, "mode {:?}: no morsels", mode);
+                }
             }
         }
     }
@@ -182,9 +187,11 @@ proptest! {
 
 /// Regression: the per-operator actuals of `explain_analyze` (`rows_out`,
 /// `batches_out`, `mean_batch_fill`, and a hash join's `built`) are identical
-/// across any thread count — aggregation across workers must neither lose
-/// nor duplicate updates, and the counts are a function of the (fixed)
-/// morsel and batch sizes only.  The `Traditional` plan's hash join sits
+/// across any thread count above one — aggregation across workers must
+/// neither lose nor duplicate updates, and the counts are a function of the
+/// (fixed) morsel and batch sizes only.  One thread runs the plan serially:
+/// every operator reports, the scans read every row and the sort emits the
+/// same rows.  The `Traditional` plan's hash join sits
 /// beneath a per-morsel `SortLimit` and builds only what that morsel's own
 /// heap has not excluded, so its `built` is morsel-determined as well.  An
 /// empty driving table makes zero morsels: the spine is still lowered once
@@ -221,7 +228,6 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
             .plan(&query)
             .unwrap()
             .physical;
-        assert!(plan.contains_exchange(), "{}", plan.explain(None));
 
         let run = |threads: usize| {
             let exec = ExecutionContext::new(query.ranking.clone())
@@ -229,11 +235,21 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
                 .with_batch_size(w.batch_size)
                 .with_morsel_size(w.morsel_size);
             let result = execute_physical_plan(&plan, db.catalog(), &exec).unwrap();
-            result.operator_actuals()
+            assert_eq!(result.morsels > 0, threads > 1, "threads={threads}");
+            (result.operator_actuals(), result.tuples.len())
         };
 
-        let reference = run(1);
+        let (serial, serial_rows) = run(1);
+        let (reference, rows) = run(2);
+        assert_eq!(rows, serial_rows);
+        assert_eq!(serial.len(), plan.node_count());
         assert_eq!(reference.len(), plan.node_count());
+        for (a, s) in reference.iter().zip(serial.iter()) {
+            assert_eq!(a.label, s.label);
+            if a.label.starts_with("ColumnScan") {
+                assert_eq!(a.rows, s.rows, "{mode:?}: {} reads every row", a.label);
+            }
+        }
         if w.r_rows.is_empty() {
             let build_scan = reference
                 .iter()
@@ -260,8 +276,8 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
                 join.rows
             );
         }
-        for threads in [2, 4, 8] {
-            let actuals = run(threads);
+        for threads in [4, 8] {
+            let (actuals, _) = run(threads);
             assert_eq!(actuals.len(), reference.len(), "threads={threads}");
             for (a, r) in actuals.iter().zip(reference.iter()) {
                 let at = format!("{mode:?}, threads={threads}, op {}", a.label);
@@ -283,8 +299,8 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
 /// The paper's Q under materialise-then-sort at k = 10: the hash join beneath
 /// the sort *decides* every join result (its `rows`), but scores each side
 /// once — A's predicates per probe row that finds a group, B ⋈ C's per
-/// build row — and builds at most 2 % of the results, the same ones at every
-/// thread count.
+/// build row — and builds at most 2 % of the results: serially, and the
+/// same ones at every thread count above one.
 #[test]
 fn q_builds_a_sliver_of_the_join_results_it_decides() {
     let workload = SyntheticWorkload::generate(SyntheticConfig {
@@ -335,6 +351,7 @@ fn q_builds_a_sliver_of_the_join_results_it_decides() {
         let exec = ExecutionContext::new(ranking.clone()).with_threads(threads);
         let result = execute_physical_plan(&plan, db.catalog(), &exec).unwrap();
         assert_eq!(result.tuples.len(), 10);
+        assert_eq!(result.morsels > 0, threads > 1, "threads={threads}");
         // Post-order: the last hash join is the one beneath the sort.
         let actuals = result.operator_actuals();
         let join = actuals
@@ -345,29 +362,62 @@ fn q_builds_a_sliver_of_the_join_results_it_decides() {
         (join, ranking.counters().snapshot())
     };
 
-    let (join, evaluations) = run(1);
-    assert_eq!(join.rows, join_results);
     // f1, f2 read A: once per probe row that finds a group; f3–f5 read
     // B ⋈ C: once per build row.
     let (a, bc) = (probes_with_a_group, build_rows);
-    assert_eq!(evaluations, vec![a, a, bc, bc, bc]);
-    assert!(
-        join.built * 50 <= join.rows,
-        "built {} of {} join results",
-        join.built,
-        join.rows
-    );
-    for threads in [2, 4] {
-        assert_eq!(
-            run(threads),
-            (join.clone(), evaluations.clone()),
-            "threads={threads}"
+    for threads in [1, 2] {
+        let (join, evaluations) = run(threads);
+        assert_eq!(join.rows, join_results, "threads={threads}");
+        assert_eq!(evaluations, vec![a, a, bc, bc, bc], "threads={threads}");
+        assert!(
+            join.built * 50 <= join.rows,
+            "threads={threads}: built {} of {} join results",
+            join.built,
+            join.rows
         );
     }
+    // Above one thread the morsels decide what is built, not the workers.
+    assert_eq!(run(4), run(2));
 }
 
-/// The parallelized `explain_analyze` output names the exchange machinery
-/// and stays truthful (per-node actual rows present).
+/// One cached plan serves every thread count: the paper's Q prepared and
+/// bound at one thread, then bound from a two-thread session, hits the
+/// plan cache and returns the same rows with the same score bits; only the
+/// two-thread execution runs morsels.
+#[test]
+fn one_cached_plan_serves_every_thread_count() {
+    let workload = SyntheticWorkload::generate(SyntheticConfig::small(200)).unwrap();
+    let db = workload.database().unwrap();
+    let run = |threads: usize| {
+        db.session()
+            .with_mode(PlanMode::Traditional)
+            .with_threads(threads)
+            .with_morsel_size(64)
+            .prepare_query(workload.query.clone())
+            .unwrap()
+            .bind(Params::none())
+            .unwrap()
+            .execute()
+            .unwrap()
+    };
+    let (serial, parallel) = (run(1), run(2));
+    assert!(!serial.plan_cache.unwrap().hit);
+    assert!(parallel.plan_cache.unwrap().hit, "the bind is a cache hit");
+    assert_eq!(parallel.physical, serial.physical);
+    let rows = |r: &ranksql::QueryResult| {
+        let tuples = r.rows.iter().map(|t| t.tuple.clone());
+        let bits = r.scores().into_iter().map(f64::to_bits);
+        tuples.zip(bits).collect::<Vec<_>>()
+    };
+    assert_eq!(rows(&parallel), rows(&serial));
+    assert_eq!(serial.rows.len(), workload.query.k);
+    assert_eq!(serial.morsels, 0);
+    assert!(parallel.morsels > 0);
+}
+
+/// `explain_analyze` names the parallelism when an exchange ran — one
+/// `parallel:` line with the thread and morsel counts — over the same plan
+/// text, with per-node actual rows; a serial run prints no such line.
 #[test]
 fn explain_analyze_reports_exchange_nodes() {
     let w = Workload {
@@ -378,22 +428,30 @@ fn explain_analyze_reports_exchange_nodes() {
         morsel_size: 16,
     };
     let (db, query) = build_database(&w);
-    let result = db
-        .session()
-        .with_mode(PlanMode::Canonical)
-        .with_threads(4)
-        .execute(&query)
-        .unwrap();
-    let analyzed = result.explain_analyze(Some(&query.ranking));
-    assert!(analyzed.contains("Exchange"), "{analyzed}");
-    assert!(analyzed.contains("Repartition(morsels)"), "{analyzed}");
+    let run = |threads: usize| {
+        db.session()
+            .with_mode(PlanMode::Canonical)
+            .with_threads(threads)
+            .with_morsel_size(w.morsel_size)
+            .execute(&query)
+            .unwrap()
+            .explain_analyze(Some(&query.ranking))
+    };
+    let analyzed = run(4);
+    // 4 morsels of R, and 4 of S for the build side's concat exchange.
+    assert!(
+        analyzed.contains("parallel: threads=4 morsels=8\n"),
+        "{analyzed}"
+    );
+    assert_eq!(analyzed.matches("parallel:").count(), 1, "{analyzed}");
     assert!(analyzed.contains("actual_rows="), "{analyzed}");
+    assert!(!run(1).contains("parallel:"));
 }
 
-/// The parallel pass declines an exchange over a zone-pruned scan: the
+/// A zone-pruned scan is no spine, so its top-k never runs per morsel: the
 /// serial scan already skips every block the top-k threshold rules out,
 /// while morsels would each read until their own top-k formed.  A
-/// one-table σ + `ORDER BY … LIMIT` plans at two threads exactly as at one
+/// one-table σ + `ORDER BY … LIMIT` runs at two threads exactly as at one
 /// and reads the same rows.
 #[test]
 fn a_zone_pruned_top_k_gets_no_exchange() {
@@ -433,7 +491,7 @@ fn a_zone_pruned_top_k_gets_no_exchange() {
     let (serial, parallel) = (run(1), run(2));
     let text = parallel.physical.explain(None);
     assert!(text.contains("[zone-prune]"), "{text}");
-    assert!(!parallel.physical.contains_exchange(), "{text}");
+    assert_eq!(parallel.morsels, 0, "{text}");
     assert_eq!(parallel.physical, serial.physical);
     assert_eq!(
         fingerprint(&query, &parallel.rows),

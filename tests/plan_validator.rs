@@ -2,21 +2,19 @@
 //!
 //! **Negative paths**: a corpus of hand-mutated physical plans — each one a
 //! realistic way an optimizer rewrite could go wrong (a projection of a
-//! column that does not exist, an exchange glued over a rank-aware join, an
-//! `extend_limit` that rewrote only one of the `SortLimit`/ordered-merge
-//! caps, a zone-pruning scan that lost its `SortLimit` spine…) — where the
+//! column that does not exist, a cost annotation left stale, a
+//! zone-pruning scan that lost its `SortLimit` spine…) — where the
 //! validator must fire the *expected* rule id at the expected severity.
-//! Together the corpus exercises every one of the twelve rules.
+//! Together the corpus exercises every one of the nine rules.
 //!
 //! **Positive path**: a proptest that every plan the real optimizer emits —
-//! all four [`PlanMode`]s × in-memory and paged databases × serial and parallel
-//! lowering — validates with zero `Error`-severity diagnostics, logical and
-//! physical alike.  This is the guarantee that lets `ranksql-core` hard-fail
+//! all four [`PlanMode`]s × in-memory and paged databases — validates with
+//! zero `Error`-severity diagnostics, logical and physical alike.  This is the guarantee that lets `ranksql-core` hard-fail
 //! planning on validator errors in debug builds.
 
 use proptest::prelude::*;
 
-use ranksql::algebra::{ColumnarScan, ExchangeMerge, PhysicalOp, PhysicalPlan};
+use ranksql::algebra::{ColumnarScan, PhysicalOp, PhysicalPlan};
 use ranksql::common::{BitSet64, Cost};
 use ranksql::expr::RankPredicate;
 use ranksql::verify::{report, ValidateOptions};
@@ -137,115 +135,6 @@ fn join_condition_on_foreign_column_fires_schema_predicate_columns() {
         Rule::SchemaPredicateColumns,
         Severity::Error,
     );
-}
-
-/// An exchange glued *over* a rank-aware join: HRJN's incremental top-k
-/// state is single-threaded; `parallelize` must pin it above the exchange.
-#[test]
-fn exchange_over_rank_join_fires_exchange_rank_below() {
-    let hrjn = PhysicalPlan::unestimated(PhysicalOp::Join {
-        left: Box::new(scan(
-            "R",
-            &[("jc", DataType::Int64), ("p1", DataType::Float64)],
-        )),
-        right: Box::new(scan(
-            "S",
-            &[("jc", DataType::Int64), ("p2", DataType::Float64)],
-        )),
-        condition: Some(BoolExpr::col_eq_col("R.jc", "S.jc")),
-        algorithm: JoinAlgorithm::HashRankJoin,
-    });
-    let mutant = PhysicalPlan::unestimated(PhysicalOp::Exchange {
-        input: Box::new(hrjn),
-        merge: ExchangeMerge::Concat,
-    });
-    assert_fires(&diags(&mutant), Rule::ExchangeRankBelow, Severity::Error);
-}
-
-/// An exchange whose spine carries no `Repartition` marker: no scan drives
-/// the morsel partitioning, so workers would have nothing to pull.
-#[test]
-fn exchange_without_repartition_fires_exchange_spine() {
-    let mutant = PhysicalPlan::unestimated(PhysicalOp::Exchange {
-        input: Box::new(scan_t()),
-        merge: ExchangeMerge::Concat,
-    });
-    assert_fires(&diags(&mutant), Rule::ExchangeSpine, Severity::Error);
-}
-
-/// `Repartition` must wrap the driving `SeqScan` directly; wrapping a σ
-/// would hand filtered row offsets to the morsel partitioner.
-#[test]
-fn repartition_over_filter_fires_exchange_spine() {
-    let filtered = PhysicalPlan::unestimated(PhysicalOp::Filter {
-        input: Box::new(scan_t()),
-        predicate: BoolExpr::compare(
-            ScalarExpr::col("T.id"),
-            CompareOp::Gt,
-            ScalarExpr::lit(0i64),
-        ),
-    });
-    let mutant = PhysicalPlan::unestimated(PhysicalOp::Exchange {
-        input: Box::new(PhysicalPlan::unestimated(PhysicalOp::Repartition {
-            input: Box::new(filtered),
-        })),
-        merge: ExchangeMerge::Concat,
-    });
-    assert_fires(&diags(&mutant), Rule::ExchangeSpine, Severity::Error);
-}
-
-/// A `Repartition` outside any exchange degrades to a pass-through: legal,
-/// but a smell worth a warning.
-#[test]
-fn repartition_outside_exchange_warns_exchange_spine() {
-    let mutant = PhysicalPlan::unestimated(PhysicalOp::Repartition {
-        input: Box::new(scan_t()),
-    });
-    assert_fires(&diags(&mutant), Rule::ExchangeSpine, Severity::Warning);
-}
-
-fn ordered_exchange(k: usize, limit: Option<usize>) -> PhysicalPlan {
-    let spine = PhysicalPlan::unestimated(PhysicalOp::SortLimit {
-        input: Box::new(PhysicalPlan::unestimated(PhysicalOp::Repartition {
-            input: Box::new(scan_t()),
-        })),
-        predicates: BitSet64::singleton(0),
-        k,
-    });
-    PhysicalPlan::unestimated(PhysicalOp::Exchange {
-        input: Box::new(spine),
-        merge: ExchangeMerge::Ordered { limit },
-    })
-}
-
-/// `extend_limit` rewrote the ordered merge's cap but not the per-partition
-/// top-k (or vice versa): the two `k`s disagree.
-#[test]
-fn ordered_merge_limit_mismatch_fires_exchange_merge_limit() {
-    assert_fires(
-        &diags(&ordered_exchange(3, Some(5))),
-        Rule::ExchangeMergeLimit,
-        Severity::Error,
-    );
-}
-
-/// Per-partition `SortLimit` under an ordered merge with *no* re-limit: the
-/// merged stream would carry up to `threads × k` tuples.
-#[test]
-fn ordered_merge_without_relimit_fires_exchange_merge_limit() {
-    assert_fires(
-        &diags(&ordered_exchange(3, None)),
-        Rule::ExchangeMergeLimit,
-        Severity::Error,
-    );
-}
-
-/// The matched pair — per-partition `SortLimit{k}` under `Ordered{Some(k)}`
-/// — is exactly the shape `parallelize` emits, and must stay clean.
-#[test]
-fn matched_ordered_merge_is_clean() {
-    let d = diags(&ordered_exchange(7, Some(7)));
-    assert!(d.is_empty(), "unexpected diagnostics:\n{}", report(&d));
 }
 
 /// A filter referencing `$3` when slots `$0..$2` are never used: bindings
@@ -423,10 +312,9 @@ fn zero_limits_warn_limit_zero() {
     );
 }
 
-/// The acceptance bar: the corpus above exercises every rule — in
-/// particular, strictly more than eight distinct rule ids.
+/// The acceptance bar: the corpus above exercises every rule.
 #[test]
-fn corpus_covers_all_twelve_rules() {
+fn corpus_covers_all_nine_rules() {
     let query = two_pred_query();
     let rank_scan = |fields: &[(&str, DataType)]| scan("R", fields);
     let mutants: Vec<(PhysicalPlan, Option<&RankQuery>)> = vec![
@@ -448,19 +336,6 @@ fn corpus_covers_all_twelve_rules() {
             }),
             None,
         ),
-        (
-            PhysicalPlan::unestimated(PhysicalOp::Exchange {
-                input: Box::new(PhysicalPlan::unestimated(PhysicalOp::Join {
-                    left: Box::new(rank_scan(&[("jc", DataType::Int64)])),
-                    right: Box::new(scan("S", &[("jc", DataType::Int64)])),
-                    condition: Some(BoolExpr::col_eq_col("R.jc", "S.jc")),
-                    algorithm: JoinAlgorithm::HashRankJoin,
-                })),
-                merge: ExchangeMerge::Concat,
-            }),
-            None,
-        ),
-        (ordered_exchange(3, Some(5)), None),
         (
             PhysicalPlan::unestimated(PhysicalOp::Filter {
                 input: Box::new(scan_t()),
@@ -545,17 +420,10 @@ fn corpus_covers_all_twelve_rules() {
     }
     fired.sort_unstable();
     fired.dedup();
-    assert!(
-        fired.len() >= 8,
-        "corpus must trigger at least 8 distinct rules, got {:?}",
-        fired
-    );
+    assert_eq!(fired.len(), 9, "{fired:?}");
     for id in [
         "schema.coherence",
         "schema.predicate-columns",
-        "exchange.rank-below",
-        "exchange.spine",
-        "exchange.merge-limit",
         "params.slots",
         "cost.monotonic",
         "cost.finite",
@@ -667,8 +535,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, .. ProptestConfig::default() })]
 
     /// Every optimizer-emitted plan — 4 modes × in-memory and paged
-    /// databases × serial and parallel lowering — validates with zero
-    /// `Error` diagnostics, logical and physical alike.
+    /// databases — validates with zero `Error` diagnostics, logical and
+    /// physical alike.
     #[test]
     fn optimizer_emitted_plans_validate_clean(w in workload()) {
         let mem_db = Database::new();
@@ -679,36 +547,27 @@ proptest! {
 
         for (db, opened) in [(&mem_db, "in-memory"), (&paged_db, "paged")] {
             for mode in ALL_MODES {
-                for threads in [1usize, 4] {
-                    let optimized = db
-                        .session()
-                        .with_mode(mode)
-                        .with_threads(threads)
-                        .plan(&query)
-                        .unwrap();
-                    let logical = validate_logical(
-                        &optimized.plan,
-                        Some(&query.ranking),
-                        &ValidateOptions::default(),
-                    );
-                    prop_assert!(
-                        !logical.iter().any(|d| d.severity == Severity::Error),
-                        "{opened} database, mode {mode:?}, threads {threads}: logical plan \
-                         failed validation:\n{}",
-                        report(&logical)
-                    );
-                    let physical = validate_physical(
-                        &optimized.physical,
-                        Some(&query.ranking),
-                        &ValidateOptions::default(),
-                    );
-                    prop_assert!(
-                        !physical.iter().any(|d| d.severity == Severity::Error),
-                        "{opened} database, mode {mode:?}, threads {threads}: physical plan \
-                         failed validation:\n{}",
-                        report(&physical)
-                    );
-                }
+                let optimized = db.session().with_mode(mode).plan(&query).unwrap();
+                let logical = validate_logical(
+                    &optimized.plan,
+                    Some(&query.ranking),
+                    &ValidateOptions::default(),
+                );
+                prop_assert!(
+                    !logical.iter().any(|d| d.severity == Severity::Error),
+                    "{opened} database, mode {mode:?}: logical plan failed validation:\n{}",
+                    report(&logical)
+                );
+                let physical = validate_physical(
+                    &optimized.physical,
+                    Some(&query.ranking),
+                    &ValidateOptions::default(),
+                );
+                prop_assert!(
+                    !physical.iter().any(|d| d.severity == Severity::Error),
+                    "{opened} database, mode {mode:?}: physical plan failed validation:\n{}",
+                    report(&physical)
+                );
             }
         }
     }

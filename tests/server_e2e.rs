@@ -219,6 +219,31 @@ fn a_hello_with_the_retired_mode_code_is_refused() {
     });
 }
 
+/// A re-HELLO renegotiates the session on the socket it arrived on: the
+/// tenant counts that socket once.  A re-HELLO under another name counts
+/// the socket for that tenant.
+#[test]
+fn a_re_hello_counts_its_connection_once() {
+    let db = fresh_db(10);
+    with_server(&db, ServerConfig::default(), |addr, _| {
+        let mut client = WireClient::connect(addr).unwrap();
+        let connections = |client: &mut WireClient| {
+            let stats = client.stats().unwrap();
+            let count = stats_value(&stats, "tenant.connections").map(str::to_owned);
+            (count, stats)
+        };
+        client.hello("alice", PlanMode::RankAware, 0, 0, 0).unwrap();
+        client
+            .hello("alice", PlanMode::Traditional, 1, 0, 0)
+            .unwrap();
+        let (count, stats) = connections(&mut client);
+        assert_eq!(count.as_deref(), Some("1"), "{stats}");
+        client.hello("bob", PlanMode::RankAware, 0, 0, 0).unwrap();
+        let (count, stats) = connections(&mut client);
+        assert_eq!(count.as_deref(), Some("1"), "{stats}");
+    });
+}
+
 #[test]
 fn error_paths_answer_with_stable_codes_and_keep_the_connection() {
     let db = fresh_db(50);

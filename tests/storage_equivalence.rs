@@ -17,9 +17,8 @@
 
 use proptest::prelude::*;
 
-use ranksql::algebra::{ExchangeMerge, PhysicalOp, PhysicalPlan};
 use ranksql::common::TupleId;
-use ranksql::executor::{execute_physical_plan, oracle_top_k, ExecutionContext};
+use ranksql::executor::oracle_top_k;
 use ranksql::expr::{RankPredicate, RankedTuple};
 use ranksql::{
     BoolExpr, CompareOp, DataType, Database, Field, PagedOptions, PlanMode, QueryBuilder,
@@ -310,9 +309,8 @@ fn zone_map_pruning_reduces_tuples_scanned_without_changing_results() {
     assert!(text.contains("[zone-prune]"), "{text}");
 }
 
-/// Zone pruning also composes with the morsel-parallel exchange path: the
-/// per-partition top-k heaps share one threshold cell, results stay the
-/// oracle's.
+/// Zone pruning composes with a multi-threaded session: a zone-pruned scan
+/// is no spine, so its top-k runs serially, and results stay the oracle's.
 #[test]
 fn zone_map_pruning_is_safe_under_parallel_execution() {
     const ROWS: i64 = 8192;
@@ -336,78 +334,32 @@ fn zone_map_pruning_is_safe_under_parallel_execution() {
             "threads={threads}: scanned {}",
             col.tuples_scanned
         );
+        assert_eq!(col.morsels, 0, "threads={threads}");
     }
 }
 
-/// `plan`, a serial `SortLimit` over a σ/π chain down to a zone-pruned
-/// scan, morsel-partitioned by hand: the scan under a `Repartition`, the
-/// top-k under an ordered exchange re-limiting to its `k`.  The parallel
-/// pass declines this shape — a zone-pruned scan is no spine, since the
-/// serial scan already prunes on the shared threshold — but the executor
-/// runs any valid physical plan, this one included.
-fn morsel_partitioned(plan: PhysicalPlan) -> PhysicalPlan {
-    fn repartition_scan(plan: PhysicalPlan) -> PhysicalPlan {
-        let op = match plan.op {
-            scan @ PhysicalOp::SeqScan { .. } => PhysicalOp::Repartition {
-                input: Box::new(PhysicalPlan { op: scan, ..plan }),
-            },
-            other => other.map_children(repartition_scan),
-        };
-        PhysicalPlan { op, ..plan }
-    }
-    let PhysicalOp::SortLimit { k, .. } = &plan.op else {
-        panic!("not a top-k: {}", plan.explain(None));
-    };
-    PhysicalPlan {
-        op: PhysicalOp::Exchange {
-            input: Box::new(repartition_scan(plan.clone())),
-            merge: ExchangeMerge::Ordered { limit: Some(*k) },
-        },
-        ..plan
-    }
-}
-
-/// Every morsel's scan prunes against its spine's one threshold cell.  With
-/// one worker the 1024-row morsels run in order, so the top-5 heap of
-/// morsel 0 (block 0 holds the best scores) raises the cell before any
-/// later morsel starts, and each later morsel skips its block unread.
-/// Private cells per morsel would prune nothing.  The session plans this
-/// top-k without an exchange at 4 threads, so the test partitions it by
-/// hand.
+/// A zone-pruned top-k reads what it reads serially at any thread count:
+/// the scan is no spine, so its top-k is never split into morsels that
+/// would each read until their own heap filled.  Block 0 holds the best
+/// scores, so the heap's threshold skips blocks 1..=7 unread.
 #[test]
-fn every_morsel_prunes_against_the_spines_threshold_cell() {
+fn a_zone_pruned_top_k_reads_one_block_at_four_threads() {
     const ROWS: i64 = 8192; // 8 columnar blocks
     let (col_db, query) = clustered_db(ROWS);
-    let serial = col_db
-        .session()
-        .with_mode(PlanMode::Traditional)
-        .with_threads(1)
-        .execute(&query)
-        .unwrap();
-    let plan = col_db
-        .session()
-        .with_mode(PlanMode::Traditional)
-        .with_threads(4)
-        .plan(&query)
-        .unwrap()
-        .physical;
-    assert!(!plan.contains_exchange(), "{}", plan.explain(None));
-    let plan = morsel_partitioned(plan);
-    let exec = ExecutionContext::new(query.ranking.clone())
-        .with_threads(1)
-        .with_morsel_size(1024);
-    let parallel = execute_physical_plan(&plan, col_db.catalog(), &exec).unwrap();
+    let run = |threads: usize| {
+        col_db
+            .session()
+            .with_mode(PlanMode::Traditional)
+            .with_threads(threads)
+            .with_morsel_size(1024)
+            .execute(&query)
+            .unwrap()
+    };
+    let (serial, parallel) = (run(1), run(4));
+    assert_eq!(parallel.morsels, 0);
     assert_eq!(parallel.blocks_pruned, 7, "blocks 1..=7 are pruned");
     assert_eq!(parallel.tuples_scanned, 1024, "only block 0 is read");
-    let got: Vec<(ranksql::Tuple, f64)> = parallel
-        .tuples
-        .iter()
-        .map(|t| {
-            let score = query.ranking.upper_bound(&t.state).value();
-            (t.tuple.clone(), score)
-        })
-        .collect();
-    assert_eq!(got, fingerprint(&serial));
+    assert_eq!(fingerprint(&parallel), fingerprint(&serial));
 }
 
 /// Regression: `blocks_pruned` counts *distinct* blocks, not prune events.
@@ -712,9 +664,10 @@ fn uniform_db(db: &Database, rows: i64) -> RankQuery {
 /// The zone-pruning scan scores before it builds: under `SortLimit` over
 /// `ColumnScan[σ][zone-prune]` it evaluates the sort's predicate on each
 /// row that passes the filter — exactly once, the sort evaluating nothing
-/// again — and builds only rows that can still enter the top-k: serially at
-/// most 5 % of them.  In memory and paged, at 1 and 4 threads,
-/// tuple-at-a-time and batched, the answer is the oracle's.
+/// again — and builds only rows that can still enter the top-k: at most
+/// 5 % of them, at 1 and 4 threads alike, since a zone-pruned scan never
+/// runs per morsel.  In memory and paged, tuple-at-a-time and batched, the
+/// answer is the oracle's.
 #[test]
 fn pruning_scan_scores_rows_before_building_them() {
     const ROWS: i64 = 1 << 17;
@@ -745,12 +698,9 @@ fn pruning_scan_scores_rows_before_building_them() {
                     .find(|m| m.name().starts_with("ColumnScan"))
                     .unwrap();
                 let (decided, built) = (scan.tuples_out(), scan.tuples_built());
-                // Serially one heap publishes for the whole table.  Under
-                // an exchange each morsel's heap publishes only once it
-                // holds k rows of its own, so the shared cell rises slower.
-                let bound = if threads == 1 { decided / 20 } else { decided };
+                assert_eq!(result.morsels, 0, "{what}");
                 assert!(
-                    built <= bound,
+                    built <= decided / 20,
                     "{what}: built {built} of {decided} decided rows"
                 );
                 assert_eq!(
@@ -815,9 +765,8 @@ fn tied_query(k: usize, filter: Option<BoolExpr>) -> RankQuery {
 /// `k` inside a tied group or on its edge, the zone-pruning scan skips
 /// blocks, the tail and rows on `(score, id)` — and in memory and paged, at
 /// 1 and 4 threads, tuple-at-a-time and batched, the answer is the
-/// oracle's, ids included.  At 4 threads the session keeps the scan serial
-/// (a zone-pruned scan gets no exchange); the same plan partitioned by
-/// hand into 700-row morsels, most starting mid-block, answers the same.
+/// oracle's, ids included.  At 4 threads the scan stays serial (a
+/// zone-pruned scan is no spine, so no morsel runs).
 #[test]
 fn tie_heavy_top_k_equals_the_oracle_ids_included() {
     const ROWS: i64 = 20 * 1024 + 333;
@@ -855,20 +804,8 @@ fn tie_heavy_top_k_equals_the_oracle_ids_included() {
                         let what = format!("k {k}, {backend}, threads {threads}, batch {batch}");
                         let text = result.physical.explain(None);
                         assert!(text.contains("[zone-prune]"), "{what}: {text}");
-                        assert!(!result.physical.contains_exchange(), "{what}: {text}");
+                        assert_eq!(result.morsels, 0, "{what}: {text}");
                         assert_eq!(identities(&query, &result.rows), want, "{what}: {text}");
-                        if threads > 1 {
-                            // The same top-k with its morsels starting
-                            // mid-block, partitioned by hand.
-                            let plan = morsel_partitioned(result.physical);
-                            let exec = ExecutionContext::new(query.ranking.clone())
-                                .with_threads(threads)
-                                .with_batch_size(batch)
-                                .with_morsel_size(700);
-                            let parallel = execute_physical_plan(&plan, db.catalog(), &exec)
-                                .unwrap_or_else(|e| panic!("{what}: {e}"));
-                            assert_eq!(identities(&query, &parallel.tuples), want, "{what}");
-                        }
                     }
                 }
             }
