@@ -7,7 +7,8 @@
 //! runs the top-k per morsel of `A` and merges the runs, and drains the
 //! build side `B` per morsel too.
 //!
-//! Two claims are asserted here, every run, before the timed group:
+//! Two claims are asserted here, every run, before the timed group (which
+//! is preceded by a line with the join results built per thread count):
 //!
 //! 1. **Determinism**: the top-k output is byte-identical across all
 //!    measured thread counts, and only one thread runs no morsels.
@@ -115,6 +116,15 @@ fn bench_threads(c: &mut Criterion) {
             "two workers ({two:?}) are slower than one ({one:?})"
         );
     }
+
+    // What the hash join built at each thread count: seeded morsels build
+    // about what one thread does.
+    let built = THREAD_COUNTS.map(|threads| {
+        let actuals = run(threads).operator_actuals();
+        let join = actuals.iter().rfind(|a| a.label.starts_with("HashJoin"));
+        format!("threads={threads} {}", join.map_or(0, |a| a.built))
+    });
+    println!("ablation_threads: join results built, {}", built.join(", "));
 
     let mut group = c.benchmark_group("ablation_threads/seq_scan_hash_join");
     group.sample_size(10);

@@ -374,11 +374,6 @@ impl CursorRows {
     pub fn cursor(&self) -> &Cursor {
         &self.0
     }
-
-    /// Recovers the cursor (e.g. to `fetch_more` after iterating).
-    pub fn into_cursor(self) -> Cursor {
-        self.0
-    }
 }
 
 impl Iterator for CursorRows {

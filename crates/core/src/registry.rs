@@ -89,11 +89,6 @@ impl CursorRegistry {
         self.open.is_empty()
     }
 
-    /// The configured capacity cap.
-    pub fn capacity_limit(&self) -> usize {
-        self.cap
-    }
-
     /// Iterates over `(id, cursor)` pairs in ascending id order (stable
     /// output for STATS reports).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Cursor)> {

@@ -10,21 +10,23 @@
 //! sort runs its input per morsel across the context's threads
 //! ([`ExchangeOp`]).
 
+use std::ops::Range;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalOp, PhysicalPlan, SetOpKind};
-use ranksql_common::{BitSet64, RankSqlError, Result};
+use ranksql_common::{BitSet64, RankSqlError, Result, Tuple};
 use ranksql_expr::{RankedTuple, RankingContext, ScoreSource};
-use ranksql_storage::{BTreeIndex, Catalog, EpochSet, ScoreIndex};
+use ranksql_storage::{BTreeIndex, Catalog, EpochSet, ScoreIndex, TableEpoch};
 
 use crate::column_scan::ColumnScan;
-use crate::context::{ExecutionContext, TopKScoring, TopKThreshold};
-use crate::exchange::ExchangeOp;
+use crate::context::{ExecutionContext, TopKScoring};
+use crate::exchange::{drain_build_side, ExchangeOp};
 use crate::filter::{Filter, Project};
 use crate::join::{
-    build_key_cols, collect_build_input, hash_build_input, BuildSide, Built, HashJoin,
-    NestedLoopJoin, SortMergeJoin,
+    build_key_cols, drain_partition, BuildSide, HashJoin, JoinTable, NestedLoopJoin, Partition,
+    SortMergeJoin,
 };
 use crate::metrics::MetricsRegistry;
 use crate::operator::{drain_batched, BoxedOperator, PhysicalOperator};
@@ -35,11 +37,12 @@ use crate::set_ops::{ExceptOp, IntersectOp, UnionOp};
 use crate::sort_limit::{LimitOp, SortLimitOp, SortOp};
 
 /// Whether `plan` is a σ/π chain over a zone-pruning columnar scan — one
-/// of the two patterns under which a `SortLimit` shares a [`TopKThreshold`]
-/// with what feeds it (the other is a hash join directly beneath it) — and
-/// if so, whether every row the scan emits reaches the sort (no σ in
-/// between), so the scan may score rows for it: each predicate is then
-/// evaluated once per row either way.
+/// of the two patterns under which a `SortLimit` shares a
+/// [`TopKThreshold`](crate::context::TopKThreshold) with what feeds it (the
+/// other is a hash join directly beneath it) — and if so, whether every
+/// row the scan emits reaches the sort (no σ in between), so the scan may
+/// score rows for it: each predicate is then evaluated once per row either
+/// way.
 fn pruning_scan_scores(plan: &PhysicalPlan) -> Option<bool> {
     match &plan.op {
         PhysicalOp::SeqScan {
@@ -129,29 +132,46 @@ type Inputs<'a> = dyn FnMut(&PhysicalPlan, &ExecutionContext) -> Result<BoxedOpe
 
 /// Lowers a join's build (inner) side.  Serially that is its input
 /// operator, which the join drains on its first pull.  In a morsel lowering
-/// the spine's first lowering lowers it over the whole table — as a concat
-/// exchange if it is itself a spine — and drains it with `drain` (which
-/// also returns the rows drained) once, and every morsel's join shares the
-/// result.
-fn build_side<T: Send + Sync + 'static>(
+/// the spine's first lowering drains it once, over the whole table, into a
+/// [`JoinTable`] every morsel's join shares: `part` drains one partition,
+/// one per morsel if it is itself a spine ([`drain_build_side`]).
+fn build_side(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     exec: &ExecutionContext,
     inputs: &mut Inputs<'_>,
-    drain: impl FnOnce(&mut dyn PhysicalOperator, usize) -> Result<(usize, T)>,
-) -> Result<BuildSide<T>> {
+    part: impl Fn(&mut dyn PhysicalOperator, usize) -> Result<Partition> + Sync,
+) -> Result<BuildSide> {
     let built = exec.spine_shared(|serial| {
-        let mut input: BoxedOperator = match ExchangeOp::over_build_side(plan, catalog, serial)? {
-            Some(exchange) => Box::new(exchange),
-            None => inputs(plan, serial)?,
+        let batch_size = serial.batch_size();
+        let drained = drain_build_side(plan, catalog, serial, |input| part(input, batch_size))?;
+        let (schema, parts) = match drained {
+            Some(parts) => (plan.schema()?, parts),
+            None => {
+                let mut input = inputs(plan, serial)?;
+                let part = part(input.as_mut(), batch_size)?;
+                (input.schema().clone(), vec![part])
+            }
         };
-        let (rows, table) = drain(input.as_mut(), serial.batch_size())?;
-        Ok(Built::new(input.schema().clone(), rows, table))
+        JoinTable::new(schema, parts, serial.threads())
     })?;
     match built {
         Some(built) => Ok(BuildSide::Built(built)),
         None => Ok(BuildSide::Input(inputs(plan, exec)?)),
     }
+}
+
+/// The rows `rows` of `epoch` an index build reads, with the pages it
+/// faults counted into the execution's.
+fn index_rows(
+    epoch: &TableEpoch,
+    rows: Range<usize>,
+    exec: &ExecutionContext,
+) -> Result<Vec<Tuple>> {
+    let mut out = Vec::with_capacity(rows.len());
+    let pages = epoch.read(rows, |t| out.push(t))?;
+    exec.pages_faulted_counter().fetch_add(pages, Relaxed);
+    Ok(out)
 }
 
 /// Checks that a plan's ranking-predicate index exists in the context.
@@ -285,12 +305,12 @@ fn lower(
                 Some(idx) if idx.indexed_rows() == watermark => idx,
                 Some(idx) if idx.indexed_rows() < watermark => {
                     let first = idx.indexed_rows();
-                    let rows = epoch.tuples(first..watermark)?;
+                    let rows = index_rows(&epoch, first..watermark, exec)?;
                     let ext = idx.extended(pred, table.schema(), &rows, first as u64)?;
                     table.add_score_index(ext)
                 }
                 cached => {
-                    let rows = epoch.tuples(0..watermark)?;
+                    let rows = index_rows(&epoch, 0..watermark, exec)?;
                     let built = ScoreIndex::build(pred, table.schema(), &rows)?;
                     if cached.is_none() {
                         table.add_score_index(built)
@@ -312,11 +332,12 @@ fn lower(
                 Some(idx) if idx.indexed_rows() == watermark => idx,
                 Some(idx) if idx.indexed_rows() < watermark => {
                     let first = idx.indexed_rows();
-                    let ext = idx.extended(&epoch.tuples(first..watermark)?, first as u64);
+                    let ext =
+                        idx.extended(&index_rows(&epoch, first..watermark, exec)?, first as u64);
                     table.add_btree_index(ext)
                 }
                 cached => {
-                    let rows = epoch.tuples(0..watermark)?;
+                    let rows = index_rows(&epoch, 0..watermark, exec)?;
                     let built = BTreeIndex::build(column, table.schema(), &rows)?;
                     if cached.is_none() {
                         table.add_btree_index(built)
@@ -352,7 +373,9 @@ fn lower(
             match algorithm {
                 JoinAlgorithm::NestedLoop => {
                     let l = inputs(left, exec)?;
-                    let r = build_side(right, catalog, exec, inputs, collect_build_input)?;
+                    let r = build_side(right, catalog, exec, inputs, |input, batch| {
+                        drain_partition(input, batch, None, None)
+                    })?;
                     Ok(Box::new(NestedLoopJoin::new(l, r, condition, exec, label)?))
                 }
                 JoinAlgorithm::Hash => {
@@ -363,14 +386,16 @@ fn lower(
                     let l = inputs(left, exec)?;
                     // One scoring serves the join and, when this lowering
                     // drains a shared build side, that drain.
-                    let mut scoring = top_k
+                    let right_schema = right.schema()?;
+                    let scoring = top_k
                         .map(|pushed| {
-                            TopKScoring::for_join(l.schema(), &right.schema()?, pushed, exec)
+                            TopKScoring::for_join(l.schema(), &right_schema, pushed, exec)
                         })
                         .transpose()?;
-                    let r = build_side(right, catalog, exec, inputs, |input, batch_size| {
-                        let key_cols = build_key_cols(condition, l.schema(), input.schema());
-                        hash_build_input(input, &key_cols, batch_size, scoring.as_mut())
+                    let key_cols = build_key_cols(condition, l.schema(), &right_schema);
+                    let top_k = scoring.as_ref();
+                    let r = build_side(right, catalog, exec, inputs, |input, batch| {
+                        drain_partition(input, batch, Some(&key_cols), top_k)
                     })?;
                     let join = HashJoin::new(l, r, condition, exec, label)?;
                     Ok(Box::new(join.with_scoring(scoring)))
@@ -444,7 +469,8 @@ fn lower(
                     .map(|scores| if scores { *predicates } else { BitSet64::EMPTY })
             };
             let cell = scored.map(|scored| {
-                let cell = Arc::new(TopKThreshold::new());
+                // In an exchange, the cell the exchange seeds.
+                let cell = exec.morsel_threshold().unwrap_or_default();
                 exec.push_prune_threshold(scored, Arc::clone(&cell));
                 cell
             });

@@ -1017,17 +1017,4 @@ pub(crate) mod tests {
             .collect();
         assert_eq!(ids, want);
     }
-
-    #[test]
-    fn threshold_cell_raises_monotonically() {
-        let cell = TopKThreshold::new();
-        assert!(!cell.prunes(f64::NEG_INFINITY));
-        cell.raise(1.5, &TupleId::base(0, 7));
-        cell.raise(0.5, &TupleId::base(0, 0)); // lower: ignored
-        cell.raise(f64::NAN, &TupleId::base(0, 0)); // NaN: ignored
-        assert_eq!(cell.get().map(|w| w.score.value()), Some(1.5));
-        assert!(cell.prunes(1.4));
-        assert!(!cell.prunes(1.5), "ties are never pruned");
-        assert!(cell.prunes(f64::NAN), "NaN bounds sort below everything");
-    }
 }

@@ -1,17 +1,11 @@
-//! The per-execution context threaded through every physical operator.
-//!
-//! Before this existed, every operator constructor took an ad-hoc pair of
-//! `Arc<RankingContext>` + `metrics.register(...)` arguments wired by hand
-//! in the plan-lowering code.  [`ExecutionContext`] bundles everything an
-//! operator needs from its execution environment — the query's ranking
-//! context, the shared metrics registry, and the tuple budget used for
-//! early-stop / runaway-query protection — behind one cheaply clonable
-//! handle, so adding an execution-wide facility (e.g. a partition count for
-//! parallel scans) no longer means touching every constructor signature.
+//! The per-execution context threaded through every physical operator:
+//! [`ExecutionContext`] bundles what an operator needs from its execution —
+//! the query's ranking context, the shared metrics registry, the tuple
+//! budget — behind one cheaply clonable handle.
 
 use std::any::Any;
 use std::ops::Range;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -92,30 +86,22 @@ const NO_ID: u64 = u64::MAX;
 /// tuple that sorts after the worst kept entry is discarded by the heap
 /// immediately, so dropping it upstream cannot change results.
 ///
-/// Every `SortLimit` lowering gets a fresh cell — in an exchange, one per
-/// morsel, so what a join builds depends on its own morsel only.  A
-/// zone-pruning scan is never lowered per morsel.
-///
-/// The pair is published without a lock on the read path: a sequence
-/// number, odd while a write is in progress, brackets the three value
-/// words.  Writers serialise on a short lock, taken once per batch; a
-/// reader retries until it reads one even sequence number on both sides,
-/// so it never sees a mix of two published pairs.  The score word alone
-/// only ever rises, so [`TopKThreshold::prunes`] reads it without the
-/// sequence number.
+/// Every `SortLimit` lowering gets a cell of its own.  In an exchange with
+/// a limit, morsel 0 runs first and its worst kept entry *seeds* every
+/// other morsel's cell (`TopKThreshold::seed`): k entries of morsel 0
+/// sort before it, so nothing after it can reach the merged top-k.  A cell
+/// has one owner at a time — the lowering or seeding thread, then the one
+/// worker draining its pipeline, which the pool's thread start orders after
+/// it — so its words are plain relaxed atomics, there only so the cell is
+/// `Sync`.
 #[derive(Debug)]
 pub struct TopKThreshold {
-    /// Publication count × 2, plus 1 while a write is in progress; 0 =
-    /// never raised.
-    seq: AtomicU64,
     /// Bit pattern of the worst kept score (`f64::NEG_INFINITY` = unset).
     score: AtomicU64,
     /// The worst kept id's table, or [`NO_ID`].
     table: AtomicU64,
     /// The worst kept id's row.
     row: AtomicU64,
-    /// Serialises writers.
-    writer: Mutex<()>,
 }
 
 impl Default for TopKThreshold {
@@ -128,11 +114,9 @@ impl TopKThreshold {
     /// An unset threshold (nothing can be pruned against it).
     pub fn new() -> Self {
         TopKThreshold {
-            seq: AtomicU64::new(0),
             score: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
             table: AtomicU64::new(NO_ID),
             row: AtomicU64::new(0),
-            writer: Mutex::new(()),
         }
     }
 
@@ -145,55 +129,34 @@ impl TopKThreshold {
         if score.is_nan() {
             return;
         }
-        let new = WorstKept {
+        self.seed(WorstKept {
             score: Score::new(score),
             id: match id.parts() {
                 [one] => Some(*one),
                 _ => None,
             },
-        };
-        let _writer = self.writer.lock();
-        if self.get().is_some_and(|cur| !new.sorts_before(&cur)) {
+        });
+    }
+
+    /// Raises the cell to `worst` — another top-k's worst kept entry over
+    /// the same order — if that sorts before the current one.
+    pub(crate) fn seed(&self, worst: WorstKept) {
+        if self.get().is_some_and(|cur| !worst.sorts_before(&cur)) {
             return;
         }
-        // The odd number goes out before any value word: this Release fence
-        // pairs with the reader's Acquire fence, so a reader that loaded a
-        // word of this write then loads a sequence number past its first.
-        let seq = self.seq.load(Ordering::Relaxed);
-        self.seq.store(seq + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        let (table, row) = new.id.map_or((NO_ID, 0), |(t, r)| (u64::from(t), r));
-        self.score.store(score.to_bits(), Ordering::Relaxed);
+        let (table, row) = worst.id.map_or((NO_ID, 0), |(t, r)| (u64::from(t), r));
+        self.score
+            .store(worst.score.value().to_bits(), Ordering::Relaxed);
         self.table.store(table, Ordering::Relaxed);
         self.row.store(row, Ordering::Relaxed);
-        // Pairs with the reader's Acquire load: a reader that sees `seq + 2`
-        // sees this write's words.
-        self.seq.store(seq + 2, Ordering::Release);
     }
 
     /// The current worst kept entry, `None` while unset.
     pub fn get(&self) -> Option<WorstKept> {
-        loop {
-            let seq = self.seq.load(Ordering::Acquire);
-            if seq == 0 {
-                return None;
-            }
-            if seq % 2 == 0 {
-                let score = Score::new(f64::from_bits(self.score.load(Ordering::Relaxed)));
-                let (table, row) = (
-                    self.table.load(Ordering::Relaxed),
-                    self.row.load(Ordering::Relaxed),
-                );
-                // Pairs with the writer's Release fence: the same even
-                // number after it means no write touched the words read.
-                fence(Ordering::Acquire);
-                if self.seq.load(Ordering::Relaxed) == seq {
-                    let id = u32::try_from(table).ok().map(|t| (t, row));
-                    return Some(WorstKept { score, id });
-                }
-            }
-            std::hint::spin_loop();
-        }
+        let score = Score::new(f64::from_bits(self.score.load(Ordering::Relaxed)));
+        let table = u32::try_from(self.table.load(Ordering::Relaxed));
+        let id = table.ok().map(|t| (t, self.row.load(Ordering::Relaxed)));
+        (score.value() > f64::NEG_INFINITY).then_some(WorstKept { score, id })
     }
 
     /// Whether a row or block of rows `(table, r)`, `r ≥ first.1`, scoring
@@ -221,7 +184,7 @@ impl TopKThreshold {
 /// once per pair it reaches.  What is saved is constructing the rows the
 /// heap would drop on arrival — and, in the join, the pairs its best-first
 /// walk never reaches.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct TopKScoring {
     /// The sort's predicates evaluated per row decided (a join's: per
     /// pair), bound to the producer's output schema.
@@ -409,6 +372,8 @@ struct MorselLowering {
     record: Arc<SpineRecord>,
     /// Replay cursor into `record`.
     next: AtomicUsize,
+    /// The threshold cell of the morsel's top-k, which the exchange seeds.
+    threshold: Arc<TopKThreshold>,
 }
 
 impl MorselLowering {
@@ -603,8 +568,8 @@ impl ExecutionContext {
     /// The context of one morsel lowering of an exchange spine over the
     /// driving-table rows `range` (see [`MorselLowering`]): the first
     /// lowering over a fresh `record` fills it, every later one replays it.
-    /// Each call starts a fresh replay cursor and threshold hand-off stack
-    /// — use one per lowering.
+    /// Each call starts a fresh replay cursor, threshold hand-off stack and
+    /// top-k cell — use one per lowering.
     pub(crate) fn in_morsel(&self, range: Range<usize>, record: &Arc<SpineRecord>) -> Self {
         let mut ctx = self.clone();
         ctx.prune_cells = Arc::default();
@@ -613,6 +578,7 @@ impl ExecutionContext {
             range,
             record: Arc::clone(record),
             next: AtomicUsize::new(0),
+            threshold: Arc::default(),
         }));
         ctx
     }
@@ -620,6 +586,12 @@ impl ExecutionContext {
     /// The driving-table rows a morsel lowering scans; `None` outside one.
     pub(crate) fn morsel_range(&self) -> Option<Range<usize>> {
         self.morsel.as_ref().map(|m| m.range.clone())
+    }
+
+    /// The threshold cell of a morsel lowering's top-k, which the exchange
+    /// seeds; `None` outside a morsel lowering.
+    pub(crate) fn morsel_threshold(&self) -> Option<Arc<TopKThreshold>> {
+        self.morsel.as_ref().map(|m| Arc::clone(&m.threshold))
     }
 
     /// In a morsel lowering, the state its spine holds once at this point
@@ -764,7 +736,9 @@ mod tests {
         let cell = TopKThreshold::new();
         assert_eq!(cell.get(), None);
         assert!(!cell.prunes_from(Score::new(f64::NAN), (0, 0)), "unset");
+        assert!(!cell.prunes(f64::NEG_INFINITY), "unset");
         cell.raise(0.5, &id(10));
+        assert!(cell.prunes(f64::NAN), "NaN bounds sort below everything");
         // An entry that sorts after (0.5, #10) is pruned; the rest are not.
         assert!(cell.prunes_from(Score::new(0.5), (0, 11)));
         assert!(cell.prunes_from(Score::new(0.4), (0, 0)));
@@ -790,71 +764,6 @@ mod tests {
         cell.raise(0.6, &id(3));
         cell.raise(f64::NAN, &id(0));
         assert_eq!(cell.get(), worst(0.6, Some(3)));
-    }
-
-    /// A SplitMix64 step: the tests' deterministic stream.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Four writers raise offers while two readers read: every pair a reader
-    /// sees was published whole, and its reads never go backwards under the
-    /// heap's order.  Offer `i` scores `i / 4` (ties in fours) with row
-    /// `i · C`: the row names its offer, so a score from one offer read
-    /// with the id of another is caught.
-    #[test]
-    fn threshold_cell_readers_never_see_a_torn_or_older_pair() {
-        const C: u64 = 0xD6E8_FEB8_6659_FD93; // odd: invertible mod 2^64
-        let mut inv = C;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(C.wrapping_mul(inv)));
-        }
-        let steps: u64 = if cfg!(miri) { 16 } else { 20_000 };
-        let (cell, writers_done) = (TopKThreshold::new(), AtomicUsize::new(0));
-        let start = std::sync::Barrier::new(6);
-        std::thread::scope(|scope| {
-            for w in 0..4u64 {
-                let (cell, writers_done, start) = (&cell, &writers_done, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    let mut rng = w;
-                    for step in 0..steps {
-                        let i = step * 4 + next(&mut rng) % 4;
-                        cell.raise((i / 4) as f64, &id(i.wrapping_mul(C)));
-                    }
-                    writers_done.fetch_add(1, Ordering::Release);
-                });
-            }
-            for _ in 0..2 {
-                let (cell, writers_done, start) = (&cell, &writers_done, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    let mut seen: Option<WorstKept> = None;
-                    // Read until every writer is done, then once more.
-                    let mut last = false;
-                    while !last {
-                        last = writers_done.load(Ordering::Acquire) == 4;
-                        let Some(now) = cell.get() else { continue };
-                        let (table, row) = now.id.expect("every offer has a base id");
-                        let i = row.wrapping_mul(inv);
-                        assert_eq!(table, 0);
-                        assert!(i < steps * 4, "row {row} was never offered");
-                        assert_eq!(now.score.value(), (i / 4) as f64, "a torn pair");
-                        if let Some(before) = seen {
-                            assert!(!before.sorts_before(&now), "{now:?} after {before:?}");
-                        }
-                        seen = Some(now);
-                    }
-                });
-            }
-        });
-        // The best offer of the last step is what remains.
-        let last = cell.get().unwrap();
-        assert_eq!(last.score.value(), (steps - 1) as f64);
     }
 
     #[test]

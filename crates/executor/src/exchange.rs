@@ -8,28 +8,35 @@
 //! sequential scan that is not zone-pruned.  The exchange runs the sort over
 //! each **morsel** (a contiguous chunk of the driving table's rows) across a
 //! scoped-thread [`WorkerPool`], then k-way merges the per-morsel runs,
-//! keeping the sort's own `k`.  A join's build side that is itself a spine
-//! is drained by a nested concat exchange, which glues its morsel outputs
-//! back together in morsel order.  One plan thus serves every thread count.
+//! keeping the sort's own `k`.  One plan thus serves every thread count.
 //!
 //! **One builder.** A morsel pipeline is [`build_operator`] over the sort
 //! under a morsel context.  The first lowering records what must exist once
 //! per spine — the spine operators' metrics handles (registered in plan
-//! post-order, like serial lowering), each build side (lowered through the
-//! ordinary serial path, then drained and hashed) and the prune bitmap —
-//! and every later lowering replays that record in order.  So per-operator
-//! counters aggregate across workers, `explain_analyze` reports one row per
-//! plan node, and every morsel probes one build table.  A top-k over a hash
-//! join gets a threshold cell of its morsel's own, so what the join builds
-//! does not depend on how far other workers have got.  All lowering happens
-//! in `ExchangeOp::new`; workers only drain.
+//! post-order, like serial lowering), each join's drained build side and
+//! the prune bitmap — and every later lowering replays that record in
+//! order.  So per-operator counters aggregate across workers,
+//! `explain_analyze` reports one row per plan node, and every morsel probes
+//! one build table.  Workers only drain.
+//!
+//! **Partitioned build sides.** A join's build side that is itself a spine
+//! is drained per morsel too (`drain_build_side`): each worker drains its
+//! morsel into one partition of the `JoinTable`, scoring and grouping its
+//! rows there, and the rows never move afterwards.
+//!
+//! **Seeded thresholds.** A limited exchange drains morsel 0 first, on the
+//! calling thread, and its top-k's worst kept entry seeds every other
+//! morsel's cell before the pool starts (see [`TopKThreshold`]).  So what a
+//! morsel's join builds depends only on how the table splits into morsels.
 //!
 //! Output is byte-identical across any thread count, and identical to
 //! serial execution, because morsels are fixed-size row ranges (the worker
 //! count only decides who drains a morsel, never what it is) and
-//! reassembly is order-defined: concat glues morsel outputs back in morsel
-//! order, the ordered merge follows the *total* order of
-//! `RankedTuple::cmp_desc` (score descending, ties on tuple identity).
+//! reassembly is order-defined: partitions keep morsel order, the ordered
+//! merge follows the *total* order of `RankedTuple::cmp_desc` (score
+//! descending, ties on tuple identity).  Once drained, an exchange frees
+//! the build tables its morsels shared across the pool, not on whichever
+//! worker drops the last reference.
 //!
 //! Rank-aware operators (µ, HRJN/NRJN) are never on a spine: they keep
 //! their incremental single-threaded top-k semantics *above* the sort, as
@@ -38,17 +45,17 @@
 //! out, while per-morsel top-ks would each read their morsel until their
 //! own threshold formed.
 
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use ranksql_algebra::{JoinAlgorithm, PhysicalOp, PhysicalPlan};
-use ranksql_common::{morsel_ranges, Result, Schema, Score, WorkerPool};
+use ranksql_common::{morsel_ranges, Result, Schema, WorkerPool};
 use ranksql_expr::{RankedTuple, RankingContext};
 use ranksql_storage::Catalog;
 
 use crate::build::build_operator;
-use crate::context::ExecutionContext;
+use crate::context::{ExecutionContext, SpineRecord, TopKThreshold};
+use crate::join::{JoinTable, Partition};
 use crate::operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
 
 /// The table whose rows a morsel lowering of `plan` partitions, if `plan`
@@ -72,35 +79,112 @@ pub(crate) fn spine_table(plan: &PhysicalPlan) -> Option<&str> {
     }
 }
 
-/// How an exchange reassembles its morsel outputs into one stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Merge {
-    /// Morsel outputs back to back, in morsel (scan) order.
-    Concat,
-    /// A k-way merge of rank-sorted morsel runs, keeping the first `limit`
-    /// tuples (all with `None`).
-    Ordered { limit: Option<usize> },
+/// Drains a join's build side `plan`, when it is a spine, one partition
+/// per morsel across the pool, in morsel order: `part` drains one morsel's
+/// pipeline.  `None` when `plan` is no spine.
+pub(crate) fn drain_build_side(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    exec: &ExecutionContext,
+    part: impl Fn(&mut dyn PhysicalOperator) -> Result<Partition> + Sync,
+) -> Result<Option<Vec<Partition>>> {
+    let Some(table) = spine_table(plan) else {
+        return Ok(None);
+    };
+    let (pipelines, record) = lower_morsels(plan, table, catalog, exec)?;
+    let pool = WorkerPool::new(exec.threads());
+    let parts = drain_across(pipelines, pool, part)?;
+    free_build_tables(&record, pool);
+    Ok(Some(parts))
 }
 
-/// The gather operator of morsel-driven parallel execution.
+/// One lowered morsel pipeline and its top-k's threshold cell.
+type Morsel = (BoxedOperator, Arc<TopKThreshold>);
+
+/// Lowers `plan` once per morsel of `table`, which drives its spine, and
+/// returns what the spine holds once too (the build tables it probes).
+fn lower_morsels(
+    plan: &PhysicalPlan,
+    table: &str,
+    catalog: &Catalog,
+    exec: &ExecutionContext,
+) -> Result<(Vec<Morsel>, Arc<SpineRecord>)> {
+    // Morsels cover the execution's pinned epoch, so every morsel (and
+    // every other access path of this execution) reads one watermark
+    // however many rows writers append meanwhile.  An empty table still
+    // gets one lowering, over an empty range, so its build sides are
+    // drained and its operators registered exactly once.
+    let table = catalog.table(table)?;
+    let rows = exec.pin_epoch(&table).row_count();
+    let mut ranges = morsel_ranges(rows, exec.morsel_size());
+    if ranges.is_empty() {
+        ranges.push((0, 0));
+    }
+    let record = Arc::default();
+    let morsels = ranges
+        .into_iter()
+        .map(|(start, end)| {
+            let morsel = exec.in_morsel(start..end, &record);
+            let pipeline = build_operator(plan, catalog, &morsel)?;
+            Ok((pipeline, morsel.morsel_threshold().unwrap_or_default()))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    exec.count_morsels(morsels.len());
+    Ok((morsels, record))
+}
+
+/// Runs `drain` over every morsel's pipeline across `pool`, returning the
+/// outputs in morsel order.
+fn drain_across<T: Send>(
+    morsels: impl IntoIterator<Item = Morsel>,
+    pool: WorkerPool,
+    drain: impl Fn(&mut dyn PhysicalOperator) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let slots: Vec<Mutex<BoxedOperator>> =
+        morsels.into_iter().map(|(p, _)| Mutex::new(p)).collect();
+    pool.run(slots.len(), |i| drain(slots[i].lock().as_mut()))
+}
+
+/// Frees the build tables in `record` that no pipeline holds any more, one
+/// chunk of rows per task across `pool`.
+fn free_build_tables(record: &SpineRecord, pool: WorkerPool) {
+    let parts: Vec<Mutex<Vec<RankedTuple>>> = std::mem::take(&mut *record.lock())
+        .into_iter()
+        .filter_map(|entry| entry.downcast::<JoinTable>().ok())
+        .filter_map(|table| Arc::try_unwrap(table).ok())
+        .flat_map(|table| table.chunks)
+        .map(Mutex::new)
+        .collect();
+    // Dropping rows cannot fail.
+    let _ = pool.run(parts.len(), |i| {
+        drop(std::mem::take(&mut *parts[i].lock()));
+        Ok(())
+    });
+}
+
+/// The gather operator of morsel-driven parallel execution: an ordered
+/// exchange.
 ///
 /// Construction lowers one pipeline per morsel (see the module docs); the
 /// first pull drains them across a [`WorkerPool`] of
-/// `ExecutionContext::threads` workers and materialises the
-/// deterministically merged output, which subsequent pulls stream out.  A
-/// worker error or panic surfaces as the `Err` of the first pull — never a
-/// deadlock, never partial results.  The exchange is no plan node and
-/// registers no metrics of its own: its pipelines' operators report under
-/// their plan nodes, and [`ExecutionContext::morsels`] counts the morsels.
+/// `ExecutionContext::threads` workers — morsel 0 first when the merge is
+/// limited, to seed the others — and materialises the merged output, which
+/// subsequent pulls stream out.  A worker error or panic surfaces as the
+/// `Err` of the first pull — never a deadlock, never partial results.  The
+/// exchange is no plan node and registers no metrics of its own: its
+/// pipelines' operators report under their plan nodes, and
+/// [`ExecutionContext::morsels`] counts the morsels.
 pub struct ExchangeOp {
     schema: Schema,
-    merge: Merge,
+    /// The merge keeps the first `limit` tuples (all with `None`).
+    limit: Option<usize>,
     ranking: Arc<RankingContext>,
     threads: usize,
     batch_size: usize,
-    /// One lowered pipeline per morsel, in morsel order; drained by the
-    /// first pull.
-    pipelines: Vec<BoxedOperator>,
+    /// The lowered morsels, drained by the first pull.
+    morsels: Vec<Morsel>,
+    /// What their spine holds once.
+    record: Arc<SpineRecord>,
     merged: Option<std::vec::IntoIter<RankedTuple>>,
 }
 
@@ -118,81 +202,43 @@ impl ExchangeOp {
             PhysicalOp::SortLimit { input, k, .. } => (input, Some(*k)),
             _ => return Ok(None),
         };
-        match spine_table(input) {
-            Some(table) if exec.fans_out() => {
-                let merge = Merge::Ordered { limit };
-                ExchangeOp::new(plan, table, merge, catalog, exec).map(Some)
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Lowers a join's build side as a concat exchange when it is itself a
-    /// spine; `None` otherwise.  Called where a morsel lowering drains the
-    /// build side its morsels share.
-    pub(crate) fn over_build_side(
-        plan: &PhysicalPlan,
-        catalog: &Catalog,
-        exec: &ExecutionContext,
-    ) -> Result<Option<Self>> {
-        spine_table(plan)
-            .map(|table| ExchangeOp::new(plan, table, Merge::Concat, catalog, exec))
-            .transpose()
-    }
-
-    /// Lowers `plan` once per morsel of `table`, which drives its spine.
-    fn new(
-        plan: &PhysicalPlan,
-        table: &str,
-        merge: Merge,
-        catalog: &Catalog,
-        exec: &ExecutionContext,
-    ) -> Result<Self> {
-        // Morsels cover the execution's pinned epoch, so every morsel (and
-        // every other access path of this execution) reads one watermark
-        // however many rows writers append meanwhile.  An empty table still
-        // gets one lowering, over an empty range, so its build sides are
-        // drained and its operators registered exactly once.
-        let table = catalog.table(table)?;
-        let rows = exec.pin_epoch(&table).row_count();
-        let mut ranges = morsel_ranges(rows, exec.morsel_size());
-        if ranges.is_empty() {
-            ranges.push((0, 0));
-        }
-        let record = Arc::default();
-        let pipelines = ranges
-            .into_iter()
-            .map(|(start, end)| build_operator(plan, catalog, &exec.in_morsel(start..end, &record)))
-            .collect::<Result<Vec<_>>>()?;
-        exec.count_morsels(pipelines.len());
-        Ok(ExchangeOp {
+        let Some(table) = spine_table(input).filter(|_| exec.fans_out()) else {
+            return Ok(None);
+        };
+        let (morsels, record) = lower_morsels(plan, table, catalog, exec)?;
+        Ok(Some(ExchangeOp {
             schema: plan.schema()?,
-            merge,
+            limit,
             ranking: exec.ranking_arc(),
             threads: exec.threads(),
             batch_size: exec.batch_size(),
-            pipelines,
+            morsels,
+            record,
             merged: None,
-        })
+        }))
     }
 
-    /// Drains every morsel pipeline across the pool and merges the outputs.
+    /// Drains every morsel pipeline and merges the runs, then frees the
+    /// build tables the morsels shared.
     fn run(&mut self) -> Result<Vec<RankedTuple>> {
-        // Each worker takes its pipeline out, so it is freed where drained.
-        let slots: Vec<Mutex<Option<BoxedOperator>>> = std::mem::take(&mut self.pipelines)
-            .into_iter()
-            .map(|p| Mutex::new(Some(p)))
-            .collect();
-        let outputs = WorkerPool::new(self.threads).run(slots.len(), |i| {
-            let mut pipeline = slots[i].lock().take();
-            pipeline
-                .as_deref_mut()
-                .map_or(Ok(Vec::new()), |p| drain_batched(p, self.batch_size))
-        })?;
-        Ok(match self.merge {
-            Merge::Concat => outputs.into_iter().flatten().collect(),
-            Merge::Ordered { limit } => merge_ordered(outputs, &self.ranking, limit),
-        })
+        let pool = WorkerPool::new(self.threads);
+        let batch_size = self.batch_size;
+        let mut pipelines = std::mem::take(&mut self.morsels).into_iter();
+        let mut runs = Vec::with_capacity(pipelines.len());
+        if self.limit.is_some() {
+            if let Some((mut first, cell)) = pipelines.next() {
+                runs.push(drain_batched(first.as_mut(), batch_size)?);
+                if let Some(worst) = cell.get() {
+                    pipelines.as_slice().iter().for_each(|(_, c)| c.seed(worst));
+                }
+            }
+        }
+        runs.extend(drain_across(pipelines, pool, |p| {
+            drain_batched(p, batch_size)
+        })?);
+        let merged = merge_ordered(runs, &self.ranking, self.limit);
+        free_build_tables(&self.record, pool);
+        Ok(merged)
     }
 }
 
@@ -213,19 +259,18 @@ impl PhysicalOperator for ExchangeOp {
     }
 
     fn is_ranked(&self) -> bool {
-        // An ordered merge emits in non-increasing complete-score order; a
-        // concat makes no ordering promise of its own.
-        matches!(self.merge, Merge::Ordered { .. })
+        // The merge emits in non-increasing complete-score order.
+        true
     }
 
     fn can_extend_limit(&self) -> bool {
         match &self.merged {
             // Before the first pull, whatever every morsel's pipeline
             // allows: a top-k that has not run can still raise its k.
-            None => self.pipelines.iter().all(|p| p.can_extend_limit()),
-            // After it, concat and unlimited merges hold the *complete*
-            // morsel outputs; a limited merge discarded beyond its k.
-            Some(_) => !matches!(self.merge, Merge::Ordered { limit: Some(_) }),
+            None => self.morsels.iter().all(|(p, _)| p.can_extend_limit()),
+            // After it, an unlimited merge holds the *complete* morsel
+            // outputs; a limited one discarded beyond its k.
+            Some(_) => self.limit.is_none(),
         }
     }
 
@@ -234,10 +279,10 @@ impl PhysicalOperator for ExchangeOp {
             return false;
         }
         if self.merged.is_none() {
-            for pipeline in &mut self.pipelines {
+            for (pipeline, _) in &mut self.morsels {
                 pipeline.extend_limit(extra);
             }
-            if let Merge::Ordered { limit: Some(k) } = &mut self.merge {
+            if let Some(k) = &mut self.limit {
                 *k += extra;
             }
         }
@@ -245,73 +290,18 @@ impl PhysicalOperator for ExchangeOp {
     }
 }
 
-/// One run head inside the k-way merge heap: max-heap on score, ties popped
-/// in ascending tuple-id order — the same total order as
-/// `RankedTuple::cmp_desc`, so merging per-partition sorted runs reproduces
-/// a full serial sort exactly.
-struct MergeHead {
-    tuple: RankedTuple,
-    score: Score,
-    run: usize,
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for MergeHead {}
-
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MergeHead {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .cmp(&other.score)
-            .then_with(|| other.tuple.tuple.id().cmp(self.tuple.tuple.id()))
-    }
-}
-
-/// K-way merges rank-sorted runs (each in `cmp_desc` order) into one sorted
-/// stream, keeping at most `limit` tuples.
+/// Merges rank-sorted runs (each in `cmp_desc` order) into one sorted
+/// stream, keeping at most `limit` tuples: a stable sort of the runs laid
+/// end to end merges them.
 fn merge_ordered(
     runs: Vec<Vec<RankedTuple>>,
-    ctx: &Arc<RankingContext>,
+    ctx: &RankingContext,
     limit: Option<usize>,
 ) -> Vec<RankedTuple> {
-    let cap = limit.unwrap_or(usize::MAX);
-    let mut iters: Vec<std::vec::IntoIter<RankedTuple>> =
-        runs.into_iter().map(|r| r.into_iter()).collect();
-    let mut heap = BinaryHeap::with_capacity(iters.len());
-    for (run, iter) in iters.iter_mut().enumerate() {
-        if let Some(t) = iter.next() {
-            heap.push(MergeHead {
-                score: ctx.upper_bound(&t.state),
-                tuple: t,
-                run,
-            });
-        }
-    }
-    let mut out = Vec::new();
-    while out.len() < cap {
-        let Some(head) = heap.pop() else {
-            break;
-        };
-        if let Some(t) = iters[head.run].next() {
-            heap.push(MergeHead {
-                score: ctx.upper_bound(&t.state),
-                tuple: t,
-                run: head.run,
-            });
-        }
-        out.push(head.tuple);
-    }
-    out
+    let mut merged: Vec<RankedTuple> = runs.into_iter().flatten().collect();
+    merged.sort_by(|a, b| ctx.cmp_desc(a, b));
+    merged.truncate(limit.unwrap_or(usize::MAX));
+    merged
 }
 
 #[cfg(test)]
@@ -393,7 +383,7 @@ mod tests {
     }
 
     /// `SortLimit(HashJoin(SeqScan R, SeqScan S))`: both scans are spines,
-    /// so the build side is drained by a nested concat exchange.
+    /// so the build side is drained per morsel into partitions.
     fn join_topk_plan(cat: &Catalog, k: usize) -> PhysicalPlan {
         plan(PhysicalOp::SortLimit {
             input: Box::new(plan(PhysicalOp::Join {
@@ -453,7 +443,7 @@ mod tests {
         let cards = result.actual_cardinalities();
         assert_eq!(cards[0], ("SeqScan(R)".to_owned(), 50));
         assert_eq!(cards[1], ("SeqScan(S)".to_owned(), 50));
-        // 7 morsels of R, and 7 of S for the build side's concat exchange.
+        // 7 morsels of R, and 7 of S for the partitioned build side.
         assert_eq!(result.morsels, 14);
         assert_eq!(result.threads, 4);
     }

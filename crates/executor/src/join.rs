@@ -11,7 +11,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ranksql_common::{JoinedRow, RankSqlError, Result, Schema, Score, Value};
+use parking_lot::Mutex;
+use ranksql_common::{JoinedRow, RankSqlError, Result, Schema, Score, Value, WorkerPool};
 use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr};
 
 use crate::context::{ExecutionContext, TopKScoring};
@@ -72,30 +73,116 @@ pub fn extract_join_keys(condition: Option<&BoolExpr>, left: &Schema, right: &Sc
     }
 }
 
-/// One join key's build rows in a [`JoinTable`], in input order — the
-/// property that makes hash-join output order deterministic — and, when a
-/// top-k scored the build side (see [`HashJoin`]), the order a probe walks
-/// them in.
-#[derive(Debug, Default)]
-pub struct JoinGroup {
-    rows: Vec<RankedTuple>,
-    /// `(upper bound, index into rows)`, best first; empty when the build
-    /// side was not scored.
-    order: Vec<(Score, usize)>,
+/// One row of a hash join's key group: where the row lives in its
+/// [`JoinTable`] and its upper bound under the top-k that scored the build
+/// side ([`UNSCORED`] when none did).
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    bound: Score,
+    chunk: u32,
+    row: u32,
 }
 
-impl JoinGroup {
-    fn push(&mut self, row: RankedTuple, bound: Option<Score>) {
-        if let Some(bound) = bound {
-            self.order.push((bound, self.rows.len()));
+/// Rows per chunk of a [`JoinTable`]: a growing build side copies rows
+/// only within its first chunk, and freeing it is a few large frees.
+const CHUNK_ROWS: usize = 8192;
+
+/// The bound of a build row no top-k scored: it never prunes.
+const UNSCORED: Score = Score(f64::INFINITY);
+
+/// Join-key values → the members of that key's group.
+type Groups = FxHashMap<Vec<Value>, Vec<Member>>;
+
+/// One partition of a join's build side: the rows one build morsel drained
+/// — a serial drain's whole input — and, for a hash join, their groups.
+#[derive(Default)]
+pub(crate) struct Partition {
+    chunks: Vec<Vec<RankedTuple>>,
+    groups: Groups,
+    /// Whether a top-k scored the rows (each group is then best-first).
+    scored: bool,
+}
+
+/// A join's drained build side: its rows, in chunks, partition after
+/// partition as they were drained (one partition per build morsel, in
+/// morsel order), and — for a hash join — each key's group over them.
+///
+/// Rows never move once drained; a group indexes them.  It lists its rows
+/// in input order (chunk, then position), the property that makes
+/// hash-join output order deterministic — or, when a top-k scored the build
+/// side (see [`HashJoin`]), in the order a probe walks them: descending
+/// upper bound in [`Score`]'s total order (NaN lowest, as
+/// [`crate::context::TopKThreshold::prunes`] compares), equal bounds in
+/// input order.  A nested-loops join reads the chunks in order.
+pub(crate) struct JoinTable {
+    schema: Schema,
+    /// Drained rows no join has counted as input yet: the first join to
+    /// pull takes the count, so a shared build side counts once.
+    uncounted: AtomicU64,
+    /// The rows, in input order.
+    pub(crate) chunks: Vec<Vec<RankedTuple>>,
+    groups: Groups,
+}
+
+impl JoinTable {
+    /// The build side with this `schema` drained as `parts`, in morsel
+    /// order.  Each key's groups are appended in that order; scored groups
+    /// of several partitions are then merged best-first across a pool of
+    /// `threads`.
+    pub(crate) fn new(schema: Schema, parts: Vec<Partition>, threads: usize) -> Result<Self> {
+        let merge = parts.len() > 1 && parts.iter().any(|p| p.scored);
+        let mut parts = parts.into_iter();
+        let (mut groups, mut chunks) = parts
+            .next()
+            .map_or_else(Default::default, |p| (p.groups, p.chunks));
+        for part in parts {
+            // A partition numbers its chunks from 0.  A chunk holds 8192
+            // rows, so 2^32 chunks would be 3·10^13 rows held in memory.
+            let first = chunks.len() as u32;
+            for (key, mut members) in part.groups {
+                members.iter_mut().for_each(|m| m.chunk += first);
+                groups.entry(key).or_default().append(&mut members);
+            }
+            chunks.extend(part.chunks);
         }
-        self.rows.push(row);
+        if merge {
+            let mut order: Vec<&mut Vec<Member>> = groups.values_mut().collect();
+            let pool = WorkerPool::new(threads);
+            // A few tasks per worker, so uneven groups still balance.
+            let per_task = order.len().div_ceil(pool.threads() * 4).max(1);
+            let tasks: Vec<Mutex<&mut [&mut Vec<Member>]>> =
+                order.chunks_mut(per_task).map(Mutex::new).collect();
+            pool.run(tasks.len(), |i| {
+                // A stable sort merges the partitions' sorted runs.
+                let mut task = tasks[i].lock();
+                task.iter_mut().for_each(|g| g.sort_by_key(best_first));
+                Ok(())
+            })?;
+        }
+        Ok(JoinTable {
+            schema,
+            uncounted: AtomicU64::new(chunks.iter().map(|c| c.len() as u64).sum()),
+            chunks,
+            groups,
+        })
+    }
+
+    /// The build side drained from `input` serially, as one partition (see
+    /// [`drain_partition`]).
+    fn drain(
+        input: &mut dyn PhysicalOperator,
+        batch_size: usize,
+        key_cols: Option<&[usize]>,
+        top_k: Option<&TopKScoring>,
+    ) -> Result<Self> {
+        let part = drain_partition(input, batch_size, key_cols, top_k)?;
+        JoinTable::new(input.schema().clone(), vec![part], 1)
+    }
+
+    fn row(&self, m: &Member) -> &RankedTuple {
+        &self.chunks[m.chunk as usize][m.row as usize]
     }
 }
-
-/// The build-side hash table of a [`HashJoin`]: join-key values → the build
-/// rows with that key.
-pub type JoinTable = FxHashMap<Vec<Value>, JoinGroup>;
 
 /// The build-side key columns of a hash join on `condition` (empty when it
 /// has no equi-join conjunct).
@@ -108,98 +195,84 @@ pub(crate) fn build_key_cols(
     keys.keys.iter().map(|&(_, r)| r).collect()
 }
 
-/// Drains a hash join's build input into a [`JoinTable`] keyed by
-/// `key_cols`, batch by batch; returns the rows drained with it.  A key is
-/// allocated the first time it is seen, not per row.  With `top_k`, each
-/// row's build-side predicates are evaluated here, once, and each group's
-/// walk order is sorted by descending upper bound in [`Score`]'s total
-/// order — NaN lowest, as [`crate::context::TopKThreshold::prunes`]
-/// compares — equal bounds in input order.
-pub(crate) fn hash_build_input(
+/// Drains a join's build input, batch by batch, into one partition of its
+/// [`JoinTable`].  With `key_cols` (a hash join) each row also joins
+/// its key's group — a key is allocated the first time the partition sees
+/// it, not per row — and, with `top_k`, its build-side predicates are
+/// evaluated here, once, and its upper bound kept for the best-first walk:
+/// each group is sorted best-first once drained.
+pub(crate) fn drain_partition(
     input: &mut dyn PhysicalOperator,
-    key_cols: &[usize],
     batch_size: usize,
-    mut top_k: Option<&mut TopKScoring>,
-) -> Result<(usize, JoinTable)> {
-    let mut table = JoinTable::default();
+    key_cols: Option<&[usize]>,
+    top_k: Option<&TopKScoring>,
+) -> Result<Partition> {
+    // A copy of its own: partitions drain on different workers.
+    let mut top_k = top_k.cloned();
+    let mut out = Partition {
+        scored: top_k.is_some(),
+        ..Partition::default()
+    };
     let mut buf = Batch::with_capacity(batch_size);
-    let (mut rows, mut scratch) = (0, Vec::new());
+    let (mut rows, mut scratch) = (Vec::new(), Vec::new());
     loop {
         buf.clear();
-        let n = input.next_batch(batch_size, &mut buf)?;
-        if n == 0 {
+        if input.next_batch(batch_size, &mut buf)? == 0 {
             break;
         }
-        rows += n;
         for mut t in buf.drain(..) {
-            let bound = top_k
-                .as_deref_mut()
-                .map(|top_k| top_k.score_build_row(&mut t))
-                .transpose()?;
-            let key = borrowed_key(key_cols, &mut scratch, &t);
-            match table.get_mut(key) {
-                Some(group) => group.push(t, bound),
-                None => table.entry(key.to_vec()).or_default().push(t, bound),
+            if rows.len() == CHUNK_ROWS {
+                out.chunks
+                    .push(std::mem::replace(&mut rows, Vec::with_capacity(CHUNK_ROWS)));
             }
+            if let Some(key_cols) = key_cols {
+                let bound = match &mut top_k {
+                    Some(top_k) => top_k.score_build_row(&mut t)?,
+                    None => UNSCORED,
+                };
+                let (chunk, row) = (out.chunks.len() as u32, rows.len() as u32);
+                let member = Member { bound, chunk, row };
+                let key = borrowed_key(key_cols, &mut scratch, &t);
+                match out.groups.get_mut(key) {
+                    Some(group) => group.push(member),
+                    None => {
+                        out.groups.insert(key.to_vec(), vec![member]);
+                    }
+                }
+            }
+            rows.push(t);
         }
     }
-    if top_k.is_some() {
-        for group in table.values_mut() {
-            sort_best_first(&mut group.order);
-        }
+    if !rows.is_empty() {
+        out.chunks.push(rows);
     }
-    Ok((rows, table))
+    if out.scored {
+        out.groups
+            .values_mut()
+            .for_each(|g| g.sort_unstable_by_key(best_first));
+    }
+    Ok(out)
 }
 
-/// Sorts a group's walk order by descending bound, equal bounds by index:
-/// with unique indices, that is the stable sort by `Reverse(bound)` of
-/// entries pushed in index order, done unstably on integer keys.
-fn sort_best_first(order: &mut [(Score, usize)]) {
-    order.sort_unstable_by_key(|&(bound, i)| (std::cmp::Reverse(bound.order_key()), i));
-}
-
-/// Drains a nested-loops join's inner input; returns its rows and their
-/// count.
-pub(crate) fn collect_build_input(
-    input: &mut dyn PhysicalOperator,
-    batch_size: usize,
-) -> Result<(usize, Vec<RankedTuple>)> {
-    let rows = drain_batched(input, batch_size)?;
-    Ok((rows.len(), rows))
+/// The key that sorts a group best-first: descending bound, equal bounds in
+/// input order — with unique positions, the stable sort by `Reverse(bound)`
+/// of members in input order, on integer keys.
+fn best_first(m: &Member) -> (std::cmp::Reverse<u64>, u32, u32) {
+    (std::cmp::Reverse(m.bound.order_key()), m.chunk, m.row)
 }
 
 /// A join's build (inner) side: its input operator until the join's first
 /// pull drains it, what the drain built afterwards.  An exchange's morsel
 /// pipelines get the built form from the start — the spine's first
 /// lowering drains the build side once and every morsel shares it.
-pub(crate) enum BuildSide<T> {
+pub(crate) enum BuildSide {
     /// Not drained yet.
     Input(BoxedOperator),
     /// Drained, read-only.
-    Built(Arc<Built<T>>),
+    Built(Arc<JoinTable>),
 }
 
-/// A drained build side (see [`BuildSide`]).
-pub(crate) struct Built<T> {
-    schema: Schema,
-    /// Drained rows no join has counted as input yet: the first join to
-    /// pull takes the count, so a shared build side counts once.
-    uncounted: AtomicU64,
-    table: T,
-}
-
-impl<T> Built<T> {
-    /// A build side of `rows` rows with this `schema`, drained into `table`.
-    pub(crate) fn new(schema: Schema, rows: usize, table: T) -> Self {
-        Built {
-            schema,
-            uncounted: AtomicU64::new(rows as u64),
-            table,
-        }
-    }
-}
-
-impl<T> BuildSide<T> {
+impl BuildSide {
     fn schema(&self) -> &Schema {
         match self {
             BuildSide::Input(input) => input.schema(),
@@ -212,13 +285,12 @@ impl<T> BuildSide<T> {
     fn drained(
         &mut self,
         metrics: &OperatorMetrics,
-        drain: impl FnOnce(&mut dyn PhysicalOperator) -> Result<(usize, T)>,
-    ) -> Result<Arc<Built<T>>> {
+        drain: impl FnOnce(&mut dyn PhysicalOperator) -> Result<JoinTable>,
+    ) -> Result<Arc<JoinTable>> {
         let built = match self {
             BuildSide::Built(built) => Arc::clone(built),
             BuildSide::Input(input) => {
-                let (rows, table) = drain(input.as_mut())?;
-                let built = Arc::new(Built::new(input.schema().clone(), rows, table));
+                let built = Arc::new(drain(input.as_mut())?);
                 *self = BuildSide::Built(Arc::clone(&built));
                 built
             }
@@ -285,13 +357,14 @@ fn bind_on_joined(condition: Option<&BoolExpr>, joined: &Schema) -> Result<Optio
 /// for every left tuple.  Supports arbitrary (or absent = cross) conditions.
 pub struct NestedLoopJoin {
     left: BoxedOperator,
-    right: BuildSide<Vec<RankedTuple>>,
+    right: BuildSide,
     condition: Option<BoundBoolExpr>,
     schema: Schema,
     /// The outer tuple being joined (empty between outer tuples) — the
     /// buffer the left input appends each draw to.
     current_left: Batch,
-    right_pos: usize,
+    /// The next inner row to pair with it: `(chunk, row)`.
+    right_pos: (usize, usize),
     metrics: Arc<OperatorMetrics>,
     batch_size: usize,
 }
@@ -300,7 +373,7 @@ impl NestedLoopJoin {
     /// Creates a nested-loops join.
     pub(crate) fn new(
         left: BoxedOperator,
-        right: BuildSide<Vec<RankedTuple>>,
+        right: BuildSide,
         condition: Option<&BoolExpr>,
         exec: &ExecutionContext,
         label: impl Into<String>,
@@ -314,7 +387,7 @@ impl NestedLoopJoin {
             condition: bound,
             schema,
             current_left: Batch::with_capacity(1),
-            right_pos: 0,
+            right_pos: (0, 0),
             metrics,
             batch_size: exec.batch_size(),
         })
@@ -329,9 +402,9 @@ impl PhysicalOperator for NestedLoopJoin {
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         let batch_size = self.batch_size;
         let inner = self.right.drained(&self.metrics, |input| {
-            collect_build_input(input, batch_size)
+            JoinTable::drain(input, batch_size, None, None)
         })?;
-        let rows = &inner.table;
+        let chunks = &inner.chunks;
         let (mut pulled, mut produced) = (0u64, 0usize);
         while produced < max {
             // One outer tuple at a time: a pass over the inner relation per
@@ -341,12 +414,16 @@ impl PhysicalOperator for NestedLoopJoin {
                     break;
                 }
                 pulled += 1;
-                self.right_pos = 0;
+                self.right_pos = (0, 0);
             }
             let left = &self.current_left[0];
-            while self.right_pos < rows.len() && produced < max {
-                let right = &rows[self.right_pos];
-                self.right_pos += 1;
+            while self.right_pos.0 < chunks.len() && produced < max {
+                let (chunk, row) = self.right_pos;
+                let Some(right) = chunks[chunk].get(row) else {
+                    self.right_pos = (chunk + 1, 0);
+                    continue;
+                };
+                self.right_pos.1 += 1;
                 // Decide on the pair in place; build only the pairs that pass.
                 if let Some(c) = &self.condition {
                     let pair = JoinedRow {
@@ -360,7 +437,7 @@ impl PhysicalOperator for NestedLoopJoin {
                 out.push(left.join(right));
                 produced += 1;
             }
-            if self.right_pos == rows.len() {
+            if self.right_pos.0 == chunks.len() {
                 self.current_left.clear();
             }
         }
@@ -402,7 +479,7 @@ impl PhysicalOperator for NestedLoopJoin {
 /// count as decided.
 pub struct HashJoin {
     left: BoxedOperator,
-    right: BuildSide<JoinTable>,
+    right: BuildSide,
     left_key_cols: Vec<usize>,
     right_key_cols: Vec<usize>,
     residual: Option<BoundBoolExpr>,
@@ -426,7 +503,7 @@ impl HashJoin {
     /// must have been hashed on [`build_key_cols`] of the same condition.
     pub(crate) fn new(
         left: BoxedOperator,
-        right: BuildSide<JoinTable>,
+        right: BuildSide,
         condition: Option<&BoolExpr>,
         exec: &ExecutionContext,
         label: impl Into<String>,
@@ -498,11 +575,10 @@ impl PhysicalOperator for HashJoin {
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
         let (key_cols, batch_size) = (&self.right_key_cols, self.batch_size);
-        let top_k = self.top_k.as_mut();
+        let top_k = self.top_k.as_ref();
         let build = self.right.drained(&self.metrics, |input| {
-            hash_build_input(input, key_cols, batch_size, top_k)
+            JoinTable::drain(input, batch_size, Some(key_cols), top_k)
         })?;
-        let table = &build.table;
         let (mut decided, mut built) = (0usize, 0usize);
         // A call ends after deciding `max` results, so the threshold it
         // prunes against is never more than one batch stale — but not
@@ -515,43 +591,36 @@ impl PhysicalOperator for HashJoin {
                 break;
             };
             let key = borrowed_key(&self.left_key_cols, &mut self.probe_key, left);
-            let (rows, order) = table.get(key).map_or((&[][..], &[][..]), |g| {
-                (g.rows.as_slice(), g.order.as_slice())
-            });
-            if let Some(top_k) = self.top_k.as_mut().filter(|_| !rows.is_empty()) {
+            let group = build.groups.get(key).map_or(&[][..], Vec::as_slice);
+            if let Some(top_k) = self.top_k.as_mut().filter(|_| !group.is_empty()) {
                 top_k.score_probe_row(left)?;
             }
             let left = &*left;
-            while self.match_pos < rows.len() && (decided < max || built == 0) {
+            while self.match_pos < group.len() && (decided < max || built == 0) {
                 let pos = self.match_pos;
                 self.match_pos += 1;
-                let right = match order.get(pos) {
-                    None => &rows[pos],
-                    Some(&(bound, i)) => {
-                        if self.top_k.as_ref().is_some_and(|t| t.prunes(bound)) {
-                            // Rows are walked best bound first: no pair with
-                            // this row or a later one can beat the heap.
-                            // They are decided all the same.
-                            decided += match &self.residual {
-                                None => order.len() - pos,
-                                Some(c) => order[pos..]
-                                    .iter()
-                                    .map(|&(_, i)| {
-                                        let right = &rows[i].tuple;
-                                        let pair = JoinedRow {
-                                            left: &left.tuple,
-                                            right,
-                                        };
-                                        c.eval(&pair).map(usize::from)
-                                    })
-                                    .sum::<Result<usize>>()?,
-                            };
-                            self.match_pos = rows.len();
-                            break;
-                        }
-                        &rows[i]
-                    }
-                };
+                let member = &group[pos];
+                if self.top_k.as_ref().is_some_and(|t| t.prunes(member.bound)) {
+                    // Rows are walked best bound first: no pair with this
+                    // row or a later one can beat the heap.  They are
+                    // decided all the same.
+                    decided += match &self.residual {
+                        None => group.len() - pos,
+                        Some(c) => group[pos..]
+                            .iter()
+                            .map(|m| {
+                                let pair = JoinedRow {
+                                    left: &left.tuple,
+                                    right: &build.row(m).tuple,
+                                };
+                                c.eval(&pair).map(usize::from)
+                            })
+                            .sum::<Result<usize>>()?,
+                    };
+                    self.match_pos = group.len();
+                    break;
+                }
+                let right = build.row(member);
                 let pair = JoinedRow {
                     left: &left.tuple,
                     right: &right.tuple,
@@ -574,7 +643,7 @@ impl PhysicalOperator for HashJoin {
                 }
                 built += 1;
             }
-            if self.match_pos == rows.len() {
+            if self.match_pos == group.len() {
                 self.left_buf.pop_front();
                 self.match_pos = 0;
             }
@@ -785,7 +854,7 @@ mod tests {
     }
 
     /// `t` as a join's undrained build side.
-    fn side<T>(t: &Table, exec: &ExecutionContext) -> BuildSide<T> {
+    fn side(t: &Table, exec: &ExecutionContext) -> BuildSide {
         BuildSide::Input(scan(t, exec))
     }
 
@@ -953,7 +1022,8 @@ mod tests {
         let below = |x: u64, bound: u64| (x >> 33) % bound;
         for _ in 0..500 {
             let len = below(next(), 64) as usize;
-            let mut order: Vec<(Score, usize)> = (0..len)
+            // Input order spread over chunks of up to 8 rows.
+            let mut group: Vec<Member> = (0..len)
                 .map(|i| {
                     // Ties, the special values, and arbitrary bit patterns
                     // (every NaN payload, subnormals, both signs).
@@ -962,14 +1032,19 @@ mod tests {
                         1 => below(next(), 5) as f64 / 4.0,
                         _ => f64::from_bits(next()),
                     };
-                    (Score(v), i)
+                    let (chunk, row) = ((i / 8) as u32, (i % 8) as u32);
+                    Member {
+                        bound: Score(v),
+                        chunk,
+                        row,
+                    }
                 })
                 .collect();
-            let mut stable = order.clone();
-            stable.sort_by_key(|&(bound, _)| std::cmp::Reverse(bound));
-            sort_best_first(&mut order);
-            let indices = |o: &[(Score, usize)]| o.iter().map(|&(_, i)| i).collect::<Vec<_>>();
-            assert_eq!(indices(&order), indices(&stable));
+            let mut stable = group.clone();
+            stable.sort_by_key(|m| std::cmp::Reverse(m.bound));
+            group.sort_unstable_by_key(best_first);
+            let positions = |g: &[Member]| g.iter().map(|m| (m.chunk, m.row)).collect::<Vec<_>>();
+            assert_eq!(positions(&group), positions(&stable));
         }
     }
 

@@ -1,8 +1,10 @@
 //! Index access operators: rank-scan and attribute index scan.  Both read
 //! the rows an index names through the pinned epoch
-//! ([`TableEpoch::read`]), faulting paged blocks in through the buffer
-//! pool; the sequential scan is [`ColumnScan`](crate::column_scan::ColumnScan).
+//! ([`TableEpoch::read`]), faulting paged blocks in through the buffer pool
+//! and counting the pages into the execution's `pages_faulted`; the
+//! sequential scan is [`ColumnScan`](crate::column_scan::ColumnScan).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ranksql_common::{RankSqlError, Result, Schema};
@@ -31,6 +33,7 @@ pub struct RankScan {
     ctx: Arc<RankingContext>,
     metrics: Arc<OperatorMetrics>,
     budget: Arc<TupleBudget>,
+    faulted: Arc<AtomicU64>,
 }
 
 impl RankScan {
@@ -72,6 +75,7 @@ impl RankScan {
             ctx,
             metrics: exec.register(label),
             budget: Arc::clone(exec.budget()),
+            faulted: Arc::clone(exec.pages_faulted_counter()),
         })
     }
 }
@@ -88,8 +92,10 @@ impl PhysicalOperator for RankScan {
         let run = entry_run(self.index.entries(), self.pos, max);
         let before = out.len();
         let rows = run.iter().map(|&(_, row)| row as usize);
-        self.epoch
+        let pages = self
+            .epoch
             .read(rows, |t| out.push(RankedTuple::unranked(t, n_preds)))?;
+        self.faulted.fetch_add(pages, Ordering::Relaxed);
         for (rt, (score, _)) in out[before..].iter_mut().zip(run) {
             rt.state.set(self.predicate, score.value());
         }
@@ -133,6 +139,7 @@ pub struct AttributeIndexScan {
     ctx: Arc<RankingContext>,
     metrics: Arc<OperatorMetrics>,
     budget: Arc<TupleBudget>,
+    faulted: Arc<AtomicU64>,
 }
 
 impl AttributeIndexScan {
@@ -163,6 +170,7 @@ impl AttributeIndexScan {
             ctx: exec.ranking_arc(),
             metrics: exec.register(label),
             budget: Arc::clone(exec.budget()),
+            faulted: Arc::clone(exec.pages_faulted_counter()),
         })
     }
 }
@@ -176,8 +184,10 @@ impl PhysicalOperator for AttributeIndexScan {
         let n_preds = self.ctx.num_predicates();
         let run = entry_run(self.index.entries(), self.pos, max);
         let rows = run.iter().map(|&(_, row)| row as usize);
-        self.epoch
+        let pages = self
+            .epoch
             .read(rows, |t| out.push(RankedTuple::unranked(t, n_preds)))?;
+        self.faulted.fetch_add(pages, Ordering::Relaxed);
         let n = run.len();
         self.pos += n;
         if n > 0 {

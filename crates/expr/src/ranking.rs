@@ -613,6 +613,17 @@ impl BoundRanking {
     }
 }
 
+impl Clone for BoundRanking {
+    /// A copy with nothing pending: each copy flushes what it evaluated.
+    fn clone(&self) -> Self {
+        BoundRanking {
+            ctx: Arc::clone(&self.ctx),
+            predicates: self.predicates.clone(),
+            pending: vec![0; self.pending.len()],
+        }
+    }
+}
+
 impl Drop for BoundRanking {
     /// An operator abandoned mid-call (an error below it) still accounts
     /// for what it evaluated.

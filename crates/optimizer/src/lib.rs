@@ -136,11 +136,6 @@ impl RankOptimizer {
         RankOptimizer { config }
     }
 
-    /// Creates an optimizer with default configuration.
-    pub fn with_defaults() -> Self {
-        RankOptimizer::new(OptimizerConfig::default())
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &OptimizerConfig {
         &self.config

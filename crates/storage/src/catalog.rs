@@ -102,11 +102,6 @@ impl Catalog {
         self.inner.write().store = Some(store);
     }
 
-    /// The paged store backing this catalog, if any.
-    pub fn paged_store(&self) -> Option<Arc<PagedStore>> {
-        self.inner.read().store.clone()
-    }
-
     /// Looks up a table by name.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
         self.inner

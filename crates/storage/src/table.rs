@@ -100,18 +100,19 @@ impl TableEpoch {
     }
 
     /// The one row accessor: hands `f` the tuple at each of `rows`, in
-    /// the order given.  Row `r` is read from block `r / COLUMN_BLOCK_ROWS`,
-    /// resident or faulted in through the buffer pool (once per run of rows
-    /// in one block), or, past the blocks, from the tail.  A fault's error
-    /// is returned, and a row at or past the watermark errors as stale: it
-    /// is a row this epoch must never see, not a missing one.
+    /// the order given, and returns the disk pages it faulted in.  Row `r`
+    /// is read from block `r / COLUMN_BLOCK_ROWS`, resident or fetched
+    /// through the buffer pool (once per run of rows in one block), or,
+    /// past the blocks, from the tail.  A fault's error is returned, and a
+    /// row at or past the watermark errors as stale: it is a row this epoch
+    /// must never see, not a missing one.
     pub fn read(
         &self,
         rows: impl IntoIterator<Item = usize>,
         mut f: impl FnMut(Tuple),
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let sealed = self.blocks.row_count();
-        let mut faulted: Option<(usize, Arc<SealedBlock>)> = None;
+        let (mut fetched, mut pages): (Option<(usize, Arc<SealedBlock>)>, u64) = (None, 0);
         for row in rows {
             if row >= sealed {
                 f(self.tail.get(row - sealed).cloned().ok_or_else(|| {
@@ -126,15 +127,21 @@ impl TableEpoch {
             let n = row / COLUMN_BLOCK_ROWS;
             let block = match &self.blocks.blocks[n] {
                 BlockSlot::Resident(block) => block,
-                BlockSlot::Paged(_) => match &faulted {
+                BlockSlot::Paged(_) => match &fetched {
                     Some((at, block)) if *at == n => block,
-                    _ => &faulted.insert((n, self.blocks.fetch_block(n)?.0)).1,
+                    _ => {
+                        let (block, faulted) = self.blocks.fetch_block(n)?;
+                        if faulted {
+                            pages += self.blocks.block_pages(n);
+                        }
+                        &fetched.insert((n, block)).1
+                    }
                 },
             };
             let base = n * COLUMN_BLOCK_ROWS;
             f(block.tuple(self.table_id(), base, row - base));
         }
-        Ok(())
+        Ok(pages)
     }
 
     /// The tuples at `rows`, in the order given: [`TableEpoch::read`]

@@ -380,6 +380,62 @@ fn q_builds_a_sliver_of_the_join_results_it_decides() {
     assert_eq!(run(4), run(2));
 }
 
+/// Seeded morsels build about what serial execution builds.  On the
+/// parallel-scaling bench's plan shape, `SortLimit(HashJoin(σ(SeqScan A),
+/// SeqScan B))`, morsel 0 runs first and its worst kept entry seeds every
+/// other morsel's top-k, so each morsel's join stops building where serial
+/// execution would — not where its own heap fills.  The join builds at
+/// most twice what it builds serially, and the same at 2 and 4 threads: the
+/// morsel split decides it, not the workers.
+#[test]
+fn seeded_morsels_build_what_serial_execution_builds() {
+    use ranksql::algebra::{JoinAlgorithm, LogicalPlan, PhysicalPlan};
+    let workload = SyntheticWorkload::generate(SyntheticConfig {
+        table_size: 6000,
+        join_selectivity: 0.001,
+        predicate_cost: 0,
+        k: 10,
+        build_indexes: false,
+        ..SyntheticConfig::default()
+    })
+    .unwrap();
+    let table = |name: &str| workload.catalog.table(name).unwrap();
+    let plan = LogicalPlan::scan(&table("A"))
+        .select(BoolExpr::compare(
+            ScalarExpr::col("A.b"),
+            CompareOp::Eq,
+            ScalarExpr::lit(true),
+        ))
+        .join(
+            LogicalPlan::scan(&table("B")),
+            Some(BoolExpr::col_eq_col("A.jc1", "B.jc1")),
+            JoinAlgorithm::Hash,
+        )
+        .sort(ranksql::common::BitSet64::all(4))
+        .limit(workload.query.k);
+    let plan = PhysicalPlan::from_logical(&plan).unwrap();
+    let run = |threads: usize| {
+        let exec = ExecutionContext::new(workload.query.ranking.clone()).with_threads(threads);
+        let result = execute_physical_plan(&plan, &workload.catalog, &exec).unwrap();
+        assert_eq!(result.morsels > 0, threads > 1, "threads={threads}");
+        let actuals = result.operator_actuals();
+        let join = actuals.iter().rfind(|a| a.label.starts_with("HashJoin"));
+        let ids = result.tuples.iter().map(|t| t.tuple.id().clone());
+        (join.unwrap().built, ids.collect::<Vec<_>>())
+    };
+    let (serial, want) = run(1);
+    assert!(serial > 0);
+    for threads in [2, 4] {
+        let (built, got) = run(threads);
+        assert_eq!(got, want, "threads={threads}");
+        assert!(
+            built <= 2 * serial,
+            "threads={threads}: built {built}, serially {serial}"
+        );
+        assert_eq!(built, run(2).0, "threads={threads}");
+    }
+}
+
 /// One cached plan serves every thread count: the paper's Q prepared and
 /// bound at one thread, then bound from a two-thread session, hits the
 /// plan cache and returns the same rows with the same score bits; only the
@@ -438,7 +494,7 @@ fn explain_analyze_reports_exchange_nodes() {
             .explain_analyze(Some(&query.ranking))
     };
     let analyzed = run(4);
-    // 4 morsels of R, and 4 of S for the build side's concat exchange.
+    // 4 morsels of R, and 4 of S for the partitioned build side.
     assert!(
         analyzed.contains("parallel: threads=4 morsels=8\n"),
         "{analyzed}"

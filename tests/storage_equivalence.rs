@@ -557,6 +557,31 @@ fn paged_database_reopens_with_identical_results() {
     );
 }
 
+/// Rank-scans count their page faults: after a reopen every block of the
+/// table is on disk, so the first rank-aware top-k faults pages — building
+/// the score index reads every block, and the rank-scan reads the rows it
+/// emits — and reports them in `pages_faulted`, as a sequential scan's
+/// faults are.  The pool holds one of the two blocks, so whatever planning
+/// read leaves at least one block to fault.
+#[test]
+fn the_first_rank_aware_top_k_after_a_reopen_counts_its_page_faults() {
+    let dir = TempDir::new("rank-faults");
+    let query = clustered_paged_db(dir.path(), 3000, 2).1;
+    let db = Database::open_paged_with(dir.path(), PagedOptions { pool_pages: 2 }).unwrap();
+    let result = db
+        .session()
+        .with_mode(PlanMode::RankAware)
+        .with_threads(1)
+        .execute(&query)
+        .unwrap();
+    let text = result.physical.explain(None);
+    assert!(text.contains("RankScan"), "{text}");
+    assert!(
+        result.pages_faulted > 0,
+        "a cold rank-scan read its blocks from disk\n{text}"
+    );
+}
+
 /// Satellite regression: a NaN-scoring row must never change pruning
 /// results.  `TopKThreshold::raise` ignores NaN (and the total order sorts
 /// NaN last), so the top-k over a table containing a NaN row equals the
