@@ -5,23 +5,29 @@
 //! fused top-k sort — `SortLimit(HashJoin(σ(SeqScan A), SeqScan B))`.  The
 //! plan is the same at every thread count; above one thread the executor
 //! runs the top-k per morsel of `A` and merges the runs, and drains the
-//! build side `B` per morsel too.
+//! build side `B` per morsel too.  A second plan has `paperq-sort`'s shape,
+//! `SortLimit(HashJoin(σA, HashJoin(σB, C)))` on Q's data at 5 000 rows a
+//! table: its build side is itself a hash join, drained per morsel of `B`
+//! over a build side drained per morsel of `C`.
 //!
 //! Two claims are asserted here, every run, before the timed group (which
-//! is preceded by a line with the join results built per thread count):
+//! is preceded by a line per plan with the join results built per thread
+//! count):
 //!
-//! 1. **Determinism**: the top-k output is byte-identical across all
-//!    measured thread counts, and only one thread runs no morsels.
+//! 1. **Determinism**: each plan's top-k output is byte-identical across
+//!    all measured thread counts, and only one thread runs no morsels.
 //! 2. **Two workers are not slower than one**: on a machine with at least
-//!    two hardware threads, the median of five executions at `threads=2`
-//!    must not exceed the median of five at `threads=1`, the two
-//!    alternating within this run — a ratio, so no absolute time is pinned.
+//!    two hardware threads, the median of five executions of the first
+//!    plan at `threads=2` must not exceed the median of five at
+//!    `threads=1`, the two alternating within this run — a ratio, so no
+//!    absolute time is pinned.
 //!
-//! The timed group then *measures* threads 1/2/4/8.  No scaling law is
-//! promised: the driving table splits into 1024-row morsels that workers
-//! claim whole, so the curve is a staircase set by how the morsel count
-//! divides among the workers, and it flattens at the machine's core count.
-//! The `threads=1` row is the serial baseline.
+//! The timed group then *measures* the first plan at threads 1/2/4/8.  No
+//! scaling law is promised: the probe side splits into 1024-row morsels
+//! that workers claim whole, morsel 0 first and alone, then waves of 8, 16,
+//! … morsels, while a build side splits into a power of two (at least
+//! four) of equal morsels whatever the thread count; the curve flattens at
+//! the machine's core count.  The `threads=1` row is the serial baseline.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -29,8 +35,8 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalPlan};
 use ranksql_common::BitSet64;
-use ranksql_executor::{execute_physical_plan, ExecutionContext};
-use ranksql_expr::{BoolExpr, CompareOp, ScalarExpr};
+use ranksql_executor::{execute_physical_plan, ExecutionContext, ExecutionResult};
+use ranksql_expr::{BoolExpr, CompareOp, RankingContext, ScalarExpr};
 use ranksql_workload::{SyntheticConfig, SyntheticWorkload};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -72,10 +78,46 @@ fn bench_threads(c: &mut Criterion) {
         execute_physical_plan(&plan, catalog, &exec).expect("execution")
     };
 
+    // `paperq-sort`'s shape: the build side is `σB ⋈ C`.
+    let q = SyntheticWorkload::generate(SyntheticConfig {
+        table_size: 5000,
+        join_selectivity: 1.0 / 250.0,
+        predicate_cost: 0,
+        k: 10,
+        build_indexes: false,
+        ..SyntheticConfig::default()
+    })
+    .expect("workload");
+    let flagged = |rel: &str| {
+        let table = q.catalog.table(rel).expect("table");
+        LogicalPlan::scan(&table).select(BoolExpr::compare(
+            ScalarExpr::col(&format!("{rel}.b")),
+            CompareOp::Eq,
+            ScalarExpr::lit(true),
+        ))
+    };
+    let table_c = q.catalog.table("C").expect("C");
+    let nested = flagged("A")
+        .join(
+            flagged("B").join(
+                LogicalPlan::scan(&table_c),
+                Some(BoolExpr::col_eq_col("B.jc2", "C.jc2")),
+                JoinAlgorithm::Hash,
+            ),
+            Some(BoolExpr::col_eq_col("A.jc1", "B.jc1")),
+            JoinAlgorithm::Hash,
+        )
+        .sort(BitSet64::all(5))
+        .limit(q.query.k);
+    let nested = PhysicalPlan::from_logical(&nested).expect("lowering");
+    let run_nested = |threads: usize| {
+        let exec = ExecutionContext::new(Arc::clone(&q.query.ranking)).with_threads(threads);
+        execute_physical_plan(&nested, &q.catalog, &exec).expect("execution")
+    };
+
     // Determinism gate: byte-identical top-k output for every measured
-    // thread count.
-    let fingerprint = |threads: usize| {
-        let result = run(threads);
+    // thread count, on both plans.
+    let outcome = |result: ExecutionResult, ranking: &RankingContext, threads: usize| {
         assert_eq!(result.morsels > 0, threads > 1, "threads={threads}");
         result
             .tuples
@@ -83,13 +125,22 @@ fn bench_threads(c: &mut Criterion) {
             .map(|t| (t.tuple.id().clone(), ranking.upper_bound(&t.state)))
             .collect::<Vec<_>>()
     };
+    let fingerprint = |threads: usize| outcome(run(threads), &ranking, threads);
+    let nested_fingerprint = |threads| outcome(run_nested(threads), &q.query.ranking, threads);
     let reference = fingerprint(1);
     assert_eq!(reference.len(), workload.query.k);
+    let nested_reference = nested_fingerprint(1);
+    assert_eq!(nested_reference.len(), q.query.k);
     for threads in THREAD_COUNTS {
         assert_eq!(
             fingerprint(threads),
             reference,
             "parallel output diverged at {threads} threads"
+        );
+        assert_eq!(
+            nested_fingerprint(threads),
+            nested_reference,
+            "parallel output of the nested build side diverged at {threads} threads"
         );
     }
 
@@ -117,14 +168,20 @@ fn bench_threads(c: &mut Criterion) {
         );
     }
 
-    // What the hash join built at each thread count: seeded morsels build
-    // about what one thread does.
-    let built = THREAD_COUNTS.map(|threads| {
-        let actuals = run(threads).operator_actuals();
+    // What the outer hash join built at each thread count: seeded morsels
+    // build about what one thread does.
+    let built = |result: ExecutionResult, threads: usize| {
+        let actuals = result.operator_actuals();
         let join = actuals.iter().rfind(|a| a.label.starts_with("HashJoin"));
         format!("threads={threads} {}", join.map_or(0, |a| a.built))
-    });
-    println!("ablation_threads: join results built, {}", built.join(", "));
+    };
+    let flat = THREAD_COUNTS.map(|threads| built(run(threads), threads));
+    println!("ablation_threads: join results built, {}", flat.join(", "));
+    let nested = THREAD_COUNTS.map(|threads| built(run_nested(threads), threads));
+    println!(
+        "ablation_threads: nested build side, join results built, {}",
+        nested.join(", ")
+    );
 
     let mut group = c.benchmark_group("ablation_threads/seq_scan_hash_join");
     group.sample_size(10);

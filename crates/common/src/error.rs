@@ -9,7 +9,7 @@ pub enum RankSqlError {
     Schema(String),
     /// A catalog operation failed (unknown table, duplicate table, ...).
     Catalog(String),
-    /// Data ingestion or storage-level access failed (e.g. malformed CSV).
+    /// Data ingestion or storage-level access failed (e.g. a corrupt page).
     Storage(String),
     /// An expression could not be evaluated (type mismatch, missing column).
     Expression(String),

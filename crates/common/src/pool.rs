@@ -85,11 +85,6 @@ impl WorkerPool {
         }
     }
 
-    /// The number of worker threads this pool runs.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs `f(0) .. f(tasks - 1)` across the pool, returning the results in
     /// task order.
     ///
@@ -309,7 +304,7 @@ mod tests {
 
     #[test]
     fn thread_count_clamps() {
-        assert_eq!(WorkerPool::new(0).threads(), 1);
-        assert_eq!(WorkerPool::new(1_000_000).threads(), MAX_THREADS);
+        assert_eq!(WorkerPool::new(0).threads, 1);
+        assert_eq!(WorkerPool::new(1_000_000).threads, MAX_THREADS);
     }
 }

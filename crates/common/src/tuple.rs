@@ -55,9 +55,15 @@ impl TupleId {
     /// Combines two identities (join / product): the result is the multiset
     /// union of constituents kept in sorted order so that combination is
     /// commutative and associative.
+    #[inline]
     pub fn combine(&self, other: &TupleId) -> TupleId {
+        self.combine_parts(other.parts())
+    }
+
+    /// [`TupleId::combine`] with an identity given by its sorted
+    /// constituents, as [`TupleId::parts`] lists them.
+    pub fn combine_parts(&self, b: &[(u32, u64)]) -> TupleId {
         let a = self.parts();
-        let b = other.parts();
         // Base ⋈ base is the overwhelmingly common case on the join hot
         // path: order the two constituents inline, with no allocation.
         let parts = match (a, b) {
@@ -269,24 +275,24 @@ impl Row for [Value] {
 /// The concatenation `left ++ right` viewed in place: column `i` of the
 /// joined schema is `left[i]` below the left arity and `right[i - arity]`
 /// from there on — the same layout [`Tuple::join`] materialises.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct JoinedRow<'a> {
-    /// The left constituent.
-    pub left: &'a Tuple,
-    /// The right constituent.
-    pub right: &'a Tuple,
+    /// The left constituent's values.
+    pub left: &'a [Value],
+    /// The right constituent's values.
+    pub right: &'a [Value],
 }
 
 impl Row for JoinedRow<'_> {
     fn get(&self, i: usize) -> Option<&Value> {
-        match i.checked_sub(self.left.arity()) {
-            None => self.left.values.get(i),
-            Some(j) => self.right.values.get(j),
+        match i.checked_sub(self.left.len()) {
+            None => self.left.get(i),
+            Some(j) => self.right.get(j),
         }
     }
 
     fn arity(&self) -> usize {
-        self.left.arity() + self.right.arity()
+        self.left.len() + self.right.len()
     }
 }
 
@@ -384,8 +390,8 @@ mod tests {
         let t2 = Tuple::new(TupleId::base(1, 5), vec![Value::from("x")]);
         let joined = t1.join(&t2);
         let row = JoinedRow {
-            left: &t1,
-            right: &t2,
+            left: t1.values(),
+            right: t2.values(),
         };
         assert_eq!(Row::arity(&row), joined.arity());
         for i in 0..=joined.arity() {

@@ -357,36 +357,6 @@ impl Database {
         self.catalog.table(table)?.insert_batch(rows)
     }
 
-    /// Creates a table from CSV text, inferring the schema from a header line
-    /// and the sampled column values, and loads every row.  Returns the new
-    /// table handle.  Use [`Database::load_csv`] to append to an existing
-    /// table with a known schema instead.
-    pub fn create_table_from_csv(
-        &self,
-        name: &str,
-        csv_text: &str,
-        options: &ranksql_storage::CsvOptions,
-    ) -> Result<Arc<Table>> {
-        let schema = ranksql_storage::infer_schema(csv_text, options)?;
-        let rows = ranksql_storage::parse_csv(csv_text, &schema, options)?;
-        let table = self.catalog.create_table(name, schema)?;
-        table.insert_batch(rows)?;
-        Ok(table)
-    }
-
-    /// Appends CSV rows to an existing table, coercing each column to the
-    /// table's schema.  Returns the number of rows inserted.
-    pub fn load_csv(
-        &self,
-        table: &str,
-        csv_text: &str,
-        options: &ranksql_storage::CsvOptions,
-    ) -> Result<usize> {
-        let table = self.catalog.table(table)?;
-        let rows = ranksql_storage::parse_csv(csv_text, table.schema(), options)?;
-        table.insert_batch(rows)
-    }
-
     /// Plans a query under the given mode without executing it.
     ///
     /// Pass order: optimization → `columnarize` (annotate scans, push
@@ -684,35 +654,6 @@ mod tests {
         assert!(text.contains("Sort"));
         let text = db.explain(&query, PlanMode::RankAware).unwrap();
         assert!(text.contains("mode: RankAware"));
-    }
-
-    #[test]
-    fn csv_ingestion_creates_and_appends() {
-        let db = Database::new();
-        let options = ranksql_storage::CsvOptions::default();
-        let csv = "name,city,quality\ngrand,1,0.9\nplaza,2,0.7\n";
-        let table = db.create_table_from_csv("Hotel", csv, &options).unwrap();
-        assert_eq!(table.row_count(), 2);
-        assert_eq!(table.schema().len(), 3);
-
-        let appended = db
-            .load_csv("Hotel", "name,city,quality\nlodge,1,0.5\n", &options)
-            .unwrap();
-        assert_eq!(appended, 1);
-        assert_eq!(db.catalog().table("Hotel").unwrap().row_count(), 3);
-
-        // The loaded table is immediately queryable.
-        let query = QueryBuilder::new()
-            .table("Hotel")
-            .rank_predicate(RankPredicate::attribute("q", "Hotel.quality"))
-            .limit(1)
-            .build()
-            .unwrap();
-        let top = db.execute(&query).unwrap();
-        assert_eq!(top.rows[0].tuple.value(0), &Value::from("grand"));
-
-        // Malformed input is rejected with a storage error.
-        assert!(db.load_csv("Hotel", "name,city\nx,1\n", &options).is_err());
     }
 
     /// Regression for the LRU plan cache: a hot shape that is re-bound

@@ -20,16 +20,16 @@ use ranksql_common::{BitSet64, RankSqlError, Result, Tuple};
 use ranksql_expr::{RankedTuple, RankingContext, ScoreSource};
 use ranksql_storage::{BTreeIndex, Catalog, EpochSet, ScoreIndex, TableEpoch};
 
+use crate::build_table::{JoinTable, Partition};
 use crate::column_scan::ColumnScan;
 use crate::context::{ExecutionContext, TopKScoring};
 use crate::exchange::{drain_build_side, ExchangeOp};
 use crate::filter::{Filter, Project};
 use crate::join::{
-    build_key_cols, drain_partition, BuildSide, HashJoin, JoinTable, NestedLoopJoin, Partition,
-    SortMergeJoin,
+    build_key_cols, drain_partition, BuildInput, BuildSide, HashJoin, NestedLoopJoin, SortMergeJoin,
 };
 use crate::metrics::MetricsRegistry;
-use crate::operator::{drain_batched, BoxedOperator, PhysicalOperator};
+use crate::operator::{drain_batched, BoxedOperator};
 use crate::rank::RankOp;
 use crate::rank_join::RankJoin;
 use crate::scan::{AttributeIndexScan, RankScan};
@@ -140,7 +140,7 @@ fn build_side(
     catalog: &Catalog,
     exec: &ExecutionContext,
     inputs: &mut Inputs<'_>,
-    part: impl Fn(&mut dyn PhysicalOperator, usize) -> Result<Partition> + Sync,
+    part: impl Fn(&mut BuildInput, usize) -> Result<Partition> + Sync,
 ) -> Result<BuildSide> {
     let built = exec.spine_shared(|serial| {
         let batch_size = serial.batch_size();
@@ -148,17 +148,77 @@ fn build_side(
         let (schema, parts) = match drained {
             Some(parts) => (plan.schema()?, parts),
             None => {
-                let mut input = inputs(plan, serial)?;
-                let part = part(input.as_mut(), batch_size)?;
-                (input.schema().clone(), vec![part])
+                let mut input = BuildInput::Rows(inputs(plan, serial)?);
+                let part = part(&mut input, batch_size)?;
+                (input.op().schema().clone(), vec![part])
             }
         };
-        JoinTable::new(schema, parts, serial.threads())
+        Ok(JoinTable::new(schema, parts))
     })?;
     match built {
         Some(built) => Ok(BuildSide::Built(built)),
-        None => Ok(BuildSide::Input(inputs(plan, exec)?)),
+        None => Ok(BuildSide::Input(BuildInput::Rows(inputs(plan, exec)?))),
     }
+}
+
+/// Lowers one morsel pipeline of a build-side spine: a hash join at its
+/// root stays a [`HashJoin`], whose pairs the drain encodes without
+/// building them (see [`BuildInput`]).
+pub(crate) fn build_input(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    exec: &ExecutionContext,
+) -> Result<BuildInput> {
+    let inputs =
+        &mut |child: &PhysicalPlan, exec: &ExecutionContext| build_operator(child, catalog, exec);
+    match plan.op {
+        PhysicalOp::Join {
+            algorithm: JoinAlgorithm::Hash,
+            ..
+        } => {
+            let label = plan.node_label(Some(exec.ranking()));
+            let join = hash_join(plan, label, catalog, exec, inputs)?;
+            Ok(BuildInput::Pairs(Box::new(join)))
+        }
+        _ => inputs(plan, exec).map(BuildInput::Rows),
+    }
+}
+
+/// Lowers the hash join `plan` as `label`, over inputs from `inputs`.
+fn hash_join(
+    plan: &PhysicalPlan,
+    label: String,
+    catalog: &Catalog,
+    exec: &ExecutionContext,
+    inputs: &mut Inputs<'_>,
+) -> Result<HashJoin> {
+    let PhysicalOp::Join {
+        left,
+        right,
+        condition,
+        ..
+    } = &plan.op
+    else {
+        let label = plan.node_label(None);
+        return Err(RankSqlError::Plan(format!("{label} is no join")));
+    };
+    let condition = condition.as_ref();
+    // Taken before the inputs are lowered: the cell on top of the stack
+    // now is the one a `SortLimit` directly above pushed.
+    let top_k = exec.pop_prune_threshold();
+    let l = inputs(left, exec)?;
+    // One scoring serves the join and, when this lowering drains a shared
+    // build side, that drain.
+    let right_schema = right.schema()?;
+    let scoring = top_k
+        .map(|pushed| TopKScoring::for_join(l.schema(), &right_schema, pushed, exec))
+        .transpose()?;
+    let key_cols = build_key_cols(condition, l.schema(), &right_schema);
+    let top_k = scoring.as_ref();
+    let r = build_side(right, catalog, exec, inputs, |input, batch| {
+        drain_partition(input, batch, &key_cols, top_k)
+    })?;
+    Ok(HashJoin::new(l, r, condition, exec, label)?.with_scoring(scoring))
 }
 
 /// The rows `rows` of `epoch` an index build reads, with the pages it
@@ -374,32 +434,11 @@ fn lower(
                 JoinAlgorithm::NestedLoop => {
                     let l = inputs(left, exec)?;
                     let r = build_side(right, catalog, exec, inputs, |input, batch| {
-                        drain_partition(input, batch, None, None)
+                        drain_partition(input, batch, &[], None)
                     })?;
                     Ok(Box::new(NestedLoopJoin::new(l, r, condition, exec, label)?))
                 }
-                JoinAlgorithm::Hash => {
-                    // Taken before the inputs are lowered: the cell on top
-                    // of the stack now is the one a `SortLimit` directly
-                    // above pushed.
-                    let top_k = exec.pop_prune_threshold();
-                    let l = inputs(left, exec)?;
-                    // One scoring serves the join and, when this lowering
-                    // drains a shared build side, that drain.
-                    let right_schema = right.schema()?;
-                    let scoring = top_k
-                        .map(|pushed| {
-                            TopKScoring::for_join(l.schema(), &right_schema, pushed, exec)
-                        })
-                        .transpose()?;
-                    let key_cols = build_key_cols(condition, l.schema(), &right_schema);
-                    let top_k = scoring.as_ref();
-                    let r = build_side(right, catalog, exec, inputs, |input, batch| {
-                        drain_partition(input, batch, Some(&key_cols), top_k)
-                    })?;
-                    let join = HashJoin::new(l, r, condition, exec, label)?;
-                    Ok(Box::new(join.with_scoring(scoring)))
-                }
+                JoinAlgorithm::Hash => Ok(Box::new(hash_join(plan, label, catalog, exec, inputs)?)),
                 JoinAlgorithm::SortMerge => {
                     let l = inputs(left, exec)?;
                     let r = inputs(right, exec)?;

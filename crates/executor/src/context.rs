@@ -87,9 +87,9 @@ const NO_ID: u64 = u64::MAX;
 /// immediately, so dropping it upstream cannot change results.
 ///
 /// Every `SortLimit` lowering gets a cell of its own.  In an exchange with
-/// a limit, morsel 0 runs first and its worst kept entry *seeds* every
-/// other morsel's cell (`TopKThreshold::seed`): k entries of morsel 0
-/// sort before it, so nothing after it can reach the merged top-k.  A cell
+/// a limit, morsels run in waves and the k-th best entry drained so far
+/// *seeds* the cells of the morsels left: k drained entries sort before
+/// it, so nothing after it can reach the merged top-k.  A cell
 /// has one owner at a time — the lowering or seeding thread, then the one
 /// worker draining its pipeline, which the pool's thread start orders after
 /// it — so its words are plain relaxed atomics, there only so the cell is
@@ -129,18 +129,13 @@ impl TopKThreshold {
         if score.is_nan() {
             return;
         }
-        self.seed(WorstKept {
+        let worst = WorstKept {
             score: Score::new(score),
             id: match id.parts() {
                 [one] => Some(*one),
                 _ => None,
             },
-        });
-    }
-
-    /// Raises the cell to `worst` — another top-k's worst kept entry over
-    /// the same order — if that sorts before the current one.
-    pub(crate) fn seed(&self, worst: WorstKept) {
+        };
         if self.get().is_some_and(|cur| !worst.sorts_before(&cur)) {
             return;
         }
@@ -249,12 +244,22 @@ impl TopKScoring {
         })
     }
 
-    /// Evaluates the build-side predicates `row` lacks — once, as the build
-    /// side is drained — and returns its upper bound: every other predicate
-    /// at its cap.
-    pub(crate) fn score_build_row(&mut self, row: &mut RankedTuple) -> Result<Score> {
-        self.build.evaluate_missing(&row.tuple, &mut row.state)?;
-        Ok(self.ctx.upper_bound(&row.state))
+    /// Evaluates the build-side predicates a build row with values `row`
+    /// and score state `state` lacks — once, as the build side is drained —
+    /// and returns its upper bound: every other predicate at its cap.
+    pub(crate) fn score_build_row<R: Row + ?Sized>(
+        &mut self,
+        row: &R,
+        state: &mut ScoreState,
+    ) -> Result<Score> {
+        self.build.evaluate_missing(row, state)?;
+        Ok(self.ctx.upper_bound(state))
+    }
+
+    /// Whether [`TopKScoring::keeps`] reads the row it is given: for a
+    /// join, whether a predicate spans both sides.
+    pub(crate) fn reads_rows(&self) -> bool {
+        !self.ranking.is_empty()
     }
 
     /// Evaluates the probe-side predicates `row` lacks (none after the first

@@ -22,21 +22,29 @@
 //! **Partitioned build sides.** A join's build side that is itself a spine
 //! is drained per morsel too (`drain_build_side`): each worker drains its
 //! morsel into one partition of the `JoinTable`, scoring and grouping its
-//! rows there, and the rows never move afterwards.
+//! rows there, into a few flat arrays of its own.  Partitions are never
+//! merged: the table indexes each key's groups across them.  A build
+//! spine splits by its own rule (`build_ranges`): a power of two of equal
+//! morsels, at least four, so two or four workers (eight, from eight
+//! morsels) drain equal shares and a larger table splits into more.  A
+//! build spine whose root is a hash join is lowered as one
+//! (`build_input`), and its drain encodes the join's pairs without
+//! building them.
 //!
-//! **Seeded thresholds.** A limited exchange drains morsel 0 first, on the
-//! calling thread, and its top-k's worst kept entry seeds every other
-//! morsel's cell before the pool starts (see [`TopKThreshold`]).  So what a
-//! morsel's join builds depends only on how the table splits into morsels.
+//! **Seeded thresholds.** A limited exchange drains in waves — morsel 0
+//! alone on the calling thread, then 8, 16, 32, … morsels across the pool
+//! — and after each, once the runs hold `k` entries, the k-th best entry
+//! drained so far seeds every morsel left (see [`TopKThreshold`]).  Wave
+//! sizes depend only on the morsel count, so what a morsel's join builds
+//! depends only on how the table splits into morsels.
 //!
 //! Output is byte-identical across any thread count, and identical to
 //! serial execution, because morsels are fixed-size row ranges (the worker
 //! count only decides who drains a morsel, never what it is) and
 //! reassembly is order-defined: partitions keep morsel order, the ordered
 //! merge follows the *total* order of `RankedTuple::cmp_desc` (score
-//! descending, ties on tuple identity).  Once drained, an exchange frees
-//! the build tables its morsels shared across the pool, not on whichever
-//! worker drops the last reference.
+//! descending, ties on tuple identity).  Once drained, an exchange drops
+//! the build tables its morsels shared: a few frees per partition.
 //!
 //! Rank-aware operators (µ, HRJN/NRJN) are never on a spine: they keep
 //! their incremental single-threaded top-k semantics *above* the sort, as
@@ -53,9 +61,10 @@ use ranksql_common::{morsel_ranges, Result, Schema, WorkerPool};
 use ranksql_expr::{RankedTuple, RankingContext};
 use ranksql_storage::Catalog;
 
-use crate::build::build_operator;
+use crate::build::{build_input, build_operator};
+use crate::build_table::Partition;
 use crate::context::{ExecutionContext, SpineRecord, TopKThreshold};
-use crate::join::{JoinTable, Partition};
+use crate::join::BuildInput;
 use crate::operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
 
 /// The table whose rows a morsel lowering of `plan` partitions, if `plan`
@@ -86,29 +95,42 @@ pub(crate) fn drain_build_side(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     exec: &ExecutionContext,
-    part: impl Fn(&mut dyn PhysicalOperator) -> Result<Partition> + Sync,
+    part: impl Fn(&mut BuildInput) -> Result<Partition> + Sync,
 ) -> Result<Option<Vec<Partition>>> {
     let Some(table) = spine_table(plan) else {
         return Ok(None);
     };
-    let (pipelines, record) = lower_morsels(plan, table, catalog, exec)?;
+    let (pipelines, _) = lower_morsels(plan, table, build_ranges, build_input, catalog, exec)?;
     let pool = WorkerPool::new(exec.threads());
-    let parts = drain_across(pipelines, pool, part)?;
-    free_build_tables(&record, pool);
-    Ok(Some(parts))
+    drain_across(pipelines, &pool, part).map(Some)
 }
 
-/// One lowered morsel pipeline and its top-k's threshold cell.
-type Morsel = (BoxedOperator, Arc<TopKThreshold>);
+/// The morsels a build-side spine over `rows` rows splits into: as many
+/// as `morsel_size` would cut, rounded up to a power of two and at least
+/// four, of equal size — never more than `rows`, and one empty morsel for
+/// no rows.  So two or four workers (eight, from eight morsels) drain
+/// equal shares, and a larger table splits into more morsels.  Like
+/// [`morsel_ranges`], the split never depends on the thread count.
+fn build_ranges(rows: usize, morsel_size: usize) -> Vec<(usize, usize)> {
+    let n = rows.div_ceil(morsel_size.max(1)).next_power_of_two().max(4);
+    let n = n.min(rows).max(1);
+    (0..n).map(|i| (rows * i / n, rows * (i + 1) / n)).collect()
+}
 
-/// Lowers `plan` once per morsel of `table`, which drives its spine, and
-/// returns what the spine holds once too (the build tables it probes).
-fn lower_morsels(
+/// One morsel pipeline, lowered, and its top-k's threshold cell.
+type Morsel<T = BoxedOperator> = (T, Arc<TopKThreshold>);
+
+/// Lowers `plan` with `lower` once per morsel of `table`, which drives its
+/// spine and `split` cuts into morsels, and returns what the spine holds
+/// once too (the build tables it probes).
+fn lower_morsels<T>(
     plan: &PhysicalPlan,
     table: &str,
+    split: fn(usize, usize) -> Vec<(usize, usize)>,
+    lower: fn(&PhysicalPlan, &Catalog, &ExecutionContext) -> Result<T>,
     catalog: &Catalog,
     exec: &ExecutionContext,
-) -> Result<(Vec<Morsel>, Arc<SpineRecord>)> {
+) -> Result<(Vec<Morsel<T>>, Arc<SpineRecord>)> {
     // Morsels cover the execution's pinned epoch, so every morsel (and
     // every other access path of this execution) reads one watermark
     // however many rows writers append meanwhile.  An empty table still
@@ -116,7 +138,7 @@ fn lower_morsels(
     // drained and its operators registered exactly once.
     let table = catalog.table(table)?;
     let rows = exec.pin_epoch(&table).row_count();
-    let mut ranges = morsel_ranges(rows, exec.morsel_size());
+    let mut ranges = split(rows, exec.morsel_size());
     if ranges.is_empty() {
         ranges.push((0, 0));
     }
@@ -125,7 +147,7 @@ fn lower_morsels(
         .into_iter()
         .map(|(start, end)| {
             let morsel = exec.in_morsel(start..end, &record);
-            let pipeline = build_operator(plan, catalog, &morsel)?;
+            let pipeline = lower(plan, catalog, &morsel)?;
             Ok((pipeline, morsel.morsel_threshold().unwrap_or_default()))
         })
         .collect::<Result<Vec<_>>>()?;
@@ -135,31 +157,13 @@ fn lower_morsels(
 
 /// Runs `drain` over every morsel's pipeline across `pool`, returning the
 /// outputs in morsel order.
-fn drain_across<T: Send>(
-    morsels: impl IntoIterator<Item = Morsel>,
-    pool: WorkerPool,
-    drain: impl Fn(&mut dyn PhysicalOperator) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
-    let slots: Vec<Mutex<BoxedOperator>> =
-        morsels.into_iter().map(|(p, _)| Mutex::new(p)).collect();
-    pool.run(slots.len(), |i| drain(slots[i].lock().as_mut()))
-}
-
-/// Frees the build tables in `record` that no pipeline holds any more, one
-/// chunk of rows per task across `pool`.
-fn free_build_tables(record: &SpineRecord, pool: WorkerPool) {
-    let parts: Vec<Mutex<Vec<RankedTuple>>> = std::mem::take(&mut *record.lock())
-        .into_iter()
-        .filter_map(|entry| entry.downcast::<JoinTable>().ok())
-        .filter_map(|table| Arc::try_unwrap(table).ok())
-        .flat_map(|table| table.chunks)
-        .map(Mutex::new)
-        .collect();
-    // Dropping rows cannot fail.
-    let _ = pool.run(parts.len(), |i| {
-        drop(std::mem::take(&mut *parts[i].lock()));
-        Ok(())
-    });
+fn drain_across<T: Send, O: Send>(
+    morsels: impl IntoIterator<Item = Morsel<T>>,
+    pool: &WorkerPool,
+    drain: impl Fn(&mut T) -> Result<O> + Sync,
+) -> Result<Vec<O>> {
+    let slots: Vec<Mutex<T>> = morsels.into_iter().map(|(p, _)| Mutex::new(p)).collect();
+    pool.run(slots.len(), |i| drain(&mut slots[i].lock()))
 }
 
 /// The gather operator of morsel-driven parallel execution: an ordered
@@ -167,8 +171,8 @@ fn free_build_tables(record: &SpineRecord, pool: WorkerPool) {
 ///
 /// Construction lowers one pipeline per morsel (see the module docs); the
 /// first pull drains them across a [`WorkerPool`] of
-/// `ExecutionContext::threads` workers — morsel 0 first when the merge is
-/// limited, to seed the others — and materialises the merged output, which
+/// `ExecutionContext::threads` workers — in seeding waves when the merge
+/// is limited — and materialises the merged output, which
 /// subsequent pulls stream out.  A worker error or panic surfaces as the
 /// `Err` of the first pull — never a deadlock, never partial results.  The
 /// exchange is no plan node and registers no metrics of its own: its
@@ -205,7 +209,8 @@ impl ExchangeOp {
         let Some(table) = spine_table(input).filter(|_| exec.fans_out()) else {
             return Ok(None);
         };
-        let (morsels, record) = lower_morsels(plan, table, catalog, exec)?;
+        let (morsels, record) =
+            lower_morsels(plan, table, morsel_ranges, build_operator, catalog, exec)?;
         Ok(Some(ExchangeOp {
             schema: plan.schema()?,
             limit,
@@ -218,27 +223,41 @@ impl ExchangeOp {
         }))
     }
 
-    /// Drains every morsel pipeline and merges the runs, then frees the
-    /// build tables the morsels shared.
+    /// Drains every morsel pipeline and merges the runs, then drops the
+    /// build tables the morsels shared.  A limited exchange drains in
+    /// waves — morsel 0 alone, then 8, 16, 32, … morsels — and after each
+    /// seeds every morsel left with the k-th best entry drained so far.
     fn run(&mut self) -> Result<Vec<RankedTuple>> {
         let pool = WorkerPool::new(self.threads);
         let batch_size = self.batch_size;
         let mut pipelines = std::mem::take(&mut self.morsels).into_iter();
         let mut runs = Vec::with_capacity(pipelines.len());
-        if self.limit.is_some() {
-            if let Some((mut first, cell)) = pipelines.next() {
-                runs.push(drain_batched(first.as_mut(), batch_size)?);
-                if let Some(worst) = cell.get() {
-                    pipelines.as_slice().iter().for_each(|(_, c)| c.seed(worst));
+        while pipelines.len() > 0 {
+            let wave = match self.limit {
+                Some(_) => runs.len().next_multiple_of(8).max(1),
+                None => pipelines.len(),
+            };
+            runs.extend(drain_across(pipelines.by_ref().take(wave), &pool, |p| {
+                drain_batched(p.as_mut(), batch_size)
+            })?);
+            if let Some(kth) = self.limit.and_then(|k| self.kth_best(&runs, k)) {
+                let score = self.ranking.upper_bound(&kth.state).value();
+                for (_, cell) in pipelines.as_slice() {
+                    cell.raise(score, kth.tuple.id());
                 }
             }
         }
-        runs.extend(drain_across(pipelines, pool, |p| {
-            drain_batched(p, batch_size)
-        })?);
-        let merged = merge_ordered(runs, &self.ranking, self.limit);
-        free_build_tables(&self.record, pool);
-        Ok(merged)
+        self.record.lock().clear();
+        Ok(merge_ordered(runs, &self.ranking, self.limit))
+    }
+
+    /// The `k`-th best entry of `runs`, `None` while they hold fewer: every
+    /// entry that sorts after it loses to `k` entries already drained.
+    fn kth_best<'a>(&self, runs: &'a [Vec<RankedTuple>], k: usize) -> Option<&'a RankedTuple> {
+        let mut all: Vec<&RankedTuple> = runs.iter().flatten().collect();
+        let at = k.checked_sub(1).filter(|&at| at < all.len())?;
+        all.select_nth_unstable_by(at, |a, b| self.ranking.cmp_desc(a, b));
+        Some(all[at])
     }
 }
 
@@ -440,11 +459,11 @@ mod tests {
         // nor the exchanges add registry entries of their own.
         assert_eq!(result.metrics.len(), plan.node_count());
         // The scans aggregated all 50 rows across all workers.
-        let cards = result.actual_cardinalities();
+        let cards = result.metrics.output_cardinalities();
         assert_eq!(cards[0], ("SeqScan(R)".to_owned(), 50));
         assert_eq!(cards[1], ("SeqScan(S)".to_owned(), 50));
-        // 7 morsels of R, and 7 of S for the partitioned build side.
-        assert_eq!(result.morsels, 14);
+        // 7 morsels of R, and 8 of S for the partitioned build side.
+        assert_eq!(result.morsels, 15);
         assert_eq!(result.threads, 4);
     }
 

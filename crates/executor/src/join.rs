@@ -8,15 +8,14 @@
 //! plans the paper compares against (Plan 1 and Plan 4 of Figure 11).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use ranksql_common::{JoinedRow, RankSqlError, Result, Schema, Score, Value, WorkerPool};
-use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr};
+use ranksql_common::{JoinedRow, RankSqlError, Result, Schema, Value};
+use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr, ScoreState};
 
+use crate::build_table::{key_hash, JoinTable, Partition};
 use crate::context::{ExecutionContext, TopKScoring};
-use crate::fxhash::FxHashMap;
 use crate::metrics::OperatorMetrics;
 use crate::operator::{drain_batched, draw_one, Batch, BoxedOperator, PhysicalOperator};
 
@@ -73,117 +72,6 @@ pub fn extract_join_keys(condition: Option<&BoolExpr>, left: &Schema, right: &Sc
     }
 }
 
-/// One row of a hash join's key group: where the row lives in its
-/// [`JoinTable`] and its upper bound under the top-k that scored the build
-/// side ([`UNSCORED`] when none did).
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    bound: Score,
-    chunk: u32,
-    row: u32,
-}
-
-/// Rows per chunk of a [`JoinTable`]: a growing build side copies rows
-/// only within its first chunk, and freeing it is a few large frees.
-const CHUNK_ROWS: usize = 8192;
-
-/// The bound of a build row no top-k scored: it never prunes.
-const UNSCORED: Score = Score(f64::INFINITY);
-
-/// Join-key values → the members of that key's group.
-type Groups = FxHashMap<Vec<Value>, Vec<Member>>;
-
-/// One partition of a join's build side: the rows one build morsel drained
-/// — a serial drain's whole input — and, for a hash join, their groups.
-#[derive(Default)]
-pub(crate) struct Partition {
-    chunks: Vec<Vec<RankedTuple>>,
-    groups: Groups,
-    /// Whether a top-k scored the rows (each group is then best-first).
-    scored: bool,
-}
-
-/// A join's drained build side: its rows, in chunks, partition after
-/// partition as they were drained (one partition per build morsel, in
-/// morsel order), and — for a hash join — each key's group over them.
-///
-/// Rows never move once drained; a group indexes them.  It lists its rows
-/// in input order (chunk, then position), the property that makes
-/// hash-join output order deterministic — or, when a top-k scored the build
-/// side (see [`HashJoin`]), in the order a probe walks them: descending
-/// upper bound in [`Score`]'s total order (NaN lowest, as
-/// [`crate::context::TopKThreshold::prunes`] compares), equal bounds in
-/// input order.  A nested-loops join reads the chunks in order.
-pub(crate) struct JoinTable {
-    schema: Schema,
-    /// Drained rows no join has counted as input yet: the first join to
-    /// pull takes the count, so a shared build side counts once.
-    uncounted: AtomicU64,
-    /// The rows, in input order.
-    pub(crate) chunks: Vec<Vec<RankedTuple>>,
-    groups: Groups,
-}
-
-impl JoinTable {
-    /// The build side with this `schema` drained as `parts`, in morsel
-    /// order.  Each key's groups are appended in that order; scored groups
-    /// of several partitions are then merged best-first across a pool of
-    /// `threads`.
-    pub(crate) fn new(schema: Schema, parts: Vec<Partition>, threads: usize) -> Result<Self> {
-        let merge = parts.len() > 1 && parts.iter().any(|p| p.scored);
-        let mut parts = parts.into_iter();
-        let (mut groups, mut chunks) = parts
-            .next()
-            .map_or_else(Default::default, |p| (p.groups, p.chunks));
-        for part in parts {
-            // A partition numbers its chunks from 0.  A chunk holds 8192
-            // rows, so 2^32 chunks would be 3·10^13 rows held in memory.
-            let first = chunks.len() as u32;
-            for (key, mut members) in part.groups {
-                members.iter_mut().for_each(|m| m.chunk += first);
-                groups.entry(key).or_default().append(&mut members);
-            }
-            chunks.extend(part.chunks);
-        }
-        if merge {
-            let mut order: Vec<&mut Vec<Member>> = groups.values_mut().collect();
-            let pool = WorkerPool::new(threads);
-            // A few tasks per worker, so uneven groups still balance.
-            let per_task = order.len().div_ceil(pool.threads() * 4).max(1);
-            let tasks: Vec<Mutex<&mut [&mut Vec<Member>]>> =
-                order.chunks_mut(per_task).map(Mutex::new).collect();
-            pool.run(tasks.len(), |i| {
-                // A stable sort merges the partitions' sorted runs.
-                let mut task = tasks[i].lock();
-                task.iter_mut().for_each(|g| g.sort_by_key(best_first));
-                Ok(())
-            })?;
-        }
-        Ok(JoinTable {
-            schema,
-            uncounted: AtomicU64::new(chunks.iter().map(|c| c.len() as u64).sum()),
-            chunks,
-            groups,
-        })
-    }
-
-    /// The build side drained from `input` serially, as one partition (see
-    /// [`drain_partition`]).
-    fn drain(
-        input: &mut dyn PhysicalOperator,
-        batch_size: usize,
-        key_cols: Option<&[usize]>,
-        top_k: Option<&TopKScoring>,
-    ) -> Result<Self> {
-        let part = drain_partition(input, batch_size, key_cols, top_k)?;
-        JoinTable::new(input.schema().clone(), vec![part], 1)
-    }
-
-    fn row(&self, m: &Member) -> &RankedTuple {
-        &self.chunks[m.chunk as usize][m.row as usize]
-    }
-}
-
 /// The build-side key columns of a hash join on `condition` (empty when it
 /// has no equi-join conjunct).
 pub(crate) fn build_key_cols(
@@ -195,70 +83,55 @@ pub(crate) fn build_key_cols(
     keys.keys.iter().map(|&(_, r)| r).collect()
 }
 
-/// Drains a join's build input, batch by batch, into one partition of its
-/// [`JoinTable`].  With `key_cols` (a hash join) each row also joins
-/// its key's group — a key is allocated the first time the partition sees
-/// it, not per row — and, with `top_k`, its build-side predicates are
-/// evaluated here, once, and its upper bound kept for the best-first walk:
-/// each group is sorted best-first once drained.
-pub(crate) fn drain_partition(
-    input: &mut dyn PhysicalOperator,
-    batch_size: usize,
-    key_cols: Option<&[usize]>,
-    top_k: Option<&TopKScoring>,
-) -> Result<Partition> {
-    // A copy of its own: partitions drain on different workers.
-    let mut top_k = top_k.cloned();
-    let mut out = Partition {
-        scored: top_k.is_some(),
-        ..Partition::default()
-    };
-    let mut buf = Batch::with_capacity(batch_size);
-    let (mut rows, mut scratch) = (Vec::new(), Vec::new());
-    loop {
-        buf.clear();
-        if input.next_batch(batch_size, &mut buf)? == 0 {
-            break;
-        }
-        for mut t in buf.drain(..) {
-            if rows.len() == CHUNK_ROWS {
-                out.chunks
-                    .push(std::mem::replace(&mut rows, Vec::with_capacity(CHUNK_ROWS)));
-            }
-            if let Some(key_cols) = key_cols {
-                let bound = match &mut top_k {
-                    Some(top_k) => top_k.score_build_row(&mut t)?,
-                    None => UNSCORED,
-                };
-                let (chunk, row) = (out.chunks.len() as u32, rows.len() as u32);
-                let member = Member { bound, chunk, row };
-                let key = borrowed_key(key_cols, &mut scratch, &t);
-                match out.groups.get_mut(key) {
-                    Some(group) => group.push(member),
-                    None => {
-                        out.groups.insert(key.to_vec(), vec![member]);
-                    }
-                }
-            }
-            rows.push(t);
-        }
-    }
-    if !rows.is_empty() {
-        out.chunks.push(rows);
-    }
-    if out.scored {
-        out.groups
-            .values_mut()
-            .for_each(|g| g.sort_unstable_by_key(best_first));
-    }
-    Ok(out)
+/// What a join's build side drains: an operator's rows or — when the build
+/// side is itself a hash join — that join's pairs, encoded from its two
+/// sides without being built.  Its metrics count the same either way.
+pub(crate) enum BuildInput {
+    Rows(BoxedOperator),
+    Pairs(Box<HashJoin>),
 }
 
-/// The key that sorts a group best-first: descending bound, equal bounds in
-/// input order — with unique positions, the stable sort by `Reverse(bound)`
-/// of members in input order, on integer keys.
-fn best_first(m: &Member) -> (std::cmp::Reverse<u64>, u32, u32) {
-    (std::cmp::Reverse(m.bound.order_key()), m.chunk, m.row)
+impl BuildInput {
+    pub(crate) fn op(&self) -> &dyn PhysicalOperator {
+        match self {
+            BuildInput::Rows(input) => input.as_ref(),
+            BuildInput::Pairs(join) => join.as_ref(),
+        }
+    }
+
+    fn op_mut(&mut self) -> &mut dyn PhysicalOperator {
+        match self {
+            BuildInput::Rows(input) => input.as_mut(),
+            BuildInput::Pairs(join) => join.as_mut(),
+        }
+    }
+}
+
+/// Drains a join's build input, batch by batch, into one partition of its
+/// [`JoinTable`].  With `key_cols` (a hash join's) each row also joins its
+/// key's group and, with `top_k`, its build-side predicates are evaluated
+/// here, once, and its upper bound kept for the best-first walk.
+pub(crate) fn drain_partition(
+    input: &mut BuildInput,
+    batch_size: usize,
+    key_cols: &[usize],
+    top_k: Option<&TopKScoring>,
+) -> Result<Partition> {
+    let mut part = Partition::draining(key_cols, top_k);
+    match input {
+        BuildInput::Pairs(join) => join.drain_into(&mut part)?,
+        input => {
+            let (input, mut buf) = (input.op_mut(), Batch::with_capacity(batch_size));
+            while input.next_batch(batch_size, &mut buf)? > 0 {
+                for t in buf.iter_mut() {
+                    let (values, id) = (t.tuple.values(), t.tuple.id().parts().iter());
+                    part.drain_row(values, &[], id.copied(), &mut t.state)?;
+                }
+                buf.clear();
+            }
+        }
+    }
+    Ok(part.finish())
 }
 
 /// A join's build (inner) side: its input operator until the join's first
@@ -267,7 +140,7 @@ fn best_first(m: &Member) -> (std::cmp::Reverse<u64>, u32, u32) {
 /// lowering drains the build side once and every morsel shares it.
 pub(crate) enum BuildSide {
     /// Not drained yet.
-    Input(BoxedOperator),
+    Input(BuildInput),
     /// Drained, read-only.
     Built(Arc<JoinTable>),
 }
@@ -275,22 +148,26 @@ pub(crate) enum BuildSide {
 impl BuildSide {
     fn schema(&self) -> &Schema {
         match self {
-            BuildSide::Input(input) => input.schema(),
+            BuildSide::Input(input) => input.op().schema(),
             BuildSide::Built(built) => &built.schema,
         }
     }
 
-    /// The drained build side, draining the input with `drain` on the first
-    /// call; build rows no join has counted yet are counted into `metrics`.
+    /// The drained build side, draining the input serially, as one
+    /// partition (see [`drain_partition`]), on the first call; build rows
+    /// no join has counted yet are counted into `metrics`.
     fn drained(
         &mut self,
         metrics: &OperatorMetrics,
-        drain: impl FnOnce(&mut dyn PhysicalOperator) -> Result<JoinTable>,
+        batch_size: usize,
+        key_cols: &[usize],
+        top_k: Option<&TopKScoring>,
     ) -> Result<Arc<JoinTable>> {
         let built = match self {
             BuildSide::Built(built) => Arc::clone(built),
             BuildSide::Input(input) => {
-                let built = Arc::new(drain(input.as_mut())?);
+                let part = drain_partition(input, batch_size, key_cols, top_k)?;
+                let built = Arc::new(JoinTable::new(input.op().schema().clone(), vec![part]));
                 *self = BuildSide::Built(Arc::clone(&built));
                 built
             }
@@ -301,7 +178,7 @@ impl BuildSide {
 
     fn can_extend_limit(&self) -> bool {
         match self {
-            BuildSide::Input(input) => input.can_extend_limit(),
+            BuildSide::Input(input) => input.op().can_extend_limit(),
             BuildSide::Built(_) => true,
         }
     }
@@ -309,7 +186,7 @@ impl BuildSide {
     /// A built side is complete — nothing was discarded, so no cap exists.
     fn extend_limit(&mut self, extra: usize) -> bool {
         match self {
-            BuildSide::Input(input) => input.extend_limit(extra),
+            BuildSide::Input(input) => input.op_mut().extend_limit(extra),
             BuildSide::Built(_) => true,
         }
     }
@@ -330,9 +207,8 @@ fn cmp_keys(
         .unwrap_or(std::cmp::Ordering::Equal)
 }
 
-/// `t`'s join key as a slice to look a [`JoinTable`] group up with
-/// (`Vec<Value>: Borrow<[Value]>`), without allocating: a single-column key
-/// is the value in place, a multi-column key is copied into `scratch`.
+/// `t`'s join key as a slice, without allocating: a single-column key is
+/// the value in place, a multi-column key is copied into `scratch`.
 fn borrowed_key<'a>(
     key_cols: &[usize],
     scratch: &'a mut Vec<Value>,
@@ -363,8 +239,10 @@ pub struct NestedLoopJoin {
     /// The outer tuple being joined (empty between outer tuples) — the
     /// buffer the left input appends each draw to.
     current_left: Batch,
-    /// The next inner row to pair with it: `(chunk, row)`.
+    /// The next inner row to pair with it: `(partition, row)`.
     right_pos: (usize, usize),
+    /// The inner row being tested, materialised.
+    right_row: Vec<Value>,
     metrics: Arc<OperatorMetrics>,
     batch_size: usize,
 }
@@ -388,6 +266,7 @@ impl NestedLoopJoin {
             schema,
             current_left: Batch::with_capacity(1),
             right_pos: (0, 0),
+            right_row: Vec::new(),
             metrics,
             batch_size: exec.batch_size(),
         })
@@ -400,11 +279,10 @@ impl PhysicalOperator for NestedLoopJoin {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        let batch_size = self.batch_size;
-        let inner = self.right.drained(&self.metrics, |input| {
-            JoinTable::drain(input, batch_size, None, None)
-        })?;
-        let chunks = &inner.chunks;
+        let inner = self
+            .right
+            .drained(&self.metrics, self.batch_size, &[], None)?;
+        let parts = &inner.parts;
         let (mut pulled, mut produced) = (0u64, 0usize);
         while produced < max {
             // One outer tuple at a time: a pass over the inner relation per
@@ -417,27 +295,30 @@ impl PhysicalOperator for NestedLoopJoin {
                 self.right_pos = (0, 0);
             }
             let left = &self.current_left[0];
-            while self.right_pos.0 < chunks.len() && produced < max {
-                let (chunk, row) = self.right_pos;
-                let Some(right) = chunks[chunk].get(row) else {
-                    self.right_pos = (chunk + 1, 0);
+            while self.right_pos.0 < parts.len() && produced < max {
+                let (p, row) = self.right_pos;
+                let part = &parts[p];
+                if row == part.len() {
+                    self.right_pos = (p + 1, 0);
                     continue;
-                };
+                }
                 self.right_pos.1 += 1;
                 // Decide on the pair in place; build only the pairs that pass.
                 if let Some(c) = &self.condition {
+                    part.load(row, &mut self.right_row);
                     let pair = JoinedRow {
-                        left: &left.tuple,
-                        right: &right.tuple,
+                        left: left.tuple.values(),
+                        right: &self.right_row,
                     };
                     if !c.eval(&pair)? {
                         continue;
                     }
                 }
-                out.push(left.join(right));
+                let tuple = part.join_tuple(&left.tuple, row);
+                out.push(RankedTuple::new(tuple, part.merged_state(&left.state, row)));
                 produced += 1;
             }
-            if self.right_pos.0 == chunks.len() {
+            if self.right_pos.0 == parts.len() {
                 self.current_left.clear();
             }
         }
@@ -484,9 +365,10 @@ pub struct HashJoin {
     right_key_cols: Vec<usize>,
     residual: Option<BoundBoolExpr>,
     schema: Schema,
-    /// Offset into the match group of the probe tuple at the front of
-    /// `left_buf`: where a call that filled its batch mid-group resumes.
-    match_pos: usize,
+    /// Where the walk of the probe tuple at the front of `left_buf`
+    /// resumes after a call that filled its batch mid-walk: `(partition,
+    /// offset into its group)`.
+    at: (usize, usize),
     metrics: Arc<OperatorMetrics>,
     batch_size: usize,
     /// Probe-side tuples pulled in batches; the front one is being matched.
@@ -495,6 +377,8 @@ pub struct HashJoin {
     left_done: bool,
     /// Reusable key buffer for multi-column probes.
     probe_key: Vec<Value>,
+    /// The build row being tested, materialised.
+    right_row: Vec<Value>,
     top_k: Option<TopKScoring>,
 }
 
@@ -524,13 +408,14 @@ impl HashJoin {
             right_key_cols: keys.keys.iter().map(|&(_, r)| r).collect(),
             residual,
             schema,
-            match_pos: 0,
+            at: (0, 0),
             metrics,
             batch_size: exec.batch_size(),
             left_buf: VecDeque::new(),
             left_scratch: Batch::new(),
             left_done: false,
             probe_key: Vec::new(),
+            right_row: Vec::new(),
             top_k: None,
         })
     }
@@ -547,6 +432,131 @@ impl HashJoin {
     pub(crate) fn with_scoring(mut self, scoring: Option<TopKScoring>) -> Self {
         self.top_k = scoring;
         self
+    }
+
+    /// Decides join results until `max` are decided (and one is built),
+    /// handing each pair that passes the residual to `emit`, which says
+    /// whether it built the result; returns how many it built — 0 once
+    /// exhausted.  A call ends after deciding `max` results, so the
+    /// threshold it prunes against is never more than one batch stale.
+    fn walk(
+        &mut self,
+        max: usize,
+        mut emit: impl FnMut(&mut Option<TopKScoring>, Pair<'_>) -> Result<bool>,
+    ) -> Result<usize> {
+        let (batch_size, key_cols) = (self.batch_size, &self.right_key_cols);
+        let top_k = self.top_k.as_ref();
+        let build = self
+            .right
+            .drained(&self.metrics, batch_size, key_cols, top_k)?;
+        let (mut decided, mut built) = (0usize, 0usize);
+        while decided < max || built == 0 {
+            let Some(left) = self.left_buf.front_mut() else {
+                if self.refill_left(max)? {
+                    continue;
+                }
+                break;
+            };
+            let key = borrowed_key(&self.left_key_cols, &mut self.probe_key, left);
+            let runs = build.runs(key_hash(key), key);
+            if let Some(top_k) = self.top_k.as_mut().filter(|_| !runs.is_empty()) {
+                top_k.score_probe_row(left)?;
+            }
+            let left = &*left;
+            // The key's group in each partition that holds it.
+            'runs: while let Some(run) = runs.get(self.at.0) {
+                let part = &build.parts[run.part as usize];
+                let group = part.group(run.group);
+                while self.at.1 < group.len() && (decided < max || built == 0) {
+                    let pos = self.at.1;
+                    self.at.1 += 1;
+                    let (row, right) = (group[pos] as usize, &mut self.right_row);
+                    let mut pair = Pair {
+                        left,
+                        part,
+                        row,
+                        right,
+                        loaded: false,
+                    };
+                    if self
+                        .top_k
+                        .as_ref()
+                        .is_some_and(|t| t.prunes(part.bounds[row]))
+                    {
+                        // Runs are walked best head first and their rows
+                        // best bound first: no pair with this row or a
+                        // later one — nor, at a run's head, with a later
+                        // run's row — can beat the heap.  They are decided
+                        // all the same.
+                        let skipped = if pos == 0 { runs.len() } else { self.at.0 + 1 };
+                        decided += match &self.residual {
+                            None if pos == 0 => group.len() + run.after as usize,
+                            None => group.len() - pos,
+                            Some(c) => {
+                                let later = runs[self.at.0 + 1..skipped].iter().map(|r| {
+                                    let part = &build.parts[r.part as usize];
+                                    (part, part.group(r.group))
+                                });
+                                let mut passed = 0;
+                                let rows = std::iter::once((part, &group[pos..])).chain(later);
+                                for (part, rows) in rows {
+                                    for &r in rows {
+                                        (pair.part, pair.row) = (part, r as usize);
+                                        pair.loaded = false;
+                                        passed += usize::from(c.eval(&pair.values())?);
+                                    }
+                                }
+                                passed
+                            }
+                        };
+                        self.at = (skipped, 0);
+                        continue 'runs;
+                    }
+                    if let Some(c) = &self.residual {
+                        if !c.eval(&pair.values())? {
+                            continue;
+                        }
+                    }
+                    decided += 1;
+                    built += usize::from(emit(&mut self.top_k, pair)?);
+                }
+                if self.at.1 < group.len() {
+                    break;
+                }
+                self.at = (self.at.0 + 1, 0);
+            }
+            if self.at.0 == runs.len() {
+                self.left_buf.pop_front();
+                self.at = (0, 0);
+            }
+        }
+        if let Some(top_k) = &mut self.top_k {
+            top_k.flush();
+        }
+        self.metrics.add_out(decided as u64);
+        if built > 0 {
+            self.metrics.add_built(built as u64);
+            self.metrics.add_batch();
+        }
+        Ok(built)
+    }
+
+    /// Drains this join into a build side's partition the way
+    /// [`drain_partition`] drains an operator, batch by batch, but encodes
+    /// each result from its probe row and build row instead of building it.
+    fn drain_into(&mut self, part: &mut Partition) -> Result<()> {
+        let batch_size = self.batch_size;
+        while self.walk(batch_size, |top_k, mut p| {
+            let Some(mut state) = p.kept(top_k.as_mut())? else {
+                return Ok(false);
+            };
+            let ids = p.left.tuple.id().parts().iter().chain(p.part.id(p.row));
+            let row = p.values();
+            part.drain_row(row.left, row.right, ids.copied(), &mut state)?;
+            Ok(true)
+        })? > 0
+        {}
+        Ok(())
     }
 
     /// Refills the (empty) probe buffer with a batch of up to `refill`
@@ -574,89 +584,14 @@ impl PhysicalOperator for HashJoin {
     }
 
     fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        let (key_cols, batch_size) = (&self.right_key_cols, self.batch_size);
-        let top_k = self.top_k.as_ref();
-        let build = self.right.drained(&self.metrics, |input| {
-            JoinTable::drain(input, batch_size, Some(key_cols), top_k)
-        })?;
-        let (mut decided, mut built) = (0usize, 0usize);
-        // A call ends after deciding `max` results, so the threshold it
-        // prunes against is never more than one batch stale — but not
-        // before it built one: returning 0 means exhausted.
-        while decided < max || built == 0 {
-            let Some(left) = self.left_buf.front_mut() else {
-                if self.refill_left(max)? {
-                    continue;
-                }
-                break;
+        self.walk(max, |top_k, mut p| {
+            let Some(state) = p.kept(top_k.as_mut())? else {
+                return Ok(false);
             };
-            let key = borrowed_key(&self.left_key_cols, &mut self.probe_key, left);
-            let group = build.groups.get(key).map_or(&[][..], Vec::as_slice);
-            if let Some(top_k) = self.top_k.as_mut().filter(|_| !group.is_empty()) {
-                top_k.score_probe_row(left)?;
-            }
-            let left = &*left;
-            while self.match_pos < group.len() && (decided < max || built == 0) {
-                let pos = self.match_pos;
-                self.match_pos += 1;
-                let member = &group[pos];
-                if self.top_k.as_ref().is_some_and(|t| t.prunes(member.bound)) {
-                    // Rows are walked best bound first: no pair with this
-                    // row or a later one can beat the heap.  They are
-                    // decided all the same.
-                    decided += match &self.residual {
-                        None => group.len() - pos,
-                        Some(c) => group[pos..]
-                            .iter()
-                            .map(|m| {
-                                let pair = JoinedRow {
-                                    left: &left.tuple,
-                                    right: &build.row(m).tuple,
-                                };
-                                c.eval(&pair).map(usize::from)
-                            })
-                            .sum::<Result<usize>>()?,
-                    };
-                    self.match_pos = group.len();
-                    break;
-                }
-                let right = build.row(member);
-                let pair = JoinedRow {
-                    left: &left.tuple,
-                    right: &right.tuple,
-                };
-                if let Some(c) = &self.residual {
-                    if !c.eval(&pair)? {
-                        continue;
-                    }
-                }
-                decided += 1;
-                match &mut self.top_k {
-                    None => out.push(left.join(right)),
-                    Some(top_k) => {
-                        let mut state = left.state.merge(&right.state);
-                        if !top_k.keeps(&pair, &mut state, None)? {
-                            continue;
-                        }
-                        out.push(RankedTuple::new(left.tuple.join(&right.tuple), state));
-                    }
-                }
-                built += 1;
-            }
-            if self.match_pos == group.len() {
-                self.left_buf.pop_front();
-                self.match_pos = 0;
-            }
-        }
-        if let Some(top_k) = &mut self.top_k {
-            top_k.flush();
-        }
-        self.metrics.add_out(decided as u64);
-        if built > 0 {
-            self.metrics.add_built(built as u64);
-            self.metrics.add_batch();
-        }
-        Ok(built)
+            let tuple = p.part.join_tuple(&p.left.tuple, p.row);
+            out.push(RankedTuple::new(tuple, state));
+            Ok(true)
+        })
     }
 
     fn is_ranked(&self) -> bool {
@@ -670,6 +605,47 @@ impl PhysicalOperator for HashJoin {
     fn extend_limit(&mut self, extra: usize) -> bool {
         // The build side is (or will be) fully hashed — no discard.
         self.left.extend_limit(extra) & self.right.extend_limit(extra)
+    }
+}
+
+/// A pair a hash join's walk decided: its probe row `left` and build row
+/// `row` of `part`, whose values are loaded into `right` on first use.
+struct Pair<'a> {
+    left: &'a RankedTuple,
+    part: &'a Partition,
+    row: usize,
+    right: &'a mut Vec<Value>,
+    loaded: bool,
+}
+
+impl Pair<'_> {
+    /// The pair's values, in place.
+    fn values(&mut self) -> JoinedRow<'_> {
+        if !self.loaded {
+            self.part.load(self.row, self.right);
+            self.loaded = true;
+        }
+        JoinedRow {
+            left: self.left.tuple.values(),
+            right: self.right,
+        }
+    }
+
+    /// The pair's score state: both rows' merged and, with `top_k`,
+    /// completed — `None` when the top-k's heap would drop the pair.
+    fn kept(&mut self, top_k: Option<&mut TopKScoring>) -> Result<Option<ScoreState>> {
+        let mut state = self.part.merged_state(&self.left.state, self.row);
+        if let Some(top_k) = top_k {
+            // The sort's own predicates read both sides, if any does.
+            let pair = match top_k.reads_rows() {
+                true => self.values(),
+                false => JoinedRow::default(),
+            };
+            if !top_k.keeps(&pair, &mut state, None)? {
+                return Ok(None);
+            }
+        }
+        Ok(Some(state))
     }
 }
 
@@ -747,8 +723,8 @@ impl SortMergeJoin {
                         for r in &r_rows[j..j_end] {
                             if let Some(c) = &self.residual {
                                 let pair = JoinedRow {
-                                    left: &l.tuple,
-                                    right: &r.tuple,
+                                    left: l.tuple.values(),
+                                    right: r.tuple.values(),
                                 };
                                 if !c.eval(&pair)? {
                                     continue;
@@ -855,7 +831,7 @@ mod tests {
 
     /// `t` as a join's undrained build side.
     fn side(t: &Table, exec: &ExecutionContext) -> BuildSide {
-        BuildSide::Input(scan(t, exec))
+        BuildSide::Input(BuildInput::Rows(scan(t, exec)))
     }
 
     fn join_result_pairs(out: &[RankedTuple]) -> Vec<(i64, i64)> {
@@ -994,57 +970,6 @@ mod tests {
                 vec![(1, 100), (1, 100)],
                 "algorithm {mk}"
             );
-        }
-    }
-
-    #[test]
-    fn best_first_sort_equals_the_stable_score_sort() {
-        const SPECIAL: [f64; 10] = [
-            f64::NAN,
-            -f64::NAN,
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE / 4.0,
-            -f64::MIN_POSITIVE / 4.0,
-            0.5,
-            1.0,
-        ];
-        let mut seed = 7u64;
-        let mut next = || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            seed
-        };
-        // A draw below `bound` from a step's high bits.
-        let below = |x: u64, bound: u64| (x >> 33) % bound;
-        for _ in 0..500 {
-            let len = below(next(), 64) as usize;
-            // Input order spread over chunks of up to 8 rows.
-            let mut group: Vec<Member> = (0..len)
-                .map(|i| {
-                    // Ties, the special values, and arbitrary bit patterns
-                    // (every NaN payload, subnormals, both signs).
-                    let v = match below(next(), 3) {
-                        0 => SPECIAL[below(next(), SPECIAL.len() as u64) as usize],
-                        1 => below(next(), 5) as f64 / 4.0,
-                        _ => f64::from_bits(next()),
-                    };
-                    let (chunk, row) = ((i / 8) as u32, (i % 8) as u32);
-                    Member {
-                        bound: Score(v),
-                        chunk,
-                        row,
-                    }
-                })
-                .collect();
-            let mut stable = group.clone();
-            stable.sort_by_key(|m| std::cmp::Reverse(m.bound));
-            group.sort_unstable_by_key(best_first);
-            let positions = |g: &[Member]| g.iter().map(|m| (m.chunk, m.row)).collect::<Vec<_>>();
-            assert_eq!(positions(&group), positions(&stable));
         }
     }
 

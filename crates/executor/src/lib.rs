@@ -58,6 +58,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod build;
+mod build_table;
 pub mod column_scan;
 pub mod context;
 pub mod exchange;

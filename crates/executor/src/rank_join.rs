@@ -373,8 +373,8 @@ impl RankJoin {
             let (l, r) = (&left[li], &right[ri]);
             if let Some(c) = condition {
                 let pair = JoinedRow {
-                    left: &l.tuple,
-                    right: &r.tuple,
+                    left: l.tuple.values(),
+                    right: r.tuple.values(),
                 };
                 if !c.eval(&pair)? {
                     return Ok(());

@@ -561,6 +561,11 @@ pub struct BoundRanking {
 }
 
 impl BoundRanking {
+    /// Whether no predicate is bound.
+    pub fn is_empty(&self) -> bool {
+        self.predicates.is_empty()
+    }
+
     /// Evaluates predicate `i` on a row (tallying the evaluation) and
     /// returns the resulting score.
     pub fn evaluate_predicate<R: Row + ?Sized>(&mut self, i: usize, row: &R) -> Result<Score> {

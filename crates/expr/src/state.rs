@@ -185,19 +185,32 @@ impl ScoreState {
     /// engine only merges states for the *same* underlying tuple (set
     /// operators) or for tuples over disjoint relations (joins), so the
     /// values agree whenever they overlap.
+    #[inline]
     pub fn merge(&self, other: &ScoreState) -> ScoreState {
+        self.merge_scores(other.evaluated, other.scores())
+    }
+
+    /// [`ScoreState::merge`] with a state given by its evaluated set and
+    /// score vector (see [`ScoreState::scores`]).
+    pub fn merge_scores(&self, evaluated: BitSet64, scores: &[f64]) -> ScoreState {
         debug_assert_eq!(
             self.arity(),
-            other.arity(),
+            scores.len(),
             "merging states of different arity"
         );
         let mut out = self.clone();
-        for i in other.evaluated.iter() {
+        for i in evaluated.iter() {
             if !out.evaluated.contains(i) {
-                out.set(i, other.values.as_slice()[i]);
+                out.set(i, scores[i]);
             }
         }
         out
+    }
+
+    /// The score vector, one entry per predicate; an entry not in
+    /// [`ScoreState::evaluated`] is meaningless.
+    pub fn scores(&self) -> &[f64] {
+        self.values.as_slice()
     }
 }
 

@@ -49,15 +49,6 @@ impl ScoreIndex {
         })
     }
 
-    /// Builds a score index from precomputed `(score, row_index)` pairs.
-    pub fn from_entries(predicate_name: impl Into<String>, mut entries: Vec<(Score, u64)>) -> Self {
-        entries.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        ScoreIndex {
-            predicate_name: predicate_name.into(),
-            entries,
-        }
-    }
-
     /// The ranking predicate this index covers.
     pub fn predicate_name(&self) -> &str {
         &self.predicate_name
@@ -339,14 +330,12 @@ mod tests {
 
     #[test]
     fn score_index_tie_break_by_row() {
-        let entries = vec![
-            (Score::new(0.5), 3),
-            (Score::new(0.5), 1),
-            (Score::new(0.9), 2),
-        ];
-        let idx = ScoreIndex::from_entries("p", entries);
+        // `a / 10` as the score: rows 0 and 3 tie at 0.4, rows 1 and 2 at 0.1.
+        let a = ranksql_expr::ScalarExpr::col("S.a");
+        let p = RankPredicate::expression("a", a.mul(ranksql_expr::ScalarExpr::lit(0.1)), 0);
+        let idx = ScoreIndex::build(&p, &schema(), &tuples()).unwrap();
         let order: Vec<u64> = idx.entries().iter().map(|&(_, r)| r).collect();
-        assert_eq!(order, vec![2, 1, 3]);
+        assert_eq!(order, vec![4, 0, 3, 5, 1, 2]);
     }
 
     #[test]

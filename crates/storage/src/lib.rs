@@ -23,9 +23,6 @@
 //!   empty-sample join fallback and `explain_analyze` read them.
 //! * [`sample`] — reservoir sampling used by the optimizer's sampling-based
 //!   cardinality estimator (Section 5.2 of the paper).
-//! * [`csv`] — a dependency-free CSV reader (with optional schema inference)
-//!   so user data can be loaded into tables, the counterpart of the `COPY`
-//!   path the PostgreSQL prototype used.
 //! * Paged storage — [`recovery::PagedStore`] turns a catalog into a
 //!   database *directory*: sealed columnar blocks live in page-aligned,
 //!   CRC-guarded extents on disk ([`page`]), faulted in on demand through a
@@ -41,7 +38,6 @@
 pub mod buffer;
 pub mod catalog;
 pub mod column;
-pub mod csv;
 pub mod index;
 pub mod page;
 pub mod recovery;
@@ -56,7 +52,6 @@ pub use catalog::Catalog;
 pub use column::{
     cmp_f64_total, ColumnKind, ColumnSlice, ColumnTable, SealedBlock, ZoneEntry, COLUMN_BLOCK_ROWS,
 };
-pub use csv::{infer_schema, parse_csv, CsvOptions};
 pub use index::{BTreeIndex, HashIndex, ScoreIndex};
 pub use page::{crc32, BlockMeta, PagedColumn, PAGE_SIZE};
 pub use recovery::{PagedOptions, PagedStore, TableStore};

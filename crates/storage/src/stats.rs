@@ -101,11 +101,6 @@ impl ColumnSummary {
     pub fn ndv(&self) -> usize {
         self.sketch.estimate()
     }
-
-    /// Fraction of boolean values that are `true`, if the column held any.
-    pub fn true_fraction(&self) -> Option<f64> {
-        (self.bool_count > 0).then(|| self.true_count as f64 / self.bool_count as f64)
-    }
 }
 
 /// The incrementally maintained statistics catalog of a table: one
@@ -207,9 +202,9 @@ mod tests {
         assert_eq!(a.ndv(), 10);
         assert_eq!((a.null_count, a.non_null_count), (0, 100));
         assert_eq!((a.min, a.max), (Some(0.0), Some(9.0)));
-        assert_eq!(a.true_fraction(), None);
+        assert_eq!(a.bool_count, 0);
         let flag = stats.column("flag").unwrap();
-        assert_eq!(flag.true_fraction(), Some(0.2));
+        assert_eq!((flag.true_count, flag.bool_count), (20, 100));
     }
 
     #[test]
@@ -233,7 +228,7 @@ mod tests {
         assert_eq!(stats, StatsCatalog::empty(&schema));
         let x = &stats.columns[0];
         assert_eq!((stats.row_count, x.ndv()), (0, 0));
-        assert_eq!((x.min, x.max, x.true_fraction()), (None, None, None));
+        assert_eq!((x.min, x.max, x.bool_count), (None, None, 0));
     }
 
     #[test]

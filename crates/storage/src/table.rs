@@ -645,15 +645,6 @@ impl Table {
             .find(|i| i.column_name() == column)
             .cloned()
     }
-
-    /// Names of ranking predicates that have a score index on this table.
-    pub fn score_index_names(&self) -> Vec<String> {
-        self.score_indexes
-            .read()
-            .iter()
-            .map(|i| i.predicate_name().to_owned())
-            .collect()
-    }
 }
 
 impl fmt::Debug for Table {
@@ -802,7 +793,10 @@ mod tests {
         assert!(t.score_index("b").is_some());
         assert!(t.btree_index("T.a").is_some());
         assert!(t.hash_index("T.a").is_some());
-        assert_eq!(t.score_index_names(), vec!["b".to_owned()]);
+        let score_indexes = t.score_indexes.read();
+        let names: Vec<_> = score_indexes.iter().map(|i| i.predicate_name()).collect();
+        assert_eq!(names, ["b"]);
+        drop(score_indexes);
 
         // The lag is detectable: readers at the new epoch compare coverage
         // against their watermark and extend the index over the suffix.

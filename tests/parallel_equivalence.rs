@@ -436,6 +436,94 @@ fn seeded_morsels_build_what_serial_execution_builds() {
     }
 }
 
+/// A build table does not depend on its split.  On `paperq-sort`'s plan
+/// shape, `SortLimit(HashJoin(σA, HashJoin(σB, C)))`, the outer join's
+/// build side is itself a hash join drained per morsel of `B`, whose own
+/// build side `C` is drained per morsel of `C`.  For every morsel size the
+/// result equals serial execution's, every operator's counts are the same
+/// at 2, 4 and 8 threads, and — once the first morsels seed the others —
+/// the outer join builds at most twice what it builds serially, even when
+/// a morsel is one row and morsel 0 alone keeps fewer than k results.
+#[test]
+fn a_build_table_does_not_depend_on_its_split() {
+    use ranksql::algebra::{JoinAlgorithm, LogicalPlan, PhysicalPlan};
+    let workload = SyntheticWorkload::generate(SyntheticConfig {
+        table_size: 300,
+        join_selectivity: 1.0 / 20.0,
+        predicate_cost: 0,
+        k: 10,
+        build_indexes: false,
+        ..SyntheticConfig::default()
+    })
+    .unwrap();
+    let table = |name: &str| workload.catalog.table(name).unwrap();
+    let flagged = |rel: &str| {
+        let flag = ScalarExpr::col(&format!("{rel}.b"));
+        LogicalPlan::scan(&table(rel)).select(BoolExpr::compare(
+            flag,
+            CompareOp::Eq,
+            ScalarExpr::lit(true),
+        ))
+    };
+    let build = flagged("B").join(
+        LogicalPlan::scan(&table("C")),
+        Some(BoolExpr::col_eq_col("B.jc2", "C.jc2")),
+        JoinAlgorithm::Hash,
+    );
+    let plan = flagged("A")
+        .join(
+            build,
+            Some(BoolExpr::col_eq_col("A.jc1", "B.jc1")),
+            JoinAlgorithm::Hash,
+        )
+        .sort(ranksql::common::BitSet64::all(5))
+        .limit(workload.query.k);
+    let plan = PhysicalPlan::from_logical(&plan).unwrap();
+    let ranking = &workload.query.ranking;
+    let run = |threads: usize, morsel: usize| {
+        let exec = ExecutionContext::new(ranking.clone())
+            .with_threads(threads)
+            .with_morsel_size(morsel);
+        let result = execute_physical_plan(&plan, &workload.catalog, &exec).unwrap();
+        assert_eq!(result.morsels > 0, threads > 1, "threads={threads}");
+        let rows = result.tuples.iter().map(|t| {
+            let score = ranking.upper_bound(&t.state).value().to_bits();
+            (t.tuple.id().clone(), score)
+        });
+        (rows.collect::<Vec<_>>(), result.operator_actuals())
+    };
+    // Post-order: the last hash join is the outer one.
+    let outer_built = |actuals: &[ranksql::algebra::OperatorActuals]| {
+        let join = actuals.iter().rfind(|a| a.label.starts_with("HashJoin"));
+        join.unwrap().built
+    };
+    let (want, serial) = run(1, 1024);
+    assert_eq!(want.len(), workload.query.k);
+    for morsel in [1, 7, 64, 1024] {
+        let (got, reference) = run(2, morsel);
+        assert_eq!(got, want, "morsel={morsel}");
+        let (built, serially) = (outer_built(&reference), outer_built(&serial));
+        assert!(
+            built <= 2 * serially,
+            "morsel={morsel}: built {built}, serially {serially}"
+        );
+        for threads in [4, 8] {
+            let (got, actuals) = run(threads, morsel);
+            assert_eq!(got, want, "threads={threads} morsel={morsel}");
+            assert_eq!(actuals.len(), reference.len());
+            for (a, r) in actuals.iter().zip(&reference) {
+                let at = format!("threads={threads} morsel={morsel} op {}", a.label);
+                assert_eq!(a.label, r.label, "{at}");
+                assert_eq!(
+                    (a.rows, a.batches, a.built),
+                    (r.rows, r.batches, r.built),
+                    "{at}"
+                );
+            }
+        }
+    }
+}
+
 /// One cached plan serves every thread count: the paper's Q prepared and
 /// bound at one thread, then bound from a two-thread session, hits the
 /// plan cache and returns the same rows with the same score bits; only the
