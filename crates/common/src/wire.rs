@@ -259,12 +259,6 @@ impl From<WireError> for RankSqlError {
     }
 }
 
-/// Whether this error is a clean end-of-stream *between* frames (the peer
-/// hung up without a partial frame) — the normal way a client leaves.
-pub fn is_clean_eof(err: &WireError) -> bool {
-    matches!(err, WireError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof)
-}
-
 /// Writes one frame: 4-byte big-endian length, opcode, payload.
 pub fn write_frame(w: &mut impl Write, opcode: u8, payload: &[u8]) -> Result<(), WireError> {
     let len = payload.len() as u64 + 1;
@@ -621,7 +615,10 @@ mod tests {
         assert_eq!((op, payload.as_slice()), (opcode::STATS, &b""[..]));
         // Clean EOF between frames.
         let err = read_frame(&mut r).unwrap_err();
-        assert!(is_clean_eof(&err), "{err}");
+        assert!(
+            matches!(&err, WireError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "{err}"
+        );
     }
 
     #[test]

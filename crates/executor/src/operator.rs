@@ -190,11 +190,6 @@ impl RankingQueue {
         self.heap.push(entry);
     }
 
-    /// The score of the best buffered tuple.
-    pub fn peek_score(&self) -> Option<Score> {
-        self.heap.peek().map(|e| e.score)
-    }
-
     /// Removes and returns the best buffered tuple.
     pub fn pop(&mut self) -> Option<RankedTuple> {
         self.heap.pop().map(|e| e.tuple)
@@ -328,7 +323,7 @@ mod tests {
         q.push(rt(2, Some(0.9), Some(0.9))); // bound 1.8
         q.push(rt(3, None, None)); // bound 2.0
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_score(), Some(Score::new(2.0)));
+        assert_eq!(q.heap.peek().map(|e| e.score), Some(Score::new(2.0)));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|t| t.tuple.id().parts()[0].1)
             .collect();

@@ -133,11 +133,6 @@ impl ScoreState {
         }
     }
 
-    /// The score vector as `Option`s (None = not yet evaluated).
-    pub fn as_partial(&self) -> Vec<Option<f64>> {
-        (0..self.arity()).map(|i| self.get(i)).collect()
-    }
-
     /// The maximal-possible score `F_P[t]` (Property 1): unevaluated
     /// predicates contribute `max_value`.
     pub fn upper_bound(&self, scoring: &ScoringFunction, max_value: f64) -> Score {
@@ -287,7 +282,7 @@ mod tests {
         let s = ScoreState::new(3);
         assert_eq!(s.upper_bound(&ScoringFunction::Sum, 1.0), Score::new(3.0));
         assert!(!s.is_complete());
-        assert_eq!(s.as_partial(), vec![None, None, None]);
+        assert!((0..s.arity()).all(|i| s.get(i).is_none()));
     }
 
     #[test]

@@ -147,12 +147,6 @@ impl Catalog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The next table id that would be assigned (for building tables
-    /// externally with [`crate::table::TableBuilder`]).
-    pub fn peek_next_id(&self) -> u32 {
-        self.inner.read().next_id
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +197,7 @@ mod tests {
             .build(5)
             .unwrap();
         cat.register_table(t).unwrap();
-        assert_eq!(cat.peek_next_id(), 6);
+        assert_eq!(cat.inner.read().next_id, 6);
         let next = cat.create_table("X", schema()).unwrap();
         assert_eq!(next.id(), 6);
     }

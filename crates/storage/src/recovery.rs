@@ -6,7 +6,8 @@
 //! <dir>/catalog.rsql   table specs (id, name, schema), CRC-guarded,
 //!                      rewritten atomically on every CREATE TABLE
 //! <dir>/t<id>.dat      per-table data file: page-aligned block extents
-//! <dir>/t<id>.wal      per-table write-ahead log (rows past the extents)
+//! <dir>/t<id>.wal      per-table write-ahead log (rows past the last
+//!                      checkpoint)
 //! ```
 //!
 //! Each table's [`TableStore`] owns the data file + WAL pair and drives the
@@ -15,21 +16,28 @@
 //!
 //! 1. an insert appends one WAL record per row, with one `write` per
 //!    segment (the rows up to the next seal boundary), **no fsync**;
-//! 2. at each 1024-row seal boundary: fsync the WAL (rows now durable) →
-//!    append the sealed block's extent(s) to the data file → fsync it →
-//!    atomically rewrite the WAL to hold only the rows past the new extent
-//!    coverage → the table publishes the block as a paged slot
+//! 2. at each 1024-row seal boundary: fsync the WAL (rows now durable —
+//!    the seal's one fsync) → append the sealed block's extent(s) to the
+//!    data file, unsynced → the table publishes the block as a paged slot
 //!    ([`crate::column`]'s `BlockSlot::Paged`), and the block itself
 //!    enters the buffer pool (write-through);
-//! 3. recovery ([`PagedStore::open`]) decodes the longest CRC-valid extent
+//! 3. once `CHECKPOINT_BLOCKS` blocks were appended since the last
+//!    checkpoint, that seal also checkpoints: fsync the data file →
+//!    atomically rewrite the WAL to hold only the rows past the extents.
+//!    Until then the WAL keeps every row since the last checkpoint, so it
+//!    covers the unsynced extents too;
+//! 4. recovery ([`PagedStore::open`]) decodes the longest CRC-valid extent
 //!    prefix of each data file, truncates everything past it, then replays
 //!    the WAL's valid record prefix on top — landing exactly on the last
-//!    durable epoch.  The prefix is contiguous rows of the schema's arity
-//!    from the extent coverage on (records below it are duplicates of
-//!    sealed rows and are skipped); a row-index hole or a record of another
-//!    arity ends it, and the WAL is truncated there.  The extents stay on
-//!    disk: only their metadata and the replayed rows (the table's tail)
-//!    are held in RAM.
+//!    durable epoch.  After a crash the extent prefix may be shorter than
+//!    the WAL's coverage (an unsynced extent torn or lost): replay fills
+//!    the gap, and the floor stays the last WAL fsync.  The log's records
+//!    are contiguous rows of the schema's arity from its `base_row` on;
+//!    those below the extent coverage are duplicates of sealed rows and are
+//!    passed over as they stream by, a row-index hole or a record of
+//!    another arity ends the prefix, and the WAL is truncated there.  The
+//!    extents stay on disk: only their metadata and the replayed rows (the
+//!    table's tail) are held in RAM.
 //!
 //! Every read of a paged block — a scan, an index scan, an index build,
 //! the statistics — faults it in through the shared [`BufferPool`]
@@ -56,6 +64,11 @@ use crate::wal::WalFile;
 
 /// Magic number opening the catalog file (`"RqCt"`).
 const CATALOG_MAGIC: u32 = 0x5271_4374;
+
+/// Blocks a table seals between two checkpoints.  A checkpoint's data fsync
+/// and WAL rewrite cost two fsyncs; every 64 blocks they add ≈ 3 % to the
+/// seal's one, and the WAL holds at most 64 blocks of rows.
+pub(crate) const CHECKPOINT_BLOCKS: usize = 64;
 
 /// Configuration of a [`PagedStore`].
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +114,30 @@ struct StoreInner {
     /// Metadata of every durable extent, in block order: `metas.len()` is
     /// the durable block count.
     metas: Vec<Arc<BlockMeta>>,
+    /// Extents appended since the last checkpoint (not yet fsynced; the
+    /// WAL still holds their rows).
+    unsynced: usize,
+    /// Data-file fsyncs, for the tests that count them.
+    #[cfg(test)]
+    data_syncs: usize,
+}
+
+impl StoreInner {
+    /// The checkpoint: fsyncs the data file, then atomically rewrites the
+    /// WAL to hold only `tail`, the rows from `coverage` on.  An error
+    /// leaves the old log, which still covers every row.
+    fn checkpoint(&mut self, coverage: u64, tail: &[Tuple]) -> Result<()> {
+        #[cfg(test)]
+        {
+            self.data_syncs += 1;
+        }
+        self.data
+            .sync_all()
+            .map_err(|e| io_err("cannot sync table data file", &self.data_path, e))?;
+        self.wal.rewrite(coverage, tail)?;
+        self.unsynced = 0;
+        Ok(())
+    }
 }
 
 fn data_path(dir: &Path, table_id: u32) -> PathBuf {
@@ -132,6 +169,9 @@ impl TableStore {
                 data_len: 0,
                 wal,
                 metas: Vec::new(),
+                unsynced: 0,
+                #[cfg(test)]
+                data_syncs: 0,
             }),
         })
     }
@@ -199,39 +239,54 @@ impl TableStore {
                 .map_err(|e| io_err("cannot truncate table data file", &path, e))?;
         }
 
-        // Records below the extent coverage are duplicates of sealed rows (a
-        // crash between the extent fsync and the WAL rewrite) and are
-        // passed over.  A record past the next expected row would leave a
+        // The log holds every row since the last checkpoint.  Records below
+        // the extent coverage are duplicates of sealed rows (the extents
+        // appended since that checkpoint) and are passed over as they
+        // stream by.  A record past the next expected row would leave a
         // hole, and one whose arity is not the schema's is not a row an
         // insert wrote: either ends the durable epoch at the last
         // contiguous row, and the log is cut there.
         let coverage = (metas.len() * COLUMN_BLOCK_ROWS) as u64;
-        let mut next = coverage;
-        let (wal, _base_row, records) = WalFile::open(wal_path(dir, table_id), table_id, |rec| {
+        let mut rows = Vec::new();
+        let (wal, base_row) = WalFile::open(wal_path(dir, table_id), table_id, |rec| {
+            if rec.values.len() != arity {
+                return false;
+            }
             if rec.row_index < coverage {
                 return true;
             }
-            let contiguous = rec.row_index == next && rec.values.len() == arity;
-            next += u64::from(contiguous);
-            contiguous
+            if rec.row_index != coverage + rows.len() as u64 {
+                return false;
+            }
+            rows.push(Tuple::new(
+                TupleId::base(table_id, rec.row_index),
+                rec.values,
+            ));
+            true
         })?;
-        let rows = records
-            .into_iter()
-            .filter(|rec| rec.row_index >= coverage)
-            .map(|rec| Tuple::new(TupleId::base(table_id, rec.row_index), rec.values))
-            .collect();
 
+        let checkpointed = (base_row / COLUMN_BLOCK_ROWS as u64) as usize;
+        let mut inner = StoreInner {
+            data,
+            data_path: path,
+            data_len: offset,
+            wal,
+            unsynced: metas.len().saturating_sub(checkpointed),
+            metas,
+            #[cfg(test)]
+            data_syncs: 0,
+        };
+        // A log that ends short of the recovered rows — cut below the
+        // extent coverage, or based past it — would take the next append
+        // after a hole; a checkpoint restarts it at the extent coverage.
+        if inner.wal.next_row() != coverage + rows.len() as u64 {
+            inner.checkpoint(coverage, &rows)?;
+        }
         Ok((
             TableStore {
                 table_id,
                 pool,
-                inner: Mutex::new(StoreInner {
-                    data,
-                    data_path: path,
-                    data_len: offset,
-                    wal,
-                    metas,
-                }),
+                inner: Mutex::new(inner),
             },
             rows,
         ))
@@ -262,13 +317,16 @@ impl TableStore {
 
     /// Makes `sealed` — the table's next blocks after the durable ones —
     /// durable and returns their paged slots, following the seal-boundary
-    /// protocol: WAL fsync → extent appends → data fsync → WAL rewrite to
-    /// hold only `tail`, the rows past them.  Nothing is committed before
-    /// the WAL rewrite succeeds: on an error the durable block count and
-    /// data length stay as they were, so the table keeps the rows in its
-    /// tail and its next seal retries, rewriting the same extents over any
-    /// this attempt appended.  Every caller holds the table's write lock
-    /// or runs at open, so one table never persists concurrently.
+    /// protocol: WAL fsync (the durability point) → extent appends, no
+    /// fsync.  When `CHECKPOINT_BLOCKS` extents have been appended since
+    /// the last checkpoint, the seal then checkpoints: data fsync → WAL
+    /// rewrite to hold only `tail`, the rows past the extents.  Nothing is
+    /// committed before every step succeeds: on an error the durable block
+    /// count, data length and checkpoint count stay as they were, the WAL
+    /// still covers every row, so the table keeps the rows in its tail and
+    /// its next seal retries, rewriting the same extents over any this
+    /// attempt appended.  Every caller holds the table's write lock or runs
+    /// at open, so one table never persists concurrently.
     pub(crate) fn persist(
         &self,
         sealed: &[Arc<SealedBlock>],
@@ -279,9 +337,9 @@ impl TableStore {
         let mut offset = inner.data_len;
         let mut metas = Vec::with_capacity(sealed.len());
         if !sealed.is_empty() {
-            // Rows about to leave the WAL's coverage must be durable *in
-            // the WAL* before the extent exists — else a crash between here
-            // and the rewrite could lose them.
+            // The sealed rows must be durable *in the WAL* before their
+            // extent exists: until a checkpoint syncs it, a crash may tear
+            // or drop the extent, and replay rebuilds it from the log.
             inner.wal.sync()?;
             for (k, block) in sealed.iter().enumerate() {
                 let block_no = (first + k) as u64;
@@ -299,13 +357,18 @@ impl TableStore {
                 )));
                 offset += bytes.len() as u64;
             }
-            inner
-                .data
-                .sync_all()
-                .map_err(|e| io_err("cannot sync table data file", &inner.data_path, e))?;
         }
-        let coverage = (first + sealed.len()) * COLUMN_BLOCK_ROWS;
-        inner.wal.rewrite(coverage as u64, tail)?;
+        let coverage = ((first + sealed.len()) * COLUMN_BLOCK_ROWS) as u64;
+        // A log that does not end at the table's last row holds none of its
+        // rows (a table attached with rows of its own): only a checkpoint
+        // makes them durable.
+        if inner.unsynced + sealed.len() >= CHECKPOINT_BLOCKS
+            || inner.wal.next_row() != coverage + tail.len() as u64
+        {
+            inner.checkpoint(coverage, tail)?;
+        } else {
+            inner.unsynced += sealed.len();
+        }
         inner.data_len = offset;
         inner.metas.extend(metas.iter().cloned());
         drop(inner);
@@ -846,7 +909,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_extent_tail_is_truncated_and_wal_rows_survive() {
+    fn a_corrupt_unsynced_extent_is_truncated_and_rebuilt_from_the_wal() {
         let dir = temp_dir("torn");
         let n = COLUMN_BLOCK_ROWS as i64 + 50;
         {
@@ -857,27 +920,26 @@ mod tests {
                 t.insert(row(i)).unwrap();
             }
         }
-        // Corrupt the sealed extent's payload: the sealed block is lost,
-        // and (the WAL having been rewritten past it) the durable epoch
-        // ends at the truncation point.
+        // Corrupt the sealed extent's payload: the extent prefix is empty,
+        // and the WAL — not yet checkpointed — still holds every row.
         let data = data_path(&dir, 0);
-        let mut bytes = std::fs::read(&data).unwrap();
+        let pristine = std::fs::read(&data).unwrap();
+        let mut bytes = pristine.clone();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&data, &bytes).unwrap();
         let catalog = Catalog::new();
         PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
         let t = catalog.table("T").unwrap();
-        assert_eq!(
-            t.row_count(),
-            0,
-            "corrupt first extent leaves no contiguous durable prefix"
-        );
+        assert_eq!(t.row_count(), n as usize);
+        assert_eq!(t.scan().len(), n as usize);
+        assert_eq!(blocks(&t).paged_blocks(), 1, "re-sealed at open");
+        assert_eq!(std::fs::read(&data).unwrap(), pristine, "the same extent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn extent_claiming_a_payload_past_eof_ends_the_durable_prefix() {
+    fn an_extent_claiming_a_payload_past_eof_ends_the_extent_prefix() {
         let dir = temp_dir("oversized");
         let n = 2 * COLUMN_BLOCK_ROWS as i64 + 50;
         {
@@ -898,17 +960,23 @@ mod tests {
         bytes[payload_len_at..payload_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&data, &bytes).unwrap();
 
+        // Open the store alone: the extent prefix ends with the first
+        // extent, the file is cut there, and the WAL replays every row
+        // past it.
+        let (store, rows) = TableStore::open(&dir, 0, 3, Arc::new(BufferPool::new(64))).unwrap();
+        assert_eq!(store.durable_blocks().len(), 1);
+        let truncated = std::fs::metadata(&data).unwrap().len();
+        assert_eq!(truncated, first_len as u64, "truncated at the first extent");
+        assert_eq!(rows.len(), n as usize - COLUMN_BLOCK_ROWS);
+        drop(store);
         let catalog = Catalog::new();
         PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
         let t = catalog.table("T").unwrap();
-        // The WAL holds only rows past the second extent, so the durable
-        // epoch ends with the first.
-        assert_eq!(t.row_count(), COLUMN_BLOCK_ROWS);
-        for i in [0, COLUMN_BLOCK_ROWS as i64 - 1] {
+        assert_eq!(t.row_count(), n as usize);
+        assert_eq!(blocks(&t).paged_blocks(), 2, "re-sealed at open");
+        for i in [0, COLUMN_BLOCK_ROWS as i64, n - 1] {
             assert_eq!(row_at(&t, i as usize).values(), &row(i)[..], "row {i}");
         }
-        let truncated = std::fs::metadata(&data).unwrap().len();
-        assert_eq!(truncated, first_len as u64, "truncated at the first extent");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -992,11 +1060,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Swaps the data-file handle of `t`'s store for a read-only one, on
+    /// which every extent append fails, and returns the writable handle.
+    fn read_only_data(t: &Table, dir: &Path) -> File {
+        let store = Arc::clone(blocks(t).store.as_ref().unwrap());
+        let read_only = File::open(data_path(dir, t.id())).unwrap();
+        let mut inner = store.inner.lock();
+        std::mem::replace(&mut inner.data, read_only)
+    }
+
     #[test]
     fn a_failed_persist_leaves_a_longer_tail_and_the_next_seal_retries() {
         let dir = temp_dir("retry");
-        let moved = dir.with_extension("moved");
-        let _ = std::fs::remove_dir_all(&moved);
         let last = COLUMN_BLOCK_ROWS as i64 - 1;
         let catalog = Catalog::new();
         PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
@@ -1004,14 +1079,14 @@ mod tests {
         for i in 0..last {
             t.insert(row(i)).unwrap();
         }
-        // With the directory moved away the seal's WAL rewrite cannot
-        // create its side file, so the persist fails before committing.
-        std::fs::rename(&dir, &moved).unwrap();
+        // The seal's extent append fails, so the persist fails before
+        // committing.
+        let writable = read_only_data(&t, &dir);
         assert!(matches!(t.insert(row(last)), Err(RankSqlError::Storage(_))));
         let epoch = t.pin_epoch();
         assert_eq!(epoch.blocks().num_blocks(), 0);
         assert_eq!(epoch.tail().len(), COLUMN_BLOCK_ROWS, "the row is in");
-        std::fs::rename(&moved, &dir).unwrap();
+        blocks(&t).store.as_ref().unwrap().inner.lock().data = writable;
         // The next insert's seal retries and lands both blocks' worth.
         t.insert(row(last + 1)).unwrap();
         assert_short_tail(&t);
@@ -1052,11 +1127,166 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The fsyncs of one store: the WAL's, the data file's, and the WAL
+    /// rewrites.
+    fn syncs(store: &TableStore) -> (usize, usize, usize) {
+        let inner = store.inner.lock();
+        (inner.wal.syncs, inner.data_syncs, inner.wal.rewrites)
+    }
+
+    /// A seal costs one fsync, the WAL's; every `CHECKPOINT_BLOCKS`th
+    /// seal adds the checkpoint's data fsync and WAL rewrite.
+    #[test]
+    fn sixty_four_seals_cost_sixty_four_wal_fsyncs_and_one_checkpoint() {
+        let dir = temp_dir("fsyncs");
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.create_table("T", schema()).unwrap();
+        let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
+        assert_eq!(syncs(&store), (0, 0, 0), "an empty table attaches free");
+        let block = |b: i64| (b * 1024..(b + 1) * 1024).map(row);
+        for b in 0..CHECKPOINT_BLOCKS as i64 - 1 {
+            t.insert_batch(block(b)).unwrap();
+        }
+        assert_eq!(syncs(&store), (CHECKPOINT_BLOCKS - 1, 0, 0));
+        t.insert_batch(block(CHECKPOINT_BLOCKS as i64 - 1)).unwrap();
+        assert_eq!(syncs(&store), (CHECKPOINT_BLOCKS, 1, 1));
+        assert_eq!(blocks(&t).paged_blocks(), CHECKPOINT_BLOCKS);
+        // The checkpoint left the WAL its header alone.
+        let wal = std::fs::metadata(wal_path(&dir, t.id())).unwrap();
+        assert_eq!(wal.len(), 16);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_checkpoint_publishes_nothing_and_the_next_seal_retries_it() {
+        let dir = temp_dir("checkpoint_retry");
+        let moved = dir.with_extension("moved");
+        let _ = std::fs::remove_dir_all(&moved);
+        let last = (CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS) as i64 - 1;
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.create_table("T", schema()).unwrap();
+        t.insert_batch((0..last).map(row)).unwrap();
+        // With the directory moved away the checkpoint's WAL rewrite cannot
+        // create its side file, so the seal fails before committing.
+        std::fs::rename(&dir, &moved).unwrap();
+        assert!(matches!(t.insert(row(last)), Err(RankSqlError::Storage(_))));
+        let epoch = t.pin_epoch();
+        assert_eq!(epoch.blocks().num_blocks(), CHECKPOINT_BLOCKS - 1);
+        assert_eq!(epoch.tail().len(), COLUMN_BLOCK_ROWS, "the row is in");
+        std::fs::rename(&moved, &dir).unwrap();
+        // The next seal appends the block again and checkpoints.
+        t.insert(row(last + 1)).unwrap();
+        assert_short_tail(&t);
+        assert_eq!(blocks(&t).paged_blocks(), CHECKPOINT_BLOCKS);
+        let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
+        assert_eq!(store.inner.lock().unsynced, 0);
+        drop((t, store, catalog));
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.table("T").unwrap();
+        assert_eq!(t.row_count(), CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS + 1);
+        assert_eq!(row_at(&t, t.row_count() - 1).values(), &row(last + 1)[..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `t`'s ten best rows by `p`, ties broken by row id: what a top-10
+    /// over the table must answer.
+    fn top10(t: &Table) -> Vec<Tuple> {
+        let mut rows = t.scan();
+        let p = |t: &Tuple| t.value(1).as_f64().unwrap();
+        rows.sort_by(|a, b| p(b).total_cmp(&p(a)).then_with(|| a.id().cmp(b.id())));
+        rows.truncate(10);
+        rows
+    }
+
+    /// An in-memory table holding rows `0..n`.
+    fn twin(n: usize) -> Table {
+        let twin = Table::new(0, "T", schema());
+        twin.insert_batch((0..n as i64).map(row)).unwrap();
+        twin
+    }
+
+    /// A power loss may drop or tear the extents appended since the last
+    /// checkpoint: the WAL still holds their rows, and recovery replays
+    /// them.  A lost *checkpointed* extent ends the durable prefix, and the
+    /// log restarts at it so later inserts survive.
+    #[test]
+    fn extents_lost_past_a_checkpoint_are_replayed_from_the_wal() {
+        let dir = temp_dir("lost_extents");
+        let n = (CHECKPOINT_BLOCKS + 3) * COLUMN_BLOCK_ROWS + 100;
+        let (files, offsets) = {
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+            let t = catalog.create_table("T", schema()).unwrap();
+            t.insert_batch((0..n as i64).map(row)).unwrap();
+            let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
+            let inner = store.inner.lock();
+            assert_eq!(inner.unsynced, 3, "three extents past the checkpoint");
+            let offsets: Vec<usize> = inner.metas.iter().map(|m| m.offset as usize).collect();
+            let files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            (files, offsets)
+        };
+        let full = twin(n);
+        let checkpointed = offsets[CHECKPOINT_BLOCKS];
+        let torn = (offsets[CHECKPOINT_BLOCKS + 1] + offsets[CHECKPOINT_BLOCKS + 2]) / 2;
+        let data = data_path(&dir, 0);
+        for cut in [checkpointed, torn] {
+            for (path, bytes) in &files {
+                let bytes = if *path == data { &bytes[..cut] } else { bytes };
+                std::fs::write(path, bytes).unwrap();
+            }
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+            let t = catalog.table("T").unwrap();
+            assert_eq!(t.row_count(), n, "cut at {cut}");
+            assert_eq!(top10(&t), top10(&full), "cut at {cut}");
+            assert_eq!(blocks(&t).paged_blocks(), CHECKPOINT_BLOCKS + 3);
+            let got = t.scan().into_iter().map(|t| t.values().to_vec());
+            assert!(got.eq((0..n as i64).map(row)), "cut at {cut}");
+        }
+
+        // Corrupt extent 10, which the checkpoint synced.
+        for (path, bytes) in &files {
+            let mut bytes = bytes.clone();
+            if *path == data {
+                bytes[offsets[10] + 64] ^= 0xFF;
+            }
+            std::fs::write(path, bytes).unwrap();
+        }
+        let prefix = 10 * COLUMN_BLOCK_ROWS;
+        {
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+            let t = catalog.table("T").unwrap();
+            assert_eq!(t.row_count(), prefix);
+            assert_eq!(top10(&t), top10(&twin(prefix)));
+            t.insert(row(prefix as i64)).unwrap();
+        }
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.table("T").unwrap();
+        assert_eq!(t.row_count(), prefix + 1, "the insert after recovery");
+        assert_eq!(top10(&t), top10(&twin(prefix + 1)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Length and CRC-32 of the data file and of the WAL after a fixed
     /// sequence of single-row and batched inserts: a seal inside a batch,
     /// a batch stopped by a bad-arity row and a partial last block.
     /// Captured with the row-at-a-time write path; the on-disk bytes do
-    /// not depend on how the rows were grouped into writes.
+    /// not depend on how the rows were grouped into writes.  No checkpoint
+    /// has run, so the WAL holds all 2 150 rows from `base_row` 0; a
+    /// checkpoint cuts it to the 102 past the extents, the bytes a seal
+    /// wrote when every seal rewrote the log.
     #[test]
     fn insert_sequences_write_the_golden_bytes() {
         let dir = temp_dir("golden_bytes");
@@ -1083,28 +1313,29 @@ mod tests {
                 digest(data_path(&dir, t.id())),
                 digest(wal_path(&dir, t.id()))
             ),
-            ((65_536, 0xebff_3742), (4_912, 0xaf49_4386)),
+            ((65_536, 0xebff_3742), (102_106, 0xad7d_2b5c)),
         );
+        let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
+        let tail = t.pin_epoch().tail().to_vec();
+        store.inner.lock().checkpoint(2048, &tail).unwrap();
+        assert_eq!(digest(wal_path(&dir, t.id())), (4_912, 0xaf49_4386));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn recovery_seals_a_wal_that_outgrew_a_block() {
         let dir = temp_dir("long_wal");
-        let moved = dir.with_extension("moved");
-        let _ = std::fs::remove_dir_all(&moved);
         let n = COLUMN_BLOCK_ROWS as i64 + 20;
         {
             let catalog = Catalog::new();
             PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
             let t = catalog.create_table("T", schema()).unwrap();
-            std::fs::rename(&dir, &moved).unwrap();
+            read_only_data(&t, &dir);
             for i in 0..n {
                 // Every seal fails: the WAL keeps every row.
                 let _ = t.insert(row(i));
             }
             assert_eq!(t.pin_epoch().tail().len(), n as usize);
-            std::fs::rename(&moved, &dir).unwrap();
         }
         // Drop the extents the failed attempts wrote: only the WAL is left.
         std::fs::write(data_path(&dir, 0), b"").unwrap();

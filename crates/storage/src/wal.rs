@@ -1,7 +1,8 @@
 //! The per-table write-ahead log.
 //!
-//! The WAL covers exactly the rows past the data file's durable extent
-//! coverage — the "delta tail" of the epoch machinery.  The file layout:
+//! The WAL covers every row past the data file's last *checkpoint*: the
+//! rows of the extents appended since then, and the table's tail past
+//! them.  The file layout:
 //!
 //! ```text
 //! wal    := header record*
@@ -9,14 +10,17 @@
 //! record := len u32 | crc32 u32 | row_index u64 | n_values u32 | value*
 //! ```
 //!
-//! `base_row` is the row the first record *may* start at (the extent
-//! coverage when the WAL was last rewritten); `len` covers everything after
-//! the two leading words, `crc32` guards it.  Replay accepts the longest
-//! valid record prefix: it stops at the first record that is torn, fails
-//! its CRC or does not decode to exactly `n_values` values, and at the
-//! first record the recovering table refuses — a row-index hole, or an
-//! arity other than the schema's ([`crate::recovery`] step 3).  The log is
-//! cut at the end of that prefix.
+//! `base_row` is the row the first record starts at (the extent coverage
+//! of the last checkpoint), and the records follow it row by row; `len`
+//! covers everything after the two leading words, `crc32` guards it.
+//! Replay streams the log through one bounded buffer and accepts the
+//! longest valid record prefix: it stops at the first record that is torn,
+//! fails its CRC, does not decode to exactly `n_values` values or is not
+//! the next row (a row-index hole), and at the first record the recovering
+//! table refuses — an arity other than the schema's ([`crate::recovery`]
+//! step 4).  The log is cut at the end of that prefix.  Each record is
+//! handed to the table as it is read, and the table keeps only those at or
+//! past its extent coverage.
 //!
 //! Durability protocol (see [`crate::recovery::TableStore`]): an insert
 //! appends its rows a *segment* at a time — the run of rows up to the next
@@ -24,15 +28,17 @@
 //! buffer and handing the kernel the whole segment in a single `write`,
 //! **no fsync**.  A failed write sets the log back to its pre-append
 //! length, so no torn record or record of an uninserted row stays behind.
-//! Each seal boundary fsyncs the log before the sealed block's extent is
-//! appended to the data file, then atomically rewrites the log to hold only
-//! the remaining tail rows (write `wal.new`, fsync, rename).  The epoch
-//! ordinal (the row-count watermark) is the LSN anchor: a record for row
-//! `r` is LSN `r + 1`, and recovery replays records with
-//! `row_index >= extent coverage` on top of the decoded extents.
+//! Each seal boundary fsyncs the log — the one durability point — before
+//! the sealed block's extent is appended to the data file, and leaves the
+//! log as it is.  Every 64 blocks a checkpoint fsyncs the data file, then
+//! atomically rewrites the log to hold only the rows past the extents
+//! (write `wal.new`, fsync, rename).  The epoch ordinal (the row-count
+//! watermark) is the LSN anchor: a record for row `r` is LSN `r + 1`, and
+//! recovery replays records with `row_index >= extent coverage` on top of
+//! the decoded extents.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use ranksql_common::{RankSqlError, Result, Tuple, Value};
@@ -43,6 +49,9 @@ use crate::page::{crc32, decode_value, encode_value, put_u32, put_u64, Reader};
 pub(crate) const WAL_MAGIC: u32 = 0x5271_576C;
 
 const HEADER_LEN: usize = 4 + 4 + 8;
+
+/// Bytes replay reads from the log at a time.
+const READ_BUF: usize = 64 * 1024;
 
 /// One replayed WAL record: the row index and its values.
 pub(crate) struct WalRecord {
@@ -59,6 +68,8 @@ pub(crate) struct WalFile {
     /// The log's length: where the next append starts, and what a failed
     /// append rolls back to.
     len: u64,
+    /// The row the next record must hold: one past the log's last record.
+    next_row: u64,
     /// Set when a failed append could not be rolled back: the log may end
     /// in a torn record, so every later append is refused.
     broken: bool,
@@ -67,6 +78,12 @@ pub(crate) struct WalFile {
     /// Segment writes issued, for the tests that count them.
     #[cfg(test)]
     pub(crate) writes: usize,
+    /// Fsyncs of the log ([`WalFile::sync`]), for the same tests.
+    #[cfg(test)]
+    pub(crate) syncs: usize,
+    /// Rewrites of the log ([`WalFile::rewrite`]), for the same tests.
+    #[cfg(test)]
+    pub(crate) rewrites: usize,
 }
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> RankSqlError {
@@ -117,17 +134,28 @@ fn decode_record(body: &[u8]) -> Option<WalRecord> {
 }
 
 impl WalFile {
-    fn new(file: File, path: PathBuf, table_id: u32, len: u64) -> WalFile {
+    fn new(file: File, path: PathBuf, table_id: u32, len: u64, next_row: u64) -> WalFile {
         WalFile {
             file,
             path,
             table_id,
             len,
+            next_row,
             broken: false,
             buf: Vec::new(),
             #[cfg(test)]
             writes: 0,
+            #[cfg(test)]
+            syncs: 0,
+            #[cfg(test)]
+            rewrites: 0,
         }
+    }
+
+    /// The row the next append must start at: one past the log's last
+    /// record, or its `base_row` when it holds none.
+    pub(crate) fn next_row(&self) -> u64 {
+        self.next_row
     }
 
     /// Creates a fresh WAL at `path` with `base_row = 0`, truncating any
@@ -144,46 +172,51 @@ impl WalFile {
             .map_err(|e| io_err("cannot write WAL header", &path, e))?;
         file.sync_all()
             .map_err(|e| io_err("cannot sync WAL", &path, e))?;
-        Ok(WalFile::new(file, path, table_id, HEADER_LEN as u64))
+        Ok(WalFile::new(file, path, table_id, HEADER_LEN as u64, 0))
     }
 
     /// Opens an existing WAL (an atomically renamed `wal.new` left by an
     /// interrupted rewrite is *not* consulted — the rename either completed
-    /// or the old log is still the valid one), replaying its valid record
-    /// prefix.  Returns the open log, its `base_row` and the replayed
-    /// records.
+    /// or the old log is still the valid one) and replays its valid record
+    /// prefix into `replay`, one record at a time, as it streams the file
+    /// through a [`READ_BUF`]-byte buffer.  Returns the open log and its
+    /// `base_row`.
     ///
     /// The prefix ends at the first record that is torn, fails its CRC,
-    /// does not decode to exactly its `n_values` values, or that `accept`
-    /// refuses (the caller's rule: a row-index hole, a wrong arity).  The
-    /// log is truncated there, so appends continue from the end of the
-    /// prefix and a later replay cannot stop short of them.
+    /// does not decode to exactly its `n_values` values, is not the next
+    /// row (`base_row`, `base_row + 1`, …), or that `replay` refuses (the
+    /// caller's rule: a wrong arity).  The log is truncated there, so
+    /// appends continue from the end of the prefix and a later replay
+    /// cannot stop short of them.
     pub(crate) fn open(
         path: PathBuf,
         table_id: u32,
-        mut accept: impl FnMut(&WalRecord) -> bool,
-    ) -> Result<(WalFile, u64, Vec<WalRecord>)> {
+        mut replay: impl FnMut(WalRecord) -> bool,
+    ) -> Result<(WalFile, u64)> {
         // Drop any orphaned rewrite temp: if it exists the rename never
         // happened, so the old log is authoritative.
         let _ = std::fs::remove_file(rewrite_path(&path));
         if !path.exists() {
-            let wal = WalFile::create(path, table_id)?;
-            return Ok((wal, 0, Vec::new()));
+            return Ok((WalFile::create(path, table_id)?, 0));
         }
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)
             .map_err(|e| io_err("cannot open WAL", &path, e))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)
-            .map_err(|e| io_err("cannot read WAL", &path, e))?;
-        if bytes.len() < HEADER_LEN {
+        let file_len = file
+            .metadata()
+            .map_err(|e| io_err("cannot stat WAL", &path, e))?
+            .len();
+        if file_len < HEADER_LEN as u64 {
             // Torn header: treat as an empty fresh log.
-            let wal = WalFile::create(path, table_id)?;
-            return Ok((wal, 0, Vec::new()));
+            return Ok((WalFile::create(path, table_id)?, 0));
         }
-        let mut r = Reader::new(&bytes);
+        let read_err = |e| io_err("cannot read WAL", &path, e);
+        let mut reader = BufReader::with_capacity(READ_BUF, &file);
+        let mut head = [0u8; HEADER_LEN];
+        reader.read_exact(&mut head).map_err(read_err)?;
+        let mut r = Reader::new(&head);
         let magic = r.u32()?;
         let file_table = r.u32()?;
         let base_row = r.u64()?;
@@ -193,35 +226,36 @@ impl WalFile {
                 path.display()
             )));
         }
-        let mut records = Vec::new();
-        let mut valid_len = HEADER_LEN;
-        while r.remaining() >= 8 {
-            let len = r.u32()? as usize;
-            let want_crc = r.u32()?;
-            if r.remaining() < len {
+        let (mut valid_len, mut next_row) = (HEADER_LEN as u64, base_row);
+        let mut body = Vec::new();
+        while file_len - valid_len >= 8 {
+            let mut frame = [0u8; 8];
+            reader.read_exact(&mut frame).map_err(read_err)?;
+            let mut r = Reader::new(&frame);
+            let (len, want_crc) = (u64::from(r.u32()?), r.u32()?);
+            if file_len - valid_len - 8 < len {
                 break; // torn tail record
             }
-            let body = &bytes[r.position()..r.position() + len];
-            if crc32(body) != want_crc {
+            body.resize(len as usize, 0);
+            reader.read_exact(&mut body).map_err(read_err)?;
+            if crc32(&body) != want_crc {
                 break;
             }
-            match decode_record(body) {
-                Some(record) if accept(&record) => records.push(record),
-                _ => break,
+            let next = decode_record(&body).filter(|rec| rec.row_index == next_row);
+            if !next.is_some_and(&mut replay) {
+                break;
             }
-            r.skip(len)?;
+            next_row = next_row.saturating_add(1);
             valid_len += 8 + len;
         }
+        drop(reader);
         // Cut the log at the end of the prefix so appends continue from it.
-        file.set_len(valid_len as u64)
+        file.set_len(valid_len)
             .map_err(|e| io_err("cannot truncate WAL", &path, e))?;
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("cannot seek WAL", &path, e))?;
-        Ok((
-            WalFile::new(file, path, table_id, valid_len as u64),
-            base_row,
-            records,
-        ))
+        let wal = WalFile::new(file, path, table_id, valid_len, next_row);
+        Ok((wal, base_row))
     }
 
     /// Appends one segment's records, row `first_row + i` holding
@@ -246,6 +280,7 @@ impl WalFile {
         match self.file.write_all(&self.buf) {
             Ok(()) => {
                 self.len += self.buf.len() as u64;
+                self.next_row = first_row + rows.len() as u64;
                 Ok(())
             }
             Err(e) => {
@@ -274,6 +309,10 @@ impl WalFile {
     /// Fsyncs the log — the durability point of every row appended since
     /// the last sync.
     pub(crate) fn sync(&mut self) -> Result<()> {
+        #[cfg(test)]
+        {
+            self.syncs += 1;
+        }
         self.file
             .sync_all()
             .map_err(|e| io_err("cannot sync WAL", &self.path, e))
@@ -285,6 +324,10 @@ impl WalFile {
     /// over the log — a crash anywhere leaves either the complete old log or
     /// the complete new one.
     pub(crate) fn rewrite(&mut self, base_row: u64, tail: &[Tuple]) -> Result<()> {
+        #[cfg(test)]
+        {
+            self.rewrites += 1;
+        }
         let tmp = rewrite_path(&self.path);
         let mut out = header_bytes(self.table_id, base_row);
         encode_records(&mut out, base_row, tail);
@@ -305,6 +348,7 @@ impl WalFile {
         // reopen can fail and leave appends going to the replaced file.
         self.file = f;
         self.len = out.len() as u64;
+        self.next_row = base_row + tail.len() as u64;
         Ok(())
     }
 }
@@ -338,6 +382,16 @@ mod tests {
             .collect()
     }
 
+    /// Opens the log at `path`, collecting every record it replays.
+    fn replay(path: &Path, table_id: u32) -> Result<(WalFile, u64, Vec<WalRecord>)> {
+        let mut records = Vec::new();
+        let (wal, base) = WalFile::open(path.to_owned(), table_id, |rec| {
+            records.push(rec);
+            true
+        })?;
+        Ok((wal, base, records))
+    }
+
     fn record_bytes(row_index: u64, values: Vec<Value>) -> Vec<u8> {
         let mut out = Vec::new();
         encode_records(
@@ -357,7 +411,7 @@ mod tests {
             wal.append(2, &rows(2..5)).unwrap();
             wal.sync().unwrap();
         }
-        let (_wal, base, records) = WalFile::open(path.clone(), 3, |_| true).unwrap();
+        let (_wal, base, records) = replay(&path, 3).unwrap();
         assert_eq!(base, 0);
         assert_eq!(records.len(), 5);
         assert_eq!(records[4].row_index, 4);
@@ -376,14 +430,43 @@ mod tests {
         // Chop bytes off the last record.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let (mut wal, _, records) = WalFile::open(path.clone(), 1, |_| true).unwrap();
+        let (mut wal, _, records) = replay(&path, 1).unwrap();
         assert_eq!(records.len(), 2, "torn third record dropped");
         // The truncated log accepts fresh appends cleanly.
         wal.append(2, &rows(2..3)).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (_, _, records) = WalFile::open(path.clone(), 1, |_| true).unwrap();
+        let (_, _, records) = replay(&path, 1).unwrap();
         assert_eq!(records.len(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Replay streams a log longer than its read buffer record by record,
+    /// and a row-index hole ends the prefix as a torn record does.
+    #[test]
+    fn a_log_past_the_read_buffer_replays_up_to_a_row_hole() {
+        let path = temp_wal("stream");
+        let n = 4000;
+        {
+            let mut wal = WalFile::create(path.clone(), 9).unwrap();
+            wal.append(0, &rows(0..n)).unwrap();
+            // Row `n` is missing.
+            wal.append(n as u64 + 1, &rows(n + 1..n + 3)).unwrap();
+            wal.sync().unwrap();
+        }
+        assert!(std::fs::metadata(&path).unwrap().len() > READ_BUF as u64);
+        let (mut wal, _, records) = replay(&path, 9).unwrap();
+        assert_eq!(records.len(), n as usize);
+        assert!(records
+            .iter()
+            .zip(0..)
+            .all(|(r, i)| r.row_index == i as u64 && r.values == row(i)));
+        assert_eq!(wal.next_row(), n as u64);
+        // The log was cut before the hole, so an append of row `n` replays.
+        wal.append(n as u64, &rows(n..n + 1)).unwrap();
+        drop(wal);
+        let (_, _, records) = replay(&path, 9).unwrap();
+        assert_eq!(records.len(), n as usize + 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -398,7 +481,7 @@ mod tests {
             wal.append(10, &rows(10..11)).unwrap();
             wal.sync().unwrap();
         }
-        let (_wal, base, records) = WalFile::open(path.clone(), 2, |_| true).unwrap();
+        let (_wal, base, records) = replay(&path, 2).unwrap();
         assert_eq!(base, 8);
         assert_eq!(
             records.iter().map(|r| r.row_index).collect::<Vec<_>>(),
@@ -417,7 +500,7 @@ mod tests {
         }
         // Simulate a crash mid-rewrite: a half-written temp beside the log.
         std::fs::write(rewrite_path(&path), b"garbage").unwrap();
-        let (_wal, base, records) = WalFile::open(path.clone(), 4, |_| true).unwrap();
+        let (_wal, base, records) = replay(&path, 4).unwrap();
         assert_eq!(base, 0);
         assert_eq!(records.len(), 1);
         assert!(!rewrite_path(&path).exists());
@@ -450,10 +533,11 @@ mod tests {
     fn golden_record_replays_and_re_encodes_byte_for_byte() {
         assert_eq!(record_bytes(1_048_577, golden_values()), GOLDEN_RECORD);
         let path = temp_wal("golden");
-        let mut bytes = header_bytes(8, 0);
+        // The log's first record is its base row.
+        let mut bytes = header_bytes(8, 1_048_577);
         bytes.extend_from_slice(&GOLDEN_RECORD);
         std::fs::write(&path, &bytes).unwrap();
-        let (_wal, _, records) = WalFile::open(path.clone(), 8, |_| true).unwrap();
+        let (_wal, _, records) = replay(&path, 8).unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].row_index, 1_048_577);
         let replayed = records.into_iter().next().unwrap();
@@ -470,7 +554,7 @@ mod tests {
         {
             WalFile::create(path.clone(), 5).unwrap();
         }
-        assert!(WalFile::open(path.clone(), 6, |_| true).is_err());
+        assert!(replay(&path, 6).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -506,7 +590,7 @@ mod tests {
         wal.append(3, &rows(3..4)).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (_, _, records) = WalFile::open(path.clone(), 6, |_| true).unwrap();
+        let (_, _, records) = replay(&path, 6).unwrap();
         let replayed: Vec<u64> = records.iter().map(|r| r.row_index).collect();
         assert_eq!(replayed, vec![0, 1, 2, 3]);
         assert_eq!(records[3].values, row(3));
@@ -520,7 +604,7 @@ mod tests {
     fn a_log_that_cannot_roll_back_refuses_appends() {
         let path = PathBuf::from("/dev/full");
         let file = OpenOptions::new().write(true).open(&path).unwrap();
-        let mut wal = WalFile::new(file, path, 7, HEADER_LEN as u64);
+        let mut wal = WalFile::new(file, path, 7, HEADER_LEN as u64, 0);
         let err = wal.append(0, &rows(0..2)).unwrap_err();
         assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
         assert!(err.to_string().contains("rolling it back failed"), "{err}");

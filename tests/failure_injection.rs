@@ -704,6 +704,47 @@ fn killed_batch_writer_recovers_exactly_the_acknowledged_rows() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Kill-and-recover between an unsynced extent append and the checkpoint:
+/// the child seals two blocks — each a WAL fsync, then an extent append
+/// that only the next checkpoint would fsync — writes 952 rows more and
+/// `abort()`s.  The parent then tears the data file inside the second
+/// extent, as a power loss may before a checkpoint syncs it.  Replay
+/// rebuilds the torn block from the WAL, so recovery lands between the
+/// last WAL fsync (row 2048) and the rows written.
+#[test]
+fn a_torn_unsynced_extent_recovers_from_the_wal() {
+    // ---- child half: populate and die. -----------------------------------
+    if let Ok(dir) = std::env::var(KILL_DIR_ENV) {
+        let db = Database::open_paged(&dir).unwrap();
+        db.create_table("K", kill_schema()).unwrap();
+        assert_eq!(db.insert_batch("K", (0..3000).map(kill_row)).unwrap(), 3000);
+        std::process::abort();
+    }
+
+    // ---- parent half: spawn the victim, tear, then verify recovery. ------
+    let (dir, status) = spawn_victim("a_torn_unsynced_extent_recovers_from_the_wal");
+    assert_eq!(status.code(), None, "the victim child must have aborted");
+    let data = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "dat"))
+        .expect("a paged table has a data file");
+    // Two extents of one length: cut the second in half.
+    let file = std::fs::OpenOptions::new().write(true).open(&data).unwrap();
+    let len = file.metadata().unwrap().len();
+    assert!(len > 0, "the victim appended its extents");
+    file.set_len(len * 3 / 4).unwrap();
+    drop(file);
+
+    let db = Database::open_paged(&dir).unwrap();
+    let recovered = assert_recovered_prefix(db, &dir);
+    assert!(
+        (2048..=3000).contains(&recovered),
+        "recovered {recovered} rows, durable floor is 2048"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn panicking_worker_becomes_an_error_and_the_pool_is_reusable() {
     // The worker pool converts a panicking task into a clean execution
