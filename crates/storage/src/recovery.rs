@@ -25,7 +25,8 @@
 //!    checkpoint, that seal also checkpoints: fsync the data file →
 //!    atomically rewrite the WAL to hold only the rows past the extents.
 //!    Until then the WAL keeps every row since the last checkpoint, so it
-//!    covers the unsynced extents too;
+//!    covers the unsynced extents too.  After a failed data fsync no seal
+//!    checkpoints again, until a reopen;
 //! 4. recovery ([`PagedStore::open`]) decodes the longest CRC-valid extent
 //!    prefix of each data file, truncates everything past it, then replays
 //!    the WAL's valid record prefix on top — landing exactly on the last
@@ -60,14 +61,15 @@ use crate::page::{
     EXTENT_HEADER, PAGE_SIZE,
 };
 use crate::table::Table;
-use crate::wal::WalFile;
+use crate::wal::{sync_dir, WalFile};
 
 /// Magic number opening the catalog file (`"RqCt"`).
 const CATALOG_MAGIC: u32 = 0x5271_4374;
 
-/// Blocks a table seals between two checkpoints.  A checkpoint's data fsync
-/// and WAL rewrite cost two fsyncs; every 64 blocks they add ≈ 3 % to the
-/// seal's one, and the WAL holds at most 64 blocks of rows.
+/// Blocks a table seals between two checkpoints.  A checkpoint costs three
+/// fsyncs (the data file, the rewritten WAL, its directory); every 64
+/// blocks they add ≈ 5 % to the seal's one, and the WAL holds at most 64
+/// blocks of rows.
 pub(crate) const CHECKPOINT_BLOCKS: usize = 64;
 
 /// Configuration of a [`PagedStore`].
@@ -117,6 +119,13 @@ struct StoreInner {
     /// Extents appended since the last checkpoint (not yet fsynced; the
     /// WAL still holds their rows).
     unsynced: usize,
+    /// Set when a data-file fsync failed.  The kernel may have dropped the
+    /// dirty pages of any unsynced extent and reports that to one fsync
+    /// only, so no later fsync vouches for them: the store never
+    /// checkpoints again, and the WAL keeps every row since the last
+    /// checkpoint until a reopen re-checks the extents by CRC and replays
+    /// the rest.
+    sync_failed: bool,
     /// Data-file fsyncs, for the tests that count them.
     #[cfg(test)]
     data_syncs: usize,
@@ -125,15 +134,17 @@ struct StoreInner {
 impl StoreInner {
     /// The checkpoint: fsyncs the data file, then atomically rewrites the
     /// WAL to hold only `tail`, the rows from `coverage` on.  An error
-    /// leaves the old log, which still covers every row.
+    /// leaves a log that covers every row not yet synced; a failed data
+    /// fsync also sets `sync_failed`.
     fn checkpoint(&mut self, coverage: u64, tail: &[Tuple]) -> Result<()> {
         #[cfg(test)]
         {
             self.data_syncs += 1;
         }
-        self.data
-            .sync_all()
-            .map_err(|e| io_err("cannot sync table data file", &self.data_path, e))?;
+        if let Err(e) = self.data.sync_all() {
+            self.sync_failed = true;
+            return Err(io_err("cannot sync table data file", &self.data_path, e));
+        }
         self.wal.rewrite(coverage, tail)?;
         self.unsynced = 0;
         Ok(())
@@ -170,6 +181,7 @@ impl TableStore {
                 wal,
                 metas: Vec::new(),
                 unsynced: 0,
+                sync_failed: false,
                 #[cfg(test)]
                 data_syncs: 0,
             }),
@@ -239,31 +251,33 @@ impl TableStore {
                 .map_err(|e| io_err("cannot truncate table data file", &path, e))?;
         }
 
-        // The log holds every row since the last checkpoint.  Records below
-        // the extent coverage are duplicates of sealed rows (the extents
+        // The log holds every row since the last checkpoint, row after row
+        // from its `base_row` (the log's own rule).  Records below the
+        // extent coverage are duplicates of sealed rows (the extents
         // appended since that checkpoint) and are passed over as they
-        // stream by.  A record past the next expected row would leave a
-        // hole, and one whose arity is not the schema's is not a row an
-        // insert wrote: either ends the durable epoch at the last
-        // contiguous row, and the log is cut there.
+        // stream by.  A record whose arity is not the schema's is not a
+        // row an insert wrote: it ends the durable epoch, and the log is
+        // cut there.
         let coverage = (metas.len() * COLUMN_BLOCK_ROWS) as u64;
-        let mut rows = Vec::new();
+        let (mut rows, mut replayed) = (Vec::new(), 0u64);
         let (wal, base_row) = WalFile::open(wal_path(dir, table_id), table_id, |rec| {
             if rec.values.len() != arity {
                 return false;
             }
-            if rec.row_index < coverage {
-                return true;
+            if rec.row_index >= coverage {
+                rows.push(Tuple::new(
+                    TupleId::base(table_id, rec.row_index),
+                    rec.values,
+                ));
             }
-            if rec.row_index != coverage + rows.len() as u64 {
-                return false;
-            }
-            rows.push(Tuple::new(
-                TupleId::base(table_id, rec.row_index),
-                rec.values,
-            ));
+            replayed += 1;
             true
         })?;
+        // A log based past the extent coverage (a checkpointed extent
+        // lost) starts after a hole: none of its rows follow the extents.
+        if base_row > coverage {
+            rows.clear();
+        }
 
         let checkpointed = (base_row / COLUMN_BLOCK_ROWS as u64) as usize;
         let mut inner = StoreInner {
@@ -273,13 +287,14 @@ impl TableStore {
             wal,
             unsynced: metas.len().saturating_sub(checkpointed),
             metas,
+            sync_failed: false,
             #[cfg(test)]
             data_syncs: 0,
         };
-        // A log that ends short of the recovered rows — cut below the
+        // A log that does not end at the recovered rows — cut below the
         // extent coverage, or based past it — would take the next append
         // after a hole; a checkpoint restarts it at the extent coverage.
-        if inner.wal.next_row() != coverage + rows.len() as u64 {
+        if base_row + replayed != coverage + rows.len() as u64 {
             inner.checkpoint(coverage, &rows)?;
         }
         Ok((
@@ -309,6 +324,15 @@ impl TableStore {
         self.inner.lock().wal.append(first_row, rows)
     }
 
+    /// Checkpoints now: fsyncs the data file and rewrites the WAL to hold
+    /// only `tail`, the rows past the extents.  A table attached with rows
+    /// of its own calls it, since its fresh log holds none of them.
+    pub(crate) fn checkpoint(&self, tail: &[Tuple]) -> Result<()> {
+        let mut inner = self.inner.lock();
+        let coverage = (inner.metas.len() * COLUMN_BLOCK_ROWS) as u64;
+        inner.checkpoint(coverage, tail)
+    }
+
     /// The durable blocks as paged slots, in block order.
     pub(crate) fn durable_blocks(&self) -> Vec<BlockSlot> {
         let inner = self.inner.lock();
@@ -320,13 +344,15 @@ impl TableStore {
     /// protocol: WAL fsync (the durability point) → extent appends, no
     /// fsync.  When `CHECKPOINT_BLOCKS` extents have been appended since
     /// the last checkpoint, the seal then checkpoints: data fsync → WAL
-    /// rewrite to hold only `tail`, the rows past the extents.  Nothing is
-    /// committed before every step succeeds: on an error the durable block
-    /// count, data length and checkpoint count stay as they were, the WAL
-    /// still covers every row, so the table keeps the rows in its tail and
-    /// its next seal retries, rewriting the same extents over any this
-    /// attempt appended.  Every caller holds the table's write lock or runs
-    /// at open, so one table never persists concurrently.
+    /// rewrite to hold only `tail`, the rows past the extents.  After a
+    /// failed data fsync no seal checkpoints again, and the WAL keeps
+    /// covering every unsynced extent.  Nothing is committed before every
+    /// step succeeds: on an error the durable block count, data length and
+    /// checkpoint count stay as they were, the WAL still covers every row,
+    /// so the table keeps the rows in its tail and its next seal retries,
+    /// rewriting the same extents over any this attempt appended.  Every
+    /// caller holds the table's write lock or runs at open, so one table
+    /// never persists concurrently.
     pub(crate) fn persist(
         &self,
         sealed: &[Arc<SealedBlock>],
@@ -358,13 +384,8 @@ impl TableStore {
                 offset += bytes.len() as u64;
             }
         }
-        let coverage = ((first + sealed.len()) * COLUMN_BLOCK_ROWS) as u64;
-        // A log that does not end at the table's last row holds none of its
-        // rows (a table attached with rows of its own): only a checkpoint
-        // makes them durable.
-        if inner.unsynced + sealed.len() >= CHECKPOINT_BLOCKS
-            || inner.wal.next_row() != coverage + tail.len() as u64
-        {
+        if inner.unsynced + sealed.len() >= CHECKPOINT_BLOCKS && !inner.sync_failed {
+            let coverage = ((first + sealed.len()) * COLUMN_BLOCK_ROWS) as u64;
             inner.checkpoint(coverage, tail)?;
         } else {
             inner.unsynced += sealed.len();
@@ -592,7 +613,10 @@ fn write_catalog_file(dir: &Path, specs: &[TableSpec]) -> Result<()> {
         f.sync_all()
             .map_err(|e| io_err("cannot sync catalog file", &tmp, e))?;
     }
-    std::fs::rename(&tmp, &path).map_err(|e| io_err("cannot publish catalog file", &path, e))
+    std::fs::rename(&tmp, &path).map_err(|e| io_err("cannot publish catalog file", &path, e))?;
+    // Makes the rename durable, and with it the creation of any table's
+    // data and WAL files before it.
+    sync_dir(&path)
 }
 
 fn read_catalog_file(dir: &Path) -> Result<Vec<TableSpec>> {
@@ -1188,6 +1212,44 @@ mod tests {
         let t = catalog.table("T").unwrap();
         assert_eq!(t.row_count(), CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS + 1);
         assert_eq!(row_at(&t, t.row_count() - 1).values(), &row(last + 1)[..]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed data fsync may have cost any unsynced extent its pages,
+    /// and no later fsync on the handle reports it: no seal checkpoints
+    /// again, so the WAL keeps every row and recovers them all.
+    #[test]
+    fn after_a_failed_data_fsync_the_wal_keeps_every_row() {
+        let dir = temp_dir("sync_failed");
+        let last = (CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS) as i64 - 1;
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.create_table("T", schema()).unwrap();
+        t.insert_batch((0..last).map(row)).unwrap();
+        let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
+        // `/dev/null` takes every write and fails every fsync.
+        let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
+        let writable = std::mem::replace(&mut store.inner.lock().data, null);
+        assert!(matches!(t.insert(row(last)), Err(RankSqlError::Storage(_))));
+        assert_eq!(blocks(&t).num_blocks(), CHECKPOINT_BLOCKS - 1);
+        store.inner.lock().data = writable;
+        // The failed row is in.  The next seal appends its block again, and
+        // a second 64 blocks pass without a checkpoint.
+        let n = 2 * CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS + 10;
+        t.insert_batch((last + 1..n as i64).map(row)).unwrap();
+        assert_eq!(blocks(&t).paged_blocks(), 2 * CHECKPOINT_BLOCKS);
+        let (_, data_syncs, rewrites) = syncs(&store);
+        assert_eq!((data_syncs, rewrites), (1, 0));
+        drop((t, store, catalog));
+        // With every extent lost, the WAL alone brings back every row.
+        std::fs::write(data_path(&dir, 0), b"").unwrap();
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.table("T").unwrap();
+        assert_eq!(t.row_count(), n);
+        assert_eq!(top10(&t), top10(&twin(n)));
+        let got = t.scan().into_iter().map(|t| t.values().to_vec());
+        assert!(got.eq((0..n as i64).map(row)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -319,6 +319,11 @@ impl Table {
             .map(|b| Ok(data.blocks.fetch_block(b)?.0))
             .collect::<Result<Vec<_>>>()?;
         let slots = store.persist(&sealed, &data.tail)?;
+        if data.row_count() > 0 {
+            // The fresh log holds none of the table's rows: only a
+            // checkpoint makes them durable.
+            store.checkpoint(&data.tail)?;
+        }
         let blocks = ColumnTable::empty(self.id, &self.name, &self.schema, Some(store));
         data.blocks = Arc::new(blocks.appended(slots));
         Ok(())

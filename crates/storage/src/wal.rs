@@ -32,10 +32,10 @@
 //! the sealed block's extent is appended to the data file, and leaves the
 //! log as it is.  Every 64 blocks a checkpoint fsyncs the data file, then
 //! atomically rewrites the log to hold only the rows past the extents
-//! (write `wal.new`, fsync, rename).  The epoch ordinal (the row-count
-//! watermark) is the LSN anchor: a record for row `r` is LSN `r + 1`, and
-//! recovery replays records with `row_index >= extent coverage` on top of
-//! the decoded extents.
+//! (write `wal.new`, fsync, rename, fsync the directory).  The epoch
+//! ordinal (the row-count watermark) is the LSN anchor: a record for row
+//! `r` is LSN `r + 1`, and recovery replays records with `row_index >=
+//! extent coverage` on top of the decoded extents.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -68,8 +68,6 @@ pub(crate) struct WalFile {
     /// The log's length: where the next append starts, and what a failed
     /// append rolls back to.
     len: u64,
-    /// The row the next record must hold: one past the log's last record.
-    next_row: u64,
     /// Set when a failed append could not be rolled back: the log may end
     /// in a torn record, so every later append is refused.
     broken: bool,
@@ -134,13 +132,12 @@ fn decode_record(body: &[u8]) -> Option<WalRecord> {
 }
 
 impl WalFile {
-    fn new(file: File, path: PathBuf, table_id: u32, len: u64, next_row: u64) -> WalFile {
+    fn new(file: File, path: PathBuf, table_id: u32, len: u64) -> WalFile {
         WalFile {
             file,
             path,
             table_id,
             len,
-            next_row,
             broken: false,
             buf: Vec::new(),
             #[cfg(test)]
@@ -150,12 +147,6 @@ impl WalFile {
             #[cfg(test)]
             rewrites: 0,
         }
-    }
-
-    /// The row the next append must start at: one past the log's last
-    /// record, or its `base_row` when it holds none.
-    pub(crate) fn next_row(&self) -> u64 {
-        self.next_row
     }
 
     /// Creates a fresh WAL at `path` with `base_row = 0`, truncating any
@@ -172,7 +163,7 @@ impl WalFile {
             .map_err(|e| io_err("cannot write WAL header", &path, e))?;
         file.sync_all()
             .map_err(|e| io_err("cannot sync WAL", &path, e))?;
-        Ok(WalFile::new(file, path, table_id, HEADER_LEN as u64, 0))
+        Ok(WalFile::new(file, path, table_id, HEADER_LEN as u64))
     }
 
     /// Opens an existing WAL (an atomically renamed `wal.new` left by an
@@ -254,8 +245,7 @@ impl WalFile {
             .map_err(|e| io_err("cannot truncate WAL", &path, e))?;
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("cannot seek WAL", &path, e))?;
-        let wal = WalFile::new(file, path, table_id, valid_len, next_row);
-        Ok((wal, base_row))
+        Ok((WalFile::new(file, path, table_id, valid_len), base_row))
     }
 
     /// Appends one segment's records, row `first_row + i` holding
@@ -280,7 +270,6 @@ impl WalFile {
         match self.file.write_all(&self.buf) {
             Ok(()) => {
                 self.len += self.buf.len() as u64;
-                self.next_row = first_row + rows.len() as u64;
                 Ok(())
             }
             Err(e) => {
@@ -322,7 +311,9 @@ impl WalFile {
     /// `tail`, the rows from `base_row` on (past the new extent coverage):
     /// the new content is written to a side file, fsynced, then renamed
     /// over the log — a crash anywhere leaves either the complete old log or
-    /// the complete new one.
+    /// the complete new one.  The directory is fsynced after the rename:
+    /// until then a power loss may bring back the old log's entry, and with
+    /// it lose every row appended after the checkpoint.
     pub(crate) fn rewrite(&mut self, base_row: u64, tail: &[Tuple]) -> Result<()> {
         #[cfg(test)]
         {
@@ -348,9 +339,20 @@ impl WalFile {
         // reopen can fail and leave appends going to the replaced file.
         self.file = f;
         self.len = out.len() as u64;
-        self.next_row = base_row + tail.len() as u64;
-        Ok(())
+        sync_dir(&self.path)
     }
+}
+
+/// Fsyncs the directory holding `path`, which makes a rename or a file
+/// creation in it durable.
+pub(crate) fn sync_dir(path: &Path) -> Result<()> {
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("cannot sync directory", dir, e))
 }
 
 fn rewrite_path(path: &Path) -> PathBuf {
@@ -461,7 +463,6 @@ mod tests {
             .iter()
             .zip(0..)
             .all(|(r, i)| r.row_index == i as u64 && r.values == row(i)));
-        assert_eq!(wal.next_row(), n as u64);
         // The log was cut before the hole, so an append of row `n` replays.
         wal.append(n as u64, &rows(n..n + 1)).unwrap();
         drop(wal);
@@ -604,7 +605,7 @@ mod tests {
     fn a_log_that_cannot_roll_back_refuses_appends() {
         let path = PathBuf::from("/dev/full");
         let file = OpenOptions::new().write(true).open(&path).unwrap();
-        let mut wal = WalFile::new(file, path, 7, HEADER_LEN as u64, 0);
+        let mut wal = WalFile::new(file, path, 7, HEADER_LEN as u64);
         let err = wal.append(0, &rows(0..2)).unwrap_err();
         assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
         assert!(err.to_string().contains("rolling it back failed"), "{err}");
