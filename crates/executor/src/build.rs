@@ -566,11 +566,6 @@ impl ExecutionResult {
         self.predicate_evaluations.iter().sum()
     }
 
-    /// `(label, tuples_out)` per operator in post-order.
-    pub fn actual_cardinalities(&self) -> Vec<(String, u64)> {
-        self.metrics.output_cardinalities()
-    }
-
     /// Per-operator runtime actuals (tuples, batches, mean batch fill) in
     /// post-order — the series [`PhysicalPlan::explain_with_actuals`] pairs
     /// against the plan.
@@ -780,7 +775,8 @@ mod tests {
         assert_eq!(result.tuples.len(), 3);
         assert_eq!(result.metrics.len(), 3);
         let labels: Vec<String> = result
-            .actual_cardinalities()
+            .metrics
+            .output_cardinalities()
             .iter()
             .map(|(l, _)| l.clone())
             .collect();

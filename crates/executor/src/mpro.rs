@@ -89,15 +89,6 @@ impl MProOp {
         })
     }
 
-    /// A schedule ordered by ascending predicate cost (cheap probes first),
-    /// the classical MPro heuristic when per-predicate selectivities are
-    /// unknown.
-    pub fn cost_ascending_schedule(ctx: &RankingContext, predicates: &[usize]) -> Vec<usize> {
-        let mut s = predicates.to_vec();
-        s.sort_by_key(|&p| ctx.predicate(p).cost);
-        s
-    }
-
     /// Number of predicate probes performed so far.
     pub fn probes(&self) -> u64 {
         self.probes
@@ -335,23 +326,6 @@ mod tests {
         assert_eq!(ctx.upper_bound(&top[1].state), Score::new(2.4));
         // The whole table had to be read before the first emission.
         assert_eq!(exec.metrics().snapshot()[0].tuples_out(), 6);
-    }
-
-    #[test]
-    fn cost_ascending_schedule_orders_by_cost() {
-        let ctx = RankingContext::new(
-            vec![
-                RankPredicate::attribute_with_cost("a", "S.p3", 50),
-                RankPredicate::attribute_with_cost("b", "S.p4", 5),
-                RankPredicate::attribute_with_cost("c", "S.p5", 20),
-            ],
-            ScoringFunction::Sum,
-        );
-        assert_eq!(
-            MProOp::cost_ascending_schedule(&ctx, &[0, 1, 2]),
-            vec![1, 2, 0]
-        );
-        assert_eq!(MProOp::cost_ascending_schedule(&ctx, &[2, 0]), vec![2, 0]);
     }
 
     #[test]

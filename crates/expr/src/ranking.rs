@@ -142,15 +142,6 @@ impl RankPredicate {
         })
     }
 
-    /// Whether this predicate can be evaluated on a tuple having `schema`
-    /// (i.e. all referenced columns are present).
-    pub fn is_evaluable_on(&self, schema: &Schema) -> bool {
-        self.source
-            .columns()
-            .iter()
-            .all(|c| c.resolve(schema).is_ok())
-    }
-
     /// Resolves the predicate's column references against `schema`, once,
     /// for repeated evaluation on tuples of that schema.  Fails if a column
     /// is missing or ambiguous, or a parameter slot is still unbound.
@@ -444,14 +435,6 @@ impl RankingContext {
         &self.predicates[i]
     }
 
-    /// Finds a predicate index by name.
-    pub fn predicate_index(&self, name: &str) -> Result<usize> {
-        self.predicates
-            .iter()
-            .position(|p| p.name == name)
-            .ok_or_else(|| RankSqlError::Plan(format!("unknown ranking predicate `{name}`")))
-    }
-
     /// The scoring function `F`.
     pub fn scoring(&self) -> &ScoringFunction {
         &self.scoring
@@ -465,11 +448,6 @@ impl RankingContext {
     /// The maximal possible value of a single predicate (1.0 by default).
     pub fn max_predicate_value(&self) -> f64 {
         self.max_predicate_value
-    }
-
-    /// Creates a fresh (all-unevaluated) score state.
-    pub fn new_state(&self) -> ScoreState {
-        ScoreState::new(self.num_predicates())
     }
 
     /// The maximal-possible score `F_P[t]` for a score state (per-predicate
@@ -505,13 +483,6 @@ impl RankingContext {
         self.upper_bound(&b.state)
             .cmp(&self.upper_bound(&a.state))
             .then_with(|| a.tuple.id().cmp(b.tuple.id()))
-    }
-
-    /// Indices of predicates evaluable on a given schema.
-    pub fn evaluable_predicates(&self, schema: &Schema) -> Vec<usize> {
-        (0..self.predicates.len())
-            .filter(|&i| self.predicates[i].is_evaluable_on(schema))
-            .collect()
     }
 
     /// Resolves the predicates `which` against `schema` — what an operator
@@ -677,14 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluable_on_checks_schema() {
-        let p = RankPredicate::attribute("p2", "S.p2");
-        assert!(p.is_evaluable_on(&schema()));
-        let r_only = Schema::new(vec![Field::qualified("R", "p1", DataType::Float64)]);
-        assert!(!p.is_evaluable_on(&r_only));
-    }
-
-    #[test]
     fn null_score_is_zero() {
         let p = RankPredicate::attribute("p1", "R.p1")
             .bind(&schema())
@@ -703,11 +666,9 @@ mod tests {
             ScoringFunction::Sum,
         );
         assert_eq!(ctx.num_predicates(), 2);
-        assert_eq!(ctx.predicate_index("p2").unwrap(), 1);
-        assert!(ctx.predicate_index("nope").is_err());
         let mut bound = ctx.bind(&schema(), 0..2).unwrap();
         let t = tuple(0.25, 0.5);
-        let mut state = ctx.new_state();
+        let mut state = ScoreState::new(ctx.num_predicates());
         assert_eq!(ctx.upper_bound(&state), Score::new(2.0));
         bound.evaluate_into(0, &t, &mut state).unwrap();
         assert_eq!(ctx.upper_bound(&state), Score::new(1.25));
@@ -720,20 +681,6 @@ mod tests {
         assert_eq!(ctx.counters().total(), 2);
         ctx.counters().reset();
         assert_eq!(ctx.counters().total(), 0);
-    }
-
-    #[test]
-    fn evaluable_predicates_filters_by_schema() {
-        let ctx = RankingContext::new(
-            vec![
-                RankPredicate::attribute("p1", "R.p1"),
-                RankPredicate::attribute("p2", "S.p2"),
-            ],
-            ScoringFunction::Sum,
-        );
-        let r_only = Schema::new(vec![Field::qualified("R", "p1", DataType::Float64)]);
-        assert_eq!(ctx.evaluable_predicates(&r_only), vec![0]);
-        assert_eq!(ctx.evaluable_predicates(&schema()), vec![0, 1]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! In-memory relational storage substrate for RankSQL.
+//! Relational storage substrate for RankSQL, in memory or paged to disk.
 //!
 //! The RankSQL paper prototypes its algebra and optimizer inside PostgreSQL;
 //! this crate provides the equivalent substrate the prototype relied on,

@@ -23,22 +23,22 @@
 //!    enters the buffer pool (write-through);
 //! 3. once `CHECKPOINT_BLOCKS` blocks were appended since the last
 //!    checkpoint, that seal also checkpoints: fsync the data file →
-//!    atomically rewrite the WAL to hold only the rows past the extents.
-//!    Until then the WAL keeps every row since the last checkpoint, so it
-//!    covers the unsynced extents too.  After a failed data fsync no seal
-//!    checkpoints again, until a reopen;
-//! 4. recovery ([`PagedStore::open`]) decodes the longest CRC-valid extent
-//!    prefix of each data file, truncates everything past it, then replays
-//!    the WAL's valid record prefix on top — landing exactly on the last
-//!    durable epoch.  After a crash the extent prefix may be shorter than
-//!    the WAL's coverage (an unsynced extent torn or lost): replay fills
-//!    the gap, and the floor stays the last WAL fsync.  The log's records
-//!    are contiguous rows of the schema's arity from its `base_row` on;
-//!    those below the extent coverage are duplicates of sealed rows and are
-//!    passed over as they stream by, a row-index hole or a record of
-//!    another arity ends the prefix, and the WAL is truncated there.  The
-//!    extents stay on disk: only their metadata and the replayed rows (the
-//!    table's tail) are held in RAM.
+//!    atomically rewrite the WAL to hold only the rows past the extents,
+//!    from a `base_row` at their end.  Until then the WAL keeps every row
+//!    since the last checkpoint, so it covers the unsynced extents too;
+//! 4. recovery ([`PagedStore::open`]) trusts only the extents below the
+//!    WAL's `base_row`, which is written after the data fsync: it
+//!    CRC-decodes those, cuts the rest unread, re-seals the log's rows as
+//!    they stream by (keeping only the sub-block tail in RAM) and
+//!    checkpoints, landing exactly on the last durable epoch.  A row-index
+//!    hole or a record of another arity ends the replay; a lost
+//!    checkpointed extent ends the durable prefix, and the log restarts
+//!    there.
+//!
+//! The store is fail-stop: a WAL append that cannot be rolled back, or a
+//! failed WAL fsync, extent write, data fsync or WAL rewrite, *poisons*
+//! it, and it refuses every insert until a reopen.  Nothing is retried:
+//! the kernel reports a writeback error to one fsync only.
 //!
 //! Every read of a paged block — a scan, an index scan, an index build,
 //! the statistics — faults it in through the shared [`BufferPool`]
@@ -109,42 +109,83 @@ pub struct TableStore {
 
 #[derive(Debug)]
 struct StoreInner {
-    data: File,
-    data_path: PathBuf,
-    data_len: u64,
+    data: DataFile,
     wal: WalFile,
-    /// Metadata of every durable extent, in block order: `metas.len()` is
-    /// the durable block count.
-    metas: Vec<Arc<BlockMeta>>,
     /// Extents appended since the last checkpoint (not yet fsynced; the
     /// WAL still holds their rows).
     unsynced: usize,
-    /// Set when a data-file fsync failed.  The kernel may have dropped the
-    /// dirty pages of any unsynced extent and reports that to one fsync
-    /// only, so no later fsync vouches for them: the store never
-    /// checkpoints again, and the WAL keeps every row since the last
-    /// checkpoint until a reopen re-checks the extents by CRC and replays
-    /// the rest.
-    sync_failed: bool,
+    /// The failure that poisoned the store: from then on every insert is
+    /// refused, until a reopen recovers from what reached the disk.
+    poisoned: Option<String>,
     /// Data-file fsyncs, for the tests that count them.
     #[cfg(test)]
     data_syncs: usize,
 }
 
+/// A table's data file and the metadata of every extent in it, in block
+/// order: `metas.len()` is the durable block count.
+#[derive(Debug)]
+struct DataFile {
+    file: File,
+    path: PathBuf,
+    len: u64,
+    metas: Vec<Arc<BlockMeta>>,
+}
+
+impl DataFile {
+    /// Appends `block`'s extent as the next block, unsynced.
+    fn append(&mut self, block: &SealedBlock) -> Result<Arc<BlockMeta>> {
+        let block_no = self.metas.len() as u64;
+        let bytes = encode_extent(block_no, block);
+        self.file
+            .seek(SeekFrom::Start(self.len))
+            .and_then(|_| self.file.write_all(&bytes))
+            .map_err(|e| io_err("cannot append extent", &self.path, e))?;
+        let meta = Arc::new(BlockMeta::describe(block_no, self.len, bytes.len(), block));
+        self.len += bytes.len() as u64;
+        self.metas.push(Arc::clone(&meta));
+        Ok(meta)
+    }
+}
+
 impl StoreInner {
+    /// Records `e` as the failure that poisoned the store, and returns it.
+    fn poison(&mut self, e: RankSqlError) -> RankSqlError {
+        self.poisoned = Some(e.message().to_owned());
+        e
+    }
+
+    /// A seal's disk half: fsyncs the WAL, appends one extent per block,
+    /// and checkpoints once `CHECKPOINT_BLOCKS` extents are unsynced.
+    /// Returns the new blocks' metadata.
+    fn persist(&mut self, sealed: &[Arc<SealedBlock>]) -> Result<Vec<Arc<BlockMeta>>> {
+        // The sealed rows must be durable *in the WAL* before their extent
+        // exists: until a checkpoint syncs it, recovery rebuilds the extent
+        // from the log.
+        self.wal.sync()?;
+        let metas = sealed.iter().map(|block| self.data.append(block));
+        let metas = metas.collect::<Result<Vec<_>>>()?;
+        self.unsynced += sealed.len();
+        if self.unsynced >= CHECKPOINT_BLOCKS {
+            // A seal leaves no row past its block.
+            self.checkpoint(&[])?;
+        }
+        Ok(metas)
+    }
+
     /// The checkpoint: fsyncs the data file, then atomically rewrites the
-    /// WAL to hold only `tail`, the rows from `coverage` on.  An error
-    /// leaves a log that covers every row not yet synced; a failed data
-    /// fsync also sets `sync_failed`.
-    fn checkpoint(&mut self, coverage: u64, tail: &[Tuple]) -> Result<()> {
+    /// WAL to hold only `tail`, the rows past the extents, from a
+    /// `base_row` at their end.
+    fn checkpoint(&mut self, tail: &[Tuple]) -> Result<()> {
         #[cfg(test)]
         {
             self.data_syncs += 1;
         }
-        if let Err(e) = self.data.sync_all() {
-            self.sync_failed = true;
-            return Err(io_err("cannot sync table data file", &self.data_path, e));
-        }
+        let data = &mut self.data;
+        data.file
+            .sync_all()
+            .map_err(|e| io_err("cannot sync table data file", &data.path, e))?;
+        let coverage = (data.metas.len() * COLUMN_BLOCK_ROWS) as u64;
         self.wal.rewrite(coverage, tail)?;
         self.unsynced = 0;
         Ok(())
@@ -160,10 +201,26 @@ fn wal_path(dir: &Path, table_id: u32) -> PathBuf {
 }
 
 impl TableStore {
+    fn new(table_id: u32, pool: Arc<BufferPool>, data: DataFile, wal: WalFile) -> TableStore {
+        let inner = StoreInner {
+            data,
+            wal,
+            unsynced: 0,
+            poisoned: None,
+            #[cfg(test)]
+            data_syncs: 0,
+        };
+        TableStore {
+            table_id,
+            pool,
+            inner: Mutex::new(inner),
+        }
+    }
+
     /// Creates fresh (empty) files for a new table.
     fn create(dir: &Path, table_id: u32, pool: Arc<BufferPool>) -> Result<TableStore> {
         let path = data_path(dir, table_id);
-        let data = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -171,27 +228,18 @@ impl TableStore {
             .open(&path)
             .map_err(|e| io_err("cannot create table data file", &path, e))?;
         let wal = WalFile::create(wal_path(dir, table_id), table_id)?;
-        Ok(TableStore {
-            table_id,
-            pool,
-            inner: Mutex::new(StoreInner {
-                data,
-                data_path: path,
-                data_len: 0,
-                wal,
-                metas: Vec::new(),
-                unsynced: 0,
-                sync_failed: false,
-                #[cfg(test)]
-                data_syncs: 0,
-            }),
-        })
+        let data = DataFile {
+            file,
+            path,
+            len: 0,
+            metas: Vec::new(),
+        };
+        Ok(TableStore::new(table_id, pool, data, wal))
     }
 
-    /// Opens and recovers one table of `arity` columns: decodes the longest
-    /// CRC-valid prefix of full-block extents (truncating any torn tail),
-    /// replays the WAL past the extent coverage, and returns the store plus
-    /// the replayed rows.  The extents' rows stay on disk.
+    /// Opens and recovers one table of `arity` columns (the module docs'
+    /// step 4) and returns the store plus the tail, the replayed rows past
+    /// the last full block.  The extents' rows stay on disk.
     fn open(
         dir: &Path,
         table_id: u32,
@@ -199,7 +247,7 @@ impl TableStore {
         pool: Arc<BufferPool>,
     ) -> Result<(TableStore, Vec<Tuple>)> {
         let path = data_path(dir, table_id);
-        let mut data = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
@@ -207,28 +255,44 @@ impl TableStore {
             .truncate(false)
             .open(&path)
             .map_err(|e| io_err("cannot open table data file", &path, e))?;
-        let file_len = data
+        let file_len = file
             .metadata()
             .map_err(|e| io_err("cannot stat table data file", &path, e))?
             .len();
+        let log = wal_path(dir, table_id);
+        let (mut wal, base_row) = match WalFile::open(log.clone(), table_id)? {
+            Some(opened) => opened,
+            // `create` and `rewrite` fsync a log's header before its
+            // directory entry is durable, so no crash leaves a log without
+            // one; read as `base_row` 0, it would drop checkpointed extents.
+            None if file_len > 0 => {
+                return Err(RankSqlError::Storage(format!(
+                    "WAL `{}` is missing or its header is torn, beside a non-empty data file",
+                    log.display()
+                )))
+            }
+            None => (WalFile::create(log, table_id)?, 0),
+        };
 
-        // Stream the extents through one reused buffer: each header sizes
-        // its extent, and no read reaches past the end of the file.
+        // Stream the checkpointed extents through one reused buffer: each
+        // header sizes its extent, and no read reaches past the end of the
+        // file.
+        let checkpointed = base_row / COLUMN_BLOCK_ROWS as u64;
         let mut metas = Vec::new();
         let mut buf = Vec::new();
         let mut offset = 0u64;
-        while offset < file_len {
+        while offset < file_len && (metas.len() as u64) < checkpointed {
             let left = file_len - offset;
             let clamp = |n: usize| (n as u64).min(left) as usize;
             buf.resize(clamp(EXTENT_HEADER), 0);
-            data.read_exact(&mut buf)
+            file.read_exact(&mut buf)
                 .map_err(|e| io_err("cannot read table data file", &path, e))?;
             let Some(len) = extent_len(&buf) else {
                 break;
             };
             let head = buf.len();
             buf.resize(clamp(len), 0);
-            data.read_exact(&mut buf[head..])
+            file.read_exact(&mut buf[head..])
                 .map_err(|e| io_err("cannot read table data file", &path, e))?;
             let decoded = match decode_extent(&buf)? {
                 Some(d) if d.block_no == metas.len() as u64 => d,
@@ -246,65 +310,40 @@ impl TableStore {
             metas.push(Arc::new(BlockMeta::describe(block_no, offset, len, &block)));
             offset += len as u64;
         }
-        if offset < file_len {
-            data.set_len(offset)
-                .map_err(|e| io_err("cannot truncate table data file", &path, e))?;
-        }
+        // No fsync vouched for the extents past the checkpoint: cut them
+        // unread.
+        file.set_len(offset)
+            .map_err(|e| io_err("cannot truncate table data file", &path, e))?;
 
-        // The log holds every row since the last checkpoint, row after row
-        // from its `base_row` (the log's own rule).  Records below the
-        // extent coverage are duplicates of sealed rows (the extents
-        // appended since that checkpoint) and are passed over as they
-        // stream by.  A record whose arity is not the schema's is not a
-        // row an insert wrote: it ends the durable epoch, and the log is
-        // cut there.
-        let coverage = (metas.len() * COLUMN_BLOCK_ROWS) as u64;
-        let (mut rows, mut replayed) = (Vec::new(), 0u64);
-        let (wal, base_row) = WalFile::open(wal_path(dir, table_id), table_id, |rec| {
-            if rec.values.len() != arity {
-                return false;
-            }
-            if rec.row_index >= coverage {
-                rows.push(Tuple::new(
-                    TupleId::base(table_id, rec.row_index),
-                    rec.values,
-                ));
-            }
-            replayed += 1;
-            true
-        })?;
-        // A log based past the extent coverage (a checkpointed extent
-        // lost) starts after a hole: none of its rows follow the extents.
-        if base_row > coverage {
-            rows.clear();
-        }
-
-        let checkpointed = (base_row / COLUMN_BLOCK_ROWS as u64) as usize;
-        let mut inner = StoreInner {
-            data,
-            data_path: path,
-            data_len: offset,
-            wal,
-            unsynced: metas.len().saturating_sub(checkpointed),
+        // The log's rows follow the checkpointed extents, unless one of
+        // them was lost: then the durable prefix ends at that hole, and
+        // the checkpoint below restarts the log there.  Each full block of
+        // rows is sealed as it streams by, into the extent its first seal
+        // wrote.
+        let mut data = DataFile {
+            file,
+            path,
+            len: offset,
             metas,
-            sync_failed: false,
-            #[cfg(test)]
-            data_syncs: 0,
         };
-        // A log that does not end at the recovered rows — cut below the
-        // extent coverage, or based past it — would take the next append
-        // after a hole; a checkpoint restarts it at the extent coverage.
-        if base_row + replayed != coverage + rows.len() as u64 {
-            inner.checkpoint(coverage, &rows)?;
+        let mut tail = Vec::new();
+        if (data.metas.len() * COLUMN_BLOCK_ROWS) as u64 == base_row {
+            wal.replay(base_row, |rec| {
+                if rec.values.len() != arity {
+                    return Ok(false);
+                }
+                let id = TupleId::base(table_id, rec.row_index);
+                tail.push(Tuple::new(id, rec.values));
+                if tail.len() == COLUMN_BLOCK_ROWS {
+                    data.append(&SealedBlock::seal(&tail, arity))?;
+                    tail.clear();
+                }
+                Ok(true)
+            })?;
         }
-        Ok((
-            TableStore {
-                table_id,
-                pool,
-                inner: Mutex::new(inner),
-            },
-            rows,
-        ))
+        let store = TableStore::new(table_id, pool, data, wal);
+        store.inner.lock().checkpoint(&tail)?;
+        Ok((store, tail))
     }
 
     /// The id of the table this store backs.
@@ -319,79 +358,57 @@ impl TableStore {
 
     /// Appends one segment to the WAL, row `first_row + i` holding
     /// `rows[i]`'s values (one write, unsynced — called from
-    /// [`Table::insert_batch`] under the table's write lock).
+    /// [`Table::insert_batch`] under the table's write lock).  A poisoned
+    /// store refuses it and writes nothing.  A failed write is rolled back,
+    /// so the log holds no part of the segment; a log that cannot be
+    /// rolled back may end in a torn record, and poisons the store.
     pub(crate) fn append_wal(&self, first_row: u64, rows: &[Tuple]) -> Result<()> {
-        self.inner.lock().wal.append(first_row, rows)
+        let mut inner = self.inner.lock();
+        if let Some(cause) = &inner.poisoned {
+            return Err(RankSqlError::Storage(format!(
+                "table {} refuses writes until a reopen: {cause}",
+                self.table_id
+            )));
+        }
+        let Err(e) = inner.wal.append(first_row, rows) else {
+            return Ok(());
+        };
+        match inner.wal.roll_back() {
+            Ok(()) => Err(e),
+            Err(undo) => Err(inner.poison(RankSqlError::Storage(format!(
+                "{}; rolling it back failed: {undo}",
+                e.message()
+            )))),
+        }
     }
 
     /// Checkpoints now: fsyncs the data file and rewrites the WAL to hold
     /// only `tail`, the rows past the extents.  A table attached with rows
-    /// of its own calls it, since its fresh log holds none of them.
+    /// of its own calls it, since its fresh log holds none of them.  A
+    /// failure poisons the store.
     pub(crate) fn checkpoint(&self, tail: &[Tuple]) -> Result<()> {
         let mut inner = self.inner.lock();
-        let coverage = (inner.metas.len() * COLUMN_BLOCK_ROWS) as u64;
-        inner.checkpoint(coverage, tail)
+        inner.checkpoint(tail).map_err(|e| inner.poison(e))
     }
 
     /// The durable blocks as paged slots, in block order.
     pub(crate) fn durable_blocks(&self) -> Vec<BlockSlot> {
         let inner = self.inner.lock();
-        inner.metas.iter().cloned().map(BlockSlot::Paged).collect()
+        let metas = inner.data.metas.iter().cloned();
+        metas.map(BlockSlot::Paged).collect()
     }
 
     /// Makes `sealed` — the table's next blocks after the durable ones —
     /// durable and returns their paged slots, following the seal-boundary
     /// protocol: WAL fsync (the durability point) → extent appends, no
-    /// fsync.  When `CHECKPOINT_BLOCKS` extents have been appended since
-    /// the last checkpoint, the seal then checkpoints: data fsync → WAL
-    /// rewrite to hold only `tail`, the rows past the extents.  After a
-    /// failed data fsync no seal checkpoints again, and the WAL keeps
-    /// covering every unsynced extent.  Nothing is committed before every
-    /// step succeeds: on an error the durable block count, data length and
-    /// checkpoint count stay as they were, the WAL still covers every row,
-    /// so the table keeps the rows in its tail and its next seal retries,
-    /// rewriting the same extents over any this attempt appended.  Every
-    /// caller holds the table's write lock or runs at open, so one table
-    /// never persists concurrently.
-    pub(crate) fn persist(
-        &self,
-        sealed: &[Arc<SealedBlock>],
-        tail: &[Tuple],
-    ) -> Result<Vec<BlockSlot>> {
+    /// fsync → every `CHECKPOINT_BLOCKS` extents, a checkpoint.  Any
+    /// failure poisons the store, and nothing is retried: the rows stay in
+    /// the table's tail, and the WAL holds them as far as its last fsync.
+    /// Every caller holds the table's write lock, so one table never
+    /// persists concurrently.
+    pub(crate) fn persist(&self, sealed: &[Arc<SealedBlock>]) -> Result<Vec<BlockSlot>> {
         let mut inner = self.inner.lock();
-        let first = inner.metas.len();
-        let mut offset = inner.data_len;
-        let mut metas = Vec::with_capacity(sealed.len());
-        if !sealed.is_empty() {
-            // The sealed rows must be durable *in the WAL* before their
-            // extent exists: until a checkpoint syncs it, a crash may tear
-            // or drop the extent, and replay rebuilds it from the log.
-            inner.wal.sync()?;
-            for (k, block) in sealed.iter().enumerate() {
-                let block_no = (first + k) as u64;
-                let bytes = encode_extent(block_no, block);
-                inner
-                    .data
-                    .seek(SeekFrom::Start(offset))
-                    .and_then(|_| inner.data.write_all(&bytes))
-                    .map_err(|e| io_err("cannot append extent", &inner.data_path, e))?;
-                metas.push(Arc::new(BlockMeta::describe(
-                    block_no,
-                    offset,
-                    bytes.len(),
-                    block,
-                )));
-                offset += bytes.len() as u64;
-            }
-        }
-        if inner.unsynced + sealed.len() >= CHECKPOINT_BLOCKS && !inner.sync_failed {
-            let coverage = ((first + sealed.len()) * COLUMN_BLOCK_ROWS) as u64;
-            inner.checkpoint(coverage, tail)?;
-        } else {
-            inner.unsynced += sealed.len();
-        }
-        inner.data_len = offset;
-        inner.metas.extend(metas.iter().cloned());
+        let metas = inner.persist(sealed).map_err(|e| inner.poison(e))?;
         drop(inner);
         Ok(sealed
             .iter()
@@ -421,11 +438,11 @@ impl TableStore {
             return Ok((block, false));
         }
         let mut buf = vec![0u8; meta.len];
-        inner
-            .data
+        let data = &mut inner.data;
+        data.file
             .seek(SeekFrom::Start(meta.offset))
-            .and_then(|_| inner.data.read_exact(&mut buf))
-            .map_err(|e| io_err("cannot read extent", &inner.data_path, e))?;
+            .and_then(|_| data.file.read_exact(&mut buf))
+            .map_err(|e| io_err("cannot read extent", &data.path, e))?;
         drop(inner);
         let decoded = decode_extent(&buf)?.ok_or_else(|| {
             RankSqlError::Storage(format!(
@@ -491,7 +508,7 @@ impl PagedStore {
             let arity = spec.schema.len();
             let (ts, rows) = TableStore::open(&store.dir, spec.id, arity, Arc::clone(&store.pool))?;
             let schema = spec.schema.clone();
-            let table = Table::recovered(spec.id, &spec.name, schema, Arc::new(ts), rows)?;
+            let table = Table::recovered(spec.id, &spec.name, schema, Arc::new(ts), rows);
             catalog.adopt_recovered(table)?;
         }
         catalog.attach_paged_store(Arc::clone(&store));
@@ -962,21 +979,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The store behind paged table `t`.
+    fn store_of(t: &Table) -> Arc<TableStore> {
+        Arc::clone(blocks(t).store.as_ref().unwrap())
+    }
+
+    /// The values of every row of `t`, in row order.
+    fn values(t: &Table) -> Vec<Vec<Value>> {
+        t.scan().iter().map(|t| t.values().to_vec()).collect()
+    }
+
     #[test]
     fn an_extent_claiming_a_payload_past_eof_ends_the_extent_prefix() {
         let dir = temp_dir("oversized");
-        let n = 2 * COLUMN_BLOCK_ROWS as i64 + 50;
+        let n = CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS + 50;
         {
             let catalog = Catalog::new();
             PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
             let t = catalog.create_table("T", schema()).unwrap();
-            for i in 0..n {
-                t.insert(row(i)).unwrap();
-            }
-            assert_eq!(blocks(&t).paged_blocks(), 2);
+            t.insert_batch((0..n as i64).map(row)).unwrap();
+            assert_eq!(store_of(&t).inner.lock().unsynced, 0, "all checkpointed");
         }
-        // Make the last extent's header claim a payload far past the end
-        // of the file.
+        // Make the second extent's header, which the checkpoint synced,
+        // claim a payload far past the end of the file.
         let data = data_path(&dir, 0);
         let mut bytes = std::fs::read(&data).unwrap();
         let first_len = extent_len(&bytes).unwrap();
@@ -985,22 +1010,22 @@ mod tests {
         std::fs::write(&data, &bytes).unwrap();
 
         // Open the store alone: the extent prefix ends with the first
-        // extent, the file is cut there, and the WAL replays every row
-        // past it.
+        // extent and the file is cut there.  The log's rows start past the
+        // hole, so none is replayed, and the log restarts at the hole.
         let (store, rows) = TableStore::open(&dir, 0, 3, Arc::new(BufferPool::new(64))).unwrap();
         assert_eq!(store.durable_blocks().len(), 1);
         let truncated = std::fs::metadata(&data).unwrap().len();
         assert_eq!(truncated, first_len as u64, "truncated at the first extent");
-        assert_eq!(rows.len(), n as usize - COLUMN_BLOCK_ROWS);
+        assert!(rows.is_empty());
         drop(store);
         let catalog = Catalog::new();
         PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
         let t = catalog.table("T").unwrap();
-        assert_eq!(t.row_count(), n as usize);
-        assert_eq!(blocks(&t).paged_blocks(), 2, "re-sealed at open");
-        for i in [0, COLUMN_BLOCK_ROWS as i64, n - 1] {
-            assert_eq!(row_at(&t, i as usize).values(), &row(i)[..], "row {i}");
-        }
+        assert_eq!(
+            values(&t),
+            (0..COLUMN_BLOCK_ROWS as i64).map(row).collect::<Vec<_>>()
+        );
+        assert_eq!(top10(&t), top10(&twin(COLUMN_BLOCK_ROWS)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1084,47 +1109,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Swaps the data-file handle of `t`'s store for a read-only one, on
-    /// which every extent append fails, and returns the writable handle.
-    fn read_only_data(t: &Table, dir: &Path) -> File {
-        let store = Arc::clone(blocks(t).store.as_ref().unwrap());
-        let read_only = File::open(data_path(dir, t.id())).unwrap();
-        let mut inner = store.inner.lock();
-        std::mem::replace(&mut inner.data, read_only)
-    }
-
-    #[test]
-    fn a_failed_persist_leaves_a_longer_tail_and_the_next_seal_retries() {
-        let dir = temp_dir("retry");
-        let last = COLUMN_BLOCK_ROWS as i64 - 1;
-        let catalog = Catalog::new();
-        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
-        let t = catalog.create_table("T", schema()).unwrap();
-        for i in 0..last {
-            t.insert(row(i)).unwrap();
-        }
-        // The seal's extent append fails, so the persist fails before
-        // committing.
-        let writable = read_only_data(&t, &dir);
-        assert!(matches!(t.insert(row(last)), Err(RankSqlError::Storage(_))));
-        let epoch = t.pin_epoch();
-        assert_eq!(epoch.blocks().num_blocks(), 0);
-        assert_eq!(epoch.tail().len(), COLUMN_BLOCK_ROWS, "the row is in");
-        blocks(&t).store.as_ref().unwrap().inner.lock().data = writable;
-        // The next insert's seal retries and lands both blocks' worth.
-        t.insert(row(last + 1)).unwrap();
-        assert_short_tail(&t);
-        assert_eq!(blocks(&t).paged_blocks(), 1);
-        drop((t, catalog));
-        let catalog = Catalog::new();
-        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
-        let t = catalog.table("T").unwrap();
-        assert_eq!(t.row_count(), COLUMN_BLOCK_ROWS + 1);
-        assert_short_tail(&t);
-        assert_eq!(row_at(&t, COLUMN_BLOCK_ROWS).values(), &row(last + 1)[..]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// One WAL write per segment: a block-aligned 1024-row batch is one,
     /// and of `ingest-paged`'s four 256-row batches from 320 rows past a
     /// boundary only the one crossing the seal makes two — five a cycle,
@@ -1182,77 +1166,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn a_failed_checkpoint_publishes_nothing_and_the_next_seal_retries_it() {
-        let dir = temp_dir("checkpoint_retry");
-        let moved = dir.with_extension("moved");
-        let _ = std::fs::remove_dir_all(&moved);
-        let last = (CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS) as i64 - 1;
-        let catalog = Catalog::new();
-        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
-        let t = catalog.create_table("T", schema()).unwrap();
-        t.insert_batch((0..last).map(row)).unwrap();
-        // With the directory moved away the checkpoint's WAL rewrite cannot
-        // create its side file, so the seal fails before committing.
-        std::fs::rename(&dir, &moved).unwrap();
-        assert!(matches!(t.insert(row(last)), Err(RankSqlError::Storage(_))));
-        let epoch = t.pin_epoch();
-        assert_eq!(epoch.blocks().num_blocks(), CHECKPOINT_BLOCKS - 1);
-        assert_eq!(epoch.tail().len(), COLUMN_BLOCK_ROWS, "the row is in");
-        std::fs::rename(&moved, &dir).unwrap();
-        // The next seal appends the block again and checkpoints.
-        t.insert(row(last + 1)).unwrap();
-        assert_short_tail(&t);
-        assert_eq!(blocks(&t).paged_blocks(), CHECKPOINT_BLOCKS);
-        let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
-        assert_eq!(store.inner.lock().unsynced, 0);
-        drop((t, store, catalog));
-        let catalog = Catalog::new();
-        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
-        let t = catalog.table("T").unwrap();
-        assert_eq!(t.row_count(), CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS + 1);
-        assert_eq!(row_at(&t, t.row_count() - 1).values(), &row(last + 1)[..]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A failed data fsync may have cost any unsynced extent its pages,
-    /// and no later fsync on the handle reports it: no seal checkpoints
-    /// again, so the WAL keeps every row and recovers them all.
-    #[test]
-    fn after_a_failed_data_fsync_the_wal_keeps_every_row() {
-        let dir = temp_dir("sync_failed");
-        let last = (CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS) as i64 - 1;
-        let catalog = Catalog::new();
-        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
-        let t = catalog.create_table("T", schema()).unwrap();
-        t.insert_batch((0..last).map(row)).unwrap();
-        let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
-        // `/dev/null` takes every write and fails every fsync.
-        let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
-        let writable = std::mem::replace(&mut store.inner.lock().data, null);
-        assert!(matches!(t.insert(row(last)), Err(RankSqlError::Storage(_))));
-        assert_eq!(blocks(&t).num_blocks(), CHECKPOINT_BLOCKS - 1);
-        store.inner.lock().data = writable;
-        // The failed row is in.  The next seal appends its block again, and
-        // a second 64 blocks pass without a checkpoint.
-        let n = 2 * CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS + 10;
-        t.insert_batch((last + 1..n as i64).map(row)).unwrap();
-        assert_eq!(blocks(&t).paged_blocks(), 2 * CHECKPOINT_BLOCKS);
-        let (_, data_syncs, rewrites) = syncs(&store);
-        assert_eq!((data_syncs, rewrites), (1, 0));
-        drop((t, store, catalog));
-        // With every extent lost, the WAL alone brings back every row.
-        std::fs::write(data_path(&dir, 0), b"").unwrap();
-        let catalog = Catalog::new();
-        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
-        let t = catalog.table("T").unwrap();
-        assert_eq!(t.row_count(), n);
-        assert_eq!(top10(&t), top10(&twin(n)));
-        let got = t.scan().into_iter().map(|t| t.values().to_vec());
-        assert!(got.eq((0..n as i64).map(row)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// `t`'s ten best rows by `p`, ties broken by row id: what a top-10
     /// over the table must answer.
     fn top10(t: &Table) -> Vec<Tuple> {
@@ -1286,7 +1199,7 @@ mod tests {
             let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
             let inner = store.inner.lock();
             assert_eq!(inner.unsynced, 3, "three extents past the checkpoint");
-            let offsets: Vec<usize> = inner.metas.iter().map(|m| m.offset as usize).collect();
+            let offsets: Vec<usize> = inner.data.metas.iter().map(|m| m.offset as usize).collect();
             let files: Vec<_> = std::fs::read_dir(&dir)
                 .unwrap()
                 .map(|e| {
@@ -1377,38 +1290,233 @@ mod tests {
             ),
             ((65_536, 0xebff_3742), (102_106, 0xad7d_2b5c)),
         );
-        let store = Arc::clone(blocks(&t).store.as_ref().unwrap());
         let tail = t.pin_epoch().tail().to_vec();
-        store.inner.lock().checkpoint(2048, &tail).unwrap();
+        store_of(&t).inner.lock().checkpoint(&tail).unwrap();
         assert_eq!(digest(wal_path(&dir, t.id())), (4_912, 0xaf49_4386));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Recovery cuts every extent past the checkpoint unread and seals the
+    /// log's rows again as they stream by, into the very bytes the first
+    /// seals wrote; it ends with no unsynced extent and a log holding only
+    /// the tail.
     #[test]
-    fn recovery_seals_a_wal_that_outgrew_a_block() {
-        let dir = temp_dir("long_wal");
-        let n = COLUMN_BLOCK_ROWS as i64 + 20;
+    fn recovery_reseals_the_rows_past_the_checkpoint_byte_for_byte() {
+        let dir = temp_dir("reseal");
+        let n = 3 * COLUMN_BLOCK_ROWS + 20;
         {
             let catalog = Catalog::new();
             PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
             let t = catalog.create_table("T", schema()).unwrap();
-            read_only_data(&t, &dir);
-            for i in 0..n {
-                // Every seal fails: the WAL keeps every row.
-                let _ = t.insert(row(i));
-            }
-            assert_eq!(t.pin_epoch().tail().len(), n as usize);
+            t.insert_batch((0..n as i64).map(row)).unwrap();
         }
-        // Drop the extents the failed attempts wrote: only the WAL is left.
-        std::fs::write(data_path(&dir, 0), b"").unwrap();
+        let data = data_path(&dir, 0);
+        let pristine = std::fs::read(&data).unwrap();
+        // Lose every extent: only the WAL is left.
+        std::fs::write(&data, b"").unwrap();
         let catalog = Catalog::new();
         PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
         let t = catalog.table("T").unwrap();
-        assert_eq!(t.row_count(), n as usize);
+        assert_eq!(std::fs::read(&data).unwrap(), pristine);
+        assert_eq!(blocks(&t).paged_blocks(), 3, "sealed and persisted at open");
         assert_short_tail(&t);
-        assert_eq!(blocks(&t).paged_blocks(), 1, "sealed and persisted at open");
-        let got: Vec<Vec<Value>> = t.scan().iter().map(|t| t.values().to_vec()).collect();
-        assert_eq!(got, (0..n).map(row).collect::<Vec<_>>());
+        assert_eq!(values(&t), (0..n as i64).map(row).collect::<Vec<_>>());
+        let store = store_of(&t);
+        let (wal, base_row) = {
+            let inner = store.inner.lock();
+            assert_eq!(
+                (inner.unsynced, inner.data_syncs, inner.wal.rewrites),
+                (0, 1, 1)
+            );
+            WalFile::open(wal_path(&dir, 0), 0).unwrap().unwrap()
+        };
+        assert_eq!(base_row, 3 * COLUMN_BLOCK_ROWS as u64);
+        let mut replayed = 0;
+        let mut wal = wal;
+        wal.replay(base_row, |_| {
+            replayed += 1;
+            Ok(true)
+        })
+        .unwrap();
+        assert_eq!(replayed, 20, "the log holds only the tail");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A log without a header beside extents fails the open typed: no
+    /// crash leaves one, and read as `base_row` 0 it would drop the
+    /// checkpointed extents.  Beside an empty data file it starts afresh.
+    #[test]
+    fn a_headless_wal_beside_extents_fails_the_open_typed() {
+        let dir = temp_dir("headless");
+        {
+            let catalog = Catalog::new();
+            PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+            let t = catalog.create_table("T", schema()).unwrap();
+            t.insert_batch((0..COLUMN_BLOCK_ROWS as i64 + 5).map(row))
+                .unwrap();
+        }
+        let wal = wal_path(&dir, 0);
+        for torn in [Some(10), None] {
+            match torn {
+                Some(len) => std::fs::write(&wal, vec![0; len]).unwrap(),
+                None => std::fs::remove_file(&wal).unwrap(),
+            }
+            match PagedStore::open(&dir, PagedOptions::default(), &Catalog::new()) {
+                Err(RankSqlError::Storage(msg)) => assert!(msg.contains("header"), "{msg}"),
+                other => panic!("expected a typed storage error, got {other:?}"),
+            }
+        }
+        std::fs::write(data_path(&dir, 0), b"").unwrap();
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        assert_eq!(catalog.table("T").unwrap().row_count(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `/dev/null`, which takes every write and fails every fsync.
+    fn dev_null() -> File {
+        OpenOptions::new().write(true).open("/dev/null").unwrap()
+    }
+
+    /// Moves `dir` aside, so nothing can be created or opened in it, and
+    /// returns what moves it back.
+    fn move_aside(dir: &Path) -> impl FnOnce() {
+        let (dir, moved) = (dir.to_owned(), dir.with_extension("moved"));
+        let _ = std::fs::remove_dir_all(&moved);
+        std::fs::rename(&dir, &moved).unwrap();
+        move || std::fs::rename(&moved, &dir).unwrap()
+    }
+
+    /// What undoes a scripted fault, run after the failing insert.
+    type Undo = Box<dyn FnOnce(&TableStore)>;
+
+    /// Scripts one fault: inserts rows `0..before` into a fresh paged `T`
+    /// and pins that epoch; `arm` breaks the store, and row `before` must
+    /// then fail to insert, typed.  After `arm`'s undo the store stays
+    /// poisoned: the next insert is refused, typed, and writes nothing to
+    /// the WAL, while the pinned epoch still reads.  Returns the directory,
+    /// every handle closed, and the rows written.
+    fn script_fault(
+        tag: &str,
+        before: usize,
+        arm: impl FnOnce(&TableStore, &Path) -> Undo,
+    ) -> (PathBuf, usize) {
+        let dir = temp_dir(tag);
+        let catalog = Catalog::new();
+        PagedStore::open(&dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.create_table("T", schema()).unwrap();
+        t.insert_batch((0..before as i64).map(row)).unwrap();
+        let (store, pinned) = (store_of(&t), t.pin_epoch());
+        let undo = arm(&store, &dir);
+        let err = t.insert(row(before as i64)).unwrap_err();
+        assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
+        undo(&store);
+        let writes = store.inner.lock().wal.writes;
+        let err = t.insert(row(before as i64 + 1)).unwrap_err();
+        assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
+        assert!(err.to_string().contains("refuses writes"), "{err}");
+        assert_eq!(store.inner.lock().wal.writes, writes, "a refused insert");
+        let read = pinned.tuples(0..before).unwrap();
+        assert!(read
+            .iter()
+            .map(|t| t.values())
+            .eq((0..before as i64).map(row)));
+        (dir, before + 1)
+    }
+
+    /// Reopens `dir`: it must recover at least `floor` rows (the last WAL
+    /// fsync) and at most `written`, the rows `0..n` with the in-memory
+    /// twin's top 10.
+    fn assert_recovers(dir: &Path, floor: usize, written: usize) {
+        let catalog = Catalog::new();
+        PagedStore::open(dir, PagedOptions::default(), &catalog).unwrap();
+        let t = catalog.table("T").unwrap();
+        let n = t.row_count();
+        assert!((floor..=written).contains(&n), "{n} rows recovered");
+        assert_short_tail(&t);
+        assert_eq!(top10(&t), top10(&twin(n)));
+        assert_eq!(values(&t), (0..n as i64).map(row).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_wal_append_that_cannot_roll_back_poisons_the_store() {
+        let before = COLUMN_BLOCK_ROWS + 100;
+        let (dir, written) = script_fault("poison_append", before, |store, dir| {
+            // A read-only handle fails the write, and the roll back cannot
+            // reopen the log in a moved directory.
+            let read_only = File::open(wal_path(dir, 0)).unwrap();
+            let writable = store.inner.lock().wal.swap_file(read_only);
+            let back = move_aside(dir);
+            Box::new(move |store| {
+                back();
+                store.inner.lock().wal.swap_file(writable);
+            })
+        });
+        assert_recovers(&dir, COLUMN_BLOCK_ROWS, written);
+    }
+
+    /// The kernel reports a writeback error to one fsync only, so a
+    /// second fsync of the log, even on a good handle, proves nothing: the
+    /// store stays poisoned with its handle restored.
+    #[test]
+    fn a_failed_wal_fsync_poisons_the_store_though_its_handle_is_restored() {
+        let before = 2 * COLUMN_BLOCK_ROWS - 1;
+        let (dir, written) = script_fault("poison_wal_fsync", before, |store, _| {
+            let writable = store.inner.lock().wal.swap_file(dev_null());
+            Box::new(move |store| drop(store.inner.lock().wal.swap_file(writable)))
+        });
+        assert_recovers(&dir, COLUMN_BLOCK_ROWS, written);
+    }
+
+    #[test]
+    fn a_failed_extent_write_poisons_the_store() {
+        let before = COLUMN_BLOCK_ROWS - 1;
+        let (dir, written) = script_fault("poison_extent", before, |store, dir| {
+            // The seal's WAL fsync succeeds; its extent write fails.
+            let read_only = File::open(data_path(dir, 0)).unwrap();
+            let writable = std::mem::replace(&mut store.inner.lock().data.file, read_only);
+            Box::new(move |store| store.inner.lock().data.file = writable)
+        });
+        assert_recovers(&dir, COLUMN_BLOCK_ROWS, written);
+    }
+
+    /// After a failed data fsync the cached pages of an unsynced extent
+    /// may read back though they never reach the disk, so they prove
+    /// nothing: a CRC-valid extent of other rows planted past `base_row` is
+    /// never read, and the WAL's rows win.
+    #[test]
+    fn a_failed_data_fsync_poisons_the_store_and_no_unsynced_extent_is_read() {
+        // The checkpoint's data fsync fails, after the 64th extent went to
+        // `/dev/null`.
+        let before = CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS - 1;
+        let (dir, written) = script_fault("poison_data_fsync", before, |store, _| {
+            let writable = std::mem::replace(&mut store.inner.lock().data.file, dev_null());
+            Box::new(move |store| store.inner.lock().data.file = writable)
+        });
+        let last = CHECKPOINT_BLOCKS - 1;
+        let planted: Vec<Tuple> = (last * COLUMN_BLOCK_ROWS..written)
+            .map(|i| Tuple::new(TupleId::base(0, i as u64), row(i as i64 + 7)))
+            .collect();
+        let extent = encode_extent(last as u64, &SealedBlock::seal(&planted, 3));
+        let mut data = OpenOptions::new()
+            .append(true)
+            .open(data_path(&dir, 0))
+            .unwrap();
+        data.write_all(&extent).unwrap();
+        drop(data);
+        assert_recovers(&dir, written, written);
+    }
+
+    #[test]
+    fn a_failed_wal_rewrite_poisons_the_store() {
+        let before = CHECKPOINT_BLOCKS * COLUMN_BLOCK_ROWS - 1;
+        let (dir, written) = script_fault("poison_rewrite", before, |_, dir| {
+            // The data fsync succeeds; the rewrite cannot create its side
+            // file in a moved directory.
+            let back = move_aside(dir);
+            Box::new(move |_| back())
+        });
+        assert_recovers(&dir, written, written);
     }
 }

@@ -220,8 +220,9 @@ impl EpochSet {
 #[derive(Debug)]
 struct TableData {
     blocks: Arc<ColumnTable>,
-    /// The rows past the blocks: fewer than [`COLUMN_BLOCK_ROWS`], except
-    /// after a failed persist, which the next seal retries.
+    /// The rows past the blocks: fewer than [`COLUMN_BLOCK_ROWS`], or
+    /// exactly that many after a failed seal, which poisoned the table's
+    /// store so that no insert follows.
     tail: Arc<Vec<Tuple>>,
 }
 
@@ -286,16 +287,15 @@ impl Table {
 
     /// Rebuilds a table from recovered state (crash recovery path of
     /// [`crate::recovery::PagedStore::open`]): `store`'s durable blocks,
-    /// left paged out, plus the rows replayed from the WAL past them, which
-    /// are sealed here when they fill a block.  Nothing is re-appended to
-    /// the WAL.
+    /// left paged out, plus `tail`, the rows replayed from the WAL past
+    /// them — fewer than a block, since recovery seals every full one.
     pub(crate) fn recovered(
         id: u32,
         name: &str,
         schema: Schema,
         store: Arc<TableStore>,
         tail: Vec<Tuple>,
-    ) -> Result<Table> {
+    ) -> Table {
         let table = Table::new(id, name, schema);
         {
             let mut data = table.data.write();
@@ -304,9 +304,8 @@ impl Table {
                 ColumnTable::empty(id, name, &table.schema, Some(store)).appended(durable),
             );
             data.tail = Arc::new(tail);
-            table.seal(&mut data)?;
         }
-        Ok(table)
+        table
     }
 
     /// Attaches a [`TableStore`], making the table durable from here on.
@@ -315,11 +314,12 @@ impl Table {
     /// atomic against concurrent inserts.
     pub(crate) fn attach_store(&self, store: Arc<TableStore>) -> Result<()> {
         let mut data = self.data.write();
-        let sealed = (0..data.blocks.num_blocks())
-            .map(|b| Ok(data.blocks.fetch_block(b)?.0))
-            .collect::<Result<Vec<_>>>()?;
-        let slots = store.persist(&sealed, &data.tail)?;
+        let mut slots = Vec::new();
         if data.row_count() > 0 {
+            let sealed = (0..data.blocks.num_blocks())
+                .map(|b| Ok(data.blocks.fetch_block(b)?.0))
+                .collect::<Result<Vec<_>>>()?;
+            slots = store.persist(&sealed)?;
             // The fresh log holds none of the table's rows: only a
             // checkpoint makes them durable.
             store.checkpoint(&data.tail)?;
@@ -368,29 +368,22 @@ impl Table {
         self.append(std::iter::once(values)).map(|(_, last)| last)
     }
 
-    /// Seals every full block's worth of the tail (one block at each
-    /// 1024-row boundary) and publishes the new block list.  On a paged
-    /// table the seal boundary is also the durability boundary: the new
-    /// blocks are persisted as extents first, and only a successful persist
-    /// publishes them — an error leaves the rows in the tail, WAL-covered
-    /// and still durable, and the next insert's seal retries.
+    /// Seals a full tail into one new block and publishes the new block
+    /// list.  On a paged table the seal boundary is also the durability
+    /// boundary: the block is persisted as an extent first, and only a
+    /// successful persist publishes it — an error leaves the rows in the
+    /// tail and poisons the store, which refuses every later insert.
     fn seal(&self, data: &mut TableData) -> Result<()> {
-        let full = data.tail.len() / COLUMN_BLOCK_ROWS * COLUMN_BLOCK_ROWS;
-        if full == 0 {
+        if data.tail.len() < COLUMN_BLOCK_ROWS {
             return Ok(());
         }
-        let (rows, rest) = data.tail.split_at(full);
-        let sealed: Vec<Arc<SealedBlock>> = rows
-            .chunks(COLUMN_BLOCK_ROWS)
-            .map(|chunk| Arc::new(SealedBlock::seal(chunk, self.schema.len())))
-            .collect();
+        let block = Arc::new(SealedBlock::seal(&data.tail, self.schema.len()));
         let slots = match &data.blocks.store {
-            Some(store) => store.persist(&sealed, rest)?,
-            None => sealed.into_iter().map(BlockSlot::Resident).collect(),
+            Some(store) => store.persist(&[block])?,
+            None => vec![BlockSlot::Resident(block)],
         };
-        let rest = rest.to_vec();
         data.blocks = Arc::new(data.blocks.appended(slots));
-        data.tail = Arc::new(rest);
+        data.tail = Arc::new(Vec::new());
         Ok(())
     }
 
@@ -422,8 +415,10 @@ impl Table {
     /// the wrong arity ends the batch: the rows before it are appended and
     /// its error is returned.  So is a failed WAL write's, with the segment
     /// it was writing left out, and a failed seal's, which leaves the
-    /// segment in the tail, WAL-covered and still durable; the rows after
-    /// either failure are not appended.
+    /// segment in the tail, durable only as far as the WAL's last
+    /// successful fsync; the rows after either failure are not appended.
+    /// A failed seal, or a WAL write that cannot be rolled back, poisons a
+    /// paged table's store: every later insert fails, until a reopen.
     pub fn insert_batch<I>(&self, batch: I) -> Result<usize>
     where
         I: IntoIterator<Item = Vec<Value>>,

@@ -17,25 +17,24 @@
 //! longest valid record prefix: it stops at the first record that is torn,
 //! fails its CRC, does not decode to exactly `n_values` values or is not
 //! the next row (a row-index hole), and at the first record the recovering
-//! table refuses — an arity other than the schema's ([`crate::recovery`]
-//! step 4).  The log is cut at the end of that prefix.  Each record is
-//! handed to the table as it is read, and the table keeps only those at or
-//! past its extent coverage.
+//! table refuses — an arity other than the schema's.  Each record is
+//! handed to the table as it is read; the checkpoint that ends every open
+//! ([`crate::recovery`]) then rewrites the log to the rows past the
+//! extents, so nothing past the prefix survives it.
 //!
 //! Durability protocol (see [`crate::recovery::TableStore`]): an insert
 //! appends its rows a *segment* at a time — the run of rows up to the next
 //! 1024-row seal boundary — encoding one record per row into one reused
 //! buffer and handing the kernel the whole segment in a single `write`,
-//! **no fsync**.  A failed write sets the log back to its pre-append
-//! length, so no torn record or record of an uninserted row stays behind.
-//! Each seal boundary fsyncs the log — the one durability point — before
-//! the sealed block's extent is appended to the data file, and leaves the
-//! log as it is.  Every 64 blocks a checkpoint fsyncs the data file, then
-//! atomically rewrites the log to hold only the rows past the extents
-//! (write `wal.new`, fsync, rename, fsync the directory).  The epoch
-//! ordinal (the row-count watermark) is the LSN anchor: a record for row
-//! `r` is LSN `r + 1`, and recovery replays records with `row_index >=
-//! extent coverage` on top of the decoded extents.
+//! **no fsync**.  After a failed write the store sets the log back to its
+//! pre-append length ([`WalFile::roll_back`]), so no torn record or record
+//! of an uninserted row stays behind.  Each seal boundary fsyncs the log —
+//! the one durability point — before the sealed block's extent is appended
+//! to the data file, and leaves the log as it is.  Every 64 blocks a
+//! checkpoint fsyncs the data file, then atomically rewrites the log to
+//! hold only the rows past the extents (write `wal.new`, fsync, rename,
+//! fsync the directory).  The epoch ordinal (the row-count watermark) is
+//! the LSN anchor: a record for row `r` is LSN `r + 1`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
@@ -68,9 +67,6 @@ pub(crate) struct WalFile {
     /// The log's length: where the next append starts, and what a failed
     /// append rolls back to.
     len: u64,
-    /// Set when a failed append could not be rolled back: the log may end
-    /// in a torn record, so every later append is refused.
-    broken: bool,
     /// The encode buffer of one segment, reused across appends.
     buf: Vec<u8>,
     /// Segment writes issued, for the tests that count them.
@@ -138,7 +134,6 @@ impl WalFile {
             path,
             table_id,
             len,
-            broken: false,
             buf: Vec::new(),
             #[cfg(test)]
             writes: 0,
@@ -166,65 +161,64 @@ impl WalFile {
         Ok(WalFile::new(file, path, table_id, HEADER_LEN as u64))
     }
 
-    /// Opens an existing WAL (an atomically renamed `wal.new` left by an
-    /// interrupted rewrite is *not* consulted — the rename either completed
-    /// or the old log is still the valid one) and replays its valid record
-    /// prefix into `replay`, one record at a time, as it streams the file
-    /// through a [`READ_BUF`]-byte buffer.  Returns the open log and its
-    /// `base_row`.
-    ///
-    /// The prefix ends at the first record that is torn, fails its CRC,
-    /// does not decode to exactly its `n_values` values, is not the next
-    /// row (`base_row`, `base_row + 1`, …), or that `replay` refuses (the
-    /// caller's rule: a wrong arity).  The log is truncated there, so
-    /// appends continue from the end of the prefix and a later replay
-    /// cannot stop short of them.
-    pub(crate) fn open(
-        path: PathBuf,
-        table_id: u32,
-        mut replay: impl FnMut(WalRecord) -> bool,
-    ) -> Result<(WalFile, u64)> {
-        // Drop any orphaned rewrite temp: if it exists the rename never
-        // happened, so the old log is authoritative.
+    /// Opens an existing WAL and reads its header: returns the log and its
+    /// `base_row`, or `None` when there is no log or it is shorter than a
+    /// header.  A `wal.new` left by an interrupted rewrite is removed, not
+    /// consulted: the rename either completed or the old log is still the
+    /// valid one.
+    pub(crate) fn open(path: PathBuf, table_id: u32) -> Result<Option<(WalFile, u64)>> {
         let _ = std::fs::remove_file(rewrite_path(&path));
-        if !path.exists() {
-            return Ok((WalFile::create(path, table_id)?, 0));
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("cannot open WAL", &path, e))?;
-        let file_len = file
+        let mut file = match OpenOptions::new().read(true).write(true).open(&path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err("cannot open WAL", &path, e)),
+        };
+        let len = file
             .metadata()
             .map_err(|e| io_err("cannot stat WAL", &path, e))?
             .len();
-        if file_len < HEADER_LEN as u64 {
-            // Torn header: treat as an empty fresh log.
-            return Ok((WalFile::create(path, table_id)?, 0));
+        if len < HEADER_LEN as u64 {
+            return Ok(None);
         }
-        let read_err = |e| io_err("cannot read WAL", &path, e);
-        let mut reader = BufReader::with_capacity(READ_BUF, &file);
         let mut head = [0u8; HEADER_LEN];
-        reader.read_exact(&mut head).map_err(read_err)?;
+        file.read_exact(&mut head)
+            .map_err(|e| io_err("cannot read WAL", &path, e))?;
         let mut r = Reader::new(&head);
-        let magic = r.u32()?;
-        let file_table = r.u32()?;
-        let base_row = r.u64()?;
+        let (magic, file_table, base_row) = (r.u32()?, r.u32()?, r.u64()?);
         if magic != WAL_MAGIC || file_table != table_id {
             return Err(RankSqlError::Storage(format!(
                 "WAL `{}` does not belong to table {table_id}",
                 path.display()
             )));
         }
-        let (mut valid_len, mut next_row) = (HEADER_LEN as u64, base_row);
+        Ok(Some((WalFile::new(file, path, table_id, len), base_row)))
+    }
+
+    /// Streams the log's valid record prefix into `replay`, one record at
+    /// a time, through a [`READ_BUF`]-byte buffer; called once, right
+    /// after [`WalFile::open`].
+    ///
+    /// The prefix ends at the first record that is torn, fails its CRC,
+    /// does not decode to exactly its `n_values` values, is not the next
+    /// row (`base_row`, `base_row + 1`, …), or that `replay` refuses with
+    /// `Ok(false)` (the caller's rule: a wrong arity).  An error of
+    /// `replay` is returned as it is.  The log is left as it is: the
+    /// caller rewrites it.
+    pub(crate) fn replay(
+        &mut self,
+        base_row: u64,
+        mut replay: impl FnMut(WalRecord) -> Result<bool>,
+    ) -> Result<()> {
+        let read_err = |e| io_err("cannot read WAL", &self.path, e);
+        let mut reader = BufReader::with_capacity(READ_BUF, &self.file);
+        let (mut at, mut next_row) = (HEADER_LEN as u64, base_row);
         let mut body = Vec::new();
-        while file_len - valid_len >= 8 {
+        while self.len - at >= 8 {
             let mut frame = [0u8; 8];
             reader.read_exact(&mut frame).map_err(read_err)?;
             let mut r = Reader::new(&frame);
             let (len, want_crc) = (u64::from(r.u32()?), r.u32()?);
-            if file_len - valid_len - 8 < len {
+            if self.len - at - 8 < len {
                 break; // torn tail record
             }
             body.resize(len as usize, 0);
@@ -233,66 +227,48 @@ impl WalFile {
                 break;
             }
             let next = decode_record(&body).filter(|rec| rec.row_index == next_row);
-            if !next.is_some_and(&mut replay) {
+            if !next.map_or(Ok(false), &mut replay)? {
                 break;
             }
             next_row = next_row.saturating_add(1);
-            valid_len += 8 + len;
+            at += 8 + len;
         }
-        drop(reader);
-        // Cut the log at the end of the prefix so appends continue from it.
-        file.set_len(valid_len)
-            .map_err(|e| io_err("cannot truncate WAL", &path, e))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("cannot seek WAL", &path, e))?;
-        Ok((WalFile::new(file, path, table_id, valid_len), base_row))
+        Ok(())
     }
 
     /// Appends one segment's records, row `first_row + i` holding
     /// `rows[i]`'s values, with a single `write` — **no fsync**; durability
-    /// arrives at the next seal-boundary [`WalFile::sync`].  On a failed
-    /// write the log is set back to its length before the call through a
-    /// fresh handle, so it holds no part of the segment; if that fails too,
-    /// this and every later append is refused with a `Storage` error.
+    /// arrives at the next seal-boundary [`WalFile::sync`].  A failed write
+    /// may leave part of the segment behind: [`WalFile::roll_back`] cuts it.
     pub(crate) fn append(&mut self, first_row: u64, rows: &[Tuple]) -> Result<()> {
-        if self.broken {
-            return Err(RankSqlError::Storage(format!(
-                "WAL `{}` refuses appends: a failed append could not be rolled back",
-                self.path.display()
-            )));
-        }
         self.buf.clear();
         encode_records(&mut self.buf, first_row, rows);
         #[cfg(test)]
         {
             self.writes += 1;
         }
-        match self.file.write_all(&self.buf) {
-            Ok(()) => {
-                self.len += self.buf.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                let err = io_err("cannot append to WAL", &self.path, e);
-                if let Err(undo) = self.roll_back() {
-                    self.broken = true;
-                    return Err(RankSqlError::Storage(format!(
-                        "{err}; rolling it back failed: {undo}"
-                    )));
-                }
-                Err(err)
-            }
-        }
+        self.file
+            .write_all(&self.buf)
+            .map_err(|e| io_err("cannot append to WAL", &self.path, e))?;
+        self.len += self.buf.len() as u64;
+        Ok(())
     }
 
-    /// Truncates the log to `self.len` through a fresh handle, which then
-    /// replaces the one a write failed on.
-    fn roll_back(&mut self) -> std::io::Result<()> {
+    /// Sets the log back to its length before a failed append, through a
+    /// fresh handle, which then replaces the one the write failed on.
+    pub(crate) fn roll_back(&mut self) -> std::io::Result<()> {
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.set_len(self.len)?;
         file.seek(SeekFrom::Start(self.len))?;
         self.file = file;
         Ok(())
+    }
+
+    /// Swaps in `file` as the log's handle and returns the old one, for the
+    /// tests that script a failing handle.
+    #[cfg(test)]
+    pub(crate) fn swap_file(&mut self, file: File) -> File {
+        std::mem::replace(&mut self.file, file)
     }
 
     /// Fsyncs the log — the durability point of every row appended since
@@ -387,9 +363,10 @@ mod tests {
     /// Opens the log at `path`, collecting every record it replays.
     fn replay(path: &Path, table_id: u32) -> Result<(WalFile, u64, Vec<WalRecord>)> {
         let mut records = Vec::new();
-        let (wal, base) = WalFile::open(path.to_owned(), table_id, |rec| {
+        let (mut wal, base) = WalFile::open(path.to_owned(), table_id)?.unwrap();
+        wal.replay(base, |rec| {
             records.push(rec);
-            true
+            Ok(true)
         })?;
         Ok((wal, base, records))
     }
@@ -434,7 +411,9 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let (mut wal, _, records) = replay(&path, 1).unwrap();
         assert_eq!(records.len(), 2, "torn third record dropped");
-        // The truncated log accepts fresh appends cleanly.
+        // Rewritten to the replayed rows, as every open ends, the log
+        // accepts fresh appends cleanly.
+        wal.rewrite(0, &rows(0..2)).unwrap();
         wal.append(2, &rows(2..3)).unwrap();
         wal.sync().unwrap();
         drop(wal);
@@ -463,7 +442,9 @@ mod tests {
             .iter()
             .zip(0..)
             .all(|(r, i)| r.row_index == i as u64 && r.values == row(i)));
-        // The log was cut before the hole, so an append of row `n` replays.
+        // Rewritten to the rows before the hole, the log replays an append
+        // of row `n`.
+        wal.rewrite(0, &rows(0..n)).unwrap();
         wal.append(n as u64, &rows(n..n + 1)).unwrap();
         drop(wal);
         let (_, _, records) = replay(&path, 9).unwrap();
@@ -570,10 +551,10 @@ mod tests {
         assert_eq!(segment, singles);
     }
 
-    /// A failed append leaves the log as it was: bytes a short write left
-    /// behind (here written through a second handle: a complete record of
-    /// a row never inserted, then a torn one) are truncated away, and the
-    /// log keeps accepting appends.
+    /// A failed append, rolled back, leaves the log as it was: bytes a
+    /// short write left behind (here written through a second handle: a
+    /// complete record of a row never inserted, then a torn one) are
+    /// truncated away, and the log keeps accepting appends.
     #[test]
     fn a_failed_append_rolls_the_log_back() {
         let path = temp_wal("rollback");
@@ -587,6 +568,7 @@ mod tests {
         wal.file = File::open(&path).unwrap();
         let err = wal.append(3, &rows(3..5)).unwrap_err();
         assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
+        wal.roll_back().unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), before);
         wal.append(3, &rows(3..4)).unwrap();
         wal.sync().unwrap();
@@ -596,22 +578,5 @@ mod tests {
         assert_eq!(replayed, vec![0, 1, 2, 3]);
         assert_eq!(records[3].values, row(3));
         let _ = std::fs::remove_file(&path);
-    }
-
-    /// A log whose failed append cannot be rolled back — `/dev/full`
-    /// rejects every write and cannot be truncated — refuses every later
-    /// append with a typed error.
-    #[test]
-    fn a_log_that_cannot_roll_back_refuses_appends() {
-        let path = PathBuf::from("/dev/full");
-        let file = OpenOptions::new().write(true).open(&path).unwrap();
-        let mut wal = WalFile::new(file, path, 7, HEADER_LEN as u64);
-        let err = wal.append(0, &rows(0..2)).unwrap_err();
-        assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
-        assert!(err.to_string().contains("rolling it back failed"), "{err}");
-        let err = wal.append(0, &rows(0..2)).unwrap_err();
-        assert!(matches!(err, RankSqlError::Storage(_)), "{err}");
-        assert!(err.to_string().contains("refuses appends"), "{err}");
-        assert_eq!(wal.writes, 1, "a refused append writes nothing");
     }
 }
