@@ -7,12 +7,13 @@
 //! runs the top-k per morsel of `A` and merges the runs, and drains the
 //! build side `B` per morsel too.  A second plan has `paperq-sort`'s shape,
 //! `SortLimit(HashJoin(σA, HashJoin(σB, C)))` on Q's data at 5 000 rows a
-//! table: its build side is itself a hash join, drained per morsel of `B`
-//! over a build side drained per morsel of `C`.
+//! table: its build side `σB ⋈ C` is held factored — `σB` drained per
+//! morsel of `B`, `C` per morsel of `C`, each `σB` row linked to its pairs
+//! in `C` — so the inner join builds none of its pairs.
 //!
 //! Two claims are asserted here, every run, before the timed group (which
 //! is preceded by a line per plan with the join results built per thread
-//! count):
+//! count, and for the second plan the inner join's beside the outer's):
 //!
 //! 1. **Determinism**: each plan's top-k output is byte-identical across
 //!    all measured thread counts, and only one thread runs no morsels.
@@ -168,18 +169,20 @@ fn bench_threads(c: &mut Criterion) {
         );
     }
 
-    // What the outer hash join built at each thread count: seeded morsels
-    // build about what one thread does.
+    // What the hash joins built at each thread count, in post-order (the
+    // inner join first): seeded morsels build about what one thread does,
+    // and a factored build side builds none of its pairs.
     let built = |result: ExecutionResult, threads: usize| {
         let actuals = result.operator_actuals();
-        let join = actuals.iter().rfind(|a| a.label.starts_with("HashJoin"));
-        format!("threads={threads} {}", join.map_or(0, |a| a.built))
+        let joins = actuals.iter().filter(|a| a.label.starts_with("HashJoin"));
+        let built: Vec<String> = joins.map(|a| a.built.to_string()).collect();
+        format!("threads={threads} {}", built.join(" → "))
     };
     let flat = THREAD_COUNTS.map(|threads| built(run(threads), threads));
     println!("ablation_threads: join results built, {}", flat.join(", "));
     let nested = THREAD_COUNTS.map(|threads| built(run_nested(threads), threads));
     println!(
-        "ablation_threads: nested build side, join results built, {}",
+        "ablation_threads: nested build side, inner → outer join results built, {}",
         nested.join(", ")
     );
 

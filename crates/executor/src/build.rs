@@ -20,13 +20,13 @@ use ranksql_common::{BitSet64, RankSqlError, Result, Tuple};
 use ranksql_expr::{RankedTuple, RankingContext, ScoreSource};
 use ranksql_storage::{BTreeIndex, Catalog, EpochSet, ScoreIndex, TableEpoch};
 
-use crate::build_table::{JoinTable, Partition};
 use crate::column_scan::ColumnScan;
 use crate::context::{ExecutionContext, TopKScoring};
-use crate::exchange::{drain_build_side, ExchangeOp};
+use crate::exchange::{build_pipelines, ExchangeOp};
 use crate::filter::{Filter, Project};
 use crate::join::{
-    build_key_cols, drain_partition, BuildInput, BuildSide, HashJoin, NestedLoopJoin, SortMergeJoin,
+    build_key_cols, extract_join_keys, BuildInput, BuildSide, Factored, HashJoin, JoinKeys,
+    NestedLoopJoin, SortMergeJoin,
 };
 use crate::metrics::MetricsRegistry;
 use crate::operator::{drain_batched, BoxedOperator};
@@ -130,67 +130,137 @@ pub fn zone_score_caps(
 /// ([`build_over_inputs`]).
 type Inputs<'a> = dyn FnMut(&PhysicalPlan, &ExecutionContext) -> Result<BoxedOperator> + 'a;
 
-/// Lowers a join's build (inner) side.  Serially that is its input
-/// operator, which the join drains on its first pull.  In a morsel lowering
-/// the spine's first lowering drains it once, over the whole table, into a
-/// [`JoinTable`] every morsel's join shares: `part` drains one partition,
-/// one per morsel if it is itself a spine ([`drain_build_side`]).
+/// Lowers a join's build (inner) side `plan`, for a join on `key_cols` (a
+/// hash join's; none for nested loops) scored by `top_k`.  Serially that is
+/// its input, which the join drains on its first pull.  In a morsel
+/// lowering the spine's first lowering drains it once, over the whole
+/// table, into a [`JoinTable`](crate::build_table::JoinTable) every
+/// morsel's join shares, one partition per morsel of each input that is
+/// itself a spine ([`build_pipelines`]).
 fn build_side(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     exec: &ExecutionContext,
     inputs: &mut Inputs<'_>,
-    part: impl Fn(&mut BuildInput, usize) -> Result<Partition> + Sync,
+    (key_cols, top_k): (&[usize], Option<&TopKScoring>),
+    factoring: Option<&Factoring<'_>>,
 ) -> Result<BuildSide> {
     let built = exec.spine_shared(|serial| {
-        let batch_size = serial.batch_size();
-        let drained = drain_build_side(plan, catalog, serial, |input| part(input, batch_size))?;
-        let (schema, parts) = match drained {
-            Some(parts) => (plan.schema()?, parts),
-            None => {
-                let mut input = BuildInput::Rows(inputs(plan, serial)?);
-                let part = part(&mut input, batch_size)?;
-                (input.op().schema().clone(), vec![part])
-            }
-        };
-        Ok(JoinTable::new(schema, parts))
+        let mut input = build_input(plan, catalog, serial, inputs, factoring, true)?;
+        input.drain(serial.threads(), serial.batch_size(), key_cols, top_k)
     })?;
     match built {
         Some(built) => Ok(BuildSide::Built(built)),
-        None => Ok(BuildSide::Input(BuildInput::Rows(inputs(plan, exec)?))),
+        None => build_input(plan, catalog, exec, inputs, factoring, false).map(BuildSide::Input),
     }
 }
 
-/// Lowers one morsel pipeline of a build-side spine: a hash join at its
-/// root stays a [`HashJoin`], whose pairs the drain encodes without
-/// building them (see [`BuildInput`]).
-pub(crate) fn build_input(
+/// A hash join's build side that is an equi hash join holding all the
+/// outer key's columns in one input: it is drained factored (see
+/// [`BuildInput`]).  `inner` is the inner join's keys and residual, and
+/// `outer_cols` the outer key's columns in the keyed input.
+struct Factoring<'p> {
+    left: &'p PhysicalPlan,
+    right: &'p PhysicalPlan,
+    inner: JoinKeys,
+    keyed_right: bool,
+    outer_cols: Vec<usize>,
+}
+
+impl<'p> Factoring<'p> {
+    /// How the build side `plan` of a hash join on build key columns
+    /// `key_cols` factors, if it does.  A walk emits keyed rows first and
+    /// the inner join emits its left input's first, so a key on its right
+    /// input factors only when a top-k, which orders what it keeps,
+    /// `scores` the join.
+    fn of(plan: &'p PhysicalPlan, key_cols: &[usize], scores: bool) -> Result<Option<Self>> {
+        let PhysicalOp::Join {
+            left,
+            right,
+            condition,
+            algorithm: JoinAlgorithm::Hash,
+        } = &plan.op
+        else {
+            return Ok(None);
+        };
+        let (l, r) = (left.schema()?, right.schema()?);
+        let inner = extract_join_keys(condition.as_ref(), &l, &r);
+        let keyed_right = key_cols.first().is_some_and(|&c| c >= l.len());
+        let one_side = key_cols.iter().all(|&c| (c >= l.len()) == keyed_right);
+        let factors = !inner.keys.is_empty() && !key_cols.is_empty() && one_side;
+        let factors = factors && (scores || !keyed_right);
+        let offset = if keyed_right { l.len() } else { 0 };
+        Ok(factors.then(|| Factoring {
+            left,
+            right,
+            inner,
+            keyed_right,
+            outer_cols: key_cols.iter().map(|&c| c - offset).collect(),
+        }))
+    }
+}
+
+/// Lowers a join's build side `plan` as what its drain reads, each input
+/// per morsel when `per_morsel` and it is a spine: its pipelines or, with
+/// `factoring`, those of the inner join's two inputs and the inner join's
+/// metrics, registered after them as the join itself would be.
+fn build_input(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     exec: &ExecutionContext,
+    inputs: &mut Inputs<'_>,
+    factoring: Option<&Factoring<'_>>,
+    per_morsel: bool,
 ) -> Result<BuildInput> {
-    let inputs =
-        &mut |child: &PhysicalPlan, exec: &ExecutionContext| build_operator(child, catalog, exec);
-    match plan.op {
-        PhysicalOp::Join {
-            algorithm: JoinAlgorithm::Hash,
-            ..
-        } => {
-            let label = plan.node_label(Some(exec.ranking()));
-            let join = hash_join(plan, label, catalog, exec, inputs)?;
-            Ok(BuildInput::Pairs(Box::new(join)))
-        }
-        _ => inputs(plan, exec).map(BuildInput::Rows),
-    }
+    let mut pipelines = |plan: &PhysicalPlan| -> Result<Vec<BoxedOperator>> {
+        let morsels = match per_morsel {
+            true => build_pipelines(plan, catalog, exec)?,
+            false => None,
+        };
+        morsels.map_or_else(|| Ok(vec![inputs(plan, exec)?]), Ok)
+    };
+    let Some(f) = factoring else {
+        let pipelines = pipelines(plan)?;
+        return Ok(BuildInput {
+            pipelines,
+            factored: None,
+        });
+    };
+    let (left, right) = (pipelines(f.left)?, pipelines(f.right)?);
+    let schema = left[0].schema().join(right[0].schema());
+    let residual = f.inner.residual.as_ref().map(|c| c.bind(&schema));
+    let metrics = exec.register(plan.node_label(Some(exec.ranking())));
+    let (left_cols, right_cols) = f.inner.keys.iter().copied().unzip();
+    let (mut keyed, other, keyed_cols, other_cols) = match f.keyed_right {
+        true => (right, left, right_cols, left_cols),
+        false => (left, right, left_cols, right_cols),
+    };
+    let factored = Factored {
+        other: keyed.len(),
+        right: !f.keyed_right,
+        outer_cols: f.outer_cols.clone(),
+        keyed_cols,
+        other_cols,
+        residual: residual.transpose()?,
+        schema,
+        metrics,
+    };
+    keyed.extend(other);
+    Ok(BuildInput {
+        pipelines: keyed,
+        factored: Some(Box::new(factored)),
+    })
 }
 
-/// Lowers the hash join `plan` as `label`, over inputs from `inputs`.
+/// Lowers the hash join `plan` as `label`, over inputs from `inputs`; its
+/// build side factors when `factors` (its inputs are lowered by this walk).
 fn hash_join(
     plan: &PhysicalPlan,
     label: String,
     catalog: &Catalog,
     exec: &ExecutionContext,
     inputs: &mut Inputs<'_>,
+    factors: bool,
 ) -> Result<HashJoin> {
     let PhysicalOp::Join {
         left,
@@ -207,17 +277,23 @@ fn hash_join(
     // now is the one a `SortLimit` directly above pushed.
     let top_k = exec.pop_prune_threshold();
     let l = inputs(left, exec)?;
+    let right_schema = right.schema()?;
+    let key_cols = build_key_cols(condition, l.schema(), &right_schema);
+    let factoring = match factors {
+        true => Factoring::of(right, &key_cols, top_k.is_some())?,
+        false => None,
+    };
     // One scoring serves the join and, when this lowering drains a shared
     // build side, that drain.
-    let right_schema = right.schema()?;
-    let scoring = top_k
-        .map(|pushed| TopKScoring::for_join(l.schema(), &right_schema, pushed, exec))
-        .transpose()?;
-    let key_cols = build_key_cols(condition, l.schema(), &right_schema);
-    let top_k = scoring.as_ref();
-    let r = build_side(right, catalog, exec, inputs, |input, batch| {
-        drain_partition(input, batch, &key_cols, top_k)
-    })?;
+    let (sides, keyed) = match &factoring {
+        Some(f) => (vec![f.left.schema()?, f.right.schema()?], f.keyed_right),
+        None => (vec![right_schema], false),
+    };
+    let scoring = (top_k
+        .map(|pushed| TopKScoring::for_join(l.schema(), &sides, usize::from(keyed), pushed, exec)))
+    .transpose()?;
+    let build = (key_cols.as_slice(), scoring.as_ref());
+    let r = build_side(right, catalog, exec, inputs, build, factoring.as_ref())?;
     Ok(HashJoin::new(l, r, condition, exec, label)?.with_scoring(scoring))
 }
 
@@ -278,9 +354,9 @@ pub fn build_operator(
     if let Some(exchange) = ExchangeOp::over_sort(plan, catalog, exec)? {
         return Ok(Box::new(exchange));
     }
-    lower(plan, catalog, exec, &mut |child, exec| {
-        build_operator(child, catalog, exec)
-    })
+    let inputs =
+        &mut |child: &PhysicalPlan, exec: &ExecutionContext| build_operator(child, catalog, exec);
+    lower(plan, catalog, exec, inputs, true)
 }
 
 /// Lowers `plan`'s own operator alone, over `inputs` — one operator per
@@ -303,9 +379,13 @@ pub fn build_over_inputs(
         ))
     };
     let mut inputs = inputs.into_iter();
-    let op = lower(plan, catalog, exec, &mut |_, _| {
-        inputs.next().ok_or_else(mismatch)
-    })?;
+    let op = lower(
+        plan,
+        catalog,
+        exec,
+        &mut |_, _| inputs.next().ok_or_else(mismatch),
+        false,
+    )?;
     match inputs.next() {
         Some(_) => Err(mismatch()),
         None => Ok(op),
@@ -313,12 +393,14 @@ pub fn build_over_inputs(
 }
 
 /// The one lowering walk: instantiates `plan`'s operator, taking each of
-/// its inputs from `inputs`.
+/// its inputs from `inputs` — which lowers any plan, so a hash join's build
+/// side may factor, when `lowers`.
 fn lower(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     exec: &ExecutionContext,
     inputs: &mut Inputs<'_>,
+    lowers: bool,
 ) -> Result<BoxedOperator> {
     let label = plan.node_label(Some(exec.ranking()));
     match &plan.op {
@@ -433,12 +515,13 @@ fn lower(
             match algorithm {
                 JoinAlgorithm::NestedLoop => {
                     let l = inputs(left, exec)?;
-                    let r = build_side(right, catalog, exec, inputs, |input, batch| {
-                        drain_partition(input, batch, &[], None)
-                    })?;
+                    let r = build_side(right, catalog, exec, inputs, (&[], None), None)?;
                     Ok(Box::new(NestedLoopJoin::new(l, r, condition, exec, label)?))
                 }
-                JoinAlgorithm::Hash => Ok(Box::new(hash_join(plan, label, catalog, exec, inputs)?)),
+                JoinAlgorithm::Hash => {
+                    let join = hash_join(plan, label, catalog, exec, inputs, lowers)?;
+                    Ok(Box::new(join))
+                }
                 JoinAlgorithm::SortMerge => {
                     let l = inputs(left, exec)?;
                     let r = inputs(right, exec)?;

@@ -6,15 +6,21 @@
 //! — and its key groups as ranges of one member array.  It holds no
 //! allocation per row, so dropping it is a few frees, and a row is
 //! materialised only when a probe (or a nested-loops pass) reaches it.
+//!
+//! An equi hash join's output is held *factored*: one input's table, each
+//! row linked to its pairs in the other's, no pair encoded.  Beneath a
+//! top-k each key keeps the *upper state* of its rows: each scored
+//! predicate's highest score among them (NaN, bounding nothing, if one is).
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::AtomicU64;
 
-use ranksql_common::{BitSet64, JoinedRow, Result, Row, Schema, Score, Tuple, Value};
+use ranksql_common::{BitSet64, Result, Schema, Score, Tuple, Value};
 use ranksql_expr::ScoreState;
 
 use crate::context::TopKScoring;
 use crate::fxhash::{FxHashMap, FxHasher};
+use crate::join::Factored;
 
 /// A [`Partition`] value's tag: which [`Value`] variant its word holds.
 const NULL: u8 = 0;
@@ -61,6 +67,15 @@ impl KeyIndex {
     }
 }
 
+/// A keyed row's link into the other side of a factored build side: the
+/// other side's key, how many pairs the row makes with its rows, and their
+/// upper state.
+pub(crate) struct Link<'a> {
+    pub(crate) key: u32,
+    pub(crate) pairs: u32,
+    pub(crate) top: &'a [f64],
+}
+
 /// One partition of a join's build side: the rows one build morsel drained
 /// — a serial drain's whole input — in a few flat arrays and, for a hash
 /// join, their groups.
@@ -89,6 +104,15 @@ pub(crate) struct Partition {
     /// Each row's upper bound under the top-k that scored the partition
     /// (empty when none did).
     pub(crate) bounds: Vec<Score>,
+    /// On a keyed side, `predicates` scores per row: its upper state over
+    /// the predicates `top_set`, its scores and its link's (elsewhere, its
+    /// `scores`).
+    tops: Vec<f64>,
+    pub(crate) top_set: BitSet64,
+    /// A factored build side's keyed rows: each row's key in the other
+    /// side and its pairs there (empty otherwise: one result a row).
+    pub(crate) links: Vec<u32>,
+    pairs: Vec<u32>,
     /// Row numbers, group after group.
     members: Vec<u32>,
     groups: Vec<Group>,
@@ -112,6 +136,7 @@ impl Partition {
     pub(crate) fn draining(key_cols: &[usize], top_k: Option<&TopKScoring>) -> Self {
         Partition {
             key_cols: key_cols.to_vec(),
+            top_set: top_k.map_or(BitSet64::EMPTY, |t| t.build_set.union(t.other_set)),
             // A copy of its own: partitions drain on different workers.
             top_k: top_k.cloned(),
             ..Partition::default()
@@ -122,27 +147,42 @@ impl Partition {
         self.id_ends.len()
     }
 
-    /// Adds a row: its values `left` then `right`, identity parts `id` and
-    /// `state`, which the partition's top-k completes.
+    /// Adds a row: its values `row`, identity parts `id` and `state`, which
+    /// the partition's top-k completes; `link` joins a factored build
+    /// side's keyed row to its other side.
     pub(crate) fn drain_row(
         &mut self,
-        left: &[Value],
-        right: &[Value],
+        row: &[Value],
         id: impl Iterator<Item = (u32, u64)>,
         state: &mut ScoreState,
+        link: Option<Link<'_>>,
     ) -> Result<()> {
-        let row = JoinedRow { left, right };
         if let Some(top_k) = &mut self.top_k {
-            self.bounds.push(top_k.score_build_row(&row, state)?);
+            top_k.score_build_row(row, state)?;
+            // A keyed row's bound covers its pairs: its link's upper state.
+            let (set, top) = match &link {
+                Some(l) => (top_k.other_set, l.top),
+                None => (BitSet64::EMPTY, state.scores()),
+            };
+            let bound = top_k.bound_under(state, set, top);
+            self.bounds.push(bound.unwrap_or(Score::new(f64::INFINITY)));
+            if link.is_some() {
+                self.tops
+                    .extend_from_slice(state.merge_scores(set, top).scores());
+            }
+        }
+        if let Some(link) = link {
+            self.links.push(link.key);
+            self.pairs.push(link.pairs);
         }
         self.push(row, id, state);
         if self.key_cols.is_empty() {
             return Ok(());
         }
         self.next_key.clear();
-        let key = self.key_cols.iter().filter_map(|&c| row.get(c));
-        self.next_key.extend(key.cloned());
-        // Runs of rows share a key: a fused join's pairs of one probe row.
+        self.next_key
+            .extend(self.key_cols.iter().map(|&c| row[c].clone()));
+        // Runs of rows share a key: a join's pairs of one probe row.
         let group = match self.group_of.last() {
             Some(&last) if self.next_key == self.key => {
                 self.groups[last as usize].end += 1;
@@ -158,16 +198,11 @@ impl Partition {
     }
 
     /// Appends a row: its values `row`, identity parts `id` and `state`.
-    fn push(
-        &mut self,
-        row: JoinedRow<'_>,
-        id: impl Iterator<Item = (u32, u64)>,
-        state: &ScoreState,
-    ) {
+    fn push(&mut self, row: &[Value], id: impl Iterator<Item = (u32, u64)>, state: &ScoreState) {
         if self.id_ends.is_empty() {
-            (self.arity, self.predicates) = (row.arity(), state.arity());
+            (self.arity, self.predicates) = (row.len(), state.arity());
         }
-        for v in row.left.iter().chain(row.right) {
+        for v in row {
             let (tag, word) = match v {
                 Value::Null => (NULL, 0),
                 Value::Int64(i) => (INT, *i as u64),
@@ -207,9 +242,8 @@ impl Partition {
         }
     }
 
-    /// Row `row`'s values, written over `out`.
+    /// Appends row `row`'s values to `out`.
     pub(crate) fn load(&self, row: usize, out: &mut Vec<Value>) {
-        out.clear();
         out.extend((row * self.arity..(row + 1) * self.arity).map(|at| self.value(at)));
     }
 
@@ -225,6 +259,15 @@ impl Partition {
     pub(crate) fn merged_state(&self, state: &ScoreState, row: usize) -> ScoreState {
         let n = self.predicates;
         state.merge_scores(self.evaluated[row], &self.scores[row * n..(row + 1) * n])
+    }
+
+    /// The results the rows `rows` make: their pairs on a factored build
+    /// side's keyed side, one a row otherwise.
+    pub(crate) fn results(&self, rows: &[u32]) -> usize {
+        match self.pairs.is_empty() {
+            true => rows.len(),
+            false => rows.iter().map(|&r| self.pairs[r as usize] as usize).sum(),
+        }
     }
 
     /// Group `g`'s key.
@@ -290,8 +333,22 @@ impl Partition {
         self.evaluated.shrink_to_fit();
         self.scores.shrink_to_fit();
         self.bounds.shrink_to_fit();
+        self.tops.shrink_to_fit();
+        self.links.shrink_to_fit();
+        self.pairs.shrink_to_fit();
         self.group_keys.shrink_to_fit();
         self
+    }
+}
+
+/// Raises `top` to `other` on the predicates `set`: each the higher score,
+/// NaN when either is.
+fn raise(top: &mut [f64], other: &[f64], set: BitSet64) {
+    for i in set.iter() {
+        top[i] = match top[i].is_nan() || other[i].is_nan() {
+            true => f64::NAN,
+            false => top[i].max(other[i]),
+        };
     }
 }
 
@@ -303,7 +360,7 @@ pub(crate) fn key_hash(key: &[Value]) -> u64 {
 }
 
 /// One of a key's runs in a [`JoinTable`]: its group in partition `part`,
-/// and how many rows the key's later runs hold.
+/// and how many results the key's later runs make.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Run {
     pub(crate) part: u32,
@@ -321,23 +378,34 @@ pub(crate) struct Run {
 /// A nested-loops join reads the partitions' rows in order.
 pub(crate) struct JoinTable {
     pub(crate) schema: Schema,
-    /// Drained rows no join has counted as input yet: the first join to
-    /// pull takes the count, so a shared build side counts once.
+    /// Results no join has counted as input yet: the first join to pull
+    /// takes the count, so a shared build side counts once.
     pub(crate) uncounted: AtomicU64,
     pub(crate) parts: Vec<Partition>,
+    /// A factored build side's other side: its table, grouped on the inner
+    /// join's key, and how the build side factors.
+    pub(crate) other: Option<Box<(JoinTable, Factored)>>,
     keys: KeyIndex,
     /// Key `k`'s first run, `(partition, group)`.
     firsts: Vec<(u32, u32)>,
     /// The runs, key after key; key `k`'s end at `run_ends[k]`.
     runs: Vec<Run>,
     run_ends: Vec<usize>,
+    /// Per key, the upper state of its rows.
+    key_tops: Vec<f64>,
+    predicates: usize,
 }
 
 impl JoinTable {
     /// The build side with this `schema` drained as `parts`, in morsel
     /// order; a pass over their groups indexes the keys.
     pub(crate) fn new(schema: Schema, parts: Vec<Partition>) -> Self {
-        let rows = parts.iter().map(|p| p.len() as u64).sum();
+        let rows = (parts.iter())
+            .map(|p| match p.pairs.is_empty() {
+                true => p.len() as u64,
+                false => p.results(&p.members) as u64,
+            })
+            .sum();
         let (mut keys, mut firsts, mut order) = (KeyIndex::default(), Vec::new(), Vec::new());
         for (p, part) in (0..).zip(&parts) {
             for (g, group) in (0..).zip(&part.groups) {
@@ -356,7 +424,7 @@ impl JoinTable {
             }
         }
         order.sort_unstable();
-        let run_ends = (0..firsts.len() as u32)
+        let run_ends: Vec<usize> = (0..firsts.len() as u32)
             .map(|k| order.partition_point(|r| r.0 <= k))
             .collect();
         let mut runs = Vec::with_capacity(order.len());
@@ -366,31 +434,59 @@ impl JoinTable {
                 after = 0;
             }
             runs.push(Run { part, group, after });
-            after += parts[part as usize].group(group).len() as u32;
+            let part = &parts[part as usize];
+            after += part.results(part.group(group)) as u32;
         }
         runs.reverse();
+        let n = parts.iter().map(|p| p.predicates).max().unwrap_or(0);
+        let mut key_tops = Vec::new();
+        if parts.iter().any(|p| !p.bounds.is_empty()) {
+            key_tops = vec![f64::NEG_INFINITY; firsts.len() * n];
+            for &(k, _, p, g) in &order {
+                let (part, top) = (&parts[p as usize], &mut key_tops[k as usize * n..]);
+                let tops = if part.links.is_empty() {
+                    &part.scores
+                } else {
+                    &part.tops
+                };
+                for &row in part.group(g) {
+                    raise(&mut top[..n], &tops[row as usize * n..][..n], part.top_set);
+                }
+            }
+        }
         JoinTable {
             schema,
             uncounted: AtomicU64::new(rows),
             parts,
+            other: None,
             keys,
             firsts,
             runs,
             run_ends,
+            key_tops,
+            predicates: n,
         }
     }
 
-    /// The runs of the key `key` (hashed as `hash`), in walk order; empty
-    /// when no partition holds it.
-    pub(crate) fn runs(&self, hash: u64, key: &[Value]) -> &[Run] {
+    /// The key `key` (hashed as `hash`), if a partition holds it.
+    pub(crate) fn key(&self, hash: u64, key: &[Value]) -> Option<u32> {
         let same = |k: u32| {
             let (p, g) = self.firsts[k as usize];
             self.parts[p as usize].group_key(g) == key
         };
-        self.keys.find(hash, same).map_or(&[], |k| {
-            let start = k.checked_sub(1).map_or(0, |j| self.run_ends[j as usize]);
-            &self.runs[start..self.run_ends[k as usize]]
-        })
+        self.keys.find(hash, same)
+    }
+
+    /// The runs of key `k`, in walk order.
+    pub(crate) fn runs(&self, k: u32) -> &[Run] {
+        let start = k.checked_sub(1).map_or(0, |j| self.run_ends[j as usize]);
+        &self.runs[start..self.run_ends[k as usize]]
+    }
+
+    /// The upper state of key `k`'s rows.
+    pub(crate) fn key_top(&self, k: u32) -> &[f64] {
+        let (n, k) = (self.predicates, k as usize);
+        self.key_tops.get(k * n..(k + 1) * n).unwrap_or_default()
     }
 }
 
@@ -400,7 +496,6 @@ impl JoinTable {
 fn best_first(bound: Score, row: u32) -> u128 {
     u128::from(!bound.order_key()) << 32 | u128::from(row)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,7 +504,8 @@ mod tests {
 
     use crate::column_scan::ColumnScan;
     use crate::context::{ExecutionContext, TopKThreshold};
-    use crate::join::{drain_partition, BuildInput};
+    use crate::join::drain_partition;
+    use crate::operator::BoxedOperator;
     use ranksql_common::{DataType, Field};
     use ranksql_expr::{RankPredicate, RankingContext, ScoringFunction};
     use ranksql_storage::TableBuilder;
@@ -423,13 +519,14 @@ mod tests {
             }
             let heads = self.keys.heads.capacity() * (std::mem::size_of::<(u64, u32)>() + 1);
             let mut blocks = vec![heads, held(&self.keys.next), held(&self.firsts)];
-            blocks.extend([held(&self.runs), held(&self.run_ends)]);
+            blocks.extend([held(&self.runs), held(&self.run_ends), held(&self.key_tops)]);
             // A partition's drain state is freed when it finishes.
             for p in &self.parts {
                 blocks.extend([held(&p.tags), held(&p.words), held(&p.others)]);
                 blocks.extend([held(&p.id_parts), held(&p.id_ends), held(&p.evaluated)]);
                 blocks.extend([held(&p.scores), held(&p.bounds), held(&p.members)]);
                 blocks.extend([held(&p.groups), held(&p.group_keys), held(&p.key_cols)]);
+                blocks.extend([held(&p.tops), held(&p.links), held(&p.pairs)]);
             }
             blocks.retain(|&bytes| bytes > 0);
             (blocks.len(), blocks.iter().sum())
@@ -465,14 +562,15 @@ mod tests {
         );
         let exec = ExecutionContext::new(ranking);
         let pushed = (BitSet64::all(1), Arc::new(TopKThreshold::new()));
-        let top_k = TopKScoring::for_join(&probe, &schema, pushed, &exec).unwrap();
+        let top_k =
+            TopKScoring::for_join(&probe, std::slice::from_ref(&schema), 0, pushed, &exec).unwrap();
         let epoch = table.pin_epoch();
         let parts = (0..4)
             .map(|i| {
                 let rows = i * ROWS / 4..(i + 1) * ROWS / 4;
                 let scan = ColumnScan::new(&epoch, rows, None, false, None, &exec, "T");
-                let mut input = BuildInput::Rows(Box::new(scan.unwrap()));
-                drain_partition(&mut input, 1024, &[0], Some(&top_k)).unwrap()
+                let mut input: BoxedOperator = Box::new(scan.unwrap());
+                drain_partition(&mut input, 1024, &[0], Some(&top_k), None).unwrap()
             })
             .collect();
         let built = JoinTable::new(schema, parts);

@@ -175,19 +175,24 @@ impl TopKThreshold {
 /// sort's predicates while the row is still unbuilt, and says whether the
 /// heap would keep it.  A scan evaluates each predicate once per row it
 /// decides.  A hash join evaluates a predicate over one of its sides once
-/// per row of that side (`probe`, `build`), and only a rank-join predicate
-/// once per pair it reaches.  What is saved is constructing the rows the
-/// heap would drop on arrival — and, in the join, the pairs its best-first
-/// walk never reaches.
+/// per row of that side (`probe`, `build` and, on a factored build side,
+/// `other`), and only a predicate over several once per result it reaches.
+/// What is saved is constructing the rows the heap would drop on arrival —
+/// and, in the join, the results its best-first walk never reaches.
 #[derive(Debug, Clone)]
 pub(crate) struct TopKScoring {
     /// The sort's predicates evaluated per row decided (a join's: per
-    /// pair), bound to the producer's output schema.
+    /// result), bound to the producer's output schema.
     ranking: BoundRanking,
     /// A hash join's predicates over its probe side alone, bound to it.
     probe: BoundRanking,
-    /// A hash join's predicates over its build side alone, bound to it.
+    /// A hash join's predicates over its build side — a factored one's
+    /// keyed side — alone, bound to it, and their set.
     build: BoundRanking,
+    pub(crate) build_set: BitSet64,
+    /// A factored build side's predicates over its other side alone.
+    other: BoundRanking,
+    pub(crate) other_set: BitSet64,
     ctx: Arc<RankingContext>,
     cell: Arc<TopKThreshold>,
 }
@@ -205,55 +210,99 @@ impl TopKScoring {
             ranking: ctx.bind(schema, predicates.iter())?,
             probe: ctx.bind(schema, [])?,
             build: ctx.bind(schema, [])?,
+            build_set: BitSet64::EMPTY,
+            other: ctx.bind(schema, [])?,
+            other_set: BitSet64::EMPTY,
             ctx,
             cell,
         })
     }
 
-    /// Binds what a `SortLimit` pushed for a hash join of `probe` with
-    /// `build`, classing each predicate by where its columns resolve in the
-    /// joined schema: on one side only, or on both (a rank-join predicate).
+    /// Binds what a `SortLimit` pushed for a hash join of `probe` with a
+    /// build side whose output is `build`'s schemas laid end to end (two
+    /// for a factored one, whose keyed side is `build[keyed]`), classing
+    /// each predicate by where its columns resolve: on the probe side
+    /// alone, the keyed side alone (or nowhere), the other side alone, or
+    /// on several.
     pub(crate) fn for_join(
         probe: &Schema,
-        build: &Schema,
+        build: &[Schema],
+        keyed: usize,
         (predicates, cell): PendingThreshold,
         exec: &ExecutionContext,
     ) -> Result<Self> {
         let ctx = exec.ranking_arc();
-        let joined = probe.join(build);
-        // Probe side only; build side only (or no column at all); both.
-        let mut sides = [BitSet64::EMPTY; 3];
+        let joined = build.iter().fold(probe.clone(), |j, s| j.join(s));
+        // A column's input, as a bit: the probe side, the keyed side, the
+        // other side.
+        let (p, first) = (probe.len(), build[0].len());
+        let input = |at: usize| match at.checked_sub(p) {
+            None => 1,
+            Some(b) if (b < first) == (keyed == 0) => 2,
+            Some(_) => 4,
+        };
+        // Probe side; keyed side (or no column); other side; several.
+        let mut sides = [BitSet64::EMPTY; 4];
         for i in predicates.iter() {
-            let mut reads = [false; 2];
+            let mut reads = 0;
             for c in ctx.predicate(i).source.columns() {
-                reads[usize::from(c.resolve(&joined)? >= probe.len())] = true;
+                reads |= input(c.resolve(&joined)?);
             }
             let side = match reads {
-                [true, false] => 0,
-                [false, _] => 1,
-                [true, true] => 2,
+                1 => 0,
+                0 | 2 => 1,
+                4 => 2,
+                _ => 3,
             };
             sides[side].insert(i);
         }
+        let other = build.get(1 - keyed).unwrap_or(&build[keyed]);
         Ok(TopKScoring {
-            ranking: ctx.bind(&joined, sides[2].iter())?,
+            ranking: ctx.bind(&joined, sides[3].iter())?,
             probe: ctx.bind(probe, sides[0].iter())?,
-            build: ctx.bind(build, sides[1].iter())?,
+            build: ctx.bind(&build[keyed], sides[1].iter())?,
+            build_set: sides[1],
+            other: ctx.bind(other, sides[2].iter())?,
+            other_set: sides[2],
             ctx,
             cell,
         })
     }
 
+    /// This scoring for draining a factored build side's other side: its
+    /// predicates are the build side's.
+    pub(crate) fn for_other(&self) -> Self {
+        TopKScoring {
+            build: self.other.clone(),
+            build_set: self.other_set,
+            other_set: BitSet64::EMPTY,
+            ..self.clone()
+        }
+    }
+
     /// Evaluates the build-side predicates a build row with values `row`
-    /// and score state `state` lacks — once, as the build side is drained —
-    /// and returns its upper bound: every other predicate at its cap.
+    /// and score state `state` lacks — once, as the build side is drained.
     pub(crate) fn score_build_row<R: Row + ?Sized>(
         &mut self,
         row: &R,
         state: &mut ScoreState,
-    ) -> Result<Score> {
-        self.build.evaluate_missing(row, state)?;
-        Ok(self.ctx.upper_bound(state))
+    ) -> Result<()> {
+        self.build.evaluate_missing(row, state)
+    }
+
+    /// The upper bound of a row with score state `state` whose predicates
+    /// `set` it lacks score at most `top` — `None` when one of those is
+    /// NaN, which bounds nothing.
+    pub(crate) fn bound_under(
+        &self,
+        state: &ScoreState,
+        set: BitSet64,
+        top: &[f64],
+    ) -> Option<Score> {
+        if set.iter().any(|i| top[i].is_nan()) {
+            return None;
+        }
+        Some(self.ctx.upper_bound(&state.merge_scores(set, top)))
     }
 
     /// Whether [`TopKScoring::keeps`] reads the row it is given: for a
@@ -298,6 +347,7 @@ impl TopKScoring {
         self.ranking.flush();
         self.probe.flush();
         self.build.flush();
+        self.other.flush();
     }
 }
 

@@ -20,16 +20,14 @@
 //! one build table.  Workers only drain.
 //!
 //! **Partitioned build sides.** A join's build side that is itself a spine
-//! is drained per morsel too (`drain_build_side`): each worker drains its
+//! is drained per morsel too (`build_pipelines`): each worker drains its
 //! morsel into one partition of the `JoinTable`, scoring and grouping its
 //! rows there, into a few flat arrays of its own.  Partitions are never
 //! merged: the table indexes each key's groups across them.  A build
 //! spine splits by its own rule (`build_ranges`): a power of two of equal
 //! morsels, at least four, so two or four workers (eight, from eight
 //! morsels) drain equal shares and a larger table splits into more.  A
-//! build spine whose root is a hash join is lowered as one
-//! (`build_input`), and its drain encodes the join's pairs without
-//! building them.
+//! factored build side drains each of the inner join's inputs so.
 //!
 //! **Seeded thresholds.** A limited exchange drains in waves — morsel 0
 //! alone on the calling thread, then 8, 16, 32, … morsels across the pool
@@ -61,10 +59,8 @@ use ranksql_common::{morsel_ranges, Result, Schema, WorkerPool};
 use ranksql_expr::{RankedTuple, RankingContext};
 use ranksql_storage::Catalog;
 
-use crate::build::{build_input, build_operator};
-use crate::build_table::Partition;
+use crate::build::build_operator;
 use crate::context::{ExecutionContext, SpineRecord, TopKThreshold};
-use crate::join::BuildInput;
 use crate::operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
 
 /// The table whose rows a morsel lowering of `plan` partitions, if `plan`
@@ -88,21 +84,30 @@ pub(crate) fn spine_table(plan: &PhysicalPlan) -> Option<&str> {
     }
 }
 
-/// Drains a join's build side `plan`, when it is a spine, one partition
-/// per morsel across the pool, in morsel order: `part` drains one morsel's
-/// pipeline.  `None` when `plan` is no spine.
-pub(crate) fn drain_build_side(
+/// The pipelines of a join's build side `plan`, when it is a spine: one
+/// per morsel of its table, in morsel order.  `None` when `plan` is no
+/// spine.
+pub(crate) fn build_pipelines(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     exec: &ExecutionContext,
-    part: impl Fn(&mut BuildInput) -> Result<Partition> + Sync,
-) -> Result<Option<Vec<Partition>>> {
+) -> Result<Option<Vec<BoxedOperator>>> {
     let Some(table) = spine_table(plan) else {
         return Ok(None);
     };
-    let (pipelines, _) = lower_morsels(plan, table, build_ranges, build_input, catalog, exec)?;
-    let pool = WorkerPool::new(exec.threads());
-    drain_across(pipelines, &pool, part).map(Some)
+    let (morsels, _) = lower_morsels(plan, table, build_ranges, catalog, exec)?;
+    Ok(Some(morsels.into_iter().map(|(p, _)| p).collect()))
+}
+
+/// Runs `drain` over `pipelines` across a [`WorkerPool`] of `threads`
+/// workers, returning the outputs in order.
+pub(crate) fn drain_pipelines<O: Send>(
+    pipelines: &mut [BoxedOperator],
+    threads: usize,
+    drain: impl Fn(&mut BoxedOperator) -> Result<O> + Sync,
+) -> Result<Vec<O>> {
+    let slots: Vec<Mutex<&mut BoxedOperator>> = pipelines.iter_mut().map(Mutex::new).collect();
+    WorkerPool::new(threads).run(slots.len(), |i| drain(&mut slots[i].lock()))
 }
 
 /// The morsels a build-side spine over `rows` rows splits into: as many
@@ -118,19 +123,18 @@ fn build_ranges(rows: usize, morsel_size: usize) -> Vec<(usize, usize)> {
 }
 
 /// One morsel pipeline, lowered, and its top-k's threshold cell.
-type Morsel<T = BoxedOperator> = (T, Arc<TopKThreshold>);
+type Morsel = (BoxedOperator, Arc<TopKThreshold>);
 
-/// Lowers `plan` with `lower` once per morsel of `table`, which drives its
-/// spine and `split` cuts into morsels, and returns what the spine holds
-/// once too (the build tables it probes).
-fn lower_morsels<T>(
+/// Lowers `plan` once per morsel of `table`, which drives its spine and
+/// `split` cuts into morsels, and returns what the spine holds once too
+/// (the build tables it probes).
+fn lower_morsels(
     plan: &PhysicalPlan,
     table: &str,
     split: fn(usize, usize) -> Vec<(usize, usize)>,
-    lower: fn(&PhysicalPlan, &Catalog, &ExecutionContext) -> Result<T>,
     catalog: &Catalog,
     exec: &ExecutionContext,
-) -> Result<(Vec<Morsel<T>>, Arc<SpineRecord>)> {
+) -> Result<(Vec<Morsel>, Arc<SpineRecord>)> {
     // Morsels cover the execution's pinned epoch, so every morsel (and
     // every other access path of this execution) reads one watermark
     // however many rows writers append meanwhile.  An empty table still
@@ -147,23 +151,12 @@ fn lower_morsels<T>(
         .into_iter()
         .map(|(start, end)| {
             let morsel = exec.in_morsel(start..end, &record);
-            let pipeline = lower(plan, catalog, &morsel)?;
+            let pipeline = build_operator(plan, catalog, &morsel)?;
             Ok((pipeline, morsel.morsel_threshold().unwrap_or_default()))
         })
         .collect::<Result<Vec<_>>>()?;
     exec.count_morsels(morsels.len());
     Ok((morsels, record))
-}
-
-/// Runs `drain` over every morsel's pipeline across `pool`, returning the
-/// outputs in morsel order.
-fn drain_across<T: Send, O: Send>(
-    morsels: impl IntoIterator<Item = Morsel<T>>,
-    pool: &WorkerPool,
-    drain: impl Fn(&mut T) -> Result<O> + Sync,
-) -> Result<Vec<O>> {
-    let slots: Vec<Mutex<T>> = morsels.into_iter().map(|(p, _)| Mutex::new(p)).collect();
-    pool.run(slots.len(), |i| drain(&mut slots[i].lock()))
 }
 
 /// The gather operator of morsel-driven parallel execution: an ordered
@@ -209,8 +202,7 @@ impl ExchangeOp {
         let Some(table) = spine_table(input).filter(|_| exec.fans_out()) else {
             return Ok(None);
         };
-        let (morsels, record) =
-            lower_morsels(plan, table, morsel_ranges, build_operator, catalog, exec)?;
+        let (morsels, record) = lower_morsels(plan, table, morsel_ranges, catalog, exec)?;
         Ok(Some(ExchangeOp {
             schema: plan.schema()?,
             limit,
@@ -228,7 +220,6 @@ impl ExchangeOp {
     /// waves — morsel 0 alone, then 8, 16, 32, … morsels — and after each
     /// seeds every morsel left with the k-th best entry drained so far.
     fn run(&mut self) -> Result<Vec<RankedTuple>> {
-        let pool = WorkerPool::new(self.threads);
         let batch_size = self.batch_size;
         let mut pipelines = std::mem::take(&mut self.morsels).into_iter();
         let mut runs = Vec::with_capacity(pipelines.len());
@@ -237,7 +228,8 @@ impl ExchangeOp {
                 Some(_) => runs.len().next_multiple_of(8).max(1),
                 None => pipelines.len(),
             };
-            runs.extend(drain_across(pipelines.by_ref().take(wave), &pool, |p| {
+            let mut wave: Vec<_> = pipelines.by_ref().take(wave).map(|(p, _)| p).collect();
+            runs.extend(drain_pipelines(&mut wave, self.threads, |p| {
                 drain_batched(p.as_mut(), batch_size)
             })?);
             if let Some(kth) = self.limit.and_then(|k| self.kth_best(&runs, k)) {

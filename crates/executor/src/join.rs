@@ -11,11 +11,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ranksql_common::{JoinedRow, RankSqlError, Result, Schema, Value};
+use ranksql_common::{JoinedRow, RankSqlError, Result, Schema, Tuple, Value};
 use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr, ScoreState};
 
-use crate::build_table::{key_hash, JoinTable, Partition};
+use crate::build_table::{key_hash, JoinTable, Link, Partition, Run};
 use crate::context::{ExecutionContext, TopKScoring};
+use crate::exchange::drain_pipelines;
 use crate::metrics::OperatorMetrics;
 use crate::operator::{drain_batched, draw_one, Batch, BoxedOperator, PhysicalOperator};
 
@@ -83,59 +84,137 @@ pub(crate) fn build_key_cols(
     keys.keys.iter().map(|&(_, r)| r).collect()
 }
 
-/// What a join's build side drains: an operator's rows or — when the build
-/// side is itself a hash join — that join's pairs, encoded from its two
-/// sides without being built.  Its metrics count the same either way.
-pub(crate) enum BuildInput {
-    Rows(BoxedOperator),
-    Pairs(Box<HashJoin>),
+/// What a join's build side drains: its input's pipelines — one per morsel
+/// of a build spine, one otherwise — or, `factored`, the keyed side's then
+/// the other side's.  Its metrics count the same either way.
+pub(crate) struct BuildInput {
+    pub(crate) pipelines: Vec<BoxedOperator>,
+    pub(crate) factored: Option<Box<Factored>>,
+}
+
+/// A hash join's build side that is itself an equi hash join, with the
+/// outer key on one of its inputs, lowered as those two inputs (see
+/// [`crate::build_table`]): the keyed one is grouped on the outer key,
+/// the other on the inner join's; the inner join is never built, and only
+/// its metrics remain.
+pub(crate) struct Factored {
+    /// Where the other side's pipelines start.
+    pub(crate) other: usize,
+    /// Whether the other side is the inner join's right input.
+    pub(crate) right: bool,
+    /// The outer key's columns in a keyed row, and the inner join's in a
+    /// keyed row and in an other row.
+    pub(crate) outer_cols: Vec<usize>,
+    pub(crate) keyed_cols: Vec<usize>,
+    pub(crate) other_cols: Vec<usize>,
+    /// The inner join's residual, bound to its output `schema`.
+    pub(crate) residual: Option<BoundBoolExpr>,
+    pub(crate) schema: Schema,
+    pub(crate) metrics: Arc<OperatorMetrics>,
+}
+
+impl Factored {
+    /// Keyed row `row`'s link into the drained other side `other`, `None`
+    /// when it makes no pair; `key` and `pair` are scratch.
+    fn link<'o>(
+        &self,
+        other: &'o JoinTable,
+        row: &[Value],
+        (key, pair): (&mut Vec<Value>, &mut Vec<Value>),
+    ) -> Result<Option<Link<'o>>> {
+        key.clear();
+        key.extend(self.keyed_cols.iter().map(|&c| row[c].clone()));
+        let Some(k) = other.key(key_hash(key), key) else {
+            return Ok(None);
+        };
+        let mut pairs = results_from(other, other.runs(k), (0, 0)) as u32;
+        if let Some(c) = &self.residual {
+            pairs = 0;
+            for (part, other) in rows_from(other, other.runs(k), (0, 0)) {
+                // The inner join's row: its left input's values first.
+                pair.clear();
+                part.load(other, pair);
+                let at = if self.right { 0 } else { pair.len() };
+                pair.splice(at..at, row.iter().cloned());
+                pairs += u32::from(c.eval(&pair[..])?);
+            }
+        }
+        let top = other.key_top(k);
+        Ok((pairs > 0).then_some(Link { key: k, pairs, top }))
+    }
 }
 
 impl BuildInput {
-    pub(crate) fn op(&self) -> &dyn PhysicalOperator {
-        match self {
-            BuildInput::Rows(input) => input.as_ref(),
-            BuildInput::Pairs(join) => join.as_ref(),
-        }
-    }
-
-    fn op_mut(&mut self) -> &mut dyn PhysicalOperator {
-        match self {
-            BuildInput::Rows(input) => input.as_mut(),
-            BuildInput::Pairs(join) => join.as_mut(),
-        }
+    /// Drains the build side into a [`JoinTable`] across `threads` workers:
+    /// with `key_cols` (a hash join's) grouped, and with `top_k` scored, as
+    /// [`drain_partition`] drains one pipeline.  A factored build side
+    /// drains its other side first, so each keyed row links to its pairs.
+    pub(crate) fn drain(
+        &mut self,
+        threads: usize,
+        batch_size: usize,
+        key_cols: &[usize],
+        top_k: Option<&TopKScoring>,
+    ) -> Result<JoinTable> {
+        let drain = |pipelines: &mut [BoxedOperator], key_cols: &[usize], top_k, link| {
+            drain_pipelines(pipelines, threads, |input| {
+                drain_partition(input, batch_size, key_cols, top_k, link)
+            })
+        };
+        let Some(f) = self.factored.take() else {
+            let parts = drain(&mut self.pipelines, key_cols, top_k, None)?;
+            return Ok(JoinTable::new(self.pipelines[0].schema().clone(), parts));
+        };
+        let (keyed, other) = self.pipelines.split_at_mut(f.other);
+        let scoring = top_k.map(TopKScoring::for_other);
+        let parts = drain(other, &f.other_cols, scoring.as_ref(), None)?;
+        let other = JoinTable::new(other[0].schema().clone(), parts);
+        let parts = drain(keyed, &f.outer_cols, top_k, Some((&f, &other)))?;
+        let mut table = JoinTable::new(f.schema.clone(), parts);
+        let rows = table.parts.iter().chain(&other.parts).map(Partition::len);
+        f.metrics.add_in(rows.sum::<usize>() as u64);
+        f.metrics.add_out(table.uncounted.load(Ordering::Relaxed));
+        table.other = Some(Box::new((other, *f)));
+        Ok(table)
     }
 }
 
-/// Drains a join's build input, batch by batch, into one partition of its
-/// [`JoinTable`].  With `key_cols` (a hash join's) each row also joins its
-/// key's group and, with `top_k`, its build-side predicates are evaluated
-/// here, once, and its upper bound kept for the best-first walk.
+/// Drains one pipeline of a join's build side, batch by batch, into one
+/// partition of its [`JoinTable`].  With `key_cols` (a hash join's) each
+/// row also joins its key's group and, with `top_k`, its build-side
+/// predicates are evaluated here, once, and its upper bound kept for the
+/// best-first walk.  With `link`, a factored build side's keyed rows link
+/// into its drained other side, and a row with no pair there is dropped.
 pub(crate) fn drain_partition(
-    input: &mut BuildInput,
+    input: &mut BoxedOperator,
     batch_size: usize,
     key_cols: &[usize],
     top_k: Option<&TopKScoring>,
+    link: Option<(&Factored, &JoinTable)>,
 ) -> Result<Partition> {
     let mut part = Partition::draining(key_cols, top_k);
-    match input {
-        BuildInput::Pairs(join) => join.drain_into(&mut part)?,
-        input => {
-            let (input, mut buf) = (input.op_mut(), Batch::with_capacity(batch_size));
-            while input.next_batch(batch_size, &mut buf)? > 0 {
-                for t in buf.iter_mut() {
-                    let (values, id) = (t.tuple.values(), t.tuple.id().parts().iter());
-                    part.drain_row(values, &[], id.copied(), &mut t.state)?;
+    let (mut buf, mut scratch) = (Batch::with_capacity(batch_size), (Vec::new(), Vec::new()));
+    while input.next_batch(batch_size, &mut buf)? > 0 {
+        for t in buf.iter_mut() {
+            let (values, id) = (t.tuple.values(), t.tuple.id().parts().iter().copied());
+            let link = match link {
+                Some((f, other)) => {
+                    match f.link(other, values, (&mut scratch.0, &mut scratch.1))? {
+                        None => continue,
+                        linked => linked,
+                    }
                 }
-                buf.clear();
-            }
+                None => None,
+            };
+            part.drain_row(values, id, &mut t.state, link)?;
         }
+        buf.clear();
     }
     Ok(part.finish())
 }
 
-/// A join's build (inner) side: its input operator until the join's first
-/// pull drains it, what the drain built afterwards.  An exchange's morsel
+/// A join's build (inner) side: its input until the join's first pull
+/// drains it, what the drain built afterwards.  An exchange's morsel
 /// pipelines get the built form from the start — the spine's first
 /// lowering drains the build side once and every morsel shares it.
 pub(crate) enum BuildSide {
@@ -148,14 +227,16 @@ pub(crate) enum BuildSide {
 impl BuildSide {
     fn schema(&self) -> &Schema {
         match self {
-            BuildSide::Input(input) => input.op().schema(),
+            BuildSide::Input(input) => {
+                (input.factored.as_ref()).map_or(input.pipelines[0].schema(), |f| &f.schema)
+            }
             BuildSide::Built(built) => &built.schema,
         }
     }
 
-    /// The drained build side, draining the input serially, as one
-    /// partition (see [`drain_partition`]), on the first call; build rows
-    /// no join has counted yet are counted into `metrics`.
+    /// The drained build side, draining the input serially (see
+    /// [`BuildInput::drain`]) on the first call; results no join has
+    /// counted yet are counted into `metrics`.
     fn drained(
         &mut self,
         metrics: &OperatorMetrics,
@@ -166,8 +247,7 @@ impl BuildSide {
         let built = match self {
             BuildSide::Built(built) => Arc::clone(built),
             BuildSide::Input(input) => {
-                let part = drain_partition(input, batch_size, key_cols, top_k)?;
-                let built = Arc::new(JoinTable::new(input.op().schema().clone(), vec![part]));
+                let built = Arc::new(input.drain(1, batch_size, key_cols, top_k)?);
                 *self = BuildSide::Built(Arc::clone(&built));
                 built
             }
@@ -178,7 +258,7 @@ impl BuildSide {
 
     fn can_extend_limit(&self) -> bool {
         match self {
-            BuildSide::Input(input) => input.op().can_extend_limit(),
+            BuildSide::Input(input) => input.pipelines.iter().all(|p| p.can_extend_limit()),
             BuildSide::Built(_) => true,
         }
     }
@@ -186,7 +266,9 @@ impl BuildSide {
     /// A built side is complete — nothing was discarded, so no cap exists.
     fn extend_limit(&mut self, extra: usize) -> bool {
         match self {
-            BuildSide::Input(input) => input.op_mut().extend_limit(extra),
+            BuildSide::Input(input) => {
+                (input.pipelines.iter_mut()).fold(true, |ok, p| p.extend_limit(extra) & ok)
+            }
             BuildSide::Built(_) => true,
         }
     }
@@ -305,6 +387,7 @@ impl PhysicalOperator for NestedLoopJoin {
                 self.right_pos.1 += 1;
                 // Decide on the pair in place; build only the pairs that pass.
                 if let Some(c) = &self.condition {
+                    self.right_row.clear();
                     part.load(row, &mut self.right_row);
                     let pair = JoinedRow {
                         left: left.tuple.values(),
@@ -348,16 +431,18 @@ impl PhysicalOperator for NestedLoopJoin {
 /// it with left tuples.  Requires at least one equi-join key.
 ///
 /// `tuples_out` counts the join results *decided* — matched on the keys and
-/// passed by the residual.  Beneath a `SortLimit` (see
+/// passed the residuals.  Beneath a `SortLimit` (see
 /// `HashJoin::with_scoring`) fewer are constructed and emitted —
 /// `tuples_built` counts those — and the join scores each side once: a
 /// predicate over the build side per build row as it is hashed, one over
-/// the probe side per probe row that finds a group; only a rank-join
-/// predicate is evaluated per pair, on the pairs the walk reaches.  A probe
-/// walks its group by descending build-row upper bound and stops at the
-/// first row whose bound is strictly below the sort's threshold: no pair
-/// with it or a later row can beat the heap.  The rows it skips still
-/// count as decided.
+/// the probe side per probe row that finds a group; only a predicate over
+/// both is evaluated per result, on the results the walk reaches.  A probe
+/// walks its key's build rows by descending upper bound — on a factored
+/// build side, each keyed row's linked rows too — and stops where a bound
+/// is strictly below the sort's threshold: the row's own, with the probe
+/// side's predicates at their caps, or the upper state of the rows left,
+/// completed with the probe row's own scores.  No result past it can beat
+/// the heap; the results it skips still count as decided.
 pub struct HashJoin {
     left: BoxedOperator,
     right: BuildSide,
@@ -366,9 +451,10 @@ pub struct HashJoin {
     residual: Option<BoundBoolExpr>,
     schema: Schema,
     /// Where the walk of the probe tuple at the front of `left_buf`
-    /// resumes after a call that filled its batch mid-walk: `(partition,
-    /// offset into its group)`.
-    at: (usize, usize),
+    /// resumes after a call that filled its batch mid-walk: `(run, offset
+    /// into its group)` of the key's runs and, on a factored build side, of
+    /// the current keyed row's linked runs.
+    at: [(usize, usize); 2],
     metrics: Arc<OperatorMetrics>,
     batch_size: usize,
     /// Probe-side tuples pulled in batches; the front one is being matched.
@@ -408,7 +494,7 @@ impl HashJoin {
             right_key_cols: keys.keys.iter().map(|&(_, r)| r).collect(),
             residual,
             schema,
-            at: (0, 0),
+            at: [(0, 0); 2],
             metrics,
             batch_size: exec.batch_size(),
             left_buf: VecDeque::new(),
@@ -435,7 +521,7 @@ impl HashJoin {
     }
 
     /// Decides join results until `max` are decided (and one is built),
-    /// handing each pair that passes the residual to `emit`, which says
+    /// handing each that passes the residuals to `emit`, which says
     /// whether it built the result; returns how many it built — 0 once
     /// exhausted.  A call ends after deciding `max` results, so the
     /// threshold it prunes against is never more than one batch stale.
@@ -458,76 +544,78 @@ impl HashJoin {
                 break;
             };
             let key = borrowed_key(&self.left_key_cols, &mut self.probe_key, left);
-            let runs = build.runs(key_hash(key), key);
-            if let Some(top_k) = self.top_k.as_mut().filter(|_| !runs.is_empty()) {
+            let Some(k) = build.key(key_hash(key), key) else {
+                self.left_buf.pop_front();
+                continue;
+            };
+            if let Some(top_k) = &mut self.top_k {
                 top_k.score_probe_row(left)?;
             }
-            let left = &*left;
-            // The key's group in each partition that holds it.
-            'runs: while let Some(run) = runs.get(self.at.0) {
+            let (runs, at) = (build.runs(k), &mut self.at);
+            let mut probe = Probe {
+                build: &build,
+                left: &*left,
+                residual: self.residual.as_ref(),
+                right: &mut self.right_row,
+            };
+            'runs: while let Some(run) = runs.get(at[0].0) {
                 let part = &build.parts[run.part as usize];
-                let group = part.group(run.group);
-                while self.at.1 < group.len() && (decided < max || built == 0) {
-                    let pos = self.at.1;
-                    self.at.1 += 1;
-                    let (row, right) = (group[pos] as usize, &mut self.right_row);
-                    let mut pair = Pair {
-                        left,
-                        part,
-                        row,
-                        right,
-                        loaded: false,
-                    };
-                    if self
-                        .top_k
-                        .as_ref()
-                        .is_some_and(|t| t.prunes(part.bounds[row]))
-                    {
-                        // Runs are walked best head first and their rows
-                        // best bound first: no pair with this row or a
-                        // later one — nor, at a run's head, with a later
-                        // run's row — can beat the heap.  They are decided
-                        // all the same.
-                        let skipped = if pos == 0 { runs.len() } else { self.at.0 + 1 };
-                        decided += match &self.residual {
-                            None if pos == 0 => group.len() + run.after as usize,
-                            None => group.len() - pos,
-                            Some(c) => {
-                                let later = runs[self.at.0 + 1..skipped].iter().map(|r| {
-                                    let part = &build.parts[r.part as usize];
-                                    (part, part.group(r.group))
-                                });
-                                let mut passed = 0;
-                                let rows = std::iter::once((part, &group[pos..])).chain(later);
-                                for (part, rows) in rows {
-                                    for &r in rows {
-                                        (pair.part, pair.row) = (part, r as usize);
-                                        pair.loaded = false;
-                                        passed += usize::from(c.eval(&pair.values())?);
-                                    }
-                                }
-                                passed
-                            }
-                        };
-                        self.at = (skipped, 0);
-                        continue 'runs;
-                    }
-                    if let Some(c) = &self.residual {
-                        if !c.eval(&pair.values())? {
-                            continue;
-                        }
-                    }
-                    decided += 1;
-                    built += usize::from(emit(&mut self.top_k, pair)?);
-                }
-                if self.at.1 < group.len() {
+                let Some(&row) = part.group(run.group).get(at[0].1) else {
+                    at[0] = (at[0].0 + 1, 0);
+                    continue;
+                };
+                if decided >= max && built > 0 {
                     break;
                 }
-                self.at = (self.at.0 + 1, 0);
+                let (row, state) = (row as usize, &probe.left.state);
+                if at[1] == (0, 0) {
+                    if let Some(end) = pruned(self.top_k.as_ref(), &build, k, at[0], state) {
+                        decided += probe.skipped(&build, &runs[..end], at[0], None)?;
+                        at[0] = (end, 0);
+                        continue;
+                    }
+                }
+                let Some((other, _)) = build.other.as_deref() else {
+                    at[0].1 += 1;
+                    let mut pair = probe.pair(part, row, None);
+                    if pair.passes()? {
+                        decided += 1;
+                        built += usize::from(emit(&mut self.top_k, pair)?);
+                    }
+                    continue;
+                };
+                // A factored build side: the keyed row's linked rows,
+                // walked as the key's rows are.
+                let (link, state) = (part.links[row], part.merged_state(state, row));
+                let linked = other.runs(link);
+                while let Some(run) = linked.get(at[1].0) {
+                    let linked_part = &other.parts[run.part as usize];
+                    let Some(&linked_row) = linked_part.group(run.group).get(at[1].1) else {
+                        at[1] = (at[1].0 + 1, 0);
+                        continue;
+                    };
+                    if decided >= max && built > 0 {
+                        break 'runs;
+                    }
+                    if let Some(end) = pruned(self.top_k.as_ref(), other, link, at[1], &state) {
+                        let keyed = Some((part, row));
+                        decided += probe.skipped(other, &linked[..end], at[1], keyed)?;
+                        at[1] = (end, 0);
+                        continue;
+                    }
+                    at[1].1 += 1;
+                    let linked_row = Some((linked_part, linked_row as usize));
+                    let mut pair = probe.pair(part, row, linked_row);
+                    if pair.passes()? {
+                        decided += 1;
+                        built += usize::from(emit(&mut self.top_k, pair)?);
+                    }
+                }
+                (at[0].1, at[1]) = (at[0].1 + 1, (0, 0));
             }
-            if self.at.0 == runs.len() {
+            if at[0].0 == runs.len() {
                 self.left_buf.pop_front();
-                self.at = (0, 0);
+                self.at = [(0, 0); 2];
             }
         }
         if let Some(top_k) = &mut self.top_k {
@@ -539,24 +627,6 @@ impl HashJoin {
             self.metrics.add_batch();
         }
         Ok(built)
-    }
-
-    /// Drains this join into a build side's partition the way
-    /// [`drain_partition`] drains an operator, batch by batch, but encodes
-    /// each result from its probe row and build row instead of building it.
-    fn drain_into(&mut self, part: &mut Partition) -> Result<()> {
-        let batch_size = self.batch_size;
-        while self.walk(batch_size, |top_k, mut p| {
-            let Some(mut state) = p.kept(top_k.as_mut())? else {
-                return Ok(false);
-            };
-            let ids = p.left.tuple.id().parts().iter().chain(p.part.id(p.row));
-            let row = p.values();
-            part.drain_row(row.left, row.right, ids.copied(), &mut state)?;
-            Ok(true)
-        })? > 0
-        {}
-        Ok(())
     }
 
     /// Refills the (empty) probe buffer with a batch of up to `refill`
@@ -588,8 +658,7 @@ impl PhysicalOperator for HashJoin {
             let Some(state) = p.kept(top_k.as_mut())? else {
                 return Ok(false);
             };
-            let tuple = p.part.join_tuple(&p.left.tuple, p.row);
-            out.push(RankedTuple::new(tuple, state));
+            out.push(RankedTuple::new(p.tuple(), state));
             Ok(true)
         })
     }
@@ -608,35 +677,183 @@ impl PhysicalOperator for HashJoin {
     }
 }
 
-/// A pair a hash join's walk decided: its probe row `left` and build row
-/// `row` of `part`, whose values are loaded into `right` on first use.
+/// Where the walk of key `k`'s runs in `table` resumes when `top_k` prunes
+/// the rows from `(run, offset)` on for a probe with score state `probe`:
+/// past the run, or — at a run's head — past every later run too.  `None`
+/// when nothing is pruned.  A row is pruned by its own bound (runs go best
+/// head first, rows best first); at the key's first row, all are pruned by
+/// the key's upper state completed with `probe`'s own scores.
+fn pruned(
+    top_k: Option<&TopKScoring>,
+    table: &JoinTable,
+    k: u32,
+    (r, pos): (usize, usize),
+    probe: &ScoreState,
+) -> Option<usize> {
+    let (top_k, runs) = (top_k?, table.runs(k));
+    let part = &table.parts[runs[r].part as usize];
+    let bound = part.bounds[part.group(runs[r].group)[pos] as usize];
+    let top = (r, pos) == (0, 0) && {
+        let bound = top_k.bound_under(probe, part.top_set, table.key_top(k));
+        bound.is_some_and(|b| top_k.prunes(b))
+    };
+    if top || (pos == 0 && top_k.prunes(bound)) {
+        return Some(runs.len());
+    }
+    top_k.prunes(bound).then_some(r + 1)
+}
+
+/// `table`'s rows from `runs[r]`'s `pos`-th to the end of `runs`.
+fn rows_from<'t: 'r, 'r>(
+    table: &'t JoinTable,
+    runs: &'r [Run],
+    (r, pos): (usize, usize),
+) -> impl Iterator<Item = (&'t Partition, usize)> + 'r {
+    runs[r..].iter().enumerate().flat_map(move |(i, run)| {
+        let part = &table.parts[run.part as usize];
+        let rows = &part.group(run.group)[if i == 0 { pos } else { 0 }..];
+        rows.iter().map(move |&row| (part, row as usize))
+    })
+}
+
+/// The results `table`'s rows from `runs[r]`'s `pos`-th on make.
+fn results_from(table: &JoinTable, runs: &[Run], (r, pos): (usize, usize)) -> usize {
+    let run = runs[r];
+    let part = &table.parts[run.part as usize];
+    let later = if r + 1 < runs.len() { run.after } else { 0 };
+    part.results(&part.group(run.group)[pos..]) + later as usize
+}
+
+/// One probe row's walk of a hash join's build side.
+struct Probe<'a> {
+    build: &'a JoinTable,
+    left: &'a RankedTuple,
+    /// The join's residual.
+    residual: Option<&'a BoundBoolExpr>,
+    right: &'a mut Vec<Value>,
+}
+
+impl<'a> Probe<'a> {
+    /// The result with build row `row` of `part` and, on a factored build
+    /// side, `linked`, a row linked to it.
+    fn pair(
+        &mut self,
+        part: &'a Partition,
+        row: usize,
+        linked: Option<(&'a Partition, usize)>,
+    ) -> Pair<'_> {
+        Pair {
+            left: self.left,
+            build: (part, row),
+            linked,
+            factored: self.build.other.as_deref().map(|(_, f)| f),
+            residual: self.residual,
+            right: self.right,
+            loaded: false,
+        }
+    }
+
+    /// The results decided among the rows a walk skips: `table`'s from
+    /// `at` to the end of `runs` — `keyed`'s linked rows, or the key's rows
+    /// with, on a factored build side, theirs.
+    fn skipped(
+        &mut self,
+        table: &'a JoinTable,
+        runs: &[Run],
+        at: (usize, usize),
+        keyed: Option<(&'a Partition, usize)>,
+    ) -> Result<usize> {
+        let other = self.build.other.as_deref();
+        // A keyed row's pairs count what passes the inner join's residual.
+        let inner = other.and_then(|(_, f)| f.residual.as_ref());
+        let inner = inner.filter(|_| keyed.is_some());
+        if self.residual.is_none() && inner.is_none() {
+            return Ok(results_from(table, runs, at));
+        }
+        let mut passed = 0;
+        for (part, row) in rows_from(table, runs, at) {
+            passed += match (keyed, other) {
+                (None, Some((other, _))) => self.skipped(
+                    other,
+                    other.runs(part.links[row]),
+                    (0, 0),
+                    Some((part, row)),
+                )?,
+                (Some((k, r)), _) => usize::from(self.pair(k, r, Some((part, row))).passes()?),
+                (None, None) => usize::from(self.pair(part, row, None).passes()?),
+            };
+        }
+        Ok(passed)
+    }
+}
+
+/// A result a hash join's walk reached: its probe row `left`, build row
+/// `build` and, on a factored build side, that row's linked row; the build
+/// side's values are loaded into `right` on first use.
 struct Pair<'a> {
     left: &'a RankedTuple,
-    part: &'a Partition,
-    row: usize,
+    build: (&'a Partition, usize),
+    linked: Option<(&'a Partition, usize)>,
+    factored: Option<&'a Factored>,
+    residual: Option<&'a BoundBoolExpr>,
     right: &'a mut Vec<Value>,
     loaded: bool,
 }
 
 impl Pair<'_> {
-    /// The pair's values, in place.
-    fn values(&mut self) -> JoinedRow<'_> {
+    /// The build side's values, in place: a factored build side's inner
+    /// join row.
+    fn build_values(&mut self) -> &[Value] {
         if !self.loaded {
-            self.part.load(self.row, self.right);
+            let (first, second) = match self.linked {
+                Some(linked) if !self.factored.is_some_and(|f| f.right) => {
+                    (linked, Some(self.build))
+                }
+                linked => (self.build, linked),
+            };
+            self.right.clear();
+            for (part, row) in std::iter::once(first).chain(second) {
+                part.load(row, self.right);
+            }
             self.loaded = true;
         }
+        self.right
+    }
+
+    /// The result's values, in place.
+    fn values(&mut self) -> JoinedRow<'_> {
+        let left = self.left.tuple.values();
         JoinedRow {
-            left: self.left.tuple.values(),
-            right: self.right,
+            left,
+            right: self.build_values(),
         }
     }
 
-    /// The pair's score state: both rows' merged and, with `top_k`,
-    /// completed — `None` when the top-k's heap would drop the pair.
+    /// Whether the result passes the inner join's residual (a factored
+    /// build side's) and the join's own.
+    fn passes(&mut self) -> Result<bool> {
+        let inner = self.factored.and_then(|f| f.residual.as_ref());
+        if let Some(c) = inner.filter(|_| self.linked.is_some()) {
+            if !c.eval(self.build_values())? {
+                return Ok(false);
+            }
+        }
+        match self.residual {
+            Some(c) => c.eval(&self.values()),
+            None => Ok(true),
+        }
+    }
+
+    /// The result's score state: its rows' merged and, with `top_k`,
+    /// completed — `None` when the top-k's heap would drop the result.
     fn kept(&mut self, top_k: Option<&mut TopKScoring>) -> Result<Option<ScoreState>> {
-        let mut state = self.part.merged_state(&self.left.state, self.row);
+        let (part, row) = self.build;
+        let mut state = part.merged_state(&self.left.state, row);
+        if let Some((part, row)) = self.linked {
+            state = part.merged_state(&state, row);
+        }
         if let Some(top_k) = top_k {
-            // The sort's own predicates read both sides, if any does.
+            // The sort's own predicates read several inputs, if any does.
             let pair = match top_k.reads_rows() {
                 true => self.values(),
                 false => JoinedRow::default(),
@@ -646,6 +863,19 @@ impl Pair<'_> {
             }
         }
         Ok(Some(state))
+    }
+
+    /// The result, built (see [`Tuple::join`]).
+    fn tuple(&mut self) -> Tuple {
+        let (part, row) = self.build;
+        let Some((linked, linked_row)) = self.linked else {
+            return part.join_tuple(&self.left.tuple, row);
+        };
+        let mut ids = [part.id(row), linked.id(linked_row)].concat();
+        ids.sort_unstable();
+        let id = self.left.tuple.id().combine_parts(&ids);
+        let values = self.values();
+        Tuple::new(id, values.left.iter().chain(values.right).cloned())
     }
 }
 
@@ -831,7 +1061,10 @@ mod tests {
 
     /// `t` as a join's undrained build side.
     fn side(t: &Table, exec: &ExecutionContext) -> BuildSide {
-        BuildSide::Input(BuildInput::Rows(scan(t, exec)))
+        BuildSide::Input(BuildInput {
+            pipelines: vec![scan(t, exec)],
+            factored: None,
+        })
     }
 
     fn join_result_pairs(out: &[RankedTuple]) -> Vec<(i64, i64)> {
@@ -1039,8 +1272,14 @@ mod tests {
                     let (probe, build) = (scan(&r, &exec), side(&s, &exec));
                     let scoring = pruned.then(|| {
                         let pushed = (all, Arc::clone(&cell));
-                        TopKScoring::for_join(probe.schema(), build.schema(), pushed, &exec)
-                            .unwrap()
+                        TopKScoring::for_join(
+                            probe.schema(),
+                            &[build.schema().clone()],
+                            0,
+                            pushed,
+                            &exec,
+                        )
+                        .unwrap()
                     });
                     let join = HashJoin::new(probe, build, Some(&cond), &exec, "hj")
                         .unwrap()

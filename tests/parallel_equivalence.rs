@@ -297,10 +297,12 @@ fn per_operator_actuals_are_identical_across_thread_counts() {
 }
 
 /// The paper's Q under materialise-then-sort at k = 10: the hash join beneath
-/// the sort *decides* every join result (its `rows`), but scores each side
-/// once — A's predicates per probe row that finds a group, B ⋈ C's per
-/// build row — and builds at most 2 % of the results: serially, and the
-/// same ones at every thread count above one.
+/// the sort *decides* every join result (its `rows`), but scores each input
+/// once — A's predicates per probe row that finds a group, B's per σB row
+/// with a pair in C, C's per C row — and builds at most 2 % of the results:
+/// serially, and the same ones at every thread count above one.  Its build
+/// side `σB ⋈ C` is held factored: the inner join decides its pairs and
+/// builds none of them.
 #[test]
 fn q_builds_a_sliver_of_the_join_results_it_decides() {
     let workload = SyntheticWorkload::generate(SyntheticConfig {
@@ -324,10 +326,12 @@ fn q_builds_a_sliver_of_the_join_results_it_decides() {
         *c_by_jc2.entry(int(&c, jc2)).or_default() += 1;
     }
     let mut bc_by_jc1 = std::collections::HashMap::<i64, u64>::new();
+    let mut b_with_a_pair = 0;
     for b in rows("B") {
         if b.value(flag) == &Value::from(true) {
-            *bc_by_jc1.entry(int(&b, jc1)).or_default() +=
-                c_by_jc2.get(&int(&b, jc2)).copied().unwrap_or(0);
+            let pairs = c_by_jc2.get(&int(&b, jc2)).copied().unwrap_or(0);
+            *bc_by_jc1.entry(int(&b, jc1)).or_default() += pairs;
+            b_with_a_pair += u64::from(pairs > 0);
         }
     }
     let matches = |a: &ranksql::Tuple| bc_by_jc1.get(&int(a, jc1)).copied().unwrap_or(0);
@@ -337,6 +341,7 @@ fn q_builds_a_sliver_of_the_join_results_it_decides() {
     let join_results: u64 = probes.clone().map(|a| matches(&a)).sum();
     let probes_with_a_group = probes.filter(|a| matches(a) > 0).count() as u64;
     let build_rows: u64 = bc_by_jc1.values().sum();
+    let c_rows = rows("C").len() as u64;
     assert!(join_results > 100_000, "{join_results}");
 
     let plan = db
@@ -352,28 +357,34 @@ fn q_builds_a_sliver_of_the_join_results_it_decides() {
         let result = execute_physical_plan(&plan, db.catalog(), &exec).unwrap();
         assert_eq!(result.tuples.len(), 10);
         assert_eq!(result.morsels > 0, threads > 1, "threads={threads}");
-        // Post-order: the last hash join is the one beneath the sort.
+        // Post-order: the inner hash join, then the one beneath the sort.
         let actuals = result.operator_actuals();
-        let join = actuals
-            .iter()
-            .rfind(|a| a.label.starts_with("HashJoin"))
-            .unwrap_or_else(|| panic!("no hash join:\n{}", plan.explain(None)))
-            .clone();
-        (join, ranking.counters().snapshot())
+        let mut joins = actuals.iter().filter(|a| a.label.starts_with("HashJoin"));
+        let mut join = || {
+            let join = joins.next().cloned();
+            join.unwrap_or_else(|| panic!("a hash join missing:\n{}", plan.explain(None)))
+        };
+        let (inner, outer) = (join(), join());
+        (inner, outer, ranking.counters().snapshot())
     };
 
-    // f1, f2 read A: once per probe row that finds a group; f3–f5 read
-    // B ⋈ C: once per build row.
-    let (a, bc) = (probes_with_a_group, build_rows);
+    // f1, f2 read A: once per probe row that finds a group; f3, f4 read
+    // B: once per σB row with a pair; f5 reads C: once per C row.
+    let (a, b) = (probes_with_a_group, b_with_a_pair);
     for threads in [1, 2] {
-        let (join, evaluations) = run(threads);
-        assert_eq!(join.rows, join_results, "threads={threads}");
-        assert_eq!(evaluations, vec![a, a, bc, bc, bc], "threads={threads}");
+        let (inner, outer, evaluations) = run(threads);
+        assert_eq!(outer.rows, join_results, "threads={threads}");
+        assert_eq!(evaluations, vec![a, a, b, b, c_rows], "threads={threads}");
+        assert_eq!(
+            (inner.rows, inner.built),
+            (build_rows, 0),
+            "threads={threads}"
+        );
         assert!(
-            join.built * 50 <= join.rows,
+            outer.built * 50 <= outer.rows,
             "threads={threads}: built {} of {} join results",
-            join.built,
-            join.rows
+            outer.built,
+            outer.rows
         );
     }
     // Above one thread the morsels decide what is built, not the workers.
