@@ -25,8 +25,7 @@ use crate::context::{ExecutionContext, TopKScoring};
 use crate::exchange::{build_pipelines, ExchangeOp};
 use crate::filter::{Filter, Project};
 use crate::join::{
-    build_key_cols, extract_join_keys, BuildInput, BuildSide, Factored, HashJoin, JoinKeys,
-    NestedLoopJoin, SortMergeJoin,
+    extract_join_keys, BuildInput, BuildSide, Factored, HashJoin, JoinKeys, SortMergeJoin,
 };
 use crate::metrics::MetricsRegistry;
 use crate::operator::{drain_batched, BoxedOperator};
@@ -278,7 +277,10 @@ fn hash_join(
     let top_k = exec.pop_prune_threshold();
     let l = inputs(left, exec)?;
     let right_schema = right.schema()?;
-    let key_cols = build_key_cols(condition, l.schema(), &right_schema);
+    // The plan's columns, for a drain this lowering runs (a stand-in input
+    // has none: its join drains with the operators' own).
+    let keys = extract_join_keys(condition, l.schema(), &right_schema).keys;
+    let key_cols: Vec<usize> = keys.into_iter().map(|(_, r)| r).collect();
     let factoring = match factors {
         true => Factoring::of(right, &key_cols, top_k.is_some())?,
         false => None,
@@ -294,7 +296,13 @@ fn hash_join(
     .transpose()?;
     let build = (key_cols.as_slice(), scoring.as_ref());
     let r = build_side(right, catalog, exec, inputs, build, factoring.as_ref())?;
-    Ok(HashJoin::new(l, r, condition, exec, label)?.with_scoring(scoring))
+    let keys = extract_join_keys(condition, l.schema(), r.schema());
+    if keys.keys.is_empty() {
+        return Err(RankSqlError::Execution(
+            "hash join requires at least one equi-join condition".into(),
+        ));
+    }
+    Ok(HashJoin::new(l, r, keys, exec, label)?.with_scoring(scoring))
 }
 
 /// The rows `rows` of `epoch` an index build reads, with the pages it
@@ -344,8 +352,8 @@ fn check_predicate(ctx: &RankingContext, predicate: usize) -> Result<()> {
 /// With more than one thread, a `Sort` or `SortLimit` over a spine is
 /// lowered as an [`ExchangeOp`], which lowers the sort through this same
 /// walk once per morsel, under a morsel context; two arms read it — the
-/// scan (the morsel's row range) and the hash and nested-loops joins (the
-/// spine's drained build side).
+/// scan (the morsel's row range) and the hash join, nested loops included
+/// (the spine's drained build side).
 pub fn build_operator(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -514,9 +522,11 @@ fn lower(
             let condition = condition.as_ref();
             match algorithm {
                 JoinAlgorithm::NestedLoop => {
+                    // The keyed join on the empty key, unscored.
                     let l = inputs(left, exec)?;
                     let r = build_side(right, catalog, exec, inputs, (&[], None), None)?;
-                    Ok(Box::new(NestedLoopJoin::new(l, r, condition, exec, label)?))
+                    let keys = JoinKeys::empty(condition);
+                    Ok(Box::new(HashJoin::new(l, r, keys, exec, label)?))
                 }
                 JoinAlgorithm::Hash => {
                     let join = hash_join(plan, label, catalog, exec, inputs, lowers)?;

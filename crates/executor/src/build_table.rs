@@ -1,11 +1,15 @@
-//! A hash or nested-loops join's drained build side: the [`JoinTable`],
-//! one [`Partition`] per build morsel.
+//! A keyed join's drained build side: the [`JoinTable`], one
+//! [`Partition`] per build morsel, and the [`KeyIndex`] both join families
+//! find keys by.
 //!
 //! A partition holds its rows in a few flat arrays — values row after row
 //! as a tag byte and a word each, identities and score states beside them
 //! — and its key groups as ranges of one member array.  It holds no
 //! allocation per row, so dropping it is a few frees, and a row is
-//! materialised only when a probe (or a nested-loops pass) reaches it.
+//! materialised only when a probe reaches it.  A nested-loops join is the
+//! keyed join on the empty key: its rows form one group, walked in
+//! partition order, then input order.  `=` is never true of a NULL, so a
+//! row with a NULL in a key column is drawn but joins no group.
 //!
 //! An equi hash join's output is held *factored*: one input's table, each
 //! row linked to its pairs in the other's, no pair encoded.  Beneath a
@@ -39,10 +43,11 @@ struct Group {
     hash: u64,
 }
 
-/// Join keys by hash: each key an id, numbered in insertion order, and
-/// keys whose hashes collide chained.
+/// Ids by the hash of their join key, numbered in insertion order, ids
+/// whose hashes collide chained: a hash join's keys (one id a key) and a
+/// rank-join's drawn rows (one id a row).  The caller compares keys.
 #[derive(Default)]
-struct KeyIndex {
+pub(crate) struct KeyIndex {
     /// Hash → the last id inserted with it.
     heads: FxHashMap<u64, u32>,
     /// Id → the id inserted before it with the same hash.
@@ -52,14 +57,19 @@ struct KeyIndex {
 const NO_KEY: u32 = u32::MAX;
 
 impl KeyIndex {
+    /// The ids inserted hashed as `hash`, newest first.
+    pub(crate) fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+        let next = |&at: &u32| Some(self.next[at as usize]).filter(|&n| n != NO_KEY);
+        std::iter::successors(self.heads.get(&hash).copied(), next)
+    }
+
     /// The id hashed as `hash` whose key `is_key` accepts.
     fn find(&self, hash: u64, is_key: impl Fn(u32) -> bool) -> Option<u32> {
-        let next = |&at: &u32| Some(self.next[at as usize]).filter(|&n| n != NO_KEY);
-        std::iter::successors(self.heads.get(&hash).copied(), next).find(|&at| is_key(at))
+        self.chain(hash).find(|&at| is_key(at))
     }
 
     /// Adds the next id, hashed as `hash`.
-    fn insert(&mut self, hash: u64) -> u32 {
+    pub(crate) fn insert(&mut self, hash: u64) -> u32 {
         let id = self.next.len() as u32;
         let before = self.heads.insert(hash, id);
         self.next.push(before.unwrap_or(NO_KEY));
@@ -121,12 +131,15 @@ pub(crate) struct Partition {
     group_keys: Vec<Value>,
     /// The key columns (none for a nested-loops join's partition).
     key_cols: Vec<usize>,
+    /// The rows drained, and the results those with a NULL key make: drawn,
+    /// but in no group.
+    pub(crate) drawn: usize,
+    ungrouped: u64,
     /// While the partition drains: its groups by key, each row's group,
-    /// the last row's key and the next row's, and the top-k scoring it.
+    /// the last row's key, and the top-k scoring it.
     index: KeyIndex,
     group_of: Vec<u32>,
     key: Vec<Value>,
-    next_key: Vec<Value>,
     top_k: Option<TopKScoring>,
 }
 
@@ -143,13 +156,10 @@ impl Partition {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.id_ends.len()
-    }
-
     /// Adds a row: its values `row`, identity parts `id` and `state`, which
     /// the partition's top-k completes; `link` joins a factored build
-    /// side's keyed row to its other side.
+    /// side's keyed row to its other side.  A row with a NULL key is only
+    /// counted.
     pub(crate) fn drain_row(
         &mut self,
         row: &[Value],
@@ -157,6 +167,11 @@ impl Partition {
         state: &mut ScoreState,
         link: Option<Link<'_>>,
     ) -> Result<()> {
+        self.drawn += 1;
+        if self.key_cols.iter().any(|&c| row[c].is_null()) {
+            self.ungrouped += link.map_or(1, |l| u64::from(l.pairs));
+            return Ok(());
+        }
         if let Some(top_k) = &mut self.top_k {
             top_k.score_build_row(row, state)?;
             // A keyed row's bound covers its pairs: its link's upper state.
@@ -176,20 +191,16 @@ impl Partition {
             self.pairs.push(link.pairs);
         }
         self.push(row, id, state);
-        if self.key_cols.is_empty() {
-            return Ok(());
-        }
-        self.next_key.clear();
-        self.next_key
-            .extend(self.key_cols.iter().map(|&c| row[c].clone()));
         // Runs of rows share a key: a join's pairs of one probe row.
+        let key = self.key_cols.iter().map(|&c| &row[c]);
         let group = match self.group_of.last() {
-            Some(&last) if self.next_key == self.key => {
+            Some(&last) if key.clone().eq(&self.key) => {
                 self.groups[last as usize].end += 1;
                 last
             }
             _ => {
-                std::mem::swap(&mut self.key, &mut self.next_key);
+                self.key.clear();
+                self.key.extend(key.cloned());
                 self.group_of_last()
             }
         };
@@ -325,7 +336,7 @@ impl Partition {
             self.members = keys.into_iter().map(|k| k as u32).collect();
         }
         // Drop the drain's state and the arrays' growth slack.
-        (self.index, self.key, self.next_key, self.top_k) = Default::default();
+        (self.index, self.key, self.top_k) = Default::default();
         self.tags.shrink_to_fit();
         self.words.shrink_to_fit();
         self.id_parts.shrink_to_fit();
@@ -352,10 +363,10 @@ fn raise(top: &mut [f64], other: &[f64], set: BitSet64) {
     }
 }
 
-/// The hash a join key is grouped and probed by.
-pub(crate) fn key_hash(key: &[Value]) -> u64 {
+/// The hash a join key's values are grouped and probed by.
+pub(crate) fn key_hash<'a>(key: impl IntoIterator<Item = &'a Value>) -> u64 {
     let mut hasher = FxHasher::default();
-    key.iter().for_each(|v| v.hash(&mut hasher));
+    key.into_iter().for_each(|v| v.hash(&mut hasher));
     hasher.finish()
 }
 
@@ -374,8 +385,8 @@ pub(crate) struct Run {
 /// partition that holds it, and a probe walks them in turn.  When a top-k
 /// scored them, runs go best head bound first (ties in partition order),
 /// so a probe that prunes a run's head prunes every later run too;
-/// otherwise they go in partition order — the key's rows in input order.
-/// A nested-loops join reads the partitions' rows in order.
+/// otherwise they go in partition order — the key's rows in input order,
+/// which on the empty key is the nested-loops order.
 pub(crate) struct JoinTable {
     pub(crate) schema: Schema,
     /// Results no join has counted as input yet: the first join to pull
@@ -401,10 +412,7 @@ impl JoinTable {
     /// order; a pass over their groups indexes the keys.
     pub(crate) fn new(schema: Schema, parts: Vec<Partition>) -> Self {
         let rows = (parts.iter())
-            .map(|p| match p.pairs.is_empty() {
-                true => p.len() as u64,
-                false => p.results(&p.members) as u64,
-            })
+            .map(|p| p.results(&p.members) as u64 + p.ungrouped)
             .sum();
         let (mut keys, mut firsts, mut order) = (KeyIndex::default(), Vec::new(), Vec::new());
         for (p, part) in (0..).zip(&parts) {
@@ -468,13 +476,14 @@ impl JoinTable {
         }
     }
 
-    /// The key `key` (hashed as `hash`), if a partition holds it.
-    pub(crate) fn key(&self, hash: u64, key: &[Value]) -> Option<u32> {
+    /// The key whose values are `key`, compared in place, if a partition
+    /// holds it.
+    pub(crate) fn key<'v>(&self, key: impl Iterator<Item = &'v Value> + Clone) -> Option<u32> {
         let same = |k: u32| {
             let (p, g) = self.firsts[k as usize];
-            self.parts[p as usize].group_key(g) == key
+            self.parts[p as usize].group_key(g).iter().eq(key.clone())
         };
-        self.keys.find(hash, same)
+        self.keys.find(key_hash(key.clone()), same)
     }
 
     /// The runs of key `k`, in walk order.

@@ -4,8 +4,9 @@
 //! one.  [`build_operator`] lowers a `Sort` or `SortLimit` as an ordered
 //! exchange when the execution has more than one thread, is not already
 //! inside an exchange, and the sort's input is a *spine* (`spine_table`):
-//! σ, π and the probe sides of hash or nested-loops joins, down to a
-//! sequential scan that is not zone-pruned.  The exchange runs the sort over
+//! σ, π and the probe sides of hash joins (nested loops, the hash join on
+//! the empty key, included), down to a sequential scan that is not
+//! zone-pruned.  The exchange runs the sort over
 //! each **morsel** (a contiguous chunk of the driving table's rows) across a
 //! scoped-thread [`WorkerPool`], then k-way merges the per-morsel runs,
 //! keeping the sort's own `k`.  One plan thus serves every thread count.
@@ -64,9 +65,9 @@ use crate::context::{ExecutionContext, SpineRecord, TopKThreshold};
 use crate::operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
 
 /// The table whose rows a morsel lowering of `plan` partitions, if `plan`
-/// is a spine: σ, π and the probe sides of hash and nested-loops joins
-/// whose build sides hold no rank-aware operator, down to a sequential scan
-/// that is not zone-pruned.
+/// is a spine: σ, π and the probe sides of hash joins (nested loops
+/// included) whose build sides hold no rank-aware operator, down to a
+/// sequential scan that is not zone-pruned.
 pub(crate) fn spine_table(plan: &PhysicalPlan) -> Option<&str> {
     match &plan.op {
         PhysicalOp::SeqScan {

@@ -1,11 +1,17 @@
-//! Traditional (ranking-blind) join operators: nested loops, hash join and
-//! sort-merge join.
+//! Traditional (ranking-blind) join operators: the keyed join, over a
+//! hash-grouped build side, and the sort-merge join.
 //!
 //! These operators implement the membership semantics of ⋈ and *merge* the
 //! score states of their inputs (so predicates evaluated below the join stay
 //! evaluated above it), but they make no promise about output order — they
 //! are the joins a conventional engine would use in the materialise-then-sort
 //! plans the paper compares against (Plan 1 and Plan 4 of Figure 11).
+//!
+//! A nested-loops join is the [`HashJoin`] on the empty key: every build
+//! row is in one group, so each probe row walks them all, in partition
+//! order, then input order, and the whole condition is the residual.  `=`
+//! is never true of a NULL, so in every join a row whose key holds a NULL
+//! joins nothing.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -14,11 +20,11 @@ use std::sync::Arc;
 use ranksql_common::{JoinedRow, RankSqlError, Result, Schema, Tuple, Value};
 use ranksql_expr::{BoolExpr, BoundBoolExpr, CompareOp, RankedTuple, ScalarExpr, ScoreState};
 
-use crate::build_table::{key_hash, JoinTable, Link, Partition, Run};
+use crate::build_table::{JoinTable, Link, Partition, Run};
 use crate::context::{ExecutionContext, TopKScoring};
 use crate::exchange::drain_pipelines;
 use crate::metrics::OperatorMetrics;
-use crate::operator::{drain_batched, draw_one, Batch, BoxedOperator, PhysicalOperator};
+use crate::operator::{drain_batched, Batch, BoxedOperator, PhysicalOperator};
 
 /// Equi-join keys extracted from a join condition, plus whatever part of the
 /// condition is not a simple column equality (the *residual*, evaluated on
@@ -31,6 +37,18 @@ pub struct JoinKeys {
     pub residual: Option<BoolExpr>,
 }
 
+impl JoinKeys {
+    /// The empty key, a nested-loops join's: no pairs, and all of
+    /// `condition` residual.
+    pub(crate) fn empty(condition: Option<&BoolExpr>) -> Self {
+        let residual = condition.cloned();
+        JoinKeys {
+            keys: vec![],
+            residual,
+        }
+    }
+}
+
 /// Splits a join condition into equi-join column pairs and a residual.
 ///
 /// A conjunct of the form `L.col = R.col` (either orientation) where one side
@@ -38,10 +56,7 @@ pub struct JoinKeys {
 /// becomes a key pair; every other conjunct goes to the residual.
 pub fn extract_join_keys(condition: Option<&BoolExpr>, left: &Schema, right: &Schema) -> JoinKeys {
     let Some(condition) = condition else {
-        return JoinKeys {
-            keys: vec![],
-            residual: None,
-        };
+        return JoinKeys::empty(None);
     };
     let mut keys = Vec::new();
     let mut residual = Vec::new();
@@ -71,17 +86,6 @@ pub fn extract_join_keys(condition: Option<&BoolExpr>, left: &Schema, right: &Sc
         keys,
         residual: BoolExpr::conjoin(residual),
     }
-}
-
-/// The build-side key columns of a hash join on `condition` (empty when it
-/// has no equi-join conjunct).
-pub(crate) fn build_key_cols(
-    condition: Option<&BoolExpr>,
-    left: &Schema,
-    right: &Schema,
-) -> Vec<usize> {
-    let keys = extract_join_keys(condition, left, right);
-    keys.keys.iter().map(|&(_, r)| r).collect()
 }
 
 /// What a join's build side drains: its input's pipelines — one per morsel
@@ -115,16 +119,14 @@ pub(crate) struct Factored {
 
 impl Factored {
     /// Keyed row `row`'s link into the drained other side `other`, `None`
-    /// when it makes no pair; `key` and `pair` are scratch.
+    /// when it makes no pair; `pair` is scratch.
     fn link<'o>(
         &self,
         other: &'o JoinTable,
         row: &[Value],
-        (key, pair): (&mut Vec<Value>, &mut Vec<Value>),
+        pair: &mut Vec<Value>,
     ) -> Result<Option<Link<'o>>> {
-        key.clear();
-        key.extend(self.keyed_cols.iter().map(|&c| row[c].clone()));
-        let Some(k) = other.key(key_hash(key), key) else {
+        let Some(k) = other.key(self.keyed_cols.iter().map(|&c| &row[c])) else {
             return Ok(None);
         };
         let mut pairs = results_from(other, other.runs(k), (0, 0)) as u32;
@@ -171,7 +173,7 @@ impl BuildInput {
         let other = JoinTable::new(other[0].schema().clone(), parts);
         let parts = drain(keyed, &f.outer_cols, top_k, Some((&f, &other)))?;
         let mut table = JoinTable::new(f.schema.clone(), parts);
-        let rows = table.parts.iter().chain(&other.parts).map(Partition::len);
+        let rows = table.parts.iter().chain(&other.parts).map(|p| p.drawn);
         f.metrics.add_in(rows.sum::<usize>() as u64);
         f.metrics.add_out(table.uncounted.load(Ordering::Relaxed));
         table.other = Some(Box::new((other, *f)));
@@ -193,17 +195,15 @@ pub(crate) fn drain_partition(
     link: Option<(&Factored, &JoinTable)>,
 ) -> Result<Partition> {
     let mut part = Partition::draining(key_cols, top_k);
-    let (mut buf, mut scratch) = (Batch::with_capacity(batch_size), (Vec::new(), Vec::new()));
+    let (mut buf, mut scratch) = (Batch::with_capacity(batch_size), Vec::new());
     while input.next_batch(batch_size, &mut buf)? > 0 {
         for t in buf.iter_mut() {
             let (values, id) = (t.tuple.values(), t.tuple.id().parts().iter().copied());
             let link = match link {
-                Some((f, other)) => {
-                    match f.link(other, values, (&mut scratch.0, &mut scratch.1))? {
-                        None => continue,
-                        linked => linked,
-                    }
-                }
+                Some((f, other)) => match f.link(other, values, &mut scratch)? {
+                    None => continue,
+                    linked => linked,
+                },
                 None => None,
             };
             part.drain_row(values, id, &mut t.state, link)?;
@@ -225,7 +225,7 @@ pub(crate) enum BuildSide {
 }
 
 impl BuildSide {
-    fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         match self {
             BuildSide::Input(input) => {
                 (input.factored.as_ref()).map_or(input.pipelines[0].schema(), |f| &f.schema)
@@ -289,146 +289,9 @@ fn cmp_keys(
         .unwrap_or(std::cmp::Ordering::Equal)
 }
 
-/// `t`'s join key as a slice, without allocating: a single-column key is
-/// the value in place, a multi-column key is copied into `scratch`.
-fn borrowed_key<'a>(
-    key_cols: &[usize],
-    scratch: &'a mut Vec<Value>,
-    t: &'a RankedTuple,
-) -> &'a [Value] {
-    if let [col] = key_cols {
-        std::slice::from_ref(t.tuple.value(*col))
-    } else {
-        scratch.clear();
-        scratch.extend(key_cols.iter().map(|&i| t.tuple.value(i).clone()));
-        scratch
-    }
-}
-
-/// Binds the condition to evaluate on joined tuples (residual for equi-joins,
-/// or the full condition for nested loops).
-fn bind_on_joined(condition: Option<&BoolExpr>, joined: &Schema) -> Result<Option<BoundBoolExpr>> {
-    condition.map(|c| c.bind(joined)).transpose()
-}
-
-/// Block nested-loops join: materialises the right input and loops over it
-/// for every left tuple.  Supports arbitrary (or absent = cross) conditions.
-pub struct NestedLoopJoin {
-    left: BoxedOperator,
-    right: BuildSide,
-    condition: Option<BoundBoolExpr>,
-    schema: Schema,
-    /// The outer tuple being joined (empty between outer tuples) — the
-    /// buffer the left input appends each draw to.
-    current_left: Batch,
-    /// The next inner row to pair with it: `(partition, row)`.
-    right_pos: (usize, usize),
-    /// The inner row being tested, materialised.
-    right_row: Vec<Value>,
-    metrics: Arc<OperatorMetrics>,
-    batch_size: usize,
-}
-
-impl NestedLoopJoin {
-    /// Creates a nested-loops join.
-    pub(crate) fn new(
-        left: BoxedOperator,
-        right: BuildSide,
-        condition: Option<&BoolExpr>,
-        exec: &ExecutionContext,
-        label: impl Into<String>,
-    ) -> Result<Self> {
-        let metrics = exec.register(label);
-        let schema = left.schema().join(right.schema());
-        let bound = bind_on_joined(condition, &schema)?;
-        Ok(NestedLoopJoin {
-            left,
-            right,
-            condition: bound,
-            schema,
-            current_left: Batch::with_capacity(1),
-            right_pos: (0, 0),
-            right_row: Vec::new(),
-            metrics,
-            batch_size: exec.batch_size(),
-        })
-    }
-}
-
-impl PhysicalOperator for NestedLoopJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self, max: usize, out: &mut Batch) -> Result<usize> {
-        let inner = self
-            .right
-            .drained(&self.metrics, self.batch_size, &[], None)?;
-        let parts = &inner.parts;
-        let (mut pulled, mut produced) = (0u64, 0usize);
-        while produced < max {
-            // One outer tuple at a time: a pass over the inner relation per
-            // outer tuple dwarfs the dispatch a larger draw would save.
-            if self.current_left.is_empty() {
-                if !draw_one(self.left.as_mut(), &mut self.current_left)? {
-                    break;
-                }
-                pulled += 1;
-                self.right_pos = (0, 0);
-            }
-            let left = &self.current_left[0];
-            while self.right_pos.0 < parts.len() && produced < max {
-                let (p, row) = self.right_pos;
-                let part = &parts[p];
-                if row == part.len() {
-                    self.right_pos = (p + 1, 0);
-                    continue;
-                }
-                self.right_pos.1 += 1;
-                // Decide on the pair in place; build only the pairs that pass.
-                if let Some(c) = &self.condition {
-                    self.right_row.clear();
-                    part.load(row, &mut self.right_row);
-                    let pair = JoinedRow {
-                        left: left.tuple.values(),
-                        right: &self.right_row,
-                    };
-                    if !c.eval(&pair)? {
-                        continue;
-                    }
-                }
-                let tuple = part.join_tuple(&left.tuple, row);
-                out.push(RankedTuple::new(tuple, part.merged_state(&left.state, row)));
-                produced += 1;
-            }
-            if self.right_pos.0 == parts.len() {
-                self.current_left.clear();
-            }
-        }
-        self.metrics.add_in(pulled);
-        if produced > 0 {
-            self.metrics.add_out(produced as u64);
-            self.metrics.add_batch();
-        }
-        Ok(produced)
-    }
-
-    fn is_ranked(&self) -> bool {
-        false
-    }
-
-    fn can_extend_limit(&self) -> bool {
-        self.left.can_extend_limit() && self.right.can_extend_limit()
-    }
-
-    fn extend_limit(&mut self, extra: usize) -> bool {
-        // The inner side is (or will be) fully materialised — no discard.
-        self.left.extend_limit(extra) & self.right.extend_limit(extra)
-    }
-}
-
-/// Hash join: builds a hash table on the right input's join keys and probes
-/// it with left tuples.  Requires at least one equi-join key.
+/// The keyed join: groups the right input's rows by their join key and
+/// probes the groups with left tuples.  With no key pairs it is the
+/// nested-loops join: one group, the whole condition as the residual.
 ///
 /// `tuples_out` counts the join results *decided* — matched on the keys and
 /// passed the residuals.  Beneath a `SortLimit` (see
@@ -461,32 +324,25 @@ pub struct HashJoin {
     left_buf: VecDeque<RankedTuple>,
     left_scratch: Batch,
     left_done: bool,
-    /// Reusable key buffer for multi-column probes.
-    probe_key: Vec<Value>,
     /// The build row being tested, materialised.
     right_row: Vec<Value>,
     top_k: Option<TopKScoring>,
 }
 
 impl HashJoin {
-    /// Creates a hash join from an explicit condition.  A built `right`
-    /// must have been hashed on [`build_key_cols`] of the same condition.
+    /// Creates a keyed join on `keys`: its key pairs and residual (see
+    /// [`extract_join_keys`]).  A built `right` must have been grouped on
+    /// the same key pairs' right columns.
     pub(crate) fn new(
         left: BoxedOperator,
         right: BuildSide,
-        condition: Option<&BoolExpr>,
+        keys: JoinKeys,
         exec: &ExecutionContext,
         label: impl Into<String>,
     ) -> Result<Self> {
         let metrics = exec.register(label);
-        let keys = extract_join_keys(condition, left.schema(), right.schema());
-        if keys.keys.is_empty() {
-            return Err(RankSqlError::Execution(
-                "hash join requires at least one equi-join condition".into(),
-            ));
-        }
         let schema = left.schema().join(right.schema());
-        let residual = bind_on_joined(keys.residual.as_ref(), &schema)?;
+        let residual = keys.residual.map(|c| c.bind(&schema)).transpose()?;
         Ok(HashJoin {
             left,
             right,
@@ -500,7 +356,6 @@ impl HashJoin {
             left_buf: VecDeque::new(),
             left_scratch: Batch::new(),
             left_done: false,
-            probe_key: Vec::new(),
             right_row: Vec::new(),
             top_k: None,
         })
@@ -543,8 +398,9 @@ impl HashJoin {
                 }
                 break;
             };
-            let key = borrowed_key(&self.left_key_cols, &mut self.probe_key, left);
-            let Some(k) = build.key(key_hash(key), key) else {
+            // No group holds a NULL key, so a NULL probe key finds none.
+            let key = self.left_key_cols.iter().map(|&c| left.tuple.value(c));
+            let Some(k) = build.key(key) else {
                 self.left_buf.pop_front();
                 continue;
             };
@@ -630,10 +486,17 @@ impl HashJoin {
     }
 
     /// Refills the (empty) probe buffer with a batch of up to `refill`
-    /// tuples; `false` once the probe side is exhausted.
+    /// tuples — one on the empty key, where each meets every build row, so
+    /// a nested-loops join under a limit draws no probe row it never
+    /// reaches; `false` once the probe side is exhausted.
     fn refill_left(&mut self, refill: usize) -> Result<bool> {
         if !self.left_done {
             self.left_scratch.clear();
+            let refill = if self.left_key_cols.is_empty() {
+                1
+            } else {
+                refill
+            };
             let n = self
                 .left
                 .next_batch(refill.max(1), &mut self.left_scratch)?;
@@ -910,7 +773,7 @@ impl SortMergeJoin {
             ));
         }
         let schema = left.schema().join(right.schema());
-        let residual = bind_on_joined(keys.residual.as_ref(), &schema)?;
+        let residual = keys.residual.map(|c| c.bind(&schema)).transpose()?;
         Ok(SortMergeJoin {
             output: Vec::new().into_iter(),
             schema,
@@ -932,6 +795,11 @@ impl SortMergeJoin {
         let mut l_rows = drain_batched(left.as_mut(), self.batch_size)?;
         let mut r_rows = drain_batched(right.as_mut(), self.batch_size)?;
         self.metrics.add_in((l_rows.len() + r_rows.len()) as u64);
+        // A row whose key holds a NULL joins nothing.
+        let keyed =
+            |t: &RankedTuple, keys: &[usize]| keys.iter().all(|&c| !t.tuple.value(c).is_null());
+        l_rows.retain(|t| keyed(t, &left_keys));
+        r_rows.retain(|t| keyed(t, &right_keys));
         // Stable: rows with equal keys keep their input order.
         l_rows.sort_by(|a, b| cmp_keys(a, &left_keys, b, &left_keys));
         r_rows.sort_by(|a, b| cmp_keys(a, &right_keys, b, &right_keys));
@@ -1013,9 +881,10 @@ mod tests {
     use crate::column_scan::tests::scan_table;
     use crate::context::TopKThreshold;
     use crate::operator::drain_batched;
+    use ranksql_algebra::{JoinAlgorithm, LogicalPlan, PhysicalPlan};
     use ranksql_common::{BitSet64, DataType, Field};
     use ranksql_expr::RankingContext;
-    use ranksql_storage::{Table, TableBuilder};
+    use ranksql_storage::{Catalog, Table, TableBuilder};
 
     fn table_r() -> Table {
         let schema = Schema::new(vec![
@@ -1067,6 +936,11 @@ mod tests {
         })
     }
 
+    /// The keys and residual of `R ⋈ S` on `cond`.
+    fn keys(cond: &BoolExpr) -> JoinKeys {
+        extract_join_keys(Some(cond), table_r().schema(), table_s().schema())
+    }
+
     fn join_result_pairs(out: &[RankedTuple]) -> Vec<(i64, i64)> {
         let mut pairs: Vec<(i64, i64)> = out
             .iter()
@@ -1114,9 +988,14 @@ mod tests {
         let s = table_s();
         let exec = exec();
         let cond = BoolExpr::col_eq_col("R.a", "S.a");
-        let mut j =
-            NestedLoopJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "nlj")
-                .unwrap();
+        let mut j = HashJoin::new(
+            scan(&r, &exec),
+            side(&s, &exec),
+            JoinKeys::empty(Some(&cond)),
+            &exec,
+            "nlj",
+        )
+        .unwrap();
         let out = drain_batched(&mut j, 4).unwrap();
         assert_eq!(join_result_pairs(&out), expected_pairs());
         assert_eq!(out[0].tuple.arity(), 4);
@@ -1127,8 +1006,14 @@ mod tests {
         let r = table_r();
         let s = table_s();
         let exec = exec();
-        let mut j =
-            NestedLoopJoin::new(scan(&r, &exec), side(&s, &exec), None, &exec, "nlj").unwrap();
+        let mut j = HashJoin::new(
+            scan(&r, &exec),
+            side(&s, &exec),
+            JoinKeys::empty(None),
+            &exec,
+            "nlj",
+        )
+        .unwrap();
         assert_eq!(drain_batched(&mut j, 4).unwrap().len(), 16);
     }
 
@@ -1139,7 +1024,7 @@ mod tests {
         let exec = exec();
         let cond = BoolExpr::col_eq_col("R.a", "S.a");
         let mut j =
-            HashJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "hj").unwrap();
+            HashJoin::new(scan(&r, &exec), side(&s, &exec), keys(&cond), &exec, "hj").unwrap();
         let out = drain_batched(&mut j, 4).unwrap();
         assert_eq!(join_result_pairs(&out), expected_pairs());
     }
@@ -1154,7 +1039,15 @@ mod tests {
             CompareOp::Lt,
             ScalarExpr::col("S.y"),
         );
-        assert!(HashJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "hj").is_err());
+        let plan =
+            LogicalPlan::scan(&r).join(LogicalPlan::scan(&s), Some(cond), JoinAlgorithm::Hash);
+        let plan = PhysicalPlan::from_logical(&plan).unwrap();
+        let inputs = vec![scan(&r, &exec), scan(&s, &exec)];
+        let Err(err) = crate::build::build_over_inputs(&plan, inputs, &Catalog::new(), &exec)
+        else {
+            panic!("a hash join without an equi-join conjunct lowered");
+        };
+        assert!(err.to_string().contains("equi-join"), "{err}");
     }
 
     #[test]
@@ -1184,7 +1077,7 @@ mod tests {
         for mk in ["hash", "smj", "nlj"] {
             let op: BoxedOperator = match mk {
                 "hash" => Box::new(
-                    HashJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "j")
+                    HashJoin::new(scan(&r, &exec), side(&s, &exec), keys(&cond), &exec, "j")
                         .unwrap(),
                 ),
                 "smj" => Box::new(
@@ -1192,8 +1085,14 @@ mod tests {
                         .unwrap(),
                 ),
                 _ => Box::new(
-                    NestedLoopJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "j")
-                        .unwrap(),
+                    HashJoin::new(
+                        scan(&r, &exec),
+                        side(&s, &exec),
+                        JoinKeys::empty(Some(&cond)),
+                        &exec,
+                        "j",
+                    )
+                    .unwrap(),
                 ),
             };
             let mut op = op;
@@ -1281,7 +1180,8 @@ mod tests {
                         )
                         .unwrap()
                     });
-                    let join = HashJoin::new(probe, build, Some(&cond), &exec, "hj")
+                    let keys = extract_join_keys(Some(&cond), probe.schema(), build.schema());
+                    let join = HashJoin::new(probe, build, keys, &exec, "hj")
                         .unwrap()
                         .with_scoring(scoring);
                     let mut top = SortLimitOp::new(Box::new(join), all, 5, &exec, "top").unwrap();
@@ -1318,7 +1218,7 @@ mod tests {
         let s = table_s();
         let exec = exec();
         let cond = BoolExpr::col_eq_col("R.a", "S.a");
-        let j = HashJoin::new(scan(&r, &exec), side(&s, &exec), Some(&cond), &exec, "hj").unwrap();
+        let j = HashJoin::new(scan(&r, &exec), side(&s, &exec), keys(&cond), &exec, "hj").unwrap();
         assert!(!j.is_ranked());
     }
 }

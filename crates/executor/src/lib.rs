@@ -17,12 +17,16 @@
 //! | filter (σ), project (π) | [`filter`] | order-preserving |
 //! | rank (µ) | [`rank`] | yes |
 //! | multi-predicate rank with minimal probing (MPro) | [`mpro`] | yes |
-//! | nested-loop / hash / sort-merge join | [`join`] | no (blocking) |
-//! | HRJN, NRJN rank-joins | [`rank_join`] | yes |
+//! | hash join (nested loops: on the empty key), sort-merge join | [`join`] | no (blocking) |
+//! | HRJN, NRJN (HRJN on the empty key) rank-joins | [`rank_join`] | yes |
 //! | sort (τ, materialise-then-sort), top-k limit (λ) | [`sort_limit`] | sort: blocking |
 //! | union, intersection, difference | [`set_ops`] | intersection/difference incremental |
 //! | fused top-k sort (τ+λ, bounded heap) | [`sort_limit`] | blocking, `O(k)` memory |
 //! | exchange (morsel-parallel sort input, deterministic merge) | [`exchange`] | ordered merge: yes |
+//!
+//! Both join families find keys through one index, `build_table`'s
+//! `KeyIndex`, and in every join a NULL key joins nothing: `=` is never
+//! true of a NULL.
 //!
 //! The executor consumes the [`ranksql_algebra::PhysicalPlan`] IR:
 //! [`build::build_operator`] instantiates the named operator for every node
@@ -47,8 +51,8 @@
 //!
 //! **Morsel-driven parallelism.** Parallelism is no plan node.  With more
 //! than one [`ExecutionContext::threads`], `build_operator` lowers a sort
-//! whose input is a spine (σ, π, hash- or nested-loops-join probes over a
-//! sequential scan) as an exchange: the sort runs once per morsel of the
+//! whose input is a spine (σ, π, hash-join probes, nested loops included,
+//! over a sequential scan) as an exchange: the sort runs once per morsel of the
 //! driving scan across a scoped worker pool and the runs are merged
 //! deterministically — byte-identical to serial execution for any thread
 //! count; see the [`exchange`] module.

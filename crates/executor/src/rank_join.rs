@@ -7,17 +7,21 @@
 //! upper-bound order of the combined score state, and stop drawing input as
 //! soon as the requested results are guaranteed — which is what makes
 //! ranking plans' cost proportional to `k`.
+//!
+//! NRJN is HRJN on the empty key, as a nested-loops join is the hash join
+//! on it: each side's drawn rows are ids of one `KeyIndex`, the index hash
+//! joins group their build sides by, so on the empty key a draw meets every
+//! row the other side drew.  A NULL key joins nothing.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use ranksql_common::{JoinedRow, Result, Schema, Score, TupleId, Value};
+use ranksql_common::{JoinedRow, Result, Schema, Score, TupleId};
 use ranksql_expr::{BoolExpr, BoundBoolExpr, RankedTuple, RankingContext};
 
-use crate::fxhash::FxHashMap;
-
+use crate::build_table::{key_hash, KeyIndex};
 use crate::context::ExecutionContext;
-use crate::join::extract_join_keys;
+use crate::join::{extract_join_keys, JoinKeys};
 use crate::metrics::OperatorMetrics;
 use crate::operator::{draw_one, Batch, BoxedOperator, PhysicalOperator};
 
@@ -45,9 +49,6 @@ impl Terms {
     }
 }
 
-/// End of a hash chain in [`SideState::next_same_key`].
-const CHAIN_END: usize = usize::MAX;
-
 /// State kept per input side.
 struct SideState {
     input: BoxedOperator,
@@ -56,13 +57,8 @@ struct SideState {
     /// and the last bounds everything it may still produce — the two states
     /// the threshold is computed from.
     seen: Batch,
-    /// Hash table from join-key values to the most recently drawn `seen`
-    /// index with that key (HRJN only); earlier ones follow through
-    /// `next_same_key`.
-    hash: FxHashMap<Vec<Value>, usize>,
-    /// Parallel to `seen`: the previously drawn index with the same join
-    /// key, or [`CHAIN_END`] — the hash buckets, without a `Vec` per key.
-    next_same_key: Vec<usize>,
+    /// `seen`'s indices by the hash of their join key.
+    index: KeyIndex,
     /// Key column indices within this side's schema.
     key_cols: Vec<usize>,
     exhausted: bool,
@@ -75,22 +71,27 @@ impl SideState {
         SideState {
             input,
             seen: Batch::new(),
-            hash: FxHashMap::default(),
-            next_same_key: Vec::new(),
+            index: KeyIndex::default(),
             key_cols,
             exhausted: false,
             ranked,
         }
     }
 
-    /// Indices into `seen` of the tuples whose join key equals `key`.
-    fn matches<'a>(&'a self, key: &[Value]) -> impl Iterator<Item = usize> + 'a {
-        let mut at = self.hash.get(key).copied().unwrap_or(CHAIN_END);
-        std::iter::from_fn(move || {
-            let found = (at != CHAIN_END).then_some(at)?;
-            at = self.next_same_key[found];
-            Some(found)
-        })
+    /// Indices into `seen` of the tuples whose join key equals `t`'s on
+    /// `cols`, hashed as `hash`: compared in place.
+    fn matches<'a>(
+        &'a self,
+        hash: u64,
+        t: &'a RankedTuple,
+        cols: &'a [usize],
+    ) -> impl Iterator<Item = usize> + 'a {
+        let same = move |&at: &u32| {
+            let seen = &self.seen[at as usize].tuple;
+            let mut pairs = cols.iter().zip(&self.key_cols);
+            pairs.all(|(&c, &own)| t.tuple.value(c) == seen.value(own))
+        };
+        self.index.chain(hash).filter(same).map(|at| at as usize)
     }
 }
 
@@ -180,31 +181,26 @@ impl CandidateQueue {
     }
 }
 
-/// A rank-aware join.  With `use_hash = true` this is HRJN: matches are found
-/// by probing a symmetric pair of hash tables on the equi-join keys.  With
-/// `use_hash = false` it is NRJN: every new tuple is checked against all
-/// tuples seen on the other side (supporting arbitrary join conditions,
-/// including rank-join predicates with no equi-key).
+/// A rank-aware join: HRJN on its equi-join keys, NRJN (arbitrary join
+/// conditions, including rank-join predicates with no equi-key) on the
+/// empty key.  Each drawn tuple is matched against the other side's tuples
+/// with its key, found by hash.
 ///
-/// Either way a match is queued as an index-pair candidate and
-/// **materialised on emit**; the queue pops in *score descending, joined
-/// identity ascending* order.
+/// A match is queued as an index-pair candidate and **materialised on
+/// emit**; the queue pops in *score descending, joined identity ascending*
+/// order.
 pub struct RankJoin {
     left: SideState,
     right: SideState,
     /// What a candidate pair must still pass, bound against the joined
     /// schema and evaluated on the pair in place through [`JoinedRow`]: the
-    /// whole condition for NRJN, the non-equi conjuncts for HRJN (whose hash
+    /// whole condition for NRJN, the non-equi conjuncts for HRJN (whose key
     /// match already decided the equalities; NULL keys never match).
     condition: Option<BoundBoolExpr>,
-    /// Whether to probe by hash (HRJN) or scan (NRJN).
-    use_hash: bool,
     schema: Schema,
     ctx: Arc<RankingContext>,
     metrics: Arc<OperatorMetrics>,
     output: CandidateQueue,
-    /// The drawn tuple's join key, extracted once per draw (reused buffer).
-    key: Vec<Value>,
     /// The cached [`RankJoin::terms`]; `None` after a side advanced or
     /// exhausted, the only events that move them.
     terms: Option<Terms>,
@@ -232,18 +228,11 @@ impl RankJoin {
                 "HRJN requires at least one equi-join condition (use NRJN otherwise)".into(),
             ));
         }
-        Self::build(
-            left,
-            right,
-            keys.residual.as_ref(),
-            keys.keys,
-            true,
-            exec.ranking_arc(),
-            exec.register(label),
-        )
+        Self::build(left, right, keys, exec, label)
     }
 
-    /// Creates an NRJN operator (arbitrary or absent condition).
+    /// Creates an NRJN operator (arbitrary or absent condition): the
+    /// rank-join on the empty key.
     pub fn nrjn(
         left: BoxedOperator,
         right: BoxedOperator,
@@ -251,41 +240,28 @@ impl RankJoin {
         exec: &ExecutionContext,
         label: impl Into<String>,
     ) -> Result<Self> {
-        Self::build(
-            left,
-            right,
-            condition,
-            Vec::new(),
-            false,
-            exec.ranking_arc(),
-            exec.register(label),
-        )
+        Self::build(left, right, JoinKeys::empty(condition), exec, label)
     }
 
     fn build(
         left: BoxedOperator,
         right: BoxedOperator,
-        condition: Option<&BoolExpr>,
-        keys: Vec<(usize, usize)>,
-        use_hash: bool,
-        ctx: Arc<RankingContext>,
-        metrics: Arc<OperatorMetrics>,
+        keys: JoinKeys,
+        exec: &ExecutionContext,
+        label: impl Into<String>,
     ) -> Result<Self> {
         let schema = left.schema().join(right.schema());
-        let bound_condition = condition.map(|c| c.bind(&schema)).transpose()?;
-        let left_keys: Vec<usize> = keys.iter().map(|&(l, _)| l).collect();
-        let right_keys: Vec<usize> = keys.iter().map(|&(_, r)| r).collect();
+        let condition = keys.residual.map(|c| c.bind(&schema)).transpose()?;
+        let (left_keys, right_keys) = keys.keys.into_iter().unzip();
         Ok(RankJoin {
             left: SideState::new(left, left_keys),
             right: SideState::new(right, right_keys),
-            condition: bound_condition,
-            use_hash,
+            condition,
             schema,
             output: CandidateQueue::default(),
-            key: Vec::new(),
             terms: None,
-            ctx,
-            metrics,
+            ctx: exec.ranking_arc(),
+            metrics: exec.register(label),
             turn: Side::Left,
             #[cfg(test)]
             built: Default::default(),
@@ -344,23 +320,11 @@ impl RankJoin {
         }
 
         // Register the new tuple on its own side.  `=` is never true of a
-        // NULL, so a NULL key is neither registered nor probed with.
+        // NULL, so a NULL key is never probed with, and no key equals it.
         let t = &this.seen[index];
-        self.key.clear();
-        self.key
-            .extend(this.key_cols.iter().map(|&i| t.tuple.value(i).clone()));
-        let joinable = !self.key.iter().any(Value::is_null);
-        if self.use_hash {
-            let previous = if !joinable {
-                CHAIN_END
-            } else if let Some(head) = this.hash.get_mut(self.key.as_slice()) {
-                std::mem::replace(head, index)
-            } else {
-                this.hash.insert(self.key.clone(), index);
-                CHAIN_END
-            };
-            this.next_same_key.push(previous);
-        }
+        let hash = key_hash(this.key_cols.iter().map(|&c| t.tuple.value(c)));
+        let joinable = !this.key_cols.iter().any(|&c| t.tuple.value(c).is_null());
+        this.index.insert(hash);
 
         // Queue its matches with the other side.
         let (left, right) = (&self.left.seen, &self.right.seen);
@@ -388,14 +352,15 @@ impl RankJoin {
             output.push(candidate, left, right);
             Ok(())
         };
-        let other = match side {
-            Side::Left => &self.right,
-            Side::Right => &self.left,
+        let (this, other) = match side {
+            Side::Left => (&self.left, &self.right),
+            Side::Right => (&self.right, &self.left),
         };
-        if !self.use_hash {
-            (0..other.seen.len()).try_for_each(&mut consider)?;
-        } else if joinable {
-            other.matches(&self.key).try_for_each(&mut consider)?;
+        if joinable {
+            let t = &this.seen[index];
+            other
+                .matches(hash, t, &this.key_cols)
+                .try_for_each(&mut consider)?;
         }
         Ok(true)
     }

@@ -33,12 +33,17 @@
 //! Comments, string literals and `#[cfg(test)] mod` bodies are stripped
 //! before token scanning, so prose about `unwrap` or asserts inside unit
 //! tests never trip the gate.
+//!
+//! `cargo xtask loc` prints the source lines of each crate under `crates/`,
+//! in all and outside its `#[cfg(test)] mod`s (the blocks the lint strips);
+//! it gates nothing.
 
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -82,8 +87,9 @@ fn main() -> ExitCode {
             let write = args.iter().any(|a| a == "--write-allowlist");
             lint(&root, write)
         }
+        Some("loc") => loc(&root),
         _ => {
-            eprintln!("usage: cargo xtask lint [--write-allowlist]");
+            eprintln!("usage: cargo xtask lint [--write-allowlist] | cargo xtask loc");
             ExitCode::FAILURE
         }
     }
@@ -284,11 +290,12 @@ fn is_ident_byte(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_'
 }
 
-/// Blanks the bodies of `#[cfg(test)] [pub[(crate)]] mod … { … }` blocks
-/// (unit tests may panic freely) in already comment-stripped source.
-fn blank_test_mods(stripped: &str) -> String {
-    let mut out = stripped.as_bytes().to_vec();
+/// The `#[cfg(test)] [pub[(crate)]] mod … { … }` blocks of
+/// already comment-stripped source: each as the byte range from its
+/// attribute through its closing brace.
+fn test_mods(stripped: &str) -> Vec<Range<usize>> {
     let b = stripped.as_bytes();
+    let mut mods = Vec::new();
     let mut search = 0usize;
     while let Some(pos) = stripped[search..].find("#[cfg(test)]") {
         let attr = search + pos;
@@ -327,19 +334,66 @@ fn blank_test_mods(stripped: &str) -> String {
                     }
                     j += 1;
                 }
-                let end = j.min(out.len());
-                for cell in out.iter_mut().take(end).skip(open) {
-                    if *cell != b'\n' {
-                        *cell = b' ';
-                    }
-                }
-                search = j.min(b.len());
+                let end = (j + 1).min(b.len());
+                mods.push(attr..end);
+                search = end;
                 continue;
             }
         }
         search = attr + 1;
     }
+    mods
+}
+
+/// Blanks the `#[cfg(test)] [pub[(crate)]] mod … { … }` blocks (unit tests
+/// may panic freely) in already comment-stripped source, newlines kept.
+fn blank_test_mods(stripped: &str) -> String {
+    let mut out = stripped.as_bytes().to_vec();
+    for span in test_mods(stripped) {
+        for cell in &mut out[span] {
+            if *cell != b'\n' {
+                *cell = b' ';
+            }
+        }
+    }
     String::from_utf8(out).unwrap_or_default()
+}
+
+/// The lines of `src` outside its `#[cfg(test)] mod`s, each counted from
+/// its attribute's line through its closing brace's.
+fn non_test_lines(src: &str) -> usize {
+    let stripped = strip_comments_and_strings(src);
+    let test: usize = (test_mods(&stripped).into_iter())
+        .map(|span| stripped[span].matches('\n').count() + 1)
+        .sum();
+    src.lines().count().saturating_sub(test)
+}
+
+/// `cargo xtask loc`: the source lines of each crate under `crates/` (its
+/// `src/`; the umbrella crate only re-exports them), in all and outside
+/// `#[cfg(test)] mod`s, and their sums.  It prints and checks nothing.
+fn loc(root: &Path) -> ExitCode {
+    let mut lines: BTreeMap<String, (usize, usize)> = BTreeMap::new();
+    for (rel, text) in library_sources(root) {
+        let Some(krate) = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split('/').next())
+        else {
+            continue;
+        };
+        let counts = lines.entry(krate.to_owned()).or_default();
+        *counts = (
+            counts.0 + text.lines().count(),
+            counts.1 + non_test_lines(&text),
+        );
+    }
+    println!("{:<12} {:>8} {:>8}", "crate", "lines", "non-test");
+    for (krate, (total, non_test)) in &lines {
+        println!("{krate:<12} {total:>8} {non_test:>8}");
+    }
+    let (total, non_test) = lines.values().fold((0, 0), |(t, n), c| (t + c.0, n + c.1));
+    println!("{:<12} {total:>8} {non_test:>8}", "all");
+    ExitCode::SUCCESS
 }
 
 /// Occurrences of `tokens` in `text`.  A token that starts like an
@@ -730,6 +784,15 @@ mod tests {
         let shared = src.replace("mod tests", "pub(crate) mod tests");
         let out = blank_test_mods(&strip_comments_and_strings(&shared));
         assert_eq!(count_tokens(&out, PANIC_TOKENS), 1);
+    }
+
+    #[test]
+    fn test_mod_lines_are_not_counted() {
+        let src = "fn a() {}\n\n#[cfg(test)]\nmod tests {\n fn t() {}\n}\n";
+        assert_eq!(non_test_lines(src), 2);
+        let later = format!("{src}fn b() {{}}\n");
+        assert_eq!(non_test_lines(&later), 3);
+        assert_eq!(non_test_lines("// #[cfg(test)] mod t {}\nfn a() {}\n"), 2);
     }
 
     #[test]

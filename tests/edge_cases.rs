@@ -539,3 +539,76 @@ fn canonical_plans_are_not_bounded_by_the_relation_count() {
     let r = db.execute_with_mode(&query, PlanMode::Canonical).unwrap();
     assert_eq!(r.rows.len(), 1);
 }
+
+/// `L ⋈ R` on `jc`, 40 rows a side with keys `i % 5` and every third key
+/// NULL: 136 pairs, or 332 were a NULL key to match a NULL key.
+fn null_keyed_db() -> Database {
+    let db = Database::new();
+    for (name, score) in [("L", "p"), ("R", "q")] {
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("jc", DataType::Int64),
+            Field::new(score, DataType::Float64),
+        ]);
+        db.create_table(name, schema).unwrap();
+    }
+    for i in 0..40i64 {
+        let jc = match i % 3 {
+            0 => Value::Null,
+            _ => Value::from(i % 5),
+        };
+        let (p, q) = ((i * 13) % 100, (i * 31) % 100);
+        db.insert(
+            "L",
+            vec![Value::from(i), jc.clone(), Value::from(p as f64 / 100.0)],
+        )
+        .unwrap();
+        db.insert("R", vec![Value::from(i), jc, Value::from(q as f64 / 100.0)])
+            .unwrap();
+    }
+    db
+}
+
+#[test]
+fn null_join_keys_never_match_in_any_mode_or_join_algorithm() {
+    use ranksql::common::BitSet64;
+    use ranksql::{JoinAlgorithm, LogicalPlan, QueryResult};
+
+    let db = null_keyed_db();
+    let query = join_query(10_000);
+    let rows = |r: &QueryResult| {
+        let scores = rounded(&r.scores());
+        let ids = r.rows.iter().map(|t| t.tuple.id().clone());
+        ids.zip(scores).collect::<Vec<_>>()
+    };
+    let reference = rows(&db.execute_with_mode(&query, PlanMode::Canonical).unwrap());
+    assert_eq!(reference.len(), 136);
+    for mode in ALL_MODES {
+        let r = db.execute_with_mode(&query, mode).unwrap();
+        assert_eq!(rows(&r), reference, "mode {mode:?}");
+    }
+    let catalog = db.catalog();
+    let (l, r) = (catalog.table("L").unwrap(), catalog.table("R").unwrap());
+    let on = Some(BoolExpr::col_eq_col("L.jc", "R.jc"));
+    for algorithm in [
+        JoinAlgorithm::NestedLoop,
+        JoinAlgorithm::Hash,
+        JoinAlgorithm::SortMerge,
+        JoinAlgorithm::HashRankJoin,
+        JoinAlgorithm::NestedLoopRankJoin,
+    ] {
+        // A rank-join of the two rank-scans emits in score order; any
+        // other join is sorted.
+        let plan = match algorithm.is_rank_aware() {
+            true => LogicalPlan::rank_scan(&l, 0).join(
+                LogicalPlan::rank_scan(&r, 1),
+                on.clone(),
+                algorithm,
+            ),
+            false => (LogicalPlan::scan(&l).join(LogicalPlan::scan(&r), on.clone(), algorithm))
+                .sort(BitSet64::all(2)),
+        };
+        let got = db.execute_plan(&query, &plan.limit(query.k)).unwrap();
+        assert_eq!(rows(&got), reference, "{algorithm:?}");
+    }
+}

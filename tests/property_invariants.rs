@@ -36,18 +36,23 @@ use ranksql::{
 #[derive(Debug, Clone)]
 struct JoinWorkload {
     /// Rows of table R: (join column, p1 score, boolean flag).
-    r_rows: Vec<(i64, f64, bool)>,
+    r_rows: Vec<(Option<i64>, f64, bool)>,
     /// Rows of table S: (join column, p2 score, p3 score).
-    s_rows: Vec<(i64, f64, f64)>,
+    s_rows: Vec<(Option<i64>, f64, f64)>,
     /// Requested result size.
     k: usize,
     /// Per-predicate simulated evaluation costs.
     costs: [u64; 3],
 }
 
+/// A join key from a domain of 8, NULL one time in nine.
+fn join_key() -> impl Strategy<Value = Option<i64>> {
+    (0..9i64).prop_map(|key| (key < 8).then_some(key))
+}
+
 fn join_workload() -> impl Strategy<Value = JoinWorkload> {
-    let r_row = (0..8i64, 0.0..1.0f64, any::<bool>());
-    let s_row = (0..8i64, 0.0..1.0f64, 0.0..1.0f64);
+    let r_row = (join_key(), 0.0..1.0f64, any::<bool>());
+    let s_row = (join_key(), 0.0..1.0f64, 0.0..1.0f64);
     (
         proptest::collection::vec(r_row, 1..25),
         proptest::collection::vec(s_row, 1..25),
@@ -85,12 +90,17 @@ fn build_database(w: &JoinWorkload) -> (Database, RankQuery) {
     for &(jc, p1, flag) in &w.r_rows {
         db.insert(
             "R",
-            vec![Value::from(jc), Value::from(p1), Value::from(flag)],
+            vec![
+                jc.map_or(Value::Null, Value::from),
+                Value::from(p1),
+                Value::from(flag),
+            ],
         )
         .unwrap();
     }
     for &(jc, p2, p3) in &w.s_rows {
-        db.insert("S", vec![Value::from(jc), Value::from(p2), Value::from(p3)])
+        let jc = jc.map_or(Value::Null, Value::from);
+        db.insert("S", vec![jc, Value::from(p2), Value::from(p3)])
             .unwrap();
     }
     let query = QueryBuilder::new()
